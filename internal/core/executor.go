@@ -243,18 +243,18 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 				VMUSD:    e.vmCostSnapshot() - vBefore,
 				CacheUSD: e.cacheCostSnapshot() - cBefore,
 			}
-			if detail, derr := state.String(n.stage.Name() + ".detail"); derr == nil {
-				sr.Detail = detail
+			// The optional probes a stage publishes: read with Get, as
+			// absent is the common case and Int/String would build an
+			// error for each just to have it dropped.
+			probe := func(suffix string) any {
+				v, _ := state.Get(sr.Name + suffix)
+				return v
 			}
-			if v, verr := state.Int(n.stage.Name() + ".restarts"); verr == nil {
-				sr.Restarts = v
-			}
-			if v, verr := state.Int(n.stage.Name() + ".reworkBytes"); verr == nil {
-				sr.ReworkBytes = int64(v)
-			}
-			if v, verr := state.Int(n.stage.Name() + ".fallbackSlabs"); verr == nil {
-				sr.FallbackSlabs = v
-			}
+			sr.Detail, _ = probe(".detail").(string)
+			sr.Restarts, _ = probe(".restarts").(int)
+			rework, _ := probe(".reworkBytes").(int)
+			sr.ReworkBytes = int64(rework)
+			sr.FallbackSlabs, _ = probe(".fallbackSlabs").(int)
 			sr.Cost.Add("functions", e.Prices.FunctionsCost(sr.Faas))
 			sr.Cost.Add("storage requests", e.Prices.StorageCost(sr.Store))
 			sr.Cost.Add("vm", sr.VMUSD)

@@ -130,3 +130,33 @@ func BenchmarkDESTokenBucket(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(taken)/b.Elapsed().Seconds(), "takes/s")
 }
+
+// BenchmarkDESLinkTransfer measures one Link.Transfer among a fixed
+// number of concurrent flows, the benchmark harness's
+// des.link_transfer_ns_f* probe: capped flows on a link with room to
+// spare, sizes unequal so completions interleave and every arrival
+// and departure reshares the link. allocs/op is the flow itself.
+func BenchmarkDESLinkTransfer(b *testing.B) {
+	for _, flows := range []int{8, 64, 256} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			s := New(1)
+			l := NewLink(s, 10e9)
+			per := (b.N + flows - 1) / flows
+			for f := 0; f < flows; f++ {
+				f := f
+				s.Spawn("flow", func(p *Proc) {
+					for k := 0; k < per; k++ {
+						l.Transfer(p, int64(1<<20+((f*31+k*17)%64)<<14), 95e6)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(l.Transfers())/b.Elapsed().Seconds(), "transfers/s")
+		})
+	}
+}

@@ -2,7 +2,7 @@ package des
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -14,10 +14,37 @@ import (
 // recomputed by water-filling, so a lone transfer gets the full
 // capacity and n equal transfers each get capacity/n (or their cap,
 // whichever is lower).
+//
+// The link keeps one pending completion event, for the flow that
+// finishes first. A membership change advances every flow, reassigns
+// rates and moves that one event: O(flows) arithmetic, no allocation.
+// The event is rescheduled at every change even when its flow and
+// instant stay the same: among other events of that instant it takes
+// the place of the latest change, and completions that share an
+// instant go in (remaining, proc name) order as of that change. Fired
+// logs depend on both.
 type Link struct {
 	sim      *Sim
 	capacity float64 // bytes/sec; <= 0 means unlimited
-	flows    map[*linkFlow]struct{}
+	// fit is the largest sum of caps for which waterfill is certain
+	// to hand every flow exactly its cap (see assignRates).
+	fit float64
+
+	flows []*linkFlow
+	// last is the instant every flow's remaining is current as of:
+	// each membership change advances all of them together.
+	last time.Duration
+
+	// ev is the pending completion event and next the index in flows
+	// of the flow it will try to finish; fireFn is the fire method
+	// value, bound once so rescheduling does not allocate a closure.
+	ev     Event
+	next   int
+	fireFn func()
+
+	// Scratch for waterfillFlows, reused across calls.
+	rates []float64
+	order []capIdx
 
 	// stats
 	bytesMoved   float64
@@ -26,23 +53,44 @@ type Link struct {
 
 type linkFlow struct {
 	remaining float64
-	cap       float64 // per-flow cap; <= 0 means none
+	cap       float64 // per-flow cap; +Inf means none
 	rate      float64
-	last      time.Duration
 	proc      *Proc
-	doneEv    Event
 	finished  bool
 }
+
+// before is the order completion events at the same instant fire in:
+// least remaining first, proc name on exact ties.
+func (f *linkFlow) before(g *linkFlow) bool {
+	if f.remaining != g.remaining {
+		return f.remaining < g.remaining
+	}
+	return f.proc.name < g.proc.name
+}
+
+// fitSlack is the relative headroom assignRates demands before it
+// skips waterfill. Waterfill takes the caps in ascending order and
+// hands flow k its cap when cap_k*(n-k) is at most what k roundings
+// have left of capacity - cap_0 - ... - cap_k-1, each off by at most
+// 2^-53 of the capacity; as cap_k*(n-k) is at most the sum of the caps
+// still to come, caps summing to capacity*(1-n*2^-53) or less all
+// pass. 2^-20 covers that, and the rounding in summing the caps, for
+// any flow count below 2^30.
+const fitSlack = 1.0 / (1 << 20)
 
 // NewLink returns a link with the given capacity in bytes/second.
 // capacity <= 0 means the link is unlimited and only per-flow caps (if
 // any) constrain transfers.
 func NewLink(s *Sim, capacity float64) *Link {
-	return &Link{
+	l := &Link{
 		sim:      s,
 		capacity: capacity,
-		flows:    make(map[*linkFlow]struct{}),
+		// Never +Inf, so a sum of caps holding an uncapped flow
+		// cannot pass.
+		fit: math.Min(capacity*(1-fitSlack), math.MaxFloat64),
 	}
+	l.fireFn = l.fire
+	return l
 }
 
 // Capacity reports the configured capacity (<= 0 for unlimited).
@@ -67,11 +115,14 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 	}
 	f := &linkFlow{
 		remaining: float64(bytes),
-		cap:       flowCap,
-		last:      l.sim.Now(),
+		cap:       math.Inf(1),
 		proc:      p,
 	}
-	l.flows[f] = struct{}{}
+	if flowCap > 0 {
+		f.cap = flowCap
+	}
+	l.advance()
+	l.flows = append(l.flows, f)
 	l.reshare()
 	for !f.finished {
 		p.Park()
@@ -83,99 +134,133 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 // advance progresses every flow's remaining byte count to the current
 // virtual time at its previous rate.
 func (l *Link) advance() {
-	now := l.sim.Now()
-	for f := range l.flows {
+	now := l.sim.now
+	elapsed := (now - l.last).Seconds()
+	l.last = now
+	for _, f := range l.flows {
 		if math.IsInf(f.rate, 1) {
 			// An uncapped flow on an unlimited link completes
 			// instantly regardless of elapsed time.
 			f.remaining = 0
-			f.last = now
 			continue
 		}
-		elapsed := (now - f.last).Seconds()
 		if elapsed > 0 && f.rate > 0 {
 			f.remaining -= elapsed * f.rate
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
 		}
-		f.last = now
 	}
 }
 
-// reshare recomputes fair-share rates and (re)schedules every flow's
-// completion event. Must be called after advance-worthy membership
-// changes; it advances first.
+// reshare recomputes fair-share rates and moves the completion event
+// to the flow that now finishes first. The flows must be advanced to
+// the current instant.
 func (l *Link) reshare() {
-	l.advance()
+	l.ev.Cancel()
+	l.ev = Event{}
 	if len(l.flows) == 0 {
 		return
 	}
-	ordered := make([]*linkFlow, 0, len(l.flows))
-	for f := range l.flows {
-		ordered = append(ordered, f)
+	l.assignRates()
+	now := l.sim.now
+	next, nextAt := -1, time.Duration(0)
+	for i, f := range l.flows {
+		at := now
+		if f.remaining > 0.5 && !math.IsInf(f.rate, 1) {
+			if f.rate <= 0 {
+				// No capacity at all: leave the flow parked; a later
+				// membership change will reshare. This only happens
+				// with a capacity so small that waterfill's fair share
+				// underflows to zero, which validated configs cannot
+				// produce.
+				continue
+			}
+			// Round up so sub-nanosecond residues still make progress;
+			// otherwise a tiny transfer at a huge rate reschedules
+			// itself at the same instant forever.
+			d := time.Duration(math.Ceil(f.remaining / f.rate * float64(time.Second)))
+			if d < time.Nanosecond {
+				d = time.Nanosecond
+			}
+			at = now + d
+		}
+		if next < 0 || at < nextAt || at == nextAt && f.before(l.flows[next]) {
+			next, nextAt = i, at
+		}
 	}
-	// Deterministic order: completion scheduling order must not depend
-	// on map iteration. Sort by remaining bytes, then by proc name.
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].remaining != ordered[j].remaining {
-			return ordered[i].remaining < ordered[j].remaining
-		}
-		return ordered[i].proc.Name() < ordered[j].proc.Name()
-	})
-	caps := make([]float64, len(ordered))
-	for i, f := range ordered {
-		if f.cap > 0 {
-			caps[i] = f.cap
-		} else {
-			caps[i] = math.Inf(1)
-		}
-	}
-	rates := Waterfill(l.capacity, caps)
-	for i, f := range ordered {
-		f.rate = rates[i]
-		f.doneEv.Cancel()
-		f.doneEv = Event{}
-		if f.remaining <= 0.5 || math.IsInf(f.rate, 1) {
-			ff := f
-			f.doneEv = l.sim.Schedule(l.sim.Now(), func() { l.finish(ff) })
-			continue
-		}
-		if f.rate <= 0 {
-			// No capacity at all: leave the flow parked; a later
-			// membership change will reshare. This only happens with
-			// capacity so oversubscribed by caps that waterfill
-			// assigned zero, which validated configs cannot produce.
-			continue
-		}
-		// Round up so sub-nanosecond residues still make progress;
-		// otherwise a tiny transfer at a huge rate reschedules itself
-		// at the same instant forever.
-		d := time.Duration(math.Ceil(f.remaining / f.rate * float64(time.Second)))
-		if d < time.Nanosecond {
-			d = time.Nanosecond
-		}
-		ff := f
-		f.doneEv = l.sim.After(d, func() { l.finish(ff) })
+	if next >= 0 {
+		l.next = next
+		l.ev = l.sim.Schedule(nextAt, l.fireFn)
 	}
 }
 
-func (l *Link) finish(f *linkFlow) {
-	if f.finished {
+// assignRates sets every flow's rate to its max-min fair share. When
+// the caps sum to no more than the capacity (with fitSlack to spare),
+// or the link is unlimited, waterfill returns the caps themselves, so
+// they are assigned directly; otherwise waterfillFlows runs it.
+func (l *Link) assignRates() {
+	identity := l.capacity <= 0
+	if !identity {
+		var sum float64
+		for _, f := range l.flows {
+			sum += f.cap
+		}
+		identity = sum <= l.fit
+	}
+	if !identity {
+		l.waterfillFlows()
 		return
 	}
-	// Self-correct rounding: if the flow is not actually done, advance
-	// and reschedule everyone.
+	for _, f := range l.flows {
+		f.rate = f.cap
+	}
+}
+
+// waterfillFlows assigns rates by waterfill over the flows taken in
+// (remaining, proc name) order: which of two flows with equal caps
+// gets the last-bit-different share depends on that order. The flows
+// are sorted in place, so while the link stays bound the next call
+// finds them nearly sorted.
+func (l *Link) waterfillFlows() {
+	slices.SortFunc(l.flows, func(a, b *linkFlow) int {
+		if a.before(b) {
+			return -1
+		}
+		if b.before(a) {
+			return 1
+		}
+		return 0
+	})
+	l.rates = l.rates[:0]
+	for _, f := range l.flows {
+		l.rates = append(l.rates, f.cap)
+	}
+	l.order = waterfill(l.capacity, l.rates, l.order)
+	for i, f := range l.flows {
+		f.rate = l.rates[i]
+	}
+}
+
+// fire is the completion event: it finishes the flow the event was
+// scheduled for and reshares the rest.
+func (l *Link) fire() {
 	l.advance()
-	if f.remaining > 0.5 {
-		l.reshare()
-		return
+	// Self-correct rounding: if the flow is not actually done, leave
+	// it in and reschedule.
+	if f := l.flows[l.next]; f.remaining <= 0.5 {
+		l.flows = slices.Delete(l.flows, l.next, l.next+1)
+		f.finished = true
+		f.proc.Wake()
 	}
-	f.finished = true
-	f.doneEv = Event{}
-	delete(l.flows, f)
-	f.proc.Wake()
 	l.reshare()
+}
+
+// capIdx is one flow's cap and its position in the caller's slice,
+// the element waterfill sorts.
+type capIdx struct {
+	idx int
+	cap float64
 }
 
 // Waterfill computes max-min fair rates for flows with the given
@@ -183,29 +268,36 @@ func (l *Link) finish(f *linkFlow) {
 // (each flow simply gets its cap, or +Inf with no cap). The returned
 // slice is parallel to caps.
 func Waterfill(capacity float64, caps []float64) []float64 {
-	rates := make([]float64, len(caps))
-	if len(caps) == 0 {
-		return rates
-	}
+	rates := append(make([]float64, 0, len(caps)), caps...)
+	waterfill(capacity, rates, nil)
+	return rates
+}
+
+// waterfill is Waterfill in place: rates holds the caps on entry and
+// the rates on return. order is scratch, returned (grown if it was too
+// short) for reuse.
+func waterfill(capacity float64, rates []float64, order []capIdx) []capIdx {
 	if capacity <= 0 {
-		copy(rates, caps)
-		return rates
+		return order
 	}
-	type idxCap struct {
-		idx int
-		cap float64
+	order = order[:0]
+	for i, c := range rates {
+		order = append(order, capIdx{idx: i, cap: c})
 	}
-	order := make([]idxCap, len(caps))
-	for i, c := range caps {
-		order[i] = idxCap{idx: i, cap: c}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].cap < order[j].cap })
+	slices.SortFunc(order, func(a, b capIdx) int {
+		if a.cap < b.cap {
+			return -1
+		}
+		if a.cap > b.cap {
+			return 1
+		}
+		return 0
+	})
 	remaining := capacity
 	left := len(order)
 	for _, oc := range order {
 		fair := remaining / float64(left)
 		if oc.cap <= fair {
-			rates[oc.idx] = oc.cap
 			remaining -= oc.cap
 		} else {
 			rates[oc.idx] = fair
@@ -213,5 +305,5 @@ func Waterfill(capacity float64, caps []float64) []float64 {
 		}
 		left--
 	}
-	return rates
+	return order
 }

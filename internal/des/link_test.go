@@ -3,6 +3,8 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -273,5 +275,193 @@ func TestWaterfillPropertyMaxMinFairness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wakeOrder runs one transfer per (name, bytes) pair, all joining at
+// time zero in the order given, and returns the names in the order
+// their transfers returned, with the instant each did.
+func wakeOrder(t *testing.T, l *Link, flowCap float64, names []string, bytes []int64) ([]string, []time.Duration) {
+	t.Helper()
+	var order []string
+	var at []time.Duration
+	for i, name := range names {
+		n := bytes[i]
+		l.sim.Spawn(name, func(p *Proc) {
+			l.Transfer(p, n, flowCap)
+			order = append(order, p.Name())
+			at = append(at, p.Now())
+		})
+	}
+	if err := l.sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return order, at
+}
+
+func TestLinkSameInstantFinishersWakeByRemainingThenName(t *testing.T) {
+	// Equal sizes at equal rates: an exact tie in remaining at every
+	// reshare, so the names decide, not the spawn order.
+	order, at := wakeOrder(t, NewLink(New(1), 1000), 100,
+		[]string{"c", "a", "d", "b"}, []int64{100, 100, 100, 100})
+	if got := fmt.Sprint(order); got != "[a b c d]" {
+		t.Fatalf("wake order = %v, want [a b c d]", order)
+	}
+	for _, d := range at {
+		if d != time.Second {
+			t.Fatalf("finished at %v, want all at 1s", at)
+		}
+	}
+	// 1500 and 1999 bytes at 1e12 B/s both round up to 2 ns: same
+	// instant, and the smaller remainder goes first whatever its name.
+	order, at = wakeOrder(t, NewLink(New(1), 0), 1e12,
+		[]string{"a", "z"}, []int64{1999, 1500})
+	if got := fmt.Sprint(order); got != "[z a]" || at[0] != 2 || at[1] != 2 {
+		t.Fatalf("wake order = %v at %v, want [z a] both at 2ns", order, at)
+	}
+}
+
+func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
+	// Waterfill only assigns a zero rate when the fair share
+	// underflows, so the state is forced: once both flows have joined,
+	// "starved" is stalled by hand and the event re-aimed the way a
+	// reshare would leave it.
+	s := New(1)
+	l := NewLink(s, 100)
+	done := map[string]time.Duration{}
+	for _, name := range []string{"fed", "starved"} {
+		s.Spawn(name, func(p *Proc) {
+			l.Transfer(p, 100, 0)
+			done[p.Name()] = p.Now()
+		})
+	}
+	s.Spawn("stall", func(p *Proc) {
+		for i, f := range l.flows {
+			if f.proc.Name() == "starved" {
+				f.rate = 0
+			} else {
+				l.next = i
+			}
+		}
+		if n := s.Pending(); n != 1 {
+			t.Errorf("Pending with two flows in flight = %d, want the link's one event", n)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// fed runs at its 50 B/s share for 2 s; starved moved nothing
+	// meanwhile and then has the link to itself for 1 s.
+	if done["fed"] != 2*time.Second || done["starved"] != 3*time.Second {
+		t.Fatalf("done = %v, want fed at 2s and starved at 3s", done)
+	}
+}
+
+func TestLinkDrainLeavesNoEvent(t *testing.T) {
+	load := func() (*Sim, *Link) {
+		s := New(1)
+		l := NewLink(s, 1000)
+		for i := 0; i < 40; i++ {
+			i := i
+			s.Spawn(fmt.Sprintf("f%d", i), func(p *Proc) {
+				p.Sleep(time.Duration(i%5) * time.Millisecond)
+				l.Transfer(p, int64(100+i), float64(10+i%3))
+			})
+		}
+		return s, l
+	}
+	// Stopped mid-flight, the link holds one live event however many
+	// flows it carries.
+	s, l := load()
+	if err := s.RunUntil(2 * time.Millisecond); err != ErrSimLimit {
+		t.Fatalf("RunUntil = %v, want ErrSimLimit", err)
+	}
+	if l.ActiveFlows() == 0 || !l.ev.pending() {
+		t.Fatalf("mid-flight: %d flows, event pending %v", l.ActiveFlows(), l.ev.pending())
+	}
+
+	s, l = load()
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if l.ActiveFlows() != 0 || s.Pending() != 0 || l.ev.pending() {
+		t.Fatalf("after drain: %d flows, %d pending events, link event pending %v",
+			l.ActiveFlows(), s.Pending(), l.ev.pending())
+	}
+	if l.Transfers() != 40 {
+		t.Fatalf("Transfers = %d, want 40", l.Transfers())
+	}
+}
+
+func TestLinkSteadyStateTransferAllocatesOnlyTheFlow(t *testing.T) {
+	s := New(1)
+	l := NewLink(s, 10e9)
+	// 63 flows that outlast the measurement, then one proc timing its
+	// own transfers among them.
+	for i := 0; i < 63; i++ {
+		s.Spawn(fmt.Sprintf("bg%d", i), func(p *Proc) { l.Transfer(p, 1<<40, 95e6) })
+	}
+	var allocs float64
+	s.Spawn("probe", func(p *Proc) {
+		allocs = testing.AllocsPerRun(200, func() { l.Transfer(p, 1<<20, 95e6) })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs > 1 {
+		t.Fatalf("Transfer among 64 flows: %.1f allocs, want at most 1 (the flow)", allocs)
+	}
+}
+
+// TestLinkShortcutMatchesWaterfillAtTheBrim walks the sum of caps
+// across the capacity in steps from one ulp to a part in a thousand:
+// on either side of fitSlack, assignRates must hand out exactly what
+// Waterfill computes for the flows in (remaining, name) order.
+func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	shortcut, general := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + r.Intn(300)
+		flows := make([]*linkFlow, n)
+		var sum float64
+		uniform := []float64{95e6, 1e9 / 3, 1 + r.Float64()*1e9}[r.Intn(3)]
+		for i := range flows {
+			c := uniform
+			if trial%4 == 3 {
+				c = 1 + r.Float64()*1e9 // mixed caps
+			}
+			flows[i] = &linkFlow{remaining: float64(n - i), cap: c, proc: &Proc{name: "p"}}
+			sum += c
+		}
+		// sum scaled by 1+k*2^-e, k in [-8, 8], e from 52 (ulps) to 10.
+		capacity := sum * (1 + float64(r.Intn(17)-8)*math.Ldexp(1, -(10+r.Intn(43))))
+		l := NewLink(New(1), capacity)
+		l.flows = flows
+		if sum <= l.fit {
+			shortcut++
+		} else {
+			general++
+		}
+		l.assignRates()
+
+		// flows was built in descending remaining; assignRates may
+		// have sorted it ascending in place.
+		if flows[0].remaining > flows[n-1].remaining {
+			slices.Reverse(flows)
+		}
+		caps := make([]float64, n)
+		for i, f := range flows {
+			caps[i] = f.cap
+		}
+		want := oracleWaterfill(capacity, caps)
+		for i, f := range flows {
+			if math.Float64bits(f.rate) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d, sum/capacity-1 = %g): rate %v, waterfill %v",
+					trial, n, sum/capacity-1, f.rate, want[i])
+			}
+		}
+	}
+	if shortcut < 500 || general < 500 {
+		t.Fatalf("took the shortcut %d times and the general path %d: the walk misses a side", shortcut, general)
 	}
 }
