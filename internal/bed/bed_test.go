@@ -85,7 +85,7 @@ func TestSortKeyMatchesLess(t *testing.T) {
 		if a.Start == b.Start && a.Chrom == b.Chrom {
 			continue // SortKey ignores End; ties allowed
 		}
-		if Less(a, b) != (SortKey(a) < SortKey(b)) {
+		if Less(a, b) != (sortKey(a) < sortKey(b)) {
 			t.Fatalf("SortKey order mismatch: %v vs %v", a, b)
 		}
 	}

@@ -2,15 +2,13 @@ package bed
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 )
 
-// The data-plane benchmarks come in new/legacy pairs over identical
-// workloads (20k generated records, seed 11 — the same fixture the
-// shuffle package's partition/merge benchmarks use), so the
-// allocs/op and ns/op wins recorded in EXPERIMENTS.md and BENCH_3.json
-// stay reproducible from the tree itself.
+// The data-plane benchmarks run over one workload (20k generated
+// records, seed 11 — the same fixture the shuffle package's benchmarks
+// use). The legacy twins they were first measured against are retired;
+// their numbers are in EXPERIMENTS.md and BENCH_3..10.json.
 
 func benchRecords() []Record {
 	return Generate(GenConfig{Records: 20000, Seed: 11, Sorted: false})
@@ -27,17 +25,6 @@ func BenchmarkParseLine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseLine(lines[i%len(lines)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParseLineLegacy(b *testing.B) {
-	lines := benchLines(benchRecords())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := referenceParseLine(lines[i%len(lines)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,16 +49,5 @@ func BenchmarkSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratch, recs)
 		Sort(scratch)
-	}
-}
-
-func BenchmarkSortLegacy(b *testing.B) {
-	recs := benchRecords()
-	scratch := make([]Record, len(recs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, recs)
-		sort.Slice(scratch, func(i, j int) bool { return Less(scratch[i], scratch[j]) })
 	}
 }

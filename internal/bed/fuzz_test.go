@@ -63,19 +63,19 @@ var trickyLines = []string{
 	"chr1\t10468\t10469\t.\t14\t+\t10468\t10469\t255,0,0\t14\t92",
 	"chrX\t0\t1\t.\t0\t.\t0\t1\t0,255,0\t0\t0",
 	"chrUn_KI270752\t5\t6\tname\t3\t-\t5\t6\t255,255,0\t3\t50",
-	"",                      // empty line
-	"chr1\t1\t2",            // too few fields
-	"chr1\t1\t2\t.\t1\t+\t1\t2\tc\t1\t1\textra", // too many fields
-	"chr1\t1\t2\t.\t1\t+\t1\t2\tc\t1\t1\t",      // trailing tab
-	"chr1\t+5\t9\t.\t1\t+\t5\t9\tc\t1\t1",       // signed start (strconv accepts)
-	"chr1\t-5\t9\t.\t1\t+\t-5\t9\tc\t1\t1",      // negative start (parses, fails Validate)
-	"chr1\t007\t009\t.\t1\t+\t7\t9\tc\t1\t1",    // leading zeros
-	"chr1\t 5\t9\t.\t1\t+\t5\t9\tc\t1\t1",       // leading space
-	"chr1\t5 \t9\t.\t1\t+\t5\t9\tc\t1\t1",       // trailing space
-	"chr1\t\t9\t.\t1\t+\t5\t9\tc\t1\t1",         // empty integer
-	"chr1\t5\t9\t.\t1\t++\t5\t9\tc\t1\t1",       // two-byte strand
-	"chr1\t5\t9\t.\t1\t\t5\t9\tc\t1\t1",         // empty strand
-	"chr1\t5\t9\t.\t1\tx\t5\t9\tc\t1\t1",        // bad strand (fails Validate)
+	"",           // empty line
+	"chr1\t1\t2", // too few fields
+	"chr1\t1\t2\t.\t1\t+\t1\t2\tc\t1\t1\textra",                              // too many fields
+	"chr1\t1\t2\t.\t1\t+\t1\t2\tc\t1\t1\t",                                   // trailing tab
+	"chr1\t+5\t9\t.\t1\t+\t5\t9\tc\t1\t1",                                    // signed start (strconv accepts)
+	"chr1\t-5\t9\t.\t1\t+\t-5\t9\tc\t1\t1",                                   // negative start (parses, fails Validate)
+	"chr1\t007\t009\t.\t1\t+\t7\t9\tc\t1\t1",                                 // leading zeros
+	"chr1\t 5\t9\t.\t1\t+\t5\t9\tc\t1\t1",                                    // leading space
+	"chr1\t5 \t9\t.\t1\t+\t5\t9\tc\t1\t1",                                    // trailing space
+	"chr1\t\t9\t.\t1\t+\t5\t9\tc\t1\t1",                                      // empty integer
+	"chr1\t5\t9\t.\t1\t++\t5\t9\tc\t1\t1",                                    // two-byte strand
+	"chr1\t5\t9\t.\t1\t\t5\t9\tc\t1\t1",                                      // empty strand
+	"chr1\t5\t9\t.\t1\tx\t5\t9\tc\t1\t1",                                     // bad strand (fails Validate)
 	"chr1\t9223372036854775807\t9223372036854775807\t.\t1\t+\t0\t0\tc\t1\t1", // max int64, End==Start
 	"chr1\t1\t9223372036854775808\t.\t1\t+\t0\t0\tc\t1\t1",                   // overflow end
 	"chr1\t1\t-9223372036854775808\t.\t1\t+\t0\t0\tc\t1\t1",                  // min int64

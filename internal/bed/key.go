@@ -6,8 +6,8 @@ import "bytes"
 // two Keys with CompareKey orders records like Less orders them,
 // without re-parsing chromosome names on every comparison. The
 // shuffle's data plane (boundary sampling, partition routing, sorted
-// runs, the k-way merge) works entirely on Keys; the legacy SortKey
-// strings it replaces cost an fmt.Sprintf per record.
+// runs, the k-way merge) works entirely on Keys; the string keys it
+// replaced cost an fmt.Sprintf per record.
 //
 // Layout: Rank is the full chromosome rank (chr1..chr22, X=23, Y=24,
 // M=25; beyond-table names rank 26; larger numeric suffixes keep their

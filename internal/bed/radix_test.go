@@ -122,7 +122,7 @@ func TestKeyDigitRoundTrips(t *testing.T) {
 	k := Key{Rank: 0x0102030405060708, Prefix: 0x1112131415161718,
 		Start: 0x2122232425262728, End: 0x3132333435363738}
 	for i := 0; i < KeyBytes; i++ {
-		want := byte((i>>3)<<4 | (i&7)+1) // word index in the high nibble, byte position+1 in the low
+		want := byte((i>>3)<<4 | (i & 7) + 1) // word index in the high nibble, byte position+1 in the low
 		if got := k.Digit(i); got != want {
 			t.Fatalf("Digit(%d) = %#x, want %#x", i, got, want)
 		}

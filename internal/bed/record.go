@@ -139,13 +139,3 @@ func Sort(recs []Record) {
 func IsSorted(recs []Record) bool {
 	return sort.SliceIsSorted(recs, func(i, j int) bool { return Less(recs[i], recs[j]) })
 }
-
-// SortKey returns a byte string whose lexicographic order matches
-// genome order. It is the legacy string key the binary Key replaced in
-// the shuffle's data plane (an fmt.Sprintf per record, and it ignores
-// End); it is kept as the reference ordering the Key property tests
-// compare against.
-func SortKey(r Record) string {
-	rank, extra := chromRank(r.Chrom)
-	return fmt.Sprintf("%02d%s:%012d", rank, extra, r.Start)
-}

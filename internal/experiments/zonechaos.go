@@ -50,9 +50,9 @@ type ZoneChaosCell struct {
 	Latency   time.Duration
 	// RunUSD is the run's full attributed spend, SessionUSD the
 	// session's closing bill; they must agree exactly.
-	RunUSD     float64
-	SessionUSD float64
-	Restarts   int
+	RunUSD        float64
+	SessionUSD    float64
+	Restarts      int
 	ReworkBytes   int64
 	FallbackSlabs int
 	// Slowdown is this cell's makespan over the strategy's fault-free

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 )
 
-// The partition and merge benchmarks mirror internal/bed's
-// new/legacy pairs: identical workloads (20k records, seed 11, 8
-// reducers) through the binary-key data plane and through the string-
-// keyed, materialize-and-resort path it replaced, kept inline here as
-// the measured baseline.
+// The data-plane benchmarks time the bodies the handlers run — the
+// chunk-fed line feeder, the per-partition sort, the streamed k-way
+// merge and merge-split — on fixed workloads (20k records, seed 11, 8
+// reducers). The string-keyed and whole-buffer twins they were measured
+// against are retired; their numbers are in BENCH_3..10.json.
 
 func benchRecords() []bed.Record {
 	return bed.Generate(bed.GenConfig{Records: 20000, Seed: 11, Sorted: false})
@@ -34,27 +33,9 @@ func benchBounds(recs []bed.Record, workers int) []Boundary {
 	return bounds
 }
 
-func BenchmarkPartition(b *testing.B) {
-	recs := benchRecords()
-	raw := bed.Marshal(recs)
-	bounds := benchBounds(recs, 8)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partitionRaw(raw, false, 0, int64(len(raw)), 8, bounds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMapStream is the streaming map body on the identical
-// workload as BenchmarkPartition: the same slice fed through the
-// chunk-boundary line feeder in 64 KiB chunks (partial trailing lines
-// carried across chunks) instead of one buffered partitionRaw pass.
-// The delta between the two is the Go-side cost of the streaming
-// machinery — it buys the DES-side transfer/CPU overlap, so it must
-// stay noise.
+// BenchmarkMapStream is the streaming map body: the whole object as
+// one slice fed through the chunk-boundary line feeder in 64 KiB chunks
+// (partial trailing lines carried across chunks) into the run builder.
 func BenchmarkMapStream(b *testing.B) {
 	recs := benchRecords()
 	raw := bed.Marshal(recs)
@@ -83,51 +64,6 @@ func BenchmarkMapStream(b *testing.B) {
 	}
 }
 
-// legacyPartitionRaw is the pre-data-plane mapper body: parse each
-// line to a Record, format its SortKey string, binary-search the
-// string boundaries, and re-serialize — no sorted-run invariant.
-func legacyPartitionRaw(raw []byte, workers int, boundaries []string, lines [][]byte) ([][]byte, error) {
-	parts := make([][]byte, workers)
-	for _, line := range lines {
-		rec, err := bed.ParseLine(line)
-		if err != nil {
-			return nil, err
-		}
-		r := sort.SearchStrings(boundaries, bed.SortKey(rec)+"\x00")
-		parts[r] = bed.AppendTSV(parts[r], rec)
-	}
-	return parts, nil
-}
-
-func BenchmarkPartitionLegacy(b *testing.B) {
-	recs := benchRecords()
-	raw := bed.Marshal(recs)
-	var lines [][]byte
-	if err := forEachLine(raw, func(line []byte) error {
-		lines = append(lines, line)
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, len(recs))
-	for i, r := range recs {
-		keys[i] = bed.SortKey(r)
-	}
-	sort.Strings(keys)
-	bounds := make([]string, 7)
-	for i := 1; i < 8; i++ {
-		bounds[i-1] = keys[i*len(keys)/8]
-	}
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacyPartitionRaw(raw, 8, bounds, lines); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchRuns builds 8 sorted runs covering the benchmark records.
 func benchRuns(b *testing.B) ([][]byte, int64) {
 	b.Helper()
@@ -147,24 +83,9 @@ func benchRuns(b *testing.B) ([][]byte, int64) {
 	return runs, total
 }
 
-func BenchmarkReduceMerge(b *testing.B) {
-	runs, total := benchRuns(b)
-	b.SetBytes(total)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mergeRuns(runs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPartitionSort is the ISSUE 4 headline: the mapper's
 // per-partition sort alone — runPart.finish on one unsorted partition
-// — at sizes where the partition has outgrown cache. The Legacy
-// variant is the PR 3 body (stable comparison sort over the ref index,
-// kept in-tree as legacySortRun) on the identical input. Both pay the
-// same buffer-ownership copy-in, so the delta is the sort itself.
+// — at sizes where the partition has outgrown cache.
 func BenchmarkPartitionSort(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -183,27 +104,6 @@ func BenchmarkPartitionSort(b *testing.B) {
 					refsBox: refsBox,
 				}
 				if out := p.finish(); len(out) != len(pristine.buf) {
-					b.Fatal("short run")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkPartitionSortLegacy(b *testing.B) {
-	for _, n := range []int{1 << 16, 1 << 18} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			recs := bed.Generate(bed.GenConfig{Records: n, Seed: 19, Sorted: false})
-			pristine := buildRunPart(recs)
-			b.SetBytes(int64(len(pristine.buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := runPart{
-					buf:  append(make([]byte, 0, len(pristine.buf)), pristine.buf...),
-					refs: append(make([]lineRef, 0, len(pristine.refs)), pristine.refs...),
-				}
-				if out := legacySortRun(&p); len(out) != len(pristine.buf) {
 					b.Fatal("short run")
 				}
 			}
@@ -231,92 +131,34 @@ func benchRepartitionInput() ([][]byte, []Boundary, int64) {
 	return runs, benchBounds(recs, k), total
 }
 
+// BenchmarkRepartition is the hierarchy's round-2 repartition body:
+// the streamed merge over g runs in 64 KiB chunks, routed into a
+// runSplitter.
 func BenchmarkRepartition(b *testing.B) {
 	runs, bounds, total := benchRepartitionInput()
 	b.SetBytes(total)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mergeSplit(runs, 8, bounds); err != nil {
-			b.Fatal(err)
+		split := newRunSplitter(8, bounds, total)
+		if sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, 64<<10), nil, split.emit); err != nil || sized {
+			b.Fatalf("merge-split: err=%v sized=%v", err, sized)
 		}
 	}
 }
 
-// BenchmarkRepartitionLegacy is the PR 3 round-2 repartition body:
-// binary-search routing of every line, then each output partition
-// rebuilt as a run by the per-partition sort — discarding the
-// sortedness round 1 already paid for.
-func BenchmarkRepartitionLegacy(b *testing.B) {
-	runs, bounds, total := benchRepartitionInput()
-	b.SetBytes(total)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := make([]runPart, 8)
-		for _, run := range runs {
-			if err := forEachLine(run, func(line []byte) error {
-				key, err := bed.KeyOfLine(line)
-				if err != nil {
-					return err
-				}
-				p := &parts[partitionIndex(key, chromOf(line), bounds)]
-				off := len(p.buf)
-				p.buf = append(p.buf, line...)
-				p.buf = append(p.buf, '\n')
-				p.refs = append(p.refs, lineRef{key: key, off: int32(off), len: int32(len(p.buf) - off)})
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for r := range parts {
-			_ = legacySortRun(&parts[r])
-		}
-	}
-}
-
-func BenchmarkReduceMergeLegacy(b *testing.B) {
-	runs, total := benchRuns(b)
-	b.SetBytes(total)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The pre-data-plane reducer body: parse every partition,
-		// concatenate, full-sort, re-serialize.
-		var all []bed.Record
-		for _, raw := range runs {
-			part, err := bed.Unmarshal(raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			all = append(all, part...)
-		}
-		bed.Sort(all)
-		_ = bed.Marshal(all)
-	}
-}
-
-// BenchmarkReduceStream is the streamed reducer body on the identical
-// workload as BenchmarkReduceMerge: the same 8 sorted runs fed through
-// chunk-fed cursors in 64 KiB chunks — partial trailing lines carried
-// across chunk boundaries in the alternating carry buffers — instead
-// of resident whole-run cursors. The delta between the two is the
-// Go-side cost of the streaming merge machinery; it buys the DES-side
-// transfer/merge/upload overlap, so it must stay small.
+// BenchmarkReduceStream is the streamed reducer body: 8 sorted runs
+// fed through chunk-fed cursors in 64 KiB chunks — partial trailing
+// lines carried across chunk boundaries in the alternating carry
+// buffers.
 func BenchmarkReduceStream(b *testing.B) {
 	runs, total := benchRuns(b)
 	b.SetBytes(total)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srcs := make([]runSource, len(runs))
-		for j, run := range runs {
-			// payloadSource never parks, so no des process is needed.
-			srcs[j] = &payloadSource{pl: payload.RealNoCopy(run), chunk: 64 << 10}
-		}
 		var out int64
-		sized, _, err := mergeStreamedRuns(nil, srcs, nil, func(key bed.Key, line []byte) error {
+		sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, 64<<10), nil, func(key bed.Key, line []byte) error {
 			out += int64(len(line)) + 1
 			return nil
 		})

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
@@ -45,10 +44,10 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 		return nil, errors.New("shuffle: nil cache provisioner")
 	}
 	op := &CacheOperator{platform: platform, store: store, prov: prov}
-	if err := platform.Register(cacheMapFn, cacheMapHandler); err != nil {
+	if err := platform.Register(cacheMapFn, mapHandler); err != nil {
 		return nil, err
 	}
-	if err := platform.Register(cacheReduceFn, cacheReduceHandler); err != nil {
+	if err := platform.Register(cacheReduceFn, reduceHandler); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -56,8 +55,9 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 
 // CacheSpec describes one cache-exchanged sort job.
 type CacheSpec struct {
-	// Spec carries the common job parameters. ScratchBucket is ignored:
-	// intermediates live in the cache.
+	// Spec carries the common job parameters. Intermediates live in the
+	// cache; ScratchBucket (default: the output bucket) is the fallback
+	// for runs whose shard node is down.
 	Spec
 	// Nodes fixes the cluster size; 0 sizes it from the input volume
 	// with Headroom.
@@ -69,10 +69,6 @@ type CacheSpec struct {
 	// still accrues for the job window only, which understates a real
 	// always-on cluster's cost — the ablation's point is latency.
 	Warm bool
-	// BatchedGets fetches each reducer's w partitions with per-shard
-	// MGet pipelining instead of w serial Gets — one request latency
-	// per shard instead of per partition.
-	BatchedGets bool
 	// Cluster, when set, is an already-running cluster owned by the
 	// caller (a session's standing warm cluster): no provisioning
 	// happens, the cluster is left running afterwards, and CacheUSD is
@@ -127,418 +123,229 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 // before and stopped after the exchange; its cost is reported in the
 // result.
 func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) {
-	if err := spec.Spec.validate(); err != nil {
-		return CacheResult{}, err
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
 	if spec.Headroom <= 0 {
 		spec.Headroom = defaultCacheHeadroom
 	}
-	jobID := fmt.Sprintf("cacheshuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
-	if err != nil {
-		return CacheResult{}, fmt.Errorf("shuffle: stat input: %w", err)
+	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.scratch(), prov: op.prov, spec: spec}
+	j := &job{
+		platform: op.platform,
+		store:    op.store,
+		runs:     runs,
+		spec:     spec.Spec,
+		prefix:   "cacheshuffle",
+		seq:      &op.seq,
+		mapFn:    cacheMapFn,
+		reduceFn: cacheReduceFn,
 	}
-	size := head.Size
-	if size == 0 {
-		return CacheResult{}, errors.New("shuffle: empty input")
+	err := j.run(p)
+	if spec.Cluster == nil && runs.cluster != nil {
+		runs.cluster.Stop()
+		runs.res.CacheUSD = runs.cluster.Cost()
 	}
-
-	nodes := spec.Nodes
-	if spec.Cluster != nil {
-		if spec.Cluster.Stopped() {
-			return CacheResult{}, errors.New("shuffle: caller-owned cache cluster is stopped")
-		}
-		nodes = spec.Cluster.Nodes()
-		if size > spec.Cluster.CapacityBytes() {
-			return CacheResult{}, fmt.Errorf(
-				"shuffle: %d-byte exchange exceeds the standing cluster's %d-byte capacity",
-				size, spec.Cluster.CapacityBytes())
-		}
-	} else if nodes <= 0 {
-		nodes = memcache.NodesForCapacity(op.prov.Config(), size, spec.Headroom)
-	}
-	res := CacheResult{Nodes: nodes, PeakCacheBytes: size}
-	res.TotalBytes = size
-
-	// Decide parallelism against the cache's throughput profile.
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, CacheProfile(op.prov.Config(), nodes))
-		if err != nil {
-			return CacheResult{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
-	}
-	res.Workers = workers
-
-	// Provision the cluster (skipped when warm: it is already up; or
-	// when the caller owns one: this job just uses it).
-	provStart := p.Now()
-	cluster := spec.Cluster
-	owned := cluster == nil
-	if owned {
-		if spec.Warm {
-			cluster, err = op.prov.ProvisionWarm(p, nodes)
-		} else {
-			cluster, err = op.prov.Provision(p, nodes)
-		}
-		if err != nil {
-			return CacheResult{}, fmt.Errorf("shuffle: provision cache: %w", err)
-		}
-		defer cluster.Stop()
-	}
-	res.Provision = p.Now() - provStart
-
-	// Sample for partition boundaries (real mode only).
-	sampleStart := p.Now()
-	boundaries, err := sampleBoundaries(p, client, spec.Spec, size, workers)
 	if err != nil {
 		return CacheResult{}, err
 	}
-	res.Sample = p.Now() - sampleStart
-
-	// Fallback location for slabs a dead shard can't hold: the scratch
-	// bucket (default: the output bucket), as in the store exchange.
-	fb := spec.ScratchBucket
-	if fb == "" {
-		fb = spec.OutputBucket
-	}
-
-	// Phase 1: map / partition into the cache. Slabs sharded to a node
-	// that dies mid-phase degrade to the store fallback per-slab.
-	p1Start := p.Now()
-	ranges := splitRanges(size, workers)
-	mapInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		mapInputs[i] = &cacheMapTask{
-			JobID:          jobID,
-			InputBucket:    spec.InputBucket,
-			InputKey:       spec.InputKey,
-			Offset:         ranges[i].off,
-			Length:         ranges[i].n,
-			TotalSize:      size,
-			Workers:        workers,
-			MapIndex:       i,
-			Boundaries:     boundaries,
-			Cache:          cluster,
-			PartitionBps:   spec.PartitionBps,
-			ChunkBytes:     spec.StreamChunkBytes,
-			Buffered:       spec.BufferedRead,
-			FallbackBucket: fb,
-		}
-	}
-	mapOuts, err := op.mapPhase(p, cacheMapFn, mapInputs, spec.Spec)
-	if err != nil {
-		return CacheResult{}, fmt.Errorf("shuffle: cache map phase: %w", err)
-	}
-	for _, o := range mapOuts {
-		if n, ok := o.(int); ok {
-			res.FallbackSlabs += n
-		}
-	}
-	res.Phase1 = p.Now() - p1Start
-
-	// Phase 2: reduce / merge out of the cache, with bounded recovery:
-	// slabs lost with a dead shard (Set before the node died, no store
-	// copy) are regenerated from the input into the fallback bucket,
-	// and only reducers without durable output re-run.
-	p2Start := p.Now()
-	outKeys := make([]string, workers)
-	pending := make([]int, workers)
-	for i := range pending {
-		pending[i] = i
-	}
-	const maxRecoveries = 2
-	for wave := 0; ; wave++ {
-		if cluster.DownNodes() > 0 {
-			lost, err := op.lostSlabs(p, client, cluster, jobID, fb, workers, pending)
-			if err != nil {
-				return CacheResult{}, fmt.Errorf("shuffle: cache loss scan: %w", err)
-			}
-			if len(lost) > 0 {
-				slabs, rework, err := op.regenerate(p, spec, jobID, cluster, fb, ranges, size, workers, boundaries, lost)
-				if err != nil {
-					return CacheResult{}, fmt.Errorf("shuffle: cache slab regen: %w", err)
-				}
-				res.Restarts++
-				res.FallbackSlabs += slabs
-				res.ReworkBytes += rework
-			}
-		}
-		redInputs := make([]any, len(pending))
-		for i, r := range pending {
-			redInputs[i] = &cacheReduceTask{
-				JobID:          jobID,
-				Workers:        workers,
-				ReduceIndex:    r,
-				Cache:          cluster,
-				OutputBucket:   spec.OutputBucket,
-				OutputPrefix:   spec.OutputPrefix,
-				MergeBps:       spec.MergeBps,
-				Batched:        spec.BatchedGets,
-				SliceBytes:     size / int64(workers),
-				ChunkBytes:     spec.StreamChunkBytes,
-				Buffered:       spec.BufferedRead,
-				FallbackBucket: fb,
-			}
-		}
-		outs, err := op.mapPhase(p, cacheReduceFn, redInputs, spec.Spec)
-		if err == nil {
-			for i, o := range outs {
-				key, ok := o.(string)
-				if !ok {
-					return CacheResult{}, fmt.Errorf("shuffle: cache reduce returned %T, want string key", o)
-				}
-				outKeys[pending[i]] = key
-			}
-			break
-		}
-		if wave >= maxRecoveries || !isNodeLoss(err) {
-			return CacheResult{}, fmt.Errorf("shuffle: cache reduce phase: %w", err)
-		}
-		// A shard died mid-reduce. Reducers whose output is already
-		// durable are done (their keys are deterministic); the rest
-		// re-run after the loss scan above regenerates what they need.
-		res.Restarts++
-		var still []int
-		for _, r := range pending {
-			key := outputKey(spec.OutputPrefix, r)
-			if _, herr := client.Head(p, spec.OutputBucket, key); herr == nil {
-				outKeys[r] = key
-				continue
-			} else if !objectstore.IsNotFound(herr) {
-				return CacheResult{}, fmt.Errorf("shuffle: cache recovery scan: %w", herr)
-			}
-			still = append(still, r)
-		}
-		pending = still
-		if len(pending) == 0 {
-			break
-		}
-	}
-	res.Phase2 = p.Now() - p2Start
-	res.OutputKeys = outKeys
-	if owned {
-		cluster.Stop()
-		res.CacheUSD = cluster.Cost()
-	}
-	return res, nil
+	runs.res.Result = j.res
+	runs.res.FallbackSlabs += j.fallbacks
+	return runs.res, nil
 }
+
+// cacheRuns is the cache run store: every run (slab) is one cache
+// entry under its partKey, degrading per slab to an object under
+// fallbackKey in the fallback bucket when its shard node is down. A
+// fully dead cluster (zone outage) demotes outright: the cache attempt
+// is skipped, so the job runs the rest of the exchange on the
+// object-store path. Slabs that died with a shard before being read
+// are regenerated from the input (reduce).
+type cacheRuns struct {
+	cluster  *memcache.Cluster
+	fallback string
+	// only marks a regeneration wave's store: of the runs it is handed
+	// it writes just these lost slabs, straight to the fallback bucket.
+	only map[string]bool
+
+	// Driver side: where the cluster comes from, and what it cost.
+	prov *memcache.Provisioner
+	spec CacheSpec
+	res  CacheResult
+}
+
+// fallbackKey names a slab's object-storage fallback location.
+func fallbackKey(key string) string { return "fallback/" + key }
+
+// errSlabLost marks a slab gone from both the cache and the store
+// fallback: its shard node died with the data and no regeneration has
+// run yet. reduce reacts by regenerating and re-running.
+var errSlabLost = errors.New("shuffle: cache slab lost")
 
 // isNodeLoss reports whether err stems from a dead cache shard.
 func isNodeLoss(err error) bool {
 	return errors.Is(err, memcache.ErrNodeDown) || errors.Is(err, errSlabLost)
 }
 
-// lostSlabs scans the pending reducers' slab keys for ones sharded to
+// profile sizes the cluster for the exchange and returns its
+// throughput profile.
+func (c *cacheRuns) profile(size int64) (StoreProfile, error) {
+	nodes := c.spec.Nodes
+	if c.cluster != nil { // caller-owned: nothing is provisioned yet otherwise
+		if c.cluster.Stopped() {
+			return StoreProfile{}, errors.New("shuffle: caller-owned cache cluster is stopped")
+		}
+		nodes = c.cluster.Nodes()
+		if size > c.cluster.CapacityBytes() {
+			return StoreProfile{}, fmt.Errorf(
+				"shuffle: %d-byte exchange exceeds the standing cluster's %d-byte capacity",
+				size, c.cluster.CapacityBytes())
+		}
+	} else if nodes <= 0 {
+		nodes = memcache.NodesForCapacity(c.prov.Config(), size, c.spec.Headroom)
+	}
+	c.res.Nodes, c.res.PeakCacheBytes = nodes, size
+	return CacheProfile(c.prov.Config(), nodes), nil
+}
+
+// ready provisions the cluster (skipped when warm: it is already up; or
+// when the caller owns one: this job just uses it).
+func (c *cacheRuns) ready(p *des.Proc) error {
+	start := p.Now()
+	if c.cluster == nil {
+		var err error
+		if c.spec.Warm {
+			c.cluster, err = c.prov.ProvisionWarm(p, c.res.Nodes)
+		} else {
+			c.cluster, err = c.prov.Provision(p, c.res.Nodes)
+		}
+		if err != nil {
+			return fmt.Errorf("shuffle: provision cache: %w", err)
+		}
+	}
+	c.res.Provision = p.Now() - start
+	return nil
+}
+
+// reduce merges out of the cache with bounded recovery: slabs lost with
+// a dead shard (Set before the node died, no store copy) are
+// regenerated from the input into the fallback bucket, and only
+// reducers without durable output re-run.
+func (c *cacheRuns) reduce(p *des.Proc, j *job) ([]string, error) {
+	outKeys := make([]string, j.workers)
+	pending := make([]int, j.workers)
+	for i := range pending {
+		pending[i] = i
+	}
+	const maxRecoveries = 2
+	for wave := 0; ; wave++ {
+		if c.cluster.DownNodes() > 0 {
+			if err := c.regenerate(p, j, pending); err != nil {
+				return nil, err
+			}
+		}
+		keys, err := j.reduceWave(p, pending)
+		if err == nil {
+			for i, key := range keys {
+				outKeys[pending[i]] = key
+			}
+			return outKeys, nil
+		}
+		if wave >= maxRecoveries || !isNodeLoss(err) {
+			return nil, err
+		}
+		// A shard died mid-reduce. Reducers whose output is already
+		// durable are done (their keys are deterministic); the rest
+		// re-run after the loss scan above regenerates what they need.
+		c.res.Restarts++
+		var still []int
+		for _, r := range pending {
+			key := outputKey(j.spec.OutputPrefix, r)
+			if _, herr := j.client.Head(p, j.spec.OutputBucket, key); herr == nil {
+				outKeys[r] = key
+				continue
+			} else if !objectstore.IsNotFound(herr) {
+				return nil, fmt.Errorf("cache recovery scan: %w", herr)
+			}
+			still = append(still, r)
+		}
+		pending = still
+		if len(pending) == 0 {
+			return outKeys, nil
+		}
+	}
+}
+
+// regenerate scans the pending reducers' slab keys for ones sharded to
 // a dead node with no object-storage fallback copy — data that died
-// with the shard and must be regenerated. Results group lost reducer
-// indexes by map index.
-func (op *CacheOperator) lostSlabs(p *des.Proc, client *objectstore.Client, cluster *memcache.Cluster,
-	jobID, fb string, workers int, reducers []int) (map[int][]int, error) {
-	lost := make(map[int][]int)
-	for m := 0; m < workers; m++ {
+// with the shard — and re-derives them by re-running the affected map
+// slices against a store that emits only the lost slabs, into the
+// fallback bucket. Deterministic boundaries make the regenerated slabs
+// byte-identical to the lost ones.
+func (c *cacheRuns) regenerate(p *des.Proc, j *job, reducers []int) error {
+	lost := make(map[string]bool)
+	var mappers []int
+	for m := 0; m < j.workers; m++ {
 		for _, r := range reducers {
-			if !cluster.NodeDown(cluster.NodeIndexFor(partKey(jobID, m, r))) {
+			key := partKey(j.id, m, r)
+			if !c.cluster.NodeDown(c.cluster.NodeIndexFor(key)) {
 				continue
 			}
-			if _, err := client.Head(p, fb, fallbackKey(jobID, m, r)); err != nil {
+			if _, err := j.client.Head(p, c.fallback, fallbackKey(key)); err != nil {
 				if !objectstore.IsNotFound(err) {
-					return nil, err
+					return fmt.Errorf("cache loss scan: %w", err)
 				}
-				lost[m] = append(lost[m], r)
+				if len(mappers) == 0 || mappers[len(mappers)-1] != m {
+					mappers = append(mappers, m)
+				}
+				lost[key] = true
 			}
 		}
 	}
-	return lost, nil
-}
-
-// regenerate re-derives lost slabs by re-running the affected map
-// slices in force-store mode, emitting only the lost reducer
-// partitions into the fallback bucket. Deterministic boundaries make
-// the regenerated slabs byte-identical to the lost ones.
-func (op *CacheOperator) regenerate(p *des.Proc, spec CacheSpec, jobID string, cluster *memcache.Cluster,
-	fb string, ranges []byteRange, size int64, workers int, boundaries []Boundary, lost map[int][]int) (int, int64, error) {
-	var inputs []any
-	var rework int64
-	for m := 0; m < workers; m++ {
-		rs, ok := lost[m]
-		if !ok {
-			continue
-		}
-		inputs = append(inputs, &cacheMapTask{
-			JobID:          jobID,
-			InputBucket:    spec.InputBucket,
-			InputKey:       spec.InputKey,
-			Offset:         ranges[m].off,
-			Length:         ranges[m].n,
-			TotalSize:      size,
-			Workers:        workers,
-			MapIndex:       m,
-			Boundaries:     boundaries,
-			Cache:          cluster,
-			PartitionBps:   spec.PartitionBps,
-			ChunkBytes:     spec.StreamChunkBytes,
-			Buffered:       spec.BufferedRead,
-			FallbackBucket: fb,
-			OnlyReducers:   rs,
-			ForceStore:     true,
-		})
-		rework += ranges[m].n
+	if len(lost) == 0 {
+		return nil
 	}
-	outs, err := op.mapPhase(p, cacheMapFn, inputs, spec.Spec)
+	slabs, err := j.mapWave(p, &cacheRuns{cluster: c.cluster, fallback: c.fallback, only: lost}, mappers)
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("cache slab regen: %w", err)
 	}
-	slabs := 0
-	for _, o := range outs {
-		if n, ok := o.(int); ok {
-			slabs += n
-		}
+	c.res.Restarts++
+	c.res.FallbackSlabs += slabs
+	for _, m := range mappers {
+		c.res.ReworkBytes += evenShare(j.size, j.workers, m).n
 	}
-	return slabs, rework, nil
+	return nil
 }
 
-// mapPhase runs one wave of fn over inputs with the spec's fault
-// policy, mirroring Operator.mapPhase.
-func (op *CacheOperator) mapPhase(p *des.Proc, fn string, inputs []any, spec Spec) ([]any, error) {
-	opts := faas.InvokeOptions{MemoryMB: spec.MemoryMB, MaxRetries: spec.MaxRetries}
-	if spec.Speculate {
-		outs, _, err := op.platform.MapSpeculative(p, fn, inputs, opts, spec.Speculation)
-		return outs, err
+// put stores one slab, degrading to the object-storage fallback when
+// the shard node is down. It reports whether the slab went to the
+// store.
+func (c *cacheRuns) put(ctx *faas.Ctx, key string, run payload.Payload) (bool, error) {
+	if c.only != nil && !c.only[key] {
+		return false, nil
 	}
-	return op.platform.MapSync(p, fn, inputs, opts)
-}
-
-// cacheMapTask is the input of one cache-exchange map activation.
-type cacheMapTask struct {
-	JobID        string
-	InputBucket  string
-	InputKey     string
-	Offset       int64
-	Length       int64
-	TotalSize    int64
-	Workers      int
-	MapIndex     int
-	Boundaries   []Boundary
-	Cache        *memcache.Cluster
-	PartitionBps float64
-	ChunkBytes   int64
-	Buffered     bool
-	// FallbackBucket receives slabs whose shard node is down: the map
-	// degrades per-slab to the object-storage path instead of failing.
-	FallbackBucket string
-	// OnlyReducers restricts emission to these reducer indexes (nil:
-	// all) — the regeneration wave re-derives only lost slabs.
-	OnlyReducers []int
-	// ForceStore writes every emitted slab to FallbackBucket without
-	// trying the cache (regeneration after a node loss).
-	ForceStore bool
-}
-
-// emits reports whether the task emits reducer r's slab.
-func (t *cacheMapTask) emits(r int) bool {
-	if t.OnlyReducers == nil {
-		return true
-	}
-	for _, x := range t.OnlyReducers {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
-// fallbackKey names a slab's object-storage fallback location.
-func fallbackKey(jobID string, m, r int) string {
-	return "fallback/" + partKey(jobID, m, r)
-}
-
-// setSlab stores one reducer slab, degrading to the object-storage
-// fallback when the shard node is down. A fully dead cluster (zone
-// outage) demotes outright: the cache attempt is skipped, so the job
-// runs the rest of the exchange on the object-store path. It reports
-// whether the slab went to the store.
-func (t *cacheMapTask) setSlab(ctx *faas.Ctx, r int, pl payload.Payload) (bool, error) {
-	if !t.ForceStore && !t.Cache.Dead() {
-		err := t.Cache.Set(ctx.Proc, partKey(t.JobID, t.MapIndex, r), pl)
+	if c.only == nil && !c.cluster.Dead() {
+		err := c.cluster.Set(ctx.Proc, key, run)
 		if err == nil {
 			return false, nil
 		}
-		if !errors.Is(err, memcache.ErrNodeDown) || t.FallbackBucket == "" {
+		if !errors.Is(err, memcache.ErrNodeDown) {
 			return false, err
 		}
 	}
-	if t.FallbackBucket == "" {
-		return false, fmt.Errorf("shuffle: cache map %d: no fallback bucket", t.MapIndex)
-	}
-	if err := ctx.Store.Put(ctx.Proc, t.FallbackBucket, fallbackKey(t.JobID, t.MapIndex, r), pl); err != nil {
+	if err := ctx.Store.Put(ctx.Proc, c.fallback, fallbackKey(key), run); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// read returns the task's input-slice geometry for the streaming path.
-func (t *cacheMapTask) read() mapRead {
-	return mapRead{
-		Bucket: t.InputBucket, Key: t.InputKey,
-		Offset: t.Offset, Length: t.Length, TotalSize: t.TotalSize,
-		ChunkBytes: t.ChunkBytes, PartitionBps: t.PartitionBps,
-	}
-}
-
-// cacheReduceTask is the input of one cache-exchange reduce activation.
-type cacheReduceTask struct {
-	JobID        string
-	Workers      int
-	ReduceIndex  int
-	Cache        *memcache.Cluster
-	OutputBucket string
-	OutputPrefix string
-	MergeBps     float64
-	Batched      bool
-	// SliceBytes is the planned per-reducer volume, sizing the adaptive
-	// merge/output chunk; ChunkBytes overrides it when set.
-	SliceBytes int64
-	ChunkBytes int64
-	// Buffered restores the pre-streaming merge + monolithic Put.
-	Buffered bool
-	// FallbackBucket holds slabs the map phase rerouted (or a
-	// regeneration wave rebuilt) through object storage after a node
-	// loss; reads fall back here per-slab.
-	FallbackBucket string
-}
-
-// errSlabLost marks a slab gone from both the cache and the store
-// fallback: its shard node died with the data and no regeneration has
-// run yet. The operator reacts by regenerating and re-running.
-var errSlabLost = errors.New("shuffle: cache slab lost")
-
-// fetchRun retrieves mapper m's slab for this reducer, falling back to
-// the object-storage copy when the shard node is down (or the key is
-// gone with a replaced node). A fully dead cluster skips the cache
-// attempt — the demoted job reads everything from the store.
-func (t *cacheReduceTask) fetchRun(p *des.Proc, store *objectstore.Client, m int) (payload.Payload, error) {
+// fetch retrieves one slab, falling back to the object-storage copy
+// when the shard node is down (or the key is gone with a replaced
+// node). A fully dead cluster skips the cache attempt — the demoted
+// job reads everything from the store.
+func (c *cacheRuns) fetch(p *des.Proc, store *objectstore.Client, key string) (payload.Payload, error) {
 	var err error
-	if t.Cache.Dead() {
+	if c.cluster.Dead() {
 		err = memcache.ErrNodeDown
 	} else {
 		var pl payload.Payload
-		pl, err = t.Cache.Get(p, partKey(t.JobID, m, t.ReduceIndex))
+		pl, err = c.cluster.Get(p, key)
 		if err == nil {
 			return pl, nil
 		}
@@ -546,284 +353,56 @@ func (t *cacheReduceTask) fetchRun(p *des.Proc, store *objectstore.Client, m int
 			return nil, err
 		}
 	}
-	if t.FallbackBucket == "" {
-		return nil, err
-	}
-	pl, serr := store.Get(p, t.FallbackBucket, fallbackKey(t.JobID, m, t.ReduceIndex))
+	pl, serr := store.Get(p, c.fallback, fallbackKey(key))
 	if serr != nil {
 		if objectstore.IsNotFound(serr) {
-			return nil, fmt.Errorf("%w: m%d_r%d (%v)", errSlabLost, m, t.ReduceIndex, err)
+			return nil, fmt.Errorf("%w: %s (%v)", errSlabLost, key, err)
 		}
 		return nil, serr
 	}
 	return pl, nil
 }
 
-// cacheMapHandler consumes its input slice from the object store as a
-// stream of chunks, partitioning as they arrive, and Sets one cache
-// entry per reducer — degrading per-slab to the object-storage
-// fallback when a shard node is down. Buffered tasks keep the
-// pre-streaming behavior. It returns the number of slabs that took the
-// fallback path.
-func cacheMapHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*cacheMapTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: cache map input %T", input)
+// open Gets every slab whole. The cache has no chunked-read API, so the
+// transfer-in overlap comes from parallel connections instead: one Get
+// per run, concurrently, sharing node NICs fairly. The resident runs
+// are then fed to the merge chunk-wise so its CPU charges interleave
+// with the output's part uploads.
+func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error) {
+	parts := make([]payload.Payload, len(keys))
+	errs := make([]error, len(keys))
+	wg := des.NewWaitGroup(ctx.Proc.Sim())
+	for m := range keys {
+		m := m
+		wg.Add(1)
+		ctx.Proc.Spawn(fmt.Sprintf("cache-fetch-%d", m), func(up *des.Proc) {
+			defer wg.Done()
+			parts[m], errs[m] = c.fetch(up, ctx.Store, keys[m])
+		})
 	}
-	fallbacks := 0
-	if task.Length == 0 {
-		for r := 0; r < task.Workers; r++ {
-			if !task.emits(r) {
-				continue
-			}
-			fb, err := task.setSlab(ctx, r, payload.Real(nil))
-			if err != nil {
-				return nil, err
-			}
-			if fb {
-				fallbacks++
-			}
-		}
-		return fallbacks, nil
-	}
-
-	var (
-		parts [][]byte
-		sized bool
-	)
-	if task.Buffered {
-		readOff, readLen, prefixByte := task.read().span()
-		pl, err := ctx.Store.GetRange(ctx.Proc, task.InputBucket, task.InputKey, readOff, readLen)
+	wg.Wait(ctx.Proc)
+	for m, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d read: %w", task.MapIndex, err)
-		}
-		ctx.ComputeBytes(task.Length, task.PartitionBps)
-		if raw, real := pl.Bytes(); real {
-			parts, err = partitionRaw(raw, prefixByte, task.Offset, task.Length, task.Workers, task.Boundaries)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: cache map %d: %w", task.MapIndex, err)
-			}
-		} else {
-			sized = true
-		}
-	} else {
-		var err error
-		parts, sized, err = consumeMapStream(ctx, task.read(), task.Workers, task.Boundaries)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d: %w", task.MapIndex, err)
+			return nil, fmt.Errorf("fetch %s: %w", keys[m], err)
 		}
 	}
-
-	if sized {
-		// Sized mode: even split of this worker's slice.
-		base := task.Length / int64(task.Workers)
-		rem := task.Length % int64(task.Workers)
-		for r := 0; r < task.Workers; r++ {
-			n := base
-			if int64(r) < rem {
-				n++
-			}
-			if !task.emits(r) {
-				continue
-			}
-			fb, err := task.setSlab(ctx, r, payload.Sized(n))
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: cache map %d set partition %d: %w", task.MapIndex, r, err)
-			}
-			if fb {
-				fallbacks++
-			}
-		}
-		return fallbacks, nil
-	}
-	for r := 0; r < task.Workers; r++ {
-		if !task.emits(r) {
-			continue
-		}
-		fb, err := task.setSlab(ctx, r, payload.RealNoCopy(parts[r]))
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d set partition %d: %w", task.MapIndex, r, err)
-		}
-		if fb {
-			fallbacks++
-		}
-	}
-	return fallbacks, nil
-}
-
-// cacheReduceHandler Gets its sorted run from every mapper's cache
-// entries, streams a k-way merge over them, and writes one
-// globally-ordered part to the object store. The cache has no chunked
-// read API, so the runs arrive resident — the streaming win here is on
-// the way out: merged lines flow into a multipart streaming PUT whose
-// part uploads overlap the remaining merge CPU, and the runs are fed
-// chunk-wise so the CPU charges interleave with those uploads.
-// Consumed entries are deleted after the output write, mirroring the
-// object-storage reducer's retry-safe ordering.
-func cacheReduceHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*cacheReduceTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: cache reduce input %T", input)
-	}
-	keys := make([]string, task.Workers)
-	for m := 0; m < task.Workers; m++ {
-		keys[m] = partKey(task.JobID, m, task.ReduceIndex)
-	}
-	var parts []payload.Payload
-	batched := task.Batched && !task.Cache.Dead()
-	if batched {
-		var err error
-		parts, err = task.Cache.MGet(ctx.Proc, keys)
-		if err != nil {
-			if !errors.Is(err, memcache.ErrNodeDown) && !memcache.IsNotFound(err) {
-				return nil, fmt.Errorf("shuffle: cache reduce %d mget: %w", task.ReduceIndex, err)
-			}
-			// A strict pipeline fails wholesale on a dead shard; degrade
-			// to per-key fetches so the healthy shards' slabs still come
-			// from the cache and only the lost ones pay the store path.
-			batched = false
-			parts = nil
-		}
-	}
-	if !batched {
-		switch {
-		case task.Buffered:
-			parts = make([]payload.Payload, len(keys))
-			for m := range keys {
-				pl, err := task.fetchRun(ctx.Proc, ctx.Store, m)
-				if err != nil {
-					return nil, fmt.Errorf("shuffle: cache reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-				}
-				parts[m] = pl
-			}
-		default:
-			// The cache has no chunked-read API, so the streamed reducer's
-			// transfer-in overlap comes from parallel connections instead:
-			// one Get per run, concurrently, sharing node NICs fairly.
-			parts = make([]payload.Payload, len(keys))
-			errs := make([]error, len(keys))
-			wg := des.NewWaitGroup(ctx.Proc.Sim())
-			for m := range keys {
-				m := m
-				wg.Add(1)
-				ctx.Proc.Spawn(fmt.Sprintf("cache-fetch-%d", m), func(up *des.Proc) {
-					defer wg.Done()
-					parts[m], errs[m] = task.fetchRun(up, ctx.Store, m)
-				})
-			}
-			wg.Wait(ctx.Proc)
-			for m, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("shuffle: cache reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-				}
-			}
-		}
-	}
-	outKey := outputKey(task.OutputPrefix, task.ReduceIndex)
-	if task.Buffered {
-		return cacheReduceBuffered(ctx, task, outKey, keys, parts)
-	}
-
-	perRun := task.SliceBytes
-	if task.Workers > 0 {
-		perRun /= int64(task.Workers)
-	}
-	inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
 	srcs := make([]runSource, len(parts))
 	for i, pl := range parts {
-		srcs[i] = &payloadSource{pl: pl, chunk: inChunk}
+		srcs[i] = &payloadSource{pl: pl, chunk: chunk}
 	}
-	outPart := AdaptiveChunkBytes(task.ChunkBytes, task.SliceBytes)
-	w := ctx.Store.PutStream(ctx.Proc, task.OutputBucket, outKey,
-		objectstore.PutStreamOptions{PartBytes: outPart})
-	var buf []byte
-	emit := func(_ bed.Key, line []byte) error {
-		if buf == nil {
-			buf = make([]byte, 0, outPart+int64(len(line))+1)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		if int64(len(buf)) >= outPart {
-			err := w.Write(ctx.Proc, payload.RealNoCopy(buf))
-			buf = nil // the payload retains the buffer; start a fresh one
-			return err
-		}
-		return nil
-	}
-	charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-	if err != nil {
-		w.Abort(ctx.Proc)
-		return nil, fmt.Errorf("shuffle: cache reduce %d merge: %w", task.ReduceIndex, err)
-	}
-	if sized {
-		w.Abort(ctx.Proc)
-		if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, payload.Sized(total)); err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-		}
-	} else {
-		if len(buf) > 0 {
-			if err := w.Write(ctx.Proc, payload.RealNoCopy(buf)); err != nil {
-				w.Abort(ctx.Proc)
-				return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-			}
-		}
-		if err := w.Close(ctx.Proc); err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-		}
-	}
-	for m, key := range keys {
-		if err := task.Cache.Delete(ctx.Proc, key); err != nil {
-			// A dead shard's data is already gone; freeing it is moot.
-			if errors.Is(err, memcache.ErrNodeDown) {
-				continue
-			}
-			return nil, fmt.Errorf("shuffle: cache reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
+	return srcs, nil
 }
 
-// cacheReduceBuffered is the pre-streaming cache reduce body: merge
-// everything, then one monolithic Put. The A/B baseline.
-func cacheReduceBuffered(ctx *faas.Ctx, task *cacheReduceTask, outKey string,
-	keys []string, parts []payload.Payload) (any, error) {
-	var (
-		runs     [][]byte
-		anySized bool
-		total    int64
-	)
-	for _, pl := range parts {
-		total += pl.Size()
-		if raw, real := pl.Bytes(); real {
-			runs = append(runs, raw)
-		} else {
-			anySized = true
-		}
-	}
-	ctx.ComputeBytes(total, task.MergeBps)
-
-	var out payload.Payload
-	if anySized {
-		out = payload.Sized(total)
-	} else {
-		merged, err := mergeRuns(runs)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d merge: %w", task.ReduceIndex, err)
-		}
-		out = payload.RealNoCopy(merged)
-	}
-	if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, out); err != nil {
-		return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-	}
-	for m, key := range keys {
-		if err := task.Cache.Delete(ctx.Proc, key); err != nil {
+// free deletes the consumed cache entries.
+func (c *cacheRuns) free(ctx *faas.Ctx, keys []string) error {
+	for _, key := range keys {
+		if err := c.cluster.Delete(ctx.Proc, key); err != nil {
 			// A dead shard's data is already gone; freeing it is moot.
 			if errors.Is(err, memcache.ErrNodeDown) {
 				continue
 			}
-			return nil, fmt.Errorf("shuffle: cache reduce %d free m%d: %w", task.ReduceIndex, m, err)
+			return fmt.Errorf("free %s: %w", key, err)
 		}
 	}
-	return outKey, nil
+	return nil
 }

@@ -316,37 +316,6 @@ func TestCacheProfileScalesWithNodes(t *testing.T) {
 	}
 }
 
-func TestCacheSortBatchedGetsMatchAndAreFaster(t *testing.T) {
-	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 18, Sorted: false})
-
-	// The serial baseline is the buffered reduce path: the streamed
-	// default fetches its runs over concurrent connections, which hides
-	// the same per-request latencies MGet batches away.
-	serialSpec := cacheSpec(8)
-	serialSpec.BufferedRead = true
-	serialRig, _, serialOp := newCacheRig(t)
-	serialRes, serialSorted := runCacheSort(t, serialRig, serialOp, recs, serialSpec)
-
-	batchRig, _, batchOp := newCacheRig(t)
-	spec := cacheSpec(8)
-	spec.BatchedGets = true
-	batchRes, batchSorted := runCacheSort(t, batchRig, batchOp, recs, spec)
-
-	if len(serialSorted) != len(batchSorted) {
-		t.Fatalf("lengths differ: %d vs %d", len(serialSorted), len(batchSorted))
-	}
-	for i := range serialSorted {
-		if serialSorted[i] != batchSorted[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-	// 8 reducers x 8 serial request latencies vs one per shard: the
-	// batched reduce phase must be strictly faster.
-	if batchRes.Phase2 >= serialRes.Phase2 {
-		t.Errorf("batched phase2 %v not below serial %v", batchRes.Phase2, serialRes.Phase2)
-	}
-}
-
 func TestCacheSortUndersizedClusterFails(t *testing.T) {
 	// One 64 MB node cannot hold a 200 MB shuffle without eviction:
 	// some map Set must fail with OOM, surfacing as a sort error.

@@ -11,7 +11,6 @@ package shuffle
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -259,193 +258,6 @@ func (p *runPart) line(r lineRef) []byte {
 	return p.buf[r.off : r.off+r.len]
 }
 
-// forEachLine calls fn for every non-blank line of raw.
-func forEachLine(raw []byte, fn func(line []byte) error) error {
-	for len(raw) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(raw, '\n'); nl < 0 {
-			line, raw = raw, nil
-		} else {
-			line, raw = raw[:nl], raw[nl+1:]
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if err := fn(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runCursor walks one sorted run line by line during a merge.
-type runCursor struct {
-	data []byte  // unconsumed bytes
-	line []byte  // current line, without newline
-	key  bed.Key // current line's sort key
-	idx  int     // run index, the deterministic tie-break
-	live bool    // a current line is loaded
-}
-
-// advance loads the cursor's next non-blank line, verifying the run
-// stays sorted (the mappers' invariant — a violation here means a
-// corrupted scratch object, and silently merging it would emit
-// unsorted output).
-func (c *runCursor) advance() error {
-	prevKey, prevLine, hadPrev := c.key, c.line, c.live
-	c.live = false
-	for len(c.data) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(c.data, '\n'); nl < 0 {
-			line, c.data = c.data, nil
-		} else {
-			line, c.data = c.data[:nl], c.data[nl+1:]
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		key, err := bed.KeyOfLine(line)
-		if err != nil {
-			return fmt.Errorf("run %d: %w", c.idx, err)
-		}
-		if hadPrev && compareLineKeys(key, line, prevKey, prevLine) < 0 {
-			return fmt.Errorf("run %d is not sorted", c.idx)
-		}
-		c.line, c.key, c.live = line, key, true
-		return nil
-	}
-	return nil
-}
-
-// cursorLess orders heap entries in exact genome order, then run index
-// for deterministic merges.
-func cursorLess(a, b *runCursor) bool {
-	if c := compareLineKeys(a.key, a.line, b.key, b.line); c != 0 {
-		return c < 0
-	}
-	return a.idx < b.idx
-}
-
-// openRuns builds a cursor min-heap over the runs, returning the heap
-// and the total input size. Exhausted-on-arrival runs (empty or
-// blank-only) never enter the heap.
-func openRuns(runs [][]byte) ([]*runCursor, int, error) {
-	total := 0
-	cursors := make([]runCursor, len(runs))
-	h := make([]*runCursor, 0, len(runs))
-	for i, run := range runs {
-		total += len(run)
-		c := &cursors[i]
-		c.data, c.idx = run, i
-		if err := c.advance(); err != nil {
-			return nil, 0, err
-		}
-		if c.live {
-			h = append(h, c)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	return h, total, nil
-}
-
-// mergeRuns streams k sorted runs into one globally sorted TSV buffer
-// via a binary min-heap of per-run cursors, copying each winning line
-// verbatim into the output. Peak memory is the runs plus one output
-// buffer — no []bed.Record, no re-serialization, no full re-sort.
-func mergeRuns(runs [][]byte) ([]byte, error) {
-	h, total, err := openRuns(runs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, total)
-	for len(h) > 0 {
-		c := h[0]
-		out = append(out, c.line...)
-		out = append(out, '\n')
-		if err := c.advance(); err != nil {
-			return nil, err
-		}
-		if !c.live {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(h, 0)
-		}
-	}
-	return out, nil
-}
-
-// mergeSplit streams the same k-way cursor merge, but routes each
-// winning line to its boundary partition instead of one output: the
-// hierarchical round-2 repartitioner's body. Because the merge emits
-// lines in globally ascending key order, every partition is a sorted
-// run by construction — no per-partition sort ever runs — and the
-// routing cursor only moves right, so boundary search is O(1)
-// amortized instead of a binary search per line. Partitions that
-// receive nothing stay nil, matching runBuilder.Finish.
-func mergeSplit(runs [][]byte, workers int, bounds []Boundary) ([][]byte, error) {
-	h, total, err := openRuns(runs)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]byte, workers)
-	hint := 0
-	if workers > 0 {
-		hint = total/workers + total/(4*workers) // +25% for boundary skew
-	}
-	cur := 0
-	for len(h) > 0 {
-		c := h[0]
-		// Advance past every boundary <= the emitted key (keys equal to
-		// a boundary route right, as in partitionIndex).
-		for cur < len(bounds) &&
-			bed.CompareKeyName(bounds[cur].Key, bounds[cur].Name, c.key, chromOf(c.line)) <= 0 {
-			cur++
-		}
-		if parts[cur] == nil {
-			parts[cur] = make([]byte, 0, hint)
-		}
-		parts[cur] = append(parts[cur], c.line...)
-		parts[cur] = append(parts[cur], '\n')
-		if err := c.advance(); err != nil {
-			return nil, err
-		}
-		if !c.live {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(h, 0)
-		}
-	}
-	return parts, nil
-}
-
-func siftDown(h []*runCursor, i int) { siftDownFunc(h, i, cursorLess) }
-
-// siftDownFunc restores the min-heap property below i for any cursor
-// type; shared by the buffered and chunk-fed merges.
-func siftDownFunc[T any](h []T, i int, less func(a, b T) bool) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && less(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && less(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
 var (
 	errNoLineStart       = errors.New("no line start in slice")
 	errPartitionTooLarge = errors.New("partition exceeds the 2 GiB run-index bound")
@@ -455,9 +267,9 @@ var (
 // data plane's key formats use). Indices past 9999 widen to 8 (then
 // 19) zero-padded digits behind a prefix letter that sorts after every
 // digit byte, so generated names keep sorting in index order
-// lexicographically — SortHierarchical's sort.Strings(OutputKeys)
-// relies on that — where growing digit count like fmt's %04d does
-// would interleave ("part-10000" < "part-9999" in byte order).
+// lexicographically — a consumer listing the output prefix sees the
+// parts in global order — where growing digit count like fmt's %04d
+// does would interleave ("part-10000" < "part-9999" in byte order).
 func appendIndex4(b []byte, n int) []byte {
 	switch {
 	case n < 0:

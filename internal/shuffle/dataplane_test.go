@@ -2,13 +2,79 @@ package shuffle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 )
+
+// mergeChunks are the granularities the merge tests feed resident runs
+// at: every byte its own chunk, chunks ending mid-line, and each run
+// whole (0).
+var mergeChunks = []int64{1, 7, 1009, 0}
+
+// chunkedSources adapts resident runs to the production merge's input,
+// chunk bytes at a time. payloadSource never parks, so the merge needs
+// no des process.
+func chunkedSources(runs [][]byte, chunk int64) []runSource {
+	srcs := make([]runSource, len(runs))
+	for i, run := range runs {
+		srcs[i] = &payloadSource{pl: payload.RealNoCopy(run), chunk: chunk}
+	}
+	return srcs
+}
+
+// streamMerge is mergeStreamedRuns — the merge production runs —
+// collecting its emits into one buffer.
+func streamMerge(runs [][]byte, chunk int64) ([]byte, error) {
+	var out []byte
+	sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, chunk), nil, func(_ bed.Key, line []byte) error {
+		out = append(append(out, line...), '\n')
+		return nil
+	})
+	if err == nil && sized {
+		err = errors.New("real runs reported as sized")
+	}
+	return out, err
+}
+
+// mergeEverywhere merges runs with the streamed merge at every chunk
+// size and with the mergeRuns oracle, requiring one answer.
+func mergeEverywhere(t *testing.T, runs [][]byte) []byte {
+	t.Helper()
+	want, err := mergeRuns(runs)
+	if err != nil {
+		t.Fatalf("mergeRuns oracle: %v", err)
+	}
+	for _, chunk := range mergeChunks {
+		got, err := streamMerge(runs, chunk)
+		if err != nil {
+			t.Fatalf("streamed merge (chunk %d): %v", chunk, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamed merge (chunk %d) differs from the oracle: %d vs %d bytes", chunk, len(got), len(want))
+		}
+	}
+	return want
+}
+
+// mergeRejects requires the streamed merge at every chunk size, and
+// the oracle, to refuse runs.
+func mergeRejects(t *testing.T, runs [][]byte, what string) {
+	t.Helper()
+	if _, err := mergeRuns(runs); err == nil {
+		t.Fatalf("%s accepted by mergeRuns", what)
+	}
+	for _, chunk := range mergeChunks {
+		if _, err := streamMerge(runs, chunk); err == nil {
+			t.Fatalf("%s accepted by the streamed merge (chunk %d)", what, chunk)
+		}
+	}
+}
 
 func marshalSorted(recs []bed.Record) []byte {
 	s := make([]bed.Record, len(recs))
@@ -72,10 +138,7 @@ func TestMergeRunsMatchesFullSort(t *testing.T) {
 	// Merging the runs of ONE mapper reproduces the mapper's whole
 	// slice in sorted order (partition ranges are disjoint, so this
 	// exercises both the heap and run exhaustion).
-	merged, err := mergeRuns(runs)
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
+	merged := mergeEverywhere(t, runs)
 	if want := marshalSorted(recs); !bytes.Equal(merged, want) {
 		t.Fatal("merge of one mapper's runs != full sort of its records")
 	}
@@ -94,10 +157,7 @@ func TestMergeRunsInterleaved(t *testing.T) {
 		runs[i] = bed.Marshal(rl)
 	}
 	runs = append(runs, nil, []byte("\n\n")) // empty and blank-only runs
-	merged, err := mergeRuns(runs)
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
+	merged := mergeEverywhere(t, runs)
 	if !bytes.Equal(merged, bed.Marshal(recs)) {
 		t.Fatal("interleaved merge != globally sorted serialization")
 	}
@@ -107,15 +167,11 @@ func TestMergeRunsRejectsUnsortedRun(t *testing.T) {
 	a := bed.Record{Chrom: "chr2", Start: 100, End: 101, Name: ".", Strand: '+'}
 	b := bed.Record{Chrom: "chr1", Start: 5, End: 6, Name: ".", Strand: '+'}
 	run := bed.AppendTSV(bed.AppendTSV(nil, a), b) // descending: invariant broken
-	if _, err := mergeRuns([][]byte{run}); err == nil {
-		t.Fatal("unsorted run accepted by mergeRuns")
-	}
+	mergeRejects(t, [][]byte{run}, "unsorted run")
 }
 
 func TestMergeRunsRejectsCorruptLine(t *testing.T) {
-	if _, err := mergeRuns([][]byte{[]byte("chr1\tnot-a-number\t2\n")}); err == nil {
-		t.Fatal("corrupt line accepted by mergeRuns")
-	}
+	mergeRejects(t, [][]byte{[]byte("chr1\tnot-a-number\t2\n")}, "corrupt line")
 }
 
 func TestPartKeyMatchesLegacyFormat(t *testing.T) {
@@ -169,28 +225,22 @@ func TestOutputKeyOrderSurvivesWideIndices(t *testing.T) {
 	}
 }
 
-// mergeRuns edge cases: the shapes a real merge can see around run
+// Merge edge cases: the shapes a real merge can see around run
 // exhaustion and degenerate inputs.
 
 func TestMergeRunsNoRuns(t *testing.T) {
-	out, err := mergeRuns(nil)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("mergeRuns(nil) = %q, %v", out, err)
+	if out := mergeEverywhere(t, nil); len(out) != 0 {
+		t.Fatalf("merge of no runs = %q", out)
 	}
-	out, err = mergeRuns([][]byte{nil, {}, []byte("\n \n")})
-	if err != nil || len(out) != 0 {
-		t.Fatalf("merge of empty/blank runs = %q, %v", out, err)
+	if out := mergeEverywhere(t, [][]byte{nil, {}, []byte("\n \n")}); len(out) != 0 {
+		t.Fatalf("merge of empty/blank runs = %q", out)
 	}
 }
 
 func TestMergeRunsSingleRun(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 100, Seed: 75, Sorted: true})
 	run := bed.Marshal(recs)
-	out, err := mergeRuns([][]byte{run})
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
-	if !bytes.Equal(out, run) {
+	if out := mergeEverywhere(t, [][]byte{run}); !bytes.Equal(out, run) {
 		t.Fatal("single sorted run should round-trip byte-identically")
 	}
 }
@@ -209,10 +259,7 @@ func TestMergeRunsAllEqualKeys(t *testing.T) {
 		append(append([]byte{}, line("c")...), line("d")...),
 		line("e"),
 	}
-	out, err := mergeRuns(runs)
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
+	out := mergeEverywhere(t, runs)
 	want := bytes.Join([][]byte{runs[0], runs[1], runs[2]}, nil)
 	if !bytes.Equal(out, want) {
 		t.Fatalf("equal-key merge is not run-index order:\n got %q\nwant %q", out, want)
@@ -226,10 +273,7 @@ func TestMergeRunsTrailingUnterminatedLine(t *testing.T) {
 		Strand: '-', Coverage: 1, MethPct: 6}
 	run := bed.AppendTSV(bed.AppendTSV(nil, a), b)
 	run = run[:len(run)-1] // strip the final newline
-	out, err := mergeRuns([][]byte{run})
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
+	out := mergeEverywhere(t, [][]byte{run})
 	if want := append(append([]byte{}, run...), '\n'); !bytes.Equal(out, want) {
 		t.Fatalf("unterminated final line mishandled:\n got %q\nwant %q", out, want)
 	}
@@ -247,10 +291,7 @@ func TestMergeRunsCursorExhaustsMidMerge(t *testing.T) {
 		return out
 	}
 	runs := [][]byte{mk(10, 11), mk(5, 20, 40), mk(1, 30, 50, 60)}
-	out, err := mergeRuns(runs)
-	if err != nil {
-		t.Fatalf("mergeRuns: %v", err)
-	}
+	out := mergeEverywhere(t, runs)
 	want := mk(1, 5, 10, 11, 20, 30, 40, 50, 60)
 	if !bytes.Equal(out, want) {
 		t.Fatalf("mid-merge exhaustion mishandled:\n got %q\nwant %q", out, want)
@@ -341,11 +382,12 @@ func TestPropertyFinishMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestMergeSplitMatchesRouteAndSort: the merge-split repartitioner
-// must produce exactly what routing every line and stable-sorting each
-// partition produced in PR 3 — including keys equal to a boundary
-// routing right, empty partitions staying nil, and inputs arriving as
-// multiple overlapping runs.
+// TestMergeSplitMatchesRouteAndSort: the merge-split repartitioner —
+// the streamed merge routing into a runSplitter, at every chunk size,
+// and the mergeSplit oracle — must produce exactly what routing every
+// line and stable-sorting each partition produced in PR 3, including
+// keys equal to a boundary routing right, empty partitions staying
+// nil, and inputs arriving as multiple overlapping runs.
 func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 	recs := adversarialRecords(99, 3000)
 	const g, k = 3, 5
@@ -369,9 +411,21 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 		bed.Sort(rl)
 		runs[i] = bed.Marshal(rl)
 	}
-	got, err := mergeSplit(runs, k, bounds)
+	oracleParts, err := mergeSplit(runs, k, bounds)
 	if err != nil {
 		t.Fatalf("mergeSplit: %v", err)
+	}
+	splits := map[string][][]byte{"mergeSplit oracle": oracleParts}
+	var total int64
+	for _, run := range runs {
+		total += int64(len(run))
+	}
+	for _, chunk := range mergeChunks {
+		split := newRunSplitter(k, bounds, total)
+		if sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, chunk), nil, split.emit); err != nil || sized {
+			t.Fatalf("streamed merge-split (chunk %d): sized=%v err=%v", chunk, sized, err)
+		}
+		splits[fmt.Sprintf("streamed merge-split (chunk %d)", chunk)] = split.parts
 	}
 	// Oracle: route each line by binary search, then stable-sort each
 	// partition — the PR 3 repartition body (AddEncoded stored each
@@ -399,12 +453,14 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 		if len(oracle[r].refs) > 0 {
 			want = legacySortRun(&oracle[r])
 		}
-		if want == nil && len(got[r]) != 0 {
-			t.Fatalf("partition %d: want empty, got %d bytes", r, len(got[r]))
-		}
-		if !bytes.Equal(got[r], want) {
-			t.Fatalf("partition %d: merge-split diverges from route-and-sort (%d vs %d bytes)",
-				r, len(got[r]), len(want))
+		for name, got := range splits {
+			if want == nil && got[r] != nil {
+				t.Fatalf("%s: partition %d: want nil, got %d bytes", name, r, len(got[r]))
+			}
+			if !bytes.Equal(got[r], want) {
+				t.Fatalf("%s: partition %d diverges from route-and-sort (%d vs %d bytes)",
+					name, r, len(got[r]), len(want))
+			}
 		}
 	}
 }

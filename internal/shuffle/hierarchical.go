@@ -1,16 +1,10 @@
 package shuffle
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/bed"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -76,333 +70,17 @@ func autoGroups(w int) int {
 }
 
 // SortHierarchical runs the two-level shuffle, blocking p until the
-// sorted output is in place. Output parts are globally ordered across
-// groups: group j's k parts are parts j*k .. j*k+k-1.
+// sorted output is in place: round 1 sprays every worker's slice into
+// one coarse range per group, round 2 repartitions each group's range
+// by its fine boundaries and merges. Output parts are globally ordered
+// across groups: group j's k parts are parts j*k .. j*k+k-1.
 func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, error) {
-	if err := spec.Spec.validate(); err != nil {
+	j := op.job("hiershuffle", spec.Spec)
+	j.hier, j.groups = true, spec.Groups
+	if err := j.run(p); err != nil {
 		return HierResult{}, err
 	}
-	if spec.ScratchBucket == "" {
-		spec.ScratchBucket = spec.OutputBucket
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
-	jobID := fmt.Sprintf("hiershuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
-	if err != nil {
-		return HierResult{}, fmt.Errorf("shuffle: stat input: %w", err)
-	}
-	size := head.Size
-	if size == 0 {
-		return HierResult{}, errors.New("shuffle: empty input")
-	}
-
-	res := HierResult{}
-	res.TotalBytes = size
-
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, ProfileOf(op.store.Config()))
-		if err != nil {
-			return HierResult{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
-	}
-	groups := spec.Groups
-	if groups <= 0 {
-		groups = autoGroups(workers)
-	}
-	if groups > workers || workers%groups != 0 {
-		return HierResult{}, fmt.Errorf(
-			"shuffle: %d groups do not divide %d workers", groups, workers)
-	}
-	k := workers / groups // parts (and round-2 workers) per group
-	res.Workers = workers
-	res.Groups = groups
-
-	// One sample yields both boundary levels: global fine boundaries
-	// b_1..b_{w-1}; coarse boundaries are every k-th; fine-within-group
-	// are the k-1 between consecutive coarse ones.
-	sampleStart := p.Now()
-	fine, err := sampleBoundaries(p, client, spec.Spec, size, workers)
-	if err != nil {
-		return HierResult{}, err
-	}
-	res.Sample = p.Now() - sampleStart
-	var coarse []Boundary
-	fineFor := func(group int) []Boundary { return nil }
-	if fine != nil {
-		coarse = make([]Boundary, groups-1)
-		for j := 1; j < groups; j++ {
-			coarse[j-1] = fine[j*k-1]
-		}
-		fineFor = func(group int) []Boundary {
-			lo := group * k // b_{group*k+1} is fine[group*k]
-			return fine[lo : lo+k-1]
-		}
-	}
-
-	// Round 1: w mappers spray their slice into g coarse ranges.
-	r1Start := p.Now()
-	ranges := splitRanges(size, workers)
-	r1JobID := jobID + "-r1"
-	r1Inputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		r1Inputs[i] = &mapTask{
-			JobID:         r1JobID,
-			InputBucket:   spec.InputBucket,
-			InputKey:      spec.InputKey,
-			Offset:        ranges[i].off,
-			Length:        ranges[i].n,
-			TotalSize:     size,
-			Workers:       groups,
-			MapIndex:      i,
-			Boundaries:    coarse,
-			ScratchBucket: spec.ScratchBucket,
-			PartitionBps:  spec.PartitionBps,
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
-	}
-	if _, err := op.mapPhase(p, mapFn, r1Inputs, spec.Spec); err != nil {
-		return HierResult{}, fmt.Errorf("shuffle: round 1: %w", err)
-	}
-	res.Round1 = p.Now() - r1Start
-	res.Phase1 = res.Round1
-
-	// Round 2: per group, k repartitioners each gather g round-1
-	// objects, split them by the group's fine boundaries, and k
-	// reducers merge into globally-indexed output parts.
-	r2Start := p.Now()
-	repInputs := make([]any, 0, workers)
-	for g := 0; g < groups; g++ {
-		groupJob := fmt.Sprintf("%s-r2-g%04d", jobID, g)
-		for j := 0; j < k; j++ {
-			// Worker j of group g gathers round-1 partitions from
-			// mappers j*g .. (j+1)*g-1 (an even split of the w objects).
-			srcs := make([]string, 0, groups)
-			for m := j * groups; m < (j+1)*groups; m++ {
-				srcs = append(srcs, partKey(r1JobID, m, g))
-			}
-			repInputs = append(repInputs, &repartitionTask{
-				JobID:         groupJob,
-				ScratchBucket: spec.ScratchBucket,
-				SourceBucket:  spec.ScratchBucket,
-				SourceKeys:    srcs,
-				Workers:       k,
-				MapIndex:      j,
-				Boundaries:    fineFor(g),
-				MergeBps:      spec.MergeBps,
-				Cleanup:       spec.CleanupScratch,
-				SliceBytes:    size / int64(workers),
-				ChunkBytes:    spec.StreamChunkBytes,
-				Buffered:      spec.BufferedRead,
-			})
-		}
-	}
-	if _, err := op.mapPhase(p, repartitionFn, repInputs, spec.Spec); err != nil {
-		return HierResult{}, fmt.Errorf("shuffle: round 2 repartition: %w", err)
-	}
-	redInputs := make([]any, 0, workers)
-	for g := 0; g < groups; g++ {
-		groupJob := fmt.Sprintf("%s-r2-g%04d", jobID, g)
-		for r := 0; r < k; r++ {
-			redInputs = append(redInputs, &reduceTask{
-				JobID:         groupJob,
-				ScratchBucket: spec.ScratchBucket,
-				Workers:       k,
-				ReduceIndex:   r,
-				OutputIndex:   g*k + r,
-				OutputBucket:  spec.OutputBucket,
-				OutputPrefix:  spec.OutputPrefix,
-				MergeBps:      spec.MergeBps,
-				Cleanup:       spec.CleanupScratch,
-				SliceBytes:    size / int64(workers),
-				ChunkBytes:    spec.StreamChunkBytes,
-				Buffered:      spec.BufferedRead,
-			})
-		}
-	}
-	outs, err := op.mapPhase(p, reduceFn, redInputs, spec.Spec)
-	if err != nil {
-		return HierResult{}, fmt.Errorf("shuffle: round 2 reduce: %w", err)
-	}
-	res.Round2 = p.Now() - r2Start
-	res.Phase2 = res.Round2
-	for _, o := range outs {
-		key, ok := o.(string)
-		if !ok {
-			return HierResult{}, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
-		}
-		res.OutputKeys = append(res.OutputKeys, key)
-	}
-	sort.Strings(res.OutputKeys) // part-%04d names sort into global order
-	return res, nil
-}
-
-// repartitionTask is the input of one round-2 repartition activation.
-type repartitionTask struct {
-	JobID         string
-	ScratchBucket string
-	SourceBucket  string
-	SourceKeys    []string
-	Workers       int
-	MapIndex      int
-	Boundaries    []Boundary
-	MergeBps      float64
-	Cleanup       bool
-	// SliceBytes is the planned per-worker gather volume, sizing the
-	// adaptive stream chunk; ChunkBytes overrides it when set.
-	SliceBytes int64
-	ChunkBytes int64
-	// Buffered restores the pre-streaming gather (the A/B baseline).
-	Buffered bool
-}
-
-// repartitionHandler gathers its source objects — round-1 partitions,
-// which are already sorted runs — and streams a k-way cursor merge
-// over them, routing each line to its (fine) boundary partition as it
-// is emitted: merge order makes every output partition a sorted run by
-// construction, so round 2 re-sorts nothing. (The predecessor routed
-// lines one at a time and rebuilt each partition as a run via a
-// per-partition sort, discarding the round-1 sortedness it had already
-// paid for.) Only the key columns of each line are ever parsed; bytes
-// are copied verbatim.
-func repartitionHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*repartitionTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: repartition input %T", input)
-	}
-	var (
-		consumed []string
-		parts    [][]byte
-		total    int64
-		anySized bool
-	)
-	if task.Buffered {
-		var runs [][]byte
-		for _, key := range task.SourceKeys {
-			pl, err := ctx.Store.Get(ctx.Proc, task.SourceBucket, key)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d fetch %s: %w", task.MapIndex, key, err)
-			}
-			if task.Cleanup {
-				consumed = append(consumed, key)
-			}
-			total += pl.Size()
-			if raw, real := pl.Bytes(); real {
-				runs = append(runs, raw)
-			} else {
-				anySized = true
-			}
-		}
-		ctx.ComputeBytes(total, task.MergeBps)
-		if !anySized {
-			var err error
-			parts, err = mergeSplit(runs, task.Workers, task.Boundaries)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
-			}
-		}
-	} else {
-		// Streamed gather: open a chunked stream per source run and
-		// merge-split as the chunks arrive, so the g transfers overlap
-		// each other and the merge CPU. The merge emits lines in
-		// ascending order, so the boundary routing cursor only moves
-		// right — every output partition is a sorted run by construction.
-		perRun := task.SliceBytes
-		if len(task.SourceKeys) > 0 {
-			perRun /= int64(len(task.SourceKeys))
-		}
-		inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
-		srcs := make([]runSource, 0, len(task.SourceKeys))
-		closeSrcs := func() {
-			for _, s := range srcs {
-				s.close()
-			}
-		}
-		for _, key := range task.SourceKeys {
-			cs, err := ctx.Store.GetStream(ctx.Proc, task.SourceBucket, key, 0, -1,
-				objectstore.StreamOptions{ChunkBytes: inChunk})
-			if err != nil {
-				closeSrcs()
-				return nil, fmt.Errorf("shuffle: repartition %d open %s: %w", task.MapIndex, key, err)
-			}
-			srcs = append(srcs, clientStreamSource{cs})
-			if task.Cleanup {
-				consumed = append(consumed, key)
-			}
-		}
-		parts = make([][]byte, task.Workers)
-		hint := 0
-		if task.Workers > 0 && task.SliceBytes > 0 {
-			hint = int(task.SliceBytes)/task.Workers + int(task.SliceBytes)/(4*task.Workers)
-		}
-		cur := 0
-		emit := func(key bed.Key, line []byte) error {
-			for cur < len(task.Boundaries) &&
-				bed.CompareKeyName(task.Boundaries[cur].Key, task.Boundaries[cur].Name, key, chromOf(line)) <= 0 {
-				cur++
-			}
-			if parts[cur] == nil {
-				parts[cur] = make([]byte, 0, hint)
-			}
-			parts[cur] = append(parts[cur], line...)
-			parts[cur] = append(parts[cur], '\n')
-			return nil
-		}
-		charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-		var err error
-		anySized, total, err = mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-		closeSrcs()
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
-		}
-	}
-
-	if anySized {
-		// Sized mode: even split of the gathered volume.
-		base := total / int64(task.Workers)
-		rem := total % int64(task.Workers)
-		for r := 0; r < task.Workers; r++ {
-			n := base
-			if int64(r) < rem {
-				n++
-			}
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.Sized(n)); err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d write %d: %w", task.MapIndex, r, err)
-			}
-		}
-	} else {
-		for r := 0; r < task.Workers; r++ {
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d write %d: %w", task.MapIndex, r, err)
-			}
-		}
-	}
-	// Source deletes are deferred until every partition this worker
-	// produces is durable, so a MaxRetries re-attempt can re-read its
-	// inputs — the same ordering reduceHandler uses.
-	for _, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.SourceBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: repartition %d free %s: %w", task.MapIndex, key, err)
-		}
-	}
-	return nil, nil
+	return HierResult{Result: j.res, Groups: j.groups, Round1: j.res.Phase1, Round2: j.res.Phase2}, nil
 }
 
 // PredictHierarchical models the two-level shuffle's latency with w
@@ -470,47 +148,4 @@ func PredictHierarchical(w, g int, in PlanInput, sp StoreProfile) Plan {
 	}
 	p.Predicted = p.Startup + p.Phase1IO + p.Phase1CPU + p.Phase2IO + p.Phase2CPU
 	return p
-}
-
-// HierPlan is the hierarchical planner's decision.
-type HierPlan struct {
-	// Plan is the chosen configuration's prediction.
-	Plan
-	// Groups is the chosen group count (1 = stay one-level).
-	Groups int
-	// OneLevel is the best single-level plan, for comparison.
-	OneLevel Plan
-}
-
-// OptimizeHierarchical searches worker counts and divisor group counts,
-// returning the best two-level configuration alongside the best
-// one-level plan. Callers pick whichever Predicted is lower (the
-// hierarchy wins only when per-request costs dominate).
-func OptimizeHierarchical(in PlanInput, sp StoreProfile) (HierPlan, error) {
-	one, err := Optimize(in, sp)
-	if err != nil {
-		return HierPlan{}, err
-	}
-	in = in.withDefaults()
-	minW := MinWorkersForMemory(in)
-	best := HierPlan{OneLevel: one}
-	for w := minW; w <= in.MaxWorkers; w++ {
-		for g := 2; g <= w; g++ {
-			if w%g != 0 {
-				continue
-			}
-			p := PredictHierarchical(w, g, in, sp)
-			if best.Groups == 0 || p.Predicted < best.Plan.Predicted {
-				best.Plan = p
-				best.Groups = g
-			}
-		}
-	}
-	if best.Groups == 0 {
-		// No composite worker count in range: stay one-level.
-		best.Plan = one
-		best.Groups = 1
-	}
-	best.MinWorkers = minW
-	return best, nil
 }

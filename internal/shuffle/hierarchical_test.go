@@ -279,33 +279,6 @@ func TestPredictHierarchicalFewerRequestsAtScale(t *testing.T) {
 	}
 }
 
-func TestOptimizeHierarchical(t *testing.T) {
-	in := PlanInput{DataBytes: 3500e6, MaxWorkers: 128}
-	sp := StoreProfile{
-		RequestLatency:     18e6,
-		PerConnBandwidth:   95e6,
-		AggregateBandwidth: 40e9,
-		ReadOpsPerSec:      3000,
-		WriteOpsPerSec:     1500,
-	}
-	plan, err := OptimizeHierarchical(in, sp)
-	if err != nil {
-		t.Fatalf("OptimizeHierarchical: %v", err)
-	}
-	if plan.Groups < 1 {
-		t.Fatalf("groups = %d", plan.Groups)
-	}
-	if plan.OneLevel.Workers == 0 {
-		t.Fatal("one-level comparison missing")
-	}
-	if plan.Workers%plan.Groups != 0 {
-		t.Fatalf("groups %d do not divide workers %d", plan.Groups, plan.Workers)
-	}
-	if _, err := OptimizeHierarchical(PlanInput{DataBytes: 0}, sp); err == nil {
-		t.Error("zero data accepted")
-	}
-}
-
 // newFaultyPlatform builds a platform with the given injected failure
 // rate, for fault-composition tests.
 func newFaultyPlatform(sim *des.Sim, store *objectstore.Service, rate float64) (*faas.Platform, error) {

@@ -1,13 +1,11 @@
 package shuffle
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
@@ -102,10 +100,6 @@ type Spec struct {
 	// (default objectstore.DefaultStreamChunk). Smaller chunks overlap
 	// transfer and partition CPU at finer grain.
 	StreamChunkBytes int64
-	// BufferedRead restores the pre-streaming map read: buffer the
-	// whole ranged GET, then partition. Kept for A/B timing studies and
-	// the byte-identity tests pinning the streaming path against it.
-	BufferedRead bool
 }
 
 func (s Spec) validate() error {
@@ -155,203 +149,33 @@ type Result struct {
 // Sort runs the shuffle, blocking p until the sorted output is in
 // place.
 func (op *Operator) Sort(p *des.Proc, spec Spec) (Result, error) {
-	if err := spec.validate(); err != nil {
+	j := op.job("shuffle", spec)
+	if err := j.run(p); err != nil {
 		return Result{}, err
 	}
-	if spec.ScratchBucket == "" {
-		spec.ScratchBucket = spec.OutputBucket
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
-	jobID := fmt.Sprintf("shuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
-	if err != nil {
-		return Result{}, fmt.Errorf("shuffle: stat input: %w", err)
-	}
-	size := head.Size
-	if size == 0 {
-		return Result{}, errors.New("shuffle: empty input")
-	}
-
-	res := Result{TotalBytes: size}
-
-	// Decide parallelism.
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, ProfileOf(op.store.Config()))
-		if err != nil {
-			return Result{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
-	}
-	res.Workers = workers
-
-	// Sample for partition boundaries ("on the fly", real mode only).
-	sampleStart := p.Now()
-	boundaries, err := sampleBoundaries(p, client, spec, size, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Sample = p.Now() - sampleStart
-
-	// Phase 1: map / partition.
-	p1Start := p.Now()
-	ranges := splitRanges(size, workers)
-	mapInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		mapInputs[i] = &mapTask{
-			JobID:         jobID,
-			InputBucket:   spec.InputBucket,
-			InputKey:      spec.InputKey,
-			Offset:        ranges[i].off,
-			Length:        ranges[i].n,
-			TotalSize:     size,
-			Workers:       workers,
-			MapIndex:      i,
-			Boundaries:    boundaries,
-			ScratchBucket: spec.ScratchBucket,
-			PartitionBps:  spec.PartitionBps,
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
-	}
-	if _, err := op.mapPhase(p, mapFn, mapInputs, spec); err != nil {
-		return Result{}, fmt.Errorf("shuffle: map phase: %w", err)
-	}
-	res.Phase1 = p.Now() - p1Start
-
-	// Phase 2: reduce / merge.
-	p2Start := p.Now()
-	redInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		redInputs[i] = &reduceTask{
-			JobID:         jobID,
-			ScratchBucket: spec.ScratchBucket,
-			Workers:       workers,
-			ReduceIndex:   i,
-			OutputIndex:   i,
-			OutputBucket:  spec.OutputBucket,
-			OutputPrefix:  spec.OutputPrefix,
-			MergeBps:      spec.MergeBps,
-			Cleanup:       spec.CleanupScratch,
-			SliceBytes:    size / int64(workers),
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
-	}
-	outs, err := op.mapPhase(p, reduceFn, redInputs, spec)
-	if err != nil {
-		return Result{}, fmt.Errorf("shuffle: reduce phase: %w", err)
-	}
-	res.Phase2 = p.Now() - p2Start
-	for _, o := range outs {
-		key, ok := o.(string)
-		if !ok {
-			return Result{}, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
-		}
-		res.OutputKeys = append(res.OutputKeys, key)
-	}
-	return res, nil
+	return j.res, nil
 }
 
-// mapPhase runs one wave of fn over inputs with the spec's fault
-// policy: per-invocation retries for transient platform failures and
-// optional straggler speculation.
-func (op *Operator) mapPhase(p *des.Proc, fn string, inputs []any, spec Spec) ([]any, error) {
-	opts := faas.InvokeOptions{MemoryMB: spec.MemoryMB, MaxRetries: spec.MaxRetries}
-	if spec.Speculate {
-		outs, _, err := op.platform.MapSpeculative(p, fn, inputs, opts, spec.Speculation)
-		return outs, err
+// job prepares a sort whose runs flow through the scratch bucket.
+func (op *Operator) job(prefix string, spec Spec) *job {
+	return &job{
+		platform: op.platform,
+		store:    op.store,
+		runs:     &storeRuns{bucket: spec.scratch(), cleanup: spec.CleanupScratch, planner: ProfileOf(op.store.Config())},
+		spec:     spec,
+		prefix:   prefix,
+		seq:      &op.seq,
+		mapFn:    mapFn,
+		reduceFn: reduceFn,
 	}
-	return op.platform.MapSync(p, fn, inputs, opts)
 }
 
-// sampleBoundaries reads the head of the input and derives w-1 binary
-// sort-key boundaries from sample quantiles. Sized inputs return nil
-// boundaries (timing-only mode splits evenly). Shared by the
-// object-storage and cache operators.
-func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size int64, workers int) ([]Boundary, error) {
-	if workers <= 1 {
-		return nil, nil
+// scratch returns the bucket intermediate runs go to.
+func (s Spec) scratch() string {
+	if s.ScratchBucket != "" {
+		return s.ScratchBucket
 	}
-	n := spec.SampleBytes
-	if n > size {
-		n = size
-	}
-	pl, err := client.GetRange(p, spec.InputBucket, spec.InputKey, 0, n)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: sample: %w", err)
-	}
-	raw, ok := pl.Bytes()
-	if !ok {
-		return nil, nil // sized mode
-	}
-	if cut := bytes.LastIndexByte(raw, '\n'); cut >= 0 {
-		raw = raw[:cut+1]
-	} else if int64(len(raw)) < size {
-		return nil, errors.New("shuffle: sample contains no complete line")
-	}
-	recs, err := bed.Unmarshal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: sample parse: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, errors.New("shuffle: empty sample")
-	}
-	// Radix sort the packed sample keys: the sample is read before
-	// wave 1 can launch, so its sort sits on the job's critical path.
-	// Idx carries the record index; ties fall back to full-name
-	// comparison plus input order, exactly like runPart.finish.
-	krs := make([]bed.KeyRef, len(recs))
-	for i, r := range recs {
-		krs[i] = bed.KeyRef{Key: bed.KeyOf(r), Idx: int32(i)}
-	}
-	bed.RadixSort(krs, func(a, b bed.KeyRef) int {
-		if c := bed.CompareKeyName(a.Key, recs[a.Idx].Chrom, b.Key, recs[b.Idx].Chrom); c != 0 {
-			return c
-		}
-		return int(a.Idx) - int(b.Idx)
-	})
-	bounds := make([]Boundary, workers-1)
-	for i := 1; i < workers; i++ {
-		kr := krs[i*len(krs)/workers]
-		bounds[i-1] = Boundary{Key: kr.Key, Name: recs[kr.Idx].Chrom}
-	}
-	return bounds, nil
-}
-
-type byteRange struct {
-	off, n int64
-}
-
-// splitRanges divides [0, size) into w contiguous ranges differing by
-// at most one byte in length.
-func splitRanges(size int64, w int) []byteRange {
-	ranges := make([]byteRange, w)
-	base := size / int64(w)
-	rem := size % int64(w)
-	off := int64(0)
-	for i := 0; i < w; i++ {
-		n := base
-		if int64(i) < rem {
-			n++
-		}
-		ranges[i] = byteRange{off: off, n: n}
-		off += n
-	}
-	return ranges
+	return s.OutputBucket
 }
 
 // ProfileOf converts a store config into the planner's profile.
@@ -365,341 +189,48 @@ func ProfileOf(cfg objectstore.Config) StoreProfile {
 	}
 }
 
-// mapTask is the input of one map-phase activation.
-type mapTask struct {
-	JobID         string
-	InputBucket   string
-	InputKey      string
-	Offset        int64
-	Length        int64
-	TotalSize     int64
-	Workers       int
-	MapIndex      int
-	Boundaries    []Boundary
-	ScratchBucket string
-	PartitionBps  float64
-	ChunkBytes    int64
-	Buffered      bool
+// storeRuns is the object-store run store: every run is one scratch
+// object, read back as a chunked stream. It has no fallback path and
+// needs no recovery beyond the client's and the platform's retries.
+type storeRuns struct {
+	bucket string
+	// cleanup deletes runs once consumed (Spec.CleanupScratch).
+	cleanup bool
+	// planner is the service's throughput profile.
+	planner StoreProfile
 }
 
-// read returns the task's input-slice geometry for the streaming path.
-func (t *mapTask) read() mapRead {
-	return mapRead{
-		Bucket: t.InputBucket, Key: t.InputKey,
-		Offset: t.Offset, Length: t.Length, TotalSize: t.TotalSize,
-		ChunkBytes: t.ChunkBytes, PartitionBps: t.PartitionBps,
-	}
+func (s *storeRuns) profile(int64) (StoreProfile, error) { return s.planner, nil }
+
+func (s *storeRuns) ready(*des.Proc) error { return nil }
+
+func (s *storeRuns) reduce(p *des.Proc, j *job) ([]string, error) { return j.reduceWave(p, nil) }
+
+func (s *storeRuns) put(ctx *faas.Ctx, key string, run payload.Payload) (bool, error) {
+	return false, ctx.Store.Put(ctx.Proc, s.bucket, key, run)
 }
 
-// reduceTask is the input of one reduce-phase activation. OutputIndex
-// names the globally-ordered part this reducer emits; the one-level
-// operator sets it to ReduceIndex, the hierarchical operator to the
-// group-offset global index.
-type reduceTask struct {
-	JobID         string
-	ScratchBucket string
-	Workers       int
-	ReduceIndex   int
-	OutputIndex   int
-	OutputBucket  string
-	OutputPrefix  string
-	MergeBps      float64
-	Cleanup       bool
-	// SliceBytes is the planned per-reducer input volume, sizing the
-	// adaptive stream chunk; ChunkBytes overrides it when set.
-	SliceBytes int64
-	ChunkBytes int64
-	// Buffered restores the pre-streaming reduce: buffer every run,
-	// merge, one monolithic Put. The A/B baseline.
-	Buffered bool
-}
-
-// mapHandler consumes its input slice as a stream of chunks,
-// partitioning records by the binary sort-key boundaries as they
-// arrive, and writes one sorted run per reducer. Buffered tasks keep
-// the pre-streaming read-everything-first behavior.
-func mapHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*mapTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: map input %T", input)
-	}
-	if task.Length == 0 {
-		// Degenerate split (more workers than bytes): write empty
-		// partitions to keep the key structure uniform.
-		for r := 0; r < task.Workers; r++ {
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.Real(nil)); err != nil {
-				return nil, err
-			}
+func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error) {
+	srcs := make([]runSource, 0, len(keys))
+	for _, key := range keys {
+		cs, err := ctx.Store.GetStream(ctx.Proc, s.bucket, key, 0, -1,
+			objectstore.StreamOptions{ChunkBytes: chunk})
+		if err != nil {
+			return srcs, fmt.Errorf("open %s: %w", key, err)
 		}
-		return nil, nil
+		srcs = append(srcs, clientStreamSource{cs})
 	}
-	if task.Buffered {
-		return mapBuffered(ctx, task)
-	}
-	parts, sized, err := consumeMapStream(ctx, task.read(), task.Workers, task.Boundaries)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
-	}
-	if sized {
-		return mapSized(ctx, task)
-	}
-	for r := 0; r < task.Workers; r++ {
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-			return nil, fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
-		}
-	}
-	return nil, nil
+	return srcs, nil
 }
 
-// mapBuffered is the pre-streaming map body: one blocking ranged GET,
-// then partitioning. The whole slice's transfer and CPU add up
-// serially; kept behind Spec.BufferedRead as the A/B baseline.
-func mapBuffered(ctx *faas.Ctx, task *mapTask) (any, error) {
-	readOff, readLen, prefixByte := task.read().span()
-	pl, err := ctx.Store.GetRange(ctx.Proc, task.InputBucket, task.InputKey, readOff, readLen)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: map %d read: %w", task.MapIndex, err)
+func (s *storeRuns) free(ctx *faas.Ctx, keys []string) error {
+	if !s.cleanup {
+		return nil
 	}
-	ctx.ComputeBytes(task.Length, task.PartitionBps)
-
-	raw, real := pl.Bytes()
-	if !real {
-		return mapSized(ctx, task)
-	}
-	return nil, mapReal(ctx, task, raw, prefixByte)
-}
-
-func mapReal(ctx *faas.Ctx, task *mapTask, raw []byte, prefixByte bool) error {
-	parts, err := partitionRaw(raw, prefixByte, task.Offset, task.Length, task.Workers, task.Boundaries)
-	if err != nil {
-		return fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
-	}
-	for r := 0; r < task.Workers; r++ {
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-			return fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
+	for _, key := range keys {
+		if err := ctx.Store.Delete(ctx.Proc, s.bucket, key); err != nil {
+			return fmt.Errorf("free %s: %w", key, err)
 		}
 	}
 	return nil
-}
-
-// partitionRaw splits the lines of raw owned by the slice
-// [offset, offset+length) into one sorted run per reducer, routing
-// each record by its binary sort key against the boundaries.
-// prefixByte reports that raw begins one byte before offset (to decide
-// first-line ownership). Shared by the object-storage and cache
-// operators.
-func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int, boundaries []Boundary) ([][]byte, error) {
-	// Determine the first line that starts within [offset, offset+length).
-	start := 0
-	if prefixByte {
-		if raw[0] == '\n' {
-			start = 1 // a line starts exactly at offset: ours
-		} else {
-			nl := bytes.IndexByte(raw, '\n')
-			if nl < 0 {
-				return nil, errNoLineStart
-			}
-			start = nl + 1
-		}
-	}
-	// Lines whose start position (global) is < offset+length are ours.
-	globalStart := func(local int) int64 {
-		off := offset
-		if prefixByte {
-			off--
-		}
-		return off + int64(local)
-	}
-	limit := offset + length
-
-	builder := newRunBuilder(workers, boundaries)
-	builder.sizeHint(len(raw))
-	pos := start
-	for pos < len(raw) && globalStart(pos) < limit {
-		nl := bytes.IndexByte(raw[pos:], '\n')
-		var line []byte
-		if nl < 0 {
-			line = raw[pos:]
-			pos = len(raw)
-		} else {
-			line = raw[pos : pos+nl]
-			pos += nl + 1
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if err := builder.Add(line); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
-}
-
-// mapSized handles timing-only payloads: partition sizes are the even
-// split of this worker's slice.
-func mapSized(ctx *faas.Ctx, task *mapTask) (any, error) {
-	base := task.Length / int64(task.Workers)
-	rem := task.Length % int64(task.Workers)
-	for r := 0; r < task.Workers; r++ {
-		n := base
-		if int64(r) < rem {
-			n++
-		}
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.Sized(n)); err != nil {
-			return nil, fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
-		}
-	}
-	return nil, nil
-}
-
-// reduceHandler opens a chunked stream over every mapper's sorted run
-// and k-way merges them as the chunks arrive, the merged lines flowing
-// straight into a multipart streaming PUT — transfer-in, merge CPU, and
-// transfer-out all overlap, so the reduce leg costs their max instead
-// of their sum. No re-parse of full records, no re-sort, no
-// re-serialization. It returns the output key. Buffered tasks keep the
-// pre-streaming fetch-all-then-merge body.
-func reduceHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*reduceTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: reduce input %T", input)
-	}
-	if task.Buffered {
-		return reduceBuffered(ctx, task)
-	}
-	perRun := task.SliceBytes
-	if task.Workers > 0 {
-		perRun /= int64(task.Workers)
-	}
-	inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
-	srcs := make([]runSource, 0, task.Workers)
-	defer func() {
-		for _, s := range srcs {
-			s.close()
-		}
-	}()
-	var consumed []string
-	for m := 0; m < task.Workers; m++ {
-		key := partKey(task.JobID, m, task.ReduceIndex)
-		cs, err := ctx.Store.GetStream(ctx.Proc, task.ScratchBucket, key, 0, -1,
-			objectstore.StreamOptions{ChunkBytes: inChunk})
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d open m%d: %w", task.ReduceIndex, m, err)
-		}
-		srcs = append(srcs, clientStreamSource{cs})
-		if task.Cleanup {
-			consumed = append(consumed, key)
-		}
-	}
-
-	outKey := outputKey(task.OutputPrefix, task.OutputIndex)
-	outPart := AdaptiveChunkBytes(task.ChunkBytes, task.SliceBytes)
-	w := ctx.Store.PutStream(ctx.Proc, task.OutputBucket, outKey,
-		objectstore.PutStreamOptions{PartBytes: outPart})
-	var buf []byte
-	emit := func(_ bed.Key, line []byte) error {
-		if buf == nil {
-			buf = make([]byte, 0, outPart+int64(len(line))+1)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		if int64(len(buf)) >= outPart {
-			err := w.Write(ctx.Proc, payload.RealNoCopy(buf))
-			buf = nil // the payload retains the buffer; start a fresh one
-			return err
-		}
-		return nil
-	}
-	charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-	if err != nil {
-		w.Abort(ctx.Proc)
-		return nil, fmt.Errorf("shuffle: reduce %d merge: %w", task.ReduceIndex, err)
-	}
-	if sized {
-		w.Abort(ctx.Proc)
-		if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, payload.Sized(total)); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
-		}
-	} else {
-		if len(buf) > 0 {
-			if err := w.Write(ctx.Proc, payload.RealNoCopy(buf)); err != nil {
-				w.Abort(ctx.Proc)
-				return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
-			}
-		}
-		if err := w.Close(ctx.Proc); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
-		}
-	}
-	// Scratch deletes are deferred until the output part is durable: a
-	// reducer retried after a transient platform failure (MaxRetries)
-	// must be able to re-fetch every partition, so nothing may be
-	// deleted by an attempt that did not finish. Close returning nil is
-	// the durability point — the multipart complete has been admitted.
-	for m, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.ScratchBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
-}
-
-// reduceBuffered is the pre-streaming reduce body: fetch every run
-// whole, merge, one monolithic Put. Transfer-in, merge CPU, and
-// transfer-out add up serially; kept behind Spec.BufferedRead as the
-// A/B baseline the byte-identity tests pin the streamed path against.
-func reduceBuffered(ctx *faas.Ctx, task *reduceTask) (any, error) {
-	var (
-		runs     [][]byte
-		consumed []string
-		anySized bool
-		total    int64
-	)
-	for m := 0; m < task.Workers; m++ {
-		key := partKey(task.JobID, m, task.ReduceIndex)
-		pl, err := ctx.Store.Get(ctx.Proc, task.ScratchBucket, key)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-		}
-		if task.Cleanup {
-			consumed = append(consumed, key)
-		}
-		total += pl.Size()
-		if raw, real := pl.Bytes(); real {
-			runs = append(runs, raw)
-		} else {
-			anySized = true
-		}
-	}
-	ctx.ComputeBytes(total, task.MergeBps)
-
-	outKey := outputKey(task.OutputPrefix, task.OutputIndex)
-	var out payload.Payload
-	if anySized {
-		out = payload.Sized(total)
-	} else {
-		merged, err := mergeRuns(runs)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d merge: %w", task.ReduceIndex, err)
-		}
-		out = payload.RealNoCopy(merged)
-	}
-	if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, out); err != nil {
-		return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
-	}
-	// Scratch deletes are deferred until the output part is durable: a
-	// reducer retried after a transient platform failure (MaxRetries)
-	// must be able to re-fetch every partition, so nothing may be
-	// deleted by an attempt that did not finish.
-	for m, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.ScratchBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
 }

@@ -375,10 +375,7 @@ func TestPartitionIndex(t *testing.T) {
 }
 
 func TestSplitRanges(t *testing.T) {
-	ranges := splitRanges(10, 3)
-	if len(ranges) != 3 {
-		t.Fatalf("ranges = %d", len(ranges))
-	}
+	ranges := []byteRange{evenShare(10, 3, 0), evenShare(10, 3, 1), evenShare(10, 3, 2)}
 	var total int64
 	prevEnd := int64(0)
 	for _, r := range ranges {
@@ -453,5 +450,16 @@ func TestDuplicateOperatorRegistrationFails(t *testing.T) {
 	rig := newRig(t)
 	if _, err := NewOperator(rig.pf, rig.store); err == nil {
 		t.Fatal("second operator on one platform accepted")
+	}
+}
+
+// TestRegisteredFunctionNames pins the five names the operators
+// register: they key the platform's warm pools and name its spawned
+// processes, so renaming one moves fired logs.
+func TestRegisteredFunctionNames(t *testing.T) {
+	got := [5]string{mapFn, reduceFn, repartitionFn, cacheMapFn, cacheReduceFn}
+	want := [5]string{"shuffle/map", "shuffle/reduce", "shuffle/repartition", "cacheshuffle/map", "cacheshuffle/reduce"}
+	if got != want {
+		t.Fatalf("registered function names = %q, want %q", got, want)
 	}
 }

@@ -193,22 +193,3 @@ func Optimize(in PlanInput, sp StoreProfile) (Plan, error) {
 	best.MinWorkers = minW
 	return best, nil
 }
-
-// SweepPoint is one (workers, predicted latency) sample; the worker
-// sweep experiment plots these against measured latencies.
-type SweepPoint struct {
-	Workers   int
-	Predicted time.Duration
-}
-
-// Sweep predicts latency for every worker count in [from, to].
-func Sweep(from, to int, in PlanInput, sp StoreProfile) []SweepPoint {
-	if from < 1 {
-		from = 1
-	}
-	pts := make([]SweepPoint, 0, to-from+1)
-	for w := from; w <= to; w++ {
-		pts = append(pts, SweepPoint{Workers: w, Predicted: Predict(w, in, sp).Predicted})
-	}
-	return pts
-}

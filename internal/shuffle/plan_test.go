@@ -112,18 +112,14 @@ func TestPredictBreakdownSumsToTotal(t *testing.T) {
 func TestSweepMonotoneAroundOptimum(t *testing.T) {
 	in := testInput(3500e6)
 	sp := testProfile()
-	pts := Sweep(1, 64, in, sp)
-	if len(pts) != 64 {
-		t.Fatalf("sweep points = %d", len(pts))
-	}
 	opt, err := Optimize(in, sp)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	for _, pt := range pts {
-		if pt.Predicted < opt.Predicted && pt.Workers <= in.MaxWorkers {
+	for w := 1; w <= 64 && w <= in.MaxWorkers; w++ {
+		if pt := Predict(w, in, sp); pt.Predicted < opt.Predicted {
 			t.Fatalf("sweep found better point (%d workers, %v) than optimizer (%d, %v)",
-				pt.Workers, pt.Predicted, opt.Workers, opt.Predicted)
+				w, pt.Predicted, opt.Workers, opt.Predicted)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package shuffle
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 
 	"github.com/faaspipe/faaspipe/internal/faas"
@@ -42,17 +43,31 @@ func MapStreamRates(partitionBps float64) (streamBps, sortBps float64) {
 	return partitionBps / (1 - mapSortShare), partitionBps / mapSortShare
 }
 
+// ErrLineTooLong reports an input line a mapper owns but could not
+// read to its end: it runs more than Overscan bytes past the mapper's
+// slice, so the ranged read stopped inside it.
+type ErrLineTooLong struct {
+	// Offset is where the line starts in the input object.
+	Offset int64
+	// Overscan is how far past its slice a mapper reads.
+	Overscan int64
+}
+
+func (e *ErrLineTooLong) Error() string {
+	return fmt.Sprintf("line at offset %d runs more than the %d-byte overscan past its map slice", e.Offset, e.Overscan)
+}
+
 // lineFeeder splits streamed chunks into complete lines and feeds the
-// slice's owned ones to fn, replicating partitionRaw's ownership rules
-// incrementally: lines whose global start position is inside
+// slice's owned ones to fn: lines whose global start position is inside
 // [offset, limit) belong to this mapper; a partial trailing line is
 // carried across chunk boundaries; blank lines are skipped; the
-// unterminated final line (no trailing newline at stream end) is
+// unterminated final line (no trailing newline at the object's end) is
 // flushed by finish. fn must not retain the line slice past its call.
 type lineFeeder struct {
 	fn    func(line []byte) error
 	pos   int64 // global offset of the next unseen stream byte
 	limit int64 // lines starting at or past this are the next mapper's
+	end   int64 // the object's size: a stream that stops short of it was cut by the overscan
 	// skipFirst drops bytes through the first newline: the stream
 	// begins one byte before the slice to decide first-line ownership,
 	// and everything up to that newline is the predecessor's line.
@@ -113,15 +128,20 @@ func (f *lineFeeder) feed(chunk []byte) error {
 // finish flushes the unterminated final line once the stream ends.
 func (f *lineFeeder) finish() error {
 	if f.skipFirst {
-		// The whole stream was one line with no start inside the slice —
-		// the same condition the buffered path reports.
+		// The whole stream was one line with no start inside the slice.
 		return errNoLineStart
 	}
 	if f.done || len(f.carry) == 0 {
 		return nil
 	}
-	if f.pos-int64(len(f.carry)) >= f.limit {
+	start := f.pos - int64(len(f.carry))
+	if start >= f.limit {
 		return nil
+	}
+	if f.pos < f.end {
+		// The stream ended before the object did: the carry is the head
+		// of a line the overscan cut short, not the file's last line.
+		return &ErrLineTooLong{Offset: start, Overscan: overscan}
 	}
 	line := f.carry
 	f.carry = f.carry[:0]
@@ -131,7 +151,7 @@ func (f *lineFeeder) finish() error {
 	return f.fn(line)
 }
 
-// mapRead is the input-slice geometry shared by the map tasks.
+// mapRead is a map task's input-slice geometry and rates.
 type mapRead struct {
 	Bucket, Key    string
 	Offset, Length int64
@@ -159,15 +179,15 @@ func (r mapRead) span() (readOff, readLen int64, prefixByte bool) {
 // consumeMapStream streams the map slice into a runBuilder, charging
 // the per-chunk partition CPU (at the streaming rate) as each chunk
 // lands and the post-stream sort once the transfer is done. It returns
-// the finished sorted runs, or sized=true when the object is a
-// timing-only payload (the caller writes even-split sized partitions;
-// the CPU has already been charged either way).
-func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) (parts [][]byte, sized bool, err error) {
+// the finished sorted runs, or nil when the object is a timing-only
+// payload (the caller writes even-split sized partitions; the CPU has
+// already been charged either way).
+func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) ([][]byte, error) {
 	readOff, readLen, prefixByte := r.span()
 	st, err := ctx.Store.GetStream(ctx.Proc, r.Bucket, r.Key, readOff, readLen,
 		objectstore.StreamOptions{ChunkBytes: AdaptiveChunkBytes(r.ChunkBytes, r.Length)})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer st.Close()
 
@@ -178,23 +198,25 @@ func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) 
 		fn:        builder.Add,
 		pos:       readOff,
 		limit:     r.Offset + r.Length,
+		end:       r.TotalSize,
 		skipFirst: prefixByte,
 	}
 	// The CPU budget keeps the total partition charge at exactly
 	// Length/PartitionBps — overscan bytes are transferred but their
 	// lines belong to the next mapper.
 	budget := r.Length
+	sized := false
 	for {
 		pl, err := st.Next(ctx.Proc)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if raw, real := pl.Bytes(); real {
 			if err := feeder.feed(raw); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		} else {
 			sized = true
@@ -211,13 +233,13 @@ func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) 
 	}
 	if !sized {
 		if err := feeder.finish(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	// The per-partition radix sort is the only post-transfer work.
 	ctx.ComputeBytes(r.Length, sortBps)
 	if sized {
-		return nil, true, nil
+		return nil, nil
 	}
-	return builder.Finish(), false, nil
+	return builder.Finish(), nil
 }

@@ -68,9 +68,9 @@ func (s clientStreamSource) next(p *des.Proc) (payload.Payload, error) { return 
 func (s clientStreamSource) close()                                    { s.cs.Close() }
 
 // payloadSource feeds an already-resident payload chunk by chunk — the
-// cache reducer's runs arrive via memcache Get (no streaming API), but
-// chunked consumption still spreads the merge's CPU charges so the
-// output writer's part uploads overlap them.
+// cache's runs arrive via memcache Get (no streaming API), but chunked
+// consumption still spreads the merge's CPU charges so the output
+// writer's part uploads overlap them.
 type payloadSource struct {
 	pl    payload.Payload
 	off   int64
@@ -99,12 +99,12 @@ func (s *payloadSource) next(p *des.Proc) (payload.Payload, error) {
 
 func (s *payloadSource) close() {}
 
-// streamCursor walks one chunk-fed sorted run line by line, the
-// streaming counterpart of runCursor. Lines fully inside a chunk are
-// views into the chunk's payload bytes (which outlive the chunk); a
-// line spanning chunks is assembled in one of two alternating carry
-// buffers, so the sortedness check's previous line — possibly itself
-// carried — stays intact while the next one assembles.
+// streamCursor walks one chunk-fed sorted run line by line during a
+// merge. Lines fully inside a chunk are views into the chunk's payload
+// bytes (which outlive the chunk); a line spanning chunks is assembled
+// in one of two alternating carry buffers, so the sortedness check's
+// previous line — possibly itself carried — stays intact while the
+// next one assembles.
 type streamCursor struct {
 	src    runSource
 	proc   *des.Proc
@@ -143,8 +143,9 @@ func (c *streamCursor) nextChunk() error {
 }
 
 // advance loads the cursor's next non-blank line, pulling chunks as
-// needed and verifying the run stays sorted across chunk boundaries —
-// the same mapper invariant runCursor.advance enforces.
+// needed and verifying the run stays sorted across chunk boundaries
+// (the mappers' invariant — a violation here means a corrupted scratch
+// object, and silently merging it would emit unsorted output).
 func (c *streamCursor) advance() error {
 	prevKey, prevLine, hadPrev := c.key, c.line, c.live
 	c.live = false
@@ -209,7 +210,7 @@ func (c *streamCursor) load(line []byte, prevKey bed.Key, prevLine []byte, hadPr
 }
 
 // streamCursorLess orders heap entries in exact genome order, then run
-// index for deterministic merges — cursorLess over streamed cursors.
+// index for deterministic merges.
 func streamCursorLess(a, b *streamCursor) bool {
 	if c := compareLineKeys(a.key, a.line, b.key, b.line); c != 0 {
 		return c < 0
@@ -217,8 +218,29 @@ func streamCursorLess(a, b *streamCursor) bool {
 	return a.idx < b.idx
 }
 
-// mergeStreamedRuns k-way merges chunk-fed sorted runs, calling emit
-// for each winning line in globally ascending order. emit must not
+// siftDown restores the min-heap property below i.
+func siftDown(h []*streamCursor, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(h) && streamCursorLess(h[l], h[min]) {
+			min = l
+		}
+		if r < len(h) && streamCursorLess(h[r], h[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
+// mergeStreamedRuns k-way merges chunk-fed sorted runs via a binary
+// min-heap of per-run cursors, calling emit for each winning line in
+// globally ascending order — lines pass through verbatim: no
+// []bed.Record, no re-serialization, no full re-sort. emit must not
 // retain line past its call (it may sit in a recycled carry buffer).
 // charge, when non-nil, is called with each arriving chunk's size —
 // the handler's per-chunk MergeBps accounting. When any run is a
@@ -245,7 +267,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownFunc(h, i, streamCursorLess)
+		siftDown(h, i)
 	}
 	for len(h) > 0 {
 		c := h[0]
@@ -263,7 +285,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 			h = h[:len(h)-1]
 		}
 		if len(h) > 0 {
-			siftDownFunc(h, 0, streamCursorLess)
+			siftDown(h, 0)
 		}
 	}
 	for i := range cursors {
@@ -273,8 +295,8 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 }
 
 // drainStreamedSized consumes the rest of every source purely for byte
-// accounting once a sized chunk voids the line merge, so the handler's
-// CPU and transfer charges match the buffered path's.
+// accounting once a sized chunk voids the line merge, so the handler
+// charges CPU and transfer for the whole volume.
 func drainStreamedSized(p *des.Proc, cursors []streamCursor, charge func(int64)) (bool, int64, error) {
 	var total int64
 	for i := range cursors {
@@ -296,4 +318,44 @@ func drainStreamedSized(p *des.Proc, cursors []streamCursor, charge func(int64))
 		total += c.total
 	}
 	return true, total, nil
+}
+
+// runSplitter is the merge's routing sink for the hierarchy's round 2:
+// it appends each emitted line to its boundary partition instead of
+// one output. Because the merge emits lines in globally ascending key
+// order, every partition is a sorted run by construction — no
+// per-partition sort ever runs — and the routing cursor only moves
+// right, so boundary search is O(1) amortized instead of a binary
+// search per line. Partitions that receive nothing stay nil, matching
+// runBuilder.Finish.
+type runSplitter struct {
+	bounds []Boundary
+	parts  [][]byte
+	cur    int // partition of the last emitted line
+	hint   int // first-allocation size of a partition buffer
+}
+
+// newRunSplitter splits into fanout partitions, pre-sizing each for an
+// even share of totalBytes (+25% for boundary skew).
+func newRunSplitter(fanout int, bounds []Boundary, totalBytes int64) *runSplitter {
+	s := &runSplitter{bounds: bounds, parts: make([][]byte, fanout)}
+	if fanout > 0 && totalBytes > 0 {
+		s.hint = int(totalBytes)/fanout + int(totalBytes)/(4*fanout)
+	}
+	return s
+}
+
+func (s *runSplitter) emit(key bed.Key, line []byte) error {
+	// Advance past every boundary <= the emitted key (keys equal to a
+	// boundary route right, as in partitionIndex).
+	for s.cur < len(s.bounds) &&
+		bed.CompareKeyName(s.bounds[s.cur].Key, s.bounds[s.cur].Name, key, chromOf(line)) <= 0 {
+		s.cur++
+	}
+	if s.parts[s.cur] == nil {
+		s.parts[s.cur] = make([]byte, 0, s.hint)
+	}
+	s.parts[s.cur] = append(s.parts[s.cur], line...)
+	s.parts[s.cur] = append(s.parts[s.cur], '\n')
+	return nil
 }
