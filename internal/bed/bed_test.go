@@ -261,3 +261,30 @@ func TestPropertyTSVRoundtripArbitrary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCodecAllocatesOnce pins the whole-buffer codec's sizing: Marshal
+// reserves enough for generated lines, and Unmarshal sizes its result
+// from the line count, so neither regrows however long the input.
+func TestCodecAllocatesOnce(t *testing.T) {
+	var unmarshalAt10k float64
+	for _, n := range []int{10000, 100000} {
+		recs := Generate(GenConfig{Records: n, Seed: 12})
+		data := Marshal(recs)
+		// 20 runs: AllocsPerRun rounds the mean down, which absorbs the
+		// runtime's own stray allocations when a GC cycle starts.
+		if got := testing.AllocsPerRun(20, func() { Marshal(recs) }); got != 1 {
+			t.Errorf("Marshal of %d records: %v allocations, want 1 (%d bytes a record)", n, got, len(data)/n)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Unmarshal(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n == 10000 {
+			unmarshalAt10k = got
+		}
+		if got > 2 || got > unmarshalAt10k {
+			t.Errorf("Unmarshal of %d records: %v allocations, want at most 2 and no more than at 10k (%v)", n, got, unmarshalAt10k)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package bed
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -123,4 +127,140 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("ParseLine(%q) = %+v, reference = %+v", line, got, want)
 		}
 	})
+}
+
+const (
+	goodLine  = "chr1\t10468\t10469\t.\t14\t+\t10468\t10469\t255,0,0\t14\t92"
+	otherLine = "chrX\t5\t6\t.\t3\t-\t5\t6\t0,255,0\t3\t0"
+)
+
+// unmarshalCases are whole buffers on which the in-memory parse loop
+// could drift from the bufio.Scanner one: line endings, blank lines,
+// the unterminated last line, error line numbers and the line limit.
+func unmarshalCases() [][]byte {
+	const good, other = goodLine, otherLine
+	cases := []string{
+		"",
+		"\n",
+		"\r\n",
+		"\r",
+		"\n\n\n",
+		good,
+		good + "\n",
+		good + "\r\n" + other + "\r\n",
+		good + "\r\n" + other + "\r",
+		good + "\r\r\n",       // only one '\r' is dropped
+		good + "\n\r" + other, // a '\r' at a line's start is data
+		good + "\n\n" + other + "\n",
+		good + "\n \t \n" + other + "\n",
+		good + "\n\u00a0\u0085\n" + other + "\n", // whitespace-only beyond ASCII
+		good + "\n" + other + "\n\n",
+		good + "\n" + other + "\n   ",
+		good + "\n" + other + "\n\r",
+		"\n\n" + good + "\n" + other,
+		good + "\n\nchr1\t1\t2\n" + other + "\n", // error on line 3, after a skipped one
+		good + "\x00\n",
+	}
+	// A bad integer in each of the 11 positions, on line 2 of 3.
+	fields := strings.Split(good, "\t")
+	for i := range fields {
+		bad := append([]string(nil), fields...)
+		bad[i] = "1x"
+		cases = append(cases, good+"\n"+strings.Join(bad, "\t")+"\n"+other+"\n")
+	}
+	out := make([][]byte, 0, len(cases)+4)
+	for _, c := range cases {
+		out = append(out, []byte(c))
+	}
+	// The line limit: maxLineBytes-1 bytes of line still scan (and fail
+	// as a record), maxLineBytes do not, terminated or not; an earlier
+	// bad line still wins.
+	return append(out,
+		longLine(good+"\n", maxLineBytes+1, ""),
+		longLine(good+"\n", maxLineBytes, "\n"),
+		longLine(good+"\n", maxLineBytes-1, "\n"),
+		longLine("bad\n", maxLineBytes+1, ""),
+	)
+}
+
+// longLine is prefix, then a line of n bytes, then term.
+func longLine(prefix string, n int, term string) []byte {
+	return append(append([]byte(prefix), bytes.Repeat([]byte{'a'}, n)...), term...)
+}
+
+// clip shortens a buffer for a failure message.
+func clip(data []byte) string {
+	if len(data) > 200 {
+		return fmt.Sprintf("%q... (%d bytes)", data[:200], len(data))
+	}
+	return fmt.Sprintf("%q", data)
+}
+
+// checkUnmarshalMatchesParse asserts the in-memory parser and the
+// io.Reader one return equal records, or errors with the same text (so
+// the same line number) and the same bufio.ErrTooLong identity.
+func checkUnmarshalMatchesParse(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotErr := Unmarshal(data)
+	want, wantErr := Parse(bytes.NewReader(data))
+	if (gotErr == nil) != (wantErr == nil) ||
+		gotErr != nil && (gotErr.Error() != wantErr.Error() ||
+			errors.Is(gotErr, bufio.ErrTooLong) != errors.Is(wantErr, bufio.ErrTooLong)) {
+		t.Fatalf("Unmarshal(%s) err = %v, Parse err = %v", clip(data), gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Unmarshal(%s) = %d records, Parse = %d records", clip(data), len(got), len(want))
+	}
+}
+
+// TestUnmarshalMatchesParse pins the seed cases without needing -fuzz,
+// and spells out the ones both parsers could get wrong together.
+func TestUnmarshalMatchesParse(t *testing.T) {
+	for _, data := range unmarshalCases() {
+		checkUnmarshalMatchesParse(t, data)
+	}
+	checkUnmarshalMatchesParse(t, Marshal(Generate(GenConfig{Records: 5000, Seed: 33})))
+
+	const good = goodLine + "\n"
+	for _, tc := range []struct {
+		data string
+		recs int
+	}{
+		{"", 0}, {"\n", 0}, {good, 1},
+		{strings.ReplaceAll(good+good, "\n", "\r\n"), 2},
+		{good + "\n \t \n" + good + "\n\n", 2},
+		{strings.TrimSuffix(good+good, "\n"), 2},
+	} {
+		recs, err := Unmarshal([]byte(tc.data))
+		if err != nil || len(recs) != tc.recs {
+			t.Errorf("Unmarshal(%q) = %d records, %v; want %d", tc.data, len(recs), err, tc.recs)
+		}
+	}
+
+	var pe *ParseError
+	if _, err := Unmarshal([]byte(good + "\n \n" + "chr1\t1\t2\n")); !errors.As(err, &pe) || pe.Line != 4 {
+		t.Errorf("blank lines are counted: err = %v, want a ParseError on line 4", err)
+	}
+	for _, data := range [][]byte{longLine(good, maxLineBytes+1, ""), longLine(good, maxLineBytes, "\n")} {
+		if _, err := Unmarshal(data); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("a line of at least %d bytes: err = %v, want bufio.ErrTooLong", maxLineBytes, err)
+		}
+	}
+	if _, err := Unmarshal(longLine(good, maxLineBytes-1, "\n")); !errors.As(err, &pe) || pe.Line != 2 {
+		t.Errorf("a %d-byte line: err = %v, want a ParseError on line 2", maxLineBytes-1, err)
+	}
+	if _, err := Unmarshal(longLine("bad\n", maxLineBytes+1, "")); !errors.As(err, &pe) || pe.Line != 1 {
+		t.Errorf("bad line before the long one: err = %v, want a ParseError on line 1", err)
+	}
+}
+
+// FuzzUnmarshalMatchesParse differentially fuzzes the in-memory parse
+// loop against Parse over a bufio.Scanner: for any buffer, equal
+// records or the same error.
+func FuzzUnmarshalMatchesParse(f *testing.F) {
+	for _, data := range unmarshalCases() {
+		f.Add(data)
+	}
+	f.Add(Marshal(Generate(GenConfig{Records: 20, Seed: 34})))
+	f.Fuzz(checkUnmarshalMatchesParse)
 }

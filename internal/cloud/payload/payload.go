@@ -97,8 +97,15 @@ func checkRange(off, n, size int64) error {
 // Concat joins payloads. If every part is real, the result is real;
 // otherwise the result is sized with the summed length (mixing real
 // and sized parts degrades to sized, since the real fragment alone
-// cannot reconstruct the whole).
+// cannot reconstruct the whole). A single real part is returned as it
+// is, not copied: payloads are immutable, and Slice and RealNoCopy
+// share memory the same way.
 func Concat(parts ...Payload) Payload {
+	if len(parts) == 1 {
+		if _, ok := parts[0].Bytes(); ok {
+			return parts[0]
+		}
+	}
 	allReal := true
 	var total int64
 	for _, p := range parts {

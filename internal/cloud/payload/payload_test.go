@@ -93,6 +93,27 @@ func TestConcatMixedDegradesToSized(t *testing.T) {
 	}
 }
 
+// A single real part comes back as it is: same backing array, no copy.
+// A single sized part stays sized.
+func TestConcatSinglePartIsNotCopied(t *testing.T) {
+	part := Real([]byte("abcdef"))
+	whole := Concat(part)
+	in, _ := part.Bytes()
+	out, ok := whole.Bytes()
+	if !ok || !bytes.Equal(out, in) {
+		t.Fatalf("concat of one real part = %q, %v", out, ok)
+	}
+	if &out[0] != &in[0] {
+		t.Fatal("concat of one real part copied it")
+	}
+	if _, ok := Concat(Sized(7)).Bytes(); ok {
+		t.Fatal("concat of one sized part claimed real bytes")
+	}
+	if Concat(Sized(7)).Size() != 7 {
+		t.Fatal("concat of one sized part changed its size")
+	}
+}
+
 func TestConcatEmpty(t *testing.T) {
 	p := Concat()
 	if p.Size() != 0 {

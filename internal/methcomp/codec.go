@@ -187,19 +187,25 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
+// bytes returns the next n bytes. n is a length read from the input:
+// it is compared against what is left, never added to a position.
+func (r *reader) bytes(n uint64) ([]byte, error) {
+	if n > uint64(r.left()) {
 		return nil, ErrCorrupt
 	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
+	b := r.buf[r.pos : r.pos+int(n)]
+	r.pos += int(n)
 	return b, nil
 }
+
+// left is how many bytes remain: the bound on every count the input
+// claims, since each counted item takes at least one.
+func (r *reader) left() int { return len(r.buf) - r.pos }
 
 // Decompress decodes a METHCOMP container back into records.
 func Decompress(data []byte) ([]bed.Record, error) {
 	r := &reader{buf: data}
-	mg, err := r.bytes(len(magic) + 1)
+	mg, err := r.bytes(uint64(len(magic) + 1))
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +228,8 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nChroms > 1<<20 {
-		return nil, fmt.Errorf("%w: absurd chrom count", ErrCorrupt)
+	if nChroms > uint64(r.left()) {
+		return nil, fmt.Errorf("%w: chrom count %d exceeds input", ErrCorrupt, nChroms)
 	}
 	chroms := make([]string, nChroms)
 	for i := range chroms {
@@ -231,7 +237,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := r.bytes(int(ln))
+		b, err := r.bytes(ln)
 		if err != nil {
 			return nil, err
 		}
@@ -240,6 +246,9 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	nRuns, err := r.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if nRuns > uint64(r.left())/2 {
+		return nil, fmt.Errorf("%w: run count %d exceeds input", ErrCorrupt, nRuns)
 	}
 	type run struct {
 		chrom int
@@ -259,6 +268,9 @@ func Decompress(data []byte) ([]bed.Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n > count64-runTotal {
+			return nil, fmt.Errorf("%w: runs exceed count %d", ErrCorrupt, count)
+		}
 		runs = append(runs, run{chrom: int(ci), n: int(n)})
 		runTotal += n
 	}
@@ -275,7 +287,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	coded, err := r.bytes(int(codedLen))
+	coded, err := r.bytes(codedLen)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +302,10 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	strand := prob(probInit)
 	meths := [3]*bitTree{newBitTree(7), newBitTree(7), newBitTree(7)}
 
-	recs := make([]bed.Record, 0, count)
+	// The count is not trusted with memory either: real data codes at
+	// several bytes a record, so reserve no more records than coded
+	// bytes and let append grow for the rare stream that packs tighter.
+	recs := make([]bed.Record, 0, min(count, len(coded)))
 	prevMeth := 100
 	for _, rn := range runs {
 		prevStart := int64(0)
@@ -305,6 +320,9 @@ func Decompress(data []byte) ([]bed.Record, error) {
 			sb := dec.decodeBit(&strand)
 			meth := int(meths[methContext(prevMeth)].decode(dec))
 			prevMeth = meth
+			if dec.overrun {
+				return nil, fmt.Errorf("%w: coded stream ends before record %d of %d", ErrCorrupt, len(recs), count)
+			}
 
 			rec := bed.Record{
 				Chrom:    chroms[rn.chrom],
@@ -332,7 +350,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, err := r.bytes(int(ln))
+			b, err := r.bytes(ln)
 			if err != nil {
 				return nil, err
 			}

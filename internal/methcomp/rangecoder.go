@@ -13,10 +13,7 @@
 // gzip, which is METHCOMP's headline claim.
 package methcomp
 
-import (
-	"errors"
-	"io"
-)
+import "errors"
 
 // ErrCorrupt reports an undecodable compressed stream.
 var ErrCorrupt = errors.New("methcomp: corrupt stream")
@@ -106,7 +103,11 @@ type rangeDecoder struct {
 	rng  uint32
 	in   []byte
 	pos  int
-	err  error
+	// overrun is set once the decoder has read past the end of in. The
+	// encoder's finish flushes every byte the decoder will ask for, so
+	// a stream that runs out early was truncated or never held the
+	// symbols being decoded from it.
+	overrun bool
 }
 
 func newRangeDecoder(in []byte) (*rangeDecoder, error) {
@@ -126,10 +127,7 @@ func newRangeDecoder(in []byte) (*rangeDecoder, error) {
 
 func (d *rangeDecoder) nextByte() byte {
 	if d.pos >= len(d.in) {
-		// Reading past the end is legal for the final normalization
-		// bytes; feed zeros but remember in case the caller is truly
-		// over-reading (caught by the record count check upstream).
-		d.err = io.ErrUnexpectedEOF
+		d.overrun = true
 		return 0
 	}
 	b := d.in[d.pos]

@@ -16,6 +16,7 @@ package objectstore
 
 import (
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -481,12 +482,20 @@ func (s *Service) transfer(p *des.Proc, size int64, flowCap float64) {
 	s.link.Transfer(p, size, eff)
 }
 
+// castagnoli is the CRC32C table; hash/crc32 computes it in hardware
+// on amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// etag is a change detector, never an integrity proof: equal bytes get
+// equal tags however they were uploaded, and a real payload's tag
+// ("<crc32c>-<length>", the checksum S3-compatible stores publish as
+// x-amz-checksum-crc32c) cannot collide with a sized payload's (16 hex
+// digits of FNV-1a over "sized:<length>").
 func etag(pl payload.Payload) string {
-	h := fnv.New64a()
 	if b, ok := pl.Bytes(); ok {
-		_, _ = h.Write(b)
-	} else {
-		fmt.Fprintf(h, "sized:%d", pl.Size())
+		return fmt.Sprintf("%08x-%d", crc32.Checksum(b, castagnoli), len(b))
 	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "sized:%d", pl.Size())
 	return fmt.Sprintf("%016x", h.Sum64())
 }

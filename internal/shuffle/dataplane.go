@@ -158,7 +158,7 @@ func (b *runBuilder) grow(p *runPart) {
 		p.buf = *p.bufBox
 	}
 	if p.refsBox == nil {
-		p.refsBox = lineRefPool.get(b.partCap / 32) // bedMethyl lines run ~48 bytes
+		p.refsBox = lineRefPool.get(b.partCap / 32) // bedMethyl lines run ~58 bytes; 32 leaves room for short ones
 		p.refs = *p.refsBox
 	}
 }

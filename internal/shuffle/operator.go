@@ -18,7 +18,7 @@ const (
 	mapFn    = "shuffle/map"
 	reduceFn = "shuffle/reduce"
 	// overscan is how far past its range a map worker reads to finish
-	// its last line; bedMethyl lines are ~48 bytes, 4 KiB is generous.
+	// its last line; bedMethyl lines are ~58 bytes, 4 KiB is generous.
 	overscan = 4096
 	// defaultSampleBytes is the sample size for boundary estimation.
 	defaultSampleBytes = 256 * 1024
