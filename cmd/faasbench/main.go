@@ -47,8 +47,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -59,66 +61,81 @@ import (
 )
 
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is main without the process: it parses args, runs the experiment
+// writing its tables to stdout, and returns the exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faasbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "table1",
+		experiment = fs.String("experiment", "table1",
 			"one of: table1, threeway, workersweep, sizesweep, compression, throttle, faults, hierarchy, memsweep, costs, planner, autoplan, multijob, gateway, gatewayscale, chaos, zonechaos, all")
-		dataGB      = flag.Float64("data", 3.5, "dataset size in GB")
-		workers     = flag.Int("workers", 8, "parallelism degree")
-		seed        = flag.Int64("seed", 7, "arrival seed for the zonechaos Poisson soaks")
-		jobs        = flag.Int("jobs", 3, "submission count for the multijob experiment")
-		tenants     = flag.Int("tenants", 0, "tenant count for the gateway experiments (0: per-experiment default)")
-		submissions = flag.Int("submissions", 0, "open-loop submission count for the gateway experiments (0: per-experiment default)")
-		trace       = flag.Bool("trace", false, "print per-stage timelines (table1)")
-		auto        = flag.Bool("auto", false,
+		dataGB      = fs.Float64("data", 3.5, "dataset size in GB")
+		workers     = fs.Int("workers", 8, "parallelism degree")
+		seed        = fs.Int64("seed", 7, "arrival seed for the zonechaos Poisson soaks")
+		jobs        = fs.Int("jobs", 3, "submission count for the multijob experiment")
+		tenants     = fs.Int("tenants", 0, "tenant count for the gateway experiments (0: per-experiment default)")
+		submissions = fs.Int("submissions", 0, "open-loop submission count for the gateway experiments (0: per-experiment default)")
+		trace       = fs.Bool("trace", false, "print per-stage timelines (table1)")
+		auto        = fs.Bool("auto", false,
 			"engage the auto-planner: print its decision table and add the auto-planned row to table1")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faasbench: cpuprofile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "faasbench: cpuprofile:", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "faasbench: cpuprofile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "faasbench: cpuprofile:", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(*experiment, *dataGB, *workers, *jobs, *tenants, *submissions, *seed, *trace, *auto); err != nil {
-		// The deferred profile writers still run: a failed experiment's
-		// profile is often the one worth reading.
-		writeMemProfile(*memprofile)
-		pprof.StopCPUProfile()
-		fmt.Fprintln(os.Stderr, "faasbench:", err)
-		os.Exit(1)
+	err := run(stdout, *experiment, *dataGB, *workers, *jobs, *tenants, *submissions, *seed, *trace, *auto)
+	// A failed experiment's profile is often the one worth reading, so
+	// the heap profile is written either way.
+	if perr := writeMemProfile(*memprofile); perr != nil {
+		fmt.Fprintln(stderr, "faasbench: memprofile:", perr)
+		return 1
 	}
-	writeMemProfile(*memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, "faasbench:", err)
+		return 1
+	}
+	return 0
 }
 
 // writeMemProfile dumps the current heap profile (after a GC, so live
 // objects rather than allocation noise) to path; no-op for "".
-func writeMemProfile(path string) {
+func writeMemProfile(path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasbench: memprofile:", err)
-		os.Exit(1)
+		return err
 	}
-	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "faasbench: memprofile:", err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
+	return f.Close()
 }
 
-func run(experiment string, dataGB float64, workers, jobs, tenants, submissions int, seed int64, trace, auto bool) error {
+func run(w io.Writer, experiment string, dataGB float64, workers, jobs, tenants, submissions int, seed int64, trace, auto bool) error {
 	profile := calib.Paper()
 	dataBytes := int64(dataGB * 1e9)
 
@@ -127,7 +144,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(dec)
+		fmt.Fprintln(w, dec)
 		return nil
 	}
 	autoplanFn := func() error {
@@ -138,9 +155,9 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		if trace {
-			fmt.Println(res.StageTrace())
+			fmt.Fprintln(w, res.StageTrace())
 		}
 		return nil
 	}
@@ -154,9 +171,9 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		if trace {
-			fmt.Println(res.StageTrace())
+			fmt.Fprintln(w, res.StageTrace())
 		}
 		return nil
 	}
@@ -165,7 +182,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	workersweep := func() error {
@@ -174,7 +191,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	sizesweep := func() error {
@@ -183,7 +200,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	compression := func() error {
@@ -191,7 +208,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	throttle := func() error {
@@ -199,7 +216,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	faults := func() error {
@@ -208,7 +225,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	hierarchy := func() error {
@@ -217,7 +234,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	memsweep := func() error {
@@ -226,7 +243,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	planner := func() error {
@@ -235,7 +252,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	costs := func() error {
@@ -247,7 +264,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	multijob := func() error {
@@ -255,7 +272,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	gatewayFn := func() error {
@@ -263,7 +280,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	gatewayScaleFn := func() error {
@@ -271,7 +288,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		return nil
 	}
 	chaosFn := func() error {
@@ -279,12 +296,12 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		flip, err := experiments.SpotDecisionFlip(profile, dataBytes, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(flip)
+		fmt.Fprintln(w, flip)
 		return nil
 	}
 	zoneChaosFn := func() error {
@@ -292,12 +309,12 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(w, res)
 		flip, err := experiments.ZonePlacementFlip(profile, dataBytes, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(flip)
+		fmt.Fprintln(w, flip)
 		return nil
 	}
 
@@ -350,7 +367,7 @@ func run(experiment string, dataGB float64, workers, jobs, tenants, submissions 
 			if err := fn(); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	default:
