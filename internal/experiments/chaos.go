@@ -8,12 +8,6 @@ import (
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/chaos"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
-	"github.com/faaspipe/faaspipe/internal/core"
-	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/genomics"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
-	"github.com/faaspipe/faaspipe/internal/session"
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
@@ -191,86 +185,37 @@ func instanceBoot(profile calib.Profile) time.Duration {
 	return 0
 }
 
-// runChaosCell executes the METHCOMP pipeline once through a session
-// with the given fault plan armed (nil for the baseline), returning
-// the cell and the run's sort-stage window.
+// runChaosCell executes the pipeline once on spot capacity with the
+// given fault plan armed (nil for the baseline), returning the cell and
+// the run's sort-stage window.
 func runChaosCell(profile calib.Profile, kind StrategyKind, dataBytes int64, workers int, plan *chaos.Plan) (ChaosCell, sortWindow, error) {
+	// Invocation-level retries absorb brownout residue the store
+	// client's own backoff does not.
+	run, err := runPipeline(profile, pipelineSpec{
+		kind: kind, dataBytes: dataBytes, workers: workers,
+		spot: true, retries: 4, plan: plan,
+	})
 	cell := ChaosCell{Kind: kind}
-	sess, err := session.Open(profile, session.Options{Chaos: plan})
 	if err != nil {
 		return cell, sortWindow{}, err
 	}
-	job := session.Job{
-		Name: "chaos",
-		Build: func(rig *calib.Rig) (*core.Workflow, error) {
-			var strategy core.ExchangeStrategy
-			switch kind {
-			case PurelyServerless:
-				strategy = core.ObjectStorageExchange{}
-			case VMSupported:
-				ve := rig.VMStrategy()
-				ve.Spot = true
-				strategy = ve
-			case CacheSupported:
-				strategy = rig.CacheStrategy(false)
-			case AutoPlanned:
-				strategy = rig.AutoStrategy(autoplan.Objective{})
-			default:
-				return nil, fmt.Errorf("experiments: chaos: unsupported strategy %v", kind)
-			}
-			sortParams := rig.SortParams("data", "sample.bed", "work", "sorted/", workers)
-			// Invocation-level retries absorb brownout residue the
-			// store client's own backoff does not.
-			sortParams.MaxRetries = 4
-			if kind == AutoPlanned {
-				sortParams.Workers = 0
-			}
-			return genomics.BuildPipeline(genomics.PipelineConfig{
-				InputBucket: "data", InputKey: "sample.bed",
-				WorkBucket:  "work",
-				Strategy:    strategy,
-				Sort:        sortParams,
-				EncodeBps:   rig.Profile.EncodeBps,
-				EncodeRatio: rig.Profile.EncodeRatio,
-			})
-		},
-		Prepare: func(p *des.Proc, rig *calib.Rig) error {
-			c := objectstore.NewClient(rig.Store)
-			for _, b := range []string{"data", "work"} {
-				if err := c.CreateBucket(p, b); err != nil {
-					return err
-				}
-			}
-			return c.Put(p, "data", "sample.bed", payload.Sized(dataBytes))
-		},
+	rep := run.Report
+	cell.Completed = run.Err == nil
+	if run.Err != nil {
+		cell.Err = run.Err.Error()
 	}
-	rep, runErr := sess.Submit(job)
+	cell.Latency = run.Latency
+	cell.RunUSD = rep.TotalUSD()
+	cell.SessionUSD = run.SessionUSD
+	cell.Restarts = rep.Restarts()
+	cell.ReworkBytes = rep.ReworkBytes()
+	for _, sr := range rep.Stages {
+		cell.FallbackSlabs += sr.FallbackSlabs
+	}
+	cell.Fired = run.Fired
 	var w sortWindow
-	if rep != nil {
-		cell.Completed = runErr == nil
-		if runErr != nil {
-			cell.Err = runErr.Error()
-		}
-		cell.Latency = rep.Latency()
-		cell.RunUSD = rep.TotalUSD()
-		cell.Restarts = rep.Restarts()
-		cell.ReworkBytes = rep.ReworkBytes()
-		for _, sr := range rep.Stages {
-			cell.FallbackSlabs += sr.FallbackSlabs
-		}
-		if sr, ok := rep.Stage("sort"); ok {
-			w = sortWindow{start: sr.Start, end: sr.End}
-		}
-	} else if runErr != nil {
-		return cell, w, runErr
-	}
-	report, err := sess.Close()
-	if err != nil {
-		return cell, w, err
-	}
-	cell.SessionUSD = report.TotalUSD
-	if armed := sess.Chaos(); armed != nil {
-		cell.Fired = armed.Fired()
+	if sr, ok := rep.Stage("sort"); ok {
+		w = sortWindow{start: sr.Start, end: sr.End}
 	}
 	return cell, w, nil
 }

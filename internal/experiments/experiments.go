@@ -12,6 +12,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/chaos"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/core"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -19,6 +20,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/genomics"
 	"github.com/faaspipe/faaspipe/internal/methcomp"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/session"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
@@ -71,99 +73,127 @@ func (k StrategyKind) String() string {
 type PipelineRun struct {
 	Kind    StrategyKind
 	Latency time.Duration
-	CostUSD float64
-	Report  *core.RunReport
+	// CostUSD is the run's metered cost; SessionUSD is the closing bill
+	// of the one-shot session it ran in. Failure recovery may not lose
+	// or invent money: Report.TotalUSD() must equal SessionUSD exactly.
+	CostUSD    float64
+	SessionUSD float64
+	Report     *core.RunReport
 	// FaasStats summarizes the platform's activation log for the run.
 	FaasStats faas.Stats
 	// AutoDecision is the planner's candidate table (AutoPlanned runs
 	// only).
 	AutoDecision *autoplan.Decision
+	// Fired is the chaos log: what was injected and what it hit (nil
+	// for a run with no fault plan).
+	Fired []chaos.Fired
+	// Err is the stage failure of a run that started but did not
+	// finish; Report is complete either way.
+	Err error
 }
 
-// RunPipeline executes the METHCOMP pipeline once at full scale with
-// sized payloads (no RAM cost for multi-GB datasets) and returns its
-// measured latency and cost.
-func RunPipeline(profile calib.Profile, kind StrategyKind, dataBytes int64, workers int) (PipelineRun, error) {
-	rig, err := calib.NewRig(profile)
-	if err != nil {
-		return PipelineRun{}, err
-	}
-	if err := genomics.RegisterFunctions(rig.Platform); err != nil {
-		return PipelineRun{}, err
-	}
-	var (
-		strategy core.ExchangeStrategy
-		auto     *core.AutoExchange
-	)
-	switch kind {
-	case PurelyServerless:
-		strategy = core.ObjectStorageExchange{}
-	case VMSupported:
-		strategy = rig.VMStrategy()
-	case CacheSupported:
-		strategy = rig.CacheStrategy(false)
-	case CacheSupportedWarm:
-		strategy = rig.CacheStrategy(true)
-	case AutoPlanned:
-		auto = rig.AutoStrategy(autoplan.Objective{})
-		strategy = auto
-	default:
-		return PipelineRun{}, fmt.Errorf("experiments: unknown strategy %d", kind)
-	}
-	sortParams := rig.SortParams("data", "sample.bed", "work", "sorted/", workers)
-	if kind == AutoPlanned {
-		// The seer sweeps worker counts itself; a pinned count would
-		// collapse its search to the caller's guess.
-		sortParams.Workers = 0
-	}
-	cfg := genomics.PipelineConfig{
-		InputBucket: "data", InputKey: "sample.bed",
-		WorkBucket:  "work",
-		Strategy:    strategy,
-		Sort:        sortParams,
-		EncodeBps:   rig.Profile.EncodeBps,
-		EncodeRatio: rig.Profile.EncodeRatio,
-	}
-	w, err := genomics.BuildPipeline(cfg)
-	if err != nil {
-		return PipelineRun{}, err
-	}
+// pipelineSpec configures one pipeline execution.
+type pipelineSpec struct {
+	kind      StrategyKind
+	dataBytes int64
+	workers   int
+	// spot stages the VM exchange through a spot instance, the
+	// configuration preemption actually threatens.
+	spot bool
+	// retries is the sort stage's invocation-level retry budget.
+	retries int
+	// plan, when set, is armed against the run's cloud.
+	plan *chaos.Plan
+}
 
-	var (
-		rep    *core.RunReport
-		runErr error
-	)
-	rig.Sim.Spawn("experiment", func(p *des.Proc) {
-		c := objectstore.NewClient(rig.Store)
-		for _, b := range []string{"data", "work"} {
-			if err := c.CreateBucket(p, b); err != nil {
-				runErr = err
-				return
+// runPipeline is the one place the METHCOMP pipeline is built, staged
+// and submitted: a one-shot session at full scale with sized payloads
+// (no RAM cost for multi-GB datasets). A run that started and failed
+// is a measurement (run.Err), not an error.
+func runPipeline(profile calib.Profile, spec pipelineSpec) (PipelineRun, error) {
+	run := PipelineRun{Kind: spec.kind}
+	sess, err := session.Open(profile, session.Options{Chaos: spec.plan})
+	if err != nil {
+		return run, err
+	}
+	var auto *core.AutoExchange
+	rep, runErr := sess.Submit(session.Job{
+		Name: "methcomp",
+		Build: func(rig *calib.Rig) (*core.Workflow, error) {
+			var strategy core.ExchangeStrategy
+			switch spec.kind {
+			case PurelyServerless:
+				strategy = core.ObjectStorageExchange{}
+			case VMSupported:
+				ve := rig.VMStrategy()
+				ve.Spot = spec.spot
+				strategy = ve
+			case CacheSupported:
+				strategy = rig.CacheStrategy(false)
+			case CacheSupportedWarm:
+				strategy = rig.CacheStrategy(true)
+			case AutoPlanned:
+				auto = rig.AutoStrategy(autoplan.Objective{})
+				strategy = auto
+			default:
+				return nil, fmt.Errorf("experiments: unknown strategy %d", spec.kind)
 			}
-		}
-		if err := c.Put(p, "data", "sample.bed", payload.Sized(dataBytes)); err != nil {
-			runErr = err
-			return
-		}
-		rep, runErr = rig.Exec.Run(p, w)
+			sortParams := rig.SortParams("data", "sample.bed", "work", "sorted/", spec.workers)
+			sortParams.MaxRetries = spec.retries
+			if spec.kind == AutoPlanned {
+				// The seer sweeps worker counts itself; a pinned count would
+				// collapse its search to the caller's guess.
+				sortParams.Workers = 0
+			}
+			return genomics.BuildPipeline(genomics.PipelineConfig{
+				InputBucket: "data", InputKey: "sample.bed",
+				WorkBucket:  "work",
+				Strategy:    strategy,
+				Sort:        sortParams,
+				EncodeBps:   rig.Profile.EncodeBps,
+				EncodeRatio: rig.Profile.EncodeRatio,
+			})
+		},
+		Prepare: func(p *des.Proc, rig *calib.Rig) error {
+			c := objectstore.NewClient(rig.Store)
+			for _, b := range []string{"data", "work"} {
+				if err := c.CreateBucket(p, b); err != nil {
+					return err
+				}
+			}
+			return c.Put(p, "data", "sample.bed", payload.Sized(spec.dataBytes))
+		},
 	})
-	if err := rig.Sim.Run(); err != nil {
-		return PipelineRun{}, err
+	if rep == nil {
+		return run, runErr
 	}
-	if runErr != nil {
-		return PipelineRun{}, runErr
-	}
-	run := PipelineRun{
-		Kind:      kind,
-		Latency:   rep.Latency(),
-		CostUSD:   rep.Cost.Total(),
-		Report:    rep,
-		FaasStats: faas.Summarize(rig.Platform.Activations()),
-	}
+	run.Err = runErr
+	run.Report = rep
+	run.Latency = rep.Latency()
+	run.CostUSD = rep.Cost.Total()
+	run.FaasStats = faas.Summarize(sess.Rig().Platform.Activations())
 	if auto != nil {
 		run.AutoDecision = auto.LastDecision
 	}
+	bill, err := sess.Close()
+	if err != nil {
+		return run, err
+	}
+	run.SessionUSD = bill.TotalUSD
+	if armed := sess.Chaos(); armed != nil {
+		run.Fired = armed.Fired()
+	}
 	return run, nil
+}
+
+// RunPipeline executes the pipeline once, fault-free on on-demand
+// capacity, and returns its measured latency and cost.
+func RunPipeline(profile calib.Profile, kind StrategyKind, dataBytes int64, workers int) (PipelineRun, error) {
+	run, err := runPipeline(profile, pipelineSpec{kind: kind, dataBytes: dataBytes, workers: workers})
+	if err == nil {
+		err = run.Err
+	}
+	return run, err
 }
 
 // Table1Result reproduces Table 1.
