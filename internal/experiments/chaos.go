@@ -11,41 +11,15 @@ import (
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
-// FaultSchedule names one column of the chaos matrix: which fault
-// class is injected mid-run (timed off the strategy's own fault-free
-// baseline so the event lands inside the exchange it targets).
-type FaultSchedule int
-
-// The chaos matrix columns.
-const (
-	NoFault FaultSchedule = iota + 1
-	SpotPreempt
-	CacheNodeLoss
-	BrownoutWindow
-)
-
-func (s FaultSchedule) String() string {
-	switch s {
-	case NoFault:
-		return "none"
-	case SpotPreempt:
-		return "vm-preempt"
-	case CacheNodeLoss:
-		return "cache-node-kill"
-	case BrownoutWindow:
-		return "store-brownout"
-	default:
-		return fmt.Sprintf("FaultSchedule(%d)", int(s))
-	}
-}
-
-// ChaosCell is one (strategy, fault schedule) execution.
+// ChaosCell is one (strategy, fault column) execution.
 type ChaosCell struct {
-	Kind     StrategyKind
-	Schedule FaultSchedule
+	Kind StrategyKind
+	// Fault is the column's name.
+	Fault string
 	// Completed reports whether the pipeline finished despite the
-	// fault — the graceful-degradation contract is that every cell
-	// completes. Err carries the failure when it did not.
+	// fault(s) — the graceful-degradation contract is that every cell
+	// completes, including the cache row's total cluster loss. Err
+	// carries the failure when it did not.
 	Completed bool
 	Err       string
 	Latency   time.Duration
@@ -67,59 +41,36 @@ type ChaosCell struct {
 	Fired []chaos.Fired
 }
 
-// ChaosResult is the failure-domain matrix: every exchange strategy
-// crossed with every fault class, each cell recovering (or shrugging —
+// Log renders the cell's fired events canonically; two runs of the same
+// seeded plan over the same workload must produce identical bytes.
+func (c ChaosCell) Log() string {
+	var b strings.Builder
+	for _, f := range c.Fired {
+		fmt.Fprintf(&b, "%s @%s: %s\n", f.Event.Kind, f.Event.At, f.Outcome)
+	}
+	return b.String()
+}
+
+// ChaosResult is a failure-domain matrix: every exchange strategy
+// crossed with every fault column, each cell recovering (or shrugging —
 // faults aimed at resources a strategy does not use are no-ops) rather
 // than failing.
 type ChaosResult struct {
 	DataBytes int64
 	Workers   int
 	Rows      []ChaosCell
+	// Zones and Seed are set by the zone matrix only: the cloud's zone
+	// layout and the Poisson soaks' arrival seed.
+	Zones []string
+	Seed  int64
+	// Reproducible reports the replay check: re-running one soak cell
+	// with the same seeded plan produced a byte-identical fired log.
+	Reproducible bool
 }
 
 // chaosStrategies are the matrix rows. The VM row runs on a spot
 // instance — the configuration preemption actually threatens.
 var chaosStrategies = []StrategyKind{PurelyServerless, VMSupported, CacheSupported, AutoPlanned}
-
-// chaosSchedules are the matrix columns, baseline first (the faulted
-// cells are timed off it).
-var chaosSchedules = []FaultSchedule{NoFault, SpotPreempt, CacheNodeLoss, BrownoutWindow}
-
-// ChaosMatrix runs the failure-domain experiment: for each strategy a
-// fault-free baseline, then one run per fault class with the event
-// scheduled to land inside the baseline's sort window. Cells that
-// fail to complete are measurements (Completed=false), not errors.
-func ChaosMatrix(profile calib.Profile, dataBytes int64, workers int) (ChaosResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
-	res := ChaosResult{DataBytes: dataBytes, Workers: workers}
-	for _, kind := range chaosStrategies {
-		base, window, err := runChaosCell(profile, kind, dataBytes, workers, nil)
-		if err != nil {
-			return res, fmt.Errorf("experiments: chaos baseline %v: %w", kind, err)
-		}
-		base.Schedule = NoFault
-		base.Slowdown = 1
-		res.Rows = append(res.Rows, base)
-		for _, sched := range chaosSchedules[1:] {
-			plan := chaosPlan(sched, profile, window)
-			cell, _, err := runChaosCell(profile, kind, dataBytes, workers, plan)
-			if err != nil {
-				return res, fmt.Errorf("experiments: chaos %v/%v: %w", kind, sched, err)
-			}
-			cell.Schedule = sched
-			if base.Latency > 0 {
-				cell.Slowdown = cell.Latency.Seconds() / base.Latency.Seconds()
-			}
-			res.Rows = append(res.Rows, cell)
-		}
-	}
-	return res, nil
-}
 
 // sortWindow is the baseline's sort-stage interval, the anchor for
 // fault timing.
@@ -127,47 +78,146 @@ type sortWindow struct {
 	start, end time.Duration
 }
 
-// chaosPlan schedules one fault of the given class inside the
-// baseline's sort window. The simulation is deterministic, so the
-// faulted run follows the baseline's trajectory exactly until the
-// event fires — the event lands in the phase it was aimed at.
-func chaosPlan(sched FaultSchedule, profile calib.Profile, w sortWindow) *chaos.Plan {
+// planFunc builds one cell's fault plan, timed off the strategy's own
+// fault-free sort window: the simulation is deterministic, so the
+// faulted run follows the baseline's trajectory exactly until an event
+// fires, and the event lands in the phase it was aimed at.
+type planFunc func(kind StrategyKind, profile calib.Profile, w sortWindow, seed int64) (*chaos.Plan, error)
+
+// faultColumn is one column of a failure-domain matrix. plan is nil for
+// the baseline column, which must come first. replay marks the column
+// whose first-strategy cell is run a second time with the same plan,
+// for the byte-identical fired-log check.
+type faultColumn struct {
+	name   string
+	plan   planFunc
+	replay bool
+}
+
+// chaosFaults are the single-zone matrix columns: one fault of each
+// class aimed into the sort window.
+var chaosFaults = []faultColumn{
+	{name: "none"},
+	{name: "vm-preempt", plan: oneEvent(spotPreempt)},
+	{name: "cache-node-kill", plan: oneEvent(cacheNodeLoss)},
+	{name: "store-brownout", plan: oneEvent(storeBrownout)},
+}
+
+// zoneFaults are the zone matrix columns: a correlated whole-zone
+// outage aimed into the sort window and two seeded Poisson soaks at
+// different arrival intensities.
+var zoneFaults = []faultColumn{
+	{name: "none"},
+	{name: "zone-outage", plan: oneEvent(zoneOutage)},
+	{name: "soak-low", plan: poissonSoak(15, 12, 30, 4), replay: true},
+	{name: "soak-high", plan: poissonSoak(45, 36, 90, 10)},
+}
+
+// oneEvent lifts a single scheduled event into a column's plan.
+func oneEvent(event func(StrategyKind, calib.Profile, sortWindow) chaos.Event) planFunc {
+	return func(kind StrategyKind, profile calib.Profile, w sortWindow, _ int64) (*chaos.Plan, error) {
+		return &chaos.Plan{Events: []chaos.Event{event(kind, profile, w)}}, nil
+	}
+}
+
+// spotPreempt lands the notice during post-boot setup so the instance
+// dies (30s later) a few seconds into the staging/sort work, maximizing
+// the leg that must re-run. The instance only exists once boot
+// completes, so never fire before then.
+func spotPreempt(_ StrategyKind, profile calib.Profile, w sortWindow) chaos.Event {
+	boot := instanceBoot(profile)
+	at := w.start + boot + profile.VMSetup + 5*time.Second - vm.PreemptionNotice
+	if min := w.start + boot + time.Second; at < min {
+		at = min
+	}
+	return chaos.Event{At: at, Kind: chaos.PreemptVM}
+}
+
+// cacheNodeLoss kills a node partway into the map phase (after cluster
+// spin-up): slabs already cached on it are lost and regenerate, the
+// rest reroute to object storage as they are written.
+func cacheNodeLoss(_ StrategyKind, profile calib.Profile, w sortWindow) chaos.Event {
 	span := w.end - w.start
-	switch sched {
-	case SpotPreempt:
-		// Notice lands during post-boot setup so the instance dies (30s
-		// later) a few seconds into the staging/sort work, maximizing
-		// the leg that must re-run. The instance only exists once boot
-		// completes, so never fire before then.
-		boot := instanceBoot(profile)
-		at := w.start + boot + profile.VMSetup + 5*time.Second - vm.PreemptionNotice
-		if min := w.start + boot + time.Second; at < min {
-			at = min
-		}
-		return &chaos.Plan{Events: []chaos.Event{{At: at, Kind: chaos.PreemptVM}}}
-	case CacheNodeLoss:
-		// Kill a node partway into the map phase (after cluster
-		// spin-up): slabs already cached on it are lost and regenerate,
-		// the rest reroute to object storage as they are written.
-		work := span - profile.Cache.ProvisionTime
-		if work < 0 {
-			work = span
-		}
-		at := w.start + profile.Cache.ProvisionTime + work*40/100
-		return &chaos.Plan{Events: []chaos.Event{{At: at, Kind: chaos.KillCacheNode, Node: 0}}}
-	case BrownoutWindow:
-		// The window is shorter than the store client's full retry
-		// backoff (~6.3s for 6 doublings from 100ms), so every request
-		// that first fails inside the window still has attempts landing
-		// after it clears — the ladder absorbs the brownout by design.
-		return &chaos.Plan{Events: []chaos.Event{{
-			At:       w.start + span*25/100,
-			Kind:     chaos.StoreBrownout,
-			Rate:     0.5,
-			Duration: 5 * time.Second,
-		}}}
-	default:
-		return nil
+	work := span - profile.Cache.ProvisionTime
+	if work < 0 {
+		work = span
+	}
+	at := w.start + profile.Cache.ProvisionTime + work*40/100
+	return chaos.Event{At: at, Kind: chaos.KillCacheNode, Node: 0}
+}
+
+// storeBrownout opens a window shorter than the store client's full
+// retry backoff (~6.3s for 6 doublings from 100ms), so every request
+// that first fails inside the window still has attempts landing after
+// it clears — the ladder absorbs the brownout by design.
+func storeBrownout(_ StrategyKind, _ calib.Profile, w sortWindow) chaos.Event {
+	return chaos.Event{
+		At:       w.start + (w.end-w.start)*25/100,
+		Kind:     chaos.StoreBrownout,
+		Rate:     0.5,
+		Duration: 5 * time.Second,
+	}
+}
+
+// zoneOutage aims one whole-zone outage of the primary zone into the
+// strategy's sort window, past its provisioning lead so the resources
+// it targets exist when it fires.
+func zoneOutage(kind StrategyKind, profile calib.Profile, w sortWindow) chaos.Event {
+	span := w.end - w.start
+	var lead time.Duration
+	switch kind {
+	case VMSupported:
+		lead = instanceBoot(profile) + profile.VMSetup
+	case CacheSupported, AutoPlanned:
+		lead = profile.Cache.ProvisionTime
+	}
+	work := span - lead
+	if work < 0 {
+		lead, work = 0, span
+	}
+	// The window stays under the store client's full retry ladder
+	// (~6.3s for 6 doublings from 100ms), so every request that first
+	// fails inside the correlated brownout still has attempts landing
+	// after it clears — absorption is structural, not luck. The zone
+	// losses themselves are permanent either way: the reclaimed spot
+	// capacity is gone and the killed cluster stays dead after the
+	// zone reopens for placement.
+	return chaos.Event{
+		At:       w.start + lead + work*40/100,
+		Kind:     chaos.ZoneOutage,
+		Zone:     profile.Zones[0],
+		Rate:     0.4,
+		Duration: 6 * time.Second,
+	}
+}
+
+// poissonSoak is a seeded stochastic plan at the given arrival rates
+// (per hour). Every brownout-opening window (scheduled brownouts and
+// the outages' correlated ones) stays under the store client's ~6.3s
+// retry ladder, so no request can exhaust its retries on brownout draws
+// alone; and the zone-outage class stays modest even in the high soak —
+// outages of both zones may overlap, and a run caught provisioning
+// during a total blackout fails rather than degrades, a real
+// measurement but not the contract this matrix demonstrates.
+func poissonSoak(preempt, cacheKill, brownout, outage float64) planFunc {
+	return func(_ StrategyKind, profile calib.Profile, w sortWindow, seed int64) (*chaos.Plan, error) {
+		return chaos.Process{
+			Seed: seed,
+			// The horizon covers the fault-free run plus the recovery
+			// slack faults themselves add, so arrivals keep landing
+			// while a degraded run limps to completion.
+			Horizon:           w.end + w.end/2 + time.Minute,
+			PreemptPerHour:    preempt,
+			CacheKillPerHour:  cacheKill,
+			CacheNodes:        1,
+			BrownoutPerHour:   brownout,
+			BrownoutRate:      0.5,
+			BrownoutDuration:  5 * time.Second,
+			Zones:             profile.Zones,
+			ZoneOutagePerHour: outage,
+			OutageRate:        0.3,
+			OutageDuration:    6 * time.Second,
+		}.Generate()
 	}
 }
 
@@ -185,6 +235,93 @@ func instanceBoot(profile calib.Profile) time.Duration {
 	return 0
 }
 
+// ChaosMatrix runs the single-zone failure-domain experiment: one
+// fault of each class (spot preemption, cache-node loss, store
+// brownout) against every strategy.
+func ChaosMatrix(profile calib.Profile, dataBytes int64, workers int) (ChaosResult, error) {
+	return failureMatrix(profile, dataBytes, workers, 0, chaosFaults)
+}
+
+// ZoneChaos runs the failure-domain matrix over zones: a correlated
+// whole-zone outage and two Poisson soaks against every strategy, plus
+// the same-seed replay check.
+func ZoneChaos(profile calib.Profile, dataBytes int64, workers int, seed int64) (ChaosResult, error) {
+	profile = zoneChaosProfile(profile)
+	res, err := failureMatrix(profile, dataBytes, workers, seed, zoneFaults)
+	res.Zones, res.Seed = profile.Zones, seed
+	return res, err
+}
+
+// zoneChaosProfile gives the profile a two-zone layout when it has
+// none: zone-a hosts everything (including the store's bandwidth pool),
+// zone-b is the survivor replacements land in.
+func zoneChaosProfile(p calib.Profile) calib.Profile {
+	if len(p.Zones) < 2 {
+		p.Zones = []string{"zone-a", "zone-b"}
+	}
+	return p
+}
+
+// failureMatrix is the one matrix driver: for each strategy the
+// baseline column anchors the timing, then each fault column's plan is
+// built off that window and run. Cells that fail to complete are
+// measurements (Completed=false), not errors; a cell or a replay that
+// cannot run at all is an error naming the cell.
+func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int64, columns []faultColumn) (ChaosResult, error) {
+	if dataBytes <= 0 {
+		dataBytes = PaperDataBytes
+	}
+	if workers <= 0 {
+		workers = PaperWorkers
+	}
+	res := ChaosResult{DataBytes: dataBytes, Workers: workers}
+	var (
+		replayPlan *chaos.Plan
+		replayRow  int
+	)
+	for _, kind := range chaosStrategies {
+		var (
+			base   ChaosCell
+			window sortWindow
+		)
+		for _, col := range columns {
+			var plan *chaos.Plan
+			if col.plan != nil {
+				var err error
+				if plan, err = col.plan(kind, profile, window, seed); err != nil {
+					return res, fmt.Errorf("experiments: chaos %v/%s plan: %w", kind, col.name, err)
+				}
+			}
+			cell, w, err := runChaosCell(profile, kind, dataBytes, workers, plan)
+			if err != nil {
+				return res, fmt.Errorf("experiments: chaos %v/%s: %w", kind, col.name, err)
+			}
+			cell.Fault = col.name
+			if col.plan == nil {
+				cell.Slowdown = 1
+				base, window = cell, w
+			} else if base.Latency > 0 {
+				cell.Slowdown = cell.Latency.Seconds() / base.Latency.Seconds()
+			}
+			if col.replay && replayPlan == nil {
+				replayPlan, replayRow = plan, len(res.Rows)
+			}
+			res.Rows = append(res.Rows, cell)
+		}
+	}
+	if replayPlan != nil {
+		// The same seeded plan over the same workload must reproduce
+		// the fired log byte for byte.
+		first := res.Rows[replayRow]
+		again, _, err := runChaosCell(profile, first.Kind, dataBytes, workers, replayPlan)
+		if err != nil {
+			return res, fmt.Errorf("experiments: chaos %v/%s replay: %w", first.Kind, first.Fault, err)
+		}
+		res.Reproducible = again.Log() == first.Log()
+	}
+	return res, nil
+}
+
 // runChaosCell executes the pipeline once on spot capacity with the
 // given fault plan armed (nil for the baseline), returning the cell and
 // the run's sort-stage window.
@@ -195,24 +332,26 @@ func runChaosCell(profile calib.Profile, kind StrategyKind, dataBytes int64, wor
 		kind: kind, dataBytes: dataBytes, workers: workers,
 		spot: true, retries: 4, plan: plan,
 	})
-	cell := ChaosCell{Kind: kind}
 	if err != nil {
-		return cell, sortWindow{}, err
+		return ChaosCell{}, sortWindow{}, err
 	}
 	rep := run.Report
-	cell.Completed = run.Err == nil
+	cell := ChaosCell{
+		Kind:        kind,
+		Completed:   run.Err == nil,
+		Latency:     run.Latency,
+		RunUSD:      rep.TotalUSD(),
+		SessionUSD:  run.SessionUSD,
+		Restarts:    rep.Restarts(),
+		ReworkBytes: rep.ReworkBytes(),
+		Fired:       run.Fired,
+	}
 	if run.Err != nil {
 		cell.Err = run.Err.Error()
 	}
-	cell.Latency = run.Latency
-	cell.RunUSD = rep.TotalUSD()
-	cell.SessionUSD = run.SessionUSD
-	cell.Restarts = rep.Restarts()
-	cell.ReworkBytes = rep.ReworkBytes()
 	for _, sr := range rep.Stages {
 		cell.FallbackSlabs += sr.FallbackSlabs
 	}
-	cell.Fired = run.Fired
 	var w sortWindow
 	if sr, ok := rep.Stage("sort"); ok {
 		w = sortWindow{start: sr.Start, end: sr.End}
@@ -220,57 +359,128 @@ func runChaosCell(profile calib.Profile, kind StrategyKind, dataBytes int64, wor
 	return cell, w, nil
 }
 
-// String renders the chaos matrix.
+// String renders the matrix: the zone layout (an events count per cell
+// and the replay verdict) when Zones is set, otherwise the single-zone
+// layout with each cell's fired log spelled out.
 func (r ChaosResult) String() string {
+	zoned := len(r.Zones) > 0
 	var b strings.Builder
-	fmt.Fprintf(&b, "Failure domains: %.1f GB pipeline under injected faults (parallelism %d)\n",
-		float64(r.DataBytes)/1e9, r.Workers)
-	fmt.Fprintf(&b, "%-22s %-16s %5s %12s %10s %9s %9s %10s %9s\n",
-		"strategy", "fault", "ok", "latency (s)", "cost ($)", "restarts", "rework", "fallbacks", "slowdown")
+	if zoned {
+		fmt.Fprintf(&b, "Zone failure domains: %.1f GB pipeline, zones %v, seed %d (parallelism %d)\n",
+			float64(r.DataBytes)/1e9, r.Zones, r.Seed, r.Workers)
+		fmt.Fprintf(&b, "%-22s %-12s %5s %12s %10s %9s %9s %10s %7s %9s\n",
+			"strategy", "fault", "ok", "latency (s)", "cost ($)", "restarts", "rework", "fallbacks", "events", "slowdown")
+	} else {
+		fmt.Fprintf(&b, "Failure domains: %.1f GB pipeline under injected faults (parallelism %d)\n",
+			float64(r.DataBytes)/1e9, r.Workers)
+		fmt.Fprintf(&b, "%-22s %-16s %5s %12s %10s %9s %9s %10s %9s\n",
+			"strategy", "fault", "ok", "latency (s)", "cost ($)", "restarts", "rework", "fallbacks", "slowdown")
+	}
 	for _, c := range r.Rows {
-		fmt.Fprintf(&b, "%-22s %-16s %5v %12.2f %10.4f %9d %8.1fM %10d %8.2fx\n",
-			c.Kind, c.Schedule, c.Completed, c.Latency.Seconds(), c.RunUSD,
-			c.Restarts, float64(c.ReworkBytes)/1e6, c.FallbackSlabs, c.Slowdown)
-		for _, f := range c.Fired {
-			fmt.Fprintf(&b, "    [%s at t=%.0fs: %s]\n", f.Event.Kind, f.Event.At.Seconds(), f.Outcome)
+		if zoned {
+			fmt.Fprintf(&b, "%-22s %-12s %5v %12.2f %10.4f %9d %8.1fM %10d %7d %8.2fx\n",
+				c.Kind, c.Fault, c.Completed, c.Latency.Seconds(), c.RunUSD,
+				c.Restarts, float64(c.ReworkBytes)/1e6, c.FallbackSlabs, len(c.Fired), c.Slowdown)
+		} else {
+			fmt.Fprintf(&b, "%-22s %-16s %5v %12.2f %10.4f %9d %8.1fM %10d %8.2fx\n",
+				c.Kind, c.Fault, c.Completed, c.Latency.Seconds(), c.RunUSD,
+				c.Restarts, float64(c.ReworkBytes)/1e6, c.FallbackSlabs, c.Slowdown)
+			for _, f := range c.Fired {
+				fmt.Fprintf(&b, "    [%s at t=%.0fs: %s]\n", f.Event.Kind, f.Event.At.Seconds(), f.Outcome)
+			}
 		}
 		if c.Err != "" {
 			fmt.Fprintf(&b, "    [failed: %s]\n", c.Err)
 		}
 	}
+	if zoned {
+		fmt.Fprintf(&b, "same-seed soak replay byte-identical: %v\n", r.Reproducible)
+	}
 	return b.String()
 }
 
-// SpotFlipRow is one point of the interrupt-rate sweep: the planner's
-// expected-cost model for the spot and on-demand variants of the
-// pinned instance type, and which it chooses.
-type SpotFlipRow struct {
-	// InterruptRate is the modeled preemption rate (events per
-	// instance-hour).
-	InterruptRate float64
-	SpotUSD       float64
-	SpotTime      time.Duration
-	OnDemandUSD   float64
-	OnDemandTime  time.Duration
-	// Chosen is "spot" or "on-demand".
-	Chosen string
+// FlipSide is the planner's fastest feasible plan on one side of a
+// binary call.
+type FlipSide struct {
+	Time time.Duration
+	USD  float64
 }
 
-// SpotFlipResult is the failure-aware planning demonstration: under a
-// cost objective the planner prefers spot capacity while interruptions
-// are rare, and flips to on-demand once the expected rework (re-boot,
-// re-setup, re-run plus the on-demand fallback attempt) costs more
-// than the spot discount saves.
-type SpotFlipResult struct {
+// FlipRow is one point of a fault-rate sweep: the planner's expected
+// time and cost with and without the option under study, and which it
+// chooses.
+type FlipRow struct {
+	// PerHour is the modeled fault arrival rate.
+	PerHour       float64
+	With, Without FlipSide
+	Chosen        string
+}
+
+// FlipResult is the failure-aware planning demonstration: the planner
+// takes one side of a binary call while faults are rare and flips once
+// their expected rework outweighs what that side saves.
+type FlipResult struct {
+	DataBytes int64
+	// InstanceType is set by the spot sweep, Zones by the placement
+	// sweep.
 	InstanceType string
-	DataBytes    int64
-	Rows         []SpotFlipRow
+	Zones        int
+	Rows         []FlipRow
+}
+
+// flip is one binary planning call swept over a fault rate.
+type flip struct {
+	// env is the cloud restricted to the one family under study, so the
+	// call is isolated from cross-family effects.
+	env    autoplan.Env
+	goal   autoplan.Objective
+	family autoplan.Strategy
+	// setRate applies the swept fault rate (per hour) to a copy of env.
+	setRate func(env *autoplan.Env, perHour float64)
+	// with reports whether a plan takes the option; chosen names the
+	// two sides (without, with).
+	with   func(autoplan.Candidate) bool
+	chosen [2]string
+}
+
+func (f flip) sweep(wl autoplan.Workload, rates []float64) ([]FlipRow, error) {
+	var rows []FlipRow
+	for _, rate := range rates {
+		env := f.env
+		f.setRate(&env, rate)
+		dec, err := autoplan.Plan(wl, env, f.goal)
+		if err != nil {
+			return rows, fmt.Errorf("experiments: %s flip rate=%g: %w", f.chosen[1], rate, err)
+		}
+		row := FlipRow{PerHour: rate, Chosen: f.chosen[0]}
+		if f.with(dec.Chosen) {
+			row.Chosen = f.chosen[1]
+		}
+		// Candidates come fastest first: keep the first on each side.
+		for _, c := range dec.Candidates {
+			if c.Strategy != f.family || !c.Feasible {
+				continue
+			}
+			side := &row.Without
+			if f.with(c) {
+				side = &row.With
+			}
+			if side.Time == 0 {
+				*side = FlipSide{Time: c.Time, USD: c.CostUSD}
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // SpotDecisionFlip sweeps the catalog's interrupt rate and plans the
-// paper workload under MinCost restricted to the VM family, so the
-// spot-versus-on-demand call is isolated from cross-family effects.
-func SpotDecisionFlip(profile calib.Profile, dataBytes int64, rates []float64) (SpotFlipResult, error) {
+// paper workload under MinCost restricted to the VM family: the
+// planner prefers spot capacity while interruptions are rare, and
+// flips to on-demand once the expected rework (re-boot, re-setup,
+// re-run plus the on-demand fallback attempt) costs more than the spot
+// discount saves.
+func SpotDecisionFlip(profile calib.Profile, dataBytes int64, rates []float64) (FlipResult, error) {
 	if dataBytes <= 0 {
 		dataBytes = PaperDataBytes
 	}
@@ -280,54 +490,80 @@ func SpotDecisionFlip(profile calib.Profile, dataBytes int64, rates []float64) (
 		// high rate to show inside one run's exposure.
 		rates = []float64{0.05, 1, 4, 12, 30, 60, 120}
 	}
-	res := SpotFlipResult{InstanceType: profile.InstanceType, DataBytes: dataBytes}
-	wl := calib.PlanWorkload(profile, dataBytes)
-	base := calib.PlanEnv(profile)
-	base.NoObjectStorage = true
-	base.NoHierarchical = true
-	base.HasCache = false
-	for _, rate := range rates {
-		env := base
-		types := make([]vm.InstanceType, len(base.VMTypes))
-		copy(types, base.VMTypes)
-		for i := range types {
-			types[i].InterruptRate = rate
-		}
-		env.VMTypes = types
-		dec, err := autoplan.Plan(wl, env, autoplan.Objective{Goal: autoplan.MinCost})
-		if err != nil {
-			return res, fmt.Errorf("experiments: spot flip rate=%g: %w", rate, err)
-		}
-		row := SpotFlipRow{InterruptRate: rate, Chosen: "on-demand"}
-		if dec.Chosen.Spot {
-			row.Chosen = "spot"
-		}
-		for _, c := range dec.Candidates {
-			if c.Strategy != autoplan.VMStaged || !c.Feasible {
-				continue
+	env := calib.PlanEnv(profile)
+	env.NoObjectStorage = true
+	env.NoHierarchical = true
+	env.HasCache = false
+	rows, err := flip{
+		env: env, goal: autoplan.Objective{Goal: autoplan.MinCost}, family: autoplan.VMStaged,
+		setRate: func(env *autoplan.Env, perHour float64) {
+			types := append([]vm.InstanceType(nil), env.VMTypes...)
+			for i := range types {
+				types[i].InterruptRate = perHour
 			}
-			if c.Spot {
-				row.SpotUSD, row.SpotTime = c.CostUSD, c.Time
-			} else {
-				row.OnDemandUSD, row.OnDemandTime = c.CostUSD, c.Time
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+			env.VMTypes = types
+		},
+		with:   func(c autoplan.Candidate) bool { return c.Spot },
+		chosen: [2]string{"on-demand", "spot"},
+	}.sweep(calib.PlanWorkload(profile, dataBytes), rates)
+	return FlipResult{DataBytes: dataBytes, InstanceType: profile.InstanceType, Rows: rows}, err
 }
 
-// String renders the sweep.
-func (r SpotFlipResult) String() string {
+// ZonePlacementFlip is the placement counterpart of SpotDecisionFlip:
+// under min-time restricted to the cache family over a two-zone cloud,
+// single-zone placement wins while outages are rare (every cross-zone
+// cache hop pays RTT), and flips to multi-zone once the expected
+// demotion rework of losing the whole cluster outweighs the premium.
+func ZonePlacementFlip(profile calib.Profile, dataBytes int64, rates []float64) (FlipResult, error) {
+	profile = zoneChaosProfile(profile)
+	if dataBytes <= 0 {
+		dataBytes = PaperDataBytes
+	}
+	if len(rates) == 0 {
+		// Outages per hour; paper-scale runs are short, so the flip
+		// needs high rates to show inside one run's exposure.
+		rates = []float64{0.05, 1, 5, 20, 60, 120}
+	}
+	env := calib.PlanEnv(profile)
+	env.NoObjectStorage = true
+	env.NoHierarchical = true
+	env.VMTypes = nil
+	// A meaningful RTT premium: without it the cross-zone hop hides
+	// under the cache's ops throttle and placement never trades.
+	env.CrossZoneRTT = 5 * time.Millisecond
+	rows, err := flip{
+		env: env, family: autoplan.CacheBacked,
+		setRate: func(env *autoplan.Env, perHour float64) { env.ZoneOutagePerHour = perHour },
+		with:    func(c autoplan.Candidate) bool { return c.MultiZone },
+		chosen:  [2]string{"single-zone", "multi-zone"},
+	}.sweep(calib.PlanWorkload(profile, dataBytes), rates)
+	return FlipResult{DataBytes: dataBytes, Zones: len(profile.Zones), Rows: rows}, err
+}
+
+// String renders the sweep: the placement layout when Zones is set,
+// otherwise the spot layout.
+func (r FlipResult) String() string {
 	var b strings.Builder
+	if r.Zones > 0 {
+		fmt.Fprintf(&b, "Cache placement under MinTime: %.1f GB across %d zones (E[time] prices demotion rework)\n",
+			float64(r.DataBytes)/1e9, r.Zones)
+		fmt.Fprintf(&b, "%12s %14s %12s %14s %12s   %s\n",
+			"outages/h", "single E[s]", "single ($)", "multi E[s]", "multi ($)", "chosen")
+		for _, row := range r.Rows {
+			fmt.Fprintf(&b, "%12.2f %14.2f %12.6f %14.2f %12.6f   %s\n",
+				row.PerHour, row.Without.Time.Seconds(), row.Without.USD,
+				row.With.Time.Seconds(), row.With.USD, row.Chosen)
+		}
+		return b.String()
+	}
 	fmt.Fprintf(&b, "Spot vs on-demand under MinCost: %s, %.1f GB (E[cost] prices expected rework)\n",
 		r.InstanceType, float64(r.DataBytes)/1e9)
 	fmt.Fprintf(&b, "%14s %12s %12s %14s %14s   %s\n",
 		"interrupts/h", "spot ($)", "spot E[s]", "on-demand ($)", "on-demand (s)", "chosen")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%14.2f %12.6f %12.2f %14.6f %14.2f   %s\n",
-			row.InterruptRate, row.SpotUSD, row.SpotTime.Seconds(),
-			row.OnDemandUSD, row.OnDemandTime.Seconds(), row.Chosen)
+			row.PerHour, row.With.USD, row.With.Time.Seconds(),
+			row.Without.USD, row.Without.Time.Seconds(), row.Chosen)
 	}
 	return b.String()
 }

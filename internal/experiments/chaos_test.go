@@ -1,23 +1,26 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/chaos"
 )
 
 const chaosTestBytes = int64(1000e6)
 
-func chaosCell(t *testing.T, res ChaosResult, kind StrategyKind, sched FaultSchedule) ChaosCell {
+func chaosCell(t *testing.T, res ChaosResult, kind StrategyKind, fault string) ChaosCell {
 	t.Helper()
 	for _, c := range res.Rows {
-		if c.Kind == kind && c.Schedule == sched {
+		if c.Kind == kind && c.Fault == fault {
 			return c
 		}
 	}
-	t.Fatalf("no cell %v/%v", kind, sched)
+	t.Fatalf("no cell %v/%v", kind, fault)
 	return ChaosCell{}
 }
 
@@ -30,22 +33,22 @@ func TestChaosMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChaosMatrix: %v", err)
 	}
-	if want := len(chaosStrategies) * len(chaosSchedules); len(res.Rows) != want {
+	if want := len(chaosStrategies) * len(chaosFaults); len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	for _, c := range res.Rows {
 		if !c.Completed {
-			t.Errorf("cell %v/%v did not complete", c.Kind, c.Schedule)
+			t.Errorf("cell %v/%v did not complete", c.Kind, c.Fault)
 		}
 		if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
 			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
-				c.Kind, c.Schedule, c.RunUSD, c.SessionUSD)
+				c.Kind, c.Fault, c.RunUSD, c.SessionUSD)
 		}
 	}
 
 	// The spot VM run must actually lose its instance and recover on a
 	// restarted leg, with the re-read volume metered.
-	vmCell := chaosCell(t, res, VMSupported, SpotPreempt)
+	vmCell := chaosCell(t, res, VMSupported, "vm-preempt")
 	if vmCell.Restarts == 0 {
 		t.Errorf("vm/preempt cell shows no restarts:\n%s", res)
 	}
@@ -55,7 +58,7 @@ func TestChaosMatrix(t *testing.T) {
 
 	// The cache run must reroute slabs through object storage rather
 	// than fail, and stay within 1.5x of its fault-free makespan.
-	cacheCell := chaosCell(t, res, CacheSupported, CacheNodeLoss)
+	cacheCell := chaosCell(t, res, CacheSupported, "cache-node-kill")
 	if cacheCell.FallbackSlabs == 0 {
 		t.Errorf("cache/node-kill cell shows no fallback slabs:\n%s", res)
 	}
@@ -65,7 +68,7 @@ func TestChaosMatrix(t *testing.T) {
 
 	// Baselines are clean runs.
 	for _, kind := range chaosStrategies {
-		base := chaosCell(t, res, kind, NoFault)
+		base := chaosCell(t, res, kind, "none")
 		if base.Restarts != 0 || base.ReworkBytes != 0 || base.FallbackSlabs != 0 {
 			t.Errorf("baseline %v shows recovery activity: %+v", kind, base)
 		}
@@ -85,10 +88,10 @@ func TestChaosMatrixSeeds(t *testing.T) {
 		}
 		for _, c := range res.Rows {
 			if !c.Completed {
-				t.Errorf("seed %d: cell %v/%v did not complete", seed, c.Kind, c.Schedule)
+				t.Errorf("seed %d: cell %v/%v did not complete", seed, c.Kind, c.Fault)
 			}
 			if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
-				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Schedule)
+				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
 			}
 		}
 	}
@@ -107,23 +110,23 @@ func TestSpotDecisionFlip(t *testing.T) {
 	}
 	if res.Rows[0].Chosen != "spot" {
 		t.Errorf("at rate %.2f/h chose %s, want spot:\n%s",
-			res.Rows[0].InterruptRate, res.Rows[0].Chosen, res)
+			res.Rows[0].PerHour, res.Rows[0].Chosen, res)
 	}
 	if last := res.Rows[len(res.Rows)-1]; last.Chosen != "on-demand" {
 		t.Errorf("at rate %.2f/h chose %s, want on-demand:\n%s",
-			last.InterruptRate, last.Chosen, res)
+			last.PerHour, last.Chosen, res)
 	}
 	var flipped bool
 	for i := 1; i < len(res.Rows); i++ {
 		if res.Rows[i-1].Chosen == "spot" && res.Rows[i].Chosen == "on-demand" {
 			flipped = true
 		}
-		if res.Rows[i].SpotUSD < res.Rows[i-1].SpotUSD {
+		if res.Rows[i].With.USD < res.Rows[i-1].With.USD {
 			t.Errorf("spot expected cost fell as interrupts rose: %.6f -> %.6f at %.2f/h",
-				res.Rows[i-1].SpotUSD, res.Rows[i].SpotUSD, res.Rows[i].InterruptRate)
+				res.Rows[i-1].With.USD, res.Rows[i].With.USD, res.Rows[i].PerHour)
 		}
-		if res.Rows[i].SpotTime < res.Rows[i-1].SpotTime {
-			t.Errorf("spot expected time fell as interrupts rose at %.2f/h", res.Rows[i].InterruptRate)
+		if res.Rows[i].With.Time < res.Rows[i-1].With.Time {
+			t.Errorf("spot expected time fell as interrupts rose at %.2f/h", res.Rows[i].PerHour)
 		}
 	}
 	if !flipped {
@@ -152,7 +155,181 @@ func TestChaosRenderings(t *testing.T) {
 			t.Errorf("flip rendering missing %q:\n%s", want, fout)
 		}
 	}
-	if NoFault.String() != "none" || FaultSchedule(9).String() != "FaultSchedule(9)" {
-		t.Error("FaultSchedule strings wrong")
+}
+
+// TestZoneChaos is the zone-level graceful-degradation contract: every
+// cell of the strategy x {outage, soak} matrix completes, the outage
+// actually bites the strategies whose substrate it hosts, recovery
+// stays within bounds, and no cell's money leaks.
+func TestZoneChaos(t *testing.T) {
+	res, err := ZoneChaos(calib.Paper(), chaosTestBytes, 8, 7)
+	if err != nil {
+		t.Fatalf("ZoneChaos: %v", err)
+	}
+	if want := len(chaosStrategies) * len(zoneFaults); len(res.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	}
+	for _, c := range res.Rows {
+		if !c.Completed {
+			t.Errorf("cell %v/%v did not complete: %s", c.Kind, c.Fault, c.Err)
+		}
+		if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
+				c.Kind, c.Fault, c.RunUSD, c.SessionUSD)
+		}
+	}
+
+	// The spot VM loses its zone-a instance and re-provisions in the
+	// survivor, with the redone leg metered.
+	vmCell := chaosCell(t, res, VMSupported, "zone-outage")
+	if vmCell.Restarts == 0 || vmCell.ReworkBytes == 0 {
+		t.Errorf("vm/zone-outage shows no metered recovery:\n%s", res)
+	}
+
+	// The cache cluster dies whole — total loss, not one node — and the
+	// run demotes to the object-store path within the overhead bound.
+	cacheCell := chaosCell(t, res, CacheSupported, "zone-outage")
+	if cacheCell.FallbackSlabs == 0 {
+		t.Errorf("cache/zone-outage shows no fallback slabs:\n%s", res)
+	}
+	if cacheCell.Slowdown > 2.0 {
+		t.Errorf("cache/zone-outage slowdown %.2fx exceeds 2.0x:\n%s", cacheCell.Slowdown, res)
+	}
+
+	// Soak cells must actually see events, and the high soak at least
+	// as many as the low (same seed, scaled rates).
+	for _, kind := range chaosStrategies {
+		low := chaosCell(t, res, kind, "soak-low")
+		high := chaosCell(t, res, kind, "soak-high")
+		if len(low.Fired) == 0 {
+			t.Errorf("%v/soak-low fired no events", kind)
+		}
+		if len(high.Fired) < len(low.Fired) {
+			t.Errorf("%v: high soak fired fewer events (%d) than low (%d)", kind, len(high.Fired), len(low.Fired))
+		}
+	}
+
+	// Baselines are clean runs, and the same-seed replay reproduced its
+	// fired log byte for byte.
+	for _, kind := range chaosStrategies {
+		base := chaosCell(t, res, kind, "none")
+		if base.Restarts != 0 || base.ReworkBytes != 0 || base.FallbackSlabs != 0 || len(base.Fired) != 0 {
+			t.Errorf("baseline %v shows fault activity: %+v", kind, base)
+		}
+	}
+	if !res.Reproducible {
+		t.Errorf("same-seed soak replay diverged:\n%s", res)
+	}
+}
+
+// TestZoneChaosSeeds: the matrix completes, keeps its attribution
+// identity, and stays reproducible under different seeds (the CI gate
+// runs these under -race).
+func TestZoneChaosSeeds(t *testing.T) {
+	for _, seed := range []int64{1, 42, 20211206} {
+		profile := calib.Paper()
+		profile.Seed = seed
+		res, err := ZoneChaos(profile, 500e6, 8, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, c := range res.Rows {
+			if !c.Completed {
+				t.Errorf("seed %d: cell %v/%v did not complete: %s", seed, c.Kind, c.Fault, c.Err)
+			}
+			if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
+			}
+		}
+		if !res.Reproducible {
+			t.Errorf("seed %d: same-seed soak replay diverged", seed)
+		}
+	}
+}
+
+// TestFailureMatrixReplayError: a replay that cannot run is an error
+// naming the cell, not a silent Reproducible == false. The replay
+// reuses the plan the driver built for the cell, so the plan is spoiled
+// by a later column, after the cell itself has run.
+func TestFailureMatrixReplayError(t *testing.T) {
+	var soak *chaos.Plan
+	columns := []faultColumn{
+		{name: "none"},
+		{name: "soak", replay: true, plan: func(StrategyKind, calib.Profile, sortWindow, int64) (*chaos.Plan, error) {
+			plan := &chaos.Plan{Events: []chaos.Event{{At: time.Second, Kind: chaos.StoreBrownout, Rate: 0.1, Duration: time.Second}}}
+			if soak == nil {
+				soak = plan
+			}
+			return plan, nil
+		}},
+		{name: "spoiler", plan: func(StrategyKind, calib.Profile, sortWindow, int64) (*chaos.Plan, error) {
+			soak.Events[0].Rate = 2
+			return &chaos.Plan{}, nil
+		}},
+	}
+	res, err := failureMatrix(calib.Local(), 50e6, 4, 1, columns)
+	if !errors.Is(err, chaos.ErrBadRate) {
+		t.Fatalf("err = %v, want one wrapping chaos.ErrBadRate", err)
+	}
+	if !strings.Contains(err.Error(), `"Purely" serverless/soak replay`) {
+		t.Errorf("error does not name the replayed cell: %v", err)
+	}
+	if res.Reproducible {
+		t.Error("failed replay reported as reproducible")
+	}
+}
+
+// TestZonePlacementFlip: single-zone cache placement wins while
+// outages are rare, multi-zone past the flip point.
+func TestZonePlacementFlip(t *testing.T) {
+	res, err := ZonePlacementFlip(calib.Paper(), 0, nil)
+	if err != nil {
+		t.Fatalf("ZonePlacementFlip: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	if res.Rows[0].Chosen != "single-zone" {
+		t.Errorf("at rate %.2f/h chose %s, want single-zone:\n%s",
+			res.Rows[0].PerHour, res.Rows[0].Chosen, res)
+	}
+	if last := res.Rows[len(res.Rows)-1]; last.Chosen != "multi-zone" {
+		t.Errorf("at rate %.2f/h chose %s, want multi-zone:\n%s",
+			last.PerHour, last.Chosen, res)
+	}
+	var flipped bool
+	for i := 1; i < len(res.Rows); i++ {
+		if res.Rows[i-1].Chosen == "single-zone" && res.Rows[i].Chosen == "multi-zone" {
+			flipped = true
+		}
+		if res.Rows[i].Without.Time < res.Rows[i-1].Without.Time {
+			t.Errorf("single-zone expected time fell as outages rose at %.2f/h", res.Rows[i].PerHour)
+		}
+	}
+	if !flipped {
+		t.Errorf("no single -> multi flip in sweep:\n%s", res)
+	}
+}
+
+func TestZoneChaosRenderings(t *testing.T) {
+	res, err := ZoneChaos(calib.Paper(), 500e6, 4, 11)
+	if err != nil {
+		t.Fatalf("ZoneChaos: %v", err)
+	}
+	out := res.String()
+	for _, want := range []string{"zone-outage", "soak-low", "soak-high", "slowdown", "byte-identical"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("matrix rendering missing %q:\n%s", want, out)
+		}
+	}
+	flip, err := ZonePlacementFlip(calib.Paper(), 0, []float64{0.05, 120})
+	if err != nil {
+		t.Fatalf("ZonePlacementFlip: %v", err)
+	}
+	fout := flip.String()
+	for _, want := range []string{"outages/h", "chosen", "single"} {
+		if !strings.Contains(fout, want) {
+			t.Errorf("flip rendering missing %q:\n%s", want, fout)
+		}
 	}
 }
