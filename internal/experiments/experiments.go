@@ -382,38 +382,83 @@ func planInput(profile calib.Profile, dataBytes int64) shuffle.PlanInput {
 	}
 }
 
-func measureShuffle(profile calib.Profile, dataBytes int64, workers int) (time.Duration, error) {
+// sortOnly configures one measurement of the shuffle alone.
+type sortOnly struct {
+	workers int
+	// hierarchical runs the two-level shuffle (groups auto-picked near
+	// sqrt(workers)) instead of the one-level all-to-all.
+	hierarchical bool
+	// maxRetries / speculate are the invocation-level mitigations.
+	maxRetries int
+	speculate  bool
+}
+
+// sortMeasurement is what one sort-only run observed.
+type sortMeasurement struct {
+	latency time.Duration
+	// groups is the hierarchical shuffle's group count.
+	groups int
+	// sortErr is the shuffle's own failure. Under injected faults an
+	// abort (retries exhausted or no mitigation) is a measurement, so it
+	// is kept apart from the set-up errors measureSort returns.
+	sortErr error
+	// meter is the platform's counters after the run.
+	meter faas.Meter
+}
+
+// measureSort is the one sort-only runner: a fresh rig, the two
+// buckets, a sized input object, and one timed sort.
+func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasurement, error) {
+	var m sortMeasurement
 	rig, err := calib.NewRig(profile)
 	if err != nil {
-		return 0, err
+		return m, err
 	}
-	var (
-		dur    time.Duration
-		runErr error
-	)
-	rig.Sim.Spawn("sweep", func(p *des.Proc) {
+	spec := shuffle.Spec{
+		InputBucket: "data", InputKey: "in",
+		OutputBucket: "work", OutputPrefix: "sorted/",
+		Workers:      so.workers,
+		PartitionBps: profile.PartitionBps,
+		MergeBps:     profile.MergeBps,
+		MemoryMB:     profile.Faas.MemoryMB,
+		MaxRetries:   so.maxRetries,
+		Speculate:    so.speculate,
+	}
+	var setupErr error
+	rig.Sim.Spawn("sort", func(p *des.Proc) {
 		c := objectstore.NewClient(rig.Store)
-		_ = c.CreateBucket(p, "data")
-		_ = c.CreateBucket(p, "work")
-		if err := c.Put(p, "data", "in", payload.Sized(dataBytes)); err != nil {
-			runErr = err
+		for _, b := range []string{"data", "work"} {
+			if setupErr = c.CreateBucket(p, b); setupErr != nil {
+				return
+			}
+		}
+		if setupErr = c.Put(p, "data", "in", payload.Sized(dataBytes)); setupErr != nil {
 			return
 		}
 		start := p.Now()
-		_, runErr = rig.Shuffle.Sort(p, shuffle.Spec{
-			InputBucket: "data", InputKey: "in",
-			OutputBucket: "work", OutputPrefix: "sorted/",
-			Workers:      workers,
-			PartitionBps: profile.PartitionBps,
-			MergeBps:     profile.MergeBps,
-			MemoryMB:     profile.Faas.MemoryMB,
-		})
-		dur = p.Now() - start
+		if so.hierarchical {
+			var res shuffle.HierResult
+			res, m.sortErr = rig.Shuffle.SortHierarchical(p, shuffle.HierSpec{Spec: spec})
+			m.groups = res.Groups
+		} else {
+			_, m.sortErr = rig.Shuffle.Sort(p, spec)
+		}
+		m.latency = p.Now() - start
 	})
 	if err := rig.Sim.Run(); err != nil {
-		return 0, err
+		return m, err
 	}
-	return dur, runErr
+	m.meter = rig.Platform.Meter()
+	return m, setupErr
+}
+
+// measureShuffle times the one-level shuffle at a worker count.
+func measureShuffle(profile calib.Profile, dataBytes int64, workers int) (time.Duration, error) {
+	m, err := measureSort(profile, dataBytes, sortOnly{workers: workers})
+	if err == nil {
+		err = m.sortErr
+	}
+	return m.latency, err
 }
 
 // String renders the sweep as a table with a crude latency bar.

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 func TestTable1ReproducesPaperShape(t *testing.T) {
@@ -200,5 +202,62 @@ func TestStoreThrottlePlateau(t *testing.T) {
 func TestRunPipelineUnknownStrategy(t *testing.T) {
 	if _, err := RunPipeline(calib.Paper(), StrategyKind(99), 1e6, 2); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestMeasureSort drives the one sort-only runner through its three
+// modes and a failing set-up: a store that refuses (almost) every request must
+// surface as an error from bucket creation, not as a measurement.
+func TestMeasureSort(t *testing.T) {
+	faulty := calib.Local()
+	faulty.Faas.FailureRate = 0.3
+	refusing := calib.Local()
+	refusing.Store.FailureRate = 0.9999
+	for _, tc := range []struct {
+		name     string
+		profile  calib.Profile
+		so       sortOnly
+		setupErr error
+		check    func(t *testing.T, m sortMeasurement)
+	}{
+		{name: "plain", profile: calib.Local(), so: sortOnly{workers: 4},
+			check: func(t *testing.T, m sortMeasurement) {
+				if m.sortErr != nil || m.latency <= 0 || m.groups != 0 {
+					t.Errorf("plain sort: %+v", m)
+				}
+			}},
+		{name: "hierarchical", profile: calib.Local(), so: sortOnly{workers: 16, hierarchical: true},
+			check: func(t *testing.T, m sortMeasurement) {
+				if m.sortErr != nil || m.latency <= 0 || m.groups < 2 {
+					t.Errorf("hierarchical sort: %+v", m)
+				}
+			}},
+		{name: "faulty, unmitigated", profile: faulty, so: sortOnly{workers: 8},
+			check: func(t *testing.T, m sortMeasurement) {
+				if m.sortErr == nil || m.meter.FailedAttempts == 0 {
+					t.Errorf("30%% failures without retries: sortErr %v, meter %+v", m.sortErr, m.meter)
+				}
+			}},
+		{name: "faulty, retried", profile: faulty, so: sortOnly{workers: 8, maxRetries: 6, speculate: true},
+			check: func(t *testing.T, m sortMeasurement) {
+				if m.sortErr != nil || m.meter.Retries == 0 {
+					t.Errorf("30%% failures with retries: sortErr %v, meter %+v", m.sortErr, m.meter)
+				}
+			}},
+		{name: "failing set-up", profile: refusing, so: sortOnly{workers: 4}, setupErr: objectstore.ErrSlowDown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := measureSort(tc.profile, 20e6, tc.so)
+			if !errors.Is(err, tc.setupErr) {
+				t.Fatalf("err = %v, want %v", err, tc.setupErr)
+			}
+			if tc.setupErr != nil {
+				if m.latency != 0 || m.sortErr != nil {
+					t.Errorf("sort ran after a failed set-up: %+v", m)
+				}
+				return
+			}
+			tc.check(t, m)
+		})
 	}
 }

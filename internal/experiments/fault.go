@@ -6,10 +6,6 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
-	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
-	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // FaultPolicy names a mitigation configuration for the fault
@@ -91,56 +87,21 @@ func measureFaultyShuffle(profile calib.Profile, dataBytes int64, workers int, f
 	profile.Faas.FailureRate = failureRate
 	profile.Faas.StragglerRate = stragglerRate
 	profile.Faas.StragglerSlowdown = 4
-	rig, err := calib.NewRig(profile)
-	if err != nil {
-		return FaultRow{}, err
+	so := sortOnly{workers: workers}
+	if policy != NoMitigation {
+		so.maxRetries = 6
+		so.speculate = policy == WithRetriesAndSpeculation
 	}
-	spec := shuffle.Spec{
-		InputBucket: "data", InputKey: "in",
-		OutputBucket: "work", OutputPrefix: "sorted/",
-		Workers:      workers,
-		PartitionBps: profile.PartitionBps,
-		MergeBps:     profile.MergeBps,
-		MemoryMB:     profile.Faas.MemoryMB,
-	}
-	switch policy {
-	case WithRetries:
-		spec.MaxRetries = 6
-	case WithRetriesAndSpeculation:
-		spec.MaxRetries = 6
-		spec.Speculate = true
-	}
-
-	row := FaultRow{FailureRate: failureRate, Policy: policy}
-	var setupErr error
-	rig.Sim.Spawn("fault", func(p *des.Proc) {
-		c := objectstore.NewClient(rig.Store)
-		for _, b := range []string{"data", "work"} {
-			if err := c.CreateBucket(p, b); err != nil {
-				setupErr = err
-				return
-			}
-		}
-		if err := c.Put(p, "data", "in", payload.Sized(dataBytes)); err != nil {
-			setupErr = err
-			return
-		}
-		start := p.Now()
-		_, sortErr := rig.Shuffle.Sort(p, spec)
-		row.Succeeded = sortErr == nil
-		row.Latency = p.Now() - start
-	})
-	if err := rig.Sim.Run(); err != nil {
-		return row, err
-	}
-	if setupErr != nil {
-		return row, setupErr
-	}
-	m := rig.Platform.Meter()
-	row.Retries = m.Retries
-	row.FailedAttempts = m.FailedAttempts
-	row.Stragglers = m.Stragglers
-	return row, nil
+	m, err := measureSort(profile, dataBytes, so)
+	return FaultRow{
+		FailureRate:    failureRate,
+		Policy:         policy,
+		Succeeded:      m.sortErr == nil,
+		Latency:        m.latency,
+		Retries:        m.meter.Retries,
+		FailedAttempts: m.meter.FailedAttempts,
+		Stragglers:     m.meter.Stragglers,
+	}, err
 }
 
 // String renders the fault matrix.

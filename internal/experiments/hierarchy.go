@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
-	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
@@ -45,7 +42,10 @@ func HierarchySweep(profile calib.Profile, dataBytes int64, workerCounts []int) 
 		if err != nil {
 			return res, fmt.Errorf("experiments: hier sweep one-level w=%d: %w", w, err)
 		}
-		two, groups, err := measureHierShuffle(profile, dataBytes, w)
+		two, err := measureSort(profile, dataBytes, sortOnly{workers: w, hierarchical: true})
+		if err == nil {
+			err = two.sortErr
+		}
 		if err != nil {
 			return res, fmt.Errorf("experiments: hier sweep two-level w=%d: %w", w, err)
 		}
@@ -53,53 +53,14 @@ func HierarchySweep(profile calib.Profile, dataBytes int64, workerCounts []int) 
 		sp := shuffle.ProfileOf(profile.Store)
 		res.Rows = append(res.Rows, HierRow{
 			Workers:      w,
-			Groups:       groups,
+			Groups:       two.groups,
 			OneLevel:     one,
-			TwoLevel:     two,
+			TwoLevel:     two.latency,
 			PredictedOne: shuffle.Predict(w, in, sp).Predicted,
-			PredictedTwo: shuffle.PredictHierarchical(w, groups, in, sp).Predicted,
+			PredictedTwo: shuffle.PredictHierarchical(w, two.groups, in, sp).Predicted,
 		})
 	}
 	return res, nil
-}
-
-func measureHierShuffle(profile calib.Profile, dataBytes int64, workers int) (time.Duration, int, error) {
-	rig, err := calib.NewRig(profile)
-	if err != nil {
-		return 0, 0, err
-	}
-	var (
-		dur    time.Duration
-		groups int
-		runErr error
-	)
-	rig.Sim.Spawn("hiersweep", func(p *des.Proc) {
-		c := objectstore.NewClient(rig.Store)
-		_ = c.CreateBucket(p, "data")
-		_ = c.CreateBucket(p, "work")
-		if err := c.Put(p, "data", "in", payload.Sized(dataBytes)); err != nil {
-			runErr = err
-			return
-		}
-		start := p.Now()
-		var res shuffle.HierResult
-		res, runErr = rig.Shuffle.SortHierarchical(p, shuffle.HierSpec{
-			Spec: shuffle.Spec{
-				InputBucket: "data", InputKey: "in",
-				OutputBucket: "work", OutputPrefix: "sorted/",
-				Workers:      workers,
-				PartitionBps: profile.PartitionBps,
-				MergeBps:     profile.MergeBps,
-				MemoryMB:     profile.Faas.MemoryMB,
-			},
-		})
-		dur = p.Now() - start
-		groups = res.Groups
-	})
-	if err := rig.Sim.Run(); err != nil {
-		return 0, 0, err
-	}
-	return dur, groups, runErr
 }
 
 // String renders the ablation with the crossover marked.
