@@ -11,41 +11,26 @@ import (
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
-// ChaosCell is one (strategy, fault column) execution.
+// ChaosCell is one (strategy, fault column) execution: the run itself
+// plus which column it sat in. The graceful-degradation contract is
+// that every cell completes (Err == nil), including the cache row's
+// total cluster loss, and that recovery neither loses nor invents
+// money: Report.TotalUSD() — metered stages, rework and spot credit
+// included — equals SessionUSD exactly.
 type ChaosCell struct {
-	Kind StrategyKind
+	PipelineRun
 	// Fault is the column's name.
 	Fault string
-	// Completed reports whether the pipeline finished despite the
-	// fault(s) — the graceful-degradation contract is that every cell
-	// completes, including the cache row's total cluster loss. Err
-	// carries the failure when it did not.
-	Completed bool
-	Err       string
-	Latency   time.Duration
-	// RunUSD is the run's full attributed spend (metered stages,
-	// rework and spot credit included, plus any standing share);
-	// SessionUSD is the session's closing bill. The two must agree
-	// exactly — failure recovery may not lose or invent money.
-	RunUSD     float64
-	SessionUSD float64
-	// Restarts / ReworkBytes / FallbackSlabs summarize the recovery
-	// the run performed.
-	Restarts      int
-	ReworkBytes   int64
-	FallbackSlabs int
 	// Slowdown is this cell's makespan over the same strategy's
 	// fault-free makespan (1.0 for the baseline column).
 	Slowdown float64
-	// Fired is the chaos log: what was injected and what it hit.
-	Fired []chaos.Fired
 }
 
-// Log renders the cell's fired events canonically; two runs of the same
+// firedLog renders a fired-event list canonically; two runs of the same
 // seeded plan over the same workload must produce identical bytes.
-func (c ChaosCell) Log() string {
+func firedLog(fired []chaos.Fired) string {
 	var b strings.Builder
-	for _, f := range c.Fired {
+	for _, f := range fired {
 		fmt.Fprintf(&b, "%s @%s: %s\n", f.Event.Kind, f.Event.At, f.Outcome)
 	}
 	return b.String()
@@ -76,6 +61,16 @@ var chaosStrategies = []StrategyKind{PurelyServerless, VMSupported, CacheSupport
 // fault timing.
 type sortWindow struct {
 	start, end time.Duration
+}
+
+// FallbackSlabs counts the slabs the run rerouted through object
+// storage after losing cache capacity.
+func (r PipelineRun) FallbackSlabs() int {
+	var n int
+	for _, sr := range r.Report.Stages {
+		n += sr.FallbackSlabs
+	}
+	return n
 }
 
 // planFunc builds one cell's fault plan, timed off the strategy's own
@@ -265,7 +260,7 @@ func zoneChaosProfile(p calib.Profile) calib.Profile {
 // failureMatrix is the one matrix driver: for each strategy the
 // baseline column anchors the timing, then each fault column's plan is
 // built off that window and run. Cells that fail to complete are
-// measurements (Completed=false), not errors; a cell or a replay that
+// measurements (the cell's Err), not errors; a cell or a replay that
 // cannot run at all is an error naming the cell.
 func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int64, columns []faultColumn) (ChaosResult, error) {
 	if dataBytes <= 0 {
@@ -281,7 +276,7 @@ func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int
 	)
 	for _, kind := range chaosStrategies {
 		var (
-			base   ChaosCell
+			base   time.Duration
 			window sortWindow
 		)
 		for _, col := range columns {
@@ -292,16 +287,19 @@ func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int
 					return res, fmt.Errorf("experiments: chaos %v/%s plan: %w", kind, col.name, err)
 				}
 			}
-			cell, w, err := runChaosCell(profile, kind, dataBytes, workers, plan)
+			run, err := runChaosCell(profile, kind, dataBytes, workers, plan)
 			if err != nil {
 				return res, fmt.Errorf("experiments: chaos %v/%s: %w", kind, col.name, err)
 			}
-			cell.Fault = col.name
+			cell := ChaosCell{PipelineRun: run, Fault: col.name}
 			if col.plan == nil {
 				cell.Slowdown = 1
-				base, window = cell, w
-			} else if base.Latency > 0 {
-				cell.Slowdown = cell.Latency.Seconds() / base.Latency.Seconds()
+				base = run.Latency
+				if sr, ok := run.Report.Stage("sort"); ok {
+					window = sortWindow{start: sr.Start, end: sr.End}
+				}
+			} else if base > 0 {
+				cell.Slowdown = run.Latency.Seconds() / base.Seconds()
 			}
 			if col.replay && replayPlan == nil {
 				replayPlan, replayRow = plan, len(res.Rows)
@@ -313,50 +311,24 @@ func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int
 		// The same seeded plan over the same workload must reproduce
 		// the fired log byte for byte.
 		first := res.Rows[replayRow]
-		again, _, err := runChaosCell(profile, first.Kind, dataBytes, workers, replayPlan)
+		again, err := runChaosCell(profile, first.Kind, dataBytes, workers, replayPlan)
 		if err != nil {
 			return res, fmt.Errorf("experiments: chaos %v/%s replay: %w", first.Kind, first.Fault, err)
 		}
-		res.Reproducible = again.Log() == first.Log()
+		res.Reproducible = firedLog(again.Fired) == firedLog(first.Fired)
 	}
 	return res, nil
 }
 
 // runChaosCell executes the pipeline once on spot capacity with the
-// given fault plan armed (nil for the baseline), returning the cell and
-// the run's sort-stage window.
-func runChaosCell(profile calib.Profile, kind StrategyKind, dataBytes int64, workers int, plan *chaos.Plan) (ChaosCell, sortWindow, error) {
-	// Invocation-level retries absorb brownout residue the store
-	// client's own backoff does not.
-	run, err := runPipeline(profile, pipelineSpec{
+// given fault plan armed (nil for the baseline). Invocation-level
+// retries absorb brownout residue the store client's own backoff does
+// not.
+func runChaosCell(profile calib.Profile, kind StrategyKind, dataBytes int64, workers int, plan *chaos.Plan) (PipelineRun, error) {
+	return runPipeline(profile, pipelineSpec{
 		kind: kind, dataBytes: dataBytes, workers: workers,
 		spot: true, retries: 4, plan: plan,
 	})
-	if err != nil {
-		return ChaosCell{}, sortWindow{}, err
-	}
-	rep := run.Report
-	cell := ChaosCell{
-		Kind:        kind,
-		Completed:   run.Err == nil,
-		Latency:     run.Latency,
-		RunUSD:      rep.TotalUSD(),
-		SessionUSD:  run.SessionUSD,
-		Restarts:    rep.Restarts(),
-		ReworkBytes: rep.ReworkBytes(),
-		Fired:       run.Fired,
-	}
-	if run.Err != nil {
-		cell.Err = run.Err.Error()
-	}
-	for _, sr := range rep.Stages {
-		cell.FallbackSlabs += sr.FallbackSlabs
-	}
-	var w sortWindow
-	if sr, ok := rep.Stage("sort"); ok {
-		w = sortWindow{start: sr.Start, end: sr.End}
-	}
-	return cell, w, nil
 }
 
 // String renders the matrix: the zone layout (an events count per cell
@@ -379,17 +351,17 @@ func (r ChaosResult) String() string {
 	for _, c := range r.Rows {
 		if zoned {
 			fmt.Fprintf(&b, "%-22s %-12s %5v %12.2f %10.4f %9d %8.1fM %10d %7d %8.2fx\n",
-				c.Kind, c.Fault, c.Completed, c.Latency.Seconds(), c.RunUSD,
-				c.Restarts, float64(c.ReworkBytes)/1e6, c.FallbackSlabs, len(c.Fired), c.Slowdown)
+				c.Kind, c.Fault, c.Err == nil, c.Latency.Seconds(), c.Report.TotalUSD(),
+				c.Report.Restarts(), float64(c.Report.ReworkBytes())/1e6, c.FallbackSlabs(), len(c.Fired), c.Slowdown)
 		} else {
 			fmt.Fprintf(&b, "%-22s %-16s %5v %12.2f %10.4f %9d %8.1fM %10d %8.2fx\n",
-				c.Kind, c.Fault, c.Completed, c.Latency.Seconds(), c.RunUSD,
-				c.Restarts, float64(c.ReworkBytes)/1e6, c.FallbackSlabs, c.Slowdown)
+				c.Kind, c.Fault, c.Err == nil, c.Latency.Seconds(), c.Report.TotalUSD(),
+				c.Report.Restarts(), float64(c.Report.ReworkBytes())/1e6, c.FallbackSlabs(), c.Slowdown)
 			for _, f := range c.Fired {
 				fmt.Fprintf(&b, "    [%s at t=%.0fs: %s]\n", f.Event.Kind, f.Event.At.Seconds(), f.Outcome)
 			}
 		}
-		if c.Err != "" {
+		if c.Err != nil {
 			fmt.Fprintf(&b, "    [failed: %s]\n", c.Err)
 		}
 	}

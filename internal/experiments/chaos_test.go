@@ -37,29 +37,29 @@ func TestChaosMatrix(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	for _, c := range res.Rows {
-		if !c.Completed {
+		if c.Err != nil {
 			t.Errorf("cell %v/%v did not complete", c.Kind, c.Fault)
 		}
-		if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+		if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
-				c.Kind, c.Fault, c.RunUSD, c.SessionUSD)
+				c.Kind, c.Fault, c.Report.TotalUSD(), c.SessionUSD)
 		}
 	}
 
 	// The spot VM run must actually lose its instance and recover on a
 	// restarted leg, with the re-read volume metered.
 	vmCell := chaosCell(t, res, VMSupported, "vm-preempt")
-	if vmCell.Restarts == 0 {
+	if vmCell.Report.Restarts() == 0 {
 		t.Errorf("vm/preempt cell shows no restarts:\n%s", res)
 	}
-	if vmCell.ReworkBytes == 0 {
+	if vmCell.Report.ReworkBytes() == 0 {
 		t.Errorf("vm/preempt cell shows no rework:\n%s", res)
 	}
 
 	// The cache run must reroute slabs through object storage rather
 	// than fail, and stay within 1.5x of its fault-free makespan.
 	cacheCell := chaosCell(t, res, CacheSupported, "cache-node-kill")
-	if cacheCell.FallbackSlabs == 0 {
+	if cacheCell.FallbackSlabs() == 0 {
 		t.Errorf("cache/node-kill cell shows no fallback slabs:\n%s", res)
 	}
 	if cacheCell.Slowdown > 1.5 {
@@ -69,7 +69,7 @@ func TestChaosMatrix(t *testing.T) {
 	// Baselines are clean runs.
 	for _, kind := range chaosStrategies {
 		base := chaosCell(t, res, kind, "none")
-		if base.Restarts != 0 || base.ReworkBytes != 0 || base.FallbackSlabs != 0 {
+		if base.Report.Restarts() != 0 || base.Report.ReworkBytes() != 0 || base.FallbackSlabs() != 0 {
 			t.Errorf("baseline %v shows recovery activity: %+v", kind, base)
 		}
 	}
@@ -87,10 +87,10 @@ func TestChaosMatrixSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, c := range res.Rows {
-			if !c.Completed {
+			if c.Err != nil {
 				t.Errorf("seed %d: cell %v/%v did not complete", seed, c.Kind, c.Fault)
 			}
-			if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+			if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
 			}
 		}
@@ -170,26 +170,26 @@ func TestZoneChaos(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	for _, c := range res.Rows {
-		if !c.Completed {
-			t.Errorf("cell %v/%v did not complete: %s", c.Kind, c.Fault, c.Err)
+		if c.Err != nil {
+			t.Errorf("cell %v/%v did not complete: %v", c.Kind, c.Fault, c.Err)
 		}
-		if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+		if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
-				c.Kind, c.Fault, c.RunUSD, c.SessionUSD)
+				c.Kind, c.Fault, c.Report.TotalUSD(), c.SessionUSD)
 		}
 	}
 
 	// The spot VM loses its zone-a instance and re-provisions in the
 	// survivor, with the redone leg metered.
 	vmCell := chaosCell(t, res, VMSupported, "zone-outage")
-	if vmCell.Restarts == 0 || vmCell.ReworkBytes == 0 {
+	if vmCell.Report.Restarts() == 0 || vmCell.Report.ReworkBytes() == 0 {
 		t.Errorf("vm/zone-outage shows no metered recovery:\n%s", res)
 	}
 
 	// The cache cluster dies whole — total loss, not one node — and the
 	// run demotes to the object-store path within the overhead bound.
 	cacheCell := chaosCell(t, res, CacheSupported, "zone-outage")
-	if cacheCell.FallbackSlabs == 0 {
+	if cacheCell.FallbackSlabs() == 0 {
 		t.Errorf("cache/zone-outage shows no fallback slabs:\n%s", res)
 	}
 	if cacheCell.Slowdown > 2.0 {
@@ -213,7 +213,7 @@ func TestZoneChaos(t *testing.T) {
 	// fired log byte for byte.
 	for _, kind := range chaosStrategies {
 		base := chaosCell(t, res, kind, "none")
-		if base.Restarts != 0 || base.ReworkBytes != 0 || base.FallbackSlabs != 0 || len(base.Fired) != 0 {
+		if base.Report.Restarts() != 0 || base.Report.ReworkBytes() != 0 || base.FallbackSlabs() != 0 || len(base.Fired) != 0 {
 			t.Errorf("baseline %v shows fault activity: %+v", kind, base)
 		}
 	}
@@ -234,10 +234,10 @@ func TestZoneChaosSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, c := range res.Rows {
-			if !c.Completed {
-				t.Errorf("seed %d: cell %v/%v did not complete: %s", seed, c.Kind, c.Fault, c.Err)
+			if c.Err != nil {
+				t.Errorf("seed %d: cell %v/%v did not complete: %v", seed, c.Kind, c.Fault, c.Err)
 			}
-			if math.Abs(c.RunUSD-c.SessionUSD) > 1e-9 {
+			if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
 			}
 		}
