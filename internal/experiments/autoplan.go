@@ -18,9 +18,7 @@ type DecisionResult struct {
 // given volume without executing anything: pure prediction, the
 // decision table the CLI and the autoplan example print.
 func Decide(profile calib.Profile, dataBytes int64, obj autoplan.Objective) (DecisionResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	dec, err := autoplan.Plan(calib.PlanWorkload(profile, dataBytes), calib.PlanEnv(profile), obj)
 	if err != nil {
 		return DecisionResult{}, fmt.Errorf("experiments: decide %d bytes: %w", dataBytes, err)
@@ -31,22 +29,4 @@ func Decide(profile calib.Profile, dataBytes int64, obj autoplan.Objective) (Dec
 // String renders the decision table.
 func (r DecisionResult) String() string {
 	return r.Decision.String()
-}
-
-// Table1Auto extends the Table 1 reproduction with the auto-planned
-// row: the same pipeline, but the exchange strategy and its
-// configuration chosen by the planner at runtime. The auto row should
-// never lose to both measured configurations — if it does, the cost
-// model has drifted from the simulation.
-func Table1Auto(profile calib.Profile, dataBytes int64, workers int) (Table1Result, error) {
-	res, err := Table1(profile, dataBytes, workers)
-	if err != nil {
-		return res, err
-	}
-	run, err := RunPipeline(profile, AutoPlanned, res.DataBytes, res.Workers)
-	if err != nil {
-		return res, fmt.Errorf("experiments: %v: %w", AutoPlanned, err)
-	}
-	res.Rows = append(res.Rows, run)
-	return res, nil
 }

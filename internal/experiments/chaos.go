@@ -263,12 +263,7 @@ func zoneChaosProfile(p calib.Profile) calib.Profile {
 // measurements (the cell's Err), not errors; a cell or a replay that
 // cannot run at all is an error naming the cell.
 func failureMatrix(profile calib.Profile, dataBytes int64, workers int, seed int64, columns []faultColumn) (ChaosResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
+	dataBytes, workers = paperScale(dataBytes, workers)
 	res := ChaosResult{DataBytes: dataBytes, Workers: workers}
 	var (
 		replayPlan *chaos.Plan
@@ -453,9 +448,7 @@ func (f flip) sweep(wl autoplan.Workload, rates []float64) ([]FlipRow, error) {
 // re-run plus the on-demand fallback attempt) costs more than the spot
 // discount saves.
 func SpotDecisionFlip(profile calib.Profile, dataBytes int64, rates []float64) (FlipResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	if len(rates) == 0 {
 		// Events per instance-hour, spanning "rare" to "constant
 		// churn"; the paper workload is short, so the flip needs a
@@ -488,9 +481,7 @@ func SpotDecisionFlip(profile calib.Profile, dataBytes int64, rates []float64) (
 // demotion rework of losing the whole cluster outweighs the premium.
 func ZonePlacementFlip(profile calib.Profile, dataBytes int64, rates []float64) (FlipResult, error) {
 	profile = zoneChaosProfile(profile)
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	if len(rates) == 0 {
 		// Outages per hour; paper-scale runs are short, so the flip
 		// needs high rates to show inside one run's exposure.

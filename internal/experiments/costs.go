@@ -29,22 +29,13 @@ type CostResult struct {
 // CostBreakdown runs each configuration and splits its bill by
 // component.
 func CostBreakdown(profile calib.Profile, dataBytes int64, workers int, kinds []StrategyKind) (CostResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
 	if len(kinds) == 0 {
 		kinds = []StrategyKind{PurelyServerless, VMSupported}
 	}
-	res := CostResult{DataBytes: dataBytes, Workers: workers}
-	for _, kind := range kinds {
-		run, err := RunPipeline(profile, kind, dataBytes, workers)
-		if err != nil {
-			return res, fmt.Errorf("experiments: costs %v: %w", kind, err)
-		}
-		row := CostRow{Kind: kind, Total: run.CostUSD}
+	runs, err := runKinds(profile, dataBytes, workers, kinds...)
+	res := CostResult{DataBytes: runs.DataBytes, Workers: runs.Workers}
+	for _, run := range runs.Rows {
+		row := CostRow{Kind: run.Kind, Total: run.CostUSD}
 		for _, sr := range run.Report.Stages {
 			row.Functions += profile.Prices.FunctionsCost(sr.Faas)
 			row.Storage += profile.Prices.StorageCost(sr.Store)
@@ -53,7 +44,7 @@ func CostBreakdown(profile calib.Profile, dataBytes int64, workers int, kinds []
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, err
 }
 
 // String renders the itemized costs.

@@ -196,24 +196,36 @@ func RunPipeline(profile calib.Profile, kind StrategyKind, dataBytes int64, work
 	return run, err
 }
 
-// Table1Result reproduces Table 1.
-type Table1Result struct {
-	DataBytes int64
-	Workers   int
-	Rows      []PipelineRun
-}
-
-// Table1 runs both configurations at the paper's scale (or the given
-// overrides).
-func Table1(profile calib.Profile, dataBytes int64, workers int) (Table1Result, error) {
+// paperScale applies the repo-wide convention that a non-positive
+// volume or parallelism means the paper's.
+func paperScale(dataBytes int64, workers int) (int64, int) {
 	if dataBytes <= 0 {
 		dataBytes = PaperDataBytes
 	}
 	if workers <= 0 {
 		workers = PaperWorkers
 	}
-	res := Table1Result{DataBytes: dataBytes, Workers: workers}
-	for _, kind := range []StrategyKind{PurelyServerless, VMSupported} {
+	return dataBytes, workers
+}
+
+// PipelineTable is the pipeline run once per configuration at one
+// scale: Table 1, and the same table extended to the substrates the
+// paper names but does not measure.
+type PipelineTable struct {
+	DataBytes int64
+	Workers   int
+	Rows      []PipelineRun
+	// substrates selects ThreeWay's layout (sort-stage detail in place
+	// of the paper's published columns).
+	substrates bool
+}
+
+// runKinds is the one loop over RunPipeline: each configuration once
+// at the given scale.
+func runKinds(profile calib.Profile, dataBytes int64, workers int, kinds ...StrategyKind) (PipelineTable, error) {
+	dataBytes, workers = paperScale(dataBytes, workers)
+	res := PipelineTable{DataBytes: dataBytes, Workers: workers}
+	for _, kind := range kinds {
 		run, err := RunPipeline(profile, kind, dataBytes, workers)
 		if err != nil {
 			return res, fmt.Errorf("experiments: %v: %w", kind, err)
@@ -223,9 +235,50 @@ func Table1(profile calib.Profile, dataBytes int64, workers int) (Table1Result, 
 	return res, nil
 }
 
-// String renders the reproduced table alongside the paper's values.
-func (r Table1Result) String() string {
+// Table1 reproduces Table 1: both configurations at the paper's scale
+// (or the given overrides).
+func Table1(profile calib.Profile, dataBytes int64, workers int) (PipelineTable, error) {
+	return runKinds(profile, dataBytes, workers, PurelyServerless, VMSupported)
+}
+
+// Table1Auto extends the Table 1 reproduction with the auto-planned
+// row: the same pipeline, but the exchange strategy and its
+// configuration chosen by the planner at runtime. The auto row should
+// never lose to both measured configurations — if it does, the cost
+// model has drifted from the simulation.
+func Table1Auto(profile calib.Profile, dataBytes int64, workers int) (PipelineTable, error) {
+	return runKinds(profile, dataBytes, workers, PurelyServerless, VMSupported, AutoPlanned)
+}
+
+// ThreeWay extends Table 1 with the cache-supported exchange the paper
+// names but does not measure: every data-passing substrate the
+// introduction discusses (object storage, VM, cold cache, warm cache)
+// on the same pipeline.
+func ThreeWay(profile calib.Profile, dataBytes int64, workers int) (PipelineTable, error) {
+	res, err := runKinds(profile, dataBytes, workers,
+		PurelyServerless, VMSupported, CacheSupported, CacheSupportedWarm)
+	res.substrates = true
+	return res, err
+}
+
+// String renders the reproduced table alongside the paper's values, or
+// ThreeWay's extension table.
+func (r PipelineTable) String() string {
 	var b strings.Builder
+	if r.substrates {
+		fmt.Fprintf(&b, "Extension: all data-exchange substrates, %.1f GB input, parallelism %d\n",
+			float64(r.DataBytes)/1e9, r.Workers)
+		fmt.Fprintf(&b, "%-24s %12s %10s %24s\n", "Configuration", "Latency (s)", "Cost ($)", "sort-stage detail")
+		for _, row := range r.Rows {
+			detail := ""
+			if sr, ok := row.Report.Stage("sort"); ok {
+				detail = fmt.Sprintf("sort %.2fs, $%.4f", sr.Duration().Seconds(), sr.Cost.Total())
+			}
+			fmt.Fprintf(&b, "%-24s %12.2f %10.4f %24s\n",
+				row.Kind, row.Latency.Seconds(), row.CostUSD, detail)
+		}
+		return b.String()
+	}
 	fmt.Fprintf(&b, "Table 1: METHCOMP pipeline, %.1f GB input, parallelism %d\n",
 		float64(r.DataBytes)/1e9, r.Workers)
 	fmt.Fprintf(&b, "%-22s %12s %10s %14s %12s\n",
@@ -266,7 +319,7 @@ func (r Table1Result) String() string {
 
 // StageTrace renders per-stage timelines of both runs (the executable
 // counterpart of Figure 1's two architectures).
-func (r Table1Result) StageTrace() string {
+func (r PipelineTable) StageTrace() string {
 	var b strings.Builder
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%s\n", row.Kind)
@@ -281,53 +334,6 @@ func (r Table1Result) StageTrace() string {
 		for _, line := range strings.Split(strings.TrimRight(row.FaasStats.String(), "\n"), "\n") {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
-	}
-	return b.String()
-}
-
-// ThreeWayResult extends Table 1 with the cache-supported exchange the
-// paper names but does not measure: every data-passing substrate the
-// introduction discusses, on the same pipeline.
-type ThreeWayResult struct {
-	DataBytes int64
-	Workers   int
-	Rows      []PipelineRun
-}
-
-// ThreeWay runs the pipeline under every exchange strategy (object
-// storage, VM, cold cache, warm cache) at the given scale.
-func ThreeWay(profile calib.Profile, dataBytes int64, workers int) (ThreeWayResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
-	res := ThreeWayResult{DataBytes: dataBytes, Workers: workers}
-	kinds := []StrategyKind{PurelyServerless, VMSupported, CacheSupported, CacheSupportedWarm}
-	for _, kind := range kinds {
-		run, err := RunPipeline(profile, kind, dataBytes, workers)
-		if err != nil {
-			return res, fmt.Errorf("experiments: %v: %w", kind, err)
-		}
-		res.Rows = append(res.Rows, run)
-	}
-	return res, nil
-}
-
-// String renders the extension table.
-func (r ThreeWayResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: all data-exchange substrates, %.1f GB input, parallelism %d\n",
-		float64(r.DataBytes)/1e9, r.Workers)
-	fmt.Fprintf(&b, "%-24s %12s %10s %24s\n", "Configuration", "Latency (s)", "Cost ($)", "sort-stage detail")
-	for _, row := range r.Rows {
-		detail := ""
-		if sr, ok := row.Report.Stage("sort"); ok {
-			detail = fmt.Sprintf("sort %.2fs, $%.4f", sr.Duration().Seconds(), sr.Cost.Total())
-		}
-		fmt.Fprintf(&b, "%-24s %12.2f %10.4f %24s\n",
-			row.Kind, row.Latency.Seconds(), row.CostUSD, detail)
 	}
 	return b.String()
 }
@@ -351,9 +357,7 @@ type WorkerSweepResult struct {
 
 // WorkerSweep measures the shuffle alone at each worker count.
 func WorkerSweep(profile calib.Profile, dataBytes int64, workerCounts []int) (WorkerSweepResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	res := WorkerSweepResult{DataBytes: dataBytes}
 	for _, w := range workerCounts {
 		measured, err := measureShuffle(profile, dataBytes, w)
@@ -506,19 +510,14 @@ type SizeSweepResult struct {
 
 // SizeSweep runs both configurations across dataset sizes.
 func SizeSweep(profile calib.Profile, sizes []int64, workers int) (SizeSweepResult, error) {
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
+	_, workers = paperScale(0, workers)
 	res := SizeSweepResult{Workers: workers}
 	for _, size := range sizes {
-		sl, err := RunPipeline(profile, PurelyServerless, size, workers)
+		runs, err := runKinds(profile, size, workers, PurelyServerless, VMSupported)
 		if err != nil {
 			return res, err
 		}
-		vmRun, err := RunPipeline(profile, VMSupported, size, workers)
-		if err != nil {
-			return res, err
-		}
+		sl, vmRun := runs.Rows[0], runs.Rows[1]
 		res.Rows = append(res.Rows, SizeRow{
 			Bytes:         size,
 			Serverless:    sl.Latency,

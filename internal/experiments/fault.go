@@ -61,12 +61,7 @@ type FaultResult struct {
 // mitigation policy. Straggler injection (rate 0.15, slowdown 4) is
 // constant across the matrix so the speculation column is meaningful.
 func FaultTolerance(profile calib.Profile, dataBytes int64, workers int, failureRates []float64) (FaultResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
+	dataBytes, workers = paperScale(dataBytes, workers)
 	res := FaultResult{DataBytes: dataBytes, Workers: workers, StragglerRate: 0.15}
 	for _, rate := range failureRates {
 		for _, policy := range []FaultPolicy{NoMitigation, WithRetries, WithRetriesAndSpeculation} {

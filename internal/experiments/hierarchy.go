@@ -33,9 +33,7 @@ type HierResult struct {
 // HierarchySweep measures one-level vs two-level shuffle latency at
 // each worker count (groups auto-picked near sqrt(w)).
 func HierarchySweep(profile calib.Profile, dataBytes int64, workerCounts []int) (HierResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	res := HierResult{DataBytes: dataBytes}
 	for _, w := range workerCounts {
 		one, err := measureShuffle(profile, dataBytes, w)

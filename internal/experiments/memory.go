@@ -28,24 +28,18 @@ type MemoryResult struct {
 // MemorySweep runs the purely serverless pipeline at each function
 // memory grant.
 func MemorySweep(profile calib.Profile, dataBytes int64, workers int, memsMB []int) (MemoryResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
-	if workers <= 0 {
-		workers = PaperWorkers
-	}
+	dataBytes, workers = paperScale(dataBytes, workers)
 	res := MemoryResult{DataBytes: dataBytes, Workers: workers}
 	for _, mem := range memsMB {
-		p := profile
-		p.Faas.MemoryMB = mem // CPU share and billing follow the grant
-		run, err := RunPipeline(p, PurelyServerless, dataBytes, workers)
+		profile.Faas.MemoryMB = mem // CPU share and billing follow the grant
+		runs, err := runKinds(profile, dataBytes, workers, PurelyServerless)
 		if err != nil {
 			return res, fmt.Errorf("experiments: memory sweep %dMB: %w", mem, err)
 		}
 		res.Rows = append(res.Rows, MemoryRow{
 			MemoryMB: mem,
-			Latency:  run.Latency,
-			CostUSD:  run.CostUSD,
+			Latency:  runs.Rows[0].Latency,
+			CostUSD:  runs.Rows[0].CostUSD,
 		})
 	}
 	return res, nil

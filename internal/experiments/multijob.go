@@ -65,9 +65,7 @@ type MultiJobResult struct {
 // MultiJob runs the comparison at the given volume and job count
 // (defaults: the paper's 3.5 GB, 3 jobs).
 func MultiJob(profile calib.Profile, dataBytes int64, jobs int) (MultiJobResult, error) {
-	if dataBytes <= 0 {
-		dataBytes = PaperDataBytes
-	}
+	dataBytes, _ = paperScale(dataBytes, 0)
 	if jobs <= 0 {
 		jobs = 3
 	}
