@@ -12,6 +12,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/core"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/gateway"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/session"
@@ -298,7 +299,7 @@ func (m gwMix) classOf(i int) string {
 	}
 }
 
-// sojourns collects one class's completed sojourn times.
+// sojourns collects one class's completed sojourn times, ascending.
 func (m gwMix) sojourns(run *loopRun, class string) []time.Duration {
 	var out []time.Duration
 	for _, a := range run.admitted {
@@ -306,6 +307,7 @@ func (m gwMix) sojourns(run *loopRun, class string) []time.Duration {
 			out = append(out, a.tk.Sojourn())
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -397,7 +399,7 @@ func Gateway(profile calib.Profile, tenants, submissions int) (GatewayResult, er
 		return res, err
 	}
 	res.GatewayRun = run.GatewayRun
-	res.BaselineStandardP99 = gwPercentile(m.sojourns(ctrl, "standard"), 0.99)
+	res.BaselineStandardP99 = faas.Percentile(m.sojourns(ctrl, "standard"), 0.99)
 
 	res.Classes = []GatewayClass{
 		{Name: "premium", Tenants: m.premium},
@@ -418,21 +420,10 @@ func Gateway(profile calib.Profile, tenants, submissions int) (GatewayResult, er
 			cls.USD += ts.TotalUSD()
 		}
 		sojourns := m.sojourns(run, cls.Name)
-		cls.P50 = gwPercentile(sojourns, 0.50)
-		cls.P99 = gwPercentile(sojourns, 0.99)
+		cls.P50 = faas.Percentile(sojourns, 0.50)
+		cls.P99 = faas.Percentile(sojourns, 0.99)
 	}
 	return res, nil
-}
-
-// gwPercentile returns the q-quantile by nearest rank.
-func gwPercentile(durs []time.Duration, q float64) time.Duration {
-	if len(durs) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // String renders the experiment.

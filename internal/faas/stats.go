@@ -45,16 +45,17 @@ func Summarize(acts []Activation) Stats {
 		return s
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	s.P50 = percentile(durs, 0.50)
-	s.P95 = percentile(durs, 0.95)
-	s.P99 = percentile(durs, 0.99)
+	s.P50 = Percentile(durs, 0.50)
+	s.P95 = Percentile(durs, 0.95)
+	s.P99 = Percentile(durs, 0.99)
 	s.Max = durs[len(durs)-1]
 	return s
 }
 
-// percentile returns the q-quantile of sorted durations using the
-// nearest-rank convention (q in (0, 1]).
-func percentile(sorted []time.Duration, q float64) time.Duration {
+// Percentile returns the q-quantile of sorted durations using the
+// nearest-rank convention (q in (0, 1]): the smallest value with at
+// least q of the sample at or below it.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

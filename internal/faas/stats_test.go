@@ -73,16 +73,31 @@ func TestSummarizeAllFailed(t *testing.T) {
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	durs := []time.Duration{1, 2, 3, 4}
+	// ramp(n) is 1..n, so a percentile's value is its 1-based rank.
+	ramp := func(n int) []time.Duration {
+		durs := make([]time.Duration, n)
+		for i := range durs {
+			durs[i] = time.Duration(i + 1)
+		}
+		return durs
+	}
 	cases := []struct {
+		n    int
 		q    float64
 		want time.Duration
 	}{
-		{0.25, 1}, {0.5, 2}, {0.75, 3}, {1.0, 4}, {0.01, 1},
+		{0, 0.5, 0},
+		{1, 0.01, 1}, {1, 0.5, 1}, {1, 1.0, 1},
+		{2, 0.5, 1}, {2, 0.51, 2}, {2, 0.99, 2},
+		{4, 0.25, 1}, {4, 0.5, 2}, {4, 0.75, 3}, {4, 1.0, 4}, {4, 0.01, 1},
+		// Where nearest rank, ceil(q*n), and the floor(q*(n-1))+1
+		// convention the gateway experiment used to apply part ways.
+		{10, 0.5, 5}, {10, 0.99, 10}, {101, 0.99, 100},
+		{687, 0.99, 681}, {4961, 0.99, 4912}, {4961, 0.5, 2481},
 	}
 	for _, tc := range cases {
-		if got := percentile(durs, tc.q); got != tc.want {
-			t.Errorf("percentile(%g) = %v, want %v", tc.q, got, tc.want)
+		if got := Percentile(ramp(tc.n), tc.q); got != tc.want {
+			t.Errorf("Percentile(1..%d, %g) = %v, want %v", tc.n, tc.q, got, tc.want)
 		}
 	}
 }
