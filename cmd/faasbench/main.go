@@ -1,27 +1,7 @@
-// Command faasbench regenerates the paper's table, figure, and
-// in-text claims on the simulated cloud.
-//
-// Usage:
-//
-//	faasbench -experiment table1 [-data 3.5] [-workers 8] [-trace]
-//	faasbench -experiment threeway [-data 3.5] [-workers 8]
-//	faasbench -experiment workersweep [-data 3.5]
-//	faasbench -experiment sizesweep
-//	faasbench -experiment compression
-//	faasbench -experiment throttle
-//	faasbench -experiment faults [-data 3.5] [-workers 8]
-//	faasbench -experiment hierarchy [-data 3.5]
-//	faasbench -experiment memsweep [-data 3.5] [-workers 8]
-//	faasbench -experiment costs [-data 3.5] [-workers 8]
-//	faasbench -experiment planner
-//	faasbench -experiment autoplan [-data 3.5]
-//	faasbench -experiment multijob [-data 3.5] [-jobs 3]
-//	faasbench -experiment gateway [-tenants 100] [-submissions 10000]
-//	faasbench -experiment gatewayscale [-tenants 10000] [-submissions 100000]
-//	faasbench -experiment chaos [-data 3.5] [-workers 8]
-//	faasbench -experiment zonechaos [-data 3.5] [-workers 8] [-seed 7]
-//	faasbench -experiment all
-//	faasbench -auto [-data 3.5]
+// Command faasbench regenerates the paper's table, figure, and in-text
+// claims on the simulated cloud, one experiment per name; `faasbench -h`
+// lists the names with the flags each honours. `-experiment all` runs
+// every one in table order.
 //
 // Any experiment can be profiled without editing code:
 //
@@ -31,19 +11,6 @@
 // gateway hot paths dominate exactly as they do in production use, so
 // `go tool pprof` on the output is the fastest way to find the next
 // simulator bottleneck.
-//
-// The -auto flag engages the cost-based strategy planner: it prints
-// the candidate decision table (strategy/config -> predicted time and
-// cost -> chosen) and adds the auto-planned row to table1.
-//
-// The multijob experiment exercises the session runtime: N submissions
-// sharing one warm cache cluster against the same N jobs in
-// independent sessions, with standing-cost attribution.
-//
-// The gateway experiment pushes an open-loop multi-tenant mix through
-// the admission gateway (auth, rate limits, weighted fair-share) on
-// one shared session, including a hammer-free control run for the p99
-// isolation comparison.
 package main
 
 import (
@@ -54,11 +21,181 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/experiments"
 )
+
+// params are the knobs the command line sets; each experiment reads the
+// ones its usage string names.
+type params struct {
+	profile                             calib.Profile
+	dataBytes                           int64
+	workers, jobs, tenants, submissions int
+	seed                                int64
+	trace, auto                         bool
+}
+
+// experiment is one row of the table everything else derives from:
+// dispatch, the order of `all`, the -experiment help and the usage text.
+type experiment struct {
+	name  string
+	flags string
+	run   func(w io.Writer, p params) error
+}
+
+// show adapts a function returning one printable result.
+func show(f func(p params) (fmt.Stringer, error)) func(io.Writer, params) error {
+	return func(w io.Writer, p params) error {
+		res, err := f(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, res)
+		return nil
+	}
+}
+
+// then runs two steps in order.
+func then(a, b func(io.Writer, params) error) func(io.Writer, params) error {
+	return func(w io.Writer, p params) error {
+		if err := a(w, p); err != nil {
+			return err
+		}
+		return b(w, p)
+	}
+}
+
+// decide prints the planner's candidate table for the workload.
+var decide = show(func(p params) (fmt.Stringer, error) {
+	return experiments.Decide(p.profile, p.dataBytes, autoplan.Objective{})
+})
+
+// table1 prints Table 1; with -auto it adds the auto-planned row and is
+// preceded by the decision table that row was chosen from.
+func table1(w io.Writer, p params) error {
+	measure := experiments.Table1
+	if p.auto {
+		if err := decide(w, p); err != nil {
+			return err
+		}
+		measure = experiments.Table1Auto
+	}
+	res, err := measure(p.profile, p.dataBytes, p.workers)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, res)
+	if p.trace {
+		fmt.Fprintln(w, res.StageTrace())
+	}
+	return nil
+}
+
+// autoplanName is the one entry `all` treats specially (see runAll).
+const autoplanName = "autoplan"
+
+var table = []experiment{
+	{"table1", "[-data 3.5] [-workers 8] [-trace] [-auto]", table1},
+	{"threeway", "[-data 3.5] [-workers 8]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.ThreeWay(p.profile, p.dataBytes, p.workers)
+	})},
+	{"workersweep", "[-data 3.5]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.WorkerSweep(p.profile, p.dataBytes, []int{1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128})
+	})},
+	{"sizesweep", "[-workers 8]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.SizeSweep(p.profile, []int64{500e6, 1000e6, 2000e6, 3500e6, 8000e6, 16000e6}, p.workers)
+	})},
+	{"compression", "", show(func(params) (fmt.Stringer, error) {
+		return experiments.Compression([]int{10000, 100000, 1000000}, 42)
+	})},
+	{"throttle", "", show(func(p params) (fmt.Stringer, error) {
+		return experiments.StoreThrottle(p.profile, []int{1, 4, 16, 64, 256}, 200)
+	})},
+	{"faults", "[-data 3.5] [-workers 8]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.FaultTolerance(p.profile, p.dataBytes, p.workers, []float64{0, 0.02, 0.05, 0.10})
+	})},
+	{"hierarchy", "[-data 3.5]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.HierarchySweep(p.profile, p.dataBytes, []int{8, 16, 32, 64, 128, 192})
+	})},
+	{"memsweep", "[-data 3.5] [-workers 8]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.MemorySweep(p.profile, p.dataBytes, p.workers, []int{512, 1024, 2048, 3072, 4096})
+	})},
+	{"costs", "[-data 3.5] [-workers 8]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.CostBreakdown(p.profile, p.dataBytes, p.workers, []experiments.StrategyKind{
+			experiments.PurelyServerless, experiments.VMSupported,
+			experiments.CacheSupported, experiments.CacheSupportedWarm,
+		})
+	})},
+	{"planner", "", show(func(p params) (fmt.Stringer, error) {
+		return experiments.PlannerRegret(p.profile, []int64{500e6, 1000e6, 2000e6, 3500e6, 8000e6}, nil)
+	})},
+	{"multijob", "[-data 3.5] [-jobs 3]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.MultiJob(p.profile, p.dataBytes, p.jobs)
+	})},
+	{"gateway", "[-tenants 100] [-submissions 10000]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.Gateway(p.profile, p.tenants, p.submissions)
+	})},
+	{"gatewayscale", "[-tenants 10000] [-submissions 100000]", show(func(p params) (fmt.Stringer, error) {
+		return experiments.GatewayScale(p.profile, p.tenants, p.submissions)
+	})},
+	{"chaos", "[-data 3.5] [-workers 8]", then(
+		show(func(p params) (fmt.Stringer, error) {
+			return experiments.ChaosMatrix(p.profile, p.dataBytes, p.workers)
+		}),
+		show(func(p params) (fmt.Stringer, error) {
+			return experiments.SpotDecisionFlip(p.profile, p.dataBytes, nil)
+		}))},
+	{"zonechaos", "[-data 3.5] [-workers 8] [-seed 7]", then(
+		show(func(p params) (fmt.Stringer, error) {
+			return experiments.ZoneChaos(p.profile, p.dataBytes, p.workers, p.seed)
+		}),
+		show(func(p params) (fmt.Stringer, error) {
+			return experiments.ZonePlacementFlip(p.profile, p.dataBytes, nil)
+		}))},
+	// `table1 -auto` under its own name: the decision table plus the
+	// measured comparison it predicts.
+	{autoplanName, "[-data 3.5] [-workers 8] [-trace]", func(w io.Writer, p params) error {
+		p.auto = true
+		return table1(w, p)
+	}},
+}
+
+// runAll runs the table in order, a blank line after each step. The
+// autoplan step is the decision table only: table1 already ran the
+// measured rows (with -auto it ran the whole autoplan experiment,
+// decision table included), so re-running them would re-simulate the
+// most expensive part of the sweep.
+func runAll(w io.Writer, p params) error {
+	for _, e := range table {
+		run := e.run
+		if e.name == autoplanName {
+			if p.auto {
+				continue
+			}
+			run = decide
+		}
+		if err := run(w, p); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func run(w io.Writer, name string, p params) error {
+	if name == "all" {
+		return runAll(w, p)
+	}
+	for _, e := range table {
+		if e.name == name {
+			return e.run(w, p)
+		}
+	}
+	return fmt.Errorf("unknown experiment %q", name)
+}
 
 func main() {
 	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
@@ -67,23 +204,33 @@ func main() {
 // cli is main without the process: it parses args, runs the experiment
 // writing its tables to stdout, and returns the exit code.
 func cli(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
 	fs := flag.NewFlagSet("faasbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "table1",
-			"one of: table1, threeway, workersweep, sizesweep, compression, throttle, faults, hierarchy, memsweep, costs, planner, autoplan, multijob, gateway, gatewayscale, chaos, zonechaos, all")
+		name        = fs.String("experiment", "table1", "one of: "+strings.Join(names, ", ")+", all")
 		dataGB      = fs.Float64("data", 3.5, "dataset size in GB")
 		workers     = fs.Int("workers", 8, "parallelism degree")
 		seed        = fs.Int64("seed", 7, "arrival seed for the zonechaos Poisson soaks")
 		jobs        = fs.Int("jobs", 3, "submission count for the multijob experiment")
 		tenants     = fs.Int("tenants", 0, "tenant count for the gateway experiments (0: per-experiment default)")
 		submissions = fs.Int("submissions", 0, "open-loop submission count for the gateway experiments (0: per-experiment default)")
-		trace       = fs.Bool("trace", false, "print per-stage timelines (table1)")
-		auto        = fs.Bool("auto", false,
-			"engage the auto-planner: print its decision table and add the auto-planned row to table1")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
+		trace       = fs.Bool("trace", false, "print per-stage timelines (table1, autoplan)")
+		auto        = fs.Bool("auto", false, "engage the auto-planner: print its decision table and add the auto-planned row to table1")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage:")
+		for _, e := range table {
+			fmt.Fprintf(stderr, "  faasbench -experiment %s %s\n", e.name, e.flags)
+		}
+		fmt.Fprintln(stderr, "  faasbench -experiment all\n\nFlags:")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -103,7 +250,11 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(stdout, *experiment, *dataGB, *workers, *jobs, *tenants, *submissions, *seed, *trace, *auto)
+	err := run(stdout, *name, params{
+		profile: calib.Paper(), dataBytes: int64(*dataGB * 1e9),
+		workers: *workers, jobs: *jobs, tenants: *tenants, submissions: *submissions,
+		seed: *seed, trace: *trace, auto: *auto,
+	})
 	// A failed experiment's profile is often the one worth reading, so
 	// the heap profile is written either way.
 	if perr := writeMemProfile(*memprofile); perr != nil {
@@ -133,244 +284,4 @@ func writeMemProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func run(w io.Writer, experiment string, dataGB float64, workers, jobs, tenants, submissions int, seed int64, trace, auto bool) error {
-	profile := calib.Paper()
-	dataBytes := int64(dataGB * 1e9)
-
-	decide := func() error {
-		dec, err := experiments.Decide(profile, dataBytes, autoplan.Objective{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, dec)
-		return nil
-	}
-	autoplanFn := func() error {
-		if err := decide(); err != nil {
-			return err
-		}
-		res, err := experiments.Table1Auto(profile, dataBytes, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		if trace {
-			fmt.Fprintln(w, res.StageTrace())
-		}
-		return nil
-	}
-	table1 := func() error {
-		if auto {
-			// `faasbench -auto`: the decision table plus the measured
-			// comparison it predicts (trace still honored).
-			return autoplanFn()
-		}
-		res, err := experiments.Table1(profile, dataBytes, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		if trace {
-			fmt.Fprintln(w, res.StageTrace())
-		}
-		return nil
-	}
-	threeway := func() error {
-		res, err := experiments.ThreeWay(profile, dataBytes, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	workersweep := func() error {
-		res, err := experiments.WorkerSweep(profile, dataBytes,
-			[]int{1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	sizesweep := func() error {
-		res, err := experiments.SizeSweep(profile,
-			[]int64{500e6, 1000e6, 2000e6, 3500e6, 8000e6, 16000e6}, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	compression := func() error {
-		res, err := experiments.Compression([]int{10000, 100000, 1000000}, 42)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	throttle := func() error {
-		res, err := experiments.StoreThrottle(profile, []int{1, 4, 16, 64, 256}, 200)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	faults := func() error {
-		res, err := experiments.FaultTolerance(profile, dataBytes, workers,
-			[]float64{0, 0.02, 0.05, 0.10})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	hierarchy := func() error {
-		res, err := experiments.HierarchySweep(profile, dataBytes,
-			[]int{8, 16, 32, 64, 128, 192})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	memsweep := func() error {
-		res, err := experiments.MemorySweep(profile, dataBytes, workers,
-			[]int{512, 1024, 2048, 3072, 4096})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	planner := func() error {
-		res, err := experiments.PlannerRegret(profile,
-			[]int64{500e6, 1000e6, 2000e6, 3500e6, 8000e6}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	costs := func() error {
-		res, err := experiments.CostBreakdown(profile, dataBytes, workers,
-			[]experiments.StrategyKind{
-				experiments.PurelyServerless, experiments.VMSupported,
-				experiments.CacheSupported, experiments.CacheSupportedWarm,
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	multijob := func() error {
-		res, err := experiments.MultiJob(profile, dataBytes, jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	gatewayFn := func() error {
-		res, err := experiments.Gateway(profile, tenants, submissions)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	gatewayScaleFn := func() error {
-		res, err := experiments.GatewayScale(profile, tenants, submissions)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		return nil
-	}
-	chaosFn := func() error {
-		res, err := experiments.ChaosMatrix(profile, dataBytes, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		flip, err := experiments.SpotDecisionFlip(profile, dataBytes, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, flip)
-		return nil
-	}
-	zoneChaosFn := func() error {
-		res, err := experiments.ZoneChaos(profile, dataBytes, workers, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res)
-		flip, err := experiments.ZonePlacementFlip(profile, dataBytes, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, flip)
-		return nil
-	}
-
-	switch experiment {
-	case "table1":
-		return table1()
-	case "threeway":
-		return threeway()
-	case "workersweep":
-		return workersweep()
-	case "sizesweep":
-		return sizesweep()
-	case "compression":
-		return compression()
-	case "throttle":
-		return throttle()
-	case "faults":
-		return faults()
-	case "hierarchy":
-		return hierarchy()
-	case "memsweep":
-		return memsweep()
-	case "costs":
-		return costs()
-	case "planner":
-		return planner()
-	case "autoplan":
-		return autoplanFn()
-	case "multijob":
-		return multijob()
-	case "gateway":
-		return gatewayFn()
-	case "gatewayscale":
-		return gatewayScaleFn()
-	case "chaos":
-		return chaosFn()
-	case "zonechaos":
-		return zoneChaosFn()
-	case "all":
-		// The trailing autoplan step is the decision table only: table1
-		// already ran the measured rows (with -auto it runs the full
-		// autoplan experiment, decision table included), so re-running
-		// Table1Auto here would re-simulate the most expensive part of
-		// the sweep.
-		steps := []func() error{table1, threeway, workersweep, sizesweep, compression, throttle, faults, hierarchy, memsweep, costs, planner, multijob, gatewayFn, gatewayScaleFn, chaosFn, zoneChaosFn}
-		if !auto {
-			steps = append(steps, decide)
-		}
-		for _, fn := range steps {
-			if err := fn(); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
-	}
 }
