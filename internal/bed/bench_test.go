@@ -8,7 +8,7 @@ import (
 // The data-plane benchmarks run over one workload (20k generated
 // records, seed 11 — the same fixture the shuffle package's benchmarks
 // use). The legacy twins they were first measured against are retired;
-// their numbers are in EXPERIMENTS.md and BENCH_3..10.json.
+// their numbers are in EXPERIMENTS.md (and `git show 80bdab0:BENCH_10.json`).
 
 func benchRecords() []Record {
 	return Generate(GenConfig{Records: 20000, Seed: 11, Sorted: false})

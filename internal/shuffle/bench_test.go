@@ -12,7 +12,7 @@ import (
 // chunk-fed line feeder, the per-partition sort, the streamed k-way
 // merge and merge-split — on fixed workloads (20k records, seed 11, 8
 // reducers). The string-keyed and whole-buffer twins they were measured
-// against are retired; their numbers are in BENCH_3..10.json.
+// against are retired; their numbers are in `git show 80bdab0:BENCH_10.json`.
 
 func benchRecords() []bed.Record {
 	return bed.Generate(bed.GenConfig{Records: 20000, Seed: 11, Sorted: false})
