@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 )
@@ -40,29 +39,6 @@ func Load(r io.Reader) (State, error) {
 		return State{}, fmt.Errorf("calib: load state: %w", err)
 	}
 	return st, nil
-}
-
-// SaveFile persists the state to path (0644, truncating).
-func SaveFile(path string, st State) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("calib: save state: %w", err)
-	}
-	if err := Save(f, st); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a state file written by SaveFile.
-func LoadFile(path string) (State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return State{}, fmt.Errorf("calib: load state: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Rig builds the simulated cloud from the saved state, seeding the

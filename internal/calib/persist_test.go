@@ -3,7 +3,6 @@ package calib
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -80,13 +79,13 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 func TestStateFileRoundTripAndRig(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "session.json")
-	if err := SaveFile(path, State{Profile: Local(), History: seededHistory()}); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	var buf bytes.Buffer
+	if err := Save(&buf, State{Profile: Local(), History: seededHistory()}); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	st, err := LoadFile(path)
+	st, err := Load(&buf)
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	rig, err := st.Rig()
 	if err != nil {

@@ -54,19 +54,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	}
 }
 
-// TryAcquire acquires n units if immediately available, reporting
-// whether it did.
-func (r *Resource) TryAcquire(n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and admits queued requesters in FIFO order.
 func (r *Resource) Release(n int64) {
 	if n <= 0 {
@@ -91,19 +78,3 @@ func (r *Resource) dispatch() {
 		head.p.Wake()
 	}
 }
-
-// Mutex is a Resource of capacity one with a friendlier name.
-type Mutex struct {
-	r *Resource
-}
-
-// NewMutex returns an unlocked mutex bound to s.
-func NewMutex(s *Sim) *Mutex {
-	return &Mutex{r: NewResource(s, 1)}
-}
-
-// Lock blocks p until the mutex is held.
-func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p, 1) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.r.Release(1) }

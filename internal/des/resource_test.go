@@ -105,27 +105,6 @@ func TestResourceConcurrencyCeiling(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	s := New(1)
-	r := NewResource(s, 2)
-	s.Spawn("t", func(p *Proc) {
-		if !r.TryAcquire(2) {
-			t.Error("TryAcquire(2) on empty resource = false")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire(1) on full resource = true")
-		}
-		r.Release(2)
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire(1) after release = false")
-		}
-		r.Release(1)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestResourceOverCapacityPanics(t *testing.T) {
 	s := New(1)
 	r := NewResource(s, 1)
@@ -159,21 +138,22 @@ func TestResourceAccounting(t *testing.T) {
 	}
 }
 
+// A capacity-one resource is the kernel's mutex.
 func TestMutexMutualExclusion(t *testing.T) {
 	s := New(1)
-	m := NewMutex(s)
+	m := NewResource(s, 1)
 	inside := 0
 	violations := 0
 	for i := 0; i < 8; i++ {
 		s.Spawn(fmt.Sprintf("m%d", i), func(p *Proc) {
-			m.Lock(p)
+			m.Acquire(p, 1)
 			inside++
 			if inside > 1 {
 				violations++
 			}
 			p.Sleep(time.Second)
 			inside--
-			m.Unlock()
+			m.Release(1)
 		})
 	}
 	if err := s.Run(); err != nil {

@@ -193,10 +193,6 @@ func (s *Sim) Fired() int64 { return s.fired }
 // Pending reports the number of live (not canceled) events on the heap.
 func (s *Sim) Pending() int { return len(s.heap) - s.canceled }
 
-// RNG returns the simulation-owned random source. It must only be used
-// from process context (or before Run), like all other Sim state.
-func (s *Sim) RNG() *rand.Rand { return s.rng }
-
 // Schedule registers fn to fire at virtual time at (clamped to now if
 // in the past) and returns a cancelable handle. Steady-state calls are
 // allocation-free: the heap entry is inline and the event slot comes

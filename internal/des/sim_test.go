@@ -326,8 +326,13 @@ func TestRNGDeterminism(t *testing.T) {
 	draw := func(seed int64) []int64 {
 		s := New(seed)
 		out := make([]int64, 5)
-		for i := range out {
-			out[i] = s.RNG().Int63()
+		s.Spawn("draw", func(p *Proc) {
+			for i := range out {
+				out[i] = p.Rand().Int63()
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
 		return out
 	}

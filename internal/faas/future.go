@@ -52,19 +52,3 @@ func (f *Future) Wait(p *des.Proc) (any, error) {
 	}
 	return f.out, f.err
 }
-
-// WaitAll waits on every future in order, returning outputs and the
-// first error encountered (without stopping the remaining waits, so
-// all work is joined before returning).
-func WaitAll(p *des.Proc, futs []*Future) ([]any, error) {
-	outs := make([]any, len(futs))
-	var firstErr error
-	for i, f := range futs {
-		out, err := f.Wait(p)
-		outs[i] = out
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return outs, firstErr
-}

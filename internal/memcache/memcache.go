@@ -523,22 +523,6 @@ func (c *Cluster) Delete(p *des.Proc, key string) error {
 	return nil
 }
 
-// Exists reports whether a key is present, without transferring it.
-func (c *Cluster) Exists(p *des.Proc, key string) (bool, error) {
-	n := c.nodeFor(key)
-	if err := c.admit(p, n); err != nil {
-		return false, err
-	}
-	c.metrics.GetOps++
-	_, ok := n.items[key]
-	if ok {
-		c.metrics.Hits++
-	} else {
-		c.metrics.Misses++
-	}
-	return ok, nil
-}
-
 // NodesForCapacity returns the smallest cluster size whose total
 // capacity holds dataBytes with the given headroom factor (>= 1).
 func NodesForCapacity(cfg Config, dataBytes int64, headroom float64) int {

@@ -143,22 +143,6 @@ func TestDeleteIdempotent(t *testing.T) {
 	})
 }
 
-func TestExists(t *testing.T) {
-	rig(t, fastConfig(), 2, func(p *des.Proc, c *Cluster) {
-		if err := c.Set(p, "k", payload.Sized(10)); err != nil {
-			t.Fatalf("Set: %v", err)
-		}
-		ok, err := c.Exists(p, "k")
-		if err != nil || !ok {
-			t.Errorf("Exists(k) = %v, %v; want true, nil", ok, err)
-		}
-		ok, err = c.Exists(p, "nope")
-		if err != nil || ok {
-			t.Errorf("Exists(nope) = %v, %v; want false, nil", ok, err)
-		}
-	})
-}
-
 func TestReplaceReleasesSpace(t *testing.T) {
 	cfg := fastConfig()
 	cfg.NodeMemoryBytes = 1000
@@ -285,9 +269,6 @@ func TestStoppedClusterRejectsOps(t *testing.T) {
 		}
 		if err := c.Delete(p, "k"); !errors.Is(err, ErrStopped) {
 			t.Errorf("Delete on stopped err = %v, want ErrStopped", err)
-		}
-		if _, err := c.Exists(p, "k"); !errors.Is(err, ErrStopped) {
-			t.Errorf("Exists on stopped err = %v, want ErrStopped", err)
 		}
 	})
 }
@@ -557,7 +538,6 @@ func TestKillNodeFailsItsShardOnly(t *testing.T) {
 		for _, op := range []func() error{
 			func() error { _, err := c.Get(p, byNode[victim]); return err },
 			func() error { return c.Set(p, byNode[victim], payload.Sized(1)) },
-			func() error { _, err := c.Exists(p, byNode[victim]); return err },
 			func() error { return c.Delete(p, byNode[victim]) },
 		} {
 			if err := op(); !errors.Is(err, ErrNodeDown) {

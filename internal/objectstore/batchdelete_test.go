@@ -83,43 +83,3 @@ func TestDeleteBatchOneLatency(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 }
-
-func TestPurgePrefix(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		for i := 0; i < 2500; i++ {
-			if err := c.Put(p, "b", fmt.Sprintf("scratch/m%04d", i), payload.Sized(1)); err != nil {
-				t.Fatalf("put: %v", err)
-			}
-		}
-		_ = c.Put(p, "b", "keep/me", payload.Sized(1))
-		removed, err := c.PurgePrefix(p, "b", "scratch/")
-		if err != nil {
-			t.Fatalf("PurgePrefix: %v", err)
-		}
-		if removed != 2500 {
-			t.Fatalf("removed = %d, want 2500 (multi-page)", removed)
-		}
-		left, err := c.ListAll(p, "b", "")
-		if err != nil {
-			t.Fatalf("list: %v", err)
-		}
-		if len(left) != 1 || left[0] != "keep/me" {
-			t.Fatalf("left = %v", left)
-		}
-	})
-}
-
-func TestPurgePrefixEmpty(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		removed, err := c.PurgePrefix(p, "b", "nothing/")
-		if err != nil || removed != 0 {
-			t.Fatalf("PurgePrefix empty = %d, %v", removed, err)
-		}
-	})
-}

@@ -130,35 +130,6 @@ func (c *Client) DeleteBatch(p *des.Proc, bkt string, keys []string) error {
 	return c.retry(p, func() error { return c.svc.DeleteBatch(p, bkt, keys) })
 }
 
-// PurgePrefix deletes every object under prefix, paging through the
-// listing and batch-deleting each page. It returns the number of keys
-// removed — the lifecycle reaper a pipeline runs over its scratch
-// space.
-func (c *Client) PurgePrefix(p *des.Proc, bkt, prefix string) (int, error) {
-	removed := 0
-	for {
-		var page ListPage
-		err := c.retry(p, func() error {
-			var err error
-			page, err = c.svc.List(p, bkt, prefix, "", 0)
-			return err
-		})
-		if err != nil {
-			return removed, err
-		}
-		if len(page.Keys) == 0 {
-			return removed, nil
-		}
-		if err := c.DeleteBatch(p, bkt, page.Keys); err != nil {
-			return removed, err
-		}
-		removed += len(page.Keys)
-		if !page.Truncated {
-			return removed, nil
-		}
-	}
-}
-
 // ListAll drains every page of a prefix listing.
 func (c *Client) ListAll(p *des.Proc, bkt, prefix string) ([]string, error) {
 	var all []string

@@ -10,8 +10,6 @@ var (
 	ErrNoSuchBucket = errors.New("objectstore: no such bucket")
 	// ErrBucketExists is returned when creating a bucket that exists.
 	ErrBucketExists = errors.New("objectstore: bucket already exists")
-	// ErrBucketNotEmpty is returned when deleting a non-empty bucket.
-	ErrBucketNotEmpty = errors.New("objectstore: bucket not empty")
 	// ErrSlowDown is the injected throttling failure, analogous to the
 	// 503 SlowDown responses object storage services emit under load.
 	// Clients are expected to retry with backoff.

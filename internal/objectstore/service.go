@@ -186,35 +186,6 @@ func (s *Service) CreateBucket(p *des.Proc, name string) error {
 	return nil
 }
 
-// DeleteBucket removes an empty bucket.
-func (s *Service) DeleteBucket(p *des.Proc, name string) error {
-	if err := s.admitWrite(p); err != nil {
-		return err
-	}
-	b, ok := s.buckets[name]
-	if !ok {
-		return ErrNoSuchBucket
-	}
-	if len(b.objects) > 0 {
-		return ErrBucketNotEmpty
-	}
-	delete(s.buckets, name)
-	return nil
-}
-
-// ListBuckets returns bucket names in sorted order (class A).
-func (s *Service) ListBuckets(p *des.Proc) ([]string, error) {
-	if err := s.admitWrite(p); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(s.buckets))
-	for n := range s.buckets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // Put stores an object, transferring its bytes over the shared
 // backend. flowCap > 0 overrides the per-connection bandwidth ceiling
 // for this request (used to model constrained NICs).

@@ -106,24 +106,6 @@ func TestCreateBucketTwice(t *testing.T) {
 	})
 }
 
-func TestDeleteBucketSemantics(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		_ = svc.CreateBucket(p, "b")
-		_ = svc.Put(p, "b", "k", payload.Sized(1), 0)
-		if err := svc.DeleteBucket(p, "b"); !errors.Is(err, ErrBucketNotEmpty) {
-			t.Errorf("delete non-empty = %v, want ErrBucketNotEmpty", err)
-		}
-		_ = svc.Delete(p, "b", "k")
-		if err := svc.DeleteBucket(p, "b"); err != nil {
-			t.Errorf("delete empty bucket: %v", err)
-		}
-		if err := svc.DeleteBucket(p, "b"); !errors.Is(err, ErrNoSuchBucket) {
-			t.Errorf("delete absent bucket = %v, want ErrNoSuchBucket", err)
-		}
-	})
-}
-
 func TestDeleteAbsentKeySucceeds(t *testing.T) {
 	svc := newFast(t)
 	runSim(t, svc, func(p *des.Proc) {

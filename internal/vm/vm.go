@@ -433,7 +433,3 @@ func (i *Instance) StorageClient(svc *objectstore.Service, conns int) *objectsto
 	c := objectstore.NewClient(svc)
 	return c.WithFlowCap(i.itype.NICBandwidth / float64(conns))
 }
-
-// NIC returns the instance's network link, letting callers model
-// custom transfer patterns sharing the NIC fairly.
-func (i *Instance) NIC() *des.Link { return i.nic }
