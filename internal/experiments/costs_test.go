@@ -16,9 +16,10 @@ func TestCostBreakdownComponentsSumToTotal(t *testing.T) {
 		t.Fatalf("CostBreakdown: %v", err)
 	}
 	for _, row := range res.Rows {
-		sum := row.Functions + row.Storage + row.VM + row.Cache
-		if math.Abs(sum-row.Total) > 1e-9 {
-			t.Errorf("%v: components sum %.6f != total %.6f", row.Kind, sum, row.Total)
+		c := row.Components(calib.Paper().Prices)
+		sum := c.Functions + c.Storage + c.VM + c.Cache
+		if math.Abs(sum-row.CostUSD) > 1e-9 {
+			t.Errorf("%v: components sum %.6f != total %.6f", row.Kind, sum, row.CostUSD)
 		}
 	}
 }
@@ -30,9 +31,9 @@ func TestCostBreakdownAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CostBreakdown: %v", err)
 	}
-	byKind := make(map[StrategyKind]CostRow)
+	byKind := make(map[StrategyKind]CostComponents)
 	for _, row := range res.Rows {
-		byKind[row.Kind] = row
+		byKind[row.Kind] = row.Components(calib.Paper().Prices)
 	}
 	sl := byKind[PurelyServerless]
 	vm := byKind[VMSupported]

@@ -133,29 +133,45 @@ func TestSizeSweepBootAmortization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SizeSweep: %v", err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if len(res.Rows) != 2*len(sizes) {
+		t.Fatalf("rows = %d, want a (serverless, VM) pair per size", len(res.Rows))
+	}
+	// Rows come in (serverless, VM) pairs, one pair per size.
+	var serverless, vm []PipelineRun
+	for i, row := range res.Rows {
+		if want := sizes[i/2]; row.DataBytes != want {
+			t.Fatalf("row %d ran %d bytes, want %d", i, row.DataBytes, want)
+		}
+		if i%2 == 0 {
+			serverless = append(serverless, row)
+		} else {
+			vm = append(vm, row)
+		}
+	}
+	if serverless[0].Kind != PurelyServerless || vm[0].Kind != VMSupported {
+		t.Fatalf("pair order: %v, %v", serverless[0].Kind, vm[0].Kind)
 	}
 	// Latency grows with size for both strategies.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].Serverless <= res.Rows[i-1].Serverless {
+	for i := 1; i < len(sizes); i++ {
+		if serverless[i].Latency <= serverless[i-1].Latency {
 			t.Fatalf("serverless latency not increasing with size:\n%s", res)
 		}
-		if res.Rows[i].VM <= res.Rows[i-1].VM {
+		if vm[i].Latency <= vm[i-1].Latency {
 			t.Fatalf("VM latency not increasing with size:\n%s", res)
 		}
 	}
 	// The serverless advantage shrinks as the VM boot amortizes.
-	first := res.Rows[0].VM.Seconds() / res.Rows[0].Serverless.Seconds()
-	last := res.Rows[len(res.Rows)-1].VM.Seconds() / res.Rows[len(res.Rows)-1].Serverless.Seconds()
-	if last >= first {
+	last := len(sizes) - 1
+	first := vm[0].Latency.Seconds() / serverless[0].Latency.Seconds()
+	final := vm[last].Latency.Seconds() / serverless[last].Latency.Seconds()
+	if final >= first {
 		t.Fatalf("speedup grew with size (%.2fx -> %.2fx); boot not amortizing:\n%s",
-			first, last, res)
+			first, final, res)
 	}
 	// Serverless stays ahead across the sweep in this regime.
-	for _, row := range res.Rows {
-		if row.Serverless >= row.VM {
-			t.Fatalf("serverless lost at %.1f GB:\n%s", float64(row.Bytes)/1e9, res)
+	for i := range sizes {
+		if serverless[i].Latency >= vm[i].Latency {
+			t.Fatalf("serverless lost at %.1f GB:\n%s", float64(sizes[i])/1e9, res)
 		}
 	}
 }
