@@ -311,35 +311,27 @@ func (r PlannerResult) String() string {
 	return b.String()
 }
 
-// FaultPolicy names a mitigation configuration for the fault
-// experiment.
-type FaultPolicy int
+// faultPolicy is one mitigation ladder of the fault experiment.
+type faultPolicy struct {
+	name       string
+	maxRetries int
+	speculate  bool
+}
 
-// The mitigation ladders of the fault experiment.
-const (
-	NoMitigation FaultPolicy = iota + 1
-	WithRetries
-	WithRetriesAndSpeculation
-)
-
-func (p FaultPolicy) String() string {
-	switch p {
-	case NoMitigation:
-		return "none"
-	case WithRetries:
-		return "retries"
-	case WithRetriesAndSpeculation:
-		return "retries+speculation"
-	default:
-		return fmt.Sprintf("FaultPolicy(%d)", int(p))
-	}
+var faultPolicies = []faultPolicy{
+	{name: "none"},
+	{name: "retries", maxRetries: 6},
+	{name: "retries+speculation", maxRetries: 6, speculate: true},
 }
 
 // FaultRow is one cell of the fault-sensitivity matrix.
 type FaultRow struct {
 	FailureRate float64
-	Policy      FaultPolicy
-	// Succeeded reports whether the shuffle completed.
+	// Policy names the mitigation ladder.
+	Policy string
+	// Succeeded reports whether the shuffle completed; an abort
+	// (retries exhausted or no mitigation) is a measurement, not an
+	// error.
 	Succeeded bool
 	// Latency is the shuffle makespan when it succeeded.
 	Latency time.Duration
@@ -366,40 +358,29 @@ type FaultResult struct {
 func FaultTolerance(profile calib.Profile, dataBytes int64, workers int, failureRates []float64) (FaultResult, error) {
 	dataBytes, workers = paperScale(dataBytes, workers)
 	res := FaultResult{DataBytes: dataBytes, Workers: workers, StragglerRate: 0.15}
+	profile.Faas.StragglerRate = res.StragglerRate
+	profile.Faas.StragglerSlowdown = 4
 	for _, rate := range failureRates {
-		for _, policy := range []FaultPolicy{NoMitigation, WithRetries, WithRetriesAndSpeculation} {
-			row, err := measureFaultyShuffle(profile, dataBytes, workers, rate, res.StragglerRate, policy)
+		profile.Faas.FailureRate = rate
+		for _, policy := range faultPolicies {
+			m, err := measureSort(profile, dataBytes, sortOnly{
+				workers: workers, maxRetries: policy.maxRetries, speculate: policy.speculate,
+			})
 			if err != nil {
-				return res, fmt.Errorf("experiments: fault rate=%g policy=%v: %w", rate, policy, err)
+				return res, fmt.Errorf("experiments: fault rate=%g policy=%s: %w", rate, policy.name, err)
 			}
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, FaultRow{
+				FailureRate:    rate,
+				Policy:         policy.name,
+				Succeeded:      m.sortErr == nil,
+				Latency:        m.latency,
+				Retries:        m.meter.Retries,
+				FailedAttempts: m.meter.FailedAttempts,
+				Stragglers:     m.meter.Stragglers,
+			})
 		}
 	}
 	return res, nil
-}
-
-// measureFaultyShuffle runs one shuffle under injected faults. A
-// shuffle abort (retries exhausted or no mitigation) is a measurement,
-// not an error: the row reports Succeeded=false.
-func measureFaultyShuffle(profile calib.Profile, dataBytes int64, workers int, failureRate, stragglerRate float64, policy FaultPolicy) (FaultRow, error) {
-	profile.Faas.FailureRate = failureRate
-	profile.Faas.StragglerRate = stragglerRate
-	profile.Faas.StragglerSlowdown = 4
-	so := sortOnly{workers: workers}
-	if policy != NoMitigation {
-		so.maxRetries = 6
-		so.speculate = policy == WithRetriesAndSpeculation
-	}
-	m, err := measureSort(profile, dataBytes, so)
-	return FaultRow{
-		FailureRate:    failureRate,
-		Policy:         policy,
-		Succeeded:      m.sortErr == nil,
-		Latency:        m.latency,
-		Retries:        m.meter.Retries,
-		FailedAttempts: m.meter.FailedAttempts,
-		Stragglers:     m.meter.Stragglers,
-	}, err
 }
 
 // String renders the fault matrix.
