@@ -210,19 +210,19 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("faasbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		name        = fs.String("experiment", "table1", "one of: "+strings.Join(names, ", ")+", all")
-		dataGB      = fs.Float64("data", 3.5, "dataset size in GB")
-		workers     = fs.Int("workers", 8, "parallelism degree")
-		seed        = fs.Int64("seed", 7, "arrival seed for the zonechaos Poisson soaks")
-		jobs        = fs.Int("jobs", 3, "submission count for the multijob experiment")
-		tenants     = fs.Int("tenants", 0, "tenant count for the gateway experiments (0: per-experiment default)")
-		submissions = fs.Int("submissions", 0, "open-loop submission count for the gateway experiments (0: per-experiment default)")
-		trace       = fs.Bool("trace", false, "print per-stage timelines (table1, autoplan)")
-		auto        = fs.Bool("auto", false, "engage the auto-planner: print its decision table and add the auto-planned row to table1")
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
-		memprofile  = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
-	)
+	p := params{profile: calib.Paper()}
+	var dataGB float64
+	name := fs.String("experiment", "table1", "one of: "+strings.Join(names, ", ")+", all")
+	fs.Float64Var(&dataGB, "data", 3.5, "dataset size in GB")
+	fs.IntVar(&p.workers, "workers", 8, "parallelism degree")
+	fs.Int64Var(&p.seed, "seed", 7, "arrival seed for the zonechaos Poisson soaks")
+	fs.IntVar(&p.jobs, "jobs", 3, "submission count for the multijob experiment")
+	fs.IntVar(&p.tenants, "tenants", 0, "tenant count for the gateway experiments (0: per-experiment default)")
+	fs.IntVar(&p.submissions, "submissions", 0, "open-loop submission count for the gateway experiments (0: per-experiment default)")
+	fs.BoolVar(&p.trace, "trace", false, "print per-stage timelines (table1, autoplan)")
+	fs.BoolVar(&p.auto, "auto", false, "engage the auto-planner: print its decision table and add the auto-planned row to table1")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "Usage:")
 		for _, e := range table {
@@ -250,11 +250,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(stdout, *name, params{
-		profile: calib.Paper(), dataBytes: int64(*dataGB * 1e9),
-		workers: *workers, jobs: *jobs, tenants: *tenants, submissions: *submissions,
-		seed: *seed, trace: *trace, auto: *auto,
-	})
+	p.dataBytes = int64(dataGB * 1e9)
+	err := run(stdout, *name, p)
 	// A failed experiment's profile is often the one worth reading, so
 	// the heap profile is written either way.
 	if perr := writeMemProfile(*memprofile); perr != nil {

@@ -63,16 +63,6 @@ type sortWindow struct {
 	start, end time.Duration
 }
 
-// FallbackSlabs counts the slabs the run rerouted through object
-// storage after losing cache capacity.
-func (r PipelineRun) FallbackSlabs() int {
-	var n int
-	for _, sr := range r.Report.Stages {
-		n += sr.FallbackSlabs
-	}
-	return n
-}
-
 // planFunc builds one cell's fault plan, timed off the strategy's own
 // fault-free sort window: the simulation is deterministic, so the
 // faulted run follows the baseline's trajectory exactly until an event
@@ -218,11 +208,7 @@ func poissonSoak(preempt, cacheKill, brownout, outage float64) planFunc {
 
 // instanceBoot looks up the profile's pinned instance boot time.
 func instanceBoot(profile calib.Profile) time.Duration {
-	types := profile.VMTypes
-	if len(types) == 0 {
-		types = vm.Catalog()
-	}
-	for _, it := range types {
+	for _, it := range calib.PlanEnv(profile).VMTypes {
 		if it.Name == profile.InstanceType {
 			return it.BootTime
 		}

@@ -153,13 +153,7 @@ func runPipeline(profile calib.Profile, spec pipelineSpec) (PipelineRun, error) 
 			})
 		},
 		Prepare: func(p *des.Proc, rig *calib.Rig) error {
-			c := objectstore.NewClient(rig.Store)
-			for _, b := range []string{"data", "work"} {
-				if err := c.CreateBucket(p, b); err != nil {
-					return err
-				}
-			}
-			return c.Put(p, "data", "sample.bed", payload.Sized(spec.dataBytes))
+			return stageInput(p, rig.Store, "sample.bed", spec.dataBytes)
 		},
 	})
 	if rep == nil {
@@ -182,6 +176,28 @@ func runPipeline(profile calib.Profile, spec pipelineSpec) (PipelineRun, error) 
 		run.Fired = armed.Fired()
 	}
 	return run, nil
+}
+
+// stageInput creates the data and work buckets every runner reads from
+// and writes to, and uploads a sized input object of dataBytes.
+func stageInput(p *des.Proc, store *objectstore.Service, key string, dataBytes int64) error {
+	c := objectstore.NewClient(store)
+	for _, b := range []string{"data", "work"} {
+		if err := c.CreateBucket(p, b); err != nil {
+			return err
+		}
+	}
+	return c.Put(p, "data", key, payload.Sized(dataBytes))
+}
+
+// FallbackSlabs counts the slabs the run rerouted through object
+// storage after losing cache capacity.
+func (r PipelineRun) FallbackSlabs() int {
+	var n int
+	for _, sr := range r.Report.Stages {
+		n += sr.FallbackSlabs
+	}
+	return n
 }
 
 // RunPipeline executes the pipeline once, fault-free on on-demand

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
@@ -85,8 +83,8 @@ type sortMeasurement struct {
 	meter faas.Meter
 }
 
-// measureSort is the one sort-only runner: a fresh rig, the two
-// buckets, a sized input object, and one timed sort.
+// measureSort is the one sort-only runner: a fresh rig, the staged
+// input, and one timed sort.
 func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasurement, error) {
 	var m sortMeasurement
 	rig, err := calib.NewRig(profile)
@@ -105,13 +103,7 @@ func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasu
 	}
 	var setupErr error
 	rig.Sim.Spawn("sort", func(p *des.Proc) {
-		c := objectstore.NewClient(rig.Store)
-		for _, b := range []string{"data", "work"} {
-			if setupErr = c.CreateBucket(p, b); setupErr != nil {
-				return
-			}
-		}
-		if setupErr = c.Put(p, "data", "in", payload.Sized(dataBytes)); setupErr != nil {
+		if setupErr = stageInput(p, rig.Store, "in", dataBytes); setupErr != nil {
 			return
 		}
 		start := p.Now()
