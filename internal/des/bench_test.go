@@ -160,3 +160,67 @@ func BenchmarkDESLinkTransfer(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDESSpawn measures a burst of spawns, the harness's
+// des.spawn_ns probe: one process spawns b.N children before any of
+// them runs, so every child is alive at once and none can reuse
+// another's goroutine; each then runs to completion.
+func BenchmarkDESSpawn(b *testing.B) {
+	s := New(1)
+	s.Spawn("parent", func(p *Proc) {
+		wg := NewWaitGroup(s)
+		for i := 0; i < b.N; i++ {
+			wg.Add(1)
+			p.Spawn("child", func(*Proc) { wg.Done() })
+		}
+		wg.Wait(p)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkDESSpawnChurn measures the gateway's shape: one short-lived
+// process per spaced arrival (service time four gaps, so a handful are
+// alive at any instant), each finishing before most of the later ones
+// start.
+func BenchmarkDESSpawnChurn(b *testing.B) {
+	s := New(1)
+	served := 0
+	s.Spawn("arrivals", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Spawn("job", func(j *Proc) {
+				j.Sleep(4 * time.Millisecond)
+				served++
+			})
+			p.Sleep(time.Millisecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if served != b.N {
+		b.Fatalf("served %d of %d", served, b.N)
+	}
+}
+
+// BenchmarkDESSleepSelf measures a lone process sleeping in a loop:
+// its own wake is always the next event, so it fires it itself.
+func BenchmarkDESSleepSelf(b *testing.B) {
+	s := New(1)
+	s.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -55,6 +55,7 @@ func TestZeroEventIsInert(t *testing.T) {
 // (A pop-then-check loop would silently drop the first event past each
 // horizon; the kernel peeks before popping.)
 func TestRunUntilResumes(t *testing.T) {
+	leaks := leakCheck(t)
 	s := New(1)
 	var fired []time.Duration
 	for _, at := range []time.Duration{time.Second, time.Minute, time.Hour} {
@@ -82,6 +83,7 @@ func TestRunUntilResumes(t *testing.T) {
 	if s.Now() != time.Hour {
 		t.Fatalf("Now = %v, want 1h", s.Now())
 	}
+	leaks(s)
 }
 
 // runWithWatchdog runs fn, failing the test after a wall-clock timeout
@@ -107,6 +109,7 @@ func runWithWatchdog(t *testing.T, fn func() error) error {
 // did, its activate() would block forever sending to a goroutine that
 // no longer exists. Bare events past the horizon must still resume.
 func TestRunUntilResumesPastKilledSleeper(t *testing.T) {
+	leaks := leakCheck(t)
 	s := New(1)
 	var awoke, lateFired bool
 	s.Spawn("sleeper", func(p *Proc) {
@@ -117,6 +120,7 @@ func TestRunUntilResumesPastKilledSleeper(t *testing.T) {
 	if err := s.RunUntil(5 * time.Second); !errors.Is(err, ErrSimLimit) {
 		t.Fatalf("RunUntil(5s) = %v, want ErrSimLimit", err)
 	}
+	leaks(s)
 	if err := runWithWatchdog(t, s.Run); err != nil {
 		t.Fatalf("resumed Run: %v", err)
 	}
@@ -126,12 +130,14 @@ func TestRunUntilResumesPastKilledSleeper(t *testing.T) {
 	if !lateFired {
 		t.Fatal("bare event past the horizon was dropped")
 	}
+	leaks(s)
 }
 
 // TestMaxEventsKillsSleeperWake is the same orphaned-wake hazard via
 // the MaxEvents limit path: the limit trips with a process asleep, and
 // a later Run must drain cleanly rather than activating the corpse.
 func TestMaxEventsKillsSleeperWake(t *testing.T) {
+	leaks := leakCheck(t)
 	s := New(1)
 	var awoke bool
 	s.Spawn("sleeper", func(p *Proc) {
@@ -143,6 +149,7 @@ func TestMaxEventsKillsSleeperWake(t *testing.T) {
 	if err := s.Run(); !errors.Is(err, ErrSimLimit) {
 		t.Fatalf("Run with MaxEvents=2 = %v, want ErrSimLimit", err)
 	}
+	leaks(s)
 	s.MaxEvents = 0
 	if err := runWithWatchdog(t, s.Run); err != nil {
 		t.Fatalf("resumed Run: %v", err)
@@ -150,6 +157,7 @@ func TestMaxEventsKillsSleeperWake(t *testing.T) {
 	if awoke {
 		t.Fatal("killed sleeper's body ran after resumption")
 	}
+	leaks(s)
 }
 
 // TestMassCancelCompaction cancels most of a large heap and checks the
@@ -190,6 +198,7 @@ func TestMassCancelCompaction(t *testing.T) {
 // where per-proc bookkeeping mistakes (lost entries, quadratic
 // collection) would surface.
 func TestDeadlockManyParkedProcs(t *testing.T) {
+	leaks := leakCheck(t)
 	s := New(1)
 	const n = 10000
 	for i := 0; i < n; i++ {
@@ -210,4 +219,5 @@ func TestDeadlockManyParkedProcs(t *testing.T) {
 		}
 		seen[name] = true
 	}
+	leaks(s)
 }

@@ -11,15 +11,22 @@ import (
 // suspended. It never escapes the process wrapper.
 var errKilled = errors.New("des: process killed")
 
-// Proc is a simulated process: a Go function running on its own
-// goroutine under cooperative scheduling. A Proc must only call its
-// methods from its own goroutine; passing a Proc across goroutines is
-// a bug.
+// Proc is a simulated process: a Go function running on a goroutine
+// under cooperative scheduling. A Proc must only call its methods from
+// its own goroutine; passing a Proc across goroutines is a bug.
+//
+// A *Proc is never reused: Spawn always returns a fresh one, and a
+// handle kept after the process finished stays a harmless stale handle
+// (Wake on it is a no-op). Its goroutine may be: a finished process's
+// goroutine waits on the Sim's idle list for the next Spawn.
 type Proc struct {
 	sim  *Sim
 	name string
+	fn   func(p *Proc)
 
-	resume chan struct{}
+	// w is the goroutine this process runs on; w.resume is where the
+	// baton is handed to it.
+	w *worker
 	// wake is the handle of the pending activation event, if any; the
 	// zero Event means none. activateFn is the activate method value,
 	// bound once at Spawn so the Sleep/Wake hot path does not allocate
@@ -29,37 +36,124 @@ type Proc struct {
 	suspended  bool
 	killed     bool
 	done       bool
+
+	prevLive, nextLive *Proc
 }
+
+// worker is one process goroutine. It runs the process assigned to it,
+// then drives the event loop as a finished process does, then waits on
+// the idle list for Spawn to assign it another.
+type worker struct {
+	resume chan struct{}
+	// proc is the process to run at the next resume; nil tells an idle
+	// worker to exit.
+	proc *Proc
+}
+
+// maxIdle bounds the idle list. It has to cover the processes that
+// come and go in a steady state (a gateway's jobs, a stage's stream
+// producers), not a burst: tens of thousands of goroutines parked for
+// reuse cost more to wake and release one by one at the end of a run
+// than starting them afresh does.
+const maxIdle = 256
 
 // Spawn creates a process that begins executing fn at the current
 // virtual time (after already-scheduled events at the same instant).
-// It may be called before Run or from any process context.
+// It may be called before Run, from any process context, or from a
+// scheduled callback. The process runs on an idle goroutine left by a
+// finished process when there is one, on a new goroutine otherwise;
+// the returned *Proc is new either way.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name, fn: fn}
 	p.activateFn = p.activate
-	s.live[p] = struct{}{}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
-				s.recordPanic(p.name, r)
-			}
-			p.done = true
-			delete(s.live, p)
-			s.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.killed {
-			return
-		}
-		fn(p)
-	}()
+	if n := len(s.idle); n > 0 {
+		p.w = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+	} else {
+		p.w = &worker{resume: make(chan struct{})}
+		go p.w.run(s)
+	}
+	p.w.proc = p
+	if s.liveTail == nil {
+		s.liveHead = p
+	} else {
+		s.liveTail.nextLive, p.prevLive = p, s.liveTail
+	}
+	s.liveTail = p
 	p.suspended = true
 	p.wake = s.Schedule(s.now, p.activateFn)
 	return p
+}
+
+// run is the body of a process goroutine.
+func (w *worker) run(s *Sim) {
+	<-w.resume
+	for w.proc != nil { // nil: released from the idle list
+		p := w.proc
+		w.proc = nil
+		if !p.killed { // else discarded before it ever ran
+			p.call()
+		}
+		p.done = true
+		s.unlink(p)
+		if p.killed {
+			s.stopped <- struct{}{}
+			return
+		}
+		// Go idle before driving the loop: a callback fired from here
+		// may Spawn onto this very goroutine, and if that process is the
+		// next one activated it runs right here, with no handoff.
+		pooled := len(s.idle) < maxIdle
+		if pooled {
+			s.idle = append(s.idle, w)
+		}
+		if next := s.drive(); next == nil || next.w != w {
+			s.handoff(next)
+			if !pooled {
+				return
+			}
+			<-w.resume
+		}
+	}
+}
+
+// call runs the process body, recording a panic other than the kill
+// unwind.
+func (p *Proc) call() {
+	defer func() {
+		if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
+			p.sim.recordPanic(p.name, r)
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+}
+
+// unlink takes a finished process off the live list.
+func (s *Sim) unlink(p *Proc) {
+	if p.prevLive == nil {
+		s.liveHead = p.nextLive
+	} else {
+		p.prevLive.nextLive = p.nextLive
+	}
+	if p.nextLive == nil {
+		s.liveTail = p.prevLive
+	} else {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+}
+
+// handoff passes the baton to next's goroutine, or back to Run's when
+// next is nil (the run must stop). The caller blocks or exits next.
+func (s *Sim) handoff(next *Proc) {
+	s.handoffs++
+	if next == nil {
+		s.stopped <- struct{}{}
+		return
+	}
+	next.w.resume <- struct{}{}
 }
 
 func asErr(v any) error {
@@ -69,27 +163,31 @@ func asErr(v any) error {
 	return nil
 }
 
-// activate hands execution to the process and blocks until it yields
-// back (suspends or terminates). It runs in scheduler context. The
-// done/killed guard is defense in depth: killLive cancels a victim's
-// wake event, so an activation for a dead process should never fire —
-// but if one ever does, dropping it beats blocking forever on the
-// resume send to an exited goroutine.
+// activate is the process's wake event: it marks the process runnable
+// and names it as the one the event loop must hand the baton to. It
+// never blocks. The done/killed guard is defense in depth: killLive
+// cancels a victim's wake event, so an activation for a dead process
+// should never fire — but if one ever does, it is dropped here, before
+// it can name a process whose goroutine is gone or runs someone else.
 func (p *Proc) activate() {
 	if p.done || p.killed {
 		return
 	}
 	p.wake = Event{}
 	p.suspended = false
-	p.resume <- struct{}{}
-	<-p.sim.yield
+	p.sim.next = p
 }
 
-// suspend yields to the scheduler and blocks until activated again.
+// suspend gives up the baton until the process is activated again: the
+// process fires the following events itself, and blocks only if one of
+// them activates somebody else first (or stops the run).
 func (p *Proc) suspend() {
 	p.suspended = true
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	s := p.sim
+	if next := s.drive(); next != p {
+		s.handoff(next)
+		<-p.w.resume
+	}
 	if p.killed {
 		panic(errKilled)
 	}

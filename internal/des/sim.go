@@ -3,15 +3,29 @@
 // FaaS platform, and VM provisioner).
 //
 // A Sim owns a virtual clock and an event heap. Simulated activities
-// run as processes (Proc): ordinary Go functions executing on their own
+// run as processes (Proc): ordinary Go functions executing on
 // goroutines, but scheduled cooperatively so that exactly one process
 // runs at any instant. All ordering is decided by the event heap
 // (virtual time, then FIFO sequence), which makes runs fully
 // deterministic regardless of the Go scheduler.
 //
-// Because only one process runs at a time, simulation-side data
-// structures (the object store's buckets, platform meters, ...) need no
-// locking; that invariant is relied upon throughout the repository.
+// There is no scheduler goroutine. Exactly one goroutine at a time
+// holds the baton: Run's caller at the start, then whichever process
+// is running. A process that suspends (Sleep, Park, a Resource, a
+// Link) or finishes runs the event loop itself, on its own goroutine,
+// firing events until one of them activates a process; it then hands
+// the baton straight to that process and blocks, or simply carries on
+// if the process is itself. Scheduled callbacks therefore run on
+// whichever goroutine holds the baton and must not block. When the
+// run has to stop (heap drained, horizon, MaxEvents, a panic) the
+// baton goes back to Run's caller, which alone decides the outcome
+// and unwinds what is left.
+//
+// Because only the baton holder runs, simulation-side data structures
+// (the object store's buckets, platform meters, ...) need no locking;
+// that invariant is relied upon throughout the repository. The channel
+// handoff that passes the baton is also what orders one holder's
+// writes before the next holder's reads.
 //
 // The kernel is built for million-event runs: the heap is a concrete
 // 4-ary min-heap over inline (time, seq, slot) records, event state
@@ -46,15 +60,25 @@ func (e *DeadlockError) Error() string {
 		len(e.Parked), strings.Join(e.Parked, ", "))
 }
 
-// PanicError wraps a panic raised inside a simulated process.
+// PanicError wraps a panic raised inside a simulated process or a
+// scheduled callback.
 type PanicError struct {
-	// Proc is the name of the process that panicked.
+	// Proc is the name of the process that panicked, or
+	// "(event callback)" when a Schedule'd function did: callbacks run
+	// on whichever process goroutine holds the baton, and that process
+	// is not to blame.
 	Proc string
 	// Value is the recovered panic value.
 	Value any
 }
 
+// callbackPanic is PanicError.Proc for a panic in a scheduled callback.
+const callbackPanic = "(event callback)"
+
 func (e *PanicError) Error() string {
+	if e.Proc == callbackPanic {
+		return fmt.Sprintf("des: event callback panicked: %v", e.Value)
+	}
 	return fmt.Sprintf("des: process %q panicked: %v", e.Proc, e.Value)
 }
 
@@ -152,11 +176,28 @@ func (e heapEnt) slot() int32 { return int32(e.key & (1<<slotBits - 1)) }
 // Sim is a discrete-event simulation. The zero value is not usable;
 // construct with New.
 type Sim struct {
-	now   time.Duration
-	seq   int64
-	yield chan struct{}
-	rng   *rand.Rand
-	live  map[*Proc]struct{}
+	now time.Duration
+	seq int64
+	rng *rand.Rand
+
+	// Live processes in spawn order (an intrusive list through
+	// Proc.prevLive/nextLive), which is the order killLive unwinds them.
+	liveHead, liveTail *Proc
+	// next is the process the event just fired activated: the event
+	// loop returns it to whoever is driving, who hands it the baton.
+	next *Proc
+	// stopped returns the baton to Run's goroutine: the driver that
+	// finds the run must stop, and each process killLive unwinds, sends
+	// on it.
+	stopped chan struct{}
+	// limit is the horizon of the RunUntil in progress.
+	limit time.Duration
+	// idle holds the goroutines of finished processes for the next
+	// Spawn, at most maxIdle of them; RunUntil releases them before it
+	// returns.
+	idle []*worker
+	// handoffs counts baton passes between goroutines, for the tests.
+	handoffs int64
 
 	heap     []heapEnt
 	slots    []eventSlot
@@ -177,9 +218,8 @@ type Sim struct {
 // seed and workload produce identical traces.
 func New(seed int64) *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  make(map[*Proc]struct{}),
+		stopped: make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -194,9 +234,12 @@ func (s *Sim) Fired() int64 { return s.fired }
 func (s *Sim) Pending() int { return len(s.heap) - s.canceled }
 
 // Schedule registers fn to fire at virtual time at (clamped to now if
-// in the past) and returns a cancelable handle. Steady-state calls are
-// allocation-free: the heap entry is inline and the event slot comes
-// from the free list.
+// in the past) and returns a cancelable handle. fn runs on the
+// goroutine that holds the baton when its time comes (Run's caller or
+// some process's) and must not block: it may Schedule, Cancel, Spawn
+// and Wake, never Sleep or Park. A panic in fn stops the run with a
+// *PanicError. Steady-state calls are allocation-free: the heap entry
+// is inline and the event slot comes from the free list.
 func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 	if at < s.now {
 		at = s.now
@@ -360,12 +403,13 @@ func (s *Sim) maybeCompact() {
 }
 
 // Run drives the simulation until the event heap drains, a limit is
-// hit, or a process panics. It returns nil on a clean drain with no
-// live processes, a *DeadlockError if processes were left parked,
-// a *PanicError if a process panicked, or ErrSimLimit.
+// hit, or a process or callback panics. It returns nil on a clean
+// drain with no live processes, a *DeadlockError if processes were left
+// parked, a *PanicError on a panic, or ErrSimLimit.
 //
 // Whatever the outcome, no process goroutines survive Run: on error
-// paths every suspended process is unwound before Run returns.
+// paths every suspended process is unwound, in spawn order, before Run
+// returns, and the idle goroutines kept for reuse are released.
 func (s *Sim) Run() error {
 	return s.RunUntil(-1)
 }
@@ -383,11 +427,37 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	bounded := limit >= 0 || s.MaxEvents > 0
-	for len(s.heap) > 0 {
-		if s.err != nil {
-			break
+	s.limit = limit
+	if p := s.drive(); p != nil {
+		s.handoffs++
+		p.w.resume <- struct{}{}
+		<-s.stopped
+	}
+	err := s.stop()
+	for _, w := range s.idle {
+		w.resume <- struct{}{} // no proc assigned: the goroutine exits
+	}
+	s.idle = s.idle[:0]
+	return err
+}
+
+// drive is the event loop. Whoever holds the baton calls it: RunUntil
+// first, then every process that suspends or finishes. It fires events
+// in (at, seq) order until one activates a process, which it returns
+// for the caller to hand the baton to (or to carry on as, if it is the
+// caller itself), or until the run must stop, when it returns nil and
+// leaves the reason for stop to work out.
+func (s *Sim) drive() (next *Proc) {
+	// A callback cannot suspend, so the stack here is never deeper than
+	// suspend -> drive -> callback and one recover covers them all.
+	defer func() {
+		if r := recover(); r != nil {
+			s.recordPanic(callbackPanic, r)
+			next = nil
 		}
+	}()
+	limit := s.limit
+	for len(s.heap) > 0 && s.err == nil {
 		top := s.heap[0]
 		slot := top.slot()
 		sl := &s.slots[slot]
@@ -398,35 +468,13 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 			s.freeSlot(slot)
 			continue
 		}
-		if !bounded {
-			// Unbounded run: skip the horizon bookkeeping on the hot
-			// path (MaxEvents set mid-run takes effect, just rechecked
-			// lazily).
-			fn := sl.fire
-			s.popTop()
-			s.freeSlot(slot)
-			s.fired++
-			s.now = top.at
-			fn()
-			bounded = s.MaxEvents > 0
-			continue
-		}
 		if limit >= 0 && top.at > limit {
 			// Beyond the horizon: leave the event in place for a
 			// future run rather than dropping it.
-			s.now = limit
-			s.killLive()
-			if s.err != nil {
-				return s.err
-			}
-			return ErrSimLimit
+			return nil
 		}
 		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
-			s.killLive()
-			if s.err != nil {
-				return s.err
-			}
-			return ErrSimLimit
+			return nil
 		}
 		fn := sl.fire
 		s.popTop()
@@ -436,49 +484,67 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 		s.fired++
 		s.now = top.at
 		fn()
+		if p := s.next; p != nil {
+			s.next = nil
+			return p
+		}
 	}
-	if s.err != nil {
+	return nil
+}
+
+// stop runs on Run's goroutine once drive has returned nil somewhere:
+// it works out why, unwinds every live process and builds the error.
+// drive pops canceled entries before it looks at the horizon, so a
+// non-empty heap's top is the live event that was not fired.
+func (s *Sim) stop() error {
+	switch {
+	case s.err != nil:
 		s.killLive()
 		return s.err
-	}
-	if len(s.live) > 0 {
+	case len(s.heap) == 0:
+		if s.liveHead == nil {
+			return nil
+		}
 		// The heap drained, so no wake event exists for any live
 		// process: every one of them is parked forever.
-		names := make([]string, 0, len(s.live))
-		for p := range s.live {
+		var names []string
+		for p := s.liveHead; p != nil; p = p.nextLive {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
 		s.killLive()
 		return &DeadlockError{Parked: names}
 	}
-	return nil
+	if s.limit >= 0 && s.heap[0].at > s.limit {
+		s.now = s.limit
+	}
+	s.killLive()
+	if s.err != nil {
+		return s.err
+	}
+	return ErrSimLimit
 }
 
-// killLive unwinds every live process so its goroutine exits. Each
-// suspended process receives a kill token that makes its next resume
-// panic with errKilled, which the process wrapper swallows. Processes
-// that were spawned but whose start event never fired are discarded
-// without ever starting their goroutine's body.
+// killLive unwinds every live process, oldest first, so its goroutine
+// exits. Each suspended process is resumed with its killed flag set,
+// which makes suspend panic with errKilled; the worker swallows that
+// and reports back on s.stopped. Processes that were spawned but whose
+// start event never fired are discarded without their body ever
+// running. A deferred function in a victim may Spawn: the newcomer
+// joins the tail of the list and is discarded in turn.
 //
 // A victim's pending wake event (a Sleep timer, a Wake, or the Spawn
 // activation) must be canceled here: RunUntil leaves future events on
-// the heap for resumption, and an orphaned activate firing on a later
-// run would block forever sending to a goroutine that no longer
-// exists.
+// the heap for resumption, and an orphaned activation firing on a
+// later run would name a process whose goroutine is gone.
 func (s *Sim) killLive() {
-	for len(s.live) > 0 {
-		var victim *Proc
-		for p := range s.live {
-			victim = p
-			break
-		}
+	for s.liveHead != nil {
+		victim := s.liveHead
 		victim.wake.Cancel()
 		victim.wake = Event{}
 		victim.killed = true
-		victim.resume <- struct{}{}
-		<-s.yield
-		delete(s.live, victim)
+		victim.w.resume <- struct{}{}
+		<-s.stopped
 	}
 }
 

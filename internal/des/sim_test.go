@@ -157,8 +157,10 @@ func TestNegativeSleepStillYields(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
+	// b's start was already on the heap at that instant, so it runs
+	// before a's wake even though a could have fired its own wake.
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("order = %v, want [b a]", order)
 	}
 }
 
@@ -194,6 +196,7 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestPanicUnwindsOtherProcs(t *testing.T) {
+	leaks := leakCheck(t)
 	s := New(1)
 	s.Spawn("bomber", func(p *Proc) { panic("boom") })
 	s.Spawn("bystander", func(p *Proc) { p.Sleep(time.Hour) })
@@ -202,9 +205,7 @@ func TestPanicUnwindsOtherProcs(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Run = %v, want PanicError", err)
 	}
-	if n := len(s.live); n != 0 {
-		t.Fatalf("live procs after Run = %d, want 0", n)
-	}
+	leaks(s)
 }
 
 func TestRunUntilHorizon(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/chaos"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 const chaosTestBytes = int64(1000e6)
@@ -29,10 +30,12 @@ func chaosCell(t *testing.T, res ChaosResult, kind StrategyKind, fault string) C
 // bite (restarts / rework / fallbacks metered), and no cell's money
 // leaks — the run's attributed spend equals the session bill exactly.
 func TestChaosMatrix(t *testing.T) {
+	leaks := destest.NoLeakedGoroutines(t)
 	res, err := ChaosMatrix(calib.Paper(), chaosTestBytes, 8)
 	if err != nil {
 		t.Fatalf("ChaosMatrix: %v", err)
 	}
+	leaks() // preempted, restarted and fallen-back runs leave no process behind
 	if want := len(chaosStrategies) * len(chaosFaults); len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
@@ -162,10 +165,12 @@ func TestChaosRenderings(t *testing.T) {
 // actually bites the strategies whose substrate it hosts, recovery
 // stays within bounds, and no cell's money leaks.
 func TestZoneChaos(t *testing.T) {
+	leaks := destest.NoLeakedGoroutines(t)
 	res, err := ZoneChaos(calib.Paper(), chaosTestBytes, 8, 7)
 	if err != nil {
 		t.Fatalf("ZoneChaos: %v", err)
 	}
+	leaks()
 	if want := len(chaosStrategies) * len(zoneFaults); len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}

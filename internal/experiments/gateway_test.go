@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // TestGatewayExperiment drives the full acceptance run: 10k open-loop
@@ -73,10 +74,12 @@ func TestGatewayExperiment(t *testing.T) {
 // TestGatewayExperimentSmall keeps a fast smoke at low scale for -short
 // environments.
 func TestGatewayExperimentSmall(t *testing.T) {
+	leaks := destest.NoLeakedGoroutines(t)
 	res, err := Gateway(calib.Local(), 20, 500)
 	if err != nil {
 		t.Fatalf("Gateway: %v", err)
 	}
+	leaks()
 	if res.Starved != 0 {
 		t.Errorf("starved = %d", res.Starved)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/core"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/pipeline"
 	"github.com/faaspipe/faaspipe/internal/session"
@@ -187,6 +188,7 @@ func TestSubmitInAfterCloseFails(t *testing.T) {
 // their standing-cost shares partition the session's standing spend
 // (sum equals the closing report's StandingUSD).
 func TestSubmitInConcurrentRuns(t *testing.T) {
+	leaks := destest.NoLeakedGoroutines(t)
 	sess, err := session.Open(calib.Local(), session.Options{WarmCacheNodes: 1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -233,6 +235,7 @@ func TestSubmitInConcurrentRuns(t *testing.T) {
 	if err := rig.Sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	leaks()
 	if reps[0] == nil || reps[1] == nil {
 		t.Fatal("missing run reports")
 	}
