@@ -429,8 +429,7 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 
 	s.limit = limit
 	if p := s.drive(); p != nil {
-		s.handoffs++
-		p.w.resume <- struct{}{}
+		s.handoff(p)
 		<-s.stopped
 	}
 	err := s.stop()
