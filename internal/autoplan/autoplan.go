@@ -101,9 +101,6 @@ type Workload struct {
 	Workers int
 	// WorkerMemBytes is the per-function memory usable for data.
 	WorkerMemBytes int64
-	// MemFillFactor is the usable fraction of worker memory
-	// (default 0.6).
-	MemFillFactor float64
 	// PartitionBps / MergeBps are per-worker compute throughputs.
 	PartitionBps, MergeBps float64
 	// OutputParts is the VM strategy's output fan-out (default 8); the
@@ -311,9 +308,6 @@ func (w Workload) withDefaults() Workload {
 	if w.MaxWorkers <= 0 {
 		w.MaxWorkers = 256
 	}
-	if w.MemFillFactor <= 0 || w.MemFillFactor > 1 {
-		w.MemFillFactor = 0.6
-	}
 	// Compute-throughput defaults match shuffle.PlanInput's.
 	if w.PartitionBps <= 0 {
 		w.PartitionBps = 150e6
@@ -368,7 +362,6 @@ func (w Workload) planInput(startup time.Duration) shuffle.PlanInput {
 		DataBytes:      w.DataBytes,
 		MaxWorkers:     w.MaxWorkers,
 		WorkerMemBytes: w.WorkerMemBytes,
-		MemFillFactor:  w.MemFillFactor,
 		PartitionBps:   w.PartitionBps,
 		MergeBps:       w.MergeBps,
 		Startup:        startup,

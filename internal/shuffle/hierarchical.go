@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 // repartitionFn is the hierarchical operator's round-2 map function.
@@ -81,71 +80,4 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 		return HierResult{}, err
 	}
 	return HierResult{Result: j.res, Groups: j.groups, Round1: j.res.Phase1, Round2: j.res.Phase2}, nil
-}
-
-// PredictHierarchical models the two-level shuffle's latency with w
-// workers in g groups, mirroring Predict's structure: three waves
-// (spray, repartition, merge), each moving data/w per worker, with the
-// request terms shrunk from w per worker to g or w/g per worker.
-func PredictHierarchical(w, g int, in PlanInput, sp StoreProfile) Plan {
-	in = in.withDefaults()
-	d := float64(in.DataBytes)
-	fw := float64(w)
-	fg := float64(g)
-	k := fw / fg
-	perWorker := d / fw
-
-	rate := sp.PerConnBandwidth
-	if sp.AggregateBandwidth > 0 {
-		if agg := sp.AggregateBandwidth / fw; agg < rate {
-			rate = agg
-		}
-	}
-	lat := sp.RequestLatency.Seconds()
-	toDur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-	// Round 1: stream the slice — transfer overlaps the partition CPU,
-	// with only the per-partition sort after it — then write g
-	// partitions (w*g writes total).
-	streamBps, sortBps := MapStreamRates(in.PartitionBps)
-	reqR1 := math.Max(fg*lat, fw*fg/sp.WriteOpsPerSec)
-	ioR1 := math.Max(perWorker/rate, perWorker/streamBps) + perWorker/rate + reqR1 + lat
-	cpuR1 := perWorker / sortBps
-
-	// Reduce-side streams run their fan-in concurrently; each leg is
-	// capped by its connection count or the worker's aggregate share.
-	aggShare := math.Inf(1)
-	if sp.AggregateBandwidth > 0 {
-		aggShare = sp.AggregateBandwidth / fw
-	}
-
-	// Round 2a: stream g sorted runs into the merge-split cursor — the
-	// gather overlaps the cursor's CPU (it re-sorts nothing, so the CPU
-	// leg runs at the merge rate) — then write k partitions buffered.
-	inR2a := math.Min(fg*sp.PerConnBandwidth, aggShare)
-	reqR2a := math.Max((fg+k)*lat, (fw*fg+fw*k)/sp.ReadOpsPerSec)
-	ioR2a := math.Max(perWorker/inR2a, perWorker/in.MergeBps) + perWorker/rate + reqR2a
-	cpuR2a := 0.0
-
-	// Round 2b: stream k partitions into the final merge while the
-	// output leaves through the multipart PutStream writer — the full
-	// max(in, merge, out) overlap.
-	inR2b := math.Min(k*sp.PerConnBandwidth, aggShare)
-	outR2b := math.Min(float64(objectstore.DefaultPutConns)*sp.PerConnBandwidth, aggShare)
-	parts := float64(objectstore.PutStreamRequests(int64(perWorker), AdaptiveChunkBytes(0, int64(perWorker))))
-	reqR2b := math.Max(k*lat, math.Max(fw*k/sp.ReadOpsPerSec, fw*parts/sp.WriteOpsPerSec))
-	ioR2b := math.Max(perWorker/inR2b, math.Max(perWorker/in.MergeBps, perWorker/outR2b)) +
-		reqR2b + lat
-	cpuR2b := 0.0
-
-	p := Plan{
-		Workers:   w,
-		Startup:   in.Startup,
-		Phase1IO:  toDur(ioR1 + ioR2a),
-		Phase1CPU: toDur(cpuR1 + cpuR2a),
-		Phase2IO:  toDur(ioR2b),
-		Phase2CPU: toDur(cpuR2b),
-	}
-	p.Predicted = p.Startup + p.Phase1IO + p.Phase1CPU + p.Phase2IO + p.Phase2CPU
-	return p
 }

@@ -31,11 +31,8 @@ type PlanInput struct {
 	// MaxWorkers bounds the search (platform or user limit).
 	MaxWorkers int
 	// WorkerMemBytes is the per-function memory usable for data; a
-	// worker's input partition must fit within MemFillFactor of it.
+	// worker's input partition must fit within memFillFactor of it.
 	WorkerMemBytes int64
-	// MemFillFactor is the usable fraction of worker memory
-	// (default 0.6: parse overhead, runtime, double buffering).
-	MemFillFactor float64
 	// PartitionBps is a worker's partitioning throughput
 	// (parse + route + serialize), bytes/second.
 	PartitionBps float64
@@ -45,12 +42,10 @@ type PlanInput struct {
 	Startup time.Duration
 }
 
-func (in PlanInput) withDefaults() PlanInput {
+// WithDefaults fills the fields left at zero.
+func (in PlanInput) WithDefaults() PlanInput {
 	if in.MaxWorkers <= 0 {
 		in.MaxWorkers = 256
-	}
-	if in.MemFillFactor <= 0 || in.MemFillFactor > 1 {
-		in.MemFillFactor = 0.6
 	}
 	if in.PartitionBps <= 0 {
 		in.PartitionBps = 150e6
@@ -67,7 +62,13 @@ type Plan struct {
 	Workers int
 	// Predicted is the modeled end-to-end shuffle latency.
 	Predicted time.Duration
-	// Breakdown components of Predicted.
+	// Breakdown components of Predicted. Phase1 carries every wave but
+	// the last (map, and the hierarchy's repartition), Phase2 the final
+	// reduce. An IO component is a wave's whole streaming leg (transfer
+	// and the CPU it overlaps) plus its buffered writes and request
+	// terms; a CPU component is only what runs after the stream ends
+	// (the map wave's per-partition sort), so the component sum equals
+	// the worker's wall time.
 	Startup   time.Duration
 	Phase1IO  time.Duration
 	Phase1CPU time.Duration
@@ -75,90 +76,215 @@ type Plan struct {
 	Phase2CPU time.Duration
 	// MinWorkers is the memory-imposed lower bound the plan respected.
 	MinWorkers int
+
+	// Seconds is a worker's time in the waves before the components
+	// above were truncated to nanoseconds one by one.
+	Seconds float64
+	// ClassA / ClassB are the object-store writes and reads the waves
+	// issue, all workers together. The driver's own DriverReads are not
+	// in them.
+	ClassA, ClassB int64
+	// Invocations is the function activations the waves take.
+	Invocations int
 }
 
-// Predict models the shuffle latency with w workers per phase.
-//
-// Phase 1 (map): each worker streams its data/w slice, partitioning
-// chunks as they arrive — the ranged GET's transfer overlaps the
-// parse/route CPU, so the streaming leg costs max(transfer,
-// partitionCPU), and only the per-partition radix sort
-// (mapSortShare of the partition budget) runs after the transfer —
-// then writes w intermediate objects. Phase 2 (reduce): each worker
-// streams its w intermediates (data/w total) into the k-way merge over
-// w concurrent connections while the merged output leaves through the
-// multipart PutStream writer, so the whole leg costs
-// max(transfer-in, mergeCPU, transfer-out) plus the request terms.
-// Transfers run at min(per-connection ceiling, aggregate/w); the w^2
-// requests of each phase pay per-request latency serially per worker
-// and are jointly subject to the service's ops throttle — the term
-// that makes over-parallelizing lose.
-//
-// In the returned Plan, Phase1IO carries the whole streaming leg
-// (transfer and partition CPU overlapped) plus the request terms and
-// the partition-write leg; Phase1CPU is only the post-stream sort, so
-// the component sum still equals the worker's wall time. Phase2IO
-// carries the fully-overlapped reduce leg and Phase2CPU is zero: the
-// merge has no post-stream work.
-func Predict(w int, in PlanInput, sp StoreProfile) Plan {
-	in = in.withDefaults()
-	d := float64(in.DataBytes)
-	fw := float64(w)
-	perWorker := d / fw
+// DriverReads is the class B requests the job driver issues before the
+// first wave: the input's Head and the boundary sample.
+const DriverReads = 2
 
-	rate := sp.PerConnBandwidth
+// Rate is the bandwidth one of sharers concurrent clients gets over
+// conns connections: the per-connection ceilings together, or its share
+// of the service's aggregate, whichever binds first.
+func (sp StoreProfile) Rate(conns, sharers float64) float64 {
+	share := math.Inf(1)
 	if sp.AggregateBandwidth > 0 {
-		if agg := sp.AggregateBandwidth / fw; agg < rate {
-			rate = agg
+		share = sp.AggregateBandwidth / sharers
+	}
+	return math.Min(conns*sp.PerConnBandwidth, share)
+}
+
+// medium is a substrate a wave reads from or writes to.
+type medium struct {
+	StoreProfile
+	// hop is extra latency every request pays, in seconds: the
+	// cross-zone share of a cache spread over zones.
+	hop float64
+	// billed marks the object store, whose requests are metered as
+	// class A/B; a cache's are not billed per request.
+	billed bool
+}
+
+func (m medium) latency() float64 { return m.RequestLatency.Seconds() + m.hop }
+
+// wave is one round of w functions as the model sees it, each moving
+// 1/w of the data: read, compute, write. Every exchange strategy is a
+// short list of them (EXPERIMENTS.md has the table).
+type wave struct {
+	// from is where a worker's input lives and fanIn how many sorted
+	// runs it gathers from there over concurrent connections. fanIn 0 is
+	// the map wave's read: one ranged stream over the worker's slice of
+	// the input object.
+	from  medium
+	fanIn float64
+	// resident says the gathered runs arrive whole before the merge
+	// starts (a cache Get has no chunked form), so the transfer in does
+	// not overlap the merge, and the fetches share one request latency.
+	resident bool
+	// streamBps is the CPU that overlaps the inbound transfer (partition
+	// or merge); sortBps the CPU that can only run once the stream has
+	// ended (0: none).
+	streamBps, sortBps float64
+	// to is where the output goes: fanOut buffered runs written one after
+	// another, or, with fanOut 0, the merged output leaving through the
+	// multipart PutStream writer while the merge runs.
+	to     medium
+	fanOut float64
+}
+
+// cost is the one place a wave's time and requests are modelled, for one
+// of fw workers moving perWorker bytes: io is the streaming leg, the
+// buffered writes and the request terms; cpu what runs after the stream;
+// reads and writes the requests the worker issues on from and to.
+//
+// Transfers run at Rate: the connection fan-out or the worker's share of
+// the aggregate, whichever binds first. Requests cost a worker twice:
+// latency for those it issues one after another, and the service's ops
+// throttle, which all fw workers' requests are jointly subject to — the
+// term that makes over-parallelizing lose.
+func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
+	from, to := wv.from, wv.to
+	reads, writes = wv.fanIn, wv.fanOut
+	input, streamed := reads == 0, writes == 0
+	if input {
+		reads = 1
+	}
+	in := perWorker / from.Rate(reads, fw)
+	work := perWorker / wv.streamBps
+	var overlap, write float64
+	switch {
+	case !streamed:
+		overlap, write = math.Max(in, work), perWorker/to.Rate(1, fw)
+	case wv.resident:
+		overlap = in + math.Max(work, perWorker/to.Rate(objectstore.DefaultPutConns, fw))
+	default:
+		overlap = math.Max(in, math.Max(work, perWorker/to.Rate(objectstore.DefaultPutConns, fw)))
+	}
+	if streamed {
+		writes = float64(objectstore.PutStreamRequests(int64(perWorker), AdaptiveChunkBytes(0, int64(perWorker))))
+	}
+
+	var req, admit float64
+	switch {
+	case input:
+		// One ranged GET, then the runs PUT one after another.
+		req = math.Max(writes*to.latency(), fw*writes/to.WriteOpsPerSec)
+		admit = from.latency()
+	case !streamed:
+		// Gather and buffered writes: every request in sequence, all of
+		// them against the read throttle.
+		req = math.Max((reads+writes)*from.latency(), (fw*reads+fw*writes)/from.ReadOpsPerSec)
+	case wv.resident:
+		req = math.Max(from.latency(), fw*reads/from.ReadOpsPerSec)
+		admit = math.Max(to.latency(), fw*writes/to.WriteOpsPerSec)
+	default:
+		req = math.Max(reads*from.latency(),
+			math.Max(fw*reads/from.ReadOpsPerSec, fw*writes/to.WriteOpsPerSec))
+		admit = to.latency()
+	}
+	io = overlap + write + req + admit
+	if wv.sortBps > 0 {
+		cpu = perWorker / wv.sortBps
+	}
+	return io, cpu, reads, writes
+}
+
+// mapWave streams a worker's slice of the input through the partitioner
+// — only the per-partition radix sort (MapStreamRates' split) waits for
+// the stream to end — and writes fanOut runs to via.
+func mapWave(in PlanInput, store, via medium, fanOut float64) wave {
+	streamBps, sortBps := MapStreamRates(in.PartitionBps)
+	return wave{from: store, streamBps: streamBps, sortBps: sortBps, to: via, fanOut: fanOut}
+}
+
+// fold adds a wave list up into a plan for w workers.
+func fold(w int, in PlanInput, waves ...wave) Plan {
+	fw := float64(w)
+	perWorker := float64(in.DataBytes) / fw
+	toDur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	p := Plan{Workers: w, Startup: in.Startup, Invocations: w * len(waves)}
+	var io1, cpu1 float64
+	for i, wv := range waves {
+		io, cpu, reads, writes := wv.cost(fw, perWorker)
+		p.Seconds += io + cpu
+		if wv.from.billed {
+			p.ClassB += int64(w) * int64(reads)
+		}
+		if wv.to.billed {
+			p.ClassA += int64(w) * int64(writes)
+		}
+		if i < len(waves)-1 {
+			io1, cpu1 = io1+io, cpu1+cpu
+		} else {
+			p.Phase2IO, p.Phase2CPU = toDur(io), toDur(cpu)
 		}
 	}
-
-	lat := sp.RequestLatency.Seconds()
-	streamBps, sortBps := MapStreamRates(in.PartitionBps)
-	reqP1 := math.Max(fw*lat, fw*fw/sp.WriteOpsPerSec) // w writes/worker; w^2 throttled
-	streamLeg := math.Max(perWorker/rate, perWorker/streamBps)
-	ioP1 := streamLeg + perWorker/rate /* write partitions */ + reqP1 + lat
-	cpuP1 := perWorker / sortBps // post-stream per-partition sort
-
-	// Reduce-in runs w streams concurrently and reduce-out uploads
-	// completed parts on DefaultPutConns connections, so each direction
-	// is capped by its connection fan-out or the worker's aggregate
-	// share, whichever binds first.
-	aggShare := math.Inf(1)
-	if sp.AggregateBandwidth > 0 {
-		aggShare = sp.AggregateBandwidth / fw
-	}
-	inRate := math.Min(fw*sp.PerConnBandwidth, aggShare)
-	outRate := math.Min(float64(objectstore.DefaultPutConns)*sp.PerConnBandwidth, aggShare)
-	parts := float64(objectstore.PutStreamRequests(int64(perWorker), AdaptiveChunkBytes(0, int64(perWorker))))
-	reqP2 := math.Max(fw*lat, math.Max(fw*fw/sp.ReadOpsPerSec, fw*parts/sp.WriteOpsPerSec))
-	ioP2 := math.Max(perWorker/inRate, math.Max(perWorker/in.MergeBps, perWorker/outRate)) +
-		reqP2 + lat
-	cpuP2 := 0.0
-
-	toDur := func(s float64) time.Duration {
-		return time.Duration(s * float64(time.Second))
-	}
-	p := Plan{
-		Workers:   w,
-		Startup:   in.Startup,
-		Phase1IO:  toDur(ioP1),
-		Phase1CPU: toDur(cpuP1),
-		Phase2IO:  toDur(ioP2),
-		Phase2CPU: toDur(cpuP2),
-	}
+	p.Phase1IO, p.Phase1CPU = toDur(io1), toDur(cpu1)
 	p.Predicted = p.Startup + p.Phase1IO + p.Phase1CPU + p.Phase2IO + p.Phase2CPU
 	return p
 }
 
+// Predict models the one-level all-to-all with w workers per wave: map
+// into one run per reducer, then each reducer streams its w runs into
+// the k-way merge.
+func Predict(w int, in PlanInput, sp StoreProfile) Plan {
+	store := medium{StoreProfile: sp, billed: true}
+	return allToAll(w, in, store, store, false)
+}
+
+// PredictCache models the same exchange with the w x w runs held in a
+// cache cluster of profile cache, whose every request pays hop seconds
+// on top of its latency; input and output stay in the store.
+func PredictCache(w int, in PlanInput, sp, cache StoreProfile, hop float64) Plan {
+	return allToAll(w, in, medium{StoreProfile: sp, billed: true}, medium{StoreProfile: cache, hop: hop}, true)
+}
+
+func allToAll(w int, in PlanInput, store, via medium, resident bool) Plan {
+	in = in.WithDefaults()
+	fw := float64(w)
+	return fold(w, in,
+		mapWave(in, store, via, fw),
+		wave{from: via, fanIn: fw, resident: resident, streamBps: in.MergeBps, to: store})
+}
+
+// PredictHierarchical models the two-level shuffle with w workers in g
+// groups: spray into one coarse run per group, repartition each group's
+// range by its fine boundaries (the merge-split cursor re-sorts nothing,
+// so its CPU runs at the merge rate), merge. Each wave still moves
+// data/w per worker; the request terms shrink from w per worker to g or
+// w/g.
+func PredictHierarchical(w, g int, in PlanInput, sp StoreProfile) Plan {
+	in = in.WithDefaults()
+	store := medium{StoreProfile: sp, billed: true}
+	fg := float64(g)
+	k := float64(w) / fg
+	return fold(w, in,
+		mapWave(in, store, store, fg),
+		wave{from: store, fanIn: fg, streamBps: in.MergeBps, to: store, fanOut: k},
+		wave{from: store, fanIn: k, streamBps: in.MergeBps, to: store})
+}
+
+// memFillFactor is the fraction of a worker's memory its input
+// partition may fill: the rest is parse overhead, runtime and double
+// buffering.
+const memFillFactor = 0.6
+
 // MinWorkersForMemory returns the smallest worker count whose input
 // partition fits in worker memory.
 func MinWorkersForMemory(in PlanInput) int {
-	in = in.withDefaults()
 	if in.WorkerMemBytes <= 0 {
 		return 1
 	}
-	usable := float64(in.WorkerMemBytes) * in.MemFillFactor
+	usable := float64(in.WorkerMemBytes) * memFillFactor
 	minW := int(math.Ceil(float64(in.DataBytes) / usable))
 	if minW < 1 {
 		minW = 1
@@ -170,7 +296,7 @@ func MinWorkersForMemory(in PlanInput) int {
 // subject to the memory lower bound — Primula's "find the optimal
 // number of functions for a given shuffle data size on the fly".
 func Optimize(in PlanInput, sp StoreProfile) (Plan, error) {
-	in = in.withDefaults()
+	in = in.WithDefaults()
 	if in.DataBytes <= 0 {
 		return Plan{}, fmt.Errorf("shuffle: non-positive data size %d", in.DataBytes)
 	}
