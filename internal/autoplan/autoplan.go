@@ -11,18 +11,14 @@
 //
 // The planner is pure arithmetic over performance profiles: no
 // simulation runs, so a full decision over dozens of candidates costs
-// microseconds and can sit on every sort stage's hot path. Candidate
-// evaluation fans out over a bounded set of goroutines since each
-// prediction is independent.
+// microseconds and can sit on every sort stage's hot path.
 package autoplan
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
@@ -86,23 +82,20 @@ func (g Goal) String() string {
 // Objective is what the caller wants optimized.
 type Objective struct {
 	Goal Goal
-	// TimeBound is the latency budget for MinCostWithin.
+	// TimeBound is the latency budget for MinCostWithin, which needs a
+	// positive one.
 	TimeBound time.Duration
 }
 
 // Workload describes one sort/shuffle job to plan for.
 type Workload struct {
-	// DataBytes is the shuffle volume.
-	DataBytes int64
-	// MaxWorkers bounds the worker sweep (default 256).
-	MaxWorkers int
+	// PlanInput is the job as the shuffle planner sees it: the volume,
+	// the worker bounds, the per-worker compute throughputs and the
+	// per-wave function startup estimate.
+	shuffle.PlanInput
 	// Workers, when positive, pins the parallelism: the sweep collapses
 	// to this single worker count (the caller fixed the fan-out).
 	Workers int
-	// WorkerMemBytes is the per-function memory usable for data.
-	WorkerMemBytes int64
-	// PartitionBps / MergeBps are per-worker compute throughputs.
-	PartitionBps, MergeBps float64
 	// OutputParts is the VM strategy's output fan-out (default 8); the
 	// function strategies produce one part per worker.
 	OutputParts int
@@ -116,8 +109,6 @@ type Env struct {
 	// FunctionMemoryMB is the shuffle workers' memory grant, for
 	// GB-second pricing (default 2048).
 	FunctionMemoryMB int
-	// FunctionStartup is the per-wave function startup estimate.
-	FunctionStartup time.Duration
 	// Prices is the billing book.
 	Prices billing.PriceBook
 
@@ -136,8 +127,6 @@ type Env struct {
 	CacheMaxNodes int
 	// CacheWarm models a pre-provisioned cluster: no spin-up latency.
 	CacheWarm bool
-	// CacheHeadroom oversizes auto-sized clusters (default 1.3).
-	CacheHeadroom float64
 	// CacheStandingNodes, when positive, says a session-owned cluster
 	// of that size is already running and already paid for: the cache
 	// family uses it (no spin-up, no node-hours in the marginal cost)
@@ -161,10 +150,6 @@ type Env struct {
 	// considers only that catalog entry, with no boot/setup latency and
 	// no instance-hours in the marginal cost.
 	VMStandingType string
-	// NoSpot disables spot (interruptible) VM candidates; by default
-	// every catalog entry with a spot price is also enumerated as a
-	// spot candidate priced under its InterruptRate.
-	NoSpot bool
 
 	// FaasStragglerRate / FaasStragglerSlowdown model the function
 	// platform's straggler exposure (the operators' Config values):
@@ -205,9 +190,6 @@ type Env struct {
 	// CrossZoneRTT is the extra request latency cross-zone cache
 	// traffic pays in multi-zone placements (default 1ms).
 	CrossZoneRTT time.Duration
-	// CrossZoneGBUSD is the per-GB fee on cache traffic crossing zone
-	// boundaries in multi-zone placements (default 0.01).
-	CrossZoneGBUSD float64
 
 	// History, when set, supplies measured actual/predicted calibration
 	// factors per family; every prediction is scaled by them before the
@@ -292,29 +274,8 @@ type Decision struct {
 	Speculation SpeculationDecision
 }
 
-// evalConcurrency bounds the candidate-evaluation fan-out.
-func evalConcurrency() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
 func (w Workload) withDefaults() Workload {
-	if w.MaxWorkers <= 0 {
-		w.MaxWorkers = 256
-	}
-	// Compute-throughput defaults match shuffle.PlanInput's.
-	if w.PartitionBps <= 0 {
-		w.PartitionBps = 150e6
-	}
-	if w.MergeBps <= 0 {
-		w.MergeBps = 200e6
-	}
+	w.PlanInput = w.PlanInput.WithDefaults()
 	if w.OutputParts <= 0 {
 		w.OutputParts = 8
 	}
@@ -329,9 +290,6 @@ const DefaultVMSortBps = 270e6
 func (e Env) withDefaults() Env {
 	if e.FunctionMemoryMB <= 0 {
 		e.FunctionMemoryMB = 2048
-	}
-	if e.CacheHeadroom <= 0 {
-		e.CacheHeadroom = 1.3
 	}
 	if e.VMSortBps <= 0 {
 		e.VMSortBps = DefaultVMSortBps
@@ -350,29 +308,14 @@ func (e Env) withDefaults() Env {
 	if e.CrossZoneRTT <= 0 {
 		e.CrossZoneRTT = time.Millisecond
 	}
-	if e.CrossZoneGBUSD <= 0 {
-		e.CrossZoneGBUSD = 0.01
-	}
 	return e
-}
-
-// planInput converts the workload into the shuffle planner's input.
-func (w Workload) planInput(startup time.Duration) shuffle.PlanInput {
-	return shuffle.PlanInput{
-		DataBytes:      w.DataBytes,
-		MaxWorkers:     w.MaxWorkers,
-		WorkerMemBytes: w.WorkerMemBytes,
-		PartitionBps:   w.PartitionBps,
-		MergeBps:       w.MergeBps,
-		Startup:        startup,
-	}
 }
 
 // workerLadder is the sweep of worker counts the function strategies
 // are evaluated at: powers of two within [minW, MaxWorkers], plus the
 // memory floor and the cap themselves.
 func workerLadder(w Workload) []int {
-	minW := shuffle.MinWorkersForMemory(w.planInput(0))
+	minW := shuffle.MinWorkersForMemory(w.PlanInput)
 	if w.Workers > 0 {
 		if w.Workers < minW || w.Workers > w.MaxWorkers {
 			return nil
@@ -399,16 +342,19 @@ func workerLadder(w Workload) []int {
 	return ladder
 }
 
-// Plan enumerates every candidate, predicts each concurrently, and
-// picks the best feasible one for the objective. The returned
-// Decision's Candidates are sorted by predicted time (infeasible ones
-// last), and Chosen is never strictly dominated — worse time AND worse
-// cost — by any feasible candidate.
+// Plan enumerates every candidate, predicts each, and picks the best
+// feasible one for the objective. The returned Decision's Candidates
+// are sorted by predicted time (infeasible ones last), and Chosen is
+// never strictly dominated — worse time AND worse cost — by any
+// feasible candidate.
 func Plan(w Workload, env Env, obj Objective) (Decision, error) {
 	w = w.withDefaults()
 	env = env.withDefaults()
 	if w.DataBytes <= 0 {
 		return Decision{}, fmt.Errorf("autoplan: non-positive data size %d", w.DataBytes)
+	}
+	if obj.Goal == MinCostWithin && obj.TimeBound <= 0 {
+		return Decision{}, fmt.Errorf("autoplan: %s needs a positive time bound, got %v", obj.Goal, obj.TimeBound)
 	}
 	if env.Store.PerConnBandwidth <= 0 || env.Store.ReadOpsPerSec <= 0 || env.Store.WriteOpsPerSec <= 0 {
 		return Decision{}, fmt.Errorf("autoplan: invalid store profile %+v", env.Store)
@@ -418,30 +364,16 @@ func Plan(w Workload, env Env, obj Objective) (Decision, error) {
 		return Decision{}, fmt.Errorf("autoplan: invalid cache profile %+v", env.Cache)
 	}
 
-	specs := enumerate(w, env)
-	if len(specs) == 0 {
+	cands := enumerate(w, env)
+	if len(cands) == 0 {
 		return Decision{}, fmt.Errorf(
 			"autoplan: no candidate families available for %d bytes (every strategy disabled or absent)",
 			w.DataBytes)
 	}
-
-	// Evaluate concurrently: each goroutine owns one index, so the
-	// slice writes never race.
-	cands := make([]Candidate, len(specs))
-	sem := make(chan struct{}, evalConcurrency())
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := specs[i].evaluate(w, env)
-			c.ModelTime, c.ModelUSD = c.Time, c.CostUSD
-			cands[i] = env.History.calibrate(c)
-		}(i)
+	for i, c := range cands {
+		c.ModelTime, c.ModelUSD = c.Time, c.CostUSD
+		cands[i] = env.History.calibrate(c)
 	}
-	wg.Wait()
 
 	dec := Decision{Objective: obj, Workload: w, Candidates: cands}
 	chosen, ok := choose(cands, obj)
@@ -492,7 +424,7 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 	// Two waves of n workers; a wave stalls if any of its n inputs
 	// draws a straggler (or a retried failure).
 	pWave := 1 - math.Pow(1-exposure, n)
-	waveT := (c.Time - env.FunctionStartup).Seconds() / 2
+	waveT := (c.Time - w.Startup).Seconds() / 2
 	if waveT <= 0 {
 		return SpeculationDecision{Reason: "degenerate plan time"}
 	}
@@ -526,36 +458,33 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 		"expected straggler tail %.2fs <= 5%% of %.2fs makespan", tailSeconds, c.Time.Seconds())}
 }
 
-// candidateSpec is one configuration awaiting evaluation. A non-empty
-// reason marks the spec dead on arrival: it becomes an infeasible
-// candidate row so the decision table shows why a family is absent.
-type candidateSpec struct {
-	strategy  Strategy
-	workers   int
-	instance  vm.InstanceType
-	spot      bool
-	multiZone bool
-	reason    string
-}
-
-// enumerate lists every configuration to evaluate, in deterministic
-// order.
-func enumerate(w Workload, env Env) []candidateSpec {
-	var specs []candidateSpec
+// enumerate predicts every configuration, in deterministic order. A
+// non-empty reason marks the function families dead on arrival: they
+// become infeasible rows so the decision table shows why they are
+// absent.
+func enumerate(w Workload, env Env) []Candidate {
+	var cands []Candidate
 	functionFamilies := func(n int, reason string) {
+		add := func(s Strategy, predict func() Candidate) {
+			if reason != "" {
+				cands = append(cands, Candidate{Strategy: s, Workers: n, Reason: reason})
+				return
+			}
+			cands = append(cands, predict())
+		}
 		if !env.NoObjectStorage {
-			specs = append(specs, candidateSpec{strategy: ObjectStorage, workers: n, reason: reason})
+			add(ObjectStorage, func() Candidate { return predictObjectStorage(n, w, env) })
 		}
 		if !env.NoHierarchical && (n >= 4 || reason != "") {
-			specs = append(specs, candidateSpec{strategy: Hierarchical, workers: n, reason: reason})
+			add(Hierarchical, func() Candidate { return predictHierarchical(n, w, env) })
 		}
 		if env.HasCache {
-			specs = append(specs, candidateSpec{strategy: CacheBacked, workers: n, reason: reason})
+			add(CacheBacked, func() Candidate { return predictCache(n, false, w, env) })
 			// Multi-zone variant: the same cluster spread across the
 			// env's zones, trading a cross-zone premium for a 1/Zones
 			// outage blast radius. Only meaningful with 2+ zones.
 			if env.Zones > 1 {
-				specs = append(specs, candidateSpec{strategy: CacheBacked, workers: n, multiZone: true, reason: reason})
+				add(CacheBacked, func() Candidate { return predictCache(n, true, w, env) })
 			}
 		}
 	}
@@ -567,7 +496,7 @@ func enumerate(w Workload, env Env) []candidateSpec {
 		// No worker count satisfies the constraints: keep the function
 		// families visible as infeasible rows instead of silently
 		// handing the job to whatever VM fits.
-		minW := shuffle.MinWorkersForMemory(w.planInput(0))
+		minW := shuffle.MinWorkersForMemory(w.PlanInput)
 		if w.Workers > 0 {
 			functionFamilies(w.Workers, fmt.Sprintf(
 				"pinned %d workers outside [%d, %d]", w.Workers, minW, w.MaxWorkers))
@@ -587,34 +516,15 @@ func enumerate(w Workload, env Env) []candidateSpec {
 		if vmPin != "" && it.Name != vmPin {
 			continue
 		}
-		specs = append(specs, candidateSpec{strategy: VMStaged, workers: w.OutputParts, instance: it})
+		cands = append(cands, predictVM(it, false, w, env))
 		// Spot variant: same machine, interruptible price, expected
 		// rework under its InterruptRate. A standing instance is
 		// already running (and already paid for), so no spot variant.
-		if !env.NoSpot && it.SpotHourlyUSD > 0 && env.VMStandingType == "" {
-			specs = append(specs, candidateSpec{strategy: VMStaged, workers: w.OutputParts, instance: it, spot: true})
+		if it.SpotHourlyUSD > 0 && env.VMStandingType == "" {
+			cands = append(cands, predictVM(it, true, w, env))
 		}
 	}
-	return specs
-}
-
-// evaluate predicts one candidate's time and cost.
-func (s candidateSpec) evaluate(w Workload, env Env) Candidate {
-	if s.reason != "" {
-		return Candidate{Strategy: s.strategy, Workers: s.workers, Reason: s.reason}
-	}
-	switch s.strategy {
-	case ObjectStorage:
-		return predictObjectStorage(s.workers, w, env)
-	case Hierarchical:
-		return predictHierarchical(s.workers, w, env)
-	case CacheBacked:
-		return predictCache(s.workers, s.multiZone, w, env)
-	case VMStaged:
-		return predictVM(s.instance, s.spot, w, env)
-	default:
-		return Candidate{Strategy: s.strategy, Feasible: false, Reason: "unknown strategy"}
-	}
+	return cands
 }
 
 // objectiveValue ranks a candidate under the objective; infeasible
@@ -628,7 +538,7 @@ func objectiveValue(c Candidate, obj Objective) (primary, secondary float64) {
 	case MinCost:
 		return c.CostUSD, c.Time.Seconds()
 	case MinCostWithin:
-		if obj.TimeBound > 0 && c.Time > obj.TimeBound {
+		if c.Time > obj.TimeBound {
 			return math.Inf(1), math.Inf(1)
 		}
 		return c.CostUSD, c.Time.Seconds()

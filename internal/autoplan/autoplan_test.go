@@ -26,7 +26,6 @@ func flipEnv() Env {
 			WriteOpsPerSec:     3000,
 		},
 		FunctionMemoryMB: 2048,
-		FunctionStartup:  time.Second,
 		HasCache:         true,
 		Cache: memcache.Config{
 			NodeMemoryBytes:  13 << 30,
@@ -47,13 +46,14 @@ func flipEnv() Env {
 }
 
 func flipWorkload(dataBytes int64) Workload {
-	return Workload{
+	return Workload{PlanInput: shuffle.PlanInput{
 		DataBytes:      dataBytes,
 		MaxWorkers:     1024,
 		WorkerMemBytes: 2048 << 20,
 		PartitionBps:   55e6,
 		MergeBps:       55e6,
-	}
+		Startup:        time.Second,
+	}}
 }
 
 // TestStrategyFlipsWithVolume sweeps the data volume from 1 GB to 1 TB
@@ -183,7 +183,7 @@ func TestPinnedWorkersCollapseTheSweep(t *testing.T) {
 // TestPlanErrors covers the planner's failure modes.
 func TestPlanErrors(t *testing.T) {
 	env := flipEnv()
-	if _, err := Plan(Workload{DataBytes: 0}, env, Objective{}); err == nil {
+	if _, err := Plan(Workload{}, env, Objective{}); err == nil {
 		t.Error("no error for zero data size")
 	}
 	if _, err := Plan(flipWorkload(1e9), Env{}, Objective{}); err == nil {

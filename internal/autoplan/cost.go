@@ -6,26 +6,17 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/memcache"
-	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
-// outputPartRequests counts the class A requests a reducer's streamed
-// multipart output costs: the upload parts plus create/complete, or
-// one plain PUT when the output fits a single part — the same
-// arithmetic the PutStream writer executes.
-func outputPartRequests(outBytes int64) int64 {
-	return objectstore.PutStreamRequests(outBytes, shuffle.AdaptiveChunkBytes(0, outBytes))
-}
-
-// The predictors below mirror the operators' execution shape
-// request-for-request: the time side reuses the shuffle package's
-// latency models, and the cost side prices what those models say each
-// worker does — GB-seconds of function time, class A/B storage
-// requests, cache node-hours, VM instance-hours — with the same
-// billing.PriceBook the executor meters real runs with. EXPERIMENTS.md
-// records the model per strategy.
+// A function family's time, active seconds, class A/B requests and
+// invocations all come from one place: the wave fold in internal/shuffle
+// (shuffle.Predict, PredictHierarchical, PredictCache). This file prices
+// what the fold says each worker does — GB-seconds, storage requests,
+// cache node-hours — with the same billing.PriceBook the executor meters
+// real runs with, adds the failure expectations, and models the one
+// family with no waves, the VM. EXPERIMENTS.md has the wave table.
 
 const secondsPerMonth = 30 * 24 * 3600
 
@@ -114,62 +105,57 @@ func activeSeconds(p shuffle.Plan) float64 {
 	return (p.Phase1IO + p.Phase1CPU + p.Phase2IO + p.Phase2CPU).Seconds()
 }
 
+// withStoreFaults is every predictor's last step: the brownout model
+// over the candidate's store requests.
+func withStoreFaults(c Candidate, env Env, classA, classB int64) Candidate {
+	faultT, faultUSD := storeFaultPenalty(env, c.Time, classA, classB)
+	c.Time += faultT
+	c.CostUSD += faultUSD
+	c.Feasible = true
+	return c
+}
+
+// priceStoreWaves turns a plan whose every wave goes through the object
+// store into a candidate.
+func priceStoreWaves(c Candidate, plan shuffle.Plan, wl Workload, env Env) Candidate {
+	classB := plan.ClassB + shuffle.DriverReads
+	c.Time = plan.Predicted
+	c.CostUSD = functionUSD(env, plan.Workers, activeSeconds(plan), plan.Invocations) +
+		storageUSD(env, plan.ClassA, classB, 2*wl.DataBytes, plan.Predicted)
+	return withStoreFaults(c, env, plan.ClassA, classB)
+}
+
 // predictObjectStorage models the one-level all-to-all: w workers, w^2
 // intermediate objects through the store.
 func predictObjectStorage(w int, wl Workload, env Env) Candidate {
-	plan := shuffle.Predict(w, wl.planInput(env.FunctionStartup), env.Store)
-	fw := int64(w)
-	classA := fw*fw + fw*outputPartRequests(wl.DataBytes/fw) // partition writes + streamed output parts
-	classB := 2 + fw + fw*fw                                 // head + sample, input range reads, phase-2 reads
-	cost := functionUSD(env, w, activeSeconds(plan), 2*w) +
-		storageUSD(env, classA, classB, 2*wl.DataBytes, plan.Predicted)
-	faultT, faultUSD := storeFaultPenalty(env, plan.Predicted, classA, classB)
-	return Candidate{
-		Strategy: ObjectStorage,
-		Workers:  w,
-		Time:     plan.Predicted + faultT,
-		CostUSD:  cost + faultUSD,
-		Feasible: true,
-	}
+	return priceStoreWaves(Candidate{Strategy: ObjectStorage, Workers: w},
+		shuffle.Predict(w, wl.PlanInput, env.Store), wl, env)
 }
 
 // predictHierarchical models the two-level shuffle at the best divisor
 // group count for this worker count.
 func predictHierarchical(w int, wl Workload, env Env) Candidate {
-	in := wl.planInput(env.FunctionStartup)
-	bestG := 0
+	c := Candidate{Strategy: Hierarchical, Workers: w}
 	var best shuffle.Plan
 	for g := 2; g <= w; g++ {
 		if w%g != 0 {
 			continue
 		}
-		p := shuffle.PredictHierarchical(w, g, in, env.Store)
-		if bestG == 0 || p.Predicted < best.Predicted {
-			best, bestG = p, g
+		p := shuffle.PredictHierarchical(w, g, wl.PlanInput, env.Store)
+		if c.Groups == 0 || p.Predicted < best.Predicted {
+			best, c.Groups = p, g
 		}
 	}
-	if bestG == 0 {
-		return Candidate{
-			Strategy: Hierarchical, Workers: w,
-			Feasible: false, Reason: fmt.Sprintf("%d has no divisor >= 2", w),
-		}
+	if c.Groups == 0 {
+		c.Reason = fmt.Sprintf("%d has no divisor >= 2", w)
+		return c
 	}
-	fw, fg := int64(w), int64(bestG)
-	k := fw / fg
-	classA := fw*fg + fw*k + fw*outputPartRequests(wl.DataBytes/fw) // sprays, repartition writes, streamed output parts
-	classB := 2 + fw + fw*fg + fw*k                                 // head + sample, input reads, gather rounds
-	cost := functionUSD(env, w, activeSeconds(best), 3*w) +
-		storageUSD(env, classA, classB, 2*wl.DataBytes, best.Predicted)
-	faultT, faultUSD := storeFaultPenalty(env, best.Predicted, classA, classB)
-	return Candidate{
-		Strategy: Hierarchical,
-		Workers:  w,
-		Groups:   bestG,
-		Time:     best.Predicted + faultT,
-		CostUSD:  cost + faultUSD,
-		Feasible: true,
-	}
+	return priceStoreWaves(c, best, wl, env)
 }
+
+// crossZoneGBUSD is the per-GB fee on cache traffic crossing zone
+// boundaries in a multi-zone placement.
+const crossZoneGBUSD = 0.01
 
 // predictCache models the memcache-backed exchange: input and output
 // through the object store, the w^2 partition exchange through a
@@ -178,16 +164,17 @@ func predictHierarchical(w int, wl Workload, env Env) Candidate {
 //
 // multiZone spreads the cluster's nodes across the env's zones: each
 // cache request crossing a zone boundary — the (Zones-1)/Zones share —
-// pays CrossZoneRTT extra latency and CrossZoneGBUSD per GB, and in
+// pays CrossZoneRTT extra latency and crossZoneGBUSD per GB, and in
 // exchange a zone outage kills only 1/Zones of the shards, shrinking
 // the expected demotion rework by the same factor. Single-zone
 // placements risk the whole cluster: an outage mid-job demotes the
 // exchange to the object-store path (slab regeneration plus re-run),
 // priced as an expectation like the spot model.
 func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
-	nodes := memcache.NodesForCapacity(env.Cache, wl.DataBytes, env.CacheHeadroom)
+	nodes := memcache.NodesForCapacity(env.Cache, wl.DataBytes, shuffle.CacheOversize)
 	c := Candidate{Strategy: CacheBacked, Workers: w, CacheNodes: nodes, MultiZone: multiZone}
-	if env.CacheStandingNodes > 0 {
+	standing := env.CacheStandingNodes > 0
+	if standing {
 		// A session-owned cluster is already running: the job must fit
 		// in it, uses its actual size, and pays no node-hours. The
 		// CacheMaxNodes quota caps what the planner may provision, so
@@ -203,114 +190,62 @@ func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 		c.Reason = fmt.Sprintf("needs %d nodes, quota %d", nodes, env.CacheMaxNodes)
 		return c
 	}
-	cacheProf := shuffle.CacheProfile(env.Cache, nodes)
-
-	d := float64(wl.DataBytes)
-	fw := float64(w)
-	perWorker := d / fw
-
-	storeRate := env.Store.PerConnBandwidth
-	if env.Store.AggregateBandwidth > 0 {
-		if agg := env.Store.AggregateBandwidth / fw; agg < storeRate {
-			storeRate = agg
-		}
-	}
-	cacheRate := cacheProf.PerConnBandwidth
-	if cacheProf.AggregateBandwidth > 0 {
-		if agg := cacheProf.AggregateBandwidth / fw; agg < cacheRate {
-			cacheRate = agg
-		}
-	}
-	slat := env.Store.RequestLatency.Seconds()
-	clat := cacheProf.RequestLatency.Seconds()
 	// crossFrac is the share of cache traffic leaving its zone in a
 	// multi-zone placement (hash sharding spreads keys uniformly).
 	crossFrac := 0.0
 	if multiZone {
 		crossFrac = float64(env.Zones-1) / float64(env.Zones)
-		clat += crossFrac * env.CrossZoneRTT.Seconds()
 	}
-
-	// Phase 1: stream the input slice from the store — the ranged GET's
-	// transfer overlaps the partition CPU, with only the per-partition
-	// sort after it (shuffle.MapStreamRates' split) — then Set w
-	// entries into the cache (w^2 sets jointly throttled).
-	streamBps, sortBps := shuffle.MapStreamRates(wl.PartitionBps)
-	p1 := math.Max(perWorker/storeRate, perWorker/streamBps) +
-		perWorker/sortBps + perWorker/cacheRate +
-		math.Max(fw*clat, fw*fw/cacheProf.WriteOpsPerSec) + slat
-	// Phase 2: Get w entries from the cache over concurrent
-	// connections (one admission latency, jointly throttled), then the
-	// chunk-fed merge overlaps the streamed multipart output — the
-	// resident runs make cache-in serial with max(merge, store-out).
-	cacheAgg := math.Inf(1)
-	if cacheProf.AggregateBandwidth > 0 {
-		cacheAgg = cacheProf.AggregateBandwidth / fw
-	}
-	storeAgg := math.Inf(1)
-	if env.Store.AggregateBandwidth > 0 {
-		storeAgg = env.Store.AggregateBandwidth / fw
-	}
-	cacheInRate := math.Min(fw*cacheProf.PerConnBandwidth, cacheAgg)
-	storeOutRate := math.Min(float64(objectstore.DefaultPutConns)*env.Store.PerConnBandwidth, storeAgg)
-	parts := float64(outputPartRequests(int64(perWorker)))
-	p2 := perWorker/cacheInRate +
-		math.Max(perWorker/wl.MergeBps, perWorker/storeOutRate) +
-		math.Max(clat, fw*fw/cacheProf.ReadOpsPerSec) +
-		math.Max(slat, fw*parts/env.Store.WriteOpsPerSec)
+	plan := shuffle.PredictCache(w, wl.PlanInput, env.Store,
+		shuffle.CacheProfile(env.Cache, nodes), crossFrac*env.CrossZoneRTT.Seconds())
 
 	provision := env.Cache.ProvisionTime
-	if env.CacheWarm || env.CacheStandingNodes > 0 {
+	if env.CacheWarm || standing {
 		provision = 0
 	}
-	exchange := env.FunctionStartup.Seconds() + p1 + p2
+	exchange := wl.Startup.Seconds() + plan.Seconds
 	c.Time = provision + time.Duration(exchange*float64(time.Second))
 
 	nodeHoursUSD := float64(nodes) * env.Cache.NodeHourlyUSD *
 		(provision.Seconds() + exchange) / 3600
-	if env.CacheStandingNodes > 0 {
+	if standing {
 		// The session already pays the standing cluster's node-hours;
 		// the job's marginal cost excludes them.
 		nodeHoursUSD = 0
 	}
-	classA := int64(w) * outputPartRequests(int64(perWorker))
-	classB := 2 + int64(w)
-	c.CostUSD = functionUSD(env, w, p1+p2, 2*w) +
+	classB := plan.ClassB + shuffle.DriverReads
+	c.CostUSD = functionUSD(env, w, plan.Seconds, plan.Invocations) +
 		nodeHoursUSD +
-		storageUSD(env, classA, classB, 2*wl.DataBytes, c.Time)
+		storageUSD(env, plan.ClassA, classB, 2*wl.DataBytes, c.Time)
 	// Cross-zone replication fee: both directions of the exchange cross
 	// zones for the crossFrac share of the volume.
-	c.CostUSD += 2 * d * crossFrac / float64(1<<30) * env.CrossZoneGBUSD
+	c.CostUSD += 2 * float64(wl.DataBytes) * crossFrac / float64(1<<30) * crossZoneGBUSD
 
 	// Zone-outage exposure: with probability qz over the job window the
 	// cluster's zone fails mid-job. The exchange survives by demoting
 	// to the object-store path — regeneration re-reads the hit share of
 	// the input and the pending reducers re-run through fallback slabs
 	// — so the expected penalty is that share of an object-store
-	// exchange, halved for the average fault position. Multi-zone
+	// exchange (its waves' time and requests, one fresh activation a
+	// worker), halved for the average fault position. Multi-zone
 	// placements lose only 1/Zones of the shards per outage.
 	if env.ZoneOutagePerHour > 0 {
-		demote := shuffle.Predict(w, wl.planInput(0), env.Store)
+		in := wl.PlanInput
+		in.Startup = 0
+		demote := shuffle.Predict(w, in, env.Store)
 		qz := 1 - math.Exp(-env.ZoneOutagePerHour*c.Time.Hours())
 		frac := 0.5
 		if multiZone {
 			frac = 0.5 / float64(env.Zones)
 		}
-		fw64 := int64(w)
-		reworkA := fw64*fw64 + fw64*outputPartRequests(int64(perWorker))
-		reworkB := fw64 + fw64*fw64
 		c.Time += time.Duration(qz * frac * demote.Predicted.Seconds() * float64(time.Second))
-		c.CostUSD += qz * frac * (functionUSD(env, w, activeSeconds(demote), w) +
-			storageUSD(env, reworkA, reworkB, 0, 0))
+		c.CostUSD += qz * frac * (functionUSD(env, w, activeSeconds(demote), demote.Workers) +
+			storageUSD(env, demote.ClassA, demote.ClassB, 0, 0))
 	}
 
 	// The store legs (input read, sampled boundaries, streamed output)
 	// still pay the brownout model; the w^2 cache hop is exempt.
-	faultT, faultUSD := storeFaultPenalty(env, c.Time, classA, classB)
-	c.Time += faultT
-	c.CostUSD += faultUSD
-	c.Feasible = true
-	return c
+	return withStoreFaults(c, env, plan.ClassA, classB)
 }
 
 // predictVM models the staged sort: boot + agent setup, parallel
@@ -334,13 +269,7 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 	if conns <= 0 {
 		conns = it.VCPUs
 	}
-	rate := it.NICBandwidth
-	if perConn := env.Store.PerConnBandwidth * float64(conns); perConn < rate {
-		rate = perConn
-	}
-	if env.Store.AggregateBandwidth > 0 && env.Store.AggregateBandwidth < rate {
-		rate = env.Store.AggregateBandwidth
-	}
+	rate := math.Min(it.NICBandwidth, env.Store.Rate(float64(conns), 1))
 	d := float64(wl.DataBytes)
 	lat := env.Store.RequestLatency.Seconds()
 	stageIn := d/rate + lat
@@ -353,49 +282,35 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		// A session-owned instance is already booted and deployed.
 		bootSetup = 0
 	}
-	total := bootSetup + work
-
+	// seconds is the run and computeUSD its instance-hours, on demand.
+	seconds := bootSetup + work
+	computeUSD := it.HourlyUSD * (seconds / 3600)
 	if spot {
 		// Preemption probability over the run's exposure window,
 		// Poisson at InterruptRate per hour. Zone outages reclaim spot
 		// capacity too, so their arrival rate adds to the market's.
 		ir := it.InterruptRate + env.ZoneOutagePerHour
-		q := 1 - math.Exp(-ir*total/3600)
-		// E[time]: the fault-free run, plus — with probability q — half
-		// the work wasted before the reclaim, a fresh boot+setup, and
-		// the full leg redone (staged bytes die with the instance).
-		expTime := total + q*(0.5*work+it.BootTime.Seconds()+env.VMSetup.Seconds()+work)
-		c.Time = time.Duration(expTime * float64(time.Second))
+		q := 1 - math.Exp(-ir*seconds/3600)
 		// E[cost]: the spot attempt bills at the spot rate either way
 		// (full run, or boot+half the work before the reclaim); the
 		// on-demand fallback bills a full run at the on-demand rate.
 		spotSec := (1-q)*(bootSetup+work) + q*(bootSetup+0.5*work)
 		odSec := q * (bootSetup + work)
-		instUSD := (it.SpotHourlyUSD*spotSec+it.HourlyUSD*odSec)/3600 +
-			float64(it.MemoryGB)*env.Prices.StorageGBMonth*(expTime/3600)/(30*24)
-		c.CostUSD = instUSD +
-			storageUSD(env, int64(wl.OutputParts), int64(conns)+1, 2*wl.DataBytes, c.Time)
-		faultT, faultUSD := storeFaultPenalty(env, c.Time, int64(wl.OutputParts), int64(conns)+1)
-		c.Time += faultT
-		c.CostUSD += faultUSD
-		c.Feasible = true
-		return c
+		computeUSD = (it.SpotHourlyUSD*spotSec + it.HourlyUSD*odSec) / 3600
+		// E[time]: the fault-free run, plus — with probability q — half
+		// the work wasted before the reclaim, a fresh boot+setup, and
+		// the full leg redone (staged bytes die with the instance).
+		seconds += q * (0.5*work + it.BootTime.Seconds() + env.VMSetup.Seconds() + work)
 	}
-
-	c.Time = time.Duration(total * float64(time.Second))
-	hours := total / 3600
-	instUSD := it.HourlyUSD*hours +
-		float64(it.MemoryGB)*env.Prices.StorageGBMonth*hours/(30*24)
+	c.Time = time.Duration(seconds * float64(time.Second))
+	instUSD := computeUSD +
+		float64(it.MemoryGB)*env.Prices.StorageGBMonth*(seconds/3600)/(30*24)
 	if standing {
 		// The session already pays the instance-hours; the job's
 		// marginal cost excludes them.
 		instUSD = 0
 	}
-	c.CostUSD = instUSD +
-		storageUSD(env, int64(wl.OutputParts), int64(conns)+1, 2*wl.DataBytes, c.Time)
-	faultT, faultUSD := storeFaultPenalty(env, c.Time, int64(wl.OutputParts), int64(conns)+1)
-	c.Time += faultT
-	c.CostUSD += faultUSD
-	c.Feasible = true
-	return c
+	classA, classB := int64(wl.OutputParts), int64(conns)+1
+	c.CostUSD = instUSD + storageUSD(env, classA, classB, 2*wl.DataBytes, c.Time)
+	return withStoreFaults(c, env, classA, classB)
 }

@@ -83,10 +83,9 @@ func TestHistoryRedirectsPlan(t *testing.T) {
 			WriteOpsPerSec:   1500,
 		},
 		FunctionMemoryMB: 2048,
-		FunctionStartup:  time.Second,
 		Prices:           billing.Default(),
 	}
-	wl := Workload{DataBytes: 4e9, MaxWorkers: 64, WorkerMemBytes: 2 << 30}
+	wl := Workload{PlanInput: shuffle.PlanInput{DataBytes: 4e9, MaxWorkers: 64, WorkerMemBytes: 2 << 30, Startup: time.Second}}
 
 	base, err := Plan(wl, env, Objective{})
 	if err != nil {

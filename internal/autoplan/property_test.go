@@ -6,19 +6,21 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // randWorkload derives an arbitrary-but-valid workload from fuzz
 // inputs: volumes from tens of MB to ~1 TB, worker caps from 16 to
 // 1024, throughputs from 10 to 300 MB/s.
 func randWorkload(vol uint32, cap uint8, part, merge uint8) Workload {
-	return Workload{
+	return Workload{PlanInput: shuffle.PlanInput{
 		DataBytes:      64e6 + int64(vol)*256, // 64 MB .. ~1.1 TB
 		MaxWorkers:     16 + int(cap)*4,
 		WorkerMemBytes: 2048 << 20,
 		PartitionBps:   10e6 + float64(part)*1.1e6,
 		MergeBps:       10e6 + float64(merge)*1.1e6,
-	}
+	}}
 }
 
 func randObjective(sel uint8, bound uint16) Objective {

@@ -19,9 +19,12 @@ func standingEnv() Env {
 			WriteOpsPerSec:   1500,
 		},
 		FunctionMemoryMB: 2048,
-		FunctionStartup:  time.Second,
 		Prices:           billing.Default(),
 	}
+}
+
+func standingWorkload(dataBytes int64) Workload {
+	return Workload{PlanInput: shuffle.PlanInput{DataBytes: dataBytes, WorkerMemBytes: 2 << 30, Startup: time.Second}}
 }
 
 // TestStandingVMOverridesProfilePin: a session's standing instance is
@@ -35,7 +38,7 @@ func TestStandingVMOverridesProfilePin(t *testing.T) {
 	env.VMInstanceType = "bx2-8x32" // the profile's pin
 	env.VMStandingType = "bx2-4x16" // what the session actually runs
 
-	dec, err := Plan(Workload{DataBytes: 4e9, WorkerMemBytes: 2 << 30}, env, Objective{})
+	dec, err := Plan(standingWorkload(4e9), env, Objective{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -67,7 +70,7 @@ func TestStandingClusterExemptFromProvisioningQuota(t *testing.T) {
 	env.CacheMaxNodes = 1
 	env.CacheStandingNodes = 4
 
-	dec, err := Plan(Workload{DataBytes: 20e9, WorkerMemBytes: 2 << 30}, env, Objective{})
+	dec, err := Plan(standingWorkload(20e9), env, Objective{})
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -77,7 +80,7 @@ func TestStandingClusterExemptFromProvisioningQuota(t *testing.T) {
 	}
 	// But a volume beyond the standing cluster's capacity is still
 	// infeasible: the session cannot grow it mid-job.
-	if _, err := Plan(Workload{DataBytes: 200e9, WorkerMemBytes: 2 << 30}, env, Objective{}); err == nil {
+	if _, err := Plan(standingWorkload(200e9), env, Objective{}); err == nil {
 		t.Error("volume beyond the standing cluster accepted")
 	}
 }

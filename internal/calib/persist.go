@@ -42,8 +42,8 @@ func Load(r io.Reader) (State, error) {
 }
 
 // Rig builds the simulated cloud from the saved state, seeding the
-// executor's planner history with the persisted calibration so the
-// feedback loop continues where the previous process left off.
+// rig's planner history with the persisted calibration so the feedback
+// loop continues where the previous process left off.
 func (st State) Rig() (*Rig, error) {
 	r, err := NewRig(st.Profile)
 	if err != nil {
@@ -51,7 +51,6 @@ func (st State) Rig() (*Rig, error) {
 	}
 	if st.History != nil {
 		r.History = st.History
-		r.Exec.History = st.History
 	}
 	return r, nil
 }

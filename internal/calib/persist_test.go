@@ -91,8 +91,8 @@ func TestStateFileRoundTripAndRig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rig: %v", err)
 	}
-	// The rig's executor must plan with the persisted calibration.
-	if rig.History != st.History || rig.Exec.History != st.History {
+	// The strategies the rig builds must plan with the persisted calibration.
+	if rig.History != st.History || rig.AutoStrategy(autoplan.Objective{}).Env.History != st.History {
 		t.Fatal("rig not seeded with the persisted history")
 	}
 	if f := rig.History.TimeFactor(autoplan.Hierarchical); f >= 1 {

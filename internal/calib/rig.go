@@ -82,8 +82,6 @@ func NewRig(p Profile) (*Rig, error) {
 	exec := core.NewExecutor(sim, store, platform, prov, op, p.Prices)
 	exec.CacheProv = cacheProv
 	exec.CacheShuffle = cacheOp
-	history := autoplan.NewHistory()
-	exec.History = history
 	return &Rig{
 		Profile:   p,
 		Sim:       sim,
@@ -94,7 +92,7 @@ func NewRig(p Profile) (*Rig, error) {
 		Shuffle:   op,
 		CacheOp:   cacheOp,
 		Exec:      exec,
-		History:   history,
+		History:   autoplan.NewHistory(),
 	}, nil
 }
 
@@ -117,6 +115,7 @@ func (r *Rig) SetStandingVM(i *vm.Instance) {
 // SortParams derives the standard sort-stage parameters for this
 // profile and dataset location.
 func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers int) core.SortParams {
+	in := PlanInput(r.Profile, 0) // the stage learns the volume from the input's Head
 	return core.SortParams{
 		InputBucket:    inBucket,
 		InputKey:       inKey,
@@ -124,11 +123,11 @@ func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers i
 		OutputPrefix:   outPrefix,
 		Workers:        workers,
 		MemoryMB:       r.Profile.Faas.MemoryMB,
-		WorkerMemBytes: int64(r.Profile.Faas.MemoryMB) << 20,
-		MaxWorkers:     256,
-		PartitionBps:   r.Profile.PartitionBps,
-		MergeBps:       r.Profile.MergeBps,
-		Startup:        r.Profile.Faas.ColdStart,
+		WorkerMemBytes: in.WorkerMemBytes,
+		MaxWorkers:     in.MaxWorkers,
+		PartitionBps:   in.PartitionBps,
+		MergeBps:       in.MergeBps,
+		Startup:        in.Startup,
 	}
 }
 
@@ -162,34 +161,38 @@ func (r *Rig) CacheStrategy(warm bool) *core.CacheExchange {
 // job, calibrated by the rig's measured history. The zero objective
 // minimizes predicted completion time.
 func (r *Rig) AutoStrategy(obj autoplan.Objective) *core.AutoExchange {
+	env := PlanEnv(r.Profile)
+	env.History = r.History
 	return &core.AutoExchange{
-		Objective:         obj,
-		VM:                *r.VMStrategy(),
-		Cache:             *r.CacheStrategy(false),
-		CacheMaxNodes:     r.Profile.CacheMaxNodes,
-		History:           r.History,
-		BrownoutPerHour:   r.Profile.BrownoutPerHour,
-		BrownoutRate:      r.Profile.BrownoutRate,
-		BrownoutDuration:  r.Profile.BrownoutDuration,
-		ZoneOutagePerHour: r.Profile.ZoneOutagePerHour,
+		Objective: obj,
+		Env:       env,
+		VM:        *r.VMStrategy(),
+		Cache:     *r.CacheStrategy(false),
 	}
 }
 
-// PlanWorkload derives the auto-planner's workload for this profile
-// and volume, mirroring SortParams.
-func PlanWorkload(p Profile, dataBytes int64) autoplan.Workload {
-	return autoplan.Workload{
+// PlanInput is the one mapping from a profile and a volume to the
+// shuffle planner's input; every other planner input is derived from it.
+func PlanInput(p Profile, dataBytes int64) shuffle.PlanInput {
+	return shuffle.PlanInput{
 		DataBytes:      dataBytes,
 		MaxWorkers:     256,
 		WorkerMemBytes: int64(p.Faas.MemoryMB) << 20,
 		PartitionBps:   p.PartitionBps,
 		MergeBps:       p.MergeBps,
+		Startup:        p.Faas.ColdStart,
 	}
 }
 
-// PlanEnv converts a profile into the auto-planner's priced cloud, the
-// offline counterpart of what core.AutoExchange assembles from a live
-// executor.
+// PlanWorkload derives the auto-planner's workload for this profile
+// and volume.
+func PlanWorkload(p Profile, dataBytes int64) autoplan.Workload {
+	return autoplan.Workload{PlanInput: PlanInput(p, dataBytes)}
+}
+
+// PlanEnv converts a profile into the auto-planner's priced cloud: the
+// only place an autoplan.Env is built. A rig's services are built from
+// the same profile, so this is also what a live run executes against.
 func PlanEnv(p Profile) autoplan.Env {
 	types := p.VMTypes
 	if len(types) == 0 {
@@ -198,7 +201,6 @@ func PlanEnv(p Profile) autoplan.Env {
 	return autoplan.Env{
 		Store:            shuffle.ProfileOf(p.Store),
 		FunctionMemoryMB: p.Faas.MemoryMB,
-		FunctionStartup:  p.Faas.ColdStart,
 		Prices:           p.Prices,
 		HasCache:         p.Cache.NodeMemoryBytes > 0,
 		Cache:            p.Cache,

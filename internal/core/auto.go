@@ -3,46 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
-	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
-
-// StrategyCode selects the exchange family for a sort stage that has
-// no explicit ExchangeStrategy. The zero value, Auto, hands the choice
-// to the cost-based planner; the Use* codes force a family but still
-// let the planner size its configuration (workers, groups, nodes,
-// instance type).
-type StrategyCode int
-
-// Auto (the zero value) consults the planner across every family.
-const (
-	Auto StrategyCode = iota
-	UseObjectStorage
-	UseHierarchical
-	UseCache
-	UseVM
-)
-
-// allowed maps a forced code onto the planner's family filter.
-func (c StrategyCode) allowed() ([]autoplan.Strategy, error) {
-	switch c {
-	case Auto:
-		return nil, nil
-	case UseObjectStorage:
-		return []autoplan.Strategy{autoplan.ObjectStorage}, nil
-	case UseHierarchical:
-		return []autoplan.Strategy{autoplan.Hierarchical}, nil
-	case UseCache:
-		return []autoplan.Strategy{autoplan.CacheBacked}, nil
-	case UseVM:
-		return []autoplan.Strategy{autoplan.VMStaged}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown strategy code %d", int(c))
-	}
-}
 
 // AutoExchange is the planner-backed strategy — the paper's "seer":
 // it stats the input, asks internal/autoplan for the best (strategy,
@@ -52,31 +16,18 @@ func (c StrategyCode) allowed() ([]autoplan.Strategy, error) {
 type AutoExchange struct {
 	// Objective is what to optimize (zero value: minimum time).
 	Objective autoplan.Objective
-	// Allow restricts the families considered (nil: all available on
-	// the executor).
-	Allow []autoplan.Strategy
-	// VM carries the VM family's dispatch knobs (instance type pins the
-	// catalog entry; Setup/SortBps/Conns shape its model and run).
+	// Env is the priced cloud the planner predicts against, failure
+	// priors and calibration history included: calib.PlanEnv of the
+	// profile the executor's services were built from. RunSort overlays
+	// only what is live when the stage runs: a standing cluster or
+	// instance that is still up, and the stage's memory grant.
+	Env autoplan.Env
+	// VM carries the VM family's dispatch knobs (Setup/SortBps/Conns
+	// shape its run; Instance is a session's standing machine).
 	VM VMExchange
-	// Cache carries the cache family's dispatch knobs (Warm, Headroom).
+	// Cache carries the cache family's dispatch knobs (Warm; Cluster is
+	// a session's standing cluster).
 	Cache CacheExchange
-	// CacheMaxNodes caps the cluster the planner may provision
-	// (0: no quota).
-	CacheMaxNodes int
-	// BrownoutPerHour / BrownoutRate / BrownoutDuration and
-	// ZoneOutagePerHour are failure-model priors the planner prices
-	// (zero: plan for a healthy cloud). They are beliefs about the
-	// environment, not live measurements, so they ride on the strategy;
-	// the zone count itself comes from the executor's provisioner.
-	BrownoutPerHour   float64
-	BrownoutRate      float64
-	BrownoutDuration  time.Duration
-	ZoneOutagePerHour float64
-	// History, when set, calibrates predictions with measured outcomes
-	// and receives this stage's predicted-vs-actual observation after
-	// each run. When nil, the executor's History (shared by a session
-	// across submissions) is used instead.
-	History *autoplan.History
 	// LastDecision is the most recent planner output (for reports; the
 	// simulation kernel runs one process at a time, so reads after the
 	// stage are safe).
@@ -87,82 +38,6 @@ var _ ExchangeStrategy = (*AutoExchange)(nil)
 
 // Name implements ExchangeStrategy.
 func (*AutoExchange) Name() string { return "auto" }
-
-// planEnv assembles the planner's priced cloud from the executor's
-// live services — the same profiles the run will execute against.
-func (a *AutoExchange) planEnv(exec *Executor) autoplan.Env {
-	pcfg := exec.Platform.Config()
-	env := autoplan.Env{
-		Store:                 shuffle.ProfileOf(exec.Store.Config()),
-		FunctionMemoryMB:      pcfg.MemoryMB,
-		FunctionStartup:       pcfg.ColdStart,
-		Prices:                exec.Prices,
-		NoHierarchical:        !exec.Shuffle.HierarchicalEnabled(),
-		FaasFailureRate:       pcfg.FailureRate,
-		FaasStragglerRate:     pcfg.StragglerRate,
-		FaasStragglerSlowdown: pcfg.StragglerSlowdown,
-
-		BrownoutPerHour:   a.BrownoutPerHour,
-		BrownoutRate:      a.BrownoutRate,
-		BrownoutDuration:  a.BrownoutDuration,
-		ZoneOutagePerHour: a.ZoneOutagePerHour,
-	}
-	if exec.CacheShuffle != nil && exec.CacheProv != nil {
-		env.HasCache = true
-		env.Cache = exec.CacheProv.Config()
-		env.CacheMaxNodes = a.CacheMaxNodes
-		env.CacheWarm = a.Cache.Warm
-		env.CacheHeadroom = a.Cache.Headroom
-		if a.Cache.Cluster != nil && !a.Cache.Cluster.Stopped() {
-			env.CacheStandingNodes = a.Cache.Cluster.Nodes()
-		}
-	}
-	if exec.Provisioner != nil {
-		env.Zones = len(exec.Provisioner.Zones())
-		env.VMTypes = exec.Provisioner.Types()
-		env.VMInstanceType = a.VM.InstanceType
-		env.VMSetup = a.VM.Setup
-		env.VMSortBps = a.VM.SortBps
-		env.VMConns = a.VM.Conns
-		if a.VM.Instance != nil && !a.VM.Instance.Stopped() {
-			env.VMStandingType = a.VM.Instance.Type().Name
-		}
-	}
-	env.History = a.History
-	if env.History == nil {
-		env.History = exec.History
-	}
-	return env
-}
-
-// filterEnv drops families the Allow list (or the stage's forced
-// strategy code) excludes.
-func filterEnv(env autoplan.Env, allow []autoplan.Strategy) autoplan.Env {
-	if len(allow) == 0 {
-		return env
-	}
-	has := func(s autoplan.Strategy) bool {
-		for _, x := range allow {
-			if x == s {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(autoplan.ObjectStorage) {
-		env.NoObjectStorage = true
-	}
-	if !has(autoplan.Hierarchical) {
-		env.NoHierarchical = true
-	}
-	if !has(autoplan.CacheBacked) {
-		env.HasCache = false
-	}
-	if !has(autoplan.VMStaged) {
-		env.VMTypes = nil
-	}
-	return env
-}
 
 // RunSort implements ExchangeStrategy.
 func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
@@ -175,23 +50,20 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 		return SortOutcome{}, fmt.Errorf("auto exchange: stat input: %w", err)
 	}
 
-	startup := params.Startup
-	if startup <= 0 {
-		startup = ctx.Exec.Platform.Config().ColdStart
+	in := params.spec().PlanInput(head.Size)
+	if in.Startup <= 0 {
+		in.Startup = ctx.Exec.Platform.Config().ColdStart
 	}
-	wl := autoplan.Workload{
-		DataBytes:      head.Size,
-		MaxWorkers:     params.MaxWorkers,
-		Workers:        params.Workers,
-		WorkerMemBytes: params.WorkerMemBytes,
-		PartitionBps:   params.PartitionBps,
-		MergeBps:       params.MergeBps,
-		OutputParts:    params.Workers,
-	}
-	env := filterEnv(a.planEnv(ctx.Exec), a.Allow)
-	env.FunctionStartup = startup
+	wl := autoplan.Workload{PlanInput: in, Workers: params.Workers, OutputParts: params.Workers}
+	env := a.Env
 	if params.MemoryMB > 0 {
 		env.FunctionMemoryMB = params.MemoryMB
+	}
+	if c := a.Cache.Cluster; c != nil && !c.Stopped() {
+		env.CacheStandingNodes = c.Nodes()
+	}
+	if inst := a.VM.Instance; inst != nil && !inst.Stopped() {
+		env.VMStandingType = inst.Type().Name
 	}
 
 	dec, err := autoplan.Plan(wl, env, a.Objective)
@@ -280,15 +152,4 @@ func (a *AutoExchange) dispatch(ctx *StageContext, params SortParams, dec *autop
 	default:
 		return SortOutcome{}, fmt.Errorf("auto exchange: unknown strategy %v", c.Strategy)
 	}
-}
-
-// strategyForCode builds the stage-level default strategy for a sort
-// whose SortStage.Strategy is nil: the planner, possibly restricted to
-// one forced family.
-func strategyForCode(code StrategyCode) (*AutoExchange, error) {
-	allow, err := code.allowed()
-	if err != nil {
-		return nil, err
-	}
-	return &AutoExchange{Allow: allow}, nil
 }

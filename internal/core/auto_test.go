@@ -6,74 +6,25 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/bed"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
-// TestSortStageNilStrategyAutoPlans: a SortStage with no explicit
-// strategy and the zero-valued SortParams.Strategy (Auto) must consult
-// the planner, dispatch the sort, and publish the planner's summary in
-// the stage detail.
-func TestSortStageNilStrategyAutoPlans(t *testing.T) {
-	r := newRig(t)
-	if err := r.exec.Shuffle.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
-	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 91, Sorted: false})
-	params := stageData(t, r, recs)
-	params.Workers = 0 // let the seer sweep
-
-	var detail string
-	w := NewWorkflow("auto")
-	if err := w.Add(&SortStage{Params: params}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := w.Add(&FuncStage{StageName: "inspect", Fn: func(ctx *StageContext) error {
-		var err error
-		detail, err = ctx.State.String("sort.detail")
-		return err
-	}}, "sort"); err != nil {
-		t.Fatalf("Add inspect: %v", err)
-	}
-	rep, err := r.run(t, w)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	sr, ok := rep.Stage("sort")
-	if !ok || sr.Err != nil {
-		t.Fatalf("sort stage: ok=%v err=%v", ok, sr.Err)
-	}
-	if !strings.Contains(detail, "auto-planned") {
-		t.Errorf("stage detail %q does not carry the planner summary", detail)
+// planEnvOf prices the test rig's services for the planner, the way
+// calib.PlanEnv does for a profile (calib imports this package, so the
+// tests here cannot use it).
+func planEnvOf(exec *Executor) autoplan.Env {
+	return autoplan.Env{
+		Store:            shuffle.ProfileOf(exec.Store.Config()),
+		FunctionMemoryMB: exec.Platform.Config().MemoryMB,
+		Prices:           exec.Prices,
+		VMTypes:          exec.Provisioner.Types(),
 	}
 }
 
-// TestSortStageForcedFamilyStillSized: a forced family code restricts
-// the planner to that family but leaves the sizing to it.
-func TestSortStageForcedFamilyStillSized(t *testing.T) {
-	r := newRig(t)
-	if err := r.exec.Shuffle.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
-	recs := bed.Generate(bed.GenConfig{Records: 1000, Seed: 92, Sorted: false})
-	params := stageData(t, r, recs)
-	params.Workers = 0
-	params.Strategy = UseObjectStorage
-
-	w := NewWorkflow("forced")
-	if err := w.Add(&SortStage{Params: params}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	rep, err := r.run(t, w)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if sr, _ := rep.Stage("sort"); sr.Err != nil {
-		t.Fatalf("sort err: %v", sr.Err)
-	}
-}
-
-// TestAutoExchangeCapturesDecision: the explicit AutoExchange strategy
-// keeps its full candidate table, the chosen candidate is feasible,
-// and a pinned worker count collapses the sweep.
+// TestAutoExchangeCapturesDecision: the AutoExchange strategy keeps its
+// full candidate table, the chosen candidate is feasible, a pinned
+// worker count collapses the sweep, and the stage report's detail
+// carries the planner's summary.
 func TestAutoExchangeCapturesDecision(t *testing.T) {
 	r := newRig(t)
 	if err := r.exec.Shuffle.EnableHierarchical(); err != nil {
@@ -83,12 +34,13 @@ func TestAutoExchangeCapturesDecision(t *testing.T) {
 	params := stageData(t, r, recs)
 	params.Workers = 4
 
-	auto := &AutoExchange{}
+	auto := &AutoExchange{Env: planEnvOf(r.exec)}
 	w := NewWorkflow("capture")
 	if err := w.Add(&SortStage{Strategy: auto, Params: params}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if _, err := r.run(t, w); err != nil {
+	rep, err := r.run(t, w)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	dec := auto.LastDecision
@@ -103,20 +55,21 @@ func TestAutoExchangeCapturesDecision(t *testing.T) {
 			t.Errorf("%v candidate at w=%d, want pinned 4", c.Strategy, c.Workers)
 		}
 	}
+	if sr, _ := rep.Stage("sort"); !strings.Contains(sr.Detail, "auto-planned") {
+		t.Errorf("stage detail %q does not carry the planner summary", sr.Detail)
+	}
 }
 
-// TestAutoExchangeUnknownCode: an out-of-range strategy code fails the
-// stage instead of silently auto-planning.
-func TestAutoExchangeUnknownCode(t *testing.T) {
+// TestSortStageWithoutStrategyFails: a sort stage has no default
+// exchange; leaving Strategy nil is an error that names the stage.
+func TestSortStageWithoutStrategyFails(t *testing.T) {
 	r := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 100, Seed: 94, Sorted: false})
-	params := stageData(t, r, recs)
-	params.Strategy = StrategyCode(99)
-	w := NewWorkflow("bad")
-	if err := w.Add(&SortStage{Params: params}); err != nil {
+	w := NewWorkflow("bare")
+	if err := w.Add(&SortStage{Params: stageData(t, r, recs)}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if _, err := r.run(t, w); err == nil || !strings.Contains(err.Error(), "unknown strategy code") {
+	if _, err := r.run(t, w); err == nil || !strings.Contains(err.Error(), `"sort" has no exchange strategy`) {
 		t.Fatalf("err = %v", err)
 	}
 }

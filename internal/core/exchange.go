@@ -15,12 +15,6 @@ import (
 
 // SortParams configure a sort stage, independent of strategy.
 type SortParams struct {
-	// Strategy selects the exchange family when the stage has no
-	// explicit ExchangeStrategy: the zero value, Auto, asks the
-	// cost-based planner (internal/autoplan) to pick strategy and
-	// configuration from the executor's live profiles; the Use* codes
-	// force one family and let the planner size it.
-	Strategy StrategyCode
 	// InputBucket/InputKey locate the unsorted dataset.
 	InputBucket, InputKey string
 	// OutputBucket/OutputPrefix receive the sorted parts.
@@ -144,16 +138,14 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 type CacheExchange struct {
 	// Nodes fixes the cluster size; 0 sizes it from the input volume.
 	Nodes int
-	// Headroom oversizes auto-sized clusters (default 1.3).
-	Headroom float64
 	// Warm skips the cluster spin-up latency, modeling a pre-provisioned
 	// long-lived cluster (the latency-favorable ablation).
 	Warm bool
 	// Cluster, when set, is a session-owned standing cluster: the
 	// exchange flows through it instead of provisioning a per-job one,
 	// the cluster is left running afterwards, and its node-hours are
-	// attributed by the session rather than to this stage. Nodes,
-	// Headroom, and Warm are ignored.
+	// attributed by the session rather than to this stage. Nodes and
+	// Warm are ignored.
 	Cluster *memcache.Cluster
 }
 
@@ -173,11 +165,10 @@ func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutco
 		return SortOutcome{}, errors.New("core: executor has no cache shuffle operator")
 	}
 	res, err := ctx.Exec.CacheShuffle.Sort(ctx.Proc, shuffle.CacheSpec{
-		Spec:     params.spec(),
-		Nodes:    c.Nodes,
-		Headroom: c.Headroom,
-		Warm:     c.Warm,
-		Cluster:  c.Cluster,
+		Spec:    params.spec(),
+		Nodes:   c.Nodes,
+		Warm:    c.Warm,
+		Cluster: c.Cluster,
 	})
 	if err != nil {
 		return SortOutcome{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/billing"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
@@ -36,14 +35,20 @@ type StageReport struct {
 	VMUSD    float64
 	CacheUSD float64
 	Cost     billing.Report
-	// Detail is the stage's human-readable summary when it published
-	// one to run state ("<name>.detail") — for sort stages the exchange
-	// trace, including the auto-planner's chosen strategy.
+	// StageOutcome is what the stage recorded on its StageContext.
+	StageOutcome
+}
+
+// StageOutcome is the typed record a stage leaves of what it did beyond
+// its metered usage; the zero value is a stage with nothing to add.
+type StageOutcome struct {
+	// Detail is the stage's human-readable summary — for sort stages
+	// the exchange trace, including the auto-planner's chosen strategy.
 	Detail string
-	// Restarts / ReworkBytes / FallbackSlabs surface the stage's
-	// failure recovery when it published them to run state: re-executed
-	// legs after a VM preemption, input re-read to regenerate lost
-	// cache slabs, and slabs rerouted through object storage.
+	// Restarts / ReworkBytes / FallbackSlabs are the stage's failure
+	// recovery: re-executed legs after a VM preemption, input re-read
+	// to regenerate lost cache slabs, and slabs rerouted through object
+	// storage.
 	Restarts      int
 	ReworkBytes   int64
 	FallbackSlabs int
@@ -116,11 +121,6 @@ type Executor struct {
 	// uses the cache data-exchange strategy.
 	CacheProv    *memcache.Provisioner
 	CacheShuffle *shuffle.CacheOperator
-
-	// History, when set, is consulted and updated by planner-backed
-	// (auto) sort stages: each run's measured time and cost calibrate
-	// the next plan. A session shares one history across submissions.
-	History *autoplan.History
 
 	// StandingCache / StandingVM are session-owned standing resources.
 	// Their accrual is excluded from per-stage VM/cache cost deltas —
@@ -231,30 +231,20 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 			}
 			e.stageStarts++
 			e.stagesActive++
-			err := n.stage.Run(&StageContext{Proc: sp, Exec: e, State: state})
+			ctx := &StageContext{Proc: sp, Exec: e, State: state}
+			err := n.stage.Run(ctx)
 			e.stagesActive--
 			sr := StageReport{
-				Name:     n.stage.Name(),
-				Start:    start,
-				End:      sp.Now(),
-				Err:      err,
-				Faas:     e.Platform.Meter().Sub(fBefore),
-				Store:    e.Store.Metrics().Sub(sBefore),
-				VMUSD:    e.vmCostSnapshot() - vBefore,
-				CacheUSD: e.cacheCostSnapshot() - cBefore,
+				Name:         n.stage.Name(),
+				Start:        start,
+				End:          sp.Now(),
+				Err:          err,
+				Faas:         e.Platform.Meter().Sub(fBefore),
+				Store:        e.Store.Metrics().Sub(sBefore),
+				VMUSD:        e.vmCostSnapshot() - vBefore,
+				CacheUSD:     e.cacheCostSnapshot() - cBefore,
+				StageOutcome: ctx.Outcome,
 			}
-			// The optional probes a stage publishes: read with Get, as
-			// absent is the common case and Int/String would build an
-			// error for each just to have it dropped.
-			probe := func(suffix string) any {
-				v, _ := state.Get(sr.Name + suffix)
-				return v
-			}
-			sr.Detail, _ = probe(".detail").(string)
-			sr.Restarts, _ = probe(".restarts").(int)
-			rework, _ := probe(".reworkBytes").(int)
-			sr.ReworkBytes = int64(rework)
-			sr.FallbackSlabs, _ = probe(".fallbackSlabs").(int)
 			sr.Cost.Add("functions", e.Prices.FunctionsCost(sr.Faas))
 			sr.Cost.Add("storage requests", e.Prices.StorageCost(sr.Store))
 			sr.Cost.Add("vm", sr.VMUSD)

@@ -14,16 +14,11 @@ import (
 type SortStage struct {
 	// StageName identifies the stage (default "sort").
 	StageName string
-	// Strategy is the data-exchange strategy to use. nil defers to
-	// Params.Strategy: the cost-based auto-planner (Auto, the zero
-	// value) or a forced family the planner still sizes.
+	// Strategy is the data-exchange strategy to use: a concrete one, or
+	// an *AutoExchange for the cost-based planner.
 	Strategy ExchangeStrategy
 	// Params configure the sort job.
 	Params SortParams
-
-	// resolved keeps the planner-backed strategy Run built for a nil
-	// Strategy, so Describe can render the plan it committed to.
-	resolved *AutoExchange
 }
 
 var _ Stage = (*SortStage)(nil)
@@ -40,42 +35,33 @@ func (s *SortStage) Name() string {
 // name, "auto" for a planner-backed stage, and "auto → <picked>" once
 // a run has committed the planner to a family.
 func (s *SortStage) exchangeLabel() string {
-	var auto *AutoExchange
 	switch st := s.Strategy.(type) {
 	case nil:
-		auto = s.resolved // nil before the first run
+		return "none"
 	case *AutoExchange:
-		auto = st
-	default:
-		return s.Strategy.Name()
+		if st.LastDecision != nil {
+			return fmt.Sprintf("auto → %s", st.LastDecision.Chosen.Strategy)
+		}
 	}
-	if auto != nil && auto.LastDecision != nil {
-		return fmt.Sprintf("auto → %s", auto.LastDecision.Chosen.Strategy)
-	}
-	return "auto"
+	return s.Strategy.Name()
 }
 
 // Run implements Stage.
 func (s *SortStage) Run(ctx *StageContext) error {
-	strat := s.Strategy
-	if strat == nil {
-		auto, err := strategyForCode(s.Params.Strategy)
-		if err != nil {
-			return err
-		}
-		s.resolved = auto
-		strat = auto
+	if s.Strategy == nil {
+		return fmt.Errorf("core: sort stage %q has no exchange strategy", s.Name())
 	}
-	outcome, err := strat.RunSort(ctx, s.Params)
+	outcome, err := s.Strategy.RunSort(ctx, s.Params)
 	if err != nil {
 		return err
 	}
 	ctx.State.Set(s.Name()+".keys", outcome.OutputKeys)
-	ctx.State.Set(s.Name()+".workers", outcome.Workers)
-	ctx.State.Set(s.Name()+".detail", outcome.Detail)
-	ctx.State.Set(s.Name()+".restarts", outcome.Restarts)
-	ctx.State.Set(s.Name()+".reworkBytes", int(outcome.ReworkBytes))
-	ctx.State.Set(s.Name()+".fallbackSlabs", outcome.FallbackSlabs)
+	ctx.Outcome = StageOutcome{
+		Detail:        outcome.Detail,
+		Restarts:      outcome.Restarts,
+		ReworkBytes:   outcome.ReworkBytes,
+		FallbackSlabs: outcome.FallbackSlabs,
+	}
 	return nil
 }
 

@@ -12,45 +12,8 @@ var decisionFixture = autoplan.Decision{
 	Chosen: autoplan.Candidate{Strategy: autoplan.VMStaged, Instance: "bx2-8x32", Workers: 8},
 }
 
-func TestRunStateTypedAccessors(t *testing.T) {
-	s := NewRunState()
-	s.Set("sort.workers", 8)
-	s.Set("sort.detail", "shuffle via object storage")
-	s.Set("sort.keys", []string{"a", "b"})
-
-	n, err := s.Int("sort.workers")
-	if err != nil || n != 8 {
-		t.Errorf("Int = %d, %v", n, err)
-	}
-	str, err := s.String("sort.detail")
-	if err != nil || str != "shuffle via object storage" {
-		t.Errorf("String = %q, %v", str, err)
-	}
-
-	if _, err := s.Int("missing"); err == nil || !strings.Contains(err.Error(), "no state") {
-		t.Errorf("Int(missing) = %v", err)
-	}
-	if _, err := s.String("missing"); err == nil || !strings.Contains(err.Error(), "no state") {
-		t.Errorf("String(missing) = %v", err)
-	}
-	if _, err := s.Int("sort.detail"); err == nil || !strings.Contains(err.Error(), "want int") {
-		t.Errorf("Int(wrong type) = %v", err)
-	}
-	if _, err := s.String("sort.workers"); err == nil || !strings.Contains(err.Error(), "want string") {
-		t.Errorf("String(wrong type) = %v", err)
-	}
-}
-
 func TestDescribeAutoSortStage(t *testing.T) {
-	w := NewWorkflow("wf")
-	if err := w.Add(&SortStage{Params: SortParams{}}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if out := w.Describe(); !strings.Contains(out, "sort [exchange: auto]") {
-		t.Errorf("nil-strategy sort not annotated as auto:\n%s", out)
-	}
-
-	// An explicit AutoExchange renders the same before a run...
+	// An AutoExchange renders as "auto" before a run...
 	w2 := NewWorkflow("wf2")
 	auto := &AutoExchange{}
 	if err := w2.Add(&SortStage{Strategy: auto, Params: SortParams{}}); err != nil {
@@ -68,7 +31,7 @@ func TestDescribeAutoSortStage(t *testing.T) {
 
 func TestDescribeRetryWrappedAutoSort(t *testing.T) {
 	w := NewWorkflow("wf")
-	inner := &SortStage{Params: SortParams{}}
+	inner := &SortStage{Strategy: &AutoExchange{}, Params: SortParams{}}
 	if err := w.Add(&RetryStage{Inner: inner}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}

@@ -36,6 +36,10 @@ type StageContext struct {
 	// control-plane values (output key lists, counts) downstream.
 	// Bulk data always goes through the object store.
 	State *RunState
+	// Outcome is the stage's own record for its StageReport: detail
+	// line and failure recovery. The stage fills it; the executor copies
+	// it once Run returns.
+	Outcome StageOutcome
 }
 
 // RunState is the shared control-plane state of one workflow run.
@@ -68,35 +72,6 @@ func (s *RunState) Keys(key string) ([]string, error) {
 		return nil, fmt.Errorf("core: state %q is %T, want []string", key, v)
 	}
 	return keys, nil
-}
-
-// Int returns the value under key as an int (a stage's published
-// worker count, part count, ...), failing with a typed error instead
-// of the raw assertion callers used to repeat.
-func (s *RunState) Int(key string) (int, error) {
-	v, ok := s.values[key]
-	if !ok {
-		return 0, fmt.Errorf("core: no state %q", key)
-	}
-	n, ok := v.(int)
-	if !ok {
-		return 0, fmt.Errorf("core: state %q is %T, want int", key, v)
-	}
-	return n, nil
-}
-
-// String returns the value under key as a string (a stage's published
-// detail line).
-func (s *RunState) String(key string) (string, error) {
-	v, ok := s.values[key]
-	if !ok {
-		return "", fmt.Errorf("core: no state %q", key)
-	}
-	str, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("core: state %q is %T, want string", key, v)
-	}
-	return str, nil
 }
 
 // Workflow is a DAG of named stages.

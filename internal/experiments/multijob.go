@@ -9,6 +9,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/pipeline"
 	"github.com/faaspipe/faaspipe/internal/session"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // multiJobDoc is the submitted workload: the METHCOMP pipeline with a
@@ -73,7 +74,7 @@ func MultiJob(profile calib.Profile, dataBytes int64, jobs int) (MultiJobResult,
 	if err != nil {
 		return MultiJobResult{}, err
 	}
-	nodes := memcache.NodesForCapacity(profile.Cache, dataBytes, 1.3)
+	nodes := memcache.NodesForCapacity(profile.Cache, dataBytes, shuffle.CacheOversize)
 	res := MultiJobResult{DataBytes: dataBytes, Jobs: jobs, Nodes: nodes}
 
 	// One session, one warm cluster, N submissions.

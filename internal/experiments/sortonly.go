@@ -37,26 +37,15 @@ func WorkerSweep(profile calib.Profile, dataBytes int64, workerCounts []int) (Wo
 		if err != nil {
 			return res, fmt.Errorf("experiments: sweep w=%d: %w", w, err)
 		}
-		pred := shuffle.Predict(w, planInput(profile, dataBytes), shuffle.ProfileOf(profile.Store))
+		pred := shuffle.Predict(w, calib.PlanInput(profile, dataBytes), shuffle.ProfileOf(profile.Store))
 		res.Rows = append(res.Rows, SweepRow{Workers: w, Measured: measured, Predicted: pred.Predicted})
 	}
-	plan, err := shuffle.Optimize(planInput(profile, dataBytes), shuffle.ProfileOf(profile.Store))
+	plan, err := shuffle.Optimize(calib.PlanInput(profile, dataBytes), shuffle.ProfileOf(profile.Store))
 	if err != nil {
 		return res, err
 	}
 	res.Planned = plan.Workers
 	return res, nil
-}
-
-func planInput(profile calib.Profile, dataBytes int64) shuffle.PlanInput {
-	return shuffle.PlanInput{
-		DataBytes:      dataBytes,
-		MaxWorkers:     256,
-		WorkerMemBytes: int64(profile.Faas.MemoryMB) << 20,
-		PartitionBps:   profile.PartitionBps,
-		MergeBps:       profile.MergeBps,
-		Startup:        profile.Faas.ColdStart,
-	}
 }
 
 // sortOnly configures one measurement of the shuffle alone.
@@ -197,7 +186,7 @@ func HierarchySweep(profile calib.Profile, dataBytes int64, workerCounts []int) 
 		if err != nil {
 			return res, fmt.Errorf("experiments: hier sweep two-level w=%d: %w", w, err)
 		}
-		in := planInput(profile, dataBytes)
+		in := calib.PlanInput(profile, dataBytes)
 		sp := shuffle.ProfileOf(profile.Store)
 		res.Rows = append(res.Rows, HierRow{
 			Workers:      w,
@@ -274,7 +263,7 @@ func PlannerRegret(profile calib.Profile, sizes []int64, grid []int) (PlannerRes
 				row.BestLatency = lat
 			}
 		}
-		plan, err := shuffle.Optimize(planInput(profile, size), shuffle.ProfileOf(profile.Store))
+		plan, err := shuffle.Optimize(calib.PlanInput(profile, size), shuffle.ProfileOf(profile.Store))
 		if err != nil {
 			return res, err
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -255,7 +256,7 @@ func TestSubmitInConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestDescribeAfterSessionRun: a nil-strategy (planner) sort renders
+// TestDescribeAfterSessionRun: a planner-backed sort renders
 // "[exchange: auto]" before the run and "auto → <family>" after — the
 // plan the stage committed to is visible in the DAG rendering.
 func TestDescribeAfterSessionRun(t *testing.T) {
@@ -267,7 +268,7 @@ func TestDescribeAfterSessionRun(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 1200, Seed: 8})
 	w := core.NewWorkflow("describe")
 	params := rig.SortParams("data", "in", "work", "sorted/", 0)
-	if err := w.Add(&core.SortStage{Params: params}); err != nil {
+	if err := w.Add(&core.SortStage{Strategy: rig.AutoStrategy(autoplan.Objective{}), Params: params}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if !strings.Contains(w.Describe(), "sort [exchange: auto]") {

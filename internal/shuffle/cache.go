@@ -18,10 +18,13 @@ const (
 	// names on the platform.
 	cacheMapFn    = "cacheshuffle/map"
 	cacheReduceFn = "cacheshuffle/reduce"
-	// defaultCacheHeadroom oversizes the cluster so the all-to-all's
-	// transient double-buffering never hits the eviction path.
-	defaultCacheHeadroom = 1.3
 )
+
+// CacheOversize oversizes an auto-sized cluster over the exchange
+// volume so the all-to-all's transient double-buffering never hits the
+// eviction path. The planner sizes its cache candidates with the same
+// figure.
+const CacheOversize = 1.3
 
 // CacheOperator is a shuffle/sort whose all-to-all intermediates flow
 // through a provisioned in-memory cache instead of object storage —
@@ -60,10 +63,8 @@ type CacheSpec struct {
 	// for runs whose shard node is down.
 	Spec
 	// Nodes fixes the cluster size; 0 sizes it from the input volume
-	// with Headroom.
+	// with CacheOversize.
 	Nodes int
-	// Headroom oversizes auto-sized clusters (default 1.3).
-	Headroom float64
 	// Warm treats the cluster as already provisioned: the spin-up
 	// latency is skipped, modeling a long-lived shared cluster. Billing
 	// still accrues for the job window only, which understates a real
@@ -73,7 +74,7 @@ type CacheSpec struct {
 	// caller (a session's standing warm cluster): no provisioning
 	// happens, the cluster is left running afterwards, and CacheUSD is
 	// reported as 0 because the owner attributes its node-hours.
-	// Nodes/Headroom/Warm are ignored.
+	// Nodes/Warm are ignored.
 	Cluster *memcache.Cluster
 }
 
@@ -123,9 +124,6 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 // before and stopped after the exchange; its cost is reported in the
 // result.
 func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) {
-	if spec.Headroom <= 0 {
-		spec.Headroom = defaultCacheHeadroom
-	}
 	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.scratch(), prov: op.prov, spec: spec}
 	j := &job{
 		platform: op.platform,
@@ -198,7 +196,7 @@ func (c *cacheRuns) profile(size int64) (StoreProfile, error) {
 				size, c.cluster.CapacityBytes())
 		}
 	} else if nodes <= 0 {
-		nodes = memcache.NodesForCapacity(c.prov.Config(), size, c.spec.Headroom)
+		nodes = memcache.NodesForCapacity(c.prov.Config(), size, CacheOversize)
 	}
 	c.res.Nodes, c.res.PeakCacheBytes = nodes, size
 	return CacheProfile(c.prov.Config(), nodes), nil

@@ -115,14 +115,7 @@ func (j *job) run(p *des.Proc) error {
 	}
 	j.workers = spec.Workers
 	if j.workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      j.size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, profile)
+		plan, err := Optimize(spec.PlanInput(j.size), profile)
 		if err != nil {
 			return err
 		}
