@@ -38,19 +38,19 @@ const (
 	VMStaged
 )
 
+// strategyNames are the families' names in reports and saved state.
+var strategyNames = map[Strategy]string{
+	ObjectStorage: "object-storage",
+	Hierarchical:  "hierarchical",
+	CacheBacked:   "memcache",
+	VMStaged:      "vm",
+}
+
 func (s Strategy) String() string {
-	switch s {
-	case ObjectStorage:
-		return "object-storage"
-	case Hierarchical:
-		return "hierarchical"
-	case CacheBacked:
-		return "memcache"
-	case VMStaged:
-		return "vm"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
+	if name, ok := strategyNames[s]; ok {
+		return name
 	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
 // Goal is the optimization target.
@@ -313,33 +313,35 @@ func (e Env) withDefaults() Env {
 
 // workerLadder is the sweep of worker counts the function strategies
 // are evaluated at: powers of two within [minW, MaxWorkers], plus the
-// memory floor and the cap themselves.
-func workerLadder(w Workload) []int {
+// memory floor and the cap themselves. When no worker count satisfies
+// the constraints it returns the one the caller asked for (or the
+// floor) with the reason it cannot run, so the function families stay
+// visible as infeasible rows instead of the job silently going to
+// whatever VM fits.
+func workerLadder(w Workload) (ladder []int, dead string) {
 	minW := shuffle.MinWorkersForMemory(w.PlanInput)
-	if w.Workers > 0 {
-		if w.Workers < minW || w.Workers > w.MaxWorkers {
-			return nil
+	switch {
+	case w.Workers > 0 && (w.Workers < minW || w.Workers > w.MaxWorkers):
+		return []int{w.Workers}, fmt.Sprintf(
+			"pinned %d workers outside [%d, %d]", w.Workers, minW, w.MaxWorkers)
+	case w.Workers > 0:
+		return []int{w.Workers}, ""
+	case minW > w.MaxWorkers:
+		return []int{minW}, fmt.Sprintf(
+			"memory floor %d workers above cap %d", minW, w.MaxWorkers)
+	}
+	// Ascending and without repeats by construction: the floor, the
+	// powers of two strictly between, the cap.
+	ladder = []int{minW}
+	for p := 1; p < w.MaxWorkers; p *= 2 {
+		if p > minW {
+			ladder = append(ladder, p)
 		}
-		return []int{w.Workers}
 	}
-	if minW > w.MaxWorkers {
-		return nil
+	if w.MaxWorkers > minW {
+		ladder = append(ladder, w.MaxWorkers)
 	}
-	seen := map[int]bool{}
-	var ladder []int
-	add := func(n int) {
-		if n >= minW && n <= w.MaxWorkers && !seen[n] {
-			seen[n] = true
-			ladder = append(ladder, n)
-		}
-	}
-	add(minW)
-	for p := 1; p <= w.MaxWorkers; p *= 2 {
-		add(p)
-	}
-	add(w.MaxWorkers)
-	sort.Ints(ladder)
-	return ladder
+	return ladder, ""
 }
 
 // Plan enumerates every candidate, predicts each, and picks the best
@@ -460,8 +462,7 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 
 // enumerate predicts every configuration, in deterministic order. A
 // non-empty reason marks the function families dead on arrival: they
-// become infeasible rows so the decision table shows why they are
-// absent.
+// become infeasible rows that say why.
 func enumerate(w Workload, env Env) []Candidate {
 	var cands []Candidate
 	functionFamilies := func(n int, reason string) {
@@ -488,22 +489,9 @@ func enumerate(w Workload, env Env) []Candidate {
 			}
 		}
 	}
-	ladder := workerLadder(w)
+	ladder, dead := workerLadder(w)
 	for _, n := range ladder {
-		functionFamilies(n, "")
-	}
-	if len(ladder) == 0 {
-		// No worker count satisfies the constraints: keep the function
-		// families visible as infeasible rows instead of silently
-		// handing the job to whatever VM fits.
-		minW := shuffle.MinWorkersForMemory(w.PlanInput)
-		if w.Workers > 0 {
-			functionFamilies(w.Workers, fmt.Sprintf(
-				"pinned %d workers outside [%d, %d]", w.Workers, minW, w.MaxWorkers))
-		} else {
-			functionFamilies(minW, fmt.Sprintf(
-				"memory floor %d workers above cap %d", minW, w.MaxWorkers))
-		}
+		functionFamilies(n, dead)
 	}
 	// A session's standing instance overrides the profile's pinned
 	// type: the already-paid machine is the one to consider, whatever

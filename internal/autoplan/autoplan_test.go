@@ -189,6 +189,14 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(flipWorkload(1e9), Env{}, Objective{}); err == nil {
 		t.Error("no error for empty store profile")
 	}
+	// A bound that is not positive is no bound: refuse rather than plan
+	// plain min-cost in silence.
+	for _, bound := range []time.Duration{0, -90 * time.Second} {
+		_, err := Plan(flipWorkload(1e9), env, Objective{Goal: MinCostWithin, TimeBound: bound})
+		if err == nil || !strings.Contains(err.Error(), "positive time bound") {
+			t.Errorf("MinCostWithin with bound %v: err = %v", bound, err)
+		}
+	}
 	// Memory floor above MaxWorkers with no VM big enough: nothing to
 	// enumerate.
 	wl := flipWorkload(1e12)

@@ -30,7 +30,7 @@ func outputPartRequests(outBytes int64) int64 {
 //
 // multiZone spreads the cluster's nodes across the env's zones: each
 // cache request crossing a zone boundary — the (Zones-1)/Zones share —
-// pays CrossZoneRTT extra latency and CrossZoneGBUSD per GB, and in
+// pays CrossZoneRTT extra latency and crossZoneGBUSD per GB, and in
 // exchange a zone outage kills only 1/Zones of the shards, shrinking
 // the expected demotion rework by the same factor. Single-zone
 // placements risk the whole cluster: an outage mid-job demotes the

@@ -96,33 +96,30 @@ func clampFactor(logSum float64, n int) float64 {
 	return f
 }
 
+// stats returns the family's sums (zero with no observations).
+func (h *History) stats(s Strategy) familyStats {
+	if h == nil || h.byStrategy[s] == nil {
+		return familyStats{}
+	}
+	return *h.byStrategy[s]
+}
+
 // TimeFactor returns the multiplier for the family's predicted time
 // (1 with no observations).
 func (h *History) TimeFactor(s Strategy) float64 {
-	if h == nil || h.byStrategy == nil || h.byStrategy[s] == nil {
-		return 1
-	}
-	fs := h.byStrategy[s]
+	fs := h.stats(s)
 	return clampFactor(fs.logTime, fs.n)
 }
 
 // CostFactor returns the multiplier for the family's predicted cost
 // (1 with no observations).
 func (h *History) CostFactor(s Strategy) float64 {
-	if h == nil || h.byStrategy == nil || h.byStrategy[s] == nil {
-		return 1
-	}
-	fs := h.byStrategy[s]
+	fs := h.stats(s)
 	return clampFactor(fs.logCost, fs.costN)
 }
 
 // Observations reports how many time observations the family has.
-func (h *History) Observations(s Strategy) int {
-	if h == nil || h.byStrategy == nil || h.byStrategy[s] == nil {
-		return 0
-	}
-	return h.byStrategy[s].n
-}
+func (h *History) Observations(s Strategy) int { return h.stats(s).n }
 
 // Len reports the total observation count across families.
 func (h *History) Len() int {
@@ -167,8 +164,8 @@ type familyStatsJSON struct {
 
 // strategyFromName inverts Strategy.String for deserialization.
 func strategyFromName(name string) (Strategy, bool) {
-	for _, s := range []Strategy{ObjectStorage, Hierarchical, CacheBacked, VMStaged} {
-		if s.String() == name {
+	for s, n := range strategyNames {
+		if n == name {
 			return s, true
 		}
 	}
@@ -187,8 +184,36 @@ func (h *History) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
+// HistoryError reports a family entry of a serialized history that
+// cannot be a record of observations.
+type HistoryError struct {
+	Family string
+	Reason string
+}
+
+func (e *HistoryError) Error() string {
+	return fmt.Sprintf("autoplan: history family %q: %s", e.Family, e.Reason)
+}
+
+// impossibleSum says why n observations cannot have the log-sum given,
+// or "" when they can.
+func impossibleSum(what string, n int, logSum float64) string {
+	switch {
+	case n < 0 || n > math.MaxInt32:
+		// The upper bound keeps Len, a sum over families, from wrapping.
+		return fmt.Sprintf("%s observation count %d outside [0, %d]", what, n, math.MaxInt32)
+	case math.IsNaN(logSum) || math.IsInf(logSum, 0):
+		return fmt.Sprintf("non-finite %s log-sum", what)
+	case n == 0 && logSum != 0:
+		return fmt.Sprintf("%s log-sum %g over zero observations", what, logSum)
+	}
+	return ""
+}
+
 // UnmarshalJSON restores the calibration state. Unknown family names
-// fail loudly rather than silently dropping calibration signal.
+// fail loudly rather than silently dropping calibration signal, and so
+// do sums no sequence of Record calls produces: a negative count would
+// invert the factor it divides.
 func (h *History) UnmarshalJSON(data []byte) error {
 	var in map[string]familyStatsJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -198,7 +223,14 @@ func (h *History) UnmarshalJSON(data []byte) error {
 	for name, fs := range in {
 		s, ok := strategyFromName(name)
 		if !ok {
-			return fmt.Errorf("autoplan: unknown strategy family %q in history", name)
+			return &HistoryError{name, "unknown strategy family"}
+		}
+		reason := impossibleSum("time", fs.N, fs.LogTime)
+		if reason == "" {
+			reason = impossibleSum("cost", fs.CostN, fs.LogCost)
+		}
+		if reason != "" {
+			return &HistoryError{name, reason}
 		}
 		h.byStrategy[s] = &familyStats{
 			n: fs.N, logTime: fs.LogTime, costN: fs.CostN, logCost: fs.LogCost,

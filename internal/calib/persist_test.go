@@ -2,7 +2,9 @@ package calib
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,5 +123,24 @@ func TestStateLoadRejectsUnknownFamily(t *testing.T) {
 	bad := `{"profile": {}, "history": {"warp-drive": {"n": 1, "logTime": 0.1}}}`
 	if _, err := Load(bytes.NewReader([]byte(bad))); err == nil {
 		t.Fatal("unknown strategy family accepted")
+	}
+}
+
+// TestStateLoadRejectsImpossibleCounts: a history no sequence of Record
+// calls writes must not load. A negative count flips the sign of the
+// mean log-ratio, so "ran 20x slower" would calibrate as "5x faster".
+func TestStateLoadRejectsImpossibleCounts(t *testing.T) {
+	for name, family := range map[string]string{
+		"negative counts":       `{"n": -2, "logTime": 3, "costN": -1, "logCost": 0}`,
+		"negative cost count":   `{"n": 2, "logTime": 3, "costN": -1, "logCost": 0}`,
+		"count that wraps Len":  `{"n": 9223372036854775807, "logTime": 1}`,
+		"time sum over nothing": `{"n": 0, "logTime": 0.5}`,
+		"cost sum over nothing": `{"n": 1, "logTime": 0.5, "costN": 0, "logCost": -1}`,
+	} {
+		_, err := Load(strings.NewReader(`{"profile": {}, "history": {"vm": ` + family + `}}`))
+		var herr *autoplan.HistoryError
+		if !errors.As(err, &herr) || herr.Family != "vm" {
+			t.Errorf("%s: err = %v, want a *autoplan.HistoryError for vm", name, err)
+		}
 	}
 }

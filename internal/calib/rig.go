@@ -115,19 +115,14 @@ func (r *Rig) SetStandingVM(i *vm.Instance) {
 // SortParams derives the standard sort-stage parameters for this
 // profile and dataset location.
 func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers int) core.SortParams {
-	in := PlanInput(r.Profile, 0) // the stage learns the volume from the input's Head
 	return core.SortParams{
-		InputBucket:    inBucket,
-		InputKey:       inKey,
-		OutputBucket:   outBucket,
-		OutputPrefix:   outPrefix,
-		Workers:        workers,
-		MemoryMB:       r.Profile.Faas.MemoryMB,
-		WorkerMemBytes: in.WorkerMemBytes,
-		MaxWorkers:     in.MaxWorkers,
-		PartitionBps:   in.PartitionBps,
-		MergeBps:       in.MergeBps,
-		Startup:        in.Startup,
+		InputBucket:  inBucket,
+		InputKey:     inKey,
+		OutputBucket: outBucket,
+		OutputPrefix: outPrefix,
+		Workers:      workers,
+		MemoryMB:     r.Profile.Faas.MemoryMB,
+		Plan:         PlanInput(r.Profile, 0),
 	}
 }
 

@@ -50,7 +50,8 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 		return SortOutcome{}, fmt.Errorf("auto exchange: stat input: %w", err)
 	}
 
-	in := params.spec().PlanInput(head.Size)
+	in := params.Plan
+	in.DataBytes = head.Size
 	if in.Startup <= 0 {
 		in.Startup = ctx.Exec.Platform.Config().ColdStart
 	}

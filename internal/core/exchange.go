@@ -25,13 +25,11 @@ type SortParams struct {
 	Workers int
 	// MemoryMB overrides function memory for shuffle workers.
 	MemoryMB int
-	// WorkerMemBytes and MaxWorkers bound the shuffle planner.
-	WorkerMemBytes int64
-	MaxWorkers     int
-	// PartitionBps / MergeBps model worker compute throughputs.
-	PartitionBps, MergeBps float64
-	// Startup is the planner's startup estimate.
-	Startup time.Duration
+	// Plan is what the planners size the job with: the worker bounds,
+	// the per-worker compute throughputs and the startup estimate
+	// (calib.PlanInput of the profile). DataBytes is left zero: the
+	// stage learns the volume from the input's Head.
+	Plan shuffle.PlanInput
 	// MaxRetries re-attempts shuffle invocations lost to transient
 	// platform failures.
 	MaxRetries int
@@ -53,11 +51,11 @@ func (p SortParams) spec() shuffle.Spec {
 		OutputBucket:   p.OutputBucket,
 		OutputPrefix:   p.OutputPrefix,
 		Workers:        p.Workers,
-		MaxWorkers:     p.MaxWorkers,
-		WorkerMemBytes: p.WorkerMemBytes,
-		PartitionBps:   p.PartitionBps,
-		MergeBps:       p.MergeBps,
-		Startup:        p.Startup,
+		MaxWorkers:     p.Plan.MaxWorkers,
+		WorkerMemBytes: p.Plan.WorkerMemBytes,
+		PartitionBps:   p.Plan.PartitionBps,
+		MergeBps:       p.Plan.MergeBps,
+		Startup:        p.Plan.Startup,
 		MemoryMB:       p.MemoryMB,
 		MaxRetries:     p.MaxRetries,
 		Speculate:      p.Speculate,

@@ -139,6 +139,10 @@ func (s StageDoc) objective() (autoplan.Objective, error) {
 			return autoplan.Objective{}, fmt.Errorf(
 				"pipeline: stage %q: bad deadline %q: %v", s.Name, s.Deadline, err)
 		}
+		if bound <= 0 {
+			return autoplan.Objective{}, fmt.Errorf(
+				"pipeline: stage %q: deadline %q is not positive", s.Name, s.Deadline)
+		}
 		return autoplan.Objective{Goal: autoplan.MinCostWithin, TimeBound: bound}, nil
 	default:
 		return autoplan.Objective{}, fmt.Errorf(
@@ -374,11 +378,11 @@ func (d *Doc) Build(opts BuildOptions) (*core.Workflow, error) {
 			}
 		}
 		if err := w.Add(stage, s.DependsOn...); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if err := w.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	return w, nil
 }

@@ -186,6 +186,8 @@ func TestV2Validation(t *testing.T) {
 		{"bounded without deadline", `{"name":"s","type":"shuffle","objective":"min-cost-within"}`, "deadline"},
 		{"deadline without bounded", `{"name":"s","type":"shuffle","objective":"min-cost","deadline":"2m"}`, "min-cost-within"},
 		{"unparsable deadline", `{"name":"s","type":"shuffle","objective":"min-cost-within","deadline":"soon"}`, "bad deadline"},
+		{"zero deadline", `{"name":"s","type":"shuffle","objective":"min-cost-within","deadline":"0s"}`, `stage "s": deadline "0s" is not positive`},
+		{"negative deadline", `{"name":"s","type":"shuffle","objective":"min-cost-within","deadline":"-90s"}`, `stage "s": deadline "-90s" is not positive`},
 		{"objective on concrete strategy", `{"name":"s","type":"shuffle","strategy":"vm","workers":2,"objective":"min-cost"}`, "auto"},
 		{"objective on map", `{"name":"s","type":"map","function":"f","inputsFrom":"k","objective":"min-cost"}`, "shuffle"},
 		{"auto with cacheNodes", `{"name":"s","type":"shuffle","strategy":"auto","cacheNodes":2}`, "pins an exchange family"},

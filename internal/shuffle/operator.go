@@ -102,18 +102,6 @@ type Spec struct {
 	StreamChunkBytes int64
 }
 
-// PlanInput is the planner's view of a size-byte job under this spec.
-func (s Spec) PlanInput(size int64) PlanInput {
-	return PlanInput{
-		DataBytes:      size,
-		MaxWorkers:     s.MaxWorkers,
-		WorkerMemBytes: s.WorkerMemBytes,
-		PartitionBps:   s.PartitionBps,
-		MergeBps:       s.MergeBps,
-		Startup:        s.Startup,
-	}
-}
-
 func (s Spec) validate() error {
 	if s.InputBucket == "" || s.InputKey == "" {
 		return errors.New("shuffle: input not specified")

@@ -63,12 +63,10 @@ type Plan struct {
 	// Predicted is the modeled end-to-end shuffle latency.
 	Predicted time.Duration
 	// Breakdown components of Predicted. Phase1 carries every wave but
-	// the last (map, and the hierarchy's repartition), Phase2 the final
-	// reduce. An IO component is a wave's whole streaming leg (transfer
-	// and the CPU it overlaps) plus its buffered writes and request
-	// terms; a CPU component is only what runs after the stream ends
-	// (the map wave's per-partition sort), so the component sum equals
-	// the worker's wall time.
+	// the last, Phase2 the final reduce. IO is a wave's streaming leg
+	// (transfer and the CPU it overlaps), buffered writes and request
+	// terms; CPU only what runs after the stream ends (the map wave's
+	// sort), so the components sum to the worker's wall time.
 	Startup   time.Duration
 	Phase1IO  time.Duration
 	Phase1CPU time.Duration
@@ -80,9 +78,8 @@ type Plan struct {
 	// Seconds is a worker's time in the waves before the components
 	// above were truncated to nanoseconds one by one.
 	Seconds float64
-	// ClassA / ClassB are the object-store writes and reads the waves
-	// issue, all workers together. The driver's own DriverReads are not
-	// in them.
+	// ClassA / ClassB are the object-store writes and reads of all the
+	// workers' waves; the driver's DriverReads are not in them.
 	ClassA, ClassB int64
 	// Invocations is the function activations the waves take.
 	Invocations int
@@ -121,20 +118,18 @@ func (m medium) latency() float64 { return m.RequestLatency.Seconds() + m.hop }
 // short list of them (EXPERIMENTS.md has the table).
 type wave struct {
 	// from is where a worker's input lives and fanIn how many sorted
-	// runs it gathers from there over concurrent connections. fanIn 0 is
-	// the map wave's read: one ranged stream over the worker's slice of
-	// the input object.
+	// runs it gathers there over concurrent connections; fanIn 0 is the
+	// map wave's one ranged stream over its slice of the input object.
 	from  medium
 	fanIn float64
-	// resident says the gathered runs arrive whole before the merge
-	// starts (a cache Get has no chunked form), so the transfer in does
-	// not overlap the merge, and the fetches share one request latency.
+	// resident: the runs arrive whole before the merge starts (a cache
+	// Get has no chunked form), so the transfer in overlaps nothing and
+	// the concurrent fetches share one request latency.
 	resident bool
-	// streamBps is the CPU that overlaps the inbound transfer (partition
-	// or merge); sortBps the CPU that can only run once the stream has
-	// ended (0: none).
+	// streamBps is the CPU overlapping the inbound transfer (partition
+	// or merge); sortBps the CPU that waits for its end (0: none).
 	streamBps, sortBps float64
-	// to is where the output goes: fanOut buffered runs written one after
+	// to takes the output: fanOut buffered runs written one after
 	// another, or, with fanOut 0, the merged output leaving through the
 	// multipart PutStream writer while the merge runs.
 	to     medium
@@ -142,14 +137,10 @@ type wave struct {
 }
 
 // cost is the one place a wave's time and requests are modelled, for one
-// of fw workers moving perWorker bytes: io is the streaming leg, the
-// buffered writes and the request terms; cpu what runs after the stream;
-// reads and writes the requests the worker issues on from and to.
-//
-// Transfers run at Rate: the connection fan-out or the worker's share of
-// the aggregate, whichever binds first. Requests cost a worker twice:
-// latency for those it issues one after another, and the service's ops
-// throttle, which all fw workers' requests are jointly subject to — the
+// of fw workers moving perWorker bytes: io and cpu as in Plan, reads and
+// writes the requests the worker issues on from and to. Requests cost a
+// worker twice: latency for those it issues one after another, and the
+// service's ops throttle, which all fw workers' requests share — the
 // term that makes over-parallelizing lose.
 func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 	from, to := wv.from, wv.to

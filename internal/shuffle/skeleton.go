@@ -115,7 +115,14 @@ func (j *job) run(p *des.Proc) error {
 	}
 	j.workers = spec.Workers
 	if j.workers == 0 {
-		plan, err := Optimize(spec.PlanInput(j.size), profile)
+		plan, err := Optimize(PlanInput{
+			DataBytes:      j.size,
+			MaxWorkers:     spec.MaxWorkers,
+			WorkerMemBytes: spec.WorkerMemBytes,
+			PartitionBps:   spec.PartitionBps,
+			MergeBps:       spec.MergeBps,
+			Startup:        spec.Startup,
+		}, profile)
 		if err != nil {
 			return err
 		}
