@@ -20,7 +20,8 @@ type AutoExchange struct {
 	// priors and calibration history included: calib.PlanEnv of the
 	// profile the executor's services were built from. RunSort overlays
 	// only what is live when the stage runs: a standing cluster or
-	// instance that is still up, and the stage's memory grant.
+	// instance that is still up, whether the two-level shuffle is
+	// registered, and the stage's memory grant.
 	Env autoplan.Env
 	// VM carries the VM family's dispatch knobs (Setup/SortBps/Conns
 	// shape its run; Instance is a session's standing machine).
@@ -57,6 +58,7 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	}
 	wl := autoplan.Workload{PlanInput: in, Workers: params.Workers, OutputParts: params.Workers}
 	env := a.Env
+	env.NoHierarchical = env.NoHierarchical || !ctx.Exec.Shuffle.HierarchicalEnabled()
 	if params.MemoryMB > 0 {
 		env.FunctionMemoryMB = params.MemoryMB
 	}

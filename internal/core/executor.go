@@ -235,15 +235,17 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 			err := n.stage.Run(ctx)
 			e.stagesActive--
 			sr := StageReport{
-				Name:         n.stage.Name(),
-				Start:        start,
-				End:          sp.Now(),
-				Err:          err,
-				Faas:         e.Platform.Meter().Sub(fBefore),
-				Store:        e.Store.Metrics().Sub(sBefore),
-				VMUSD:        e.vmCostSnapshot() - vBefore,
-				CacheUSD:     e.cacheCostSnapshot() - cBefore,
-				StageOutcome: ctx.Outcome,
+				Name:     n.stage.Name(),
+				Start:    start,
+				End:      sp.Now(),
+				Err:      err,
+				Faas:     e.Platform.Meter().Sub(fBefore),
+				Store:    e.Store.Metrics().Sub(sBefore),
+				VMUSD:    e.vmCostSnapshot() - vBefore,
+				CacheUSD: e.cacheCostSnapshot() - cBefore,
+			}
+			if ctx.Outcome != nil {
+				sr.StageOutcome = *ctx.Outcome
 			}
 			sr.Cost.Add("functions", e.Prices.FunctionsCost(sr.Faas))
 			sr.Cost.Add("storage requests", e.Prices.StorageCost(sr.Store))

@@ -56,7 +56,7 @@ func (s *SortStage) Run(ctx *StageContext) error {
 		return err
 	}
 	ctx.State.Set(s.Name()+".keys", outcome.OutputKeys)
-	ctx.Outcome = StageOutcome{
+	ctx.Outcome = &StageOutcome{
 		Detail:        outcome.Detail,
 		Restarts:      outcome.Restarts,
 		ReworkBytes:   outcome.ReworkBytes,

@@ -37,9 +37,11 @@ type StageContext struct {
 	// Bulk data always goes through the object store.
 	State *RunState
 	// Outcome is the stage's own record for its StageReport: detail
-	// line and failure recovery. The stage fills it; the executor copies
-	// it once Run returns.
-	Outcome StageOutcome
+	// line and failure recovery. A stage with something to report sets
+	// it; the executor copies it once Run returns. Most stages leave it
+	// nil, which is why it is a pointer: the context is allocated per
+	// stage per job.
+	Outcome *StageOutcome
 }
 
 // RunState is the shared control-plane state of one workflow run.
