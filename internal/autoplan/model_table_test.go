@@ -95,14 +95,7 @@ func writeCandidate(b *bytes.Buffer, prefix string, c autoplan.Candidate) {
 // writePredictions renders shuffle.Predict at every worker count of the
 // planner's ladder and PredictHierarchical at every divisor of each.
 func writePredictions(b *bytes.Buffer, p calib.Profile, bytesIn int64, ladder []int) {
-	in := shuffle.PlanInput{
-		DataBytes:      bytesIn,
-		MaxWorkers:     256,
-		WorkerMemBytes: int64(p.Faas.MemoryMB) << 20,
-		PartitionBps:   p.PartitionBps,
-		MergeBps:       p.MergeBps,
-		Startup:        p.Faas.ColdStart,
-	}
+	in := calib.PlanInput(p, bytesIn)
 	sp := shuffle.ProfileOf(p.Store)
 	fmt.Fprintf(b, "== %s %d bytes, shuffle.Predict / PredictHierarchical (ns)\n", p.Name, bytesIn)
 	row := func(label string, pl shuffle.Plan) {

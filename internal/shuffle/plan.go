@@ -152,16 +152,16 @@ func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 	in := perWorker / from.Rate(reads, fw)
 	work := perWorker / wv.streamBps
 	var overlap, write float64
-	switch {
-	case !streamed:
-		overlap, write = math.Max(in, work), perWorker/to.Rate(1, fw)
-	case wv.resident:
-		overlap = in + math.Max(work, perWorker/to.Rate(objectstore.DefaultPutConns, fw))
-	default:
-		overlap = math.Max(in, math.Max(work, perWorker/to.Rate(objectstore.DefaultPutConns, fw)))
-	}
 	if streamed {
 		writes = float64(objectstore.PutStreamRequests(int64(perWorker), AdaptiveChunkBytes(0, int64(perWorker))))
+		out := perWorker / to.Rate(objectstore.DefaultPutConns, fw)
+		if wv.resident {
+			overlap = in + math.Max(work, out)
+		} else {
+			overlap = math.Max(in, math.Max(work, out))
+		}
+	} else {
+		overlap, write = math.Max(in, work), perWorker/to.Rate(1, fw)
 	}
 
 	var req, admit float64
