@@ -113,7 +113,7 @@ func run(opts options) error {
 			return err
 		}
 		if !opts.jsonOut {
-			fmt.Printf("\ncost breakdown:\n%s", rep.Cost.String())
+			fmt.Printf("\ncost breakdown:\n%s", rep.Cost().String())
 			if rep.StandingUSD > 0 {
 				fmt.Printf("standing-resource share: $%.4f\n", rep.StandingUSD)
 			}

@@ -59,13 +59,6 @@ func (r *Report) Add(label string, usd float64) {
 	r.Lines = append(r.Lines, Line{Label: label, USD: usd})
 }
 
-// Merge appends all lines of o, each prefixed for attribution.
-func (r *Report) Merge(prefix string, o Report) {
-	for _, l := range o.Lines {
-		r.Add(prefix+l.Label, l.USD)
-	}
-}
-
 // Total sums all lines.
 func (r Report) Total() float64 {
 	var t float64
@@ -83,6 +76,38 @@ func (r Report) String() string {
 	}
 	fmt.Fprintf(&b, "  %-42s $%9.6f\n", "TOTAL", r.Total())
 	return b.String()
+}
+
+// StageCost is one stage's metered spend in the paper's accounting
+// ("cloud functions, storage requests, and the VM expenses") plus the
+// cache. A plain value: metering a stage allocates nothing, and the
+// labelled lines exist only once AppendTo renders them.
+type StageCost struct {
+	Functions, Storage, VM, Cache float64
+}
+
+// AddTo returns t plus the four components, added one at a time in the
+// order AppendTo renders them: what Report.Total does over the lines.
+func (c StageCost) AddTo(t float64) float64 { return t + c.Functions + c.Storage + c.VM + c.Cache }
+
+// Total is the stage's spend.
+func (c StageCost) Total() float64 { return c.AddTo(0) }
+
+// Add accumulates o into c, component by component.
+func (c *StageCost) Add(o StageCost) {
+	c.Functions += o.Functions
+	c.Storage += o.Storage
+	c.VM += o.VM
+	c.Cache += o.Cache
+}
+
+// AppendTo appends the components to r as four labelled lines, each
+// label prefixed for attribution (e.g. "sort: ").
+func (c StageCost) AppendTo(r *Report, prefix string) {
+	r.Add(prefix+"functions", c.Functions)
+	r.Add(prefix+"storage requests", c.Storage)
+	r.Add(prefix+"vm", c.VM)
+	r.Add(prefix+"cache", c.Cache)
 }
 
 // FunctionsCost prices a FaaS meter window.

@@ -120,19 +120,27 @@ func TestReportTotalsAndRendering(t *testing.T) {
 	}
 }
 
-func TestReportMerge(t *testing.T) {
-	var stage Report
-	stage.Add("functions", 0.002)
-	stage.Add("storage", 0.001)
+func TestStageCostAppendTo(t *testing.T) {
+	stage := StageCost{Functions: 0.002, Storage: 0.001}
 	var total Report
-	total.Merge("sort: ", stage)
-	if len(total.Lines) != 2 {
-		t.Fatalf("merged lines = %d, want 2", len(total.Lines))
+	total.Add("earlier", 0.5)
+	stage.AppendTo(&total, "sort: ")
+	want := []Line{
+		{"earlier", 0.5},
+		{"sort: functions", 0.002},
+		{"sort: storage requests", 0.001},
+		{"sort: vm", 0}, // zero lines are kept
+		{"sort: cache", 0},
 	}
-	if total.Lines[0].Label != "sort: functions" {
-		t.Fatalf("merged label = %q", total.Lines[0].Label)
+	if len(total.Lines) != len(want) {
+		t.Fatalf("lines = %+v, want %+v", total.Lines, want)
 	}
-	if math.Abs(total.Total()-0.003) > 1e-12 {
-		t.Fatalf("merged total = %g", total.Total())
+	for i, l := range total.Lines {
+		if l != want[i] {
+			t.Errorf("line %d = %+v, want %+v", i, l, want[i])
+		}
+	}
+	if math.Abs(total.Total()-0.503) > 1e-12 {
+		t.Fatalf("total = %g", total.Total())
 	}
 }

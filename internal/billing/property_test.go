@@ -30,21 +30,32 @@ func TestPropertyReportTotalIsSumOfLines(t *testing.T) {
 	}
 }
 
-// TestPropertyMergePreservesTotal: merging reports adds their totals
-// exactly, regardless of prefixes.
-func TestPropertyMergePreservesTotal(t *testing.T) {
-	f := func(a, b []uint16, prefix string) bool {
-		build := func(cents []uint16) Report {
-			var r Report
-			for _, c := range cents {
-				r.Add("x", float64(c)/100)
-			}
-			return r
+// TestPropertyStageCostTotals: a stage cost's Total is bit for bit the
+// Total of the four lines it renders, under any prefix; appending it to
+// a report adds its total; and Add accumulates component by component.
+func TestPropertyStageCostTotals(t *testing.T) {
+	f := func(a []uint16, fn, st, vm, ca float64, prefix string) bool {
+		cost := StageCost{Functions: fn, Storage: st, VM: vm, Cache: ca}
+		var alone Report
+		cost.AppendTo(&alone, prefix)
+		// Bits, not ==: quick's floats reach the overflow range, and an
+		// Inf - Inf total must be the same NaN on both sides.
+		if len(alone.Lines) != 4 || math.Float64bits(alone.Total()) != math.Float64bits(cost.Total()) {
+			return false
 		}
-		ra, rb := build(a), build(b)
-		want := ra.Total() + rb.Total()
-		ra.Merge(prefix, rb)
-		return math.Abs(ra.Total()-want) < 1e-9
+		var r Report
+		for _, cents := range a {
+			r.Add("x", float64(cents)/100)
+		}
+		before := r.Total()
+		small := StageCost{Functions: float64(len(a)) / 100, Storage: 0.25, VM: 1, Cache: 0.5}
+		small.AppendTo(&r, prefix)
+		if math.Abs(r.Total()-(before+small.Total())) > 1e-9 {
+			return false
+		}
+		sum := cost
+		sum.Add(small)
+		return sum == StageCost{fn + small.Functions, st + small.Storage, vm + small.VM, ca + small.Cache}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -176,7 +176,7 @@ func TestStageErrorAbortsDownstream(t *testing.T) {
 }
 
 func TestRunStateKeys(t *testing.T) {
-	st := NewRunState()
+	st := &RunState{}
 	st.Set("x.keys", []string{"a", "b"})
 	keys, err := st.Keys("x.keys")
 	if err != nil || len(keys) != 2 {
@@ -434,16 +434,27 @@ func TestCostReportAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.Cost.Total() <= 0 {
-		t.Fatalf("total cost = %g, want > 0", rep.Cost.Total())
+	if rep.MeteredUSD() <= 0 {
+		t.Fatalf("total cost = %g, want > 0", rep.MeteredUSD())
 	}
 	sr, _ := rep.Stage("sort")
 	if sr.Cost.Total() <= 0 {
 		t.Fatal("stage cost empty")
 	}
-	if rep.Cost.Total() != sr.Cost.Total() {
+	if rep.MeteredUSD() != sr.Cost.Total() {
 		t.Fatalf("run cost %g != stage cost %g for single-stage run",
-			rep.Cost.Total(), sr.Cost.Total())
+			rep.MeteredUSD(), sr.Cost.Total())
+	}
+	bill := rep.Cost()
+	if bill.Total() != rep.MeteredUSD() {
+		t.Fatalf("itemized bill %g != metered %g", bill.Total(), rep.MeteredUSD())
+	}
+	var labels []string
+	for _, l := range bill.Lines {
+		labels = append(labels, l.Label)
+	}
+	if got, want := strings.Join(labels, "|"), "sort: functions|sort: storage requests|sort: vm|sort: cache"; got != want {
+		t.Fatalf("bill lines = %s, want %s", got, want)
 	}
 }
 

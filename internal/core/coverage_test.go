@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunStateGet(t *testing.T) {
-	s := NewRunState()
+	s := &RunState{}
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("missing key reported present")
 	}

@@ -34,7 +34,7 @@ type StageReport struct {
 	Store    objectstore.Metrics
 	VMUSD    float64
 	CacheUSD float64
-	Cost     billing.Report
+	Cost     billing.StageCost
 	// StageOutcome is what the stage recorded on its StageContext.
 	StageOutcome
 }
@@ -63,14 +63,35 @@ type RunReport struct {
 	Start    time.Duration
 	End      time.Duration
 	Stages   []StageReport
-	Cost     billing.Report
 	// StandingUSD is the session-owned standing-resource spend (warm
 	// cache cluster, running VM) attributed to this run by the session
 	// runtime: spin-up and idle accrual since the previous submission
 	// plus accrual while this run executed. Zero outside a session or
-	// when the session owns nothing. Cost excludes it; TotalUSD is the
-	// sum.
+	// when the session owns nothing. MeteredUSD excludes it; TotalUSD
+	// is the sum.
 	StandingUSD float64
+}
+
+// MeteredUSD is the run's metered spend: every stage's components added
+// one at a time in report order, the same additions as Cost().Total()
+// (a subtotal per stage or per component would round differently).
+func (r *RunReport) MeteredUSD() float64 {
+	var t float64
+	for i := range r.Stages {
+		t = r.Stages[i].Cost.AddTo(t)
+	}
+	return t
+}
+
+// Cost renders the run's itemized bill, four "<stage>: <component>"
+// lines per stage in report order, for the places that print it; it is
+// built on each call, and code that needs the amount calls MeteredUSD.
+func (r *RunReport) Cost() billing.Report {
+	rep := billing.Report{Lines: make([]billing.Line, 0, 4*len(r.Stages))}
+	for _, s := range r.Stages {
+		s.Cost.AppendTo(&rep, s.Name+": ")
+	}
+	return rep
 }
 
 // Latency is the end-to-end run time.
@@ -78,7 +99,7 @@ func (r *RunReport) Latency() time.Duration { return r.End - r.Start }
 
 // TotalUSD is the run's full attributed spend: metered stage costs
 // plus the session standing-resource share.
-func (r *RunReport) TotalUSD() float64 { return r.Cost.Total() + r.StandingUSD }
+func (r *RunReport) TotalUSD() float64 { return r.MeteredUSD() + r.StandingUSD }
 
 // Restarts sums the stages' failure-recovery re-executions.
 func (r *RunReport) Restarts() int {
@@ -196,27 +217,24 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &RunReport{Workflow: w.Name(), Start: p.Now()}
-	state := NewRunState()
+	rep := &RunReport{Workflow: w.Name(), Start: p.Now(), Stages: make([]StageReport, 0, len(w.nodes))}
+	state := &RunState{}
 
-	done := make(map[string]*des.WaitGroup, len(w.nodes))
-	for _, n := range w.nodes {
-		wg := des.NewWaitGroup(e.Sim)
-		wg.Add(1)
-		done[n.stage.Name()] = wg
+	// done[i] opens when the stage at position i has finished; the
+	// last one when all have.
+	done := make([]des.WaitGroup, len(w.nodes)+1)
+	all := &done[len(w.nodes)]
+	for i := range w.nodes {
+		done[i].Add(1)
 	}
-	var (
-		firstErr error
-		all      = des.NewWaitGroup(e.Sim)
-	)
-	for _, n := range w.nodes {
-		n := n
+	var firstErr error
+	for i, n := range w.nodes {
 		all.Add(1)
-		e.Sim.Spawn(fmt.Sprintf("stage/%s", n.stage.Name()), func(sp *des.Proc) {
+		e.Sim.Spawn("stage/"+n.stage.Name(), func(sp *des.Proc) {
 			defer all.Done()
-			defer done[n.stage.Name()].Done()
+			defer done[i].Done()
 			for _, d := range n.deps {
-				done[d].Wait(sp)
+				done[w.position(d)].Wait(sp)
 			}
 			if firstErr != nil {
 				return // abort chain: upstream failed
@@ -247,10 +265,12 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 			if ctx.Outcome != nil {
 				sr.StageOutcome = *ctx.Outcome
 			}
-			sr.Cost.Add("functions", e.Prices.FunctionsCost(sr.Faas))
-			sr.Cost.Add("storage requests", e.Prices.StorageCost(sr.Store))
-			sr.Cost.Add("vm", sr.VMUSD)
-			sr.Cost.Add("cache", sr.CacheUSD)
+			sr.Cost = billing.StageCost{
+				Functions: e.Prices.FunctionsCost(sr.Faas),
+				Storage:   e.Prices.StorageCost(sr.Store),
+				VM:        sr.VMUSD,
+				Cache:     sr.CacheUSD,
+			}
 			rep.Stages = append(rep.Stages, sr)
 			for _, l := range e.listeners {
 				l.StageFinished(w.Name(), sr)
@@ -262,9 +282,6 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	}
 	all.Wait(p)
 	rep.End = p.Now()
-	for _, sr := range rep.Stages {
-		rep.Cost.Merge(sr.Name+": ", sr.Cost)
-	}
 	for _, l := range e.listeners {
 		l.RunFinished(rep)
 	}

@@ -44,18 +44,20 @@ type StageContext struct {
 	Outcome *StageOutcome
 }
 
-// RunState is the shared control-plane state of one workflow run.
+// RunState is the shared control-plane state of one workflow run. The
+// zero value is empty; the first Set makes the map (most runs never
+// write one).
 type RunState struct {
 	values map[string]any
 }
 
-// NewRunState returns an empty state.
-func NewRunState() *RunState {
-	return &RunState{values: make(map[string]any)}
-}
-
 // Set stores a value under key.
-func (s *RunState) Set(key string, v any) { s.values[key] = v }
+func (s *RunState) Set(key string, v any) {
+	if s.values == nil {
+		s.values = make(map[string]any)
+	}
+	s.values[key] = v
+}
 
 // Get returns the value under key, if present.
 func (s *RunState) Get(key string) (any, bool) {
@@ -76,11 +78,12 @@ func (s *RunState) Keys(key string) ([]string, error) {
 	return keys, nil
 }
 
-// Workflow is a DAG of named stages.
+// Workflow is a DAG of named stages, found by scanning nodes: workflows
+// are a handful of stages, and a name index cost more to build per
+// workflow than every lookup it served.
 type Workflow struct {
 	name  string
 	nodes []*node
-	index map[string]*node
 }
 
 type node struct {
@@ -90,7 +93,17 @@ type node struct {
 
 // NewWorkflow returns an empty workflow.
 func NewWorkflow(name string) *Workflow {
-	return &Workflow{name: name, index: make(map[string]*node)}
+	return &Workflow{name: name}
+}
+
+// position returns the named stage's index in nodes, or -1.
+func (w *Workflow) position(name string) int {
+	for i, n := range w.nodes {
+		if n.stage.Name() == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Name returns the workflow name.
@@ -105,7 +118,8 @@ func (w *Workflow) StageNames() []string {
 	return out
 }
 
-// Add appends a stage depending on the named earlier stages.
+// Add appends a stage depending on the named stages, which may be added
+// later: Validate resolves the names.
 func (w *Workflow) Add(stage Stage, deps ...string) error {
 	if stage == nil {
 		return errors.New("core: nil stage")
@@ -114,12 +128,10 @@ func (w *Workflow) Add(stage Stage, deps ...string) error {
 	if name == "" {
 		return errors.New("core: stage with empty name")
 	}
-	if _, dup := w.index[name]; dup {
+	if w.position(name) >= 0 {
 		return fmt.Errorf("core: duplicate stage %q", name)
 	}
-	n := &node{stage: stage, deps: append([]string(nil), deps...)}
-	w.nodes = append(w.nodes, n)
-	w.index[name] = n
+	w.nodes = append(w.nodes, &node{stage: stage, deps: append([]string(nil), deps...)})
 	return nil
 }
 
@@ -158,7 +170,7 @@ func (w *Workflow) Validate() error {
 	}
 	for _, n := range w.nodes {
 		for _, d := range n.deps {
-			if _, ok := w.index[d]; !ok {
+			if w.position(d) < 0 {
 				return fmt.Errorf("core: stage %q depends on unknown %q", n.stage.Name(), d)
 			}
 			if d == n.stage.Name() {
@@ -166,35 +178,33 @@ func (w *Workflow) Validate() error {
 			}
 		}
 	}
-	// Kahn's algorithm for cycle detection.
-	indeg := make(map[string]int, len(w.nodes))
-	dependents := make(map[string][]string)
-	for _, n := range w.nodes {
-		indeg[n.stage.Name()] = len(n.deps)
-		for _, d := range n.deps {
-			dependents[d] = append(dependents[d], n.stage.Name())
-		}
+	// A stage is settled once all its dependencies are. Every sweep of
+	// an acyclic graph settles at least one more stage (all of them when
+	// stages were added in dependency order); a sweep that settles none
+	// has only a cycle left. Up to 64 marks stay on the stack.
+	var buf [64]bool
+	settled := buf[:]
+	if len(w.nodes) > len(buf) {
+		settled = make([]bool, len(w.nodes))
 	}
-	var ready []string
-	for name, d := range indeg {
-		if d == 0 {
-			ready = append(ready, name)
-		}
-	}
-	seen := 0
-	for len(ready) > 0 {
-		cur := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		seen++
-		for _, dep := range dependents[cur] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
+	for left := len(w.nodes); left > 0; {
+		before := left
+	sweep:
+		for i, n := range w.nodes {
+			if settled[i] {
+				continue
 			}
+			for _, d := range n.deps {
+				if !settled[w.position(d)] {
+					continue sweep
+				}
+			}
+			settled[i] = true
+			left--
 		}
-	}
-	if seen != len(w.nodes) {
-		return errors.New("core: workflow has a dependency cycle")
+		if left == before {
+			return errors.New("core: workflow has a dependency cycle")
+		}
 	}
 	return nil
 }

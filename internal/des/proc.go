@@ -240,17 +240,18 @@ func (p *Proc) Wake() {
 }
 
 // WaitGroup synchronizes processes on a counter, like sync.WaitGroup
-// but in virtual time. The zero value is unusable; create with
-// NewWaitGroup.
+// but in virtual time. The zero value is an empty wait group, ready to
+// use; like sync.WaitGroup it must not be copied after first use.
 type WaitGroup struct {
-	sim     *Sim
 	count   int
 	waiters []*Proc
 }
 
-// NewWaitGroup returns an empty wait group bound to s.
-func NewWaitGroup(s *Sim) *WaitGroup {
-	return &WaitGroup{sim: s}
+// NewWaitGroup returns an empty wait group. The simulation is not
+// needed (waiters are woken through their own Procs); the parameter
+// stays for the callers that pass it.
+func NewWaitGroup(*Sim) *WaitGroup {
+	return &WaitGroup{}
 }
 
 // Add adjusts the counter by delta. Decrementing the counter to zero

@@ -309,7 +309,7 @@ func TestWaitGroupBasic(t *testing.T) {
 
 func TestWaitGroupAlreadyZero(t *testing.T) {
 	s := New(1)
-	wg := NewWaitGroup(s)
+	var wg WaitGroup // the zero value is an empty wait group
 	ran := false
 	s.Spawn("joiner", func(p *Proc) {
 		wg.Wait(p) // zero counter: must not block

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/faaspipe/faaspipe/internal/billing"
 	"github.com/faaspipe/faaspipe/internal/calib"
 )
 
@@ -16,7 +17,7 @@ func TestCostBreakdownComponentsSumToTotal(t *testing.T) {
 		t.Fatalf("CostBreakdown: %v", err)
 	}
 	for _, row := range res.Rows {
-		c := row.Components(calib.Paper().Prices)
+		c := row.Components()
 		sum := c.Functions + c.Storage + c.VM + c.Cache
 		if math.Abs(sum-row.CostUSD) > 1e-9 {
 			t.Errorf("%v: components sum %.6f != total %.6f", row.Kind, sum, row.CostUSD)
@@ -31,9 +32,9 @@ func TestCostBreakdownAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CostBreakdown: %v", err)
 	}
-	byKind := make(map[StrategyKind]CostComponents)
+	byKind := make(map[StrategyKind]billing.StageCost)
 	for _, row := range res.Rows {
-		byKind[row.Kind] = row.Components(calib.Paper().Prices)
+		byKind[row.Kind] = row.Components()
 	}
 	sl := byKind[PurelyServerless]
 	vm := byKind[VMSupported]

@@ -162,7 +162,7 @@ func runPipeline(profile calib.Profile, spec pipelineSpec) (PipelineRun, error) 
 	run.Err = runErr
 	run.Report = rep
 	run.Latency = rep.Latency()
-	run.CostUSD = rep.Cost.Total()
+	run.CostUSD = rep.MeteredUSD()
 	run.FaasStats = faas.Summarize(sess.Rig().Platform.Activations())
 	if auto != nil {
 		run.AutoDecision = auto.LastDecision
@@ -235,7 +235,6 @@ type PipelineTable struct {
 	Rows      []PipelineRun
 
 	layout tableLayout
-	prices billing.PriceBook
 }
 
 type tableLayout int
@@ -265,7 +264,7 @@ func (t *PipelineTable) runKinds(profile calib.Profile, dataBytes int64, kinds .
 // pipelineTable runs kinds at one scale under the given layout.
 func pipelineTable(profile calib.Profile, dataBytes int64, workers int, layout tableLayout, kinds ...StrategyKind) (PipelineTable, error) {
 	dataBytes, workers = paperScale(dataBytes, workers)
-	t := PipelineTable{DataBytes: dataBytes, Workers: workers, layout: layout, prices: profile.Prices}
+	t := PipelineTable{DataBytes: dataBytes, Workers: workers, layout: layout}
 	return t, t.runKinds(profile, dataBytes, kinds...)
 }
 
@@ -347,22 +346,12 @@ func Decide(profile calib.Profile, dataBytes int64, obj autoplan.Objective) (aut
 	return dec, nil
 }
 
-// CostComponents itemizes a run's metered spend, matching the paper's
-// accounting: "the cost of cloud functions, storage requests, and the
-// VM expenses" (plus the cache the extension adds). They sum to the
-// run's CostUSD.
-type CostComponents struct {
-	Functions, Storage, VM, Cache float64
-}
-
-// Components splits the run's bill under the given price book.
-func (r PipelineRun) Components(prices billing.PriceBook) CostComponents {
-	var c CostComponents
+// Components splits the run's metered bill the way the paper accounts
+// it, summed over the stages. The four sum to the run's CostUSD.
+func (r PipelineRun) Components() billing.StageCost {
+	var c billing.StageCost
 	for _, sr := range r.Report.Stages {
-		c.Functions += prices.FunctionsCost(sr.Faas)
-		c.Storage += prices.StorageCost(sr.Store)
-		c.VM += sr.VMUSD
-		c.Cache += sr.CacheUSD
+		c.Add(sr.Cost)
 	}
 	return c
 }
@@ -417,7 +406,7 @@ func (t PipelineTable) String() string {
 		fmt.Fprintf(&b, "%-24s %11s %10s %10s %10s %10s\n",
 			"Configuration", "functions", "storage", "vm", "cache", "total")
 		for _, row := range t.Rows {
-			c := row.Components(t.prices)
+			c := row.Components()
 			fmt.Fprintf(&b, "%-24s %11.4f %10.4f %10.4f %10.4f %10.4f\n",
 				row.Kind, c.Functions, c.Storage, c.VM, c.Cache, row.CostUSD)
 		}

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
@@ -61,20 +60,49 @@ type HMACAuth struct {
 	Secret []byte
 }
 
+// tag is HMAC-SHA256(Secret, tenantID) in lower-case hex: RFC 2104
+// spelled out over sha256.Sum256, because crypto/hmac hands back an
+// interface that lives on the heap and a by-value HMACAuth has nowhere
+// to keep a keyed hash. It runs once per submission and stays on the stack (an ID
+// over 64 bytes spills the inner message by itself). Held to
+// crypto/hmac by TestTagMatchesCryptoHMAC and FuzzHMACAuthenticate.
+func (h HMACAuth) tag(tenantID string) (out [2 * sha256.Size]byte) {
+	var buf [2 * sha256.BlockSize]byte
+	pad := buf[:sha256.BlockSize] // the key, zero-padded to a block
+	if len(h.Secret) > len(pad) {
+		sum := sha256.Sum256(h.Secret)
+		copy(pad, sum[:])
+	} else {
+		copy(pad, h.Secret)
+	}
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	inner := sha256.Sum256(append(pad, tenantID...))
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	outer := sha256.Sum256(append(pad, inner[:]...))
+	hex.Encode(out[:], outer[:])
+	return out
+}
+
 // Tag mints the hex tag for a tenant ID — the issuance side, used by
 // clients (and tests) to build credentials.
 func (h HMACAuth) Tag(tenantID string) string {
-	mac := hmac.New(sha256.New, h.Secret)
-	mac.Write([]byte(tenantID))
-	return hex.EncodeToString(mac.Sum(nil))
+	tag := h.tag(tenantID)
+	return string(tag[:])
 }
 
-// Authenticate implements Authenticator.
+// Authenticate implements Authenticator. It accepts exactly the 64
+// lower-case hex characters Tag mints for the claimed ID, and nothing
+// when Secret is empty: HMAC-SHA256("", id) is anyone's to compute.
 func (h HMACAuth) Authenticate(cred Credential) (string, error) {
-	if cred.TenantID == "" || cred.MAC == "" {
+	if len(h.Secret) == 0 || cred.TenantID == "" {
 		return "", ErrUnauthenticated
 	}
-	if !hmac.Equal([]byte(cred.MAC), []byte(h.Tag(cred.TenantID))) {
+	want := h.tag(cred.TenantID)
+	if subtle.ConstantTimeCompare([]byte(cred.MAC), want[:]) != 1 {
 		return "", ErrUnauthenticated
 	}
 	return cred.TenantID, nil

@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,4 +123,83 @@ func BenchmarkGatewayDispatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// gatewayJobs pushes n sleep-only single-stage jobs from 100 HMAC
+// tenants through Submit and Drain at MaxConcurrent 64, arriving just
+// under capacity so nothing queues for long, and returns the mallocs
+// and bytes the n jobs cost between the first Submit and the end of the
+// drain (building each job included, opening the session and
+// registering the tenants not). It is the per-job control plane and
+// nothing else: auth, admission, DRR, a gateway process, the session,
+// one Executor.Run with one stage process, the report.
+func gatewayJobs(tb testing.TB, n int) (mallocs, bytes uint64) {
+	const tenants = 100
+	sess, err := session.Open(calib.Local(), session.Options{})
+	if err != nil {
+		tb.Fatalf("Open: %v", err)
+	}
+	auth := gateway.HMACAuth{Secret: []byte("job-budget")}
+	g := gateway.New(sess, auth, gateway.Options{MaxConcurrent: 64})
+	creds := make([]gateway.Credential, tenants)
+	for i := range creds {
+		id := fmt.Sprintf("t-%05d", i)
+		creds[i] = gateway.Credential{TenantID: id, MAC: auth.Tag(id)}
+		if err := g.RegisterTenant(id, gateway.TenantConfig{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tickets := make([]*gateway.Ticket, n)
+	rig := sess.Rig()
+	var before, after runtime.MemStats
+	rig.Sim.Spawn("submitter", func(p *des.Proc) {
+		runtime.ReadMemStats(&before)
+		for i := range tickets {
+			tk, err := g.Submit(p, creds[i%tenants], sleepJob("sleep", 500*time.Microsecond))
+			if err != nil {
+				tb.Errorf("submit %d: %v", i, err)
+				return
+			}
+			tickets[i] = tk
+			p.Sleep(10 * time.Microsecond)
+		}
+		g.Drain(p)
+		runtime.ReadMemStats(&after)
+	})
+	if err := rig.Sim.Run(); err != nil {
+		tb.Fatalf("sim: %v", err)
+	}
+	for i, tk := range tickets {
+		if rep, err := tk.Report(); !tk.Done() || err != nil || rep == nil || len(rep.Stages) != 1 {
+			tb.Fatalf("ticket %d: done %v, report %v, err %v", i, tk.Done(), rep, err)
+		}
+	}
+	if _, err := g.Close(); err != nil {
+		tb.Fatalf("Close: %v", err)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGatewayJobAllocBudget holds the per-job diet with a budget: a job
+// that only sleeps cost 52 mallocs and 2.9 KB before the diet and 24
+// and 1.2 KB after it. A new map, Sprintf or report line on the
+// per-job path shows here before it shows in a profile.
+func TestGatewayJobAllocBudget(t *testing.T) {
+	const jobs = 2000
+	mallocs, bytes := gatewayJobs(t, jobs)
+	perJob, bytesPerJob := float64(mallocs)/jobs, float64(bytes)/jobs
+	t.Logf("%.1f mallocs, %.0f B per job", perJob, bytesPerJob)
+	if perJob > 30 {
+		t.Errorf("%.1f mallocs per sleep-only job, budget 30", perJob)
+	}
+	if bytesPerJob > 1700 {
+		t.Errorf("%.0f B allocated per sleep-only job, budget 1700", bytesPerJob)
+	}
+}
+
+// BenchmarkGatewayJob is TestGatewayJobAllocBudget's shape for
+// -benchmem: one op is one sleep-only job end to end.
+func BenchmarkGatewayJob(b *testing.B) {
+	b.ReportAllocs()
+	gatewayJobs(b, b.N)
 }

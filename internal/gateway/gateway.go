@@ -19,6 +19,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/core"
@@ -225,8 +226,8 @@ type Ticket struct {
 	Started   time.Duration
 	Finished  time.Duration
 
-	job     session.Job
-	queued  bool // still in its tenant's pending queue
+	job     session.Job // zeroed when it starts or is shed: a finished ticket pins no workflow
+	queued  bool        // still in its tenant's pending queue
 	done    bool
 	rep     *core.RunReport
 	err     error
@@ -335,6 +336,7 @@ func (g *Gateway) admitTenant(cred Credential) (*tenant, error) {
 // it on its own simulated process.
 func (g *Gateway) launch(t *tenant) {
 	tk := t.pending[0]
+	t.pending[0] = nil // the backing array outlives the pop
 	t.pending = t.pending[1:]
 	tk.queued = false
 	if t.cfg.MaxQueueWait > 0 {
@@ -349,8 +351,10 @@ func (g *Gateway) launch(t *tenant) {
 	g.active++
 	tk.Started = g.sim.Now()
 	g.seq++
-	g.sim.Spawn(fmt.Sprintf("gw/%s/%d", t.id, g.seq), func(p *des.Proc) {
-		rep, err := g.sess.SubmitIn(p, tk.job)
+	g.sim.Spawn("gw/"+t.id+"/"+strconv.FormatInt(g.seq, 10), func(p *des.Proc) {
+		job := tk.job
+		tk.job = session.Job{} // the run holds it from here; the ticket outlives the run
+		rep, err := g.sess.SubmitIn(p, job)
 		t.inflight--
 		g.active--
 		t.stats.Completed++
@@ -358,7 +362,7 @@ func (g *Gateway) launch(t *tenant) {
 			t.stats.Failed++
 		}
 		if rep != nil {
-			t.stats.MeteredUSD += rep.Cost.Total()
+			t.stats.MeteredUSD += rep.MeteredUSD()
 			t.stats.StandingUSD += rep.StandingUSD
 			t.stats.BusyTime += rep.Latency()
 		}

@@ -2,7 +2,10 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/session"
 )
 
 // Weighted deficit round-robin fair-share dispatch.
@@ -82,11 +85,12 @@ func (g *Gateway) shedStale() {
 		t := g.tenants[tk.Tenant]
 		for i, q := range t.pending {
 			if q == tk {
-				t.pending = append(t.pending[:i], t.pending[i+1:]...)
+				t.pending = slices.Delete(t.pending, i, i+1) // clears the vacated tail slot
 				break
 			}
 		}
 		tk.queued = false
+		tk.job = session.Job{}
 		g.pendingTotal--
 		t.stats.Shed++
 		tk.finish(nil, fmt.Errorf("gateway: tenant %q: queued %s beyond MaxQueueWait %s: %w",

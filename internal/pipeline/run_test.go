@@ -19,8 +19,8 @@ func TestRunSizedDocument(t *testing.T) {
 	if len(rep.Stages) != 2 {
 		t.Fatalf("stages = %d", len(rep.Stages))
 	}
-	if rep.Latency() <= 0 || rep.Cost.Total() <= 0 {
-		t.Fatalf("latency %v, cost %.6f", rep.Latency(), rep.Cost.Total())
+	if rep.Latency() <= 0 || rep.MeteredUSD() <= 0 {
+		t.Fatalf("latency %v, cost %.6f", rep.Latency(), rep.MeteredUSD())
 	}
 }
 

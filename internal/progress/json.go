@@ -93,6 +93,6 @@ func (t *JSONTracker) RunFinished(rep *core.RunReport) {
 		Workflow:     rep.Workflow,
 		At:           rep.End.Seconds(),
 		LatencyS:     rep.Latency().Seconds(),
-		TotalCostUSD: rep.Cost.Total(),
+		TotalCostUSD: rep.MeteredUSD(),
 	})
 }

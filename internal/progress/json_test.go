@@ -21,7 +21,7 @@ func jsonStageReport(err error) core.StageReport {
 	rep.Faas.Invocations = 8
 	rep.Faas.ColdStarts = 8
 	rep.Faas.Retries = 1
-	rep.Cost.Add("functions", 0.004)
+	rep.Cost.Functions = 0.004
 	return rep
 }
 
@@ -30,8 +30,9 @@ func TestJSONTrackerEmitsEvents(t *testing.T) {
 	tr := NewJSONTracker(&buf)
 	tr.StageStarted("wf", "sort", 2*time.Second)
 	tr.StageFinished("wf", jsonStageReport(nil))
-	run := &core.RunReport{Workflow: "wf", Start: 0, End: 6 * time.Second}
-	run.Cost.Add("total", 0.01)
+	run := &core.RunReport{Workflow: "wf", Start: 0, End: 6 * time.Second,
+		Stages: []core.StageReport{{Name: "sort"}}}
+	run.Stages[0].Cost.VM = 0.01
 	tr.RunFinished(run)
 	if tr.Err() != nil {
 		t.Fatalf("tracker error: %v", tr.Err())

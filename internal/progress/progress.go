@@ -9,6 +9,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/faaspipe/faaspipe/internal/billing"
 	"github.com/faaspipe/faaspipe/internal/core"
 )
 
@@ -52,7 +53,9 @@ func (t *Tracker) StageFinished(workflow string, rep core.StageReport) {
 		rep.Duration().Seconds(), rep.Cost.Total(),
 		rep.Faas.Invocations, rep.Store.TotalOps())
 	if t.Verbose {
-		fmt.Fprint(t.w, rep.Cost.String())
+		var lines billing.Report
+		rep.Cost.AppendTo(&lines, "")
+		fmt.Fprint(t.w, lines.String())
 	}
 }
 
@@ -67,6 +70,6 @@ func (t *Tracker) RunFinished(rep *core.RunReport) {
 			s.Duration().Seconds(), s.Cost.Total())
 	}
 	fmt.Fprintf(t.w, "%-12s %12s %12s %14.2f %12.6f\n",
-		"TOTAL", "", "", rep.Latency().Seconds(), rep.Cost.Total())
+		"TOTAL", "", "", rep.Latency().Seconds(), rep.MeteredUSD())
 	t.haveStart = false
 }

@@ -19,9 +19,8 @@ func sampleStageReport(name string, start, end time.Duration, err error) core.St
 		End:   end,
 		Err:   err,
 		Faas:  faas.Meter{Invocations: 8, GBSeconds: 100},
+		Cost:  billing.StageCost{Functions: 0.0017, Storage: 0.0002},
 	}
-	rep.Cost.Add("functions", 0.0017)
-	rep.Cost.Add("storage requests", 0.0002)
 	return rep
 }
 
@@ -76,12 +75,10 @@ func TestTrackerRunSummary(t *testing.T) {
 			sampleStageReport("encode", 42*time.Second, 95*time.Second, nil),
 		},
 	}
-	var cost billing.Report
-	cost.Add("x", 0.02)
-	rep.Cost = cost
 	tr.RunFinished(rep)
 	out := buf.String()
-	for _, want := range []string{`workflow "methcomp" finished in 90.00s`, "sort", "encode", "TOTAL"} {
+	// The run's total is the sum of its stages: 2 x (0.0017 + 0.0002).
+	for _, want := range []string{`workflow "methcomp" finished in 90.00s`, "sort", "encode", "TOTAL", "0.003800"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}

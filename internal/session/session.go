@@ -344,7 +344,7 @@ func (s *Session) Close() (Report, error) {
 		StandingUSD: s.standingRatePerHour() * (s.attributedThrough - s.standingStart).Hours(),
 	}
 	for _, r := range s.runs {
-		rep.TotalUSD += r.Cost.Total()
+		rep.TotalUSD += r.MeteredUSD()
 	}
 	rep.TotalUSD += rep.StandingUSD
 	return rep, nil
@@ -358,7 +358,7 @@ func (r Report) String() string {
 	for i, run := range r.Runs {
 		fmt.Fprintf(&b, "  run %d %-20s %8.2fs  $%.4f metered + $%.4f standing = $%.4f\n",
 			i+1, run.Workflow, run.Latency().Seconds(),
-			run.Cost.Total(), run.StandingUSD, run.TotalUSD())
+			run.MeteredUSD(), run.StandingUSD, run.TotalUSD())
 	}
 	if r.StandingUSD > 0 {
 		fmt.Fprintf(&b, "  standing resources: $%.4f total\n", r.StandingUSD)

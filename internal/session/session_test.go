@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/bed"
@@ -253,6 +254,69 @@ func TestSubmitInConcurrentRuns(t *testing.T) {
 	sum := reps[0].StandingUSD + reps[1].StandingUSD
 	if d := sum - report.StandingUSD; d < -1e-9 || d > 1e-9 {
 		t.Errorf("standing shares %.9f do not partition the session's %.9f", sum, report.StandingUSD)
+	}
+}
+
+// TestSubmitInSharesOneBuiltWorkflow: one *core.Workflow submitted from
+// two overlapping processes. A workflow is read-only once built, so both
+// runs see every stage, in dependency order, over the same interval.
+func TestSubmitInSharesOneBuiltWorkflow(t *testing.T) {
+	sess, err := session.Open(calib.Local(), session.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rig := sess.Rig()
+	w := core.NewWorkflow("shared")
+	sleep := func(name string, deps ...string) {
+		if err := w.Add(&core.FuncStage{StageName: name, Fn: func(ctx *core.StageContext) error {
+			ctx.Proc.Sleep(time.Second)
+			return nil
+		}}, deps...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sleep("join", "left", "right") // forward references: resolved at every run
+	sleep("left", "src")
+	sleep("right", "src")
+	sleep("src")
+	job := session.WorkflowJob(w, nil)
+	var reps [2]*core.RunReport
+	rig.Sim.Spawn("driver", func(p *des.Proc) {
+		var wg des.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			p.Spawn(fmt.Sprintf("job%d", i), func(jp *des.Proc) {
+				defer wg.Done()
+				jp.Sleep(time.Duration(i) * 500 * time.Millisecond) // the second starts mid-stage of the first
+				rep, err := sess.SubmitIn(jp, job)
+				if err != nil {
+					t.Errorf("SubmitIn %d: %v", i, err)
+				}
+				reps[i] = rep
+			})
+		}
+		wg.Wait(p)
+	})
+	if err := rig.Sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, rep := range reps {
+		if rep == nil {
+			t.Fatalf("run %d: no report", i)
+		}
+		var names []string
+		for _, s := range rep.Stages {
+			names = append(names, s.Name)
+		}
+		if got := strings.Join(names, ","); got != "src,left,right,join" {
+			t.Errorf("run %d stages: %s", i, got)
+		}
+		if rep.Latency() != 3*time.Second {
+			t.Errorf("run %d latency %v, want 3s", i, rep.Latency())
+		}
+	}
+	if reps[1].Start-reps[0].Start != 500*time.Millisecond {
+		t.Errorf("runs started %v apart, want 500ms", reps[1].Start-reps[0].Start)
 	}
 }
 
