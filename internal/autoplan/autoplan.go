@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
@@ -435,12 +436,12 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 	tailSeconds := 2 * pWave * (slow - 1) * waveT
 	const backupFrac = 0.25 // 1 - default speculation quantile
 	backups := int(math.Ceil(backupFrac*n)) * 2
-	dupUSD := functionUSD(env, backups, waveT, backups)
+	dupUSD := env.Prices.FunctionsCost(functionUse(env, backups, waveT, backups))
 	if obj.Goal == MinCost {
 		// Stragglers bill their own slowdown; speculation trades that
 		// billed tail for the duplicates' spend.
 		memGB := float64(env.FunctionMemoryMB) / 1024
-		savedUSD := 2 * exposure * n * (slow - 1) * waveT * memGB * env.Prices.FunctionGBSecond
+		savedUSD := env.Prices.FunctionsCost(faas.Meter{GBSeconds: 2 * exposure * n * (slow - 1) * waveT * memGB})
 		if savedUSD > dupUSD {
 			return SpeculationDecision{Arm: true, Reason: fmt.Sprintf(
 				"straggler billing exposure $%.4f > duplicate cost $%.4f", savedUSD, dupUSD)}

@@ -5,33 +5,24 @@ import (
 	"math"
 	"time"
 
+	"github.com/faaspipe/faaspipe/internal/chaos"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 // A function family's time, active seconds, class A/B requests and
 // invocations all come from one place: the wave fold in internal/shuffle
-// (shuffle.Predict, PredictHierarchical, PredictCache). This file prices
-// what the fold says each worker does — GB-seconds, storage requests,
-// cache node-hours — with the same billing.PriceBook the executor meters
-// real runs with, adds the failure expectations, and models the one
-// family with no waves, the VM. EXPERIMENTS.md has the wave table.
-
-const secondsPerMonth = 30 * 24 * 3600
-
-// The outage-induced brownout parameters mirror chaos.Process's
-// defaults: a zone outage browns the store out at 0.25 for a
-// one-minute window.
-const (
-	outageBrownoutRate = 0.25
-	outageDurationSec  = 60.0
-)
-
-// clientBackoffBase is the objectstore client's retry ladder base in
-// seconds (100ms, doubling) — the per-incident retry-budget model the
-// brownout penalty prices stalls against.
-const clientBackoffBase = 0.1
+// (shuffle.Predict, PredictHierarchical, PredictCache). This file turns
+// what the fold says each worker does into the usage the executor meters
+// for a real run (a faas.Meter, an objectstore.Metrics, instance- and
+// node-hours) and has billing.PriceBook price it with the methods that
+// price the measured kind (FunctionsCost, StorageCost, and HourlyCost,
+// the rate form of VMCost and CacheCost): no price is multiplied here.
+// It adds the failure expectations and models the one family with no
+// waves, the VM. EXPERIMENTS.md has the wave table.
 
 // incidentPenalty prices one class of failure windows over a run:
 // incidents arrive at perHour over the makespan; each opens a window
@@ -57,15 +48,14 @@ func incidentPenalty(env Env, makespan time.Duration, classA, classB int64,
 	// failed share of the window plus the geometric ladder's mean wait,
 	// bounded by the window itself (the ladder out-lasts any window it
 	// can absorb — the PR 8 stream-layer design).
-	meanBackoff := clientBackoffBase / (1 - rate)
+	meanBackoff := objectstore.RetryBackoffBase.Seconds() / (1 - rate)
 	stall := math.Min(winSec, winSec*rate+meanBackoff)
 	extraSec = incidents * stall
 	// The share of the run spent inside windows retries rate/(1-rate)
 	// extra attempts per request, re-billing its class fees.
 	winShare := math.Min(1, incidents*winSec/makespan.Seconds())
 	retryFrac := winShare * rate / (1 - rate)
-	extraUSD = retryFrac * (float64(classA)*env.Prices.StorageClassA +
-		float64(classB)*env.Prices.StorageClassB)
+	extraUSD = retryFrac * env.Prices.StorageCost(storeUse(classA, classB, 0, 0))
 	return extraSec, extraUSD
 }
 
@@ -79,24 +69,28 @@ func storeFaultPenalty(env Env, makespan time.Duration, classA, classB int64) (t
 	bSec, bUSD := incidentPenalty(env, makespan, classA, classB,
 		env.BrownoutPerHour, env.BrownoutRate, env.BrownoutDuration.Seconds())
 	oSec, oUSD := incidentPenalty(env, makespan, classA, classB,
-		env.ZoneOutagePerHour, outageBrownoutRate, outageDurationSec)
+		env.ZoneOutagePerHour, chaos.DefaultOutageRate, chaos.DefaultOutageDuration.Seconds())
 	return time.Duration((bSec + oSec) * float64(time.Second)), bUSD + oUSD
 }
 
-// functionUSD prices workers running activeSeconds each (plus
-// per-invocation fees for invocations activations).
-func functionUSD(env Env, workers int, activeSeconds float64, invocations int) float64 {
+// functionUse is the meter of workers running activeSeconds each at the
+// env's memory grant, over invocations activations.
+func functionUse(env Env, workers int, activeSeconds float64, invocations int) faas.Meter {
 	memGB := float64(env.FunctionMemoryMB) / 1024
-	return float64(workers)*activeSeconds*memGB*env.Prices.FunctionGBSecond +
-		float64(invocations)*env.Prices.FunctionInvocation
+	return faas.Meter{
+		GBSeconds:   float64(workers) * activeSeconds * memGB,
+		Invocations: int64(invocations),
+	}
 }
 
-// storageUSD prices classA writes, classB reads, and heldBytes kept in
-// the store for the run's duration.
-func storageUSD(env Env, classA, classB int64, heldBytes int64, dur time.Duration) float64 {
-	volume := float64(heldBytes) / float64(1<<30) * dur.Seconds() / secondsPerMonth * env.Prices.StorageGBMonth
-	return float64(classA)*env.Prices.StorageClassA +
-		float64(classB)*env.Prices.StorageClassB + volume
+// storeUse is the store metrics of classA writes, classB reads, and
+// heldBytes kept in the store for the run's duration.
+func storeUse(classA, classB int64, heldBytes int64, dur time.Duration) objectstore.Metrics {
+	return objectstore.Metrics{
+		ClassAOps:   classA,
+		ClassBOps:   classB,
+		ByteSeconds: float64(heldBytes) * dur.Seconds(),
+	}
 }
 
 // activeSeconds is the per-worker billed time of a function-based
@@ -120,8 +114,8 @@ func withStoreFaults(c Candidate, env Env, classA, classB int64) Candidate {
 func priceStoreWaves(c Candidate, plan shuffle.Plan, wl Workload, env Env) Candidate {
 	classB := plan.ClassB + shuffle.DriverReads
 	c.Time = plan.Predicted
-	c.CostUSD = functionUSD(env, plan.Workers, activeSeconds(plan), plan.Invocations) +
-		storageUSD(env, plan.ClassA, classB, 2*wl.DataBytes, plan.Predicted)
+	c.CostUSD = env.Prices.FunctionsCost(functionUse(env, plan.Workers, activeSeconds(plan), plan.Invocations)) +
+		env.Prices.StorageCost(storeUse(plan.ClassA, classB, 2*wl.DataBytes, plan.Predicted))
 	return withStoreFaults(c, env, plan.ClassA, classB)
 }
 
@@ -206,17 +200,17 @@ func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 	exchange := wl.Startup.Seconds() + plan.Seconds
 	c.Time = provision + time.Duration(exchange*float64(time.Second))
 
-	nodeHoursUSD := float64(nodes) * env.Cache.NodeHourlyUSD *
-		(provision.Seconds() + exchange) / 3600
+	nodeHoursUSD := env.Prices.HourlyCost(float64(nodes)*env.Cache.NodeHourlyUSD, 0,
+		(provision.Seconds()+exchange)/3600)
 	if standing {
 		// The session already pays the standing cluster's node-hours;
 		// the job's marginal cost excludes them.
 		nodeHoursUSD = 0
 	}
 	classB := plan.ClassB + shuffle.DriverReads
-	c.CostUSD = functionUSD(env, w, plan.Seconds, plan.Invocations) +
+	c.CostUSD = env.Prices.FunctionsCost(functionUse(env, w, plan.Seconds, plan.Invocations)) +
 		nodeHoursUSD +
-		storageUSD(env, plan.ClassA, classB, 2*wl.DataBytes, c.Time)
+		env.Prices.StorageCost(storeUse(plan.ClassA, classB, 2*wl.DataBytes, c.Time))
 	// Cross-zone replication fee: both directions of the exchange cross
 	// zones for the crossFrac share of the volume.
 	c.CostUSD += 2 * float64(wl.DataBytes) * crossFrac / float64(1<<30) * crossZoneGBUSD
@@ -239,8 +233,8 @@ func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 			frac = 0.5 / float64(env.Zones)
 		}
 		c.Time += time.Duration(qz * frac * demote.Predicted.Seconds() * float64(time.Second))
-		c.CostUSD += qz * frac * (functionUSD(env, w, activeSeconds(demote), demote.Workers) +
-			storageUSD(env, demote.ClassA, demote.ClassB, 0, 0))
+		c.CostUSD += qz * frac * (env.Prices.FunctionsCost(functionUse(env, w, activeSeconds(demote), demote.Workers)) +
+			env.Prices.StorageCost(storeUse(demote.ClassA, demote.ClassB, 0, 0)))
 	}
 
 	// The store legs (input read, sampled boundaries, streamed output)
@@ -282,9 +276,9 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		// A session-owned instance is already booted and deployed.
 		bootSetup = 0
 	}
-	// seconds is the run and computeUSD its instance-hours, on demand.
+	// seconds is the run, billed on demand unless spot says otherwise.
 	seconds := bootSetup + work
-	computeUSD := it.HourlyUSD * (seconds / 3600)
+	odHours, spotHours := seconds/3600, 0.0
 	if spot {
 		// Preemption probability over the run's exposure window,
 		// Poisson at InterruptRate per hour. Zone outages reclaim spot
@@ -294,23 +288,25 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		// E[cost]: the spot attempt bills at the spot rate either way
 		// (full run, or boot+half the work before the reclaim); the
 		// on-demand fallback bills a full run at the on-demand rate.
-		spotSec := (1-q)*(bootSetup+work) + q*(bootSetup+0.5*work)
-		odSec := q * (bootSetup + work)
-		computeUSD = (it.SpotHourlyUSD*spotSec + it.HourlyUSD*odSec) / 3600
+		spotHours = ((1-q)*(bootSetup+work) + q*(bootSetup+0.5*work)) / 3600
+		odHours = q * (bootSetup + work) / 3600
 		// E[time]: the fault-free run, plus — with probability q — half
 		// the work wasted before the reclaim, a fresh boot+setup, and
 		// the full leg redone (staged bytes die with the instance).
 		seconds += q * (0.5*work + it.BootTime.Seconds() + env.VMSetup.Seconds() + work)
 	}
 	c.Time = time.Duration(seconds * float64(time.Second))
-	instUSD := computeUSD +
-		float64(it.MemoryGB)*env.Prices.StorageGBMonth*(seconds/3600)/(30*24)
+	// Instance-hours at each rate, and the boot volume for the whole
+	// expected run.
+	instUSD := env.Prices.HourlyCost(it.HourlyUSD, 0, odHours) +
+		env.Prices.HourlyCost(it.SpotHourlyUSD, 0, spotHours) +
+		env.Prices.HourlyCost(0, it.MemoryGB, seconds/3600)
 	if standing {
 		// The session already pays the instance-hours; the job's
 		// marginal cost excludes them.
 		instUSD = 0
 	}
 	classA, classB := int64(wl.OutputParts), int64(conns)+1
-	c.CostUSD = instUSD + storageUSD(env, classA, classB, 2*wl.DataBytes, c.Time)
+	c.CostUSD = instUSD + env.Prices.StorageCost(storeUse(classA, classB, 2*wl.DataBytes, c.Time))
 	return withStoreFaults(c, env, classA, classB)
 }

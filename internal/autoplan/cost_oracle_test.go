@@ -18,6 +18,23 @@ func outputPartRequests(outBytes int64) int64 {
 	return objectstore.PutStreamRequests(outBytes, shuffle.AdaptiveChunkBytes(0, outBytes))
 }
 
+// functionUSD and storageUSD are the retired hand-spelled prices, kept
+// so the oracle stays independent of billing.PriceBook's methods:
+// workers running activeSeconds each plus per-invocation fees, and
+// classA writes, classB reads and heldBytes kept for dur.
+func functionUSD(env Env, workers int, activeSeconds float64, invocations int) float64 {
+	memGB := float64(env.FunctionMemoryMB) / 1024
+	return float64(workers)*activeSeconds*memGB*env.Prices.FunctionGBSecond +
+		float64(invocations)*env.Prices.FunctionInvocation
+}
+
+func storageUSD(env Env, classA, classB int64, heldBytes int64, dur time.Duration) float64 {
+	const secondsPerMonth = 30 * 24 * 3600
+	volume := float64(heldBytes) / float64(1<<30) * dur.Seconds() / secondsPerMonth * env.Prices.StorageGBMonth
+	return float64(classA)*env.Prices.StorageClassA +
+		float64(classB)*env.Prices.StorageClassB + volume
+}
+
 // oraclePredictCache is the retired closed form of predictCache, kept
 // verbatim but for the names this PR renamed (the constants that were
 // unset options, Workload.Startup for Env.FunctionStartup): the wave

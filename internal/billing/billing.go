@@ -7,7 +7,9 @@ package billing
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
@@ -127,13 +129,24 @@ func (pb PriceBook) StorageCost(m objectstore.Metrics) float64 {
 		volume
 }
 
+// noLimit as an as-of instant means "now": a resource's accrual stops
+// at the simulation clock whatever instant is asked for.
+const noLimit = time.Duration(math.MaxInt64)
+
 // CacheCost prices the lifetimes of the given cache clusters. Node
 // pricing lives in the cache profile (like the VM catalog), so this
 // sums accrued node-hours.
 func (pb PriceBook) CacheCost(clusters []*memcache.Cluster) float64 {
+	return pb.CacheCostAt(clusters, noLimit)
+}
+
+// CacheCostAt is CacheCost as of the instant at: what the clusters had
+// accrued by then. A session attributes a standing cluster with it,
+// because the clock drifts past a run's end while trailing timers drain.
+func (pb PriceBook) CacheCostAt(clusters []*memcache.Cluster, at time.Duration) float64 {
 	var total float64
 	for _, c := range clusters {
-		total += c.Cost()
+		total += c.CostAt(at)
 	}
 	return total
 }
@@ -141,13 +154,26 @@ func (pb PriceBook) CacheCost(clusters []*memcache.Cluster) float64 {
 // VMCost prices the lifetimes of the given instances plus their
 // transient storage volume (stored GB prorated from a 30-day month).
 func (pb PriceBook) VMCost(instances []*vm.Instance) float64 {
+	return pb.VMCostAt(instances, noLimit)
+}
+
+// VMCostAt is VMCost as of the instant at (see CacheCostAt).
+func (pb PriceBook) VMCostAt(instances []*vm.Instance, at time.Duration) float64 {
 	var total float64
 	for _, inst := range instances {
-		total += inst.Cost()
+		total += inst.CostAt(at)
 		// Volume: the boot volume is the instance's memory-sized
-		// scratch disk; prorate the monthly GB price by lifetime.
-		hours := inst.BilledDuration().Hours()
-		total += float64(inst.Type().MemoryGB) * pb.StorageGBMonth * hours / (30 * 24)
+		// scratch disk.
+		total += pb.HourlyCost(0, inst.Type().MemoryGB, inst.BilledDurationAt(at).Hours())
 	}
 	return total
+}
+
+// HourlyCost is the rate form of VMCost and CacheCost, for usage that
+// is predicted instead of metered: hours billed at hourlyUSD (an
+// instance's on-demand or spot rate, a cluster's nodes times the node
+// rate) plus a boot volume of volumeGB held that long, prorated from
+// the GB-month price over a 30-day month.
+func (pb PriceBook) HourlyCost(hourlyUSD float64, volumeGB int, hours float64) float64 {
+	return hourlyUSD*hours + float64(volumeGB)*pb.StorageGBMonth*hours/(30*24)
 }

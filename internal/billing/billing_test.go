@@ -144,3 +144,62 @@ func TestStageCostAppendTo(t *testing.T) {
 		t.Fatalf("total = %g", total.Total())
 	}
 }
+
+// TestCostAsOfAndRateForm: the as-of forms read the same accrual at an
+// earlier instant (nothing before the create call, everything once at
+// passes the stop), and HourlyCost, fed an instance's rate, volume and
+// billed hours, is VMCost of that instance.
+func TestCostAsOfAndRateForm(t *testing.T) {
+	pb := Default()
+	sim := des.New(1)
+	vmPr := vm.NewProvisioner(sim)
+	cfg := memcache.DefaultConfig()
+	cachePr, err := memcache.NewProvisioner(sim, cfg)
+	if err != nil {
+		t.Fatalf("provisioner: %v", err)
+	}
+	var inst *vm.Instance
+	var cl *memcache.Cluster
+	var midVM, midCache float64
+	sim.Spawn("driver", func(p *des.Proc) {
+		p.Sleep(10 * time.Second) // both created at t=10s
+		cl, _ = cachePr.ProvisionWarm(p, 2)
+		inst, _ = vmPr.Provision(p, "bx2-8x32") // 48s boot
+		p.Sleep(42 * time.Second)               // t=100s
+		midVM, midCache = pb.VMCost([]*vm.Instance{inst}), pb.CacheCost([]*memcache.Cluster{cl})
+		p.Sleep(100 * time.Second) // t=200s
+		inst.Stop()
+		cl.Stop()
+		p.Sleep(100 * time.Second) // the clock runs on to t=300s
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	insts, cls := []*vm.Instance{inst}, []*memcache.Cluster{cl}
+	for _, tc := range []struct {
+		at                time.Duration
+		wantVM, wantCache float64
+	}{
+		{5 * time.Second, 0, 0},
+		{100 * time.Second, midVM, midCache},
+		{200 * time.Second, pb.VMCost(insts), pb.CacheCost(cls)},
+		{time.Hour, pb.VMCost(insts), pb.CacheCost(cls)},
+	} {
+		if got := pb.VMCostAt(insts, tc.at); got != tc.wantVM {
+			t.Errorf("VMCostAt(%v) = %g, want %g", tc.at, got, tc.wantVM)
+		}
+		if got := pb.CacheCostAt(cls, tc.at); got != tc.wantCache {
+			t.Errorf("CacheCostAt(%v) = %g, want %g", tc.at, got, tc.wantCache)
+		}
+	}
+	if midVM <= 0 || midVM >= pb.VMCost(insts) || midCache <= 0 || midCache >= pb.CacheCost(cls) {
+		t.Errorf("mid-life costs %g / %g not strictly inside (0, %g) / (0, %g)", midVM, midCache, pb.VMCost(insts), pb.CacheCost(cls))
+	}
+	it := inst.Type()
+	if got, want := pb.HourlyCost(it.HourlyUSD, it.MemoryGB, inst.BilledDuration().Hours()), pb.VMCost(insts); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("HourlyCost at the instance's rate = %g, VMCost %g", got, want)
+	}
+	if got, want := pb.HourlyCost(2*cfg.NodeHourlyUSD, 0, cl.BilledDuration().Hours()), pb.CacheCost(cls); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("HourlyCost at two nodes' rate = %g, CacheCost %g", got, want)
+	}
+}

@@ -31,13 +31,6 @@ type Rig struct {
 	// and with it this history — alive across submissions, so every
 	// plan after the first is calibrated by what actually happened.
 	History *autoplan.History
-
-	// StandingCache / StandingVM are session-owned standing resources;
-	// strategies built from this rig exchange through them and the
-	// session attributes their cost. Set via SetStandingCache /
-	// SetStandingVM.
-	StandingCache *memcache.Cluster
-	StandingVM    *vm.Instance
 }
 
 // NewRig builds the simulated cloud for a profile.
@@ -96,22 +89,6 @@ func NewRig(p Profile) (*Rig, error) {
 	}, nil
 }
 
-// SetStandingCache registers a session-owned running cluster: cache
-// strategies built from this rig afterwards exchange through it, and
-// the executor excludes its accrual from per-stage cost deltas (the
-// session attributes it via RunReport.StandingUSD).
-func (r *Rig) SetStandingCache(c *memcache.Cluster) {
-	r.StandingCache = c
-	r.Exec.StandingCache = c
-}
-
-// SetStandingVM registers a session-owned running instance, the VM
-// counterpart of SetStandingCache.
-func (r *Rig) SetStandingVM(i *vm.Instance) {
-	r.StandingVM = i
-	r.Exec.StandingVM = i
-}
-
 // SortParams derives the standard sort-stage parameters for this
 // profile and dataset location.
 func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers int) core.SortParams {
@@ -126,29 +103,24 @@ func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers i
 	}
 }
 
-// VMStrategy builds the profile's VM exchange strategy. A standing
-// instance registered on the rig is carried along: the sort stages
-// through it instead of provisioning.
+// VMStrategy builds the profile's VM exchange strategy. When a session
+// has handed the executor a standing instance the sort stages through
+// that instead of provisioning.
 func (r *Rig) VMStrategy() *core.VMExchange {
 	return &core.VMExchange{
 		InstanceType: r.Profile.InstanceType,
 		Setup:        r.Profile.VMSetup,
 		SortBps:      r.Profile.VMSortBps,
 		Conns:        r.Profile.VMConns,
-		Instance:     r.StandingVM,
 	}
 }
 
 // CacheStrategy builds the profile's cache exchange strategy. warm
 // models a pre-provisioned cluster (no spin-up latency). A standing
-// cluster registered on the rig is carried along and takes precedence
-// over per-job provisioning.
+// cluster a session has handed the executor takes precedence over
+// per-job provisioning.
 func (r *Rig) CacheStrategy(warm bool) *core.CacheExchange {
-	return &core.CacheExchange{
-		Nodes:   r.Profile.CacheNodes,
-		Warm:    warm,
-		Cluster: r.StandingCache,
-	}
+	return &core.CacheExchange{Nodes: r.Profile.CacheNodes, Warm: warm}
 }
 
 // AutoStrategy builds the profile's planner-backed strategy: the

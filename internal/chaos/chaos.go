@@ -133,7 +133,7 @@ func (p *Plan) Validate() error {
 		if ev.At < 0 {
 			return fail(ErrNegativeTime)
 		}
-		if ev.Rate < 0 || ev.Rate > 1 {
+		if !(ev.Rate >= 0 && ev.Rate <= 1) { // NaN is outside too
 			return fail(ErrBadRate)
 		}
 		switch ev.Kind {

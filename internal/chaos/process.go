@@ -50,6 +50,14 @@ type Process struct {
 	OutageDuration time.Duration
 }
 
+// DefaultOutageRate and DefaultOutageDuration are what a ZoneOutage
+// arrival gets when the Process leaves OutageRate / OutageDuration
+// unset; the planner prices zone-outage exposure with the same two.
+const (
+	DefaultOutageRate     = 0.25
+	DefaultOutageDuration = time.Minute
+)
+
 // classStream derives an independent RNG for one fault class from the
 // process seed. The multiplier is the 64-bit golden-ratio constant
 // (reinterpreted as a signed value), a standard seed-spreading mix.
@@ -80,10 +88,10 @@ func (pr Process) Generate() (*Plan, error) {
 	if pr.OutageRate < 0 {
 		pr.OutageRate = 0
 	} else if pr.OutageRate == 0 {
-		pr.OutageRate = 0.25
+		pr.OutageRate = DefaultOutageRate
 	}
 	if pr.OutageDuration <= 0 {
-		pr.OutageDuration = time.Minute
+		pr.OutageDuration = DefaultOutageDuration
 	}
 
 	plan := &Plan{}

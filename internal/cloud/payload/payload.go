@@ -88,7 +88,8 @@ func (p sizedPayload) Slice(off, n int64) (Payload, error) {
 }
 
 func checkRange(off, n, size int64) error {
-	if off < 0 || n < 0 || off+n > size {
+	// n > size-off, not off+n > size: the sum can wrap past MaxInt64.
+	if off < 0 || n < 0 || off > size || n > size-off {
 		return &RangeError{Off: off, N: n, Size: size}
 	}
 	return nil

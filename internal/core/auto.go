@@ -24,10 +24,9 @@ type AutoExchange struct {
 	// registered, and the stage's memory grant.
 	Env autoplan.Env
 	// VM carries the VM family's dispatch knobs (Setup/SortBps/Conns
-	// shape its run; Instance is a session's standing machine).
+	// shape its run).
 	VM VMExchange
-	// Cache carries the cache family's dispatch knobs (Warm; Cluster is
-	// a session's standing cluster).
+	// Cache carries the cache family's dispatch knobs (Warm).
 	Cache CacheExchange
 	// LastDecision is the most recent planner output (for reports; the
 	// simulation kernel runs one process at a time, so reads after the
@@ -62,10 +61,10 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	if params.MemoryMB > 0 {
 		env.FunctionMemoryMB = params.MemoryMB
 	}
-	if c := a.Cache.Cluster; c != nil && !c.Stopped() {
+	if c := ctx.Exec.StandingCache; c != nil && !c.Stopped() {
 		env.CacheStandingNodes = c.Nodes()
 	}
-	if inst := a.VM.Instance; inst != nil && !inst.Stopped() {
+	if inst := ctx.Exec.StandingVM; inst != nil && !inst.Stopped() {
 		env.VMStandingType = inst.Type().Name
 	}
 
@@ -76,15 +75,9 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	a.LastDecision = &dec
 
 	// Meter the dispatched run so the measured outcome can calibrate
-	// the next plan (the same snapshot arithmetic the executor uses for
-	// stage reports, scoped to this sort alone).
+	// the next plan.
 	startAt := ctx.Proc.Now()
-	startsBefore := ctx.Exec.stageStarts
-	activeBefore := ctx.Exec.stagesActive
-	fBefore := ctx.Exec.Platform.Meter()
-	sBefore := ctx.Exec.Store.Metrics()
-	vBefore := ctx.Exec.vmCostSnapshot()
-	cBefore := ctx.Exec.cacheCostSnapshot()
+	win := ctx.Exec.openWindow()
 
 	outcome, err := a.dispatch(ctx, params, &dec)
 	if err != nil {
@@ -92,17 +85,13 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	}
 
 	if hist := env.History; hist != nil {
-		// The cost snapshots are executor-global: if another stage ran
-		// during our window, its spend is in the deltas and would
-		// corrupt the calibration. Record only the time observation
-		// then (the elapsed virtual time is ours either way).
+		// If another stage ran during the window its spend is in the
+		// deltas and would corrupt the calibration. Record only the time
+		// observation then (the elapsed virtual time is ours either way).
 		var predictedUSD, actualUSD float64
-		if ctx.Exec.stageStarts == startsBefore && activeBefore <= 1 {
+		if _, _, cost, alone := win.close(ctx.Exec); alone {
 			predictedUSD = dec.Chosen.ModelUSD
-			actualUSD = ctx.Exec.Prices.FunctionsCost(ctx.Exec.Platform.Meter().Sub(fBefore)) +
-				ctx.Exec.Prices.StorageCost(ctx.Exec.Store.Metrics().Sub(sBefore)) +
-				(ctx.Exec.vmCostSnapshot() - vBefore) +
-				(ctx.Exec.cacheCostSnapshot() - cBefore)
+			actualUSD = cost.Total()
 		}
 		hist.Record(autoplan.Observation{
 			Strategy:      dec.Chosen.Strategy,

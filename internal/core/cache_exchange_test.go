@@ -83,8 +83,8 @@ func TestCacheExchangeSortsCorrectly(t *testing.T) {
 	if !ok {
 		t.Fatal("no sort stage report")
 	}
-	if sr.CacheUSD <= 0 {
-		t.Errorf("stage CacheUSD = %g, want > 0", sr.CacheUSD)
+	if sr.Cost.Cache <= 0 {
+		t.Errorf("stage Cost.Cache = %g, want > 0", sr.Cost.Cache)
 	}
 	clusters := prov.Clusters()
 	if len(clusters) != 1 || !clusters[0].Stopped() {
@@ -176,7 +176,7 @@ func TestCacheExchangeWarmIsFaster(t *testing.T) {
 
 func TestCacheCostSnapshotWithoutProvisioner(t *testing.T) {
 	r := newRig(t)
-	if got := r.exec.cacheCostSnapshot(); got != 0 {
+	if got := r.exec.cacheCost(); got != 0 {
 		t.Errorf("cacheCostSnapshot with no provisioner = %g, want 0", got)
 	}
 }

@@ -283,8 +283,8 @@ func TestSortStageObjectStorageStrategy(t *testing.T) {
 	if sr.Faas.Invocations != 12 { // 6 map + 6 reduce
 		t.Fatalf("invocations = %d, want 12", sr.Faas.Invocations)
 	}
-	if sr.VMUSD != 0 {
-		t.Fatalf("object-storage strategy charged VM cost %g", sr.VMUSD)
+	if sr.Cost.VM != 0 {
+		t.Fatalf("object-storage strategy charged VM cost %g", sr.Cost.VM)
 	}
 	if len(gotKeys) != 6 {
 		t.Fatalf("output keys = %d, want 6", len(gotKeys))
@@ -313,7 +313,7 @@ func TestSortStageVMStrategy(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	sr, _ := rep.Stage("sort")
-	if sr.VMUSD <= 0 {
+	if sr.Cost.VM <= 0 {
 		t.Fatalf("VM strategy charged no VM cost: %+v", sr)
 	}
 	if sr.Faas.Invocations != 0 {

@@ -6,18 +6,6 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 )
 
-func TestRunStateGet(t *testing.T) {
-	s := &RunState{}
-	if _, ok := s.Get("missing"); ok {
-		t.Fatal("missing key reported present")
-	}
-	s.Set("k", 42)
-	v, ok := s.Get("k")
-	if !ok || v != 42 {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-}
-
 func TestStageNames(t *testing.T) {
 	w := NewWorkflow("wf")
 	noop := func(name string) *FuncStage {

@@ -8,7 +8,6 @@ import (
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
-	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
@@ -68,17 +67,11 @@ type SortOutcome struct {
 	OutputKeys []string
 	// Workers is the parallelism used.
 	Workers int
-	// Detail is a human-readable summary for tracing.
-	Detail string
-	// Restarts counts failure-driven re-executions absorbed to finish
-	// the sort (VM preemption restarts, cache slab regeneration waves).
-	Restarts int
-	// ReworkBytes is the data volume re-processed because of failures:
-	// re-staged and re-sorted input, regenerated cache slabs.
-	ReworkBytes int64
-	// FallbackSlabs counts intermediate partitions the cache exchange
-	// rerouted through object storage after a node loss.
-	FallbackSlabs int
+	// StageOutcome is the sort's record for its StageReport: the
+	// exchange trace and the failure recovery absorbed to finish (VM
+	// preemption restarts, cache slab regeneration waves, re-staged and
+	// regenerated bytes, slabs rerouted through object storage).
+	StageOutcome
 }
 
 // ExchangeStrategy is how a sort stage moves and processes its data —
@@ -117,7 +110,7 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 		detail := fmt.Sprintf("two-level shuffle via object storage: %d workers in %d groups, round1 %v, round2 %v",
 			res.Workers, res.Groups,
 			res.Round1.Round(time.Millisecond), res.Round2.Round(time.Millisecond))
-		return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, Detail: detail}, nil
+		return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
 	}
 	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, params.spec())
 	if err != nil {
@@ -126,7 +119,7 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 	detail := fmt.Sprintf("shuffle via object storage: %d workers, sample %v, phase1 %v, phase2 %v",
 		res.Workers, res.Sample.Round(time.Millisecond),
 		res.Phase1.Round(time.Millisecond), res.Phase2.Round(time.Millisecond))
-	return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, Detail: detail}, nil
+	return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
 }
 
 // CacheExchange is the in-memory cache strategy the paper names in §1
@@ -139,12 +132,6 @@ type CacheExchange struct {
 	// Warm skips the cluster spin-up latency, modeling a pre-provisioned
 	// long-lived cluster (the latency-favorable ablation).
 	Warm bool
-	// Cluster, when set, is a session-owned standing cluster: the
-	// exchange flows through it instead of provisioning a per-job one,
-	// the cluster is left running afterwards, and its node-hours are
-	// attributed by the session rather than to this stage. Nodes and
-	// Warm are ignored.
-	Cluster *memcache.Cluster
 }
 
 var _ ExchangeStrategy = (*CacheExchange)(nil)
@@ -157,22 +144,27 @@ func (c *CacheExchange) Name() string {
 	return "cache"
 }
 
-// RunSort implements ExchangeStrategy.
+// RunSort implements ExchangeStrategy. When the executor holds a
+// session's standing cluster the exchange flows through it instead of
+// provisioning a per-job one (Nodes and Warm are ignored), the cluster
+// is left running afterwards, and its node-hours are attributed by the
+// session rather than to this stage.
 func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
 	if ctx.Exec.CacheShuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no cache shuffle operator")
 	}
+	standing := ctx.Exec.StandingCache
 	res, err := ctx.Exec.CacheShuffle.Sort(ctx.Proc, shuffle.CacheSpec{
 		Spec:    params.spec(),
 		Nodes:   c.Nodes,
 		Warm:    c.Warm,
-		Cluster: c.Cluster,
+		Cluster: standing,
 	})
 	if err != nil {
 		return SortOutcome{}, err
 	}
 	via := "cache"
-	if c.Cluster != nil {
+	if standing != nil {
 		via = "standing cache"
 	}
 	detail := fmt.Sprintf("shuffle via %d-node %s: %d workers, provision %v, phase1 %v, phase2 %v",
@@ -183,12 +175,14 @@ func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutco
 			res.FallbackSlabs, res.Restarts)
 	}
 	return SortOutcome{
-		OutputKeys:    res.OutputKeys,
-		Workers:       res.Workers,
-		Detail:        detail,
-		Restarts:      res.Restarts,
-		ReworkBytes:   res.ReworkBytes,
-		FallbackSlabs: res.FallbackSlabs,
+		OutputKeys: res.OutputKeys,
+		Workers:    res.Workers,
+		StageOutcome: StageOutcome{
+			Detail:        detail,
+			Restarts:      res.Restarts,
+			ReworkBytes:   res.ReworkBytes,
+			FallbackSlabs: res.FallbackSlabs,
+		},
 	}, nil
 }
 
@@ -210,16 +204,8 @@ type VMExchange struct {
 	// Spot provisions interruptible capacity at the type's spot rate.
 	// A preempted leg restarts on a fresh instance — on-demand for the
 	// fallback attempts, so one preemption cannot cascade — with the
-	// rework metered in the outcome. Ignored when Instance is set.
+	// rework metered in the outcome. Ignored on a standing instance.
 	Spot bool
-	// Instance, when set, is a session-owned running instance: the sort
-	// stages through it instead of provisioning (no boot, no Setup),
-	// the instance is left running afterwards, and its instance-hours
-	// are attributed by the session rather than to this stage.
-	// InstanceType is ignored. If the provider preempts the standing
-	// instance mid-sort, the sort restarts on a fresh on-demand
-	// instance owned (and stopped) by this stage.
-	Instance *vm.Instance
 }
 
 var _ ExchangeStrategy = (*VMExchange)(nil)
@@ -233,7 +219,14 @@ func (*VMExchange) Name() string { return "vm" }
 // guards against a standing instance preempted on the retry too.
 const vmMaxAttempts = 3
 
-// RunSort implements ExchangeStrategy. A preempted attempt restarts
+// RunSort implements ExchangeStrategy. When the executor holds a
+// session's standing instance that is still running, the sort stages
+// through it instead of provisioning (no boot, no Setup; InstanceType
+// is ignored), the instance is left running afterwards, and its
+// instance-hours are attributed by the session rather than to this
+// stage. If the provider reclaims it, before the sort or in the middle
+// of it, the sort runs on a fresh on-demand instance owned (and
+// stopped) by this stage. A preempted attempt restarts
 // the lost leg on a fresh instance — on-demand from the first retry —
 // with the rework metered in the outcome. Output parts already durable
 // in object storage are not re-written (keys are deterministic). The
@@ -278,15 +271,13 @@ func (v *VMExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome,
 func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []string, putDone []bool, attempt int) (SortOutcome, int64, error) {
 	p := ctx.Proc
 	var inst *vm.Instance
-	// The standing instance serves only the first attempt: if the
-	// provider preempted it, the retries run on stage-owned capacity.
-	standing := v.Instance != nil && attempt == 0
+	// The standing instance serves only the first attempt, and only
+	// while it runs: once the provider has reclaimed it the sort runs on
+	// stage-owned capacity.
+	standing := attempt == 0 && ctx.Exec.StandingVM != nil && !ctx.Exec.StandingVM.Stopped()
 	switch {
 	case standing:
-		if v.Instance.Stopped() {
-			return SortOutcome{}, 0, errors.New("vm exchange: standing instance is stopped")
-		}
-		inst = v.Instance
+		inst = ctx.Exec.StandingVM
 	default:
 		var err error
 		// Spot capacity only on the first attempt: the fallback is
@@ -400,7 +391,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 	if attempt > 0 {
 		detail += fmt.Sprintf(" (recovered after %d preemption(s))", attempt)
 	}
-	return SortOutcome{OutputKeys: keys, Workers: params.Workers, Detail: detail}, 0, nil
+	return SortOutcome{OutputKeys: keys, Workers: params.Workers, StageOutcome: StageOutcome{Detail: detail}}, 0, nil
 }
 
 // parallelFetch range-reads an object with conns concurrent

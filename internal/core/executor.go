@@ -26,15 +26,13 @@ type Listener interface {
 
 // StageReport is the metered outcome of one stage.
 type StageReport struct {
-	Name     string
-	Start    time.Duration
-	End      time.Duration
-	Err      error
-	Faas     faas.Meter
-	Store    objectstore.Metrics
-	VMUSD    float64
-	CacheUSD float64
-	Cost     billing.StageCost
+	Name  string
+	Start time.Duration
+	End   time.Duration
+	Err   error
+	Faas  faas.Meter
+	Store objectstore.Metrics
+	Cost  billing.StageCost
 	// StageOutcome is what the stage recorded on its StageContext.
 	StageOutcome
 }
@@ -152,11 +150,9 @@ type Executor struct {
 
 	listeners []Listener
 
-	// stageStarts / stagesActive track stage concurrency within a run,
-	// so strategies metering their own spend with global snapshot
-	// deltas (AutoExchange) can tell when another stage's activity
-	// polluted their window. Only touched from simulation process
-	// context.
+	// stageStarts / stagesActive track stage concurrency, so a usage
+	// window can tell whether another stage's activity fell inside it.
+	// Only touched from simulation process context.
 	stageStarts  int64
 	stagesActive int
 }
@@ -182,10 +178,52 @@ func (e *Executor) AddListener(l Listener) {
 	}
 }
 
-// vmCostSnapshot totals the accumulated cost of all instances except
-// the session-standing one; the difference across a stage attributes
-// VM spend to it.
-func (e *Executor) vmCostSnapshot() float64 {
+// usageWindow is the one way usage is attributed to a span of a run:
+// the executor-global meters read when the window opens, subtracted
+// from what they read when it closes. Both stage reports and the auto
+// exchange's calibration use it. The meters are global, so a window is
+// only the opener's own usage when nothing else ran inside it; close
+// says whether that held. A plain value: opening and closing a window
+// allocates nothing.
+type usageWindow struct {
+	faas      faas.Meter
+	store     objectstore.Metrics
+	vm, cache float64
+	starts    int64
+	active    int
+}
+
+// openWindow reads the meters. It is called from inside a stage, after
+// the executor has counted that stage as started and active.
+func (e *Executor) openWindow() usageWindow {
+	return usageWindow{
+		faas:   e.Platform.Meter(),
+		store:  e.Store.Metrics(),
+		vm:     e.vmCost(),
+		cache:  e.cacheCost(),
+		starts: e.stageStarts,
+		active: e.stagesActive,
+	}
+}
+
+// close returns what was used since the window opened, priced, and
+// whether the opening stage was alone throughout: no other stage
+// active at the open, none started since.
+func (w usageWindow) close(e *Executor) (faas.Meter, objectstore.Metrics, billing.StageCost, bool) {
+	fm := e.Platform.Meter().Sub(w.faas)
+	sm := e.Store.Metrics().Sub(w.store)
+	cost := billing.StageCost{
+		Functions: e.Prices.FunctionsCost(fm),
+		Storage:   e.Prices.StorageCost(sm),
+		VM:        e.vmCost() - w.vm,
+		Cache:     e.cacheCost() - w.cache,
+	}
+	return fm, sm, cost, e.stageStarts == w.starts && w.active <= 1
+}
+
+// vmCost totals the accumulated cost of all instances except the
+// session-standing one, whose accrual the session attributes.
+func (e *Executor) vmCost() float64 {
 	if e.Provisioner == nil {
 		return 0
 	}
@@ -196,9 +234,9 @@ func (e *Executor) vmCostSnapshot() float64 {
 	return total
 }
 
-// cacheCostSnapshot totals the accumulated cost of all cache clusters
-// except the session-standing one.
-func (e *Executor) cacheCostSnapshot() float64 {
+// cacheCost totals the accumulated cost of all cache clusters except
+// the session-standing one.
+func (e *Executor) cacheCost() float64 {
 	if e.CacheProv == nil {
 		return 0
 	}
@@ -240,36 +278,19 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 				return // abort chain: upstream failed
 			}
 			start := sp.Now()
-			fBefore := e.Platform.Meter()
-			sBefore := e.Store.Metrics()
-			vBefore := e.vmCostSnapshot()
-			cBefore := e.cacheCostSnapshot()
+			e.stageStarts++
+			e.stagesActive++
+			win := e.openWindow()
 			for _, l := range e.listeners {
 				l.StageStarted(w.Name(), n.stage.Name(), start)
 			}
-			e.stageStarts++
-			e.stagesActive++
 			ctx := &StageContext{Proc: sp, Exec: e, State: state}
 			err := n.stage.Run(ctx)
 			e.stagesActive--
-			sr := StageReport{
-				Name:     n.stage.Name(),
-				Start:    start,
-				End:      sp.Now(),
-				Err:      err,
-				Faas:     e.Platform.Meter().Sub(fBefore),
-				Store:    e.Store.Metrics().Sub(sBefore),
-				VMUSD:    e.vmCostSnapshot() - vBefore,
-				CacheUSD: e.cacheCostSnapshot() - cBefore,
-			}
+			sr := StageReport{Name: n.stage.Name(), Start: start, End: sp.Now(), Err: err}
+			sr.Faas, sr.Store, sr.Cost, _ = win.close(e)
 			if ctx.Outcome != nil {
 				sr.StageOutcome = *ctx.Outcome
-			}
-			sr.Cost = billing.StageCost{
-				Functions: e.Prices.FunctionsCost(sr.Faas),
-				Storage:   e.Prices.StorageCost(sr.Store),
-				VM:        sr.VMUSD,
-				Cache:     sr.CacheUSD,
 			}
 			rep.Stages = append(rep.Stages, sr)
 			for _, l := range e.listeners {

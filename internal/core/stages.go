@@ -56,12 +56,7 @@ func (s *SortStage) Run(ctx *StageContext) error {
 		return err
 	}
 	ctx.State.Set(s.Name()+".keys", outcome.OutputKeys)
-	ctx.Outcome = &StageOutcome{
-		Detail:        outcome.Detail,
-		Restarts:      outcome.Restarts,
-		ReworkBytes:   outcome.ReworkBytes,
-		FallbackSlabs: outcome.FallbackSlabs,
-	}
+	ctx.Outcome = &outcome.StageOutcome
 	return nil
 }
 

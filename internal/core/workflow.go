@@ -59,12 +59,6 @@ func (s *RunState) Set(key string, v any) {
 	s.values[key] = v
 }
 
-// Get returns the value under key, if present.
-func (s *RunState) Get(key string) (any, bool) {
-	v, ok := s.values[key]
-	return v, ok
-}
-
 // Keys returns the stage output keys stored under key as []string.
 func (s *RunState) Keys(key string) ([]string, error) {
 	v, ok := s.values[key]

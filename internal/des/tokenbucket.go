@@ -35,9 +35,6 @@ func NewTokenBucket(s *Sim, rate, burst float64) *TokenBucket {
 	}
 }
 
-// Rate reports the refill rate in tokens per second.
-func (tb *TokenBucket) Rate() float64 { return tb.rate }
-
 func (tb *TokenBucket) refill() {
 	now := tb.sim.Now()
 	elapsed := (now - tb.last).Seconds()
@@ -47,9 +44,6 @@ func (tb *TokenBucket) refill() {
 		tb.tokens = tb.burst
 	}
 }
-
-// Burst reports the bucket capacity.
-func (tb *TokenBucket) Burst() float64 { return tb.burst }
 
 // TryTake takes n tokens if they are available right now, without
 // waiting. It preserves Take's FIFO discipline: while any Take is

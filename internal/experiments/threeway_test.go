@@ -99,8 +99,8 @@ func TestRunPipelineCacheStrategies(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: no sort stage", kind)
 		}
-		if sr.CacheUSD <= 0 {
-			t.Errorf("%v: sort stage CacheUSD = %g, want > 0", kind, sr.CacheUSD)
+		if sr.Cost.Cache <= 0 {
+			t.Errorf("%v: sort stage Cost.Cache = %g, want > 0", kind, sr.Cost.Cache)
 		}
 	}
 }

@@ -167,10 +167,7 @@ type Platform struct {
 	meter    Meter
 	invSeq   int64
 
-	// RecordActivations keeps per-invocation Activation records when
-	// true (default). Large sweeps can disable it.
-	RecordActivations bool
-	activations       []Activation
+	activations []Activation
 }
 
 // New builds a platform on sim backed by store.
@@ -179,13 +176,12 @@ func New(sim *des.Sim, store *objectstore.Service, cfg Config) (*Platform, error
 		return nil, err
 	}
 	return &Platform{
-		sim:               sim,
-		cfg:               cfg,
-		store:             store,
-		registry:          make(map[string]Handler),
-		sem:               des.NewResource(sim, int64(cfg.ConcurrencyLimit)),
-		warm:              make(map[string][]time.Duration),
-		RecordActivations: true,
+		sim:      sim,
+		cfg:      cfg,
+		store:    store,
+		registry: make(map[string]Handler),
+		sem:      des.NewResource(sim, int64(cfg.ConcurrencyLimit)),
+		warm:     make(map[string][]time.Duration),
 	}, nil
 }
 
@@ -221,12 +217,13 @@ type InvokeOptions struct {
 	// MaxRetries re-attempts invocations that fail with
 	// ErrInvocationFailed up to this many extra times. Handler errors
 	// are not retried: the platform cannot tell a deterministic bug
-	// from a transient one, so only platform-side failures qualify.
+	// from a transient one, so only platform-side failures qualify. The
+	// first retry waits retryBackoff, doubled per attempt.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubled per
-	// attempt (default 50ms when MaxRetries > 0).
-	RetryBackoff time.Duration
 }
+
+// retryBackoff is the delay before an invocation's first retry.
+const retryBackoff = 50 * time.Millisecond
 
 // InvokeAsync starts an invocation and returns a future for its
 // result. The caller keeps running; invocations execute as their own
@@ -244,10 +241,7 @@ func (pf *Platform) InvokeAsync(name string, input any, opts InvokeOptions) *Fut
 	if opts.MemoryMB > 0 {
 		mem = opts.MemoryMB
 	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
+	backoff := retryBackoff
 	procName := fmt.Sprintf("faas/%s#%d", name, id)
 	pf.sim.Spawn(procName, func(p *des.Proc) {
 		var out any
@@ -296,18 +290,16 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 		pf.meter.Invocations++
 		pf.meter.FailedAttempts++
 		pf.meter.GBSeconds += gbs
-		if pf.RecordActivations {
-			pf.activations = append(pf.activations, Activation{
-				ID:       id,
-				Function: name,
-				Start:    p.Now(),
-				End:      p.Now(),
-				Cold:     cold,
-				MemoryMB: mem,
-				BilledGB: gbs,
-				Err:      ErrInvocationFailed,
-			})
-		}
+		pf.activations = append(pf.activations, Activation{
+			ID:       id,
+			Function: name,
+			Start:    p.Now(),
+			End:      p.Now(),
+			Cold:     cold,
+			MemoryMB: mem,
+			BilledGB: gbs,
+			Err:      ErrInvocationFailed,
+		})
 		return nil, ErrInvocationFailed
 	}
 
@@ -341,19 +333,17 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 	pf.meter.Invocations++
 	pf.meter.GBSeconds += gbs
 	pf.meter.ExecTime += end - begin
-	if pf.RecordActivations {
-		pf.activations = append(pf.activations, Activation{
-			ID:        id,
-			Function:  name,
-			Start:     begin,
-			End:       end,
-			Cold:      cold,
-			Straggler: straggler,
-			MemoryMB:  mem,
-			BilledGB:  gbs,
-			Err:       err,
-		})
-	}
+	pf.activations = append(pf.activations, Activation{
+		ID:        id,
+		Function:  name,
+		Start:     begin,
+		End:       end,
+		Cold:      cold,
+		Straggler: straggler,
+		MemoryMB:  mem,
+		BilledGB:  gbs,
+		Err:       err,
+	})
 	pf.putWarm(name, p.Now()+pf.cfg.KeepAlive)
 	return out, err
 }

@@ -152,7 +152,7 @@ func TestPipelineVMEndToEnd(t *testing.T) {
 	stageInput(t, rig, recs)
 	rep := runPipeline(t, rig, pipelineConfig(rig, rig.VMStrategy(), 4))
 	sr, _ := rep.Stage("sort")
-	if sr.VMUSD <= 0 {
+	if sr.Cost.VM <= 0 {
 		t.Fatal("VM pipeline charged no VM cost")
 	}
 	verifyCompressed(t, rig, 4, recs)

@@ -124,11 +124,6 @@ func (pr *Provisioner) SetZones(zones ...string) {
 	pr.zones = append([]string(nil), zones...)
 }
 
-// Zones returns the configured placement domains.
-func (pr *Provisioner) Zones() []string {
-	return append([]string(nil), pr.zones...)
-}
-
 // ZoneDown reports whether a zone is currently failed.
 func (pr *Provisioner) ZoneDown(zone string) bool { return pr.downZones[zone] }
 
@@ -313,17 +308,23 @@ func (c *Cluster) Stopped() bool { return c.stopped }
 // stop (or to now if still running). Managed caches bill from the
 // create call.
 func (c *Cluster) BilledDuration() time.Duration {
-	end := c.sim.Now()
-	if c.stopped {
-		end = c.stoppedAt
-	}
-	return end - c.requested
+	return c.billedAt(c.sim.Now())
 }
 
-// Cost reports the cluster's accumulated cost in USD at per-second
-// granularity.
-func (c *Cluster) Cost() float64 {
-	return c.BilledDuration().Hours() * c.cfg.NodeHourlyUSD * float64(len(c.nodes))
+// billedAt is the part of the billable lifetime elapsed by the instant
+// at: all of it when at is in the future, none before the create call.
+func (c *Cluster) billedAt(at time.Duration) time.Duration {
+	end := min(at, c.sim.Now())
+	if c.stopped {
+		end = min(end, c.stoppedAt)
+	}
+	return max(end-c.requested, 0)
+}
+
+// CostAt reports the cost in USD the cluster had accumulated as of the
+// instant at, at per-second granularity.
+func (c *Cluster) CostAt(at time.Duration) float64 {
+	return c.billedAt(at).Hours() * c.cfg.NodeHourlyUSD * float64(len(c.nodes))
 }
 
 // nodeFor shards a key to a node by hash.

@@ -297,7 +297,7 @@ func TestBillingStopsAtStop(t *testing.T) {
 			t.Errorf("BilledDuration = %v, want %v", got, want)
 		}
 		wantUSD := want.Hours() * cfg.NodeHourlyUSD * 2
-		if got := c.Cost(); math.Abs(got-wantUSD) > 1e-12 {
+		if got := c.CostAt(p.Now()); math.Abs(got-wantUSD) > 1e-12 {
 			t.Errorf("Cost = %g, want %g", got, wantUSD)
 		}
 	})
@@ -590,7 +590,7 @@ func TestKillNodeDropsDataButKeepsBilling(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	want := 1.0 * cfg.NodeHourlyUSD * 2 // both nodes bill for the full hour
-	if got := cl.Cost(); math.Abs(got-want) > 1e-9 {
+	if got := cl.CostAt(sim.Now()); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Cost = %g, want %g (killed node still bills)", got, want)
 	}
 }

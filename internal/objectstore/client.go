@@ -19,16 +19,18 @@ type Client struct {
 	FlowCap float64
 	// MaxRetries bounds retry attempts for ErrSlowDown (default 6).
 	MaxRetries int
-	// BackoffBase is the first retry delay, doubled per attempt
-	// (default 100ms).
-	BackoffBase time.Duration
 
 	retries int64
 }
 
+// RetryBackoffBase is the client's first retry delay, doubled per
+// attempt: the ladder a throttled request waits out, and what the
+// planner's brownout model prices a stall with.
+const RetryBackoffBase = 100 * time.Millisecond
+
 // NewClient returns a client for svc with default retry policy.
 func NewClient(svc *Service) *Client {
-	return &Client{svc: svc, MaxRetries: 6, BackoffBase: 100 * time.Millisecond}
+	return &Client{svc: svc, MaxRetries: 6}
 }
 
 // WithFlowCap returns a copy of the client whose transfers are capped
@@ -40,18 +42,12 @@ func (c *Client) WithFlowCap(bps float64) *Client {
 	return &cp
 }
 
-// Service exposes the underlying service (for metrics snapshots).
-func (c *Client) Service() *Service { return c.svc }
-
 // Retries reports how many throttled requests this client retried.
 func (c *Client) Retries() int64 { return c.retries }
 
 // retry runs op, backing off on ErrSlowDown up to MaxRetries times.
 func (c *Client) retry(p *des.Proc, op func() error) error {
-	backoff := c.BackoffBase
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
+	backoff := RetryBackoffBase
 	maxRetries := c.maxRetries()
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -118,16 +114,6 @@ func (c *Client) Head(p *des.Proc, bkt, key string) (Object, error) {
 // Delete removes an object with retry.
 func (c *Client) Delete(p *des.Proc, bkt, key string) error {
 	return c.retry(p, func() error { return c.svc.Delete(p, bkt, key) })
-}
-
-// Copy server-side copies an object with retry.
-func (c *Client) Copy(p *des.Proc, srcBkt, srcKey, dstBkt, dstKey string) error {
-	return c.retry(p, func() error { return c.svc.Copy(p, srcBkt, srcKey, dstBkt, dstKey) })
-}
-
-// DeleteBatch removes up to 1000 keys in one request with retry.
-func (c *Client) DeleteBatch(p *des.Proc, bkt string, keys []string) error {
-	return c.retry(p, func() error { return c.svc.DeleteBatch(p, bkt, keys) })
 }
 
 // ListAll drains every page of a prefix listing.

@@ -124,67 +124,3 @@ func (s *Service) AbortMultipartUpload(p *des.Proc, uploadID string) error {
 	delete(s.uploads, uploadID)
 	return nil
 }
-
-// PutMultipart is the client-side convenience: it splits pl into parts
-// of partSize bytes, uploads up to conns parts concurrently, and
-// completes the upload — blocking p until the object exists.
-func (c *Client) PutMultipart(p *des.Proc, bkt, key string, pl payload.Payload, partSize int64, conns int) error {
-	if partSize <= 0 {
-		return fmt.Errorf("objectstore: part size %d must be positive", partSize)
-	}
-	if conns < 1 {
-		conns = 1
-	}
-	size := pl.Size()
-	if size == 0 {
-		return c.Put(p, bkt, key, pl) // degenerate: plain PUT
-	}
-
-	var uploadID string
-	err := c.retry(p, func() error {
-		var err error
-		uploadID, err = c.svc.CreateMultipartUpload(p, bkt, key)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	n := int((size + partSize - 1) / partSize)
-	errs := make([]error, n)
-	sem := des.NewResource(p.Sim(), int64(conns))
-	wg := des.NewWaitGroup(p.Sim())
-	for i := 0; i < n; i++ {
-		i := i
-		off := int64(i) * partSize
-		length := partSize
-		if off+length > size {
-			length = size - off
-		}
-		wg.Add(1)
-		p.Spawn(fmt.Sprintf("mpu-part-%d", i), func(up *des.Proc) {
-			defer wg.Done()
-			part, err := pl.Slice(off, length)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sem.Acquire(up, 1)
-			defer sem.Release(1)
-			errs[i] = c.retry(up, func() error {
-				return c.svc.UploadPart(up, uploadID, i+1, part, c.FlowCap)
-			})
-		})
-	}
-	wg.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			abortErr := c.retry(p, func() error { return c.svc.AbortMultipartUpload(p, uploadID) })
-			if abortErr != nil {
-				return fmt.Errorf("objectstore: multipart part failed (%w); abort also failed: %v", err, abortErr)
-			}
-			return fmt.Errorf("objectstore: multipart part: %w", err)
-		}
-	}
-	return c.retry(p, func() error { return c.svc.CompleteMultipartUpload(p, uploadID) })
-}

@@ -3,6 +3,7 @@ package objectstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -92,67 +93,38 @@ func TestMultipartErrors(t *testing.T) {
 	})
 }
 
-func TestClientPutMultipartRoundtrip(t *testing.T) {
-	svc := newFast(t)
-	data := bytes.Repeat([]byte("0123456789"), 1000) // 10 KB
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		if err := c.PutMultipart(p, "b", "big", payload.Real(data), 1024, 4); err != nil {
-			t.Fatalf("PutMultipart: %v", err)
-		}
-		got, err := c.Get(p, "b", "big")
+// putParts is the buffered multipart upload: pl cut into parts of
+// partSize bytes and uploaded conns at a time through the service's
+// multipart calls, completed once every part is in. It is what the
+// streaming writer's tests compare PutStream against.
+func putParts(p *des.Proc, svc *Service, bkt, key string, pl payload.Payload, partSize int64, conns int) error {
+	id, err := svc.CreateMultipartUpload(p, bkt, key)
+	if err != nil {
+		return err
+	}
+	sem := des.NewResource(p.Sim(), int64(conns))
+	wg := des.NewWaitGroup(p.Sim())
+	var firstErr error
+	for num, off := 1, int64(0); off < pl.Size(); num, off = num+1, off+partSize {
+		part, err := pl.Slice(off, min(partSize, pl.Size()-off))
 		if err != nil {
-			t.Fatalf("get: %v", err)
+			return err
 		}
-		b, _ := got.Bytes()
-		if !bytes.Equal(b, data) {
-			t.Fatal("roundtrip mismatch")
-		}
-	})
-}
-
-func TestClientPutMultipartSized(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		if err := c.PutMultipart(p, "b", "big", payload.Sized(1<<30), 64<<20, 8); err != nil {
-			t.Fatalf("PutMultipart: %v", err)
-		}
-		head, err := c.Head(p, "b", "big")
-		if err != nil {
-			t.Fatalf("head: %v", err)
-		}
-		if head.Size != 1<<30 {
-			t.Fatalf("size = %d", head.Size)
-		}
-	})
-}
-
-func TestClientPutMultipartEmptyDegeneratesToPut(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		if err := c.PutMultipart(p, "b", "empty", payload.Real(nil), 1024, 2); err != nil {
-			t.Fatalf("PutMultipart: %v", err)
-		}
-		if _, err := c.Head(p, "b", "empty"); err != nil {
-			t.Fatalf("head: %v", err)
-		}
-	})
-}
-
-func TestClientPutMultipartRejectsBadPartSize(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		c := NewClient(svc)
-		_ = c.CreateBucket(p, "b")
-		if err := c.PutMultipart(p, "b", "k", payload.Sized(10), 0, 2); err == nil {
-			t.Fatal("part size 0 accepted")
-		}
-	})
+		wg.Add(1)
+		p.Spawn(fmt.Sprintf("part-%d", num), func(up *des.Proc) {
+			defer wg.Done()
+			sem.Acquire(up, 1)
+			defer sem.Release(1)
+			if err := svc.UploadPart(up, id, num, part, 0); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		})
+	}
+	wg.Wait(p)
+	if firstErr != nil {
+		return firstErr
+	}
+	return svc.CompleteMultipartUpload(p, id)
 }
 
 func TestMultipartConcurrencyBeatsPerConnCeiling(t *testing.T) {
@@ -174,8 +146,8 @@ func TestMultipartConcurrencyBeatsPerConnCeiling(t *testing.T) {
 		c := NewClient(svc)
 		_ = c.CreateBucket(p, "b")
 		start := p.Now()
-		if err := c.PutMultipart(p, "b", "big", payload.Sized(4e6), 1e6, 4); err != nil {
-			t.Errorf("PutMultipart: %v", err)
+		if err := putParts(p, svc, "b", "big", payload.Sized(4e6), 1e6, 4); err != nil {
+			t.Errorf("putParts: %v", err)
 			return
 		}
 		elapsed = p.Now() - start
@@ -201,7 +173,7 @@ func TestPropertyMultipartEqualsPut(t *testing.T) {
 		runSim(t, svc, func(p *des.Proc) {
 			c := NewClient(svc)
 			_ = c.CreateBucket(p, "b")
-			if err := c.PutMultipart(p, "b", "mpu", payload.Real(data), partSize, int(conns%8)+1); err != nil {
+			if err := putParts(p, svc, "b", "mpu", payload.Real(data), partSize, int(conns%8)+1); err != nil {
 				ok = false
 				return
 			}

@@ -16,33 +16,15 @@ import (
 // degenerates to a plain PUT, request-for-request identical to the
 // buffered path.
 
-// DefaultPutConns is the number of concurrent part uploads when
-// PutStreamOptions.Conns is unset — one part in flight while the next
-// fills, classic double buffering on the write side.
+// DefaultPutConns is the number of concurrent part uploads: one part
+// in flight while the next fills, classic double buffering on the write
+// side.
 const DefaultPutConns = 2
 
 // PutStreamOptions tune a streaming PUT.
 type PutStreamOptions struct {
 	// PartBytes is the upload granularity (default 4 MiB).
 	PartBytes int64
-	// Conns bounds concurrent part uploads (default 2).
-	Conns int
-	// FlowCap, when > 0, caps each part flow's rate in bytes/second;
-	// zero inherits the client's FlowCap.
-	FlowCap float64
-}
-
-func (o PutStreamOptions) withDefaults(c *Client) PutStreamOptions {
-	if o.PartBytes <= 0 {
-		o.PartBytes = DefaultStreamChunk
-	}
-	if o.Conns < 1 {
-		o.Conns = DefaultPutConns
-	}
-	if o.FlowCap == 0 {
-		o.FlowCap = c.FlowCap
-	}
-	return o
 }
 
 // PutStreamRequests is the class-A request count of a streamed PUT of
@@ -83,19 +65,21 @@ type PutWriter struct {
 // are produced, then Close to make the object durable; nothing is
 // visible (and no request is issued) before the first part seals.
 func (c *Client) PutStream(p *des.Proc, bkt, key string, opts PutStreamOptions) *PutWriter {
-	opts = opts.withDefaults(c)
+	if opts.PartBytes <= 0 {
+		opts.PartBytes = DefaultStreamChunk
+	}
 	return &PutWriter{
 		c: c, bkt: bkt, key: key, opts: opts,
-		sem: des.NewResource(p.Sim(), int64(opts.Conns)),
+		sem: des.NewResource(p.Sim(), DefaultPutConns),
 		wg:  des.NewWaitGroup(p.Sim()),
 	}
 }
 
 // Write appends pl to the in-progress part, sealing and uploading the
 // part in the background once it reaches PartBytes. Write blocks only
-// when Conns parts are already in flight (backpressure), so the caller
-// overlaps its own work with the uploads. The payload is retained
-// until its part completes — callers must not reuse its bytes.
+// when DefaultPutConns parts are already in flight (backpressure), so
+// the caller overlaps its own work with the uploads. The payload is
+// retained until its part completes — callers must not reuse its bytes.
 func (w *PutWriter) Write(p *des.Proc, pl payload.Payload) error {
 	if w.closed {
 		return ErrStreamClosed
@@ -142,7 +126,7 @@ func (w *PutWriter) seal(p *des.Proc) error {
 		defer w.wg.Done()
 		defer w.sem.Release(1)
 		err := w.c.retry(up, func() error {
-			return w.c.svc.UploadPart(up, w.uploadID, num, part, w.opts.FlowCap)
+			return w.c.svc.UploadPart(up, w.uploadID, num, part, w.c.FlowCap)
 		})
 		if err != nil && w.err == nil {
 			w.err = err

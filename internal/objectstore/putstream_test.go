@@ -153,7 +153,7 @@ func TestPutStreamOverlapsProducer(t *testing.T) {
 					p.Sleep(produceCPU)
 					buf = append(buf, part...)
 				}
-				if err := c.PutMultipart(p, "b", "out", payload.Real(buf), partSize, DefaultPutConns); err != nil {
+				if err := putParts(p, svc, "b", "out", payload.Real(buf), partSize, DefaultPutConns); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}

@@ -269,63 +269,6 @@ func (s *Service) Delete(p *des.Proc, bkt, key string) error {
 	return nil
 }
 
-// DeleteBatch removes up to 1000 keys in one request, like S3
-// DeleteObjects: one request admission and latency regardless of key
-// count. Absent keys succeed silently.
-func (s *Service) DeleteBatch(p *des.Proc, bkt string, keys []string) error {
-	if len(keys) > 1000 {
-		return fmt.Errorf("objectstore: DeleteBatch limited to 1000 keys, got %d", len(keys))
-	}
-	if err := s.failMaybe(p); err != nil {
-		return err
-	}
-	p.Sleep(s.cfg.RequestLatency)
-	b, ok := s.buckets[bkt]
-	if !ok {
-		return ErrNoSuchBucket
-	}
-	for _, key := range keys {
-		s.metrics.DeleteOps++
-		if old, ok := b.objects[key]; ok {
-			s.adjustStored(-old.Size)
-		}
-		delete(b.objects, key)
-	}
-	return nil
-}
-
-// Copy performs a server-side copy (class A, no client transfer).
-func (s *Service) Copy(p *des.Proc, srcBkt, srcKey, dstBkt, dstKey string) error {
-	if err := s.admitWrite(p); err != nil {
-		return err
-	}
-	sb, ok := s.buckets[srcBkt]
-	if !ok {
-		return ErrNoSuchBucket
-	}
-	src, ok := sb.objects[srcKey]
-	if !ok {
-		return &KeyError{Bucket: srcBkt, Key: srcKey}
-	}
-	db, ok := s.buckets[dstBkt]
-	if !ok {
-		return ErrNoSuchBucket
-	}
-	delta := src.Size
-	if old, ok := db.objects[dstKey]; ok {
-		delta -= old.Size
-	}
-	s.adjustStored(delta)
-	db.objects[dstKey] = Object{
-		Key:          dstKey,
-		Payload:      src.Payload,
-		Size:         src.Size,
-		ETag:         src.ETag,
-		LastModified: s.sim.Now(),
-	}
-	return nil
-}
-
 // ListPage is one page of a List result.
 type ListPage struct {
 	Keys []string

@@ -155,32 +155,6 @@ func TestHeadOmitsPayload(t *testing.T) {
 	})
 }
 
-func TestCopyServerSide(t *testing.T) {
-	svc := newFast(t)
-	runSim(t, svc, func(p *des.Proc) {
-		_ = svc.CreateBucket(p, "src")
-		_ = svc.CreateBucket(p, "dst")
-		_ = svc.Put(p, "src", "k", payload.Real([]byte("data")), 0)
-		before := svc.Metrics()
-		if err := svc.Copy(p, "src", "k", "dst", "k2"); err != nil {
-			t.Errorf("Copy: %v", err)
-		}
-		delta := svc.Metrics().Sub(before)
-		if delta.BytesIn != 0 || delta.BytesOut != 0 {
-			t.Errorf("server-side copy moved client bytes: %+v", delta)
-		}
-		got, err := svc.Get(p, "dst", "k2", 0)
-		if err != nil {
-			t.Errorf("Get copy: %v", err)
-			return
-		}
-		b, _ := got.Bytes()
-		if string(b) != "data" {
-			t.Errorf("copied payload = %q", b)
-		}
-	})
-}
-
 func TestListPrefixAndPagination(t *testing.T) {
 	cfg := fastConfig()
 	cfg.ListPageSize = 3

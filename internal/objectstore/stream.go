@@ -26,10 +26,10 @@ const (
 	// event overhead is noise, small enough that a mapper's slice spans
 	// many chunks.
 	DefaultStreamChunk = 4 << 20
-	// defaultStreamDepth is the prefetch window: chunks fully
-	// transferred but not yet consumed. One chunk ahead is classic
-	// double buffering; two smooths uneven per-chunk consumer CPU.
-	defaultStreamDepth = 2
+	// streamDepth is the prefetch window: chunks fully transferred but
+	// not yet consumed. One chunk ahead is classic double buffering;
+	// two smooths uneven per-chunk consumer CPU.
+	streamDepth = 2
 )
 
 // ErrStreamClosed is returned by Next after Close.
@@ -39,21 +39,9 @@ var ErrStreamClosed = errors.New("objectstore: stream closed")
 type StreamOptions struct {
 	// ChunkBytes is the transfer granularity (default 4 MiB).
 	ChunkBytes int64
-	// Depth is the prefetch window in chunks (default 2).
-	Depth int
 	// FlowCap, when > 0, caps each chunk flow's rate in bytes/second,
 	// like Get's flowCap.
 	FlowCap float64
-}
-
-func (o StreamOptions) withDefaults() StreamOptions {
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = DefaultStreamChunk
-	}
-	if o.Depth <= 0 {
-		o.Depth = defaultStreamDepth
-	}
-	return o
 }
 
 // Stream is one in-flight streaming ranged GET. All methods must be
@@ -97,7 +85,9 @@ func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Str
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
-	opts = opts.withDefaults()
+	if opts.ChunkBytes <= 0 {
+		opts.ChunkBytes = DefaultStreamChunk
+	}
 	st := &Stream{svc: s, opts: opts, size: n}
 	s.streamSeq++
 	name := fmt.Sprintf("objectstore/stream#%d/%s/%s@%d", s.streamSeq, bkt, key, off)
@@ -139,7 +129,7 @@ func (st *Stream) produce(prod *des.Proc, rng payload.Payload) {
 		}
 		off += n
 		st.deliver(pl)
-		for len(st.ready) >= st.opts.Depth && !st.closed {
+		for len(st.ready) >= streamDepth && !st.closed {
 			st.producer = prod
 			prod.Park()
 			st.producer = nil
@@ -221,7 +211,6 @@ type ClientStream struct {
 	cur      *Stream
 	retries  int
 	backoff  time.Duration
-	base     time.Duration // backoff restart point after a healthy chunk
 }
 
 // GetStream opens a resumable streaming GET of [off, off+n) with
@@ -231,11 +220,7 @@ func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Stre
 	if opts.FlowCap == 0 {
 		opts.FlowCap = c.FlowCap
 	}
-	backoff := c.BackoffBase
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts, backoff: backoff, base: backoff}
+	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts, backoff: RetryBackoffBase}
 	if err := cs.ensure(p); err != nil {
 		return nil, err
 	}
@@ -302,7 +287,7 @@ func (cs *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
 			// failures per incident — a long stream crossing a transient
 			// brownout window makes progress between throttles and must
 			// not die from their lifetime total.
-			cs.backoff = cs.base
+			cs.backoff = RetryBackoffBase
 			cs.retries = 0
 			return pl, nil
 		case errors.Is(err, io.EOF):

@@ -395,14 +395,14 @@ func TestClientStreamBackoffResetsAfterDeliveredChunk(t *testing.T) {
 		defer cs.Close()
 		// A stream that just resumed through several throttled
 		// continuations sits high on the backoff ladder.
-		cs.backoff = cs.base * 16
+		cs.backoff = RetryBackoffBase * 16
 		cs.retries = 3
 		if _, err := cs.Next(p); err != nil {
 			t.Errorf("Next: %v", err)
 			return
 		}
-		if cs.backoff != cs.base {
-			t.Errorf("backoff after delivered chunk = %v, want base %v", cs.backoff, cs.base)
+		if cs.backoff != RetryBackoffBase {
+			t.Errorf("backoff after delivered chunk = %v, want base %v", cs.backoff, RetryBackoffBase)
 		}
 		if cs.retries != 0 {
 			t.Errorf("retry budget = %d after a healthy chunk, want 0 (per-incident budget)", cs.retries)

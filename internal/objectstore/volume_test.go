@@ -35,7 +35,7 @@ func TestStoredVolumeIntegral(t *testing.T) {
 	})
 }
 
-func TestStoredVolumeReplaceAndCopy(t *testing.T) {
+func TestStoredVolumeReplace(t *testing.T) {
 	svc := newFast(t)
 	runSim(t, svc, func(p *des.Proc) {
 		_ = svc.CreateBucket(p, "b")
@@ -45,19 +45,6 @@ func TestStoredVolumeReplaceAndCopy(t *testing.T) {
 		if svc.StoredBytes() != 400 {
 			t.Fatalf("StoredBytes after replace = %d, want 400", svc.StoredBytes())
 		}
-		if err := svc.Copy(p, "b", "k", "b", "k2"); err != nil {
-			t.Fatalf("copy: %v", err)
-		}
-		if svc.StoredBytes() != 800 {
-			t.Fatalf("StoredBytes after copy = %d, want 800", svc.StoredBytes())
-		}
-		// Copy over an existing key replaces it.
-		if err := svc.Copy(p, "b", "k", "b", "k2"); err != nil {
-			t.Fatalf("recopy: %v", err)
-		}
-		if svc.StoredBytes() != 800 {
-			t.Fatalf("StoredBytes after recopy = %d, want 800", svc.StoredBytes())
-		}
 	})
 }
 
@@ -66,8 +53,8 @@ func TestStoredVolumeMultipart(t *testing.T) {
 	runSim(t, svc, func(p *des.Proc) {
 		c := NewClient(svc)
 		_ = c.CreateBucket(p, "b")
-		if err := c.PutMultipart(p, "b", "big", payload.Sized(10_000), 3000, 2); err != nil {
-			t.Fatalf("PutMultipart: %v", err)
+		if err := putParts(p, svc, "b", "big", payload.Sized(10_000), 3000, 2); err != nil {
+			t.Fatalf("putParts: %v", err)
 		}
 		if svc.StoredBytes() != 10_000 {
 			t.Fatalf("StoredBytes = %d, want 10000", svc.StoredBytes())

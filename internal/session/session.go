@@ -57,9 +57,11 @@ type Options struct {
 	// of booting their own.
 	StandingVMType string
 	// Chaos, when set, is a fault schedule armed against the session's
-	// rig at Open: its events (spot preemption, cache-node loss,
-	// object-storage brownout) fire at their virtual times while
-	// submissions run. The fired log is available via Session.Chaos.
+	// rig at Open, once the standing resources are up: its events (spot
+	// preemption, cache-node loss, object-storage brownout) fire at
+	// their virtual times while submissions run, and one due before the
+	// session opened fires as the first submission starts. The fired
+	// log is available via Session.Chaos.
 	Chaos *chaos.Plan
 }
 
@@ -91,26 +93,20 @@ func WorkflowJob(w *core.Workflow, prepare func(p *des.Proc, rig *calib.Rig) err
 // Session is an open multi-job runtime. Not safe for concurrent use;
 // like the simulation it drives, it is a single-threaded control loop.
 type Session struct {
-	rig  *calib.Rig
-	opts Options
-
-	cache  *memcache.Cluster
-	vmInst *vm.Instance
+	rig *calib.Rig
 
 	opened time.Duration
-	// standingStart is when standing provisioning was requested
-	// (billing starts there, like the real services) and
-	// attributedThrough is the end of the last window already charged
-	// to a run. Standing cost is attributed analytically over run
-	// windows rather than read off the clusters at observation time:
-	// the simulation clock drifts past a run's end while trailing
-	// timers (token-bucket refills, keep-alive expiries) drain, and
-	// that dead virtual time is nobody's bill.
-	standingStart     time.Duration
-	attributedThrough time.Duration
-	runs              []*core.RunReport
-	seq               int
-	closed            bool
+	// attributedUSD is the standing cost already charged to runs: what
+	// the standing resources had accrued as of the last completed run's
+	// end. Standing cost is asked as of run ends rather than read off
+	// the resources at observation time: the simulation clock drifts
+	// past a run's end while trailing timers (token-bucket refills,
+	// keep-alive expiries) drain, and that dead virtual time is nobody's
+	// bill.
+	attributedUSD float64
+	runs          []*core.RunReport
+	seq           int
+	closed        bool
 
 	armed *chaos.Armed
 }
@@ -130,35 +126,18 @@ func Open(profile calib.Profile, opts Options) (*Session, error) {
 	for _, l := range opts.Listeners {
 		rig.Exec.AddListener(l)
 	}
-	s := &Session{rig: rig, opts: opts}
-	if opts.Chaos != nil {
-		s.armed, err = opts.Chaos.Arm(rig.Sim, chaos.Targets{
-			VMs:   rig.Prov,
-			Cache: rig.CacheProv,
-			Store: rig.Store,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("session: chaos plan: %w", err)
-		}
-	}
+	s := &Session{rig: rig}
 	if opts.WarmCacheNodes > 0 || opts.StandingVMType != "" {
-		s.standingStart = rig.Sim.Now()
-		s.attributedThrough = s.standingStart
 		var provErr error
 		rig.Sim.Spawn("session-open", func(p *des.Proc) {
 			if opts.WarmCacheNodes > 0 {
-				s.cache, provErr = rig.CacheProv.Provision(p, opts.WarmCacheNodes)
+				rig.Exec.StandingCache, provErr = rig.CacheProv.Provision(p, opts.WarmCacheNodes)
 				if provErr != nil {
 					return
 				}
-				rig.SetStandingCache(s.cache)
 			}
 			if opts.StandingVMType != "" {
-				s.vmInst, provErr = rig.Prov.Provision(p, opts.StandingVMType)
-				if provErr != nil {
-					return
-				}
-				rig.SetStandingVM(s.vmInst)
+				rig.Exec.StandingVM, provErr = rig.Prov.Provision(p, opts.StandingVMType)
 			}
 		})
 		if err := rig.Sim.Run(); err != nil {
@@ -169,6 +148,18 @@ func Open(profile calib.Profile, opts Options) (*Session, error) {
 		}
 	}
 	s.opened = rig.Sim.Now()
+	// Armed only now: Run above drains the event heap, and a schedule
+	// already on it would have been fired to its last event inside Open.
+	if opts.Chaos != nil {
+		s.armed, err = opts.Chaos.Arm(rig.Sim, chaos.Targets{
+			VMs:   rig.Prov,
+			Cache: rig.CacheProv,
+			Store: rig.Store,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("session: chaos plan: %w", err)
+		}
+	}
 	return s, nil
 }
 
@@ -184,29 +175,19 @@ func (s *Session) History() *autoplan.History { return s.rig.History }
 // session was opened without one).
 func (s *Session) Chaos() *chaos.Armed { return s.armed }
 
-// standingRatePerHour is the session-owned resources' combined burn
-// rate, mirroring PriceBook.CacheCost / PriceBook.VMCost (node-hours;
-// instance-hours plus the prorated boot volume).
-func (s *Session) standingRatePerHour() float64 {
-	var rate float64
-	if s.cache != nil {
-		rate += float64(s.cache.Nodes()) * s.rig.Profile.Cache.NodeHourlyUSD
+// standingUSD is what the session-owned resources had accrued as of the
+// instant at, priced by the rig's price book: node-hours of the standing
+// cluster, instance-hours and boot volume of the standing instance, each
+// from its provisioning request to at or to when it stopped billing (a
+// reclaimed instance stops there).
+func (s *Session) standingUSD(at time.Duration) float64 {
+	var usd float64
+	if c := s.rig.Exec.StandingCache; c != nil {
+		usd += s.rig.Profile.Prices.CacheCostAt([]*memcache.Cluster{c}, at)
 	}
-	if s.vmInst != nil {
-		it := s.vmInst.Type()
-		rate += it.HourlyUSD + float64(it.MemoryGB)*s.rig.Profile.Prices.StorageGBMonth/(30*24)
+	if inst := s.rig.Exec.StandingVM; inst != nil {
+		usd += s.rig.Profile.Prices.VMCostAt([]*vm.Instance{inst}, at)
 	}
-	return rate
-}
-
-// attributeStanding charges the standing window ending at through and
-// returns its cost.
-func (s *Session) attributeStanding(through time.Duration) float64 {
-	if through <= s.attributedThrough {
-		return 0
-	}
-	usd := s.standingRatePerHour() * (through - s.attributedThrough).Hours()
-	s.attributedThrough = through
 	return usd
 }
 
@@ -286,7 +267,9 @@ func (s *Session) runJob(p *des.Proc, job Job, w *core.Workflow) (*core.RunRepor
 	}
 	rep, runErr := s.rig.Exec.Run(p, w)
 	if rep != nil {
-		rep.StandingUSD = s.attributeStanding(rep.End)
+		accrued := s.standingUSD(rep.End)
+		rep.StandingUSD = accrued - s.attributedUSD
+		s.attributedUSD = accrued
 		s.runs = append(s.runs, rep)
 	}
 	return rep, runErr
@@ -324,24 +307,23 @@ func (s *Session) Close() (Report, error) {
 		return Report{}, fmt.Errorf("session: already closed: %w", ErrSessionClosed)
 	}
 	s.closed = true
-	if s.cache != nil {
-		s.cache.Stop()
+	if c := s.rig.Exec.StandingCache; c != nil {
+		c.Stop()
 	}
-	if s.vmInst != nil {
-		s.vmInst.Stop()
+	if inst := s.rig.Exec.StandingVM; inst != nil {
+		inst.Stop()
 	}
-	closedAt := s.attributedThrough
-	if len(s.runs) == 0 {
-		closedAt = s.opened
+	closedAt := s.opened
+	if n := len(s.runs); n > 0 {
+		closedAt = s.runs[n-1].End
 	}
-	s.attributeStanding(closedAt) // only nonzero with zero submissions
 	rep := Report{
 		Profile:     s.rig.Profile.Name,
 		Submissions: len(s.runs),
 		Runs:        s.runs,
 		Opened:      s.opened,
 		Closed:      closedAt,
-		StandingUSD: s.standingRatePerHour() * (s.attributedThrough - s.standingStart).Hours(),
+		StandingUSD: s.standingUSD(closedAt),
 	}
 	for _, r := range s.runs {
 		rep.TotalUSD += r.MeteredUSD()

@@ -3,6 +3,7 @@ package session_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/chaos"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/core"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -17,6 +19,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/pipeline"
 	"github.com/faaspipe/faaspipe/internal/session"
+	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 const cacheDoc = `{
@@ -55,7 +58,7 @@ func TestSharedWarmCacheAcrossSubmissions(t *testing.T) {
 	if got := len(sess.Rig().CacheProv.Clusters()); got != 1 {
 		t.Fatalf("clusters provisioned = %d, want 1 (shared)", got)
 	}
-	if sess.Rig().StandingCache.Stopped() {
+	if sess.Rig().Exec.StandingCache.Stopped() {
 		t.Fatal("standing cluster stopped mid-session")
 	}
 	if sharedRuns[0].StandingUSD <= sharedRuns[1].StandingUSD {
@@ -66,7 +69,7 @@ func TestSharedWarmCacheAcrossSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !sess.Rig().StandingCache.Stopped() {
+	if !sess.Rig().Exec.StandingCache.Stopped() {
 		t.Error("Close left the standing cluster running")
 	}
 	if report.Submissions != jobs {
@@ -355,5 +358,153 @@ func TestDescribeAfterSessionRun(t *testing.T) {
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// standingSession opens a session on calib.Local with a one-node warm
+// cluster and a standing bx2-4x16, stages a small dataset, and returns a
+// submit function: a VM sort that first waits until the virtual clock
+// reads notBefore.
+func standingSession(t *testing.T, plan *chaos.Plan) (*session.Session, func(n int, notBefore time.Duration) *core.RunReport) {
+	t.Helper()
+	sess, err := session.Open(calib.Local(), session.Options{
+		WarmCacheNodes: 1, StandingVMType: "bx2-4x16", Chaos: plan,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rig := sess.Rig()
+	recs := bed.Generate(bed.GenConfig{Records: 900, Seed: 7})
+	stage := func(p *des.Proc, r *calib.Rig) error {
+		c := objectstore.NewClient(r.Store)
+		for _, b := range []string{"data", "work"} {
+			if err := c.CreateBucket(p, b); err != nil {
+				return err
+			}
+		}
+		return c.Put(p, "data", "in", payload.RealNoCopy(bed.Marshal(recs)))
+	}
+	return sess, func(n int, notBefore time.Duration) *core.RunReport {
+		t.Helper()
+		w := core.NewWorkflow(fmt.Sprintf("vmjob%d", n))
+		hold := &core.FuncStage{StageName: "hold", Fn: func(ctx *core.StageContext) error {
+			if d := notBefore - ctx.Proc.Now(); d > 0 {
+				ctx.Proc.Sleep(d)
+			}
+			return nil
+		}}
+		if err := w.Add(hold); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		if err := w.Add(&core.SortStage{
+			Strategy: rig.VMStrategy(),
+			Params:   rig.SortParams("data", "in", "work", fmt.Sprintf("sorted%d/", n), 2),
+		}, "hold"); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		rep, err := sess.Submit(session.WorkflowJob(w, stage))
+		if err != nil {
+			t.Fatalf("Submit %d: %v", n, err)
+		}
+		return rep
+	}
+}
+
+// TestOpenStopsAtProvisioningEnd: Open runs the clock to the end of
+// standing provisioning and no further, so a fault scheduled after it
+// fires while a submission runs, not inside Open.
+func TestOpenStopsAtProvisioningEnd(t *testing.T) {
+	profile := calib.Local()
+	sess, submit := standingSession(t, &chaos.Plan{Events: []chaos.Event{
+		{At: 60 * time.Second, Kind: chaos.PreemptVM},
+	}})
+	var boot time.Duration
+	for _, it := range profile.VMTypes {
+		if it.Name == "bx2-4x16" {
+			boot = it.BootTime
+		}
+	}
+	if n := len(sess.Chaos().Fired()); n != 0 {
+		t.Fatalf("%d chaos event(s) fired inside Open:\n%s", n, sess.Chaos())
+	}
+	rep := submit(1, 100*time.Second)
+	if rep.Start >= 60*time.Second || rep.End <= 60*time.Second {
+		t.Fatalf("first run spans [%v, %v], want the 60s event inside it", rep.Start, rep.End)
+	}
+	fired := sess.Chaos().Fired()
+	if len(fired) != 1 || !strings.HasPrefix(fired[0].Outcome, "preempting on-demand bx2-4x16") {
+		t.Fatalf("fired log after the first submission:\n%swant the standing instance preempted", sess.Chaos())
+	}
+	report, err := sess.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if want := profile.Cache.ProvisionTime + boot; report.Opened != want {
+		t.Errorf("session opened at %v, want %v (cluster spin-up, then boot)", report.Opened, want)
+	}
+}
+
+// TestStandingBillStopsWithTheResource holds the session's standing
+// account to independent ground truth: the closing StandingUSD is what
+// the price book charges for the standing cluster and instance as of
+// Report.Closed, spelled out here from their billed lifetimes, and the
+// runs' shares sum to it. With the standing instance reclaimed at 90s
+// (preempted at 60s, 30s of notice) the instance's bill stops there
+// while the runs go on, and a sort that finds it gone boots its own.
+func TestStandingBillStopsWithTheResource(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *chaos.Plan
+	}{
+		{"healthy", nil},
+		{"preempted", &chaos.Plan{Events: []chaos.Event{{At: 60 * time.Second, Kind: chaos.PreemptVM}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, submit := standingSession(t, tc.plan)
+			rig := sess.Rig()
+			runs := []*core.RunReport{submit(1, 100*time.Second), submit(2, 600*time.Second)}
+			for i, rep := range runs {
+				sr, _ := rep.Stage("sort")
+				if standing := strings.Contains(sr.Detail, "standing instance"); standing != (tc.plan == nil) {
+					t.Errorf("run %d sort on the standing instance = %v (%q)", i+1, standing, sr.Detail)
+				}
+				if sr.Restarts != 0 {
+					t.Errorf("run %d counted %d restart(s); an instance gone before the sort is not a mid-sort reclaim", i+1, sr.Restarts)
+				}
+			}
+			report, err := sess.Close()
+			if err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if report.Closed != runs[1].End {
+				t.Fatalf("closed at %v, want the last run's end %v", report.Closed, runs[1].End)
+			}
+
+			prices, cache := rig.Profile.Prices, rig.Profile.Cache
+			inst := rig.Prov.Instances()[0]
+			// The cluster bills from t=0, the instance from the end of
+			// the cluster's spin-up, each to Closed or to its own stop.
+			instBilled := report.Closed - cache.ProvisionTime
+			if b := inst.BilledDuration(); b < instBilled {
+				instBilled = b
+			}
+			if tc.plan != nil && instBilled != 90*time.Second-cache.ProvisionTime {
+				t.Fatalf("reclaimed instance billed %v, want up to the reclaim at 90s", instBilled)
+			}
+			it := inst.Type()
+			want := report.Closed.Hours()*cache.NodeHourlyUSD +
+				instBilled.Hours()*(it.HourlyUSD+float64(it.MemoryGB)*prices.StorageGBMonth/(30*24))
+			if d := math.Abs(report.StandingUSD - want); d > 1e-9*want {
+				t.Errorf("closing StandingUSD $%.6f, price book x billed lifetimes $%.6f", report.StandingUSD, want)
+			}
+			asOf := prices.CacheCostAt(rig.CacheProv.Clusters(), report.Closed) + prices.VMCostAt([]*vm.Instance{inst}, report.Closed)
+			if d := math.Abs(report.StandingUSD - asOf); d > 1e-9*asOf {
+				t.Errorf("closing StandingUSD $%.9f, CacheCostAt + VMCostAt as of Closed $%.9f", report.StandingUSD, asOf)
+			}
+			shares := runs[0].StandingUSD + runs[1].StandingUSD
+			if d := math.Abs(shares - report.StandingUSD); d > 1e-9*report.StandingUSD {
+				t.Errorf("run shares sum to $%.9f, closing StandingUSD $%.9f", shares, report.StandingUSD)
+			}
+		})
 	}
 }

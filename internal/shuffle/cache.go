@@ -59,8 +59,8 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 // CacheSpec describes one cache-exchanged sort job.
 type CacheSpec struct {
 	// Spec carries the common job parameters. Intermediates live in the
-	// cache; ScratchBucket (default: the output bucket) is the fallback
-	// for runs whose shard node is down.
+	// cache; the output bucket is the fallback for runs whose shard node
+	// is down.
 	Spec
 	// Nodes fixes the cluster size; 0 sizes it from the input volume
 	// with CacheOversize.
@@ -72,9 +72,8 @@ type CacheSpec struct {
 	Warm bool
 	// Cluster, when set, is an already-running cluster owned by the
 	// caller (a session's standing warm cluster): no provisioning
-	// happens, the cluster is left running afterwards, and CacheUSD is
-	// reported as 0 because the owner attributes its node-hours.
-	// Nodes/Warm are ignored.
+	// happens, the cluster is left running afterwards, and the owner
+	// attributes its node-hours. Nodes/Warm are ignored.
 	Cluster *memcache.Cluster
 }
 
@@ -85,8 +84,6 @@ type CacheResult struct {
 	Nodes int
 	// Provision is the cluster spin-up time paid (zero when Warm).
 	Provision time.Duration
-	// CacheUSD is the cluster cost accrued by this job.
-	CacheUSD float64
 	// PeakCacheBytes is the high-water cache occupancy estimate
 	// (the input volume; partitions are deleted as they are merged).
 	PeakCacheBytes int64
@@ -121,10 +118,9 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 
 // Sort runs the cache-exchanged shuffle, blocking p until the sorted
 // output is in the object store. The per-job cluster is provisioned
-// before and stopped after the exchange; its cost is reported in the
-// result.
+// before and stopped after the exchange.
 func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) {
-	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.scratch(), prov: op.prov, spec: spec}
+	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.OutputBucket, prov: op.prov, spec: spec}
 	j := &job{
 		platform: op.platform,
 		store:    op.store,
@@ -138,7 +134,6 @@ func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) 
 	err := j.run(p)
 	if spec.Cluster == nil && runs.cluster != nil {
 		runs.cluster.Stop()
-		runs.res.CacheUSD = runs.cluster.Cost()
 	}
 	if err != nil {
 		return CacheResult{}, err

@@ -123,13 +123,13 @@ func TestCacheSortPreservesRecords(t *testing.T) {
 func TestCacheSortStopsClusterAndReportsCost(t *testing.T) {
 	rig, prov, op := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1000, Seed: 14, Sorted: false})
-	res, _ := runCacheSort(t, rig, op, recs, cacheSpec(4))
-	if res.CacheUSD <= 0 {
-		t.Errorf("CacheUSD = %g, want > 0", res.CacheUSD)
-	}
+	runCacheSort(t, rig, op, recs, cacheSpec(4))
 	clusters := prov.Clusters()
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %d, want 1", len(clusters))
+	}
+	if usd := clusters[0].CostAt(rig.sim.Now()); usd <= 0 {
+		t.Errorf("cluster cost = %g, want > 0", usd)
 	}
 	if !clusters[0].Stopped() {
 		t.Error("cluster left running after sort")

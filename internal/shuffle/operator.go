@@ -20,8 +20,9 @@ const (
 	// overscan is how far past its range a map worker reads to finish
 	// its last line; bedMethyl lines are ~58 bytes, 4 KiB is generous.
 	overscan = 4096
-	// defaultSampleBytes is the sample size for boundary estimation.
-	defaultSampleBytes = 256 * 1024
+	// sampleBytes is read off the head of the input to estimate the
+	// partition boundaries.
+	sampleBytes = 256 * 1024
 )
 
 // Operator is a serverless shuffle/sort over an object store. One
@@ -58,20 +59,15 @@ type Spec struct {
 	// InputBucket/InputKey locate the unsorted bedMethyl object.
 	InputBucket, InputKey string
 	// OutputBucket/OutputPrefix receive the sorted parts
-	// (<prefix>part-NNNN), globally ordered by part index.
+	// (<prefix>part-NNNN), globally ordered by part index. The
+	// intermediate partitions go to the output bucket too.
 	OutputBucket, OutputPrefix string
-	// ScratchBucket holds intermediate partitions (default: output
-	// bucket).
-	ScratchBucket string
 	// Workers fixes the parallelism; 0 lets the planner choose.
 	Workers int
 	// MaxWorkers bounds the planner (default 256).
 	MaxWorkers int
 	// WorkerMemBytes is each function's usable memory for planning.
 	WorkerMemBytes int64
-	// SampleBytes is read up front to estimate partition boundaries
-	// (default 256 KiB).
-	SampleBytes int64
 	// PartitionBps / MergeBps are the modeled per-worker throughputs
 	// used both by the planner and to charge virtual compute time.
 	PartitionBps, MergeBps float64
@@ -161,21 +157,13 @@ func (op *Operator) job(prefix string, spec Spec) *job {
 	return &job{
 		platform: op.platform,
 		store:    op.store,
-		runs:     &storeRuns{bucket: spec.scratch(), cleanup: spec.CleanupScratch, planner: ProfileOf(op.store.Config())},
+		runs:     &storeRuns{bucket: spec.OutputBucket, cleanup: spec.CleanupScratch, planner: ProfileOf(op.store.Config())},
 		spec:     spec,
 		prefix:   prefix,
 		seq:      &op.seq,
 		mapFn:    mapFn,
 		reduceFn: reduceFn,
 	}
-}
-
-// scratch returns the bucket intermediate runs go to.
-func (s Spec) scratch() string {
-	if s.ScratchBucket != "" {
-		return s.ScratchBucket
-	}
-	return s.OutputBucket
 }
 
 // ProfileOf converts a store config into the planner's profile.

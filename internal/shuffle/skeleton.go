@@ -92,9 +92,6 @@ func (j *job) run(p *des.Proc) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
 	j.id = fmt.Sprintf("%s-%04d", j.prefix, j.seq.Add(1))
 	j.client = objectstore.NewClient(j.store)
 
@@ -369,11 +366,7 @@ func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size i
 	if workers <= 1 {
 		return nil, nil
 	}
-	n := spec.SampleBytes
-	if n > size {
-		n = size
-	}
-	pl, err := client.GetRange(p, spec.InputBucket, spec.InputKey, 0, n)
+	pl, err := client.GetRange(p, spec.InputBucket, spec.InputKey, 0, min(sampleBytes, size))
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: sample: %w", err)
 	}

@@ -121,11 +121,6 @@ func (pr *Provisioner) SetZones(zones ...string) {
 	pr.zones = append([]string(nil), zones...)
 }
 
-// Zones returns the configured placement domains.
-func (pr *Provisioner) Zones() []string {
-	return append([]string(nil), pr.zones...)
-}
-
 // ZoneDown reports whether a zone is currently failed.
 func (pr *Provisioner) ZoneDown(zone string) bool { return pr.downZones[zone] }
 
@@ -258,7 +253,6 @@ type Instance struct {
 	zone      string
 	noticed   bool // preemption notice delivered, reclaim pending
 	preempted bool
-	onNotice  []func()
 
 	cpus *des.Resource
 	nic  *des.Link
@@ -295,15 +289,8 @@ func (i *Instance) Preempted() bool { return i.preempted }
 // delivered (the instance may still be inside its notice window).
 func (i *Instance) PreemptionNoticed() bool { return i.noticed }
 
-// OnPreemptionNotice registers fn to run when the provider signals an
-// upcoming preemption, PreemptionNotice ahead of the reclaim. Hooks
-// run in event context and must not block.
-func (i *Instance) OnPreemptionNotice(fn func()) {
-	i.onNotice = append(i.onNotice, fn)
-}
-
-// Preempt delivers a preemption signal: notice hooks fire now and the
-// instance is reclaimed (stopped, billing ends) PreemptionNotice
+// Preempt delivers a preemption signal: the notice is on record now
+// (PreemptionNoticed) and the instance is reclaimed (stopped, billing ends) PreemptionNotice
 // later unless the owner stops it first. Safe to call from event
 // context; idempotent, and a no-op on already-stopped instances.
 func (i *Instance) Preempt() {
@@ -311,9 +298,6 @@ func (i *Instance) Preempt() {
 		return
 	}
 	i.noticed = true
-	for _, fn := range i.onNotice {
-		fn()
-	}
 	i.sim.After(PreemptionNotice, func() {
 		if i.stopped {
 			return
@@ -323,20 +307,15 @@ func (i *Instance) Preempt() {
 	})
 }
 
-// Reclaim takes the instance away immediately: notice hooks fire, but
-// there is no warning window — the shape of a zone outage, where the
+// Reclaim takes the instance away immediately: there is no warning
+// window — the shape of a zone outage, where the
 // whole pool disappears at once. Idempotent; a no-op on stopped
 // instances.
 func (i *Instance) Reclaim() {
 	if i.stopped {
 		return
 	}
-	if !i.noticed {
-		i.noticed = true
-		for _, fn := range i.onNotice {
-			fn()
-		}
-	}
+	i.noticed = true
 	i.preempted = true
 	i.Stop()
 }
@@ -345,11 +324,18 @@ func (i *Instance) Reclaim() {
 // to stop (or to now if still running). Providers bill from the
 // create call, not from readiness.
 func (i *Instance) BilledDuration() time.Duration {
-	end := i.sim.Now()
+	return i.BilledDurationAt(i.sim.Now())
+}
+
+// BilledDurationAt is BilledDuration as of the instant at: the part of
+// the billable lifetime that had elapsed by then (all of it when at is
+// in the future, none before the create call).
+func (i *Instance) BilledDurationAt(at time.Duration) time.Duration {
+	end := min(at, i.sim.Now())
 	if i.stopped {
-		end = i.stoppedAt
+		end = min(end, i.stoppedAt)
 	}
-	return end - i.requested
+	return max(end-i.requested, 0)
 }
 
 // HourlyRate reports the rate the instance bills at: the spot price
@@ -361,10 +347,11 @@ func (i *Instance) HourlyRate() float64 {
 	return i.itype.HourlyUSD
 }
 
-// Cost reports the instance's accumulated cost in USD at per-second
-// granularity, at the instance's capacity class rate.
-func (i *Instance) Cost() float64 {
-	return i.BilledDuration().Seconds() * i.HourlyRate() / 3600
+// CostAt reports the cost in USD the instance had accumulated as of the
+// instant at, at per-second granularity and at the instance's capacity
+// class rate.
+func (i *Instance) CostAt(at time.Duration) float64 {
+	return i.BilledDurationAt(at).Seconds() * i.HourlyRate() / 3600
 }
 
 // err reports the instance's terminal state as an error, nil while
