@@ -111,7 +111,7 @@ func run() error {
 		}
 		g.Drain(p)
 	})
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return err
 	}
 	if runErr != nil {

@@ -95,7 +95,7 @@ func runOnce(recs []bed.Record, mode string) error {
 		}
 		verifyErr = verify(p, c, recs)
 	})
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return err
 	}
 	return verifyErr

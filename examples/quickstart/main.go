@@ -67,7 +67,7 @@ func run() error {
 			lines = append(lines, fmt.Sprint(o))
 		}
 	})
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return err
 	}
 

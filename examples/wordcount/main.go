@@ -103,7 +103,7 @@ func run() error {
 			}
 		}
 	})
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return err
 	}
 	if runErr != nil {

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/core"
@@ -87,6 +88,22 @@ func NewRig(p Profile) (*Rig, error) {
 		Exec:      exec,
 		History:   autoplan.NewHistory(),
 	}, nil
+}
+
+// Run drives the rig's simulation until it drains, like Sim.Run, and
+// then asks the store what the kernel cannot see: a store stream is a
+// state machine, not a process, so one that was opened and neither read
+// to its end nor closed parks nothing and Sim.Run returns nil over it.
+// Run turns it into the error a parked producer process used to be.
+func (r *Rig) Run() error {
+	if err := r.Sim.Run(); err != nil {
+		return err
+	}
+	if open := r.Store.OpenStreams(); len(open) > 0 {
+		return fmt.Errorf("calib: %d store stream(s) neither drained nor closed: %s",
+			len(open), strings.Join(open, ", "))
+	}
+	return nil
 }
 
 // SortParams derives the standard sort-stage parameters for this

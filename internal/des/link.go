@@ -21,8 +21,15 @@ import (
 // The event is rescheduled at every change even when its flow and
 // instant stay the same: among other events of that instant it takes
 // the place of the latest change, and completions that share an
-// instant go in (remaining, proc name) order as of that change. Fired
+// instant go in (remaining, flow name) order as of that change. Fired
 // logs depend on both.
+//
+// A flow completes in one of two ways, one event either way and in the
+// same place: Transfer's flow wakes the process parked on it, and
+// TransferAsync's flow schedules its callback where that wake would
+// have gone. A caller that is a state machine rather than a process (a
+// store stream) therefore fires exactly the events, in exactly the
+// order, that a process doing the same transfers would.
 type Link struct {
 	sim      *Sim
 	capacity float64 // bytes/sec; <= 0 means unlimited
@@ -31,6 +38,9 @@ type Link struct {
 	fit float64
 
 	flows []*linkFlow
+	// free holds finished flows for the next transfer: a link that has
+	// reached its peak concurrency allocates nothing per transfer.
+	free []*linkFlow
 	// last is the instant every flow's remaining is current as of:
 	// each membership change advances all of them together.
 	last time.Duration
@@ -53,19 +63,25 @@ type Link struct {
 
 type linkFlow struct {
 	remaining float64
+	bytes     float64 // the transfer's full size, for the stats
 	cap       float64 // per-flow cap; +Inf means none
 	rate      float64
-	proc      *Proc
-	finished  bool
+	// name breaks exact ties on remaining: the parked process's name,
+	// or the one TransferAsync was given.
+	name string
+	// Completion wakes proc or schedules done; exactly one is set.
+	proc     *Proc
+	done     func()
+	finished bool
 }
 
 // before is the order completion events at the same instant fire in:
-// least remaining first, proc name on exact ties.
+// least remaining first, flow name on exact ties.
 func (f *linkFlow) before(g *linkFlow) bool {
 	if f.remaining != g.remaining {
 		return f.remaining < g.remaining
 	}
-	return f.proc.name < g.proc.name
+	return f.name < g.name
 }
 
 // fitSlack is the relative headroom assignRates demands before it
@@ -113,10 +129,43 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 	if bytes <= 0 {
 		return
 	}
-	f := &linkFlow{
+	f := l.join(p.name, bytes, flowCap)
+	f.proc = p
+	for !f.finished {
+		p.Park()
+	}
+	l.release(f)
+}
+
+// TransferAsync is Transfer for a caller that is not a process: it
+// returns at once and done fires as an event of the instant the bytes
+// have moved, where Transfer's wake of a process called name would have
+// fired. name orders this flow among flows that complete together (see
+// Link). done runs on whichever goroutine holds the baton and must not
+// block, like any scheduled callback. A zero-byte transfer schedules
+// done at the current instant; done is never run from inside the call.
+func (l *Link) TransferAsync(name string, bytes int64, flowCap float64, done func()) {
+	if bytes <= 0 {
+		l.sim.Schedule(l.sim.now, done)
+		return
+	}
+	l.join(name, bytes, flowCap).done = done
+}
+
+// join puts a new flow on the link and reshares. The caller sets how
+// the flow completes; nothing fires before it has.
+func (l *Link) join(name string, bytes int64, flowCap float64) *linkFlow {
+	var f *linkFlow
+	if n := len(l.free); n > 0 {
+		f, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		f = new(linkFlow)
+	}
+	*f = linkFlow{
 		remaining: float64(bytes),
+		bytes:     float64(bytes),
 		cap:       math.Inf(1),
-		proc:      p,
+		name:      name,
 	}
 	if flowCap > 0 {
 		f.cap = flowCap
@@ -124,11 +173,14 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 	l.advance()
 	l.flows = append(l.flows, f)
 	l.reshare()
-	for !f.finished {
-		p.Park()
-	}
-	l.bytesMoved += float64(bytes)
-	l.transfersRun++
+	return f
+}
+
+// release returns a finished flow to the free list, dropping what it
+// points at.
+func (l *Link) release(f *linkFlow) {
+	*f = linkFlow{}
+	l.free = append(l.free, f)
 }
 
 // advance progresses every flow's remaining byte count to the current
@@ -218,7 +270,7 @@ func (l *Link) assignRates() {
 }
 
 // waterfillFlows assigns rates by waterfill over the flows taken in
-// (remaining, proc name) order: which of two flows with equal caps
+// (remaining, flow name) order: which of two flows with equal caps
 // gets the last-bit-different share depends on that order. The flows
 // are sorted in place, so while the link stays bound the next call
 // finds them nearly sorted.
@@ -243,15 +295,25 @@ func (l *Link) waterfillFlows() {
 }
 
 // fire is the completion event: it finishes the flow the event was
-// scheduled for and reshares the rest.
+// scheduled for (one event: the wake of its process, or its callback)
+// and reshares the rest.
 func (l *Link) fire() {
 	l.advance()
 	// Self-correct rounding: if the flow is not actually done, leave
 	// it in and reschedule.
 	if f := l.flows[l.next]; f.remaining <= 0.5 {
 		l.flows = slices.Delete(l.flows, l.next, l.next+1)
-		f.finished = true
-		f.proc.Wake()
+		l.bytesMoved += f.bytes
+		l.transfersRun++
+		if f.proc != nil {
+			// Transfer releases the flow once its process has seen it
+			// finished.
+			f.finished = true
+			f.proc.Wake()
+		} else {
+			l.sim.Schedule(l.sim.now, f.done)
+			l.release(f)
+		}
 	}
 	l.reshare()
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 func approxSeconds(t *testing.T, got time.Duration, want float64, tol float64) {
@@ -337,7 +339,7 @@ func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
 	}
 	s.Spawn("stall", func(p *Proc) {
 		for i, f := range l.flows {
-			if f.proc.Name() == "starved" {
+			if f.name == "starved" {
 				f.rate = 0
 			} else {
 				l.next = i
@@ -393,7 +395,13 @@ func TestLinkDrainLeavesNoEvent(t *testing.T) {
 	}
 }
 
-func TestLinkSteadyStateTransferAllocatesOnlyTheFlow(t *testing.T) {
+// TestLinkSteadyStateTransferAllocatesNothing: flows come from the
+// link's free list, so once the link has seen its peak concurrency a
+// transfer of either form costs no allocation.
+func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
 	s := New(1)
 	l := NewLink(s, 10e9)
 	// 63 flows that outlast the measurement, then one proc timing its
@@ -401,15 +409,115 @@ func TestLinkSteadyStateTransferAllocatesOnlyTheFlow(t *testing.T) {
 	for i := 0; i < 63; i++ {
 		s.Spawn(fmt.Sprintf("bg%d", i), func(p *Proc) { l.Transfer(p, 1<<40, 95e6) })
 	}
-	var allocs float64
+	var parked, async float64
 	s.Spawn("probe", func(p *Proc) {
-		allocs = testing.AllocsPerRun(200, func() { l.Transfer(p, 1<<20, 95e6) })
+		parked = testing.AllocsPerRun(200, func() { l.Transfer(p, 1<<20, 95e6) })
+		done := func() { p.Wake() }
+		async = testing.AllocsPerRun(200, func() {
+			l.TransferAsync("probe", 1<<20, 95e6, done)
+			p.Park()
+		})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if allocs > 1 {
-		t.Fatalf("Transfer among 64 flows: %.1f allocs, want at most 1 (the flow)", allocs)
+	if parked != 0 || async != 0 {
+		t.Fatalf("among 64 flows: Transfer %.1f allocs, TransferAsync %.1f, want 0 and 0", parked, async)
+	}
+}
+
+// TestLinkAsyncFiresWhereTheWakeWould runs seeded schedules of flows
+// three times: every flow a process parked in Transfer, every flow a
+// TransferAsync under the same name, and the two forms alternating.
+// Completion order (ties on remaining and on name included), instants,
+// event count and the link's counters must not tell the runs apart.
+func TestLinkAsyncFiresWhereTheWakeWould(t *testing.T) {
+	type flow struct {
+		name   string
+		arrive time.Duration
+		bytes  int64
+		cap    float64
+	}
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		capacity := []float64{0, 1e6, 3e6, 1e9}[r.Intn(4)]
+		flows := make([]flow, 1+r.Intn(40))
+		size := int64(1 + r.Intn(100_000))
+		for i := range flows {
+			// Names out of spawn order, sizes and arrivals mostly shared:
+			// completions tie on remaining and fall to the name.
+			f := flow{name: fmt.Sprintf("f%d", (i*7)%len(flows)), bytes: size, cap: 1e6}
+			if r.Intn(4) == 0 {
+				f.bytes = int64(r.Intn(100_000)) // zero included
+			}
+			if r.Intn(4) == 0 {
+				f.arrive = time.Duration(r.Intn(50)) * time.Millisecond
+			}
+			if r.Intn(6) == 0 {
+				f.cap = 1e5 + 2e6*r.Float64()
+			}
+			flows[i] = f
+		}
+		run := func(async func(i int) bool) (log []string, fired int64, transfers int64, moved float64) {
+			s := New(1)
+			l := NewLink(s, capacity)
+			for i, f := range flows {
+				s.Spawn(f.name, func(p *Proc) {
+					p.Sleep(f.arrive)
+					landed := func() { log = append(log, fmt.Sprintf("%s @%d", f.name, s.Now())) }
+					switch {
+					case !async(i):
+						l.Transfer(p, f.bytes, f.cap)
+						landed()
+					case f.bytes > 0:
+						l.TransferAsync(f.name, f.bytes, f.cap, landed)
+					default:
+						// Transfer returns at once on zero bytes; the async form
+						// takes one event to say so.
+						landed()
+					}
+				})
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if l.ActiveFlows() != 0 || s.Pending() != 0 {
+				t.Fatalf("trial %d: %d flows, %d events left", trial, l.ActiveFlows(), s.Pending())
+			}
+			return log, s.Fired(), l.Transfers(), l.BytesMoved()
+		}
+		wantLog, wantFired, wantN, wantMoved := run(func(int) bool { return false })
+		for name, async := range map[string]func(int) bool{
+			"async":       func(int) bool { return true },
+			"alternating": func(i int) bool { return i%2 == 0 },
+		} {
+			log, fired, n, moved := run(async)
+			if !slices.Equal(log, wantLog) {
+				t.Fatalf("trial %d, %s: completions\n got %v\nwant %v", trial, name, log, wantLog)
+			}
+			if fired != wantFired || n != wantN || moved != wantMoved {
+				t.Fatalf("trial %d, %s: %d events, %d transfers, %.0f bytes; parked form %d, %d, %.0f",
+					trial, name, fired, n, moved, wantFired, wantN, wantMoved)
+			}
+		}
+	}
+}
+
+func TestLinkAsyncZeroBytesIsOneEvent(t *testing.T) {
+	s := New(1)
+	l := NewLink(s, 1000)
+	ran := false
+	s.Spawn("p", func(p *Proc) {
+		l.TransferAsync("z", 0, 0, func() { ran = true })
+		if ran {
+			t.Error("done ran inside TransferAsync")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !ran || s.Now() != 0 || l.Transfers() != 0 {
+		t.Fatalf("ran %v at %v with %d transfers, want true at 0 with none", ran, s.Now(), l.Transfers())
 	}
 }
 
@@ -430,7 +538,7 @@ func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
 			if trial%4 == 3 {
 				c = 1 + r.Float64()*1e9 // mixed caps
 			}
-			flows[i] = &linkFlow{remaining: float64(n - i), cap: c, proc: &Proc{name: "p"}}
+			flows[i] = &linkFlow{remaining: float64(n - i), cap: c, name: "p"}
 			sum += c
 		}
 		// sum scaled by 1+k*2^-e, k in [-8, 8], e from 52 (ulps) to 10.

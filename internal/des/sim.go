@@ -226,6 +226,11 @@ func New(seed int64) *Sim {
 // Now reports the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
+// Rand returns the simulation's deterministic random source, the one
+// every Proc.Rand returns: a callback that draws from it takes the
+// draw a process running in its place would have taken.
+func (s *Sim) Rand() *rand.Rand { return s.rng }
+
 // Fired reports the number of events fired so far: the simulation's
 // own work metric, tracked by the scale experiments as events/sec.
 func (s *Sim) Fired() int64 { return s.fired }

@@ -107,7 +107,7 @@ func StoreThrottle(profile calib.Profile, clients []int, opsPerClient int) (Thro
 			}
 			wg.Wait(p)
 		})
-		if err := rig.Sim.Run(); err != nil {
+		if err := rig.Run(); err != nil {
 			return res, err
 		}
 		if runErr != nil {

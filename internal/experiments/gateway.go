@@ -168,7 +168,7 @@ func (ol openLoop) drive(profile calib.Profile) (*loopRun, error) {
 		}
 	})
 	start := time.Now()
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return nil, fmt.Errorf("experiments: gateway sim: %w", err)
 	}
 	run.Wall = time.Since(start)

@@ -105,7 +105,7 @@ func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasu
 		}
 		m.latency = p.Now() - start
 	})
-	if err := rig.Sim.Run(); err != nil {
+	if err := rig.Run(); err != nil {
 		return m, err
 	}
 	m.meter = rig.Platform.Meter()

@@ -17,8 +17,8 @@ package objectstore
 import (
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -105,7 +105,10 @@ type Service struct {
 	uploads   map[string]*multipartUpload
 	uploadSeq int64
 	streamSeq int64
-	metrics   Metrics
+	// openHead/openTail list, in open order, the streams whose producing
+	// side has not finished (see OpenStreams).
+	openHead, openTail *Stream
+	metrics            Metrics
 
 	// curBytes / lastAccrue drive the stored-volume time integral.
 	curBytes   int64
@@ -361,16 +364,22 @@ func (s *Service) SetZone(zone string) { s.zone = zone }
 func (s *Service) Zone() string { return s.zone }
 
 func (s *Service) failMaybe(p *des.Proc) error {
-	rate := s.cfg.FailureRate
-	if s.brownout > rate {
-		rate = s.brownout
-	}
-	if rate > 0 && p.Rand().Float64() < rate {
+	if s.drawFailure() {
 		p.Sleep(s.cfg.RequestLatency)
 		s.metrics.Throttled++
 		return ErrSlowDown
 	}
 	return nil
+}
+
+// drawFailure decides whether a request is throttled. It draws from the
+// simulation's RNG only while a failure rate is in force.
+func (s *Service) drawFailure() bool {
+	rate := s.cfg.FailureRate
+	if s.brownout > rate {
+		rate = s.brownout
+	}
+	return rate > 0 && s.sim.Rand().Float64() < rate
 }
 
 func (s *Service) lookup(p *des.Proc, bkt, key string) (Object, error) {
@@ -389,11 +398,56 @@ func (s *Service) lookup(p *des.Proc, bkt, key string) (Object, error) {
 }
 
 func (s *Service) transfer(p *des.Proc, size int64, flowCap float64) {
-	eff := s.cfg.PerConnBandwidth
-	if flowCap > 0 && flowCap < eff {
-		eff = flowCap
+	s.link.Transfer(p, size, s.connCap(flowCap))
+}
+
+// connCap is one request's rate ceiling: the per-connection bandwidth,
+// or the caller's flowCap when that is tighter.
+func (s *Service) connCap(flowCap float64) float64 {
+	if flowCap > 0 && flowCap < s.cfg.PerConnBandwidth {
+		return flowCap
 	}
-	s.link.Transfer(p, size, eff)
+	return s.cfg.PerConnBandwidth
+}
+
+// OpenStreams names, sorted, the streams whose producing side has not
+// finished: opened by GetStream and not yet delivered in full, failed,
+// or closed. While the simulation runs that is every stream in
+// progress. Once it has drained it is the streams somebody abandoned,
+// each stopped at a full prefetch window with no consumer to reopen it,
+// and a driver must treat a non-empty list as the error the kernel's
+// deadlock report used to be when a process produced the chunks
+// (calib.Rig.Run does).
+func (s *Service) OpenStreams() []string {
+	var names []string
+	for st := s.openHead; st != nil; st = st.nextOpen {
+		names = append(names, st.name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func (s *Service) linkStream(st *Stream) {
+	if s.openTail == nil {
+		s.openHead = st
+	} else {
+		s.openTail.nextOpen, st.prevOpen = st, s.openTail
+	}
+	s.openTail = st
+}
+
+func (s *Service) unlinkStream(st *Stream) {
+	if st.prevOpen == nil {
+		s.openHead = st.nextOpen
+	} else {
+		st.prevOpen.nextOpen = st.nextOpen
+	}
+	if st.nextOpen == nil {
+		s.openTail = st.prevOpen
+	} else {
+		st.nextOpen.prevOpen = st.prevOpen
+	}
+	st.prevOpen, st.nextOpen = nil, nil
 }
 
 // castagnoli is the CRC32C table; hash/crc32 computes it in hardware
@@ -409,7 +463,24 @@ func etag(pl payload.Payload) string {
 	if b, ok := pl.Bytes(); ok {
 		return fmt.Sprintf("%08x-%d", crc32.Checksum(b, castagnoli), len(b))
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "sized:%d", pl.Size())
-	return fmt.Sprintf("%016x", h.Sum64())
+	// FNV-1a by hand on the stack: a sized Put is on the request path of
+	// every paper-scale run, and hash/fnv plus two fmt calls cost it four
+	// allocations for these sixteen digits.
+	var buf [32]byte
+	h := uint64(fnvOffset64)
+	for _, c := range strconv.AppendInt(append(buf[:0], "sized:"...), pl.Size(), 10) {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return string(hex[:])
 }
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)

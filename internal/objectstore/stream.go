@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -11,14 +12,34 @@ import (
 )
 
 // Streaming ranged GETs. A Stream delivers an object range as a
-// sequence of chunk payloads instead of one buffered block: a producer
-// process transfers each chunk over the service's backend link as its
-// own flow and parks behind a small prefetch window, so a consumer
+// sequence of chunk payloads instead of one buffered block: each chunk
+// crosses the service's backend link as its own flow, at most
+// streamDepth of them wait transferred and unconsumed, and a consumer
 // that does per-chunk work (parse, partition, route) overlaps its CPU
-// time with the remaining transfer — the simulation sees genuine
+// time with the remaining transfer. The simulation sees genuine
 // transfer/compute interleaving where Get/GetRange model one block
 // sleep. This is the sda-download shape: chunked range reads behind a
 // reader-style interface.
+//
+// No process produces the chunks. The producing side of a Stream is a
+// state machine on the event heap with at most one event pending, and
+// step is that event:
+//
+//	starting   the event GetStream scheduled at the open's instant
+//	inFlight   the completion of the chunk's link flow
+//	throttled  the end of the RequestLatency a failed continuation costs
+//	resuming   the wake a Next or Close scheduled for a full window
+//	           (one, however many of them asked)
+//	windowFull nothing: the consumer's next Next or Close moves it on
+//	finished   nothing, ever: range delivered, failed, or closed
+//
+// Each of those events sits where an activation of the producer
+// process this replaced (PR 21) sat, and a throttled continuation draws
+// from the simulation's RNG at the same point, so event counts, fired
+// logs and every seeded number downstream are what they were;
+// stream_oracle_test.go keeps that process to hold this to. What the
+// kernel no longer does for a stream is notice one that was abandoned:
+// Service.OpenStreams is the list a driver checks once its run drains.
 
 const (
 	// DefaultStreamChunk is the transfer granularity when
@@ -44,21 +65,51 @@ type StreamOptions struct {
 	FlowCap float64
 }
 
+// producerState names the event a stream's producing side waits for
+// (see the table at the top of the file).
+type producerState uint8
+
+const (
+	starting producerState = iota
+	inFlight
+	throttled
+	windowFull
+	resuming
+	finished
+)
+
 // Stream is one in-flight streaming ranged GET. All methods must be
 // called from des process context; like the service itself it needs no
 // locking because the kernel runs one process at a time.
 type Stream struct {
-	svc  *Service
-	opts StreamOptions
-	size int64 // resolved range length (open-ended requests included)
+	svc *Service
+	// name is what the chunks' link flows are tie-broken by and what
+	// OpenStreams reports.
+	name    string
+	rng     payload.Payload // the requested range
+	size    int64           // its length (open-ended requests resolved)
+	chunk   int64           // transfer granularity
+	flowCap float64         // effective per-chunk rate cap
 
-	ready  []payload.Payload // transferred, not yet consumed (FIFO)
-	err    error             // terminal producer error, after ready drains
-	eof    bool              // producer delivered the whole range
-	closed bool              // consumer abandoned the stream
+	state    producerState
+	stepFn   func() // step, bound once: every event of this stream
+	off      int64  // bytes of the range transferred so far
+	inflight int64  // length of the chunk on the link, state inFlight
+
+	// ready is the prefetch window, a ring: count chunks transferred and
+	// not yet consumed, oldest at head.
+	ready       [streamDepth]payload.Payload
+	head, count int
+
+	err    error // terminal producer error, after ready drains
+	eof    bool  // producer delivered the whole range
+	closed bool  // consumer abandoned the stream
 
 	consumer *des.Proc // parked in Next waiting for a chunk
-	producer *des.Proc // parked behind a full prefetch window
+
+	// The service's list of streams whose producing side has not
+	// finished.
+	prevOpen, nextOpen *Stream
 }
 
 // GetStream opens a streaming GET of bytes [off, off+n) of an object
@@ -70,6 +121,9 @@ type Stream struct {
 // throttled continuation surfaces as ErrSlowDown from Next, with
 // already-transferred chunks still delivered first). A stream of one
 // chunk is request-for-request identical to GetRange.
+//
+// A stream must be read to io.EOF or an error, or closed: one left
+// with chunks undelivered stays in OpenStreams.
 func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
 	obj, err := s.lookup(p, bkt, key)
 	if err != nil {
@@ -81,77 +135,130 @@ func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Str
 			n = 0
 		}
 	}
-	rng, err := obj.Payload.Slice(off, n)
-	if err != nil {
-		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
+	// The whole object is its own range: nothing to cut.
+	rng := obj.Payload
+	if off != 0 || n != rng.Size() {
+		if rng, err = obj.Payload.Slice(off, n); err != nil {
+			return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
+		}
 	}
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
-	st := &Stream{svc: s, opts: opts, size: n}
 	s.streamSeq++
-	name := fmt.Sprintf("objectstore/stream#%d/%s/%s@%d", s.streamSeq, bkt, key, off)
-	s.sim.Spawn(name, func(prod *des.Proc) { st.produce(prod, rng) })
+	st := &Stream{
+		svc:     s,
+		name:    streamName(s.streamSeq, bkt, key, off),
+		rng:     rng,
+		size:    n,
+		chunk:   opts.ChunkBytes,
+		flowCap: s.connCap(opts.FlowCap),
+	}
+	st.stepFn = st.step
+	s.linkStream(st)
+	s.sim.Schedule(s.sim.Now(), st.stepFn)
 	return st, nil
 }
 
-// produce transfers the range chunk by chunk, each chunk its own link
-// flow, parking whenever the prefetch window is full.
-func (st *Stream) produce(prod *des.Proc, rng payload.Payload) {
-	size := rng.Size()
-	for off := int64(0); off < size; {
-		if st.closed {
+// streamName is "objectstore/stream#<seq>/<bkt>/<key>@<off>", built in
+// one allocation.
+func streamName(seq int64, bkt, key string, off int64) string {
+	var buf [96]byte
+	b := append(buf[:0], "objectstore/stream#"...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, '/')
+	b = append(b, bkt...)
+	b = append(b, '/')
+	b = append(b, key...)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, off, 10)
+	return string(b)
+}
+
+// step is the producing side's one event. It first takes in what the
+// event it waited for means, then moves on to the next chunk: the range
+// goes over the link chunk by chunk, each chunk its own flow, stopping
+// whenever the prefetch window is full.
+func (st *Stream) step() {
+	s := st.svc
+	switch st.state {
+	case inFlight:
+		n := st.inflight
+		// The chunk fully traversed the backend link even when the
+		// consumer closed mid-flight: egress is counted regardless.
+		s.metrics.BytesOut += n
+		if st.closed { // consumer gave up while this chunk was in flight
+			st.finish()
 			return
 		}
-		// Continuations after the first chunk can be throttled like any
-		// request (the open request already drew once at admission).
-		if off > 0 {
-			if err := st.svc.failMaybe(prod); err != nil {
+		pl := st.rng
+		if n != st.size { // else one chunk is the whole range
+			var err error
+			if pl, err = st.rng.Slice(st.off, n); err != nil { // unreachable: the range was validated at open
 				st.fail(err)
 				return
 			}
 		}
-		n := st.opts.ChunkBytes
-		if off+n > size {
-			n = size - off
-		}
-		pl, err := rng.Slice(off, n)
-		if err != nil { // unreachable: the range was validated at open
-			st.fail(err)
+		st.off += n
+		st.ready[(st.head+st.count)%streamDepth] = pl
+		st.count++
+		st.wakeConsumer()
+		if st.count >= streamDepth {
+			st.state = windowFull
 			return
 		}
-		st.svc.transfer(prod, n, st.opts.FlowCap)
-		// The chunk fully traversed the backend link even when the
-		// consumer closed mid-flight: egress is counted regardless.
-		st.svc.metrics.BytesOut += n
-		if st.closed { // consumer gave up while this chunk was in flight
-			return
-		}
-		off += n
-		st.deliver(pl)
-		for len(st.ready) >= streamDepth && !st.closed {
-			st.producer = prod
-			prod.Park()
-			st.producer = nil
-		}
+	case throttled:
+		s.metrics.Throttled++
+		st.fail(ErrSlowDown)
+		return
 	}
-	st.eof = true
-	st.wakeConsumer()
+	if st.off >= st.size {
+		st.eof = true
+		st.wakeConsumer()
+		st.finish()
+		return
+	}
+	if st.closed {
+		st.finish()
+		return
+	}
+	// Continuations after the first chunk can be throttled like any
+	// request (the open request already drew once at admission).
+	if st.off > 0 && s.drawFailure() {
+		st.state = throttled
+		s.sim.After(s.cfg.RequestLatency, st.stepFn)
+		return
+	}
+	st.inflight = min(st.chunk, st.size-st.off)
+	st.state = inFlight
+	s.link.TransferAsync(st.name, st.inflight, st.flowCap, st.stepFn)
 }
 
-func (st *Stream) deliver(pl payload.Payload) {
-	st.ready = append(st.ready, pl)
-	st.wakeConsumer()
+// finish retires the producing side: no event of this stream is
+// pending and none will be scheduled.
+func (st *Stream) finish() {
+	st.state = finished
+	st.svc.unlinkStream(st)
 }
 
 func (st *Stream) fail(err error) {
 	st.err = err
 	st.wakeConsumer()
+	st.finish()
 }
 
 func (st *Stream) wakeConsumer() {
 	if st.consumer != nil {
 		st.consumer.Wake()
+	}
+}
+
+// reopen restarts a producing side stopped at a full window: one event,
+// however many calls ask before it fires.
+func (st *Stream) reopen() {
+	if st.state == windowFull {
+		st.state = resuming
+		st.svc.sim.Schedule(st.svc.sim.Now(), st.stepFn)
 	}
 }
 
@@ -167,17 +274,17 @@ func (st *Stream) Next(p *des.Proc) (payload.Payload, error) {
 	if st.closed {
 		return nil, ErrStreamClosed
 	}
-	for len(st.ready) == 0 && st.err == nil && !st.eof {
+	for st.count == 0 && st.err == nil && !st.eof {
 		st.consumer = p
 		p.Park()
 		st.consumer = nil
 	}
-	if len(st.ready) > 0 {
-		pl := st.ready[0]
-		st.ready = st.ready[1:]
-		if st.producer != nil {
-			st.producer.Wake()
-		}
+	if st.count > 0 {
+		pl := st.ready[st.head]
+		st.ready[st.head] = nil
+		st.head = (st.head + 1) % streamDepth
+		st.count--
+		st.reopen()
 		return pl, nil
 	}
 	if st.err != nil {
@@ -186,15 +293,14 @@ func (st *Stream) Next(p *des.Proc) (payload.Payload, error) {
 	return nil, io.EOF
 }
 
-// Close abandons the stream: the producer stops after any chunk still
-// in flight. Closing a drained or failed stream is a no-op. Always
-// safe to defer.
+// Close abandons the stream: the producing side stops after any chunk
+// still in flight. Closing a drained or failed stream is a no-op.
+// Always safe to defer.
 func (st *Stream) Close() {
 	st.closed = true
-	st.ready = nil
-	if st.producer != nil {
-		st.producer.Wake()
-	}
+	st.ready = [streamDepth]payload.Payload{}
+	st.count = 0
+	st.reopen()
 }
 
 // ClientStream is the Client-side resumable wrapper over Stream:
@@ -211,6 +317,7 @@ type ClientStream struct {
 	cur      *Stream
 	retries  int
 	backoff  time.Duration
+	closed   bool
 }
 
 // GetStream opens a resumable streaming GET of [off, off+n) with
@@ -269,8 +376,12 @@ func (cs *ClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
 }
 
 // Next returns the next chunk, transparently resuming after throttled
-// continuations. io.EOF signals the end of the range.
+// continuations. io.EOF signals the end of the range, ErrStreamClosed
+// a call after Close (which issues no request).
 func (cs *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
+	if cs.closed {
+		return nil, ErrStreamClosed
+	}
 	for {
 		if err := cs.ensure(p); err != nil {
 			return nil, err
@@ -309,5 +420,5 @@ func (cs *ClientStream) Close() {
 		cs.cur.Close()
 		cs.cur = nil
 	}
-	cs.n = 0
+	cs.closed = true
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // streamRig builds a service with one stored object of n pseudo-random
@@ -437,4 +438,168 @@ func TestStreamCountsEgressWhenConsumerClosesMidTransfer(t *testing.T) {
 	if got := svc.Metrics().BytesOut - before.BytesOut; got != 10000 {
 		t.Fatalf("BytesOut delta = %d, want exactly the one in-flight chunk (10000)", got)
 	}
+}
+
+// TestAbandonedStreamIsListed: a stream opened and then neither drained
+// nor closed used to end the run with the kernel's deadlock report
+// naming its producer process. No process produces chunks now, so the
+// run drains clean; the service still knows, by the same name, and
+// forgets the stream once somebody closes it.
+func TestAbandonedStreamIsListed(t *testing.T) {
+	sim, svc, _ := streamRig(t, fastCfg(), 50000)
+	var abandoned, kept *Stream
+	sim.Spawn("reader", func(p *des.Proc) {
+		var err error
+		// Five chunks against a window of two: the producing side stops
+		// with three still to go.
+		if abandoned, err = svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}); err != nil {
+			t.Errorf("GetStream: %v", err)
+			return
+		}
+		// One chunk leaves the window open: the producing side runs to the
+		// end of the range whether or not anyone reads it. (Two would not:
+		// a full window stops it even with nothing left to transfer, as it
+		// stopped the process.)
+		if kept, err = svc.GetStream(p, "b", "k", 100, 1000, StreamOptions{ChunkBytes: 1000}); err != nil {
+			t.Errorf("GetStream: %v", err)
+		}
+		if got := svc.OpenStreams(); len(got) != 2 {
+			t.Errorf("mid-run OpenStreams = %v, want both", got)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	want := "objectstore/stream#1/b/k@0"
+	if got := svc.OpenStreams(); len(got) != 1 || got[0] != want {
+		t.Fatalf("OpenStreams after the run = %v, want [%s]", got, want)
+	}
+	sim.Spawn("closer", func(p *des.Proc) {
+		abandoned.Close()
+		kept.Close()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if got := svc.OpenStreams(); len(got) != 0 {
+		t.Fatalf("OpenStreams after Close = %v, want none", got)
+	}
+}
+
+// TestClientStreamNextAfterCloseIssuesNoRequest: Close used to zero the
+// remaining length, and the next Next reopened a zero-length range: a
+// second billed class B request, answered io.EOF.
+func TestClientStreamNextAfterCloseIssuesNoRequest(t *testing.T) {
+	sim, svc, _ := streamRig(t, fastCfg(), 50000)
+	before := svc.Metrics()
+	sim.Spawn("reader", func(p *des.Proc) {
+		cs, err := NewClient(svc).GetStream(p, "b", "k", 0, -1, StreamOptions{ChunkBytes: 10000})
+		if err != nil {
+			t.Errorf("GetStream: %v", err)
+			return
+		}
+		cs.Close()
+		at := p.Now()
+		if _, err := cs.Next(p); !errors.Is(err, ErrStreamClosed) {
+			t.Errorf("Next after Close = %v, want ErrStreamClosed", err)
+		}
+		if p.Now() != at {
+			t.Errorf("Next after Close took %v of virtual time", p.Now()-at)
+		}
+		cs.Close() // still safe
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if got := svc.Metrics().ClassBOps - before.ClassBOps; got != 1 {
+		t.Fatalf("open + close + next billed %d class B requests, want 1", got)
+	}
+	if got := svc.OpenStreams(); len(got) != 0 {
+		t.Fatalf("OpenStreams = %v, want none", got)
+	}
+}
+
+// TestStreamWholeObjectIsHandedThrough: a stream over a whole object in
+// one chunk delivers the stored payload itself, not a copy of a copy.
+func TestStreamWholeObjectIsHandedThrough(t *testing.T) {
+	sim, svc, data := streamRig(t, fastCfg(), 5000)
+	sim.Spawn("reader", func(p *des.Proc) {
+		stored, err := svc.Get(p, "b", "k", 0)
+		if err != nil {
+			t.Errorf("Get: %v", err)
+			return
+		}
+		st, err := svc.GetStream(p, "b", "k", 0, -1, StreamOptions{})
+		if err != nil {
+			t.Errorf("GetStream: %v", err)
+			return
+		}
+		defer st.Close()
+		pl, err := st.Next(p)
+		if err != nil || pl != stored {
+			t.Errorf("first chunk = %v, %v; want the stored payload", pl, err)
+		}
+		if raw, _ := pl.Bytes(); !bytes.Equal(raw, data) {
+			t.Error("chunk bytes differ from the object")
+		}
+		if _, err := st.Next(p); !errors.Is(err, io.EOF) {
+			t.Errorf("second Next = %v, want io.EOF", err)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestClientStreamAllocBudget: what one small object read through
+// Client.GetStream costs the allocator, open to close. The shuffle
+// issues workers² of these, so the count is written down: the
+// ClientStream, the Stream, its name, and step bound as a func. A
+// fmt.Sprintf for the name, a slice for the window, a closure per chunk
+// or a flow the link did not get back all show up here.
+func TestClientStreamAllocBudget(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const budget = 4
+	sim := des.New(7)
+	svc, err := New(sim, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs float64
+	sim.Spawn("reader", func(p *des.Proc) {
+		c := NewClient(svc)
+		if err := c.CreateBucket(p, "shuffle"); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Put(p, "shuffle", "job-000017/m003/r101", payload.Sized(27_000)); err != nil {
+			t.Error(err)
+			return
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			cs, err := c.GetStream(p, "shuffle", "job-000017/m003/r101", 0, -1, StreamOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if _, err := cs.Next(p); err != nil {
+					if !errors.Is(err, io.EOF) {
+						t.Error(err)
+					}
+					break
+				}
+			}
+			cs.Close()
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if allocs > budget {
+		t.Fatalf("open + drain + close of a one-chunk sized stream: %.1f allocs, budget %d", allocs, budget)
+	}
+	t.Logf("%.1f allocs (budget %d)", allocs, budget)
 }

@@ -140,7 +140,7 @@ func Open(profile calib.Profile, opts Options) (*Session, error) {
 				rig.Exec.StandingVM, provErr = rig.Prov.Provision(p, opts.StandingVMType)
 			}
 		})
-		if err := rig.Sim.Run(); err != nil {
+		if err := rig.Run(); err != nil {
 			return nil, fmt.Errorf("session: open: %w", err)
 		}
 		if provErr != nil {
@@ -210,7 +210,7 @@ func (s *Session) Submit(job Job) (*core.RunReport, error) {
 	s.rig.Sim.Spawn(fmt.Sprintf("submit-%03d/%s", s.seq, name), func(p *des.Proc) {
 		rep, runErr = s.runJob(p, job, w)
 	})
-	if err := s.rig.Sim.Run(); err != nil {
+	if err := s.rig.Run(); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
 	return rep, runErr
