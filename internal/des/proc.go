@@ -51,8 +51,8 @@ type worker struct {
 }
 
 // maxIdle bounds the idle list. It has to cover the processes that
-// come and go in a steady state (a gateway's jobs, a stage's stream
-// producers), not a burst: tens of thousands of goroutines parked for
+// come and go in a steady state (a gateway's jobs, a stage's function
+// attempts), not a burst: tens of thousands of goroutines parked for
 // reuse cost more to wake and release one by one at the end of a run
 // than starting them afresh does.
 const maxIdle = 256

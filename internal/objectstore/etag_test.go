@@ -1,11 +1,15 @@
 package objectstore
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // TestETagKnownValues pins both branches of etag: CRC32C's standard
@@ -20,6 +24,26 @@ func TestETagKnownValues(t *testing.T) {
 	}
 	if got := etag(payload.Real(nil)); got != "00000000-0" {
 		t.Errorf("empty real etag = %q, want 00000000-0", got)
+	}
+}
+
+// TestETagSizedMatchesFNV holds the sized branch, spelled out on the
+// stack since PR 21, to hash/fnv and fmt over sizes of every digit
+// count, and to the one allocation its result is.
+func TestETagSizedMatchesFNV(t *testing.T) {
+	for size := int64(0); size >= 0 && size < math.MaxInt64/7; size = size*7 + 3 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "sized:%d", size)
+		if got, want := etag(payload.Sized(size)), fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Fatalf("sized etag of %d = %q, want %q", size, got, want)
+		}
+	}
+	if destest.Race {
+		return // the detector allocates
+	}
+	pl := payload.Sized(27_000)
+	if n := testing.AllocsPerRun(100, func() { _ = etag(pl) }); n != 1 {
+		t.Fatalf("sized etag: %.0f allocations, want 1 (the string)", n)
 	}
 }
 

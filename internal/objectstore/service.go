@@ -465,7 +465,7 @@ func etag(pl payload.Payload) string {
 	}
 	// FNV-1a by hand on the stack: a sized Put is on the request path of
 	// every paper-scale run, and hash/fnv plus two fmt calls cost it four
-	// allocations for these sixteen digits.
+	// allocations where the string is one.
 	var buf [32]byte
 	h := uint64(fnvOffset64)
 	for _, c := range strconv.AppendInt(append(buf[:0], "sized:"...), pl.Size(), 10) {

@@ -91,7 +91,6 @@ type Stream struct {
 	chunk   int64           // transfer granularity
 	flowCap float64         // effective per-chunk rate cap
 
-	state    producerState
 	stepFn   func() // step, bound once: every event of this stream
 	off      int64  // bytes of the range transferred so far
 	inflight int64  // length of the chunk on the link, state inFlight
@@ -99,11 +98,12 @@ type Stream struct {
 	// ready is the prefetch window, a ring: count chunks transferred and
 	// not yet consumed, oldest at head.
 	ready       [streamDepth]payload.Payload
-	head, count int
+	head, count uint8
+	state       producerState
 
-	err    error // terminal producer error, after ready drains
 	eof    bool  // producer delivered the whole range
 	closed bool  // consumer abandoned the stream
+	err    error // terminal producer error, after ready drains
 
 	consumer *des.Proc // parked in Next waiting for a chunk
 
@@ -122,8 +122,8 @@ type Stream struct {
 // already-transferred chunks still delivered first). A stream of one
 // chunk is request-for-request identical to GetRange.
 //
-// A stream must be read to io.EOF or an error, or closed: one left
-// with chunks undelivered stays in OpenStreams.
+// A stream must be read to io.EOF or an error, or closed: one abandoned
+// with its prefetch window full stays in OpenStreams.
 func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
 	obj, err := s.lookup(p, bkt, key)
 	if err != nil {
@@ -238,6 +238,7 @@ func (st *Stream) step() {
 // pending and none will be scheduled.
 func (st *Stream) finish() {
 	st.state = finished
+	st.rng = nil
 	st.svc.unlinkStream(st)
 }
 
