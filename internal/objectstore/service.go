@@ -15,6 +15,8 @@
 package objectstore
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -471,12 +473,11 @@ func etag(pl payload.Payload) string {
 	for _, c := range strconv.AppendInt(append(buf[:0], "sized:"...), pl.Size(), 10) {
 		h = (h ^ uint64(c)) * fnvPrime64
 	}
-	var hex [16]byte
-	for i := len(hex) - 1; i >= 0; i-- {
-		hex[i] = "0123456789abcdef"[h&0xf]
-		h >>= 4
-	}
-	return string(hex[:])
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], h)
+	var digits [16]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // The 64-bit FNV-1a parameters (hash/fnv's New64a).
