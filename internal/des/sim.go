@@ -196,7 +196,7 @@ type Sim struct {
 	// Spawn, at most maxIdle of them; RunUntil releases them before it
 	// returns.
 	idle []*worker
-	// handoffs counts baton passes between goroutines, for the tests.
+	// handoffs counts baton passes between goroutines (see Handoffs).
 	handoffs int64
 
 	heap     []heapEnt
@@ -234,6 +234,12 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Fired reports the number of events fired so far: the simulation's
 // own work metric, tracked by the scale experiments as events/sec.
 func (s *Sim) Fired() int64 { return s.fired }
+
+// Handoffs reports how many times the baton has passed from one
+// goroutine to another: what a run pays in channel operations, where
+// Fired counts what it computes. A process that suspends and is itself
+// the next one activated costs none.
+func (s *Sim) Handoffs() int64 { return s.handoffs }
 
 // Pending reports the number of live (not canceled) events on the heap.
 func (s *Sim) Pending() int { return len(s.heap) - s.canceled }

@@ -22,17 +22,18 @@ import (
 func TestSizedSortEventsPinned(t *testing.T) {
 	const dataBytes = 3_500_000_000
 	cases := []struct {
-		workers int
-		fired   int64
-		end     time.Duration
-		store   objectstore.Metrics
+		workers  int
+		fired    int64
+		handoffs int64
+		end      time.Duration
+		store    objectstore.Metrics
 	}{
-		{16, 13762, 52432721167, objectstore.Metrics{
+		{16, 13762, 3805, 52432721167, objectstore.Metrics{
 			ClassAOps: 275, ClassBOps: 274,
 			BytesIn: 10500000000, BytesOut: 7000323599,
 			ByteSeconds: 8.787796643653125e+10,
 		}},
-		{128, 197928, 55837907702, objectstore.Metrics{
+		{128, 197928, 129038, 55837907702, objectstore.Metrics{
 			ClassAOps: 16515, ClassBOps: 16514,
 			BytesIn: 10500000000, BytesOut: 7000782463,
 			ByteSeconds: 1.1067546906097977e+11,
@@ -69,6 +70,9 @@ func TestSizedSortEventsPinned(t *testing.T) {
 		}
 		if got := rig.Sim.Fired(); got != tc.fired {
 			t.Errorf("w=%d: %d events fired, pinned %d", tc.workers, got, tc.fired)
+		}
+		if got := rig.Sim.Handoffs(); got != tc.handoffs {
+			t.Errorf("w=%d: %d handoffs, pinned %d", tc.workers, got, tc.handoffs)
 		}
 		if got := rig.Sim.Now(); got != tc.end {
 			t.Errorf("w=%d: run ends at %d ns, pinned %d", tc.workers, got, tc.end)
