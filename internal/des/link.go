@@ -29,7 +29,9 @@ import (
 // TransferAsync's flow schedules its callback where that wake would
 // have gone. A caller that is a state machine rather than a process (a
 // store stream) therefore fires exactly the events, in exactly the
-// order, that a process doing the same transfers would.
+// order, that a process doing the same transfers would. Start and Wait
+// are Transfer's two halves, for the state machine whose last transfer
+// is the one its parked process wakes from (a store PUT).
 type Link struct {
 	sim      *Sim
 	capacity float64 // bytes/sec; <= 0 means unlimited
@@ -37,10 +39,10 @@ type Link struct {
 	// to hand every flow exactly its cap (see assignRates).
 	fit float64
 
-	flows []*linkFlow
+	flows []*Flow
 	// free holds finished flows for the next transfer: a link that has
 	// reached its peak concurrency allocates nothing per transfer.
-	free []*linkFlow
+	free []*Flow
 	// last is the instant every flow's remaining is current as of:
 	// each membership change advances all of them together.
 	last time.Duration
@@ -61,7 +63,9 @@ type Link struct {
 	transfersRun int64
 }
 
-type linkFlow struct {
+// Flow is one transfer on a link. Callers see only the flow Start
+// returns, and only to hand it to Wait.
+type Flow struct {
 	remaining float64
 	bytes     float64 // the transfer's full size, for the stats
 	cap       float64 // per-flow cap; +Inf means none
@@ -77,7 +81,7 @@ type linkFlow struct {
 
 // before is the order completion events at the same instant fire in:
 // least remaining first, flow name on exact ties.
-func (f *linkFlow) before(g *linkFlow) bool {
+func (f *Flow) before(g *Flow) bool {
 	if f.remaining != g.remaining {
 		return f.remaining < g.remaining
 	}
@@ -126,11 +130,29 @@ func (l *Link) Transfers() int64 { return l.transfersRun }
 // model a single TCP connection's ceiling. Zero-byte transfers return
 // immediately.
 func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
+	l.Wait(p, l.Start(p, bytes, flowCap))
+}
+
+// Start puts a transfer for p on the link and returns at once; its
+// completion wakes p, which collects it with Wait. The caller need not
+// be p: a callback may start the flow of a process that is already
+// parked, and the process then resumes where Transfer would have
+// resumed it. A zero-byte transfer is no flow at all (nil).
+func (l *Link) Start(p *Proc, bytes int64, flowCap float64) *Flow {
 	if bytes <= 0 {
-		return
+		return nil
 	}
 	f := l.join(p.name, bytes, flowCap)
 	f.proc = p
+	return f
+}
+
+// Wait parks p until the flow Start gave it has moved its bytes, then
+// gives the flow back to the link. A nil flow has nothing to wait for.
+func (l *Link) Wait(p *Proc, f *Flow) {
+	if f == nil {
+		return
+	}
 	for !f.finished {
 		p.Park()
 	}
@@ -154,14 +176,14 @@ func (l *Link) TransferAsync(name string, bytes int64, flowCap float64, done fun
 
 // join puts a new flow on the link and reshares. The caller sets how
 // the flow completes; nothing fires before it has.
-func (l *Link) join(name string, bytes int64, flowCap float64) *linkFlow {
-	var f *linkFlow
+func (l *Link) join(name string, bytes int64, flowCap float64) *Flow {
+	var f *Flow
 	if n := len(l.free); n > 0 {
 		f, l.free = l.free[n-1], l.free[:n-1]
 	} else {
-		f = new(linkFlow)
+		f = new(Flow)
 	}
-	*f = linkFlow{
+	*f = Flow{
 		remaining: float64(bytes),
 		bytes:     float64(bytes),
 		cap:       math.Inf(1),
@@ -178,8 +200,8 @@ func (l *Link) join(name string, bytes int64, flowCap float64) *linkFlow {
 
 // release returns a finished flow to the free list, dropping what it
 // points at.
-func (l *Link) release(f *linkFlow) {
-	*f = linkFlow{}
+func (l *Link) release(f *Flow) {
+	*f = Flow{}
 	l.free = append(l.free, f)
 }
 
@@ -275,7 +297,7 @@ func (l *Link) assignRates() {
 // are sorted in place, so while the link stays bound the next call
 // finds them nearly sorted.
 func (l *Link) waterfillFlows() {
-	slices.SortFunc(l.flows, func(a, b *linkFlow) int {
+	slices.SortFunc(l.flows, func(a, b *Flow) int {
 		if a.before(b) {
 			return -1
 		}

@@ -530,7 +530,7 @@ func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
 	shortcut, general := 0, 0
 	for trial := 0; trial < 4000; trial++ {
 		n := 1 + r.Intn(300)
-		flows := make([]*linkFlow, n)
+		flows := make([]*Flow, n)
 		var sum float64
 		uniform := []float64{95e6, 1e9 / 3, 1 + r.Float64()*1e9}[r.Intn(3)]
 		for i := range flows {
@@ -538,7 +538,7 @@ func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
 			if trial%4 == 3 {
 				c = 1 + r.Float64()*1e9 // mixed caps
 			}
-			flows[i] = &linkFlow{remaining: float64(n - i), cap: c, name: "p"}
+			flows[i] = &Flow{remaining: float64(n - i), cap: c, name: "p"}
 			sum += c
 		}
 		// sum scaled by 1+k*2^-e, k in [-8, 8], e from 52 (ulps) to 10.

@@ -36,6 +36,9 @@ type Proc struct {
 	suspended  bool
 	killed     bool
 	done       bool
+	// granted tells a process queued on a Resource that the wake it got
+	// was the grant.
+	granted bool
 
 	prevLive, nextLive *Proc
 }
@@ -214,11 +217,27 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 // sleep zero time (the process still yields, so same-instant events
 // already on the heap run first).
 func (p *Proc) Sleep(d time.Duration) {
+	p.WakeAfter(d)
+	p.suspend()
+}
+
+// WakeAfter arms the process's wake d from now (negative: now) and
+// returns: the process resumes then if it is parked, or when it next
+// parks, so that WakeAfter followed by Park is Sleep. It is how a chain
+// of callbacks working on a process's behalf (a store request) ends: its
+// last wait is armed as the process's own wake, and costs no event
+// beyond the one Sleep would have. Whoever calls it owns the process's
+// wait: a wake already pending is withdrawn in favour of this one, and
+// Wake is a no-op until it fires. On a finished process it does nothing.
+func (p *Proc) WakeAfter(d time.Duration) {
+	if p.done || p.killed {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
+	p.wake.Cancel()
 	p.wake = p.sim.After(d, p.activateFn)
-	p.suspend()
 }
 
 // Park suspends the process indefinitely; some other party must call

@@ -3,17 +3,32 @@ package des
 // Resource is a counting semaphore in virtual time with strict FIFO
 // admission: a large request at the head of the queue blocks smaller
 // later requests, so no requester starves.
+//
+// A requester is a process (Acquire parks it) or a callback
+// (AcquireAsync returns at once). Both wait in the one queue and are
+// granted by the one dispatch, in arrival order whichever kind they
+// are. A grant out of the queue is one event at the instant of the
+// Release that made room: the wake of the process, or the callback
+// scheduled exactly where that wake would have gone. A caller that is a
+// state machine rather than a process therefore fires the events, in
+// the order, that a process making the same requests would.
 type Resource struct {
 	sim      *Sim
 	capacity int64
 	inUse    int64
-	queue    []*resWaiter
+	// queue[head:] are the waiters, oldest first. Popped slots are
+	// cleared, and the slice restarts at its base whenever it empties or
+	// fills, so a queue that has reached its peak length allocates
+	// nothing per wait.
+	queue []resWaiter
+	head  int
 }
 
+// resWaiter is one queued request: a parked process or a callback.
 type resWaiter struct {
-	p       *Proc
-	n       int64
-	granted bool
+	n  int64
+	p  *Proc
+	fn func()
 }
 
 // NewResource returns a semaphore with the given capacity (> 0).
@@ -30,28 +45,51 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
-// Queued reports the number of processes waiting to acquire.
-func (r *Resource) Queued() int { return len(r.queue) }
+// Queued reports the number of requests waiting to acquire.
+func (r *Resource) Queued() int { return len(r.queue) - r.head }
 
 // Acquire blocks p until n units are available (and all earlier
 // requests have been admitted). Requests larger than the capacity can
 // never be satisfied and panic immediately.
 func (r *Resource) Acquire(p *Proc, n int64) {
-	if n <= 0 {
+	if r.request(resWaiter{n: n, p: p}) {
 		return
 	}
-	if n > r.capacity {
-		panic("des: Resource request exceeds capacity")
-	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return
-	}
-	w := &resWaiter{p: p, n: n}
-	r.queue = append(r.queue, w)
-	for !w.granted {
+	for p.granted = false; !p.granted; {
 		p.Park()
 	}
+}
+
+// AcquireAsync is Acquire for a caller that is not a process. It
+// reports true when the units were free and are now held; otherwise the
+// request joins the queue and granted fires, once, as an event of the
+// instant the units become this request's: where Acquire's wake of a
+// process queued in its place would have fired. granted runs on
+// whichever goroutine holds the baton and must not block, like any
+// scheduled callback; it is never run from inside the call.
+func (r *Resource) AcquireAsync(n int64, granted func()) bool {
+	return r.request(resWaiter{n: n, fn: granted})
+}
+
+// request takes w's units now if it can, or queues w.
+func (r *Resource) request(w resWaiter) bool {
+	if w.n <= 0 {
+		return true
+	}
+	if w.n > r.capacity {
+		panic("des: Resource request exceeds capacity")
+	}
+	if r.Queued() == 0 && r.inUse+w.n <= r.capacity {
+		r.inUse += w.n
+		return true
+	}
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, w)
+	return false
 }
 
 // Release returns n units and admits queued requesters in FIFO order.
@@ -67,14 +105,23 @@ func (r *Resource) Release(n int64) {
 }
 
 func (r *Resource) dispatch() {
-	for len(r.queue) > 0 {
-		head := r.queue[0]
-		if r.inUse+head.n > r.capacity {
+	for r.Queued() > 0 {
+		w := r.queue[r.head]
+		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.inUse += head.n
-		head.granted = true
-		r.queue = r.queue[1:]
-		head.p.Wake()
+		r.inUse += w.n
+		// Clear the slot: the backing array must not keep a granted
+		// waiter (and all its callback holds) reachable.
+		r.queue[r.head] = resWaiter{}
+		if r.head++; r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
+		if w.p != nil {
+			w.p.granted = true
+			w.p.Wake()
+		} else {
+			r.sim.Schedule(r.sim.now, w.fn)
+		}
 	}
 }

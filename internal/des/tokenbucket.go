@@ -6,6 +6,14 @@ import "time"
 // admitted strictly FIFO. Requests larger than the burst are allowed
 // (the bucket momentarily overdraws), which matches how batch requests
 // are typically admitted by cloud services' limiters.
+//
+// A taker is a process (Take blocks it) or a callback (TakeAsync
+// returns at once). Both queue on the same gate, a Resource of one, so
+// there is one FIFO whichever kind each waiter is, and both wait out a
+// deficit at the head of it with one timer. A callback taker's events
+// (the gate's grant, the end of the deficit wait) are the activations
+// a process taking in its place would have had, at the same instants
+// and in the same order among the events of those instants.
 type TokenBucket struct {
 	sim    *Sim
 	rate   float64 // tokens per second
@@ -46,11 +54,11 @@ func (tb *TokenBucket) refill() {
 }
 
 // TryTake takes n tokens if they are available right now, without
-// waiting. It preserves Take's FIFO discipline: while any Take is
-// admitted or queued on the gate, TryTake fails rather than overtake
-// the waiters. Non-positive requests always succeed. This is the
-// admission-control primitive: a gateway rejecting over-rate traffic
-// must not block the submitter the way a paced transfer does.
+// waiting. It preserves Take's FIFO discipline: while any Take or
+// TakeAsync is admitted or queued on the gate, TryTake fails rather
+// than overtake the waiters. Non-positive requests always succeed. This
+// is the admission-control primitive: a gateway rejecting over-rate
+// traffic must not block the submitter the way a paced transfer does.
 func (tb *TokenBucket) TryTake(n float64) bool {
 	if n <= 0 {
 		return true
@@ -66,6 +74,26 @@ func (tb *TokenBucket) TryTake(n float64) bool {
 	return true
 }
 
+// shortfall is what the holder of the gate finds on reaching the head
+// of the queue: how many of the n tokens it wants are missing, and how
+// long the bucket takes to refill them.
+func (tb *TokenBucket) shortfall(n float64) (deficit float64, wait time.Duration) {
+	tb.refill()
+	if tb.tokens >= n {
+		return 0, 0
+	}
+	deficit = n - tb.tokens
+	return deficit, time.Duration(deficit / tb.rate * float64(time.Second))
+}
+
+// credit ends a deficit wait. It credits exactly the deficit rather
+// than re-deriving it from the clock, so float rounding cannot leave
+// the taker short.
+func (tb *TokenBucket) credit(deficit float64) {
+	tb.tokens += deficit
+	tb.last = tb.sim.Now()
+}
+
 // Take blocks p until n tokens have been granted. Calls are admitted
 // FIFO; a waiter never observes tokens taken by a later requester.
 func (tb *TokenBucket) Take(p *Proc, n float64) {
@@ -74,15 +102,74 @@ func (tb *TokenBucket) Take(p *Proc, n float64) {
 	}
 	tb.gate.Acquire(p, 1)
 	defer tb.gate.Release(1)
-	tb.refill()
-	if tb.tokens < n {
-		deficit := n - tb.tokens
-		wait := time.Duration(deficit / tb.rate * float64(time.Second))
+	if deficit, wait := tb.shortfall(n); deficit > 0 {
 		p.Sleep(wait)
-		// Credit exactly the deficit rather than re-deriving it from
-		// the clock, so float rounding cannot leave us short.
-		tb.tokens += deficit
-		tb.last = tb.sim.Now()
+		tb.credit(deficit)
 	}
 	tb.tokens -= n
+}
+
+// TokenWaiter is the state of one TakeAsync from the call until its
+// grant. It belongs in the caller's own record (a request, a stream),
+// which is what makes a queued take allocate nothing; the zero value is
+// ready, and it may be reused for the next take once this one has been
+// granted.
+type TokenWaiter struct {
+	tb      *TokenBucket
+	n       float64
+	deficit float64
+	granted func()
+	// The two events of a take, bound on first use.
+	gateFn, creditFn func()
+}
+
+// TakeAsync is Take for a caller that is not a process. It reports true
+// when the n tokens were there for the taking and have been taken.
+// Otherwise granted fires, once, as an event of the instant they have
+// been: where a process blocked in Take in this caller's place would
+// have resumed, with the gate already passed on to the next waiter.
+// granted runs on whichever goroutine holds the baton and must not
+// block; it is never run from inside the call.
+func (tb *TokenBucket) TakeAsync(w *TokenWaiter, n float64, granted func()) bool {
+	if n <= 0 {
+		return true
+	}
+	if w.gateFn == nil {
+		w.gateFn, w.creditFn = w.atGate, w.credited
+	}
+	w.tb, w.n, w.granted = tb, n, granted
+	return tb.gate.AcquireAsync(1, w.gateFn) && w.head()
+}
+
+// head runs with the gate held: it takes the tokens and reports true,
+// or starts the deficit wait.
+func (w *TokenWaiter) head() bool {
+	deficit, wait := w.tb.shortfall(w.n)
+	if deficit > 0 {
+		w.deficit = deficit
+		w.tb.sim.After(wait, w.creditFn)
+		return false
+	}
+	w.take()
+	return true
+}
+
+// take takes the tokens and passes the gate on.
+func (w *TokenWaiter) take() {
+	w.tb.tokens -= w.n
+	w.tb.gate.Release(1)
+}
+
+// atGate is the gate's grant to a take that had to queue.
+func (w *TokenWaiter) atGate() {
+	if w.head() {
+		w.granted()
+	}
+}
+
+// credited is the end of the deficit wait.
+func (w *TokenWaiter) credited() {
+	w.tb.credit(w.deficit)
+	w.take()
+	w.granted()
 }

@@ -47,21 +47,30 @@ func (c *Client) Retries() int64 { return c.retries }
 
 // retry runs op, backing off on ErrSlowDown up to MaxRetries times.
 func (c *Client) retry(p *des.Proc, op func() error) error {
-	backoff := RetryBackoffBase
-	maxRetries := c.maxRetries()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = op()
+	for retries := 0; ; {
+		err := op()
 		if err == nil || !errors.Is(err, ErrSlowDown) {
 			return err
 		}
-		if attempt >= maxRetries {
-			return fmt.Errorf("objectstore: retries exhausted: %w", err)
+		if err := c.backOff(p, &retries, err); err != nil {
+			return err
 		}
-		c.retries++
-		p.Sleep(backoff)
-		backoff *= 2
 	}
+}
+
+// backOff is one rung of a request's retry ladder: it sleeps p the
+// delay the *retries-th consecutive throttle costs and counts it, or
+// reports the ladder exhausted by cause. Whatever is retried (a call, an
+// element of a list, a stream) owns its count and resets it on
+// progress.
+func (c *Client) backOff(p *des.Proc, retries *int, cause error) error {
+	if *retries >= c.maxRetries() {
+		return fmt.Errorf("objectstore: retries exhausted: %w", cause)
+	}
+	p.Sleep(RetryBackoffBase << *retries)
+	*retries++
+	c.retries++
+	return nil
 }
 
 // CreateBucket creates a bucket, tolerating that it already exists.
@@ -76,6 +85,28 @@ func (c *Client) CreateBucket(p *des.Proc, name string) error {
 // Put stores an object with retry.
 func (c *Client) Put(p *des.Proc, bkt, key string, pl payload.Payload) error {
 	return c.retry(p, func() error { return c.svc.Put(p, bkt, key, pl, c.FlowCap) })
+}
+
+// PutEach stores the n objects each(0), ..., each(n-1) in bkt strictly
+// one after another, like Put in a loop, but as one request that parks
+// p once (see request.go). Every element has its own retry ladder. It
+// returns how many were stored, and the error that stopped the list at
+// that element. each may be called more than once for an element (once
+// per attempt), from event context: it must not block.
+func (c *Client) PutEach(p *des.Proc, bkt string, n int, each func(i int) (string, payload.Payload)) (int, error) {
+	for i, retries := 0, 0; i < n; {
+		next, err := c.svc.putEach(p, bkt, i, n, each, c.FlowCap)
+		if next > i { // a later element: a fresh ladder
+			i, retries = next, 0
+		}
+		if errors.Is(err, ErrSlowDown) {
+			err = c.backOff(p, &retries, err)
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return n, nil
 }
 
 // Get retrieves an object with retry.

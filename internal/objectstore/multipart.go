@@ -33,7 +33,7 @@ type multipartUpload struct {
 
 // CreateMultipartUpload starts an upload and returns its ID (class A).
 func (s *Service) CreateMultipartUpload(p *des.Proc, bkt, key string) (string, error) {
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return "", err
 	}
 	if _, ok := s.buckets[bkt]; !ok {
@@ -58,7 +58,7 @@ func (s *Service) UploadPart(p *des.Proc, uploadID string, partNumber int, pl pa
 	if partNumber < 1 {
 		return fmt.Errorf("objectstore: part number %d must be >= 1", partNumber)
 	}
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return err
 	}
 	up, ok := s.uploads[uploadID]
@@ -75,7 +75,7 @@ func (s *Service) UploadPart(p *des.Proc, uploadID string, partNumber int, pl pa
 // into the final object (class A; no data transfer — the bytes are
 // already server-side).
 func (s *Service) CompleteMultipartUpload(p *des.Proc, uploadID string) error {
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return err
 	}
 	up, ok := s.uploads[uploadID]
@@ -98,19 +98,7 @@ func (s *Service) CompleteMultipartUpload(p *des.Proc, uploadID string) error {
 	for i, n := range numbers {
 		ordered[i] = up.parts[n]
 	}
-	whole := payload.Concat(ordered...)
-	delta := whole.Size()
-	if old, ok := b.objects[up.key]; ok {
-		delta -= old.Size
-	}
-	s.adjustStored(delta)
-	b.objects[up.key] = Object{
-		Key:          up.key,
-		Payload:      whole,
-		Size:         whole.Size(),
-		ETag:         etag(whole),
-		LastModified: s.sim.Now(),
-	}
+	s.keep(b, up.key, payload.Concat(ordered...))
 	delete(s.uploads, uploadID)
 	return nil
 }
@@ -118,7 +106,7 @@ func (s *Service) CompleteMultipartUpload(p *des.Proc, uploadID string) error {
 // AbortMultipartUpload discards an in-flight upload and its parts.
 // Aborting an unknown ID succeeds (the reaper may have won), like S3.
 func (s *Service) AbortMultipartUpload(p *des.Proc, uploadID string) error {
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return err
 	}
 	delete(s.uploads, uploadID)

@@ -9,9 +9,16 @@
 // of concurrent functions, so shuffling through it beats funnelling
 // data through one VM when the right number of functions is used.
 //
-// All methods must be called from des process context. The service
-// needs no locking because the simulation kernel runs one process at a
-// time.
+// All methods must be called from des process context: each takes the
+// calling process and blocks it, in virtual time, until the request is
+// done. How it blocks is the package's business. A request is a chain
+// of events (request.go: throttle, failure draw, request latency, a
+// PUT's transfer) that advances in scheduled callbacks while its caller
+// sits parked, once, and resumes from the chain's last wait; a stream's
+// producing side is a state machine of the same kind (stream.go). The
+// caller sees none of that, and a callback cannot be a caller. The
+// service needs no locking because the simulation kernel runs one
+// process, or one callback, at a time.
 package objectstore
 
 import (
@@ -111,6 +118,9 @@ type Service struct {
 	// side has not finished (see OpenStreams).
 	openHead, openTail *Stream
 	metrics            Metrics
+	// idle holds the chain records of finished requests for the next
+	// ones (see request.go).
+	idle []*request
 
 	// curBytes / lastAccrue drive the stored-volume time integral.
 	curBytes   int64
@@ -181,7 +191,7 @@ func (s *Service) adjustStored(delta int64) {
 
 // CreateBucket makes a bucket. It is a class A operation.
 func (s *Service) CreateBucket(p *des.Proc, name string) error {
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return err
 	}
 	if _, ok := s.buckets[name]; ok {
@@ -195,16 +205,31 @@ func (s *Service) CreateBucket(p *des.Proc, name string) error {
 // backend. flowCap > 0 overrides the per-connection bandwidth ceiling
 // for this request (used to model constrained NICs).
 func (s *Service) Put(p *des.Proc, bkt, key string, pl payload.Payload, flowCap float64) error {
-	if err := s.admitWrite(p); err != nil {
-		return err
-	}
-	b, ok := s.buckets[bkt]
-	if !ok {
-		return ErrNoSuchBucket
-	}
-	s.transfer(p, pl.Size(), flowCap)
-	s.metrics.BytesIn += pl.Size()
-	delta := pl.Size()
+	r := s.request(p, putObjects, s.writeTB, bkt, 1)
+	r.key, r.body, r.flowCap = key, pl, flowCap
+	_, err := r.put()
+	s.release(r)
+	return err
+}
+
+// putEach stores each(from), ..., each(n-1) in bkt one after another,
+// as that many Puts in a loop would, with the caller parked once for
+// the lot unless an element needs it (see request.go). It returns the
+// first element not stored and the error that stopped there, or n and
+// nil. each is called in event context, once per attempt at an element,
+// and must not block.
+func (s *Service) putEach(p *des.Proc, bkt string, from, n int, each func(i int) (string, payload.Payload), flowCap float64) (int, error) {
+	r := s.request(p, putObjects, s.writeTB, bkt, n)
+	r.i, r.each, r.flowCap = from, each, flowCap
+	next, err := r.put()
+	s.release(r)
+	return next, err
+}
+
+// keep makes pl the object under key in b, charging the stored volume.
+func (s *Service) keep(b *bucket, key string, pl payload.Payload) {
+	size := pl.Size()
+	delta := size
 	if old, ok := b.objects[key]; ok {
 		delta -= old.Size
 	}
@@ -212,11 +237,10 @@ func (s *Service) Put(p *des.Proc, bkt, key string, pl payload.Payload, flowCap 
 	b.objects[key] = Object{
 		Key:          key,
 		Payload:      pl,
-		Size:         pl.Size(),
+		Size:         size,
 		ETag:         etag(pl),
 		LastModified: s.sim.Now(),
 	}
-	return nil
 }
 
 // Get retrieves a whole object (class B).
@@ -258,10 +282,14 @@ func (s *Service) Head(p *des.Proc, bkt, key string) (Object, error) {
 
 // Delete removes an object. Deleting an absent key succeeds, like S3.
 func (s *Service) Delete(p *des.Proc, bkt, key string) error {
-	if err := s.failMaybe(p); err != nil {
-		return err
-	}
+	// Deletes are not throttled: the draw and the latency are the whole
+	// admission, and one sleep needs no chain.
+	failed := s.drawFailure()
 	p.Sleep(s.cfg.RequestLatency)
+	if failed {
+		s.metrics.Throttled++
+		return ErrSlowDown
+	}
 	s.metrics.DeleteOps++
 	b, ok := s.buckets[bkt]
 	if !ok {
@@ -285,7 +313,7 @@ type ListPage struct {
 // List returns up to max keys with the given prefix, lexicographically
 // after startAfter (class A). max <= 0 uses the configured page size.
 func (s *Service) List(p *des.Proc, bkt, prefix, startAfter string, max int) (ListPage, error) {
-	if err := s.admitWrite(p); err != nil {
+	if err := s.admit(p, s.writeTB); err != nil {
 		return ListPage{}, err
 	}
 	b, ok := s.buckets[bkt]
@@ -310,28 +338,6 @@ func (s *Service) List(p *des.Proc, bkt, prefix, startAfter string, max int) (Li
 		page.Keys = keys
 	}
 	return page, nil
-}
-
-// admitWrite charges a class A op: throttle, failure draw, latency.
-func (s *Service) admitWrite(p *des.Proc) error {
-	s.writeTB.Take(p, 1)
-	if err := s.failMaybe(p); err != nil {
-		return err
-	}
-	p.Sleep(s.cfg.RequestLatency)
-	s.metrics.ClassAOps++
-	return nil
-}
-
-// admitRead charges a class B op.
-func (s *Service) admitRead(p *des.Proc) error {
-	s.readTB.Take(p, 1)
-	if err := s.failMaybe(p); err != nil {
-		return err
-	}
-	p.Sleep(s.cfg.RequestLatency)
-	s.metrics.ClassBOps++
-	return nil
 }
 
 // SetBrownout sets a transient failure rate for the service, modeling
@@ -365,15 +371,6 @@ func (s *Service) SetZone(zone string) { s.zone = zone }
 // Zone reports the service's home placement domain.
 func (s *Service) Zone() string { return s.zone }
 
-func (s *Service) failMaybe(p *des.Proc) error {
-	if s.drawFailure() {
-		p.Sleep(s.cfg.RequestLatency)
-		s.metrics.Throttled++
-		return ErrSlowDown
-	}
-	return nil
-}
-
 // drawFailure decides whether a request is throttled. It draws from the
 // simulation's RNG only while a failure rate is in force.
 func (s *Service) drawFailure() bool {
@@ -384,10 +381,16 @@ func (s *Service) drawFailure() bool {
 	return rate > 0 && s.sim.Rand().Float64() < rate
 }
 
+// lookup charges a class B op and finds the object.
 func (s *Service) lookup(p *des.Proc, bkt, key string) (Object, error) {
-	if err := s.admitRead(p); err != nil {
+	if err := s.admit(p, s.readTB); err != nil {
 		return Object{}, err
 	}
+	return s.find(bkt, key)
+}
+
+// find is the lookup itself, free and instantaneous.
+func (s *Service) find(bkt, key string) (Object, error) {
 	b, ok := s.buckets[bkt]
 	if !ok {
 		return Object{}, ErrNoSuchBucket

@@ -2,10 +2,8 @@ package objectstore
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -125,23 +123,31 @@ type Stream struct {
 // A stream must be read to io.EOF or an error, or closed: one abandoned
 // with its prefetch window full stays in OpenStreams.
 func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
-	obj, err := s.lookup(p, bkt, key)
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		n = obj.Payload.Size() - off
-		if n < 0 {
-			n = 0
-		}
-	}
-	// The whole object is its own range: nothing to cut.
-	rng := obj.Payload
-	if off != 0 || n != rng.Size() {
-		if rng, err = obj.Payload.Slice(off, n); err != nil {
-			return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
-		}
-	}
+	r := s.request(p, openStreams, s.readTB, bkt, 1)
+	r.key, r.off, r.length, r.opts = key, off, n, opts
+	_, err := r.opened()
+	st := r.stream
+	s.release(r)
+	return st, err
+}
+
+// openEach opens a stream through the end of each of keys[from:] in
+// bkt one after another, as that many GetStreams in a loop would, with
+// the caller parked once for the lot unless an element needs it (see
+// request.go), and attaches stream i to streams[i]. It returns the first
+// element not opened and the error that stopped there, or len(keys) and
+// nil.
+func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream) (int, error) {
+	r := s.request(p, openStreams, s.readTB, bkt, len(keys))
+	r.i, r.keys, r.streams, r.length, r.opts = from, keys, streams, -1, opts
+	next, err := r.opened()
+	s.release(r)
+	return next, err
+}
+
+// startStream begins delivering rng, bytes [off, off+n) of bkt/key: the
+// open's last act, at the end of its request latency.
+func (s *Service) startStream(bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions) *Stream {
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
@@ -157,7 +163,7 @@ func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Str
 	st.stepFn = st.step
 	s.linkStream(st)
 	s.sim.Schedule(s.sim.Now(), st.stepFn)
-	return st, nil
+	return st
 }
 
 // streamName is "objectstore/stream#<seq>/<bkt>/<key>@<off>", built in
@@ -316,8 +322,7 @@ type ClientStream struct {
 	off, n   int64 // remaining undelivered range (n < 0: through object end)
 	opts     StreamOptions
 	cur      *Stream
-	retries  int
-	backoff  time.Duration
+	retries  int // consecutive throttles: the rung of the backoff ladder
 	closed   bool
 }
 
@@ -328,11 +333,38 @@ func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Stre
 	if opts.FlowCap == 0 {
 		opts.FlowCap = c.FlowCap
 	}
-	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts, backoff: RetryBackoffBase}
+	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts}
 	if err := cs.ensure(p); err != nil {
 		return nil, err
 	}
 	return cs, nil
+}
+
+// GetStreams opens a resumable stream through the end of every one of
+// keys, strictly one after another like GetStream in a loop, but as one
+// request that parks p once (see request.go). Each stream keeps its own
+// retry budget. All the streams are one allocation: callers take
+// &streams[i]. On error it returns the streams opened so far, for the
+// caller to close; the key that failed is keys[len(streams)].
+func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]ClientStream, error) {
+	if opts.FlowCap == 0 {
+		opts.FlowCap = c.FlowCap
+	}
+	streams := make([]ClientStream, len(keys))
+	for i, key := range keys {
+		streams[i] = ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts}
+	}
+	for i := 0; i < len(keys); {
+		var err error
+		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams)
+		if errors.Is(err, ErrSlowDown) {
+			err = c.backOff(p, &streams[i].retries, err)
+		}
+		if err != nil {
+			return streams[:i], err
+		}
+	}
+	return streams, nil
 }
 
 // maxRetries returns the client's effective retry bound.
@@ -343,36 +375,30 @@ func (c *Client) maxRetries() int {
 	return 6
 }
 
+// attach makes st the stream's current underlying stream.
+func (cs *ClientStream) attach(st *Stream) {
+	cs.cur = st
+	if cs.n < 0 { // open-ended range: pin the resolved length for resumes
+		cs.n = st.Size()
+	}
+}
+
 // ensure opens the underlying stream at the current resume offset,
 // retrying throttled admissions against the shared budget.
 func (cs *ClientStream) ensure(p *des.Proc) error {
 	for cs.cur == nil {
 		st, err := cs.c.svc.GetStream(p, cs.bkt, cs.key, cs.off, cs.n, cs.opts)
 		if err == nil {
-			cs.cur = st
-			if cs.n < 0 { // open-ended range: pin the resolved length for resumes
-				cs.n = st.Size()
-			}
+			cs.attach(st)
 			return nil
 		}
 		if !errors.Is(err, ErrSlowDown) {
 			return err
 		}
-		if err := cs.backoffOrExhaust(p, err); err != nil {
+		if err := cs.c.backOff(p, &cs.retries, err); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (cs *ClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
-	if cs.retries >= cs.c.maxRetries() {
-		return fmt.Errorf("objectstore: retries exhausted: %w", cause)
-	}
-	cs.retries++
-	cs.c.retries++
-	p.Sleep(cs.backoff)
-	cs.backoff *= 2
 	return nil
 }
 
@@ -399,14 +425,13 @@ func (cs *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
 			// failures per incident — a long stream crossing a transient
 			// brownout window makes progress between throttles and must
 			// not die from their lifetime total.
-			cs.backoff = RetryBackoffBase
 			cs.retries = 0
 			return pl, nil
 		case errors.Is(err, io.EOF):
 			return nil, io.EOF
 		case errors.Is(err, ErrSlowDown):
 			cs.cur = nil // resume at cs.off after backoff
-			if err := cs.backoffOrExhaust(p, err); err != nil {
+			if err := cs.c.backOff(p, &cs.retries, err); err != nil {
 				return nil, err
 			}
 		default:

@@ -73,7 +73,7 @@ func (st *procStream) produce(prod *des.Proc, rng payload.Payload) {
 			return
 		}
 		if off > 0 {
-			if err := st.svc.failMaybe(prod); err != nil {
+			if err := procFailMaybe(st.svc, prod); err != nil {
 				st.fail(err)
 				return
 			}

@@ -306,10 +306,24 @@ func (c *cacheRuns) regenerate(p *des.Proc, j *job, reducers []int) error {
 	return nil
 }
 
-// put stores one slab, degrading to the object-storage fallback when
-// the shard node is down. It reports whether the slab went to the
-// store.
-func (c *cacheRuns) put(ctx *faas.Ctx, key string, run payload.Payload) (bool, error) {
+// put stores a worker's slabs one Set at a time, each degrading on its
+// own to the object-storage fallback when its shard node is down.
+func (c *cacheRuns) put(ctx *faas.Ctx, n int, each func(int) (string, payload.Payload)) (stored, fellBack int, err error) {
+	for ; stored < n; stored++ {
+		key, run := each(stored)
+		toStore, err := c.putSlab(ctx, key, run)
+		if err != nil {
+			return stored, fellBack, err
+		}
+		if toStore {
+			fellBack++
+		}
+	}
+	return n, fellBack, nil
+}
+
+// putSlab stores one slab and reports whether it went to the store.
+func (c *cacheRuns) putSlab(ctx *faas.Ctx, key string, run payload.Payload) (bool, error) {
 	if c.only != nil && !c.only[key] {
 		return false, nil
 	}

@@ -194,19 +194,22 @@ func (s *storeRuns) ready(*des.Proc) error { return nil }
 
 func (s *storeRuns) reduce(p *des.Proc, j *job) ([]string, error) { return j.reduceWave(p, nil) }
 
-func (s *storeRuns) put(ctx *faas.Ctx, key string, run payload.Payload) (bool, error) {
-	return false, ctx.Store.Put(ctx.Proc, s.bucket, key, run)
+// put and open hand the store the whole list: a mapper's w PUTs and a
+// reducer's w opens go one after another as they always did, with the
+// worker parked once for the list instead of several times per run.
+func (s *storeRuns) put(ctx *faas.Ctx, n int, each func(int) (string, payload.Payload)) (int, int, error) {
+	stored, err := ctx.Store.PutEach(ctx.Proc, s.bucket, n, each)
+	return stored, 0, err
 }
 
 func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error) {
-	srcs := make([]runSource, 0, len(keys))
-	for _, key := range keys {
-		cs, err := ctx.Store.GetStream(ctx.Proc, s.bucket, key, 0, -1,
-			objectstore.StreamOptions{ChunkBytes: chunk})
-		if err != nil {
-			return srcs, fmt.Errorf("open %s: %w", key, err)
-		}
-		srcs = append(srcs, clientStreamSource{cs})
+	streams, err := ctx.Store.GetStreams(ctx.Proc, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
+	srcs := make([]runSource, len(streams))
+	for i := range streams {
+		srcs[i] = clientStreamSource{&streams[i]}
+	}
+	if err != nil {
+		return srcs, fmt.Errorf("open %s: %w", keys[len(streams)], err)
 	}
 	return srcs, nil
 }

@@ -19,6 +19,15 @@ import (
 // move: a change to the store's request path that shifts one of them
 // has renumbered events or re-rolled the shared RNG, and every golden
 // downstream is about to follow.
+//
+// The baton handoffs are a ceiling, not a pin: they are what a run pays
+// for its events, not what it computes. With every store request a
+// process sleeping through its waits (commit bb219e9) the two sorts
+// cost 3,805 and 129,038; with a request a chain of events and a
+// mapper's PUTs and a reducer's opens each one list (PR 22) they cost
+// 3,059 and 18,701, nearly all of them the per-chunk ComputeBytes
+// sleeps. A request path that suspends its caller per wait again shows
+// up here long before it shows in a benchmark.
 func TestSizedSortEventsPinned(t *testing.T) {
 	const dataBytes = 3_500_000_000
 	cases := []struct {
@@ -28,12 +37,12 @@ func TestSizedSortEventsPinned(t *testing.T) {
 		end      time.Duration
 		store    objectstore.Metrics
 	}{
-		{16, 13762, 3805, 52432721167, objectstore.Metrics{
+		{16, 13762, 3200, 52432721167, objectstore.Metrics{
 			ClassAOps: 275, ClassBOps: 274,
 			BytesIn: 10500000000, BytesOut: 7000323599,
 			ByteSeconds: 8.787796643653125e+10,
 		}},
-		{128, 197928, 129038, 55837907702, objectstore.Metrics{
+		{128, 197928, 20000, 55837907702, objectstore.Metrics{
 			ClassAOps: 16515, ClassBOps: 16514,
 			BytesIn: 10500000000, BytesOut: 7000782463,
 			ByteSeconds: 1.1067546906097977e+11,
@@ -71,8 +80,8 @@ func TestSizedSortEventsPinned(t *testing.T) {
 		if got := rig.Sim.Fired(); got != tc.fired {
 			t.Errorf("w=%d: %d events fired, pinned %d", tc.workers, got, tc.fired)
 		}
-		if got := rig.Sim.Handoffs(); got != tc.handoffs {
-			t.Errorf("w=%d: %d handoffs, pinned %d", tc.workers, got, tc.handoffs)
+		if got := rig.Sim.Handoffs(); got > tc.handoffs {
+			t.Errorf("w=%d: %d handoffs, ceiling %d", tc.workers, got, tc.handoffs)
 		}
 		if got := rig.Sim.Now(); got != tc.end {
 			t.Errorf("w=%d: run ends at %d ns, pinned %d", tc.workers, got, tc.end)

@@ -40,9 +40,11 @@ type runStore interface {
 
 	// Handler side.
 
-	// put stores one run, reporting whether it took the medium's
-	// fallback path.
-	put(ctx *faas.Ctx, key string, run payload.Payload) (fellBack bool, err error)
+	// put stores a worker's fan-out, the n runs each(0..n-1) names and
+	// builds, in that order. It returns how many runs were stored, how
+	// many of them took the medium's fallback path, and the error that
+	// stopped it at the next one. each must not block.
+	put(ctx *faas.Ctx, n int, each func(r int) (key string, run payload.Payload)) (stored, fellBack int, err error)
 	// open starts reading the runs under keys, chunk bytes at a time.
 	// On error it returns the sources opened so far, for the caller to
 	// close.
@@ -482,21 +484,14 @@ func mapHandler(ctx *faas.Ctx, input any) (any, error) {
 // sorted run, or — parts being nil, the timing-only mode — an even
 // split of total. It returns how many runs took the fallback path.
 func putRuns(ctx *faas.Ctx, runs runStore, job string, m, fanout int, parts [][]byte, total int64) (int, error) {
-	fallbacks := 0
-	for r := 0; r < fanout; r++ {
-		var run payload.Payload
+	stored, fallbacks, err := runs.put(ctx, fanout, func(r int) (string, payload.Payload) {
 		if parts != nil {
-			run = payload.RealNoCopy(parts[r])
-		} else {
-			run = payload.Sized(evenShare(total, fanout, r).n)
+			return partKey(job, m, r), payload.RealNoCopy(parts[r])
 		}
-		fellBack, err := runs.put(ctx, partKey(job, m, r), run)
-		if err != nil {
-			return 0, fmt.Errorf("write run %d: %w", r, err)
-		}
-		if fellBack {
-			fallbacks++
-		}
+		return partKey(job, m, r), payload.Sized(evenShare(total, fanout, r).n)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("write run %d: %w", stored, err)
 	}
 	return fallbacks, nil
 }
