@@ -21,7 +21,10 @@ import (
 //
 // Unwinding itself is not traced: the order in which a stop kills
 // processes is not an event order.
-func kernelTrace(t *testing.T) string {
+//
+// sleep is how a process sleeps and transfer how it moves bytes:
+// Proc.Sleep and Link.Transfer, or the halves they are made of.
+func kernelTrace(t *testing.T, sleep func(p *Proc, d time.Duration), transfer func(l *Link, p *Proc, bytes int64, flowCap float64)) string {
 	t.Helper()
 	var b strings.Builder
 	s := New(20211206)
@@ -64,7 +67,7 @@ func kernelTrace(t *testing.T) string {
 			all = append(all, s.Spawn(name, func(c *Proc) {
 				defer wg.Done()
 				log(name + " start")
-				c.Sleep(d)
+				sleep(c, d)
 				log(name + " end")
 			}))
 		}
@@ -81,11 +84,11 @@ func kernelTrace(t *testing.T) string {
 					at := fmt.Sprintf("%s op%d=%d", name, k, op)
 					switch op {
 					case 0: // timed sleep
-						p.Sleep(ms(r.Intn(20)))
+						sleep(p, ms(r.Intn(20)))
 					case 1: // same-instant ties: zero and negative sleeps
-						p.Sleep(0)
+						sleep(p, 0)
 						log(at + " tie")
-						p.Sleep(-time.Second)
+						sleep(p, -time.Second)
 					case 2: // park until the janitor or a peer wakes us
 						parked = append(parked, p)
 						p.Park()
@@ -98,18 +101,18 @@ func kernelTrace(t *testing.T) string {
 							q.Wake()
 						}
 						all[r.Intn(len(all))].Wake()
-						p.Sleep(ms(1))
+						sleep(p, ms(1))
 					case 4: // short-lived child
 						child(fmt.Sprintf("%s.c%d", name, k), ms(r.Intn(5)))
-						p.Sleep(ms(r.Intn(3)))
+						sleep(p, ms(r.Intn(3)))
 					case 5: // a callback that fires
 						cb := at + " cb"
 						s.After(ms(r.Intn(10)), func() { log(cb) })
-						p.Sleep(ms(2))
+						sleep(p, ms(2))
 					case 6: // a callback canceled before it fires, and a stale cancel
 						ev := s.After(ms(5), func() { log(at + " canceled cb fired") })
 						fired := s.After(0, func() { log(at + " cb0") })
-						p.Sleep(ms(1))
+						sleep(p, ms(1))
 						ev.Cancel()
 						fired.Cancel()
 					case 7: // a callback that spawns: the child's activation follows it
@@ -118,24 +121,24 @@ func kernelTrace(t *testing.T) string {
 							log(cname + " spawner")
 							child(cname, 0)
 						})
-						p.Sleep(ms(1))
+						sleep(p, ms(1))
 					case 8:
 						n := int64(1 + r.Intn(3))
 						res.Acquire(p, n)
 						log(at + " acquired")
-						p.Sleep(ms(r.Intn(6)))
+						sleep(p, ms(r.Intn(6)))
 						res.Release(n)
 					case 9:
 						tb.Take(p, float64(1+r.Intn(3)))
 					case 10:
-						link.Transfer(p, int64(1+r.Intn(64))<<10, 1e6)
+						transfer(link, p, int64(1+r.Intn(64))<<10, 1e6)
 					case 11: // wait for a child through a private WaitGroup
 						done := NewWaitGroup(s)
 						done.Add(1)
 						cname := fmt.Sprintf("%s.j%d", name, k)
 						all = append(all, s.Spawn(cname, func(c *Proc) {
 							log(cname + " start")
-							c.Sleep(ms(r.Intn(4)))
+							sleep(c, ms(r.Intn(4)))
 							done.Done()
 						}))
 						done.Wait(p)
@@ -148,7 +151,7 @@ func kernelTrace(t *testing.T) string {
 			wg.Wait(p)
 			log(tag + "/waiter released")
 			// Outlives the phase's horizon: killed asleep.
-			p.Sleep(time.Hour)
+			sleep(p, time.Hour)
 			log(tag + "/waiter woke (must not happen)")
 		})
 		s.After(ms(3), janitor)
@@ -184,7 +187,7 @@ func kernelTrace(t *testing.T) string {
 // moved into the processes themselves; it is compared, never
 // rewritten.
 func TestKernelTraceGolden(t *testing.T) {
-	got := kernelTrace(t)
+	got := kernelTrace(t, (*Proc).Sleep, (*Link).Transfer)
 	golden := filepath.Join("testdata", "kernel_trace.golden")
 	want, err := os.ReadFile(golden)
 	if err != nil {
@@ -199,7 +202,16 @@ func TestKernelTraceGolden(t *testing.T) {
 		}
 		t.Fatalf("kernel trace drifted from %s: %d lines, want %d", golden, len(gl), len(wl))
 	}
-	if again := kernelTrace(t); again != got {
+	if again := kernelTrace(t, (*Proc).Sleep, (*Link).Transfer); again != got {
 		t.Error("kernel trace is not deterministic run to run")
+	}
+	// Arming the wake and parking is sleeping, and starting a flow and
+	// waiting for it is transferring: a chain of callbacks that ends a
+	// request in either (objectstore's) fires what the process did.
+	halves := kernelTrace(t,
+		func(p *Proc, d time.Duration) { p.WakeAfter(d); p.Park() },
+		func(l *Link, p *Proc, bytes int64, flowCap float64) { l.Wait(p, l.Start(p, bytes, flowCap)) })
+	if halves != got {
+		t.Error("WakeAfter then Park, or Start then Wait, traced differently from Sleep and Transfer")
 	}
 }
