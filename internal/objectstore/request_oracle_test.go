@@ -1,7 +1,33 @@
 package objectstore
 
-import "github.com/faaspipe/faaspipe/internal/des"
+import (
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
 
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
+)
+
+// The differential oracle for the request chain (request.go): the
+// process form of a request, as it stood at commit bb219e9 before PR 22,
+// kept here and nowhere else. A process takes its token, sleeps out a
+// failure's or the request's latency and sits through its transfer, one
+// suspension a wait; a client loops over single calls. As with the
+// stream oracle the claim is the strong one: the chain fires the same
+// events in the same order, so every scenario runs once per form on one
+// seed and the runs must agree on every call's completion instant and
+// error, the kernel's event count, the store's meters, every client's
+// retries, the streams left open, the link's counters, and the next
+// number out of the simulation's RNG.
+
+// procFailMaybe is the process-form failure draw: a failed request
+// costs its latency before the error.
 func procFailMaybe(s *Service, p *des.Proc) error {
 	if s.drawFailure() {
 		p.Sleep(s.cfg.RequestLatency)
@@ -9,4 +35,835 @@ func procFailMaybe(s *Service, p *des.Proc) error {
 		return ErrSlowDown
 	}
 	return nil
+}
+
+// procAdmit is the process-form admission (admitRead / admitWrite).
+func procAdmit(s *Service, p *des.Proc, tb *des.TokenBucket, ops *int64) error {
+	tb.Take(p, 1)
+	if err := procFailMaybe(s, p); err != nil {
+		return err
+	}
+	p.Sleep(s.cfg.RequestLatency)
+	*ops++
+	return nil
+}
+
+func procLookup(s *Service, p *des.Proc, bkt, key string) (Object, error) {
+	if err := procAdmit(s, p, s.readTB, &s.metrics.ClassBOps); err != nil {
+		return Object{}, err
+	}
+	return s.find(bkt, key)
+}
+
+func procPut(s *Service, p *des.Proc, bkt, key string, pl payload.Payload, flowCap float64) error {
+	if err := procAdmit(s, p, s.writeTB, &s.metrics.ClassAOps); err != nil {
+		return err
+	}
+	b, ok := s.buckets[bkt]
+	if !ok {
+		return ErrNoSuchBucket
+	}
+	s.transfer(p, pl.Size(), flowCap)
+	s.metrics.BytesIn += pl.Size()
+	s.keep(b, key, pl)
+	return nil
+}
+
+func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
+	obj, err := procLookup(s, p, bkt, key)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		n = max(obj.Payload.Size()-off, 0)
+	}
+	rng, err := obj.Payload.Slice(off, n)
+	if err != nil {
+		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
+	}
+	return s.startStream(bkt, key, rng, off, n, opts), nil
+}
+
+func procCreateBucket(s *Service, p *des.Proc, name string) error {
+	if err := procAdmit(s, p, s.writeTB, &s.metrics.ClassAOps); err != nil {
+		return err
+	}
+	if _, ok := s.buckets[name]; ok {
+		return ErrBucketExists
+	}
+	s.buckets[name] = &bucket{objects: make(map[string]Object)}
+	return nil
+}
+
+// procRetry is the client's retry loop with its own doubling delay.
+func procRetry(c *Client, p *des.Proc, op func() error) error {
+	backoff := RetryBackoffBase
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || !errors.Is(err, ErrSlowDown) {
+			return err
+		}
+		if attempt >= c.maxRetries() {
+			return fmt.Errorf("objectstore: retries exhausted: %w", err)
+		}
+		c.retries++
+		p.Sleep(backoff)
+		backoff *= 2
+	}
+}
+
+// procClientStream is the process-form ClientStream: the same state,
+// plus the doubling delay it kept beside its retry count.
+type procClientStream struct {
+	*ClientStream
+	backoff time.Duration
+}
+
+func (cs *procClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
+	if cs.retries >= cs.c.maxRetries() {
+		return fmt.Errorf("objectstore: retries exhausted: %w", cause)
+	}
+	cs.retries++
+	cs.c.retries++
+	p.Sleep(cs.backoff)
+	cs.backoff *= 2
+	return nil
+}
+
+func (cs *procClientStream) ensure(p *des.Proc) error {
+	for cs.cur == nil {
+		st, err := procGetStream(cs.c.svc, p, cs.bkt, cs.key, cs.off, cs.n, cs.opts)
+		if err == nil {
+			cs.attach(st)
+			return nil
+		}
+		if !errors.Is(err, ErrSlowDown) {
+			return err
+		}
+		if err := cs.backoffOrExhaust(p, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (cs *procClientStream) Next(p *des.Proc) (payload.Payload, error) {
+	if cs.closed {
+		return nil, ErrStreamClosed
+	}
+	for {
+		if err := cs.ensure(p); err != nil {
+			return nil, err
+		}
+		pl, err := cs.cur.Next(p)
+		switch {
+		case err == nil:
+			cs.off += pl.Size()
+			cs.n -= pl.Size()
+			cs.backoff = RetryBackoffBase
+			cs.retries = 0
+			return pl, nil
+		case errors.Is(err, io.EOF):
+			return nil, io.EOF
+		case errors.Is(err, ErrSlowDown):
+			cs.cur = nil
+			if err := cs.backoffOrExhaust(p, err); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, err
+		}
+	}
+}
+
+// requestForm is one implementation of the calls the oracle drives. A
+// stream it opens is a chunkSource, as in the stream oracle.
+type requestForm struct {
+	put      func(c *Client, p *des.Proc, bkt, key string, pl payload.Payload) error
+	putEach  func(c *Client, p *des.Proc, bkt string, n int, each func(int) (string, payload.Payload)) (int, error)
+	open     func(c *Client, p *des.Proc, bkt, key string, opts StreamOptions) (chunkSource, error)
+	openEach func(c *Client, p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]chunkSource, error)
+	head     func(c *Client, p *des.Proc, bkt, key string) (Object, error)
+	create   func(c *Client, p *des.Proc, name string) error
+}
+
+var chainForm = requestForm{
+	put:     (*Client).Put,
+	putEach: (*Client).PutEach,
+	open: func(c *Client, p *des.Proc, bkt, key string, opts StreamOptions) (chunkSource, error) {
+		cs, err := c.GetStream(p, bkt, key, 0, -1, opts)
+		if err != nil {
+			return nil, err // not a typed nil in the interface
+		}
+		return cs, nil
+	},
+	openEach: func(c *Client, p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]chunkSource, error) {
+		streams, err := c.GetStreams(p, bkt, keys, opts)
+		out := make([]chunkSource, len(streams))
+		for i := range streams {
+			out[i] = &streams[i]
+		}
+		return out, err
+	},
+	head:   (*Client).Head,
+	create: (*Client).CreateBucket,
+}
+
+// processForm is the process-form client: single calls, and the two
+// plain loops the shuffle ran over them (putRuns, storeRuns.open).
+var processForm = requestForm{
+	put: procClientPut,
+	putEach: func(c *Client, p *des.Proc, bkt string, n int, each func(int) (string, payload.Payload)) (int, error) {
+		for i := 0; i < n; i++ {
+			key, pl := each(i)
+			if err := procClientPut(c, p, bkt, key, pl); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	},
+	open: procClientOpen,
+	openEach: func(c *Client, p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]chunkSource, error) {
+		var out []chunkSource
+		for _, key := range keys {
+			cs, err := procClientOpen(c, p, bkt, key, opts)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, cs)
+		}
+		return out, nil
+	},
+	head: func(c *Client, p *des.Proc, bkt, key string) (Object, error) {
+		var out Object
+		err := procRetry(c, p, func() error {
+			var err error
+			out, err = procLookup(c.svc, p, bkt, key)
+			return err
+		})
+		out.Payload = nil
+		return out, err
+	},
+	create: func(c *Client, p *des.Proc, name string) error {
+		err := procRetry(c, p, func() error { return procCreateBucket(c.svc, p, name) })
+		if errors.Is(err, ErrBucketExists) {
+			return nil
+		}
+		return err
+	},
+}
+
+func procClientPut(c *Client, p *des.Proc, bkt, key string, pl payload.Payload) error {
+	return procRetry(c, p, func() error { return procPut(c.svc, p, bkt, key, pl, c.FlowCap) })
+}
+
+func procClientOpen(c *Client, p *des.Proc, bkt, key string, opts StreamOptions) (chunkSource, error) {
+	if opts.FlowCap == 0 {
+		opts.FlowCap = c.FlowCap
+	}
+	cs := &procClientStream{
+		ClientStream: &ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts},
+		backoff:      RetryBackoffBase,
+	}
+	if err := cs.ensure(p); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// A request scenario is a set of callers, each a process with its own
+// client working through a script.
+type reqOpKind uint8
+
+const (
+	opPut     reqOpKind = iota // keys[0], sizes[0]
+	opPutList                  // keys, sizes
+	opOpen                     // keys[0]: open, drain, close
+	opOpenList                 // keys: open all, drain each, close
+	opHead                     // keys[0]
+	opCreate                   // bkt
+	opDelete                   // keys[0]
+	opTryTake                  // one token off the read (bkt "r") or write throttle, if free
+	opSleep                    // d
+)
+
+type reqOp struct {
+	kind  reqOpKind
+	bkt   string
+	keys  []string
+	sizes []int64
+	real  bool // PUT bodies are real bytes
+	chunk int64
+	d     time.Duration
+	// abandon leaves the streams a failed list open had already opened
+	// for the run's end to report.
+	abandon bool
+}
+
+type reqCaller struct {
+	startAt    time.Duration
+	maxRetries int
+	flowCap    float64
+	ops        []reqOp
+}
+
+type reqScenario struct {
+	seed      int64
+	cfg       Config
+	preload   map[string]int64 // "bkt/key" -> size, stored before the run
+	callers   []reqCaller
+	brownouts []reqBrownout
+}
+
+type reqBrownout struct {
+	at   time.Duration
+	rate float64
+}
+
+// reqOutcome is everything the two forms must agree on.
+type reqOutcome struct {
+	log       []string // one line per call, in completion order
+	fired     int64
+	end       time.Duration
+	metrics   Metrics
+	stored    int64
+	retries   []int64
+	open      []string
+	transfers int64
+	moved     float64
+	nextDraw  int64
+	handoffs  int64 // not compared: what the chain is for
+}
+
+func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutcome {
+	t.Helper()
+	sim := des.New(sc.seed)
+	svc, err := New(sim, sc.cfg)
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	// Stored directly: set-up must not draw from the RNG or take tokens.
+	for _, name := range []string{"a", "b"} {
+		svc.buckets[name] = &bucket{objects: map[string]Object{}}
+	}
+	for path, size := range sc.preload {
+		bkt, key, _ := strings.Cut(path, "/")
+		pl := payload.Sized(size)
+		svc.buckets[bkt].objects[key] = Object{Key: key, Payload: pl, Size: size, ETag: etag(pl)}
+		svc.curBytes += size
+	}
+	for _, b := range sc.brownouts {
+		sim.Schedule(b.at, func() { svc.SetBrownout(b.rate) })
+	}
+	var out reqOutcome
+	clients := make([]*Client, len(sc.callers))
+	for i, caller := range sc.callers {
+		c := NewClient(svc)
+		c.MaxRetries, c.FlowCap = caller.maxRetries, caller.flowCap
+		clients[i] = c
+		sim.Spawn(fmt.Sprintf("caller%02d", i), func(p *des.Proc) {
+			logf := func(k int, format string, args ...any) {
+				out.log = append(out.log, fmt.Sprintf("c%02d op%d @%d ", i, k, p.Now())+fmt.Sprintf(format, args...))
+			}
+			// drain reads a stream to its end and says what it got.
+			drain := func(cs chunkSource) string {
+				var n int64
+				for {
+					pl, err := cs.Next(p)
+					if err != nil {
+						cs.Close()
+						if errors.Is(err, io.EOF) {
+							return fmt.Sprintf("%d bytes @%d", n, p.Now())
+						}
+						return fmt.Sprintf("%d bytes then %v @%d", n, err, p.Now())
+					}
+					n += pl.Size()
+				}
+			}
+			p.Sleep(caller.startAt)
+			for k, op := range caller.ops {
+				body := func(j int) payload.Payload {
+					if !op.real {
+						return payload.Sized(op.sizes[j])
+					}
+					raw := make([]byte, op.sizes[j])
+					for x := range raw {
+						raw[x] = byte('a' + (x*7+j)%26)
+					}
+					return payload.RealNoCopy(raw)
+				}
+				opts := StreamOptions{ChunkBytes: op.chunk}
+				switch op.kind {
+				case opPut:
+					logf(k, "put %s: %v", op.keys[0], form.put(c, p, op.bkt, op.keys[0], body(0)))
+				case opPutList:
+					n, err := form.putEach(c, p, op.bkt, len(op.keys), func(j int) (string, payload.Payload) {
+						return op.keys[j], body(j)
+					})
+					logf(k, "put list: %d of %d: %v", n, len(op.keys), err)
+				case opOpen:
+					cs, err := form.open(c, p, op.bkt, op.keys[0], opts)
+					logf(k, "open %s: %v", op.keys[0], err)
+					if err == nil {
+						logf(k, "read %s: %s", op.keys[0], drain(cs))
+					}
+				case opOpenList:
+					streams, err := form.openEach(c, p, op.bkt, op.keys, opts)
+					logf(k, "open list: %d of %d: %v", len(streams), len(op.keys), err)
+					if err != nil && op.abandon {
+						break
+					}
+					for j, cs := range streams {
+						if err != nil {
+							cs.Close()
+							continue
+						}
+						logf(k, "read %s: %s", op.keys[j], drain(cs))
+					}
+				case opHead:
+					obj, err := form.head(c, p, op.bkt, op.keys[0])
+					logf(k, "head %s: %d %s %v", op.keys[0], obj.Size, obj.ETag, err)
+				case opCreate:
+					logf(k, "create %s: %v", op.bkt, form.create(c, p, op.bkt))
+				case opDelete:
+					logf(k, "delete %s: %v", op.keys[0], c.Delete(p, op.bkt, op.keys[0]))
+				case opTryTake:
+					tb := svc.writeTB
+					if op.bkt == "r" {
+						tb = svc.readTB
+					}
+					logf(k, "try take %s: %v", op.bkt, tb.TryTake(1))
+				case opSleep:
+					p.Sleep(op.d)
+				}
+			}
+		})
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	out.fired, out.end, out.handoffs = sim.Fired(), sim.Now(), sim.Handoffs()
+	out.metrics, out.stored = svc.Metrics(), svc.StoredBytes()
+	for _, c := range clients {
+		out.retries = append(out.retries, c.Retries())
+	}
+	out.open = svc.OpenStreams()
+	out.transfers, out.moved = svc.link.Transfers(), svc.link.BytesMoved()
+	out.nextDraw = sim.Rand().Int63()
+	return out
+}
+
+// sameOutcome fails the test unless the chain's run equals the process
+// form's, with extraEvents more events fired (0 everywhere but where a
+// key is deleted under a request's latency).
+func sameOutcome(t *testing.T, name string, chain, proc reqOutcome, extraEvents int64) {
+	t.Helper()
+	if !slices.Equal(chain.log, proc.log) {
+		for j := range proc.log {
+			if j >= len(chain.log) || chain.log[j] != proc.log[j] {
+				c := "(nothing)"
+				if j < len(chain.log) {
+					c = chain.log[j]
+				}
+				t.Fatalf("%s: line %d of the callers' log:\n chain   %s\n process %s", name, j, c, proc.log[j])
+			}
+		}
+		t.Fatalf("%s: chain logged %d lines, process %d", name, len(chain.log), len(proc.log))
+	}
+	if chain.fired != proc.fired+extraEvents || chain.end != proc.end {
+		t.Fatalf("%s: chain fired %d events to %v, process %d (+%d allowed) to %v",
+			name, chain.fired, chain.end, proc.fired, extraEvents, proc.end)
+	}
+	if chain.metrics != proc.metrics || chain.stored != proc.stored {
+		t.Fatalf("%s: meters\n chain   %+v, %d stored\n process %+v, %d stored", name, chain.metrics, chain.stored, proc.metrics, proc.stored)
+	}
+	if !slices.Equal(chain.retries, proc.retries) {
+		t.Fatalf("%s: client retries\n chain   %v\n process %v", name, chain.retries, proc.retries)
+	}
+	if !slices.Equal(chain.open, proc.open) {
+		t.Fatalf("%s: streams left open\n chain   %v\n process %v", name, chain.open, proc.open)
+	}
+	if chain.transfers != proc.transfers || chain.moved != proc.moved {
+		t.Fatalf("%s: link: chain %d transfers / %.0f bytes, process %d / %.0f",
+			name, chain.transfers, chain.moved, proc.transfers, proc.moved)
+	}
+	if chain.nextDraw != proc.nextDraw {
+		t.Fatalf("%s: the RNG stands elsewhere after the run (draw counts differ)", name)
+	}
+}
+
+// genRequestScenario draws one scenario: 1-64 callers mixing single
+// calls and lists on both throttles, most with the burst gone after the
+// first few requests, some with a failure rate and brownout windows.
+// Keys under "c<caller>/" are put, read and deleted by that caller
+// alone, in script order; preloaded keys are read by anyone and never
+// deleted, so no request can lose its object under its own latency (the
+// one case where the forms may differ, and by design: see
+// TestRequestKeyDeletedUnderLatency).
+func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
+	sc := reqScenario{
+		seed: seed,
+		cfg: Config{
+			RequestLatency:   time.Duration(r.Intn(4)) * time.Millisecond,
+			PerConnBandwidth: 1e6,
+			ReadOpsPerSec:    1e6,
+			WriteOpsPerSec:   1e6,
+			OpsBurst:         1e6,
+		},
+		preload: map[string]int64{},
+	}
+	switch r.Intn(3) {
+	case 0:
+		sc.cfg.AggregateBandwidth = 1e6 * (0.5 + 3*r.Float64())
+	case 1:
+		sc.cfg.AggregateBandwidth = 1e9
+	}
+	if r.Intn(3) != 0 { // requests queue behind the throttles
+		sc.cfg.ReadOpsPerSec = 200 + 3000*r.Float64()
+		sc.cfg.WriteOpsPerSec = 100 + 1500*r.Float64()
+		sc.cfg.OpsBurst = float64(1 + r.Intn(8))
+	}
+	if r.Intn(3) == 0 {
+		sc.cfg.FailureRate = 0.35 * r.Float64()
+	}
+	for at := time.Duration(0); r.Intn(3) == 0 && len(sc.brownouts) < 6; {
+		at += time.Duration(1+r.Intn(60)) * time.Millisecond
+		rate := 0.1 + 0.85*r.Float64()
+		sc.brownouts = append(sc.brownouts, reqBrownout{at, rate})
+		at += time.Duration(1+r.Intn(150)) * time.Millisecond
+		sc.brownouts = append(sc.brownouts, reqBrownout{at, 0})
+	}
+	var shared []string
+	for i, n := 0, 4+r.Intn(12); i < n; i++ {
+		key := fmt.Sprintf("pre%02d", i)
+		size := int64(r.Intn(40_000))
+		if r.Intn(6) == 0 {
+			size = 0
+		}
+		sc.preload["a/"+key] = size
+		shared = append(shared, key)
+	}
+	size := func() int64 {
+		if r.Intn(4) == 0 {
+			return 0
+		}
+		return int64(1 + r.Intn(30_000))
+	}
+	chunk := func() int64 {
+		if r.Intn(2) == 0 {
+			return 1 << 20 // one chunk
+		}
+		return int64(2_000 + r.Intn(20_000))
+	}
+	together := r.Intn(3) != 0
+	for i, n := 0, 1+r.Intn(64); i < n; i++ {
+		caller := reqCaller{maxRetries: 1 + r.Intn(6)}
+		if !together {
+			caller.startAt = time.Duration(r.Intn(60_000)) * time.Microsecond
+		}
+		if r.Intn(4) == 0 {
+			caller.flowCap = 1e5 + 2e6*r.Float64()
+		}
+		var mine []string // keys this caller has put and not deleted
+		for k, ops := 0, 1+r.Intn(4); k < ops; k++ {
+			op := reqOp{bkt: "a", chunk: chunk(), real: r.Intn(5) == 0}
+			switch r.Intn(12) {
+			case 0, 1:
+				op.kind = opPut
+				op.keys, op.sizes = []string{fmt.Sprintf("c%02d/o%d", i, k)}, []int64{size()}
+				if r.Intn(4) == 0 { // overwrite somebody's object: the volume delta
+					op.keys[0] = shared[r.Intn(len(shared))]
+				} else {
+					mine = append(mine, op.keys[0])
+				}
+			case 2, 3, 4:
+				op.kind = opPutList
+				for j, m := 0, 1+r.Intn(8); j < m; j++ {
+					op.keys = append(op.keys, fmt.Sprintf("c%02d/o%d.%d", i, k, j))
+					op.sizes = append(op.sizes, size())
+				}
+				mine = append(mine, op.keys...)
+			case 5:
+				op.kind = opOpen
+				op.keys = []string{shared[r.Intn(len(shared))]}
+				switch r.Intn(8) {
+				case 0:
+					op.keys[0] = "absent"
+				case 1:
+					op.bkt = "nowhere"
+				}
+			case 6, 7, 8:
+				op.kind = opOpenList
+				for j, m := 0, 1+r.Intn(8); j < m; j++ {
+					op.keys = append(op.keys, shared[r.Intn(len(shared))])
+				}
+				if len(mine) > 0 && r.Intn(2) == 0 {
+					op.keys = append(op.keys, mine...)
+				}
+				if r.Intn(6) == 0 { // a list that fails part-way
+					op.keys[r.Intn(len(op.keys))] = "absent"
+					op.abandon = r.Intn(2) == 0
+				}
+			case 9:
+				op.kind = opHead
+				op.keys = []string{shared[r.Intn(len(shared))]}
+				if r.Intn(3) == 0 {
+					op.kind, op.bkt = opCreate, "b"
+				}
+			case 10:
+				if len(mine) == 0 {
+					op.kind, op.d = opSleep, time.Duration(r.Intn(20_000))*time.Microsecond
+					break
+				}
+				op.kind = opDelete
+				j := r.Intn(len(mine))
+				op.keys = []string{mine[j]}
+				mine = slices.Delete(mine, j, j+1)
+			case 11:
+				op.kind = opTryTake
+				op.bkt = []string{"r", "w"}[r.Intn(2)]
+			}
+			caller.ops = append(caller.ops, op)
+		}
+		sc.callers = append(sc.callers, caller)
+	}
+	return sc
+}
+
+func TestRequestChainMatchesProcessForm(t *testing.T) {
+	scenarios := 300
+	if testing.Short() {
+		scenarios = 60
+	}
+	r := rand.New(rand.NewSource(22))
+	var requests, throttles, retries, exhausted, refused int
+	var chainHandoffs, procHandoffs int64
+	for i := 0; i < scenarios; i++ {
+		sc := genRequestScenario(r, int64(2200+i))
+		proc := runRequestScenario(t, sc, processForm)
+		chain := runRequestScenario(t, sc, chainForm)
+		sameOutcome(t, fmt.Sprintf("scenario %d (%d callers)", i, len(sc.callers)), chain, proc, 0)
+		// What the scenarios covered, from the process form's run.
+		requests += int(proc.metrics.ClassAOps + proc.metrics.ClassBOps)
+		throttles += int(proc.metrics.Throttled)
+		for _, n := range proc.retries {
+			retries += int(n)
+		}
+		for _, line := range proc.log {
+			if strings.Contains(line, "retries exhausted") {
+				exhausted++
+			}
+			if strings.HasSuffix(line, ": false") {
+				refused++
+			}
+		}
+		chainHandoffs += chain.handoffs
+		procHandoffs += proc.handoffs
+	}
+	t.Logf("%d scenarios: %d requests admitted, %d throttled, %d retried, %d calls out of retries, %d TryTakes refused; %d handoffs as chains, %d as processes",
+		scenarios, requests, throttles, retries, exhausted, refused, chainHandoffs, procHandoffs)
+	if throttles == 0 || retries == 0 || exhausted == 0 || refused == 0 {
+		t.Fatalf("the scenarios no longer reach throttles (%d), retries (%d), exhausted ladders (%d) or refused TryTakes (%d)",
+			throttles, retries, exhausted, refused)
+	}
+	if chainHandoffs*2 > procHandoffs {
+		t.Errorf("chains cost %d handoffs where processes cost %d: the callers are suspending per wait again", chainHandoffs, procHandoffs)
+	}
+}
+
+// plainCfg has tokens to spare and round numbers: a request's latency
+// is 10 ms and 10,000 bytes cross the link in 10 ms.
+func plainCfg() Config {
+	return Config{
+		RequestLatency:   10 * time.Millisecond,
+		PerConnBandwidth: 1e6,
+		ReadOpsPerSec:    1e6,
+		WriteOpsPerSec:   1e6,
+		OpsBurst:         1e6,
+	}
+}
+
+// window is a brownout that fails what is granted in [at, at+1ms).
+func window(at time.Duration) []reqBrownout {
+	return []reqBrownout{{at, 0.999}, {at + time.Millisecond, 0}}
+}
+
+func listOf(prefix string, n int, size int64) (keys []string, sizes []int64) {
+	for i := 0; i < n; i++ {
+		keys, sizes = append(keys, fmt.Sprintf("%s%d", prefix, i)), append(sizes, size)
+	}
+	return keys, sizes
+}
+
+// both runs a hand-built scenario in both forms, holds them equal and
+// returns the chain's outcome for the caller to hold to the instants it
+// worked out by hand.
+func both(t *testing.T, sc reqScenario, extraEvents int64) reqOutcome {
+	t.Helper()
+	proc := runRequestScenario(t, sc, processForm)
+	chain := runRequestScenario(t, sc, chainForm)
+	sameOutcome(t, t.Name(), chain, proc, extraEvents)
+	return chain
+}
+
+func wantLog(t *testing.T, out reqOutcome, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !slices.Contains(out.log, w) {
+			t.Errorf("no line %q in the log:\n%s", w, strings.Join(out.log, "\n"))
+		}
+	}
+}
+
+// TestRequestListKeepsOneLadderPerElement fails the first, a middle and
+// the last element of a list once each. Every failure costs its latency
+// and the first rung of a ladder of its own, 100 ms: a ladder shared by
+// the list would have charged 100, 200 and 400.
+func TestRequestListKeepsOneLadderPerElement(t *testing.T) {
+	ms := time.Millisecond
+	sc := reqScenario{seed: 1, cfg: plainCfg(), preload: map[string]int64{}}
+	keys, sizes := listOf("k", 5, 10_000)
+	for _, k := range keys {
+		sc.preload["a/"+k] = 10_000
+	}
+	// Opens are granted 10 ms apart: element 0 at 0 fails, the list
+	// restarts at 110 (elements at 110, 120, 130); element 2 fails at
+	// 130, restart at 240 (240, 250, 260); element 4 fails at 260 and
+	// opens at 370, its latency over at 380.
+	sc.brownouts = slices.Concat(window(0), window(130*ms), window(260*ms))
+	sc.callers = []reqCaller{{maxRetries: 6, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: keys, chunk: 1 << 20}}}}
+	out := both(t, sc, 0)
+	wantLog(t, out, "c00 op0 @380000000 open list: 5 of 5: <nil>")
+	if out.retries[0] != 3 || out.metrics.Throttled != 3 {
+		t.Errorf("%d retries, %d throttled, want 3 and 3", out.retries[0], out.metrics.Throttled)
+	}
+
+	// PUTs are granted 20 ms apart (latency, then the body): 0 fails at
+	// 0, restart at 110 (110, 130, 150); 2 fails at 150, restart at 260
+	// (260, 280, 300); 4 fails at 300, is granted again at 410 and stored
+	// at 430.
+	sc.brownouts = slices.Concat(window(0), window(150*ms), window(300*ms))
+	sc.callers[0].ops = []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: sizes}}
+	out = both(t, sc, 0)
+	wantLog(t, out, "c00 op0 @430000000 put list: 5 of 5: <nil>")
+	if out.retries[0] != 3 || out.metrics.Throttled != 3 {
+		t.Errorf("%d retries, %d throttled, want 3 and 3", out.retries[0], out.metrics.Throttled)
+	}
+}
+
+// TestRequestListExhaustsRetriesMidList browns the store out for good
+// while a list is on its third element: that element climbs its whole
+// ladder and the call returns how far it got.
+func TestRequestListExhaustsRetriesMidList(t *testing.T) {
+	ms := time.Millisecond
+	sc := reqScenario{seed: 1, cfg: plainCfg(), preload: map[string]int64{}}
+	keys, sizes := listOf("k", 5, 10_000)
+	for _, k := range keys {
+		sc.preload["a/"+k] = 10_000
+	}
+	sc.brownouts = []reqBrownout{{15 * ms, 0.999}}
+	sc.callers = []reqCaller{
+		{maxRetries: 2, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: keys, chunk: 1 << 20}}},
+		{maxRetries: 2, ops: []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: sizes}}},
+	}
+	out := both(t, sc, 0)
+	// Opens: 0 and 1 open at 0 and 10; 2 fails at 20, 130, 340 (latency
+	// 10, then 100 and 200 of ladder) and gives up at 350. PUTs: 0 is
+	// stored at 20; 1 fails at 20, 130, 340.
+	wantLog(t, out,
+		"c00 op0 @350000000 open list: 2 of 5: objectstore: retries exhausted: objectstore: slow down (503)",
+		"c01 op0 @350000000 put list: 1 of 5: objectstore: retries exhausted: objectstore: slow down (503)")
+	if len(out.open) != 0 {
+		t.Errorf("streams left open: %v", out.open)
+	}
+}
+
+// TestRequestSeesBucketCreatedDuringItsLatency has one caller PUT into a
+// bucket that does not exist when its token is granted and does when its
+// latency ends, because another caller's CreateBucket completed in
+// between. The chain handed the element to the process at grant time, so
+// the process looks again, as the process form always did.
+func TestRequestSeesBucketCreatedDuringItsLatency(t *testing.T) {
+	ms := time.Millisecond
+	keys, sizes := listOf("k", 3, 10_000)
+	sc := reqScenario{seed: 1, cfg: plainCfg(), preload: map[string]int64{}, callers: []reqCaller{
+		{maxRetries: 6, ops: []reqOp{{kind: opCreate, bkt: "late"}}}, // exists from 10 ms
+		{startAt: 5 * ms, maxRetries: 6, ops: []reqOp{{kind: opPut, bkt: "late", keys: []string{"one"}, sizes: []int64{10_000}}}},
+		{startAt: 6 * ms, maxRetries: 6, ops: []reqOp{{kind: opPutList, bkt: "late", keys: keys, sizes: sizes}}},
+		{startAt: 7 * ms, maxRetries: 6, ops: []reqOp{{kind: opPut, bkt: "never", keys: []string{"one"}, sizes: []int64{10_000}}}},
+	}}
+	out := both(t, sc, 0)
+	wantLog(t, out,
+		"c00 op0 @10000000 create late: <nil>",
+		"c01 op0 @25000000 put one: <nil>",
+		"c02 op0 @66000000 put list: 3 of 3: <nil>",
+		"c03 op0 @17000000 put one: objectstore: no such bucket")
+	if out.stored != 40_000 {
+		t.Errorf("%d bytes stored, want 40000", out.stored)
+	}
+}
+
+// TestRequestKeyDeletedUnderLatency deletes the middle key of a list
+// open between that element's grant (the key was there: the chain goes
+// on by callback) and the end of its latency. The callback finds it
+// gone and has to wake the process to say so: the one event a chain
+// fires that the process form did not, for a call that fails either
+// way. Instants, meters, errors and draws are still equal.
+func TestRequestKeyDeletedUnderLatency(t *testing.T) {
+	ms := time.Millisecond
+	sc := reqScenario{seed: 1, cfg: plainCfg(), preload: map[string]int64{"a/k0": 100, "a/k1": 100, "a/k2": 100},
+		callers: []reqCaller{
+			{maxRetries: 6, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: []string{"k0", "k1", "k2"}, chunk: 1 << 20}}},
+			{startAt: 5 * ms, maxRetries: 6, ops: []reqOp{{kind: opDelete, bkt: "a", keys: []string{"k1"}}}}, // gone at 15 ms
+		}}
+	out := both(t, sc, 1)
+	wantLog(t, out, "c00 op0 @20000000 open list: 1 of 3: objectstore: no such key a/k1")
+	if out.metrics.ClassBOps != 2 || len(out.open) != 0 {
+		t.Errorf("%d class B ops, open %v; want 2 and none", out.metrics.ClassBOps, out.open)
+	}
+}
+
+// TestRequestListWithEmptyBodies puts lists with an empty body first,
+// in the middle and last. An empty body has no transfer to wait for, so
+// the process finishes that element from the end of its latency and
+// starts the chain again behind it.
+func TestRequestListWithEmptyBodies(t *testing.T) {
+	keys, _ := listOf("k", 5, 0)
+	sc := reqScenario{seed: 1, cfg: plainCfg(), preload: map[string]int64{}, callers: []reqCaller{
+		{maxRetries: 6, ops: []reqOp{{kind: opPutList, bkt: "a", keys: keys, sizes: []int64{0, 10_000, 0, 10_000, 0}}}},
+		{maxRetries: 6, ops: []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: []int64{0, 0, 0, 0, 0}}}},
+		{maxRetries: 6, ops: []reqOp{{kind: opPut, bkt: "b", keys: []string{"nothing"}, sizes: []int64{0}}}},
+	}}
+	out := both(t, sc, 0)
+	wantLog(t, out,
+		"c00 op0 @70000000 put list: 5 of 5: <nil>",
+		"c01 op0 @50000000 put list: 5 of 5: <nil>",
+		"c02 op0 @10000000 put nothing: <nil>")
+	if out.metrics.ClassAOps != 11 || out.transfers != 2 {
+		t.Errorf("%d class A ops, %d transfers; want 11 and 2", out.metrics.ClassAOps, out.transfers)
+	}
+}
+
+// TestTryTakeBehindQueuedRequests issues TryTakes while chains wait on
+// the throttle as callbacks: admission control must see them queued.
+func TestTryTakeBehindQueuedRequests(t *testing.T) {
+	ms := time.Millisecond
+	cfg := plainCfg()
+	cfg.ReadOpsPerSec, cfg.OpsBurst = 100, 1 // a token every 10 ms
+	sc := reqScenario{seed: 1, cfg: cfg, preload: map[string]int64{"a/k": 100}}
+	for i := 0; i < 4; i++ {
+		sc.callers = append(sc.callers, reqCaller{maxRetries: 6, ops: []reqOp{{kind: opHead, bkt: "a", keys: []string{"k"}}}})
+	}
+	sc.callers = append(sc.callers, reqCaller{startAt: 5 * ms, ops: []reqOp{
+		{kind: opTryTake, bkt: "r"}, // three heads queued behind the deficit
+		{kind: opTryTake, bkt: "w"}, // nobody on the write side
+		{kind: opSleep, d: 60 * ms},
+		{kind: opTryTake, bkt: "r"}, // drained, and 35 ms of refill capped at the burst
+	}})
+	out := both(t, sc, 0)
+	wantLog(t, out,
+		"c04 op0 @5000000 try take r: false",
+		"c04 op1 @5000000 try take w: true",
+		"c04 op3 @65000000 try take r: true",
+		"c03 op0 @40000000 head k: 100 "+etag(payload.Sized(100))+" <nil>")
 }

@@ -1,0 +1,173 @@
+package objectstore
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
+)
+
+// TestRequestAllocBudget holds throttled requests (every one waits for
+// its token) to what they allocated as processes, at commit bb219e9: a
+// Put 1 (the etag), a one-chunk stream opened, drained and closed 4
+// (ClientStream, Stream, its name, its bound step), 64 of each in a
+// loop 64 and 257. A chain's record, its token waiter and its events
+// are recycled through the service, so being a chain costs nothing; a
+// list shares what its elements used to allocate one each.
+func TestRequestAllocBudget(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	cfg := fastCfg()
+	cfg.ReadOpsPerSec, cfg.WriteOpsPerSec, cfg.OpsBurst = 1000, 1000, 1
+	sim := des.New(7)
+	svc, err := New(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("job-000017/m003/r%03d", i)
+	}
+	body := payload.Sized(27_000)
+	each := func(i int) (string, payload.Payload) { return keys[i], body }
+	var put, open, putList, openList float64
+	sim.Spawn("probe", func(p *des.Proc) {
+		c := NewClient(svc)
+		if err := c.CreateBucket(p, "shuffle"); err != nil {
+			t.Error(err)
+			return
+		}
+		puts := func() {
+			if n, err := c.PutEach(p, "shuffle", len(keys), each); n != len(keys) || err != nil {
+				t.Errorf("PutEach: %d, %v", n, err)
+			}
+		}
+		puts()
+		drain := func(cs *ClientStream) {
+			for {
+				if _, err := cs.Next(p); err != nil {
+					if !errors.Is(err, io.EOF) {
+						t.Error(err)
+					}
+					break
+				}
+			}
+			cs.Close()
+		}
+		put = testing.AllocsPerRun(200, func() {
+			if err := c.Put(p, "shuffle", keys[0], body); err != nil {
+				t.Error(err)
+			}
+		})
+		open = testing.AllocsPerRun(200, func() {
+			cs, err := c.GetStream(p, "shuffle", keys[0], 0, -1, StreamOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			drain(cs)
+		})
+		putList = testing.AllocsPerRun(20, puts)
+		openList = testing.AllocsPerRun(20, func() {
+			streams, err := c.GetStreams(p, "shuffle", keys, StreamOptions{})
+			if err != nil {
+				t.Error(err)
+			}
+			for i := range streams {
+				drain(&streams[i])
+			}
+		})
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	t.Logf("Put %.1f, GetStream %.1f, PutEach of 64 %.1f, GetStreams of 64 %.1f", put, open, putList, openList)
+	// A list of 64 opens is 64 x (Stream, name, step) and the one slice
+	// of ClientStreams.
+	if put > 1 || open > 4 || putList > 64 || openList > 64*3+1 {
+		t.Errorf("allocations: Put %.1f (budget 1), GetStream %.1f (4), PutEach of 64 %.1f (64), GetStreams of 64 %.1f (193)",
+			put, open, putList, openList)
+	}
+	if len(svc.idle) != 1 {
+		t.Errorf("%d chain records recycled by one caller's requests, want the same 1", len(svc.idle))
+	}
+}
+
+// TestRequestSurvivesStrayWakes wakes a caller every 700 us, for no
+// reason, through a list PUT and a list open whose tokens it waits for:
+// gate, deficit, latency, body, between elements. A wake the chain did
+// not arrange must send the caller back to sleep, not return a request
+// half done: the calls complete when they would have, with the same
+// meters, and the stray wakes cost their own events and nothing else.
+func TestRequestSurvivesStrayWakes(t *testing.T) {
+	run := func(stray bool) (log []string, m Metrics, fired int64) {
+		cfg := plainCfg()
+		cfg.ReadOpsPerSec, cfg.WriteOpsPerSec, cfg.OpsBurst = 200, 200, 1
+		sim := des.New(3)
+		svc, err := New(sim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.buckets["a"] = &bucket{objects: map[string]Object{}}
+		keys, _ := listOf("k", 6, 0)
+		done := false
+		caller := sim.Spawn("caller", func(p *des.Proc) {
+			c := NewClient(svc)
+			n, err := c.PutEach(p, "a", len(keys), func(i int) (string, payload.Payload) {
+				return keys[i], payload.Sized(int64(i%3) * 5_000) // empty bodies too
+			})
+			log = append(log, fmt.Sprintf("@%d put %d: %v", p.Now(), n, err))
+			streams, err := c.GetStreams(p, "a", keys, StreamOptions{})
+			log = append(log, fmt.Sprintf("@%d opened %d: %v", p.Now(), len(streams), err))
+			for i := range streams {
+				for err = nil; err == nil; {
+					_, err = streams[i].Next(p)
+				}
+				log = append(log, fmt.Sprintf("@%d read %d: %v", p.Now(), i, err))
+			}
+			m, done = svc.Metrics(), true
+		})
+		var wakes int64
+		var janitor func()
+		janitor = func() {
+			if done {
+				return
+			}
+			wakes++
+			caller.Wake()
+			sim.After(700*time.Microsecond, janitor)
+		}
+		if stray {
+			sim.After(0, janitor)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if open := svc.OpenStreams(); len(open) != 0 {
+			t.Errorf("streams left open: %v", open)
+		}
+		return log, m, sim.Fired() - wakes // the janitor's own callbacks aside
+	}
+	quiet, qm, qf := run(false)
+	noisy, nm, nf := run(true)
+	if !slices.Equal(noisy, quiet) {
+		t.Errorf("with stray wakes:\n%s\nwithout:\n%s", strings.Join(noisy, "\n"), strings.Join(quiet, "\n"))
+	}
+	if nm != qm {
+		t.Errorf("meters with stray wakes %+v, without %+v", nm, qm)
+	}
+	// A stray wake costs one activation when the caller was parked with
+	// no wake pending, and nothing when the chain's own was armed.
+	if nf < qf+50 {
+		t.Errorf("%d events with stray wakes, %d without: the wakes did not land", nf, qf)
+	}
+	t.Logf("%d lines equal; %d stray activations", len(quiet), nf-qf)
+}
