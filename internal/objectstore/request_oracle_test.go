@@ -276,15 +276,15 @@ func procClientOpen(c *Client, p *des.Proc, bkt, key string, opts StreamOptions)
 type reqOpKind uint8
 
 const (
-	opPut     reqOpKind = iota // keys[0], sizes[0]
-	opPutList                  // keys, sizes
-	opOpen                     // keys[0]: open, drain, close
-	opOpenList                 // keys: open all, drain each, close
-	opHead                     // keys[0]
-	opCreate                   // bkt
-	opDelete                   // keys[0]
-	opTryTake                  // one token off the read (bkt "r") or write throttle, if free
-	opSleep                    // d
+	opPut      reqOpKind = iota // keys[0], sizes[0]
+	opPutList                   // keys, sizes
+	opOpen                      // keys[0]: open, drain, close
+	opOpenList                  // keys: open all, drain each, close
+	opHead                      // keys[0]
+	opCreate                    // bkt
+	opDelete                    // keys[0]
+	opTryTake                   // one token off the read (bkt "r") or write throttle, if free
+	opSleep                     // d
 )
 
 type reqOp struct {
