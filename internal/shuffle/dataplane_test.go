@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // mergeChunks are the granularities the merge tests feed resident runs
@@ -464,3 +467,98 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeRunsTimingOnly merges runs of which some or all are
+// timing-only payloads. Whatever the mix, every byte of every run is
+// pulled and charged exactly once, in the order the cursors would have
+// pulled: the first chunk of each run up to and including the first
+// sized one, then the rest of every run in turn.
+func TestMergeRunsTimingOnly(t *testing.T) {
+	recs := bed.Generate(bed.GenConfig{Records: 40, Seed: 76, Sorted: true})
+	real := bed.Marshal(recs)
+	const chunk = 300
+	chunksOf := func(n int) (out []int64) {
+		for ; n > chunk; n -= chunk {
+			out = append(out, chunk)
+		}
+		return append(out, int64(n))
+	}
+	src := func(pl payload.Payload) runSource { return &payloadSource{pl: pl, chunk: chunk} }
+	realChunks := chunksOf(len(real))
+	cases := []struct {
+		name    string
+		srcs    []runSource
+		sized   bool
+		total   int64
+		charges []int64
+	}{
+		{"sized first run", []runSource{src(payload.Sized(1000)), src(payload.Sized(500))},
+			true, 1500, []int64{300, 300, 300, 100, 300, 200}},
+		{"empty first run, then a sized one", []runSource{src(payload.RealNoCopy(nil)), src(payload.Sized(700))},
+			true, 700, []int64{300, 300, 100}},
+		{"real first run, then a sized one", []runSource{src(payload.RealNoCopy(real)), src(payload.Sized(400))},
+			true, int64(len(real)) + 400,
+			slices.Concat([]int64{realChunks[0], 300}, realChunks[1:], []int64{100})},
+		{"empty first run, then a real one", []runSource{src(payload.RealNoCopy(nil)), src(payload.RealNoCopy(real))},
+			false, int64(len(real)), realChunks},
+	}
+	for _, tc := range cases {
+		var charges []int64
+		var out []byte
+		sized, total, err := mergeStreamedRuns(nil, tc.srcs, func(n int64) { charges = append(charges, n) },
+			func(_ bed.Key, line []byte) error {
+				out = append(append(out, line...), '\n')
+				return nil
+			})
+		if err != nil || sized != tc.sized || total != tc.total {
+			t.Errorf("%s: sized %v total %d err %v, want %v %d", tc.name, sized, total, err, tc.sized, tc.total)
+		}
+		if !slices.Equal(charges, tc.charges) {
+			t.Errorf("%s: chunks charged %v, want %v", tc.name, charges, tc.charges)
+		}
+		if !tc.sized && !bytes.Equal(out, real) {
+			t.Errorf("%s: merged %d bytes, want the real run's %d", tc.name, len(out), len(real))
+		}
+	}
+}
+
+// TestMergeOfSizedRunsBuildsNoCursors holds the timing-only reduce to
+// what it needs: a fan-in of 128 sized runs drains by byte count without
+// the 128 line cursors (~300 B each) a real merge walks them with.
+func TestMergeOfSizedRunsBuildsNoCursors(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	chunk := payload.Sized(1 << 20)
+	runs := make([]fixedSource, 128)
+	srcs := make([]runSource, len(runs))
+	merge := func() {
+		for i := range runs {
+			runs[i] = fixedSource{left: 3, chunk: chunk}
+			srcs[i] = &runs[i]
+		}
+		if sized, total, err := mergeStreamedRuns(nil, srcs, nil, nil); !sized || total != 128*3<<20 || err != nil {
+			t.Fatalf("sized %v total %d err %v", sized, total, err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, merge); n != 0 {
+		t.Errorf("draining 128 sized runs allocates %.0f times, want 0", n)
+	}
+}
+
+// fixedSource is a run of left equal chunks, handed out without
+// allocating.
+type fixedSource struct {
+	left  int
+	chunk payload.Payload
+}
+
+func (s *fixedSource) next(*des.Proc) (payload.Payload, error) {
+	if s.left == 0 {
+		return nil, io.EOF
+	}
+	s.left--
+	return s.chunk, nil
+}
+
+func (s *fixedSource) close() {}

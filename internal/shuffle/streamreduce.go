@@ -247,18 +247,38 @@ func siftDown(h []*streamCursor, i int) {
 // timing-only payload, every source is drained (still charged) and
 // sized=true is returned with the total byte count; the merge's emits
 // up to that point are void.
+//
+// A timing-only exchange is all timing-only runs, so the first source's
+// first chunk is pulled (and charged) before anything is built: sized,
+// and the runs are drained by byte count with no cursor ever allocated
+// (~300 B each, fan-in squared over a wave); real, and it seeds cursor 0
+// exactly as that cursor's first pull would have.
 func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 	emit func(key bed.Key, line []byte) error) (sized bool, total int64, err error) {
+	if len(srcs) == 0 {
+		return false, 0, nil
+	}
+	first := streamCursor{src: srcs[0], proc: p, charge: charge}
+	switch err := first.nextChunk(); {
+	case err == nil:
+	case errors.Is(err, io.EOF):
+		first.eof = true
+	case errors.Is(err, errSizedChunk):
+		return drainStreamedSized(p, srcs, first.total, charge)
+	default:
+		return false, 0, err
+	}
 	cursors := make([]streamCursor, len(srcs))
-	for i, src := range srcs {
-		cursors[i].src, cursors[i].proc, cursors[i].charge, cursors[i].idx = src, p, charge, i
+	cursors[0] = first
+	for i, src := range srcs[1:] {
+		cursors[i+1] = streamCursor{src: src, proc: p, charge: charge, idx: i + 1}
 	}
 	h := make([]*streamCursor, 0, len(srcs))
 	for i := range cursors {
 		c := &cursors[i]
 		if err := c.advance(); err != nil {
-			if errors.Is(err, errSizedChunk) {
-				return drainStreamedSized(p, cursors, charge)
+			if errors.Is(err, errSizedChunk) { // a sized run after real ones
+				return drainStreamedSized(p, srcs, pulled(cursors), charge)
 			}
 			return false, 0, err
 		}
@@ -275,8 +295,8 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 			return false, 0, err
 		}
 		if err := c.advance(); err != nil {
-			if errors.Is(err, errSizedChunk) {
-				return drainStreamedSized(p, cursors, charge)
+			if errors.Is(err, errSizedChunk) { // a sized run after real ones
+				return drainStreamedSized(p, srcs, pulled(cursors), charge)
 			}
 			return false, 0, err
 		}
@@ -288,21 +308,26 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 			siftDown(h, 0)
 		}
 	}
+	return false, pulled(cursors), nil
+}
+
+// pulled is the byte count the cursors have taken from their sources.
+func pulled(cursors []streamCursor) (total int64) {
 	for i := range cursors {
 		total += cursors[i].total
 	}
-	return false, total, nil
+	return total
 }
 
 // drainStreamedSized consumes the rest of every source purely for byte
 // accounting once a sized chunk voids the line merge, so the handler
-// charges CPU and transfer for the whole volume.
-func drainStreamedSized(p *des.Proc, cursors []streamCursor, charge func(int64)) (bool, int64, error) {
-	var total int64
-	for i := range cursors {
-		c := &cursors[i]
+// charges CPU and transfer for the whole volume. before is what the
+// merge had taken from them before.
+func drainStreamedSized(p *des.Proc, srcs []runSource, before int64, charge func(int64)) (bool, int64, error) {
+	total := before
+	for _, src := range srcs {
 		for {
-			pl, err := c.src.next(p)
+			pl, err := src.next(p)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -310,12 +335,11 @@ func drainStreamedSized(p *des.Proc, cursors []streamCursor, charge func(int64))
 				return true, 0, err
 			}
 			n := pl.Size()
-			c.total += n
+			total += n
 			if charge != nil {
 				charge(n)
 			}
 		}
-		total += c.total
 	}
 	return true, total, nil
 }
