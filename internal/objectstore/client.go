@@ -67,9 +67,10 @@ func (c *Client) backOff(p *des.Proc, retries *int, cause error) error {
 	if *retries >= c.maxRetries() {
 		return fmt.Errorf("objectstore: retries exhausted: %w", cause)
 	}
-	p.Sleep(RetryBackoffBase << *retries)
+	delay := RetryBackoffBase << *retries
 	*retries++
 	c.retries++
+	p.Sleep(delay)
 	return nil
 }
 

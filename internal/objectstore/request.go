@@ -193,8 +193,9 @@ func (r *request) mine() bool {
 func (r *request) latency() {
 	s := r.svc
 	if r.kind == openStreams {
-		// Only a key deleted under the latency fails here; delivering
-		// that costs the one event a chain adds anywhere.
+		// What was there at the grant and is not now (a key deleted
+		// under the latency) fails here; delivering that costs the one
+		// event a chain adds anywhere.
 		if err := r.open(); err != nil {
 			r.err, r.handed = err, true
 			r.p.Wake()
