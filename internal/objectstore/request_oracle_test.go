@@ -332,7 +332,10 @@ type reqOutcome struct {
 	transfers int64
 	moved     float64
 	nextDraw  int64
-	handoffs  int64 // not compared: what the chain is for
+	// Not compared: handoffs are what the chain is for, and ties (calls
+	// of different callers completing at one instant) are coverage.
+	handoffs int64
+	ties     int
 }
 
 func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutcome {
@@ -356,6 +359,7 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 		sim.Schedule(b.at, func() { svc.SetBrownout(b.rate) })
 	}
 	var out reqOutcome
+	completions := map[time.Duration]int{}
 	clients := make([]*Client, len(sc.callers))
 	for i, caller := range sc.callers {
 		c := NewClient(svc)
@@ -364,6 +368,7 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 		sim.Spawn(fmt.Sprintf("caller%02d", i), func(p *des.Proc) {
 			logf := func(k int, format string, args ...any) {
 				out.log = append(out.log, fmt.Sprintf("c%02d op%d @%d ", i, k, p.Now())+fmt.Sprintf(format, args...))
+				completions[p.Now()]++
 			}
 			// drain reads a stream to its end and says what it got.
 			drain := func(cs chunkSource) string {
@@ -450,6 +455,11 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 	out.open = svc.OpenStreams()
 	out.transfers, out.moved = svc.link.Transfers(), svc.link.BytesMoved()
 	out.nextDraw = sim.Rand().Int63()
+	for at, n := range completions {
+		if at > 0 && n >= 2 {
+			out.ties++
+		}
+	}
 	return out
 }
 
@@ -495,7 +505,7 @@ func sameOutcome(t *testing.T, name string, chain, proc reqOutcome, extraEvents 
 // genRequestScenario draws one scenario: 1-64 callers mixing single
 // calls and lists on both throttles, most with the burst gone after the
 // first few requests, some with a failure rate and brownout windows.
-// Keys under "c<caller>/" are put, read and deleted by that caller
+// Keys under one "c<tag>/" are put, read and deleted by one caller
 // alone, in script order; preloaded keys are read by anyone and never
 // deleted, so no request can lose its object under its own latency (the
 // one case where the forms may differ, and by design: see
@@ -543,20 +553,34 @@ func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
 		sc.preload["a/"+key] = size
 		shared = append(shared, key)
 	}
-	size := func() int64 {
-		if r.Intn(4) == 0 {
-			return 0
-		}
-		return int64(1 + r.Intn(30_000))
-	}
-	chunk := func() int64 {
-		if r.Intn(2) == 0 {
-			return 1 << 20 // one chunk
-		}
-		return int64(2_000 + r.Intn(20_000))
-	}
+	// Twins: every caller runs the same script at the same instant under
+	// its own keys, so bodies of equal size cross the link together and
+	// finish together, and which completes first falls to the flow's name
+	// (the caller's): the tie a chain that named its flows differently
+	// would break the other way.
 	together := r.Intn(3) != 0
-	for i, n := 0, 1+r.Intn(64); i < n; i++ {
+	twins, twinSeed := together && r.Intn(2) == 0, r.Int63()
+	callers := 1 + r.Intn(64)
+	for i := 0; i < callers; i++ {
+		r := r // this caller's draws
+		if twins {
+			r = rand.New(rand.NewSource(twinSeed))
+		}
+		size := func() int64 {
+			if r.Intn(4) == 0 {
+				return 0
+			}
+			return int64(1 + r.Intn(30_000))
+		}
+		chunk := func() int64 {
+			if r.Intn(2) == 0 {
+				return 1 << 20 // one chunk
+			}
+			return int64(2_000 + r.Intn(20_000))
+		}
+		// A caller's keys sort in another order than the callers do, so
+		// that a flow named by its key would tie-break differently.
+		tag := (i*37 + 11) % 64
 		caller := reqCaller{maxRetries: 1 + r.Intn(6)}
 		if !together {
 			caller.startAt = time.Duration(r.Intn(60_000)) * time.Microsecond
@@ -570,7 +594,7 @@ func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
 			switch r.Intn(12) {
 			case 0, 1:
 				op.kind = opPut
-				op.keys, op.sizes = []string{fmt.Sprintf("c%02d/o%d", i, k)}, []int64{size()}
+				op.keys, op.sizes = []string{fmt.Sprintf("c%02d/o%d", tag, k)}, []int64{size()}
 				if r.Intn(4) == 0 { // overwrite somebody's object: the volume delta
 					op.keys[0] = shared[r.Intn(len(shared))]
 				} else {
@@ -579,7 +603,7 @@ func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
 			case 2, 3, 4:
 				op.kind = opPutList
 				for j, m := 0, 1+r.Intn(8); j < m; j++ {
-					op.keys = append(op.keys, fmt.Sprintf("c%02d/o%d.%d", i, k, j))
+					op.keys = append(op.keys, fmt.Sprintf("c%02d/o%d.%d", tag, k, j))
 					op.sizes = append(op.sizes, size())
 				}
 				mine = append(mine, op.keys...)
@@ -636,7 +660,7 @@ func TestRequestChainMatchesProcessForm(t *testing.T) {
 		scenarios = 60
 	}
 	r := rand.New(rand.NewSource(22))
-	var requests, throttles, retries, exhausted, refused int
+	var requests, throttles, retries, exhausted, refused, ties int
 	var chainHandoffs, procHandoffs int64
 	for i := 0; i < scenarios; i++ {
 		sc := genRequestScenario(r, int64(2200+i))
@@ -646,6 +670,7 @@ func TestRequestChainMatchesProcessForm(t *testing.T) {
 		// What the scenarios covered, from the process form's run.
 		requests += int(proc.metrics.ClassAOps + proc.metrics.ClassBOps)
 		throttles += int(proc.metrics.Throttled)
+		ties += proc.ties
 		for _, n := range proc.retries {
 			retries += int(n)
 		}
@@ -660,11 +685,11 @@ func TestRequestChainMatchesProcessForm(t *testing.T) {
 		chainHandoffs += chain.handoffs
 		procHandoffs += proc.handoffs
 	}
-	t.Logf("%d scenarios: %d requests admitted, %d throttled, %d retried, %d calls out of retries, %d TryTakes refused; %d handoffs as chains, %d as processes",
-		scenarios, requests, throttles, retries, exhausted, refused, chainHandoffs, procHandoffs)
-	if throttles == 0 || retries == 0 || exhausted == 0 || refused == 0 {
-		t.Fatalf("the scenarios no longer reach throttles (%d), retries (%d), exhausted ladders (%d) or refused TryTakes (%d)",
-			throttles, retries, exhausted, refused)
+	t.Logf("%d scenarios: %d requests admitted, %d throttled, %d retried, %d calls out of retries, %d TryTakes refused, %d instants with two or more calls completing; %d handoffs as chains, %d as processes",
+		scenarios, requests, throttles, retries, exhausted, refused, ties, chainHandoffs, procHandoffs)
+	if throttles == 0 || retries == 0 || exhausted == 0 || refused == 0 || ties == 0 {
+		t.Fatalf("the scenarios no longer reach throttles (%d), retries (%d), exhausted ladders (%d), refused TryTakes (%d) or ties (%d)",
+			throttles, retries, exhausted, refused, ties)
 	}
 	if chainHandoffs*2 > procHandoffs {
 		t.Errorf("chains cost %d handoffs where processes cost %d: the callers are suspending per wait again", chainHandoffs, procHandoffs)
