@@ -128,16 +128,24 @@ func (s *Service) release(r *request) {
 // chain hands that or a later element back. When the token is free the
 // chain reaches its last wait before the process has parked, so the
 // park comes first and the test after it; a wake that is not the
-// chain's sends the process back to sleep.
-func (r *request) run() {
+// chain's sends the process back to sleep. It returns why element i
+// cannot complete, if the chain knows: its failure was drawn (the
+// process has just slept out the latency that costs), or a callback
+// found what it names gone.
+func (r *request) run() error {
 	r.handed = false
 	r.begin()
 	for {
 		r.p.Park()
 		if r.handed {
-			return
+			break
 		}
 	}
+	if r.failed {
+		r.svc.metrics.Throttled++
+		return ErrSlowDown
+	}
+	return r.err
 }
 
 // begin asks for element i's token.
@@ -233,10 +241,8 @@ func (r *request) store() {
 func (r *request) put() (int, error) {
 	s := r.svc
 	for {
-		r.run()
-		if r.failed {
-			s.metrics.Throttled++
-			return r.i, ErrSlowDown
+		if err := r.run(); err != nil {
+			return r.i, err
 		}
 		if r.flow != nil {
 			s.link.Wait(r.p, r.flow)
@@ -259,13 +265,8 @@ func (r *request) put() (int, error) {
 // first element not opened and why, or n and nil.
 func (r *request) opened() (int, error) {
 	for {
-		r.run()
-		switch {
-		case r.failed:
-			r.svc.metrics.Throttled++
-			return r.i, ErrSlowDown
-		case r.err != nil:
-			return r.i, r.err
+		if err := r.run(); err != nil {
+			return r.i, err
 		}
 		if err := r.open(); err != nil {
 			return r.i, err
@@ -309,13 +310,11 @@ func (r *request) open() error {
 // failure draw, the request latency.
 func (s *Service) admit(p *des.Proc, tb *des.TokenBucket) error {
 	r := s.request(p, admitOnly, tb, "", 1)
-	r.run()
-	failed, ops := r.failed, r.ops
+	err := r.run()
+	ops := r.ops
 	s.release(r)
-	if failed {
-		s.metrics.Throttled++
-		return ErrSlowDown
+	if err == nil {
+		*ops++
 	}
-	*ops++
-	return nil
+	return err
 }
