@@ -131,12 +131,19 @@ func BenchmarkDESTokenBucket(b *testing.B) {
 	b.ReportMetric(float64(taken)/b.Elapsed().Seconds(), "takes/s")
 }
 
-// BenchmarkDESLinkTransfer measures one Link.Transfer among a fixed
-// number of concurrent flows, the benchmark harness's
-// des.link_transfer_ns_f* probe: capped flows on a link with room to
-// spare, sizes unequal so completions interleave and every arrival
-// and departure reshares the link. allocs/op is the flow itself.
+// BenchmarkDESLinkTransfer measures one transfer among a fixed number
+// of concurrent flows: capped flows on a link with room to spare, sizes
+// unequal so completions interleave and every arrival and departure
+// reshares the link. flows=8 and 256 are the benchmark harness's
+// des.link_transfer_ns_f* probes; 8 and 64 take the single pass, 256
+// is link-bound and waterfills at every change. The store cases have no
+// process in them, as a store's streams have none: each flow's callback
+// starts its next transfer, so the number is the link's arithmetic and
+// two events, no goroutine switch. store=48 is a store backend under
+// load (one cap, distinct names, the single pass); store-mixed=48 gives
+// every other flow a lower cap and stays on the general path.
 func BenchmarkDESLinkTransfer(b *testing.B) {
+	size := func(f, k int) int64 { return int64(1<<20 + ((f*31+k*17)%64)<<14) }
 	for _, flows := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
 			s := New(1)
@@ -146,19 +153,49 @@ func BenchmarkDESLinkTransfer(b *testing.B) {
 				f := f
 				s.Spawn("flow", func(p *Proc) {
 					for k := 0; k < per; k++ {
-						l.Transfer(p, int64(1<<20+((f*31+k*17)%64)<<14), 95e6)
+						l.Transfer(p, size(f, k), 95e6)
 					}
 				})
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(l.Transfers())/b.Elapsed().Seconds(), "transfers/s")
+			runLinkBenchmark(b, s, l)
 		})
 	}
+	for _, bc := range []struct {
+		name   string
+		oddCap float64
+	}{{"store=48", 95e6}, {"store-mixed=48", 80e6}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const flows = 48
+			s := New(1)
+			l := NewLink(s, 10e9)
+			per := (b.N + flows - 1) / flows
+			for f := 0; f < flows; f++ {
+				f, k, name, flowCap := f, 0, fmt.Sprintf("get-%02d", f), 95e6
+				if f%2 == 1 {
+					flowCap = bc.oddCap
+				}
+				var next func()
+				next = func() {
+					if k < per {
+						k++
+						l.TransferAsync(name, size(f, k), flowCap, next)
+					}
+				}
+				s.Schedule(0, next)
+			}
+			runLinkBenchmark(b, s, l)
+		})
+	}
+}
+
+func runLinkBenchmark(b *testing.B, s *Sim, l *Link) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(l.Transfers())/b.Elapsed().Seconds(), "transfers/s")
 }
 
 // BenchmarkDESSpawn measures a burst of spawns, the harness's

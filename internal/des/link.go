@@ -24,6 +24,38 @@ import (
 // instant go in (remaining, flow name) order as of that change. Fired
 // logs depend on both.
 //
+// A change costs one loop over the flows while the link is steady:
+// every flow in flight has the same finite cap, every one runs at it,
+// and as many such caps as there will be flows after the change sum to
+// no more than fit (or the link is unlimited). Then advance would take
+// the same elapsed*cap off every flow, assignRates would hand every
+// flow the cap it already has, and reshare's search would compare
+// finishing instants that all come from one rate. An instant computed
+// by finishAt never falls as remaining grows, and reshare already
+// breaks ties on the instant by (remaining, name), then position; so
+// the flow with the least (remaining, name, position) is the flow
+// reshare would pick, and finishAt of that one flow is its instant.
+// sweep is that loop: subtract, clamp at zero, keep the least. Nothing
+// about it is approximate, and the event is cancelled and scheduled
+// anew exactly as on the general path.
+//
+// The link tells from state it keeps as flows come and go, in O(1):
+// cap1, the cap of the flow that joined when the link was last empty;
+// odd, how many flows in flight are capped otherwise or not at all; and
+// sums, where sums[k] is k caps added left to right, the very sum
+// assignRates would compare with fit. That every flow already runs at
+// cap1 needs no flag. Whichever path served the last change, flows all
+// capped at cap1 were left at it exactly when their sum was within fit,
+// the one test both paths make; the sums only grow with the count; and
+// a join is tested with the newcomer counted, a completion with the
+// flow that is about to leave still counted. What sends a link to the
+// general path, advance then assignRates then reshare as before, is
+// therefore a flow with another cap or none (until the link next
+// drains), a count whose caps do not fit, and the completion that
+// leaves a count that fits again behind it: its flows carry waterfilled
+// rates, are advanced at those, and pass through assignRates before
+// sweep takes them at cap1.
+//
 // A flow completes in one of two ways, one event either way and in the
 // same place: Transfer's flow wakes the process parked on it, and
 // TransferAsync's flow schedules its callback where that wake would
@@ -53,6 +85,14 @@ type Link struct {
 	ev     Event
 	next   int
 	fireFn func()
+
+	// What tells a steady link (see the type's comment): cap1 is the cap
+	// of the flow that joined when the link was last empty, odd counts
+	// the flows in flight capped otherwise or not at all, and sums[k] is
+	// k caps of cap1 added left to right.
+	cap1 float64
+	odd  int
+	sums []float64
 
 	// Scratch for waterfillFlows, reused across calls.
 	rates []float64
@@ -112,9 +152,6 @@ func NewLink(s *Sim, capacity float64) *Link {
 	l.fireFn = l.fire
 	return l
 }
-
-// Capacity reports the configured capacity (<= 0 for unlimited).
-func (l *Link) Capacity() float64 { return l.capacity }
 
 // ActiveFlows reports the number of in-flight transfers.
 func (l *Link) ActiveFlows() int { return len(l.flows) }
@@ -192,6 +229,21 @@ func (l *Link) join(name string, bytes int64, flowCap float64) *Flow {
 	if flowCap > 0 {
 		f.cap = flowCap
 	}
+	if len(l.flows) == 0 && f.cap != l.cap1 {
+		// The one cap is whatever the first flow brings.
+		l.cap1, l.sums = f.cap, l.sums[:0]
+	}
+	if l.oddCap(f) {
+		l.odd++
+	}
+	if l.steadyWith(len(l.flows) + 1) {
+		// The newcomer has moved nothing yet: it enters current, at its
+		// cap, last in the search.
+		f.rate = f.cap
+		l.flows = append(l.flows, f)
+		l.sweep(l.moved(), len(l.flows)-1)
+		return f
+	}
 	l.advance()
 	l.flows = append(l.flows, f)
 	l.reshare()
@@ -240,25 +292,15 @@ func (l *Link) reshare() {
 	now := l.sim.now
 	next, nextAt := -1, time.Duration(0)
 	for i, f := range l.flows {
-		at := now
-		if f.remaining > 0.5 && !math.IsInf(f.rate, 1) {
-			if f.rate <= 0 {
-				// No capacity at all: leave the flow parked; a later
-				// membership change will reshare. This only happens
-				// with a capacity so small that waterfill's fair share
-				// underflows to zero, which validated configs cannot
-				// produce.
-				continue
-			}
-			// Round up so sub-nanosecond residues still make progress;
-			// otherwise a tiny transfer at a huge rate reschedules
-			// itself at the same instant forever.
-			d := time.Duration(math.Ceil(f.remaining / f.rate * float64(time.Second)))
-			if d < time.Nanosecond {
-				d = time.Nanosecond
-			}
-			at = now + d
+		if f.rate <= 0 && f.remaining > 0.5 {
+			// No capacity at all: leave the flow parked; a later
+			// membership change will reshare. This only happens
+			// with a capacity so small that waterfill's fair share
+			// underflows to zero, which validated configs cannot
+			// produce.
+			continue
 		}
+		at := finishAt(now, f.remaining, f.rate)
 		if next < 0 || at < nextAt || at == nextAt && f.before(l.flows[next]) {
 			next, nextAt = i, at
 		}
@@ -320,24 +362,136 @@ func (l *Link) waterfillFlows() {
 // scheduled for (one event: the wake of its process, or its callback)
 // and reshares the rest.
 func (l *Link) fire() {
+	if l.steadyWith(len(l.flows)) {
+		// Tested with the flow that may leave still counted: a count
+		// that fits runs at its caps, and one fewer fits as well. That
+		// flow is brought up to date ahead of the rest, to know whether
+		// it leaves before the one pass over those that stay.
+		moved := l.moved()
+		f, kept := l.flows[l.next], -1
+		if f.remaining -= moved; f.remaining < 0 {
+			f.remaining = 0
+		}
+		if f.remaining <= 0.5 {
+			l.complete(l.next)
+		} else {
+			kept = l.next
+		}
+		l.sweep(moved, kept)
+		return
+	}
 	l.advance()
 	// Self-correct rounding: if the flow is not actually done, leave
 	// it in and reschedule.
-	if f := l.flows[l.next]; f.remaining <= 0.5 {
-		l.flows = slices.Delete(l.flows, l.next, l.next+1)
-		l.bytesMoved += f.bytes
-		l.transfersRun++
-		if f.proc != nil {
-			// Transfer releases the flow once its process has seen it
-			// finished.
-			f.finished = true
-			f.proc.Wake()
-		} else {
-			l.sim.Schedule(l.sim.now, f.done)
-			l.release(f)
-		}
+	if l.flows[l.next].remaining <= 0.5 {
+		l.complete(l.next)
 	}
 	l.reshare()
+}
+
+// complete takes flows[i], which has moved its bytes, off the link and
+// fires its one event.
+func (l *Link) complete(i int) {
+	f := l.flows[i]
+	l.flows = slices.Delete(l.flows, i, i+1)
+	if l.oddCap(f) {
+		l.odd--
+	}
+	l.bytesMoved += f.bytes
+	l.transfersRun++
+	if f.proc != nil {
+		// Transfer releases the flow once its process has seen it
+		// finished.
+		f.finished = true
+		f.proc.Wake()
+	} else {
+		l.sim.Schedule(l.sim.now, f.done)
+		l.release(f)
+	}
+}
+
+// oddCap reports whether f keeps the link off the steady path: its cap
+// is not the one the link's table of sums is for, or it has none.
+func (l *Link) oddCap(f *Flow) bool {
+	return f.cap != l.cap1 || math.IsInf(f.cap, 1)
+}
+
+// steadyWith reports whether the link is steady with n flows: all of
+// them capped at cap1, and n such caps within what assignRates hands
+// out untouched. The sum is assignRates' own, k additions from zero,
+// kept per k. The flows of a steady link run at cap1 (see Link).
+func (l *Link) steadyWith(n int) bool {
+	if l.odd > 0 {
+		return false
+	}
+	if l.capacity <= 0 {
+		return true
+	}
+	for k := len(l.sums); k <= n; k++ {
+		var sum float64
+		if k > 0 {
+			sum = l.sums[k-1] + l.cap1
+		}
+		l.sums = append(l.sums, sum)
+	}
+	return l.sums[n] <= l.fit
+}
+
+// moved brings a steady link's clock to the current instant and
+// returns the bytes every flow in flight has moved since it was last
+// there: advance's elapsed*rate, the same for all at one rate.
+func (l *Link) moved() float64 {
+	elapsed := (l.sim.now - l.last).Seconds()
+	l.last = l.sim.now
+	return elapsed * l.cap1
+}
+
+// sweep is advance, assignRates and reshare in one pass, for a steady
+// link: every flow ran at cap1 and goes on at it, so each has the same
+// moved bytes taken off and the flow with the least left, name and then
+// position on ties, is the one reshare would pick, as a flow's
+// finishing instant never falls as what it has left grows. current is
+// the index of a flow that is already up to date (the one that joined,
+// or the one fire found unfinished), -1 for none.
+func (l *Link) sweep(moved float64, current int) {
+	l.ev.Cancel()
+	l.ev = Event{}
+	next := -1
+	var least float64
+	var name string
+	for i, f := range l.flows {
+		left := f.remaining
+		if moved > 0 && i != current {
+			if left -= moved; left < 0 {
+				left = 0
+			}
+			f.remaining = left
+		}
+		if next < 0 || left < least || left == least && f.name < name {
+			next, least, name = i, left, f.name
+		}
+	}
+	if next >= 0 {
+		l.next = next
+		l.ev = l.sim.Schedule(finishAt(l.sim.now, least, l.cap1), l.fireFn)
+	}
+}
+
+// finishAt is the instant a flow with remaining bytes left finishes
+// at rate, seen from now: now itself with half a byte or less to go or
+// nothing limiting it, else remaining over rate from now.
+func finishAt(now time.Duration, remaining, rate float64) time.Duration {
+	if remaining <= 0.5 || math.IsInf(rate, 1) {
+		return now
+	}
+	// Round up so sub-nanosecond residues still make progress;
+	// otherwise a tiny transfer at a huge rate reschedules itself at
+	// the same instant forever.
+	d := time.Duration(math.Ceil(remaining / rate * float64(time.Second)))
+	if d < time.Nanosecond {
+		d = time.Nanosecond
+	}
+	return now + d
 }
 
 // capIdx is one flow's cap and its position in the caller's slice,

@@ -396,8 +396,10 @@ func TestLinkDrainLeavesNoEvent(t *testing.T) {
 }
 
 // TestLinkSteadyStateTransferAllocatesNothing: flows come from the
-// link's free list, so once the link has seen its peak concurrency a
-// transfer of either form costs no allocation.
+// link's free list and the table of cap sums grows once per flow count,
+// so once the link has seen its peak concurrency a transfer of either
+// form costs no allocation, on a link that stays busy and on one that
+// drains and refills under another cap each time.
 func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -409,7 +411,8 @@ func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 	for i := 0; i < 63; i++ {
 		s.Spawn(fmt.Sprintf("bg%d", i), func(p *Proc) { l.Transfer(p, 1<<40, 95e6) })
 	}
-	var parked, async float64
+	idle := NewLink(s, 10e9)
+	var parked, async, burst, refill float64
 	s.Spawn("probe", func(p *Proc) {
 		parked = testing.AllocsPerRun(200, func() { l.Transfer(p, 1<<20, 95e6) })
 		done := func() { p.Wake() }
@@ -417,12 +420,30 @@ func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 			l.TransferAsync("probe", 1<<20, 95e6, done)
 			p.Park()
 		})
+		// Sixteen at once: the first run takes the link to 79 flows, a
+		// count it has no sum for yet, and the rest find it there.
+		landed := 0
+		land := func() { landed++; p.Wake() }
+		wave := func(l *Link, flowCap float64) {
+			landed = 0
+			for i := 0; i < 16; i++ {
+				l.TransferAsync("probe", int64(1<<20+i), flowCap, land)
+			}
+			for landed < 16 {
+				p.Park()
+			}
+		}
+		burst = testing.AllocsPerRun(100, func() { wave(l, 95e6) })
+		caps := [2]float64{95e6, 80e6}
+		runs := 0
+		refill = testing.AllocsPerRun(100, func() { runs++; wave(idle, caps[runs%2]) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if parked != 0 || async != 0 {
-		t.Fatalf("among 64 flows: Transfer %.1f allocs, TransferAsync %.1f, want 0 and 0", parked, async)
+	if parked != 0 || async != 0 || burst != 0 || refill != 0 {
+		t.Fatalf("among 64 flows: Transfer %.1f allocs, TransferAsync %.1f, sixteen at once %.1f; sixteen on an idle link %.1f; want 0 each",
+			parked, async, burst, refill)
 	}
 }
 
