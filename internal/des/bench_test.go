@@ -188,6 +188,8 @@ func BenchmarkDESLinkTransfer(b *testing.B) {
 	}
 }
 
+// runLinkBenchmark times the run of a simulation whose transfers are
+// all set up and reports them per second.
 func runLinkBenchmark(b *testing.B, s *Sim, l *Link) {
 	b.ReportAllocs()
 	b.ResetTimer()

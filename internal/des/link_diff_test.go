@@ -168,25 +168,22 @@ func diffSchedules(t *testing.T, sc diffSchedule) error {
 func diffPaths(t *testing.T, sc diffSchedule) (diffResult, error) {
 	t.Helper()
 	got := runSchedule(t, sc, func(s *Sim) diffLink { return NewLink(s, sc.capacity) })
-	return got, diffResults(got, runSchedule(t, sc, func(s *Sim) diffLink { return newOracleLink(s, sc.capacity) }))
-}
-
-func diffResults(got, want diffResult) error {
+	want := runSchedule(t, sc, func(s *Sim) diffLink { return newOracleLink(s, sc.capacity) })
 	if len(got.steps) != len(want.steps) {
-		return fmt.Errorf("%d steps, oracle %d", len(got.steps), len(want.steps))
+		return got, fmt.Errorf("%d steps, oracle %d", len(got.steps), len(want.steps))
 	}
 	for i := range want.steps {
 		if got.steps[i] != want.steps[i] {
-			return fmt.Errorf("step %d = %+v, oracle %+v", i, got.steps[i], want.steps[i])
+			return got, fmt.Errorf("step %d = %+v, oracle %+v", i, got.steps[i], want.steps[i])
 		}
 	}
 	if got.fired != want.fired || got.end != want.end {
-		return fmt.Errorf("fired %d ending at %v, oracle %d at %v", got.fired, got.end, want.fired, want.end)
+		return got, fmt.Errorf("fired %d ending at %v, oracle %d at %v", got.fired, got.end, want.fired, want.end)
 	}
 	if got.bytes != want.bytes || got.transfers != want.transfers {
-		return fmt.Errorf("moved %v in %d, oracle %v in %d", got.bytes, got.transfers, want.bytes, want.transfers)
+		return got, fmt.Errorf("moved %v in %d, oracle %v in %d", got.bytes, got.transfers, want.bytes, want.transfers)
 	}
-	return nil
+	return got, nil
 }
 
 const diffCap = 95e6 // the paper profile's per-connection ceiling
@@ -622,6 +619,7 @@ func TestLinkDifferentialTies(t *testing.T) {
 func TestLinkTwinsFinishInJoinOrder(t *testing.T) {
 	for pathName, capacity := range map[string]float64{"single pass": 0, "general path": 2 * diffCap} {
 		s := New(1)
+		s.MaxEvents = 1 << 22
 		l := NewLink(s, capacity)
 		var order []int
 		for i := 0; i < 5; i++ {
