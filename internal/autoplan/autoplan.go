@@ -126,8 +126,6 @@ type Env struct {
 	// CacheMaxNodes caps the cluster size (0: no quota). Volumes
 	// needing more nodes make the cache family infeasible.
 	CacheMaxNodes int
-	// CacheWarm models a pre-provisioned cluster: no spin-up latency.
-	CacheWarm bool
 	// CacheStandingNodes, when positive, says a session-owned cluster
 	// of that size is already running and already paid for: the cache
 	// family uses it (no spin-up, no node-hours in the marginal cost)

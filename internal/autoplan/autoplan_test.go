@@ -33,11 +33,10 @@ func flipEnv() Env {
 			PerConnBandwidth: 600e6,
 			NodeBandwidth:    5e9,
 			NodeOpsPerSec:    90000,
-			ProvisionTime:    2 * time.Second,
-			NodeHourlyUSD:    0.311,
+			// No ProvisionTime: the cluster is warm.
+			NodeHourlyUSD: 0.311,
 		},
 		CacheMaxNodes: 2,
-		CacheWarm:     true,
 		VMTypes:       vm.Catalog(),
 		VMSetup:       28 * time.Second,
 		VMSortBps:     270e6,

@@ -194,7 +194,7 @@ func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 		shuffle.CacheProfile(env.Cache, nodes), crossFrac*env.CrossZoneRTT.Seconds())
 
 	provision := env.Cache.ProvisionTime
-	if env.CacheWarm || standing {
+	if standing {
 		provision = 0
 	}
 	exchange := wl.Startup.Seconds() + plan.Seconds

@@ -49,7 +49,6 @@ func TestCacheFoldMatchesRetiredPredictor(t *testing.T) {
 				ProvisionTime:    time.Duration(logUniform(1e8, 3e11)),
 				NodeHourlyUSD:    logUniform(0.01, 5),
 			},
-			CacheWarm:    rng.Intn(3) == 0,
 			Zones:        1 + rng.Intn(4),
 			CrossZoneRTT: time.Duration(logUniform(1e5, 1e7)),
 		}

@@ -129,7 +129,7 @@ func oraclePredictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 		math.Max(slat, fw*parts/env.Store.WriteOpsPerSec)
 
 	provision := env.Cache.ProvisionTime
-	if env.CacheWarm || env.CacheStandingNodes > 0 {
+	if env.CacheStandingNodes > 0 {
 		provision = 0
 	}
 	exchange := wl.Startup.Seconds() + p1 + p2

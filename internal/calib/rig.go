@@ -49,9 +49,6 @@ func NewRig(p Profile) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: shuffle: %w", err)
 	}
-	if err := op.EnableHierarchical(); err != nil {
-		return nil, fmt.Errorf("calib: hierarchical shuffle: %w", err)
-	}
 	cacheProv, err := memcache.NewProvisioner(sim, p.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("calib: cache: %w", err)
@@ -151,7 +148,6 @@ func (r *Rig) AutoStrategy(obj autoplan.Objective) *core.AutoExchange {
 		Objective: obj,
 		Env:       env,
 		VM:        *r.VMStrategy(),
-		Cache:     *r.CacheStrategy(false),
 	}
 }
 

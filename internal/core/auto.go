@@ -20,14 +20,11 @@ type AutoExchange struct {
 	// priors and calibration history included: calib.PlanEnv of the
 	// profile the executor's services were built from. RunSort overlays
 	// only what is live when the stage runs: a standing cluster or
-	// instance that is still up, whether the two-level shuffle is
-	// registered, and the stage's memory grant.
+	// instance that is still up, and the stage's memory grant.
 	Env autoplan.Env
 	// VM carries the VM family's dispatch knobs (Setup/SortBps/Conns
 	// shape its run).
 	VM VMExchange
-	// Cache carries the cache family's dispatch knobs (Warm).
-	Cache CacheExchange
 	// LastDecision is the most recent planner output (for reports; the
 	// simulation kernel runs one process at a time, so reads after the
 	// stage are safe).
@@ -57,7 +54,6 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	}
 	wl := autoplan.Workload{PlanInput: in, Workers: params.Workers, OutputParts: params.Workers}
 	env := a.Env
-	env.NoHierarchical = env.NoHierarchical || !ctx.Exec.Shuffle.HierarchicalEnabled()
 	if params.MemoryMB > 0 {
 		env.FunctionMemoryMB = params.MemoryMB
 	}
@@ -118,17 +114,11 @@ func (a *AutoExchange) dispatch(ctx *StageContext, params SortParams, dec *autop
 		q.Speculate = true
 	}
 	switch c.Strategy {
-	case autoplan.ObjectStorage:
-		q.Hierarchical = false
-		return ObjectStorageExchange{}.RunSort(ctx, q)
-	case autoplan.Hierarchical:
-		q.Hierarchical = true
-		q.Groups = c.Groups
+	case autoplan.ObjectStorage, autoplan.Hierarchical:
+		q.Hierarchical, q.Groups = c.Strategy == autoplan.Hierarchical, c.Groups
 		return ObjectStorageExchange{}.RunSort(ctx, q)
 	case autoplan.CacheBacked:
-		ce := a.Cache
-		ce.Nodes = c.CacheNodes
-		return ce.RunSort(ctx, q)
+		return (&CacheExchange{Nodes: c.CacheNodes}).RunSort(ctx, q)
 	case autoplan.VMStaged:
 		ve := a.VM
 		ve.InstanceType = c.Instance

@@ -27,9 +27,6 @@ func planEnvOf(exec *Executor) autoplan.Env {
 // carries the planner's summary.
 func TestAutoExchangeCapturesDecision(t *testing.T) {
 	r := newRig(t)
-	if err := r.exec.Shuffle.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
 	recs := bed.Generate(bed.GenConfig{Records: 1500, Seed: 93, Sorted: false})
 	params := stageData(t, r, recs)
 	params.Workers = 4

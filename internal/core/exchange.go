@@ -99,26 +99,25 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 	if ctx.Exec.Shuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
+	var res shuffle.Result
+	var err error
 	if params.Hierarchical {
-		res, err := ctx.Exec.Shuffle.SortHierarchical(ctx.Proc, shuffle.HierSpec{
-			Spec:   params.spec(),
-			Groups: params.Groups,
-		})
-		if err != nil {
-			return SortOutcome{}, err
-		}
-		detail := fmt.Sprintf("two-level shuffle via object storage: %d workers in %d groups, round1 %v, round2 %v",
-			res.Workers, res.Groups,
-			res.Round1.Round(time.Millisecond), res.Round2.Round(time.Millisecond))
-		return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
+		res, err = ctx.Exec.Shuffle.SortHierarchical(ctx.Proc, shuffle.HierSpec{Spec: params.spec(), Groups: params.Groups})
+	} else {
+		res, err = ctx.Exec.Shuffle.Sort(ctx.Proc, params.spec())
 	}
-	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, params.spec())
 	if err != nil {
 		return SortOutcome{}, err
 	}
-	detail := fmt.Sprintf("shuffle via object storage: %d workers, sample %v, phase1 %v, phase2 %v",
-		res.Workers, res.Sample.Round(time.Millisecond),
-		res.Phase1.Round(time.Millisecond), res.Phase2.Round(time.Millisecond))
+	phase1, phase2 := res.Phase1.Round(time.Millisecond), res.Phase2.Round(time.Millisecond)
+	var detail string
+	if params.Hierarchical {
+		detail = fmt.Sprintf("two-level shuffle via object storage: %d workers in %d groups, round1 %v, round2 %v",
+			res.Workers, res.Groups, phase1, phase2)
+	} else {
+		detail = fmt.Sprintf("shuffle via object storage: %d workers, sample %v, phase1 %v, phase2 %v",
+			res.Workers, res.Sample.Round(time.Millisecond), phase1, phase2)
+	}
 	return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
 }
 
@@ -243,7 +242,7 @@ func (v *VMExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome,
 	}
 	keys := make([]string, params.Workers)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("%spart-%04d", params.OutputPrefix, i)
+		keys[i] = shuffle.OutputKey(params.OutputPrefix, i)
 	}
 	putDone := make([]bool, params.Workers)
 	var restarts int
@@ -409,21 +408,14 @@ func parallelFetch(p *des.Proc, client interface {
 	parts := make([]payload.Payload, n)
 	errs := make([]error, n)
 	wg := des.NewWaitGroup(p.Sim())
-	base := size / int64(n)
-	rem := size % int64(n)
-	off := int64(0)
 	for i := 0; i < n; i++ {
-		length := base
-		if int64(i) < rem {
-			length++
-		}
-		i, off2 := i, off
+		i := i
+		off, length := shuffle.EvenShare(size, n, i)
 		wg.Add(1)
 		p.Spawn(fmt.Sprintf("vm-fetch-%d", i), func(fp *des.Proc) {
 			defer wg.Done()
-			parts[i], errs[i] = client.GetRange(fp, bkt, key, off2, length)
+			parts[i], errs[i] = client.GetRange(fp, bkt, key, off, length)
 		})
-		off += length
 	}
 	wg.Wait(p)
 	for _, err := range errs {
@@ -468,16 +460,9 @@ func parallelPut(p *des.Proc, client interface {
 // near-equal record count, preserving global order.
 func splitRecords(recs []bed.Record, w int) []payload.Payload {
 	parts := make([]payload.Payload, w)
-	base := len(recs) / w
-	rem := len(recs) % w
-	idx := 0
-	for i := 0; i < w; i++ {
-		n := base
-		if i < rem {
-			n++
-		}
+	for i := range parts {
+		idx, n := shuffle.EvenShare(int64(len(recs)), w, i)
 		parts[i] = payload.RealNoCopy(bed.Marshal(recs[idx : idx+n]))
-		idx += n
 	}
 	return parts
 }
@@ -485,13 +470,8 @@ func splitRecords(recs []bed.Record, w int) []payload.Payload {
 // splitSized divides a sized payload into w near-equal parts.
 func splitSized(size int64, w int) []payload.Payload {
 	parts := make([]payload.Payload, w)
-	base := size / int64(w)
-	rem := size % int64(w)
-	for i := 0; i < w; i++ {
-		n := base
-		if int64(i) < rem {
-			n++
-		}
+	for i := range parts {
+		_, n := shuffle.EvenShare(size, w, i)
 		parts[i] = payload.Sized(n)
 	}
 	return parts

@@ -12,9 +12,6 @@ import (
 
 func TestObjectStorageExchangeHierarchical(t *testing.T) {
 	r := newRig(t)
-	if err := r.exec.Shuffle.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 81, Sorted: false})
 	params := stageData(t, r, recs)
 	params.Workers = 8

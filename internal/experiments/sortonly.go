@@ -96,13 +96,13 @@ func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasu
 			return
 		}
 		start := p.Now()
+		var res shuffle.Result
 		if so.hierarchical {
-			var res shuffle.HierResult
 			res, m.sortErr = rig.Shuffle.SortHierarchical(p, shuffle.HierSpec{Spec: spec})
-			m.groups = res.Groups
 		} else {
-			_, m.sortErr = rig.Shuffle.Sort(p, spec)
+			res, m.sortErr = rig.Shuffle.Sort(p, spec)
 		}
+		m.groups = res.Groups
 		m.latency = p.Now() - start
 	})
 	if err := rig.Run(); err != nil {

@@ -84,7 +84,7 @@ func TestCacheStrategyFromJSON(t *testing.T) {
 	}
 }
 
-func TestCacheWarmStrategyFromJSON(t *testing.T) {
+func TestWarmCacheStrategyFromJSON(t *testing.T) {
 	rig := runDoc(t, `{
 	  "name": "warm-pipe",
 	  "input": {"bucket": "data", "key": "sample.bed"},

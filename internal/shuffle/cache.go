@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -46,14 +45,10 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 	if prov == nil {
 		return nil, errors.New("shuffle: nil cache provisioner")
 	}
-	op := &CacheOperator{platform: platform, store: store, prov: prov}
-	if err := platform.Register(cacheMapFn, mapHandler); err != nil {
+	if err := register(platform, cacheMapFn, cacheReduceFn); err != nil {
 		return nil, err
 	}
-	if err := platform.Register(cacheReduceFn, reduceHandler); err != nil {
-		return nil, err
-	}
-	return op, nil
+	return &CacheOperator{platform: platform, store: store, prov: prov}, nil
 }
 
 // CacheSpec describes one cache-exchanged sort job.
@@ -77,28 +72,6 @@ type CacheSpec struct {
 	Cluster *memcache.Cluster
 }
 
-// CacheResult reports a completed cache-exchanged sort.
-type CacheResult struct {
-	Result
-	// Nodes is the cluster size used.
-	Nodes int
-	// Provision is the cluster spin-up time paid (zero when Warm).
-	Provision time.Duration
-	// PeakCacheBytes is the high-water cache occupancy estimate
-	// (the input volume; partitions are deleted as they are merged).
-	PeakCacheBytes int64
-	// FallbackSlabs counts intermediate partitions that flowed through
-	// object storage instead of the cache because their shard node was
-	// down (direct reroutes plus regenerated slabs).
-	FallbackSlabs int
-	// Restarts counts recovery waves run after a node loss: slab
-	// regeneration passes and reduce re-runs.
-	Restarts int
-	// ReworkBytes is the input volume re-read to regenerate slabs a
-	// failed node lost.
-	ReworkBytes int64
-}
-
 // CacheProfile converts a cache node profile at a given cluster size
 // into the planner's store profile, so the same Optimize searches the
 // cache-exchange plan space: aggregate bandwidth and ops scale with
@@ -119,28 +92,26 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 // Sort runs the cache-exchanged shuffle, blocking p until the sorted
 // output is in the object store. The per-job cluster is provisioned
 // before and stopped after the exchange.
-func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) {
-	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.OutputBucket, prov: op.prov, spec: spec}
+func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (Result, error) {
 	j := &job{
 		platform: op.platform,
 		store:    op.store,
-		runs:     runs,
 		spec:     spec.Spec,
 		prefix:   "cacheshuffle",
 		seq:      &op.seq,
 		mapFn:    cacheMapFn,
 		reduceFn: cacheReduceFn,
 	}
+	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.OutputBucket, prov: op.prov, spec: spec, res: &j.res}
+	j.runs = runs
 	err := j.run(p)
 	if spec.Cluster == nil && runs.cluster != nil {
 		runs.cluster.Stop()
 	}
 	if err != nil {
-		return CacheResult{}, err
+		return Result{}, err
 	}
-	runs.res.Result = j.res
-	runs.res.FallbackSlabs += j.fallbacks
-	return runs.res, nil
+	return j.res, nil
 }
 
 // cacheRuns is the cache run store: every run (slab) is one cache
@@ -157,10 +128,11 @@ type cacheRuns struct {
 	// it writes just these lost slabs, straight to the fallback bucket.
 	only map[string]bool
 
-	// Driver side: where the cluster comes from, and what it cost.
+	// Driver side: where the cluster comes from, and the job's result,
+	// which takes what the cluster cost.
 	prov *memcache.Provisioner
 	spec CacheSpec
-	res  CacheResult
+	res  *Result
 }
 
 // fallbackKey names a slab's object-storage fallback location.
@@ -176,25 +148,25 @@ func isNodeLoss(err error) bool {
 	return errors.Is(err, memcache.ErrNodeDown) || errors.Is(err, errSlabLost)
 }
 
-// profile sizes the cluster for the exchange and returns its
-// throughput profile.
-func (c *cacheRuns) profile(size int64) (StoreProfile, error) {
+// medium sizes the cluster for the exchange and returns it as the
+// planner sees it.
+func (c *cacheRuns) medium(size int64) (medium, error) {
 	nodes := c.spec.Nodes
 	if c.cluster != nil { // caller-owned: nothing is provisioned yet otherwise
 		if c.cluster.Stopped() {
-			return StoreProfile{}, errors.New("shuffle: caller-owned cache cluster is stopped")
+			return medium{}, errors.New("shuffle: caller-owned cache cluster is stopped")
 		}
 		nodes = c.cluster.Nodes()
 		if size > c.cluster.CapacityBytes() {
-			return StoreProfile{}, fmt.Errorf(
+			return medium{}, fmt.Errorf(
 				"shuffle: %d-byte exchange exceeds the standing cluster's %d-byte capacity",
 				size, c.cluster.CapacityBytes())
 		}
 	} else if nodes <= 0 {
 		nodes = memcache.NodesForCapacity(c.prov.Config(), size, CacheOversize)
 	}
-	c.res.Nodes, c.res.PeakCacheBytes = nodes, size
-	return CacheProfile(c.prov.Config(), nodes), nil
+	c.res.Nodes = nodes
+	return medium{StoreProfile: CacheProfile(c.prov.Config(), nodes), resident: true}, nil
 }
 
 // ready provisions the cluster (skipped when warm: it is already up; or
@@ -220,8 +192,7 @@ func (c *cacheRuns) ready(p *des.Proc) error {
 // a dead shard (Set before the node died, no store copy) are
 // regenerated from the input into the fallback bucket, and only
 // reducers without durable output re-run.
-func (c *cacheRuns) reduce(p *des.Proc, j *job) ([]string, error) {
-	outKeys := make([]string, j.workers)
+func (c *cacheRuns) reduce(p *des.Proc, j *job) error {
 	pending := make([]int, j.workers)
 	for i := range pending {
 		pending[i] = i
@@ -230,18 +201,12 @@ func (c *cacheRuns) reduce(p *des.Proc, j *job) ([]string, error) {
 	for wave := 0; ; wave++ {
 		if c.cluster.DownNodes() > 0 {
 			if err := c.regenerate(p, j, pending); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		keys, err := j.reduceWave(p, pending)
-		if err == nil {
-			for i, key := range keys {
-				outKeys[pending[i]] = key
-			}
-			return outKeys, nil
-		}
-		if wave >= maxRecoveries || !isNodeLoss(err) {
-			return nil, err
+		_, err := j.launch(p, len(j.waves)-1, pending, c)
+		if err == nil || wave >= maxRecoveries || !isNodeLoss(err) {
+			return err
 		}
 		// A shard died mid-reduce. Reducers whose output is already
 		// durable are done (their keys are deterministic); the rest
@@ -249,18 +214,16 @@ func (c *cacheRuns) reduce(p *des.Proc, j *job) ([]string, error) {
 		c.res.Restarts++
 		var still []int
 		for _, r := range pending {
-			key := outputKey(j.spec.OutputPrefix, r)
-			if _, herr := j.client.Head(p, j.spec.OutputBucket, key); herr == nil {
-				outKeys[r] = key
+			if _, herr := j.client.Head(p, j.spec.OutputBucket, j.res.OutputKeys[r]); herr == nil {
 				continue
 			} else if !objectstore.IsNotFound(herr) {
-				return nil, fmt.Errorf("cache recovery scan: %w", herr)
+				return fmt.Errorf("cache recovery scan: %w", herr)
 			}
 			still = append(still, r)
 		}
 		pending = still
 		if len(pending) == 0 {
-			return outKeys, nil
+			return nil
 		}
 	}
 }
@@ -294,14 +257,15 @@ func (c *cacheRuns) regenerate(p *des.Proc, j *job, reducers []int) error {
 	if len(lost) == 0 {
 		return nil
 	}
-	slabs, err := j.mapWave(p, &cacheRuns{cluster: c.cluster, fallback: c.fallback, only: lost}, mappers)
+	slabs, err := j.launch(p, 0, mappers, &cacheRuns{cluster: c.cluster, fallback: c.fallback, only: lost})
 	if err != nil {
 		return fmt.Errorf("cache slab regen: %w", err)
 	}
 	c.res.Restarts++
 	c.res.FallbackSlabs += slabs
 	for _, m := range mappers {
-		c.res.ReworkBytes += evenShare(j.size, j.workers, m).n
+		_, n := EvenShare(j.size, j.workers, m)
+		c.res.ReworkBytes += n
 	}
 	return nil
 }

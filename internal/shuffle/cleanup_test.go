@@ -62,7 +62,7 @@ func TestSortCleanupScratch(t *testing.T) {
 }
 
 func TestHierSortCleanupScratch(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1200, Seed: 62, Sorted: false})
 	spec := hierSpec(8, 4)
 	spec.CleanupScratch = true

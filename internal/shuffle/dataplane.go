@@ -307,8 +307,10 @@ func partKey(jobID string, m, r int) string {
 	return string(b)
 }
 
-// outputKey names reducer idx's globally-ordered output part.
-func outputKey(prefix string, idx int) string {
+// OutputKey names output part idx of a sort, whatever strategy wrote it:
+// <prefix>part-NNNN, widening as appendIndex4 does, so that a listing of
+// the prefix is in global order.
+func OutputKey(prefix string, idx int) string {
 	b := make([]byte, 0, len(prefix)+len("part-0000"))
 	b = append(b, prefix...)
 	b = append(b, "part-"...)

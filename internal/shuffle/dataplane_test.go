@@ -189,9 +189,24 @@ func TestPartKeyMatchesLegacyFormat(t *testing.T) {
 func TestOutputKeyMatchesLegacyFormat(t *testing.T) {
 	for _, idx := range []int{0, 7, 321, 9999} {
 		want := fmt.Sprintf("sorted/part-%04d", idx)
-		if got := outputKey("sorted/", idx); got != want {
-			t.Errorf("outputKey(%d) = %q, want %q", idx, got, want)
+		if got := OutputKey("sorted/", idx); got != want {
+			t.Errorf("OutputKey(%d) = %q, want %q", idx, got, want)
 		}
+	}
+}
+
+// TestOutputKeyAtTheWidthTransitions pins the one definition of an output
+// part's name, the function strategies' and the VM strategy's, where its
+// width changes: byte for byte, and sorted bytewise in index order.
+func TestOutputKeyAtTheWidthTransitions(t *testing.T) {
+	want := []string{"p/part-0000", "p/part-9999", "p/part-x00010000", "p/part-y0000000000100000000"}
+	for i, idx := range []int{0, 9999, 10000, 100000000} {
+		if got := OutputKey("p/", idx); got != want[i] {
+			t.Errorf("OutputKey(%d) = %q, want %q", idx, got, want[i])
+		}
+	}
+	if !sort.StringsAreSorted(want) {
+		t.Fatalf("%q do not sort in index order", want)
 	}
 }
 
@@ -209,7 +224,7 @@ func TestOutputKeyOrderSurvivesWideIndices(t *testing.T) {
 	}
 	keys := make([]string, len(idxs))
 	for i, idx := range idxs {
-		keys[i] = outputKey("sorted/", idx)
+		keys[i] = OutputKey("sorted/", idx)
 	}
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("output keys do not sort in index order:\n%v", keys)

@@ -67,7 +67,7 @@ func TestGoldenSortOutputByteIdentical(t *testing.T) {
 }
 
 func TestGoldenHierarchicalOutputByteIdentical(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 4800, Seed: 82, Sorted: false})
 	want := seedSortedBytes(recs)
 	var got []byte
@@ -112,7 +112,7 @@ func TestGoldenScaffoldChromsByteIdentical(t *testing.T) {
 		recs[i], recs[j] = recs[j], recs[i]
 	}
 	want := seedSortedBytes(recs)
-	rig := newHierRig(t)
+	rig := newRig(t)
 	var got, gotHier []bed.Record
 	var raw, rawHier []byte
 	rig.sim.Spawn("driver", func(p *des.Proc) {

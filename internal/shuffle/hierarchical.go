@@ -2,13 +2,9 @@ package shuffle
 
 import (
 	"math"
-	"time"
 
 	"github.com/faaspipe/faaspipe/internal/des"
 )
-
-// repartitionFn is the hierarchical operator's round-2 map function.
-const repartitionFn = "shuffle/repartition"
 
 // HierSpec describes a two-level (hierarchical) sort job. The one-level
 // all-to-all moves w x w intermediate objects; with w workers in g
@@ -25,28 +21,6 @@ type HierSpec struct {
 	// Groups is the number of round-1 groups; it must divide Workers.
 	// 0 picks the divisor of Workers nearest sqrt(Workers).
 	Groups int
-}
-
-// HierResult reports a completed hierarchical sort.
-type HierResult struct {
-	Result
-	// Groups is the group count used (1 degenerates to a relabeled
-	// one-level exchange).
-	Groups int
-	// Round1 and Round2 are the two exchange passes' durations; they
-	// refine Result.Phase1/Phase2 (Phase1 = Round1, Phase2 = Round2).
-	Round1, Round2 time.Duration
-}
-
-// EnableHierarchical registers the round-2 repartition function; call
-// once per operator before SortHierarchical. Split from NewOperator so
-// existing single-level deployments register nothing extra.
-func (op *Operator) EnableHierarchical() error {
-	if err := op.platform.Register(repartitionFn, repartitionHandler); err != nil {
-		return err
-	}
-	op.hierarchical = true
-	return nil
 }
 
 // autoGroups picks the divisor of w nearest sqrt(w). Primes degrade to
@@ -73,11 +47,6 @@ func autoGroups(w int) int {
 // one coarse range per group, round 2 repartitions each group's range
 // by its fine boundaries and merges. Output parts are globally ordered
 // across groups: group j's k parts are parts j*k .. j*k+k-1.
-func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, error) {
-	j := op.job("hiershuffle", spec.Spec)
-	j.hier, j.groups = true, spec.Groups
-	if err := j.run(p); err != nil {
-		return HierResult{}, err
-	}
-	return HierResult{Result: j.res, Groups: j.groups, Round1: j.res.Phase1, Round2: j.res.Phase2}, nil
+func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (Result, error) {
+	return op.sort(p, "hiershuffle", spec.Spec, true, spec.Groups)
 }

@@ -12,22 +12,13 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
-func newHierRig(t *testing.T) *testRig {
-	t.Helper()
-	rig := newRig(t)
-	if err := rig.op.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
-	return rig
-}
-
 func hierSpec(workers, groups int) HierSpec {
 	return HierSpec{Spec: sortSpec(workers), Groups: groups}
 }
 
-func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec HierSpec) (HierResult, []bed.Record) {
+func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec HierSpec) (Result, []bed.Record) {
 	t.Helper()
-	var res HierResult
+	var res Result
 	var sorted []bed.Record
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
@@ -48,7 +39,7 @@ func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec HierSpec) (
 }
 
 func TestHierSortProducesGlobalOrder(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 6000, Seed: 41, Sorted: false})
 	res, sorted := runHierSort(t, rig, recs, hierSpec(8, 4))
 	if res.Workers != 8 || res.Groups != 4 {
@@ -71,7 +62,7 @@ func TestHierSortMatchesOneLevelSort(t *testing.T) {
 	oneRig := newRig(t)
 	_, oneLevel := runSort(t, oneRig, recs, sortSpec(8))
 
-	hierRig := newHierRig(t)
+	hierRig := newRig(t)
 	_, twoLevel := runHierSort(t, hierRig, recs, hierSpec(8, 2))
 
 	if len(oneLevel) != len(twoLevel) {
@@ -85,7 +76,7 @@ func TestHierSortMatchesOneLevelSort(t *testing.T) {
 }
 
 func TestHierSortPreservesRecords(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 43, Sorted: false})
 	_, sorted := runHierSort(t, rig, recs, hierSpec(6, 3))
 	want := recordMultiset(recs)
@@ -101,7 +92,7 @@ func TestHierSortPreservesRecords(t *testing.T) {
 }
 
 func TestHierSortSingleGroupDegenerate(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1500, Seed: 44, Sorted: false})
 	res, sorted := runHierSort(t, rig, recs, hierSpec(4, 1))
 	if res.Groups != 1 {
@@ -113,7 +104,7 @@ func TestHierSortSingleGroupDegenerate(t *testing.T) {
 }
 
 func TestHierSortGroupsEqualWorkers(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1500, Seed: 45, Sorted: false})
 	res, sorted := runHierSort(t, rig, recs, hierSpec(4, 4))
 	if res.Groups != 4 {
@@ -125,7 +116,7 @@ func TestHierSortGroupsEqualWorkers(t *testing.T) {
 }
 
 func TestHierSortAutoGroups(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 46, Sorted: false})
 	res, sorted := runHierSort(t, rig, recs, hierSpec(16, 0))
 	if res.Groups != 4 {
@@ -137,7 +128,7 @@ func TestHierSortAutoGroups(t *testing.T) {
 }
 
 func TestHierSortRejectsNonDivisorGroups(t *testing.T) {
-	rig := newHierRig(t)
+	rig := newRig(t)
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		c := objectstore.NewClient(rig.store)
@@ -155,8 +146,8 @@ func TestHierSortRejectsNonDivisorGroups(t *testing.T) {
 }
 
 func TestHierSortSizedPayload(t *testing.T) {
-	rig := newHierRig(t)
-	var res HierResult
+	rig := newRig(t)
+	var res Result
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		c := objectstore.NewClient(rig.store)
@@ -189,8 +180,8 @@ func TestHierSortSizedPayload(t *testing.T) {
 	if sortErr != nil {
 		t.Fatalf("Sort: %v", sortErr)
 	}
-	if res.Round1 <= 0 || res.Round2 <= 0 {
-		t.Fatalf("rounds not timed: %+v", res)
+	if res.Phase1 <= 0 || res.Phase2 <= 0 {
+		t.Fatalf("phases not timed: %+v", res)
 	}
 	if len(res.OutputKeys) != 16 {
 		t.Fatalf("parts = %d, want 16", len(res.OutputKeys))
@@ -235,7 +226,7 @@ func TestPropertyHierEquivalence(t *testing.T) {
 		oneRig := newRig(t)
 		_, one := runSort(t, oneRig, recs, sortSpec(w))
 
-		hierRig := newHierRig(t)
+		hierRig := newRig(t)
 		_, two := runHierSort(t, hierRig, recs, hierSpec(w, g))
 
 		if len(one) != len(two) {
@@ -316,9 +307,6 @@ func TestHierSortWithRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}
-	if err := op.EnableHierarchical(); err != nil {
-		t.Fatalf("EnableHierarchical: %v", err)
-	}
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 47, Sorted: false})
 	var sorted []bed.Record
 	var sortErr error
@@ -332,7 +320,7 @@ func TestHierSortWithRetries(t *testing.T) {
 		}
 		spec := hierSpec(8, 4)
 		spec.MaxRetries = 10
-		var res HierResult
+		var res Result
 		res, sortErr = op.SortHierarchical(p, spec)
 		if sortErr != nil {
 			return

@@ -13,10 +13,11 @@ import (
 )
 
 const (
-	// mapFn and reduceFn are the operator's function names on the
-	// platform.
-	mapFn    = "shuffle/map"
-	reduceFn = "shuffle/reduce"
+	// mapFn, repartitionFn and reduceFn are the operator's function names
+	// on the platform; the middle one is the two-level sort's extra wave.
+	mapFn         = "shuffle/map"
+	repartitionFn = "shuffle/repartition"
+	reduceFn      = "shuffle/reduce"
 	// overscan is how far past its range a map worker reads to finish
 	// its last line; bedMethyl lines are ~58 bytes, 4 KiB is generous.
 	overscan = 4096
@@ -26,32 +27,32 @@ const (
 )
 
 // Operator is a serverless shuffle/sort over an object store. One
-// operator registers its map/reduce functions on a platform once and
-// can then run any number of jobs.
+// operator registers its functions on a platform once and can then run
+// any number of jobs.
 type Operator struct {
 	platform *faas.Platform
 	store    *objectstore.Service
 	// seq allocates job IDs atomically: a session rig shares one
 	// operator across concurrently Submitted jobs.
-	seq          atomic.Int64
-	hierarchical bool
+	seq atomic.Int64
 }
-
-// HierarchicalEnabled reports whether EnableHierarchical registered
-// the two-level shuffle's functions — the auto-planner only enumerates
-// hierarchical candidates when it did.
-func (op *Operator) HierarchicalEnabled() bool { return op.hierarchical }
 
 // NewOperator registers the shuffle functions on the platform.
 func NewOperator(platform *faas.Platform, store *objectstore.Service) (*Operator, error) {
-	op := &Operator{platform: platform, store: store}
-	if err := platform.Register(mapFn, mapHandler); err != nil {
+	if err := register(platform, mapFn, repartitionFn, reduceFn); err != nil {
 		return nil, err
 	}
-	if err := platform.Register(reduceFn, reduceHandler); err != nil {
-		return nil, err
+	return &Operator{platform: platform, store: store}, nil
+}
+
+// register puts the one handler on the platform under each name.
+func register(platform *faas.Platform, names ...string) error {
+	for _, name := range names {
+		if err := platform.Register(name, handler); err != nil {
+			return err
+		}
 	}
-	return op, nil
+	return nil
 }
 
 // Spec describes one sort job.
@@ -129,41 +130,65 @@ func (s Spec) validate() error {
 type Result struct {
 	// Workers is the parallelism actually used.
 	Workers int
+	// Groups is the group count of a two-level sort (1 degenerates to a
+	// relabeled one-level exchange); 0 one-level.
+	Groups int
 	// Planned is the planner's decision (zero-valued when Workers was
 	// fixed by the caller).
 	Planned Plan
 	// AutoPlanned reports whether the planner chose the worker count.
 	AutoPlanned bool
-	// Sample, Phase1, Phase2 are the measured stage durations.
+	// Sample, Phase1, Phase2 are the measured stage durations: the
+	// boundary sample, the map wave, and every wave after it.
 	Sample, Phase1, Phase2 time.Duration
 	// TotalBytes is the input size.
 	TotalBytes int64
 	// OutputKeys are the sorted part keys in global order.
 	OutputKeys []string
+
+	// The rest is the cache exchange's; a sort through the store leaves
+	// it zero.
+
+	// Nodes is the cluster size used.
+	Nodes int
+	// Provision is the cluster spin-up time paid (zero when Warm).
+	Provision time.Duration
+	// FallbackSlabs counts intermediate partitions that flowed through
+	// object storage instead of the cache because their shard node was
+	// down (direct reroutes plus regenerated slabs).
+	FallbackSlabs int
+	// Restarts counts recovery waves run after a node loss: slab
+	// regeneration passes and reduce re-runs.
+	Restarts int
+	// ReworkBytes is the input volume re-read to regenerate slabs a
+	// failed node lost.
+	ReworkBytes int64
 }
 
 // Sort runs the shuffle, blocking p until the sorted output is in
 // place.
 func (op *Operator) Sort(p *des.Proc, spec Spec) (Result, error) {
-	j := op.job("shuffle", spec)
-	if err := j.run(p); err != nil {
-		return Result{}, err
-	}
-	return j.res, nil
+	return op.sort(p, "shuffle", spec, false, 0)
 }
 
-// job prepares a sort whose runs flow through the scratch bucket.
-func (op *Operator) job(prefix string, spec Spec) *job {
-	return &job{
+// sort runs a job whose runs flow through the scratch bucket.
+func (op *Operator) sort(p *des.Proc, prefix string, spec Spec, hier bool, groups int) (Result, error) {
+	j := &job{
 		platform: op.platform,
 		store:    op.store,
-		runs:     &storeRuns{bucket: spec.OutputBucket, cleanup: spec.CleanupScratch, planner: ProfileOf(op.store.Config())},
+		runs:     &storeRuns{bucket: spec.OutputBucket, cleanup: spec.CleanupScratch, via: objectStore(ProfileOf(op.store.Config()))},
 		spec:     spec,
 		prefix:   prefix,
 		seq:      &op.seq,
 		mapFn:    mapFn,
 		reduceFn: reduceFn,
+		hier:     hier,
+		groups:   groups,
 	}
+	if err := j.run(p); err != nil {
+		return Result{}, err
+	}
+	return j.res, nil
 }
 
 // ProfileOf converts a store config into the planner's profile.
@@ -184,15 +209,18 @@ type storeRuns struct {
 	bucket string
 	// cleanup deletes runs once consumed (Spec.CleanupScratch).
 	cleanup bool
-	// planner is the service's throughput profile.
-	planner StoreProfile
+	// via is the service as the wave list and the planner see it.
+	via medium
 }
 
-func (s *storeRuns) profile(int64) (StoreProfile, error) { return s.planner, nil }
+func (s *storeRuns) medium(int64) (medium, error) { return s.via, nil }
 
 func (s *storeRuns) ready(*des.Proc) error { return nil }
 
-func (s *storeRuns) reduce(p *des.Proc, j *job) ([]string, error) { return j.reduceWave(p, nil) }
+func (s *storeRuns) reduce(p *des.Proc, j *job) error {
+	_, err := j.launch(p, len(j.waves)-1, nil, s)
+	return err
+}
 
 // put and open hand the store the whole list: a mapper's w PUTs and a
 // reducer's w opens go one after another as they always did, with the

@@ -375,21 +375,21 @@ func TestPartitionIndex(t *testing.T) {
 }
 
 func TestSplitRanges(t *testing.T) {
-	ranges := []byteRange{evenShare(10, 3, 0), evenShare(10, 3, 1), evenShare(10, 3, 2)}
-	var total int64
+	var lens [3]int64
 	prevEnd := int64(0)
-	for _, r := range ranges {
-		if r.off != prevEnd {
-			t.Fatalf("gap at %d", r.off)
+	for i := range lens {
+		off, n := EvenShare(10, 3, i)
+		if off != prevEnd {
+			t.Fatalf("gap at %d", off)
 		}
-		prevEnd = r.off + r.n
-		total += r.n
+		prevEnd = off + n
+		lens[i] = n
 	}
-	if total != 10 {
-		t.Fatalf("total = %d, want 10", total)
+	if prevEnd != 10 {
+		t.Fatalf("total = %d, want 10", prevEnd)
 	}
-	if ranges[0].n != 4 || ranges[1].n != 3 || ranges[2].n != 3 {
-		t.Fatalf("ranges = %+v, want 4/3/3", ranges)
+	if lens != [3]int64{4, 3, 3} {
+		t.Fatalf("lengths = %v, want 4/3/3", lens)
 	}
 }
 

@@ -4,6 +4,10 @@
 // the storage service's throughput profile — the paper's key mechanism
 // ("using the optimal number of functions in terms of remote storage
 // resource utilization is crucial for good performance", §2.2).
+//
+// This file is the one description of an exchange: a strategy is the
+// wave list waves gives for it, the predictors fold that list into a
+// Plan, and skeleton.go launches the same list, wave by wave.
 package shuffle
 
 import (
@@ -109,23 +113,28 @@ type medium struct {
 	// billed marks the object store, whose requests are metered as
 	// class A/B; a cache's are not billed per request.
 	billed bool
+	// resident: runs read from here arrive whole before the merge starts
+	// (a cache Get has no chunked form), so the transfer in overlaps
+	// nothing and the concurrent fetches share one request latency.
+	resident bool
 }
 
 func (m medium) latency() float64 { return m.RequestLatency.Seconds() + m.hop }
 
-// wave is one round of w functions as the model sees it, each moving
-// 1/w of the data: read, compute, write. Every exchange strategy is a
-// short list of them (EXPERIMENTS.md has the table).
+// objectStore is the store of profile sp as a medium.
+func objectStore(sp StoreProfile) medium { return medium{StoreProfile: sp, billed: true} }
+
+// wave is one round of w functions, each moving 1/w of the data: read,
+// compute, write. Every exchange strategy is a short list of them
+// (waves; EXPERIMENTS.md has the table): fold prices the list and
+// job.run launches it, every task reading its fan-in, fan-out and CPU
+// rates here.
 type wave struct {
 	// from is where a worker's input lives and fanIn how many sorted
 	// runs it gathers there over concurrent connections; fanIn 0 is the
 	// map wave's one ranged stream over its slice of the input object.
 	from  medium
-	fanIn float64
-	// resident: the runs arrive whole before the merge starts (a cache
-	// Get has no chunked form), so the transfer in overlaps nothing and
-	// the concurrent fetches share one request latency.
-	resident bool
+	fanIn int
 	// streamBps is the CPU overlapping the inbound transfer (partition
 	// or merge); sortBps the CPU that waits for its end (0: none).
 	streamBps, sortBps float64
@@ -133,7 +142,7 @@ type wave struct {
 	// another, or, with fanOut 0, the merged output leaving through the
 	// multipart PutStream writer while the merge runs.
 	to     medium
-	fanOut float64
+	fanOut int
 }
 
 // cost is the one place a wave's time and requests are modelled, for one
@@ -144,7 +153,7 @@ type wave struct {
 // term that makes over-parallelizing lose.
 func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 	from, to := wv.from, wv.to
-	reads, writes = wv.fanIn, wv.fanOut
+	reads, writes = float64(wv.fanIn), float64(wv.fanOut)
 	input, streamed := reads == 0, writes == 0
 	if input {
 		reads = 1
@@ -155,7 +164,7 @@ func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 	if streamed {
 		writes = float64(objectstore.PutStreamRequests(int64(perWorker), AdaptiveChunkBytes(0, int64(perWorker))))
 		out := perWorker / to.Rate(objectstore.DefaultPutConns, fw)
-		if wv.resident {
+		if from.resident {
 			overlap = in + math.Max(work, out)
 		} else {
 			overlap = math.Max(in, math.Max(work, out))
@@ -174,7 +183,7 @@ func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 		// Gather and buffered writes: every request in sequence, all of
 		// them against the read throttle.
 		req = math.Max((reads+writes)*from.latency(), (fw*reads+fw*writes)/from.ReadOpsPerSec)
-	case wv.resident:
+	case from.resident:
 		req = math.Max(from.latency(), fw*reads/from.ReadOpsPerSec)
 		admit = math.Max(to.latency(), fw*writes/to.WriteOpsPerSec)
 	default:
@@ -189,16 +198,35 @@ func (wv wave) cost(fw, perWorker float64) (io, cpu, reads, writes float64) {
 	return io, cpu, reads, writes
 }
 
-// mapWave streams a worker's slice of the input through the partitioner
-// — only the per-partition radix sort (MapStreamRates' split) waits for
-// the stream to end — and writes fanOut runs to via.
-func mapWave(in PlanInput, store, via medium, fanOut float64) wave {
+// waves lists the exchange of w workers whose sorted runs live in via,
+// the input and the output in store. One level (g == 0): every worker
+// maps its slice of the input into one run per reducer, streaming it
+// through the partitioner so that only the per-partition radix sort
+// (MapStreamRates' split) waits for the stream to end, and every reducer
+// streams its w runs into the k-way merge. In g groups (g divides w):
+// spray into one coarse run per group, repartition each group's range by
+// its fine boundaries (the merge-split cursor re-sorts nothing, so its
+// CPU runs at the merge rate), merge. Each wave still moves data/w per
+// worker; the request terms shrink from w per worker to g or w/g. The
+// rates are taken as given: the predictors fill in.WithDefaults first, a
+// job charges what its spec says. The list is appended to buf, which the
+// predictors keep on their stack: the planner folds thousands a plan.
+func waves(buf []wave, w, g int, in PlanInput, store, via medium) []wave {
 	streamBps, sortBps := MapStreamRates(in.PartitionBps)
-	return wave{from: store, streamBps: streamBps, sortBps: sortBps, to: via, fanOut: fanOut}
+	fanOut := w
+	if g > 0 {
+		fanOut = g
+	}
+	buf = append(buf, wave{from: store, streamBps: streamBps, sortBps: sortBps, to: via, fanOut: fanOut})
+	if g > 0 {
+		fanOut = w / g
+		buf = append(buf, wave{from: via, fanIn: g, streamBps: in.MergeBps, to: via, fanOut: fanOut})
+	}
+	return append(buf, wave{from: via, fanIn: fanOut, streamBps: in.MergeBps, to: store})
 }
 
 // fold adds a wave list up into a plan for w workers.
-func fold(w int, in PlanInput, waves ...wave) Plan {
+func fold(w int, in PlanInput, waves []wave) Plan {
 	fw := float64(w)
 	perWorker := float64(in.DataBytes) / fw
 	toDur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -224,44 +252,29 @@ func fold(w int, in PlanInput, waves ...wave) Plan {
 	return p
 }
 
-// Predict models the one-level all-to-all with w workers per wave: map
-// into one run per reducer, then each reducer streams its w runs into
-// the k-way merge.
+// predict folds the wave list of one strategy, defaults filled in.
+func predict(w, g int, in PlanInput, store, via medium) Plan {
+	in = in.WithDefaults()
+	var buf [3]wave
+	return fold(w, in, waves(buf[:0], w, g, in, store, via))
+}
+
+// Predict models the one-level all-to-all with w workers per wave.
 func Predict(w int, in PlanInput, sp StoreProfile) Plan {
-	store := medium{StoreProfile: sp, billed: true}
-	return allToAll(w, in, store, store, false)
+	return predict(w, 0, in, objectStore(sp), objectStore(sp))
 }
 
 // PredictCache models the same exchange with the w x w runs held in a
 // cache cluster of profile cache, whose every request pays hop seconds
 // on top of its latency; input and output stay in the store.
 func PredictCache(w int, in PlanInput, sp, cache StoreProfile, hop float64) Plan {
-	return allToAll(w, in, medium{StoreProfile: sp, billed: true}, medium{StoreProfile: cache, hop: hop}, true)
-}
-
-func allToAll(w int, in PlanInput, store, via medium, resident bool) Plan {
-	in = in.WithDefaults()
-	fw := float64(w)
-	return fold(w, in,
-		mapWave(in, store, via, fw),
-		wave{from: via, fanIn: fw, resident: resident, streamBps: in.MergeBps, to: store})
+	return predict(w, 0, in, objectStore(sp), medium{StoreProfile: cache, hop: hop, resident: true})
 }
 
 // PredictHierarchical models the two-level shuffle with w workers in g
-// groups: spray into one coarse run per group, repartition each group's
-// range by its fine boundaries (the merge-split cursor re-sorts nothing,
-// so its CPU runs at the merge rate), merge. Each wave still moves
-// data/w per worker; the request terms shrink from w per worker to g or
-// w/g.
+// groups; g must divide w.
 func PredictHierarchical(w, g int, in PlanInput, sp StoreProfile) Plan {
-	in = in.WithDefaults()
-	store := medium{StoreProfile: sp, billed: true}
-	fg := float64(g)
-	k := float64(w) / fg
-	return fold(w, in,
-		mapWave(in, store, store, fg),
-		wave{from: store, fanIn: fg, streamBps: in.MergeBps, to: store, fanOut: k},
-		wave{from: store, fanIn: k, streamBps: in.MergeBps, to: store})
+	return predict(w, g, in, objectStore(sp), objectStore(sp))
 }
 
 // memFillFactor is the fraction of a worker's memory its input

@@ -1,11 +1,12 @@
 package shuffle
 
 // The one job skeleton every operator runs: validate → defaults → Head
-// → plan workers → sample → map wave → optional repartition wave →
-// reduce wave. What differs between the operators — where the
-// all-to-all's sorted runs live, and what happens when that place
-// breaks — sits behind runStore; the hierarchical exchange is the same
-// skeleton with the extra wave.
+// → plan workers → lay the strategy out as its wave list (plan.go's
+// waves, the list the predictors fold) → sample → launch the list, wave
+// by wave. Every activation of every wave is one task run by one
+// handler, at its wave's fan-in, fan-out and CPU rates. What differs
+// between the operators — where the sorted runs live, and what happens
+// when that place breaks — sits behind runStore.
 
 import (
 	"bytes"
@@ -28,15 +29,15 @@ import (
 type runStore interface {
 	// Driver side, in call order.
 
-	// profile returns the throughput profile the planner searches for a
-	// size-byte exchange, or an error when the medium cannot hold it.
-	profile(size int64) (StoreProfile, error)
+	// medium returns what the wave list reads and writes the runs of a
+	// size-byte exchange through (the planner searches its profile), or
+	// an error when it cannot hold them.
+	medium(size int64) (medium, error)
 	// ready blocks p until the medium can take runs.
 	ready(p *des.Proc) error
-	// reduce drives j's reduce wave over every reducer, with whatever
-	// recovery the medium needs, and returns the output keys in
-	// reducer order.
-	reduce(p *des.Proc, j *job) ([]string, error)
+	// reduce drives j's last wave over every reducer, with whatever
+	// recovery the medium needs.
+	reduce(p *des.Proc, j *job) error
 
 	// Handler side.
 
@@ -67,9 +68,10 @@ type job struct {
 	// prefix and seq mint the job ID ("<prefix>-NNNN").
 	prefix string
 	seq    *atomic.Int64
-	// mapFn and reduceFn are the registered functions of the two waves.
+	// mapFn and reduceFn are the names the first and the last wave are
+	// invoked under; a wave between them runs as repartitionFn.
 	mapFn, reduceFn string
-	// hier adds the repartition wave; groups is its group count
+	// hier makes the exchange two-level; groups is its group count
 	// (<= 0: the divisor of the worker count nearest its square root).
 	hier   bool
 	groups int
@@ -78,14 +80,21 @@ type job struct {
 	id      string
 	size    int64
 	workers int
+	// waves is the strategy, as the predictors fold it.
+	waves []wave
+	// round1 names the job a spraying exchange's runs are written under;
+	// groupJobs[g] the one group g's reducers gather from: the job itself
+	// one-level, a per-group round-2 job under the hierarchy.
+	round1    string
+	groupJobs []string
 	// k is the fan-in of one reducer: every worker one-level, the
 	// workers of one group under the hierarchy.
 	k int
-	// fine holds the workers-1 sampled boundaries (nil: sized input).
-	fine []Boundary
-	// fallbacks counts map-wave runs that took the medium's fallback.
-	fallbacks int
-	res       Result
+	// fine holds the workers-1 sampled boundaries (nil: sized input);
+	// coarse is every k-th of them, what the hierarchy's map wave
+	// sprays by.
+	fine, coarse []Boundary
+	res          Result
 }
 
 // run executes the job, blocking p until the sorted output is in place.
@@ -108,20 +117,21 @@ func (j *job) run(p *des.Proc) error {
 	j.res.TotalBytes = j.size
 
 	// Decide parallelism against the medium's throughput profile.
-	profile, err := j.runs.profile(j.size)
+	via, err := j.runs.medium(j.size)
 	if err != nil {
 		return err
 	}
+	in := PlanInput{
+		DataBytes:      j.size,
+		MaxWorkers:     spec.MaxWorkers,
+		WorkerMemBytes: spec.WorkerMemBytes,
+		PartitionBps:   spec.PartitionBps,
+		MergeBps:       spec.MergeBps,
+		Startup:        spec.Startup,
+	}
 	j.workers = spec.Workers
 	if j.workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      j.size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, profile)
+		plan, err := Optimize(in, via.StoreProfile)
 		if err != nil {
 			return err
 		}
@@ -130,15 +140,8 @@ func (j *job) run(p *des.Proc) error {
 		j.res.AutoPlanned = true
 	}
 	j.res.Workers = j.workers
-	j.k = j.workers
-	if j.hier {
-		if j.groups <= 0 {
-			j.groups = autoGroups(j.workers)
-		}
-		if j.groups > j.workers || j.workers%j.groups != 0 {
-			return fmt.Errorf("shuffle: %d groups do not divide %d workers", j.groups, j.workers)
-		}
-		j.k = j.workers / j.groups
+	if err := j.layout(in, objectStore(ProfileOf(j.store.Config())), via); err != nil {
+		return err
 	}
 	if err := j.runs.ready(p); err != nil {
 		return err
@@ -152,93 +155,185 @@ func (j *job) run(p *des.Proc) error {
 	if err != nil {
 		return err
 	}
-	j.res.Sample = p.Now() - start
-
-	// Phase 1: every worker partitions its slice of the input — into
-	// one run per reducer, or per group under the hierarchy.
-	start = p.Now()
-	if j.fallbacks, err = j.mapWave(p, j.runs, nil); err != nil {
-		return fmt.Errorf("shuffle: map wave: %w", err)
-	}
-	j.res.Phase1 = p.Now() - start
-
-	// Phase 2: merge. Under the hierarchy each group first repartitions
-	// its coarse range by the group's fine boundaries.
-	start = p.Now()
-	if j.hier {
-		if err := j.repartitionWave(p); err != nil {
-			return fmt.Errorf("shuffle: repartition wave: %w", err)
+	if j.hier && j.fine != nil {
+		j.coarse = make([]Boundary, j.groups-1)
+		for g := 1; g < j.groups; g++ {
+			j.coarse[g-1] = j.fine[g*j.k-1]
 		}
 	}
-	if j.res.OutputKeys, err = j.runs.reduce(p, j); err != nil {
-		return fmt.Errorf("shuffle: reduce wave: %w", err)
+	j.res.Sample = p.Now() - start
+
+	// Phase 1 is the first wave: every worker partitions its slice of
+	// the input. Phase 2 is every wave after it, the hierarchy's
+	// repartition included.
+	start = p.Now()
+	for i := range j.waves {
+		if i < len(j.waves)-1 {
+			var fallbacks int
+			fallbacks, err = j.launch(p, i, nil, j.runs)
+			j.res.FallbackSlabs += fallbacks
+		} else {
+			err = j.runs.reduce(p, j)
+		}
+		if err != nil {
+			return fmt.Errorf("shuffle: wave %d (%s): %w", i, j.fn(i), err)
+		}
+		if i == 0 {
+			j.res.Phase1 = p.Now() - start
+			start = p.Now()
+		}
 	}
 	j.res.Phase2 = p.Now() - start
 	return nil
 }
 
-// wave runs one wave of fn over inputs with the spec's fault policy:
-// per-invocation retries for transient platform failures and optional
-// straggler speculation.
-func (j *job) wave(p *des.Proc, fn string, inputs []any) ([]any, error) {
-	opts := faas.InvokeOptions{MemoryMB: j.spec.MemoryMB, MaxRetries: j.spec.MaxRetries}
-	if j.spec.Speculate {
-		outs, _, err := j.platform.MapSpeculative(p, fn, inputs, opts, j.spec.Speculation)
-		return outs, err
-	}
-	return j.platform.MapSync(p, fn, inputs, opts)
-}
-
-// groupJob names the job whose runs group g's reducers gather: the job
-// itself one-level, a per-group round-2 job under the hierarchy.
-func (j *job) groupJob(g int) string {
-	if !j.hier {
-		return j.id
-	}
-	return fmt.Sprintf("%s-r2-g%04d", j.id, g)
-}
-
-// mapWave runs the map function over the given mapper indexes (nil:
-// every mapper), writing through runs, and returns how many runs took
-// the fallback path.
-func (j *job) mapWave(p *des.Proc, runs runStore, mappers []int) (int, error) {
-	// One-level, mapper m writes a run per reducer under the job ID.
-	// Under the hierarchy it sprays into one coarse range per group.
-	jobID, fanout, bounds := j.id, j.workers, j.fine
+// layout fixes the job's shape once its worker count is known: groups,
+// the reducers' fan-in, the wave list between store and via, and every
+// name that is not a task's own (output keys are deterministic, which is
+// what lets a recovery re-run only some reducers).
+func (j *job) layout(in PlanInput, store, via medium) error {
+	j.groupJobs = []string{j.id}
 	if j.hier {
-		jobID, fanout, bounds = j.id+"-r1", j.groups, nil
-		if j.fine != nil {
-			bounds = make([]Boundary, j.groups-1)
-			for g := 1; g < j.groups; g++ {
-				bounds[g-1] = j.fine[g*j.k-1]
-			}
+		if j.groups <= 0 {
+			j.groups = autoGroups(j.workers)
+		}
+		if j.groups > j.workers || j.workers%j.groups != 0 {
+			return fmt.Errorf("shuffle: %d groups do not divide %d workers", j.groups, j.workers)
+		}
+		j.res.Groups = j.groups
+		j.round1 = j.id + "-r1"
+		j.groupJobs = make([]string, j.groups)
+		for g := range j.groupJobs {
+			j.groupJobs[g] = fmt.Sprintf("%s-r2-g%04d", j.id, g)
 		}
 	}
+	j.waves = waves(nil, j.workers, j.res.Groups, in, store, via)
+	j.k = j.waves[len(j.waves)-1].fanIn
+	j.res.OutputKeys = make([]string, j.workers)
+	for r := range j.res.OutputKeys {
+		j.res.OutputKeys[r] = OutputKey(j.spec.OutputPrefix, r)
+	}
+	return nil
+}
+
+// fn names the function wave i is invoked under. The names stay five,
+// one handler behind them all, because the platform pools warm
+// containers per name.
+func (j *job) fn(i int) string {
+	switch i {
+	case 0:
+		return j.mapFn
+	case len(j.waves) - 1:
+		return j.reduceFn
+	}
+	return repartitionFn
+}
+
+// sprays reports whether the exchange between waves e and e+1 crosses
+// groups, its runs named under round1: every exchange but the last,
+// which stays inside a group and is named by groupJobs.
+func (j *job) sprays(e int) bool { return e < len(j.waves)-2 }
+
+// task is the input of one activation, whatever wave it serves.
+type task struct {
+	// wave gives the fan-in, the fan-out and the CPU rates.
+	wave *wave
+	runs runStore
+	// index is the task's place in its wave; it names the task in
+	// errors.
+	index int
+	// What it reads: bytes [off, off+n) of the size-byte input object
+	// (fan-in 0), or the fan-in sorted runs under sources.
+	inBucket, inKey string
+	off, n, size    int64
+	sources         []string
+	// Where the result goes: the fan-out runs partKey(job, writer, 0..),
+	// split at bounds, or (fan-out 0) the output object.
+	job               string
+	writer            int
+	bounds            []Boundary
+	outBucket, outKey string
+	// sliceBytes is the planned per-worker volume, sizing a gather's
+	// adaptive stream chunk; chunkBytes overrides it when set.
+	sliceBytes, chunkBytes int64
+}
+
+// runKey names the run the task writes for place r of its fan-out.
+func (t *task) runKey(r int) string { return partKey(t.job, t.writer, r) }
+
+// task builds activation t of wave i, its runs written through runs: t
+// is place r of group grp. Across a spraying exchange it gathers the
+// group's coarse range from mappers r*g .. (r+1)*g-1 (an even split of
+// the round-1 runs); inside a group, place r of each of the group's k
+// members. Group grp's k parts are parts grp*k .. grp*k+k-1, so the
+// output is globally ordered across groups; one-level, the one group is
+// the job.
+func (j *job) task(i, t int, runs runStore) *task {
+	wv, grp, r := &j.waves[i], t/j.k, t%j.k
+	tk := &task{
+		wave: wv, runs: runs, index: t,
+		sliceBytes: j.size / int64(j.workers), chunkBytes: j.spec.StreamChunkBytes,
+	}
+	switch {
+	case wv.fanIn == 0:
+		tk.inBucket, tk.inKey, tk.size = j.spec.InputBucket, j.spec.InputKey, j.size
+		tk.off, tk.n = EvenShare(j.size, j.workers, t)
+	case j.sprays(i - 1):
+		tk.sources = make([]string, wv.fanIn)
+		for m := range tk.sources {
+			tk.sources[m] = partKey(j.round1, r*wv.fanIn+m, grp)
+		}
+	default:
+		tk.sources = make([]string, wv.fanIn)
+		for m := range tk.sources {
+			tk.sources[m] = partKey(j.groupJobs[grp], m, r)
+		}
+	}
+	switch {
+	case wv.fanOut == 0:
+		tk.outBucket, tk.outKey = j.spec.OutputBucket, j.res.OutputKeys[t]
+	case j.sprays(i):
+		tk.job, tk.writer, tk.bounds = j.round1, t, j.coarse
+	default:
+		tk.job, tk.writer = j.groupJobs[grp], r
+		if j.fine != nil {
+			tk.bounds = j.fine[grp*j.k : grp*j.k+j.k-1]
+		}
+	}
+	return tk
+}
+
+// inputs builds wave i's tasks at the given indexes (nil: all of them).
+func (j *job) inputs(i int, indexes []int, runs runStore) []any {
 	n := j.workers
-	if mappers != nil {
-		n = len(mappers)
+	if indexes != nil {
+		n = len(indexes)
 	}
 	inputs := make([]any, n)
-	for i := range inputs {
-		m := i
-		if mappers != nil {
-			m = mappers[i]
+	for at := range inputs {
+		t := at
+		if indexes != nil {
+			t = indexes[at]
 		}
-		slice := evenShare(j.size, j.workers, m)
-		inputs[i] = &mapTask{
-			mapRead: mapRead{
-				Bucket: j.spec.InputBucket, Key: j.spec.InputKey,
-				Offset: slice.off, Length: slice.n, TotalSize: j.size,
-				ChunkBytes: j.spec.StreamChunkBytes, PartitionBps: j.spec.PartitionBps,
-			},
-			Runs:       runs,
-			JobID:      jobID,
-			MapIndex:   m,
-			Fanout:     fanout,
-			Boundaries: bounds,
-		}
+		inputs[at] = j.task(i, t, runs)
 	}
-	outs, err := j.wave(p, j.mapFn, inputs)
+	return inputs
+}
+
+// launch runs wave i's tasks at the given indexes with the spec's fault
+// policy — per-invocation retries for transient platform failures and
+// optional straggler speculation — and returns how many of the runs they
+// wrote through runs took its fallback path.
+func (j *job) launch(p *des.Proc, i int, indexes []int, runs runStore) (int, error) {
+	inputs := j.inputs(i, indexes, runs)
+	opts := faas.InvokeOptions{MemoryMB: j.spec.MemoryMB, MaxRetries: j.spec.MaxRetries}
+	var outs []any
+	var err error
+	if j.spec.Speculate {
+		outs, _, err = j.platform.MapSpeculative(p, j.fn(i), inputs, opts, j.spec.Speculation)
+	} else {
+		outs, err = j.platform.MapSync(p, j.fn(i), inputs, opts)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -249,116 +344,6 @@ func (j *job) mapWave(p *des.Proc, runs runStore, mappers []int) (int, error) {
 		}
 	}
 	return fallbacks, nil
-}
-
-// gather is the read side the repartition and reduce tasks share.
-type gather struct {
-	Runs runStore
-	// Sources are the keys of the sorted runs to merge.
-	Sources  []string
-	MergeBps float64
-	// SliceBytes is the planned per-worker volume, sizing the adaptive
-	// stream chunk; ChunkBytes overrides it when set.
-	SliceBytes int64
-	ChunkBytes int64
-}
-
-func (j *job) newGather(sources []string) gather {
-	return gather{
-		Runs:       j.runs,
-		Sources:    sources,
-		MergeBps:   j.spec.MergeBps,
-		SliceBytes: j.size / int64(j.workers),
-		ChunkBytes: j.spec.StreamChunkBytes,
-	}
-}
-
-// open starts one chunked read per source run.
-func (g *gather) open(ctx *faas.Ctx) ([]runSource, error) {
-	perRun := g.SliceBytes
-	if len(g.Sources) > 0 {
-		perRun /= int64(len(g.Sources))
-	}
-	return g.Runs.open(ctx, g.Sources, AdaptiveChunkBytes(g.ChunkBytes, perRun))
-}
-
-func closeRuns(srcs []runSource) {
-	for _, s := range srcs {
-		s.close()
-	}
-}
-
-// repartitionWave is the hierarchy's round 2a: per group, k workers
-// each gather g round-1 runs and split them by the group's k-1 fine
-// boundaries into one run per reducer of the group.
-func (j *job) repartitionWave(p *des.Proc) error {
-	inputs := make([]any, 0, j.workers)
-	round1 := j.id + "-r1"
-	for g := 0; g < j.groups; g++ {
-		var bounds []Boundary
-		if j.fine != nil {
-			bounds = j.fine[g*j.k : g*j.k+j.k-1]
-		}
-		groupJob := j.groupJob(g)
-		for w := 0; w < j.k; w++ {
-			// Worker w of group g gathers the group's coarse range from
-			// mappers w*g .. (w+1)*g-1 (an even split of the round-1 runs).
-			srcs := make([]string, 0, j.groups)
-			for m := w * j.groups; m < (w+1)*j.groups; m++ {
-				srcs = append(srcs, partKey(round1, m, g))
-			}
-			inputs = append(inputs, &repartitionTask{
-				gather:     j.newGather(srcs),
-				JobID:      groupJob,
-				MapIndex:   w,
-				Fanout:     j.k,
-				Boundaries: bounds,
-			})
-		}
-	}
-	_, err := j.wave(p, repartitionFn, inputs)
-	return err
-}
-
-// reduceWave runs the reduce function for the given reducers (global
-// output indexes; nil: all of them) and returns their output keys in
-// the same order. Group j's k parts are parts j*k .. j*k+k-1, so the
-// output is globally ordered across groups.
-func (j *job) reduceWave(p *des.Proc, reducers []int) ([]string, error) {
-	n := j.workers
-	if reducers != nil {
-		n = len(reducers)
-	}
-	inputs := make([]any, n)
-	for i := range inputs {
-		idx := i
-		if reducers != nil {
-			idx = reducers[i]
-		}
-		groupJob := j.groupJob(idx / j.k)
-		srcs := make([]string, j.k)
-		for m := range srcs {
-			srcs[m] = partKey(groupJob, m, idx%j.k)
-		}
-		inputs[i] = &reduceTask{
-			gather:       j.newGather(srcs),
-			OutputBucket: j.spec.OutputBucket,
-			OutputKey:    outputKey(j.spec.OutputPrefix, idx),
-		}
-	}
-	outs, err := j.wave(p, j.reduceFn, inputs)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(outs))
-	for i, o := range outs {
-		key, ok := o.(string)
-		if !ok {
-			return nil, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
-		}
-		keys[i] = key
-	}
-	return keys, nil
 }
 
 // sampleBoundaries reads the head of the input and derives w-1 binary
@@ -410,151 +395,105 @@ func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size i
 	return bounds, nil
 }
 
-type byteRange struct {
-	off, n int64
-}
-
-// evenShare returns range i of [0, size) divided into w contiguous
-// ranges differing by at most one byte in length (the longer ones
-// first): a mapper's input slice, and the size of a run a worker emits
-// for a timing-only payload.
-func evenShare(size int64, w, i int) byteRange {
+// EvenShare returns range i of [0, size) divided into w contiguous
+// ranges differing by at most one in length (the longer ones first): a
+// mapper's input slice, the size of a run a worker emits for a
+// timing-only payload, and the VM strategy's staging and output splits.
+func EvenShare(size int64, w, i int) (off, n int64) {
 	base, rem, k := size/int64(w), size%int64(w), int64(i)
 	if k < rem {
-		return byteRange{off: k * (base + 1), n: base + 1}
+		return k * (base + 1), base + 1
 	}
-	return byteRange{off: rem + k*base, n: base}
+	return rem + k*base, base
 }
 
-// mapTask is the input of one map-wave activation: the input slice to
-// read, and the fan-out to write under (JobID, MapIndex).
-type mapTask struct {
-	mapRead
-	Runs       runStore
-	JobID      string
-	MapIndex   int
-	Fanout     int
-	Boundaries []Boundary
-}
-
-// repartitionTask is the input of one round-2 repartition activation.
-type repartitionTask struct {
-	gather
-	JobID      string
-	MapIndex   int
-	Fanout     int
-	Boundaries []Boundary
-}
-
-// reduceTask is the input of one reduce-wave activation.
-type reduceTask struct {
-	gather
-	OutputBucket string
-	OutputKey    string
-}
-
-// mapHandler consumes its input slice as a stream of chunks,
-// partitioning records by the binary sort-key boundaries as they
-// arrive, and writes one sorted run per reducer. It returns how many of
-// the runs took the run store's fallback path.
-func mapHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*mapTask)
+// handler is the body of every shuffle function. A task with no fan-in
+// consumes its input slice as a stream of chunks, partitioning records
+// by the binary sort-key boundaries as they arrive. One with a fan-in
+// opens a chunked read over every source run — which are already
+// sorted — and k-way merges them as the chunks arrive, so the transfers
+// overlap each other and the merge CPU; only the key columns of each
+// line are ever parsed, bytes are copied verbatim. The merged lines are
+// routed to their boundary partition as they are emitted (merge order
+// makes every partition a sorted run by construction, so nothing is
+// re-sorted) or, with no fan-out, flow straight into a multipart
+// streaming PUT, so the leg costs the max of transfer-in, merge CPU and
+// transfer-out instead of their sum. It returns how many of the runs it
+// wrote took the run store's fallback path.
+func handler(ctx *faas.Ctx, input any) (any, error) {
+	t, ok := input.(*task)
 	if !ok {
-		return nil, fmt.Errorf("shuffle: map input %T", input)
+		return nil, fmt.Errorf("shuffle: task input %T", input)
 	}
+	fallbacks, err := t.run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: task %d: %w", t.index, err)
+	}
+	return fallbacks, nil
+}
+
+func (t *task) run(ctx *faas.Ctx) (int, error) {
+	fanOut := t.wave.fanOut
+	// parts are the fan-out's sorted runs; nil, the timing-only mode,
+	// leaves an even split of total to write.
 	var parts [][]byte
-	if task.Length == 0 {
-		// Degenerate split (more workers than bytes): write empty runs
-		// to keep the key structure uniform.
-		parts = make([][]byte, task.Fanout)
+	var total int64
+	var err error
+	if t.wave.fanIn == 0 {
+		if total = t.n; total == 0 {
+			// Degenerate split (more workers than bytes): write empty runs
+			// to keep the key structure uniform.
+			parts = make([][]byte, fanOut)
+		} else if parts, err = t.readSlice(ctx); err != nil {
+			return 0, err
+		}
 	} else {
-		var err error
-		if parts, err = consumeMapStream(ctx, task.mapRead, task.Fanout, task.Boundaries); err != nil {
-			return nil, fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
+		perRun := t.sliceBytes / int64(len(t.sources))
+		var srcs []runSource
+		srcs, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
+		defer closeRuns(srcs)
+		if err != nil {
+			return 0, err
+		}
+		charge := func(n int64) { ctx.ComputeBytes(n, t.wave.streamBps) }
+		if fanOut == 0 {
+			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
+			err = mergeToOutput(ctx, srcs, charge, t.outBucket, t.outKey, partBytes)
+		} else {
+			split := newRunSplitter(fanOut, t.bounds, t.sliceBytes)
+			var sized bool
+			if sized, total, err = mergeStreamedRuns(ctx.Proc, srcs, charge, split.emit); !sized {
+				parts = split.parts
+			}
+			if err != nil {
+				err = fmt.Errorf("merge: %w", err)
+			}
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
-	fallbacks, err := putRuns(ctx, task.Runs, task.JobID, task.MapIndex, task.Fanout, parts, task.Length)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
-	}
-	return fallbacks, nil
-}
-
-// putRuns writes worker m's fan-out under job: parts[r] as reducer r's
-// sorted run, or — parts being nil, the timing-only mode — an even
-// split of total. It returns how many runs took the fallback path.
-func putRuns(ctx *faas.Ctx, runs runStore, job string, m, fanout int, parts [][]byte, total int64) (int, error) {
-	stored, fallbacks, err := runs.put(ctx, fanout, func(r int) (string, payload.Payload) {
-		if parts != nil {
-			return partKey(job, m, r), payload.RealNoCopy(parts[r])
+	fallbacks := 0
+	if fanOut > 0 {
+		var stored int
+		stored, fallbacks, err = t.runs.put(ctx, fanOut, func(r int) (string, payload.Payload) {
+			if parts != nil {
+				return t.runKey(r), payload.RealNoCopy(parts[r])
+			}
+			_, n := EvenShare(total, fanOut, r)
+			return t.runKey(r), payload.Sized(n)
+		})
+		if err != nil {
+			return 0, fmt.Errorf("write run %d: %w", stored, err)
 		}
-		return partKey(job, m, r), payload.Sized(evenShare(total, fanout, r).n)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("write run %d: %w", stored, err)
 	}
-	return fallbacks, nil
+	return fallbacks, t.runs.free(ctx, t.sources)
 }
 
-// repartitionHandler gathers its source runs — round-1 partitions,
-// which are already sorted — and streams the k-way merge over them as
-// the chunks arrive, so the g transfers overlap each other and the
-// merge CPU, routing each line to its (fine) boundary partition as it
-// is emitted: merge order makes every output partition a sorted run by
-// construction, so round 2 re-sorts nothing. Only the key columns of
-// each line are ever parsed; bytes are copied verbatim.
-func repartitionHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*repartitionTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: repartition input %T", input)
+func closeRuns(srcs []runSource) {
+	for _, s := range srcs {
+		s.close()
 	}
-	srcs, err := task.open(ctx)
-	defer closeRuns(srcs)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
-	}
-	split := newRunSplitter(task.Fanout, task.Boundaries, task.SliceBytes)
-	charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, split.emit)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
-	}
-	if sized {
-		split.parts = nil
-	}
-	if _, err := putRuns(ctx, task.Runs, task.JobID, task.MapIndex, task.Fanout, split.parts, total); err != nil {
-		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
-	}
-	if err := task.Runs.free(ctx, task.Sources); err != nil {
-		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
-	}
-	return nil, nil
-}
-
-// reduceHandler opens a chunked read over every source run and k-way
-// merges them as the chunks arrive, the merged lines flowing straight
-// into a multipart streaming PUT — transfer-in, merge CPU, and
-// transfer-out all overlap, so the reduce leg costs their max instead
-// of their sum. No re-parse of full records, no re-sort, no
-// re-serialization. It returns the output key.
-func reduceHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*reduceTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: reduce input %T", input)
-	}
-	srcs, err := task.open(ctx)
-	defer closeRuns(srcs)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: reduce %s: %w", task.OutputKey, err)
-	}
-	partBytes := AdaptiveChunkBytes(task.ChunkBytes, task.SliceBytes)
-	if err := mergeToOutput(ctx, srcs, task.MergeBps, task.OutputBucket, task.OutputKey, partBytes); err != nil {
-		return nil, fmt.Errorf("shuffle: reduce %s: %w", task.OutputKey, err)
-	}
-	if err := task.Runs.free(ctx, task.Sources); err != nil {
-		return nil, fmt.Errorf("shuffle: reduce %s: %w", task.OutputKey, err)
-	}
-	return task.OutputKey, nil
 }
 
 // mergeToOutput k-way merges srcs into one object through a multipart
@@ -563,7 +502,7 @@ func reduceHandler(ctx *faas.Ctx, input any) (any, error) {
 // upload and writes one sized object of the merged volume instead. A
 // nil return is the durability point — the multipart complete (or the
 // sized Put) has been admitted.
-func mergeToOutput(ctx *faas.Ctx, srcs []runSource, mergeBps float64, bucket, key string, partBytes int64) error {
+func mergeToOutput(ctx *faas.Ctx, srcs []runSource, charge func(int64), bucket, key string, partBytes int64) error {
 	w := ctx.Store.PutStream(ctx.Proc, bucket, key, objectstore.PutStreamOptions{PartBytes: partBytes})
 	var buf []byte
 	emit := func(_ bed.Key, line []byte) error {
@@ -579,7 +518,6 @@ func mergeToOutput(ctx *faas.Ctx, srcs []runSource, mergeBps float64, bucket, ke
 		}
 		return nil
 	}
-	charge := func(n int64) { ctx.ComputeBytes(n, mergeBps) }
 	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
 	if err != nil {
 		w.Abort(ctx.Proc)

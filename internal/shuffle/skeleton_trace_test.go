@@ -47,7 +47,7 @@ func traceCases() []traceCase {
 		spec := cacheSpec(5)
 		spec.Nodes = 3
 		res, err := cop.Sort(p, spec)
-		return res.Result, [3]int64{int64(res.FallbackSlabs), int64(res.Restarts), res.ReworkBytes}, err
+		return res, [3]int64{int64(res.FallbackSlabs), int64(res.Restarts), res.ReworkBytes}, err
 	}
 	killAll := func(c *memcache.Cluster) {
 		for i := 0; i < c.Nodes(); i++ {
@@ -61,7 +61,7 @@ func traceCases() []traceCase {
 		}},
 		{name: "hier-w8-g4", run: func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, [3]int64, error) {
 			res, err := rig.op.SortHierarchical(p, hierSpec(8, 4))
-			return res.Result, [3]int64{}, err
+			return res, [3]int64{}, err
 		}},
 		{name: "cache-w5", run: cache},
 		{name: "cache-w5-kill-mid-map", run: cache, fault: whenCluster(
@@ -87,9 +87,6 @@ func skeletonTrace(t *testing.T) string {
 	for _, tc := range traceCases() {
 		for _, mode := range []string{"real", "sized"} {
 			rig, prov, cop := newCacheRig(t)
-			if err := rig.op.EnableHierarchical(); err != nil {
-				t.Fatalf("EnableHierarchical: %v", err)
-			}
 			var (
 				res   Result
 				rec   [3]int64

@@ -108,7 +108,7 @@ func TestGoldenMidLineChunksMatchSeed(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 5000, Seed: 84, Sorted: false})
 	want := seedSortedBytes(recs)
 
-	rig := newHierRig(t)
+	rig := newRig(t)
 	var got, gotHier []byte
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		rig.loadInput(t, p, recs)
@@ -196,12 +196,12 @@ func TestLongLineAcrossSliceEdge(t *testing.T) {
 		}
 		// The mapper owning the line reads through its slice end plus the
 		// overscan; the line fits iff it ends inside that span.
-		slice := evenShare(int64(len(object)), workers, 0)
-		for m := 1; lineStart >= slice.off+slice.n; m++ {
-			slice = evenShare(int64(len(object)), workers, m)
+		off, n := EvenShare(int64(len(object)), workers, 0)
+		for m := 1; lineStart >= off+n; m++ {
+			off, n = EvenShare(int64(len(object)), workers, m)
 		}
 		lineEnd := lineStart + int64(len(bed.AppendTSV(nil, long)))
-		fits := lineEnd <= slice.off+slice.n+overscan
+		fits := lineEnd <= off+n+overscan
 		var tl *ErrLineTooLong
 		switch {
 		case sortErr == nil:

@@ -151,60 +151,50 @@ func (f *lineFeeder) finish() error {
 	return f.fn(line)
 }
 
-// mapRead is a map task's input-slice geometry and rates.
-type mapRead struct {
-	Bucket, Key    string
-	Offset, Length int64
-	TotalSize      int64
-	ChunkBytes     int64
-	PartitionBps   float64
-}
-
-// span returns the byte range a mapper actually reads: one byte before
-// the slice (to decide first-line ownership) through the overscan that
-// completes its final line, clipped to the object.
-func (r mapRead) span() (readOff, readLen int64, prefixByte bool) {
-	readOff = r.Offset
+// span returns the byte range a task actually reads of its input slice:
+// one byte before the slice (to decide first-line ownership) through
+// the overscan that completes its final line, clipped to the object.
+func (t *task) span() (readOff, readLen int64, prefixByte bool) {
+	readOff = t.off
 	if readOff > 0 {
 		readOff--
 		prefixByte = true
 	}
-	readLen = r.Offset + r.Length + overscan - readOff
-	if readOff+readLen > r.TotalSize {
-		readLen = r.TotalSize - readOff
+	readLen = t.off + t.n + overscan - readOff
+	if readOff+readLen > t.size {
+		readLen = t.size - readOff
 	}
 	return readOff, readLen, prefixByte
 }
 
-// consumeMapStream streams the map slice into a runBuilder, charging
-// the per-chunk partition CPU (at the streaming rate) as each chunk
-// lands and the post-stream sort once the transfer is done. It returns
-// the finished sorted runs, or nil when the object is a timing-only
-// payload (the caller writes even-split sized partitions; the CPU has
-// already been charged either way).
-func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) ([][]byte, error) {
-	readOff, readLen, prefixByte := r.span()
-	st, err := ctx.Store.GetStream(ctx.Proc, r.Bucket, r.Key, readOff, readLen,
-		objectstore.StreamOptions{ChunkBytes: AdaptiveChunkBytes(r.ChunkBytes, r.Length)})
+// readSlice streams the task's input slice into a runBuilder, charging
+// the per-chunk partition CPU (at the wave's streaming rate) as each
+// chunk lands and the post-stream sort once the transfer is done. It
+// returns the finished sorted runs, or nil when the object is a
+// timing-only payload (the caller writes even-split sized partitions;
+// the CPU has already been charged either way).
+func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
+	readOff, readLen, prefixByte := t.span()
+	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
+		objectstore.StreamOptions{ChunkBytes: AdaptiveChunkBytes(t.chunkBytes, t.n)})
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
 
-	streamBps, sortBps := MapStreamRates(r.PartitionBps)
-	builder := newRunBuilder(workers, bounds)
+	builder := newRunBuilder(t.wave.fanOut, t.bounds)
 	builder.sizeHint(int(readLen))
 	feeder := &lineFeeder{
 		fn:        builder.Add,
 		pos:       readOff,
-		limit:     r.Offset + r.Length,
-		end:       r.TotalSize,
+		limit:     t.off + t.n,
+		end:       t.size,
 		skipFirst: prefixByte,
 	}
-	// The CPU budget keeps the total partition charge at exactly
-	// Length/PartitionBps — overscan bytes are transferred but their
+	// The CPU budget keeps the total partition charge at exactly the
+	// slice over PartitionBps — overscan bytes are transferred but their
 	// lines belong to the next mapper.
-	budget := r.Length
+	budget := t.n
 	sized := false
 	for {
 		pl, err := st.Next(ctx.Proc)
@@ -226,7 +216,7 @@ func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) 
 			charge = budget
 		}
 		budget -= charge
-		ctx.ComputeBytes(charge, streamBps)
+		ctx.ComputeBytes(charge, t.wave.streamBps)
 		if feeder.done {
 			break // every owned line is in; abandon the rest of the range
 		}
@@ -237,7 +227,7 @@ func consumeMapStream(ctx *faas.Ctx, r mapRead, workers int, bounds []Boundary) 
 		}
 	}
 	// The per-partition radix sort is the only post-transfer work.
-	ctx.ComputeBytes(r.Length, sortBps)
+	ctx.ComputeBytes(t.n, t.wave.sortBps)
 	if sized {
 		return nil, nil
 	}

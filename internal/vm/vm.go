@@ -86,9 +86,6 @@ func Catalog() []InstanceType {
 type Provisioner struct {
 	sim     *des.Sim
 	catalog map[string]InstanceType
-	// BootJitterFrac spreads boot times uniformly by +/- this fraction
-	// (default 0: exact boot times).
-	BootJitterFrac float64
 
 	zones     []string
 	downZones map[string]bool
@@ -207,11 +204,7 @@ func (pr *Provisioner) provision(p *des.Proc, typeName string, spot bool) (*Inst
 	if _, err := pr.pickZone(); err != nil {
 		return nil, err
 	}
-	boot := it.BootTime
-	if pr.BootJitterFrac > 0 {
-		boot = time.Duration(float64(boot) * (1 + (p.Rand().Float64()*2-1)*pr.BootJitterFrac))
-	}
-	p.Sleep(boot)
+	p.Sleep(it.BootTime)
 	// Re-pick after the boot wait so the instance lands in a zone that
 	// is still up at readiness; a zone that failed mid-boot would have
 	// rejected the request.
@@ -225,9 +218,8 @@ func (pr *Provisioner) provision(p *des.Proc, typeName string, spot bool) (*Inst
 		spot:      spot,
 		zone:      zone,
 		bootedAt:  pr.sim.Now(),
-		requested: pr.sim.Now() - boot,
+		requested: pr.sim.Now() - it.BootTime,
 		cpus:      des.NewResource(pr.sim, int64(it.VCPUs)),
-		nic:       des.NewLink(pr.sim, it.NICBandwidth),
 	}
 	pr.instances = append(pr.instances, inst)
 	return inst, nil
@@ -255,7 +247,6 @@ type Instance struct {
 	preempted bool
 
 	cpus *des.Resource
-	nic  *des.Link
 }
 
 // Type returns the instance's catalog entry.

@@ -192,34 +192,6 @@ func TestStorageClientSplitsNICAcrossConns(t *testing.T) {
 	}
 }
 
-func TestBootJitterDeterministic(t *testing.T) {
-	run := func() time.Duration {
-		sim := des.New(11)
-		pr := NewProvisioner(sim)
-		pr.BootJitterFrac = 0.2
-		var ready time.Duration
-		sim.Spawn("driver", func(p *des.Proc) {
-			inst, _ := pr.Provision(p, "bx2-8x32")
-			ready = p.Now()
-			inst.Stop()
-		})
-		if err := sim.Run(); err != nil {
-			t.Fatalf("sim: %v", err)
-		}
-		return ready
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("jittered boot differs: %v vs %v", a, b)
-	}
-	if a == 48*time.Second {
-		t.Fatal("jitter had no effect")
-	}
-	if a < 38*time.Second || a > 58*time.Second {
-		t.Fatalf("jittered boot %v outside 20%% band", a)
-	}
-}
-
 func TestProvisionerTracksInstances(t *testing.T) {
 	sim := des.New(1)
 	pr := NewProvisioner(sim)
