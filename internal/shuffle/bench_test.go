@@ -9,7 +9,7 @@ import (
 )
 
 // The data-plane benchmarks time the bodies the handlers run — the
-// chunk-fed line feeder, the per-partition sort, the streamed k-way
+// chunk-fed line reader, the per-partition sort, the streamed k-way
 // merge and merge-split — on fixed workloads (20k records, seed 11, 8
 // reducers). The string-keyed and whole-buffer twins they were measured
 // against are retired; their numbers are in `git show 80bdab0:BENCH_10.json`.
@@ -34,30 +34,23 @@ func benchBounds(recs []bed.Record, workers int) []Boundary {
 }
 
 // BenchmarkMapStream is the streaming map body: the whole object as
-// one slice fed through the chunk-boundary line feeder in 64 KiB chunks
-// (partial trailing lines carried across chunks) into the run builder.
+// one slice read by a lineReader in 64 KiB chunks (partial trailing lines
+// carried across chunks) and fed into the run builder. The chunk
+// payloads are built before the timer starts.
 func BenchmarkMapStream(b *testing.B) {
 	recs := benchRecords()
 	raw := bed.Marshal(recs)
 	bounds := benchBounds(recs, 8)
-	const chunk = 64 << 10
+	chunks := cutChunks(raw, []int{64 << 10})
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		builder := newRunBuilder(8, bounds)
 		builder.sizeHint(len(raw))
-		f := &lineFeeder{fn: builder.Add, limit: int64(len(raw))}
-		for pos := 0; pos < len(raw) && !f.done; pos += chunk {
-			end := pos + chunk
-			if end > len(raw) {
-				end = len(raw)
-			}
-			if err := f.feed(raw[pos:end]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := f.finish(); err != nil {
+		src := chunks
+		r := &lineReader{src: &src}
+		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.Add); err != nil {
 			b.Fatal(err)
 		}
 		builder.Finish()

@@ -73,9 +73,10 @@ type CacheSpec struct {
 }
 
 // CacheProfile converts a cache node profile at a given cluster size
-// into the planner's store profile, so the same Optimize searches the
-// cache-exchange plan space: aggregate bandwidth and ops scale with
-// nodes instead of being a service-wide constant.
+// into the planner's store profile, so PredictCache and the planner fold
+// the exchange legs of the cache plan space through it: aggregate
+// bandwidth and ops scale with nodes instead of being a service-wide
+// constant.
 func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 	if nodes < 1 {
 		nodes = 1

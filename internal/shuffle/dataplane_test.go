@@ -568,7 +568,7 @@ type fixedSource struct {
 	chunk payload.Payload
 }
 
-func (s *fixedSource) next(*des.Proc) (payload.Payload, error) {
+func (s *fixedSource) Next(*des.Proc) (payload.Payload, error) {
 	if s.left == 0 {
 		return nil, io.EOF
 	}
@@ -576,4 +576,4 @@ func (s *fixedSource) next(*des.Proc) (payload.Payload, error) {
 	return s.chunk, nil
 }
 
-func (s *fixedSource) close() {}
+func (s *fixedSource) Close() {}

@@ -234,7 +234,7 @@ func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource
 	streams, err := ctx.Store.GetStreams(ctx.Proc, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
 	srcs := make([]runSource, len(streams))
 	for i := range streams {
-		srcs[i] = clientStreamSource{&streams[i]}
+		srcs[i] = &streams[i]
 	}
 	if err != nil {
 		return srcs, fmt.Errorf("open %s: %w", keys[len(streams)], err)

@@ -3,8 +3,9 @@ package shuffle
 // Reference implementations the tests compare the streamed data plane
 // against: the whole-buffer partitioner and the resident-run k-way
 // merges that production ran before every read became a chunked stream
-// (lineFeeder, streamCursor, runSplitter). Nothing outside tests calls
-// them; they are kept because they are simple enough to trust.
+// (feedSlice and streamCursor over a lineReader, runSplitter). Nothing
+// outside tests calls them; they are kept because they are simple
+// enough to trust.
 
 import (
 	"bytes"

@@ -298,14 +298,26 @@ func MinWorkersForMemory(in PlanInput) int {
 
 // Optimize picks the worker count minimizing predicted latency,
 // subject to the memory lower bound — Primula's "find the optimal
-// number of functions for a given shuffle data size on the fly".
+// number of functions for a given shuffle data size on the fly". It is
+// optimize's one-level case with the runs in the store.
 func Optimize(in PlanInput, sp StoreProfile) (Plan, error) {
+	return optimize(in, false, 0, objectStore(sp), objectStore(sp))
+}
+
+// optimize searches the worker counts for the one whose wave list folds
+// to the shortest time: one level, or (hier) two levels in groups groups,
+// where a fixed count (> 0) admits only the worker counts it divides and
+// 0 takes autoGroups of each. A job that picks its own workers calls it
+// with its own strategy, so it is sized by the model of what it runs.
+func optimize(in PlanInput, hier bool, groups int, store, via medium) (Plan, error) {
 	in = in.WithDefaults()
 	if in.DataBytes <= 0 {
 		return Plan{}, fmt.Errorf("shuffle: non-positive data size %d", in.DataBytes)
 	}
-	if sp.PerConnBandwidth <= 0 || sp.ReadOpsPerSec <= 0 || sp.WriteOpsPerSec <= 0 {
-		return Plan{}, fmt.Errorf("shuffle: invalid store profile %+v", sp)
+	for _, m := range [...]medium{store, via} {
+		if m.PerConnBandwidth <= 0 || m.ReadOpsPerSec <= 0 || m.WriteOpsPerSec <= 0 {
+			return Plan{}, fmt.Errorf("shuffle: invalid store profile %+v", m.StoreProfile)
+		}
 	}
 	minW := MinWorkersForMemory(in)
 	if minW > in.MaxWorkers {
@@ -315,10 +327,21 @@ func Optimize(in PlanInput, sp StoreProfile) (Plan, error) {
 	}
 	best := Plan{}
 	for w := minW; w <= in.MaxWorkers; w++ {
-		p := Predict(w, in, sp)
+		g := 0
+		if hier {
+			if g = groups; g <= 0 {
+				g = autoGroups(w)
+			} else if w%g != 0 {
+				continue
+			}
+		}
+		p := predict(w, g, in, store, via)
 		if best.Workers == 0 || p.Predicted < best.Predicted {
 			best = p
 		}
+	}
+	if best.Workers == 0 {
+		return Plan{}, fmt.Errorf("shuffle: %d groups divide no worker count in [%d, %d]", groups, minW, in.MaxWorkers)
 	}
 	best.MinWorkers = minW
 	return best, nil

@@ -4,6 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/memcache"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 func testProfile() StoreProfile {
@@ -156,5 +161,87 @@ func TestPropertyOptimizeNeverWorseThanFixed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAutoPlanFoldsTheJobsOwnWaves: a job left to pick its workers is
+// sized by the model of the exchange it runs — the two-level wave list
+// for SortHierarchical (fixed groups admit only the worker counts they
+// divide; 0 groups take autoGroups of each), the cache's for
+// CacheOperator — so Result.Planned is the argmin, and the value, of
+// PredictHierarchical / PredictCache over the feasible worker counts.
+func TestAutoPlanFoldsTheJobsOwnWaves(t *testing.T) {
+	const size = 2e8
+	spec := sortSpec(0)
+	spec.MaxWorkers = 128
+	spec.WorkerMemBytes = 256 << 20
+	spec.Startup = 300 * time.Millisecond
+	in := PlanInput{DataBytes: size, MaxWorkers: spec.MaxWorkers, WorkerMemBytes: spec.WorkerMemBytes, Startup: spec.Startup}
+	argmin := func(model func(w int) (Plan, bool)) Plan {
+		best := Plan{}
+		for w := MinWorkersForMemory(in); w <= in.MaxWorkers; w++ {
+			if p, ok := model(w); ok && (best.Workers == 0 || p.Predicted < best.Predicted) {
+				best = p
+			}
+		}
+		best.MinWorkers = MinWorkersForMemory(in)
+		return best
+	}
+	for _, tc := range []struct {
+		name string
+		sort func(rig *testRig, cop *CacheOperator, p *des.Proc) (Result, error)
+		want func(rig *testRig, prov *memcache.Provisioner, res Result) Plan
+	}{
+		{"hierarchical, auto groups",
+			func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, error) {
+				return rig.op.SortHierarchical(p, HierSpec{Spec: spec})
+			},
+			func(rig *testRig, _ *memcache.Provisioner, _ Result) Plan {
+				return argmin(func(w int) (Plan, bool) {
+					return PredictHierarchical(w, autoGroups(w), in, ProfileOf(rig.store.Config())), true
+				})
+			}},
+		{"hierarchical, 4 groups",
+			func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, error) {
+				return rig.op.SortHierarchical(p, HierSpec{Spec: spec, Groups: 4})
+			},
+			func(rig *testRig, _ *memcache.Provisioner, _ Result) Plan {
+				return argmin(func(w int) (Plan, bool) {
+					return PredictHierarchical(w, 4, in, ProfileOf(rig.store.Config())), w%4 == 0
+				})
+			}},
+		{"cache",
+			func(_ *testRig, cop *CacheOperator, p *des.Proc) (Result, error) {
+				return cop.Sort(p, CacheSpec{Spec: spec})
+			},
+			func(rig *testRig, prov *memcache.Provisioner, res Result) Plan {
+				cache := CacheProfile(prov.Config(), res.Nodes)
+				return argmin(func(w int) (Plan, bool) {
+					return PredictCache(w, in, ProfileOf(rig.store.Config()), cache, 0), true
+				})
+			}},
+	} {
+		rig, prov, cop := newCacheRig(t)
+		var res Result
+		var err error
+		rig.sim.Spawn("driver", func(p *des.Proc) {
+			c := objectstore.NewClient(rig.store)
+			_ = c.CreateBucket(p, "in")
+			_ = c.CreateBucket(p, "out")
+			if err = c.Put(p, "in", "data.bed", payload.Sized(size)); err == nil {
+				res, err = tc.sort(rig, cop, p)
+			}
+		})
+		if serr := rig.sim.Run(); serr != nil {
+			t.Fatalf("%s: sim: %v", tc.name, serr)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := tc.want(rig, prov, res)
+		if !res.AutoPlanned || res.Planned != want || res.Workers != want.Workers {
+			t.Errorf("%s: planned %d workers (%v), want %d (%v)",
+				tc.name, res.Planned.Workers, res.Planned.Predicted, want.Workers, want.Predicted)
+		}
 	}
 }

@@ -30,8 +30,8 @@ type runStore interface {
 	// Driver side, in call order.
 
 	// medium returns what the wave list reads and writes the runs of a
-	// size-byte exchange through (the planner searches its profile), or
-	// an error when it cannot hold them.
+	// size-byte exchange through (the planner folds the waves over it),
+	// or an error when it cannot hold them.
 	medium(size int64) (medium, error)
 	// ready blocks p until the medium can take runs.
 	ready(p *des.Proc) error
@@ -116,7 +116,8 @@ func (j *job) run(p *des.Proc) error {
 	}
 	j.res.TotalBytes = j.size
 
-	// Decide parallelism against the medium's throughput profile.
+	// Decide parallelism by folding the job's own wave list, its runs
+	// through the medium and its input and output through the store.
 	via, err := j.runs.medium(j.size)
 	if err != nil {
 		return err
@@ -129,9 +130,10 @@ func (j *job) run(p *des.Proc) error {
 		MergeBps:       spec.MergeBps,
 		Startup:        spec.Startup,
 	}
+	store := objectStore(ProfileOf(j.store.Config()))
 	j.workers = spec.Workers
 	if j.workers == 0 {
-		plan, err := Optimize(in, via.StoreProfile)
+		plan, err := optimize(in, j.hier, j.groups, store, via)
 		if err != nil {
 			return err
 		}
@@ -140,7 +142,7 @@ func (j *job) run(p *des.Proc) error {
 		j.res.AutoPlanned = true
 	}
 	j.res.Workers = j.workers
-	if err := j.layout(in, objectStore(ProfileOf(j.store.Config())), via); err != nil {
+	if err := j.layout(in, store, via); err != nil {
 		return err
 	}
 	if err := j.runs.ready(p); err != nil {
@@ -492,7 +494,7 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 
 func closeRuns(srcs []runSource) {
 	for _, s := range srcs {
-		s.close()
+		s.Close()
 	}
 }
 

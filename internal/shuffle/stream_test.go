@@ -3,49 +3,65 @@ package shuffle
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
-// feedChunks drives a lineFeeder over raw cut into the given chunk
-// sizes (cycled), returning the finished partitions.
+// chunkList is a source handing out prebuilt chunk payloads in order.
+type chunkList []payload.Payload
+
+func (c *chunkList) Next(*des.Proc) (payload.Payload, error) {
+	if len(*c) == 0 {
+		return nil, io.EOF
+	}
+	pl := (*c)[0]
+	*c = (*c)[1:]
+	return pl, nil
+}
+
+func (c *chunkList) Close() {}
+
+// cutChunks cuts raw into chunks of the given sizes, cycled.
+func cutChunks(raw []byte, sizes []int) chunkList {
+	var chunks chunkList
+	for pos, i := 0, 0; pos < len(raw); i++ {
+		n := min(sizes[i%len(sizes)], len(raw)-pos)
+		chunks = append(chunks, payload.RealNoCopy(raw[pos:pos+n]))
+		pos += n
+	}
+	return chunks
+}
+
+// feedChunks drives feedSlice over raw cut into the given chunk sizes
+// (cycled), returning the finished partitions.
 func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset, length int64,
 	workers int, bounds []Boundary, chunkSizes []int) [][]byte {
 	t.Helper()
 	builder := newRunBuilder(workers, bounds)
 	builder.sizeHint(len(raw))
-	f := &lineFeeder{fn: builder.Add, pos: readOff, limit: offset + length, skipFirst: prefixByte}
-	pos, ci := 0, 0
-	for pos < len(raw) && !f.done {
-		n := chunkSizes[ci%len(chunkSizes)]
-		ci++
-		if pos+n > len(raw) {
-			n = len(raw) - pos
-		}
-		if err := f.feed(raw[pos : pos+n]); err != nil {
-			t.Fatalf("feed: %v", err)
-		}
-		pos += n
-	}
-	if err := f.finish(); err != nil {
-		t.Fatalf("finish: %v", err)
+	src := cutChunks(raw, chunkSizes)
+	r := &lineReader{src: &src, pos: readOff}
+	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.Add); err != nil {
+		t.Fatalf("feedSlice: %v", err)
 	}
 	return builder.Finish()
 }
 
-// TestPropertyLineFeederMatchesPartitionRaw: for random slice
+// TestPropertyFeedSliceMatchesPartitionRaw: for random slice
 // geometries and adversarial chunkings — including chunks of 1 byte,
 // chunks splitting every TSV record mid-line, and chunks larger than
 // the input — the streamed partitions must be byte-identical to
 // partitionRaw over the same buffered range.
-func TestPropertyLineFeederMatchesPartitionRaw(t *testing.T) {
+func TestPropertyFeedSliceMatchesPartitionRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(1721))
 	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 77, Sorted: false})
 	object := bed.Marshal(recs)
@@ -97,6 +113,65 @@ func TestPropertyLineFeederMatchesPartitionRaw(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLineReader: arbitrary bytes cut into arbitrary chunks (each byte
+// of cuts is a chunk length, cycled; 0 is an empty chunk). The lines
+// handed out and where they start must be bytes.Split of the whole, the
+// last one flagged as the tail when no newline ends it; every byte must
+// be pulled; and the last non-blank line handed out must survive the
+// next call, which is what the merge's sortedness check reads.
+func FuzzLineReader(f *testing.F) {
+	f.Add([]byte("chr1\t5\t6\n\n \nchr1\t7\t8"), []byte{1})
+	f.Add([]byte("a\nbb\n\nccc\n"), []byte{3, 0, 2})
+	f.Add([]byte("one line, no newline"), []byte{})
+	f.Add([]byte(""), []byte{4})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		var src chunkList
+		for pos, i := 0, 0; pos < len(data); i++ {
+			n := len(data) - pos // no cuts, or too many empty chunks: the rest in one
+			if len(cuts) > 0 && i < 4*len(data)+len(cuts) {
+				n = min(int(cuts[i%len(cuts)]), n)
+			}
+			src = append(src, payload.RealNoCopy(data[pos:pos+n]))
+			pos += n
+		}
+		want := bytes.Split(data, []byte("\n"))
+		if len(want[len(want)-1]) == 0 {
+			want = want[:len(want)-1] // a final newline leaves no tail
+		}
+		r := &lineReader{src: &src}
+		var at int64
+		var kept, keptCopy []byte
+		for i := 0; ; i++ {
+			line, start, tail, err := r.next()
+			if kept != nil && !bytes.Equal(kept, keptCopy) {
+				t.Fatalf("line %d: the last non-blank line became %q, was %q", i, kept, keptCopy)
+			}
+			if errors.Is(err, io.EOF) {
+				if i != len(want) {
+					t.Fatalf("%d lines, want %d", i, len(want))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("line %d: %v", i, err)
+			}
+			if i >= len(want) || !bytes.Equal(line, want[i]) || start != at {
+				t.Fatalf("line %d: %q at %d, want %q at %d", i, line, start, want[min(i, len(want)-1)], at)
+			}
+			if wantTail := i == len(want)-1 && !bytes.HasSuffix(data, []byte("\n")); tail != wantTail {
+				t.Fatalf("line %d: tail %v, want %v", i, tail, wantTail)
+			}
+			at += int64(len(line)) + 1
+			if len(bytes.TrimSpace(line)) != 0 {
+				kept, keptCopy = line, bytes.Clone(line)
+			}
+		}
+		if r.pos != int64(len(data)) {
+			t.Fatalf("pulled %d bytes of %d", r.pos, len(data))
+		}
+	})
 }
 
 // TestGoldenMidLineChunksMatchSeed: all three operators, streamed with

@@ -2,13 +2,15 @@ package shuffle
 
 // The streaming map path: instead of buffering a mapper's whole ranged
 // GET before the first byte is partitioned, the map slice is consumed
-// as a stream of chunks (objectstore.Client.GetStream), each chunk's
-// complete lines fed into the runBuilder as they arrive — with the
-// partial trailing line carried across chunk boundaries — so parsing,
-// key packing, and partition routing overlap the remaining transfer.
-// The per-partition radix sort (runBuilder.Finish) is the only
-// post-transfer work, matching the planner's overlap model
-// max(transfer, partitionCPU) + sort.
+// as a stream of chunks (objectstore.Client.GetStream) by the lineReader
+// every merged run is read with too (streamreduce.go): each chunk is
+// charged its partition CPU as it lands and its complete lines are fed
+// into the runBuilder — the partial trailing line carried across the
+// chunk boundary — so parsing, key packing, and partition routing
+// overlap the remaining transfer. A line that does not parse fails the
+// slice after its chunk's charge. The per-partition radix sort
+// (runBuilder.Finish) is the only post-transfer work, matching the
+// planner's overlap model max(transfer, partitionCPU) + sort.
 
 import (
 	"bytes"
@@ -57,98 +59,40 @@ func (e *ErrLineTooLong) Error() string {
 	return fmt.Sprintf("line at offset %d runs more than the %d-byte overscan past its map slice", e.Offset, e.Overscan)
 }
 
-// lineFeeder splits streamed chunks into complete lines and feeds the
-// slice's owned ones to fn: lines whose global start position is inside
-// [offset, limit) belong to this mapper; a partial trailing line is
-// carried across chunk boundaries; blank lines are skipped; the
-// unterminated final line (no trailing newline at the object's end) is
-// flushed by finish. fn must not retain the line slice past its call.
-type lineFeeder struct {
-	fn    func(line []byte) error
-	pos   int64 // global offset of the next unseen stream byte
-	limit int64 // lines starting at or past this are the next mapper's
-	end   int64 // the object's size: a stream that stops short of it was cut by the overscan
-	// skipFirst drops bytes through the first newline: the stream
-	// begins one byte before the slice to decide first-line ownership,
-	// and everything up to that newline is the predecessor's line.
-	skipFirst bool
-	carry     []byte // partial line awaiting its terminator
-	done      bool   // a line start at/past limit was seen: all owned lines are in
-}
-
-// feed consumes one chunk. After it returns with f.done set, the
-// caller can stop reading the stream: every owned line has been fed.
-func (f *lineFeeder) feed(chunk []byte) error {
-	// Every line starting inside this chunk starts below the limit when
-	// the chunk itself ends below it — the common case for all but a
-	// mapper's final chunks — so the per-line ownership check can be
-	// skipped wholesale.
-	checkLimit := f.pos+int64(len(chunk)) > f.limit
-	for len(chunk) > 0 && !f.done {
-		if f.skipFirst {
-			nl := bytes.IndexByte(chunk, '\n')
-			if nl < 0 {
-				f.pos += int64(len(chunk))
+// feedSlice hands add the lines of a map slice that are the mapper's
+// own, read off r: those starting below limit, blank ones skipped. The
+// read begins one byte before the slice when skipFirst is set, and
+// everything up to that byte's newline is the predecessor's line; it
+// runs on through the overscan, and stops at the first line starting at
+// or past limit. add must not retain the line past its call.
+func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []byte) error) error {
+	for {
+		line, start, tail, err := r.next()
+		switch {
+		case err != nil:
+			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			f.pos += int64(nl) + 1
-			chunk = chunk[nl+1:]
-			f.skipFirst = false
-			continue
-		}
-		nl := bytes.IndexByte(chunk, '\n')
-		if nl < 0 {
-			f.carry = append(f.carry, chunk...)
-			f.pos += int64(len(chunk))
-			return nil
-		}
-		if checkLimit && f.pos-int64(len(f.carry)) >= f.limit {
-			f.done = true
-			return nil
-		}
-		line := chunk[:nl]
-		if len(f.carry) > 0 {
-			f.carry = append(f.carry, chunk[:nl]...)
-			line = f.carry
-		}
-		f.pos += int64(nl) + 1
-		chunk = chunk[nl+1:]
-		if len(bytes.TrimSpace(line)) != 0 {
-			if err := f.fn(line); err != nil {
+			return err
+		case skipFirst:
+			if tail {
+				// The whole read was one line with no start inside the slice.
+				return errNoLineStart
+			}
+			skipFirst = false
+		case start >= limit:
+			return nil // every owned line is in; abandon the rest of the range
+		case tail && start+int64(len(line)) < end:
+			// The read ended before the object did (end is its size): the
+			// tail is the head of a line the overscan cut short, not the
+			// file's last line.
+			return &ErrLineTooLong{Offset: start, Overscan: overscan}
+		case len(bytes.TrimSpace(line)) != 0:
+			if err := add(line); err != nil {
 				return err
 			}
 		}
-		if len(f.carry) > 0 {
-			f.carry = f.carry[:0]
-		}
 	}
-	return nil
-}
-
-// finish flushes the unterminated final line once the stream ends.
-func (f *lineFeeder) finish() error {
-	if f.skipFirst {
-		// The whole stream was one line with no start inside the slice.
-		return errNoLineStart
-	}
-	if f.done || len(f.carry) == 0 {
-		return nil
-	}
-	start := f.pos - int64(len(f.carry))
-	if start >= f.limit {
-		return nil
-	}
-	if f.pos < f.end {
-		// The stream ended before the object did: the carry is the head
-		// of a line the overscan cut short, not the file's last line.
-		return &ErrLineTooLong{Offset: start, Overscan: overscan}
-	}
-	line := f.carry
-	f.carry = f.carry[:0]
-	if len(bytes.TrimSpace(line)) == 0 {
-		return nil
-	}
-	return f.fn(line)
 }
 
 // span returns the byte range a task actually reads of its input slice:
@@ -182,49 +126,24 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	}
 	defer st.Close()
 
-	builder := newRunBuilder(t.wave.fanOut, t.bounds)
-	builder.sizeHint(int(readLen))
-	feeder := &lineFeeder{
-		fn:        builder.Add,
-		pos:       readOff,
-		limit:     t.off + t.n,
-		end:       t.size,
-		skipFirst: prefixByte,
-	}
 	// The CPU budget keeps the total partition charge at exactly the
 	// slice over PartitionBps — overscan bytes are transferred but their
 	// lines belong to the next mapper.
 	budget := t.n
-	sized := false
-	for {
-		pl, err := st.Next(ctx.Proc)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if raw, real := pl.Bytes(); real {
-			if err := feeder.feed(raw); err != nil {
-				return nil, err
-			}
-		} else {
-			sized = true
-		}
-		charge := pl.Size()
-		if charge > budget {
-			charge = budget
-		}
-		budget -= charge
-		ctx.ComputeBytes(charge, t.wave.streamBps)
-		if feeder.done {
-			break // every owned line is in; abandon the rest of the range
-		}
+	r := &lineReader{src: st, proc: ctx.Proc, pos: readOff, charge: func(n int64) {
+		n = min(n, budget)
+		budget -= n
+		ctx.ComputeBytes(n, t.wave.streamBps)
+	}}
+	builder := newRunBuilder(t.wave.fanOut, t.bounds)
+	builder.sizeHint(int(readLen))
+	err = feedSlice(r, prefixByte, t.off+t.n, t.size, builder.Add)
+	sized := errors.Is(err, errSizedChunk)
+	if sized {
+		err = r.drain()
 	}
-	if !sized {
-		if err := feeder.finish(); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	// The per-partition radix sort is the only post-transfer work.
 	ctx.ComputeBytes(t.n, t.wave.sortBps)

@@ -3,12 +3,13 @@ package shuffle
 // The streaming reduce path: instead of buffering every mapper's run
 // before the k-way merge starts, each run arrives as a stream of chunks
 // (objectstore.Client.GetStream) and the merge begins as soon as every
-// run's head chunk is in. A chunk-fed cursor parks on Stream.Next at
-// chunk boundaries and carries a partial trailing line across them
-// (the lineFeeder ownership rules), so transfer-in, merge CPU — charged
-// per chunk at MergeBps — and the multipart transfer-out behind
-// objectstore.Client.PutStream all overlap: the reduce leg costs
-// max(transfer-in, mergeCPU, transfer-out) instead of their sum.
+// run's head chunk is in. Every run is read by a lineReader, which parks
+// on the stream's Next at chunk boundaries and carries a partial line
+// across them (the map slice is read by the same type), so transfer-in,
+// merge CPU — charged per chunk at MergeBps as it arrives — and the
+// multipart transfer-out behind objectstore.Client.PutStream all overlap:
+// the reduce leg costs max(transfer-in, mergeCPU, transfer-out) instead
+// of their sum.
 
 import (
 	"bytes"
@@ -49,23 +50,18 @@ func AdaptiveChunkBytes(explicit, slice int64) int64 {
 	return c
 }
 
-// errSizedChunk aborts a streamed merge when a run turns out to be a
-// timing-only payload; the driver falls back to draining byte counts.
+// errSizedChunk stops a lineReader at a timing-only chunk: there are no
+// lines to hand out, only bytes to drain and charge.
 var errSizedChunk = errors.New("shuffle: sized chunk in streamed run")
 
-// runSource feeds one sorted run to the merge as a sequence of chunk
-// payloads. next returns io.EOF when the run is exhausted; close
-// releases the source (always safe, also after exhaustion).
+// runSource is a sequence of chunk payloads: a sorted run for the merge,
+// or a map slice (*objectstore.ClientStream is one). Next returns io.EOF
+// when it is exhausted; Close releases it (always safe, also after
+// exhaustion).
 type runSource interface {
-	next(p *des.Proc) (payload.Payload, error)
-	close()
+	Next(p *des.Proc) (payload.Payload, error)
+	Close()
 }
-
-// clientStreamSource adapts a resumable object-store stream.
-type clientStreamSource struct{ cs *objectstore.ClientStream }
-
-func (s clientStreamSource) next(p *des.Proc) (payload.Payload, error) { return s.cs.Next(p) }
-func (s clientStreamSource) close()                                    { s.cs.Close() }
 
 // payloadSource feeds an already-resident payload chunk by chunk — the
 // cache's runs arrive via memcache Get (no streaming API), but chunked
@@ -77,7 +73,7 @@ type payloadSource struct {
 	chunk int64
 }
 
-func (s *payloadSource) next(p *des.Proc) (payload.Payload, error) {
+func (s *payloadSource) Next(p *des.Proc) (payload.Payload, error) {
 	size := s.pl.Size()
 	if s.off >= size {
 		return nil, io.EOF
@@ -97,116 +93,144 @@ func (s *payloadSource) next(p *des.Proc) (payload.Payload, error) {
 	return out, nil
 }
 
-func (s *payloadSource) close() {}
+func (s *payloadSource) Close() {}
 
-// streamCursor walks one chunk-fed sorted run line by line during a
-// merge. Lines fully inside a chunk are views into the chunk's payload
-// bytes (which outlive the chunk); a line spanning chunks is assembled
-// in one of two alternating carry buffers, so the sortedness check's
-// previous line — possibly itself carried — stays intact while the
-// next one assembles.
-type streamCursor struct {
+// lineReader splits a runSource into lines, the one place a line is
+// carried across a chunk boundary: the map slice and every merged run
+// are read with it. It pulls a chunk only when the line asked for needs
+// one and charges each chunk as it arrives (the handler's per-chunk CPU,
+// nil for none); handing out lines costs no virtual time, so its pulls
+// and charges fall where a chunk-at-a-time loop's do. A line inside a
+// chunk is a view into the chunk's payload bytes (which outlive the
+// chunk); a line spanning chunks is assembled in one of two alternating
+// carry buffers, and only a non-blank one claims its buffer, so the last
+// non-blank line handed out — the merge's previous line, possibly itself
+// carried — stays intact while the next one assembles.
+type lineReader struct {
 	src    runSource
 	proc   *des.Proc
-	charge func(n int64) // per-chunk merge CPU, nil for none
+	charge func(n int64)
+	// pos is where the next pulled byte sits: the source's offset in its
+	// object (0 for a run) plus every byte pulled so far.
+	pos int64
 
 	chunk []byte    // unconsumed tail of the current chunk
 	carry [2][]byte // alternating partial-line buffers
-	flip  int       // carry[flip] may hold the live line; 1-flip assembles
-
-	line  []byte
-	key   bed.Key
-	idx   int
-	live  bool
+	flip  int       // carry[flip] may hold the last non-blank line; 1-flip assembles
 	eof   bool
-	total int64 // bytes pulled from the source
 }
 
-// nextChunk pulls and charges the next chunk. io.EOF at range end;
-// errSizedChunk on a timing-only payload.
-func (c *streamCursor) nextChunk() error {
-	pl, err := c.src.next(c.proc)
+// pull takes the next chunk off the source and charges it. It sets eof
+// at the source's end and returns errSizedChunk on a timing-only chunk.
+func (r *lineReader) pull() error {
+	pl, err := r.src.Next(r.proc)
+	if errors.Is(err, io.EOF) {
+		r.eof = true
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	n := pl.Size()
-	c.total += n
-	if c.charge != nil {
-		c.charge(n)
+	r.pos += pl.Size()
+	if r.charge != nil {
+		r.charge(pl.Size())
 	}
 	raw, real := pl.Bytes()
 	if !real {
 		return errSizedChunk
 	}
-	c.chunk = raw
+	r.chunk = raw
 	return nil
 }
 
-// advance loads the cursor's next non-blank line, pulling chunks as
-// needed and verifying the run stays sorted across chunk boundaries
+// next hands out the next line, without its newline, and the offset it
+// starts at; tail marks an unterminated last line. Blank lines are handed
+// out too, what they mean is the caller's. It returns io.EOF once the
+// source is exhausted and errSizedChunk on a timing-only chunk.
+func (r *lineReader) next() (line []byte, start int64, tail bool, err error) {
+	carry := r.carry[1-r.flip][:0]
+	for {
+		if nl := bytes.IndexByte(r.chunk, '\n'); nl >= 0 {
+			start = r.pos - int64(len(r.chunk)) - int64(len(carry))
+			line, r.chunk = r.chunk[:nl], r.chunk[nl+1:]
+			if len(carry) == 0 {
+				return line, start, false, nil
+			}
+			return r.claim(append(carry, line...)), start, false, nil
+		}
+		carry = append(carry, r.chunk...)
+		r.chunk = nil
+		if r.eof {
+			if len(carry) == 0 {
+				return nil, 0, false, io.EOF
+			}
+			return r.claim(carry), r.pos - int64(len(carry)), true, nil
+		}
+		if err := r.pull(); err != nil {
+			return nil, 0, false, err
+		}
+	}
+}
+
+// claim keeps a carried line's buffer, grown, for the reader; a non-blank
+// line holds it until the line after next has been assembled.
+func (r *lineReader) claim(line []byte) []byte {
+	r.carry[1-r.flip] = line
+	if len(bytes.TrimSpace(line)) != 0 {
+		r.flip = 1 - r.flip
+	}
+	return line
+}
+
+// drain pulls what is left of the source for its bytes and charges
+// alone, once a timing-only chunk has shown there are no lines to hand
+// out. It asks the source again even when the reader has seen its end.
+func (r *lineReader) drain() error {
+	for r.eof = false; !r.eof; {
+		if err := r.pull(); err != nil && !errors.Is(err, errSizedChunk) {
+			return err
+		}
+	}
+	return nil
+}
+
+// streamCursor is one run in the merge: a reader, the key of its current
+// line, and the check that the run stays sorted across chunk boundaries
 // (the mappers' invariant — a violation here means a corrupted scratch
 // object, and silently merging it would emit unsorted output).
+type streamCursor struct {
+	r    lineReader
+	line []byte
+	key  bed.Key
+	idx  int
+	live bool
+}
+
+// advance loads the cursor's next non-blank line.
 func (c *streamCursor) advance() error {
 	prevKey, prevLine, hadPrev := c.key, c.line, c.live
 	c.live = false
-	carry := c.carry[1-c.flip][:0]
 	for {
-		if len(c.chunk) == 0 {
-			if !c.eof {
-				switch err := c.nextChunk(); {
-				case err == nil:
-					continue
-				case errors.Is(err, io.EOF):
-					c.eof = true
-				default:
-					return err
-				}
-			}
-			// Stream drained: flush the unterminated final line.
-			c.carry[1-c.flip] = carry
-			if len(bytes.TrimSpace(carry)) == 0 {
+		line, _, _, err := c.r.next()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			return c.load(carry, prevKey, prevLine, hadPrev, true)
+			return err
 		}
-		nl := bytes.IndexByte(c.chunk, '\n')
-		if nl < 0 {
-			carry = append(carry, c.chunk...)
-			c.chunk = nil
-			continue
-		}
-		line := c.chunk[:nl]
-		fromCarry := false
-		if len(carry) > 0 {
-			carry = append(carry, line...)
-			line = carry
-			fromCarry = true
-		}
-		c.chunk = c.chunk[nl+1:]
 		if len(bytes.TrimSpace(line)) == 0 {
-			carry = carry[:0]
 			continue
 		}
-		c.carry[1-c.flip] = carry
-		return c.load(line, prevKey, prevLine, hadPrev, fromCarry)
+		key, err := bed.KeyOfLine(line)
+		if err != nil {
+			return fmt.Errorf("run %d: %w", c.idx, err)
+		}
+		if hadPrev && compareLineKeys(key, line, prevKey, prevLine) < 0 {
+			return fmt.Errorf("run %d is not sorted", c.idx)
+		}
+		c.line, c.key, c.live = line, key, true
+		return nil
 	}
-}
-
-// load keys and verifies one line. A carried line claims its buffer by
-// flipping, protecting it until the line after next assembles.
-func (c *streamCursor) load(line []byte, prevKey bed.Key, prevLine []byte, hadPrev, fromCarry bool) error {
-	key, err := bed.KeyOfLine(line)
-	if err != nil {
-		return fmt.Errorf("run %d: %w", c.idx, err)
-	}
-	if hadPrev && compareLineKeys(key, line, prevKey, prevLine) < 0 {
-		return fmt.Errorf("run %d is not sorted", c.idx)
-	}
-	c.line, c.key, c.live = line, key, true
-	if fromCarry {
-		c.flip = 1 - c.flip
-	}
-	return nil
 }
 
 // streamCursorLess orders heap entries in exact genome order, then run
@@ -258,27 +282,26 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 	if len(srcs) == 0 {
 		return false, 0, nil
 	}
-	first := streamCursor{src: srcs[0], proc: p, charge: charge}
-	switch err := first.nextChunk(); {
-	case err == nil:
-	case errors.Is(err, io.EOF):
-		first.eof = true
-	case errors.Is(err, errSizedChunk):
-		return drainStreamedSized(p, srcs, first.total, charge)
-	default:
+	first := lineReader{src: srcs[0], proc: p, charge: charge}
+	if err := first.pull(); errors.Is(err, errSizedChunk) {
+		return drainRuns(srcs, []streamCursor{{r: first}})
+	} else if err != nil {
 		return false, 0, err
 	}
 	cursors := make([]streamCursor, len(srcs))
-	cursors[0] = first
+	cursors[0].r = first
 	for i, src := range srcs[1:] {
-		cursors[i+1] = streamCursor{src: src, proc: p, charge: charge, idx: i + 1}
+		cursors[i+1] = streamCursor{r: lineReader{src: src, proc: p, charge: charge}, idx: i + 1}
 	}
 	h := make([]*streamCursor, 0, len(srcs))
 	for i := range cursors {
 		c := &cursors[i]
 		if err := c.advance(); err != nil {
-			if errors.Is(err, errSizedChunk) { // a sized run after real ones
-				return drainStreamedSized(p, srcs, pulled(cursors), charge)
+			// A sized run after real or empty ones: a timing-only split
+			// smaller than its fan-out writes Sized(0) runs, which read
+			// as empty.
+			if errors.Is(err, errSizedChunk) {
+				return drainRuns(srcs, cursors)
 			}
 			return false, 0, err
 		}
@@ -296,7 +319,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 		}
 		if err := c.advance(); err != nil {
 			if errors.Is(err, errSizedChunk) { // a sized run after real ones
-				return drainStreamedSized(p, srcs, pulled(cursors), charge)
+				return drainRuns(srcs, cursors)
 			}
 			return false, 0, err
 		}
@@ -308,38 +331,28 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 			siftDown(h, 0)
 		}
 	}
-	return false, pulled(cursors), nil
-}
-
-// pulled is the byte count the cursors have taken from their sources.
-func pulled(cursors []streamCursor) (total int64) {
 	for i := range cursors {
-		total += cursors[i].total
+		total += cursors[i].r.pos
 	}
-	return total
+	return false, total, nil
 }
 
-// drainStreamedSized consumes the rest of every source purely for byte
+// drainRuns consumes the rest of every source purely for byte
 // accounting once a sized chunk voids the line merge, so the handler
-// charges CPU and transfer for the whole volume. before is what the
-// merge had taken from them before.
-func drainStreamedSized(p *des.Proc, srcs []runSource, before int64, charge func(int64)) (bool, int64, error) {
-	total := before
-	for _, src := range srcs {
-		for {
-			pl, err := src.next(p)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return true, 0, err
-			}
-			n := pl.Size()
-			total += n
-			if charge != nil {
-				charge(n)
-			}
+// charges CPU and transfer for the whole volume. started are the cursors
+// the merge had built, a prefix of srcs whose readers have counted what
+// they pulled; the rest get a fresh reader.
+func drainRuns(srcs []runSource, started []streamCursor) (bool, int64, error) {
+	var total int64
+	for i, src := range srcs {
+		r := lineReader{src: src, proc: started[0].r.proc, charge: started[0].r.charge}
+		if i < len(started) {
+			r = started[i].r
 		}
+		if err := r.drain(); err != nil {
+			return true, 0, err
+		}
+		total += r.pos
 	}
 	return true, total, nil
 }
