@@ -24,8 +24,11 @@ type Rig struct {
 	Prov      *vm.Provisioner
 	CacheProv *memcache.Provisioner
 	Shuffle   *shuffle.Operator
-	CacheOp   *shuffle.CacheOperator
-	Exec      *core.Executor
+	// CacheOp is Shuffle, for callers of CacheOperator.Sort.
+	//
+	// Deprecated: use Shuffle with Spec.Exchange ViaCache (ROADMAP K.2).
+	CacheOp *shuffle.CacheOperator
+	Exec    *core.Executor
 
 	// History accumulates measured predicted-vs-actual outcomes for the
 	// auto-planner. NewRig starts it empty; a Session keeps the rig —
@@ -45,17 +48,13 @@ func NewRig(p Profile) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: platform: %w", err)
 	}
-	op, err := shuffle.NewOperator(platform, store)
-	if err != nil {
-		return nil, fmt.Errorf("calib: shuffle: %w", err)
-	}
 	cacheProv, err := memcache.NewProvisioner(sim, p.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("calib: cache: %w", err)
 	}
-	cacheOp, err := shuffle.NewCacheOperator(platform, store, cacheProv)
+	op, err := shuffle.NewOperator(platform, store, cacheProv)
 	if err != nil {
-		return nil, fmt.Errorf("calib: cache shuffle: %w", err)
+		return nil, fmt.Errorf("calib: shuffle: %w", err)
 	}
 	var prov *vm.Provisioner
 	if len(p.VMTypes) > 0 {
@@ -72,7 +71,6 @@ func NewRig(p Profile) (*Rig, error) {
 	}
 	exec := core.NewExecutor(sim, store, platform, prov, op, p.Prices)
 	exec.CacheProv = cacheProv
-	exec.CacheShuffle = cacheOp
 	return &Rig{
 		Profile:   p,
 		Sim:       sim,
@@ -81,7 +79,7 @@ func NewRig(p Profile) (*Rig, error) {
 		Prov:      prov,
 		CacheProv: cacheProv,
 		Shuffle:   op,
-		CacheOp:   cacheOp,
+		CacheOp:   &shuffle.CacheOperator{Operator: op},
 		Exec:      exec,
 		History:   autoplan.NewHistory(),
 	}, nil

@@ -10,13 +10,12 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
-	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
-// withCache extends the test rig with a cache provisioner and operator.
-func withCache(t *testing.T, r *rig) *memcache.Provisioner {
+// newCacheRig is the test rig with a cache provisioner wired in.
+func newCacheRig(t *testing.T) (*rig, *memcache.Provisioner) {
 	t.Helper()
-	prov, err := memcache.NewProvisioner(r.sim, memcache.Config{
+	r := newRigWith(t, &memcache.Config{
 		NodeMemoryBytes:  64 << 20,
 		RequestLatency:   100 * time.Microsecond,
 		PerConnBandwidth: 1e9,
@@ -25,16 +24,7 @@ func withCache(t *testing.T, r *rig) *memcache.Provisioner {
 		ProvisionTime:    time.Second,
 		NodeHourlyUSD:    0.3,
 	})
-	if err != nil {
-		t.Fatalf("cache provisioner: %v", err)
-	}
-	op, err := shuffle.NewCacheOperator(r.exec.Platform, r.exec.Store, prov)
-	if err != nil {
-		t.Fatalf("cache operator: %v", err)
-	}
-	r.exec.CacheProv = prov
-	r.exec.CacheShuffle = op
-	return prov
+	return r, r.exec.CacheProv
 }
 
 // stageData uploads records and returns the standard sort params.
@@ -65,8 +55,7 @@ func stageData(t *testing.T, r *rig, recs []bed.Record) SortParams {
 }
 
 func TestCacheExchangeSortsCorrectly(t *testing.T) {
-	r := newRig(t)
-	prov := withCache(t, r)
+	r, prov := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 21, Sorted: false})
 	params := stageData(t, r, recs)
 
@@ -150,8 +139,7 @@ func TestCacheExchangeRequiresOperator(t *testing.T) {
 
 func TestCacheExchangeWarmIsFaster(t *testing.T) {
 	runOnce := func(warm bool) time.Duration {
-		r := newRig(t)
-		withCache(t, r)
+		r, _ := newCacheRig(t)
 		recs := bed.Generate(bed.GenConfig{Records: 1000, Seed: 23, Sorted: false})
 		params := stageData(t, r, recs)
 		w := NewWorkflow("cache-sort")
@@ -184,23 +172,13 @@ func TestCacheCostSnapshotWithoutProvisioner(t *testing.T) {
 func TestCacheExchangeUndersizedPropagatesOOM(t *testing.T) {
 	// A one-node cluster far smaller than the dataset must surface the
 	// cache's OOM through the stage error chain.
-	r := newRig(t)
-	prov, err := memcache.NewProvisioner(r.sim, memcache.Config{
+	r := newRigWith(t, &memcache.Config{
 		NodeMemoryBytes:  1 << 10,
 		RequestLatency:   0,
 		PerConnBandwidth: 1e9,
 		NodeOpsPerSec:    1e6,
 		OpsBurst:         1e6,
 	})
-	if err != nil {
-		t.Fatalf("provisioner: %v", err)
-	}
-	op, err := shuffle.NewCacheOperator(r.exec.Platform, r.exec.Store, prov)
-	if err != nil {
-		t.Fatalf("operator: %v", err)
-	}
-	r.exec.CacheProv = prov
-	r.exec.CacheShuffle = op
 
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 24, Sorted: false})
 	params := stageData(t, r, recs)
@@ -208,7 +186,7 @@ func TestCacheExchangeUndersizedPropagatesOOM(t *testing.T) {
 	if err := w.Add(&SortStage{Strategy: &CacheExchange{Nodes: 1}, Params: params}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	_, err = r.run(t, w)
+	_, err := r.run(t, w)
 	if !errors.Is(err, memcache.ErrOutOfMemory) && !errors.Is(err, memcache.ErrTooLarge) {
 		t.Fatalf("err = %v, want a cache capacity error in chain", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
+	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
@@ -22,7 +23,11 @@ type rig struct {
 	exec *Executor
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWith(t, nil) }
+
+// newRigWith builds the rig with a cache provisioner of config cache
+// wired into its operator and executor (nil: none, so no cache sorts).
+func newRigWith(t *testing.T, cache *memcache.Config) *rig {
 	t.Helper()
 	sim := des.New(1)
 	store, err := objectstore.New(sim, objectstore.Config{
@@ -47,12 +52,19 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := shuffle.NewOperator(pf, store)
+	var cacheProv *memcache.Provisioner
+	if cache != nil {
+		if cacheProv, err = memcache.NewProvisioner(sim, *cache); err != nil {
+			t.Fatalf("cache provisioner: %v", err)
+		}
+	}
+	op, err := shuffle.NewOperator(pf, store, cacheProv)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}
 	prov := vm.NewProvisioner(sim)
 	exec := NewExecutor(sim, store, pf, prov, op, billing.Default())
+	exec.CacheProv = cacheProv
 	return &rig{sim: sim, exec: exec}
 }
 

@@ -25,26 +25,3 @@ func TestDescribeShowsTopologyAndStrategy(t *testing.T) {
 		}
 	}
 }
-
-func TestDescribeRetryWrappedSort(t *testing.T) {
-	w := NewWorkflow("wf")
-	inner := &SortStage{Strategy: &VMExchange{InstanceType: "bx2-8x32"}, Params: SortParams{Workers: 8}}
-	if err := w.Add(&RetryStage{Inner: inner, Attempts: 3}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	out := w.Describe()
-	if !strings.Contains(out, "[exchange: vm, retried]") {
-		t.Errorf("retried sort not annotated:\n%s", out)
-	}
-}
-
-func TestDescribePlainRetry(t *testing.T) {
-	w := NewWorkflow("wf")
-	if err := w.Add(&RetryStage{Inner: &FuncStage{StageName: "stage",
-		Fn: func(*StageContext) error { return nil }}}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if out := w.Describe(); !strings.Contains(out, "stage [retried]") {
-		t.Errorf("retry not annotated:\n%s", out)
-	}
-}

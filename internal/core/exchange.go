@@ -99,13 +99,11 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 	if ctx.Exec.Shuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
-	var res shuffle.Result
-	var err error
+	spec := params.spec()
 	if params.Hierarchical {
-		res, err = ctx.Exec.Shuffle.SortHierarchical(ctx.Proc, shuffle.HierSpec{Spec: params.spec(), Groups: params.Groups})
-	} else {
-		res, err = ctx.Exec.Shuffle.Sort(ctx.Proc, params.spec())
+		spec.Exchange, spec.Groups = shuffle.ViaStoreTwoLevel, params.Groups
 	}
+	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, spec)
 	if err != nil {
 		return SortOutcome{}, err
 	}
@@ -149,16 +147,14 @@ func (c *CacheExchange) Name() string {
 // is left running afterwards, and its node-hours are attributed by the
 // session rather than to this stage.
 func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
-	if ctx.Exec.CacheShuffle == nil {
-		return SortOutcome{}, errors.New("core: executor has no cache shuffle operator")
+	if ctx.Exec.Shuffle == nil {
+		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
 	standing := ctx.Exec.StandingCache
-	res, err := ctx.Exec.CacheShuffle.Sort(ctx.Proc, shuffle.CacheSpec{
-		Spec:    params.spec(),
-		Nodes:   c.Nodes,
-		Warm:    c.Warm,
-		Cluster: standing,
-	})
+	spec := params.spec()
+	spec.Exchange = shuffle.ViaCache
+	spec.Nodes, spec.Warm, spec.Cluster = c.Nodes, c.Warm, standing
+	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, spec)
 	if err != nil {
 		return SortOutcome{}, err
 	}

@@ -136,10 +136,9 @@ type Executor struct {
 	Shuffle     *shuffle.Operator
 	Prices      billing.PriceBook
 
-	// CacheProv and CacheShuffle are optional: set them when a stage
-	// uses the cache data-exchange strategy.
-	CacheProv    *memcache.Provisioner
-	CacheShuffle *shuffle.CacheOperator
+	// CacheProv is optional: set it, and build Shuffle with it, when a
+	// stage uses the cache data-exchange strategy.
+	CacheProv *memcache.Provisioner
 
 	// StandingCache / StandingVM are session-owned standing resources.
 	// Their accrual is excluded from per-stage VM/cache cost deltas —

@@ -112,8 +112,7 @@ func TestVMExchangeRecoversFromPreemption(t *testing.T) {
 // degrades the lost shard's slabs to the object-storage fallback (with
 // regeneration for slabs that died unread) instead of failing the run.
 func TestCacheExchangeSurvivesNodeLoss(t *testing.T) {
-	r := newRig(t)
-	prov := withCache(t, r)
+	r, prov := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 37, Sorted: false})
 	params := stageData(t, r, recs)
 

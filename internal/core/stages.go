@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/faaspipe/faaspipe/internal/faas"
 )
@@ -127,58 +126,6 @@ func (m *MapStage) Run(ctx *StageContext) error {
 		ctx.State.Set(m.Name()+".keys", outKeys)
 	}
 	return nil
-}
-
-// RetryStage re-runs a failing inner stage, whole: DAG-level fault
-// tolerance for failures the invocation-level retries cannot absorb
-// (a VM that will not provision, a shuffle that exhausted its
-// attempts). The inner stage must be idempotent at the object-store
-// level, which the engine's stages are — they write deterministic
-// output keys.
-type RetryStage struct {
-	// Inner is the stage to protect.
-	Inner Stage
-	// Attempts is the total number of tries (default 2).
-	Attempts int
-	// Backoff is the delay before the second try, doubled per attempt
-	// (default 1s).
-	Backoff time.Duration
-}
-
-var _ Stage = (*RetryStage)(nil)
-
-// Name implements Stage: the wrapper is transparent in reports.
-func (r *RetryStage) Name() string {
-	if r.Inner == nil {
-		return "retry"
-	}
-	return r.Inner.Name()
-}
-
-// Run implements Stage.
-func (r *RetryStage) Run(ctx *StageContext) error {
-	if r.Inner == nil {
-		return errors.New("core: retry stage has no inner stage")
-	}
-	attempts := r.Attempts
-	if attempts <= 0 {
-		attempts = 2
-	}
-	backoff := r.Backoff
-	if backoff <= 0 {
-		backoff = time.Second
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			ctx.Proc.Sleep(backoff)
-			backoff *= 2
-		}
-		if err = r.Inner.Run(ctx); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: stage %q failed after %d attempts: %w", r.Name(), attempts, err)
 }
 
 // FuncStage adapts a plain function into a Stage, for orchestrator-

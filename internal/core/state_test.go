@@ -28,14 +28,3 @@ func TestDescribeAutoSortStage(t *testing.T) {
 		t.Errorf("decision not rendered:\n%s", out)
 	}
 }
-
-func TestDescribeRetryWrappedAutoSort(t *testing.T) {
-	w := NewWorkflow("wf")
-	inner := &SortStage{Strategy: &AutoExchange{}, Params: SortParams{}}
-	if err := w.Add(&RetryStage{Inner: inner}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if out := w.Describe(); !strings.Contains(out, "[exchange: auto, retried]") {
-		t.Errorf("retried auto sort not annotated:\n%s", out)
-	}
-}

@@ -141,13 +141,6 @@ func (w *Workflow) Describe() string {
 		if s, ok := n.stage.(*SortStage); ok {
 			fmt.Fprintf(&b, " [exchange: %s]", s.exchangeLabel())
 		}
-		if r, ok := n.stage.(*RetryStage); ok {
-			if s, ok := r.Inner.(*SortStage); ok {
-				fmt.Fprintf(&b, " [exchange: %s, retried]", s.exchangeLabel())
-			} else {
-				fmt.Fprint(&b, " [retried]")
-			}
-		}
 		if len(n.deps) > 0 {
 			fmt.Fprintf(&b, "  <- %s", strings.Join(n.deps, ", "))
 		}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 func TestTable1ReproducesPaperShape(t *testing.T) {
@@ -242,7 +243,7 @@ func TestMeasureSort(t *testing.T) {
 					t.Errorf("plain sort: %+v", m)
 				}
 			}},
-		{name: "hierarchical", profile: calib.Local(), so: sortOnly{workers: 16, hierarchical: true},
+		{name: "hierarchical", profile: calib.Local(), so: sortOnly{workers: 16, exchange: shuffle.ViaStoreTwoLevel},
 			check: func(t *testing.T, m sortMeasurement) {
 				if m.sortErr != nil || m.latency <= 0 || m.groups < 2 {
 					t.Errorf("hierarchical sort: %+v", m)

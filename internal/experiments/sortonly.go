@@ -51,9 +51,9 @@ func WorkerSweep(profile calib.Profile, dataBytes int64, workerCounts []int) (Wo
 // sortOnly configures one measurement of the shuffle alone.
 type sortOnly struct {
 	workers int
-	// hierarchical runs the two-level shuffle (groups auto-picked near
-	// sqrt(workers)) instead of the one-level all-to-all.
-	hierarchical bool
+	// exchange is ViaStore, or ViaStoreTwoLevel for the two-level
+	// shuffle (groups auto-picked near sqrt(workers)).
+	exchange shuffle.Exchange
 	// maxRetries / speculate are the invocation-level mitigations.
 	maxRetries int
 	speculate  bool
@@ -84,6 +84,7 @@ func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasu
 		InputBucket: "data", InputKey: "in",
 		OutputBucket: "work", OutputPrefix: "sorted/",
 		Workers:      so.workers,
+		Exchange:     so.exchange,
 		PartitionBps: profile.PartitionBps,
 		MergeBps:     profile.MergeBps,
 		MemoryMB:     profile.Faas.MemoryMB,
@@ -97,11 +98,7 @@ func measureSort(profile calib.Profile, dataBytes int64, so sortOnly) (sortMeasu
 		}
 		start := p.Now()
 		var res shuffle.Result
-		if so.hierarchical {
-			res, m.sortErr = rig.Shuffle.SortHierarchical(p, shuffle.HierSpec{Spec: spec})
-		} else {
-			res, m.sortErr = rig.Shuffle.Sort(p, spec)
-		}
+		res, m.sortErr = rig.Shuffle.Sort(p, spec)
 		m.groups = res.Groups
 		m.latency = p.Now() - start
 	})
@@ -179,7 +176,7 @@ func HierarchySweep(profile calib.Profile, dataBytes int64, workerCounts []int) 
 		if err != nil {
 			return res, fmt.Errorf("experiments: hier sweep one-level w=%d: %w", w, err)
 		}
-		two, err := measureSort(profile, dataBytes, sortOnly{workers: w, hierarchical: true})
+		two, err := measureSort(profile, dataBytes, sortOnly{workers: w, exchange: shuffle.ViaStoreTwoLevel})
 		if err == nil {
 			err = two.sortErr
 		}

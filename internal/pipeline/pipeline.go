@@ -299,6 +299,12 @@ func (d *Doc) validateShuffle(s StageDoc) error {
 	if s.MaxRetries < 0 {
 		return fmt.Errorf("pipeline: stage %q: negative maxRetries", s.Name)
 	}
+	if s.Groups < 0 {
+		return fmt.Errorf("pipeline: stage %q: negative groups", s.Name)
+	}
+	if s.CacheNodes < 0 {
+		return fmt.Errorf("pipeline: stage %q: negative cacheNodes", s.Name)
+	}
 	return nil
 }
 

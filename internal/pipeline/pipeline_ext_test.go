@@ -20,6 +20,9 @@ func TestLoadRejectsExtendedFields(t *testing.T) {
 		{"groups without hierarchical", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","groups":2}]}`},
 		{"groups not dividing workers", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","workers":8,"hierarchical":true,"groups":3}]}`},
 		{"cacheNodes on object-storage", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","cacheNodes":2}]}`},
+		{"negative groups", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","workers":8,"hierarchical":true,"groups":-4}]}`},
+		{"negative cacheNodes on object-storage", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","cacheNodes":-2}]}`},
+		{"negative cacheNodes on cache", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"cache","cacheNodes":-2}]}`},
 		{"negative retries", `{"name":"x","workBucket":"w","stages":[{"name":"s","type":"shuffle","strategy":"object-storage","maxRetries":-1}]}`},
 	}
 	for _, c := range cases {

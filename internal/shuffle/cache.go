@@ -3,7 +3,6 @@ package shuffle
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -12,65 +11,11 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
-const (
-	// cacheMapFn and cacheReduceFn are the cache operator's function
-	// names on the platform.
-	cacheMapFn    = "cacheshuffle/map"
-	cacheReduceFn = "cacheshuffle/reduce"
-)
-
 // CacheOversize oversizes an auto-sized cluster over the exchange
 // volume so the all-to-all's transient double-buffering never hits the
 // eviction path. The planner sizes its cache candidates with the same
 // figure.
 const CacheOversize = 1.3
-
-// CacheOperator is a shuffle/sort whose all-to-all intermediates flow
-// through a provisioned in-memory cache instead of object storage —
-// the ElastiCache-style alternative the paper names in §1. Input and
-// output still live in the object store (the datasets' home); only the
-// w x w partition exchange uses the cache.
-type CacheOperator struct {
-	platform *faas.Platform
-	store    *objectstore.Service
-	prov     *memcache.Provisioner
-	// seq allocates job IDs atomically: a session rig shares one
-	// operator across concurrently Submitted jobs.
-	seq atomic.Int64
-}
-
-// NewCacheOperator registers the cache-shuffle functions on the
-// platform. Clusters are provisioned per job from prov.
-func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov *memcache.Provisioner) (*CacheOperator, error) {
-	if prov == nil {
-		return nil, errors.New("shuffle: nil cache provisioner")
-	}
-	if err := register(platform, cacheMapFn, cacheReduceFn); err != nil {
-		return nil, err
-	}
-	return &CacheOperator{platform: platform, store: store, prov: prov}, nil
-}
-
-// CacheSpec describes one cache-exchanged sort job.
-type CacheSpec struct {
-	// Spec carries the common job parameters. Intermediates live in the
-	// cache; the output bucket is the fallback for runs whose shard node
-	// is down.
-	Spec
-	// Nodes fixes the cluster size; 0 sizes it from the input volume
-	// with CacheOversize.
-	Nodes int
-	// Warm treats the cluster as already provisioned: the spin-up
-	// latency is skipped, modeling a long-lived shared cluster. Billing
-	// still accrues for the job window only, which understates a real
-	// always-on cluster's cost — the ablation's point is latency.
-	Warm bool
-	// Cluster, when set, is an already-running cluster owned by the
-	// caller (a session's standing warm cluster): no provisioning
-	// happens, the cluster is left running afterwards, and the owner
-	// attributes its node-hours. Nodes/Warm are ignored.
-	Cluster *memcache.Cluster
-}
 
 // CacheProfile converts a cache node profile at a given cluster size
 // into the planner's store profile, so PredictCache and the planner fold
@@ -90,31 +35,6 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 	}
 }
 
-// Sort runs the cache-exchanged shuffle, blocking p until the sorted
-// output is in the object store. The per-job cluster is provisioned
-// before and stopped after the exchange.
-func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (Result, error) {
-	j := &job{
-		platform: op.platform,
-		store:    op.store,
-		spec:     spec.Spec,
-		prefix:   "cacheshuffle",
-		seq:      &op.seq,
-		mapFn:    cacheMapFn,
-		reduceFn: cacheReduceFn,
-	}
-	runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.OutputBucket, prov: op.prov, spec: spec, res: &j.res}
-	j.runs = runs
-	err := j.run(p)
-	if spec.Cluster == nil && runs.cluster != nil {
-		runs.cluster.Stop()
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return j.res, nil
-}
-
 // cacheRuns is the cache run store: every run (slab) is one cache
 // entry under its partKey, degrading per slab to an object under
 // fallbackKey in the fallback bucket when its shard node is down. A
@@ -128,12 +48,6 @@ type cacheRuns struct {
 	// only marks a regeneration wave's store: of the runs it is handed
 	// it writes just these lost slabs, straight to the fallback bucket.
 	only map[string]bool
-
-	// Driver side: where the cluster comes from, and the job's result,
-	// which takes what the cluster cost.
-	prov *memcache.Provisioner
-	spec CacheSpec
-	res  *Result
 }
 
 // fallbackKey names a slab's object-storage fallback location.
@@ -149,43 +63,44 @@ func isNodeLoss(err error) bool {
 	return errors.Is(err, memcache.ErrNodeDown) || errors.Is(err, errSlabLost)
 }
 
-// medium sizes the cluster for the exchange and returns it as the
+// medium sizes the cluster for j's exchange and returns it as the
 // planner sees it.
-func (c *cacheRuns) medium(size int64) (medium, error) {
-	nodes := c.spec.Nodes
+func (c *cacheRuns) medium(j *job) (medium, error) {
+	cfg := j.op.prov.Config()
+	nodes := j.spec.Nodes
 	if c.cluster != nil { // caller-owned: nothing is provisioned yet otherwise
 		if c.cluster.Stopped() {
 			return medium{}, errors.New("shuffle: caller-owned cache cluster is stopped")
 		}
 		nodes = c.cluster.Nodes()
-		if size > c.cluster.CapacityBytes() {
+		if j.size > c.cluster.CapacityBytes() {
 			return medium{}, fmt.Errorf(
 				"shuffle: %d-byte exchange exceeds the standing cluster's %d-byte capacity",
-				size, c.cluster.CapacityBytes())
+				j.size, c.cluster.CapacityBytes())
 		}
 	} else if nodes <= 0 {
-		nodes = memcache.NodesForCapacity(c.prov.Config(), size, CacheOversize)
+		nodes = memcache.NodesForCapacity(cfg, j.size, CacheOversize)
 	}
-	c.res.Nodes = nodes
-	return medium{StoreProfile: CacheProfile(c.prov.Config(), nodes), resident: true}, nil
+	j.res.Nodes = nodes
+	return medium{StoreProfile: CacheProfile(cfg, nodes), resident: true}, nil
 }
 
 // ready provisions the cluster (skipped when warm: it is already up; or
 // when the caller owns one: this job just uses it).
-func (c *cacheRuns) ready(p *des.Proc) error {
+func (c *cacheRuns) ready(p *des.Proc, j *job) error {
 	start := p.Now()
 	if c.cluster == nil {
 		var err error
-		if c.spec.Warm {
-			c.cluster, err = c.prov.ProvisionWarm(p, c.res.Nodes)
+		if j.spec.Warm {
+			c.cluster, err = j.op.prov.ProvisionWarm(p, j.res.Nodes)
 		} else {
-			c.cluster, err = c.prov.Provision(p, c.res.Nodes)
+			c.cluster, err = j.op.prov.Provision(p, j.res.Nodes)
 		}
 		if err != nil {
 			return fmt.Errorf("shuffle: provision cache: %w", err)
 		}
 	}
-	c.res.Provision = p.Now() - start
+	j.res.Provision = p.Now() - start
 	return nil
 }
 
@@ -212,7 +127,7 @@ func (c *cacheRuns) reduce(p *des.Proc, j *job) error {
 		// A shard died mid-reduce. Reducers whose output is already
 		// durable are done (their keys are deterministic); the rest
 		// re-run after the loss scan above regenerates what they need.
-		c.res.Restarts++
+		j.res.Restarts++
 		var still []int
 		for _, r := range pending {
 			if _, herr := j.client.Head(p, j.spec.OutputBucket, j.res.OutputKeys[r]); herr == nil {
@@ -262,11 +177,11 @@ func (c *cacheRuns) regenerate(p *des.Proc, j *job, reducers []int) error {
 	if err != nil {
 		return fmt.Errorf("cache slab regen: %w", err)
 	}
-	c.res.Restarts++
-	c.res.FallbackSlabs += slabs
+	j.res.Restarts++
+	j.res.FallbackSlabs += slabs
 	for _, m := range mappers {
 		_, n := EvenShare(j.size, j.workers, m)
-		c.res.ReworkBytes += n
+		j.res.ReworkBytes += n
 	}
 	return nil
 }

@@ -26,34 +26,20 @@ func cacheTestConfig() memcache.Config {
 	}
 }
 
-// newCacheRig extends the operator rig with a cache provisioner and
-// operator on the same platform.
-func newCacheRig(t *testing.T) (*testRig, *memcache.Provisioner, *CacheOperator) {
-	t.Helper()
-	rig := newRig(t)
-	prov, err := memcache.NewProvisioner(rig.sim, cacheTestConfig())
-	if err != nil {
-		t.Fatalf("cache provisioner: %v", err)
-	}
-	op, err := NewCacheOperator(rig.pf, rig.store, prov)
-	if err != nil {
-		t.Fatalf("cache operator: %v", err)
-	}
-	return rig, prov, op
+func cacheSpec(workers int) Spec {
+	spec := sortSpec(workers)
+	spec.Exchange = ViaCache
+	return spec
 }
 
-func cacheSpec(workers int) CacheSpec {
-	return CacheSpec{Spec: sortSpec(workers)}
-}
-
-func runCacheSort(t *testing.T, rig *testRig, op *CacheOperator, recs []bed.Record, spec CacheSpec) (Result, []bed.Record) {
+func runCacheSort(t *testing.T, rig *testRig, recs []bed.Record, spec Spec) (Result, []bed.Record) {
 	t.Helper()
 	var res Result
 	var sorted []bed.Record
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		rig.loadInput(t, p, recs)
-		res, sortErr = op.Sort(p, spec)
+		res, sortErr = rig.op.Sort(p, spec)
 		if sortErr != nil {
 			return
 		}
@@ -69,9 +55,9 @@ func runCacheSort(t *testing.T, rig *testRig, op *CacheOperator, recs []bed.Reco
 }
 
 func TestCacheSortProducesGlobalOrder(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 5000, Seed: 11, Sorted: false})
-	res, sorted := runCacheSort(t, rig, op, recs, cacheSpec(8))
+	res, sorted := runCacheSort(t, rig, recs, cacheSpec(8))
 	if res.Workers != 8 || len(res.OutputKeys) != 8 {
 		t.Fatalf("workers/parts = %d/%d, want 8/8", res.Workers, len(res.OutputKeys))
 	}
@@ -91,8 +77,8 @@ func TestCacheSortMatchesObjectStorageSort(t *testing.T) {
 	cosRig := newRig(t)
 	_, viaCOS := runSort(t, cosRig, recs, sortSpec(6))
 
-	cacheRig, _, cacheOp := newCacheRig(t)
-	_, viaCache := runCacheSort(t, cacheRig, cacheOp, recs, cacheSpec(6))
+	cacheRig, _ := newCacheRig(t)
+	_, viaCache := runCacheSort(t, cacheRig, recs, cacheSpec(6))
 
 	if len(viaCOS) != len(viaCache) {
 		t.Fatalf("lengths differ: %d vs %d", len(viaCOS), len(viaCache))
@@ -105,9 +91,9 @@ func TestCacheSortMatchesObjectStorageSort(t *testing.T) {
 }
 
 func TestCacheSortPreservesRecords(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 13, Sorted: false})
-	_, sorted := runCacheSort(t, rig, op, recs, cacheSpec(5))
+	_, sorted := runCacheSort(t, rig, recs, cacheSpec(5))
 	want := recordMultiset(recs)
 	got := recordMultiset(sorted)
 	if len(want) != len(got) {
@@ -121,9 +107,9 @@ func TestCacheSortPreservesRecords(t *testing.T) {
 }
 
 func TestCacheSortStopsClusterAndReportsCost(t *testing.T) {
-	rig, prov, op := newCacheRig(t)
+	rig, prov := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1000, Seed: 14, Sorted: false})
-	runCacheSort(t, rig, op, recs, cacheSpec(4))
+	runCacheSort(t, rig, recs, cacheSpec(4))
 	clusters := prov.Clusters()
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %d, want 1", len(clusters))
@@ -141,20 +127,20 @@ func TestCacheSortStopsClusterAndReportsCost(t *testing.T) {
 }
 
 func TestCacheSortColdPaysProvisioning(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 500, Seed: 15, Sorted: false})
-	res, _ := runCacheSort(t, rig, op, recs, cacheSpec(2))
+	res, _ := runCacheSort(t, rig, recs, cacheSpec(2))
 	if res.Provision < 2*time.Second {
 		t.Errorf("cold Provision = %v, want >= 2s spin-up", res.Provision)
 	}
 }
 
 func TestCacheSortWarmSkipsProvisioning(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 500, Seed: 15, Sorted: false})
 	spec := cacheSpec(2)
 	spec.Warm = true
-	res, sorted := runCacheSort(t, rig, op, recs, spec)
+	res, sorted := runCacheSort(t, rig, recs, spec)
 	if res.Provision != 0 {
 		t.Errorf("warm Provision = %v, want 0", res.Provision)
 	}
@@ -164,7 +150,7 @@ func TestCacheSortWarmSkipsProvisioning(t *testing.T) {
 }
 
 func TestCacheSortAutoSizesCluster(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	var res Result
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
@@ -176,7 +162,7 @@ func TestCacheSortAutoSizesCluster(t *testing.T) {
 			t.Errorf("put: %v", err)
 			return
 		}
-		res, sortErr = op.Sort(p, cacheSpec(8))
+		res, sortErr = rig.op.Sort(p, cacheSpec(8))
 	})
 	if err := rig.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
@@ -190,23 +176,23 @@ func TestCacheSortAutoSizesCluster(t *testing.T) {
 }
 
 func TestCacheSortFixedNodes(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 1000, Seed: 16, Sorted: false})
 	spec := cacheSpec(4)
 	spec.Nodes = 3
-	res, _ := runCacheSort(t, rig, op, recs, spec)
+	res, _ := runCacheSort(t, rig, recs, spec)
 	if res.Nodes != 3 {
 		t.Errorf("Nodes = %d, want 3", res.Nodes)
 	}
 }
 
 func TestCacheSortAutoPlansWorkers(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 17, Sorted: false})
 	spec := cacheSpec(0)
 	spec.MaxWorkers = 32
 	spec.WorkerMemBytes = 2 << 30
-	res, sorted := runCacheSort(t, rig, op, recs, spec)
+	res, sorted := runCacheSort(t, rig, recs, spec)
 	if !res.AutoPlanned {
 		t.Fatal("AutoPlanned = false")
 	}
@@ -219,7 +205,7 @@ func TestCacheSortAutoPlansWorkers(t *testing.T) {
 }
 
 func TestCacheSortSizedPayload(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	var res Result
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
@@ -230,7 +216,7 @@ func TestCacheSortSizedPayload(t *testing.T) {
 			t.Errorf("put: %v", err)
 			return
 		}
-		res, sortErr = op.Sort(p, cacheSpec(8))
+		res, sortErr = rig.op.Sort(p, cacheSpec(8))
 		if sortErr != nil {
 			return
 		}
@@ -259,14 +245,14 @@ func TestCacheSortSizedPayload(t *testing.T) {
 }
 
 func TestCacheSortEmptyInputFails(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		c := objectstore.NewClient(rig.store)
 		_ = c.CreateBucket(p, "in")
 		_ = c.CreateBucket(p, "out")
 		_ = c.Put(p, "in", "data.bed", payload.Real(nil))
-		_, sortErr = op.Sort(p, cacheSpec(4))
+		_, sortErr = rig.op.Sort(p, cacheSpec(4))
 	})
 	if err := rig.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
@@ -277,10 +263,10 @@ func TestCacheSortEmptyInputFails(t *testing.T) {
 }
 
 func TestCacheSortValidatesSpec(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
-		_, sortErr = op.Sort(p, CacheSpec{Spec: Spec{OutputBucket: "out"}})
+		_, sortErr = rig.op.Sort(p, Spec{OutputBucket: "out", Exchange: ViaCache})
 	})
 	if err := rig.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
@@ -291,9 +277,8 @@ func TestCacheSortValidatesSpec(t *testing.T) {
 }
 
 func TestCacheOperatorNeedsProvisioner(t *testing.T) {
-	rig := newRig(t)
-	if _, err := NewCacheOperator(rig.pf, rig.store, nil); err == nil {
-		t.Fatal("nil provisioner accepted")
+	if err := cacheSpec(4).validate(false); err == nil {
+		t.Fatal("cache sort accepted on an operator with no provisioner")
 	}
 }
 
@@ -316,7 +301,7 @@ func TestCacheProfileScalesWithNodes(t *testing.T) {
 func TestCacheSortUndersizedClusterFails(t *testing.T) {
 	// One 64 MB node cannot hold a 200 MB shuffle without eviction:
 	// some map Set must fail with OOM, surfacing as a sort error.
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		c := objectstore.NewClient(rig.store)
@@ -328,7 +313,7 @@ func TestCacheSortUndersizedClusterFails(t *testing.T) {
 		}
 		spec := cacheSpec(8)
 		spec.Nodes = 1
-		_, sortErr = op.Sort(p, spec)
+		_, sortErr = rig.op.Sort(p, spec)
 	})
 	if err := rig.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)

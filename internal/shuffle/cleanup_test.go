@@ -79,7 +79,7 @@ func TestCleanupRejectsSpeculation(t *testing.T) {
 	spec := sortSpec(4)
 	spec.CleanupScratch = true
 	spec.Speculate = true
-	if err := spec.validate(); err == nil {
+	if err := spec.validate(false); err == nil {
 		t.Fatal("CleanupScratch+Speculate accepted; duplicates re-read deleted partitions")
 	}
 }
@@ -106,7 +106,7 @@ func TestSortCleanupScratchWithRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := NewOperator(pf, store)
+	op, err := NewOperator(pf, store, nil)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}

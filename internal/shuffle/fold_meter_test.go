@@ -47,11 +47,15 @@ func TestFoldCountsMatchSimulator(t *testing.T) {
 			return err
 		}},
 		{"hier-w8-g4", shuffle.PredictHierarchical(8, 4, in, store), func(rig *calib.Rig, p *des.Proc) error {
-			_, err := rig.Shuffle.SortHierarchical(p, shuffle.HierSpec{Spec: spec(8), Groups: 4})
+			s := spec(8)
+			s.Exchange, s.Groups = shuffle.ViaStoreTwoLevel, 4
+			_, err := rig.Shuffle.Sort(p, s)
 			return err
 		}},
 		{"cache-w5", shuffle.PredictCache(5, in, store, shuffle.CacheProfile(profile.Cache, 3), 0), func(rig *calib.Rig, p *des.Proc) error {
-			_, err := rig.CacheOp.Sort(p, shuffle.CacheSpec{Spec: spec(5), Nodes: 3})
+			s := spec(5)
+			s.Exchange, s.Nodes = shuffle.ViaCache, 3
+			_, err := rig.Shuffle.Sort(p, s)
 			return err
 		}},
 	}

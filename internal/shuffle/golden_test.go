@@ -73,9 +73,9 @@ func TestGoldenHierarchicalOutputByteIdentical(t *testing.T) {
 	var got []byte
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		rig.loadInput(t, p, recs)
-		res, err := rig.op.SortHierarchical(p, hierSpec(8, 4))
+		res, err := rig.op.Sort(p, hierSpec(8, 4))
 		if err != nil {
-			t.Errorf("SortHierarchical: %v", err)
+			t.Errorf("two-level Sort: %v", err)
 			return
 		}
 		got = fetchRawParts(t, rig, p, res.OutputKeys)
@@ -126,9 +126,9 @@ func TestGoldenScaffoldChromsByteIdentical(t *testing.T) {
 		got = rig.fetchSorted(t, p, res.OutputKeys)
 		spec := hierSpec(4, 2)
 		spec.OutputPrefix = "sorted/h/"
-		hres, err := rig.op.SortHierarchical(p, spec)
+		hres, err := rig.op.Sort(p, spec)
 		if err != nil {
-			t.Errorf("SortHierarchical: %v", err)
+			t.Errorf("two-level Sort: %v", err)
 			return
 		}
 		rawHier = fetchRawParts(t, rig, p, hres.OutputKeys)
@@ -146,13 +146,13 @@ func TestGoldenScaffoldChromsByteIdentical(t *testing.T) {
 }
 
 func TestGoldenCacheOutputByteIdentical(t *testing.T) {
-	rig, _, op := newCacheRig(t)
+	rig, _ := newCacheRig(t)
 	recs := bed.Generate(bed.GenConfig{Records: 4000, Seed: 83, Sorted: false})
 	want := seedSortedBytes(recs)
 	var got []byte
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		rig.loadInput(t, p, recs)
-		res, err := op.Sort(p, cacheSpec(5))
+		res, err := rig.op.Sort(p, cacheSpec(5))
 		if err != nil {
 			t.Errorf("cache Sort: %v", err)
 			return

@@ -12,18 +12,20 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
-func hierSpec(workers, groups int) HierSpec {
-	return HierSpec{Spec: sortSpec(workers), Groups: groups}
+func hierSpec(workers, groups int) Spec {
+	spec := sortSpec(workers)
+	spec.Exchange, spec.Groups = ViaStoreTwoLevel, groups
+	return spec
 }
 
-func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec HierSpec) (Result, []bed.Record) {
+func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec Spec) (Result, []bed.Record) {
 	t.Helper()
 	var res Result
 	var sorted []bed.Record
 	var sortErr error
 	rig.sim.Spawn("driver", func(p *des.Proc) {
 		rig.loadInput(t, p, recs)
-		res, sortErr = rig.op.SortHierarchical(p, spec)
+		res, sortErr = rig.op.Sort(p, spec)
 		if sortErr != nil {
 			return
 		}
@@ -33,7 +35,7 @@ func runHierSort(t *testing.T, rig *testRig, recs []bed.Record, spec HierSpec) (
 		t.Fatalf("sim: %v", err)
 	}
 	if sortErr != nil {
-		t.Fatalf("SortHierarchical: %v", sortErr)
+		t.Fatalf("two-level Sort: %v", sortErr)
 	}
 	return res, sorted
 }
@@ -135,7 +137,7 @@ func TestHierSortRejectsNonDivisorGroups(t *testing.T) {
 		_ = c.CreateBucket(p, "in")
 		_ = c.CreateBucket(p, "out")
 		_ = c.Put(p, "in", "data.bed", payload.Sized(1<<20))
-		_, sortErr = rig.op.SortHierarchical(p, hierSpec(8, 3))
+		_, sortErr = rig.op.Sort(p, hierSpec(8, 3))
 	})
 	if err := rig.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
@@ -157,7 +159,7 @@ func TestHierSortSizedPayload(t *testing.T) {
 			t.Errorf("put: %v", err)
 			return
 		}
-		res, sortErr = rig.op.SortHierarchical(p, hierSpec(16, 4))
+		res, sortErr = rig.op.Sort(p, hierSpec(16, 4))
 		if sortErr != nil {
 			return
 		}
@@ -303,7 +305,7 @@ func TestHierSortWithRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := NewOperator(pf, store)
+	op, err := NewOperator(pf, store, nil)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}
@@ -321,7 +323,7 @@ func TestHierSortWithRetries(t *testing.T) {
 		spec := hierSpec(8, 4)
 		spec.MaxRetries = 10
 		var res Result
-		res, sortErr = op.SortHierarchical(p, spec)
+		res, sortErr = op.Sort(p, spec)
 		if sortErr != nil {
 			return
 		}
@@ -346,7 +348,7 @@ func TestHierSortWithRetries(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	if sortErr != nil {
-		t.Fatalf("SortHierarchical with faults: %v", sortErr)
+		t.Fatalf("two-level Sort with faults: %v", sortErr)
 	}
 	if !bed.IsSorted(sorted) || len(sorted) != len(recs) {
 		t.Fatal("faulty hierarchical sort incorrect")

@@ -8,6 +8,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
+	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -19,6 +20,14 @@ type testRig struct {
 }
 
 func newRig(t *testing.T) *testRig {
+	t.Helper()
+	rig, _ := newCacheRig(t)
+	return rig
+}
+
+// newCacheRig builds the operator rig with a cache provisioner of
+// cacheTestConfig, so the one operator runs every exchange.
+func newCacheRig(t *testing.T) (*testRig, *memcache.Provisioner) {
 	t.Helper()
 	sim := des.New(1)
 	store, err := objectstore.New(sim, objectstore.Config{
@@ -44,11 +53,15 @@ func newRig(t *testing.T) *testRig {
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := NewOperator(pf, store)
+	prov, err := memcache.NewProvisioner(sim, cacheTestConfig())
+	if err != nil {
+		t.Fatalf("cache provisioner: %v", err)
+	}
+	op, err := NewOperator(pf, store, prov)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}
-	return &testRig{sim: sim, store: store, pf: pf, op: op}
+	return &testRig{sim: sim, store: store, pf: pf, op: op}, prov
 }
 
 // loadInput stores records as one TSV object and returns them.
@@ -448,7 +461,7 @@ func TestConcurrentSortsGetDistinctJobIDs(t *testing.T) {
 
 func TestDuplicateOperatorRegistrationFails(t *testing.T) {
 	rig := newRig(t)
-	if _, err := NewOperator(rig.pf, rig.store); err == nil {
+	if _, err := NewOperator(rig.pf, rig.store, nil); err == nil {
 		t.Fatal("second operator on one platform accepted")
 	}
 }

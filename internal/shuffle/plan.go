@@ -304,6 +304,25 @@ func Optimize(in PlanInput, sp StoreProfile) (Plan, error) {
 	return optimize(in, false, 0, objectStore(sp), objectStore(sp))
 }
 
+// autoGroups picks the divisor of w nearest sqrt(w). Primes degrade to
+// 1 (a single group: one coarse pass then a full sort of each range).
+func autoGroups(w int) int {
+	if w <= 1 {
+		return 1
+	}
+	root := math.Sqrt(float64(w))
+	best, bestDist := 1, math.Inf(1)
+	for g := 1; g <= w; g++ {
+		if w%g != 0 {
+			continue
+		}
+		if d := math.Abs(float64(g) - root); d < bestDist {
+			best, bestDist = g, d
+		}
+	}
+	return best
+}
+
 // optimize searches the worker counts for the one whose wave list folds
 // to the shortest time: one level, or (hier) two levels in groups groups,
 // where a fixed count (> 0) admits only the worker counts it divides and

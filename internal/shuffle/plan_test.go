@@ -166,9 +166,9 @@ func TestPropertyOptimizeNeverWorseThanFixed(t *testing.T) {
 
 // TestAutoPlanFoldsTheJobsOwnWaves: a job left to pick its workers is
 // sized by the model of the exchange it runs — the two-level wave list
-// for SortHierarchical (fixed groups admit only the worker counts they
-// divide; 0 groups take autoGroups of each), the cache's for
-// CacheOperator — so Result.Planned is the argmin, and the value, of
+// for ViaStoreTwoLevel (fixed groups admit only the worker counts they
+// divide; 0 groups take autoGroups of each), the cache's for ViaCache —
+// so Result.Planned is the argmin, and the value, of
 // PredictHierarchical / PredictCache over the feasible worker counts.
 func TestAutoPlanFoldsTheJobsOwnWaves(t *testing.T) {
 	const size = 2e8
@@ -188,32 +188,24 @@ func TestAutoPlanFoldsTheJobsOwnWaves(t *testing.T) {
 		return best
 	}
 	for _, tc := range []struct {
-		name string
-		sort func(rig *testRig, cop *CacheOperator, p *des.Proc) (Result, error)
-		want func(rig *testRig, prov *memcache.Provisioner, res Result) Plan
+		name     string
+		exchange Exchange
+		groups   int
+		want     func(rig *testRig, prov *memcache.Provisioner, res Result) Plan
 	}{
-		{"hierarchical, auto groups",
-			func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, error) {
-				return rig.op.SortHierarchical(p, HierSpec{Spec: spec})
-			},
+		{"hierarchical, auto groups", ViaStoreTwoLevel, 0,
 			func(rig *testRig, _ *memcache.Provisioner, _ Result) Plan {
 				return argmin(func(w int) (Plan, bool) {
 					return PredictHierarchical(w, autoGroups(w), in, ProfileOf(rig.store.Config())), true
 				})
 			}},
-		{"hierarchical, 4 groups",
-			func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, error) {
-				return rig.op.SortHierarchical(p, HierSpec{Spec: spec, Groups: 4})
-			},
+		{"hierarchical, 4 groups", ViaStoreTwoLevel, 4,
 			func(rig *testRig, _ *memcache.Provisioner, _ Result) Plan {
 				return argmin(func(w int) (Plan, bool) {
 					return PredictHierarchical(w, 4, in, ProfileOf(rig.store.Config())), w%4 == 0
 				})
 			}},
-		{"cache",
-			func(_ *testRig, cop *CacheOperator, p *des.Proc) (Result, error) {
-				return cop.Sort(p, CacheSpec{Spec: spec})
-			},
+		{"cache", ViaCache, 0,
 			func(rig *testRig, prov *memcache.Provisioner, res Result) Plan {
 				cache := CacheProfile(prov.Config(), res.Nodes)
 				return argmin(func(w int) (Plan, bool) {
@@ -221,7 +213,7 @@ func TestAutoPlanFoldsTheJobsOwnWaves(t *testing.T) {
 				})
 			}},
 	} {
-		rig, prov, cop := newCacheRig(t)
+		rig, prov := newCacheRig(t)
 		var res Result
 		var err error
 		rig.sim.Spawn("driver", func(p *des.Proc) {
@@ -229,7 +221,9 @@ func TestAutoPlanFoldsTheJobsOwnWaves(t *testing.T) {
 			_ = c.CreateBucket(p, "in")
 			_ = c.CreateBucket(p, "out")
 			if err = c.Put(p, "in", "data.bed", payload.Sized(size)); err == nil {
-				res, err = tc.sort(rig, cop, p)
+				s := spec
+				s.Exchange, s.Groups = tc.exchange, tc.groups
+				res, err = rig.op.Sort(p, s)
 			}
 		})
 		if serr := rig.sim.Run(); serr != nil {

@@ -1,18 +1,17 @@
 package shuffle
 
-// The one job skeleton every operator runs: validate → defaults → Head
+// The one job skeleton every exchange runs: validate → defaults → Head
 // → plan workers → lay the strategy out as its wave list (plan.go's
 // waves, the list the predictors fold) → sample → launch the list, wave
 // by wave. Every activation of every wave is one task run by one
 // handler, at its wave's fan-in, fan-out and CPU rates. What differs
-// between the operators — where the sorted runs live, and what happens
+// between the exchanges — where the sorted runs live, and what happens
 // when that place breaks — sits behind runStore.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -29,12 +28,12 @@ import (
 type runStore interface {
 	// Driver side, in call order.
 
-	// medium returns what the wave list reads and writes the runs of a
-	// size-byte exchange through (the planner folds the waves over it),
-	// or an error when it cannot hold them.
-	medium(size int64) (medium, error)
-	// ready blocks p until the medium can take runs.
-	ready(p *des.Proc) error
+	// medium returns what the wave list reads and writes the runs of j's
+	// exchange through (the planner folds the waves over it), or an
+	// error when it cannot hold them.
+	medium(j *job) (medium, error)
+	// ready blocks p until the medium can take j's runs.
+	ready(p *des.Proc, j *job) error
 	// reduce drives j's last wave over every reducer, with whatever
 	// recovery the medium needs.
 	reduce(p *des.Proc, j *job) error
@@ -58,24 +57,14 @@ type runStore interface {
 	free(ctx *faas.Ctx, keys []string) error
 }
 
-// job is one sort in flight. The operators fill the first block and
-// call run; the rest is the skeleton's state.
+// job is one sort in flight. Operator.Sort fills the first block and
+// calls run; the rest is the skeleton's state.
 type job struct {
-	platform *faas.Platform
-	store    *objectstore.Service
-	runs     runStore
-	spec     Spec
-	// prefix and seq mint the job ID ("<prefix>-NNNN").
-	prefix string
-	seq    *atomic.Int64
-	// mapFn and reduceFn are the names the first and the last wave are
-	// invoked under; a wave between them runs as repartitionFn.
-	mapFn, reduceFn string
-	// hier makes the exchange two-level; groups is its group count
-	// (<= 0: the divisor of the worker count nearest its square root).
-	hier   bool
-	groups int
+	op   *Operator
+	spec Spec
 
+	// runs is where the exchange keeps its runs, picked from the spec.
+	runs    runStore
 	client  *objectstore.Client
 	id      string
 	size    int64
@@ -100,11 +89,26 @@ type job struct {
 // run executes the job, blocking p until the sorted output is in place.
 func (j *job) run(p *des.Proc) error {
 	spec := &j.spec
-	if err := spec.validate(); err != nil {
+	if err := spec.validate(j.op.prov != nil); err != nil {
 		return err
 	}
-	j.id = fmt.Sprintf("%s-%04d", j.prefix, j.seq.Add(1))
-	j.client = objectstore.NewClient(j.store)
+	seq := &j.op.seq
+	if spec.Exchange == ViaCache {
+		runs := &cacheRuns{cluster: spec.Cluster, fallback: spec.OutputBucket}
+		if spec.Cluster == nil {
+			// The job's own cluster stops with it, however it ends.
+			defer func() {
+				if runs.cluster != nil {
+					runs.cluster.Stop()
+				}
+			}()
+		}
+		j.runs, seq = runs, &j.op.cacheSeq
+	} else {
+		j.runs = &storeRuns{bucket: spec.OutputBucket, cleanup: spec.CleanupScratch}
+	}
+	j.id = fmt.Sprintf("%s-%04d", exchanges[spec.Exchange].prefix, seq.Add(1))
+	j.client = objectstore.NewClient(j.op.store)
 
 	head, err := j.client.Head(p, spec.InputBucket, spec.InputKey)
 	if err != nil {
@@ -118,7 +122,7 @@ func (j *job) run(p *des.Proc) error {
 
 	// Decide parallelism by folding the job's own wave list, its runs
 	// through the medium and its input and output through the store.
-	via, err := j.runs.medium(j.size)
+	via, err := j.runs.medium(j)
 	if err != nil {
 		return err
 	}
@@ -130,10 +134,10 @@ func (j *job) run(p *des.Proc) error {
 		MergeBps:       spec.MergeBps,
 		Startup:        spec.Startup,
 	}
-	store := objectStore(ProfileOf(j.store.Config()))
+	store := objectStore(ProfileOf(j.op.store.Config()))
 	j.workers = spec.Workers
 	if j.workers == 0 {
-		plan, err := optimize(in, j.hier, j.groups, store, via)
+		plan, err := optimize(in, spec.Exchange == ViaStoreTwoLevel, spec.Groups, store, via)
 		if err != nil {
 			return err
 		}
@@ -145,7 +149,7 @@ func (j *job) run(p *des.Proc) error {
 	if err := j.layout(in, store, via); err != nil {
 		return err
 	}
-	if err := j.runs.ready(p); err != nil {
+	if err := j.runs.ready(p, j); err != nil {
 		return err
 	}
 
@@ -157,9 +161,9 @@ func (j *job) run(p *des.Proc) error {
 	if err != nil {
 		return err
 	}
-	if j.hier && j.fine != nil {
-		j.coarse = make([]Boundary, j.groups-1)
-		for g := 1; g < j.groups; g++ {
+	if j.res.Groups > 0 && j.fine != nil {
+		j.coarse = make([]Boundary, j.res.Groups-1)
+		for g := 1; g < j.res.Groups; g++ {
 			j.coarse[g-1] = j.fine[g*j.k-1]
 		}
 	}
@@ -195,16 +199,17 @@ func (j *job) run(p *des.Proc) error {
 // what lets a recovery re-run only some reducers).
 func (j *job) layout(in PlanInput, store, via medium) error {
 	j.groupJobs = []string{j.id}
-	if j.hier {
-		if j.groups <= 0 {
-			j.groups = autoGroups(j.workers)
+	if j.spec.Exchange == ViaStoreTwoLevel {
+		groups := j.spec.Groups
+		if groups == 0 {
+			groups = autoGroups(j.workers)
 		}
-		if j.groups > j.workers || j.workers%j.groups != 0 {
-			return fmt.Errorf("shuffle: %d groups do not divide %d workers", j.groups, j.workers)
+		if groups > j.workers || j.workers%groups != 0 {
+			return fmt.Errorf("shuffle: %d groups do not divide %d workers", groups, j.workers)
 		}
-		j.res.Groups = j.groups
+		j.res.Groups = groups
 		j.round1 = j.id + "-r1"
-		j.groupJobs = make([]string, j.groups)
+		j.groupJobs = make([]string, groups)
 		for g := range j.groupJobs {
 			j.groupJobs[g] = fmt.Sprintf("%s-r2-g%04d", j.id, g)
 		}
@@ -224,9 +229,9 @@ func (j *job) layout(in PlanInput, store, via medium) error {
 func (j *job) fn(i int) string {
 	switch i {
 	case 0:
-		return j.mapFn
+		return exchanges[j.spec.Exchange].mapFn
 	case len(j.waves) - 1:
-		return j.reduceFn
+		return exchanges[j.spec.Exchange].reduceFn
 	}
 	return repartitionFn
 }
@@ -332,9 +337,9 @@ func (j *job) launch(p *des.Proc, i int, indexes []int, runs runStore) (int, err
 	var outs []any
 	var err error
 	if j.spec.Speculate {
-		outs, _, err = j.platform.MapSpeculative(p, j.fn(i), inputs, opts, j.spec.Speculation)
+		outs, _, err = j.op.platform.MapSpeculative(p, j.fn(i), inputs, opts, j.spec.Speculation)
 	} else {
-		outs, err = j.platform.MapSync(p, j.fn(i), inputs, opts)
+		outs, err = j.op.platform.MapSync(p, j.fn(i), inputs, opts)
 	}
 	if err != nil {
 		return 0, err

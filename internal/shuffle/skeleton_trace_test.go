@@ -22,7 +22,7 @@ type traceCase struct {
 	name string
 	// run executes the job on a fresh rig and reports the output keys
 	// plus the cache-recovery counters (zero for the store operators).
-	run func(rig *testRig, cop *CacheOperator, p *des.Proc) (Result, [3]int64, error)
+	run func(rig *testRig, p *des.Proc) (Result, [3]int64, error)
 	// fault, when set, is spawned beside the driver to break the cache.
 	fault func(prov *memcache.Provisioner, p *des.Proc)
 }
@@ -43,10 +43,10 @@ func whenCluster(ready func(*memcache.Cluster) bool, kill func(*memcache.Cluster
 }
 
 func traceCases() []traceCase {
-	cache := func(_ *testRig, cop *CacheOperator, p *des.Proc) (Result, [3]int64, error) {
+	cache := func(rig *testRig, p *des.Proc) (Result, [3]int64, error) {
 		spec := cacheSpec(5)
 		spec.Nodes = 3
-		res, err := cop.Sort(p, spec)
+		res, err := rig.op.Sort(p, spec)
 		return res, [3]int64{int64(res.FallbackSlabs), int64(res.Restarts), res.ReworkBytes}, err
 	}
 	killAll := func(c *memcache.Cluster) {
@@ -55,12 +55,12 @@ func traceCases() []traceCase {
 		}
 	}
 	return []traceCase{
-		{name: "sort-w6", run: func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, [3]int64, error) {
+		{name: "sort-w6", run: func(rig *testRig, p *des.Proc) (Result, [3]int64, error) {
 			res, err := rig.op.Sort(p, sortSpec(6))
 			return res, [3]int64{}, err
 		}},
-		{name: "hier-w8-g4", run: func(rig *testRig, _ *CacheOperator, p *des.Proc) (Result, [3]int64, error) {
-			res, err := rig.op.SortHierarchical(p, hierSpec(8, 4))
+		{name: "hier-w8-g4", run: func(rig *testRig, p *des.Proc) (Result, [3]int64, error) {
+			res, err := rig.op.Sort(p, hierSpec(8, 4))
 			return res, [3]int64{}, err
 		}},
 		{name: "cache-w5", run: cache},
@@ -86,7 +86,7 @@ func skeletonTrace(t *testing.T) string {
 	var b strings.Builder
 	for _, tc := range traceCases() {
 		for _, mode := range []string{"real", "sized"} {
-			rig, prov, cop := newCacheRig(t)
+			rig, prov := newCacheRig(t)
 			var (
 				res   Result
 				rec   [3]int64
@@ -107,7 +107,7 @@ func skeletonTrace(t *testing.T) string {
 						return
 					}
 				}
-				if res, rec, err = tc.run(rig, cop, p); err != nil {
+				if res, rec, err = tc.run(rig, p); err != nil {
 					return
 				}
 				end = p.Now()

@@ -198,9 +198,9 @@ func TestGoldenMidLineChunksMatchSeed(t *testing.T) {
 		hs := hierSpec(8, 4)
 		hs.StreamChunkBytes = chunk
 		hs.OutputPrefix = "sorted/h/"
-		hres, err := rig.op.SortHierarchical(p, hs)
+		hres, err := rig.op.Sort(p, hs)
 		if err != nil {
-			t.Errorf("SortHierarchical: %v", err)
+			t.Errorf("two-level Sort: %v", err)
 			return
 		}
 		gotHier = fetchRawParts(t, rig, p, hres.OutputKeys)
@@ -209,13 +209,13 @@ func TestGoldenMidLineChunksMatchSeed(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 
-	crig, _, cop := newCacheRig(t)
+	crig, _ := newCacheRig(t)
 	var gotCache []byte
 	crig.sim.Spawn("driver", func(p *des.Proc) {
 		crig.loadInput(t, p, recs)
 		cs := cacheSpec(5)
 		cs.StreamChunkBytes = chunk
-		res, err := cop.Sort(p, cs)
+		res, err := crig.op.Sort(p, cs)
 		if err != nil {
 			t.Errorf("cache Sort: %v", err)
 			return
@@ -333,7 +333,7 @@ func TestStreamingMapUnderStoreFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := NewOperator(pf, store)
+	op, err := NewOperator(pf, store, nil)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}

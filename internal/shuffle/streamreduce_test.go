@@ -57,7 +57,7 @@ func streamReduceRig(t *testing.T, seed int64, perConnBps, failureRate float64) 
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	op, err := NewOperator(pf, store)
+	op, err := NewOperator(pf, store, nil)
 	if err != nil {
 		t.Fatalf("operator: %v", err)
 	}

@@ -27,8 +27,11 @@ func TestTasksMatchWaves(t *testing.T) {
 		}
 		for _, g := range shapes {
 			j := &job{
-				runs: runs, id: "t-0001", size: size, workers: w, hier: g > 0, groups: g,
-				spec: Spec{InputBucket: "in", InputKey: "data.bed", OutputBucket: "out", OutputPrefix: "sorted/"},
+				runs: runs, id: "t-0001", size: size, workers: w,
+				spec: Spec{InputBucket: "in", InputKey: "data.bed", OutputBucket: "out", OutputPrefix: "sorted/", Groups: g},
+			}
+			if g > 0 {
+				j.spec.Exchange = ViaStoreTwoLevel
 			}
 			if err := j.layout(PlanInput{DataBytes: size, PartitionBps: 1, MergeBps: 1}, medium{}, medium{}); err != nil {
 				t.Fatalf("w=%d g=%d: %v", w, g, err)
