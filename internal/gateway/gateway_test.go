@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -447,6 +448,13 @@ func TestServeResultAuthzAndRanges(t *testing.T) {
 		if got, _ := win.Bytes(); string(got) != string(data[1000:1500]) {
 			t.Error("windowed result bytes differ")
 		}
+		// A tenant's n goes straight to ReadRange: one whose end wraps past
+		// MaxInt64 still reads through the end.
+		if tail, err := g.ServeResult(p, credA, key, 60000, math.MaxInt64); err != nil {
+			t.Errorf("ServeResult with n = MaxInt64: %v", err)
+		} else if got, _ := tail.Bytes(); string(got) != string(data[60000:]) {
+			t.Error("tail result bytes differ")
+		}
 		if _, err := g.ServeResult(p, credB, key, 0, -1); !errors.Is(err, gateway.ErrForbidden) {
 			t.Errorf("cross-tenant read error = %v, want ErrForbidden", err)
 		}
@@ -458,7 +466,7 @@ func TestServeResultAuthzAndRanges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if want := int64(len(data) + 500); rep.Tenants[0].BytesServed != want {
+	if want := int64(len(data) + 500 + len(data) - 60000); rep.Tenants[0].BytesServed != want {
 		t.Errorf("BytesServed = %d, want %d", rep.Tenants[0].BytesServed, want)
 	}
 	if rep.Tenants[1].BytesServed != 0 {

@@ -26,13 +26,13 @@ func (c *Client) ReadRange(p *des.Proc, bkt, key string, off, n int64) (payload.
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 {
-		off = 0
-	}
-	if n < 0 || off+n > obj.Size {
+	// off first, so that what is left past it cannot be negative; then n
+	// against that, since off+n can wrap past MaxInt64.
+	off = min(max(off, 0), obj.Size)
+	if n < 0 || n > obj.Size-off {
 		n = obj.Size - off
 	}
-	if off >= obj.Size || n <= 0 {
+	if n == 0 {
 		return payload.Sized(0), nil
 	}
 	st, err := c.GetStream(p, bkt, key, off, n, StreamOptions{})

@@ -3,6 +3,7 @@ package objectstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -66,6 +67,12 @@ func TestReadRangeClampsPastEOF(t *testing.T) {
 		{"past-eof", size + 5000, 10, 0, 0},
 		{"open-ended", 100, -1, 100, size - 100},
 		{"negative-off", -50, 60, 0, 60},
+		// off+n wraps past MaxInt64: the range still ends at EOF.
+		{"max-n", 3, math.MaxInt64, 3, size - 3},
+		{"max-n-from-zero", 0, math.MaxInt64, 0, size},
+		{"max-n-negative-off", -50, math.MaxInt64, 0, size},
+		{"max-n-past-eof", size + 5000, math.MaxInt64, 0, 0},
+		{"near-max-n", 3, math.MaxInt64 - 5, 3, size - 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

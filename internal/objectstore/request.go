@@ -288,12 +288,12 @@ func (r *request) open() error {
 	}
 	n := r.length
 	if n < 0 {
-		n = max(obj.Payload.Size()-r.off, 0)
+		n = max(obj.Size-r.off, 0)
 	}
 	// The whole object is its own range: nothing to cut.
-	rng := obj.Payload
-	if r.off != 0 || n != rng.Size() {
-		if rng, err = obj.Payload.Slice(r.off, n); err != nil {
+	rng := obj.pl
+	if r.off != 0 || n != obj.Size {
+		if rng, err = obj.pl.Slice(r.off, n); err != nil {
 			return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
 		}
 	}

@@ -75,9 +75,9 @@ func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts 
 		return nil, err
 	}
 	if n < 0 {
-		n = max(obj.Payload.Size()-off, 0)
+		n = max(obj.Size-off, 0)
 	}
-	rng, err := obj.Payload.Slice(off, n)
+	rng, err := obj.pl.Slice(off, n)
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
@@ -91,7 +91,7 @@ func procCreateBucket(s *Service, p *des.Proc, name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return ErrBucketExists
 	}
-	s.buckets[name] = &bucket{objects: make(map[string]Object)}
+	s.buckets[name] = &bucket{objects: make(map[string]stored)}
 	return nil
 }
 
@@ -241,7 +241,6 @@ var processForm = requestForm{
 			out, err = procLookup(c.svc, p, bkt, key)
 			return err
 		})
-		out.Payload = nil
 		return out, err
 	},
 	create: func(c *Client, p *des.Proc, name string) error {
@@ -347,12 +346,11 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 	}
 	// Stored directly: set-up must not draw from the RNG or take tokens.
 	for _, name := range []string{"a", "b"} {
-		svc.buckets[name] = &bucket{objects: map[string]Object{}}
+		svc.buckets[name] = &bucket{objects: map[string]stored{}}
 	}
 	for path, size := range sc.preload {
 		bkt, key, _ := strings.Cut(path, "/")
-		pl := payload.Sized(size)
-		svc.buckets[bkt].objects[key] = Object{Key: key, Payload: pl, Size: size, ETag: etag(pl)}
+		svc.buckets[bkt].objects[key] = stored{payload: payload.Sized(size)}
 		svc.curBytes += size
 	}
 	for _, b := range sc.brownouts {
@@ -427,7 +425,7 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 					}
 				case opHead:
 					obj, err := form.head(c, p, op.bkt, op.keys[0])
-					logf(k, "head %s: %d %s %v", op.keys[0], obj.Size, obj.ETag, err)
+					logf(k, "head %s: %d %s %v", op.keys[0], obj.Size, obj.ETag(), err)
 				case opCreate:
 					logf(k, "create %s: %v", op.bkt, form.create(c, p, op.bkt))
 				case opDelete:

@@ -90,17 +90,35 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Object is a stored object's metadata plus payload.
+// Object is a stored object's metadata, built when it is asked for.
+// Its payload travels with it for ETag, but no caller can read it: the
+// bytes take a GET.
 type Object struct {
 	Key          string
-	Payload      payload.Payload
 	Size         int64
-	ETag         string
 	LastModified time.Duration
+	pl           payload.Payload
+}
+
+// ETag is the object's change detector (see etag), computed from its
+// bytes when called; the zero Object has none.
+func (o Object) ETag() string {
+	if o.pl == nil {
+		return ""
+	}
+	return etag(o.pl)
+}
+
+// stored is what a bucket keeps under a key: only what cannot be worked
+// out. The key is the map's, the size the payload's, and the ETag a
+// function of its bytes.
+type stored struct {
+	payload      payload.Payload
+	lastModified time.Duration
 }
 
 type bucket struct {
-	objects map[string]Object
+	objects map[string]stored
 }
 
 // Service is a simulated object storage endpoint.
@@ -197,7 +215,7 @@ func (s *Service) CreateBucket(p *des.Proc, name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return ErrBucketExists
 	}
-	s.buckets[name] = &bucket{objects: make(map[string]Object)}
+	s.buckets[name] = &bucket{objects: make(map[string]stored)}
 	return nil
 }
 
@@ -228,19 +246,12 @@ func (s *Service) putEach(p *des.Proc, bkt string, from, n int, each func(i int)
 
 // keep makes pl the object under key in b, charging the stored volume.
 func (s *Service) keep(b *bucket, key string, pl payload.Payload) {
-	size := pl.Size()
-	delta := size
+	delta := pl.Size()
 	if old, ok := b.objects[key]; ok {
-		delta -= old.Size
+		delta -= old.payload.Size()
 	}
 	s.adjustStored(delta)
-	b.objects[key] = Object{
-		Key:          key,
-		Payload:      pl,
-		Size:         size,
-		ETag:         etag(pl),
-		LastModified: s.sim.Now(),
-	}
+	b.objects[key] = stored{payload: pl, lastModified: s.sim.Now()}
 }
 
 // Get retrieves a whole object (class B).
@@ -249,9 +260,9 @@ func (s *Service) Get(p *des.Proc, bkt, key string, flowCap float64) (payload.Pa
 	if err != nil {
 		return nil, err
 	}
-	s.transfer(p, obj.Payload.Size(), flowCap)
-	s.metrics.BytesOut += obj.Payload.Size()
-	return obj.Payload, nil
+	s.transfer(p, obj.Size, flowCap)
+	s.metrics.BytesOut += obj.Size
+	return obj.pl, nil
 }
 
 // GetRange retrieves bytes [off, off+n) of an object (class B).
@@ -260,7 +271,7 @@ func (s *Service) GetRange(p *des.Proc, bkt, key string, off, n int64, flowCap f
 	if err != nil {
 		return nil, err
 	}
-	part, err := obj.Payload.Slice(off, n)
+	part, err := obj.pl.Slice(off, n)
 	if err != nil {
 		return nil, fmt.Errorf("get range %s/%s: %w", bkt, key, err)
 	}
@@ -269,15 +280,10 @@ func (s *Service) GetRange(p *des.Proc, bkt, key string, off, n int64, flowCap f
 	return part, nil
 }
 
-// Head returns object metadata without its payload (class B).
+// Head returns object metadata (class B). Its ETag is computed only if
+// the caller asks for it.
 func (s *Service) Head(p *des.Proc, bkt, key string) (Object, error) {
-	obj, err := s.lookup(p, bkt, key)
-	if err != nil {
-		return Object{}, err
-	}
-	meta := obj
-	meta.Payload = nil
-	return meta, nil
+	return s.lookup(p, bkt, key)
 }
 
 // Delete removes an object. Deleting an absent key succeeds, like S3.
@@ -296,7 +302,7 @@ func (s *Service) Delete(p *des.Proc, bkt, key string) error {
 		return ErrNoSuchBucket
 	}
 	if old, ok := b.objects[key]; ok {
-		s.adjustStored(-old.Size)
+		s.adjustStored(-old.payload.Size())
 	}
 	delete(b.objects, key)
 	return nil
@@ -395,11 +401,11 @@ func (s *Service) find(bkt, key string) (Object, error) {
 	if !ok {
 		return Object{}, ErrNoSuchBucket
 	}
-	obj, ok := b.objects[key]
+	st, ok := b.objects[key]
 	if !ok {
 		return Object{}, &KeyError{Bucket: bkt, Key: key}
 	}
-	return obj, nil
+	return Object{Key: key, Size: st.payload.Size(), LastModified: st.lastModified, pl: st.payload}, nil
 }
 
 func (s *Service) transfer(p *des.Proc, size int64, flowCap float64) {
@@ -468,8 +474,7 @@ func etag(pl payload.Payload) string {
 	if b, ok := pl.Bytes(); ok {
 		return fmt.Sprintf("%08x-%d", crc32.Checksum(b, castagnoli), len(b))
 	}
-	// FNV-1a by hand on the stack: a sized Put is on the request path of
-	// every paper-scale run, and hash/fnv plus two fmt calls cost it four
+	// FNV-1a by hand on the stack: hash/fnv plus two fmt calls cost four
 	// allocations where the string is one.
 	var buf [32]byte
 	h := uint64(fnvOffset64)

@@ -47,12 +47,12 @@ func openProcStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts
 		return nil, err
 	}
 	if n < 0 {
-		n = obj.Payload.Size() - off
+		n = obj.Size - off
 		if n < 0 {
 			n = 0
 		}
 	}
-	rng, err := obj.Payload.Slice(off, n)
+	rng, err := obj.pl.Slice(off, n)
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
@@ -232,9 +232,7 @@ func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracl
 	// Stored directly: the setup must not draw from the RNG a different
 	// number of times in the two runs, and with a failure rate a client's
 	// retries would make that hard to see.
-	svc.buckets["b"] = &bucket{objects: map[string]Object{
-		"k": {Key: "k", Payload: obj, Size: obj.Size(), ETag: etag(obj)},
-	}}
+	svc.buckets["b"] = &bucket{objects: map[string]stored{"k": {payload: obj}}}
 	for _, b := range sc.brownouts {
 		rate := b.rate
 		sim.Schedule(b.at, func() { svc.SetBrownout(rate) })

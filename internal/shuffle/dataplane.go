@@ -295,11 +295,12 @@ func appendIndex4(b []byte, n int) []byte {
 }
 
 // partKey names the intermediate object mapper m writes for reducer r.
-// Append-based: it runs workers^2 times per job, so the fmt.Sprintf it
-// replaces was a measurable constant cost.
+// It runs workers^2 times per job, so the key is built on the stack
+// (every job ID the package makes fits; a longer one grows the slice)
+// and the string is its one allocation.
 func partKey(jobID string, m, r int) string {
-	b := make([]byte, 0, len(jobID)+len("/m0000_r0000"))
-	b = append(b, jobID...)
+	var buf [64]byte
+	b := append(buf[:0], jobID...)
 	b = append(b, '/', 'm')
 	b = appendIndex4(b, m)
 	b = append(b, '_', 'r')
@@ -311,8 +312,8 @@ func partKey(jobID string, m, r int) string {
 // <prefix>part-NNNN, widening as appendIndex4 does, so that a listing of
 // the prefix is in global order.
 func OutputKey(prefix string, idx int) string {
-	b := make([]byte, 0, len(prefix)+len("part-0000"))
-	b = append(b, prefix...)
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
 	b = append(b, "part-"...)
 	b = appendIndex4(b, idx)
 	return string(b)

@@ -7,12 +7,15 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/des/destest"
+	"github.com/faaspipe/faaspipe/internal/faas"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 // mergeChunks are the granularities the merge tests feed resident runs
@@ -183,6 +186,20 @@ func TestPartKeyMatchesLegacyFormat(t *testing.T) {
 		if got := partKey("job-1", c.m, c.r); got != want {
 			t.Errorf("partKey(%d, %d) = %q, want %q", c.m, c.r, got, want)
 		}
+	}
+	// A job ID longer than the stack buffer grows the slice instead.
+	long := strings.Repeat("j", 100)
+	if got, want := partKey(long, 1, 2), long+"/m0001_r0002"; got != want {
+		t.Errorf("partKey of a 100-byte job ID = %q, want %q", got, want)
+	}
+	if destest.Race {
+		return // the detector allocates
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = partKey("hiershuffle-0002-r2-g0007", 127, 127) }); n != 1 {
+		t.Errorf("partKey: %.0f allocations, want 1 (the string)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = OutputKey("sorted/", 127) }); n != 1 {
+		t.Errorf("OutputKey: %.0f allocations, want 1 (the string)", n)
 	}
 }
 
@@ -558,6 +575,94 @@ func TestMergeOfSizedRunsBuildsNoCursors(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, merge); n != 0 {
 		t.Errorf("draining 128 sized runs allocates %.0f times, want 0", n)
+	}
+}
+
+// TestSizedSliceBuildsNoRuns holds the timing-only map to what it
+// needs: a mapper's slice of a sized input, at a fan-out of 128, streams
+// and charges its chunks with no runBuilder and no 128 partitions behind
+// it, as the reduce above drains with no cursors. What is left is ten:
+// the stream's four (ClientStream, Stream, its name, its bound step),
+// the boxes of the range it cuts and of that range's three chunks, and
+// the reader's CPU budget and charge. Building the partitions up front
+// cost an eleventh, the []runPart.
+func TestSizedSliceBuildsNoRuns(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const size = 64 << 20
+	tk := sliceTask(128, size)
+	tk.off, tk.n = EvenShare(size, 128, 5)
+	allocs := -1.0
+	inMapper(t, payload.Sized(size), func(ctx *faas.Ctx) {
+		allocs = testing.AllocsPerRun(20, func() {
+			if parts, err := tk.readSlice(ctx); parts != nil || err != nil {
+				t.Errorf("sized slice: %d runs, %v; want none, nil", len(parts), err)
+			}
+		})
+	})
+	if allocs != 10 {
+		t.Errorf("a sized 128-way slice read allocates %.0f times, want 10", allocs)
+	}
+}
+
+// TestRealSliceOfBlankLinesWritesEmptyRuns: a real slice that owns no
+// line but blank ones builds no partitions either, and still hands its
+// writer a full fan-out of empty runs.
+func TestRealSliceOfBlankLinesWritesEmptyRuns(t *testing.T) {
+	line := bed.AppendTSV(nil, bed.Record{Chrom: "chr1", Start: 5, End: 6, Name: ".", Strand: '+'})
+	object := slices.Concat(line, []byte("\n\n \n\t\n\n"), line)
+	tk := sliceTask(3, int64(len(object)))
+	tk.off, tk.n = int64(len(line)), 6
+	inMapper(t, payload.RealNoCopy(object), func(ctx *faas.Ctx) {
+		parts, err := tk.readSlice(ctx)
+		if err != nil || len(parts) != 3 {
+			t.Errorf("blank slice: %d runs, %v; want 3, nil", len(parts), err)
+		}
+		for r, part := range parts {
+			if len(part) != 0 {
+				t.Errorf("run %d holds %q, want nothing", r, part)
+			}
+		}
+	})
+}
+
+// sliceTask is a map task over the object inMapper stores, fanning out
+// to fanOut runs with no boundaries; the caller sets its slice.
+func sliceTask(fanOut int, size int64) *task {
+	streamBps, sortBps := MapStreamRates(1.6e9)
+	return &task{
+		wave:     &wave{fanOut: fanOut, streamBps: streamBps, sortBps: sortBps},
+		inBucket: "in", inKey: "data", size: size,
+	}
+}
+
+// inMapper stores in as in/data and runs body inside one invocation.
+func inMapper(t *testing.T, in payload.Payload, body func(ctx *faas.Ctx)) {
+	t.Helper()
+	sim, store, pf := readPinRig(t)
+	if err := pf.Register("pin/map", func(ctx *faas.Ctx, _ any) (any, error) {
+		body(ctx)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Spawn("driver", func(p *des.Proc) {
+		c := objectstore.NewClient(store)
+		if err := c.CreateBucket(p, "in"); err != nil {
+			t.Errorf("bucket: %v", err)
+			return
+		}
+		if err := c.Put(p, "in", "data", in); err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		if _, err := pf.Invoke(p, "pin/map", nil, faas.InvokeOptions{}); err != nil {
+			t.Errorf("invoke: %v", err)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 }
 

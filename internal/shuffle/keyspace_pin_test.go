@@ -48,7 +48,7 @@ func listing(t *testing.T, p *des.Proc, c *objectstore.Client, name, prefix stri
 			t.Errorf("%s: head %s: %v", name, k, err)
 			return ""
 		}
-		lines[i] = fmt.Sprintf("  %s size=%d etag=%s modified_ns=%d", k, obj.Size, obj.ETag, int64(obj.LastModified))
+		lines[i] = fmt.Sprintf("  %s size=%d etag=%s modified_ns=%d", k, obj.Size, obj.ETag(), int64(obj.LastModified))
 	}
 	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
 	head := fmt.Sprintf("%s list %q keys=%d sha256=%x\n", name, prefix, len(keys), sum[:8])

@@ -482,13 +482,20 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 	}
 	fallbacks := 0
 	if fanOut > 0 {
+		// An even split has two run sizes, base and base+1: each is boxed
+		// once for the task, not once per run.
+		base := total / int64(fanOut)
+		var sized [2]payload.Payload
+		if parts == nil {
+			sized = [2]payload.Payload{payload.Sized(base), payload.Sized(base + 1)}
+		}
 		var stored int
 		stored, fallbacks, err = t.runs.put(ctx, fanOut, func(r int) (string, payload.Payload) {
 			if parts != nil {
 				return t.runKey(r), payload.RealNoCopy(parts[r])
 			}
 			_, n := EvenShare(total, fanOut, r)
-			return t.runKey(r), payload.Sized(n)
+			return t.runKey(r), sized[n-base]
 		})
 		if err != nil {
 			return 0, fmt.Errorf("write run %d: %w", stored, err)

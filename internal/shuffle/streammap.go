@@ -116,7 +116,9 @@ func (t *task) span() (readOff, readLen int64, prefixByte bool) {
 // chunk lands and the post-stream sort once the transfer is done. It
 // returns the finished sorted runs, or nil when the object is a
 // timing-only payload (the caller writes even-split sized partitions;
-// the CPU has already been charged either way).
+// the CPU has already been charged either way). The builder and its
+// fan-out of partitions are made at the first line to route, so a
+// timing-only slice, whose first chunk has no lines, builds neither.
 func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	readOff, readLen, prefixByte := t.span()
 	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
@@ -135,9 +137,14 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 		budget -= n
 		ctx.ComputeBytes(n, t.wave.streamBps)
 	}}
-	builder := newRunBuilder(t.wave.fanOut, t.bounds)
-	builder.sizeHint(int(readLen))
-	err = feedSlice(r, prefixByte, t.off+t.n, t.size, builder.Add)
+	var builder *runBuilder
+	err = feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte) error {
+		if builder == nil {
+			builder = newRunBuilder(t.wave.fanOut, t.bounds)
+			builder.sizeHint(int(readLen))
+		}
+		return builder.Add(line)
+	})
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
 		err = r.drain()
@@ -147,8 +154,12 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	}
 	// The per-partition radix sort is the only post-transfer work.
 	ctx.ComputeBytes(t.n, t.wave.sortBps)
-	if sized {
+	switch {
+	case sized:
 		return nil, nil
+	case builder == nil:
+		// Real bytes with no line of the mapper's own: every run empty.
+		return make([][]byte, t.wave.fanOut), nil
 	}
 	return builder.Finish(), nil
 }
