@@ -400,7 +400,7 @@ func Plan(w Workload, env Env, obj Objective) (Decision, error) {
 // adviseSpeculation weighs the chosen plan's modeled straggler/failure
 // exposure against the duplicate-invocation cost of mitigating it.
 // Speculation duplicates the laggard tail of each wave (the slowest
-// ~1-quantile fraction, 25% at the faas default), so arming pays when
+// 1 - faas.SpeculationQuantile of it, 25%), so arming pays when
 // the expected tail added by stragglers outweighs that duplicate
 // spend in the objective's currency: wall-clock exposure for MinTime
 // (and within-bound), billed straggler-seconds for MinCost.
@@ -432,7 +432,7 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 	// Without mitigation the stalled wave finishes at ~slow x its
 	// service time; with it, at ~service time plus detection.
 	tailSeconds := 2 * pWave * (slow - 1) * waveT
-	const backupFrac = 0.25 // 1 - default speculation quantile
+	const backupFrac = 1 - faas.SpeculationQuantile
 	backups := int(math.Ceil(backupFrac*n)) * 2
 	dupUSD := env.Prices.FunctionsCost(functionUse(env, backups, waveT, backups))
 	if obj.Goal == MinCost {

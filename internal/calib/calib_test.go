@@ -61,10 +61,10 @@ func TestSortParamsDerivation(t *testing.T) {
 	if sp.Workers != 8 || sp.InputBucket != "in" || sp.OutputPrefix != "pfx/" {
 		t.Fatalf("SortParams = %+v", sp)
 	}
-	if sp.Plan.WorkerMemBytes != 2048<<20 {
-		t.Fatalf("WorkerMemBytes = %d, want 2GiB", sp.Plan.WorkerMemBytes)
+	if sp.WorkerMemBytes != 2048<<20 {
+		t.Fatalf("WorkerMemBytes = %d, want 2GiB", sp.WorkerMemBytes)
 	}
-	if sp.Plan.PartitionBps != rig.Profile.PartitionBps {
+	if sp.PartitionBps != rig.Profile.PartitionBps {
 		t.Fatal("PartitionBps not propagated")
 	}
 }

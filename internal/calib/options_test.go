@@ -1,9 +1,13 @@
 package calib
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -12,24 +16,25 @@ import (
 	"testing"
 )
 
-// TestOptionsHaveACaller is the census that found the options PR 24
-// removed (the planner's warm-cache flag, the VM provisioner's boot
-// jitter), kept as a test: every exported field of the structs a caller
-// configures a sort, a strategy, a map stage, the planner, a session, a
-// cache, the VM provisioner or the kernel with is assigned in some
-// non-test file of the repository (bench/, cmd/ and examples/ count), or
-// is on the allow-list with its reason. An option only tests set is a
-// configuration nobody runs.
+// TestOptionsHaveACaller is the census that found the options nobody set
+// (the planner's warm-cache flag, the VM provisioner's boot jitter, the
+// shuffle's speculation tuning), kept as a test: every exported field of
+// the structs a caller configures a sort, a strategy, a map stage, the
+// planner, a session, a cache, the VM provisioner or the kernel with is
+// assigned in some non-test file of the repository (bench/, cmd/ and
+// examples/ count), or is on the allow-list with its reason. An option
+// only tests set is a configuration nobody runs.
 //
-// The scan is syntactic. A keyed field of a composite literal counts
-// when the literal names the struct (pkg.Type{...} elsewhere, Type{...}
-// at home); an assignment x.Field = ... counts by the field's name alone,
-// since x has no type without a type check, so a field that shares its
-// name with one assigned on another struct can hide here.
+// The root module is type-checked, so a field counts only where it is
+// set on its own struct: a keyed field of a composite literal of that
+// type (elided types included), or an assignment x.Field = ... whose x
+// resolves to it, through embedding too. bench/ is a module of its own
+// and keeps the syntactic rule: a literal counts when it names the
+// struct, an assignment by the field's name alone.
 func TestOptionsHaveACaller(t *testing.T) {
 	structs := map[string][]string{ // package (its directory's name) -> types
 		"shuffle":  {"Spec", "HierSpec", "CacheSpec"},
-		"core":     {"SortParams", "VMExchange", "CacheExchange", "AutoExchange", "MapStage"},
+		"core":     {"VMExchange", "CacheExchange", "AutoExchange", "MapStage"},
 		"autoplan": {"Env"},
 		"session":  {"Options"},
 		"memcache": {"Config"},
@@ -45,7 +50,8 @@ func TestOptionsHaveACaller(t *testing.T) {
 		"core.MapStage.StaticInputs":     "a map stage with no sort before it: the workflow API's form for a fixed key list",
 	}
 
-	files := parseRepository(t)
+	repo := parseRepository(t)
+	files := repo.files()
 
 	// fields: "pkg.Type" -> its exported fields, embedded ones included.
 	fields := map[string][]string{}
@@ -85,37 +91,42 @@ func TestOptionsHaveACaller(t *testing.T) {
 		t.Fatalf("found %d of the %d option structs: %v", len(fields), want, fields)
 	}
 
-	keyed := map[string]bool{}    // "pkg.Type.Field" set in a literal of that type
-	assigned := map[string]bool{} // "Field" on the left of an assignment
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				var owner string
-				switch typ := n.Type.(type) {
-				case *ast.Ident:
-					owner = f.Name.Name + "." + typ.Name
-				case *ast.SelectorExpr:
-					if pkg, ok := typ.X.(*ast.Ident); ok {
-						owner = pkg.Name + "." + typ.Sel.Name
+	info := repo.typeCheck(t)
+	set := map[string]bool{}    // "pkg.Type.Field" set on that type
+	byName := map[string]bool{} // "Field" on the left of an assignment in bench/
+	for dir, pkgFiles := range repo.dirs {
+		typed := !isBench(dir)
+		for _, f := range pkgFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					owner := literalOwner(f, n)
+					if typed {
+						owner = typeName(info.Types[n].Type)
 					}
-				}
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							keyed[owner+"."+key.Name] = true
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								set[owner+"."+key.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						if !typed {
+							byName[sel.Sel.Name] = true
+						} else if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							set[fieldOwner(s)+"."+sel.Sel.Name] = true
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						assigned[sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var unset []string
@@ -123,7 +134,7 @@ func TestOptionsHaveACaller(t *testing.T) {
 		for _, name := range names {
 			option := owner + "." + name
 			switch _, allow := allowed[option]; {
-			case keyed[option] || assigned[name]:
+			case set[option] || byName[name]:
 				if allow {
 					t.Errorf("%s is on the allow-list and has a caller now: take it off", option)
 				}
@@ -138,31 +149,159 @@ func TestOptionsHaveACaller(t *testing.T) {
 	}
 }
 
-// parseRepository parses every non-test Go file of the repository:
-// internal/, cmd/, examples/ and the nested bench/ module.
-func parseRepository(t *testing.T) []*ast.File {
+// literalOwner is the syntactic owner of a composite literal in f: the
+// struct it names, pkg.Type elsewhere or Type at home.
+func literalOwner(f *ast.File, n *ast.CompositeLit) string {
+	switch typ := n.Type.(type) {
+	case *ast.Ident:
+		return f.Name.Name + "." + typ.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := typ.X.(*ast.Ident); ok {
+			return pkg.Name + "." + typ.Sel.Name
+		}
+	}
+	return ""
+}
+
+// typeName names a named type, or one a pointer points to, as
+// "pkg.Type"; "" for any other type.
+func typeName(t types.Type) string {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := types.Unalias(t).(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
+	}
+	return ""
+}
+
+// fieldOwner names the struct that declares the field a selection
+// picks, following the path through embedded fields.
+func fieldOwner(sel *types.Selection) string {
+	t := sel.Recv()
+	path := sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if p, ok := types.Unalias(t).(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	return typeName(t)
+}
+
+// repository is every non-test Go file of the repository that builds
+// here, parsed, by directory: internal/, cmd/, examples/ and the nested
+// bench/ module.
+type repository struct {
+	fset *token.FileSet
+	dirs map[string][]*ast.File
+}
+
+func parseRepository(t *testing.T) repository {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []*ast.File
+	repo := repository{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(filepath.Join("..", "..", root), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		err := filepath.WalkDir(filepath.Join("..", "..", root), func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
 				return err
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err == nil {
-				files = append(files, f)
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
 			}
-			return err
+			pkg, err := build.Default.ImportDir(dir, 0)
+			if errors.As(err, new(*build.NoGoError)) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			for _, name := range pkg.GoFiles {
+				f, err := parser.ParseFile(repo.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return err
+				}
+				repo.dirs[dir] = append(repo.dirs[dir], f)
+			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(files) < 100 {
-		t.Fatalf("scanned %d files, expected the whole repository", len(files))
+	if n := len(repo.files()); n < 100 {
+		t.Fatalf("scanned %d files, expected the whole repository", n)
 	}
-	return files
+	return repo
+}
+
+// files lists every parsed file.
+func (r repository) files() []*ast.File {
+	var all []*ast.File
+	for _, fs := range r.dirs {
+		all = append(all, fs...)
+	}
+	return all
+}
+
+// isBench reports whether dir is in the nested bench/ module.
+func isBench(dir string) bool {
+	return strings.HasPrefix(dir, filepath.Join("..", "..", "bench"))
+}
+
+// typeCheck type-checks every package of the root module once and
+// records what it resolves.
+func (r repository) typeCheck(t *testing.T) *types.Info {
+	t.Helper()
+	imp := &moduleImporter{
+		repo: r,
+		std:  importer.ForCompiler(r.fset, "source", nil),
+		done: map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	root := filepath.Join("..", "..")
+	for dir := range r.dirs {
+		if isBench(dir) {
+			continue
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err == nil {
+			_, err = imp.Import(module + "/" + filepath.ToSlash(rel))
+		}
+		if err != nil {
+			t.Fatalf("type-check %s: %v", dir, err)
+		}
+	}
+	return imp.info
+}
+
+// module is the root module's path.
+const module = "github.com/faaspipe/faaspipe"
+
+// moduleImporter type-checks the root module's packages from the parsed
+// files, each once, as they are first imported; the standard library it
+// type-checks from source.
+type moduleImporter struct {
+	repo repository
+	std  types.Importer
+	done map[string]*types.Package
+	info *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg := m.done[path]; pkg != nil {
+		return pkg, nil
+	}
+	rel, ok := strings.CutPrefix(path, module+"/")
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.repo.fset, m.repo.dirs[filepath.Join("..", "..", rel)], m.info)
+	m.done[path] = pkg
+	return pkg, err
 }
 
 // TestExportedAPIHasACaller is the same census one level up: every
@@ -186,15 +325,12 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"core.RunState":                      "the type of StageContext.State, which stage bodies outside core read through the field",
 		"core.SortOutcome":                   "ExchangeStrategy.RunSort's result: a strategy outside core returns one",
 		"core.StageOutcome":                  "the type of StageContext.Outcome, embedded in SortOutcome",
-		"core.Workflow.StageNames":           "only tests call it (ROADMAP K.2)",
-		"shuffle.AdaptiveChunkBytes":         "only the package and tests call it (ROADMAP K.2)",
-		"shuffle.Boundary":                   "only the package and tests name it (ROADMAP K.2)",
-		"shuffle.ErrLineTooLong":             "the error a caller would match with errors.As; none does yet (ROADMAP K.2)",
-		"shuffle.MapStreamRates":             "only the package and tests call it (ROADMAP K.2)",
-		"shuffle.runBuilder.Finish":          "an exported method of an unexported type (ROADMAP K.2)",
+		"core.Workflow.StageNames":           "genomics/errors_test.go reads the pipeline's shape through it",
+		"shuffle.AdaptiveChunkBytes":         "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
+		"shuffle.MapStreamRates":             "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
 	}
 
-	files := parseRepository(t)
+	files := parseRepository(t).files()
 	var exported []string                    // "pkg.Name" or "pkg.Recv.Name"
 	named := map[string]bool{}               // "pkg.Name" selected outside pkg
 	selected := map[string]map[string]bool{} // method name -> packages selecting it

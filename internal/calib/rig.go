@@ -101,17 +101,23 @@ func (r *Rig) Run() error {
 	return nil
 }
 
-// SortParams derives the standard sort-stage parameters for this
-// profile and dataset location.
-func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers int) core.SortParams {
-	return core.SortParams{
-		InputBucket:  inBucket,
-		InputKey:     inKey,
-		OutputBucket: outBucket,
-		OutputPrefix: outPrefix,
-		Workers:      workers,
-		MemoryMB:     r.Profile.Faas.MemoryMB,
-		Plan:         PlanInput(r.Profile, 0),
+// SortParams derives the standard sort spec for this profile and
+// dataset location: the planner's inputs are PlanInput's, and the
+// exchange is the zero ViaStore, which a strategy reads as naming none.
+func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers int) shuffle.Spec {
+	in := PlanInput(r.Profile, 0)
+	return shuffle.Spec{
+		InputBucket:    inBucket,
+		InputKey:       inKey,
+		OutputBucket:   outBucket,
+		OutputPrefix:   outPrefix,
+		Workers:        workers,
+		MaxWorkers:     in.MaxWorkers,
+		WorkerMemBytes: in.WorkerMemBytes,
+		PartitionBps:   in.PartitionBps,
+		MergeBps:       in.MergeBps,
+		Startup:        in.Startup,
+		MemoryMB:       r.Profile.Faas.MemoryMB,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // AutoExchange is the planner-backed strategy — the paper's "seer":
@@ -37,25 +38,27 @@ var _ ExchangeStrategy = (*AutoExchange)(nil)
 func (*AutoExchange) Name() string { return "auto" }
 
 // RunSort implements ExchangeStrategy.
-func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
+func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcome, error) {
 	if ctx.Exec.Shuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
+	if spec.Exchange != shuffle.ViaStore || spec.Groups != 0 {
+		return SortOutcome{}, errors.New("core: the auto strategy plans the exchange; the spec may not name one")
+	}
 	client := objectstore.NewClient(ctx.Exec.Store)
-	head, err := client.Head(ctx.Proc, params.InputBucket, params.InputKey)
+	head, err := client.Head(ctx.Proc, spec.InputBucket, spec.InputKey)
 	if err != nil {
 		return SortOutcome{}, fmt.Errorf("auto exchange: stat input: %w", err)
 	}
 
-	in := params.Plan
-	in.DataBytes = head.Size
+	in := spec.PlanInput(head.Size)
 	if in.Startup <= 0 {
 		in.Startup = ctx.Exec.Platform.Config().ColdStart
 	}
-	wl := autoplan.Workload{PlanInput: in, Workers: params.Workers, OutputParts: params.Workers}
+	wl := autoplan.Workload{PlanInput: in, Workers: spec.Workers, OutputParts: spec.Workers}
 	env := a.Env
-	if params.MemoryMB > 0 {
-		env.FunctionMemoryMB = params.MemoryMB
+	if spec.MemoryMB > 0 {
+		env.FunctionMemoryMB = spec.MemoryMB
 	}
 	if c := ctx.Exec.StandingCache; c != nil && !c.Stopped() {
 		env.CacheStandingNodes = c.Nodes()
@@ -75,7 +78,7 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 	startAt := ctx.Proc.Now()
 	win := ctx.Exec.openWindow()
 
-	outcome, err := a.dispatch(ctx, params, &dec)
+	outcome, err := a.dispatch(ctx, spec, &dec)
 	if err != nil {
 		return outcome, err
 	}
@@ -103,9 +106,9 @@ func (a *AutoExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcom
 
 // dispatch hands the job to the chosen family's concrete strategy with
 // the planned configuration filled in.
-func (a *AutoExchange) dispatch(ctx *StageContext, params SortParams, dec *autoplan.Decision) (SortOutcome, error) {
+func (a *AutoExchange) dispatch(ctx *StageContext, spec shuffle.Spec, dec *autoplan.Decision) (SortOutcome, error) {
 	c := dec.Chosen
-	q := params
+	q := spec
 	q.Workers = c.Workers
 	if dec.Speculation.Arm {
 		// The planner's failure-exposure model says backup invocations
@@ -114,8 +117,10 @@ func (a *AutoExchange) dispatch(ctx *StageContext, params SortParams, dec *autop
 		q.Speculate = true
 	}
 	switch c.Strategy {
-	case autoplan.ObjectStorage, autoplan.Hierarchical:
-		q.Hierarchical, q.Groups = c.Strategy == autoplan.Hierarchical, c.Groups
+	case autoplan.Hierarchical:
+		q.Exchange, q.Groups = shuffle.ViaStoreTwoLevel, c.Groups
+		fallthrough
+	case autoplan.ObjectStorage:
 		return ObjectStorageExchange{}.RunSort(ctx, q)
 	case autoplan.CacheBacked:
 		return (&CacheExchange{Nodes: c.CacheNodes}).RunSort(ctx, q)

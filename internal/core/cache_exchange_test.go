@@ -10,6 +10,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // newCacheRig is the test rig with a cache provisioner wired in.
@@ -28,7 +29,7 @@ func newCacheRig(t *testing.T) (*rig, *memcache.Provisioner) {
 }
 
 // stageData uploads records and returns the standard sort params.
-func stageData(t *testing.T, r *rig, recs []bed.Record) SortParams {
+func stageData(t *testing.T, r *rig, recs []bed.Record) shuffle.Spec {
 	t.Helper()
 	r.sim.Spawn("stage", func(p *des.Proc) {
 		c := objectstore.NewClient(r.exec.Store)
@@ -47,7 +48,7 @@ func stageData(t *testing.T, r *rig, recs []bed.Record) SortParams {
 	if err := r.sim.Run(); err != nil {
 		t.Fatalf("stage sim: %v", err)
 	}
-	return SortParams{
+	return shuffle.Spec{
 		InputBucket: "data", InputKey: "in.bed",
 		OutputBucket: "work", OutputPrefix: "sorted/",
 		Workers: 4,

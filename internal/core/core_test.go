@@ -223,8 +223,8 @@ func prepareInput(t *testing.T, r *rig, recs []bed.Record) {
 	}
 }
 
-func sortParams(workers int) SortParams {
-	return SortParams{
+func sortParams(workers int) shuffle.Spec {
+	return shuffle.Spec{
 		InputBucket: "in", InputKey: "data.bed",
 		OutputBucket: "out", OutputPrefix: "sorted/",
 		Workers: workers,

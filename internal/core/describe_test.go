@@ -7,7 +7,7 @@ import (
 
 func TestDescribeShowsTopologyAndStrategy(t *testing.T) {
 	w := NewWorkflow("methcomp")
-	if err := w.Add(&SortStage{Strategy: ObjectStorageExchange{}, Params: SortParams{}}); err != nil {
+	if err := w.Add(&SortStage{Strategy: ObjectStorageExchange{}}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if err := w.Add(&MapStage{StageName: "encode", Function: "f",

@@ -12,55 +12,6 @@ import (
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
-// SortParams configure a sort stage, independent of strategy.
-type SortParams struct {
-	// InputBucket/InputKey locate the unsorted dataset.
-	InputBucket, InputKey string
-	// OutputBucket/OutputPrefix receive the sorted parts.
-	OutputBucket, OutputPrefix string
-	// Workers is the parallelism degree (output part count). 0 lets
-	// the object-storage strategy plan it; the VM strategy requires an
-	// explicit value (it fixes the downstream fan-out).
-	Workers int
-	// MemoryMB overrides function memory for shuffle workers.
-	MemoryMB int
-	// Plan is what the planners size the job with: the worker bounds,
-	// the per-worker compute throughputs and the startup estimate
-	// (calib.PlanInput of the profile). DataBytes is left zero: the
-	// stage learns the volume from the input's Head.
-	Plan shuffle.PlanInput
-	// MaxRetries re-attempts shuffle invocations lost to transient
-	// platform failures.
-	MaxRetries int
-	// Speculate enables straggler speculation for shuffle waves.
-	Speculate bool
-	// Hierarchical switches the object-storage exchange to the
-	// two-level shuffle (Groups of ~sqrt(workers) unless set).
-	Hierarchical bool
-	// Groups is the two-level group count (0 = auto divisor near
-	// sqrt(workers)); ignored unless Hierarchical.
-	Groups int
-}
-
-// spec converts the params into the operator's common job spec.
-func (p SortParams) spec() shuffle.Spec {
-	return shuffle.Spec{
-		InputBucket:    p.InputBucket,
-		InputKey:       p.InputKey,
-		OutputBucket:   p.OutputBucket,
-		OutputPrefix:   p.OutputPrefix,
-		Workers:        p.Workers,
-		MaxWorkers:     p.Plan.MaxWorkers,
-		WorkerMemBytes: p.Plan.WorkerMemBytes,
-		PartitionBps:   p.Plan.PartitionBps,
-		MergeBps:       p.Plan.MergeBps,
-		Startup:        p.Plan.Startup,
-		MemoryMB:       p.MemoryMB,
-		MaxRetries:     p.MaxRetries,
-		Speculate:      p.Speculate,
-	}
-}
-
 // SortOutcome reports a completed sort.
 type SortOutcome struct {
 	// OutputKeys are the sorted part keys in global order.
@@ -79,14 +30,18 @@ type SortOutcome struct {
 type ExchangeStrategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// RunSort performs the sort described by params.
-	RunSort(ctx *StageContext, params SortParams) (SortOutcome, error)
+	// RunSort performs the sort spec describes. Workers 0 lets a
+	// function strategy plan the parallelism; the VM strategy requires
+	// an explicit value (it fixes the downstream fan-out). A spec whose
+	// Exchange belongs to another strategy's family is rejected, not run
+	// as something else; the zero ViaStore names none.
+	RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcome, error)
 }
 
 // ObjectStorageExchange is the "purely serverless" strategy
 // (Figure 1 B): an all-to-all shuffle between functions through the
 // object store, using the Primula-style operator and its worker-count
-// planner.
+// planner. It runs the spec's ViaStore or ViaStoreTwoLevel exchange.
 type ObjectStorageExchange struct{}
 
 var _ ExchangeStrategy = ObjectStorageExchange{}
@@ -95,13 +50,12 @@ var _ ExchangeStrategy = ObjectStorageExchange{}
 func (ObjectStorageExchange) Name() string { return "object-storage" }
 
 // RunSort implements ExchangeStrategy.
-func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
+func (ObjectStorageExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcome, error) {
 	if ctx.Exec.Shuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
-	spec := params.spec()
-	if params.Hierarchical {
-		spec.Exchange, spec.Groups = shuffle.ViaStoreTwoLevel, params.Groups
+	if spec.Exchange == shuffle.ViaCache {
+		return SortOutcome{}, errors.New("core: the object-storage strategy does not run a cache exchange")
 	}
 	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, spec)
 	if err != nil {
@@ -109,7 +63,7 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 	}
 	phase1, phase2 := res.Phase1.Round(time.Millisecond), res.Phase2.Round(time.Millisecond)
 	var detail string
-	if params.Hierarchical {
+	if spec.Exchange == shuffle.ViaStoreTwoLevel {
 		detail = fmt.Sprintf("two-level shuffle via object storage: %d workers in %d groups, round1 %v, round2 %v",
 			res.Workers, res.Groups, phase1, phase2)
 	} else {
@@ -146,12 +100,14 @@ func (c *CacheExchange) Name() string {
 // provisioning a per-job one (Nodes and Warm are ignored), the cluster
 // is left running afterwards, and its node-hours are attributed by the
 // session rather than to this stage.
-func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
+func (c *CacheExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcome, error) {
 	if ctx.Exec.Shuffle == nil {
 		return SortOutcome{}, errors.New("core: executor has no shuffle operator")
 	}
+	if spec.Exchange == shuffle.ViaStoreTwoLevel {
+		return SortOutcome{}, errors.New("core: the cache strategy does not run a two-level store exchange")
+	}
 	standing := ctx.Exec.StandingCache
-	spec := params.spec()
 	spec.Exchange = shuffle.ViaCache
 	spec.Nodes, spec.Warm, spec.Cluster = c.Nodes, c.Warm, standing
 	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, spec)
@@ -229,22 +185,25 @@ const vmMaxAttempts = 3
 // surfaces as a preemption, and the provisioner places the replacement
 // in the first surviving zone, so the retry re-stages in healthy
 // capacity with the rework metered identically.
-func (v *VMExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome, error) {
+func (v *VMExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcome, error) {
 	if ctx.Exec.Provisioner == nil {
 		return SortOutcome{}, errors.New("core: executor has no VM provisioner")
 	}
-	if params.Workers <= 0 {
+	if spec.Exchange != shuffle.ViaStore {
+		return SortOutcome{}, errors.New("core: the VM strategy does not run a shuffle exchange")
+	}
+	if spec.Workers <= 0 {
 		return SortOutcome{}, errors.New("core: VM exchange needs an explicit Workers count")
 	}
-	keys := make([]string, params.Workers)
+	keys := make([]string, spec.Workers)
 	for i := range keys {
-		keys[i] = shuffle.OutputKey(params.OutputPrefix, i)
+		keys[i] = shuffle.OutputKey(spec.OutputPrefix, i)
 	}
-	putDone := make([]bool, params.Workers)
+	putDone := make([]bool, spec.Workers)
 	var restarts int
 	var rework int64
 	for attempt := 0; attempt < vmMaxAttempts; attempt++ {
-		out, lost, err := v.runAttempt(ctx, params, keys, putDone, attempt)
+		out, lost, err := v.runAttempt(ctx, spec, keys, putDone, attempt)
 		if err == nil {
 			out.Restarts = restarts
 			out.ReworkBytes = rework
@@ -263,7 +222,7 @@ func (v *VMExchange) RunSort(ctx *StageContext, params SortParams) (SortOutcome,
 // runAttempt executes one staging→sort→write pass. On preemption it
 // returns vm.ErrPreempted plus the bytes of work lost with the
 // instance's memory (to be redone by the next attempt).
-func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []string, putDone []bool, attempt int) (SortOutcome, int64, error) {
+func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []string, putDone []bool, attempt int) (SortOutcome, int64, error) {
 	p := ctx.Proc
 	var inst *vm.Instance
 	// The standing instance serves only the first attempt, and only
@@ -297,7 +256,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 	}
 	client := inst.StorageClient(ctx.Exec.Store, conns)
 
-	head, err := client.Head(p, params.InputBucket, params.InputKey)
+	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
 	if err != nil {
 		return SortOutcome{}, 0, fmt.Errorf("vm exchange: stat input: %w", err)
 	}
@@ -315,7 +274,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 	}
 
 	// Stage in: parallel ranged GETs over the NIC.
-	parts, err := parallelFetch(p, client, params.InputBucket, params.InputKey, size, conns)
+	parts, err := parallelFetch(p, client, spec.InputBucket, spec.InputKey, size, conns)
 	if err != nil {
 		return SortOutcome{}, 0, err
 	}
@@ -340,9 +299,9 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 			return SortOutcome{}, 0, fmt.Errorf("vm exchange: parse: %w", err)
 		}
 		bed.Sort(recs)
-		outParts = splitRecords(recs, params.Workers)
+		outParts = splitRecords(recs, spec.Workers)
 	} else {
-		outParts = splitSized(size, params.Workers)
+		outParts = splitSized(size, spec.Workers)
 	}
 
 	// Stage out: parallel PUTs, at most conns in flight, skipping parts
@@ -361,7 +320,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 		pendParts = append(pendParts, outParts[i])
 		pendIdx = append(pendIdx, i)
 	}
-	if err := parallelPut(p, client, params.OutputBucket, pendKeys, pendParts, conns); err != nil {
+	if err := parallelPut(p, client, spec.OutputBucket, pendKeys, pendParts, conns); err != nil {
 		if inst.Preempted() {
 			// Conservative: without per-put completion tracking the
 			// whole write wave is redone.
@@ -382,11 +341,11 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 		inst.Stop()
 	}
 	detail := fmt.Sprintf("sort inside %s: %s %d-way staged I/O over %d conns",
-		inst.Type().Name, boot, params.Workers, conns)
+		inst.Type().Name, boot, spec.Workers, conns)
 	if attempt > 0 {
 		detail += fmt.Sprintf(" (recovered after %d preemption(s))", attempt)
 	}
-	return SortOutcome{OutputKeys: keys, Workers: params.Workers, StageOutcome: StageOutcome{Detail: detail}}, 0, nil
+	return SortOutcome{OutputKeys: keys, Workers: spec.Workers, StageOutcome: StageOutcome{Detail: detail}}, 0, nil
 }
 
 // parallelFetch range-reads an object with conns concurrent

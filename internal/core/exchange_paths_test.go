@@ -8,6 +8,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 func TestObjectStorageExchangeHierarchical(t *testing.T) {
@@ -15,8 +16,7 @@ func TestObjectStorageExchangeHierarchical(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 2000, Seed: 81, Sorted: false})
 	params := stageData(t, r, recs)
 	params.Workers = 8
-	params.Hierarchical = true
-	params.Groups = 4
+	params.Exchange, params.Groups = shuffle.ViaStoreTwoLevel, 4
 
 	w := NewWorkflow("hier")
 	if err := w.Add(&SortStage{Strategy: ObjectStorageExchange{}, Params: params}); err != nil {
@@ -29,6 +29,44 @@ func TestObjectStorageExchangeHierarchical(t *testing.T) {
 	sr, _ := rep.Stage("sort")
 	if sr.Err != nil {
 		t.Fatalf("sort err: %v", sr.Err)
+	}
+}
+
+// TestStrategiesRejectAnotherFamilysExchange: a spec that names an
+// exchange its strategy does not run fails before anything is invoked or
+// provisioned, instead of running the strategy's own exchange in its
+// place. Groups without the two-level exchange fails the same way.
+func TestStrategiesRejectAnotherFamilysExchange(t *testing.T) {
+	vm := &VMExchange{InstanceType: "bx2-8x32", SortBps: 100e6}
+	cases := []struct {
+		strategy ExchangeStrategy
+		exchange shuffle.Exchange
+		groups   int
+	}{
+		{ObjectStorageExchange{}, shuffle.ViaCache, 0},
+		{ObjectStorageExchange{}, shuffle.ViaStore, 2},
+		{&CacheExchange{}, shuffle.ViaStoreTwoLevel, 2},
+		{&CacheExchange{}, shuffle.ViaStore, 2},
+		{vm, shuffle.ViaStoreTwoLevel, 2},
+		{vm, shuffle.ViaCache, 0},
+		{&AutoExchange{}, shuffle.ViaStoreTwoLevel, 2},
+		{&AutoExchange{}, shuffle.ViaStore, 2},
+	}
+	for _, c := range cases {
+		r, _ := newCacheRig(t)
+		params := stageData(t, r, bed.Generate(bed.GenConfig{Records: 100, Seed: 85}))
+		params.Exchange, params.Groups = c.exchange, c.groups
+		w := NewWorkflow("wf")
+		if err := w.Add(&SortStage{Strategy: c.strategy, Params: params}); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		if _, err := r.run(t, w); err == nil {
+			t.Errorf("%s ran exchange %d with %d groups", c.strategy.Name(), c.exchange, c.groups)
+		}
+		if n := r.exec.Platform.Meter().Invocations; n != 0 || len(r.exec.Provisioner.Instances()) != 0 {
+			t.Errorf("%s given exchange %d: %d invocations, %d instances before rejecting",
+				c.strategy.Name(), c.exchange, n, len(r.exec.Provisioner.Instances()))
+		}
 	}
 }
 

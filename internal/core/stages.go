@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/faaspipe/faaspipe/internal/faas"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // SortStage sorts a dataset using a pluggable data-exchange strategy
@@ -16,8 +17,8 @@ type SortStage struct {
 	// Strategy is the data-exchange strategy to use: a concrete one, or
 	// an *AutoExchange for the cost-based planner.
 	Strategy ExchangeStrategy
-	// Params configure the sort job.
-	Params SortParams
+	// Params describe the sort job; the strategy runs it.
+	Params shuffle.Spec
 }
 
 var _ Stage = (*SortStage)(nil)

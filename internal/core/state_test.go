@@ -16,7 +16,7 @@ func TestDescribeAutoSortStage(t *testing.T) {
 	// An AutoExchange renders as "auto" before a run...
 	w2 := NewWorkflow("wf2")
 	auto := &AutoExchange{}
-	if err := w2.Add(&SortStage{Strategy: auto, Params: SortParams{}}); err != nil {
+	if err := w2.Add(&SortStage{Strategy: auto}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if out := w2.Describe(); !strings.Contains(out, "sort [exchange: auto]") {

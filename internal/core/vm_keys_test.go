@@ -33,7 +33,7 @@ func TestVMPartKeysListInIndexOrder(t *testing.T) {
 			return
 		}
 		out, err = (&VMExchange{InstanceType: "bx2-8x32"}).RunSort(&StageContext{Proc: p, Exec: r.exec},
-			SortParams{InputBucket: "data", InputKey: "in", OutputBucket: "work", OutputPrefix: "sorted/", Workers: parts})
+			shuffle.Spec{InputBucket: "data", InputKey: "in", OutputBucket: "work", OutputPrefix: "sorted/", Workers: parts})
 		if err == nil {
 			listed, err = c.ListAll(p, "work", "sorted/")
 		}

@@ -239,7 +239,7 @@ func TestMapSpeculativeCutsTail(t *testing.T) {
 			}
 			start := p.Now()
 			if speculate {
-				outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{}, Speculation{})
+				outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{})
 				if err != nil || len(outs) != 32 {
 					t.Errorf("speculative map: %v (%d outs)", err, len(outs))
 				}
@@ -286,7 +286,7 @@ func TestMapSpeculativeNoBackupsOnUniformWave(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = i
 		}
-		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{}, Speculation{})
+		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{})
 		rep = r
 		if err != nil {
 			t.Errorf("speculative map: %v", err)
@@ -314,7 +314,7 @@ func TestMapSpeculativeEmptyInputs(t *testing.T) {
 		t.Fatalf("register: %v", err)
 	}
 	sim.Spawn("driver", func(p *des.Proc) {
-		outs, rep, err := pf.MapSpeculative(p, "f", nil, InvokeOptions{}, Speculation{})
+		outs, rep, err := pf.MapSpeculative(p, "f", nil, InvokeOptions{})
 		if err != nil || len(outs) != 0 || rep.Backups != 0 {
 			t.Errorf("empty speculative map: %v, %d outs, %+v", err, len(outs), rep)
 		}
@@ -341,74 +341,13 @@ func TestMapSpeculativePropagatesHandlerError(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = i
 		}
-		_, _, got = pf.MapSpeculative(p, "f", inputs, InvokeOptions{}, Speculation{})
+		_, _, got = pf.MapSpeculative(p, "f", inputs, InvokeOptions{})
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if !errors.Is(got, boom) {
 		t.Fatalf("err = %v, want boom", got)
-	}
-}
-
-// TestSpeculationValidateAndDefaults pins the symmetric contract:
-// zero fields default, nonzero out-of-range fields error — for BOTH
-// knobs. (Multiplier used to be silently rewritten where Quantile was
-// too, but neither reported the bad value; now both do.)
-func TestSpeculationValidateAndDefaults(t *testing.T) {
-	cases := []struct {
-		name         string
-		in           Speculation
-		wantErr      bool
-		wantQ, wantM float64
-	}{
-		{name: "zero defaults both", in: Speculation{}, wantQ: 0.75, wantM: 1.5},
-		{name: "valid kept", in: Speculation{Quantile: 0.9, Multiplier: 2}, wantQ: 0.9, wantM: 2},
-		{name: "quantile boundary 1", in: Speculation{Quantile: 1}, wantQ: 1, wantM: 1.5},
-		{name: "multiplier boundary 1", in: Speculation{Multiplier: 1}, wantQ: 0.75, wantM: 1},
-		{name: "negative quantile", in: Speculation{Quantile: -0.1}, wantErr: true},
-		{name: "quantile above 1", in: Speculation{Quantile: 2}, wantErr: true},
-		{name: "multiplier below 1", in: Speculation{Multiplier: 0.5}, wantErr: true},
-		{name: "negative multiplier", in: Speculation{Multiplier: -1}, wantErr: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.in.Validate()
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("Validate(%+v) accepted", tc.in)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Validate(%+v): %v", tc.in, err)
-			}
-			s := tc.in.withDefaults()
-			if s.Quantile != tc.wantQ || s.Multiplier != tc.wantM {
-				t.Fatalf("withDefaults(%+v) = %+v, want q=%g m=%g", tc.in, s, tc.wantQ, tc.wantM)
-			}
-		})
-	}
-}
-
-// TestMapSpeculativeRejectsBadConfig: an out-of-range Speculation
-// surfaces as an error before any invocation launches.
-func TestMapSpeculativeRejectsBadConfig(t *testing.T) {
-	sim, pf := faultRig(t, 3, nil)
-	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) { return in, nil }); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	sim.Spawn("driver", func(p *des.Proc) {
-		_, _, err := pf.MapSpeculative(p, "f", []any{1, 2}, InvokeOptions{}, Speculation{Multiplier: 0.2})
-		if err == nil {
-			t.Error("bad Multiplier accepted")
-		}
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	if pf.Meter().Invocations != 0 {
-		t.Fatalf("rejected map still launched %d invocations", pf.Meter().Invocations)
 	}
 }
 
@@ -435,7 +374,7 @@ func TestMapSpeculativeWithRetriesAndFailures(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = i
 		}
-		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{MaxRetries: 8}, Speculation{})
+		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{MaxRetries: 8})
 		rep = r
 		if err != nil {
 			t.Errorf("speculative map with retries: %v", err)
@@ -489,7 +428,7 @@ func TestMapSpeculativeUniformlySlowWave(t *testing.T) {
 			inputs[i] = i
 		}
 		start := p.Now()
-		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{}, Speculation{})
+		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{})
 		rep = r
 		makespan = p.Now() - start
 		if err != nil || len(outs) != 16 {
@@ -533,7 +472,7 @@ func TestMapSpeculativeBackupWinsMetered(t *testing.T) {
 			inputs[i] = i
 		}
 		start := p.Now()
-		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{}, Speculation{})
+		outs, r, err := pf.MapSpeculative(p, "f", inputs, InvokeOptions{})
 		rep = r
 		makespan = p.Now() - start
 		if err != nil {

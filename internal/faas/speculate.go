@@ -8,49 +8,15 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 )
 
-// Speculation configures straggler mitigation for MapSpeculative, in
-// the mold of Spark's speculative execution: once most of a wave has
-// finished, laggards get a duplicate attempt and the first completion
-// wins.
-type Speculation struct {
-	// Quantile is the completed fraction of inputs at which speculation
-	// arms (default 0.75).
-	Quantile float64
-	// Multiplier scales the arm-time elapsed into the backup deadline:
-	// an input still running at Multiplier x the elapsed time of the
-	// arming completion gets one backup invocation (default 1.5).
-	Multiplier float64
-}
-
-// Validate rejects configurations that name a value outside its
-// meaningful range: a set Quantile must lie in (0, 1], a set
-// Multiplier must be at least 1 (a backup deadline before the arming
-// completion would duplicate the whole wave). Zero fields mean "use
-// the default" and always pass. Both fields get the same treatment —
-// an out-of-range value is an error, never silently rewritten to the
-// default, because a typo'd 0.15 multiplier that quietly runs as 1.5
-// invalidates whatever experiment set it.
-func (s Speculation) Validate() error {
-	if s.Quantile != 0 && (s.Quantile < 0 || s.Quantile > 1) {
-		return fmt.Errorf("faas: speculation Quantile %g outside (0, 1]", s.Quantile)
-	}
-	if s.Multiplier != 0 && s.Multiplier < 1 {
-		return fmt.Errorf("faas: speculation Multiplier %g below 1", s.Multiplier)
-	}
-	return nil
-}
-
-// withDefaults fills zero fields; Validate has already rejected
-// nonzero out-of-range values.
-func (s Speculation) withDefaults() Speculation {
-	if s.Quantile == 0 {
-		s.Quantile = 0.75
-	}
-	if s.Multiplier == 0 {
-		s.Multiplier = 1.5
-	}
-	return s
-}
+// MapSpeculative's straggler mitigation, in the mold of Spark's
+// speculative execution: it arms once SpeculationQuantile of a wave's
+// inputs have completed, and an input still running at
+// speculationMultiplier x the elapsed time of the arming completion
+// gets one backup invocation.
+const (
+	SpeculationQuantile   = 0.75
+	speculationMultiplier = 1.5
+)
 
 // SpecReport summarizes one speculative map's duplicate activity.
 type SpecReport struct {
@@ -61,10 +27,10 @@ type SpecReport struct {
 }
 
 // MapSpeculative invokes name once per input concurrently, like
-// MapSync, but with straggler mitigation: once Quantile of the inputs
-// have completed, every input still running past the backup deadline
-// gets one duplicate invocation, and whichever attempt completes first
-// settles that input. Handlers must therefore be idempotent (the
+// MapSync, but with straggler mitigation: once SpeculationQuantile of
+// the inputs have completed, every input still running past the backup
+// deadline gets one duplicate invocation, and whichever attempt
+// completes first settles that input. Handlers must therefore be idempotent (the
 // shuffle's are: they PUT deterministic keys). The losing attempt is
 // not cancelled — real platforms cannot kill an invocation either —
 // so its cost is still metered, which is the price of the makespan
@@ -72,12 +38,8 @@ type SpecReport struct {
 //
 // Results are returned in input order with the first error by input
 // order, after every input has settled.
-func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts InvokeOptions, sc Speculation) ([]any, SpecReport, error) {
+func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts InvokeOptions) ([]any, SpecReport, error) {
 	rep := SpecReport{}
-	if err := sc.Validate(); err != nil {
-		return nil, rep, err
-	}
-	sc = sc.withDefaults()
 	n := len(inputs)
 	if n == 0 {
 		return nil, rep, nil
@@ -94,10 +56,7 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 	settled := make([]bool, n)
 	completed := 0
 
-	armAt := int(math.Ceil(sc.Quantile * float64(n)))
-	if armAt < 1 {
-		armAt = 1
-	}
+	armAt := int(math.Ceil(SpeculationQuantile * float64(n)))
 	var (
 		armed        bool
 		deadline     time.Duration
@@ -134,7 +93,7 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 		}
 		if !armed && completed >= armAt {
 			armed = true
-			deadline = start + time.Duration(sc.Multiplier*float64(p.Now()-start))
+			deadline = start + time.Duration(speculationMultiplier*float64(p.Now()-start))
 		}
 		if armed {
 			if p.Now() >= deadline {

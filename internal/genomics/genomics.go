@@ -13,6 +13,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/methcomp"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // Function names registered on the platform.
@@ -250,7 +251,7 @@ type PipelineConfig struct {
 	Strategy core.ExchangeStrategy
 	// Sort parameterizes the sort stage (output bucket/prefix are
 	// filled from WorkBucket when empty).
-	Sort core.SortParams
+	Sort shuffle.Spec
 	// EncodeBps / EncodeRatio parameterize the encode stage.
 	EncodeBps   float64
 	EncodeRatio float64

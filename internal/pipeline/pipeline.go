@@ -24,6 +24,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/autoplan"
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/core"
+	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
 // Doc is the top-level JSON workflow document.
@@ -338,8 +339,9 @@ func (d *Doc) Build(opts BuildOptions) (*core.Workflow, error) {
 			params.MemoryMB = pickInt(s.MemoryMB, params.MemoryMB)
 			params.MaxRetries = s.MaxRetries
 			params.Speculate = s.Speculate
-			params.Hierarchical = s.Hierarchical
-			params.Groups = s.Groups
+			if s.Hierarchical {
+				params.Exchange, params.Groups = shuffle.ViaStoreTwoLevel, s.Groups
+			}
 			var strategy core.ExchangeStrategy
 			switch {
 			case d.v2() && s.autoStrategy():

@@ -18,15 +18,15 @@ func benchRecords() []bed.Record {
 	return bed.Generate(bed.GenConfig{Records: 20000, Seed: 11, Sorted: false})
 }
 
-func benchBounds(recs []bed.Record, workers int) []Boundary {
-	keys := make([]Boundary, len(recs))
+func benchBounds(recs []bed.Record, workers int) []boundary {
+	keys := make([]boundary, len(recs))
 	for i, r := range recs {
-		keys[i] = Boundary{Key: bed.KeyOf(r), Name: r.Chrom}
+		keys[i] = boundary{Key: bed.KeyOf(r), Name: r.Chrom}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		return bed.CompareKeyName(keys[i].Key, keys[i].Name, keys[j].Key, keys[j].Name) < 0
 	})
-	bounds := make([]Boundary, workers-1)
+	bounds := make([]boundary, workers-1)
 	for i := 1; i < workers; i++ {
 		bounds[i-1] = keys[i*len(keys)/workers]
 	}
@@ -53,7 +53,7 @@ func BenchmarkMapStream(b *testing.B) {
 		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.Add); err != nil {
 			b.Fatal(err)
 		}
-		builder.Finish()
+		builder.finish()
 	}
 }
 
@@ -107,7 +107,7 @@ func BenchmarkPartitionSort(b *testing.B) {
 // benchRepartitionInput builds what one hierarchical round-2
 // repartitioner gathers: g sorted runs (round-1 outputs) plus the fine
 // boundaries for its k reducers.
-func benchRepartitionInput() ([][]byte, []Boundary, int64) {
+func benchRepartitionInput() ([][]byte, []boundary, int64) {
 	recs := bed.Generate(bed.GenConfig{Records: 40000, Seed: 23, Sorted: false})
 	const g, k = 4, 8
 	lists := make([][]bed.Record, g)

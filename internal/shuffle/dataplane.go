@@ -56,11 +56,11 @@ var (
 	keyRefPool  slicePool[bed.KeyRef]
 )
 
-// Boundary is one partition boundary: a binary key plus the full
+// boundary is one partition boundary: a binary key plus the full
 // chromosome name behind the key's packed prefix, so that routing
 // stays exact (monotone in genome order) even for beyond-table
 // scaffold names that collide in the prefix.
-type Boundary struct {
+type boundary struct {
 	Key  bed.Key
 	Name string
 }
@@ -69,7 +69,7 @@ type Boundary struct {
 // given sorted boundaries: index i such that boundaries[i-1] <= key <
 // boundaries[i], with keys equal to a boundary routed right — the
 // binary-search equivalent of the legacy string search on key+"\x00".
-func partitionIndex[T bed.ChromName](key bed.Key, name T, boundaries []Boundary) int {
+func partitionIndex[T bed.ChromName](key bed.Key, name T, boundaries []boundary) int {
 	return sort.Search(len(boundaries), func(i int) bool {
 		return bed.CompareKeyName(boundaries[i].Key, boundaries[i].Name, key, name) > 0
 	})
@@ -121,12 +121,12 @@ type runPart struct {
 // are encoded (or copied) straight into partition buffers, and sorting
 // permutes the compact lineRef index, not records.
 type runBuilder struct {
-	bounds  []Boundary
+	bounds  []boundary
 	parts   []runPart
 	partCap int // per-partition first-allocation size; 0 grows organically
 }
 
-func newRunBuilder(workers int, bounds []Boundary) *runBuilder {
+func newRunBuilder(workers int, bounds []boundary) *runBuilder {
 	return &runBuilder{bounds: bounds, parts: make([]runPart, workers)}
 }
 
@@ -178,9 +178,9 @@ func (b *runBuilder) Add(line []byte) error {
 	return b.place(key, off, p)
 }
 
-// Finish sorts every partition into a sorted run and returns the run
+// finish sorts every partition into a sorted run and returns the run
 // buffers, one per reducer (nil for empty partitions).
-func (b *runBuilder) Finish() [][]byte {
+func (b *runBuilder) finish() [][]byte {
 	out := make([][]byte, len(b.parts))
 	for i := range b.parts {
 		out[i] = b.parts[i].finish()

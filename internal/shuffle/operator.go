@@ -120,9 +120,6 @@ type Spec struct {
 	// duplicate invocation and the first completion wins. The shuffle's
 	// functions are idempotent (deterministic keys), so this is safe.
 	Speculate bool
-	// Speculation tunes the mitigation when Speculate is set
-	// (zero value: faas defaults).
-	Speculation faas.Speculation
 	// CleanupScratch deletes intermediate partition objects once the
 	// consumer's output part is durably written (deferred so that a
 	// MaxRetries re-attempt can still re-fetch everything). Deletes are
@@ -195,12 +192,19 @@ func (s Spec) validate(cacheProv bool) error {
 		// and failed attempts delete nothing.)
 		return errors.New("shuffle: CleanupScratch and Speculate are mutually exclusive")
 	}
-	if s.Speculate {
-		if err := s.Speculation.Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// PlanInput is what the planners size the job with at size input bytes.
+func (s Spec) PlanInput(size int64) PlanInput {
+	return PlanInput{
+		DataBytes:      size,
+		MaxWorkers:     s.MaxWorkers,
+		WorkerMemBytes: s.WorkerMemBytes,
+		PartitionBps:   s.PartitionBps,
+		MergeBps:       s.MergeBps,
+		Startup:        s.Startup,
+	}
 }
 
 // Result reports a completed sort.

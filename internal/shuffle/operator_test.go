@@ -342,13 +342,13 @@ func TestSortResultTimings(t *testing.T) {
 }
 
 func TestPartitionIndex(t *testing.T) {
-	boundAt := func(start int64) Boundary {
-		return Boundary{Key: bed.KeyOf(bed.Record{Chrom: "chr1", Start: start, End: start + 1}), Name: "chr1"}
+	boundAt := func(start int64) boundary {
+		return boundary{Key: bed.KeyOf(bed.Record{Chrom: "chr1", Start: start, End: start + 1}), Name: "chr1"}
 	}
 	keyAt := func(start int64) bed.Key {
 		return bed.KeyOf(bed.Record{Chrom: "chr1", Start: start, End: start + 1})
 	}
-	bounds := []Boundary{boundAt(20), boundAt(40), boundAt(60)}
+	bounds := []boundary{boundAt(20), boundAt(40), boundAt(60)}
 	cases := map[int64]int{
 		10: 0, 20: 1, 30: 1, 40: 2, 50: 2, 60: 3, 99: 3,
 	}
@@ -377,12 +377,12 @@ func TestPartitionIndex(t *testing.T) {
 	// Beyond-table scaffolds colliding in the key's 8-byte prefix are
 	// routed by full name: a boundary on the lexically-later scaffold
 	// keeps an earlier-name/later-start record left of it.
-	scafBound := Boundary{
+	scafBound := boundary{
 		Key:  bed.KeyOf(bed.Record{Chrom: "chrUn_KI270303v1", Start: 50, End: 51}),
 		Name: "chrUn_KI270303v1",
 	}
 	earlierName := bed.KeyOf(bed.Record{Chrom: "chrUn_KI270302v1", Start: 5000, End: 5001})
-	if got := partitionIndex(earlierName, "chrUn_KI270302v1", []Boundary{scafBound}); got != 0 {
+	if got := partitionIndex(earlierName, "chrUn_KI270302v1", []boundary{scafBound}); got != 0 {
 		t.Errorf("earlier scaffold routed to %d, want 0 (name must trump start)", got)
 	}
 }

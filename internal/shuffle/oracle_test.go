@@ -19,7 +19,7 @@ import (
 // each record by its binary sort key against the boundaries.
 // prefixByte reports that raw begins one byte before offset (to decide
 // first-line ownership).
-func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int, boundaries []Boundary) ([][]byte, error) {
+func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int, boundaries []boundary) ([][]byte, error) {
 	// Determine the first line that starts within [offset, offset+length).
 	start := 0
 	if prefixByte {
@@ -63,7 +63,7 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 			return nil, err
 		}
 	}
-	return builder.Finish(), nil
+	return builder.finish(), nil
 }
 
 // forEachLine calls fn for every non-blank line of raw.
@@ -192,8 +192,8 @@ func mergeRuns(runs [][]byte) ([]byte, error) {
 // run by construction — no per-partition sort ever runs — and the
 // routing cursor only moves right, so boundary search is O(1)
 // amortized instead of a binary search per line. Partitions that
-// receive nothing stay nil, matching runBuilder.Finish.
-func mergeSplit(runs [][]byte, workers int, bounds []Boundary) ([][]byte, error) {
+// receive nothing stay nil, matching runBuilder.finish.
+func mergeSplit(runs [][]byte, workers int, bounds []boundary) ([][]byte, error) {
 	h, total, err := openRuns(runs)
 	if err != nil {
 		return nil, err

@@ -82,7 +82,7 @@ type job struct {
 	// fine holds the workers-1 sampled boundaries (nil: sized input);
 	// coarse is every k-th of them, what the hierarchy's map wave
 	// sprays by.
-	fine, coarse []Boundary
+	fine, coarse []boundary
 	res          Result
 }
 
@@ -126,14 +126,7 @@ func (j *job) run(p *des.Proc) error {
 	if err != nil {
 		return err
 	}
-	in := PlanInput{
-		DataBytes:      j.size,
-		MaxWorkers:     spec.MaxWorkers,
-		WorkerMemBytes: spec.WorkerMemBytes,
-		PartitionBps:   spec.PartitionBps,
-		MergeBps:       spec.MergeBps,
-		Startup:        spec.Startup,
-	}
+	in := spec.PlanInput(j.size)
 	store := objectStore(ProfileOf(j.op.store.Config()))
 	j.workers = spec.Workers
 	if j.workers == 0 {
@@ -162,7 +155,7 @@ func (j *job) run(p *des.Proc) error {
 		return err
 	}
 	if j.res.Groups > 0 && j.fine != nil {
-		j.coarse = make([]Boundary, j.res.Groups-1)
+		j.coarse = make([]boundary, j.res.Groups-1)
 		for g := 1; g < j.res.Groups; g++ {
 			j.coarse[g-1] = j.fine[g*j.k-1]
 		}
@@ -258,7 +251,7 @@ type task struct {
 	// split at bounds, or (fan-out 0) the output object.
 	job               string
 	writer            int
-	bounds            []Boundary
+	bounds            []boundary
 	outBucket, outKey string
 	// sliceBytes is the planned per-worker volume, sizing a gather's
 	// adaptive stream chunk; chunkBytes overrides it when set.
@@ -337,7 +330,7 @@ func (j *job) launch(p *des.Proc, i int, indexes []int, runs runStore) (int, err
 	var outs []any
 	var err error
 	if j.spec.Speculate {
-		outs, _, err = j.op.platform.MapSpeculative(p, j.fn(i), inputs, opts, j.spec.Speculation)
+		outs, _, err = j.op.platform.MapSpeculative(p, j.fn(i), inputs, opts)
 	} else {
 		outs, err = j.op.platform.MapSync(p, j.fn(i), inputs, opts)
 	}
@@ -356,7 +349,7 @@ func (j *job) launch(p *des.Proc, i int, indexes []int, runs runStore) (int, err
 // sampleBoundaries reads the head of the input and derives w-1 binary
 // sort-key boundaries from sample quantiles. Sized inputs return nil
 // boundaries (timing-only mode splits evenly).
-func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size int64, workers int) ([]Boundary, error) {
+func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size int64, workers int) ([]boundary, error) {
 	if workers <= 1 {
 		return nil, nil
 	}
@@ -394,10 +387,10 @@ func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size i
 		}
 		return int(a.Idx) - int(b.Idx)
 	})
-	bounds := make([]Boundary, workers-1)
+	bounds := make([]boundary, workers-1)
 	for i := 1; i < workers; i++ {
 		kr := krs[i*len(krs)/workers]
-		bounds[i-1] = Boundary{Key: kr.Key, Name: recs[kr.Idx].Chrom}
+		bounds[i-1] = boundary{Key: kr.Key, Name: recs[kr.Idx].Chrom}
 	}
 	return bounds, nil
 }

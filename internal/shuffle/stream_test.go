@@ -44,7 +44,7 @@ func cutChunks(raw []byte, sizes []int) chunkList {
 // feedChunks drives feedSlice over raw cut into the given chunk sizes
 // (cycled), returning the finished partitions.
 func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset, length int64,
-	workers int, bounds []Boundary, chunkSizes []int) [][]byte {
+	workers int, bounds []boundary, chunkSizes []int) [][]byte {
 	t.Helper()
 	builder := newRunBuilder(workers, bounds)
 	builder.sizeHint(len(raw))
@@ -53,7 +53,7 @@ func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset
 	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.Add); err != nil {
 		t.Fatalf("feedSlice: %v", err)
 	}
-	return builder.Finish()
+	return builder.finish()
 }
 
 // TestPropertyFeedSliceMatchesPartitionRaw: for random slice
@@ -242,7 +242,7 @@ func TestGoldenMidLineChunksMatchSeed(t *testing.T) {
 
 // TestLongLineAcrossSliceEdge: a record longer than the overscan, swept
 // across a map-slice boundary. Wherever it lands the job must either
-// sort correctly or fail with the typed ErrLineTooLong naming the line —
+// sort correctly or fail with the typed errLineTooLong naming the line —
 // never flush the cut-short head of the line as if it were the file's
 // last line (which surfaced as "want 11 fields, got 4" on valid input,
 // or worse, parsed).
@@ -277,7 +277,7 @@ func TestLongLineAcrossSliceEdge(t *testing.T) {
 		}
 		lineEnd := lineStart + int64(len(bed.AppendTSV(nil, long)))
 		fits := lineEnd <= off+n+overscan
-		var tl *ErrLineTooLong
+		var tl *errLineTooLong
 		switch {
 		case sortErr == nil:
 			if !fits {

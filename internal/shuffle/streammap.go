@@ -9,7 +9,7 @@ package shuffle
 // chunk boundary — so parsing, key packing, and partition routing
 // overlap the remaining transfer. A line that does not parse fails the
 // slice after its chunk's charge. The per-partition radix sort
-// (runBuilder.Finish) is the only post-transfer work, matching the
+// (runBuilder.finish) is the only post-transfer work, matching the
 // planner's overlap model max(transfer, partitionCPU) + sort.
 
 import (
@@ -45,17 +45,17 @@ func MapStreamRates(partitionBps float64) (streamBps, sortBps float64) {
 	return partitionBps / (1 - mapSortShare), partitionBps / mapSortShare
 }
 
-// ErrLineTooLong reports an input line a mapper owns but could not
+// errLineTooLong reports an input line a mapper owns but could not
 // read to its end: it runs more than Overscan bytes past the mapper's
 // slice, so the ranged read stopped inside it.
-type ErrLineTooLong struct {
+type errLineTooLong struct {
 	// Offset is where the line starts in the input object.
 	Offset int64
 	// Overscan is how far past its slice a mapper reads.
 	Overscan int64
 }
 
-func (e *ErrLineTooLong) Error() string {
+func (e *errLineTooLong) Error() string {
 	return fmt.Sprintf("line at offset %d runs more than the %d-byte overscan past its map slice", e.Offset, e.Overscan)
 }
 
@@ -86,7 +86,7 @@ func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []
 			// The read ended before the object did (end is its size): the
 			// tail is the head of a line the overscan cut short, not the
 			// file's last line.
-			return &ErrLineTooLong{Offset: start, Overscan: overscan}
+			return &errLineTooLong{Offset: start, Overscan: overscan}
 		case len(bytes.TrimSpace(line)) != 0:
 			if err := add(line); err != nil {
 				return err
@@ -161,5 +161,5 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 		// Real bytes with no line of the mapper's own: every run empty.
 		return make([][]byte, t.wave.fanOut), nil
 	}
-	return builder.Finish(), nil
+	return builder.finish(), nil
 }

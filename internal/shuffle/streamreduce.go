@@ -364,9 +364,9 @@ func drainRuns(srcs []runSource, started []streamCursor) (bool, int64, error) {
 // per-partition sort ever runs — and the routing cursor only moves
 // right, so boundary search is O(1) amortized instead of a binary
 // search per line. Partitions that receive nothing stay nil, matching
-// runBuilder.Finish.
+// runBuilder.finish.
 type runSplitter struct {
-	bounds []Boundary
+	bounds []boundary
 	parts  [][]byte
 	cur    int // partition of the last emitted line
 	hint   int // first-allocation size of a partition buffer
@@ -374,7 +374,7 @@ type runSplitter struct {
 
 // newRunSplitter splits into fanout partitions, pre-sizing each for an
 // even share of totalBytes (+25% for boundary skew).
-func newRunSplitter(fanout int, bounds []Boundary, totalBytes int64) *runSplitter {
+func newRunSplitter(fanout int, bounds []boundary, totalBytes int64) *runSplitter {
 	s := &runSplitter{bounds: bounds, parts: make([][]byte, fanout)}
 	if fanout > 0 && totalBytes > 0 {
 		s.hint = int(totalBytes)/fanout + int(totalBytes)/(4*fanout)
