@@ -34,20 +34,17 @@ func run(records int, seed int64, sorted bool, out string) error {
 		return errors.New("-records must be positive")
 	}
 	recs := bed.Generate(bed.GenConfig{Records: records, Seed: seed, Sorted: sorted})
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if out == "" {
+		return bed.Write(os.Stdout, recs)
 	}
-	if err := bed.Write(w, recs); err != nil {
+	f, err := os.Create(out)
+	if err != nil {
 		return err
 	}
-	if out != "" {
-		fmt.Printf("wrote %d records to %s\n", records, out)
+	// A close that fails after the writes is a file not finished.
+	if err := errors.Join(bed.Write(f, recs), f.Close()); err != nil {
+		return err
 	}
+	fmt.Printf("wrote %d records to %s\n", records, out)
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
@@ -27,13 +28,16 @@ func main() {
 		out        = flag.String("o", "", "output path")
 	)
 	flag.Parse()
-	if err := run(*compress, *decompress, *stats, *out); err != nil {
+	if err := run(os.Stdout, *compress, *decompress, *stats, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "methcomp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(compress, decompress, stats, out string) error {
+// run carries out one of -c, -d and -stats, reporting to w. A failed
+// write or close of the output is an error, so the command never
+// reports success for a file it did not finish.
+func run(w io.Writer, compress, decompress, stats, out string) error {
 	switch {
 	case compress != "":
 		if out == "" {
@@ -55,7 +59,7 @@ func run(compress, decompress, stats, out string) error {
 		if err := os.WriteFile(out, comp, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("%d records, %d bytes compressed\n", len(recs), len(comp))
+		fmt.Fprintf(w, "%d records, %d bytes compressed\n", len(recs), len(comp))
 		return nil
 
 	case decompress != "":
@@ -74,11 +78,10 @@ func run(compress, decompress, stats, out string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := bed.Write(f, recs); err != nil {
+		if err := errors.Join(bed.Write(f, recs), f.Close()); err != nil {
 			return err
 		}
-		fmt.Printf("%d records restored\n", len(recs))
+		fmt.Fprintf(w, "%d records restored\n", len(recs))
 		return nil
 
 	case stats != "":
@@ -95,11 +98,11 @@ func run(compress, decompress, stats, out string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("records:    %d\n", cmp.Records)
-		fmt.Printf("raw:        %d bytes\n", cmp.RawBytes)
-		fmt.Printf("methcomp:   %d bytes (%.1fx)\n", cmp.CompressedBytes, cmp.Ratio)
-		fmt.Printf("gzip -9:    %d bytes (%.1fx)\n", cmp.GzipBytes, cmp.GzipRatio)
-		fmt.Printf("advantage:  %.1fx better than gzip\n", cmp.Advantage)
+		fmt.Fprintf(w, "records:    %d\n", cmp.Records)
+		fmt.Fprintf(w, "raw:        %d bytes\n", cmp.RawBytes)
+		fmt.Fprintf(w, "methcomp:   %d bytes (%.1fx)\n", cmp.CompressedBytes, cmp.Ratio)
+		fmt.Fprintf(w, "gzip -9:    %d bytes (%.1fx)\n", cmp.GzipBytes, cmp.GzipRatio)
+		fmt.Fprintf(w, "advantage:  %.1fx better than gzip\n", cmp.Advantage)
 		return nil
 
 	default:

@@ -154,62 +154,108 @@ func parseInt[T []byte | string](b T) (int64, bool) {
 	return int64(un), true
 }
 
-// ParseLine parses one TSV line (without trailing newline). The happy
-// path is allocation-free: fields are located with a single tab scan
-// (no bytes.Split slice-of-slices), integers are parsed straight off
-// the byte slices, and common chrom/name strings are interned.
-func ParseLine(line []byte) (Record, error) {
-	var fields [11][]byte
-	n := 0
-	start := 0
-	for i := 0; ; i++ {
-		if i < len(line) && line[i] != '\t' {
-			continue
-		}
-		if n < len(fields) {
-			fields[n] = line[start:i]
-		}
-		n++
-		start = i + 1
-		if i == len(line) {
+// fieldEnd is the index of the tab that ends the field starting at
+// line[i], or len(line) for the last field. Columns hold a few bytes,
+// where a byte loop beats a call to bytes.IndexByte.
+func fieldEnd(line []byte, i int) int {
+	for i < len(line) && line[i] != '\t' {
+		i++
+	}
+	return i
+}
+
+// scanInt reads the integer field starting at line[i] and returns it
+// with the index of the byte after the field (its tab, or len(line)).
+// Up to 18 digits cannot overflow an int64, so they are summed as they
+// are read; a sign, a non-digit or a longer field hands that one field
+// to parseInt, which decides and reports exactly as it always has.
+func scanInt(line []byte, i int) (int64, int, bool) {
+	start := i
+	var v uint64
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
 			break
 		}
+		v = v*10 + uint64(d)
 	}
-	if n != 11 {
-		return Record{}, fmt.Errorf("want 11 fields, got %d", n)
+	if n := i - start; n > 0 && n <= 18 && (i == len(line) || line[i] == '\t') {
+		return int64(v), i, true
 	}
-	var r Record
+	end := fieldEnd(line, start)
+	n, ok := parseInt(line[start:end])
+	return n, end, ok
+}
+
+// lineError reports a line the scan stopped on, in the order the checks
+// have always run: a wrong field count first (a column that ends the
+// line early is one; so is field "", which only such a column passes),
+// then the first bad column (field is "strand" or an integer column's
+// name, val its bytes).
+func lineError(line []byte, field string, val []byte) error {
+	if n := bytes.Count(line, []byte{'\t'}) + 1; n != 11 || field == "" {
+		return fmt.Errorf("want 11 fields, got %d", n)
+	}
+	if field == "strand" {
+		return fmt.Errorf("strand %q", val)
+	}
+	return fmt.Errorf("%s: bad integer %q", field, val)
+}
+
+// ParseLine parses one TSV line (without trailing newline) in a single
+// left-to-right scan, allocation-free on the happy path: integers are
+// summed as their digits are read, the derived columns (thickStart,
+// thickEnd, itemRgb) are skipped to their tabs unread, and common
+// chrom/name strings are interned. A column that cannot be read, or
+// that ends the line early, ends the scan (lineError). The result is
+// named so that the record is built where it is returned.
+func ParseLine(line []byte) (r Record, err error) {
+	var v int64
 	var ok bool
-	r.Chrom = intern(fields[0])
-	if r.Start, ok = parseInt(fields[1]); !ok {
-		return Record{}, fmt.Errorf("start: bad integer %q", fields[1])
+	i := fieldEnd(line, 0)
+	if i == len(line) {
+		return Record{}, lineError(line, "", nil)
 	}
-	if r.End, ok = parseInt(fields[2]); !ok {
-		return Record{}, fmt.Errorf("end: bad integer %q", fields[2])
+	r.Chrom = intern(line[:i])
+	s := i + 1
+	if r.Start, i, ok = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, lineError(line, "start", line[s:i])
 	}
-	r.Name = intern(fields[3])
-	score, ok := parseInt(fields[4])
-	if !ok {
-		return Record{}, fmt.Errorf("score: bad integer %q", fields[4])
+	s = i + 1
+	if r.End, i, ok = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, lineError(line, "end", line[s:i])
 	}
-	r.Score = int(score)
-	if len(fields[5]) != 1 {
-		return Record{}, fmt.Errorf("strand %q", fields[5])
+	s = i + 1
+	if i = fieldEnd(line, s); i == len(line) {
+		return Record{}, lineError(line, "", nil)
 	}
-	r.Strand = fields[5][0]
-	// fields 6,7 (thickStart/thickEnd) and 8 (itemRgb) are derived;
-	// accept and ignore their values.
-	cov, ok := parseInt(fields[9])
-	if !ok {
-		return Record{}, fmt.Errorf("coverage: bad integer %q", fields[9])
+	r.Name = intern(line[s:i])
+	s = i + 1
+	if v, i, ok = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, lineError(line, "score", line[s:i])
 	}
-	r.Coverage = int(cov)
-	meth, ok := parseInt(fields[10])
-	if !ok {
-		return Record{}, fmt.Errorf("methylation: bad integer %q", fields[10])
+	r.Score = int(v)
+	s = i + 1
+	if i = fieldEnd(line, s); i-s != 1 || i == len(line) {
+		return Record{}, lineError(line, "strand", line[s:i])
 	}
-	r.MethPct = int(meth)
-	if err := r.Validate(); err != nil {
+	r.Strand = line[s]
+	for range 3 {
+		if i = fieldEnd(line, i+1); i == len(line) {
+			return Record{}, lineError(line, "", nil)
+		}
+	}
+	s = i + 1
+	if v, i, ok = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, lineError(line, "coverage", line[s:i])
+	}
+	r.Coverage = int(v)
+	s = i + 1
+	if v, i, ok = scanInt(line, s); !ok || i != len(line) {
+		return Record{}, lineError(line, "methylation", line[s:i])
+	}
+	r.MethPct = int(v)
+	if err = r.Validate(); err != nil {
 		return Record{}, err
 	}
 	return r, nil

@@ -1,7 +1,5 @@
 package bed
 
-import "bytes"
-
 // Key is a fixed-width, order-preserving binary sort key: comparing
 // two Keys with CompareKey orders records like Less orders them,
 // without re-parsing chromosome names on every comparison. The
@@ -193,26 +191,21 @@ func CompareKey(a, b Key) int {
 // KeyOfLine computes the sort key of a TSV-encoded record from its
 // first three columns alone, allocation-free for interned chromosome
 // names. It is the fast path of the shuffle's merge cursors, which
-// never materialize a Record: only chrom, start, and end are parsed.
+// never materialize a Record: only chrom, start, and end are parsed,
+// the integers by ParseLine's scan.
 func KeyOfLine(line []byte) (Key, error) {
-	t1 := bytes.IndexByte(line, '\t')
-	if t1 < 0 {
+	t1 := fieldEnd(line, 0)
+	if t1 == len(line) {
 		return Key{}, errKeyFields
 	}
-	rest := line[t1+1:]
-	t2 := bytes.IndexByte(rest, '\t')
-	if t2 < 0 {
+	start, t2, okStart := scanInt(line, t1+1)
+	if t2 == len(line) {
 		return Key{}, errKeyFields
 	}
-	endField := rest[t2+1:]
-	if t3 := bytes.IndexByte(endField, '\t'); t3 >= 0 {
-		endField = endField[:t3]
-	}
-	start, ok := parseInt(rest[:t2])
-	if !ok {
+	if !okStart {
 		return Key{}, errKeyStart
 	}
-	end, ok := parseInt(endField)
+	end, _, ok := scanInt(line, t2+1)
 	if !ok {
 		return Key{}, errKeyEnd
 	}

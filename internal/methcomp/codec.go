@@ -3,6 +3,8 @@ package methcomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
@@ -47,24 +49,21 @@ func deltaContext(prevBits int) int {
 	}
 }
 
+// codedBytesPerRecord is what Compress reserves for the range-coded
+// stream per record: sorted Generate data codes at 2.35 bytes a record
+// (one encode task's 62.5k records in 147 KB), so the coder's buffer
+// never regrows on the pipeline's input. Unsorted input (5.7 bytes a
+// record) regrows by append.
+const codedBytesPerRecord = 3
+
 // Compress encodes records into the METHCOMP container. Records may
 // be in any order; sorted input (the pipeline's normal case) yields
 // the headline compression ratios because position deltas collapse.
 func Compress(recs []bed.Record) ([]byte, error) {
-	for i := range recs {
-		if err := recs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("methcomp: record %d: %w", i, err)
-		}
-	}
-
-	out := make([]byte, 0, 64+len(recs)/2)
-	out = append(out, magic...)
-	out = append(out, version)
-	out = binary.AppendUvarint(out, uint64(len(recs)))
-
-	// Chromosome dictionary in first-appearance order, plus the run
-	// list (records arrive grouped by chromosome when sorted; unsorted
-	// input just produces more, shorter runs).
+	// One pass before coding: validation, the chromosome dictionary in
+	// first-appearance order with the run list (records arrive grouped
+	// by chromosome when sorted; unsorted input just produces more,
+	// shorter runs), and the exception flags.
 	chromIdx := make(map[string]int)
 	var chroms []string
 	type run struct {
@@ -72,7 +71,12 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		n     int
 	}
 	var runs []run
-	for _, r := range recs {
+	flags := byte(flagNamesDot | flagScoreDerived)
+	for i := range recs {
+		r := &recs[i]
+		if err := r.Validate(); err != nil {
+			return nil, fmt.Errorf("methcomp: record %d: %w", i, err)
+		}
 		ci, ok := chromIdx[r.Chrom]
 		if !ok {
 			ci = len(chroms)
@@ -84,7 +88,20 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		} else {
 			runs = append(runs, run{chrom: ci, n: 1})
 		}
+		if r.Name != "." {
+			flags &^= flagNamesDot
+		}
+		if r.Score != min(r.Coverage, 1000) {
+			flags &^= flagScoreDerived
+		}
 	}
+
+	// The header, reserved at what hg38 names and sorted runs take (8
+	// bytes a chromosome, 4 a run); the coded stream is added below.
+	out := make([]byte, 0, 16+8*len(chroms)+4*len(runs))
+	out = append(out, magic...)
+	out = append(out, version)
+	out = binary.AppendUvarint(out, uint64(len(recs)))
 	out = binary.AppendUvarint(out, uint64(len(chroms)))
 	for _, c := range chroms {
 		out = binary.AppendUvarint(out, uint64(len(c)))
@@ -95,25 +112,11 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		out = binary.AppendUvarint(out, uint64(r.chrom))
 		out = binary.AppendUvarint(out, uint64(r.n))
 	}
-
-	// Exception flags.
-	flags := byte(flagNamesDot | flagScoreDerived)
-	for _, r := range recs {
-		if r.Name != "." {
-			flags &^= flagNamesDot
-		}
-		want := r.Coverage
-		if want > 1000 {
-			want = 1000
-		}
-		if r.Score != want {
-			flags &^= flagScoreDerived
-		}
-	}
 	out = append(out, flags)
 
 	// Range-coded streams.
 	enc := newRangeEncoder()
+	enc.out = make([]byte, 0, 5+codedBytesPerRecord*len(recs))
 	deltas := [3]*uintCoder{newUintCoder(), newUintCoder(), newUintCoder()}
 	lengths := newUintCoder()
 	coverage := newUintCoder()
@@ -124,7 +127,8 @@ func Compress(recs []bed.Record) ([]byte, error) {
 	prevChrom := -1
 	prevBits := 0
 	prevMeth := 100
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		ci := chromIdx[r.Chrom]
 		if ci != prevChrom {
 			prevStart = 0
@@ -133,7 +137,7 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		}
 		d := zigzag(r.Start - prevStart)
 		deltas[deltaContext(prevBits)].encode(enc, d)
-		prevBits = bitLen(d)
+		prevBits = bits.Len64(d)
 		prevStart = r.Start
 
 		lengths.encode(enc, uint64(r.End-r.Start-1)) // lengths are >= 1
@@ -154,6 +158,7 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		prevMeth = r.MethPct
 	}
 	coded := enc.finish()
+	out = slices.Grow(out, binary.MaxVarintLen64+len(coded))
 	out = binary.AppendUvarint(out, uint64(len(coded)))
 	out = append(out, coded...)
 
@@ -312,7 +317,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 		prevBits := 0
 		for k := 0; k < rn.n; k++ {
 			d := deltas[deltaContext(prevBits)].decode(dec)
-			prevBits = bitLen(d)
+			prevBits = bits.Len64(d)
 			start := prevStart + unzigzag(d)
 			prevStart = start
 			length := int64(lengths.decode(dec)) + 1

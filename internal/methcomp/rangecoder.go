@@ -13,7 +13,10 @@
 // gzip, which is METHCOMP's headline claim.
 package methcomp
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // ErrCorrupt reports an undecodable compressed stream.
 var ErrCorrupt = errors.New("methcomp: corrupt stream")
@@ -42,57 +45,69 @@ func newRangeEncoder() *rangeEncoder {
 	return &rangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1}
 }
 
-func (e *rangeEncoder) encodeBit(p *prob, bit int) {
-	bound := (e.rng >> probBits) * uint32(*p)
+// The encoder's hot paths (a bit tree's walk, a run of direct bits)
+// keep low and rng in locals and store them back once at the end;
+// shiftLow takes and returns low for the same reason. Every path
+// renormalises exactly as the decoder does, byte for byte.
+
+// codeBit codes one bit at probability *p onto low and rng and adapts
+// *p; the caller renormalises.
+func codeBit(low uint64, rng uint32, p *prob, bit uint32) (uint64, uint32) {
+	bound := (rng >> probBits) * uint32(*p)
 	if bit == 0 {
-		e.rng = bound
 		*p += (probCount - *p) >> moveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> moveBits
+		return low, bound
 	}
+	*p -= *p >> moveBits
+	return low + uint64(bound), rng - bound
+}
+
+func (e *rangeEncoder) encodeBit(p *prob, bit int) {
+	e.low, e.rng = codeBit(e.low, e.rng, p, uint32(bit))
 	for e.rng < topValue {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 		e.rng <<= 8
 	}
 }
 
 // encodeDirect writes n equiprobable bits of v (MSB first).
 func (e *rangeEncoder) encodeDirect(v uint64, n int) {
+	low, rng := e.low, e.rng
 	for i := n - 1; i >= 0; i-- {
-		e.rng >>= 1
-		if (v>>uint(i))&1 == 1 {
-			e.low += uint64(e.rng)
-		}
-		for e.rng < topValue {
-			e.shiftLow()
-			e.rng <<= 8
+		rng >>= 1
+		low += uint64(rng) & -((v >> uint(i)) & 1) // all ones for a 1 bit
+		for rng < topValue {
+			low = e.shiftLow(low)
+			rng <<= 8
 		}
 	}
+	e.low, e.rng = low, rng
 }
 
-func (e *rangeEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || (e.low>>32) != 0 {
+// shiftLow moves low's top byte out (through the one-byte cache and
+// the run of pending 0xFF bytes a carry may still turn into 0x00) and
+// returns low shifted up a byte.
+func (e *rangeEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || (low>>32) != 0 {
 		temp := e.cache
 		for {
-			e.out = append(e.out, byte(uint64(temp)+(e.low>>32)))
+			e.out = append(e.out, byte(uint64(temp)+(low>>32)))
 			temp = 0xFF
 			e.cacheSize--
 			if e.cacheSize == 0 {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
 // finish flushes the encoder and returns the coded bytes.
 func (e *rangeEncoder) finish() []byte {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 	return e.out
 }
@@ -186,12 +201,18 @@ func newBitTree(bits int) *bitTree {
 }
 
 func (t *bitTree) encode(e *rangeEncoder, v uint32) {
+	low, rng := e.low, e.rng
 	idx := uint32(1)
 	for i := t.bits - 1; i >= 0; i-- {
-		bit := int((v >> uint(i)) & 1)
-		e.encodeBit(&t.probs[idx], bit)
-		idx = idx<<1 | uint32(bit)
+		bit := (v >> uint(i)) & 1
+		low, rng = codeBit(low, rng, &t.probs[idx], bit)
+		for rng < topValue {
+			low = e.shiftLow(low)
+			rng <<= 8
+		}
+		idx = idx<<1 | bit
 	}
+	e.low, e.rng = low, rng
 }
 
 func (t *bitTree) decode(d *rangeDecoder) uint32 {
@@ -213,17 +234,8 @@ func newUintCoder() *uintCoder {
 	return &uintCoder{buckets: newBitTree(7)}
 }
 
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 func (c *uintCoder) encode(e *rangeEncoder, v uint64) {
-	n := bitLen(v)
+	n := bits.Len64(v)
 	c.buckets.encode(e, uint32(n))
 	if n >= 2 {
 		e.encodeDirect(v&((1<<uint(n-1))-1), n-1)
