@@ -47,8 +47,8 @@ func TestCompressDecompressRestoresTheFile(t *testing.T) {
 		if !bytes.Equal(got, raw) {
 			t.Fatalf("sorted=%v: restored file differs from the input (%d vs %d bytes)", sorted, len(got), len(raw))
 		}
-		if want := "3000 records, "; !strings.HasPrefix(out.String(), want) || !strings.Contains(out.String(), "3000 records restored\n") {
-			t.Fatalf("sorted=%v: output %q", sorted, out.String())
+		if s := out.String(); !strings.HasPrefix(s, "3000 records, ") || !strings.HasSuffix(s, "3000 records restored\n") {
+			t.Fatalf("sorted=%v: output %q", sorted, s)
 		}
 	}
 }
