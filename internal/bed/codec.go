@@ -25,9 +25,11 @@ func itemRGB(methPct int) string {
 func AppendTSV(dst []byte, r Record) []byte {
 	dst = append(dst, r.Chrom...)
 	dst = append(dst, '\t')
+	from := len(dst)
 	dst = strconv.AppendInt(dst, r.Start, 10)
 	dst = append(dst, '\t')
 	dst = strconv.AppendInt(dst, r.End, 10)
+	to := len(dst)
 	dst = append(dst, '\t')
 	dst = append(dst, r.Name...)
 	dst = append(dst, '\t')
@@ -35,9 +37,7 @@ func AppendTSV(dst []byte, r Record) []byte {
 	dst = append(dst, '\t')
 	dst = append(dst, r.Strand)
 	dst = append(dst, '\t')
-	dst = strconv.AppendInt(dst, r.Start, 10) // thickStart
-	dst = append(dst, '\t')
-	dst = strconv.AppendInt(dst, r.End, 10) // thickEnd
+	dst = append(dst, dst[from:to]...) // thickStart and thickEnd: "start\tend" again
 	dst = append(dst, '\t')
 	dst = append(dst, itemRGB(r.MethPct)...)
 	dst = append(dst, '\t')
@@ -270,29 +270,30 @@ const maxLineBytes = 4 * 1024 * 1024
 // methylation.
 const minLineBytes = 17
 
-// appendLine parses one line (without its newline) onto recs. Blank
-// and whitespace-only lines are skipped.
-func appendLine(recs []Record, line []byte, lineNo int) ([]Record, error) {
+// record hands fn the record on line lineNo (without its newline). Blank
+// and whitespace-only lines are skipped; one that does not parse is a
+// *ParseError.
+func record(line []byte, lineNo int, fn func(Record) error) error {
 	if len(bytes.TrimSpace(line)) == 0 {
-		return recs, nil
+		return nil
 	}
 	rec, err := ParseLine(line)
 	if err != nil {
-		return nil, &ParseError{Line: lineNo, Msg: err.Error()}
+		return &ParseError{Line: lineNo, Msg: err.Error()}
 	}
-	return append(recs, rec), nil
+	return fn(rec)
 }
 
 // Parse reads a whole bedMethyl stream. Blank lines are skipped.
 func Parse(r io.Reader) ([]Record, error) {
 	var recs []Record
+	add := func(rec Record) error { recs = append(recs, rec); return nil }
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		var err error
-		if recs, err = appendLine(recs, sc.Bytes(), lineNo); err != nil {
+		if err := record(sc.Bytes(), lineNo, add); err != nil {
 			return nil, err
 		}
 	}
@@ -302,14 +303,12 @@ func Parse(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// Unmarshal parses records from an in-memory TSV buffer. It accepts and
-// rejects exactly what Parse does on the same bytes (lines end at '\n',
-// one trailing '\r' is dropped, the last line needs no newline), but
-// walks data in place and allocates the result once: the line count
-// bounds the record count, and so does the shortest valid line, which
-// keeps a buffer of bare newlines from reserving 80 bytes for each.
-func Unmarshal(data []byte) ([]Record, error) {
-	recs := make([]Record, 0, min(bytes.Count(data, []byte{'\n'})+1, (len(data)+1)/(minLineBytes+1)))
+// EachRecord calls fn with the record on each line of an in-memory TSV
+// buffer, walking it in place, and accepts and rejects exactly what Parse
+// does on the same bytes (lines end at '\n', one trailing '\r' is
+// dropped, the last line needs no newline). An error from fn stops it and
+// is returned as it is.
+func EachRecord(data []byte, fn func(Record) error) error {
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
@@ -318,15 +317,25 @@ func Unmarshal(data []byte) ([]Record, error) {
 			data = nil
 		}
 		if len(line) >= maxLineBytes {
-			return nil, fmt.Errorf("bed: scan: %w", bufio.ErrTooLong)
+			return fmt.Errorf("bed: scan: %w", bufio.ErrTooLong)
 		}
 		if n := len(line); n > 0 && line[n-1] == '\r' {
 			line = line[:n-1]
 		}
-		var err error
-		if recs, err = appendLine(recs, line, lineNo); err != nil {
-			return nil, err
+		if err := record(line, lineNo, fn); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// Unmarshal parses records from an in-memory TSV buffer (EachRecord),
+// allocating the result once: the line count bounds the record count, and
+// so does the shortest valid line.
+func Unmarshal(data []byte) ([]Record, error) {
+	recs := make([]Record, 0, min(bytes.Count(data, []byte{'\n'})+1, (len(data)+1)/(minLineBytes+1)))
+	if err := EachRecord(data, func(rec Record) error { recs = append(recs, rec); return nil }); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }

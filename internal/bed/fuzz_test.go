@@ -254,6 +254,23 @@ func TestUnmarshalMatchesParse(t *testing.T) {
 	}
 }
 
+// TestEachRecordStopsAtTheCallersError: the loop hands records over in
+// line order and returns the callback's error as it is, not as a line's
+// ParseError.
+func TestEachRecordStopsAtTheCallersError(t *testing.T) {
+	stop := errors.New("stop")
+	var seen []Record
+	err := EachRecord([]byte(goodLine+"\n\n"+otherLine+"\nnot a record\n"), func(r Record) error {
+		if seen = append(seen, r); len(seen) == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || len(seen) != 2 || seen[0].Chrom != "chr1" || seen[1].Chrom != "chrX" {
+		t.Fatalf("EachRecord = %v after %d records, want the callback's error after chr1 and chrX", err, len(seen))
+	}
+}
+
 // FuzzUnmarshalMatchesParse differentially fuzzes the in-memory parse
 // loop against Parse over a bufio.Scanner: for any buffer, equal
 // records or the same error.

@@ -62,6 +62,9 @@ func FuzzPayloadSlice(f *testing.F) {
 			if joined.Size() != total || ok != real || (real && !bytes.Equal(b, whole)) {
 				t.Fatalf("split of %d at %d joins to size %d, real %v, %q", total, at, joined.Size(), ok, b)
 			}
+			if real && total > 0 && &b[0] != &whole[0] {
+				t.Fatalf("split of %d at %d joins to a copy, not the parent's bytes", total, at)
+			}
 		}
 	})
 }

@@ -54,7 +54,10 @@ func RealNoCopy(data []byte) Payload {
 
 func (p *realPayload) Size() int64 { return int64(len(p.data)) }
 
-func (p *realPayload) Bytes() ([]byte, bool) { return p.data, true }
+// Bytes caps the slice at its length: data can be a span of a larger
+// array whose next bytes are another payload's, which an append must not
+// write.
+func (p *realPayload) Bytes() ([]byte, bool) { return p.data[:len(p.data):len(p.data)], true }
 
 func (p *realPayload) Slice(off, n int64) (Payload, error) {
 	if err := checkRange(off, n, p.Size()); err != nil {
@@ -98,30 +101,39 @@ func checkRange(off, n, size int64) error {
 // Concat joins payloads. If every part is real, the result is real;
 // otherwise the result is sized with the summed length (mixing real
 // and sized parts degrades to sized, since the real fragment alone
-// cannot reconstruct the whole). A single real part is returned as it
-// is, not copied: payloads are immutable, and Slice and RealNoCopy
-// share memory the same way.
+// cannot reconstruct the whole). Payloads are immutable and share memory
+// (Slice, RealNoCopy), so real parts that already sit side by side in one
+// array, a single part among them, come back as one span over it, not
+// copied. The span's capacity tells: it never reaches past its own
+// array, so two arrays that merely neighbour in memory are copied.
 func Concat(parts ...Payload) Payload {
-	if len(parts) == 1 {
-		if _, ok := parts[0].Bytes(); ok {
-			return parts[0]
-		}
-	}
-	allReal := true
 	var total int64
+	var span []byte
+	allReal, adjacent := true, true
 	for _, p := range parts {
 		total += p.Size()
-		if _, ok := p.Bytes(); !ok {
+		rp, ok := p.(*realPayload)
+		switch {
+		case !ok:
 			allReal = false
+		case len(rp.data) == 0:
+		case len(span) == 0:
+			span = rp.data
+		case cap(span)-len(span) >= len(rp.data) && &span[:len(span)+1][len(span)] == &rp.data[0]:
+			span = span[:len(span)+len(rp.data)]
+		default:
+			adjacent = false
 		}
 	}
-	if !allReal {
+	switch {
+	case !allReal:
 		return Sized(total)
+	case adjacent:
+		return RealNoCopy(span)
 	}
 	buf := make([]byte, 0, total)
 	for _, p := range parts {
-		b, _ := p.Bytes()
-		buf = append(buf, b...)
+		buf = append(buf, p.(*realPayload).data...)
 	}
 	return RealNoCopy(buf)
 }

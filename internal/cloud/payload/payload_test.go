@@ -114,6 +114,82 @@ func TestConcatSinglePartIsNotCopied(t *testing.T) {
 	}
 }
 
+// TestHolderCannotWritePastItsBytes: a slice of a payload used to carry
+// the parent's capacity, so an append to the bytes of a ranged read wrote
+// the stored object's next byte, which a join in place now also hands
+// out as the next part.
+func TestHolderCannotWritePastItsBytes(t *testing.T) {
+	whole := Real([]byte("abcdef"))
+	head, _ := whole.Slice(0, 3)
+	tail, _ := whole.Slice(3, 3)
+	for _, pl := range []Payload{head, Concat(head, tail), RealNoCopy(make([]byte, 2, 8))} {
+		b, _ := pl.Bytes()
+		if cap(b) != len(b) {
+			t.Errorf("Bytes of a %d-byte payload has capacity %d", len(b), cap(b))
+		}
+		_ = append(b, 'X')
+	}
+	if b, _ := whole.Bytes(); string(b) != "abcdef" {
+		t.Fatalf("an append to a slice's bytes wrote the parent: %q", b)
+	}
+	if b, _ := tail.Bytes(); string(b) != "def" {
+		t.Fatalf("an append to the head's bytes wrote the tail: %q", b)
+	}
+}
+
+// TestConcatJoinsAdjacentPartsInPlace: parts that sit side by side in one
+// array, empty ones between them included, come back as one span over
+// that array, and the join allocates the payload alone, not the bytes.
+func TestConcatJoinsAdjacentPartsInPlace(t *testing.T) {
+	whole := Real(bytes.Repeat([]byte("0123456789"), 1<<16))
+	in, _ := whole.Bytes()
+	head, _ := whole.Slice(0, 1<<19)
+	tail, _ := whole.Slice(1<<19, whole.Size()-1<<19)
+	for _, parts := range [][]Payload{
+		{head, tail},
+		{RealNoCopy(nil), head, Real(nil), tail, RealNoCopy(nil)},
+	} {
+		out, ok := Concat(parts...).Bytes()
+		if !ok || !bytes.Equal(out, in) || &out[0] != &in[0] {
+			t.Fatalf("adjacent parts joined to %d bytes, real %v, in place %v", len(out), ok, ok && &out[0] == &in[0])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Concat(head, tail) }); n != 1 {
+		t.Fatalf("joining adjacent halves made %v allocations, want the payload's 1", n)
+	}
+}
+
+// TestConcatCopiesWhatIsNotAdjacent: parts out of order, with a gap, or
+// in one array but behind a capacity that stops at their end (as two
+// separate arrays that neighbour in memory would) are copied; mixed parts
+// are sized.
+func TestConcatCopiesWhatIsNotAdjacent(t *testing.T) {
+	arr := []byte("abcdef")
+	whole := RealNoCopy(arr)
+	head, _ := whole.Slice(0, 3)
+	tail, _ := whole.Slice(3, 3)
+	gap, _ := whole.Slice(4, 2)
+	for _, c := range []struct {
+		parts []Payload
+		want  string
+	}{
+		{[]Payload{tail, head}, "defabc"},
+		{[]Payload{head, gap}, "abcef"},
+		{[]Payload{head, head}, "abcabc"},
+		{[]Payload{RealNoCopy(arr[:3:3]), RealNoCopy(arr[3:])}, "abcdef"},
+	} {
+		out, ok := Concat(c.parts...).Bytes()
+		if !ok || string(out) != c.want || &out[0] == &arr[0] {
+			t.Errorf("join = %q, real %v, in place %v; want a copy %q", out, ok, ok && &out[0] == &arr[0], c.want)
+		}
+	}
+	if p := Concat(head, Sized(4), tail); p.Size() != 10 {
+		t.Errorf("mixed join has size %d, want 10", p.Size())
+	} else if _, ok := p.Bytes(); ok {
+		t.Error("mixed join claimed real bytes")
+	}
+}
+
 func TestConcatEmpty(t *testing.T) {
 	p := Concat()
 	if p.Size() != 0 {

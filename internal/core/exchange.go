@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
@@ -294,12 +294,11 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 	}
 	var outParts []payload.Payload
 	if raw, ok := whole.Bytes(); ok {
-		recs, err := bed.Unmarshal(raw)
+		sorted, err := shuffle.SortRun(raw)
 		if err != nil {
 			return SortOutcome{}, 0, fmt.Errorf("vm exchange: parse: %w", err)
 		}
-		bed.Sort(recs)
-		outParts = splitRecords(recs, spec.Workers)
+		outParts = splitLines(sorted, spec.Workers)
 	} else {
 		outParts = splitSized(size, spec.Workers)
 	}
@@ -411,13 +410,20 @@ func parallelPut(p *des.Proc, client interface {
 	return nil
 }
 
-// splitRecords partitions sorted records into w contiguous parts of
-// near-equal record count, preserving global order.
-func splitRecords(recs []bed.Record, w int) []payload.Payload {
+// splitLines cuts sorted newline-terminated lines into w contiguous
+// parts of near-equal line count, preserving global order. The parts are
+// spans of sorted, not copies.
+func splitLines(sorted []byte, w int) []payload.Payload {
+	lines := int64(bytes.Count(sorted, []byte{'\n'}))
 	parts := make([]payload.Payload, w)
 	for i := range parts {
-		idx, n := shuffle.EvenShare(int64(len(recs)), w, i)
-		parts[i] = payload.RealNoCopy(bed.Marshal(recs[idx : idx+n]))
+		_, n := shuffle.EvenShare(lines, w, i)
+		end := 0
+		for ; n > 0; n-- {
+			end += bytes.IndexByte(sorted[end:], '\n') + 1
+		}
+		parts[i] = payload.RealNoCopy(sorted[:end])
+		sorted = sorted[end:]
 	}
 	return parts
 }

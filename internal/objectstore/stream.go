@@ -383,6 +383,11 @@ func (cs *ClientStream) attach(st *Stream) {
 	}
 }
 
+// Remaining reports the bytes of the range not yet delivered. Once the
+// stream is open and before its first chunk, that is the range's whole
+// length, an open-ended range's as attach pinned it.
+func (cs *ClientStream) Remaining() int64 { return cs.n }
+
 // ensure opens the underlying stream at the current resume offset,
 // retrying throttled admissions against the shared budget.
 func (cs *ClientStream) ensure(p *des.Proc) error {

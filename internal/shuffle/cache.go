@@ -255,7 +255,7 @@ func (c *cacheRuns) fetch(p *des.Proc, store *objectstore.Client, key string) (p
 // per run, concurrently, sharing node NICs fairly. The resident runs
 // are then fed to the merge chunk-wise so its CPU charges interleave
 // with the output's part uploads.
-func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error) {
+func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error) {
 	parts := make([]payload.Payload, len(keys))
 	errs := make([]error, len(keys))
 	wg := des.NewWaitGroup(ctx.Proc.Sim())
@@ -270,14 +270,16 @@ func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource
 	wg.Wait(ctx.Proc)
 	for m, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("fetch %s: %w", keys[m], err)
+			return nil, 0, fmt.Errorf("fetch %s: %w", keys[m], err)
 		}
 	}
 	srcs := make([]runSource, len(parts))
+	var total int64
 	for i, pl := range parts {
 		srcs[i] = &payloadSource{pl: pl, chunk: chunk}
+		total += pl.Size()
 	}
-	return srcs, nil
+	return srcs, total, nil
 }
 
 // free deletes the consumed cache entries.

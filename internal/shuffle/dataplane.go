@@ -124,6 +124,7 @@ type runBuilder struct {
 	bounds  []boundary
 	parts   []runPart
 	partCap int // per-partition first-allocation size; 0 grows organically
+	refCap  int // per-partition first lineRef reservation
 }
 
 func newRunBuilder(workers int, bounds []boundary) *runBuilder {
@@ -137,6 +138,7 @@ func (b *runBuilder) sizeHint(totalBytes int) {
 	if totalBytes > 0 && len(b.parts) > 0 {
 		per := totalBytes / len(b.parts)
 		b.partCap = per + per/4
+		b.refCap = b.partCap / 32 // bedMethyl lines run ~58 bytes; 32 leaves room for short ones
 	}
 }
 
@@ -158,7 +160,7 @@ func (b *runBuilder) grow(p *runPart) {
 		p.buf = *p.bufBox
 	}
 	if p.refsBox == nil {
-		p.refsBox = lineRefPool.get(b.partCap / 32) // bedMethyl lines run ~58 bytes; 32 leaves room for short ones
+		p.refsBox = lineRefPool.get(b.refCap)
 		p.refs = *p.refsBox
 	}
 }
@@ -170,12 +172,30 @@ func (b *runBuilder) Add(line []byte) error {
 	if err != nil {
 		return err
 	}
+	return b.add(rec)
+}
+
+// add routes one record to its partition.
+func (b *runBuilder) add(rec bed.Record) error {
 	key := bed.KeyOf(rec)
 	p := &b.parts[partitionIndex(key, rec.Chrom, b.bounds)]
 	b.grow(p)
 	off := len(p.buf)
 	p.buf = bed.AppendTSV(p.buf, rec)
 	return b.place(key, off, p)
+}
+
+// SortRun sorts a bedMethyl buffer into one run, the VM strategy's local
+// sort: a runBuilder of one partition, reserved from the buffer's length
+// and line count, fed by bed.EachRecord (bed.Unmarshal's accept set and
+// errors). Its bytes are bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
+func SortRun(raw []byte) ([]byte, error) {
+	b := newRunBuilder(1, nil)
+	b.partCap, b.refCap = len(raw), bytes.Count(raw, []byte{'\n'})+1
+	if err := bed.EachRecord(raw, b.add); err != nil {
+		return nil, err
+	}
+	return b.parts[0].finish(), nil
 }
 
 // finish sorts every partition into a sorted run and returns the run

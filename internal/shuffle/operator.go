@@ -298,16 +298,18 @@ func (s *storeRuns) put(ctx *faas.Ctx, n int, each func(int) (string, payload.Pa
 	return stored, 0, err
 }
 
-func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error) {
+func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error) {
 	streams, err := ctx.Store.GetStreams(ctx.Proc, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
 	srcs := make([]runSource, len(streams))
+	var total int64
 	for i := range streams {
 		srcs[i] = &streams[i]
+		total += streams[i].Remaining()
 	}
 	if err != nil {
-		return srcs, fmt.Errorf("open %s: %w", keys[len(streams)], err)
+		return srcs, 0, fmt.Errorf("open %s: %w", keys[len(streams)], err)
 	}
-	return srcs, nil
+	return srcs, total, nil
 }
 
 func (s *storeRuns) free(ctx *faas.Ctx, keys []string) error {

@@ -45,10 +45,10 @@ type runStore interface {
 	// many of them took the medium's fallback path, and the error that
 	// stopped it at the next one. each must not block.
 	put(ctx *faas.Ctx, n int, each func(r int) (key string, run payload.Payload)) (stored, fellBack int, err error)
-	// open starts reading the runs under keys, chunk bytes at a time.
-	// On error it returns the sources opened so far, for the caller to
-	// close.
-	open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, error)
+	// open starts reading the runs under keys, chunk bytes at a time,
+	// and returns their summed length, known before anything is read. On
+	// error it returns the sources opened so far, for the caller to close.
+	open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error)
 	// free releases runs their consumer is done with. Handlers call it
 	// only once the consumer's own output is durable: an invocation
 	// re-attempted after a transient platform failure (MaxRetries) must
@@ -450,7 +450,8 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 	} else {
 		perRun := t.sliceBytes / int64(len(t.sources))
 		var srcs []runSource
-		srcs, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
+		var inBytes int64
+		srcs, inBytes, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
 		defer closeRuns(srcs)
 		if err != nil {
 			return 0, err
@@ -458,7 +459,7 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 		charge := func(n int64) { ctx.ComputeBytes(n, t.wave.streamBps) }
 		if fanOut == 0 {
 			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
-			err = mergeToOutput(ctx, srcs, charge, t.outBucket, t.outKey, partBytes)
+			err = mergeToOutput(ctx, srcs, inBytes, charge, t.outBucket, t.outKey, partBytes)
 		} else {
 			split := newRunSplitter(fanOut, t.bounds, t.sliceBytes)
 			var sized bool
@@ -503,24 +504,27 @@ func closeRuns(srcs []runSource) {
 	}
 }
 
-// mergeToOutput k-way merges srcs into one object through a multipart
-// streaming PUT: merged lines collect into partBytes-sized parts whose
-// uploads overlap the remaining merge. A timing-only input aborts the
-// upload and writes one sized object of the merged volume instead. A
-// nil return is the durability point — the multipart complete (or the
-// sized Put) has been admitted.
-func mergeToOutput(ctx *faas.Ctx, srcs []runSource, charge func(int64), bucket, key string, partBytes int64) error {
+// mergeToOutput k-way merges srcs, inBytes long in all, into one object
+// through a multipart streaming PUT: merged lines collect into one buffer
+// (reserved at the first line, with a byte per source for an unterminated
+// last line), whose partBytes-sized spans upload while the merge goes on
+// and are joined in place at completion (payload.Concat). A timing-only
+// input aborts the upload and writes one sized object of the merged
+// volume instead. A nil return is the durability point — the multipart
+// complete (or the sized Put) has been admitted.
+func mergeToOutput(ctx *faas.Ctx, srcs []runSource, inBytes int64, charge func(int64), bucket, key string, partBytes int64) error {
 	w := ctx.Store.PutStream(ctx.Proc, bucket, key, objectstore.PutStreamOptions{PartBytes: partBytes})
 	var buf []byte
+	sent := 0 // buf[:sent] is with the writer
 	emit := func(_ bed.Key, line []byte) error {
 		if buf == nil {
-			buf = make([]byte, 0, partBytes+int64(len(line))+1)
+			buf = make([]byte, 0, inBytes+int64(len(srcs)))
 		}
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
-		if int64(len(buf)) >= partBytes {
-			err := w.Write(ctx.Proc, payload.RealNoCopy(buf))
-			buf = nil // the payload retains the buffer; start a fresh one
+		if int64(len(buf)-sent) >= partBytes {
+			err := w.Write(ctx.Proc, payload.RealNoCopy(buf[sent:]))
+			sent = len(buf)
 			return err
 		}
 		return nil
@@ -537,8 +541,8 @@ func mergeToOutput(ctx *faas.Ctx, srcs []runSource, charge func(int64), bucket, 
 		}
 		return nil
 	}
-	if len(buf) > 0 {
-		if err := w.Write(ctx.Proc, payload.RealNoCopy(buf)); err != nil {
+	if len(buf) > sent {
+		if err := w.Write(ctx.Proc, payload.RealNoCopy(buf[sent:])); err != nil {
 			w.Abort(ctx.Proc)
 			return fmt.Errorf("write: %w", err)
 		}
