@@ -53,8 +53,8 @@ func BenchmarkSort(b *testing.B) {
 }
 
 // The whole-buffer codec on 100k records (5.8 MB of TSV): Unmarshal is
-// every encode task and the VM exchange's parse, Marshal the oracle
-// and the benchmark's set-up.
+// every encode task's parse (its loop, EachRecord, is also the VM
+// exchange's), Marshal the oracle and the benchmark's set-up.
 
 func BenchmarkUnmarshal(b *testing.B) {
 	data := Marshal(Generate(GenConfig{Records: 100000, Seed: 11}))

@@ -94,11 +94,24 @@ func checkSortRun(t *testing.T, raw []byte) {
 	}
 }
 
+// TestSortRunMatchesBed checks every seed, the multi-megabyte ones that
+// FuzzSortRun leaves out included.
+func TestSortRunMatchesBed(t *testing.T) {
+	for _, raw := range sortRunSeeds() {
+		checkSortRun(t, raw)
+	}
+}
+
 // FuzzSortRun differentially fuzzes the VM's sort against
-// bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
+// bed.Marshal(bed.Sort(bed.Unmarshal(raw))). It is seeded with the seeds
+// of up to 64 KiB: once a mutation of a larger one (the pin's 20k-record
+// files, the 4 MiB lines) is interesting, the minimizer spends its whole
+// budget on it, about one candidate per byte, and the workers stall.
 func FuzzSortRun(f *testing.F) {
 	for _, raw := range sortRunSeeds() {
-		f.Add(raw)
+		if len(raw) <= 64<<10 {
+			f.Add(raw)
+		}
 	}
 	f.Fuzz(checkSortRun)
 }
