@@ -73,10 +73,10 @@ func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcom
 	}
 	a.LastDecision = &dec
 
-	// Meter the dispatched run so the measured outcome can calibrate
-	// the next plan.
+	// Meter the dispatched run, from what the stage was charged before and
+	// after it, so the measured outcome can calibrate the next plan.
 	startAt := ctx.Proc.Now()
-	win := ctx.Exec.openWindow()
+	_, _, before := ctx.Exec.usage(ctx.Proc, 0)
 
 	outcome, err := a.dispatch(ctx, spec, &dec)
 	if err != nil {
@@ -84,20 +84,13 @@ func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcom
 	}
 
 	if hist := env.History; hist != nil {
-		// If another stage ran during the window its spend is in the
-		// deltas and would corrupt the calibration. Record only the time
-		// observation then (the elapsed virtual time is ours either way).
-		var predictedUSD, actualUSD float64
-		if _, _, cost, alone := win.close(ctx.Exec); alone {
-			predictedUSD = dec.Chosen.ModelUSD
-			actualUSD = cost.Total()
-		}
+		_, _, after := ctx.Exec.usage(ctx.Proc, 0)
 		hist.Record(autoplan.Observation{
 			Strategy:      dec.Chosen.Strategy,
 			PredictedTime: dec.Chosen.ModelTime,
 			ActualTime:    ctx.Proc.Now() - startAt,
-			PredictedUSD:  predictedUSD,
-			ActualUSD:     actualUSD,
+			PredictedUSD:  dec.Chosen.ModelUSD,
+			ActualUSD:     after.Total() - before.Total(),
 		})
 	}
 	outcome.Detail = dec.Summary() + "; " + outcome.Detail

@@ -163,10 +163,12 @@ func TestCacheExchangeWarmIsFaster(t *testing.T) {
 	}
 }
 
+// TestCacheCostSnapshotWithoutProvisioner: an executor with no cache
+// provisioner prices a stage's cache usage at 0.
 func TestCacheCostSnapshotWithoutProvisioner(t *testing.T) {
 	r := newRig(t)
-	if got := r.exec.cacheCost(); got != 0 {
-		t.Errorf("cacheCostSnapshot with no provisioner = %g, want 0", got)
+	if _, _, cost := r.exec.usage(new(des.Proc), 0); cost.Cache != 0 {
+		t.Errorf("cache cost with no provisioner = %g, want 0", cost.Cache)
 	}
 }
 

@@ -140,20 +140,20 @@ type Executor struct {
 	// stage uses the cache data-exchange strategy.
 	CacheProv *memcache.Provisioner
 
-	// StandingCache / StandingVM are session-owned standing resources.
-	// Their accrual is excluded from per-stage VM/cache cost deltas —
-	// the session attributes it via RunReport.StandingUSD instead of
-	// billing whichever stage happened to be running.
+	// StandingCache / StandingVM are session-owned standing resources,
+	// provisioned outside any stage: the session attributes them via
+	// RunReport.StandingUSD.
 	StandingCache *memcache.Cluster
 	StandingVM    *vm.Instance
 
 	listeners []Listener
 
-	// stageStarts / stagesActive track stage concurrency, so a usage
-	// window can tell whether another stage's activity fell inside it.
-	// Only touched from simulation process context.
-	stageStarts  int64
-	stagesActive int
+	// The stored-volume share clock. A stage is charged the shares'
+	// advance over its lifetime; each open and close of a stage folds the
+	// store's ByteSeconds growth since the last fold into them, split
+	// evenly among the stages open. They rest at 0 with none open.
+	open           int
+	shares, folded float64
 }
 
 // NewExecutor wires an executor; shuffleOp may be nil if no stage
@@ -177,73 +177,31 @@ func (e *Executor) AddListener(l Listener) {
 	}
 }
 
-// usageWindow is the one way usage is attributed to a span of a run:
-// the executor-global meters read when the window opens, subtracted
-// from what they read when it closes. Both stage reports and the auto
-// exchange's calibration use it. The meters are global, so a window is
-// only the opener's own usage when nothing else ran inside it; close
-// says whether that held. A plain value: opening and closing a window
-// allocates nothing.
-type usageWindow struct {
-	faas      faas.Meter
-	store     objectstore.Metrics
-	vm, cache float64
-	starts    int64
-	active    int
+// fold brings the share clock up to now and returns it.
+func (e *Executor) fold() float64 {
+	bs := e.Store.Metrics().ByteSeconds
+	if e.open > 0 {
+		e.shares += (bs - e.folded) / float64(e.open)
+	}
+	e.folded = bs
+	return e.shares
 }
 
-// openWindow reads the meters. It is called from inside a stage, after
-// the executor has counted that stage as started and active.
-func (e *Executor) openWindow() usageWindow {
-	return usageWindow{
-		faas:   e.Platform.Meter(),
-		store:  e.Store.Metrics(),
-		vm:     e.vmCost(),
-		cache:  e.cacheCost(),
-		starts: e.stageStarts,
-		active: e.stagesActive,
+// usage is what the scope lead leads has been charged so far, priced:
+// its invocations and requests, the share clock's advance since sharesAt,
+// and the instances and clusters it provisioned. A scope that has ended
+// is read once.
+func (e *Executor) usage(lead *des.Proc, sharesAt float64) (faas.Meter, objectstore.Metrics, billing.StageCost) {
+	fm, sm := e.Platform.Ledger().Scope(lead), e.Store.Ledger().Scope(lead)
+	sm.ByteSeconds = e.fold() - sharesAt
+	cost := billing.StageCost{Functions: e.Prices.FunctionsCost(fm), Storage: e.Prices.StorageCost(sm)}
+	if e.Provisioner != nil {
+		cost.VM = e.Prices.VMCost(e.Provisioner.Ledger().Scope(lead))
 	}
-}
-
-// close returns what was used since the window opened, priced, and
-// whether the opening stage was alone throughout: no other stage
-// active at the open, none started since.
-func (w usageWindow) close(e *Executor) (faas.Meter, objectstore.Metrics, billing.StageCost, bool) {
-	fm := e.Platform.Meter().Sub(w.faas)
-	sm := e.Store.Metrics().Sub(w.store)
-	cost := billing.StageCost{
-		Functions: e.Prices.FunctionsCost(fm),
-		Storage:   e.Prices.StorageCost(sm),
-		VM:        e.vmCost() - w.vm,
-		Cache:     e.cacheCost() - w.cache,
+	if e.CacheProv != nil {
+		cost.Cache = e.Prices.CacheCost(e.CacheProv.Ledger().Scope(lead))
 	}
-	return fm, sm, cost, e.stageStarts == w.starts && w.active <= 1
-}
-
-// vmCost totals the accumulated cost of all instances except the
-// session-standing one, whose accrual the session attributes.
-func (e *Executor) vmCost() float64 {
-	if e.Provisioner == nil {
-		return 0
-	}
-	total := e.Prices.VMCost(e.Provisioner.Instances())
-	if e.StandingVM != nil {
-		total -= e.Prices.VMCost([]*vm.Instance{e.StandingVM})
-	}
-	return total
-}
-
-// cacheCost totals the accumulated cost of all cache clusters except
-// the session-standing one.
-func (e *Executor) cacheCost() float64 {
-	if e.CacheProv == nil {
-		return 0
-	}
-	total := e.Prices.CacheCost(e.CacheProv.Clusters())
-	if e.StandingCache != nil {
-		total -= e.Prices.CacheCost([]*memcache.Cluster{e.StandingCache})
-	}
-	return total
+	return fm, sm, cost
 }
 
 // Run executes the workflow, blocking p until every stage completes
@@ -277,17 +235,20 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 				return // abort chain: upstream failed
 			}
 			start := sp.Now()
-			e.stageStarts++
-			e.stagesActive++
-			win := e.openWindow()
+			sp.LeadScope()
+			sharesAt := e.fold()
+			e.open++
 			for _, l := range e.listeners {
 				l.StageStarted(w.Name(), n.stage.Name(), start)
 			}
 			ctx := &StageContext{Proc: sp, Exec: e, State: state}
 			err := n.stage.Run(ctx)
-			e.stagesActive--
 			sr := StageReport{Name: n.stage.Name(), Start: start, End: sp.Now(), Err: err}
-			sr.Faas, sr.Store, sr.Cost, _ = win.close(e)
+			sp.EndScope()
+			sr.Faas, sr.Store, sr.Cost = e.usage(sp, sharesAt)
+			if e.open--; e.open == 0 {
+				e.shares = 0
+			}
 			if ctx.Outcome != nil {
 				sr.StageOutcome = *ctx.Outcome
 			}

@@ -41,6 +41,9 @@ type Proc struct {
 	granted bool
 
 	prevLive, nextLive *Proc
+	// scope is the process leading the scope this one is charged to
+	// (scope.go).
+	scope *Proc
 }
 
 // worker is one process goroutine. It runs the process assigned to it,
@@ -208,9 +211,12 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 // Rand returns the simulation's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.sim.rng }
 
-// Spawn starts a child process; sugar for p.Sim().Spawn.
+// Spawn starts a child process in p's scope; p.Sim().Spawn starts one in
+// none.
 func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
-	return p.sim.Spawn(name, fn)
+	c := p.sim.Spawn(name, fn)
+	c.scope = p.scope
+	return c
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations

@@ -15,8 +15,8 @@ import (
 // plus which column it sat in. The graceful-degradation contract is
 // that every cell completes (Err == nil), including the cache row's
 // total cluster loss, and that recovery neither loses nor invents
-// money: Report.TotalUSD() — metered stages, rework and spot credit
-// included — equals SessionUSD exactly.
+// money: Report.TotalUSD(), metered stages, rework and spot credit
+// included, is what the cloud's global meters priced while it ran.
 type ChaosCell struct {
 	PipelineRun
 	// Fault is the column's name.

@@ -10,6 +10,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/chaos"
 	"github.com/faaspipe/faaspipe/internal/des/destest"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 const chaosTestBytes = int64(1000e6)
@@ -25,10 +26,40 @@ func chaosCell(t *testing.T, res ChaosResult, kind StrategyKind, fault string) C
 	return ChaosCell{}
 }
 
+// metersUSD prices a rig's global meters as they read now, the store's
+// given as sm, from which the caller has taken its driver's requests:
+// every invocation and request, the stored volume, and every instance
+// and cluster for its billed lifetime. It is the independent route to a
+// bill.
+func metersUSD(rig *calib.Rig, sm objectstore.Metrics) float64 {
+	pb := rig.Profile.Prices
+	return pb.FunctionsCost(rig.Platform.Meter()) + pb.StorageCost(sm) +
+		pb.VMCost(rig.Prov.Instances()) + pb.CacheCost(rig.CacheProv.Clusters())
+}
+
+// meteredUSD is a pipeline run's bill as the global meters read it, less
+// what the driver did (two buckets and the input PUT, three class A
+// requests, with nothing stored before them) and the stored volume's
+// accrual after the run ended, while trailing timers drained the clock.
+func meteredUSD(r PipelineRun) float64 {
+	sm := r.rig.Store.Metrics()
+	sm.ClassAOps -= 3
+	sm.ByteSeconds -= float64(r.rig.Store.StoredBytes()) * (r.rig.Sim.Now() - r.Report.End).Seconds()
+	return metersUSD(r.rig, sm)
+}
+
+// checkMetered holds a cell's bill to the global meters.
+func checkMetered(t *testing.T, c ChaosCell) {
+	t.Helper()
+	if got, want := c.Report.TotalUSD(), meteredUSD(c.PipelineRun); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("cell %v/%v: run bill $%.12f, global meters x price book $%.12f", c.Kind, c.Fault, got, want)
+	}
+}
+
 // TestChaosMatrix is the graceful-degradation contract: every cell of
 // the strategy x fault matrix completes, the targeted faults actually
 // bite (restarts / rework / fallbacks metered), and no cell's money
-// leaks — the run's attributed spend equals the session bill exactly.
+// leaks: the run's bill is what the global meters priced.
 func TestChaosMatrix(t *testing.T) {
 	leaks := destest.NoLeakedGoroutines(t)
 	res, err := ChaosMatrix(calib.Paper(), chaosTestBytes, 8)
@@ -47,6 +78,7 @@ func TestChaosMatrix(t *testing.T) {
 			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
 				c.Kind, c.Fault, c.Report.TotalUSD(), c.SessionUSD)
 		}
+		checkMetered(t, c)
 	}
 
 	// The spot VM run must actually lose its instance and recover on a
@@ -96,6 +128,7 @@ func TestChaosMatrixSeeds(t *testing.T) {
 			if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
 			}
+			checkMetered(t, c)
 		}
 	}
 }
@@ -182,6 +215,7 @@ func TestZoneChaos(t *testing.T) {
 			t.Errorf("cell %v/%v: run attribution $%.12f != session bill $%.12f",
 				c.Kind, c.Fault, c.Report.TotalUSD(), c.SessionUSD)
 		}
+		checkMetered(t, c)
 	}
 
 	// The spot VM loses its zone-a instance and re-provisions in the
@@ -245,6 +279,7 @@ func TestZoneChaosSeeds(t *testing.T) {
 			if math.Abs(c.Report.TotalUSD()-c.SessionUSD) > 1e-9 {
 				t.Errorf("seed %d: cell %v/%v attribution drift", seed, c.Kind, c.Fault)
 			}
+			checkMetered(t, c)
 		}
 		if !res.Reproducible {
 			t.Errorf("seed %d: same-seed soak replay diverged", seed)

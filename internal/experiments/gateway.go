@@ -57,8 +57,8 @@ type GatewayRun struct {
 	Rounds  int64
 	Starved int64
 
-	// AttributedUSD (the sum of tenant ledgers) must equal SessionUSD
-	// (the fronted session's own closing bill) to rounding.
+	// AttributedUSD is the sum of tenant ledgers; SessionUSD the fronted
+	// session's closing bill, the same runs' sum plus standing cost.
 	AttributedUSD float64
 	SessionUSD    float64
 

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/calib"
+	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/des/destest"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 // TestGatewayExperiment drives the full acceptance run: 10k open-loop
@@ -86,4 +89,41 @@ func TestGatewayExperimentSmall(t *testing.T) {
 	if d := res.AttributedUSD - res.SessionUSD; d < -1e-6 || d > 1e-6 {
 		t.Errorf("attribution delta %g", d)
 	}
+}
+
+// TestGatewayLedgersAreTheMeters runs the gateway mix as faasbench does
+// and holds the tenant ledgers to the global meters, read once every job
+// has finished: every invocation and request the jobs made and the
+// standing cluster for its billed lifetime, priced, less the driver's
+// results bucket. Stored volume also accrues while no job runs, and no
+// one is charged for that, so the ledgers may fall short of the meters by
+// the volume's price and by nothing else.
+func TestGatewayLedgersAreTheMeters(t *testing.T) {
+	m, err := newGwMix(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meters, volume float64
+	run, err := m.run(calib.Paper(), 10000, true, func(p *des.Proc, run *loopRun) error {
+		rig := run.g.Session().Rig()
+		sm := rig.Store.Metrics()
+		sm.ClassAOps-- // the results bucket
+		volume = rig.Profile.Prices.StorageCost(objectstore.Metrics{ByteSeconds: sm.ByteSeconds})
+		meters = metersUSD(rig, sm)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.AttributedUSD; got > meters*(1+1e-9) || got < (meters-volume)*(1-1e-9) {
+		t.Errorf("tenant ledgers $%.9f, global meters x price book $%.9f, of it stored volume $%.9f", got, meters, volume)
+	}
+	if d := run.AttributedUSD - run.SessionUSD; d < -1e-9 || d > 1e-9 {
+		t.Errorf("tenant ledgers $%.9f, session bill $%.9f", run.AttributedUSD, run.SessionUSD)
+	}
+	// faasbench's line, all.golden's attribution.
+	if got := fmt.Sprintf("$%.4f", run.AttributedUSD); got != "$0.0620" {
+		t.Errorf("tenant ledgers %s, want $0.0620", got)
+	}
+	t.Logf("ledgers $%.6f, meters $%.6f (stored volume $%.9f)", run.AttributedUSD, meters, volume)
 }

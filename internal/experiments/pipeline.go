@@ -72,11 +72,12 @@ type PipelineRun struct {
 	MemoryMB  int
 	Latency   time.Duration
 	// CostUSD is the run's metered cost; SessionUSD is the closing bill
-	// of the one-shot session it ran in. Failure recovery may not lose
-	// or invent money: Report.TotalUSD() must equal SessionUSD exactly.
+	// of the one-shot session it ran in, the same sum plus standing cost.
+	// The independent check of both is the rig's global meters.
 	CostUSD    float64
 	SessionUSD float64
 	Report     *core.RunReport
+	rig        *calib.Rig
 	// FaasStats summarizes the platform's activation log for the run.
 	FaasStats faas.Stats
 	// AutoDecision is the planner's candidate table (AutoPlanned runs
@@ -160,7 +161,7 @@ func runPipeline(profile calib.Profile, spec pipelineSpec) (PipelineRun, error) 
 		return run, runErr
 	}
 	run.Err = runErr
-	run.Report = rep
+	run.Report, run.rig = rep, sess.Rig()
 	run.Latency = rep.Latency()
 	run.CostUSD = rep.MeteredUSD()
 	run.FaasStats = faas.Summarize(sess.Rig().Platform.Activations())

@@ -23,7 +23,7 @@ type Meter struct {
 	ExecTime time.Duration
 }
 
-// Sub returns m minus o, for windowed attribution between snapshots.
+// Sub returns m minus o, the activity between two snapshots.
 func (m Meter) Sub(o Meter) Meter {
 	return Meter{
 		Invocations:    m.Invocations - o.Invocations,

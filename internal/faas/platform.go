@@ -164,7 +164,7 @@ type Platform struct {
 	registry map[string]Handler
 	sem      *des.Resource
 	warm     map[string][]time.Duration // idle container expiry times
-	meter    Meter
+	meter    des.Ledger[Meter]
 	invSeq   int64
 
 	activations []Activation
@@ -189,7 +189,10 @@ func New(sim *des.Sim, store *objectstore.Service, cfg Config) (*Platform, error
 func (pf *Platform) Config() Config { return pf.cfg }
 
 // Meter returns a snapshot of the billing counters.
-func (pf *Platform) Meter() Meter { return pf.meter }
+func (pf *Platform) Meter() Meter { return pf.meter.Total }
+
+// Ledger returns the billing counters, per scope as well as in total.
+func (pf *Platform) Ledger() *des.Ledger[Meter] { return &pf.meter }
 
 // Activations returns the recorded activation log.
 func (pf *Platform) Activations() []Activation {
@@ -225,10 +228,10 @@ type InvokeOptions struct {
 // retryBackoff is the delay before an invocation's first retry.
 const retryBackoff = 50 * time.Millisecond
 
-// InvokeAsync starts an invocation and returns a future for its
+// InvokeAsync starts an invocation for p and returns a future for its
 // result. The caller keeps running; invocations execute as their own
-// processes subject to the platform concurrency limit.
-func (pf *Platform) InvokeAsync(name string, input any, opts InvokeOptions) *Future {
+// processes, in p's scope, subject to the platform concurrency limit.
+func (pf *Platform) InvokeAsync(p *des.Proc, name string, input any, opts InvokeOptions) *Future {
 	fut := newFuture()
 	h, ok := pf.registry[name]
 	if !ok {
@@ -243,7 +246,7 @@ func (pf *Platform) InvokeAsync(name string, input any, opts InvokeOptions) *Fut
 	}
 	backoff := retryBackoff
 	procName := fmt.Sprintf("faas/%s#%d", name, id)
-	pf.sim.Spawn(procName, func(p *des.Proc) {
+	p.Spawn(procName, func(p *des.Proc) {
 		var out any
 		var err error
 		for attempt := 0; ; attempt++ {
@@ -251,7 +254,7 @@ func (pf *Platform) InvokeAsync(name string, input any, opts InvokeOptions) *Fut
 			if !errors.Is(err, ErrInvocationFailed) || attempt >= opts.MaxRetries {
 				break
 			}
-			pf.meter.Retries++
+			pf.meter.Charge(p, func(m *Meter) { m.Retries++ })
 			p.Sleep(backoff)
 			backoff *= 2
 		}
@@ -275,10 +278,10 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 			jitter = time.Duration((p.Rand().Float64()*2 - 1) * float64(pf.cfg.ColdStartJitter))
 		}
 		startLat = pf.cfg.ColdStart + jitter
-		pf.meter.ColdStarts++
+		pf.meter.Charge(p, func(m *Meter) { m.ColdStarts++ })
 	} else {
 		startLat = pf.cfg.WarmStart
-		pf.meter.WarmStarts++
+		pf.meter.Charge(p, func(m *Meter) { m.WarmStarts++ })
 	}
 	p.Sleep(startLat)
 
@@ -287,9 +290,11 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 	// something) and the warm slot is lost with the container.
 	if pf.cfg.FailureRate > 0 && p.Rand().Float64() < pf.cfg.FailureRate {
 		gbs := pf.cfg.BillingGranularity.Seconds() * float64(mem) / 1024
-		pf.meter.Invocations++
-		pf.meter.FailedAttempts++
-		pf.meter.GBSeconds += gbs
+		pf.meter.Charge(p, func(m *Meter) {
+			m.Invocations++
+			m.FailedAttempts++
+			m.GBSeconds += gbs
+		})
 		pf.activations = append(pf.activations, Activation{
 			ID:       id,
 			Function: name,
@@ -311,7 +316,7 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 			slowdown = 3
 		}
 		speed /= slowdown
-		pf.meter.Stragglers++
+		pf.meter.Charge(p, func(m *Meter) { m.Stragglers++ })
 	}
 
 	ctx := &Ctx{
@@ -330,9 +335,11 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 		billed += pf.cfg.BillingGranularity - rem
 	}
 	gbs := billed.Seconds() * float64(mem) / 1024
-	pf.meter.Invocations++
-	pf.meter.GBSeconds += gbs
-	pf.meter.ExecTime += end - begin
+	pf.meter.Charge(p, func(m *Meter) {
+		m.Invocations++
+		m.GBSeconds += gbs
+		m.ExecTime += end - begin
+	})
 	pf.activations = append(pf.activations, Activation{
 		ID:        id,
 		Function:  name,
@@ -351,7 +358,7 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 // Invoke runs a function and blocks the calling process for its
 // result.
 func (pf *Platform) Invoke(p *des.Proc, name string, input any, opts InvokeOptions) (any, error) {
-	return pf.InvokeAsync(name, input, opts).Wait(p)
+	return pf.InvokeAsync(p, name, input, opts).Wait(p)
 }
 
 // MapSync invokes name once per input concurrently and waits for all
@@ -360,7 +367,7 @@ func (pf *Platform) Invoke(p *des.Proc, name string, input any, opts InvokeOptio
 func (pf *Platform) MapSync(p *des.Proc, name string, inputs []any, opts InvokeOptions) ([]any, error) {
 	futs := make([]*Future, len(inputs))
 	for i, in := range inputs {
-		futs[i] = pf.InvokeAsync(name, in, opts)
+		futs[i] = pf.InvokeAsync(p, name, in, opts)
 	}
 	outs := make([]any, len(inputs))
 	var firstErr error

@@ -431,7 +431,7 @@ func TestFutureWaitAfterCompletion(t *testing.T) {
 	_ = pf.Register("f", func(ctx *Ctx, in any) (any, error) { return "done", nil })
 	var got any
 	sim.Spawn("driver", func(p *des.Proc) {
-		fut := pf.InvokeAsync("f", nil, InvokeOptions{})
+		fut := pf.InvokeAsync(p, "f", nil, InvokeOptions{})
 		p.Sleep(time.Minute) // result long since available
 		if !fut.Done() {
 			t.Error("future not done after a minute")

@@ -48,7 +48,7 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 	start := p.Now()
 	primary := make([]*Future, n)
 	for i, in := range inputs {
-		primary[i] = pf.InvokeAsync(name, in, opts)
+		primary[i] = pf.InvokeAsync(p, name, in, opts)
 	}
 	backup := make([]*Future, n)
 	results := make([]any, n)
@@ -101,7 +101,7 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 				// backup gets one now.
 				for i := range inputs {
 					if !settled[i] && backup[i] == nil {
-						backup[i] = pf.InvokeAsync(name, inputs[i], opts)
+						backup[i] = pf.InvokeAsync(p, name, inputs[i], opts)
 						rep.Backups++
 					}
 				}

@@ -63,8 +63,8 @@ type Report struct {
 	Starved int64
 
 	// AttributedUSD sums every tenant's TotalUSD. With all traffic
-	// gateway-admitted it equals Session.TotalUSD to rounding: the
-	// per-tenant ledgers partition the session's bill.
+	// gateway-admitted it is Session.TotalUSD summed another way: the
+	// per-tenant ledgers partition the session's runs.
 	AttributedUSD float64
 }
 

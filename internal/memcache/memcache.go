@@ -101,7 +101,8 @@ type Provisioner struct {
 
 	zones     []string
 	downZones map[string]bool
-	clusters  []*Cluster
+	// clusters are every cluster provisioned, and each scope's own.
+	clusters des.Ledger[[]*Cluster]
 }
 
 // NewProvisioner returns a provisioner with the given node profile.
@@ -146,7 +147,7 @@ func (pr *Provisioner) pickZone() (string, bool) {
 func (pr *Provisioner) FailZone(zone string) int {
 	pr.downZones[zone] = true
 	hit := 0
-	for _, c := range pr.clusters {
+	for _, c := range pr.clusters.Total {
 		if c.zone != zone || c.Stopped() {
 			continue
 		}
@@ -217,16 +218,19 @@ func (pr *Provisioner) provision(p *des.Proc, n int, spinUp time.Duration) (*Clu
 			lru:   list.New(),
 		}
 	}
-	pr.clusters = append(pr.clusters, c)
+	pr.clusters.Charge(p, func(l *[]*Cluster) { *l = append(*l, c) })
 	return c, nil
 }
 
 // Clusters returns every cluster ever provisioned (for billing).
 func (pr *Provisioner) Clusters() []*Cluster {
-	out := make([]*Cluster, len(pr.clusters))
-	copy(out, pr.clusters)
+	out := make([]*Cluster, len(pr.clusters.Total))
+	copy(out, pr.clusters.Total)
 	return out
 }
+
+// Ledger returns the clusters provisioned, per scope as well as in all.
+func (pr *Provisioner) Ledger() *des.Ledger[[]*Cluster] { return &pr.clusters }
 
 // item is one stored value; the LRU list element's Value points here.
 type item struct {

@@ -17,21 +17,7 @@ type Metrics struct {
 	ByteSeconds float64
 }
 
-// Add returns the element-wise sum of two metric sets.
-func (m Metrics) Add(o Metrics) Metrics {
-	return Metrics{
-		ClassAOps:   m.ClassAOps + o.ClassAOps,
-		ClassBOps:   m.ClassBOps + o.ClassBOps,
-		DeleteOps:   m.DeleteOps + o.DeleteOps,
-		BytesIn:     m.BytesIn + o.BytesIn,
-		BytesOut:    m.BytesOut + o.BytesOut,
-		Throttled:   m.Throttled + o.Throttled,
-		ByteSeconds: m.ByteSeconds + o.ByteSeconds,
-	}
-}
-
-// Sub returns m minus o; used to attribute activity to a window
-// bracketed by two snapshots.
+// Sub returns m minus o, the activity between two snapshots.
 func (m Metrics) Sub(o Metrics) Metrics {
 	return Metrics{
 		ClassAOps:   m.ClassAOps - o.ClassAOps,
@@ -43,6 +29,11 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		ByteSeconds: m.ByteSeconds - o.ByteSeconds,
 	}
 }
+
+// The charges of one request.
+func countClassA(m *Metrics)    { m.ClassAOps++ }
+func countClassB(m *Metrics)    { m.ClassBOps++ }
+func countThrottled(m *Metrics) { m.Throttled++ }
 
 // TotalOps reports all billable requests (class A + class B).
 func (m Metrics) TotalOps() int64 { return m.ClassAOps + m.ClassBOps }

@@ -66,7 +66,7 @@ func (s *Service) UploadPart(p *des.Proc, uploadID string, partNumber int, pl pa
 		return fmt.Errorf("%w: %s", ErrNoSuchUpload, uploadID)
 	}
 	s.transfer(p, pl.Size(), flowCap)
-	s.metrics.BytesIn += pl.Size()
+	s.metrics.Charge(p, func(m *Metrics) { m.BytesIn += pl.Size() })
 	up.parts[partNumber] = pl
 	return nil
 }

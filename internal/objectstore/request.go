@@ -57,10 +57,10 @@ type request struct {
 	svc  *Service
 	p    *des.Proc
 	kind requestKind
-	// tb throttles the request's class and ops is that class's meter.
-	tb   *des.TokenBucket
-	ops  *int64
-	take des.TokenWaiter
+	// tb throttles the request's class and count meters one of it.
+	tb    *des.TokenBucket
+	count func(*Metrics)
+	take  des.TokenWaiter
 
 	bkt string
 	// i is the element in progress of n; key (and body, for a PUT) are
@@ -106,9 +106,9 @@ func (s *Service) request(p *des.Proc, kind requestKind, tb *des.TokenBucket, bk
 		r.grantFn, r.latencyFn, r.storedFn = r.grant, r.latency, r.stored
 	}
 	r.p, r.kind, r.tb, r.bkt, r.n = p, kind, tb, bkt, n
-	r.ops = &s.metrics.ClassBOps
+	r.count = countClassB
 	if tb == s.writeTB {
-		r.ops = &s.metrics.ClassAOps
+		r.count = countClassA
 	}
 	return r
 }
@@ -142,7 +142,7 @@ func (r *request) run() error {
 		}
 	}
 	if r.failed {
-		r.svc.metrics.Throttled++
+		r.svc.metrics.Charge(r.p, countThrottled)
 		return ErrSlowDown
 	}
 	return r.err
@@ -213,7 +213,7 @@ func (r *request) latency() {
 		r.begin()
 		return
 	}
-	*r.ops++
+	s.metrics.Charge(r.p, r.count)
 	size, ceiling := r.body.Size(), s.connCap(r.flowCap)
 	if r.i == r.n-1 {
 		r.flow, r.handed = s.link.Start(r.p, size, ceiling), true
@@ -232,7 +232,7 @@ func (r *request) stored() {
 // store is the end of element i's PUT: its body has arrived.
 func (r *request) store() {
 	s := r.svc
-	s.metrics.BytesIn += r.body.Size()
+	s.metrics.Charge(r.p, func(m *Metrics) { m.BytesIn += r.body.Size() })
 	s.keep(s.buckets[r.bkt], r.key, r.body)
 }
 
@@ -248,7 +248,7 @@ func (r *request) put() (int, error) {
 			s.link.Wait(r.p, r.flow)
 			r.flow = nil
 		} else {
-			*r.ops++
+			s.metrics.Charge(r.p, r.count)
 			if _, ok := s.buckets[r.bkt]; !ok {
 				return r.i, ErrNoSuchBucket
 			}
@@ -281,7 +281,7 @@ func (r *request) opened() (int, error) {
 // the object found and its stream started.
 func (r *request) open() error {
 	s := r.svc
-	*r.ops++
+	s.metrics.Charge(r.p, r.count)
 	obj, err := s.find(r.bkt, r.key)
 	if err != nil {
 		return err
@@ -297,7 +297,7 @@ func (r *request) open() error {
 			return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
 		}
 	}
-	st := s.startStream(r.bkt, r.key, rng, r.off, n, r.opts)
+	st := s.startStream(r.p, r.bkt, r.key, rng, r.off, n, r.opts)
 	if r.streams != nil {
 		r.streams[r.i].attach(st)
 	} else {
@@ -311,10 +311,10 @@ func (r *request) open() error {
 func (s *Service) admit(p *des.Proc, tb *des.TokenBucket) error {
 	r := s.request(p, admitOnly, tb, "", 1)
 	err := r.run()
-	ops := r.ops
+	count := r.count
 	s.release(r)
 	if err == nil {
-		*ops++
+		s.metrics.Charge(p, count)
 	}
 	return err
 }

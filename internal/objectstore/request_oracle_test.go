@@ -31,7 +31,7 @@ import (
 func procFailMaybe(s *Service, p *des.Proc) error {
 	if s.drawFailure() {
 		p.Sleep(s.cfg.RequestLatency)
-		s.metrics.Throttled++
+		s.metrics.Total.Throttled++
 		return ErrSlowDown
 	}
 	return nil
@@ -49,14 +49,14 @@ func procAdmit(s *Service, p *des.Proc, tb *des.TokenBucket, ops *int64) error {
 }
 
 func procLookup(s *Service, p *des.Proc, bkt, key string) (Object, error) {
-	if err := procAdmit(s, p, s.readTB, &s.metrics.ClassBOps); err != nil {
+	if err := procAdmit(s, p, s.readTB, &s.metrics.Total.ClassBOps); err != nil {
 		return Object{}, err
 	}
 	return s.find(bkt, key)
 }
 
 func procPut(s *Service, p *des.Proc, bkt, key string, pl payload.Payload, flowCap float64) error {
-	if err := procAdmit(s, p, s.writeTB, &s.metrics.ClassAOps); err != nil {
+	if err := procAdmit(s, p, s.writeTB, &s.metrics.Total.ClassAOps); err != nil {
 		return err
 	}
 	b, ok := s.buckets[bkt]
@@ -64,7 +64,7 @@ func procPut(s *Service, p *des.Proc, bkt, key string, pl payload.Payload, flowC
 		return ErrNoSuchBucket
 	}
 	s.transfer(p, pl.Size(), flowCap)
-	s.metrics.BytesIn += pl.Size()
+	s.metrics.Total.BytesIn += pl.Size()
 	s.keep(b, key, pl)
 	return nil
 }
@@ -81,11 +81,11 @@ func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts 
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
-	return s.startStream(bkt, key, rng, off, n, opts), nil
+	return s.startStream(p, bkt, key, rng, off, n, opts), nil
 }
 
 func procCreateBucket(s *Service, p *des.Proc, name string) error {
-	if err := procAdmit(s, p, s.writeTB, &s.metrics.ClassAOps); err != nil {
+	if err := procAdmit(s, p, s.writeTB, &s.metrics.Total.ClassAOps); err != nil {
 		return err
 	}
 	if _, ok := s.buckets[name]; ok {

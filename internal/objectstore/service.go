@@ -135,7 +135,7 @@ type Service struct {
 	// openHead/openTail list, in open order, the streams whose producing
 	// side has not finished (see OpenStreams).
 	openHead, openTail *Stream
-	metrics            Metrics
+	metrics            des.Ledger[Metrics]
 	// idle holds the chain records of finished requests for the next
 	// ones (see request.go).
 	idle []*request
@@ -184,8 +184,12 @@ func (s *Service) Config() Config { return s.cfg }
 // with the stored-volume integral brought up to the current instant.
 func (s *Service) Metrics() Metrics {
 	s.accrue()
-	return s.metrics
+	return s.metrics.Total
 }
+
+// Ledger returns the billing counters, per scope as well as in total. A
+// scope's ByteSeconds stay 0: the stored volume is no request's doing.
+func (s *Service) Ledger() *des.Ledger[Metrics] { return &s.metrics }
 
 // StoredBytes reports the currently stored volume.
 func (s *Service) StoredBytes() int64 { return s.curBytes }
@@ -195,7 +199,7 @@ func (s *Service) StoredBytes() int64 { return s.curBytes }
 func (s *Service) accrue() {
 	now := s.sim.Now()
 	if now > s.lastAccrue {
-		s.metrics.ByteSeconds += float64(s.curBytes) * (now - s.lastAccrue).Seconds()
+		s.metrics.Total.ByteSeconds += float64(s.curBytes) * (now - s.lastAccrue).Seconds()
 		s.lastAccrue = now
 	}
 }
@@ -261,7 +265,7 @@ func (s *Service) Get(p *des.Proc, bkt, key string, flowCap float64) (payload.Pa
 		return nil, err
 	}
 	s.transfer(p, obj.Size, flowCap)
-	s.metrics.BytesOut += obj.Size
+	s.metrics.Charge(p, func(m *Metrics) { m.BytesOut += obj.Size })
 	return obj.pl, nil
 }
 
@@ -276,7 +280,7 @@ func (s *Service) GetRange(p *des.Proc, bkt, key string, off, n int64, flowCap f
 		return nil, fmt.Errorf("get range %s/%s: %w", bkt, key, err)
 	}
 	s.transfer(p, part.Size(), flowCap)
-	s.metrics.BytesOut += part.Size()
+	s.metrics.Charge(p, func(m *Metrics) { m.BytesOut += part.Size() })
 	return part, nil
 }
 
@@ -293,10 +297,10 @@ func (s *Service) Delete(p *des.Proc, bkt, key string) error {
 	failed := s.drawFailure()
 	p.Sleep(s.cfg.RequestLatency)
 	if failed {
-		s.metrics.Throttled++
+		s.metrics.Charge(p, countThrottled)
 		return ErrSlowDown
 	}
-	s.metrics.DeleteOps++
+	s.metrics.Charge(p, func(m *Metrics) { m.DeleteOps++ })
 	b, ok := s.buckets[bkt]
 	if !ok {
 		return ErrNoSuchBucket

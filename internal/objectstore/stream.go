@@ -104,6 +104,7 @@ type Stream struct {
 	err    error // terminal producer error, after ready drains
 
 	consumer *des.Proc // parked in Next waiting for a chunk
+	opener   *des.Proc // charged for the chunks and the throttles
 
 	// The service's list of streams whose producing side has not
 	// finished.
@@ -145,9 +146,9 @@ func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opt
 	return next, err
 }
 
-// startStream begins delivering rng, bytes [off, off+n) of bkt/key: the
-// open's last act, at the end of its request latency.
-func (s *Service) startStream(bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions) *Stream {
+// startStream begins delivering rng, bytes [off, off+n) of bkt/key, for
+// p: the open's last act, at the end of its request latency.
+func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions) *Stream {
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
@@ -159,6 +160,7 @@ func (s *Service) startStream(bkt, key string, rng payload.Payload, off, n int64
 		size:    n,
 		chunk:   opts.ChunkBytes,
 		flowCap: s.connCap(opts.FlowCap),
+		opener:  p,
 	}
 	st.stepFn = st.step
 	s.linkStream(st)
@@ -192,7 +194,7 @@ func (st *Stream) step() {
 		n := st.inflight
 		// The chunk fully traversed the backend link even when the
 		// consumer closed mid-flight: egress is counted regardless.
-		s.metrics.BytesOut += n
+		s.metrics.Charge(st.opener, func(m *Metrics) { m.BytesOut += n })
 		if st.closed { // consumer gave up while this chunk was in flight
 			st.finish()
 			return
@@ -214,7 +216,7 @@ func (st *Stream) step() {
 			return
 		}
 	case throttled:
-		s.metrics.Throttled++
+		s.metrics.Charge(st.opener, countThrottled)
 		st.fail(ErrSlowDown)
 		return
 	}

@@ -88,7 +88,7 @@ func (st *procStream) produce(prod *des.Proc, rng payload.Payload) {
 			return
 		}
 		st.svc.transfer(prod, n, st.opts.FlowCap)
-		st.svc.metrics.BytesOut += n
+		st.svc.metrics.Total.BytesOut += n
 		if st.closed {
 			return
 		}

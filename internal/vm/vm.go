@@ -89,7 +89,8 @@ type Provisioner struct {
 
 	zones     []string
 	downZones map[string]bool
-	instances []*Instance
+	// instances are every instance provisioned, and each scope's own.
+	instances des.Ledger[[]*Instance]
 }
 
 // NewProvisioner returns a provisioner with the built-in catalog.
@@ -141,7 +142,7 @@ func (pr *Provisioner) pickZone() (string, error) {
 func (pr *Provisioner) FailZone(zone string) int {
 	pr.downZones[zone] = true
 	n := 0
-	for _, inst := range pr.instances {
+	for _, inst := range pr.instances.Total {
 		if inst.zone == zone && inst.spot && !inst.Stopped() {
 			inst.Reclaim()
 			n++
@@ -221,16 +222,19 @@ func (pr *Provisioner) provision(p *des.Proc, typeName string, spot bool) (*Inst
 		requested: pr.sim.Now() - it.BootTime,
 		cpus:      des.NewResource(pr.sim, int64(it.VCPUs)),
 	}
-	pr.instances = append(pr.instances, inst)
+	pr.instances.Charge(p, func(l *[]*Instance) { *l = append(*l, inst) })
 	return inst, nil
 }
 
 // Instances returns all instances ever provisioned (for billing).
 func (pr *Provisioner) Instances() []*Instance {
-	out := make([]*Instance, len(pr.instances))
-	copy(out, pr.instances)
+	out := make([]*Instance, len(pr.instances.Total))
+	copy(out, pr.instances.Total)
 	return out
 }
+
+// Ledger returns the instances provisioned, per scope as well as in all.
+func (pr *Provisioner) Ledger() *des.Ledger[[]*Instance] { return &pr.instances }
 
 // Instance is a running (or stopped) virtual server.
 type Instance struct {
