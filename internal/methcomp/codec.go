@@ -1,10 +1,11 @@
 package methcomp
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
@@ -49,21 +50,58 @@ func deltaContext(prevBits int) int {
 	}
 }
 
-// codedBytesPerRecord is what Compress reserves for the range-coded
+// codedBytesPerRecord is what the coder reserves for the range-coded
 // stream per record: sorted Generate data codes at 2.35 bytes a record
 // (one encode task's 62.5k records in 147 KB), so the coder's buffer
 // never regrows on the pipeline's input. Unsorted input (5.7 bytes a
 // record) regrows by append.
 const codedBytesPerRecord = 3
 
+// ErrStrandDot reports a record on strand '.', which container v1 cannot hold.
+var ErrStrandDot = errors.New("methcomp: strand '.' unsupported in container v1")
+
 // Compress encodes records into the METHCOMP container. Records may
 // be in any order; sorted input (the pipeline's normal case) yields
 // the headline compression ratios because position deltas collapse.
 func Compress(recs []bed.Record) ([]byte, error) {
-	// One pass before coding: validation, the chromosome dictionary in
-	// first-appearance order with the run list (records arrive grouped
-	// by chromosome when sorted; unsorted input just produces more,
-	// shorter runs), and the exception flags.
+	return encode(func(fn func(bed.Record) error) error {
+		for i, r := range recs {
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("methcomp: record %d: %w", i, err)
+			}
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, len(recs))
+}
+
+// CompressLines encodes the bedMethyl lines of raw without building their
+// records: the bytes of Compress(bed.Unmarshal(raw)), or the same error.
+func CompressLines(raw []byte) ([]byte, error) {
+	return encode(func(fn func(bed.Record) error) error {
+		return bed.EachRecord(raw, fn)
+	}, bytes.Count(raw, []byte{'\n'})+1)
+}
+
+// encode is the one coder. each calls fn with every record in order and
+// returns its own first error or fn's; records bounds their count and
+// sizes the coded stream's buffer.
+func encode(each func(fn func(bed.Record) error) error, records int) ([]byte, error) {
+	enc := newRangeEncoder()
+	enc.out = make([]byte, 0, 5+codedBytesPerRecord*records)
+	deltas := [3]*uintCoder{newUintCoder(), newUintCoder(), newUintCoder()}
+	lengths := newUintCoder()
+	coverage := newUintCoder()
+	strand := prob(probInit)
+	meths := [3]*bitTree{newBitTree(7), newBitTree(7), newBitTree(7)}
+
+	// One walk codes the records and collects the header: the count, the
+	// chromosome dictionary in first-appearance order with the run list
+	// (sorted records arrive grouped by chromosome; unsorted ones make
+	// more, shorter runs) and the exception flags. A strand '.' is only
+	// remembered, so that an error anywhere in the records wins over it.
 	chromIdx := make(map[string]int)
 	var chroms []string
 	type run struct {
@@ -72,69 +110,28 @@ func Compress(recs []bed.Record) ([]byte, error) {
 	}
 	var runs []run
 	flags := byte(flagNamesDot | flagScoreDerived)
-	for i := range recs {
-		r := &recs[i]
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("methcomp: record %d: %w", i, err)
+	count, strandDot := 0, false
+	prevStart, prevBits, prevMeth := int64(0), 0, 100
+	if err := each(func(r bed.Record) error {
+		count++
+		if n := len(runs); n == 0 || chroms[runs[n-1].chrom] != r.Chrom {
+			ci, ok := chromIdx[r.Chrom]
+			if !ok {
+				ci = len(chroms)
+				chromIdx[r.Chrom] = ci
+				chroms = append(chroms, r.Chrom)
+			}
+			runs = append(runs, run{chrom: ci})
+			prevStart, prevBits = 0, 0
 		}
-		ci, ok := chromIdx[r.Chrom]
-		if !ok {
-			ci = len(chroms)
-			chromIdx[r.Chrom] = ci
-			chroms = append(chroms, r.Chrom)
-		}
-		if len(runs) > 0 && runs[len(runs)-1].chrom == ci {
-			runs[len(runs)-1].n++
-		} else {
-			runs = append(runs, run{chrom: ci, n: 1})
-		}
+		runs[len(runs)-1].n++
 		if r.Name != "." {
 			flags &^= flagNamesDot
 		}
 		if r.Score != min(r.Coverage, 1000) {
 			flags &^= flagScoreDerived
 		}
-	}
 
-	// The header, reserved at what hg38 names and sorted runs take (8
-	// bytes a chromosome, 4 a run); the coded stream is added below.
-	out := make([]byte, 0, 16+8*len(chroms)+4*len(runs))
-	out = append(out, magic...)
-	out = append(out, version)
-	out = binary.AppendUvarint(out, uint64(len(recs)))
-	out = binary.AppendUvarint(out, uint64(len(chroms)))
-	for _, c := range chroms {
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		out = append(out, c...)
-	}
-	out = binary.AppendUvarint(out, uint64(len(runs)))
-	for _, r := range runs {
-		out = binary.AppendUvarint(out, uint64(r.chrom))
-		out = binary.AppendUvarint(out, uint64(r.n))
-	}
-	out = append(out, flags)
-
-	// Range-coded streams.
-	enc := newRangeEncoder()
-	enc.out = make([]byte, 0, 5+codedBytesPerRecord*len(recs))
-	deltas := [3]*uintCoder{newUintCoder(), newUintCoder(), newUintCoder()}
-	lengths := newUintCoder()
-	coverage := newUintCoder()
-	strand := prob(probInit)
-	meths := [3]*bitTree{newBitTree(7), newBitTree(7), newBitTree(7)}
-
-	prevStart := int64(0)
-	prevChrom := -1
-	prevBits := 0
-	prevMeth := 100
-	for i := range recs {
-		r := &recs[i]
-		ci := chromIdx[r.Chrom]
-		if ci != prevChrom {
-			prevStart = 0
-			prevBits = 0
-			prevChrom = ci
-		}
 		d := zigzag(r.Start - prevStart)
 		deltas[deltaContext(prevBits)].encode(enc, d)
 		prevBits = bits.Len64(d)
@@ -146,33 +143,58 @@ func Compress(recs []bed.Record) ([]byte, error) {
 		sb := 0
 		if r.Strand == '-' {
 			sb = 1
-		} else if r.Strand == '.' {
-			// '.' is folded into '+' plus an exceptions map; bedMethyl
-			// files use +/- exclusively, so treat '.' as an error here
-			// to keep the format honest.
-			return nil, fmt.Errorf("methcomp: strand '.' unsupported in container v1")
 		}
+		strandDot = strandDot || r.Strand == '.'
 		enc.encodeBit(&strand, sb)
 
 		meths[methContext(prevMeth)].encode(enc, uint32(r.MethPct))
 		prevMeth = r.MethPct
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if strandDot {
+		return nil, ErrStrandDot
 	}
 	coded := enc.finish()
-	out = slices.Grow(out, binary.MaxVarintLen64+len(coded))
+
+	// The header, reserved at what hg38 names and sorted runs take (8
+	// bytes a chromosome, 4 a run), in front of the coded stream.
+	out := make([]byte, 0, 16+8*len(chroms)+4*len(runs)+binary.MaxVarintLen64+len(coded))
+	out = append(out, magic...)
+	out = append(out, version)
+	out = binary.AppendUvarint(out, uint64(count))
+	out = binary.AppendUvarint(out, uint64(len(chroms)))
+	for _, c := range chroms {
+		out = binary.AppendUvarint(out, uint64(len(c)))
+		out = append(out, c...)
+	}
+	out = binary.AppendUvarint(out, uint64(len(runs)))
+	for _, r := range runs {
+		out = binary.AppendUvarint(out, uint64(r.chrom))
+		out = binary.AppendUvarint(out, uint64(r.n))
+	}
+	out = append(out, flags)
 	out = binary.AppendUvarint(out, uint64(len(coded)))
 	out = append(out, coded...)
 
-	// Raw exception trailers.
+	// Raw exception trailers, each a second walk of the records.
+	var err error
 	if flags&flagNamesDot == 0 {
-		for _, r := range recs {
+		err = each(func(r bed.Record) error {
 			out = binary.AppendUvarint(out, uint64(len(r.Name)))
 			out = append(out, r.Name...)
-		}
+			return nil
+		})
 	}
-	if flags&flagScoreDerived == 0 {
-		for _, r := range recs {
+	if flags&flagScoreDerived == 0 && err == nil {
+		err = each(func(r bed.Record) error {
 			out = binary.AppendUvarint(out, uint64(r.Score))
-		}
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -80,6 +80,20 @@ func BenchmarkCompress(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressLines codes the same task from its sorted part's
+// bytes, as the encode stage does.
+func BenchmarkCompressLines(b *testing.B) {
+	raw := bed.Marshal(genSorted(62500, 7))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompressLines(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecompress(b *testing.B) {
 	recs := genSorted(62500, 7)
 	comp, err := Compress(recs)

@@ -366,23 +366,26 @@ func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size i
 	} else if int64(len(raw)) < size {
 		return nil, errors.New("shuffle: sample contains no complete line")
 	}
-	recs, err := bed.Unmarshal(raw)
-	if err != nil {
+	// Only each line's key is kept, and its chromosome name, which the
+	// tie-break reads.
+	krs := make([]bed.KeyRef, 0, bytes.Count(raw, []byte{'\n'})+1)
+	names := make([]string, 0, cap(krs))
+	if err := bed.EachRecord(raw, func(r bed.Record) error {
+		krs = append(krs, bed.KeyRef{Key: bed.KeyOf(r), Idx: int32(len(krs))})
+		names = append(names, r.Chrom)
+		return nil
+	}); err != nil {
 		return nil, fmt.Errorf("shuffle: sample parse: %w", err)
 	}
-	if len(recs) == 0 {
+	if len(krs) == 0 {
 		return nil, errors.New("shuffle: empty sample")
 	}
 	// Radix sort the packed sample keys: the sample is read before
 	// wave 1 can launch, so its sort sits on the job's critical path.
 	// Idx carries the record index; ties fall back to full-name
 	// comparison plus input order, exactly like runPart.finish.
-	krs := make([]bed.KeyRef, len(recs))
-	for i, r := range recs {
-		krs[i] = bed.KeyRef{Key: bed.KeyOf(r), Idx: int32(i)}
-	}
 	bed.RadixSort(krs, func(a, b bed.KeyRef) int {
-		if c := bed.CompareKeyName(a.Key, recs[a.Idx].Chrom, b.Key, recs[b.Idx].Chrom); c != 0 {
+		if c := bed.CompareKeyName(a.Key, names[a.Idx], b.Key, names[b.Idx]); c != 0 {
 			return c
 		}
 		return int(a.Idx) - int(b.Idx)
@@ -390,7 +393,7 @@ func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size i
 	bounds := make([]boundary, workers-1)
 	for i := 1; i < workers; i++ {
 		kr := krs[i*len(krs)/workers]
-		bounds[i-1] = boundary{Key: kr.Key, Name: recs[kr.Idx].Chrom}
+		bounds[i-1] = boundary{Key: kr.Key, Name: names[kr.Idx]}
 	}
 	return bounds, nil
 }
