@@ -57,7 +57,8 @@ func deltaContext(prevBits int) int {
 // record) regrows by append.
 const codedBytesPerRecord = 3
 
-// ErrStrandDot reports a record on strand '.', which container v1 cannot hold.
+// ErrStrandDot reports a record on strand '.': bedMethyl files use '+'
+// and '-' only, and container v1 codes the strand as one bit.
 var ErrStrandDot = errors.New("methcomp: strand '.' unsupported in container v1")
 
 // Compress encodes records into the METHCOMP container. Records may
