@@ -39,7 +39,7 @@ const (
 	VMStaged
 )
 
-// strategyNames are the families' names in reports and saved state.
+// strategyNames are the families' names in reports.
 var strategyNames = map[Strategy]string{
 	ObjectStorage: "object-storage",
 	Hierarchical:  "hierarchical",

@@ -153,8 +153,7 @@ func (h *History) String() string {
 }
 
 // familyStatsJSON is one family's serialized calibration state: the
-// raw geometric sums, not the derived factors, so merged observations
-// keep exact weights across a save/load cycle.
+// raw geometric sums, not the derived factors.
 type familyStatsJSON struct {
 	N       int     `json:"n"`
 	LogTime float64 `json:"logTime"`
@@ -162,18 +161,8 @@ type familyStatsJSON struct {
 	LogCost float64 `json:"logCost"`
 }
 
-// strategyFromName inverts Strategy.String for deserialization.
-func strategyFromName(name string) (Strategy, bool) {
-	for s, n := range strategyNames {
-		if n == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // MarshalJSON serializes the calibration state keyed by strategy name,
-// so the file stays readable and stable across Strategy renumbering.
+// so it stays readable and stable across Strategy renumbering.
 func (h *History) MarshalJSON() ([]byte, error) {
 	out := make(map[string]familyStatsJSON, len(h.byStrategy))
 	for s, fs := range h.byStrategy {
@@ -182,61 +171,6 @@ func (h *History) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(out)
-}
-
-// HistoryError reports a family entry of a serialized history that
-// cannot be a record of observations.
-type HistoryError struct {
-	Family string
-	Reason string
-}
-
-func (e *HistoryError) Error() string {
-	return fmt.Sprintf("autoplan: history family %q: %s", e.Family, e.Reason)
-}
-
-// impossibleSum says why n observations cannot have the log-sum given,
-// or "" when they can.
-func impossibleSum(what string, n int, logSum float64) string {
-	switch {
-	case n < 0 || n > math.MaxInt32:
-		// The upper bound keeps Len, a sum over families, from wrapping.
-		return fmt.Sprintf("%s observation count %d outside [0, %d]", what, n, math.MaxInt32)
-	case math.IsNaN(logSum) || math.IsInf(logSum, 0):
-		return fmt.Sprintf("non-finite %s log-sum", what)
-	case n == 0 && logSum != 0:
-		return fmt.Sprintf("%s log-sum %g over zero observations", what, logSum)
-	}
-	return ""
-}
-
-// UnmarshalJSON restores the calibration state. Unknown family names
-// fail loudly rather than silently dropping calibration signal, and so
-// do sums no sequence of Record calls produces: a negative count would
-// invert the factor it divides.
-func (h *History) UnmarshalJSON(data []byte) error {
-	var in map[string]familyStatsJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	h.byStrategy = make(map[Strategy]*familyStats, len(in))
-	for name, fs := range in {
-		s, ok := strategyFromName(name)
-		if !ok {
-			return &HistoryError{name, "unknown strategy family"}
-		}
-		reason := impossibleSum("time", fs.N, fs.LogTime)
-		if reason == "" {
-			reason = impossibleSum("cost", fs.CostN, fs.LogCost)
-		}
-		if reason != "" {
-			return &HistoryError{name, reason}
-		}
-		h.byStrategy[s] = &familyStats{
-			n: fs.N, logTime: fs.LogTime, costN: fs.CostN, logCost: fs.LogCost,
-		}
-	}
-	return nil
 }
 
 // calibrate applies the history's factors to a freshly predicted

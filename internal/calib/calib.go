@@ -48,11 +48,6 @@ type Profile struct {
 	// Cache is the in-memory cache node profile for the cache-exchange
 	// strategy (the paper's §1 ElastiCache alternative).
 	Cache memcache.Config
-	// CacheNodes fixes the cache cluster size (0: sized from data).
-	CacheNodes int
-	// CacheMaxNodes caps the cluster the auto-planner may size
-	// (0: no quota).
-	CacheMaxNodes int
 	// PartitionBps / MergeBps are per-function shuffle throughputs at
 	// the baseline memory grant.
 	PartitionBps, MergeBps float64
@@ -69,15 +64,6 @@ type Profile struct {
 	// forces placement elsewhere, so a ZoneOutage of Zones[0] is the
 	// correlated whole-domain failure.
 	Zones []string
-	// BrownoutPerHour / BrownoutRate / BrownoutDuration describe the
-	// store-brownout arrival process the failure-aware planner prices
-	// (zero: planner assumes a healthy store).
-	BrownoutPerHour  float64
-	BrownoutRate     float64
-	BrownoutDuration time.Duration
-	// ZoneOutagePerHour is the modeled whole-zone outage arrival rate
-	// the planner prices rework and placement against.
-	ZoneOutagePerHour float64
 }
 
 // Paper returns the profile calibrated against the paper's Table 1

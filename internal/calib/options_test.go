@@ -10,198 +10,376 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestOptionsHaveACaller is the census that found the options nobody set
 // (the planner's warm-cache flag, the VM provisioner's boot jitter, the
-// shuffle's speculation tuning), kept as a test: every exported field of
-// the structs a caller configures a sort, a strategy, a map stage, the
-// planner, a session, a cache, the VM provisioner or the kernel with is
-// assigned in some non-test file of the repository (bench/, cmd/ and
-// examples/ count), or is on the allow-list with its reason. An option
-// only tests set is a configuration nobody runs.
+// shuffle's speculation tuning, the profile's cache and brownout knobs),
+// kept as a test: every exported field of the structs a caller
+// configures the cloud, a sort, a stage, a strategy, the planner, a
+// session, the gateway, the chaos process, the pipelines or the kernel
+// with is assigned in some non-test file of the repository (bench/, cmd/
+// and examples/ count), or is on the allow-list with its reason. An
+// option only tests set is a configuration nobody runs.
 //
-// The root module is type-checked, so a field counts only where it is
-// set on its own struct: a keyed field of a composite literal of that
-// type (elided types included), or an assignment x.Field = ... whose x
-// resolves to it, through embedding too. bench/ is a module of its own
-// and keeps the syntactic rule: a literal counts when it names the
-// struct, an assignment by the field's name alone.
+// Every package is type-checked, bench/ included, so a field counts only
+// where it is set on its own struct: a keyed field of a composite literal
+// of that type (elided types included), or an assignment x.Field = ...
+// whose x resolves to it, through embedding too.
 func TestOptionsHaveACaller(t *testing.T) {
 	structs := map[string][]string{ // package (its directory's name) -> types
-		"shuffle":  {"Spec", "HierSpec", "CacheSpec"},
-		"core":     {"VMExchange", "CacheExchange", "AutoExchange", "MapStage"},
-		"autoplan": {"Env"},
-		"session":  {"Options"},
-		"memcache": {"Config"},
-		"vm":       {"Provisioner"},
-		"des":      {"Sim"},
+		"autoplan":    {"Env", "Workload", "Objective"},
+		"bed":         {"GenConfig"},
+		"calib":       {"Profile"},
+		"chaos":       {"Process", "Event"},
+		"core":        {"VMExchange", "CacheExchange", "AutoExchange", "MapStage", "SortStage", "FuncStage"},
+		"des":         {"Sim"},
+		"faas":        {"Config", "InvokeOptions"},
+		"gateway":     {"Options", "TenantConfig"},
+		"genomics":    {"PipelineConfig"},
+		"memcache":    {"Config"},
+		"objectstore": {"Config", "StreamOptions", "PutStreamOptions"},
+		"pipeline":    {"JobConfig"},
+		"session":     {"Options", "Job"},
+		"shuffle":     {"Spec", "HierSpec", "CacheSpec", "PlanInput"},
+		"vm":          {"Provisioner"},
 	}
 	allowed := map[string]string{
-		"shuffle.Spec.StreamChunkBytes":  "the tests' seam for chunk-boundary carries on small inputs",
-		"shuffle.Spec.CleanupScratch":    "ROADMAP direction H's teardown ledger names it",
-		"memcache.Config.AllowEviction":  "the eviction path a cluster takes when a caller undersizes it; the operators oversize instead",
-		"session.Options.StandingVMType": "the standing instance's type: session.Open takes it, no CLI flag reaches it yet",
-		"des.Sim.MaxEvents":              "a guard against a runaway simulation, not a scheduling feature",
-		"core.MapStage.StaticInputs":     "a map stage with no sort before it: the workflow API's form for a fixed key list",
+		"shuffle.Spec.StreamChunkBytes":  "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
+		"shuffle.Spec.CleanupScratch":    "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
+		"memcache.Config.AllowEviction":  "the eviction path a cluster takes when a caller undersizes it, which the operators never do: TestLRUEvictionOrder, TestValueLargerThanNode",
+		"session.Options.StandingVMType": "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
+		"des.Sim.MaxEvents":              "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
+		"core.MapStage.StaticInputs":     "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
+		"autoplan.Env.CacheMaxNodes":     "the cache quota: only model_table.golden's environments, TestCacheQuotaGatesCacheFamily and TestStandingClusterExemptFromProvisioningQuota set it",
+		"autoplan.Env.BrownoutPerHour":   "the brownout term (its rate and duration are the planner's defaults): only model_table.golden's environments and TestFaultPenaltyRaisesStoreStrategies set it",
 	}
 
-	repo := parseRepository(t)
-	files := repo.files()
-
-	// fields: "pkg.Type" -> its exported fields, embedded ones included.
-	fields := map[string][]string{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
+	repo := loadRepository(t)
+	var options []*types.Var
+	name := map[*types.Var]string{}
+	for pkgName, typeNames := range structs {
+		pkg := repo.packageNamed(t, pkgName)
+		for _, typeName := range typeNames {
+			obj := pkg.Scope().Lookup(typeName)
+			if obj == nil {
+				t.Fatalf("%s.%s: no such type", pkgName, typeName)
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
 			if !ok {
-				return true
+				t.Fatalf("%s.%s is not a struct", pkgName, typeName)
 			}
-			st, ok := ts.Type.(*ast.StructType)
-			owner := f.Name.Name + "." + ts.Name.Name
-			if !ok || !slices.Contains(structs[f.Name.Name], ts.Name.Name) {
-				return false
-			}
-			fields[owner] = nil // found, even if nothing in it is exported
-			for _, fl := range st.Fields.List {
-				names := fl.Names
-				if names == nil { // embedded: the field is named after its type
-					if id, ok := fl.Type.(*ast.Ident); ok {
-						names = []*ast.Ident{id}
-					}
-				}
-				for _, id := range names {
-					if id.IsExported() {
-						fields[owner] = append(fields[owner], id.Name)
-					}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					options = append(options, f)
+					name[f] = pkgName + "." + typeName + "." + f.Name()
 				}
 			}
-			return false
-		})
-	}
-	want := 0
-	for _, types := range structs {
-		want += len(types)
-	}
-	if len(fields) != want {
-		t.Fatalf("found %d of the %d option structs: %v", len(fields), want, fields)
-	}
-
-	info := repo.typeCheck(t)
-	set := map[string]bool{}    // "pkg.Type.Field" set on that type
-	byName := map[string]bool{} // "Field" on the left of an assignment in bench/
-	for dir, pkgFiles := range repo.dirs {
-		typed := !isBench(dir)
-		for _, f := range pkgFiles {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					owner := literalOwner(f, n)
-					if typed {
-						owner = typeName(info.Types[n].Type)
-					}
-					for _, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if key, ok := kv.Key.(*ast.Ident); ok {
-								set[owner+"."+key.Name] = true
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						sel, ok := lhs.(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						if !typed {
-							byName[sel.Sel.Name] = true
-						} else if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-							set[fieldOwner(s)+"."+sel.Sel.Name] = true
-						}
-					}
-				}
-				return true
-			})
 		}
 	}
 
-	var unset []string
-	for owner, names := range fields {
-		for _, name := range names {
-			option := owner + "." + name
-			switch _, allow := allowed[option]; {
-			case set[option] || byName[name]:
-				if allow {
-					t.Errorf("%s is on the allow-list and has a caller now: take it off", option)
+	set := map[*types.Var]bool{}
+	setVar := func(id *ast.Ident) {
+		if v, ok := repo.info.Uses[id].(*types.Var); ok && v.IsField() {
+			set[v.Origin()] = true
+		}
+	}
+	for _, f := range repo.files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							setVar(key)
+						}
+					}
 				}
-			case !allow:
-				unset = append(unset, option)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setVar(sel.Sel)
+					}
+				}
 			}
+			return true
+		})
+	}
+
+	var unset []string
+	for _, f := range options {
+		switch _, allow := allowed[name[f]]; {
+		case set[f]:
+			if allow {
+				t.Errorf("%s is on the allow-list and has a caller now: take it off", name[f])
+			}
+		case !allow:
+			unset = append(unset, name[f])
 		}
 	}
 	sort.Strings(unset)
 	for _, option := range unset {
 		t.Errorf("%s is assigned in no non-test file: remove the option, or allow it with its reason", option)
 	}
+	checkAllowList(t, allowed, name)
 }
 
-// literalOwner is the syntactic owner of a composite literal in f: the
-// struct it names, pkg.Type elsewhere or Type at home.
-func literalOwner(f *ast.File, n *ast.CompositeLit) string {
-	switch typ := n.Type.(type) {
-	case *ast.Ident:
-		return f.Name.Name + "." + typ.Name
-	case *ast.SelectorExpr:
-		if pkg, ok := typ.X.(*ast.Ident); ok {
-			return pkg.Name + "." + typ.Sel.Name
+// TestExportedAPIHasACaller is the same census one level up, over every
+// package under internal/: every type, function and method declared in a
+// non-test file is referenced by non-test code (bench/, cmd/ and
+// examples/ count), or is on the allow-list with its reason, which
+// names the test or golden that reads it. What nothing but the tests
+// reaches is a configuration nobody runs, and what nothing reaches need
+// not exist.
+//
+// References are resolved by the type checker, so a method counts only
+// where it is selected on its own type (embedding included), not where
+// another method of the same name is called. A method reached through an
+// interface counts when the interface's method is called and the type
+// implements the interface, or when the standard library calls it
+// through one of stdDispatch's interfaces. A function that only calls
+// itself is not reached.
+func TestExportedAPIHasACaller(t *testing.T) {
+	allowed := map[string]string{
+		"autoplan.History.MarshalJSON":    "TestStageBillsPinned reads the planner's exact sums through json.Marshal into stage_bills.golden",
+		"bed.IsSorted":                    "TestSortAndIsSorted, TestKeySortedMatchesLessSorted and the shuffle and core sort tests check their output with it",
+		"chaos.EventError.Unwrap":         "TestValidate and FuzzPlanValidate match the sentinel errors through errors.Is",
+		"core.Workflow.StageNames":        "TestBuildPipelineDefaults (genomics/errors_test.go) reads the pipeline's shape through it",
+		"des.Event.At":                    "TestCancelAfterSlotRecycle and TestZeroEventIsInert read a handle's instant",
+		"des.Link.ActiveFlows":            "TestLinkDifferential and TestLinkRatesThroughJoinAndFire compare it with the oracle link",
+		"des.Link.BytesMoved":             "TestLinkDifferential and the store's TestRequestChainMatchesProcessForm compare it with the oracles",
+		"des.Link.Transfers":              "TestLinkDifferential and the store's TestRequestChainMatchesProcessForm compare it with the oracles",
+		"des.Resource.Capacity":           "TestResourceAccounting",
+		"des.Sim.Handoffs":                "TestSizedSortEventsPinned holds the baton handoffs under a ceiling",
+		"des.Sim.Pending":                 "kernel_trace.golden and TestLinkDifferential record the queue length",
+		"des.WaitGroup.Count":             "kernel_trace.golden records it",
+		"des.Waterfill":                   "TestWaterfillDifferential and TestLinkRatesThroughJoinAndFire hold the link's rates to it",
+		"destest.NoLeakedGoroutines":      "the goroutine-leak check of TestChaosMatrix, TestZoneChaos, TestSubmitInConcurrentRuns and the kernel's baton tests",
+		"faas.DefaultConfig":              "test fixture: TestConfigValidationFaas and TestConfigRejectsBadFaultRates start from it",
+		"gateway.Gateway.Session":         "TestGatewayLedgersAreTheMeters and the gateway tests reach the rig through it",
+		"memcache.Cluster.BilledDuration": "TestBillingStopsAtStop and TestStandingBillStopsWithTheResource",
+		"memcache.Cluster.UsedBytes":      "TestCacheExchangeSurvivesNodeLoss and TestEvictionFreesEnoughForLargeValue",
+		"memcache.Cluster.Zone":           "TestZoneOutageFires checks placement through it",
+		"memcache.DefaultConfig":          "test fixture: TestCacheCost and TestStandingClusterExemptFromProvisioningQuota start from it",
+		"memcache.Provisioner.ZoneDown":   "TestZoneOutageFires",
+		"objectstore.DefaultConfig":       "test fixture: TestConfigValidation and chaos's testTargets start from it",
+		"objectstore.Object.ETag":         "keyspace.golden (TestStoreKeyspacePinned) records every key's tag",
+		"objectstore.Service.Brownout":    "TestArmFiresAllKinds, TestOverlappingBrownouts and TestZoneOutageFires",
+		"objectstore.Service.StoredBytes": "keyspace.golden (TestStoreKeyspacePinned) and TestStoredVolumeIntegral",
+		"vm.Instance.BootedAt":            "TestProvisionPaysBootTime",
+		"vm.Instance.Zone":                "TestZoneOutageFires checks placement through it",
+		"vm.Provisioner.Types":            "core's planEnvOf (auto_test.go) builds TestAutoExchangeCapturesDecision's planner environment from it",
+		"vm.Provisioner.ZoneDown":         "TestZoneOutageFires",
+	}
+
+	repo := loadRepository(t)
+	var declared []types.Object
+	name := map[types.Object]string{}
+	for dir, files := range repo.dirs {
+		if !strings.HasPrefix(dir, filepath.Join(root, "internal")) {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				var ids []*ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name != "init" {
+						ids = append(ids, d.Name)
+					}
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						if ts, ok := sp.(*ast.TypeSpec); ok {
+							ids = append(ids, ts.Name)
+						}
+					}
+				}
+				for _, id := range ids {
+					if id.Name != "_" {
+						obj := repo.info.Defs[id]
+						declared = append(declared, obj)
+						name[obj] = objectName(obj)
+					}
+				}
+			}
 		}
 	}
-	return ""
+	if len(declared) < 700 {
+		t.Fatalf("found %d functions and types under internal/, expected all of them", len(declared))
+	}
+
+	// used: every function and type referenced outside its own
+	// declaration (a method's receiver is part of the declaration);
+	// calledVia: the interface methods among them.
+	used := map[types.Object]bool{}
+	var calledVia []*types.Func
+	use := func(self types.Object, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := repo.info.Uses[id]
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+				if recv := recvOf(fn); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
+					calledVia = append(calledVia, fn)
+				}
+			} else if _, ok := obj.(*types.TypeName); !ok {
+				return true
+			}
+			if obj != self {
+				used[obj] = true
+			}
+			return true
+		})
+	}
+	for _, f := range repo.files() {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				use(repo.info.Defs[d.Name], d.Type)
+				if d.Body != nil {
+					use(repo.info.Defs[d.Name], d.Body)
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					var self types.Object
+					if ts, ok := sp.(*ast.TypeSpec); ok {
+						self = repo.info.Defs[ts.Name]
+					}
+					use(self, sp)
+				}
+			}
+		}
+	}
+	for _, iface := range stdDispatch(t, repo) {
+		for i := range iface.NumMethods() {
+			calledVia = append(calledVia, iface.Method(i))
+		}
+	}
+	reached := func(obj types.Object) bool {
+		if used[obj] {
+			return true
+		}
+		fn, ok := obj.(*types.Func)
+		if !ok || recvOf(fn) == nil {
+			return false
+		}
+		recv := recvOf(fn).Type()
+		for _, im := range calledVia {
+			iface := recvOf(im).Type().Underlying().(*types.Interface)
+			if im.Name() == fn.Name() && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var uncalled []string
+	for _, obj := range declared {
+		switch _, allow := allowed[name[obj]]; {
+		case reached(obj):
+			if allow {
+				t.Errorf("%s is on the allow-list and has a caller now: take it off", name[obj])
+			}
+		case !allow:
+			uncalled = append(uncalled, name[obj])
+		}
+	}
+	sort.Strings(uncalled)
+	for _, n := range uncalled {
+		t.Errorf("%s is referenced by no non-test code: remove it, or allow it with its reason", n)
+	}
+	checkAllowList(t, allowed, name)
 }
 
-// typeName names a named type, or one a pointer points to, as
-// "pkg.Type"; "" for any other type.
-func typeName(t types.Type) string {
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+// stdDispatch lists the standard library's interfaces through which it
+// calls this module's methods itself: fmt's Stringer, the sort and heap
+// interfaces. An interface whose methods the module calls needs no entry.
+func stdDispatch(t *testing.T, repo *repository) []*types.Interface {
+	t.Helper()
+	var out []*types.Interface
+	for _, iface := range [][2]string{{"fmt", "Stringer"}, {"sort", "Interface"}, {"container/heap", "Interface"}} {
+		pkg, err := repo.imp.Import(iface[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, pkg.Scope().Lookup(iface[1]).Type().Underlying().(*types.Interface))
+	}
+	return out
+}
+
+// recvOf is a method's receiver, nil for a function.
+func recvOf(fn *types.Func) *types.Var { return fn.Type().(*types.Signature).Recv() }
+
+// objectName names a type or function "pkg.Name" and a method
+// "pkg.Recv.Name".
+func objectName(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || recvOf(fn) == nil {
+		return obj.Pkg().Name() + "." + obj.Name()
+	}
+	t := recvOf(fn).Type()
+	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if n, ok := types.Unalias(t).(*types.Named); ok && n.Obj().Pkg() != nil {
-		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
-	}
-	return ""
+	return obj.Pkg().Name() + "." + t.(*types.Named).Obj().Name() + "." + obj.Name()
 }
 
-// fieldOwner names the struct that declares the field a selection
-// picks, following the path through embedded fields.
-func fieldOwner(sel *types.Selection) string {
-	t := sel.Recv()
-	path := sel.Index()
-	for _, i := range path[:len(path)-1] {
-		if p, ok := types.Unalias(t).(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		t = t.Underlying().(*types.Struct).Field(i).Type()
+// checkAllowList fails on an allow-list entry that names nothing the
+// census covers: what it allowed is gone, so must be the entry.
+func checkAllowList[K comparable](t *testing.T, allowed map[string]string, covered map[K]string) {
+	t.Helper()
+	names := map[string]bool{}
+	for _, n := range covered {
+		names[n] = true
 	}
-	return typeName(t)
+	for entry := range allowed {
+		if !names[entry] {
+			t.Errorf("allow-list entry %s names nothing the census covers: take it off", entry)
+		}
+	}
 }
+
+// root is the repository's root, seen from this package's directory.
+var root = filepath.Join("..", "..")
 
 // repository is every non-test Go file of the repository that builds
-// here, parsed, by directory: internal/, cmd/, examples/ and the nested
-// bench/ module.
+// here, parsed by directory (internal/, cmd/, examples/ and the nested
+// bench/ module) and type-checked.
 type repository struct {
 	fset *token.FileSet
 	dirs map[string][]*ast.File
+	imp  *moduleImporter
+	info *types.Info
 }
 
-func parseRepository(t *testing.T) repository {
+var (
+	loadOnce sync.Once
+	loaded   *repository
+	loadErr  error
+)
+
+// loadRepository parses and type-checks the repository once per test
+// binary.
+func loadRepository(t *testing.T) *repository {
 	t.Helper()
-	repo := repository{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(filepath.Join("..", "..", root), func(dir string, d fs.DirEntry, err error) error {
+	loadOnce.Do(func() { loaded, loadErr = parseRepository() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+func parseRepository() (*repository, error) {
+	repo := &repository{fset: token.NewFileSet(), dirs: map[string][]*ast.File{}}
+	for _, top := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(dir string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
 			}
@@ -225,17 +403,36 @@ func parseRepository(t *testing.T) repository {
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	if n := len(repo.files()); n < 100 {
-		t.Fatalf("scanned %d files, expected the whole repository", n)
+		return nil, errors.New("scanned too few files: expected the whole repository")
 	}
-	return repo
+
+	repo.info = &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}
+	repo.imp = &moduleImporter{
+		repo: repo,
+		std:  importer.ForCompiler(repo.fset, "source", nil),
+		done: map[string]*types.Package{},
+	}
+	for dir := range repo.dirs {
+		rel, err := filepath.Rel(root, dir)
+		if err == nil {
+			_, err = repo.imp.Import(module + "/" + filepath.ToSlash(rel))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return repo, nil
 }
 
 // files lists every parsed file.
-func (r repository) files() []*ast.File {
+func (r *repository) files() []*ast.File {
 	var all []*ast.File
 	for _, fs := range r.dirs {
 		all = append(all, fs...)
@@ -243,51 +440,28 @@ func (r repository) files() []*ast.File {
 	return all
 }
 
-// isBench reports whether dir is in the nested bench/ module.
-func isBench(dir string) bool {
-	return strings.HasPrefix(dir, filepath.Join("..", "..", "bench"))
-}
-
-// typeCheck type-checks every package of the root module once and
-// records what it resolves.
-func (r repository) typeCheck(t *testing.T) *types.Info {
+// packageNamed is the package under internal/ in the directory of that
+// name.
+func (r *repository) packageNamed(t *testing.T, name string) *types.Package {
 	t.Helper()
-	imp := &moduleImporter{
-		repo: r,
-		std:  importer.ForCompiler(r.fset, "source", nil),
-		done: map[string]*types.Package{},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
+	pkg := r.imp.done[module+"/internal/"+name]
+	if pkg == nil {
+		t.Fatalf("no package internal/%s", name)
 	}
-	root := filepath.Join("..", "..")
-	for dir := range r.dirs {
-		if isBench(dir) {
-			continue
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err == nil {
-			_, err = imp.Import(module + "/" + filepath.ToSlash(rel))
-		}
-		if err != nil {
-			t.Fatalf("type-check %s: %v", dir, err)
-		}
-	}
-	return imp.info
+	return pkg
 }
 
-// module is the root module's path.
+// module is the root module's path; the nested bench/ module's is
+// module + "/bench", so one importer serves both.
 const module = "github.com/faaspipe/faaspipe"
 
-// moduleImporter type-checks the root module's packages from the parsed
+// moduleImporter type-checks the repository's packages from the parsed
 // files, each once, as they are first imported; the standard library it
 // type-checks from source.
 type moduleImporter struct {
-	repo repository
+	repo *repository
 	std  types.Importer
 	done map[string]*types.Package
-	info *types.Info
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -299,109 +473,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return m.std.Import(path)
 	}
 	conf := types.Config{Importer: m}
-	pkg, err := conf.Check(path, m.repo.fset, m.repo.dirs[filepath.Join("..", "..", rel)], m.info)
+	pkg, err := conf.Check(path, m.repo.fset, m.repo.dirs[filepath.Join(root, rel)], m.repo.info)
+	if err != nil {
+		return nil, err
+	}
 	m.done[path] = pkg
-	return pkg, err
-}
-
-// TestExportedAPIHasACaller is the same census one level up: every
-// exported top-level type, function and method of the packages below is
-// referenced by non-test code outside its own package (bench/, cmd/ and
-// examples/ count), or is on the allow-list with its reason. What only
-// its own package and the tests reach need not be exported, and what
-// nothing reaches need not exist.
-//
-// The scan is syntactic, like the one above. A type or function counts
-// when another package names it as pkg.Name; a method counts by its name
-// alone, on any selector outside its package, so a method that shares
-// its name with a called one can hide here.
-func TestExportedAPIHasACaller(t *testing.T) {
-	packages := []string{"shuffle", "core"}
-	allowed := map[string]string{
-		"core.AutoExchange.RunSort":          "ExchangeStrategy's method: SortStage calls it through the interface",
-		"core.CacheExchange.RunSort":         "ExchangeStrategy's method: SortStage calls it through the interface",
-		"core.ObjectStorageExchange.RunSort": "ExchangeStrategy's method: SortStage calls it through the interface",
-		"core.VMExchange.RunSort":            "ExchangeStrategy's method: SortStage calls it through the interface",
-		"core.RunState":                      "the type of StageContext.State, which stage bodies outside core read through the field",
-		"core.SortOutcome":                   "ExchangeStrategy.RunSort's result: a strategy outside core returns one",
-		"core.StageOutcome":                  "the type of StageContext.Outcome, embedded in SortOutcome",
-		"core.Workflow.StageNames":           "genomics/errors_test.go reads the pipeline's shape through it",
-		"shuffle.AdaptiveChunkBytes":         "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
-		"shuffle.MapStreamRates":             "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
-	}
-
-	files := parseRepository(t).files()
-	var exported []string                    // "pkg.Name" or "pkg.Recv.Name"
-	named := map[string]bool{}               // "pkg.Name" selected outside pkg
-	selected := map[string]map[string]bool{} // method name -> packages selecting it
-	for _, f := range files {
-		home := f.Name.Name
-		if slices.Contains(packages, home) {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if !d.Name.IsExported() {
-						continue
-					}
-					name := home + "." + d.Name.Name
-					if d.Recv != nil {
-						recv := d.Recv.List[0].Type
-						if star, ok := recv.(*ast.StarExpr); ok {
-							recv = star.X
-						}
-						if id, ok := recv.(*ast.Ident); ok {
-							name = home + "." + id.Name + "." + d.Name.Name
-						}
-					}
-					exported = append(exported, name)
-				case *ast.GenDecl:
-					for _, sp := range d.Specs {
-						if ts, ok := sp.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-							exported = append(exported, home+"."+ts.Name.Name)
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name != home {
-				named[pkg.Name+"."+sel.Sel.Name] = true
-			}
-			if selected[sel.Sel.Name] == nil {
-				selected[sel.Sel.Name] = map[string]bool{}
-			}
-			selected[sel.Sel.Name][home] = true
-			return true
-		})
-	}
-	if len(exported) < 50 {
-		t.Fatalf("found %d exported names in %v, expected the packages' whole API", len(exported), packages)
-	}
-
-	var uncalled []string
-	for _, name := range exported {
-		parts := strings.Split(name, ".")
-		reached := named[name]
-		if len(parts) == 3 {
-			for pkg := range selected[parts[2]] {
-				reached = reached || pkg != parts[0]
-			}
-		}
-		switch _, allow := allowed[name]; {
-		case reached:
-			if allow {
-				t.Errorf("%s is on the allow-list and has a caller outside its package now: take it off", name)
-			}
-		case !allow:
-			uncalled = append(uncalled, name)
-		}
-	}
-	sort.Strings(uncalled)
-	for _, name := range uncalled {
-		t.Errorf("%s is reached by no non-test code outside its package: unexport or remove it, or allow it with its reason", name)
-	}
+	return pkg, nil
 }

@@ -138,7 +138,7 @@ func (r *Rig) VMStrategy() *core.VMExchange {
 // cluster a session has handed the executor takes precedence over
 // per-job provisioning.
 func (r *Rig) CacheStrategy(warm bool) *core.CacheExchange {
-	return &core.CacheExchange{Nodes: r.Profile.CacheNodes, Warm: warm}
+	return &core.CacheExchange{Warm: warm}
 }
 
 // AutoStrategy builds the profile's planner-backed strategy: the
@@ -188,7 +188,6 @@ func PlanEnv(p Profile) autoplan.Env {
 		Prices:           p.Prices,
 		HasCache:         p.Cache.NodeMemoryBytes > 0,
 		Cache:            p.Cache,
-		CacheMaxNodes:    p.CacheMaxNodes,
 		VMTypes:          types,
 		VMInstanceType:   p.InstanceType,
 		VMSetup:          p.VMSetup,
@@ -199,10 +198,6 @@ func PlanEnv(p Profile) autoplan.Env {
 		FaasStragglerRate:     p.Faas.StragglerRate,
 		FaasStragglerSlowdown: p.Faas.StragglerSlowdown,
 
-		BrownoutPerHour:   p.BrownoutPerHour,
-		BrownoutRate:      p.BrownoutRate,
-		BrownoutDuration:  p.BrownoutDuration,
-		ZoneOutagePerHour: p.ZoneOutagePerHour,
-		Zones:             len(p.Zones),
+		Zones: len(p.Zones),
 	}
 }

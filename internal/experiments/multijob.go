@@ -103,7 +103,7 @@ func MultiJob(profile calib.Profile, dataBytes int64, jobs int) (MultiJobResult,
 	// The same jobs, each in its own session with a cold per-job
 	// cluster.
 	for i := 0; i < jobs; i++ {
-		rep, err := pipeline.Run(doc, pipeline.RunConfig{Profile: profile, DataBytes: dataBytes})
+		rep, err := pipeline.Run(doc, profile, pipeline.JobConfig{DataBytes: dataBytes})
 		if err != nil {
 			return res, fmt.Errorf("experiments: multijob independent run %d: %w", i+1, err)
 		}

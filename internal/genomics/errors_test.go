@@ -39,21 +39,6 @@ func TestBuildPipelineDefaults(t *testing.T) {
 	}
 }
 
-func TestBuildPipelineCustomName(t *testing.T) {
-	w, err := BuildPipeline(PipelineConfig{
-		Name:        "custom",
-		InputBucket: "data", InputKey: "in",
-		WorkBucket: "work",
-		Strategy:   core.ObjectStorageExchange{},
-	})
-	if err != nil {
-		t.Fatalf("BuildPipeline: %v", err)
-	}
-	if w.Name() != "custom" {
-		t.Errorf("name = %q", w.Name())
-	}
-}
-
 func TestEncodeHandlerRejectsBadInput(t *testing.T) {
 	rig := newRig(t)
 	var err error

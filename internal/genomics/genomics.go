@@ -134,7 +134,6 @@ func BuildRoundtripPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 		StageName:       "decode",
 		Function:        DecodeFn,
 		InputsFromState: "encode.keys",
-		MemoryMB:        cfg.MemoryMB,
 		BuildInput: func(objKey string, i int) any {
 			return &DecodeTask{
 				Bucket:     cfg.WorkBucket,
@@ -235,8 +234,6 @@ func objectClient(ctx *core.StageContext) *objectstore.Client {
 
 // PipelineConfig describes one METHCOMP pipeline run.
 type PipelineConfig struct {
-	// Name labels the workflow (defaults to "methcomp").
-	Name string
 	// InputBucket/InputKey locate the raw bedMethyl dataset.
 	InputBucket, InputKey string
 	// WorkBucket holds intermediates and outputs.
@@ -249,8 +246,6 @@ type PipelineConfig struct {
 	// EncodeBps / EncodeRatio parameterize the encode stage.
 	EncodeBps   float64
 	EncodeRatio float64
-	// MemoryMB for encode functions (0: platform default).
-	MemoryMB int
 }
 
 // BuildPipeline assembles the two-stage METHCOMP workflow:
@@ -261,10 +256,6 @@ type PipelineConfig struct {
 func BuildPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("genomics: no exchange strategy")
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "methcomp"
 	}
 	sort := cfg.Sort
 	if sort.InputBucket == "" {
@@ -278,7 +269,7 @@ func BuildPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 		sort.OutputPrefix = "sorted/"
 	}
 
-	w := core.NewWorkflow(name)
+	w := core.NewWorkflow("methcomp")
 	if err := w.Add(&core.SortStage{Strategy: cfg.Strategy, Params: sort}); err != nil {
 		return nil, err
 	}
@@ -286,7 +277,6 @@ func BuildPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 		StageName:       "encode",
 		Function:        EncodeFn,
 		InputsFromState: "sort.keys",
-		MemoryMB:        cfg.MemoryMB,
 		BuildInput: func(objKey string, i int) any {
 			return &EncodeTask{
 				Bucket:     sort.OutputBucket,

@@ -333,9 +333,7 @@ func (c *Cluster) CostAt(at time.Duration) float64 {
 
 // nodeFor shards a key to a node by hash.
 func (c *Cluster) nodeFor(key string) *node {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return c.nodes[int(h.Sum32())%len(c.nodes)]
+	return c.nodes[c.NodeIndexFor(key)]
 }
 
 // NodeIndexFor exposes the shard mapping, for tests and placement-aware

@@ -15,30 +15,8 @@ import (
 	"github.com/faaspipe/faaspipe/internal/session"
 )
 
-// RunConfig configures a self-contained document execution: Run
-// provisions the simulated cloud, registers the built-in functions,
-// stages a dataset, derives map-input builders for the known
-// functions, and executes the workflow.
-type RunConfig struct {
-	// Profile is the performance/pricing model to simulate under.
-	Profile calib.Profile
-	// Records > 0 stages a synthetic bedMethyl dataset with that many
-	// real records (correctness mode).
-	Records int
-	// DataBytes stages a sized payload instead when Records is 0
-	// (timing mode; default the paper's 3.5 GB).
-	DataBytes int64
-	// Seed drives the synthetic generator (default: profile seed).
-	Seed int64
-	// Listeners observe the run (progress trackers).
-	Listeners []core.Listener
-	// DescribeTo, when set, receives the workflow's DAG rendering
-	// before the run starts.
-	DescribeTo io.Writer
-}
-
-// JobConfig configures one submission of a document to a Session: the
-// per-job half of RunConfig (the profile belongs to the session).
+// JobConfig configures one submission of a document: the dataset it
+// stages (the profile belongs to the session).
 type JobConfig struct {
 	// Records > 0 stages a synthetic bedMethyl dataset with that many
 	// real records (correctness mode).
@@ -101,24 +79,19 @@ func (d *Doc) Job(cfg JobConfig) session.Job {
 	}
 }
 
-// Run executes the document under cfg and returns the run report. It
-// is a one-shot session: open, submit once, close. Multi-job callers
-// that want warm resources and planner history to carry across
+// Run executes the document under profile and cfg and returns the run
+// report. It is a one-shot session: open, submit once, close. Multi-job
+// callers that want warm resources and planner history to carry across
 // documents should hold a session.Session open themselves.
-func Run(d *Doc, cfg RunConfig) (*core.RunReport, error) {
+func Run(d *Doc, profile calib.Profile, cfg JobConfig) (*core.RunReport, error) {
 	if d == nil {
 		return nil, errors.New("pipeline: nil document")
 	}
-	sess, err := session.Open(cfg.Profile, session.Options{Listeners: cfg.Listeners})
+	sess, err := session.Open(profile, session.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rep, runErr := sess.Submit(d.Job(JobConfig{
-		Records:    cfg.Records,
-		DataBytes:  cfg.DataBytes,
-		Seed:       cfg.Seed,
-		DescribeTo: cfg.DescribeTo,
-	}))
+	rep, runErr := sess.Submit(d.Job(cfg))
 	if _, err := sess.Close(); err != nil && runErr == nil {
 		runErr = err
 	}

@@ -12,7 +12,7 @@ func TestRunSizedDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rep, err := Run(d, RunConfig{Profile: calib.Paper(), DataBytes: 500e6})
+	rep, err := Run(d, calib.Paper(), JobConfig{DataBytes: 500e6})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -29,7 +29,7 @@ func TestRunRealRecordsDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rep, err := Run(d, RunConfig{Profile: calib.Local(), Records: 2000, Seed: 7})
+	rep, err := Run(d, calib.Local(), JobConfig{Records: 2000, Seed: 7})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestRunDecodeRoundtripDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rep, err := Run(d, RunConfig{Profile: calib.Local(), Records: 1500})
+	rep, err := Run(d, calib.Local(), JobConfig{Records: 1500})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -76,14 +76,14 @@ func TestRunRejectsUnknownFunction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	_, err = Run(d, RunConfig{Profile: calib.Local(), DataBytes: 1 << 20})
+	_, err = Run(d, calib.Local(), JobConfig{DataBytes: 1 << 20})
 	if err == nil || !strings.Contains(err.Error(), "no built-in input builder") {
 		t.Fatalf("Run with unknown function = %v", err)
 	}
 }
 
 func TestRunNilDocument(t *testing.T) {
-	if _, err := Run(nil, RunConfig{Profile: calib.Local()}); err == nil {
+	if _, err := Run(nil, calib.Local(), JobConfig{}); err == nil {
 		t.Fatal("nil document accepted")
 	}
 }

@@ -78,7 +78,7 @@ func TestV1GoldenDocumentsStillRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadFile: %v", err)
 			}
-			rep, err := Run(d, RunConfig{Profile: calib.Local(), Records: 800})
+			rep, err := Run(d, calib.Local(), JobConfig{Records: 800})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -78,7 +78,7 @@ func TestV2OmittedStrategyMeansAuto(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rep, err := Run(d, RunConfig{Profile: calib.Local(), Records: 1200})
+	rep, err := Run(d, calib.Local(), JobConfig{Records: 1200})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestV2DeadlineObjective(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rep, err := Run(d, RunConfig{Profile: calib.Local(), Records: 1000})
+	rep, err := Run(d, calib.Local(), JobConfig{Records: 1000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

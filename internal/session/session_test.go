@@ -78,7 +78,7 @@ func TestSharedWarmCacheAcrossSubmissions(t *testing.T) {
 
 	var independentUSD float64
 	for i := 0; i < jobs; i++ {
-		rep, err := pipeline.Run(d, pipeline.RunConfig{Profile: profile, DataBytes: dataBytes})
+		rep, err := pipeline.Run(d, profile, pipeline.JobConfig{DataBytes: dataBytes})
 		if err != nil {
 			t.Fatalf("independent run %d: %v", i+1, err)
 		}
