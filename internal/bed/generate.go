@@ -19,22 +19,15 @@ type GenConfig struct {
 	// records are shuffled, modeling the unsorted extractor output the
 	// pipeline's sort stage exists for.
 	Sorted bool
-	// MeanCoverage is the average read depth (default 12).
-	MeanCoverage int
-	// Chroms bounds how many chromosomes to spread sites over
-	// (default 23: chr1..chr22 + chrX).
-	Chroms int
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.MeanCoverage <= 0 {
-		c.MeanCoverage = 12
-	}
-	if c.Chroms <= 0 || c.Chroms > 23 {
-		c.Chroms = 23
-	}
-	return c
-}
+const (
+	// genCoverage is the generated sites' average read depth.
+	genCoverage = 12
+	// genChroms is how many chromosomes the sites spread over:
+	// chr1..chr22 and chrX.
+	genChroms = 23
+)
 
 // chromName maps 0-based index to hg38-style names.
 func chromName(i int) string {
@@ -55,7 +48,6 @@ func itoa(n int) string {
 // Generate produces synthetic bedMethyl records. Same config, same
 // output, byte for byte.
 func Generate(cfg GenConfig) []Record {
-	cfg = cfg.withDefaults()
 	if cfg.Records <= 0 {
 		return nil
 	}
@@ -64,20 +56,20 @@ func Generate(cfg GenConfig) []Record {
 
 	// Distribute records across chromosomes proportionally to a
 	// roughly hg38-like length profile (longer early chromosomes).
-	weights := make([]float64, cfg.Chroms)
+	weights := make([]float64, genChroms)
 	var wsum float64
 	for i := range weights {
 		weights[i] = 1.0 / float64(i+2) // decaying weight
 		wsum += weights[i]
 	}
 	remaining := cfg.Records
-	for ci := 0; ci < cfg.Chroms && remaining > 0; ci++ {
+	for ci := 0; ci < genChroms && remaining > 0; ci++ {
 		n := int(float64(cfg.Records) * weights[ci] / wsum)
-		if ci == cfg.Chroms-1 || n > remaining {
+		if ci == genChroms-1 || n > remaining {
 			n = remaining
 		}
 		remaining -= n
-		recs = appendChrom(recs, rng, chromName(ci), n, cfg.MeanCoverage)
+		recs = appendChrom(recs, rng, chromName(ci), n, genCoverage)
 	}
 
 	if !cfg.Sorted {

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +30,10 @@ import (
 // Every package is type-checked, bench/ included, so a field counts only
 // where it is set on its own struct: a keyed field of a composite literal
 // of that type (elided types included), or an assignment x.Field = ...
-// whose x resolves to it, through embedding too.
+// whose x resolves to it, through embedding too. A package's own default
+// does not count: an assignment to a field, in the package declaring it,
+// under an if whose condition reads that field (the planner filling in
+// Env.BrownoutRate is one).
 func TestOptionsHaveACaller(t *testing.T) {
 	structs := map[string][]string{ // package (its directory's name) -> types
 		"autoplan":    {"Env", "Workload", "Objective"},
@@ -49,14 +53,17 @@ func TestOptionsHaveACaller(t *testing.T) {
 		"vm":          {"Provisioner"},
 	}
 	allowed := map[string]string{
-		"shuffle.Spec.StreamChunkBytes":  "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
-		"shuffle.Spec.CleanupScratch":    "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
-		"memcache.Config.AllowEviction":  "the eviction path a cluster takes when a caller undersizes it, which the operators never do: TestLRUEvictionOrder, TestValueLargerThanNode",
-		"session.Options.StandingVMType": "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
-		"des.Sim.MaxEvents":              "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
-		"core.MapStage.StaticInputs":     "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
-		"autoplan.Env.CacheMaxNodes":     "the cache quota: only model_table.golden's environments, TestCacheQuotaGatesCacheFamily and TestStandingClusterExemptFromProvisioningQuota set it",
-		"autoplan.Env.BrownoutPerHour":   "the brownout term (its rate and duration are the planner's defaults): only model_table.golden's environments and TestFaultPenaltyRaisesStoreStrategies set it",
+		"shuffle.Spec.StreamChunkBytes":     "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
+		"shuffle.Spec.CleanupScratch":       "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
+		"memcache.Config.AllowEviction":     "the eviction path a cluster takes when a caller undersizes it, which the operators never do: TestLRUEvictionOrder, TestValueLargerThanNode",
+		"session.Options.StandingVMType":    "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
+		"des.Sim.MaxEvents":                 "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
+		"core.MapStage.StaticInputs":        "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
+		"autoplan.Env.CacheMaxNodes":        "the cache quota: only model_table.golden's environments, TestCacheQuotaGatesCacheFamily and TestStandingClusterExemptFromProvisioningQuota set it",
+		"autoplan.Env.BrownoutPerHour":      "the brownout term: only model_table.golden's environments and TestFaultPenaltyRaisesStoreStrategies set it",
+		"autoplan.Env.BrownoutRate":         "the brownout term's failure rate: only TestFaultPenaltyRaisesStoreStrategies sets it; model_table.golden's brownout rows read the planner's default",
+		"autoplan.Env.BrownoutDuration":     "the brownout term's length: only TestFaultPenaltyRaisesStoreStrategies sets it; model_table.golden's brownout rows read the planner's default",
+		"objectstore.StreamOptions.FlowCap": "a per-stream rate cap: only TestStreamMatchesProducerProcess sets it, drawing caps below and above PerConnBandwidth; every other stream takes the client's FlowCap",
 	}
 
 	repo := loadRepository(t)
@@ -82,32 +89,58 @@ func TestOptionsHaveACaller(t *testing.T) {
 		}
 	}
 
-	set := map[*types.Var]bool{}
-	setVar := func(id *ast.Ident) {
-		if v, ok := repo.info.Uses[id].(*types.Var); ok && v.IsField() {
-			set[v.Origin()] = true
+	// field is the field e names as x.F or as a literal's key F, or nil.
+	field := func(e ast.Expr) *types.Var {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
 		}
+		if id, ok := e.(*ast.Ident); ok {
+			if v, ok := repo.info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+		}
+		return nil
 	}
-	for _, f := range repo.files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							setVar(key)
+	set := map[*types.Var]bool{}
+	defaults := map[ast.Expr]bool{} // left-hand sides that are a package's own default
+	for dir, files := range repo.dirs {
+		home := repo.packageIn(dir)
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					tested := map[*types.Var]bool{}
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if sel, ok := c.(*ast.SelectorExpr); ok && field(sel) != nil {
+							tested[field(sel)] = true
+						}
+						return true
+					})
+					for _, st := range n.Body.List {
+						if as, ok := st.(*ast.AssignStmt); ok {
+							for _, lhs := range as.Lhs {
+								if v := field(lhs); v != nil && tested[v] && v.Pkg() == home {
+									defaults[lhs] = true
+								}
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok && field(kv.Key) != nil {
+							set[field(kv.Key)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if v := field(lhs); v != nil && !defaults[lhs] {
+							set[v] = true
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						setVar(sel.Sel)
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var unset []string
@@ -136,13 +169,18 @@ func TestOptionsHaveACaller(t *testing.T) {
 // reaches is a configuration nobody runs, and what nothing reaches need
 // not exist.
 //
+// The exported names of shuffle and core answer to a stricter rule: each
+// one that is reached is reached from outside its own package, or is on
+// the second allow-list with its reason. What only its own package
+// reaches need not be exported.
+//
 // References are resolved by the type checker, so a method counts only
 // where it is selected on its own type (embedding included), not where
 // another method of the same name is called. A method reached through an
-// interface counts when the interface's method is called and the type
-// implements the interface, or when the standard library calls it
-// through one of stdDispatch's interfaces. A function that only calls
-// itself is not reached.
+// interface counts when the interface's method is called (from another
+// package, for the stricter rule) and the type implements the interface,
+// or when the standard library calls it through one of stdDispatch's
+// interfaces. A function that only calls itself is not reached.
 func TestExportedAPIHasACaller(t *testing.T) {
 	allowed := map[string]string{
 		"autoplan.History.MarshalJSON":    "TestStageBillsPinned reads the planner's exact sums through json.Marshal into stage_bills.golden",
@@ -174,6 +212,31 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"vm.Instance.Zone":                "TestZoneOutageFires checks placement through it",
 		"vm.Provisioner.Types":            "core's planEnvOf (auto_test.go) builds TestAutoExchangeCapturesDecision's planner environment from it",
 		"vm.Provisioner.ZoneDown":         "TestZoneOutageFires",
+	}
+	exportedFrom := []string{"shuffle", "core"} // the stricter rule's packages
+	allowedAtHome := map[string]string{
+		"core.AutoExchange.RunSort":          "ExchangeStrategy's method: SortStage calls it through the interface",
+		"core.CacheExchange.RunSort":         "ExchangeStrategy's method: SortStage calls it through the interface",
+		"core.ObjectStorageExchange.RunSort": "ExchangeStrategy's method: SortStage calls it through the interface",
+		"core.VMExchange.RunSort":            "ExchangeStrategy's method: SortStage calls it through the interface",
+		"core.AutoExchange.Name":             "ExchangeStrategy's method: SortStage.Name calls it through the interface",
+		"core.CacheExchange.Name":            "ExchangeStrategy's method: SortStage.Name calls it through the interface",
+		"core.ObjectStorageExchange.Name":    "ExchangeStrategy's method: SortStage.Name calls it through the interface",
+		"core.VMExchange.Name":               "ExchangeStrategy's method: SortStage.Name calls it through the interface",
+		"core.FuncStage.Name":                "Stage's method: the workflow and the executor call it through the interface",
+		"core.MapStage.Name":                 "Stage's method: the workflow and the executor call it through the interface",
+		"core.SortStage.Name":                "Stage's method: the workflow and the executor call it through the interface",
+		"core.FuncStage.Run":                 "Stage's method: the executor calls it through the interface",
+		"core.MapStage.Run":                  "Stage's method: the executor calls it through the interface",
+		"core.SortStage.Run":                 "Stage's method: the executor calls it through the interface",
+		"core.RunState":                      "the type of StageContext.State, which stage bodies outside core read through the field",
+		"core.RunState.Set":                  "the stages record their keys with it; genomics' verify_test.go and roundtrip_test.go seed a run's state through it",
+		"core.SortOutcome":                   "ExchangeStrategy.RunSort's result: a strategy outside core returns one",
+		"core.StageOutcome":                  "the type of StageContext.Outcome, embedded in SortOutcome",
+		"shuffle.AdaptiveChunkBytes":         "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
+		"shuffle.MapStreamRates":             "fold_meter_test and autoplan's cost_oracle_test re-derive the model through them",
+		"shuffle.payloadSource.Close":        "runSource's method, exported because objectstore.ClientStream implements it too: lineReader calls it through the interface",
+		"shuffle.payloadSource.Next":         "runSource's method, exported because objectstore.ClientStream implements it too: lineReader calls it through the interface",
 	}
 
 	repo := loadRepository(t)
@@ -212,12 +275,13 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		t.Fatalf("found %d functions and types under internal/, expected all of them", len(declared))
 	}
 
-	// used: every function and type referenced outside its own
-	// declaration (a method's receiver is part of the declaration);
-	// calledVia: the interface methods among them.
-	used := map[types.Object]bool{}
-	var calledVia []*types.Func
-	use := func(self types.Object, n ast.Node) {
+	// usedFrom: the packages referencing each function and type outside
+	// its own declaration (a method's receiver is part of the
+	// declaration); calledFrom: the same for the interface methods among
+	// them.
+	usedFrom := map[types.Object]map[*types.Package]bool{}
+	calledFrom := map[*types.Func]map[*types.Package]bool{}
+	use := func(self types.Object, from *types.Package, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -226,44 +290,57 @@ func TestExportedAPIHasACaller(t *testing.T) {
 			obj := repo.info.Uses[id]
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
-				if recv := recvOf(fn); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
-					calledVia = append(calledVia, fn)
+				if recv := recvOf(fn); recv != nil && types.IsInterface(recv.Type()) {
+					noteFrom(calledFrom, fn, from)
 				}
 			} else if _, ok := obj.(*types.TypeName); !ok {
 				return true
 			}
 			if obj != self {
-				used[obj] = true
+				noteFrom(usedFrom, obj, from)
 			}
 			return true
 		})
 	}
-	for _, f := range repo.files() {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				use(repo.info.Defs[d.Name], d.Type)
-				if d.Body != nil {
-					use(repo.info.Defs[d.Name], d.Body)
-				}
-			case *ast.GenDecl:
-				for _, sp := range d.Specs {
-					var self types.Object
-					if ts, ok := sp.(*ast.TypeSpec); ok {
-						self = repo.info.Defs[ts.Name]
+	for dir, files := range repo.dirs {
+		from := repo.packageIn(dir)
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					use(repo.info.Defs[d.Name], from, d.Type)
+					if d.Body != nil {
+						use(repo.info.Defs[d.Name], from, d.Body)
 					}
-					use(self, sp)
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						var self types.Object
+						if ts, ok := sp.(*ast.TypeSpec); ok {
+							self = repo.info.Defs[ts.Name]
+						}
+						use(self, from, sp)
+					}
 				}
 			}
 		}
 	}
-	for _, iface := range stdDispatch(t, repo) {
+	for pkg, iface := range stdDispatch(t, repo) {
 		for i := range iface.NumMethods() {
-			calledVia = append(calledVia, iface.Method(i))
+			noteFrom(calledFrom, iface.Method(i), pkg)
 		}
 	}
-	reached := func(obj types.Object) bool {
-		if used[obj] {
+	// reached reports whether obj is referenced from some package, or,
+	// with away set, from a package other than its own.
+	reached := func(obj types.Object, away bool) bool {
+		counts := func(from map[*types.Package]bool) bool {
+			for pkg := range from {
+				if !away || pkg != obj.Pkg() {
+					return true
+				}
+			}
+			return false
+		}
+		if counts(usedFrom[obj]) {
 			return true
 		}
 		fn, ok := obj.(*types.Func)
@@ -271,47 +348,74 @@ func TestExportedAPIHasACaller(t *testing.T) {
 			return false
 		}
 		recv := recvOf(fn).Type()
-		for _, im := range calledVia {
+		for im, from := range calledFrom {
 			iface := recvOf(im).Type().Underlying().(*types.Interface)
-			if im.Name() == fn.Name() && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+			if im.Name() == fn.Name() && counts(from) && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
 				return true
 			}
 		}
 		return false
 	}
 
-	var uncalled []string
+	var uncalled, atHome []string
+	exported := map[types.Object]string{} // what the stricter rule covers
 	for _, obj := range declared {
 		switch _, allow := allowed[name[obj]]; {
-		case reached(obj):
+		case reached(obj, false):
 			if allow {
 				t.Errorf("%s is on the allow-list and has a caller now: take it off", name[obj])
 			}
 		case !allow:
 			uncalled = append(uncalled, name[obj])
 		}
+		if !obj.Exported() || !slices.Contains(exportedFrom, obj.Pkg().Name()) {
+			continue
+		}
+		exported[obj] = name[obj]
+		switch _, allow := allowedAtHome[name[obj]]; {
+		case reached(obj, true):
+			if allow {
+				t.Errorf("%s is on the allow-list and has a caller outside its package now: take it off", name[obj])
+			}
+		case !allow && reached(obj, false):
+			atHome = append(atHome, name[obj])
+		}
 	}
 	sort.Strings(uncalled)
 	for _, n := range uncalled {
 		t.Errorf("%s is referenced by no non-test code: remove it, or allow it with its reason", n)
 	}
+	sort.Strings(atHome)
+	for _, n := range atHome {
+		t.Errorf("%s is reached by no non-test code outside its package: unexport or remove it, or allow it with its reason", n)
+	}
 	checkAllowList(t, allowed, name)
+	checkAllowList(t, allowedAtHome, exported)
 }
 
 // stdDispatch lists the standard library's interfaces through which it
-// calls this module's methods itself: fmt's Stringer, the sort and heap
-// interfaces. An interface whose methods the module calls needs no entry.
-func stdDispatch(t *testing.T, repo *repository) []*types.Interface {
+// calls this module's methods itself, by the package that calls them:
+// fmt's Stringer, the sort and heap interfaces. An interface whose
+// methods the module calls needs no entry.
+func stdDispatch(t *testing.T, repo *repository) map[*types.Package]*types.Interface {
 	t.Helper()
-	var out []*types.Interface
+	out := map[*types.Package]*types.Interface{}
 	for _, iface := range [][2]string{{"fmt", "Stringer"}, {"sort", "Interface"}, {"container/heap", "Interface"}} {
 		pkg, err := repo.imp.Import(iface[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, pkg.Scope().Lookup(iface[1]).Type().Underlying().(*types.Interface))
+		out[pkg] = pkg.Scope().Lookup(iface[1]).Type().Underlying().(*types.Interface)
 	}
 	return out
+}
+
+// noteFrom records that k is referenced from package from.
+func noteFrom[K comparable](m map[K]map[*types.Package]bool, k K, from *types.Package) {
+	if m[k] == nil {
+		m[k] = map[*types.Package]bool{}
+	}
+	m[k][from] = true
 }
 
 // recvOf is a method's receiver, nil for a function.
@@ -438,6 +542,12 @@ func (r *repository) files() []*ast.File {
 		all = append(all, fs...)
 	}
 	return all
+}
+
+// packageIn is the type-checked package of a parsed directory.
+func (r *repository) packageIn(dir string) *types.Package {
+	rel, _ := filepath.Rel(root, dir)
+	return r.imp.done[module+"/"+filepath.ToSlash(rel)]
 }
 
 // packageNamed is the package under internal/ in the directory of that

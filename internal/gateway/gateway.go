@@ -57,17 +57,15 @@ type Options struct {
 	// the rig's shared execution capacity the fair-share scheduler
 	// divides.
 	MaxConcurrent int
-	// ResultBucket is the bucket finished jobs publish outputs into and
-	// ServeResult reads from (default "results").
-	ResultBucket string
 }
+
+// resultBucket is the bucket finished jobs publish outputs into and
+// ServeResult reads from.
+const resultBucket = "results"
 
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 16
-	}
-	if o.ResultBucket == "" {
-		o.ResultBucket = "results"
 	}
 	return o
 }

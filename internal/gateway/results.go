@@ -32,7 +32,7 @@ func (g *Gateway) ServeResult(p *des.Proc, cred Credential, key string, off, n i
 	if len(key) <= len(prefix) || key[:len(prefix)] != prefix {
 		return nil, fmt.Errorf("gateway: tenant %q reading %q: %w", t.id, key, ErrForbidden)
 	}
-	pl, err := g.store.ReadRange(p, g.opts.ResultBucket, key, off, n)
+	pl, err := g.store.ReadRange(p, resultBucket, key, off, n)
 	if err != nil {
 		return nil, err
 	}

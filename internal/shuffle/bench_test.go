@@ -50,7 +50,7 @@ func BenchmarkMapStream(b *testing.B) {
 		builder.sizeHint(len(raw))
 		src := chunks
 		r := &lineReader{src: &src}
-		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.Add); err != nil {
+		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.addLine); err != nil {
 			b.Fatal(err)
 		}
 		builder.finish()

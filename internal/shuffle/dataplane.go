@@ -165,9 +165,9 @@ func (b *runBuilder) grow(p *runPart) {
 	}
 }
 
-// Add parses one raw input line, validates and normalizes it, and
+// addLine parses one raw input line, validates and normalizes it, and
 // routes it to its partition.
-func (b *runBuilder) Add(line []byte) error {
+func (b *runBuilder) addLine(line []byte) error {
 	rec, err := bed.ParseLine(line)
 	if err != nil {
 		return err

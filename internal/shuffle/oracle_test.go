@@ -59,7 +59,7 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if err := builder.Add(line); err != nil {
+		if err := builder.addLine(line); err != nil {
 			return nil, err
 		}
 	}

@@ -50,7 +50,7 @@ func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset
 	builder.sizeHint(len(raw))
 	src := cutChunks(raw, chunkSizes)
 	r := &lineReader{src: &src, pos: readOff}
-	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.Add); err != nil {
+	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.addLine); err != nil {
 		t.Fatalf("feedSlice: %v", err)
 	}
 	return builder.finish()

@@ -143,7 +143,7 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 			builder = newRunBuilder(t.wave.fanOut, t.bounds)
 			builder.sizeHint(int(readLen))
 		}
-		return builder.Add(line)
+		return builder.addLine(line)
 	})
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
