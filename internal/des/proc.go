@@ -36,6 +36,7 @@ type Proc struct {
 	suspended  bool
 	killed     bool
 	done       bool
+	awaiting   bool // Await has handed the process's wakes to a chain
 	// granted tells a process queued on a Resource that the wake it got
 	// was the grant.
 	granted bool
@@ -244,6 +245,29 @@ func (p *Proc) WakeAfter(d time.Duration) {
 	}
 	p.wake.Cancel()
 	p.wake = p.sim.After(d, p.activateFn)
+}
+
+// Await parks the process until fn calls Resume, calling fn at once and
+// at every wake the process is given (Wake, WakeAfter) in place of
+// running it: a chain of callbacks working for the process waits on its
+// wake events, where its activations were, and killLive cancels them.
+func (p *Proc) Await(fn func()) {
+	activate := p.activateFn
+	p.activateFn, p.awaiting = fn, true
+	if fn(); p.awaiting {
+		p.suspend()
+	}
+	p.activateFn = activate
+}
+
+// Resume ends the Await in progress, from its fn. From a wake, the
+// process is the one that event activates (unless it was killed): the
+// chain's last event is the process's activation, and no event is added.
+func (p *Proc) Resume() {
+	if p.suspended && !p.killed {
+		p.sim.next = p
+	}
+	p.awaiting, p.suspended = false, false
 }
 
 // Park suspends the process indefinitely; some other party must call

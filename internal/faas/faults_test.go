@@ -184,7 +184,7 @@ func TestStragglersSlowCompute(t *testing.T) {
 			c.ColdStartJitter = 0
 		})
 		if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-			ctx.Compute(work)
+			compute(ctx, work)
 			return nil, nil
 		}); err != nil {
 			t.Fatalf("register: %v", err)
@@ -227,7 +227,7 @@ func TestMapSpeculativeCutsTail(t *testing.T) {
 			c.ColdStartJitter = 0
 		})
 		if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-			ctx.Compute(work)
+			compute(ctx, work)
 			return ctx.InvocationID, nil
 		}); err != nil {
 			t.Fatalf("register: %v", err)
@@ -275,7 +275,7 @@ func TestMapSpeculativeCutsTail(t *testing.T) {
 func TestMapSpeculativeNoBackupsOnUniformWave(t *testing.T) {
 	sim, pf := faultRig(t, 19, func(c *Config) { c.ColdStartJitter = 0 })
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(time.Second)
+		compute(ctx, time.Second)
 		return in, nil
 	}); err != nil {
 		t.Fatalf("register: %v", err)
@@ -363,7 +363,7 @@ func TestMapSpeculativeWithRetriesAndFailures(t *testing.T) {
 		c.ColdStartJitter = 0
 	})
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(time.Second)
+		compute(ctx, time.Second)
 		return in, nil
 	}); err != nil {
 		t.Fatalf("register: %v", err)
@@ -412,9 +412,9 @@ func TestMapSpeculativeUniformlySlowWave(t *testing.T) {
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
 		attempts[in]++
 		if attempts[in] == 1 {
-			ctx.Compute(10 * time.Second) // every primary is slow
+			compute(ctx, 10*time.Second) // every primary is slow
 		} else {
-			ctx.Compute(time.Second)
+			compute(ctx, time.Second)
 		}
 		return in, nil
 	}); err != nil {
@@ -456,9 +456,9 @@ func TestMapSpeculativeBackupWinsMetered(t *testing.T) {
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
 		attempts[in]++
 		if in == 15 && attempts[in] == 1 {
-			ctx.Compute(30 * time.Second) // the straggling primary
+			compute(ctx, 30*time.Second) // the straggling primary
 		} else {
-			ctx.Compute(time.Second)
+			compute(ctx, time.Second)
 		}
 		return in, nil
 	}); err != nil {
@@ -502,7 +502,7 @@ func TestStragglerActivationsFlagged(t *testing.T) {
 		c.StragglerSlowdown = 2
 	})
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(100 * time.Millisecond)
+		compute(ctx, 100*time.Millisecond)
 		return nil, nil
 	}); err != nil {
 		t.Fatalf("register: %v", err)

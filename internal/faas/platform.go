@@ -124,22 +124,21 @@ type Ctx struct {
 	speed float64
 }
 
-// Compute consumes d of CPU time at baseline speed, scaled by the
-// invocation's memory-proportional CPU share.
-func (c *Ctx) Compute(d time.Duration) {
-	if d <= 0 {
-		return
+// ComputeBytes consumes the CPU time to process n bytes at a baseline
+// throughput of bps bytes/second, scaled by the invocation's CPU share.
+func (c *Ctx) ComputeBytes(n int64, bps float64) {
+	if d, ok := c.CPUTime(n, bps); ok {
+		c.Proc.Sleep(d)
 	}
-	c.Proc.Sleep(time.Duration(float64(d) / c.speed))
 }
 
-// ComputeBytes consumes the CPU time to process n bytes at a baseline
-// throughput of bps bytes/second.
-func (c *Ctx) ComputeBytes(n int64, bps float64) {
+// CPUTime is what ComputeBytes sleeps, and whether it sleeps at all.
+func (c *Ctx) CPUTime(n int64, bps float64) (time.Duration, bool) {
 	if n <= 0 || bps <= 0 {
-		return
+		return 0, false
 	}
-	c.Compute(time.Duration(float64(n) / bps * float64(time.Second)))
+	d := time.Duration(float64(n) / bps * float64(time.Second))
+	return time.Duration(float64(d) / c.speed), d > 0
 }
 
 // Activation records one completed invocation attempt, for tracing

@@ -12,6 +12,14 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
+// compute consumes d of CPU time at baseline speed, scaled by the
+// invocation's memory-proportional CPU share.
+func compute(ctx *Ctx, d time.Duration) {
+	if d > 0 {
+		ctx.Proc.Sleep(time.Duration(float64(d) / ctx.speed))
+	}
+}
+
 func fastStoreConfig() objectstore.Config {
 	return objectstore.Config{
 		RequestLatency:   0,
@@ -196,7 +204,7 @@ func TestMemoryScalesCPU(t *testing.T) {
 	cfg.WarmStart = 0
 	sim, pf := newTestPlatform(t, cfg)
 	_ = pf.Register("work", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(2 * time.Second) // at baseline speed
+		compute(ctx, 2*time.Second) // at baseline speed
 		return nil, nil
 	})
 	var small, large time.Duration

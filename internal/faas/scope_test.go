@@ -16,7 +16,7 @@ func TestAttemptsChargeTheInvokersScope(t *testing.T) {
 	cfg.FailureRate = 0.4
 	sim, pf := newTestPlatform(t, cfg)
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(300 * time.Millisecond)
+		compute(ctx, 300*time.Millisecond)
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)

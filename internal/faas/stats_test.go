@@ -118,7 +118,7 @@ func TestSummarizeFromPlatformLog(t *testing.T) {
 		c.StragglerSlowdown = 4
 	})
 	if err := pf.Register("f", func(ctx *Ctx, in any) (any, error) {
-		ctx.Compute(100 * time.Millisecond)
+		compute(ctx, 100*time.Millisecond)
 		return nil, nil
 	}); err != nil {
 		t.Fatalf("register: %v", err)

@@ -283,23 +283,32 @@ func (st *Stream) Next(p *des.Proc) (payload.Payload, error) {
 	if st.closed {
 		return nil, ErrStreamClosed
 	}
-	for st.count == 0 && st.err == nil && !st.eof {
-		st.consumer = p
+	for {
+		if pl, wait, err := st.poll(p); !wait {
+			return pl, err
+		}
 		p.Park()
-		st.consumer = nil
 	}
-	if st.count > 0 {
-		pl := st.ready[st.head]
+}
+
+// poll is Next without the park: wait, and p is woken when there is.
+func (st *Stream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
+	st.consumer = nil
+	switch {
+	case st.count > 0:
+		pl = st.ready[st.head]
 		st.ready[st.head] = nil
 		st.head = (st.head + 1) % streamDepth
 		st.count--
 		st.reopen()
-		return pl, nil
+		return pl, false, nil
+	case st.err != nil:
+		return nil, false, st.err
+	case st.eof:
+		return nil, false, io.EOF
 	}
-	if st.err != nil {
-		return nil, st.err
-	}
-	return nil, io.EOF
+	st.consumer = p
+	return nil, true, nil
 }
 
 // Close abandons the stream: the producing side stops after any chunk
@@ -420,31 +429,47 @@ func (cs *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
 		if err := cs.ensure(p); err != nil {
 			return nil, err
 		}
-		pl, err := cs.cur.Next(p)
-		switch {
-		case err == nil:
-			cs.off += pl.Size()
-			cs.n -= pl.Size()
-			// A delivered chunk proves the store recovered: restart the
-			// backoff ladder and the MaxRetries budget so a later,
-			// unrelated throttle doesn't inherit this incident's doubled
-			// delay or exhausted count. The budget bounds consecutive
-			// failures per incident — a long stream crossing a transient
-			// brownout window makes progress between throttles and must
-			// not die from their lifetime total.
-			cs.retries = 0
-			return pl, nil
-		case errors.Is(err, io.EOF):
-			return nil, io.EOF
-		case errors.Is(err, ErrSlowDown):
-			cs.cur = nil // resume at cs.off after backoff
-			if err := cs.c.backOff(p, &cs.retries, err); err != nil {
-				return nil, err
-			}
-		default:
+		pl, err := cs.took(cs.cur.Next(p))
+		if !errors.Is(err, ErrSlowDown) {
+			return pl, err
+		}
+		cs.cur = nil // resume at cs.off after backoff
+		if err := cs.c.backOff(p, &cs.retries, err); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// Poll is Next for a chain of callbacks working for p (des.Proc.Await):
+// where Next would park p it returns wait, p's wake arranged as Next's;
+// where Next would back off and re-open, ErrSlowDown for p's Next.
+func (cs *ClientStream) Poll(p *des.Proc) (payload.Payload, bool, error) {
+	switch {
+	case cs.closed:
+		return nil, false, ErrStreamClosed
+	case cs.cur == nil: // a re-open that failed: Next tries again
+		return nil, false, ErrSlowDown
+	}
+	pl, wait, err := cs.cur.poll(p)
+	pl, err = cs.took(pl, err)
+	return pl, wait, err
+}
+
+// took moves the resume point past a delivered chunk.
+func (cs *ClientStream) took(pl payload.Payload, err error) (payload.Payload, error) {
+	if pl != nil {
+		cs.off += pl.Size()
+		cs.n -= pl.Size()
+		// A delivered chunk proves the store recovered: restart the
+		// backoff ladder and the MaxRetries budget so a later, unrelated
+		// throttle doesn't inherit this incident's doubled delay or
+		// exhausted count. The budget bounds consecutive failures per
+		// incident — a long stream crossing a transient brownout window
+		// makes progress between throttles and must not die from their
+		// lifetime total.
+		cs.retries = 0
+	}
+	return pl, err
 }
 
 // Close abandons the stream.

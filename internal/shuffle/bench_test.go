@@ -49,7 +49,7 @@ func BenchmarkMapStream(b *testing.B) {
 		builder := newRunBuilder(8, bounds)
 		builder.sizeHint(len(raw))
 		src := chunks
-		r := &lineReader{src: &src}
+		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}}
 		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.addLine); err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkRepartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		split := newRunSplitter(8, bounds, total)
-		if sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, 64<<10), nil, split.emit); err != nil || sized {
+		if sized, _, err := mergeStreamedRuns(&meter{clock: freeClock{}}, chunkedSources(runs, 64<<10), split.emit); err != nil || sized {
 			b.Fatalf("merge-split: err=%v sized=%v", err, sized)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkReduceStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out int64
-		sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, 64<<10), nil, func(key bed.Key, line []byte) error {
+		sized, _, err := mergeStreamedRuns(&meter{clock: freeClock{}}, chunkedSources(runs, 64<<10), func(key bed.Key, line []byte) error {
 			out += int64(len(line)) + 1
 			return nil
 		})

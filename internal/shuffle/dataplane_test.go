@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -38,7 +40,7 @@ func chunkedSources(runs [][]byte, chunk int64) []runSource {
 // collecting its emits into one buffer.
 func streamMerge(runs [][]byte, chunk int64) ([]byte, error) {
 	var out []byte
-	sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, chunk), nil, func(_ bed.Key, line []byte) error {
+	sized, _, err := mergeStreamedRuns(&meter{clock: freeClock{}}, chunkedSources(runs, chunk), func(_ bed.Key, line []byte) error {
 		out = append(append(out, line...), '\n')
 		return nil
 	})
@@ -457,7 +459,7 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 	}
 	for _, chunk := range mergeChunks {
 		split := newRunSplitter(k, bounds, total)
-		if sized, _, err := mergeStreamedRuns(nil, chunkedSources(runs, chunk), nil, split.emit); err != nil || sized {
+		if sized, _, err := mergeStreamedRuns(&meter{clock: freeClock{}}, chunkedSources(runs, chunk), split.emit); err != nil || sized {
 			t.Fatalf("streamed merge-split (chunk %d): sized=%v err=%v", chunk, sized, err)
 		}
 		splits[fmt.Sprintf("streamed merge-split (chunk %d)", chunk)] = split.parts
@@ -535,17 +537,22 @@ func TestMergeRunsTimingOnly(t *testing.T) {
 			false, int64(len(real)), realChunks},
 	}
 	for _, tc := range cases {
-		var charges []int64
+		var charges chargeLog
 		var out []byte
-		sized, total, err := mergeStreamedRuns(nil, tc.srcs, func(n int64) { charges = append(charges, n) },
-			func(_ bed.Key, line []byte) error {
-				out = append(append(out, line...), '\n')
-				return nil
-			})
+		var sized bool
+		var total int64
+		var err error
+		inProc(t, func(p *des.Proc) {
+			sized, total, err = mergeStreamedRuns(&meter{p: p, clock: &charges, left: math.MaxInt64}, tc.srcs,
+				func(_ bed.Key, line []byte) error {
+					out = append(append(out, line...), '\n')
+					return nil
+				})
+		})
 		if err != nil || sized != tc.sized || total != tc.total {
 			t.Errorf("%s: sized %v total %d err %v, want %v %d", tc.name, sized, total, err, tc.sized, tc.total)
 		}
-		if !slices.Equal(charges, tc.charges) {
+		if !slices.Equal([]int64(charges), tc.charges) {
 			t.Errorf("%s: chunks charged %v, want %v", tc.name, charges, tc.charges)
 		}
 		if !tc.sized && !bytes.Equal(out, real) {
@@ -556,7 +563,8 @@ func TestMergeRunsTimingOnly(t *testing.T) {
 
 // TestMergeOfSizedRunsBuildsNoCursors holds the timing-only reduce to
 // what it needs: a fan-in of 128 sized runs drains by byte count without
-// the 128 line cursors (~300 B each) a real merge walks them with.
+// the 128 line cursors (~300 B each) a real merge walks them with. The
+// meter is the function attempt's, made once for all it reads.
 func TestMergeOfSizedRunsBuildsNoCursors(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -564,17 +572,31 @@ func TestMergeOfSizedRunsBuildsNoCursors(t *testing.T) {
 	chunk := payload.Sized(1 << 20)
 	runs := make([]fixedSource, 128)
 	srcs := make([]runSource, len(runs))
-	merge := func() {
-		for i := range runs {
-			runs[i] = fixedSource{left: 3, chunk: chunk}
-			srcs[i] = &runs[i]
-		}
-		if sized, total, err := mergeStreamedRuns(nil, srcs, nil, nil); !sized || total != 128*3<<20 || err != nil {
-			t.Fatalf("sized %v total %d err %v", sized, total, err)
-		}
-	}
-	if n := testing.AllocsPerRun(10, merge); n != 0 {
+	n := -1.0
+	inProc(t, func(p *des.Proc) {
+		m := &meter{p: p, clock: freeClock{}}
+		n = testing.AllocsPerRun(10, func() {
+			for i := range runs {
+				runs[i] = fixedSource{left: 3, chunk: chunk}
+				srcs[i] = &runs[i]
+			}
+			if sized, total, err := mergeStreamedRuns(m, srcs, nil); !sized || total != 128*3<<20 || err != nil {
+				t.Errorf("sized %v total %d err %v", sized, total, err)
+			}
+		})
+	})
+	if n != 0 {
 		t.Errorf("draining 128 sized runs allocates %.0f times, want 0", n)
+	}
+}
+
+// inProc runs fn as the one process of a simulation.
+func inProc(t *testing.T, fn func(p *des.Proc)) {
+	t.Helper()
+	sim := des.New(1)
+	sim.Spawn("test", fn)
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 }
 
@@ -584,8 +606,9 @@ func TestMergeOfSizedRunsBuildsNoCursors(t *testing.T) {
 // it, as the reduce above drains with no cursors. What is left is ten:
 // the stream's four (ClientStream, Stream, its name, its bound step),
 // the boxes of the range it cuts and of that range's three chunks, and
-// the reader's CPU budget and charge. Building the partitions up front
-// cost an eleventh, the []runPart.
+// the slice's meter and its drain chain's bound step (which replaced the
+// reader's CPU budget and charge closure, two as well). Building the
+// partitions up front cost an eleventh, the []runPart.
 func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -682,3 +705,17 @@ func (s *fixedSource) Next(*des.Proc) (payload.Payload, error) {
 }
 
 func (s *fixedSource) Close() {}
+
+// freeClock is a cpuClock that prices everything at nothing.
+type freeClock struct{}
+
+func (freeClock) CPUTime(int64, float64) (time.Duration, bool) { return 0, false }
+
+// chargeLog is a cpuClock that records what it is asked to price and
+// prices it at nothing.
+type chargeLog []int64
+
+func (c *chargeLog) CPUTime(n int64, _ float64) (time.Duration, bool) {
+	*c = append(*c, n)
+	return 0, false
+}

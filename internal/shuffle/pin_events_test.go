@@ -1,6 +1,7 @@
 package shuffle_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -26,8 +27,9 @@ import (
 // cost 3,805 and 129,038; with a request a chain of events and a
 // mapper's PUTs and a reducer's opens each one list (PR 22) they cost
 // 3,059 and 18,701, nearly all of them the per-chunk ComputeBytes
-// sleeps. A request path that suspends its caller per wait again shows
-// up here long before it shows in a benchmark.
+// sleeps; with every timing-only drain one chain of events too, they
+// cost 226 and 1,777. A request or drain path that suspends its caller
+// per wait again shows up here long before it shows in a benchmark.
 func TestSizedSortEventsPinned(t *testing.T) {
 	const dataBytes = 3_500_000_000
 	cases := []struct {
@@ -37,12 +39,12 @@ func TestSizedSortEventsPinned(t *testing.T) {
 		end      time.Duration
 		store    objectstore.Metrics
 	}{
-		{16, 13762, 3200, 52432721167, objectstore.Metrics{
+		{16, 13762, 300, 52432721167, objectstore.Metrics{
 			ClassAOps: 275, ClassBOps: 274,
 			BytesIn: 10500000000, BytesOut: 7000323599,
 			ByteSeconds: 8.787796643653125e+10,
 		}},
-		{128, 197928, 20000, 55837907702, objectstore.Metrics{
+		{128, 197928, 2000, 55837907702, objectstore.Metrics{
 			ClassAOps: 16515, ClassBOps: 16514,
 			BytesIn: 10500000000, BytesOut: 7000782463,
 			ByteSeconds: 1.1067546906097977e+11,
@@ -88,6 +90,98 @@ func TestSizedSortEventsPinned(t *testing.T) {
 		}
 		if got := rig.Store.Metrics(); got != tc.store {
 			t.Errorf("w=%d: store meters\n got %+v\nwant %+v", tc.workers, got, tc.store)
+		}
+	}
+}
+
+// sizedSort spawns the sort TestSizedSortEventsPinned runs, over
+// workers, on a new rig.
+func sizedSort(t *testing.T, workers int) *calib.Rig {
+	t.Helper()
+	profile := calib.Paper()
+	rig, err := calib.NewRig(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Sim.Spawn("sweep", func(p *des.Proc) {
+		c := objectstore.NewClient(rig.Store)
+		for _, b := range []string{"data", "work"} {
+			if err := c.CreateBucket(p, b); err != nil {
+				return
+			}
+		}
+		if err := c.Put(p, "data", "in", payload.Sized(3_500_000_000)); err != nil {
+			return
+		}
+		rig.Shuffle.Sort(p, shuffle.Spec{
+			InputBucket: "data", InputKey: "in",
+			OutputBucket: "work", OutputPrefix: "sorted/",
+			Workers:      workers,
+			PartitionBps: profile.PartitionBps,
+			MergeBps:     profile.MergeBps,
+			MemoryMB:     profile.Faas.MemoryMB,
+		})
+	})
+	return rig
+}
+
+// TestSizedSortKilledMidDrainPinned stops a sized sort with RunUntil
+// where functions sit in a timing-only drain (16, 8, 11 and 16 of them
+// at the four 16-worker horizons, 9 at the 128-worker one), which kills
+// every process, then runs out what is left on the heap with Run. The
+// numbers were recorded at commit 17cdda7, where every drain was a
+// process parked in Next and asleep through each chunk's CPU, so there
+// was no chain to outlive its process: the events fired, the instant the
+// heap drained and what the store served and left open must be those. A
+// chain callback that fired for a killed process would add an event.
+func TestSizedSortKilledMidDrainPinned(t *testing.T) {
+	cases := []struct {
+		workers     int
+		horizon     time.Duration
+		atHorizon   int64
+		fired       int64
+		end         time.Duration
+		store       objectstore.Metrics
+		streamsLeft int
+	}{
+		{16, 38500 * time.Millisecond, 794, 822, 38543173008, objectstore.Metrics{
+			ClassAOps: 3, ClassBOps: 18, BytesIn: 3500000000, BytesOut: 897843200, ByteSeconds: 5.764737104e+09,
+		}, 0},
+		{16, 41 * time.Second, 3340, 3349, 41040579743, objectstore.Metrics{
+			ClassAOps: 3, ClassBOps: 18, BytesIn: 3500000000, BytesOut: 3471910426, ByteSeconds: 1.4505660676500002e+10,
+		}, 0},
+		{16, 46 * time.Second, 6044, 6363, 46152795528, objectstore.Metrics{
+			ClassAOps: 259, ClassBOps: 269, BytesIn: 7000000000, BytesOut: 4525714035, ByteSeconds: 4.275737988834375e+10,
+		}, 75},
+		{16, 49 * time.Second, 12162, 12228, 49015436151, objectstore.Metrics{
+			ClassAOps: 259, ClassBOps: 274, BytesIn: 7000000000, BytesOut: 6518389952, ByteSeconds: 6.279586424934375e+10,
+		}, 0},
+		{128, 38500 * time.Millisecond, 7638, 69436, 46790066589, objectstore.Metrics{
+			ClassAOps: 13187, ClassBOps: 130, BytesIn: 6294403081, BytesOut: 3500782463, ByteSeconds: 4.7044705496545074e+10,
+		}, 0},
+	}
+	for _, tc := range cases {
+		rig := sizedSort(t, tc.workers)
+		if err := rig.Sim.RunUntil(tc.horizon); !errors.Is(err, des.ErrSimLimit) {
+			t.Fatalf("w=%d: RunUntil(%v): %v", tc.workers, tc.horizon, err)
+		}
+		if got := rig.Sim.Fired(); got != tc.atHorizon {
+			t.Errorf("w=%d, %v: %d events fired by the horizon, pinned %d", tc.workers, tc.horizon, got, tc.atHorizon)
+		}
+		if err := rig.Sim.Run(); err != nil {
+			t.Fatalf("w=%d, %v: resumed run: %v", tc.workers, tc.horizon, err)
+		}
+		if got := rig.Sim.Fired(); got != tc.fired {
+			t.Errorf("w=%d, %v: %d events fired, pinned %d", tc.workers, tc.horizon, got, tc.fired)
+		}
+		if got := rig.Sim.Now(); got != tc.end {
+			t.Errorf("w=%d, %v: heap drained at %d ns, pinned %d", tc.workers, tc.horizon, got, tc.end)
+		}
+		if got := rig.Store.Metrics(); got != tc.store {
+			t.Errorf("w=%d, %v: store meters\n got %+v\nwant %+v", tc.workers, tc.horizon, got, tc.store)
+		}
+		if got := len(rig.Store.OpenStreams()); got != tc.streamsLeft {
+			t.Errorf("w=%d, %v: %d streams left open, pinned %d", tc.workers, tc.horizon, got, tc.streamsLeft)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,16 +201,34 @@ func mapReadTrace(t *testing.T) string {
 
 // pinSource records what the merge pulls from a source into trace. It
 // answers to both spellings of the run-source interface, Next/Close and
-// the lower-case next/close it had when the trace was recorded, so this
-// file stays the one the golden was recorded with.
+// the lower-case next/close it had when the trace was recorded, and to
+// Poll, which records only what it hands out, as Next does.
 type pinSource struct {
 	idx   int
 	pull  func(p *des.Proc) (payload.Payload, error)
+	poll  func(p *des.Proc) (payload.Payload, bool, error) // nil: pull never waits
 	trace *readTrace
 }
 
 func (s *pinSource) Next(p *des.Proc) (payload.Payload, error) {
 	pl, err := s.pull(p)
+	s.record(pl, err)
+	return pl, err
+}
+
+func (s *pinSource) Poll(p *des.Proc) (payload.Payload, bool, error) {
+	if s.poll == nil {
+		pl, err := s.Next(p)
+		return pl, false, err
+	}
+	pl, wait, err := s.poll(p)
+	if !wait {
+		s.record(pl, err)
+	}
+	return pl, wait, err
+}
+
+func (s *pinSource) record(pl payload.Payload, err error) {
 	switch {
 	case err != nil:
 		s.trace.add("next %d err %v", s.idx, err)
@@ -217,7 +236,6 @@ func (s *pinSource) Next(p *des.Proc) (payload.Payload, error) {
 		_, real := pl.Bytes()
 		s.trace.add("next %d %d real=%v", s.idx, pl.Size(), real)
 	}
-	return pl, err
 }
 
 func (s *pinSource) Close()                                    {}
@@ -231,6 +249,13 @@ type readTrace struct {
 }
 
 func newReadTrace() *readTrace { return &readTrace{h: sha256.New(), counts: map[string]int{}} }
+
+// CPUTime makes the trace the merge's clock: every charge is recorded
+// and costs a microsecond a byte.
+func (r *readTrace) CPUTime(n int64, _ float64) (time.Duration, bool) {
+	r.add("charge %d", n)
+	return time.Duration(n) * time.Microsecond, true
+}
 
 func (r *readTrace) add(format string, args ...any) {
 	fmt.Fprintf(r.h, format+"\n", args...)
@@ -309,7 +334,7 @@ func mergeReadTrace(t *testing.T) string {
 							}
 						}()
 						for i := range streams {
-							srcs[i] = &pinSource{idx: i, pull: streams[i].Next, trace: trace}
+							srcs[i] = &pinSource{idx: i, pull: streams[i].Next, poll: streams[i].Poll, trace: trace}
 						}
 					} else {
 						for i, run := range tc.runs {
@@ -326,11 +351,7 @@ func mergeReadTrace(t *testing.T) string {
 						}
 					}
 					start := p.Now()
-					charge := func(n int64) {
-						trace.add("charge %d", n)
-						p.Sleep(time.Duration(n) * time.Microsecond)
-					}
-					sized, total, err = mergeStreamedRuns(p, srcs, charge, func(_ bed.Key, line []byte) error {
+					sized, total, err = mergeStreamedRuns(&meter{p: p, clock: trace, left: math.MaxInt64}, srcs, func(_ bed.Key, line []byte) error {
 						h := fnv.New64a()
 						h.Write(line)
 						trace.add("emit %016x", h.Sum64())

@@ -459,14 +459,14 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		charge := func(n int64) { ctx.ComputeBytes(n, t.wave.streamBps) }
+		m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: inBytes}
 		if fanOut == 0 {
 			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
-			err = mergeToOutput(ctx, srcs, inBytes, charge, t.outBucket, t.outKey, partBytes)
+			err = mergeToOutput(ctx, m, srcs, inBytes, t.outBucket, t.outKey, partBytes)
 		} else {
 			split := newRunSplitter(fanOut, t.bounds, t.sliceBytes)
 			var sized bool
-			if sized, total, err = mergeStreamedRuns(ctx.Proc, srcs, charge, split.emit); !sized {
+			if sized, total, err = mergeStreamedRuns(m, srcs, split.emit); !sized {
 				parts = split.parts
 			}
 			if err != nil {
@@ -511,16 +511,17 @@ func closeRuns(srcs []runSource) {
 // through a multipart streaming PUT: merged lines collect into one buffer
 // (reserved at the first line, with a byte per source for an unterminated
 // last line), whose partBytes-sized spans upload while the merge goes on
-// and are joined in place at completion (payload.Concat). A timing-only
-// input aborts the upload and writes one sized object of the merged
-// volume instead. A nil return is the durability point — the multipart
-// complete (or the sized Put) has been admitted.
-func mergeToOutput(ctx *faas.Ctx, srcs []runSource, inBytes int64, charge func(int64), bucket, key string, partBytes int64) error {
-	w := ctx.Store.PutStream(ctx.Proc, bucket, key, objectstore.PutStreamOptions{PartBytes: partBytes})
+// and are joined in place at completion (payload.Concat); the writer
+// too is made at the first line. A timing-only input writes one sized
+// object of the merged volume instead. A nil return is the durability
+// point — the multipart complete (or the sized Put) has been admitted.
+func mergeToOutput(ctx *faas.Ctx, m *meter, srcs []runSource, inBytes int64, bucket, key string, partBytes int64) error {
+	var w *objectstore.PutWriter
 	var buf []byte
 	sent := 0 // buf[:sent] is with the writer
 	emit := func(_ bed.Key, line []byte) error {
-		if buf == nil {
+		if w == nil {
+			w = ctx.Store.PutStream(ctx.Proc, bucket, key, objectstore.PutStreamOptions{PartBytes: partBytes})
 			buf = make([]byte, 0, inBytes+int64(len(srcs)))
 		}
 		buf = append(buf, line...)
@@ -532,17 +533,21 @@ func mergeToOutput(ctx *faas.Ctx, srcs []runSource, inBytes int64, charge func(i
 		}
 		return nil
 	}
-	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-	if err != nil {
+	sized, total, err := mergeStreamedRuns(m, srcs, emit)
+	if (err != nil || sized) && w != nil {
 		w.Abort(ctx.Proc)
+	}
+	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
 	if sized {
-		w.Abort(ctx.Proc)
 		if err := ctx.Store.Put(ctx.Proc, bucket, key, payload.Sized(total)); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
 		return nil
+	}
+	if w == nil { // no line at all: an empty object
+		w = ctx.Store.PutStream(ctx.Proc, bucket, key, objectstore.PutStreamOptions{PartBytes: partBytes})
 	}
 	if len(buf) > sent {
 		if err := w.Write(ctx.Proc, payload.RealNoCopy(buf[sent:])); err != nil {

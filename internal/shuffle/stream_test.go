@@ -49,7 +49,7 @@ func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset
 	builder := newRunBuilder(workers, bounds)
 	builder.sizeHint(len(raw))
 	src := cutChunks(raw, chunkSizes)
-	r := &lineReader{src: &src, pos: readOff}
+	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff}
 	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.addLine); err != nil {
 		t.Fatalf("feedSlice: %v", err)
 	}
@@ -140,7 +140,7 @@ func FuzzLineReader(f *testing.F) {
 		if len(want[len(want)-1]) == 0 {
 			want = want[:len(want)-1] // a final newline leaves no tail
 		}
-		r := &lineReader{src: &src}
+		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}}
 		var at int64
 		var kept, keptCopy []byte
 		for i := 0; ; i++ {

@@ -128,15 +128,11 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	}
 	defer st.Close()
 
-	// The CPU budget keeps the total partition charge at exactly the
-	// slice over PartitionBps — overscan bytes are transferred but their
-	// lines belong to the next mapper.
-	budget := t.n
-	r := &lineReader{src: st, proc: ctx.Proc, pos: readOff, charge: func(n int64) {
-		n = min(n, budget)
-		budget -= n
-		ctx.ComputeBytes(n, t.wave.streamBps)
-	}}
+	// Charging the slice's t.n bytes alone keeps the total partition
+	// charge at exactly the slice over PartitionBps — overscan bytes are
+	// transferred but their lines belong to the next mapper.
+	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
+	r := &lineReader{src: st, m: m, pos: readOff}
 	var builder *runBuilder
 	err = feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte) error {
 		if builder == nil {
@@ -147,7 +143,7 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	})
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
-		err = r.drain()
+		_, err = m.drain(st, nil)
 	}
 	if err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -95,11 +96,100 @@ func (s *payloadSource) Next(p *des.Proc) (payload.Payload, error) {
 
 func (s *payloadSource) Close() {}
 
+// cpuClock prices the bytes a function reads (*faas.Ctx).
+type cpuClock interface {
+	CPUTime(n int64, bps float64) (time.Duration, bool)
+}
+
+// meter is what the readers of one function attempt share: its process,
+// and the CPU of the first left bytes they pull, at bps on clock. It
+// runs the attempt's timing-only drain as one chain of callbacks with the
+// process parked once (des.Proc.Await), each of the chain's waits one a
+// loop over Next and ComputeBytes slept through, armed as the process's
+// own wake. A speculative twin of the task drains with a meter of its own.
+type meter struct {
+	p      *des.Proc
+	clock  cpuClock
+	bps    float64
+	left   int64
+	src    runSource   // being drained, nil once every source is
+	rest   []runSource // to drain after it
+	pulled int64
+	stepFn func()
+}
+
+// cost counts n pulled bytes and returns the CPU time they take, if any.
+func (m *meter) cost(n int64) (time.Duration, bool) {
+	n = min(n, m.left)
+	m.left -= n
+	return m.clock.CPUTime(n, m.bps)
+}
+
+// drain pulls what is left of src, then of each of rest, for the bytes
+// and charges alone once a timing-only chunk has shown there are no lines,
+// and returns the bytes pulled. The chain hands a source back to the
+// process only for Next to back off and re-open after a throttle.
+func (m *meter) drain(src runSource, rest []runSource) (int64, error) {
+	m.src, m.rest, m.pulled = src, rest, 0
+	if m.stepFn == nil {
+		m.stepFn = m.step
+	}
+	for {
+		if m.p.Await(m.stepFn); m.src == nil {
+			return m.pulled, nil
+		}
+		r := lineReader{src: m.src, m: m}
+		if err := r.pull(); err != nil && !errors.Is(err, errSizedChunk) {
+			return m.pulled, err
+		}
+		m.pulled += r.pos
+	}
+}
+
+// step is the chain, run at once and at every wake: it drains until it
+// arms a wait (a source with nothing yet, a chunk's CPU) as the process's
+// wake, or resumes the process when done or when src needs it.
+func (m *meter) step() {
+	for m.src != nil {
+		var pl payload.Payload
+		var wait bool
+		var err error
+		// A source that can keep its reader waiting has a Poll, its Next
+		// for a chain (objectstore.ClientStream's); no other parks in Next.
+		if s, ok := m.src.(interface {
+			Poll(*des.Proc) (payload.Payload, bool, error)
+		}); ok {
+			pl, wait, err = s.Poll(m.p)
+		} else {
+			pl, err = m.src.Next(m.p)
+		}
+		switch {
+		case wait:
+			return
+		case errors.Is(err, io.EOF):
+			m.src = nil
+			if len(m.rest) > 0 {
+				m.src, m.rest = m.rest[0], m.rest[1:]
+			}
+		case err != nil:
+			m.p.Resume()
+			return
+		default:
+			m.pulled += pl.Size()
+			if d, ok := m.cost(pl.Size()); ok {
+				m.p.WakeAfter(d)
+				return
+			}
+		}
+	}
+	m.p.Resume()
+}
+
 // lineReader splits a runSource into lines, the one place a line is
 // carried across a chunk boundary: the map slice and every merged run
 // are read with it. It pulls a chunk only when the line asked for needs
 // one and charges each chunk as it arrives (the handler's per-chunk CPU,
-// nil for none); handing out lines costs no virtual time, so its pulls
+// on its meter); handing out lines costs no virtual time, so its pulls
 // and charges fall where a chunk-at-a-time loop's do. A line inside a
 // chunk is a view into the chunk's payload bytes (which outlive the
 // chunk); a line spanning chunks is assembled in one of two alternating
@@ -107,9 +197,8 @@ func (s *payloadSource) Close() {}
 // non-blank line handed out — the merge's previous line, possibly itself
 // carried — stays intact while the next one assembles.
 type lineReader struct {
-	src    runSource
-	proc   *des.Proc
-	charge func(n int64)
+	src runSource
+	m   *meter
 	// pos is where the next pulled byte sits: the source's offset in its
 	// object (0 for a run) plus every byte pulled so far.
 	pos int64
@@ -123,7 +212,7 @@ type lineReader struct {
 // pull takes the next chunk off the source and charges it. It sets eof
 // at the source's end and returns errSizedChunk on a timing-only chunk.
 func (r *lineReader) pull() error {
-	pl, err := r.src.Next(r.proc)
+	pl, err := r.src.Next(r.m.p)
 	if errors.Is(err, io.EOF) {
 		r.eof = true
 		return nil
@@ -132,8 +221,8 @@ func (r *lineReader) pull() error {
 		return err
 	}
 	r.pos += pl.Size()
-	if r.charge != nil {
-		r.charge(pl.Size())
+	if d, ok := r.m.cost(pl.Size()); ok {
+		r.m.p.Sleep(d)
 	}
 	raw, real := pl.Bytes()
 	if !real {
@@ -180,18 +269,6 @@ func (r *lineReader) claim(line []byte) []byte {
 		r.flip = 1 - r.flip
 	}
 	return line
-}
-
-// drain pulls what is left of the source for its bytes and charges
-// alone, once a timing-only chunk has shown there are no lines to hand
-// out. It asks the source again even when the reader has seen its end.
-func (r *lineReader) drain() error {
-	for r.eof = false; !r.eof; {
-		if err := r.pull(); err != nil && !errors.Is(err, errSizedChunk) {
-			return err
-		}
-	}
-	return nil
 }
 
 // streamCursor is one run in the merge: a reader, the key of its current
@@ -266,32 +343,31 @@ func siftDown(h []*streamCursor, i int) {
 // globally ascending order — lines pass through verbatim: no
 // []bed.Record, no re-serialization, no full re-sort. emit must not
 // retain line past its call (it may sit in a recycled carry buffer).
-// charge, when non-nil, is called with each arriving chunk's size —
-// the handler's per-chunk MergeBps accounting. When any run is a
-// timing-only payload, every source is drained (still charged) and
-// sized=true is returned with the total byte count; the merge's emits
-// up to that point are void.
+// m charges each arriving chunk — the handler's per-chunk MergeBps
+// accounting. When any run is a timing-only payload, every source is
+// drained (still charged) and sized=true is returned with the total
+// byte count; the merge's emits up to that point are void.
 //
 // A timing-only exchange is all timing-only runs, so the first source's
 // first chunk is pulled (and charged) before anything is built: sized,
 // and the runs are drained by byte count with no cursor ever allocated
 // (~300 B each, fan-in squared over a wave); real, and it seeds cursor 0
 // exactly as that cursor's first pull would have.
-func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
+func mergeStreamedRuns(m *meter, srcs []runSource,
 	emit func(key bed.Key, line []byte) error) (sized bool, total int64, err error) {
 	if len(srcs) == 0 {
 		return false, 0, nil
 	}
-	first := lineReader{src: srcs[0], proc: p, charge: charge}
+	first := lineReader{src: srcs[0], m: m}
 	if err := first.pull(); errors.Is(err, errSizedChunk) {
-		return drainRuns(srcs, []streamCursor{{r: first}})
+		return drainRuns(m, srcs, []streamCursor{{r: first}})
 	} else if err != nil {
 		return false, 0, err
 	}
 	cursors := make([]streamCursor, len(srcs))
 	cursors[0].r = first
 	for i, src := range srcs[1:] {
-		cursors[i+1] = streamCursor{r: lineReader{src: src, proc: p, charge: charge}, idx: i + 1}
+		cursors[i+1] = streamCursor{r: lineReader{src: src, m: m}, idx: i + 1}
 	}
 	h := make([]*streamCursor, 0, len(srcs))
 	for i := range cursors {
@@ -301,7 +377,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 			// smaller than its fan-out writes Sized(0) runs, which read
 			// as empty.
 			if errors.Is(err, errSizedChunk) {
-				return drainRuns(srcs, cursors)
+				return drainRuns(m, srcs, cursors)
 			}
 			return false, 0, err
 		}
@@ -319,7 +395,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 		}
 		if err := c.advance(); err != nil {
 			if errors.Is(err, errSizedChunk) { // a sized run after real ones
-				return drainRuns(srcs, cursors)
+				return drainRuns(m, srcs, cursors)
 			}
 			return false, 0, err
 		}
@@ -340,19 +416,14 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 // drainRuns consumes the rest of every source purely for byte
 // accounting once a sized chunk voids the line merge, so the handler
 // charges CPU and transfer for the whole volume. started are the cursors
-// the merge had built, a prefix of srcs whose readers have counted what
-// they pulled; the rest get a fresh reader.
-func drainRuns(srcs []runSource, started []streamCursor) (bool, int64, error) {
-	var total int64
-	for i, src := range srcs {
-		r := lineReader{src: src, proc: started[0].r.proc, charge: started[0].r.charge}
-		if i < len(started) {
-			r = started[i].r
-		}
-		if err := r.drain(); err != nil {
-			return true, 0, err
-		}
-		total += r.pos
+// the merge had built, whose readers have counted what they pulled.
+func drainRuns(m *meter, srcs []runSource, started []streamCursor) (bool, int64, error) {
+	total, err := m.drain(srcs[0], srcs[1:])
+	if err != nil {
+		return true, 0, err
+	}
+	for i := range started {
+		total += started[i].r.pos
 	}
 	return true, total, nil
 }
