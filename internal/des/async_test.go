@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -332,4 +333,86 @@ func TestLinkStartFromCallbackWakesParkedProcess(t *testing.T) {
 		t.Error("a zero-byte Start made a flow")
 	}
 	l.Wait(p, nil)
+}
+
+// TestAwaitMatchesSleepingThroughTheWaits runs one chain of three waits
+// (sleeps of 1, 2 and 3 ms, the last ending the Await) two ways: as a
+// process sleeping through them, and as a callback the process hands
+// its wakes to. Both finish at 6 ms on the same events; the chain runs
+// four times (once at once, once a wait) and the process never leaves
+// Await in between. A chain done before its first wait returns at once.
+func TestAwaitMatchesSleepingThroughTheWaits(t *testing.T) {
+	waits := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	run := func(chained bool) (end time.Duration, fired int64, calls int) {
+		s := New(1)
+		s.Spawn("worker", func(p *Proc) {
+			if !chained {
+				for _, d := range waits {
+					p.Sleep(d)
+				}
+			} else {
+				i := 0
+				p.Await(func() {
+					calls++
+					if i == len(waits) {
+						p.Resume()
+						return
+					}
+					p.WakeAfter(waits[i])
+					i++
+				})
+			}
+			end = p.Now()
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return end, s.Fired(), calls
+	}
+	end, fired, _ := run(false)
+	cEnd, cFired, calls := run(true)
+	if cEnd != end || cFired != fired || end != 6*time.Millisecond {
+		t.Errorf("chain ends at %v after %d events, sleeping at %v after %d", cEnd, cFired, end, fired)
+	}
+	if calls != len(waits)+1 {
+		t.Errorf("the chain ran %d times, want %d", calls, len(waits)+1)
+	}
+	s := New(1)
+	s.Spawn("quick", func(p *Proc) {
+		p.Await(p.Resume)
+		if p.Now() != 0 || s.Fired() != 1 {
+			t.Errorf("a chain with no wait cost an event or time: %v, %d fired", p.Now(), s.Fired())
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAwaitWaitDiesWithItsProcess kills a process at a horizon while its
+// chain waits on the process's wake: the wait is cancelled with the
+// process, nothing of the chain runs in the resumed run, and a later
+// Wake finds a finished process.
+func TestAwaitWaitDiesWithItsProcess(t *testing.T) {
+	s := New(1)
+	calls := 0
+	p := s.Spawn("worker", func(p *Proc) {
+		p.Await(func() {
+			calls++
+			p.WakeAfter(time.Second)
+		})
+		t.Errorf("the killed process came back from Await")
+	})
+	s.Schedule(3*time.Second, func() {})
+	if err := s.RunUntil(1500 * time.Millisecond); !errors.Is(err, ErrSimLimit) {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	p.Wake()
+	if err := s.Run(); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if calls != 2 || s.Fired() != 3 || s.Now() != 3*time.Second {
+		t.Errorf("chain ran %d times, %d events fired, run ended at %v; want 2, 3 (spawn, the first wait, the bystander) at 3s",
+			calls, s.Fired(), s.Now())
+	}
 }
