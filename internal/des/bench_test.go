@@ -52,6 +52,60 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkDESScheduleNow measures Schedule->fire for events due at
+// the instant being fired (a wake, a callback handing on its result),
+// eight chains of them with benchHeapDepth later events pending: the
+// ring's path, which never touches the heap.
+func BenchmarkDESScheduleNow(b *testing.B) {
+	s := New(1)
+	for i := 0; i < benchHeapDepth; i++ {
+		s.After(time.Hour+time.Duration(i), func() {})
+	}
+	fired := 0
+	var fn func()
+	fn = func() {
+		if fired++; fired < b.N {
+			s.Schedule(s.Now(), fn)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		s.Schedule(0, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.RunUntil(time.Minute); err != ErrSimLimit {
+		b.Fatalf("RunUntil = %v, want ErrSimLimit", err)
+	}
+	b.StopTimer()
+	if fired < b.N {
+		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkDESReschedule measures the in-place move of one pending
+// event among benchHeapDepth others, a link's membership change: each
+// move draws a fresh seq and sifts the entry from where it sits, up or
+// down, and leaves no dead entry behind.
+func BenchmarkDESReschedule(b *testing.B) {
+	s := New(1)
+	fn := func() {}
+	for i := 0; i < benchHeapDepth; i++ {
+		s.After(time.Duration(i+1)*time.Microsecond, fn)
+	}
+	ev := s.After(time.Microsecond, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev = s.move(ev, time.Duration(i*37%benchHeapDepth+1)*time.Microsecond, fn)
+	}
+	b.StopTimer()
+	if s.canceled != 0 {
+		b.Fatalf("%d canceled entries after the moves", s.canceled)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "moves/s")
+}
+
 // BenchmarkDESCancel measures the cancel-heavy regime — timeouts armed
 // and disarmed without ever firing, the token-bucket/link pattern —
 // where lazy deletion must not let dead events accumulate.

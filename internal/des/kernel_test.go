@@ -221,3 +221,124 @@ func TestDeadlockManyParkedProcs(t *testing.T) {
 	}
 	leaks(s)
 }
+
+// TestStopMidInstant stops a run while events of the current instant
+// are still queued behind the one the stop came at: MaxEvents trips,
+// or a callback panics, halfway through the instant. The clock must
+// stay at that instant, not jump to the horizon past it; Pending must
+// count what is left of the instant; and, after MaxEvents, a resumed
+// run must fire the rest in the order an uninterrupted run does.
+func TestStopMidInstant(t *testing.T) {
+	const horizon = 5 * time.Second
+	setup := func(s *Sim, fired *[]string, panicAt string) {
+		log := func(name string) func() {
+			return func() {
+				*fired = append(*fired, name)
+				if name == panicAt {
+					panic(name)
+				}
+			}
+		}
+		// b and c are due at 1s from the start; a's burst joins the
+		// instant when a fires, behind them.
+		s.Schedule(time.Second, func() {
+			log("a")()
+			for _, name := range []string{"a1", "a2", "a3"} {
+				s.Schedule(s.Now(), log(name))
+			}
+		})
+		s.Schedule(time.Second, log("b"))
+		s.Schedule(time.Second, log("c"))
+		s.Schedule(10*time.Second, log("late"))
+	}
+	var want []string
+	s := New(1)
+	setup(s, &want, "")
+	if err := s.RunUntil(horizon); !errors.Is(err, ErrSimLimit) {
+		t.Fatalf("uninterrupted RunUntil = %v, want ErrSimLimit", err)
+	}
+	if s.Now() != horizon || s.Pending() != 1 {
+		t.Fatalf("uninterrupted run: Now %v, Pending %d; want %v, 1", s.Now(), s.Pending(), horizon)
+	}
+	if fmt.Sprint(want) != "[a b c a1 a2 a3]" {
+		t.Fatalf("uninterrupted order %v", want)
+	}
+
+	// Stopped after each of the instant's first five events, the
+	// queues hold the rest of the instant and late.
+	for stopAfter := int64(1); stopAfter < 6; stopAfter++ {
+		var got []string
+		s := New(1)
+		setup(s, &got, "")
+		s.MaxEvents = stopAfter
+		if err := s.RunUntil(horizon); !errors.Is(err, ErrSimLimit) {
+			t.Fatalf("MaxEvents %d: RunUntil = %v, want ErrSimLimit", stopAfter, err)
+		}
+		if s.Now() != time.Second {
+			t.Fatalf("MaxEvents %d: Now = %v mid-instant, want 1s", stopAfter, s.Now())
+		}
+		if p, want := s.Pending(), 7-int(stopAfter); p != want {
+			t.Fatalf("MaxEvents %d: Pending = %d, want %d", stopAfter, p, want)
+		}
+		s.MaxEvents = 0
+		if err := s.RunUntil(horizon); !errors.Is(err, ErrSimLimit) {
+			t.Fatalf("MaxEvents %d: resumed RunUntil = %v, want ErrSimLimit", stopAfter, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || s.Now() != horizon {
+			t.Fatalf("MaxEvents %d: resumed run fired %v, Now %v; want %v, %v", stopAfter, got, s.Now(), want, horizon)
+		}
+	}
+
+	// A panic in b leaves c and a's whole burst queued at 1s.
+	var got []string
+	s = New(1)
+	setup(s, &got, "b")
+	var pe *PanicError
+	if err := s.RunUntil(horizon); !errors.As(err, &pe) {
+		t.Fatalf("RunUntil with a panicking callback = %v, want *PanicError", err)
+	}
+	if s.Now() != time.Second || s.Pending() != 5 {
+		t.Fatalf("after the panic: Now %v, Pending %d; want 1s, 5", s.Now(), s.Pending())
+	}
+}
+
+// TestKernelHotPathsAllocateNothing holds the kernel's per-event paths
+// at zero allocations once the slot table and queues have grown:
+// Schedule and fire through the ring (due now) and through the heap
+// (later), Cancel, with the compactions it sets off, and the in-place
+// move.
+func TestKernelHotPathsAllocateNothing(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	later := func() { s.Schedule(s.Now(), fn) }
+	moved := s.After(time.Hour, fn)
+	var k time.Duration
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"schedule and fire", func() {
+			s.Schedule(s.Now(), fn)
+			s.After(time.Millisecond, later)
+			if err := s.RunUntil(s.Now() + time.Second); !errors.Is(err, ErrSimLimit) {
+				t.Fatalf("RunUntil = %v, want ErrSimLimit (the moved event is pending)", err)
+			}
+		}},
+		{"cancel", func() { s.After(time.Minute, fn).Cancel() }},
+		{"move", func() {
+			k++
+			moved = s.move(moved, s.Now()+time.Hour+k%7, fn)
+		}},
+	} {
+		for i := 0; i < 256; i++ {
+			c.op()
+		}
+		canceled := s.canceled
+		if n := testing.AllocsPerRun(200, c.op); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, n)
+		}
+		if c.name == "move" && s.canceled != canceled {
+			t.Errorf("move: %d canceled entries before, %d after; want it in place", canceled, s.canceled)
+		}
+	}
+}

@@ -22,7 +22,10 @@ import (
 // instant stay the same: among other events of that instant it takes
 // the place of the latest change, and completions that share an
 // instant go in (remaining, flow name) order as of that change. Fired
-// logs depend on both.
+// logs depend on both. The move is made in place on the kernel's heap
+// (Sim.move): the event takes the seq a cancel and a fresh Schedule
+// would have drawn, so it fires where that one would, and no dead entry
+// is left behind.
 //
 // A change costs one loop over the flows while the link is steady:
 // every flow in flight has the same finite cap, every one runs at it,
@@ -36,8 +39,8 @@ import (
 // the flow with the least (remaining, name, position) is the flow
 // reshare would pick, and finishAt of that one flow is its instant.
 // sweep is that loop: subtract, clamp at zero, keep the least. Nothing
-// about it is approximate, and the event is cancelled and scheduled
-// anew exactly as on the general path.
+// about it is approximate, and the event is moved exactly as on the
+// general path.
 //
 // The link tells from state it keeps as flows come and go, in O(1):
 // cap1, the cap of the flow that joined when the link was last empty;
@@ -283,11 +286,6 @@ func (l *Link) advance() {
 // to the flow that now finishes first. The flows must be advanced to
 // the current instant.
 func (l *Link) reshare() {
-	l.ev.Cancel()
-	l.ev = Event{}
-	if len(l.flows) == 0 {
-		return
-	}
 	l.assignRates()
 	now := l.sim.now
 	next, nextAt := -1, time.Duration(0)
@@ -305,10 +303,19 @@ func (l *Link) reshare() {
 			next, nextAt = i, at
 		}
 	}
-	if next >= 0 {
-		l.next = next
-		l.ev = l.sim.Schedule(nextAt, l.fireFn)
+	l.moveEvent(next, nextAt)
+}
+
+// moveEvent moves the completion event to the instant at, for
+// flows[next], or cancels it when next is -1 (no flow can finish).
+func (l *Link) moveEvent(next int, at time.Duration) {
+	if next < 0 {
+		l.ev.Cancel()
+		l.ev = Event{}
+		return
 	}
+	l.next = next
+	l.ev = l.sim.move(l.ev, at, l.fireFn)
 }
 
 // assignRates sets every flow's rate to its max-min fair share. When
@@ -454,8 +461,6 @@ func (l *Link) moved() float64 {
 // the index of a flow that is already up to date (the one that joined,
 // or the one fire found unfinished), -1 for none.
 func (l *Link) sweep(moved float64, current int) {
-	l.ev.Cancel()
-	l.ev = Event{}
 	next := -1
 	var least float64
 	var name string
@@ -471,10 +476,7 @@ func (l *Link) sweep(moved float64, current int) {
 			next, least, name = i, left, f.name
 		}
 	}
-	if next >= 0 {
-		l.next = next
-		l.ev = l.sim.Schedule(finishAt(l.sim.now, least, l.cap1), l.fireFn)
-	}
+	l.moveEvent(next, finishAt(l.sim.now, least, l.cap1))
 }
 
 // finishAt is the instant a flow with remaining bytes left finishes

@@ -359,6 +359,40 @@ func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
 	}
 }
 
+// TestLinkLeavesNoDeadEvent: a membership change moves the link's
+// completion event where it sits on the kernel's heap, so neither a
+// steady burst (one cap, the caps within capacity: the single pass)
+// nor a link past its capacity with two caps (the general path, which
+// waterfills) leaves a canceled entry in the kernel's queues.
+func TestLinkLeavesNoDeadEvent(t *testing.T) {
+	s := New(1)
+	l := NewLink(s, 1e9)
+	check := func(when string) {
+		if s.canceled != 0 {
+			t.Fatalf("%s: %d canceled entries queued", when, s.canceled)
+		}
+	}
+	join := func(at time.Duration, name string, bytes int64, flowCap float64) {
+		s.Schedule(at, func() {
+			l.TransferAsync(name, bytes, flowCap, func() { check(name + " done") })
+			check(name + " joins")
+		})
+	}
+	for i := 0; i < 16; i++ {
+		join(time.Duration(i)*time.Millisecond, fmt.Sprintf("steady-%02d", i), 1<<20+int64(i)<<12, 50e6)
+	}
+	for i := 0; i < 32; i++ {
+		join(100*time.Millisecond+time.Duration(i)*time.Millisecond, fmt.Sprintf("bound-%02d", i), 1<<20+int64(i)<<12, float64(40e6+i%2*20e6))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	check("drained")
+	if l.Transfers() != 48 || s.Pending() != 0 {
+		t.Fatalf("after drain: %d transfers, %d pending", l.Transfers(), s.Pending())
+	}
+}
+
 func TestLinkDrainLeavesNoEvent(t *testing.T) {
 	load := func() (*Sim, *Link) {
 		s := New(1)

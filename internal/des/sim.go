@@ -2,12 +2,12 @@
 // kernel used as the substrate for the simulated cloud (object storage,
 // FaaS platform, and VM provisioner).
 //
-// A Sim owns a virtual clock and an event heap. Simulated activities
+// A Sim owns a virtual clock and its event queues. Simulated activities
 // run as processes (Proc): ordinary Go functions executing on
 // goroutines, but scheduled cooperatively so that exactly one process
-// runs at any instant. All ordering is decided by the event heap
-// (virtual time, then FIFO sequence), which makes runs fully
-// deterministic regardless of the Go scheduler.
+// runs at any instant. All ordering is decided by the events' (virtual
+// time, then FIFO sequence), which makes runs fully deterministic
+// regardless of the Go scheduler.
 //
 // There is no scheduler goroutine. Exactly one goroutine at a time
 // holds the baton: Run's caller at the start, then whichever process
@@ -17,7 +17,7 @@
 // the baton straight to that process and blocks, or simply carries on
 // if the process is itself. Scheduled callbacks therefore run on
 // whichever goroutine holds the baton and must not block. When the
-// run has to stop (heap drained, horizon, MaxEvents, a panic) the
+// run has to stop (queues drained, horizon, MaxEvents, a panic) the
 // baton goes back to Run's caller, which alone decides the outcome
 // and unwinds what is left.
 //
@@ -27,12 +27,20 @@
 // handoff that passes the baton is also what orders one holder's
 // writes before the next holder's reads.
 //
-// The kernel is built for million-event runs: the heap is a concrete
-// 4-ary min-heap over inline (time, seq, slot) records, event state
-// lives in a slot table recycled through a free list, and handles carry
-// a generation so a stale Cancel after slot reuse is a no-op. Schedule
-// and fire are allocation-free in steady state; Cancel is O(1) lazy
-// deletion, with the heap compacted when dead entries pile up.
+// The kernel is built for million-event runs. Events wait in one of two
+// queues: an event scheduled for the instant being fired (or clamped to
+// it) joins a FIFO ring, every later one a concrete 4-ary min-heap over
+// inline (time, seq, slot) records. The loop fires the heap's entries
+// due now before the ring's, which is (at, seq) order: a heap entry due
+// now was scheduled at an earlier instant, so its seq is below every
+// ring entry's. Event state lives in a slot table recycled through a
+// free list, and handles carry a generation so a stale Cancel after
+// slot reuse is a no-op. Schedule and fire are allocation-free in
+// steady state; Cancel is O(1) lazy deletion, with both queues
+// compacted when dead entries pile up. Each slot records where its
+// entry sits in the heap, kept at every sift step, so a pending event
+// can be moved to another instant where it sits (move) rather than
+// cancelled and buried as a dead entry.
 package des
 
 import (
@@ -48,7 +56,7 @@ import (
 // configured on the Sim is exceeded before the simulation drains.
 var ErrSimLimit = errors.New("des: simulation limit exceeded")
 
-// DeadlockError reports that the event heap drained while processes
+// DeadlockError reports that the event queues drained while processes
 // were still parked, i.e. no future event could ever wake them.
 type DeadlockError struct {
 	// Parked lists the names of the processes left waiting.
@@ -142,9 +150,12 @@ func (e Event) pending() bool {
 // recycled through the free list; gen increments at every free so
 // handles minted for the previous tenant go stale.
 type eventSlot struct {
-	fire     func()
-	at       time.Duration
-	gen      uint32
+	fire func()
+	at   time.Duration
+	gen  uint32
+	// pos is the entry's index in the heap, or -1 while it waits in
+	// the ring.
+	pos      int32
 	canceled bool
 }
 
@@ -171,7 +182,40 @@ func entLess(a, b heapEnt) bool {
 	return a.key < b.key
 }
 
-func (e heapEnt) slot() int32 { return int32(e.key & (1<<slotBits - 1)) }
+func (e heapEnt) slot() int32 { return keySlot(e.key) }
+
+func keySlot(key int64) int32 { return int32(key & (1<<slotBits - 1)) }
+
+// ring is the FIFO of events due at the current instant: packed (seq,
+// slot) keys, in the order they were scheduled. Its length is a power
+// of two, so a position wraps with a mask; it doubles when full.
+type ring struct {
+	buf  []int64
+	head int
+	n    int
+}
+
+func (r *ring) push(key int64) {
+	if r.n == len(r.buf) {
+		grown := make([]int64, max(2*len(r.buf), 64))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = key
+	r.n++
+}
+
+// at returns the i-th key from the front, and set overwrites it.
+func (r *ring) at(i int) int64 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring) set(i int, key int64) { r.buf[(r.head+i)&(len(r.buf)-1)] = key }
+
+func (r *ring) pop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
 
 // Sim is a discrete-event simulation. The zero value is not usable;
 // construct with New.
@@ -200,9 +244,10 @@ type Sim struct {
 	handoffs int64
 
 	heap     []heapEnt
+	due      ring // the events due at now, fired after the heap's
 	slots    []eventSlot
 	free     []int32
-	canceled int // dead entries still on the heap
+	canceled int // dead entries still queued, in either queue
 
 	running bool
 	err     error
@@ -241,15 +286,15 @@ func (s *Sim) Fired() int64 { return s.fired }
 // the next one activated costs none.
 func (s *Sim) Handoffs() int64 { return s.handoffs }
 
-// Pending reports the number of live (not canceled) events on the heap.
-func (s *Sim) Pending() int { return len(s.heap) - s.canceled }
+// Pending reports the number of live (not canceled) events queued.
+func (s *Sim) Pending() int { return len(s.heap) + s.due.n - s.canceled }
 
 // Schedule registers fn to fire at virtual time at (clamped to now if
 // in the past) and returns a cancelable handle. fn runs on the
 // goroutine that holds the baton when its time comes (Run's caller or
 // some process's) and must not block: it may Schedule, Cancel, Spawn
 // and Wake, never Sleep or Park. A panic in fn stops the run with a
-// *PanicError. Steady-state calls are allocation-free: the heap entry
+// *PanicError. Steady-state calls are allocation-free: the queue entry
 // is inline and the event slot comes from the free list.
 func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 	if at < s.now {
@@ -271,8 +316,36 @@ func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 	sl.fire = fn
 	sl.at = at
 	sl.canceled = false
-	s.push(heapEnt{at: at, key: s.seq<<slotBits | int64(slot)})
+	key := s.seq<<slotBits | int64(slot)
+	if at == s.now {
+		sl.pos = -1
+		s.due.push(key)
+	} else {
+		s.push(heapEnt{at: at, key: key})
+	}
 	return Event{s: s, slot: slot, gen: sl.gen}
+}
+
+// move is e.Cancel() followed by Schedule(at, fn), with the same seq
+// drawn and so the same place in the firing order, but done where the
+// entry sits when e is pending on the heap and at is later than now:
+// the entry takes the new time and seq and is sifted from its place,
+// and no dead entry is left behind. Otherwise (e fired, was canceled or
+// waits in the ring, or at is now) it is exactly Cancel and Schedule.
+// Either way e goes stale and the returned handle is the event's.
+func (s *Sim) move(e Event, at time.Duration, fn func()) Event {
+	if e.s == s && at > s.now {
+		if sl := &s.slots[e.slot]; sl.gen == e.gen && !sl.canceled && sl.pos >= 0 {
+			s.seq++
+			sl.fire = fn
+			sl.at = at
+			sl.gen++
+			s.fix(int(sl.pos), heapEnt{at: at, key: s.seq<<slotBits | int64(e.slot)})
+			return Event{s: s, slot: e.slot, gen: sl.gen}
+		}
+	}
+	e.Cancel()
+	return s.Schedule(at, fn)
 }
 
 // After schedules fn to fire d from now.
@@ -292,17 +365,37 @@ func (s *Sim) freeSlot(slot int32) {
 // push appends an entry and sifts it up the 4-ary heap.
 func (s *Sim) push(ent heapEnt) {
 	s.heap = append(s.heap, ent)
-	h := s.heap
-	i := len(h) - 1
+	s.siftUp(len(s.heap)-1, ent)
+}
+
+// siftUp places ent at index i, walking it up past larger parents.
+// Every write into the heap (here, in popTop and in siftDown) records
+// the entry's new index in its slot, so a slot always knows where its
+// entry sits.
+func (s *Sim) siftUp(i int, ent heapEnt) {
+	h, slots := s.heap, s.slots
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !entLess(ent, h[parent]) {
+		p := h[parent]
+		if !entLess(ent, p) {
 			break
 		}
-		h[i] = h[parent]
+		h[i] = p
+		slots[p.slot()].pos = int32(i)
 		i = parent
 	}
 	h[i] = ent
+	slots[ent.slot()].pos = int32(i)
+}
+
+// fix places ent, which replaces the entry at index i, wherever it
+// belongs: up if it is less than its parent, down otherwise.
+func (s *Sim) fix(i int, ent heapEnt) {
+	if i > 0 && entLess(ent, s.heap[(i-1)>>2]) {
+		s.siftUp(i, ent)
+		return
+	}
+	s.siftDown(i, ent)
 }
 
 // popTop removes the minimum entry, restoring the heap property. It
@@ -322,6 +415,7 @@ func (s *Sim) popTop() {
 	tail := h[n]
 	h = h[:n]
 	s.heap = h
+	slots := s.slots
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -341,17 +435,10 @@ func (s *Sim) popTop() {
 			}
 		}
 		h[i] = min
+		slots[min.slot()].pos = int32(i)
 		i = m
 	}
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entLess(tail, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = tail
+	s.siftUp(i, tail)
 }
 
 // siftDown places ent at index i, walking it down past smaller
@@ -359,7 +446,7 @@ func (s *Sim) popTop() {
 // trading two extra comparisons per level for half the cache-missing
 // level hops — the winning trade for pop-heavy event loops.
 func (s *Sim) siftDown(i int, ent heapEnt) {
-	h := s.heap
+	h, slots := s.heap, s.slots
 	n := len(h)
 	for {
 		c := i<<2 + 1
@@ -380,30 +467,39 @@ func (s *Sim) siftDown(i int, ent heapEnt) {
 			break
 		}
 		h[i] = h[m]
+		slots[h[i].slot()].pos = int32(i)
 		i = m
 	}
 	h[i] = ent
+	slots[ent.slot()].pos = int32(i)
 }
 
-// maybeCompact rebuilds the heap without its canceled entries once
-// they outnumber the live ones (and are numerous enough to matter).
-// Cancel stays O(1); the occasional O(n) sweep keeps a cancel-heavy
-// workload's heap from growing without bound, and the (at, seq) order
-// of the survivors is untouched.
+// maybeCompact rebuilds both queues without their canceled entries
+// once they outnumber the live ones (and are numerous enough to
+// matter). Cancel stays O(1); the occasional O(n) sweep keeps a
+// cancel-heavy workload's queues from growing without bound, and the
+// (at, seq) order of the survivors is untouched.
 func (s *Sim) maybeCompact() {
-	if s.canceled < 64 || s.canceled*2 < len(s.heap) {
+	if s.canceled < 64 || s.canceled*2 < len(s.heap)+s.due.n {
 		return
 	}
 	kept := s.heap[:0]
 	for _, ent := range s.heap {
-		if slot := ent.slot(); s.slots[slot].canceled {
-			s.slots[slot].canceled = false
-			s.freeSlot(slot)
+		if s.dropCanceled(ent.slot()) {
 			continue
 		}
+		s.slots[ent.slot()].pos = int32(len(kept))
 		kept = append(kept, ent)
 	}
 	s.heap = kept
+	n := 0
+	for i := 0; i < s.due.n; i++ {
+		if key := s.due.at(i); !s.dropCanceled(keySlot(key)) {
+			s.due.set(n, key)
+			n++
+		}
+	}
+	s.due.n = n
 	s.canceled = 0
 	// Floyd heapify: sift down every internal node, last parent first.
 	if len(kept) > 1 {
@@ -413,7 +509,18 @@ func (s *Sim) maybeCompact() {
 	}
 }
 
-// Run drives the simulation until the event heap drains, a limit is
+// dropCanceled frees slot if its event was canceled, reporting whether
+// it did.
+func (s *Sim) dropCanceled(slot int32) bool {
+	if !s.slots[slot].canceled {
+		return false
+	}
+	s.slots[slot].canceled = false
+	s.freeSlot(slot)
+	return true
+}
+
+// Run drives the simulation until the event queues drain, a limit is
 // hit, or a process or callback panics. It returns nil on a clean
 // drain with no live processes, a *DeadlockError if processes were left
 // parked, a *PanicError on a panic, or ErrSimLimit.
@@ -427,7 +534,7 @@ func (s *Sim) Run() error {
 
 // RunUntil is Run with a horizon: events scheduled after limit are not
 // fired and ErrSimLimit is returned. A negative limit means no
-// horizon. Events beyond the horizon stay on the heap — a later
+// horizon. Events beyond the horizon stay queued — a later
 // RunUntil with a larger limit (or Run) picks up exactly where this
 // one stopped — though processes parked at the horizon are unwound,
 // per the no-surviving-goroutines contract.
@@ -456,7 +563,9 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 // in (at, seq) order until one activates a process, which it returns
 // for the caller to hand the baton to (or to carry on as, if it is the
 // caller itself), or until the run must stop, when it returns nil and
-// leaves the reason for stop to work out.
+// leaves the reason for stop to work out. The next event is the heap's
+// top when that is due now or the ring is empty, else the ring's head;
+// the clock moves only once the ring has drained.
 func (s *Sim) drive() (next *Proc) {
 	// A callback cannot suspend, so the stack here is never deeper than
 	// suspend -> drive -> callback and one recover covers them all.
@@ -467,32 +576,46 @@ func (s *Sim) drive() (next *Proc) {
 		}
 	}()
 	limit := s.limit
-	for len(s.heap) > 0 && s.err == nil {
-		top := s.heap[0]
-		slot := top.slot()
+	for s.err == nil {
+		var slot int32
+		at := s.now
+		fromHeap := len(s.heap) > 0 && (s.due.n == 0 || s.heap[0].at <= at)
+		switch {
+		case fromHeap:
+			slot, at = s.heap[0].slot(), s.heap[0].at
+		case s.due.n > 0:
+			slot = keySlot(s.due.at(0))
+		default:
+			return nil
+		}
 		sl := &s.slots[slot]
-		if sl.canceled {
+		if !sl.canceled {
+			if limit >= 0 && at > limit {
+				// Beyond the horizon: leave the event in place for a
+				// future run rather than dropping it.
+				return nil
+			}
+			if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
+				return nil
+			}
+		}
+		if fromHeap {
 			s.popTop()
+		} else {
+			s.due.pop()
+		}
+		if sl.canceled {
 			sl.canceled = false
 			s.canceled--
 			s.freeSlot(slot)
 			continue
 		}
-		if limit >= 0 && top.at > limit {
-			// Beyond the horizon: leave the event in place for a
-			// future run rather than dropping it.
-			return nil
-		}
-		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
-			return nil
-		}
 		fn := sl.fire
-		s.popTop()
 		// Free before firing: fn may Schedule (reusing this slot for a
 		// new event) or Cancel its own handle (stale by generation).
 		s.freeSlot(slot)
 		s.fired++
-		s.now = top.at
+		s.now = at
 		fn()
 		if p := s.next; p != nil {
 			s.next = nil
@@ -504,18 +627,19 @@ func (s *Sim) drive() (next *Proc) {
 
 // stop runs on Run's goroutine once drive has returned nil somewhere:
 // it works out why, unwinds every live process and builds the error.
-// drive pops canceled entries before it looks at the horizon, so a
-// non-empty heap's top is the live event that was not fired.
+// drive drops canceled entries before it looks at the horizon, so the
+// event it stopped at is live: due now if the ring holds any (the run
+// stopped in the middle of an instant), else the heap's top.
 func (s *Sim) stop() error {
 	switch {
 	case s.err != nil:
 		s.killLive()
 		return s.err
-	case len(s.heap) == 0:
+	case len(s.heap) == 0 && s.due.n == 0:
 		if s.liveHead == nil {
 			return nil
 		}
-		// The heap drained, so no wake event exists for any live
+		// The queues drained, so no wake event exists for any live
 		// process: every one of them is parked forever.
 		var names []string
 		for p := s.liveHead; p != nil; p = p.nextLive {
@@ -525,7 +649,17 @@ func (s *Sim) stop() error {
 		s.killLive()
 		return &DeadlockError{Parked: names}
 	}
-	if s.limit >= 0 && s.heap[0].at > s.limit {
+	next := s.now
+	if s.due.n == 0 {
+		next = s.heap[0].at
+	}
+	if s.limit >= 0 && next > s.limit {
+		// Only a horizon the clock has already passed stops the run at
+		// an event due now. The clock goes back to it, so the ring's
+		// events wait on the heap at the instant they are due.
+		for ; s.due.n > 0; s.due.pop() {
+			s.push(heapEnt{at: s.now, key: s.due.at(0)})
+		}
 		s.now = s.limit
 	}
 	s.killLive()
@@ -544,8 +678,8 @@ func (s *Sim) stop() error {
 // joins the tail of the list and is discarded in turn.
 //
 // A victim's pending wake event (a Sleep timer, a Wake, or the Spawn
-// activation) must be canceled here: RunUntil leaves future events on
-// the heap for resumption, and an orphaned activation firing on a
+// activation) must be canceled here: RunUntil leaves future events
+// queued for resumption, and an orphaned activation firing on a
 // later run would name a process whose goroutine is gone.
 func (s *Sim) killLive() {
 	for s.liveHead != nil {
