@@ -312,10 +312,9 @@ func TestLinkStartFromCallbackWakesParkedProcess(t *testing.T) {
 	var f *Flow
 	var done time.Duration
 	p := s.Spawn("sender", func(p *Proc) {
-		for f == nil {
+		for f == nil || !l.Collect(f) {
 			p.Park()
 		}
-		l.Wait(p, f)
 		done = p.Now()
 	})
 	s.Schedule(time.Second, func() { f = l.Start(p, 500_000, 0) })
@@ -329,10 +328,9 @@ func TestLinkStartFromCallbackWakesParkedProcess(t *testing.T) {
 	if l.Transfers() != 1 || l.ActiveFlows() != 0 || len(l.free) != 1 {
 		t.Errorf("link after the transfer: %d done, %d active, %d flows recycled", l.Transfers(), l.ActiveFlows(), len(l.free))
 	}
-	if l.Start(p, 0, 0) != nil {
-		t.Error("a zero-byte Start made a flow")
+	if l.Start(p, 0, 0) != nil || !l.Collect(nil) {
+		t.Error("a zero-byte Start made a flow, or Collect has one to wait for")
 	}
-	l.Wait(p, nil)
 }
 
 // TestAwaitMatchesSleepingThroughTheWaits runs one chain of three waits
@@ -391,14 +389,15 @@ func TestAwaitMatchesSleepingThroughTheWaits(t *testing.T) {
 
 // TestAwaitWaitDiesWithItsProcess kills a process at a horizon while its
 // chain waits on the process's wake: the wait is cancelled with the
-// process, nothing of the chain runs in the resumed run, and a later
-// Wake finds a finished process.
+// process, nothing of the chain runs in the resumed run, a later Wake
+// finds a finished process, and Gone tells a callback that outlives it.
 func TestAwaitWaitDiesWithItsProcess(t *testing.T) {
 	s := New(1)
-	calls := 0
+	calls, gone := 0, false
 	p := s.Spawn("worker", func(p *Proc) {
 		p.Await(func() {
 			calls++
+			gone = gone || p.Gone()
 			p.WakeAfter(time.Second)
 		})
 		t.Errorf("the killed process came back from Await")
@@ -406,6 +405,9 @@ func TestAwaitWaitDiesWithItsProcess(t *testing.T) {
 	s.Schedule(3*time.Second, func() {})
 	if err := s.RunUntil(1500 * time.Millisecond); !errors.Is(err, ErrSimLimit) {
 		t.Fatalf("RunUntil: %v", err)
+	}
+	if gone || !p.Gone() {
+		t.Errorf("Gone read %v while the chain ran and %v once killed, want false and true", gone, p.Gone())
 	}
 	p.Wake()
 	if err := s.Run(); err != nil {

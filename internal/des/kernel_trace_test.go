@@ -206,12 +206,18 @@ func TestKernelTraceGolden(t *testing.T) {
 		t.Error("kernel trace is not deterministic run to run")
 	}
 	// Arming the wake and parking is sleeping, and starting a flow and
-	// waiting for it is transferring: a chain of callbacks that ends a
-	// request in either (objectstore's) fires what the process did.
+	// parking until it can be collected is transferring: a chain of
+	// callbacks that waits in either (objectstore's) fires what the
+	// process did.
 	halves := kernelTrace(t,
 		func(p *Proc, d time.Duration) { p.WakeAfter(d); p.Park() },
-		func(l *Link, p *Proc, bytes int64, flowCap float64) { l.Wait(p, l.Start(p, bytes, flowCap)) })
+		func(l *Link, p *Proc, bytes int64, flowCap float64) {
+			f := l.Start(p, bytes, flowCap)
+			for !l.Collect(f) {
+				p.Park()
+			}
+		})
 	if halves != got {
-		t.Error("WakeAfter then Park, or Start then Wait, traced differently from Sleep and Transfer")
+		t.Error("WakeAfter then Park, or Start then Collect, traced differently from Sleep and Transfer")
 	}
 }

@@ -60,13 +60,13 @@ import (
 // sweep takes them at cap1.
 //
 // A flow completes in one of two ways, one event either way and in the
-// same place: Transfer's flow wakes the process parked on it, and
-// TransferAsync's flow schedules its callback where that wake would
-// have gone. A caller that is a state machine rather than a process (a
-// store stream) therefore fires exactly the events, in exactly the
-// order, that a process doing the same transfers would. Start and Wait
-// are Transfer's two halves, for the state machine whose last transfer
-// is the one its parked process wakes from (a store PUT).
+// same place: Start's flow wakes its process, and TransferAsync's flow
+// schedules its callback where that wake would have gone. A caller that
+// is a state machine rather than a process (a store stream) therefore
+// fires exactly the events, in exactly the order, that a process doing
+// the same transfers would. Transfer is Start, then a park until Collect
+// takes the flow back; a chain working for a parked process (a store
+// request, Proc.Await) collects it at that wake instead.
 type Link struct {
 	sim      *Sim
 	capacity float64 // bytes/sec; <= 0 means unlimited
@@ -107,7 +107,7 @@ type Link struct {
 }
 
 // Flow is one transfer on a link. Callers see only the flow Start
-// returns, and only to hand it to Wait.
+// returns, and only to hand it to Collect.
 type Flow struct {
 	remaining float64
 	bytes     float64 // the transfer's full size, for the stats
@@ -170,11 +170,13 @@ func (l *Link) Transfers() int64 { return l.transfersRun }
 // model a single TCP connection's ceiling. Zero-byte transfers return
 // immediately.
 func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
-	l.Wait(p, l.Start(p, bytes, flowCap))
+	for f := l.Start(p, bytes, flowCap); !l.Collect(f); {
+		p.Park()
+	}
 }
 
 // Start puts a transfer for p on the link and returns at once; its
-// completion wakes p, which collects it with Wait. The caller need not
+// completion wakes p, and Collect takes it back. The caller need not
 // be p: a callback may start the flow of a process that is already
 // parked, and the process then resumes where Transfer would have
 // resumed it. A zero-byte transfer is no flow at all (nil).
@@ -187,16 +189,19 @@ func (l *Link) Start(p *Proc, bytes int64, flowCap float64) *Flow {
 	return f
 }
 
-// Wait parks p until the flow Start gave it has moved its bytes, then
-// gives the flow back to the link. A nil flow has nothing to wait for.
-func (l *Link) Wait(p *Proc, f *Flow) {
+// Collect reports whether the flow Start gave has moved its bytes and, if
+// it has, gives it back to the link: f must not be used again. A nil flow
+// has nothing to move. A wake of the flow's process that comes before
+// the flow has finished was not its completion.
+func (l *Link) Collect(f *Flow) bool {
 	if f == nil {
-		return
+		return true
 	}
-	for !f.finished {
-		p.Park()
+	if !f.finished {
+		return false
 	}
 	l.release(f)
+	return true
 }
 
 // TransferAsync is Transfer for a caller that is not a process: it
@@ -407,7 +412,7 @@ func (l *Link) complete(i int) {
 	l.bytesMoved += f.bytes
 	l.transfersRun++
 	if f.proc != nil {
-		// Transfer releases the flow once its process has seen it
+		// Collect releases the flow once its process has seen it
 		// finished.
 		f.finished = true
 		f.proc.Wake()

@@ -135,9 +135,9 @@ func runSchedule(t *testing.T, sc diffSchedule, mk func(*Sim) diffLink) diffResu
 		s.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
 			p.Sleep(tick.armed)
 			p.Sleep(tick.at - tick.armed)
-			res.steps = append(res.steps, diffStep{p.Name(), -1, p.Now()})
+			res.steps = append(res.steps, diffStep{p.name, -1, p.Now()})
 			p.Sleep(0)
-			res.steps = append(res.steps, diffStep{p.Name(), -2, p.Now()})
+			res.steps = append(res.steps, diffStep{p.name, -2, p.Now()})
 		})
 	}
 	if err := s.Run(); err != nil {

@@ -130,7 +130,7 @@ func (l *oracleLink) reshare() {
 		if ordered[i].remaining != ordered[j].remaining {
 			return ordered[i].remaining < ordered[j].remaining
 		}
-		return ordered[i].proc.Name() < ordered[j].proc.Name()
+		return ordered[i].proc.name < ordered[j].proc.name
 	})
 	caps := make([]float64, len(ordered))
 	for i, f := range ordered {

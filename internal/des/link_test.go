@@ -291,7 +291,7 @@ func wakeOrder(t *testing.T, l *Link, flowCap float64, names []string, bytes []i
 		n := bytes[i]
 		l.sim.Spawn(name, func(p *Proc) {
 			l.Transfer(p, n, flowCap)
-			order = append(order, p.Name())
+			order = append(order, p.name)
 			at = append(at, p.Now())
 		})
 	}
@@ -334,7 +334,7 @@ func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
 	for _, name := range []string{"fed", "starved"} {
 		s.Spawn(name, func(p *Proc) {
 			l.Transfer(p, 100, 0)
-			done[p.Name()] = p.Now()
+			done[p.name] = p.Now()
 		})
 	}
 	s.Spawn("stall", func(p *Proc) {

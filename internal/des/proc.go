@@ -200,9 +200,6 @@ func (p *Proc) suspend() {
 	}
 }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the owning simulation.
 func (p *Proc) Sim() *Sim { return p.sim }
 
@@ -269,6 +266,12 @@ func (p *Proc) Resume() {
 	}
 	p.awaiting, p.suspended = false, false
 }
+
+// Gone reports whether the process has finished or been killed. A
+// callback working for a process that is not its wake (a throttle's
+// grant to a chain) outlives a kill, which cancels only the wake, and
+// must do nothing more in the process's name once it is gone.
+func (p *Proc) Gone() bool { return p.done || p.killed }
 
 // Park suspends the process indefinitely; some other party must call
 // Wake to resume it. Parking with no one holding a reference that will

@@ -72,7 +72,7 @@ func TestTokenBucketFIFOFairness(t *testing.T) {
 		s.Spawn(name, func(p *Proc) {
 			p.Sleep(delay)
 			tb.Take(p, 1)
-			order = append(order, p.Name())
+			order = append(order, p.name)
 		})
 	}
 	if err := s.Run(); err != nil {

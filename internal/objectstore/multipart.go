@@ -58,17 +58,11 @@ func (s *Service) UploadPart(p *des.Proc, uploadID string, partNumber int, pl pa
 	if partNumber < 1 {
 		return fmt.Errorf("objectstore: part number %d must be >= 1", partNumber)
 	}
-	if err := s.admit(p, s.writeTB); err != nil {
-		return err
-	}
-	up, ok := s.uploads[uploadID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchUpload, uploadID)
-	}
-	s.transfer(p, pl.Size(), flowCap)
-	s.metrics.Charge(p, func(m *Metrics) { m.BytesIn += pl.Size() })
-	up.parts[partNumber] = pl
-	return nil
+	r := s.request(p, uploadPart, s.writeTB, "", 1)
+	r.key, r.part, r.body, r.flowCap = uploadID, partNumber, pl, flowCap
+	_, err := r.run()
+	s.release(r)
+	return err
 }
 
 // CompleteMultipartUpload assembles the parts in part-number order

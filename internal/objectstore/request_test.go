@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -173,4 +174,160 @@ func TestRequestSurvivesStrayWakes(t *testing.T) {
 		t.Errorf("%d events with stray wakes, %d without: the wakes did not land", nf, qf)
 	}
 	t.Logf("%d lines equal; %d stray activations", len(quiet), nf-qf)
+}
+
+// TestRequestKilledAtHorizon stops seeded callers with RunUntil, which
+// kills every one of them, in four places: mid-PutEach, mid-GetStreams,
+// inside a Get's, a GetRange's or an UploadPart's body, and queued at a
+// token gate with a failure rate in force. Then it runs out what is left
+// on the heap. A killed caller's chain must stop with it: after the
+// resumed run no operation or byte has been charged for one, nothing
+// stored, no stream opened and no part kept, and the simulation's RNG
+// stands where it stood at the horizon (one run reads the next draw
+// there, another after the resumed run). A stream opened before the
+// horizon goes on filling its prefetch window, as a stream whose reader
+// walked away does: the bytes it moves are the stream's, so the list
+// case leaves its BytesOut out.
+func TestRequestKilledAtHorizon(t *testing.T) {
+	ms := time.Millisecond
+	type reading struct {
+		m                      Metrics
+		stored                 int64
+		keys, parts            int
+		streams                int64
+		flows, finished, calls int
+		next                   int64
+	}
+	cases := []struct {
+		name    string
+		horizon time.Duration
+		cfg     func(*Config)
+		call    func(c *Client, p *des.Proc, i int) error
+		// live checks that the horizon fell where the case says.
+		live func(at reading) bool
+		// streamsOpen: BytesOut may grow after the horizon.
+		streamsOpen bool
+	}{
+		{
+			name: "mid-PutEach", horizon: 50 * ms,
+			cfg: func(c *Config) { c.FailureRate = 0.2 },
+			call: func(c *Client, p *des.Proc, i int) error {
+				_, err := c.PutEach(p, "a", 6, func(j int) (string, payload.Payload) {
+					return fmt.Sprintf("c%d/o%d", i, j), payload.Sized(10_000)
+				})
+				return err
+			},
+			live: func(at reading) bool { return at.m.BytesIn > 0 && at.calls == 0 },
+		},
+		{
+			name: "mid-GetStreams", horizon: 35 * ms, streamsOpen: true,
+			cfg: func(c *Config) { c.FailureRate = 0.2 },
+			call: func(c *Client, p *des.Proc, i int) error {
+				keys, _ := listOf("pre", 6, 0)
+				streams, err := c.GetStreams(p, "a", keys, StreamOptions{})
+				for j := range streams {
+					streams[j].Close()
+				}
+				return err
+			},
+			live: func(at reading) bool { return at.streams > 0 && at.calls == 0 },
+		},
+		{
+			name: "in a body", horizon: 50 * ms,
+			call: func(c *Client, p *des.Proc, i int) error {
+				var err error
+				switch i % 3 {
+				case 0:
+					_, err = c.Get(p, "a", "pre0")
+				case 1:
+					_, err = c.GetRange(p, "a", "pre1", 1_000, 90_000)
+				case 2:
+					var id string
+					if id, err = c.svc.CreateMultipartUpload(p, "a", fmt.Sprintf("c%d/mp", i)); err == nil {
+						err = c.svc.UploadPart(p, id, 1, payload.Sized(100_000), 0)
+					}
+				}
+				return err
+			},
+			live: func(at reading) bool { return at.flows > 0 && at.finished == 0 && at.calls == 0 },
+		},
+		{
+			name: "at a token gate", horizon: 35 * ms,
+			cfg: func(c *Config) {
+				c.WriteOpsPerSec, c.ReadOpsPerSec, c.OpsBurst = 50, 50, 1
+				c.FailureRate = 0.3
+			},
+			call: func(c *Client, p *des.Proc, i int) error {
+				if i%2 == 0 {
+					return c.Put(p, "a", fmt.Sprintf("c%d/o", i), payload.Sized(1_000))
+				}
+				_, err := c.Get(p, "a", "pre2")
+				return err
+			},
+			// Tokens come 20 ms apart a class: at most two callers of each
+			// have had one, and the others are queued.
+			live: func(at reading) bool { return at.m.ClassAOps+at.m.ClassBOps+at.m.Throttled <= 4 },
+		},
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			run := func(resume bool) reading {
+				cfg := plainCfg()
+				if tc.cfg != nil {
+					tc.cfg(&cfg)
+				}
+				sim := des.New(seed)
+				svc, err := New(sim, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc.buckets["a"] = &bucket{objects: map[string]stored{}}
+				for j := 0; j < 6; j++ {
+					svc.buckets["a"].objects[fmt.Sprintf("pre%d", j)] = stored{payload: payload.Sized(100_000)}
+				}
+				// Where each caller stands at the horizon is the seed's.
+				jitter := rand.New(rand.NewSource(seed))
+				var rd reading
+				for i := 0; i < 9; i++ {
+					start := time.Duration(jitter.Intn(8_000)) * time.Microsecond
+					sim.Spawn(fmt.Sprintf("caller%d", i), func(p *des.Proc) {
+						p.Sleep(start)
+						if err := tc.call(NewClient(svc), p, i); err != nil && !errors.Is(err, ErrSlowDown) {
+							t.Errorf("%s, seed %d: caller %d: %v", tc.name, seed, i, err)
+						}
+						rd.calls++
+					})
+				}
+				if err := sim.RunUntil(tc.horizon); !errors.Is(err, des.ErrSimLimit) {
+					t.Fatalf("%s, seed %d: RunUntil: %v", tc.name, seed, err)
+				}
+				if resume {
+					if err := sim.Run(); err != nil {
+						t.Fatalf("%s, seed %d: resumed run: %v", tc.name, seed, err)
+					}
+				}
+				rd.m, rd.stored, rd.keys = svc.metrics.Total, svc.curBytes, len(svc.buckets["a"].objects)
+				for _, up := range svc.uploads {
+					rd.parts += len(up.parts)
+				}
+				rd.streams = svc.streamSeq
+				rd.flows, rd.finished = svc.link.ActiveFlows(), int(svc.link.Transfers())
+				rd.next = sim.Rand().Int63()
+				return rd
+			}
+			at, after := run(false), run(true)
+			if !tc.live(at) {
+				t.Fatalf("%s, seed %d: the horizon no longer falls mid-call: %+v", tc.name, seed, at)
+			}
+			if tc.streamsOpen {
+				after.m.BytesOut = at.m.BytesOut
+			}
+			if after.m != at.m || after.stored != at.stored || after.keys != at.keys || after.parts != at.parts || after.streams != at.streams {
+				t.Errorf("%s, seed %d: the killed callers' requests went on\n at the horizon %+v\n after the run  %+v", tc.name, seed, at, after)
+			}
+			if after.next != at.next {
+				t.Errorf("%s, seed %d: the RNG was drawn from for a killed caller", tc.name, seed)
+			}
+		}
+	}
 }

@@ -12,13 +12,15 @@
 // All methods must be called from des process context: each takes the
 // calling process and blocks it, in virtual time, until the request is
 // done. How it blocks is the package's business. A request is a chain
-// of events (request.go: throttle, failure draw, request latency, a
-// PUT's transfer) that advances in scheduled callbacks while its caller
-// sits parked, once, and resumes from the chain's last wait; a stream's
-// producing side is a state machine of the same kind (stream.go). The
-// caller sees none of that, and a callback cannot be a caller. The
-// service needs no locking because the simulation kernel runs one
-// process, or one callback, at a time.
+// of events (request.go: throttle, failure draw, request latency, the
+// body's transfer for a PUT, a part or a GET) that advances while its
+// caller sits parked, once, in des.Proc.Await: the throttle's waits are
+// its callbacks, the latency and the transfer the caller's own wakes,
+// and the chain resumes the caller from its last. A stream's producing
+// side is a state machine of the same kind (stream.go). The caller sees
+// none of that, and a callback cannot be a caller. The service needs no
+// locking because the simulation kernel runs one process, or one
+// callback, at a time.
 package objectstore
 
 import (
@@ -224,26 +226,26 @@ func (s *Service) CreateBucket(p *des.Proc, name string) error {
 }
 
 // Put stores an object, transferring its bytes over the shared
-// backend. flowCap > 0 overrides the per-connection bandwidth ceiling
-// for this request (used to model constrained NICs).
+// backend. flowCap > 0 lowers the per-connection bandwidth ceiling for
+// this request when it is the tighter of the two (used to model
+// constrained NICs); a looser one leaves the ceiling as it is.
 func (s *Service) Put(p *des.Proc, bkt, key string, pl payload.Payload, flowCap float64) error {
 	r := s.request(p, putObjects, s.writeTB, bkt, 1)
 	r.key, r.body, r.flowCap = key, pl, flowCap
-	_, err := r.put()
+	_, err := r.run()
 	s.release(r)
 	return err
 }
 
 // putEach stores each(from), ..., each(n-1) in bkt one after another,
 // as that many Puts in a loop would, with the caller parked once for
-// the lot unless an element needs it (see request.go). It returns the
-// first element not stored and the error that stopped there, or n and
-// nil. each is called in event context, once per attempt at an element,
-// and must not block.
+// the lot (see request.go). It returns the first element not stored and
+// the error that stopped there, or n and nil. each is called in event
+// context, once per attempt at an element, and must not block.
 func (s *Service) putEach(p *des.Proc, bkt string, from, n int, each func(i int) (string, payload.Payload), flowCap float64) (int, error) {
 	r := s.request(p, putObjects, s.writeTB, bkt, n)
 	r.i, r.each, r.flowCap = from, each, flowCap
-	next, err := r.put()
+	next, err := r.run()
 	s.release(r)
 	return next, err
 }
@@ -260,34 +262,34 @@ func (s *Service) keep(b *bucket, key string, pl payload.Payload) {
 
 // Get retrieves a whole object (class B).
 func (s *Service) Get(p *des.Proc, bkt, key string, flowCap float64) (payload.Payload, error) {
-	obj, err := s.lookup(p, bkt, key)
-	if err != nil {
-		return nil, err
-	}
-	s.transfer(p, obj.Size, flowCap)
-	s.metrics.Charge(p, func(m *Metrics) { m.BytesOut += obj.Size })
-	return obj.pl, nil
+	r := s.request(p, getObject, s.readTB, bkt, 1)
+	r.key, r.flowCap = key, flowCap
+	return s.got(r)
 }
 
 // GetRange retrieves bytes [off, off+n) of an object (class B).
 func (s *Service) GetRange(p *des.Proc, bkt, key string, off, n int64, flowCap float64) (payload.Payload, error) {
-	obj, err := s.lookup(p, bkt, key)
-	if err != nil {
-		return nil, err
-	}
-	part, err := obj.pl.Slice(off, n)
-	if err != nil {
-		return nil, fmt.Errorf("get range %s/%s: %w", bkt, key, err)
-	}
-	s.transfer(p, part.Size(), flowCap)
-	s.metrics.Charge(p, func(m *Metrics) { m.BytesOut += part.Size() })
-	return part, nil
+	r := s.request(p, getRange, s.readTB, bkt, 1)
+	r.key, r.off, r.length, r.flowCap = key, off, n, flowCap
+	return s.got(r)
+}
+
+// got runs a GET's request and returns what it read, nothing if it
+// failed (every failure comes before the chain sets body).
+func (s *Service) got(r *request) (payload.Payload, error) {
+	_, err := r.run()
+	pl := r.body
+	s.release(r)
+	return pl, err
 }
 
 // Head returns object metadata (class B). Its ETag is computed only if
 // the caller asks for it.
 func (s *Service) Head(p *des.Proc, bkt, key string) (Object, error) {
-	return s.lookup(p, bkt, key)
+	if err := s.admit(p, s.readTB); err != nil {
+		return Object{}, err
+	}
+	return s.find(bkt, key)
 }
 
 // Delete removes an object. Deleting an absent key succeeds, like S3.
@@ -391,14 +393,6 @@ func (s *Service) drawFailure() bool {
 	return rate > 0 && s.sim.Rand().Float64() < rate
 }
 
-// lookup charges a class B op and finds the object.
-func (s *Service) lookup(p *des.Proc, bkt, key string) (Object, error) {
-	if err := s.admit(p, s.readTB); err != nil {
-		return Object{}, err
-	}
-	return s.find(bkt, key)
-}
-
 // find is the lookup itself, free and instantaneous.
 func (s *Service) find(bkt, key string) (Object, error) {
 	b, ok := s.buckets[bkt]
@@ -410,10 +404,6 @@ func (s *Service) find(bkt, key string) (Object, error) {
 		return Object{}, &KeyError{Bucket: bkt, Key: key}
 	}
 	return Object{Key: key, Size: st.payload.Size(), LastModified: st.lastModified, pl: st.payload}, nil
-}
-
-func (s *Service) transfer(p *des.Proc, size int64, flowCap float64) {
-	s.link.Transfer(p, size, s.connCap(flowCap))
 }
 
 // connCap is one request's rate ceiling: the per-connection bandwidth,

@@ -258,7 +258,7 @@ func TestAggregateBandwidthShared(t *testing.T) {
 			name := fmt.Sprintf("w%d", i)
 			p.Spawn(name, func(w *des.Proc) {
 				// 100MB each; 4 flows share 200MB/s => 50MB/s each => 2s.
-				if err := svc.Put(w, "b", w.Name(), payload.Sized(100e6), 0); err != nil {
+				if err := svc.Put(w, "b", name, payload.Sized(100e6), 0); err != nil {
 					t.Errorf("Put: %v", err)
 				}
 				done++
@@ -295,6 +295,9 @@ func TestOpsThrottleLimitsRequestRate(t *testing.T) {
 	})
 }
 
+// TestFlowCapOverridesPerConn puts under a flow cap below the
+// per-connection ceiling, which it lowers, and under one above it, which
+// leaves the ceiling as it is.
 func TestFlowCapOverridesPerConn(t *testing.T) {
 	cfg := fastConfig()
 	cfg.PerConnBandwidth = 100e6
@@ -308,6 +311,11 @@ func TestFlowCapOverridesPerConn(t *testing.T) {
 		_ = svc.Put(p, "b", "k", payload.Sized(100e6), 10e6) // capped to 10MB/s
 		if d := (p.Now() - start).Seconds(); math.Abs(d-10.0) > 0.05 {
 			t.Errorf("capped put took %.3fs, want ~10s", d)
+		}
+		start = p.Now()
+		_ = svc.Put(p, "b", "k", payload.Sized(100e6), 1e9) // looser: still 100MB/s
+		if d := (p.Now() - start).Seconds(); math.Abs(d-1.0) > 0.005 {
+			t.Errorf("put capped above the per-connection ceiling took %.3fs, want ~1s", d)
 		}
 	})
 }

@@ -126,7 +126,7 @@ type Stream struct {
 func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, 1)
 	r.key, r.off, r.length, r.opts = key, off, n, opts
-	_, err := r.opened()
+	_, err := r.run()
 	st := r.stream
 	s.release(r)
 	return st, err
@@ -134,14 +134,13 @@ func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Str
 
 // openEach opens a stream through the end of each of keys[from:] in
 // bkt one after another, as that many GetStreams in a loop would, with
-// the caller parked once for the lot unless an element needs it (see
-// request.go), and attaches stream i to streams[i]. It returns the first
-// element not opened and the error that stopped there, or len(keys) and
-// nil.
+// the caller parked once for the lot (see request.go), and attaches
+// stream i to streams[i]. It returns the first element not opened and
+// the error that stopped there, or len(keys) and nil.
 func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream) (int, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, len(keys))
 	r.i, r.keys, r.streams, r.length, r.opts = from, keys, streams, -1, opts
-	next, err := r.opened()
+	next, err := r.run()
 	s.release(r)
 	return next, err
 }

@@ -42,7 +42,7 @@ type procStream struct {
 // range resolution, same name, and a Spawn where the state machine
 // schedules its first step.
 func openProcStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*procStream, error) {
-	obj, err := s.lookup(p, bkt, key)
+	obj, err := s.Head(p, bkt, key)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func (st *procStream) produce(prod *des.Proc, rng payload.Payload) {
 			st.fail(err)
 			return
 		}
-		st.svc.transfer(prod, n, st.opts.FlowCap)
+		st.svc.link.Transfer(prod, n, st.svc.connCap(st.opts.FlowCap))
 		st.svc.metrics.Total.BytesOut += n
 		if st.closed {
 			return
