@@ -55,7 +55,6 @@ func TestOptionsHaveACaller(t *testing.T) {
 	allowed := map[string]string{
 		"shuffle.Spec.StreamChunkBytes":     "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
 		"shuffle.Spec.CleanupScratch":       "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
-		"memcache.Config.AllowEviction":     "the eviction path a cluster takes when a caller undersizes it, which the operators never do: TestLRUEvictionOrder, TestValueLargerThanNode",
 		"session.Options.StandingVMType":    "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
 		"des.Sim.MaxEvents":                 "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
 		"core.MapStage.StaticInputs":        "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
@@ -200,7 +199,7 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"faas.DefaultConfig":              "test fixture: TestConfigValidationFaas and TestConfigRejectsBadFaultRates start from it",
 		"gateway.Gateway.Session":         "TestGatewayLedgersAreTheMeters and the gateway tests reach the rig through it",
 		"memcache.Cluster.BilledDuration": "TestBillingStopsAtStop and TestStandingBillStopsWithTheResource",
-		"memcache.Cluster.UsedBytes":      "TestCacheExchangeSurvivesNodeLoss and TestEvictionFreesEnoughForLargeValue",
+		"memcache.Cluster.UsedBytes":      "TestCacheExchangeSurvivesNodeLoss and TestKillNodeDropsDataButKeepsBilling",
 		"memcache.Cluster.Zone":           "TestZoneOutageFires checks placement through it",
 		"memcache.DefaultConfig":          "test fixture: TestCacheCost and TestStandingClusterExemptFromProvisioningQuota start from it",
 		"memcache.Provisioner.ZoneDown":   "TestZoneOutageFires",

@@ -140,7 +140,7 @@ func genTakeScript(r *rand.Rand) takeScript {
 	return sc
 }
 
-// run plays the script with taker i a process (Take) or a callback
+// run plays the script with taker i a process (take) or a callback
 // (TakeAsync) as async(i) says, and returns each grant's instant and the
 // bucket's level right after it, in grant order, and how many grants had
 // to wait.
@@ -161,7 +161,7 @@ func (sc takeScript) run(t *testing.T, async func(i int) bool) (log []string, la
 		s.Spawn(fmt.Sprintf("taker%02d", i), func(p *Proc) {
 			p.Sleep(sc.at[i])
 			if !async(i) {
-				tb.Take(p, sc.n[i])
+				take(tb, p, sc.n[i])
 				granted(i)
 			} else if tb.TakeAsync(&waiters[i], sc.n[i], func() { granted(i) }) {
 				granted(i)

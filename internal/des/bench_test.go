@@ -172,7 +172,7 @@ func BenchmarkDESTokenBucket(b *testing.B) {
 		s.Spawn(fmt.Sprintf("t%d", i), func(p *Proc) {
 			for taken < b.N {
 				taken++
-				tb.Take(p, 1)
+				take(tb, p, 1)
 			}
 		})
 	}

@@ -129,7 +129,7 @@ func kernelTrace(t *testing.T, sleep func(p *Proc, d time.Duration), transfer fu
 						sleep(p, ms(r.Intn(6)))
 						res.Release(n)
 					case 9:
-						tb.Take(p, float64(1+r.Intn(3)))
+						take(tb, p, float64(1+r.Intn(3)))
 					case 10:
 						transfer(link, p, int64(1+r.Intn(64))<<10, 1e6)
 					case 11: // wait for a child through a private WaitGroup

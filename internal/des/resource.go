@@ -1,5 +1,7 @@
 package des
 
+import "slices"
+
 // Resource is a counting semaphore in virtual time with strict FIFO
 // admission: a large request at the head of the queue blocks smaller
 // later requests, so no requester starves.
@@ -55,8 +57,24 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if r.request(resWaiter{n: n, p: p}) {
 		return
 	}
+	defer r.withdraw(p, n)
 	for p.granted = false; !p.granted; {
 		p.Park()
+	}
+}
+
+// withdraw passes on, for a process killed in Acquire, what it waited
+// for: the units a Release granted it just before the kill reached it,
+// or else its place in the queue.
+func (r *Resource) withdraw(p *Proc, n int64) {
+	switch {
+	case !p.killed:
+	case p.granted:
+		r.Release(n)
+	default:
+		i := r.head + slices.IndexFunc(r.queue[r.head:], func(w resWaiter) bool { return w.p == p })
+		r.queue = slices.Delete(r.queue, i, i+1)
+		r.dispatch()
 	}
 }
 

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -161,5 +162,79 @@ func TestMutexMutualExclusion(t *testing.T) {
 	}
 	if violations != 0 {
 		t.Fatalf("mutual exclusion violated %d times", violations)
+	}
+}
+
+// TestResourceKilledWaiterPassesUnitsOn kills, at a RunUntil horizon, a
+// holder and a process queued behind it, in both orders: the waiter
+// killed while still queued (it is the older one, so killLive reaches it
+// first), and the waiter granted the units by the holder's deferred
+// Release just before killLive reaches it inside Acquire. Either way the
+// units go to the next live waiter, a callback queued behind them when
+// there is one, and a process acquiring on the resumed run gets them
+// rather than deadlocking.
+func TestResourceKilledWaiterPassesUnitsOn(t *testing.T) {
+	const horizon = 500 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		waiterFirst bool
+		callback    bool
+	}{
+		{"waiter killed queued", true, false},
+		{"waiter killed queued, callback behind", true, true},
+		{"waiter killed granted", false, false},
+		{"waiter killed granted, callback behind", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			r := NewResource(s, 1)
+			holder := func(p *Proc) {
+				r.Acquire(p, 1)
+				defer r.Release(1)
+				p.Sleep(10 * time.Second)
+			}
+			waiter := func(p *Proc) {
+				p.Sleep(100 * time.Millisecond)
+				r.Acquire(p, 1)
+				t.Error("a waiter behind a 10 s holder acquired before the 500 ms horizon")
+				r.Release(1)
+			}
+			if tc.waiterFirst {
+				s.Spawn("waiter", waiter)
+				s.Spawn("holder", holder)
+			} else {
+				s.Spawn("holder", holder)
+				s.Spawn("waiter", waiter)
+			}
+			calledAt := time.Duration(-1)
+			if tc.callback {
+				s.Schedule(200*time.Millisecond, func() {
+					if r.AcquireAsync(1, func() { calledAt = s.Now(); r.Release(1) }) {
+						t.Error("a held resource granted a callback at once")
+					}
+				})
+			}
+			if err := s.RunUntil(horizon); !errors.Is(err, ErrSimLimit) {
+				t.Fatalf("RunUntil: %v", err)
+			}
+			acquiredAt := time.Duration(-1)
+			s.Spawn("next", func(p *Proc) {
+				r.Acquire(p, 1)
+				acquiredAt = p.Now()
+				r.Release(1)
+			})
+			if err := s.Run(); err != nil {
+				t.Fatalf("resumed run: %v (in use %d, queued %d)", err, r.InUse(), r.Queued())
+			}
+			if acquiredAt != horizon {
+				t.Errorf("next process acquired at %v, want %v", acquiredAt, horizon)
+			}
+			if tc.callback && calledAt != horizon {
+				t.Errorf("callback behind the killed waiter granted at %v, want %v", calledAt, horizon)
+			}
+			if r.InUse() != 0 || r.Queued() != 0 {
+				t.Errorf("after the run: %d in use, %d queued, want none", r.InUse(), r.Queued())
+			}
+		})
 	}
 }

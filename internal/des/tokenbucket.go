@@ -7,13 +7,12 @@ import "time"
 // (the bucket momentarily overdraws), which matches how batch requests
 // are typically admitted by cloud services' limiters.
 //
-// A taker is a process (Take blocks it) or a callback (TakeAsync
-// returns at once). Both queue on the same gate, a Resource of one, so
-// there is one FIFO whichever kind each waiter is, and both wait out a
-// deficit at the head of it with one timer. A callback taker's events
-// (the gate's grant, the end of the deficit wait) are the activations
-// a process taking in its place would have had, at the same instants
-// and in the same order among the events of those instants.
+// A taker is a callback (TakeAsync); a process takes by awaiting one
+// (Proc.Await). Takers queue on a gate, a Resource of one, and wait out
+// a deficit at the head of it with one timer. A taker's events (the
+// gate's grant, the end of the deficit wait) are the activations a
+// process taking in its place would have had, at the same instants and
+// in the same order among the events of those instants.
 type TokenBucket struct {
 	sim    *Sim
 	rate   float64 // tokens per second
@@ -54,11 +53,11 @@ func (tb *TokenBucket) refill() {
 }
 
 // TryTake takes n tokens if they are available right now, without
-// waiting. It preserves Take's FIFO discipline: while any Take or
-// TakeAsync is admitted or queued on the gate, TryTake fails rather
-// than overtake the waiters. Non-positive requests always succeed. This
-// is the admission-control primitive: a gateway rejecting over-rate
-// traffic must not block the submitter the way a paced transfer does.
+// waiting. It preserves the FIFO discipline: while any TakeAsync is
+// admitted or queued on the gate, TryTake fails rather than overtake
+// the waiters. Non-positive requests always succeed. This is the
+// admission-control primitive: a gateway rejecting over-rate traffic
+// must not block the submitter the way a paced transfer does.
 func (tb *TokenBucket) TryTake(n float64) bool {
 	if n <= 0 {
 		return true
@@ -94,21 +93,6 @@ func (tb *TokenBucket) credit(deficit float64) {
 	tb.last = tb.sim.Now()
 }
 
-// Take blocks p until n tokens have been granted. Calls are admitted
-// FIFO; a waiter never observes tokens taken by a later requester.
-func (tb *TokenBucket) Take(p *Proc, n float64) {
-	if n <= 0 {
-		return
-	}
-	tb.gate.Acquire(p, 1)
-	defer tb.gate.Release(1)
-	if deficit, wait := tb.shortfall(n); deficit > 0 {
-		p.Sleep(wait)
-		tb.credit(deficit)
-	}
-	tb.tokens -= n
-}
-
 // TokenWaiter is the state of one TakeAsync from the call until its
 // grant. It belongs in the caller's own record (a request, a stream),
 // which is what makes a queued take allocate nothing; the zero value is
@@ -123,11 +107,12 @@ type TokenWaiter struct {
 	gateFn, creditFn func()
 }
 
-// TakeAsync is Take for a caller that is not a process. It reports true
-// when the n tokens were there for the taking and have been taken.
-// Otherwise granted fires, once, as an event of the instant they have
-// been: where a process blocked in Take in this caller's place would
-// have resumed, with the gate already passed on to the next waiter.
+// TakeAsync takes n tokens, FIFO: a taker never observes tokens taken
+// by a later one. It reports true when the n tokens were there for the
+// taking and have been taken. Otherwise granted fires, once, as an event
+// of the instant they have been: where a process blocked in this
+// caller's place would have resumed, with the gate already passed on to
+// the next waiter.
 // granted runs on whichever goroutine holds the baton and must not
 // block; it is never run from inside the call.
 func (tb *TokenBucket) TakeAsync(w *TokenWaiter, n float64, granted func()) bool {

@@ -7,12 +7,30 @@ import (
 	"time"
 )
 
+// take blocks p until n tokens have been granted: the process form of a
+// take, TokenBucket.Take as it stood before a taker became a callback
+// only, kept as the oracle TestTakeAsyncMatchesTake holds TakeAsync to
+// and as the process taker of these tests, the kernel trace and the
+// benchmarks.
+func take(tb *TokenBucket, p *Proc, n float64) {
+	if n <= 0 {
+		return
+	}
+	tb.gate.Acquire(p, 1)
+	defer tb.gate.Release(1)
+	if deficit, wait := tb.shortfall(n); deficit > 0 {
+		p.Sleep(wait)
+		tb.credit(deficit)
+	}
+	tb.tokens -= n
+}
+
 func TestTokenBucketBurstIsFree(t *testing.T) {
 	s := New(1)
 	tb := NewTokenBucket(s, 10, 5)
 	var took time.Duration
 	s.Spawn("t", func(p *Proc) {
-		tb.Take(p, 5)
+		take(tb, p, 5)
 		took = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -29,7 +47,7 @@ func TestTokenBucketThrottlesSustainedRate(t *testing.T) {
 	const n = 500
 	s.Spawn("t", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			tb.Take(p, 1)
+			take(tb, p, 1)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -47,11 +65,11 @@ func TestTokenBucketRefillCapsAtBurst(t *testing.T) {
 	tb := NewTokenBucket(s, 10, 5)
 	var second time.Duration
 	s.Spawn("t", func(p *Proc) {
-		tb.Take(p, 5)        // drain burst at t=0
+		take(tb, p, 5)       // drain burst at t=0
 		p.Sleep(time.Minute) // way more than enough to refill past burst
-		tb.Take(p, 5)        // burst again: free
+		take(tb, p, 5)       // burst again: free
 		start := p.Now()
-		tb.Take(p, 5) // must wait 0.5s, proving tokens capped at 5
+		take(tb, p, 5) // must wait 0.5s, proving tokens capped at 5
 		second = p.Now() - start
 	})
 	if err := s.Run(); err != nil {
@@ -71,7 +89,7 @@ func TestTokenBucketFIFOFairness(t *testing.T) {
 		delay := time.Duration(i) * time.Millisecond
 		s.Spawn(name, func(p *Proc) {
 			p.Sleep(delay)
-			tb.Take(p, 1)
+			take(tb, p, 1)
 			order = append(order, p.name)
 		})
 	}
@@ -90,7 +108,7 @@ func TestTokenBucketLargeTakeOverdraws(t *testing.T) {
 	tb := NewTokenBucket(s, 10, 2)
 	var took time.Duration
 	s.Spawn("t", func(p *Proc) {
-		tb.Take(p, 12) // > burst; deficit model must admit after wait
+		take(tb, p, 12) // > burst; deficit model must admit after wait
 		took = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -111,7 +129,7 @@ func TestTokenBucketSubTokenRefill(t *testing.T) {
 	var times []time.Duration
 	s.Spawn("t", func(p *Proc) {
 		for i := 0; i < 4; i++ {
-			tb.Take(p, 1)
+			take(tb, p, 1)
 			times = append(times, p.Now())
 		}
 	})
@@ -160,8 +178,8 @@ func TestTokenBucketTryTakeYieldsToWaiters(t *testing.T) {
 	tb := NewTokenBucket(s, 1, 1)
 	var takerDone time.Duration
 	s.Spawn("taker", func(p *Proc) {
-		tb.Take(p, 1) // burst
-		tb.Take(p, 1) // waits 1s for refill
+		take(tb, p, 1) // burst
+		take(tb, p, 1) // waits 1s for refill
 		takerDone = p.Now()
 	})
 	s.Spawn("opportunist", func(p *Proc) {
@@ -192,7 +210,7 @@ func TestTokenBucketConcurrentTakersAggregateRate(t *testing.T) {
 	for i := 0; i < takers; i++ {
 		s.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
 			for k := 0; k < each; k++ {
-				tb.Take(p, 1)
+				take(tb, p, 1)
 				admitted++
 			}
 		})
@@ -214,8 +232,8 @@ func TestTokenBucketZeroTakeNoop(t *testing.T) {
 	s := New(1)
 	tb := NewTokenBucket(s, 1, 1)
 	s.Spawn("t", func(p *Proc) {
-		tb.Take(p, 0)
-		tb.Take(p, -5)
+		take(tb, p, 0)
+		take(tb, p, -5)
 		if p.Now() != 0 {
 			t.Error("zero/negative take advanced time")
 		}

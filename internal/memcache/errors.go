@@ -8,11 +8,11 @@ import (
 var (
 	// ErrStopped is returned for operations on a deprovisioned cluster.
 	ErrStopped = errors.New("memcache: cluster is stopped")
-	// ErrOutOfMemory is returned when a Set does not fit and eviction is
-	// disabled (Redis "OOM command not allowed" with noeviction policy).
+	// ErrOutOfMemory is returned when a Set does not fit in its shard's
+	// free memory (Redis "OOM command not allowed" under noeviction).
 	ErrOutOfMemory = errors.New("memcache: out of memory")
 	// ErrTooLarge is returned when a single value exceeds a node's
-	// capacity outright; no amount of eviction can make it fit.
+	// capacity outright: it would not fit in an empty shard.
 	ErrTooLarge = errors.New("memcache: value larger than node capacity")
 	// ErrNodeDown is returned for operations routed to a failed node
 	// (see Cluster.KillNode). The shard's data is gone; callers that

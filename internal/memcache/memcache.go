@@ -7,9 +7,9 @@
 //
 // A Cluster shards keys across its nodes by hash. Each node has a
 // memory capacity, its own NIC modeled as a fair-shared link, and a
-// request-rate throttle far above object storage's. Values either must
-// fit (noeviction, the safe default for data passing) or are admitted
-// by evicting least-recently-used items when eviction is enabled.
+// request-rate throttle far above object storage's. A value must fit in
+// its shard's free memory: the policy is Redis's noeviction, the safe
+// one for data passing, and a Set that does not fit fails.
 //
 // All methods must be called from des process context; like the other
 // substrates it needs no locking because the simulation kernel runs
@@ -17,7 +17,6 @@
 package memcache
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -49,9 +48,6 @@ type Config struct {
 	ProvisionTime time.Duration
 	// NodeHourlyUSD is the on-demand price per node, billed per second.
 	NodeHourlyUSD float64
-	// AllowEviction enables LRU eviction on memory pressure instead of
-	// failing the Set (Redis maxmemory-policy allkeys-lru vs noeviction).
-	AllowEviction bool
 }
 
 // DefaultConfig resembles a cache.m5-class managed Redis node.
@@ -214,8 +210,7 @@ func (pr *Provisioner) provision(p *des.Proc, n int, spinUp time.Duration) (*Clu
 			idx:   i,
 			link:  des.NewLink(pr.sim, pr.cfg.NodeBandwidth),
 			tb:    des.NewTokenBucket(pr.sim, pr.cfg.NodeOpsPerSec, pr.cfg.OpsBurst),
-			items: make(map[string]*list.Element),
-			lru:   list.New(),
+			items: make(map[string]payload.Payload),
 		}
 	}
 	pr.clusters.Charge(p, func(l *[]*Cluster) { *l = append(*l, c) })
@@ -232,19 +227,12 @@ func (pr *Provisioner) Clusters() []*Cluster {
 // Ledger returns the clusters provisioned, per scope as well as in all.
 func (pr *Provisioner) Ledger() *des.Ledger[[]*Cluster] { return &pr.clusters }
 
-// item is one stored value; the LRU list element's Value points here.
-type item struct {
-	key string
-	pl  payload.Payload
-}
-
 // node is one cache shard.
 type node struct {
 	idx   int
-	link  *des.Link
+	link  *des.Link // the NIC, a request's body capped at PerConnBandwidth
 	tb    *des.TokenBucket
-	items map[string]*list.Element
-	lru   *list.List // front = most recently used
+	items map[string]payload.Payload
 	used  int64
 	down  bool
 }
@@ -259,6 +247,7 @@ type Cluster struct {
 	stoppedAt time.Duration
 	stopped   bool
 	metrics   Metrics
+	idle      []*admission // records whose chain has ended, for reuse
 }
 
 // Nodes reports the cluster size.
@@ -358,8 +347,7 @@ func (c *Cluster) KillNode(i int) {
 		return
 	}
 	n.down = true
-	n.items = make(map[string]*list.Element)
-	n.lru = list.New()
+	clear(n.items)
 	n.used = 0
 }
 
@@ -379,35 +367,83 @@ func (c *Cluster) DownNodes() int {
 	return d
 }
 
-// admit charges one request on n: throttle then service latency.
-func (c *Cluster) admit(p *des.Proc, n *node) error {
+// refused reports why n cannot serve a request now, if it cannot.
+func (c *Cluster) refused(n *node) error {
 	if c.stopped {
 		return ErrStopped
 	}
 	if n.down {
 		return fmt.Errorf("memcache: node %d: %w", n.idx, ErrNodeDown)
 	}
-	n.tb.Take(p, 1)
-	if c.stopped { // stopped while queued on the throttle
-		return ErrStopped
-	}
-	if n.down { // failed while queued on the throttle
-		return fmt.Errorf("memcache: node %d: %w", n.idx, ErrNodeDown)
-	}
-	p.Sleep(c.cfg.RequestLatency)
 	return nil
 }
 
-// transfer moves size bytes over the node NIC at the per-connection
-// ceiling, sharing the NIC fairly with concurrent transfers.
-func (c *Cluster) transfer(p *des.Proc, n *node, size int64) {
-	n.link.Transfer(p, size, c.cfg.PerConnBandwidth)
+// An admission is a request's throttle and latency on a node, a chain of
+// events its caller awaits (des.Proc.Await) as an object-store request's
+// does: the token's grant is the bucket's callback, the latency the
+// caller's own wake. A kill at a RunUntil horizon cancels that wake, and
+// a grant for a caller that is gone (des.Proc.Gone) ends the chain.
+type admission struct {
+	c               *Cluster
+	p               *des.Proc
+	n               *node
+	take            des.TokenWaiter
+	asked, latency  bool // the token asked for; the latency armed
+	err             error
+	stepFn, grantFn func()
 }
 
-// Set stores a value. When the shard is full, eviction policy decides:
-// with AllowEviction, least-recently-used items are dropped until the
-// value fits; otherwise ErrOutOfMemory. A value larger than a whole
-// node fails with ErrTooLarge either way.
+// admit charges p one request on n: throttle then service latency. A
+// killed caller's record is not recycled, its grant perhaps still due.
+func (c *Cluster) admit(p *des.Proc, n *node) error {
+	if err := c.refused(n); err != nil {
+		return err
+	}
+	var a *admission
+	if k := len(c.idle); k > 0 {
+		a, c.idle = c.idle[k-1], c.idle[:k-1]
+	} else {
+		a = &admission{c: c}
+		a.stepFn, a.grantFn = a.step, a.grant
+	}
+	a.p, a.n = p, n
+	p.Await(a.stepFn)
+	err := a.err
+	*a = admission{c: c, take: a.take, stepFn: a.stepFn, grantFn: a.grantFn}
+	c.idle = append(c.idle, a)
+	return err
+}
+
+// step is the chain at Await's first call, which asks for the token, and
+// at the caller's wakes, of which only the latency's ends a wait.
+func (a *admission) step() {
+	if a.latency {
+		a.p.Resume()
+	} else if !a.asked {
+		a.asked = true
+		if a.n.tb.TakeAsync(&a.take, 1, a.grantFn) {
+			a.grant()
+		}
+	}
+}
+
+// grant has the token: it arms the latency as the caller's wake, unless
+// the caller is gone or the cluster or node failed while it queued.
+func (a *admission) grant() {
+	if a.p.Gone() {
+		return
+	}
+	if a.err = a.c.refused(a.n); a.err != nil {
+		a.p.Resume()
+		return
+	}
+	a.latency = true
+	a.p.WakeAfter(a.c.cfg.RequestLatency)
+}
+
+// Set stores a value. A value that does not fit in its shard's free
+// memory fails with ErrOutOfMemory, one larger than a whole node with
+// ErrTooLarge.
 func (c *Cluster) Set(p *des.Proc, key string, pl payload.Payload) error {
 	n := c.nodeFor(key)
 	if err := c.admit(p, n); err != nil {
@@ -417,53 +453,38 @@ func (c *Cluster) Set(p *des.Proc, key string, pl payload.Payload) error {
 	if size > c.cfg.NodeMemoryBytes {
 		return fmt.Errorf("%w: %d bytes > %d-byte node", ErrTooLarge, size, c.cfg.NodeMemoryBytes)
 	}
-	c.transfer(p, n, size)
+	n.link.Transfer(p, size, c.cfg.PerConnBandwidth)
 	c.metrics.SetOps++
 	c.metrics.BytesIn += size
 
 	// Replacing an existing key first releases its space.
-	if el, ok := n.items[key]; ok {
-		n.used -= el.Value.(*item).pl.Size()
-		n.lru.Remove(el)
+	if old, ok := n.items[key]; ok {
+		n.used -= old.Size()
 		delete(n.items, key)
 	}
-	for n.used+size > c.cfg.NodeMemoryBytes {
-		if !c.cfg.AllowEviction {
-			return fmt.Errorf("%w: need %d bytes, %d free on shard",
-				ErrOutOfMemory, size, c.cfg.NodeMemoryBytes-n.used)
-		}
-		oldest := n.lru.Back()
-		if oldest == nil {
-			break // empty shard; size fits by the ErrTooLarge check
-		}
-		ev := oldest.Value.(*item)
-		n.used -= ev.pl.Size()
-		n.lru.Remove(oldest)
-		delete(n.items, ev.key)
-		c.metrics.Evictions++
+	if n.used+size > c.cfg.NodeMemoryBytes {
+		return fmt.Errorf("%w: need %d bytes, %d free on shard",
+			ErrOutOfMemory, size, c.cfg.NodeMemoryBytes-n.used)
 	}
-	el := n.lru.PushFront(&item{key: key, pl: pl})
-	n.items[key] = el
+	n.items[key] = pl
 	n.used += size
 	return nil
 }
 
-// Get retrieves a value, refreshing its recency.
+// Get retrieves a value.
 func (c *Cluster) Get(p *des.Proc, key string) (payload.Payload, error) {
 	n := c.nodeFor(key)
 	if err := c.admit(p, n); err != nil {
 		return nil, err
 	}
 	c.metrics.GetOps++
-	el, ok := n.items[key]
+	pl, ok := n.items[key]
 	if !ok {
 		c.metrics.Misses++
 		return nil, &KeyError{Key: key}
 	}
 	c.metrics.Hits++
-	n.lru.MoveToFront(el)
-	pl := el.Value.(*item).pl
-	c.transfer(p, n, pl.Size())
+	n.link.Transfer(p, pl.Size(), c.cfg.PerConnBandwidth)
 	c.metrics.BytesOut += pl.Size()
 	return pl, nil
 }
@@ -494,18 +515,16 @@ func (c *Cluster) MGet(p *des.Proc, keys []string) ([]payload.Payload, error) {
 		c.metrics.GetOps++
 		var batch int64
 		for _, i := range idxs {
-			el, ok := n.items[keys[i]]
+			pl, ok := n.items[keys[i]]
 			if !ok {
 				c.metrics.Misses++
 				return nil, &KeyError{Key: keys[i]}
 			}
 			c.metrics.Hits++
-			n.lru.MoveToFront(el)
-			pl := el.Value.(*item).pl
 			out[i] = pl
 			batch += pl.Size()
 		}
-		c.transfer(p, n, batch)
+		n.link.Transfer(p, batch, c.cfg.PerConnBandwidth)
 		c.metrics.BytesOut += batch
 	}
 	return out, nil
@@ -518,9 +537,8 @@ func (c *Cluster) Delete(p *des.Proc, key string) error {
 		return err
 	}
 	c.metrics.DeleteOps++
-	if el, ok := n.items[key]; ok {
-		n.used -= el.Value.(*item).pl.Size()
-		n.lru.Remove(el)
+	if old, ok := n.items[key]; ok {
+		n.used -= old.Size()
 		delete(n.items, key)
 	}
 	return nil

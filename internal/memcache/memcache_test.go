@@ -10,6 +10,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // fastConfig removes throttling/latency noise so logic tests are exact.
@@ -181,64 +182,10 @@ func TestOutOfMemoryNoEviction(t *testing.T) {
 func TestValueLargerThanNode(t *testing.T) {
 	cfg := fastConfig()
 	cfg.NodeMemoryBytes = 1000
-	cfg.AllowEviction = true
 	rig(t, cfg, 1, func(p *des.Proc, c *Cluster) {
 		err := c.Set(p, "big", payload.Sized(1001))
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("Set err = %v, want ErrTooLarge", err)
-		}
-	})
-}
-
-func TestLRUEvictionOrder(t *testing.T) {
-	cfg := fastConfig()
-	cfg.NodeMemoryBytes = 1000
-	cfg.AllowEviction = true
-	rig(t, cfg, 1, func(p *des.Proc, c *Cluster) {
-		for _, k := range []string{"a", "b", "c"} {
-			if err := c.Set(p, k, payload.Sized(300)); err != nil {
-				t.Fatalf("Set %s: %v", k, err)
-			}
-		}
-		// Touch "a" so "b" becomes the LRU victim.
-		if _, err := c.Get(p, "a"); err != nil {
-			t.Fatalf("Get a: %v", err)
-		}
-		if err := c.Set(p, "d", payload.Sized(300)); err != nil {
-			t.Fatalf("Set d: %v", err)
-		}
-		if _, err := c.Get(p, "b"); !IsNotFound(err) {
-			t.Errorf("b should have been evicted, Get err = %v", err)
-		}
-		for _, k := range []string{"a", "c", "d"} {
-			if _, err := c.Get(p, k); err != nil {
-				t.Errorf("Get %s after eviction: %v", k, err)
-			}
-		}
-		if got := c.Metrics().Evictions; got != 1 {
-			t.Errorf("Evictions = %d, want 1", got)
-		}
-	})
-}
-
-func TestEvictionFreesEnoughForLargeValue(t *testing.T) {
-	cfg := fastConfig()
-	cfg.NodeMemoryBytes = 1000
-	cfg.AllowEviction = true
-	rig(t, cfg, 1, func(p *des.Proc, c *Cluster) {
-		for i := 0; i < 5; i++ {
-			if err := c.Set(p, fmt.Sprintf("k%d", i), payload.Sized(200)); err != nil {
-				t.Fatalf("Set k%d: %v", i, err)
-			}
-		}
-		if err := c.Set(p, "big", payload.Sized(900)); err != nil {
-			t.Fatalf("Set big: %v", err)
-		}
-		if got := c.UsedBytes(); got > 1000 {
-			t.Errorf("UsedBytes = %d, exceeds capacity", got)
-		}
-		if _, err := c.Get(p, "big"); err != nil {
-			t.Errorf("Get big: %v", err)
 		}
 	})
 }
@@ -438,13 +385,12 @@ func TestNodesForCapacity(t *testing.T) {
 }
 
 // TestPropertyUsedNeverExceedsCapacity drives random operation
-// sequences and checks the shard capacity invariant plus Get/Set
-// coherence under eviction.
+// sequences and checks the shard capacity invariant: a Set that does
+// not fit fails with ErrOutOfMemory.
 func TestPropertyUsedNeverExceedsCapacity(t *testing.T) {
-	f := func(ops []uint16, evict bool) bool {
+	f := func(ops []uint16) bool {
 		cfg := fastConfig()
 		cfg.NodeMemoryBytes = 4096
-		cfg.AllowEviction = evict
 		sim := des.New(42)
 		pr, err := NewProvisioner(sim, cfg)
 		if err != nil {
@@ -592,5 +538,42 @@ func TestKillNodeDropsDataButKeepsBilling(t *testing.T) {
 	want := 1.0 * cfg.NodeHourlyUSD * 2 // both nodes bill for the full hour
 	if got := cl.CostAt(sim.Now()); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Cost = %g, want %g (killed node still bills)", got, want)
+	}
+}
+
+// TestWarmRequestsAllocateNothing holds a Set over a key already stored
+// and a Get of it, each throttled into a deficit wait, to no allocation:
+// the admission records come from the cluster's pool and the body's flow
+// from the link's free list.
+func TestWarmRequestsAllocateNothing(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	cfg := fastConfig()
+	cfg.NodeOpsPerSec, cfg.OpsBurst = 1000, 1
+	cfg.RequestLatency = 400 * time.Microsecond
+	cfg.PerConnBandwidth = 1e9
+	body := payload.Sized(64 << 10)
+	var set, get float64
+	rig(t, cfg, 2, func(p *des.Proc, c *Cluster) {
+		if err := c.Set(p, "k", body); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(p, "k"); err != nil {
+			t.Fatal(err)
+		}
+		set = testing.AllocsPerRun(200, func() {
+			if err := c.Set(p, "k", body); err != nil {
+				t.Error(err)
+			}
+		})
+		get = testing.AllocsPerRun(200, func() {
+			if _, err := c.Get(p, "k"); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if set != 0 || get != 0 {
+		t.Errorf("a warm Set allocates %.1f times and a Get %.1f, want 0 and 0", set, get)
 	}
 }

@@ -13,8 +13,6 @@ type Metrics struct {
 	// BytesIn and BytesOut are the transferred volumes.
 	BytesIn  int64
 	BytesOut int64
-	// Evictions counts items removed by the LRU policy to make room.
-	Evictions int64
 }
 
 // Sub returns m minus o, for windowed attribution between snapshots.
@@ -27,6 +25,5 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		Misses:    m.Misses - o.Misses,
 		BytesIn:   m.BytesIn - o.BytesIn,
 		BytesOut:  m.BytesOut - o.BytesOut,
-		Evictions: m.Evictions - o.Evictions,
 	}
 }

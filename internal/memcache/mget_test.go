@@ -79,26 +79,3 @@ func TestMGetPaysOneLatencyPerShard(t *testing.T) {
 		}
 	})
 }
-
-func TestMGetRefreshesLRU(t *testing.T) {
-	cfg := fastConfig()
-	cfg.NodeMemoryBytes = 1000
-	cfg.AllowEviction = true
-	rig(t, cfg, 1, func(p *des.Proc, c *Cluster) {
-		for _, k := range []string{"a", "b", "c"} {
-			if err := c.Set(p, k, payload.Sized(300)); err != nil {
-				t.Fatalf("Set %s: %v", k, err)
-			}
-		}
-		// Touch a and c via MGet: b becomes the victim.
-		if _, err := c.MGet(p, []string{"a", "c"}); err != nil {
-			t.Fatalf("MGet: %v", err)
-		}
-		if err := c.Set(p, "d", payload.Sized(300)); err != nil {
-			t.Fatalf("Set d: %v", err)
-		}
-		if _, err := c.Get(p, "b"); !IsNotFound(err) {
-			t.Errorf("b should have been evicted, err = %v", err)
-		}
-	})
-}

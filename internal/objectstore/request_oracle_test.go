@@ -37,9 +37,21 @@ func procFailMaybe(s *Service, p *des.Proc) error {
 	return nil
 }
 
-// procAdmit is the process-form admission (admitRead / admitWrite).
+// procAdmit is the process-form admission (admitRead / admitWrite). It
+// takes its token the one way a process can, awaiting TakeAsync with the
+// grant resuming it: the same events as TokenBucket.Take's at bb219e9,
+// with no handoff for the gate's grant where Take's waiter woke for it.
 func procAdmit(s *Service, p *des.Proc, tb *des.TokenBucket, ops *int64) error {
-	tb.Take(p, 1)
+	var w des.TokenWaiter
+	asked := false
+	p.Await(func() {
+		if !asked {
+			asked = true
+			if tb.TakeAsync(&w, 1, p.Resume) {
+				p.Resume()
+			}
+		}
+	})
 	if err := procFailMaybe(s, p); err != nil {
 		return err
 	}
@@ -846,8 +858,13 @@ func TestRequestChainMatchesProcessForm(t *testing.T) {
 		t.Fatalf("the scenarios no longer reach GETs (%d), ranges past the end (%d), parts (%d), completed (%d) or aborted uploads (%d)",
 			gets, pastEnd, parts, completed, aborted)
 	}
-	if chainHandoffs*2 > procHandoffs {
-		t.Errorf("chains cost %d handoffs where processes cost %d: the callers are suspending per wait again", chainHandoffs, procHandoffs)
+	// A ceiling on the chains, not a ratio to the process form, whose
+	// take parks its process once too now that it awaits TakeAsync:
+	// 78,177 is what the chains cost over the 300 scenarios when it was
+	// set, and it may only fall.
+	const ceiling = 78177
+	if chainHandoffs > ceiling {
+		t.Errorf("chains cost %d handoffs, ceiling %d (processes cost %d): the callers are suspending per wait again", chainHandoffs, ceiling, procHandoffs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/calib"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
@@ -195,6 +196,83 @@ func TestSizedSortKilledMidDrainPinned(t *testing.T) {
 		}
 		if got := len(rig.Store.OpenStreams()); got != tc.streamsLeft {
 			t.Errorf("w=%d, %v: %d streams left open, pinned %d", tc.workers, tc.horizon, got, tc.streamsLeft)
+		}
+	}
+}
+
+// TestCacheSortEventsPinned is TestSizedSortEventsPinned for the cache
+// exchange: a sized Operator.Sort of 3.5 GB on calib.Paper() through a
+// warm cluster, held to the event count, final instant and cluster
+// meters it had when every cache request was a process that took its
+// token in TokenBucket.Take and slept out its latency. A cache request
+// is now a chain its caller awaits (memcache.Cluster.admit), which must
+// fire the same events: a change to it that moves one of these numbers
+// is a bug, not a re-record. The handoffs are a ceiling, as there,
+// recorded from the process form; they may only fall.
+func TestCacheSortEventsPinned(t *testing.T) {
+	const dataBytes = 3_500_000_000
+	cases := []struct {
+		workers  int
+		fired    int64
+		handoffs int64
+		end      time.Duration
+		cache    memcache.Metrics
+	}{
+		{16, 7891, 1301, 54107404674, memcache.Metrics{
+			SetOps: 256, GetOps: 256, DeleteOps: 256, Hits: 256,
+			BytesIn: dataBytes, BytesOut: dataBytes,
+		}},
+		{64, 53269, 23795, 46337780365, memcache.Metrics{
+			SetOps: 4096, GetOps: 4096, DeleteOps: 4096, Hits: 4096,
+			BytesIn: dataBytes, BytesOut: dataBytes,
+		}},
+	}
+	for _, tc := range cases {
+		profile := calib.Paper()
+		rig, err := calib.NewRig(profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runErr error
+		rig.Sim.Spawn("sweep", func(p *des.Proc) {
+			c := objectstore.NewClient(rig.Store)
+			for _, b := range []string{"data", "work"} {
+				if runErr = c.CreateBucket(p, b); runErr != nil {
+					return
+				}
+			}
+			if runErr = c.Put(p, "data", "in", payload.Sized(dataBytes)); runErr != nil {
+				return
+			}
+			_, runErr = rig.Shuffle.Sort(p, shuffle.Spec{
+				InputBucket: "data", InputKey: "in",
+				OutputBucket: "work", OutputPrefix: "sorted/",
+				Workers:      tc.workers,
+				PartitionBps: profile.PartitionBps,
+				MergeBps:     profile.MergeBps,
+				MemoryMB:     profile.Faas.MemoryMB,
+				Exchange:     shuffle.ViaCache,
+				Warm:         true,
+			})
+		})
+		if err := rig.Sim.Run(); err != nil || runErr != nil {
+			t.Fatalf("w=%d: sim %v, run %v", tc.workers, err, runErr)
+		}
+		if got := rig.Sim.Fired(); got != tc.fired {
+			t.Errorf("w=%d: %d events fired, pinned %d", tc.workers, got, tc.fired)
+		}
+		if got := rig.Sim.Handoffs(); got > tc.handoffs {
+			t.Errorf("w=%d: %d handoffs, ceiling %d", tc.workers, got, tc.handoffs)
+		}
+		if got := rig.Sim.Now(); got != tc.end {
+			t.Errorf("w=%d: run ends at %d ns, pinned %d", tc.workers, got, tc.end)
+		}
+		clusters := rig.CacheProv.Clusters()
+		if len(clusters) != 1 {
+			t.Fatalf("w=%d: %d clusters provisioned, want 1", tc.workers, len(clusters))
+		}
+		if got := clusters[0].Metrics(); got != tc.cache {
+			t.Errorf("w=%d: cache meters\n got %+v\nwant %+v", tc.workers, got, tc.cache)
 		}
 	}
 }
