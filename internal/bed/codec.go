@@ -3,10 +3,13 @@ package bed
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
+	"unicode/utf8"
 )
 
 // itemRGB returns the ENCODE display color for a methylation level.
@@ -91,29 +94,78 @@ var (
 	errKeyEnd    = errors.New("bed: bad end integer")
 )
 
-// internTab maps the strings the hot parse path sees on virtually
-// every line — hg38 chromosome names and the "." feature name — to
-// shared instances, so ParseLine allocates nothing for them. The
-// map[string]x lookup with a string([]byte) key compiles to an
-// allocation-free probe.
-var internTab = func() map[string]string {
-	tab := make(map[string]string, 32)
-	for _, s := range []string{
+// chromEntry is one name of chromTab with the key words chromRank
+// gives it.
+type chromEntry struct {
+	name         string
+	rank, prefix uint64
+}
+
+// chromTab holds the names the hot paths see on virtually every line:
+// the "." feature name at 0, then the hg38 chromosomes, each at its
+// rank (chr1..chr22, chrX 23, chrY 24, chrM 25), and chrMT at 26.
+// chromIndex finds a name by its bytes, so ParseLine allocates nothing
+// for these names and KeyOfLine builds no string; every other name
+// (chr01, chr+1, chr300, chrUn_*) falls through to string(b) and
+// chromRank.
+var chromTab = func() (tab [27]chromEntry) {
+	names := [27]string{".",
 		"chr1", "chr2", "chr3", "chr4", "chr5", "chr6", "chr7", "chr8",
 		"chr9", "chr10", "chr11", "chr12", "chr13", "chr14", "chr15",
 		"chr16", "chr17", "chr18", "chr19", "chr20", "chr21", "chr22",
-		"chrX", "chrY", "chrM", "chrMT", ".",
-	} {
-		tab[s] = s
+		"chrX", "chrY", "chrM", "chrMT",
+	}
+	for i, s := range names {
+		rank, prefix := rankWords(s)
+		tab[i] = chromEntry{name: s, rank: rank, prefix: prefix}
 	}
 	return tab
 }()
 
-// intern returns a shared string for common field values, falling back
-// to a fresh allocation for uncommon ones.
+// chromIndex returns the index of name in chromTab, or -1 when it is
+// not there, reading the bytes with no map probe.
+func chromIndex[T ChromName](name T) int {
+	if len(name) < 4 {
+		if len(name) == 1 && name[0] == '.' {
+			return 0
+		}
+		return -1
+	}
+	if name[0] != 'c' || name[1] != 'h' || name[2] != 'r' {
+		return -1
+	}
+	c := name[3]
+	switch len(name) {
+	case 4:
+		switch {
+		case '1' <= c && c <= '9':
+			return int(c - '0')
+		case c == 'X':
+			return 23
+		case c == 'Y':
+			return 24
+		case c == 'M':
+			return 25
+		}
+	case 5:
+		d := name[4]
+		if c == 'M' && d == 'T' {
+			return 26
+		}
+		if (c == '1' || c == '2') && '0' <= d && d <= '9' {
+			if n := int(c-'0')*10 + int(d-'0'); n <= 22 {
+				return n
+			}
+		}
+	}
+	return -1
+}
+
+// intern returns chromTab's shared string for the names it holds,
+// falling back to a fresh allocation for any other.
 func intern(b []byte) string {
-	if s, ok := internTab[string(b)]; ok {
-		return s
+	if i := chromIndex(b); i >= 0 {
+		return chromTab[i].name
 	}
 	return string(b)
 }
@@ -164,6 +216,35 @@ func fieldEnd(line []byte, i int) int {
 	return i
 }
 
+// thirdTab is the index of the third tab at or after line[i], or
+// len(line) when there are fewer: the end of the derived columns
+// (thickStart, thickEnd, itemRgb), which ParseLine skips unread. They
+// are about half of a line, so it tests eight bytes a load: a tab in
+// the loaded word is a zero byte of x, and ^((x&0x7f..)+0x7f.. | x |
+// 0x7f..) sets the high bit of exactly those bytes (no carry crosses a
+// byte). The tail is read a byte at a time.
+func thirdTab(line []byte, i int) int {
+	const lo7, tabs = 0x7f7f7f7f7f7f7f7f, 0x0909090909090909
+	n := 3
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:]) ^ tabs
+		m := ^((x&lo7 + lo7) | x | lo7)
+		for ; m != 0; m &= m - 1 {
+			if n--; n == 0 {
+				return i + bits.TrailingZeros64(m)/8
+			}
+		}
+	}
+	for ; i < len(line); i++ {
+		if line[i] == '\t' {
+			if n--; n == 0 {
+				return i
+			}
+		}
+	}
+	return len(line)
+}
+
 // scanInt reads the integer field starting at line[i] and returns it
 // with the index of the byte after the field (its tab, or len(line)).
 // Up to 18 digits cannot overflow an int64, so they are summed as they
@@ -205,7 +286,7 @@ func lineError(line []byte, field string, val []byte) error {
 // ParseLine parses one TSV line (without trailing newline) in a single
 // left-to-right scan, allocation-free on the happy path: integers are
 // summed as their digits are read, the derived columns (thickStart,
-// thickEnd, itemRgb) are skipped to their tabs unread, and common
+// thickEnd, itemRgb) are skipped unread (thirdTab), and common
 // chrom/name strings are interned. A column that cannot be read, or
 // that ends the line early, ends the scan (lineError). The result is
 // named so that the record is built where it is returned.
@@ -240,10 +321,8 @@ func ParseLine(line []byte) (r Record, err error) {
 		return Record{}, lineError(line, "strand", line[s:i])
 	}
 	r.Strand = line[s]
-	for range 3 {
-		if i = fieldEnd(line, i+1); i == len(line) {
-			return Record{}, lineError(line, "", nil)
-		}
+	if i = thirdTab(line, i+1); i == len(line) {
+		return Record{}, lineError(line, "", nil)
 	}
 	s = i + 1
 	if v, i, ok = scanInt(line, s); !ok || i == len(line) {
@@ -270,12 +349,18 @@ const maxLineBytes = 4 * 1024 * 1024
 // methylation.
 const minLineBytes = 17
 
+// asciiSpace is the ASCII white space bytes.TrimSpace trims.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // record hands fn the record on line lineNo (without its newline). Blank
 // and whitespace-only lines are skipped; one that does not parse is a
 // *ParseError.
 func record(line []byte, lineNo int, fn func(Record) error) error {
-	if len(bytes.TrimSpace(line)) == 0 {
-		return nil
+	if len(line) == 0 || line[0] >= utf8.RuneSelf || asciiSpace[line[0]] {
+		// Only a line that starts with white space can be blank.
+		if len(bytes.TrimSpace(line)) == 0 {
+			return nil
+		}
 	}
 	rec, err := ParseLine(line)
 	if err != nil {

@@ -281,3 +281,39 @@ func FuzzUnmarshalMatchesParse(f *testing.F) {
 	f.Add(Marshal(Generate(GenConfig{Records: 20, Seed: 34})))
 	f.Fuzz(checkUnmarshalMatchesParse)
 }
+
+// FuzzKeyOfLine holds the merge side's three-column key to the full
+// parse: whenever ParseLine accepts a line, KeyOfLine reads the same
+// key from it that KeyOf computes from the record. The chromosome
+// column and the rest of the line are fuzzed apart, seeded with every
+// table name, the near misses and a scaffold.
+func FuzzKeyOfLine(f *testing.F) {
+	tails := []string{
+		"\t10468\t10469\t.\t14\t+\t10468\t10469\t255,0,0\t14\t92",
+		"\t+5\t009\tname\t1\t-\t5\t9\tc\t1\t1",
+		"\t0\t9223372036854775807\t.\t0\t.\t0\t0\t0,255,0\t0\t0",
+	}
+	var names []string
+	for _, e := range chromTab {
+		names = append(names, e.name)
+	}
+	for _, name := range append(names, chromNearMisses...) {
+		for _, tail := range tails {
+			f.Add([]byte(name), []byte(tail))
+		}
+	}
+	f.Fuzz(func(t *testing.T, chrom, tail []byte) {
+		line := append(append([]byte(nil), chrom...), tail...)
+		r, err := ParseLine(line)
+		if err != nil {
+			return
+		}
+		key, err := KeyOfLine(line)
+		if err != nil {
+			t.Fatalf("KeyOfLine(%q): %v, but ParseLine accepts it", line, err)
+		}
+		if want := KeyOf(r); key != want {
+			t.Fatalf("KeyOfLine(%q) = %+v, KeyOf(ParseLine) = %+v", line, key, want)
+		}
+	})
+}

@@ -44,8 +44,17 @@ func orderInt64(v int64) uint64 {
 	return uint64(v) ^ (1 << 63)
 }
 
-// chromWords computes a chromosome name's (Rank, Prefix) words.
-func chromWords(chrom string) (uint64, uint64) {
+// chromWords computes a chromosome name's (Rank, Prefix) words: from
+// chromTab for the names it holds, else by rankWords.
+func chromWords[T ChromName](chrom T) (uint64, uint64) {
+	if i := chromIndex(chrom); i >= 0 {
+		return chromTab[i].rank, chromTab[i].prefix
+	}
+	return rankWords(string(chrom))
+}
+
+// rankWords packs chromRank's answer for a name into (Rank, Prefix).
+func rankWords(chrom string) (uint64, uint64) {
 	rank, extra := chromRank(chrom)
 	var prefix uint64
 	for i := 0; i < len(extra) && i < 8; i++ {
@@ -189,8 +198,8 @@ func CompareKey(a, b Key) int {
 }
 
 // KeyOfLine computes the sort key of a TSV-encoded record from its
-// first three columns alone, allocation-free for interned chromosome
-// names. It is the fast path of the shuffle's merge cursors, which
+// first three columns alone, allocation-free for the names chromTab
+// holds. It is the fast path of the shuffle's merge cursors, which
 // never materialize a Record: only chrom, start, and end are parsed,
 // the integers by ParseLine's scan.
 func KeyOfLine(line []byte) (Key, error) {
@@ -209,7 +218,7 @@ func KeyOfLine(line []byte) (Key, error) {
 	if !ok {
 		return Key{}, errKeyEnd
 	}
-	rank, prefix := chromWords(intern(line[:t1]))
+	rank, prefix := chromWords(line[:t1])
 	return Key{
 		Rank:   rank,
 		Prefix: prefix,

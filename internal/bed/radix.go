@@ -10,10 +10,12 @@ import (
 // to be a fixed-width, order-preserving word sequence, which makes it
 // a textbook radix key — no comparator runs on the radix path at all.
 // Comparison falls back in exactly three places: buckets at or below
-// the insertion-sort cutoff, buckets of beyond-table names whose full
-// 8-byte prefixes collide (where the complete name must decide before
-// start/end, which key digits cannot express), and buckets of
-// fully-equal keys (where only the caller's tie-break orders).
+// the insertion-sort cutoff (which compare key words inline and call
+// the comparator only where the next two cases arise), buckets of
+// beyond-table names whose full 8-byte prefixes collide (where the
+// complete name must decide before start/end, which key digits cannot
+// express), and buckets of fully-equal keys (where only the caller's
+// tie-break orders).
 
 // KeyRef pairs a Key with the caller's element index. RadixSort
 // permutes KeyRefs; the caller reads its elements back through Idx, so
@@ -28,7 +30,10 @@ const (
 	// radixCutoff is the bucket size at or below which the sort falls
 	// back to insertion sort: below it the per-bucket radix overhead
 	// (a difference scan plus a 256-entry counting pass) costs more
-	// than ~cutoff²/4 comparisons.
+	// than ~cutoff²/4 comparisons, each a few inline word compares
+	// (after). Re-measured at 16, 32, 48 and 64, no other cutoff moved
+	// BenchmarkSort beyond its run-to-run spread (EXPERIMENTS.md,
+	// "Parsed and sorted by table and key word").
 	radixCutoff = 32
 	// nameDigit is the first Start digit. A bucket still tied at this
 	// depth shares (Rank, Prefix) entirely; if that prefix packs a
@@ -119,11 +124,32 @@ func nextDigit(refs []KeyRef) int {
 }
 
 // insertionSort is the small-bucket terminal sort (stable, though
-// stability is moot under a total cmp).
+// stability is moot under a total cmp). It orders by the key words
+// inline and calls cmp only where RadixSort's contract leaves the order
+// to it: a full-key tie, or a (Rank, Prefix) tie between NamePacked
+// keys, where the full names decide before Start and End.
 func insertionSort(refs []KeyRef, cmp func(a, b KeyRef) int) {
 	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && cmp(refs[j-1], refs[j]) > 0; j-- {
+		for j := i; j > 0 && after(&refs[j-1], &refs[j], cmp); j-- {
 			refs[j-1], refs[j] = refs[j], refs[j-1]
 		}
 	}
+}
+
+// after reports whether a orders after b, as cmp(*a, *b) > 0 does.
+func after(a, b *KeyRef, cmp func(a, b KeyRef) int) bool {
+	ka, kb := &a.Key, &b.Key
+	switch {
+	case ka.Rank != kb.Rank:
+		return ka.Rank > kb.Rank
+	case ka.Prefix != kb.Prefix:
+		return ka.Prefix > kb.Prefix
+	case ka.NamePacked():
+		return cmp(*a, *b) > 0
+	case ka.Start != kb.Start:
+		return ka.Start > kb.Start
+	case ka.End != kb.End:
+		return ka.End > kb.End
+	}
+	return cmp(*a, *b) > 0
 }

@@ -184,3 +184,58 @@ func FuzzRadixSortDifferential(f *testing.F) {
 		checkRadixMatchesStable(t, recs, "fuzz")
 	})
 }
+
+// TestInsertionSortConsultsCmpOnlyOnTies: a small bucket is ordered by
+// the key words alone; cmp is called only on a full-key tie or a
+// (Rank, Prefix) tie between NamePacked keys, and the order is still
+// the stable sort's.
+func TestInsertionSortConsultsCmpOnlyOnTies(t *testing.T) {
+	chroms := []string{"chr1", "chr2", "chr10", "chr22", "chrX", "chrY", "chrM", "chr300", "chr07"}
+	rec := func(chrom string, start, end int64) Record {
+		return Record{Chrom: chrom, Start: start, End: end, Name: ".", Score: 1, Strand: '+', Coverage: 1}
+	}
+	for _, tc := range []struct {
+		name  string
+		recs  func() []Record
+		calls bool
+	}{
+		{"distinct ranked keys", func() []Record {
+			// Starts repeat on a chromosome, so End decides there.
+			var recs []Record
+			for i := 0; i < radixCutoff; i++ {
+				start := int64(100 + (i*7)%3)
+				recs = append(recs, rec(chroms[(i*5)%len(chroms)], start, start+int64(radixCutoff-i)))
+			}
+			return recs
+		}, false},
+		{"scaffolds sharing a prefix", func() []Record {
+			var recs []Record
+			for i := 0; i < 12; i++ {
+				recs = append(recs, rec([]string{"chrUn_KI270302v1", "chrUn_KI270303v1", "chr5"}[i%3], int64(20-i), int64(21-i)))
+			}
+			return recs
+		}, true},
+		{"equal keys", func() []Record {
+			var recs []Record
+			for i := 0; i < 8; i++ {
+				recs = append(recs, rec("chr5", int64(i%2), int64(i%2+1)))
+			}
+			return recs
+		}, true},
+	} {
+		recs := tc.recs()
+		if len(recs) > radixCutoff {
+			t.Fatalf("%s: %d records, more than one small bucket", tc.name, len(recs))
+		}
+		calls := 0
+		cmp := radixCmp(recs)
+		got := refsOf(recs)
+		insertionSort(got, func(a, b KeyRef) int { calls++; return cmp(a, b) })
+		if (calls > 0) != tc.calls {
+			t.Errorf("%s: cmp called %d times", tc.name, calls)
+		}
+		if want := stableOrder(recs); !slices.Equal(got, want) {
+			t.Errorf("%s: insertionSort order differs from the stable sort's", tc.name)
+		}
+	}
+}
