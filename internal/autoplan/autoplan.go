@@ -162,18 +162,6 @@ type Env struct {
 	// invocations retry, widening the wave tail).
 	FaasFailureRate float64
 
-	// BrownoutPerHour models the object store's brownout arrival rate
-	// (incidents per hour of run time). Each incident opens a window of
-	// BrownoutDuration (default 5s) during which requests fail with
-	// probability BrownoutRate (default 0.5) and retry on the client's
-	// exponential ladder — PR 8's per-incident retry-budget model. The
-	// planner prices the expected stalls and retried-request fees into
-	// every strategy's store legs, so store-heavy plans lose ground as
-	// the modeled incidence rises. Zero: a healthy store.
-	BrownoutPerHour  float64
-	BrownoutRate     float64
-	BrownoutDuration time.Duration
-
 	// ZoneOutagePerHour models correlated whole-zone outages: spot
 	// capacity in the zone reclaimed at once, the cache cluster hosted
 	// there dead, the store browned out for the outage window. Spot VM
@@ -292,14 +280,6 @@ func (e Env) withDefaults() Env {
 	}
 	if e.VMSortBps <= 0 {
 		e.VMSortBps = DefaultVMSortBps
-	}
-	if e.BrownoutPerHour > 0 {
-		if e.BrownoutRate <= 0 {
-			e.BrownoutRate = 0.5
-		}
-		if e.BrownoutDuration <= 0 {
-			e.BrownoutDuration = 5 * time.Second
-		}
 	}
 	if e.Zones <= 0 {
 		e.Zones = 1

@@ -59,18 +59,16 @@ func incidentPenalty(env Env, makespan time.Duration, classA, classB int64,
 	return extraSec, extraUSD
 }
 
-// storeFaultPenalty prices the env's full store-failure model over a
-// plan's store legs: scheduled brownout arrivals plus the correlated
-// brownouts zone outages open. Every strategy's store-touching surface
-// pays it; substrate legs that bypass the store (the cache exchange's
-// w^2 hop) are exempt, which is exactly the asymmetry that lets the
-// planner trade substrates under brownout risk.
+// storeFaultPenalty prices the env's store-failure model over a plan's
+// store legs: the correlated brownouts zone outages open. Every
+// strategy's store-touching surface pays it; substrate legs that bypass
+// the store (the cache exchange's w^2 hop) are exempt, which is exactly
+// the asymmetry that lets the planner trade substrates under outage
+// risk.
 func storeFaultPenalty(env Env, makespan time.Duration, classA, classB int64) (time.Duration, float64) {
-	bSec, bUSD := incidentPenalty(env, makespan, classA, classB,
-		env.BrownoutPerHour, env.BrownoutRate, env.BrownoutDuration.Seconds())
-	oSec, oUSD := incidentPenalty(env, makespan, classA, classB,
+	sec, usd := incidentPenalty(env, makespan, classA, classB,
 		env.ZoneOutagePerHour, chaos.DefaultOutageRate, chaos.DefaultOutageDuration.Seconds())
-	return time.Duration((bSec + oSec) * float64(time.Second)), bUSD + oUSD
+	return time.Duration(sec * float64(time.Second)), usd
 }
 
 // functionUse is the meter of workers running activeSeconds each at the
@@ -99,8 +97,8 @@ func activeSeconds(p shuffle.Plan) float64 {
 	return (p.Phase1IO + p.Phase1CPU + p.Phase2IO + p.Phase2CPU).Seconds()
 }
 
-// withStoreFaults is every predictor's last step: the brownout model
-// over the candidate's store requests.
+// withStoreFaults is every predictor's last step: the outage-induced
+// brownout model over the candidate's store requests.
 func withStoreFaults(c Candidate, env Env, classA, classB int64) Candidate {
 	faultT, faultUSD := storeFaultPenalty(env, c.Time, classA, classB)
 	c.Time += faultT

@@ -5,26 +5,24 @@ import (
 	"time"
 )
 
-// faultEnv is flipEnv with the store-failure priors dialed in.
-func faultEnv(brownoutPerHour, outagePerHour float64) Env {
+// faultEnv is flipEnv with the zone-outage prior dialed in.
+func faultEnv(outagePerHour float64) Env {
 	env := flipEnv()
-	env.BrownoutPerHour = brownoutPerHour
-	env.BrownoutRate = 0.5
-	env.BrownoutDuration = 5 * time.Second
 	env.ZoneOutagePerHour = outagePerHour
 	return env
 }
 
-// TestFaultPenaltyRaisesStoreStrategies: dialing brownout arrivals up
-// must make every store-touching candidate slower and pricier than its
-// fault-free twin, and never flip a candidate infeasible.
+// TestFaultPenaltyRaisesStoreStrategies: dialing zone outages up, and so
+// the store brownouts they open, must make every store-touching
+// candidate slower and pricier than its fault-free twin, and never flip
+// a candidate infeasible.
 func TestFaultPenaltyRaisesStoreStrategies(t *testing.T) {
 	wl := flipWorkload(64 << 30)
 	clean, err := Plan(wl, flipEnv(), Objective{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Plan(wl, faultEnv(30, 0), Objective{})
+	faulty, err := Plan(wl, faultEnv(30), Objective{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +36,21 @@ func TestFaultPenaltyRaisesStoreStrategies(t *testing.T) {
 			continue
 		}
 		if !fc.Feasible {
-			t.Errorf("%s became infeasible under brownouts: %s", fc.Config(), fc.Reason)
+			t.Errorf("%s became infeasible under outages: %s", fc.Config(), fc.Reason)
 			continue
 		}
 		if fc.Time < cc.Time {
-			t.Errorf("%s: brownouts shortened predicted time %v -> %v", fc.Config(), cc.Time, fc.Time)
+			t.Errorf("%s: outages shortened predicted time %v -> %v", fc.Config(), cc.Time, fc.Time)
 		}
 		if fc.CostUSD < cc.CostUSD {
-			t.Errorf("%s: brownouts cut predicted cost %.6f -> %.6f", fc.Config(), cc.CostUSD, fc.CostUSD)
+			t.Errorf("%s: outages cut predicted cost %.6f -> %.6f", fc.Config(), cc.CostUSD, fc.CostUSD)
 		}
 		if fc.Time > cc.Time {
 			checked++
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no candidate paid a brownout penalty; the fault model is not wired")
+		t.Fatal("no candidate paid an outage penalty; the fault model is not wired")
 	}
 }
 
@@ -62,11 +60,11 @@ func TestFaultPenaltyRaisesStoreStrategies(t *testing.T) {
 // the store-side correlated brownout, which is shared).
 func TestZoneOutageRaisesSpotRisk(t *testing.T) {
 	wl := flipWorkload(8 << 30)
-	calm, err := Plan(wl, faultEnv(0, 0.01), Objective{})
+	calm, err := Plan(wl, faultEnv(0.01), Objective{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stormy, err := Plan(wl, faultEnv(0, 2), Objective{})
+	stormy, err := Plan(wl, faultEnv(2), Objective{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +98,7 @@ func TestZoneOutageRaisesSpotRisk(t *testing.T) {
 func TestMultiZonePlacementFlip(t *testing.T) {
 	wl := flipWorkload(4 << 30) // fits the 2-node cache quota
 	pick := func(outagePerHour float64) Candidate {
-		env := faultEnv(0, outagePerHour)
+		env := faultEnv(outagePerHour)
 		env.Zones = 2
 		env.CrossZoneRTT = 5 * time.Millisecond
 		env.VMTypes = nil
@@ -148,7 +146,7 @@ func TestMultiZonePlacementFlip(t *testing.T) {
 // TestSingleZoneEnvHasNoMultiZoneCandidates: with one zone (the
 // default) the table must not offer a multi-zone placement.
 func TestSingleZoneEnvHasNoMultiZoneCandidates(t *testing.T) {
-	dec, err := Plan(flipWorkload(4<<30), faultEnv(0, 1), Objective{})
+	dec, err := Plan(flipWorkload(4<<30), faultEnv(1), Objective{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ var modelEnvs = []struct {
 	apply func(p calib.Profile, wl *autoplan.Workload, env *autoplan.Env)
 }{
 	{"healthy", func(calib.Profile, *autoplan.Workload, *autoplan.Env) {}},
-	{"brownout-6/h", func(_ calib.Profile, _ *autoplan.Workload, env *autoplan.Env) {
-		env.BrownoutPerHour = 6
-	}},
 	{"zone-outage-2/h-3-zones", func(_ calib.Profile, _ *autoplan.Workload, env *autoplan.Env) {
 		env.ZoneOutagePerHour = 2
 		env.Zones = 3

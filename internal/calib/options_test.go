@@ -33,7 +33,7 @@ import (
 // whose x resolves to it, through embedding too. A package's own default
 // does not count: an assignment to a field, in the package declaring it,
 // under an if whose condition reads that field (the planner filling in
-// Env.BrownoutRate is one).
+// Env.VMSortBps is one).
 func TestOptionsHaveACaller(t *testing.T) {
 	structs := map[string][]string{ // package (its directory's name) -> types
 		"autoplan":    {"Env", "Workload", "Objective"},
@@ -53,16 +53,12 @@ func TestOptionsHaveACaller(t *testing.T) {
 		"vm":          {"Provisioner"},
 	}
 	allowed := map[string]string{
-		"shuffle.Spec.StreamChunkBytes":     "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
-		"shuffle.Spec.CleanupScratch":       "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
-		"session.Options.StandingVMType":    "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
-		"des.Sim.MaxEvents":                 "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
-		"core.MapStage.StaticInputs":        "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
-		"autoplan.Env.CacheMaxNodes":        "the cache quota: only model_table.golden's environments, TestCacheQuotaGatesCacheFamily and TestStandingClusterExemptFromProvisioningQuota set it",
-		"autoplan.Env.BrownoutPerHour":      "the brownout term: only model_table.golden's environments and TestFaultPenaltyRaisesStoreStrategies set it",
-		"autoplan.Env.BrownoutRate":         "the brownout term's failure rate: only TestFaultPenaltyRaisesStoreStrategies sets it; model_table.golden's brownout rows read the planner's default",
-		"autoplan.Env.BrownoutDuration":     "the brownout term's length: only TestFaultPenaltyRaisesStoreStrategies sets it; model_table.golden's brownout rows read the planner's default",
-		"objectstore.StreamOptions.FlowCap": "a per-stream rate cap: only TestStreamMatchesProducerProcess sets it, drawing caps below and above PerConnBandwidth; every other stream takes the client's FlowCap",
+		"shuffle.Spec.StreamChunkBytes":  "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",
+		"shuffle.Spec.CleanupScratch":    "ROADMAP direction H's teardown ledger names it; TestSortCleanupScratch and TestHierSortCleanupScratch set it",
+		"session.Options.StandingVMType": "the standing instance's type: session.Open takes it, no CLI flag reaches it yet; TestStandingVMSharedAcrossSubmissions sets it",
+		"des.Sim.MaxEvents":              "a guard against a runaway simulation, not a scheduling feature: TestMaxEventsLimit, TestMaxEventsKillsSleeperWake",
+		"core.MapStage.StaticInputs":     "a map stage with no sort before it, the workflow API's form for a fixed key list: TestMapStageFansOut",
+		"autoplan.Env.CacheMaxNodes":     "the cache quota: only model_table.golden's environments and the planner tests' flipEnv set it; it is load-bearing, since at 0 TestStrategyFlipsWithVolume picks memcache at 64, 100, 250 and 1,000 GB",
 	}
 
 	repo := loadRepository(t)

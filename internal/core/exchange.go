@@ -252,7 +252,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 
 	conns := v.Conns
 	if conns <= 0 {
-		conns = inst.Type().VCPUs
+		conns = max(inst.Type().VCPUs, 1)
 	}
 	client := inst.StorageClient(ctx.Exec.Store, conns)
 
@@ -273,10 +273,16 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 		return SortOutcome{}, 0, vm.ErrPreempted
 	}
 
-	// Stage in: parallel ranged GETs over the NIC.
-	parts, err := parallelFetch(p, client, spec.InputBucket, spec.InputKey, size, conns)
+	// Stage in: parallel ranged GETs over the NIC, one per connection.
+	n := int(min(int64(conns), size))
+	parts := make([]payload.Payload, n)
+	err = p.Fan(n, "vm-fetch-", func(i int, fp *des.Proc) (err error) {
+		off, length := shuffle.EvenShare(size, n, i)
+		parts[i], err = client.GetRange(fp, spec.InputBucket, spec.InputKey, off, length)
+		return err
+	})
 	if err != nil {
-		return SortOutcome{}, 0, err
+		return SortOutcome{}, 0, fmt.Errorf("vm exchange: stage in: %w", err)
 	}
 	whole := payload.Concat(parts...)
 	if inst.Preempted() {
@@ -319,13 +325,19 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 		pendParts = append(pendParts, outParts[i])
 		pendIdx = append(pendIdx, i)
 	}
-	if err := parallelPut(p, client, spec.OutputBucket, pendKeys, pendParts, conns); err != nil {
+	sem := des.NewResource(p.Sim(), int64(conns))
+	err = p.Fan(len(pendParts), "vm-put-", func(i int, up *des.Proc) error {
+		sem.Acquire(up, 1)
+		defer sem.Release(1)
+		return client.Put(up, spec.OutputBucket, pendKeys[i], pendParts[i])
+	})
+	if err != nil {
 		if inst.Preempted() {
 			// Conservative: without per-put completion tracking the
 			// whole write wave is redone.
 			return SortOutcome{}, size, vm.ErrPreempted
 		}
-		return SortOutcome{}, 0, err
+		return SortOutcome{}, 0, fmt.Errorf("vm exchange: stage out: %w", err)
 	}
 	for _, i := range pendIdx {
 		putDone[i] = true
@@ -345,69 +357,6 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 		detail += fmt.Sprintf(" (recovered after %d preemption(s))", attempt)
 	}
 	return SortOutcome{OutputKeys: keys, Workers: spec.Workers, StageOutcome: StageOutcome{Detail: detail}}, 0, nil
-}
-
-// parallelFetch range-reads an object with conns concurrent
-// connections, returning the slices in order.
-func parallelFetch(p *des.Proc, client interface {
-	GetRange(p *des.Proc, bkt, key string, off, n int64) (payload.Payload, error)
-}, bkt, key string, size int64, conns int) ([]payload.Payload, error) {
-	if conns < 1 {
-		conns = 1
-	}
-	n := conns
-	if int64(n) > size {
-		n = int(size)
-	}
-	parts := make([]payload.Payload, n)
-	errs := make([]error, n)
-	wg := des.NewWaitGroup(p.Sim())
-	for i := 0; i < n; i++ {
-		i := i
-		off, length := shuffle.EvenShare(size, n, i)
-		wg.Add(1)
-		p.Spawn(fmt.Sprintf("vm-fetch-%d", i), func(fp *des.Proc) {
-			defer wg.Done()
-			parts[i], errs[i] = client.GetRange(fp, bkt, key, off, length)
-		})
-	}
-	wg.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("vm exchange: stage in: %w", err)
-		}
-	}
-	return parts, nil
-}
-
-// parallelPut uploads payloads under keys with at most conns in
-// flight.
-func parallelPut(p *des.Proc, client interface {
-	Put(p *des.Proc, bkt, key string, pl payload.Payload) error
-}, bkt string, keys []string, parts []payload.Payload, conns int) error {
-	if conns < 1 {
-		conns = 1
-	}
-	sem := des.NewResource(p.Sim(), int64(conns))
-	errs := make([]error, len(parts))
-	wg := des.NewWaitGroup(p.Sim())
-	for i := range parts {
-		i := i
-		wg.Add(1)
-		p.Spawn(fmt.Sprintf("vm-put-%d", i), func(up *des.Proc) {
-			defer wg.Done()
-			sem.Acquire(up, 1)
-			defer sem.Release(1)
-			errs[i] = client.Put(up, bkt, keys[i], parts[i])
-		})
-	}
-	wg.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("vm exchange: stage out: %w", err)
-		}
-	}
-	return nil
 }
 
 // splitLines cuts sorted newline-terminated lines into w contiguous

@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"time"
 )
 
@@ -333,4 +334,26 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		wg.waiters = append(wg.waiters, p)
 		p.Park()
 	}
+}
+
+// Fan runs fn(i, c) for every i in [0, n), each in a child process c of
+// p named prefix+strconv.Itoa(i), spawned in p's scope and in index
+// order, and parks p until every child has returned. It returns the
+// error of the lowest index that failed. With n <= 0 it returns nil at
+// once, scheduling nothing.
+func (p *Proc) Fan(n int, prefix string, fn func(i int, c *Proc) error) error {
+	var wg WaitGroup
+	var err error
+	failed := n // lowest index that failed so far
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		p.Spawn(prefix+strconv.Itoa(i), func(c *Proc) {
+			defer wg.Done()
+			if e := fn(i, c); e != nil && i < failed {
+				failed, err = i, e
+			}
+		})
+	}
+	wg.Wait(p)
+	return err
 }

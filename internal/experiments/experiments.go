@@ -90,22 +90,15 @@ func StoreThrottle(profile calib.Profile, clients []int, opsPerClient int) (Thro
 				runErr = err
 				return
 			}
-			wg := des.NewWaitGroup(rig.Sim)
-			for i := 0; i < n; i++ {
-				i := i
-				wg.Add(1)
-				p.Spawn(fmt.Sprintf("client%d", i), func(cp *des.Proc) {
-					defer wg.Done()
-					for k := 0; k < opsPerClient; k++ {
-						if err := c.Put(cp, "b",
-							fmt.Sprintf("c%d/k%d", i, k), payload.Sized(0)); err != nil {
-							runErr = err
-							return
-						}
+			runErr = p.Fan(n, "client", func(i int, cp *des.Proc) error {
+				for k := 0; k < opsPerClient; k++ {
+					if err := c.Put(cp, "b",
+						fmt.Sprintf("c%d/k%d", i, k), payload.Sized(0)); err != nil {
+						return err
 					}
-				})
-			}
-			wg.Wait(p)
+				}
+				return nil
+			})
 		})
 		if err := rig.Run(); err != nil {
 			return res, err

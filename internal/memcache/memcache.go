@@ -457,17 +457,18 @@ func (c *Cluster) Set(p *des.Proc, key string, pl payload.Payload) error {
 	c.metrics.SetOps++
 	c.metrics.BytesIn += size
 
-	// Replacing an existing key first releases its space.
+	// A replacement may reuse its old value's space, and a failed one
+	// keeps the old value (noeviction).
+	var oldSize int64
 	if old, ok := n.items[key]; ok {
-		n.used -= old.Size()
-		delete(n.items, key)
+		oldSize = old.Size()
 	}
-	if n.used+size > c.cfg.NodeMemoryBytes {
+	if free := c.cfg.NodeMemoryBytes - n.used + oldSize; size > free {
 		return fmt.Errorf("%w: need %d bytes, %d free on shard",
-			ErrOutOfMemory, size, c.cfg.NodeMemoryBytes-n.used)
+			ErrOutOfMemory, size, free)
 	}
 	n.items[key] = pl
-	n.used += size
+	n.used += size - oldSize
 	return nil
 }
 

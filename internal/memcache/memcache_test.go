@@ -179,6 +179,49 @@ func TestOutOfMemoryNoEviction(t *testing.T) {
 	})
 }
 
+// TestFailedReplaceKeepsOldValue: a replacing Set that does not fit
+// fails like any other (noeviction) and leaves the key's old value, and
+// the shard's usage, as they were.
+func TestFailedReplaceKeepsOldValue(t *testing.T) {
+	cfg := fastConfig()
+	cfg.NodeMemoryBytes = 1000
+	rig(t, cfg, 1, func(p *des.Proc, c *Cluster) {
+		for _, kv := range []struct {
+			key  string
+			size int64
+		}{{"a", 300}, {"b", 600}} {
+			if err := c.Set(p, kv.key, payload.Sized(kv.size)); err != nil {
+				t.Errorf("Set %s: %v", kv.key, err)
+				return
+			}
+		}
+		err := c.Set(p, "a", payload.Sized(500))
+		if !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("replacing Set a err = %v, want ErrOutOfMemory", err)
+			return
+		}
+		if want := "memcache: out of memory: need 500 bytes, 400 free on shard"; err.Error() != want {
+			t.Errorf("replacing Set a err = %q, want %q", err, want)
+		}
+		pl, err := c.Get(p, "a")
+		if err != nil {
+			t.Errorf("Get a after the failed replace: %v", err)
+		} else if pl.Size() != 300 {
+			t.Errorf("Get a = %d bytes, want the old 300", pl.Size())
+		}
+		if got := c.UsedBytes(); got != 900 {
+			t.Errorf("UsedBytes = %d, want 900", got)
+		}
+		// The old value's space is still the replacement's to take.
+		if err := c.Set(p, "a", payload.Sized(400)); err != nil {
+			t.Errorf("replacing Set a 400: %v", err)
+		}
+		if got := c.UsedBytes(); got != 1000 {
+			t.Errorf("UsedBytes = %d, want 1000", got)
+		}
+	})
+}
+
 func TestValueLargerThanNode(t *testing.T) {
 	cfg := fastConfig()
 	cfg.NodeMemoryBytes = 1000

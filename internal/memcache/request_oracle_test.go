@@ -106,16 +106,16 @@ func (f *procCluster) set(p *des.Proc, key string, pl payload.Payload) error {
 	n.link.Transfer(p, size, c.cfg.PerConnBandwidth)
 	c.metrics.SetOps++
 	c.metrics.BytesIn += size
+	var oldSize int64
 	if old, ok := n.items[key]; ok {
-		n.used -= old.Size()
-		delete(n.items, key)
+		oldSize = old.Size()
 	}
-	if n.used+size > c.cfg.NodeMemoryBytes {
+	if free := c.cfg.NodeMemoryBytes - n.used + oldSize; size > free {
 		return fmt.Errorf("%w: need %d bytes, %d free on shard",
-			ErrOutOfMemory, size, c.cfg.NodeMemoryBytes-n.used)
+			ErrOutOfMemory, size, free)
 	}
 	n.items[key] = pl
-	n.used += size
+	n.used += size - oldSize
 	return nil
 }
 

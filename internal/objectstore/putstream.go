@@ -56,7 +56,7 @@ type PutWriter struct {
 	partNum     int
 
 	sem    *des.Resource // bounds concurrent part uploads
-	wg     *des.WaitGroup
+	wg     des.WaitGroup
 	err    error // first part-upload failure, surfaced at Close
 	closed bool
 }
@@ -71,7 +71,6 @@ func (c *Client) PutStream(p *des.Proc, bkt, key string, opts PutStreamOptions) 
 	return &PutWriter{
 		c: c, bkt: bkt, key: key, opts: opts,
 		sem: des.NewResource(p.Sim(), DefaultPutConns),
-		wg:  des.NewWaitGroup(p.Sim()),
 	}
 }
 

@@ -83,6 +83,8 @@ type request struct {
 
 	// A list of PUTs is each(0..n-1); a single one sets key and body.
 	// An UploadPart sets key to the upload ID and part to the number.
+	// flowCap is the caller's cap on a body's flow, or on every chunk
+	// flow of the streams it opens.
 	each    func(i int) (string, payload.Payload)
 	flowCap float64
 	part    int
@@ -289,7 +291,7 @@ func (r *request) open() error {
 			return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
 		}
 	}
-	st := s.startStream(r.p, r.bkt, r.key, rng, r.off, n, r.opts)
+	st := s.startStream(r.p, r.bkt, r.key, rng, r.off, n, r.opts, r.flowCap)
 	if r.streams != nil {
 		r.streams[r.i].attach(st)
 	} else {

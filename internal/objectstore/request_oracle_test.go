@@ -122,7 +122,7 @@ func procUploadPart(s *Service, p *des.Proc, uploadID string, partNumber int, pl
 	return nil
 }
 
-func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
+func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*Stream, error) {
 	obj, err := procLookup(s, p, bkt, key)
 	if err != nil {
 		return nil, err
@@ -134,7 +134,7 @@ func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts 
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
-	return s.startStream(p, bkt, key, rng, off, n, opts), nil
+	return s.startStream(p, bkt, key, rng, off, n, opts, flowCap), nil
 }
 
 func procCreateBucket(s *Service, p *des.Proc, name string) error {
@@ -185,7 +185,7 @@ func (cs *procClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
 
 func (cs *procClientStream) ensure(p *des.Proc) error {
 	for cs.cur == nil {
-		st, err := procGetStream(cs.c.svc, p, cs.bkt, cs.key, cs.off, cs.n, cs.opts)
+		st, err := procGetStream(cs.c.svc, p, cs.bkt, cs.key, cs.off, cs.n, cs.opts, cs.c.FlowCap)
 		if err == nil {
 			cs.attach(st)
 			return nil
@@ -342,9 +342,6 @@ func procClientPut(c *Client, p *des.Proc, bkt, key string, pl payload.Payload) 
 }
 
 func procClientOpen(c *Client, p *des.Proc, bkt, key string, opts StreamOptions) (chunkSource, error) {
-	if opts.FlowCap == 0 {
-		opts.FlowCap = c.FlowCap
-	}
 	cs := &procClientStream{
 		ClientStream: &ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts},
 		backoff:      RetryBackoffBase,

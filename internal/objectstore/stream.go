@@ -58,9 +58,6 @@ var ErrStreamClosed = errors.New("objectstore: stream closed")
 type StreamOptions struct {
 	// ChunkBytes is the transfer granularity (default 4 MiB).
 	ChunkBytes int64
-	// FlowCap, when > 0, caps each chunk flow's rate in bytes/second,
-	// like Get's flowCap.
-	FlowCap float64
 }
 
 // producerState names the event a stream's producing side waits for
@@ -121,11 +118,13 @@ type Stream struct {
 // already-transferred chunks still delivered first). A stream of one
 // chunk is request-for-request identical to GetRange.
 //
+// flowCap caps each chunk flow's rate as it caps Get's body.
+//
 // A stream must be read to io.EOF or an error, or closed: one abandoned
 // with its prefetch window full stays in OpenStreams.
-func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*Stream, error) {
+func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*Stream, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, 1)
-	r.key, r.off, r.length, r.opts = key, off, n, opts
+	r.key, r.off, r.length, r.opts, r.flowCap = key, off, n, opts, flowCap
 	_, err := r.run()
 	st := r.stream
 	s.release(r)
@@ -137,9 +136,9 @@ func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Str
 // the caller parked once for the lot (see request.go), and attaches
 // stream i to streams[i]. It returns the first element not opened and
 // the error that stopped there, or len(keys) and nil.
-func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream) (int, error) {
+func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream, flowCap float64) (int, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, len(keys))
-	r.i, r.keys, r.streams, r.length, r.opts = from, keys, streams, -1, opts
+	r.i, r.keys, r.streams, r.length, r.opts, r.flowCap = from, keys, streams, -1, opts, flowCap
 	next, err := r.run()
 	s.release(r)
 	return next, err
@@ -147,7 +146,7 @@ func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opt
 
 // startStream begins delivering rng, bytes [off, off+n) of bkt/key, for
 // p: the open's last act, at the end of its request latency.
-func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions) *Stream {
+func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions, flowCap float64) *Stream {
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
@@ -158,7 +157,7 @@ func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload,
 		rng:     rng,
 		size:    n,
 		chunk:   opts.ChunkBytes,
-		flowCap: s.connCap(opts.FlowCap),
+		flowCap: s.connCap(flowCap),
 		opener:  p,
 	}
 	st.stepFn = st.step
@@ -338,11 +337,7 @@ type ClientStream struct {
 
 // GetStream opens a resumable streaming GET of [off, off+n) with
 // retry; a negative n streams through the end of the object.
-// Opts.FlowCap of zero inherits the client's FlowCap.
 func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*ClientStream, error) {
-	if opts.FlowCap == 0 {
-		opts.FlowCap = c.FlowCap
-	}
 	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts}
 	if err := cs.ensure(p); err != nil {
 		return nil, err
@@ -357,16 +352,13 @@ func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Stre
 // &streams[i]. On error it returns the streams opened so far, for the
 // caller to close; the key that failed is keys[len(streams)].
 func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]ClientStream, error) {
-	if opts.FlowCap == 0 {
-		opts.FlowCap = c.FlowCap
-	}
 	streams := make([]ClientStream, len(keys))
 	for i, key := range keys {
 		streams[i] = ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts}
 	}
 	for i := 0; i < len(keys); {
 		var err error
-		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams)
+		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams, c.FlowCap)
 		if errors.Is(err, ErrSlowDown) {
 			err = c.backOff(p, &streams[i].retries, err)
 		}
@@ -402,7 +394,7 @@ func (cs *ClientStream) Remaining() int64 { return cs.n }
 // retrying throttled admissions against the shared budget.
 func (cs *ClientStream) ensure(p *des.Proc) error {
 	for cs.cur == nil {
-		st, err := cs.c.svc.GetStream(p, cs.bkt, cs.key, cs.off, cs.n, cs.opts)
+		st, err := cs.c.svc.GetStream(p, cs.bkt, cs.key, cs.off, cs.n, cs.opts, cs.c.FlowCap)
 		if err == nil {
 			cs.attach(st)
 			return nil

@@ -26,8 +26,9 @@ import (
 
 // procStream is the process-form Stream.
 type procStream struct {
-	svc  *Service
-	opts StreamOptions
+	svc     *Service
+	opts    StreamOptions
+	flowCap float64
 
 	ready  []payload.Payload
 	err    error
@@ -41,7 +42,7 @@ type procStream struct {
 // openProcStream is the process-form GetStream: same admission, same
 // range resolution, same name, and a Spawn where the state machine
 // schedules its first step.
-func openProcStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*procStream, error) {
+func openProcStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*procStream, error) {
 	obj, err := s.Head(p, bkt, key)
 	if err != nil {
 		return nil, err
@@ -59,7 +60,7 @@ func openProcStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
-	st := &procStream{svc: s, opts: opts}
+	st := &procStream{svc: s, opts: opts, flowCap: flowCap}
 	s.streamSeq++
 	name := fmt.Sprintf("objectstore/stream#%d/%s/%s@%d", s.streamSeq, bkt, key, off)
 	s.sim.Spawn(name, func(prod *des.Proc) { st.produce(prod, rng) })
@@ -87,7 +88,7 @@ func (st *procStream) produce(prod *des.Proc, rng payload.Payload) {
 			st.fail(err)
 			return
 		}
-		st.svc.link.Transfer(prod, n, st.svc.connCap(st.opts.FlowCap))
+		st.svc.link.Transfer(prod, n, st.svc.connCap(st.flowCap))
 		st.svc.metrics.Total.BytesOut += n
 		if st.closed {
 			return
@@ -153,18 +154,18 @@ type chunkSource interface {
 	Close()
 }
 
-type streamOpener func(s *Service, p *des.Proc, off, n int64, opts StreamOptions) (chunkSource, error)
+type streamOpener func(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error)
 
-func openMachine(s *Service, p *des.Proc, off, n int64, opts StreamOptions) (chunkSource, error) {
-	st, err := s.GetStream(p, "b", "k", off, n, opts)
+func openMachine(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
+	st, err := s.GetStream(p, "b", "k", off, n, opts, flowCap)
 	if err != nil {
 		return nil, err // not a typed nil in the interface
 	}
 	return st, nil
 }
 
-func openProc(s *Service, p *des.Proc, off, n int64, opts StreamOptions) (chunkSource, error) {
-	st, err := openProcStream(s, p, "b", "k", off, n, opts)
+func openProc(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
+	st, err := openProcStream(s, p, "b", "k", off, n, opts, flowCap)
 	if err != nil {
 		return nil, err
 	}
@@ -176,6 +177,7 @@ type oracleReader struct {
 	startAt time.Duration
 	off, n  int64 // n < 0: through the end of the object
 	opts    StreamOptions
+	flowCap float64       // the reader's client's cap
 	cpu     time.Duration // consumer work per chunk
 	// closeAfter chunks the reader sleeps closeDelay and closes (0 with
 	// no delay: before the stream's first event; with a delay: during a
@@ -247,7 +249,7 @@ func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracl
 			var st chunkSource
 			for attempt := 0; ; attempt++ {
 				var err error
-				if st, err = open(svc, p, r.off, r.n, r.opts); err == nil {
+				if st, err = open(svc, p, r.off, r.n, r.opts, r.flowCap); err == nil {
 					break
 				}
 				logf(i, p, "open: %v", err)
@@ -362,7 +364,7 @@ func genOracleScenario(r *rand.Rand, seed int64) oracleScenario {
 			rd.opts.ChunkBytes = int64(1_000 + r.Intn(20_000))
 		}
 		if r.Intn(3) == 0 {
-			rd.opts.FlowCap = 1e5 + 2e6*r.Float64() // below and above PerConnBandwidth
+			rd.flowCap = 1e5 + 2e6*r.Float64() // below and above PerConnBandwidth
 		}
 		if r.Intn(2) == 0 {
 			rd.cpu = time.Duration(r.Intn(30_000)) * time.Microsecond

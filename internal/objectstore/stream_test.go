@@ -86,7 +86,7 @@ func TestStreamDeliversRangeByteIdentical(t *testing.T) {
 				return
 			}
 			want, _ = pl.Bytes()
-			st, err := svc.GetStream(p, "b", "k", 500, 9000, StreamOptions{ChunkBytes: chunk})
+			st, err := svc.GetStream(p, "b", "k", 500, 9000, StreamOptions{ChunkBytes: chunk}, 0)
 			if err != nil {
 				t.Errorf("GetStream: %v", err)
 				return
@@ -134,7 +134,7 @@ func TestStreamOverlapsConsumerWork(t *testing.T) {
 	var streamed time.Duration
 	sim2.Spawn("streamed", func(p *des.Proc) {
 		start := p.Now()
-		st, err := svc2.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: size / chunks})
+		st, err := svc2.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: size / chunks}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -174,7 +174,7 @@ func TestStreamEqualTimingWithoutConsumerWork(t *testing.T) {
 		}
 		buffered = p.Now() - start
 		start = p.Now()
-		st, err := svc.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: 64 << 10})
+		st, err := svc.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: 64 << 10}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -201,7 +201,7 @@ func TestStreamSizedPayload(t *testing.T) {
 	sim.Spawn("driver", func(p *des.Proc) {
 		_ = svc.CreateBucket(p, "b")
 		_ = svc.Put(p, "b", "k", payload.Sized(1000), 0)
-		st, err := svc.GetStream(p, "b", "k", 0, 1000, StreamOptions{ChunkBytes: 300})
+		st, err := svc.GetStream(p, "b", "k", 0, 1000, StreamOptions{ChunkBytes: 300}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -235,7 +235,7 @@ func TestStreamSizedPayload(t *testing.T) {
 func TestStreamCloseEarlyNoDeadlock(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 1<<20)
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 1<<20, StreamOptions{ChunkBytes: 1 << 10})
+		st, err := svc.GetStream(p, "b", "k", 0, 1<<20, StreamOptions{ChunkBytes: 1 << 10}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -256,13 +256,13 @@ func TestStreamCloseEarlyNoDeadlock(t *testing.T) {
 func TestStreamRangeErrors(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 100)
 	sim.Spawn("reader", func(p *des.Proc) {
-		if _, err := svc.GetStream(p, "b", "missing", 0, 10, StreamOptions{}); err == nil {
+		if _, err := svc.GetStream(p, "b", "missing", 0, 10, StreamOptions{}, 0); err == nil {
 			t.Error("missing key accepted")
 		}
-		if _, err := svc.GetStream(p, "b", "k", 50, 100, StreamOptions{}); err == nil {
+		if _, err := svc.GetStream(p, "b", "k", 50, 100, StreamOptions{}, 0); err == nil {
 			t.Error("out-of-bounds range accepted")
 		}
-		st, err := svc.GetStream(p, "b", "k", 10, 0, StreamOptions{})
+		st, err := svc.GetStream(p, "b", "k", 10, 0, StreamOptions{}, 0)
 		if err != nil {
 			t.Errorf("empty range: %v", err)
 			return
@@ -356,7 +356,7 @@ func TestStreamMetricsMatchBuffered(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 50000)
 	before := svc.Metrics()
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 1 << 12})
+		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 1 << 12}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -419,7 +419,7 @@ func TestStreamCountsEgressWhenConsumerClosesMidTransfer(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 50000)
 	before := svc.Metrics()
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000})
+		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -449,7 +449,7 @@ func TestAbandonedStreamIsListed(t *testing.T) {
 		var err error
 		// Five chunks against a window of two: the producing side stops
 		// with three still to go.
-		if abandoned, err = svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}); err != nil {
+		if abandoned, err = svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0); err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
 		}
@@ -457,7 +457,7 @@ func TestAbandonedStreamIsListed(t *testing.T) {
 		// end of the range whether or not anyone reads it. (Two would not:
 		// a full window stops it even with nothing left to transfer, as it
 		// stopped the process.)
-		if kept, err = svc.GetStream(p, "b", "k", 100, 1000, StreamOptions{ChunkBytes: 1000}); err != nil {
+		if kept, err = svc.GetStream(p, "b", "k", 100, 1000, StreamOptions{ChunkBytes: 1000}, 0); err != nil {
 			t.Errorf("GetStream: %v", err)
 		}
 		if got := svc.OpenStreams(); len(got) != 2 {
@@ -526,7 +526,7 @@ func TestStreamWholeObjectIsHandedThrough(t *testing.T) {
 			t.Errorf("Get: %v", err)
 			return
 		}
-		st, err := svc.GetStream(p, "b", "k", 0, -1, StreamOptions{})
+		st, err := svc.GetStream(p, "b", "k", 0, -1, StreamOptions{}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return

@@ -257,21 +257,14 @@ func (c *cacheRuns) fetch(p *des.Proc, store *objectstore.Client, key string) (p
 // with the output's part uploads.
 func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error) {
 	parts := make([]payload.Payload, len(keys))
-	errs := make([]error, len(keys))
-	wg := des.NewWaitGroup(ctx.Proc.Sim())
-	for m := range keys {
-		m := m
-		wg.Add(1)
-		ctx.Proc.Spawn(fmt.Sprintf("cache-fetch-%d", m), func(up *des.Proc) {
-			defer wg.Done()
-			parts[m], errs[m] = c.fetch(up, ctx.Store, keys[m])
-		})
-	}
-	wg.Wait(ctx.Proc)
-	for m, err := range errs {
-		if err != nil {
-			return nil, 0, fmt.Errorf("fetch %s: %w", keys[m], err)
+	err := ctx.Proc.Fan(len(keys), "cache-fetch-", func(m int, up *des.Proc) (err error) {
+		if parts[m], err = c.fetch(up, ctx.Store, keys[m]); err != nil {
+			return fmt.Errorf("fetch %s: %w", keys[m], err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	srcs := make([]runSource, len(parts))
 	var total int64

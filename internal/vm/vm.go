@@ -386,18 +386,10 @@ func (i *Instance) RunParallel(p *des.Proc, n int, cpuTime time.Duration) error 
 	if err := i.err(); err != nil {
 		return err
 	}
-	if n <= 0 {
-		return nil
-	}
-	wg := des.NewWaitGroup(p.Sim())
-	for t := 0; t < n; t++ {
-		wg.Add(1)
-		p.Spawn(fmt.Sprintf("%s/task%d", i.itype.Name, t), func(tp *des.Proc) {
-			defer wg.Done()
-			_ = i.RunTask(tp, cpuTime)
-		})
-	}
-	wg.Wait(p)
+	// A task's own error is the instance's state, read below.
+	_ = p.Fan(n, i.itype.Name+"/task", func(_ int, tp *des.Proc) error {
+		return i.RunTask(tp, cpuTime)
+	})
 	if i.preempted {
 		return ErrPreempted
 	}
