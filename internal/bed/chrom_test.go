@@ -107,17 +107,23 @@ var (
 )
 
 // TestParseLineAllocatesNothing: a line whose chromosome is in the
-// table and whose name is "." parses with no allocation; a
-// beyond-table chromosome costs its one string.
+// table and whose name is "." parses with no allocation, whether its
+// bytes are canonical or the comparing of the derived columns stops
+// early; a beyond-table chromosome costs its one string.
 func TestParseLineAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
-		line   string
-		allocs float64
+		line      string
+		allocs    float64
+		canonical bool
 	}{
-		{goodLine, 0},
-		{otherLine, 0},
-		{"chrMT\t5\t6\t.\t3\t-\t5\t6\t255,255,0\t3\t50", 0},
-		{"chrUn_KI270302v1\t5\t6\t.\t3\t-\t5\t6\t255,255,0\t3\t50", 1},
+		{goodLine, 0, true},
+		{otherLine, 0, true},
+		{"chrMT\t5\t6\t.\t3\t-\t5\t6\t255,255,0\t3\t50", 0, true},
+		{"chrUn_KI270302v1\t5\t6\t.\t3\t-\t5\t6\t255,255,0\t3\t50", 1, true},
+		{"chr1\t5\t6\t.\t3\t-\t5\t7\t255,255,0\t3\t50", 0, false},
+		{"chr1\t5\t6\t.\t3\t-\t5\t6\t255,0,0\t3\t50", 0, false},
+		{"chr1\t+5\t6\t.\t3\t-\t5\t6\t255,255,0\t3\t50", 0, false},
+		{"chr1\t5\t6\t.\t3\t-\t5\t6\t255,255,0\t03\t50", 0, false},
 	} {
 		line := []byte(tc.line)
 		got := testing.AllocsPerRun(100, func() {
@@ -129,40 +135,16 @@ func TestParseLineAllocatesNothing(t *testing.T) {
 		if got != tc.allocs {
 			t.Errorf("ParseLine(%q): %v allocations, want %v", tc.line, got, tc.allocs)
 		}
-	}
-}
-
-// TestThirdTabMatchesByteLoop: the word-at-a-time search finds the
-// third tab a byte loop finds, from every start, with tabs at every
-// offset of a load and bytes that differ from a tab in one bit.
-func TestThirdTabMatchesByteLoop(t *testing.T) {
-	byteLoop := func(line []byte, i int) int {
-		for range 3 {
-			if i = fieldEnd(line, i); i == len(line) {
-				return i
+		canonical := false
+		got = testing.AllocsPerRun(100, func() {
+			var err error
+			if parseSink, canonical, err = ParseLineCanonical(line); err != nil {
+				t.Fatal(err)
 			}
-			i++
-		}
-		return i - 1
-	}
-	fill := []byte{'\t' ^ 0x80, '\t' ^ 0x01, '\t' ^ 0x08, 'a', 0, 0xff}
-	for n := 0; n <= 40; n++ {
-		for seed := 0; seed < 40; seed++ {
-			line := make([]byte, n)
-			x := uint32(seed*2654435761 + n)
-			for j := range line {
-				x = x*1664525 + 1013904223
-				if x>>28 < 4 {
-					line[j] = '\t'
-				} else {
-					line[j] = fill[int(x>>8)%len(fill)]
-				}
-			}
-			for i := 0; i <= n; i++ {
-				if got, want := thirdTab(line, i), byteLoop(line, i); got != want {
-					t.Fatalf("thirdTab(%q, %d) = %d, want %d", line, i, got, want)
-				}
-			}
+		})
+		if got != tc.allocs || canonical != tc.canonical {
+			t.Errorf("ParseLineCanonical(%q): %v allocations, canonical %v; want %v, %v",
+				tc.line, got, canonical, tc.allocs, tc.canonical)
 		}
 	}
 }
@@ -180,12 +162,16 @@ func TestBlankLineTestMatchesTrimSpace(t *testing.T) {
 			if !skipped && !errors.As(err, &pe) {
 				t.Fatalf("record(%q) = %v, want a skip or a ParseError", line, err)
 			}
-			if blank := len(bytes.TrimSpace(line)) == 0; skipped != blank {
-				t.Fatalf("record(%q) skipped = %v, bytes.TrimSpace blank = %v", line, skipped, blank)
+			if blank := len(bytes.TrimSpace(line)) == 0; skipped != blank || IsBlank(line) != blank {
+				t.Fatalf("record(%q) skipped = %v, IsBlank = %v, bytes.TrimSpace blank = %v",
+					line, skipped, IsBlank(line), blank)
 			}
 		}
 	}
 	if err := record(nil, 1, func(Record) error { t.Fatal("called on an empty line"); return nil }); err != nil {
 		t.Fatalf("record of an empty line: %v", err)
+	}
+	if !IsBlank(nil) {
+		t.Fatal("IsBlank(nil) = false, want true")
 	}
 }

@@ -3,11 +3,9 @@ package bed
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -216,41 +214,14 @@ func fieldEnd(line []byte, i int) int {
 	return i
 }
 
-// thirdTab is the index of the third tab at or after line[i], or
-// len(line) when there are fewer: the end of the derived columns
-// (thickStart, thickEnd, itemRgb), which ParseLine skips unread. They
-// are about half of a line, so it tests eight bytes a load: a tab in
-// the loaded word is a zero byte of x, and ^((x&0x7f..)+0x7f.. | x |
-// 0x7f..) sets the high bit of exactly those bytes (no carry crosses a
-// byte). The tail is read a byte at a time.
-func thirdTab(line []byte, i int) int {
-	const lo7, tabs = 0x7f7f7f7f7f7f7f7f, 0x0909090909090909
-	n := 3
-	for ; i+8 <= len(line); i += 8 {
-		x := binary.LittleEndian.Uint64(line[i:]) ^ tabs
-		m := ^((x&lo7 + lo7) | x | lo7)
-		for ; m != 0; m &= m - 1 {
-			if n--; n == 0 {
-				return i + bits.TrailingZeros64(m)/8
-			}
-		}
-	}
-	for ; i < len(line); i++ {
-		if line[i] == '\t' {
-			if n--; n == 0 {
-				return i
-			}
-		}
-	}
-	return len(line)
-}
-
 // scanInt reads the integer field starting at line[i] and returns it
-// with the index of the byte after the field (its tab, or len(line)).
-// Up to 18 digits cannot overflow an int64, so they are summed as they
-// are read; a sign, a non-digit or a longer field hands that one field
-// to parseInt, which decides and reports exactly as it always has.
-func scanInt(line []byte, i int) (int64, int, bool) {
+// with the index of the byte after the field (its tab, or len(line)),
+// and whether the field is written as strconv.AppendInt writes its
+// value: no sign, and no leading zero unless the field is "0". Up to 18
+// digits cannot overflow an int64, so they are summed as they are read;
+// a sign, a non-digit or a longer field hands that one field to
+// parseInt, which decides and reports exactly as it always has.
+func scanInt(line []byte, i int) (n int64, end int, ok, canonical bool) {
 	start := i
 	var v uint64
 	for ; i < len(line); i++ {
@@ -260,12 +231,12 @@ func scanInt(line []byte, i int) (int64, int, bool) {
 		}
 		v = v*10 + uint64(d)
 	}
-	if n := i - start; n > 0 && n <= 18 && (i == len(line) || line[i] == '\t') {
-		return int64(v), i, true
+	if digits := i - start; digits > 0 && digits <= 18 && (i == len(line) || line[i] == '\t') {
+		return int64(v), i, true, line[start] != '0' || digits == 1
 	}
-	end := fieldEnd(line, start)
-	n, ok := parseInt(line[start:end])
-	return n, end, ok
+	end = fieldEnd(line, start)
+	n, ok = parseInt(line[start:end])
+	return n, end, ok, ok && '1' <= line[start] && line[start] <= '9'
 }
 
 // lineError reports a line the scan stopped on, in the order the checks
@@ -283,61 +254,91 @@ func lineError(line []byte, field string, val []byte) error {
 	return fmt.Errorf("%s: bad integer %q", field, val)
 }
 
-// ParseLine parses one TSV line (without trailing newline) in a single
-// left-to-right scan, allocation-free on the happy path: integers are
-// summed as their digits are read, the derived columns (thickStart,
-// thickEnd, itemRgb) are skipped unread (thirdTab), and common
-// chrom/name strings are interned. A column that cannot be read, or
-// that ends the line early, ends the scan (lineError). The result is
-// named so that the record is built where it is returned.
-func ParseLine(line []byte) (r Record, err error) {
+// ParseLine parses one TSV line (without trailing newline); it is
+// ParseLineCanonical without the verdict on the line's bytes.
+func ParseLine(line []byte) (Record, error) {
+	r, _, err := ParseLineCanonical(line)
+	return r, err
+}
+
+// ParseLineCanonical parses one TSV line (without trailing newline) in
+// a single left-to-right scan, allocation-free on the happy path:
+// integers are summed as their digits are read, and common chrom/name
+// strings are interned. A column that cannot be read, or that ends the
+// line early, ends the scan (lineError). The result is named so that
+// the record is built where it is returned.
+//
+// canonical reports whether line plus '\n' is exactly what AppendTSV
+// writes for r: no integer has a sign or a leading zero, thickStart and
+// thickEnd are byte for byte "start\tend", and itemRgb is
+// itemRGB(MethPct). It costs only comparisons.
+func ParseLineCanonical(line []byte) (r Record, canonical bool, err error) {
 	var v int64
-	var ok bool
+	var ok, c bool
 	i := fieldEnd(line, 0)
 	if i == len(line) {
-		return Record{}, lineError(line, "", nil)
+		return Record{}, false, lineError(line, "", nil)
 	}
 	r.Chrom = intern(line[:i])
 	s := i + 1
-	if r.Start, i, ok = scanInt(line, s); !ok || i == len(line) {
-		return Record{}, lineError(line, "start", line[s:i])
+	if r.Start, i, ok, canonical = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, false, lineError(line, "start", line[s:i])
 	}
+	span := s // "start\tend", which thickStart and thickEnd repeat
 	s = i + 1
-	if r.End, i, ok = scanInt(line, s); !ok || i == len(line) {
-		return Record{}, lineError(line, "end", line[s:i])
+	if r.End, i, ok, c = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, false, lineError(line, "end", line[s:i])
 	}
+	canonical = canonical && c
+	thick := line[span:i]
 	s = i + 1
 	if i = fieldEnd(line, s); i == len(line) {
-		return Record{}, lineError(line, "", nil)
+		return Record{}, false, lineError(line, "", nil)
 	}
 	r.Name = intern(line[s:i])
 	s = i + 1
-	if v, i, ok = scanInt(line, s); !ok || i == len(line) {
-		return Record{}, lineError(line, "score", line[s:i])
+	if v, i, ok, c = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, false, lineError(line, "score", line[s:i])
 	}
 	r.Score = int(v)
+	canonical = canonical && c
 	s = i + 1
 	if i = fieldEnd(line, s); i-s != 1 || i == len(line) {
-		return Record{}, lineError(line, "strand", line[s:i])
+		return Record{}, false, lineError(line, "strand", line[s:i])
 	}
 	r.Strand = line[s]
-	if i = thirdTab(line, i+1); i == len(line) {
-		return Record{}, lineError(line, "", nil)
+	// The derived columns: thickStart and thickEnd are compared with
+	// "start\tend" and only itemRgb is walked; once the line is not
+	// canonical, all three are walked to their third tab.
+	var itemRgb []byte
+	if t := i + 1 + len(thick); canonical && t < len(line) && line[t] == '\t' && bytes.Equal(line[i+1:t], thick) {
+		i = fieldEnd(line, t+1)
+		itemRgb = line[t+1 : i]
+	} else {
+		canonical = false
+		for n := 0; n < 3 && i < len(line); n++ {
+			i = fieldEnd(line, i+1)
+		}
+	}
+	if i == len(line) {
+		return Record{}, false, lineError(line, "", nil)
 	}
 	s = i + 1
-	if v, i, ok = scanInt(line, s); !ok || i == len(line) {
-		return Record{}, lineError(line, "coverage", line[s:i])
+	if v, i, ok, c = scanInt(line, s); !ok || i == len(line) {
+		return Record{}, false, lineError(line, "coverage", line[s:i])
 	}
 	r.Coverage = int(v)
+	canonical = canonical && c
 	s = i + 1
-	if v, i, ok = scanInt(line, s); !ok || i != len(line) {
-		return Record{}, lineError(line, "methylation", line[s:i])
+	if v, i, ok, c = scanInt(line, s); !ok || i != len(line) {
+		return Record{}, false, lineError(line, "methylation", line[s:i])
 	}
 	r.MethPct = int(v)
 	if err = r.Validate(); err != nil {
-		return Record{}, err
+		return Record{}, false, err
 	}
-	return r, nil
+	canonical = canonical && c && string(itemRgb) == itemRGB(r.MethPct)
+	return r, canonical, nil
 }
 
 // maxLineBytes is the longest line Parse and Unmarshal accept; a longer
@@ -352,15 +353,20 @@ const minLineBytes = 17
 // asciiSpace is the ASCII white space bytes.TrimSpace trims.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
+// IsBlank reports whether line is empty or white space alone, so that
+// bytes.TrimSpace would leave nothing of it: the lines every reader of
+// bedMethyl bytes skips.
+func IsBlank(line []byte) bool {
+	// Only a line that starts with white space can be blank.
+	return len(line) == 0 || (line[0] >= utf8.RuneSelf || asciiSpace[line[0]]) && len(bytes.TrimSpace(line)) == 0
+}
+
 // record hands fn the record on line lineNo (without its newline). Blank
 // and whitespace-only lines are skipped; one that does not parse is a
 // *ParseError.
 func record(line []byte, lineNo int, fn func(Record) error) error {
-	if len(line) == 0 || line[0] >= utf8.RuneSelf || asciiSpace[line[0]] {
-		// Only a line that starts with white space can be blank.
-		if len(bytes.TrimSpace(line)) == 0 {
-			return nil
-		}
+	if IsBlank(line) {
+		return nil
 	}
 	rec, err := ParseLine(line)
 	if err != nil {
@@ -388,12 +394,14 @@ func Parse(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// EachRecord calls fn with the record on each line of an in-memory TSV
-// buffer, walking it in place, and accepts and rejects exactly what Parse
-// does on the same bytes (lines end at '\n', one trailing '\r' is
-// dropped, the last line needs no newline). An error from fn stops it and
-// is returned as it is.
-func EachRecord(data []byte, fn func(Record) error) error {
+// EachLine calls fn with each line of an in-memory TSV buffer and its
+// 1-based number, walking it in place and splitting it as Parse's
+// scanner does: lines end at '\n', one trailing '\r' is dropped, and the
+// last line needs no newline. Blank lines are handed over too (IsBlank
+// tells them). A line of maxLineBytes or more stops it with an error
+// wrapping bufio.ErrTooLong; an error from fn stops it and is returned
+// as it is.
+func EachLine(data []byte, fn func(line []byte, lineNo int) error) error {
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
@@ -407,11 +415,18 @@ func EachRecord(data []byte, fn func(Record) error) error {
 		if n := len(line); n > 0 && line[n-1] == '\r' {
 			line = line[:n-1]
 		}
-		if err := record(line, lineNo, fn); err != nil {
+		if err := fn(line, lineNo); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// EachRecord calls fn with the record on each line of an in-memory TSV
+// buffer (EachLine), and accepts and rejects exactly what Parse does on
+// the same bytes. An error from fn stops it and is returned as it is.
+func EachRecord(data []byte, fn func(Record) error) error {
+	return EachLine(data, func(line []byte, lineNo int) error { return record(line, lineNo, fn) })
 }
 
 // Unmarshal parses records from an in-memory TSV buffer (EachRecord),

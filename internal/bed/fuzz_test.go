@@ -129,6 +129,91 @@ func FuzzParseLine(f *testing.F) {
 	})
 }
 
+// nonCanonicalLines are lines ParseLine accepts that AppendTSV would
+// not write as they are, each a near miss of a canonical one, plus a
+// 19-digit integer (canonical, read past scanInt's fast path) and a
+// CRLF line.
+var nonCanonicalLines = []string{
+	"chr1\t+5\t9\t.\t1\t+\t5\t9\t0,255,0\t1\t1",    // signed start
+	"chr1\t5\t9\t.\t+1\t+\t5\t9\t0,255,0\t1\t1",    // signed score
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t0,255,0\t-0\t1",    // coverage "-0"
+	"chr1\t007\t9\t.\t1\t+\t007\t9\t0,255,0\t1\t1", // leading zeros, repeated by thick
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t0,255,0\t1\t01",    // leading zero in methylation
+	"chr1\t0\t9\t.\t00\t+\t0\t9\t0,255,0\t0\t0",    // "00" score
+	"chr1\t5\t9\t.\t1\t+\t5\t8\t0,255,0\t1\t1",     // thickEnd differs
+	"chr1\t5\t9\t.\t1\t+\t6\t9\t0,255,0\t1\t1",     // thickStart differs
+	"chr1\t5\t9\t.\t1\t+\t5\t95\t0,255,0\t1\t1",    // thickEnd longer
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t0,255,0\t1\t50",    // itemRgb of another level
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t0,255,0,\t1\t1",    // itemRgb one byte long
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t\t1\t1",            // empty itemRgb
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t255,0,0\t1\t1",     // red at 1%
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t255,255,0\t1\t67",  // yellow at 67%
+	"chr1\t5\t1000000000000000000\t.\t1\t+\t5\t1000000000000000000\t0,255,0\t1\t1",
+	"chr1\t5\t0000000000000000009\t.\t1\t+\t5\t0000000000000000009\t0,255,0\t1\t1",
+	"chr1\t5\t9\t.\t1\t+\t5\t9\t0,255,0\t1\t1\r",
+	"chr1\r\t5\t9\t.\t1\t+\t5\t9\t0,255,0\t1\t1",
+}
+
+// checkCanonical asserts that a line ParseLineCanonical accepts is
+// called canonical exactly when it plus '\n' is what AppendTSV writes
+// for its record, and that ParseLine reads it the same way.
+func checkCanonical(t *testing.T, line []byte) {
+	t.Helper()
+	r, canonical, err := ParseLineCanonical(line)
+	if r2, err2 := ParseLine(line); r2 != r || fmt.Sprint(err2) != fmt.Sprint(err) {
+		t.Fatalf("ParseLine(%q) = %+v, %v; ParseLineCanonical = %+v, %v", line, r2, err2, r, err)
+	}
+	if err != nil {
+		return
+	}
+	out := AppendTSV(nil, r)
+	if same := bytes.Equal(out, append(line[:len(line):len(line)], '\n')); canonical != same {
+		t.Fatalf("ParseLineCanonical(%q): canonical %v, but AppendTSV writes %q", line, canonical, out)
+	}
+}
+
+// TestParseLineCanonicalMatchesAppendTSV checks the seeds without
+// -fuzz: every line above is accepted and not canonical but the
+// 19-digit and the CR-in-chrom ones, and every generated line is.
+func TestParseLineCanonicalMatchesAppendTSV(t *testing.T) {
+	for _, s := range slices.Concat(trickyLines, nonCanonicalLines) {
+		checkCanonical(t, []byte(s))
+	}
+	var canonical []string
+	for _, s := range nonCanonicalLines {
+		_, c, err := ParseLineCanonical([]byte(s))
+		if err != nil && !strings.HasSuffix(s, "\r") {
+			t.Errorf("ParseLineCanonical(%q): %v", s, err)
+		}
+		if c {
+			canonical = append(canonical, s)
+		}
+	}
+	if len(canonical) != 2 || !strings.Contains(canonical[0], "1000000000000000000") || !strings.HasPrefix(canonical[1], "chr1\r") {
+		t.Errorf("canonical near misses: %q, want the 19-digit and the CR-in-chrom lines", canonical)
+	}
+	for _, r := range Generate(GenConfig{Records: 2000, Seed: 35}) {
+		line := AppendTSV(nil, r)
+		if _, canonical, err := ParseLineCanonical(line[:len(line)-1]); err != nil || !canonical {
+			t.Fatalf("ParseLineCanonical(%q) = canonical %v, %v; want true, nil", line, canonical, err)
+		}
+	}
+}
+
+// FuzzParseLineCanonical holds the canonical verdict, which lets the
+// shuffle copy a line in place of re-writing it, to AppendTSV's bytes
+// on every line ParseLine accepts.
+func FuzzParseLineCanonical(f *testing.F) {
+	for _, s := range slices.Concat(trickyLines, nonCanonicalLines) {
+		f.Add([]byte(s))
+	}
+	for _, r := range Generate(GenConfig{Records: 20, Seed: 36}) {
+		line := AppendTSV(nil, r)
+		f.Add(line[:len(line)-1])
+	}
+	f.Fuzz(checkCanonical)
+}
+
 const (
 	goodLine  = "chr1\t10468\t10469\t.\t14\t+\t10468\t10469\t255,0,0\t14\t92"
 	otherLine = "chrX\t5\t6\t.\t3\t-\t5\t6\t0,255,0\t3\t0"

@@ -207,14 +207,14 @@ func KeyOfLine(line []byte) (Key, error) {
 	if t1 == len(line) {
 		return Key{}, errKeyFields
 	}
-	start, t2, okStart := scanInt(line, t1+1)
+	start, t2, okStart, _ := scanInt(line, t1+1)
 	if t2 == len(line) {
 		return Key{}, errKeyFields
 	}
 	if !okStart {
 		return Key{}, errKeyStart
 	}
-	end, _, ok := scanInt(line, t2+1)
+	end, _, ok, _ := scanInt(line, t2+1)
 	if !ok {
 		return Key{}, errKeyEnd
 	}

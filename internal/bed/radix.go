@@ -17,7 +17,9 @@ import (
 // express), and buckets of fully-equal keys (where only the caller's
 // tie-break orders).
 
-// KeyRef pairs a Key with the caller's element index. RadixSort
+// KeyRef pairs a Key with the caller's handle on its element: Idx is an
+// index (a record's in Sort) or a byte offset (a line's in a shuffle
+// partition), either of which orders by input position. RadixSort
 // permutes KeyRefs; the caller reads its elements back through Idx, so
 // records (or encoded lines) are never moved during the sort — only
 // these fixed-width handles are.

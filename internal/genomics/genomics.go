@@ -161,8 +161,10 @@ func BuildRoundtripPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 }
 
 // verifyRoundtrip checks that the decoded parts, joined, are the input
-// sorted by shuffle.SortRun, byte for byte: both are bed.AppendTSV lines
-// in stable genome order, one a record, so equal bytes are equal records.
+// sorted by shuffle.SortRun, byte for byte: both are lines as
+// bed.AppendTSV writes them (SortRun copies a canonical line and
+// re-writes any other), in stable genome order, one a record, so equal
+// bytes are equal records.
 func verifyRoundtrip(ctx *core.StageContext, cfg PipelineConfig) error {
 	keys, err := ctx.State.Keys("decode.keys")
 	if err != nil {

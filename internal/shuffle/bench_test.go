@@ -89,7 +89,7 @@ func BenchmarkPartitionSort(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bufBox := partBufPool.get(len(pristine.buf))
-				refsBox := lineRefPool.get(len(pristine.refs))
+				refsBox := keyRefPool.get(len(pristine.refs))
 				p := runPart{
 					buf:     append(*bufBox, pristine.buf...),
 					refs:    append(*refsBox, pristine.refs...),
@@ -101,6 +101,21 @@ func BenchmarkPartitionSort(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSortRun is the VM leg's body: SortRun on 200k unsorted
+// records (seed 7), the one-partition run builder fed every line and
+// finished with one radix sort.
+func BenchmarkSortRun(b *testing.B) {
+	raw := bed.Marshal(bed.Generate(bed.GenConfig{Records: 200000, Seed: 7}))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SortRun(raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

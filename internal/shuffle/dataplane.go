@@ -19,10 +19,10 @@ import (
 )
 
 // The data plane recycles its per-partition scratch across activations
-// instead of leaving it to the GC: partition byte buffers, lineRef
-// indexes, and the radix sort's KeyRef scratch all cycle through these
-// pools. Only scratch whose lifetime ends inside finish() is pooled —
-// run buffers that escape into payloads never are.
+// instead of leaving it to the GC: partition byte buffers and their
+// KeyRef indexes cycle through these pools. Only scratch whose lifetime
+// ends inside finish() is pooled — run buffers that escape into
+// payloads never are.
 
 // slicePool recycles capacity-bearing slices through boxed pointers:
 // the *[]T box travels with its slice, so neither get nor put
@@ -52,7 +52,6 @@ func (s *slicePool[T]) put(b *[]T) {
 
 var (
 	partBufPool slicePool[byte]
-	lineRefPool slicePool[lineRef]
 	keyRefPool  slicePool[bed.KeyRef]
 )
 
@@ -96,35 +95,29 @@ func compareLineKeys(ak bed.Key, aLine []byte, bk bed.Key, bLine []byte) int {
 	return bed.CompareKey(ak, bk)
 }
 
-// lineRef locates one encoded record inside a partition buffer.
-// 32-bit offsets bound a single partition buffer at 2 GiB — far above
-// any per-worker slice the planner's memory model admits; place()
-// rejects a partition that would cross it.
-type lineRef struct {
-	key      bed.Key
-	off, len int32
-}
-
-// runPart accumulates one reducer's partition: encoded lines plus a
-// key index over them. bufBox/refsBox are the pool boxes backing the
-// slices when grow drew them from the pools (nil for caller-owned
-// memory, e.g. in tests); recycle returns them.
+// runPart accumulates one reducer's partition: lines, each ended by
+// '\n', plus one key index over them whose Idx is the line's byte
+// offset in buf. The 32-bit offsets bound a partition buffer at 2 GiB,
+// far above any per-worker slice the planner's memory model admits;
+// place rejects a partition that would cross it. bufBox/refsBox are the
+// pool boxes backing the slices when grow drew them from the pools (nil
+// for caller-owned memory, e.g. in tests); recycle returns them.
 type runPart struct {
 	buf     []byte
-	refs    []lineRef
+	refs    []bed.KeyRef
 	bufBox  *[]byte
-	refsBox *[]lineRef
+	refsBox *[]bed.KeyRef
 }
 
-// runBuilder routes records into per-reducer partitions and finishes
-// each as a sorted run. It never materializes a []bed.Record: lines
-// are encoded (or copied) straight into partition buffers, and sorting
-// permutes the compact lineRef index, not records.
+// runBuilder routes lines into per-reducer partitions and finishes each
+// as a sorted run. It never materializes a []bed.Record: lines are
+// copied (or, when not canonical, re-written) straight into partition
+// buffers, and sorting permutes the partition's key index in place.
 type runBuilder struct {
 	bounds  []boundary
 	parts   []runPart
 	partCap int // per-partition first-allocation size; 0 grows organically
-	refCap  int // per-partition first lineRef reservation
+	refCap  int // per-partition first KeyRef reservation
 }
 
 func newRunBuilder(workers int, bounds []boundary) *runBuilder {
@@ -144,11 +137,11 @@ func (b *runBuilder) sizeHint(totalBytes int) {
 
 func (b *runBuilder) place(key bed.Key, off int, p *runPart) error {
 	if len(p.buf) > 1<<31-1 {
-		// lineRef's int32 offsets would wrap; fail loudly instead of
+		// KeyRef's int32 offsets would wrap; fail loudly instead of
 		// corrupting the run index.
 		return errPartitionTooLarge
 	}
-	p.refs = append(p.refs, lineRef{key: key, off: int32(off), len: int32(len(p.buf) - off)})
+	p.refs = append(p.refs, bed.KeyRef{Key: key, Idx: int32(off)})
 	return nil
 }
 
@@ -160,39 +153,51 @@ func (b *runBuilder) grow(p *runPart) {
 		p.buf = *p.bufBox
 	}
 	if p.refsBox == nil {
-		p.refsBox = lineRefPool.get(b.refCap)
+		p.refsBox = keyRefPool.get(b.refCap)
 		p.refs = *p.refsBox
 	}
 }
 
-// addLine parses one raw input line, validates and normalizes it, and
-// routes it to its partition.
+// addLine parses one raw input line and routes it to its partition: a
+// canonical line (bed.ParseLineCanonical) as it was read, any other as
+// bed.AppendTSV writes its record, so that every run holds the bytes
+// bed.Marshal would.
 func (b *runBuilder) addLine(line []byte) error {
-	rec, err := bed.ParseLine(line)
+	rec, canonical, err := bed.ParseLineCanonical(line)
 	if err != nil {
 		return err
 	}
-	return b.add(rec)
-}
-
-// add routes one record to its partition.
-func (b *runBuilder) add(rec bed.Record) error {
 	key := bed.KeyOf(rec)
 	p := &b.parts[partitionIndex(key, rec.Chrom, b.bounds)]
 	b.grow(p)
 	off := len(p.buf)
-	p.buf = bed.AppendTSV(p.buf, rec)
+	if canonical {
+		p.buf = append(append(p.buf, line...), '\n')
+	} else {
+		p.buf = bed.AppendTSV(p.buf, rec)
+	}
 	return b.place(key, off, p)
 }
 
 // SortRun sorts a bedMethyl buffer into one run, the VM strategy's local
 // sort: a runBuilder of one partition, reserved from the buffer's length
-// and line count, fed by bed.EachRecord (bed.Unmarshal's accept set and
-// errors). Its bytes are bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
+// and line count, fed the lines bed.EachLine splits through the mappers'
+// addLine. It accepts what bed.Unmarshal accepts and fails as it does, a
+// line that does not parse being a *bed.ParseError with its number. Its
+// bytes are bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
 func SortRun(raw []byte) ([]byte, error) {
 	b := newRunBuilder(1, nil)
 	b.partCap, b.refCap = len(raw), bytes.Count(raw, []byte{'\n'})+1
-	if err := bed.EachRecord(raw, b.add); err != nil {
+	if err := bed.EachLine(raw, func(line []byte, lineNo int) error {
+		if bed.IsBlank(line) {
+			return nil
+		}
+		err := b.addLine(line)
+		if err != nil && !errors.Is(err, errPartitionTooLarge) {
+			err = &bed.ParseError{Line: lineNo, Msg: err.Error()}
+		}
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return b.parts[0].finish(), nil
@@ -212,7 +217,7 @@ func (p *runPart) finish() []byte {
 	sorted := true
 	for i := 1; i < len(p.refs); i++ {
 		a, b := p.refs[i-1], p.refs[i]
-		if compareLineKeys(a.key, p.line(a), b.key, p.line(b)) > 0 {
+		if compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:]) > 0 {
 			sorted = false
 			break
 		}
@@ -231,29 +236,22 @@ func (p *runPart) finish() []byte {
 		}
 		return out
 	}
-	// MSD radix sort over the packed key bytes: permute a KeyRef view
-	// of the index, then copy the lines out in key order. Idx is the
-	// append position, so the tie-break reproduces the byte order a
-	// stable comparison sort over input order would emit.
-	krsBox := keyRefPool.get(len(p.refs))
-	krs := (*krsBox)[:len(p.refs)] // get guarantees the capacity
-	for i, r := range p.refs {
-		krs[i] = bed.KeyRef{Key: r.key, Idx: int32(i)}
-	}
-	bed.RadixSort(krs, func(a, b bed.KeyRef) int {
-		ra, rb := p.refs[a.Idx], p.refs[b.Idx]
-		if c := compareLineKeys(a.Key, p.line(ra), b.Key, p.line(rb)); c != 0 {
+	// MSD radix sort the index in place over the packed key bytes, then
+	// copy the lines out in key order, each through the '\n' after its
+	// offset. Offsets rise in append order, so the Idx tie-break
+	// reproduces the byte order a stable comparison sort over input
+	// order would emit.
+	bed.RadixSort(p.refs, func(a, b bed.KeyRef) int {
+		if c := compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:]); c != 0 {
 			return c
 		}
 		return int(a.Idx) - int(b.Idx)
 	})
 	dst := make([]byte, 0, len(p.buf))
-	for _, kr := range krs {
-		ref := p.refs[kr.Idx]
-		dst = append(dst, p.buf[ref.off:ref.off+ref.len]...)
+	for _, r := range p.refs {
+		line := p.buf[r.Idx:]
+		dst = append(dst, line[:bytes.IndexByte(line, '\n')+1]...)
 	}
-	*krsBox = krs
-	keyRefPool.put(krsBox)
 	p.recycle(true)
 	return dst
 }
@@ -264,18 +262,13 @@ func (p *runPart) finish() []byte {
 func (p *runPart) recycle(withBuf bool) {
 	if p.refsBox != nil {
 		*p.refsBox = p.refs
-		lineRefPool.put(p.refsBox)
+		keyRefPool.put(p.refsBox)
 	}
 	if withBuf && p.bufBox != nil {
 		*p.bufBox = p.buf
 		partBufPool.put(p.bufBox)
 	}
 	p.buf, p.refs, p.bufBox, p.refsBox = nil, nil, nil, nil
-}
-
-// line slices a ref's encoded line out of the partition buffer.
-func (p *runPart) line(r lineRef) []byte {
-	return p.buf[r.off : r.off+r.len]
 }
 
 var (

@@ -340,26 +340,27 @@ func TestMergeRunsCursorExhaustsMidMerge(t *testing.T) {
 // radix path must reproduce byte for byte, and as the benchmark
 // baseline.
 func legacySortRun(p *runPart) []byte {
-	cmp := func(a, b lineRef) int {
-		return compareLineKeys(a.key, p.line(a), b.key, p.line(b))
+	cmp := func(a, b bed.KeyRef) int {
+		return compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:])
 	}
 	slices.SortStableFunc(p.refs, cmp)
 	dst := make([]byte, 0, len(p.buf))
 	for _, ref := range p.refs {
-		dst = append(dst, p.buf[ref.off:ref.off+ref.len]...)
+		line := p.buf[ref.Idx:]
+		dst = append(dst, line[:bytes.IndexByte(line, '\n')+1]...)
 	}
 	return dst
 }
 
-// buildRunPart encodes records into one partition buffer + ref index,
-// exactly as runBuilder.Add lays them out (but without pooled scratch,
-// so tests and benchmarks own the memory).
+// buildRunPart encodes records into one partition buffer + offset
+// index, exactly as runBuilder.addLine lays them out (but without
+// pooled scratch, so tests and benchmarks own the memory).
 func buildRunPart(recs []bed.Record) runPart {
 	var p runPart
 	for _, r := range recs {
 		off := len(p.buf)
 		p.buf = bed.AppendTSV(p.buf, r)
-		p.refs = append(p.refs, lineRef{key: bed.KeyOf(r), off: int32(off), len: int32(len(p.buf) - off)})
+		p.refs = append(p.refs, bed.KeyRef{Key: bed.KeyOf(r), Idx: int32(off)})
 	}
 	return p
 }
@@ -479,7 +480,7 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 			off := len(p.buf)
 			p.buf = append(p.buf, line...)
 			p.buf = append(p.buf, '\n')
-			p.refs = append(p.refs, lineRef{key: key, off: int32(off), len: int32(len(p.buf) - off)})
+			p.refs = append(p.refs, bed.KeyRef{Key: key, Idx: int32(off)})
 			return nil
 		}); err != nil {
 			t.Fatalf("oracle routing: %v", err)

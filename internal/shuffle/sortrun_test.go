@@ -7,7 +7,124 @@ import (
 	"testing"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
+
+// nonCanonicalBlock is valid input that bed.AppendTSV would not write
+// as it is: leading zeros, a sign, thick columns that are not the
+// interval, itemRgb of another level or none, beside scaffolds, a
+// duplicate interval and a coverage above the score's cap.
+const nonCanonicalBlock = "chr2\t0070\t00071\t.\t5\t+\t70\t71\t255,0,0\t5\t90\n" +
+	"chr1\t300\t301\tsite\t9\t-\t1\t999\t0,255,0\t9\t100\n" +
+	"chrUn_KI270752\t5\t6\t.\t3\t.\t5\t6\tjunk\t3\t50\n" +
+	"chrUn_KI270751\t9\t10\t.\t3\t.\t9\t10\t255,255,0\t3\t10\n" +
+	"chr1\t300\t301\tsite\t4\t+\t300\t301\t255,0,0\t4\t0\n" +
+	"chrX\t12\t13\t.\t1000\t+\t12\t13\t0,255,0\t2000\t33\n" +
+	"chr1\t+40\t41\t.\t1\t+\t40\t41\t255,0,0\t1\t67\n" +
+	"chr1\t300\t301\t.\t7\t+\t300\t301\t255,0,0\t007\t34\n" +
+	"chrM\t1\t2\t.\t0\t-\t0\t0\t\t0\t0\n"
+
+// perturbedGenerate is a Generate file of n unsorted records with every
+// fifth line made non-canonical in one of five ways, in turn: a signed
+// start, a zero-padded coverage, methylation "-0" (or zero-padded when
+// it is not 0), a wrong thickEnd and a wrong itemRgb.
+func perturbedGenerate(n int, seed int64) []byte {
+	var out []byte
+	for i, r := range bed.Generate(bed.GenConfig{Records: n, Seed: seed}) {
+		line := bed.AppendTSV(nil, r)
+		if i%5 == 0 {
+			f := strings.Split(strings.TrimSuffix(string(line), "\n"), "\t")
+			switch i / 5 % 5 {
+			case 0:
+				f[1] = "+" + f[1]
+			case 1:
+				f[9] = "00" + f[9]
+			case 2:
+				if f[10] == "0" {
+					f[10] = "-0"
+				} else {
+					f[10] = "0" + f[10]
+				}
+			case 3:
+				f[7] += "1"
+			default:
+				f[8] = "1,2,3"
+			}
+			line = []byte(strings.Join(f, "\t") + "\n")
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestMapperPathRewritesNonCanonicalLines runs the mappers' path, every
+// exchange of Operator.Sort, on real bytes that are not all canonical:
+// the output parts, joined, are bed.Marshal(bed.Sort(bed.Unmarshal(raw)))
+// byte for byte, so a line the mapper does not re-write is one that
+// needs none.
+func TestMapperPathRewritesNonCanonicalLines(t *testing.T) {
+	inputs := []struct {
+		name    string
+		raw     []byte
+		workers int
+	}{
+		{"block", []byte(nonCanonicalBlock), 4},
+		{"perturbed-20k", perturbedGenerate(20000, 13), 8},
+	}
+	for _, in := range inputs {
+		recs, err := bed.Unmarshal(in.raw)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		bed.Sort(recs)
+		want := bed.Marshal(recs)
+		if bytes.Equal(want, in.raw) {
+			t.Fatalf("%s: input is already what the sort writes", in.name)
+		}
+		for _, spec := range []Spec{sortSpec(in.workers), hierSpec(in.workers, 2), cacheSpec(in.workers)} {
+			rig := newRig(t)
+			var got []byte
+			var sortErr error
+			rig.sim.Spawn("driver", func(p *des.Proc) {
+				c := objectstore.NewClient(rig.store)
+				for _, bkt := range []string{"in", "out"} {
+					if err := c.CreateBucket(p, bkt); err != nil {
+						t.Errorf("bucket %s: %v", bkt, err)
+						return
+					}
+				}
+				if err := c.Put(p, "in", "data.bed", payload.RealNoCopy(in.raw)); err != nil {
+					t.Errorf("put input: %v", err)
+					return
+				}
+				var res Result
+				if res, sortErr = rig.op.Sort(p, spec); sortErr != nil {
+					return
+				}
+				for _, k := range res.OutputKeys {
+					pl, err := c.Get(p, "out", k)
+					if err != nil {
+						t.Errorf("get %s: %v", k, err)
+						return
+					}
+					part, _ := pl.Bytes()
+					got = append(got, part...)
+				}
+			})
+			if err := rig.sim.Run(); err != nil {
+				t.Fatalf("%s exchange %d: sim: %v", in.name, spec.Exchange, err)
+			}
+			if sortErr != nil {
+				t.Fatalf("%s exchange %d: Sort: %v", in.name, spec.Exchange, sortErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s exchange %d: %d output bytes differ from bed's %d", in.name, spec.Exchange, len(got), len(want))
+			}
+		}
+	}
+}
 
 // sortRunSeeds are the buffers SortRun is checked on without -fuzz: the
 // VM pin's inputs (internal/core's TestVMSortOutputPinned) and the seeds
@@ -28,17 +145,7 @@ func sortRunSeeds() [][]byte {
 		string(bed.Marshal(bed.Generate(bed.GenConfig{Records: 20000, Seed: 7}))),
 		string(bed.Marshal(bed.Generate(bed.GenConfig{Records: 20000, Seed: 7, Sorted: true}))),
 		string(crlf),
-		strings.Join([]string{
-			"chr2\t0070\t00071\t.\t5\t+\t70\t71\t255,0,0\t5\t90",
-			"chr1\t300\t301\tsite\t9\t-\t1\t999\t0,255,0\t9\t100",
-			"chrUn_KI270752\t5\t6\t.\t3\t.\t5\t6\tjunk\t3\t50",
-			"chrUn_KI270751\t9\t10\t.\t3\t.\t9\t10\t255,255,0\t3\t10",
-			"chr1\t300\t301\tsite\t4\t+\t300\t301\t255,0,0\t4\t0",
-			"chrX\t12\t13\t.\t1000\t+\t12\t13\t0,255,0\t2000\t33",
-			"chr1\t+40\t41\t.\t1\t+\t40\t41\t255,0,0\t1\t67",
-			"chr1\t300\t301\t.\t7\t+\t300\t301\t255,0,0\t007\t34",
-			"chrM\t1\t2\t.\t0\t-\t0\t0\t\t0\t0",
-		}, "\n") + "\n",
+		nonCanonicalBlock,
 		string(bed.Marshal(bed.Generate(bed.GenConfig{Records: 3, Seed: 5}))),
 		good + "\n\n" + "chr1\t1x\t2\t.\t1\t+\t1\t2\tc\t1\t1\n" + good + "\n",
 		good + "\n \r\n" + "chr1\t1\t2\r\n" + good + "\n",

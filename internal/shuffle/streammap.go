@@ -13,11 +13,11 @@ package shuffle
 // planner's overlap model max(transfer, partitionCPU) + sort.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 
+	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
@@ -87,7 +87,7 @@ func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []
 			// tail is the head of a line the overscan cut short, not the
 			// file's last line.
 			return &errLineTooLong{Offset: start, Overscan: overscan}
-		case len(bytes.TrimSpace(line)) != 0:
+		case !bed.IsBlank(line):
 			if err := add(line); err != nil {
 				return err
 			}

@@ -265,7 +265,7 @@ func (r *lineReader) next() (line []byte, start int64, tail bool, err error) {
 // line holds it until the line after next has been assembled.
 func (r *lineReader) claim(line []byte) []byte {
 	r.carry[1-r.flip] = line
-	if len(bytes.TrimSpace(line)) != 0 {
+	if !bed.IsBlank(line) {
 		r.flip = 1 - r.flip
 	}
 	return line
@@ -295,7 +295,7 @@ func (c *streamCursor) advance() error {
 			}
 			return err
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
+		if bed.IsBlank(line) {
 			continue
 		}
 		key, err := bed.KeyOfLine(line)
