@@ -164,6 +164,11 @@ func TestOptionsHaveACaller(t *testing.T) {
 // reaches is a configuration nobody runs, and what nothing reaches need
 // not exist.
 //
+// internal/des/destest is test support, not API: its names are for
+// tests and are left out, what it calls is not reached by it, and no
+// non-test file outside it may import it, so what it exempts runs in
+// no program.
+//
 // The exported names of shuffle and core answer to a stricter rule: each
 // one that is reached is reached from outside its own package, or is on
 // the second allow-list with its reason. What only its own package
@@ -191,7 +196,6 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"des.Sim.Pending":                 "kernel_trace.golden and TestLinkDifferential record the queue length",
 		"des.WaitGroup.Count":             "kernel_trace.golden records it",
 		"des.Waterfill":                   "TestWaterfillDifferential and TestLinkRatesThroughJoinAndFire hold the link's rates to it",
-		"destest.NoLeakedGoroutines":      "the goroutine-leak check of TestChaosMatrix, TestZoneChaos, TestSubmitInConcurrentRuns and the kernel's baton tests",
 		"faas.DefaultConfig":              "test fixture: TestConfigValidationFaas and TestConfigRejectsBadFaultRates start from it",
 		"gateway.Gateway.Session":         "TestGatewayLedgersAreTheMeters and the gateway tests reach the rig through it",
 		"memcache.Cluster.BilledDuration": "TestBillingStopsAtStop and TestStandingBillStopsWithTheResource",
@@ -237,8 +241,16 @@ func TestExportedAPIHasACaller(t *testing.T) {
 	repo := loadRepository(t)
 	var declared []types.Object
 	name := map[types.Object]string{}
+	testSupport := filepath.Join(root, "internal", "des", "destest")
 	for dir, files := range repo.dirs {
-		if !strings.HasPrefix(dir, filepath.Join(root, "internal")) {
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if strings.HasSuffix(imp.Path.Value, `/internal/des/destest"`) && dir != testSupport {
+					t.Errorf("%s imports destest, which is for tests alone", repo.fset.File(f.Pos()).Name())
+				}
+			}
+		}
+		if !strings.HasPrefix(dir, filepath.Join(root, "internal")) || dir == testSupport {
 			continue
 		}
 		for _, f := range files {
@@ -298,6 +310,9 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		})
 	}
 	for dir, files := range repo.dirs {
+		if dir == testSupport {
+			continue // a test's use is no caller
+		}
 		from := repo.packageIn(dir)
 		for _, f := range files {
 			for _, d := range f.Decls {

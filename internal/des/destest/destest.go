@@ -1,5 +1,10 @@
-// Package destest holds the check every test that runs a simulation
-// can make from outside package des: the run left no goroutine behind.
+// Package destest is test support for simulations, for tests alone: the
+// check that a run left no goroutine behind, and the differential
+// harness (diff.go) that holds a layer's new form to the old form it
+// replaced: a Form plays one scenario into a Transcript, Play stops it
+// at a horizon and resumes it, a Pair compares the two forms' lines and
+// handoffs, and Sweep and Fuzz draw the scenarios. It does not import
+// des, whose own tests use it: a simulation is reached as a Kernel.
 package destest
 
 import (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -96,16 +95,16 @@ func drawFanScenario(seed int64) fanScenario {
 	return sc
 }
 
-// play runs the scenario with form doing every fan-out and returns its
-// transcript: each process step and callback with the instant and
-// Fired(), each fan's error, and after each run its error, Now(),
-// Fired() and Handoffs().
-func (sc fanScenario) play(t *testing.T, form fanForm) string {
-	t.Helper()
-	var b strings.Builder
+// fanOracle holds Proc.Fan to the loop it replaced.
+var fanOracle = destest.Pair[fanScenario]{New: fanForm((*Proc).Fan).play, Old: fanForm(spawnLoop).play}
+
+// play is the fan oracle's Form, with form doing every fan-out: each
+// process step and callback with the instant and Fired(), each fan's
+// error, and after each run its Handoffs(), which must be equal.
+func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) destest.Run {
 	s := New(sc.seed)
 	log := func(who, what string) {
-		fmt.Fprintf(&b, "%d %d %s %s\n", int64(s.Now()), s.Fired(), who, what)
+		tr.Logf("%d %d %s %s", int64(s.Now()), s.Fired(), who, what)
 	}
 	var child func(c *Proc, cs []fanChild, i int, res *Resource, link *Link) error
 	fan := func(p *Proc, cs []fanChild, prefix string, res *Resource, link *Link) error {
@@ -163,14 +162,18 @@ func (sc fanScenario) play(t *testing.T, form fanForm) string {
 			})
 		})
 	}
-	outcome := func(err error) {
-		fmt.Fprintf(&b, "run: %v now=%d fired=%d handoffs=%d\n", err, s.Now(), s.Fired(), s.Handoffs())
-	}
-	if sc.horizon >= 0 {
-		outcome(runWithWatchdog(t, func() error { return s.RunUntil(sc.horizon) }))
-	}
-	outcome(runWithWatchdog(t, s.Run))
-	return b.String()
+	handoffs := func() { tr.Logf("handoffs=%d", s.Handoffs()) }
+	return destest.Run{Kernel: watched{s, t}, Stopped: handoffs, After: handoffs}
+}
+
+// watched is a Sim whose runs fail the test rather than hang it.
+type watched struct {
+	*Sim
+	t *testing.T
+}
+
+func (w watched) RunUntil(limit time.Duration) error {
+	return runWithWatchdog(w.t, func() error { return w.Sim.RunUntil(limit) })
 }
 
 // TestFanMatchesSpawnLoop plays 300 seeded scenarios through Proc.Fan
@@ -181,15 +184,20 @@ func (sc fanScenario) play(t *testing.T, form fanForm) string {
 // the same instants and return the same errors.
 func TestFanMatchesSpawnLoop(t *testing.T) {
 	goroutines := destest.NoLeakedGoroutines(t)
-	for seed := int64(1); seed <= 300; seed++ {
-		sc := drawFanScenario(seed)
-		got := sc.play(t, (*Proc).Fan)
-		want := sc.play(t, spawnLoop)
-		if got != want {
-			t.Fatalf("seed %d: %s", seed, firstDiff(got, want))
-		}
-	}
+	fanOracle.Sweep(t, 300, 300, 0, func(i int, _ *rand.Rand) (fanScenario, time.Duration) {
+		sc := drawFanScenario(int64(i + 1))
+		return sc, sc.horizon
+	})
 	goroutines()
+}
+
+// FuzzFan draws a scenario from each fuzzed seed and holds Fan to the
+// loop on it, as TestFanMatchesSpawnLoop does on its fixed seeds.
+func FuzzFan(f *testing.F) {
+	destest.Fuzz(f, fanOracle, func(seed int64) (fanScenario, time.Duration) {
+		sc := drawFanScenario(seed)
+		return sc, sc.horizon
+	}, 1, 40, 300)
 }
 
 // TestFanOfNothing: Fan(0, ...) returns nil at once, firing no event

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // The order tests run one schedule, read from a byte string, through
@@ -27,12 +28,11 @@ import (
 // orderKernel is what a schedule needs of either side. Events and
 // processes are named by the index their creation returned.
 type orderKernel interface {
-	Now() time.Duration
-	Fired() int64
+	// Now, Fired, Handoffs and RunUntil, which returns what
+	// Sim.RunUntil does, processes killed on error.
+	destest.Kernel
 	Pending() int
 	setMaxEvents(n int64)
-	// runUntil returns what RunUntil does, processes killed on error.
-	runUntil(limit time.Duration) error
 	schedule(at time.Duration, fn func()) int
 	cancel(ev int)
 	move(ev int, at time.Duration, fn func())
@@ -61,9 +61,13 @@ func (k *simKernel) Now() time.Duration             { return k.s.Now() }
 func (k *simKernel) Fired() int64                   { return k.s.Fired() }
 func (k *simKernel) Pending() int                   { return k.s.Pending() }
 func (k *simKernel) setMaxEvents(n int64)           { k.s.MaxEvents = n }
-func (k *simKernel) runUntil(l time.Duration) error { return k.s.RunUntil(l) }
+func (k *simKernel) RunUntil(l time.Duration) error { return k.s.RunUntil(l) }
 func (k *simKernel) cancel(ev int)                  { k.evs[ev].Cancel() }
 func (k *simKernel) wake(proc int)                  { k.procs[proc].Wake() }
+
+// Handoffs is 0 on both sides: the oracle's processes are callbacks,
+// so the two kernels' handoffs are not compared.
+func (k *simKernel) Handoffs() int64 { return 0 }
 
 func (k *simKernel) schedule(at time.Duration, fn func()) int {
 	k.evs = append(k.evs, k.s.Schedule(at, fn))
@@ -113,6 +117,7 @@ type oracleProc struct {
 func (k *oracleKernel) Now() time.Duration   { return k.s.Now() }
 func (k *oracleKernel) Fired() int64         { return k.s.Fired() }
 func (k *oracleKernel) Pending() int         { return k.s.Pending() }
+func (k *oracleKernel) Handoffs() int64      { return 0 }
 func (k *oracleKernel) setMaxEvents(n int64) { k.s.MaxEvents = n }
 func (k *oracleKernel) cancel(ev int)        { k.evs[ev].Cancel() }
 
@@ -158,11 +163,11 @@ func (k *oracleKernel) wake(proc int) {
 	p.wake = k.s.Schedule(k.s.now, p.activateFn)
 }
 
-// runUntil adds to oracleSim's RunUntil what the process machinery
-// does at a stop: a drained queue with processes left is a deadlock,
-// and on any error every process left is killed, its wake canceled, in
-// spawn order.
-func (k *oracleKernel) runUntil(limit time.Duration) error {
+// RunUntil adds to oracleSim's what the process machinery does at a
+// stop: a drained queue with processes left is a deadlock, and on any
+// error every process left is killed, its wake canceled, in spawn
+// order.
+func (k *oracleKernel) RunUntil(limit time.Duration) error {
 	err := k.s.RunUntil(limit)
 	var parked []string
 	for _, p := range k.procs {
@@ -200,7 +205,7 @@ type orderScript struct {
 	procs int
 	// budget bounds the events a schedule may create.
 	budget int
-	log    strings.Builder
+	tr     *destest.Transcript
 }
 
 func (sc *orderScript) read() int {
@@ -232,7 +237,7 @@ func (sc *orderScript) event() func() {
 	sc.label++
 	label := sc.label
 	return func() {
-		fmt.Fprintf(&sc.log, "e%d@%d\n", label, sc.k.Now())
+		sc.tr.Logf("e%d@%d", label, sc.k.Now())
 		for n := sc.read() % 4; n > 0; n-- {
 			sc.act(true)
 		}
@@ -288,7 +293,7 @@ func (sc *orderScript) spawn() {
 	name := fmt.Sprintf("p%02d", sc.procs)
 	sc.procs++
 	sc.k.spawn(name, func() (time.Duration, procAct) {
-		fmt.Fprintf(&sc.log, "%s@%d\n", name, sc.k.Now())
+		sc.tr.Logf("%s@%d", name, sc.k.Now())
 		for n := sc.read() % 3; n > 0; n-- {
 			sc.act(false)
 		}
@@ -303,8 +308,8 @@ func (sc *orderScript) spawn() {
 	})
 }
 
-// run executes the whole schedule and returns the transcript.
-func (sc *orderScript) run() string {
+// prelude plays the schedule up to its last run, which Play makes.
+func (sc *orderScript) prelude() {
 	for n := sc.read()%8 + 1; n > 0; n-- {
 		sc.act(false)
 	}
@@ -327,8 +332,6 @@ func (sc *orderScript) run() string {
 		sc.runUntil(limit)
 		sc.k.setMaxEvents(0)
 	}
-	sc.runUntil(-1)
-	return sc.log.String()
 }
 
 // massCancel schedules a flood of events, due now and later, and
@@ -342,7 +345,7 @@ func (sc *orderScript) massCancel() {
 		}
 		sc.label++
 		label := sc.label
-		sc.k.schedule(sc.k.Now()+d, func() { fmt.Fprintf(&sc.log, "e%d@%d\n", label, sc.k.Now()) })
+		sc.k.schedule(sc.k.Now()+d, func() { sc.tr.Logf("e%d@%d", label, sc.k.Now()) })
 		sc.evs++
 	}
 	for i := first; i < sc.evs; i++ {
@@ -353,72 +356,52 @@ func (sc *orderScript) massCancel() {
 }
 
 func (sc *orderScript) runUntil(limit time.Duration) {
-	err := sc.k.runUntil(limit)
-	fmt.Fprintf(&sc.log, "run(%d): %v now=%d fired=%d pending=%d\n",
-		limit, err, sc.k.Now(), sc.k.Fired(), sc.k.Pending())
+	sc.tr.Run(sc.k, limit)
+	sc.tr.Logf("pending=%d", sc.k.Pending())
 }
 
-// kernelOrderTranscripts runs data through both kernels.
-func kernelOrderTranscripts(t *testing.T, data []byte) (got, want string) {
-	t.Helper()
-	leaks := leakCheck(t)
-	sim := &simKernel{s: New(1)}
-	got = (&orderScript{k: sim, data: data, budget: 3000}).run()
-	leaks(sim.s)
-	want = (&orderScript{k: &oracleKernel{}, data: data, budget: 3000}).run()
-	return got, want
-}
+// orderOracle holds the production kernel to oracleSim. A schedule may
+// end its runs in a panic or a deadlock, alike on both sides.
+var orderOracle = destest.Pair[[]byte]{New: orderForm(true), Old: orderForm(false), Failing: true}
 
-// firstDiff reports the first line where two transcripts part.
-func firstDiff(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(g) || i < len(w); i++ {
-		var gl, wl string
-		if i < len(g) {
-			gl = g[i]
+// orderForm plays a schedule through the production kernel or the
+// oracle: every fired event and process step with its instant, and
+// after every run its outcome, Now(), Fired() and Pending().
+func orderForm(production bool) destest.Form[[]byte] {
+	return func(t *testing.T, data []byte, tr *destest.Transcript) destest.Run {
+		var k orderKernel = &oracleKernel{}
+		check := func() {}
+		if production {
+			leaks, sim := leakCheck(t), &simKernel{s: New(1)}
+			k, check = sim, func() { leaks(sim.s) }
 		}
-		if i < len(w) {
-			wl = w[i]
-		}
-		if gl != wl {
-			from := max(0, i-3)
-			return fmt.Sprintf("line %d: got %q, oracle %q\ncontext (oracle): %q", i+1, gl, wl, w[from:min(len(w), i+1)])
-		}
+		(&orderScript{k: k, data: data, budget: 3000, tr: tr}).prelude()
+		return destest.Run{Kernel: k, After: func() {
+			tr.Logf("pending=%d", k.Pending())
+			check()
+		}}
 	}
-	return ""
 }
 
 // TestKernelOrderMatchesOracle runs seeded random schedules through
 // both kernels.
 func TestKernelOrderMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	trials := 300
-	if testing.Short() {
-		trials = 60
-	}
-	for trial := 0; trial < trials; trial++ {
-		data := make([]byte, 64+rng.Intn(2000))
-		rng.Read(data)
-		got, want := kernelOrderTranscripts(t, data)
-		if got != want {
-			t.Fatalf("trial %d: %s", trial, firstDiff(got, want))
-		}
-	}
+	orderOracle.Sweep(t, 300, 60, 36, func(_ int, r *rand.Rand) ([]byte, time.Duration) {
+		data := make([]byte, 64+r.Intn(2000))
+		r.Read(data)
+		return data, -1
+	})
 }
 
 // FuzzKernelOrder runs any byte string as a schedule through both
 // kernels.
 func FuzzKernelOrder(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
+	var corpus [][]byte
 	for i := 0; i < 8; i++ {
 		data := make([]byte, 16<<i)
 		rng.Read(data)
-		f.Add(data)
+		corpus = append(corpus, data)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, want := kernelOrderTranscripts(t, data)
-		if got != want {
-			t.Fatal(firstDiff(got, want))
-		}
-	})
+	destest.Fuzz(f, orderOracle, func(data []byte) ([]byte, time.Duration) { return data, -1 }, corpus...)
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // The differential tests drive the production Link and the pre-PR-13
@@ -56,134 +58,91 @@ type diffSchedule struct {
 	ticks    []diffTick
 }
 
-// diffStep is one line of a run's history: who resumed, after which
-// of its transfers (-1 and -2 for a ticker's two steps), and when.
-type diffStep struct {
-	who string
-	k   int
-	at  time.Duration
+// linkOracle holds the production Link to oracleLink.
+var linkOracle = destest.Pair[diffSchedule]{
+	New: linkForm(func(s *Sim, capacity float64) diffLink { return NewLink(s, capacity) }),
+	Old: linkForm(func(s *Sim, capacity float64) diffLink { return newOracleLink(s, capacity) }),
 }
 
-type diffResult struct {
-	steps     []diffStep
-	fired     int64
-	end       time.Duration
-	bytes     float64
-	transfers int64
-	// Of the production Link's completion events only, and compared
-	// with nothing: how many took the single pass, how many the general
-	// path, and how many found their flow unfinished and kept it.
-	single, general, kept int
-}
-
-func runSchedule(t *testing.T, sc diffSchedule, mk func(*Sim) diffLink) diffResult {
-	t.Helper()
-	s := New(1)
-	// Far above what any schedule here fires: a link that reschedules
-	// itself at one instant forever fails its test, not the package's
-	// timeout.
-	s.MaxEvents = 1 << 22
-	l := mk(s)
-	production, _ := l.(*Link)
-	var res diffResult
-	if production != nil {
-		fire := production.fireFn
-		production.fireFn = func() {
-			done := production.transfersRun
-			if production.steadyWith(len(production.flows)) {
-				res.single++
-			} else {
-				res.general++
-			}
-			fire()
-			if production.transfersRun == done {
-				res.kept++
+// linkForm plays a schedule on the link mk builds: who resumed, after
+// which of its transfers (-1 and -2 for a ticker's two steps), and when,
+// then the link's totals. Of the production Link's completion events
+// only, and compared with nothing, it counts how many took the single
+// pass ("single"), how many the general path ("general"), and how many
+// found their flow unfinished and kept it ("kept").
+func linkForm(mk func(*Sim, float64) diffLink) destest.Form[diffSchedule] {
+	return func(t *testing.T, sc diffSchedule, tr *destest.Transcript) destest.Run {
+		s := New(1)
+		// Far above what any schedule here fires: a link that reschedules
+		// itself at one instant forever fails its test, not the package's
+		// timeout.
+		s.MaxEvents = 1 << 22
+		l := mk(s, sc.capacity)
+		production, _ := l.(*Link)
+		if production != nil {
+			fire := production.fireFn
+			production.fireFn = func() {
+				done := production.transfersRun
+				if production.steadyWith(len(production.flows)) {
+					tr.Counts["single"]++
+				} else {
+					tr.Counts["general"]++
+				}
+				fire()
+				if production.transfersRun == done {
+					tr.Counts["kept"]++
+				}
 			}
 		}
-	}
-	for _, f := range sc.flows {
-		f := f
-		s.Spawn(f.name, func(p *Proc) {
-			p.Sleep(f.start)
-			if f.async && production != nil {
-				k := 0
-				var next func()
-				next = func() {
-					if k > 0 {
-						res.steps = append(res.steps, diffStep{f.name, k - 1, s.Now()})
+		for _, f := range sc.flows {
+			f := f
+			s.Spawn(f.name, func(p *Proc) {
+				p.Sleep(f.start)
+				if f.async && production != nil {
+					k := 0
+					var next func()
+					next = func() {
+						if k > 0 {
+							tr.Logf("%s %d @%d", f.name, k-1, s.Now())
+						}
+						if k < len(f.xfers) {
+							x := f.xfers[k]
+							k++
+							production.TransferAsync(f.name, x.bytes, x.cap, next)
+						}
 					}
-					if k < len(f.xfers) {
-						x := f.xfers[k]
-						k++
-						production.TransferAsync(f.name, x.bytes, x.cap, next)
+					next()
+					return
+				}
+				for k, x := range f.xfers {
+					if x.gap > 0 {
+						p.Sleep(x.gap)
 					}
+					l.Transfer(p, x.bytes, x.cap)
+					tr.Logf("%s %d @%d", f.name, k, p.Now())
 				}
-				next()
-				return
-			}
-			for k, x := range f.xfers {
-				if x.gap > 0 {
-					p.Sleep(x.gap)
-				}
-				l.Transfer(p, x.bytes, x.cap)
-				res.steps = append(res.steps, diffStep{f.name, k, p.Now()})
-			}
-		})
-	}
-	for i, tick := range sc.ticks {
-		tick := tick
-		s.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
-			p.Sleep(tick.armed)
-			p.Sleep(tick.at - tick.armed)
-			res.steps = append(res.steps, diffStep{p.name, -1, p.Now()})
-			p.Sleep(0)
-			res.steps = append(res.steps, diffStep{p.name, -2, p.Now()})
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n := l.ActiveFlows(); n != 0 {
-		t.Fatalf("ActiveFlows after drain = %d", n)
-	}
-	if n := s.Pending(); n != 0 {
-		t.Fatalf("Pending after drain = %d", n)
-	}
-	res.fired, res.end = s.Fired(), s.Now()
-	res.bytes, res.transfers = l.BytesMoved(), l.Transfers()
-	return res
-}
-
-// diffSchedules runs sc on both implementations and reports the first
-// difference between the two histories.
-func diffSchedules(t *testing.T, sc diffSchedule) error {
-	t.Helper()
-	_, err := diffPaths(t, sc)
-	return err
-}
-
-// diffPaths is diffSchedules for a schedule meant to cross between the
-// production Link's two paths: it also returns the production run, for
-// its path counters.
-func diffPaths(t *testing.T, sc diffSchedule) (diffResult, error) {
-	t.Helper()
-	got := runSchedule(t, sc, func(s *Sim) diffLink { return NewLink(s, sc.capacity) })
-	want := runSchedule(t, sc, func(s *Sim) diffLink { return newOracleLink(s, sc.capacity) })
-	if len(got.steps) != len(want.steps) {
-		return got, fmt.Errorf("%d steps, oracle %d", len(got.steps), len(want.steps))
-	}
-	for i := range want.steps {
-		if got.steps[i] != want.steps[i] {
-			return got, fmt.Errorf("step %d = %+v, oracle %+v", i, got.steps[i], want.steps[i])
+			})
 		}
+		for i, tick := range sc.ticks {
+			tick := tick
+			s.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
+				p.Sleep(tick.armed)
+				p.Sleep(tick.at - tick.armed)
+				tr.Logf("%s -1 @%d", p.name, p.Now())
+				p.Sleep(0)
+				tr.Logf("%s -2 @%d", p.name, p.Now())
+			})
+		}
+		return destest.Run{Kernel: s, After: func() {
+			if n := l.ActiveFlows(); n != 0 {
+				t.Fatalf("ActiveFlows after drain = %d", n)
+			}
+			if n := s.Pending(); n != 0 {
+				t.Fatalf("Pending after drain = %d", n)
+			}
+			tr.Logf("moved %v in %d", l.BytesMoved(), l.Transfers())
+		}}
 	}
-	if got.fired != want.fired || got.end != want.end {
-		return got, fmt.Errorf("fired %d ending at %v, oracle %d at %v", got.fired, got.end, want.fired, want.end)
-	}
-	if got.bytes != want.bytes || got.transfers != want.transfers {
-		return got, fmt.Errorf("moved %v in %d, oracle %v in %d", got.bytes, got.transfers, want.bytes, want.transfers)
-	}
-	return got, nil
 }
 
 const diffCap = 95e6 // the paper profile's per-connection ceiling
@@ -284,9 +243,7 @@ func TestLinkDifferential(t *testing.T) {
 						}
 						for seed := 0; seed < seeds; seed++ {
 							r := rand.New(rand.NewSource(int64(n*100 + seed)))
-							if err := diffSchedules(t, genSchedule(r, n, capacityOf(n), capOf, arrive)); err != nil {
-								t.Fatalf("n=%d seed=%d: %v", n, seed, err)
-							}
+							linkOracle.Check(t, fmt.Sprintf("n=%d seed=%d", n, seed), genSchedule(r, n, capacityOf(n), capOf, arrive), -1)
 						}
 					}
 				})
@@ -308,9 +265,7 @@ func TestLinkDifferentialProbeShape(t *testing.T) {
 			}
 			sc.flows = append(sc.flows, df)
 		}
-		if err := diffSchedules(t, sc); err != nil {
-			t.Fatalf("flows=%d: %v", flows, err)
-		}
+		linkOracle.Check(t, fmt.Sprintf("flows=%d", flows), sc, -1)
 	}
 }
 
@@ -429,7 +384,7 @@ func TestLinkDifferentialAcrossTheBrim(t *testing.T) {
 	if testing.Short() {
 		exps = []int{52, 21, 19, 10}
 	}
-	var single, general int
+	var single, general int64
 	for _, n := range []int{2, 7, 48} {
 		for _, c := range []float64{diffCap, 1e9 / 3} {
 			// n caps land a relative k*2^-e away from fit, where the single
@@ -439,11 +394,8 @@ func TestLinkDifferentialAcrossTheBrim(t *testing.T) {
 				for _, e := range exps {
 					for _, k := range []float64{-3, -1, 0, 1, 3} {
 						capacity := capsSum(n, c) * (1 + k*math.Ldexp(1, -e)) * scale
-						got, err := diffPaths(t, brimSchedule(n, c, capacity))
-						if err != nil {
-							t.Fatalf("n=%d cap=%v, %d*2^-%d off the %s: %v", n, c, int(k), e, anchor, err)
-						}
-						single, general = single+got.single, general+got.general
+						got, _ := linkOracle.Check(t, fmt.Sprintf("n=%d cap=%v, %d*2^-%d off the %s", n, c, int(k), e, anchor), brimSchedule(n, c, capacity), -1)
+						single, general = single+got.Counts["single"], general+got.Counts["general"]
 					}
 				}
 			}
@@ -490,12 +442,9 @@ func TestLinkDifferentialVisitorsWithOtherCaps(t *testing.T) {
 					sc.ticks = append(sc.ticks, diffTick{at - 100*time.Microsecond, at})
 				}
 			}
-			got, err := diffPaths(t, sc)
-			if err != nil {
-				t.Fatalf("%s link, %s visitor: %v", capacityName, visitorName, err)
-			}
-			if got.single == 0 || got.general == 0 {
-				t.Fatalf("%s link, %s visitor: %d completions took the single pass, %d the general path", capacityName, visitorName, got.single, got.general)
+			got, _ := linkOracle.Check(t, fmt.Sprintf("%s link, %s visitor", capacityName, visitorName), sc, -1)
+			if got.Counts["single"] == 0 || got.Counts["general"] == 0 {
+				t.Fatalf("%s link, %s visitor: %d completions took the single pass, %d the general path", capacityName, visitorName, got.Counts["single"], got.Counts["general"])
 			}
 		}
 	}
@@ -513,12 +462,9 @@ func TestLinkDifferentialOneCapPerBusyPeriod(t *testing.T) {
 				xfers: []diffXfer{{bytes: int64(c/100) + int64(i), cap: c}, {bytes: int64(c / 200), cap: c}}})
 		}
 	}
-	got, err := diffPaths(t, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.single != 36 || got.general != 0 {
-		t.Fatalf("%d completions took the single pass, %d the general path, want all 36 the single pass", got.single, got.general)
+	got, _ := linkOracle.Check(t, t.Name(), sc, -1)
+	if got.Counts["single"] != 36 || got.Counts["general"] != 0 {
+		t.Fatalf("%d completions took the single pass, %d the general path, want all 36 the single pass", got.Counts["single"], got.Counts["general"])
 	}
 }
 
@@ -541,12 +487,9 @@ func TestLinkDifferentialDrainsIntoTheSinglePass(t *testing.T) {
 		for at := 20 * time.Millisecond; at < 200*time.Millisecond; at += 20 * time.Millisecond {
 			sc.ticks = append(sc.ticks, diffTick{at - time.Millisecond, at})
 		}
-		got, err := diffPaths(t, sc)
-		if err != nil {
-			t.Fatalf("cap %v: %v", c, err)
-		}
-		if got.single < 8 || got.general < 40 {
-			t.Fatalf("cap %v: %d completions took the single pass, %d the general path", c, got.single, got.general)
+		got, _ := linkOracle.Check(t, fmt.Sprintf("cap %v", c), sc, -1)
+		if got.Counts["single"] < 8 || got.Counts["general"] < 40 {
+			t.Fatalf("cap %v: %d completions took the single pass, %d the general path", c, got.Counts["single"], got.Counts["general"])
 		}
 	}
 }
@@ -570,11 +513,8 @@ func TestLinkDifferentialBursts(t *testing.T) {
 		for at := time.Millisecond; at <= 12*time.Millisecond; at += time.Millisecond {
 			sc.ticks = append(sc.ticks, diffTick{at - 10*time.Microsecond, at})
 		}
-		got, err := diffPaths(t, sc)
-		if err != nil {
-			t.Fatalf("%s link: %v", capacityName, err)
-		}
-		if got.single == 0 {
+		got, _ := linkOracle.Check(t, fmt.Sprintf("%s link", capacityName), sc, -1)
+		if got.Counts["single"] == 0 {
 			t.Fatalf("%s link: no completion took the single pass", capacityName)
 		}
 	}
@@ -603,12 +543,9 @@ func TestLinkDifferentialTies(t *testing.T) {
 		"twins":       named(func(i int) string { return spread("t", i/2) }),
 		"named alike": named(func(int) string { return "flow" }),
 	} {
-		got, err := diffPaths(t, sc)
-		if err != nil {
-			t.Fatalf("%s: %v", shape, err)
-		}
-		if got.single != 48 || got.general != 0 {
-			t.Fatalf("%s: %d completions took the single pass, %d the general path, want all 48 the single pass", shape, got.single, got.general)
+		got, _ := linkOracle.Check(t, shape, sc, -1)
+		if got.Counts["single"] != 48 || got.Counts["general"] != 0 {
+			t.Fatalf("%s: %d completions took the single pass, %d the general path, want all 48 the single pass", shape, got.Counts["single"], got.Counts["general"])
 		}
 	}
 }
@@ -641,7 +578,7 @@ func TestLinkTwinsFinishInJoinOrder(t *testing.T) {
 // other flows advanced once and the kept one not twice.
 func TestLinkDifferentialKeepsAnUnfinishedFlow(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	kept := 0
+	kept := int64(0)
 	for _, c := range []float64{diffCap, 1e9 / 3} {
 		for n := 1; n <= 6; n++ {
 			for seed := 0; seed < 4; seed++ {
@@ -651,14 +588,11 @@ func TestLinkDifferentialKeepsAnUnfinishedFlow(t *testing.T) {
 					sc.flows = append(sc.flows, diffFlow{name: spread("h", i), async: i%2 == 1,
 						xfers: []diffXfer{{bytes: big, cap: c}, {bytes: big / 3, cap: c}}})
 				}
-				got, err := diffPaths(t, sc)
-				if err != nil {
-					t.Fatalf("cap=%v n=%d seed=%d: %v", c, n, seed, err)
+				got, _ := linkOracle.Check(t, fmt.Sprintf("cap=%v n=%d seed=%d", c, n, seed), sc, -1)
+				if got.Counts["general"] != 0 {
+					t.Fatalf("cap=%v n=%d seed=%d: %d completions took the general path", c, n, seed, got.Counts["general"])
 				}
-				if got.general != 0 {
-					t.Fatalf("cap=%v n=%d seed=%d: %d completions took the general path", c, n, seed, got.general)
-				}
-				kept += got.kept
+				kept += got.Counts["kept"]
 			}
 		}
 	}

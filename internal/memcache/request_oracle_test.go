@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // The differential oracle for the admission chain (Cluster.admit): the
@@ -250,81 +250,89 @@ type cacheKill struct {
 	node int
 }
 
-// cacheOutcome is everything the two forms must agree on.
-type cacheOutcome struct {
-	log      []string // one line per call, in completion order
-	fired    int64
-	end      time.Duration
-	metrics  Metrics
-	used     int64
-	nextDraw int64
-	// Not compared: handoffs are what the chain is for, and waits (the
-	// process form's takes that queued or waited out a deficit) are
-	// coverage.
-	handoffs int64
-	waits    int
-}
+// cacheOracle holds the admission chain to the process form.
+var cacheOracle = destest.Pair[cacheScenario]{New: playCache(true), Old: playCache(false)}
 
-func runCacheScenario(t *testing.T, sc cacheScenario, chain bool) cacheOutcome {
-	t.Helper()
-	sim := des.New(sc.seed)
-	pr, err := NewProvisioner(sim, sc.cfg)
-	if err != nil {
-		t.Fatalf("provisioner: %v", err)
-	}
-	var out cacheOutcome
-	var c *Cluster
-	sim.Spawn("setup", func(p *des.Proc) {
-		if c, err = pr.ProvisionWarm(p, sc.nodes); err != nil {
-			t.Errorf("provision: %v", err)
-			return
+// playCache is the cache oracle's Form, with the chain or in process
+// form: the callers' log in completion order, then the cluster's meters
+// and stored bytes and the next draw.
+func playCache(chain bool) destest.Form[cacheScenario] {
+	return func(t *testing.T, sc cacheScenario, tr *destest.Transcript) destest.Run {
+		sim := des.New(sc.seed)
+		pr, err := NewProvisioner(sim, sc.cfg)
+		if err != nil {
+			t.Fatalf("provisioner: %v", err)
 		}
-		var form cacheForm = chainCluster{c}
-		if !chain {
-			f := &procCluster{c: c}
-			for range c.nodes {
-				f.tb = append(f.tb, newProcBucket(sim, pr.cfg.NodeOpsPerSec, pr.cfg.OpsBurst, &out.waits))
+		var c *Cluster
+		waits := 0 // the process form's takes that queued or waited out a deficit
+		sim.Spawn("setup", func(p *des.Proc) {
+			if c, err = pr.ProvisionWarm(p, sc.nodes); err != nil {
+				t.Errorf("provision: %v", err)
+				return
 			}
-			form = f
-		}
-		if sc.stopAt >= 0 {
-			sim.Schedule(sc.stopAt, c.Stop)
-		}
-		for _, k := range sc.kills {
-			sim.Schedule(k.at, func() { c.KillNode(k.node) })
-		}
-		for i, caller := range sc.callers {
-			p.Spawn(fmt.Sprintf("caller%02d", i), func(p *des.Proc) {
-				logf := func(k int, format string, args ...any) {
-					out.log = append(out.log, fmt.Sprintf("c%02d op%d @%d ", i, k, p.Now())+fmt.Sprintf(format, args...))
+			var form cacheForm = chainCluster{c}
+			if !chain {
+				f := &procCluster{c: c}
+				for range c.nodes {
+					f.tb = append(f.tb, newProcBucket(sim, pr.cfg.NodeOpsPerSec, pr.cfg.OpsBurst, &waits))
 				}
-				p.Sleep(caller.startAt)
-				for k, op := range caller.ops {
-					switch op.kind {
-					case cacheSet:
-						logf(k, "set %s %d: %v", op.keys[0], op.size, form.set(p, op.keys[0], payload.Sized(op.size)))
-					case cacheGet:
-						pl, err := form.get(p, op.keys[0])
-						logf(k, "get %s: %s %v", op.keys[0], sizes(pl), err)
-					case cacheMGet:
-						pls, err := form.mget(p, op.keys)
-						logf(k, "mget %v: %s %v", op.keys, sizes(pls...), err)
-					case cacheDelete:
-						logf(k, "delete %s: %v", op.keys[0], form.del(p, op.keys[0]))
-					case cacheSleep:
-						p.Sleep(op.d)
+				form = f
+			}
+			if sc.stopAt >= 0 {
+				sim.Schedule(sc.stopAt, c.Stop)
+			}
+			for _, k := range sc.kills {
+				sim.Schedule(k.at, func() { c.KillNode(k.node) })
+			}
+			for i, caller := range sc.callers {
+				p.Spawn(fmt.Sprintf("caller%02d", i), func(p *des.Proc) {
+					logf := func(k int, format string, args ...any) {
+						tr.Logf("c%02d op%d @%d %s", i, k, p.Now(), fmt.Sprintf(format, args...))
+						tr.Counts["calls"]++
 					}
+					p.Sleep(caller.startAt)
+					for k, op := range caller.ops {
+						switch op.kind {
+						case cacheSet:
+							logf(k, "set %s %d: %v", op.keys[0], op.size, form.set(p, op.keys[0], payload.Sized(op.size)))
+						case cacheGet:
+							pl, err := form.get(p, op.keys[0])
+							logf(k, "get %s: %s %v", op.keys[0], sizes(pl), err)
+						case cacheMGet:
+							pls, err := form.mget(p, op.keys)
+							logf(k, "mget %v: %s %v", op.keys, sizes(pls...), err)
+						case cacheDelete:
+							logf(k, "delete %s: %v", op.keys[0], form.del(p, op.keys[0]))
+						case cacheSleep:
+							p.Sleep(op.d)
+						}
+					}
+				})
+			}
+		})
+		return destest.Run{Kernel: sim, After: func() {
+			// Coverage: what the scenario reached.
+			for _, line := range tr.Lines {
+				switch {
+				case strings.Contains(line, "no such key"):
+					tr.Counts["misses"]++
+				case strings.Contains(line, ErrTooLarge.Error()):
+					tr.Counts["too large"]++
+				case strings.Contains(line, ErrOutOfMemory.Error()):
+					tr.Counts["out of memory"]++
+				case strings.Contains(line, ErrStopped.Error()):
+					tr.Counts["stopped"]++
+				case strings.Contains(line, ErrNodeDown.Error()):
+					tr.Counts["down"]++
+				case strings.Contains(line, " mget ") && strings.HasSuffix(line, " <nil>"):
+					tr.Counts["mgets"]++
 				}
-			})
-		}
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
+			}
+			tr.Counts["waits"] += int64(waits)
+			tr.Logf("meters %+v, %d used", c.Metrics(), c.UsedBytes())
+			tr.Logf("next draw %d", sim.Rand().Int63())
+		}}
 	}
-	out.fired, out.end, out.handoffs = sim.Fired(), sim.Now(), sim.Handoffs()
-	out.metrics, out.used = c.Metrics(), c.UsedBytes()
-	out.nextDraw = sim.Rand().Int63()
-	return out
 }
 
 // sizes lists the sizes of the payloads a call returned.
@@ -341,36 +349,6 @@ func sizes(pls ...payload.Payload) string {
 		}
 	}
 	return "[" + b.String() + "]"
-}
-
-// sameCacheOutcome fails the test unless the chain's run equals the
-// process form's, handoffs aside, and the chain's handoffs are no more.
-func sameCacheOutcome(t *testing.T, name string, chain, proc cacheOutcome) {
-	t.Helper()
-	if !slices.Equal(chain.log, proc.log) {
-		for j := range proc.log {
-			if j >= len(chain.log) || chain.log[j] != proc.log[j] {
-				c := "(nothing)"
-				if j < len(chain.log) {
-					c = chain.log[j]
-				}
-				t.Fatalf("%s: line %d of the callers' log:\n chain   %s\n process %s", name, j, c, proc.log[j])
-			}
-		}
-		t.Fatalf("%s: chain logged %d lines, process %d", name, len(chain.log), len(proc.log))
-	}
-	if chain.fired != proc.fired || chain.end != proc.end {
-		t.Fatalf("%s: chain fired %d events to %v, process %d to %v", name, chain.fired, chain.end, proc.fired, proc.end)
-	}
-	if chain.metrics != proc.metrics || chain.used != proc.used {
-		t.Fatalf("%s: meters\n chain   %+v, %d used\n process %+v, %d used", name, chain.metrics, chain.used, proc.metrics, proc.used)
-	}
-	if chain.nextDraw != proc.nextDraw {
-		t.Fatalf("%s: the RNG stands elsewhere after the run", name)
-	}
-	if chain.handoffs > proc.handoffs {
-		t.Fatalf("%s: chain cost %d handoffs, process %d", name, chain.handoffs, proc.handoffs)
-	}
 }
 
 // genCacheScenario draws one scenario: 1-4 nodes of a few KiB on a
@@ -430,61 +408,22 @@ func genCacheScenario(r *rand.Rand, seed int64) cacheScenario {
 }
 
 func TestCacheAdmissionMatchesProcessForm(t *testing.T) {
-	scenarios := 300
-	if testing.Short() {
-		scenarios = 60
-	}
-	r := rand.New(rand.NewSource(38))
-	var calls, waited, misses, tooLarge, oom, stopped, down, mgets int
-	var chainHandoffs, procHandoffs int64
-	for i := 0; i < scenarios; i++ {
-		sc := genCacheScenario(r, int64(3800+i))
-		proc := runCacheScenario(t, sc, false)
-		chain := runCacheScenario(t, sc, true)
-		sameCacheOutcome(t, fmt.Sprintf("scenario %d (%d callers)", i, len(sc.callers)), chain, proc)
-		chainHandoffs += chain.handoffs
-		procHandoffs += proc.handoffs
-		// What the scenarios covered, from the process form's run.
-		calls += len(proc.log)
-		for _, line := range proc.log {
-			switch {
-			case strings.Contains(line, "no such key"):
-				misses++
-			case strings.Contains(line, ErrTooLarge.Error()):
-				tooLarge++
-			case strings.Contains(line, ErrOutOfMemory.Error()):
-				oom++
-			case strings.Contains(line, ErrStopped.Error()):
-				stopped++
-			case strings.Contains(line, ErrNodeDown.Error()):
-				down++
-			case strings.Contains(line, " mget ") && strings.HasSuffix(line, " <nil>"):
-				mgets++
-			}
-		}
-		waited += proc.waits
-	}
+	sum := cacheOracle.Sweep(t, 300, 60, 38, func(i int, r *rand.Rand) (cacheScenario, time.Duration) {
+		return genCacheScenario(r, int64(3800+i)), -1
+	})
+	c := sum.Counts
 	t.Logf("%d scenarios: %d calls, %d misses, %d too large, %d out of memory, %d stopped, %d on a down node, %d MGets served, %d takes waiting; %d handoffs as chains, %d as processes",
-		scenarios, calls, misses, tooLarge, oom, stopped, down, mgets, waited, chainHandoffs, procHandoffs)
-	if misses == 0 || tooLarge == 0 || oom == 0 || stopped == 0 || down == 0 || mgets == 0 || waited == 0 {
-		t.Fatalf("the scenarios no longer reach misses (%d), ErrTooLarge (%d), ErrOutOfMemory (%d), a stopped cluster (%d), a down node (%d), MGets (%d) or waiting takes (%d)",
-			misses, tooLarge, oom, stopped, down, mgets, waited)
-	}
+		sum.Scenarios, c["calls"], c["misses"], c["too large"], c["out of memory"], c["stopped"], c["down"], c["mgets"], c["waits"], sum.New, sum.Old)
+	sum.Reach(t, "misses", "too large", "out of memory", "stopped", "down", "mgets", "waits")
 }
 
 // FuzzCacheAdmission draws a scenario from each fuzzed seed and holds the
 // chain to the process form on it, as TestCacheAdmissionMatchesProcessForm
 // does on its fixed seeds.
 func FuzzCacheAdmission(f *testing.F) {
-	for _, seed := range []int64{1, 38, 3800} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		sc := genCacheScenario(rand.New(rand.NewSource(seed)), seed)
-		proc := runCacheScenario(t, sc, false)
-		chain := runCacheScenario(t, sc, true)
-		sameCacheOutcome(t, fmt.Sprintf("seed %d (%d callers)", seed, len(sc.callers)), chain, proc)
-	})
+	destest.Fuzz(f, cacheOracle, func(seed int64) (cacheScenario, time.Duration) {
+		return genCacheScenario(rand.New(rand.NewSource(seed)), seed), -1
+	}, 1, 38, 3800)
 }
 
 // TestCacheRequestKilledAtHorizon stops four Sets on one node with

@@ -12,6 +12,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // The differential oracle for the request chain (request.go): the
@@ -408,26 +409,13 @@ type reqBrownout struct {
 	rate float64
 }
 
-// reqOutcome is everything the two forms must agree on.
-type reqOutcome struct {
-	log       []string // one line per call, in completion order
-	fired     int64
-	end       time.Duration
-	metrics   Metrics
-	stored    int64
-	retries   []int64
-	open      []string
-	transfers int64
-	moved     float64
-	nextDraw  int64
-	// Not compared: handoffs are what the chain is for, and ties (calls
-	// of different callers completing at one instant) are coverage.
-	handoffs int64
-	ties     int
-}
+// requestOracle holds the chain to the process form.
+var requestOracle = destest.Pair[reqScenario]{New: chainForm.play, Old: processForm.play}
 
-func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutcome {
-	t.Helper()
+// play is the request oracle's Form: the callers' log in completion
+// order, then the store's meters and stored bytes, every client's
+// retries, the streams left open, the link's counters and the next draw.
+func (form requestForm) play(t *testing.T, sc reqScenario, tr *destest.Transcript) destest.Run {
 	sim := des.New(sc.seed)
 	svc, err := New(sim, sc.cfg)
 	if err != nil {
@@ -445,16 +433,16 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 	for _, b := range sc.brownouts {
 		sim.Schedule(b.at, func() { svc.SetBrownout(b.rate) })
 	}
-	var out reqOutcome
 	completions := map[time.Duration]int{}
 	clients := make([]*Client, len(sc.callers))
+	inCall := make([]bool, len(sc.callers)) // left set by a kill
 	for i, caller := range sc.callers {
 		c := NewClient(svc)
 		c.MaxRetries, c.FlowCap = caller.maxRetries, caller.flowCap
 		clients[i] = c
 		sim.Spawn(fmt.Sprintf("caller%02d", i), func(p *des.Proc) {
 			logf := func(k int, format string, args ...any) {
-				out.log = append(out.log, fmt.Sprintf("c%02d op%d @%d ", i, k, p.Now())+fmt.Sprintf(format, args...))
+				tr.Logf("c%02d op%d @%d %s", i, k, p.Now(), fmt.Sprintf(format, args...))
 				completions[p.Now()]++
 			}
 			// drain reads a stream to its end and says what it got.
@@ -474,6 +462,7 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 			}
 			p.Sleep(caller.startAt)
 			for k, op := range caller.ops {
+				inCall[i] = op.kind != opSleep
 				body := func(j int) payload.Payload {
 					if !op.real {
 						return payload.Sized(op.sizes[j])
@@ -553,26 +542,56 @@ func runRequestScenario(t *testing.T, sc reqScenario, form requestForm) reqOutco
 						logf(k, "multipart complete: %v", c.retry(p, func() error { return svc.CompleteMultipartUpload(p, id) }))
 					}
 				}
+				inCall[i] = false
 			}
 		})
 	}
-	if err := sim.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	out.fired, out.end, out.handoffs = sim.Fired(), sim.Now(), sim.Handoffs()
-	out.metrics, out.stored = svc.Metrics(), svc.StoredBytes()
-	for _, c := range clients {
-		out.retries = append(out.retries, c.Retries())
-	}
-	out.open = svc.OpenStreams()
-	out.transfers, out.moved = svc.link.Transfers(), svc.link.BytesMoved()
-	out.nextDraw = sim.Rand().Int63()
-	for at, n := range completions {
-		if at > 0 && n >= 2 {
-			out.ties++
+	stopped := func() {
+		if slices.Contains(inCall, true) {
+			tr.Counts["cut short"]++
 		}
 	}
-	return out
+	return destest.Run{Kernel: sim, Stopped: stopped, After: func() {
+		m, c := svc.Metrics(), tr.Counts
+		var retries []int64
+		for _, cl := range clients {
+			retries = append(retries, cl.Retries())
+			c["retries"] += cl.Retries()
+		}
+		tr.Logf("meters %+v, %d stored", m, svc.StoredBytes())
+		tr.Logf("retries %v", retries)
+		tr.Logf("open %v", svc.OpenStreams())
+		tr.Logf("link: %d transfers, %v bytes", svc.link.Transfers(), svc.link.BytesMoved())
+		tr.Logf("next draw %d", sim.Rand().Int63())
+		// Coverage: what the scenario reached.
+		c["admitted"], c["throttled"] = m.ClassAOps+m.ClassBOps, m.Throttled
+		for at, n := range completions {
+			if at > 0 && n >= 2 {
+				tr.Counts["ties"]++
+			}
+		}
+		for _, line := range tr.Lines {
+			if strings.Contains(line, "retries exhausted") {
+				tr.Counts["exhausted"]++
+			}
+			if strings.HasSuffix(line, ": false") {
+				tr.Counts["refused"]++
+			}
+			ok := strings.HasSuffix(line, " <nil>")
+			switch {
+			case strings.Contains(line, " get ") && ok:
+				tr.Counts["gets"]++
+			case strings.Contains(line, " get range ") && strings.Contains(line, "out of bounds"):
+				tr.Counts["past the end"]++
+			case strings.Contains(line, " multipart part ") && ok:
+				tr.Counts["parts"]++
+			case strings.Contains(line, " multipart complete: <nil>"):
+				tr.Counts["completed"]++
+			case strings.Contains(line, " multipart abort: <nil>"):
+				tr.Counts["aborted"]++
+			}
+		}
+	}}
 }
 
 // describe names a payload a call returned by its size and tag.
@@ -581,44 +600,6 @@ func describe(pl payload.Payload) string {
 		return "-"
 	}
 	return fmt.Sprintf("%d %s", pl.Size(), etag(pl))
-}
-
-// sameOutcome fails the test unless the chain's run equals the process
-// form's.
-func sameOutcome(t *testing.T, name string, chain, proc reqOutcome) {
-	t.Helper()
-	if !slices.Equal(chain.log, proc.log) {
-		for j := range proc.log {
-			if j >= len(chain.log) || chain.log[j] != proc.log[j] {
-				c := "(nothing)"
-				if j < len(chain.log) {
-					c = chain.log[j]
-				}
-				t.Fatalf("%s: line %d of the callers' log:\n chain   %s\n process %s", name, j, c, proc.log[j])
-			}
-		}
-		t.Fatalf("%s: chain logged %d lines, process %d", name, len(chain.log), len(proc.log))
-	}
-	if chain.fired != proc.fired || chain.end != proc.end {
-		t.Fatalf("%s: chain fired %d events to %v, process %d to %v",
-			name, chain.fired, chain.end, proc.fired, proc.end)
-	}
-	if chain.metrics != proc.metrics || chain.stored != proc.stored {
-		t.Fatalf("%s: meters\n chain   %+v, %d stored\n process %+v, %d stored", name, chain.metrics, chain.stored, proc.metrics, proc.stored)
-	}
-	if !slices.Equal(chain.retries, proc.retries) {
-		t.Fatalf("%s: client retries\n chain   %v\n process %v", name, chain.retries, proc.retries)
-	}
-	if !slices.Equal(chain.open, proc.open) {
-		t.Fatalf("%s: streams left open\n chain   %v\n process %v", name, chain.open, proc.open)
-	}
-	if chain.transfers != proc.transfers || chain.moved != proc.moved {
-		t.Fatalf("%s: link: chain %d transfers / %.0f bytes, process %d / %.0f",
-			name, chain.transfers, chain.moved, proc.transfers, proc.moved)
-	}
-	if chain.nextDraw != proc.nextDraw {
-		t.Fatalf("%s: the RNG stands elsewhere after the run (draw counts differ)", name)
-	}
 }
 
 // genRequestScenario draws one scenario: 1-64 callers mixing single
@@ -799,85 +780,49 @@ func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
 }
 
 func TestRequestChainMatchesProcessForm(t *testing.T) {
-	scenarios := 300
-	if testing.Short() {
-		scenarios = 60
-	}
-	r := rand.New(rand.NewSource(22))
-	var requests, throttles, retries, exhausted, refused, ties int
-	var gets, pastEnd, parts, completed, aborted int
-	var chainHandoffs, procHandoffs int64
-	for i := 0; i < scenarios; i++ {
-		sc := genRequestScenario(r, int64(2200+i))
-		proc := runRequestScenario(t, sc, processForm)
-		chain := runRequestScenario(t, sc, chainForm)
-		sameOutcome(t, fmt.Sprintf("scenario %d (%d callers)", i, len(sc.callers)), chain, proc)
-		// What the scenarios covered, from the process form's run.
-		requests += int(proc.metrics.ClassAOps + proc.metrics.ClassBOps)
-		throttles += int(proc.metrics.Throttled)
-		ties += proc.ties
-		for _, n := range proc.retries {
-			retries += int(n)
-		}
-		for _, line := range proc.log {
-			if strings.Contains(line, "retries exhausted") {
-				exhausted++
-			}
-			if strings.HasSuffix(line, ": false") {
-				refused++
-			}
-			ok := strings.HasSuffix(line, " <nil>")
-			switch {
-			case strings.Contains(line, " get ") && ok:
-				gets++
-			case strings.Contains(line, " get range ") && strings.Contains(line, "out of bounds"):
-				pastEnd++
-			case strings.Contains(line, " multipart part ") && ok:
-				parts++
-			case strings.Contains(line, " multipart complete: <nil>"):
-				completed++
-			case strings.Contains(line, " multipart abort: <nil>"):
-				aborted++
-			}
-		}
-		chainHandoffs += chain.handoffs
-		procHandoffs += proc.handoffs
-	}
+	sum := requestOracle.Sweep(t, 300, 60, 22, func(i int, r *rand.Rand) (reqScenario, time.Duration) {
+		return genRequestScenario(r, int64(2200+i)), -1
+	})
+	c := sum.Counts
 	t.Logf("%d scenarios: %d requests admitted, %d throttled, %d retried, %d calls out of retries, %d TryTakes refused, %d instants with two or more calls completing; %d handoffs as chains, %d as processes",
-		scenarios, requests, throttles, retries, exhausted, refused, ties, chainHandoffs, procHandoffs)
+		sum.Scenarios, c["admitted"], c["throttled"], c["retries"], c["exhausted"], c["refused"], c["ties"], sum.New, sum.Old)
 	t.Logf("%d GETs and ranges read, %d ranges past the end, %d parts uploaded, %d uploads completed, %d aborted",
-		gets, pastEnd, parts, completed, aborted)
-	if throttles == 0 || retries == 0 || exhausted == 0 || refused == 0 || ties == 0 {
-		t.Fatalf("the scenarios no longer reach throttles (%d), retries (%d), exhausted ladders (%d), refused TryTakes (%d) or ties (%d)",
-			throttles, retries, exhausted, refused, ties)
-	}
-	if gets == 0 || pastEnd == 0 || parts == 0 || completed == 0 || aborted == 0 {
-		t.Fatalf("the scenarios no longer reach GETs (%d), ranges past the end (%d), parts (%d), completed (%d) or aborted uploads (%d)",
-			gets, pastEnd, parts, completed, aborted)
-	}
+		c["gets"], c["past the end"], c["parts"], c["completed"], c["aborted"])
+	sum.Reach(t, "throttled", "retries", "exhausted", "refused", "ties", "gets", "past the end", "parts", "completed", "aborted")
 	// A ceiling on the chains, not a ratio to the process form, whose
 	// take parks its process once too now that it awaits TakeAsync:
 	// 78,177 is what the chains cost over the 300 scenarios when it was
 	// set, and it may only fall.
 	const ceiling = 78177
-	if chainHandoffs > ceiling {
-		t.Errorf("chains cost %d handoffs, ceiling %d (processes cost %d): the callers are suspending per wait again", chainHandoffs, ceiling, procHandoffs)
+	if sum.New > ceiling {
+		t.Errorf("chains cost %d handoffs, ceiling %d (processes cost %d): the callers are suspending per wait again", sum.New, ceiling, sum.Old)
 	}
+}
+
+// TestRequestChainKilledAtHorizon plays the oracle's scenarios, from a
+// source of their own, stopped at a horizon drawn in (0, the whole
+// run's end], which kills every caller, and then runs out what is left
+// on the queue. The two forms must agree on every call completed
+// before the horizon, on the events fired after it, and on the meters,
+// stored bytes, retries, open streams, link counters and draws at the
+// end: a killed caller's chain stops where its process would have.
+func TestRequestChainKilledAtHorizon(t *testing.T) {
+	sum := requestOracle.Sweep(t, 300, 60, 37, func(i int, r *rand.Rand) (reqScenario, time.Duration) {
+		sc := genRequestScenario(r, int64(5200+i))
+		return sc, requestOracle.Horizon(t, sc, r)
+	})
+	t.Logf("%d scenarios: %d horizons cut a call short; %d handoffs as chains, %d as processes",
+		sum.Scenarios, sum.Counts["cut short"], sum.New, sum.Old)
+	sum.Reach(t, "cut short")
 }
 
 // FuzzRequestChain draws a scenario from each fuzzed seed and holds the
 // chain to the process form on it, as TestRequestChainMatchesProcessForm
 // does on its fixed seeds.
 func FuzzRequestChain(f *testing.F) {
-	for _, seed := range []int64{1, 22, 2200} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		sc := genRequestScenario(rand.New(rand.NewSource(seed)), seed)
-		proc := runRequestScenario(t, sc, processForm)
-		chain := runRequestScenario(t, sc, chainForm)
-		sameOutcome(t, fmt.Sprintf("seed %d (%d callers)", seed, len(sc.callers)), chain, proc)
-	})
+	destest.Fuzz(f, requestOracle, func(seed int64) (reqScenario, time.Duration) {
+		return genRequestScenario(rand.New(rand.NewSource(seed)), seed), -1
+	}, 1, 22, 2200)
 }
 
 // plainCfg has tokens to spare and round numbers: a request's latency
@@ -904,22 +849,24 @@ func listOf(prefix string, n int, size int64) (keys []string, sizes []int64) {
 	return keys, sizes
 }
 
-// both runs a hand-built scenario in both forms, holds them equal and
-// returns the chain's outcome for the caller to hold to the instants it
-// worked out by hand.
-func both(t *testing.T, sc reqScenario) reqOutcome {
-	t.Helper()
-	proc := runRequestScenario(t, sc, processForm)
-	chain := runRequestScenario(t, sc, chainForm)
-	sameOutcome(t, t.Name(), chain, proc)
-	return chain
-}
-
-func wantLog(t *testing.T, out reqOutcome, want ...string) {
+// wantLog holds the chain's transcript of a hand-built scenario to the
+// lines worked out by hand.
+func wantLog(t *testing.T, out *destest.Transcript, want ...string) {
 	t.Helper()
 	for _, w := range want {
-		if !slices.Contains(out.log, w) {
-			t.Errorf("no line %q in the log:\n%s", w, strings.Join(out.log, "\n"))
+		if !slices.Contains(out.Lines, w) {
+			t.Errorf("no line %q in the log:\n%s", w, strings.Join(out.Lines, "\n"))
+		}
+	}
+}
+
+// wantPart fails t unless some line of out holds each part: a field of
+// the meters line, say.
+func wantPart(t *testing.T, out *destest.Transcript, parts ...string) {
+	t.Helper()
+	for _, w := range parts {
+		if !slices.ContainsFunc(out.Lines, func(l string) bool { return strings.Contains(l, w) }) {
+			t.Errorf("no line holds %q in the log:\n%s", w, strings.Join(out.Lines, "\n"))
 		}
 	}
 }
@@ -941,11 +888,9 @@ func TestRequestListKeepsOneLadderPerElement(t *testing.T) {
 	// opens at 370, its latency over at 380.
 	sc.brownouts = slices.Concat(window(0), window(130*ms), window(260*ms))
 	sc.callers = []reqCaller{{maxRetries: 6, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: keys, chunk: 1 << 20}}}}
-	out := both(t, sc)
-	wantLog(t, out, "c00 op0 @380000000 open list: 5 of 5: <nil>")
-	if out.retries[0] != 3 || out.metrics.Throttled != 3 {
-		t.Errorf("%d retries, %d throttled, want 3 and 3", out.retries[0], out.metrics.Throttled)
-	}
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
+	wantLog(t, out, "c00 op0 @380000000 open list: 5 of 5: <nil>", "retries [3]")
+	wantPart(t, out, " Throttled:3 ")
 
 	// PUTs are granted 20 ms apart (latency, then the body): 0 fails at
 	// 0, restart at 110 (110, 130, 150); 2 fails at 150, restart at 260
@@ -953,11 +898,9 @@ func TestRequestListKeepsOneLadderPerElement(t *testing.T) {
 	// at 430.
 	sc.brownouts = slices.Concat(window(0), window(150*ms), window(300*ms))
 	sc.callers[0].ops = []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: sizes}}
-	out = both(t, sc)
-	wantLog(t, out, "c00 op0 @430000000 put list: 5 of 5: <nil>")
-	if out.retries[0] != 3 || out.metrics.Throttled != 3 {
-		t.Errorf("%d retries, %d throttled, want 3 and 3", out.retries[0], out.metrics.Throttled)
-	}
+	out, _ = requestOracle.Check(t, t.Name(), sc, -1)
+	wantLog(t, out, "c00 op0 @430000000 put list: 5 of 5: <nil>", "retries [3]")
+	wantPart(t, out, " Throttled:3 ")
 }
 
 // TestRequestListExhaustsRetriesMidList browns the store out for good
@@ -975,16 +918,14 @@ func TestRequestListExhaustsRetriesMidList(t *testing.T) {
 		{maxRetries: 2, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: keys, chunk: 1 << 20}}},
 		{maxRetries: 2, ops: []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: sizes}}},
 	}
-	out := both(t, sc)
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
 	// Opens: 0 and 1 open at 0 and 10; 2 fails at 20, 130, 340 (latency
 	// 10, then 100 and 200 of ladder) and gives up at 350. PUTs: 0 is
 	// stored at 20; 1 fails at 20, 130, 340.
 	wantLog(t, out,
 		"c00 op0 @350000000 open list: 2 of 5: objectstore: retries exhausted: objectstore: slow down (503)",
-		"c01 op0 @350000000 put list: 1 of 5: objectstore: retries exhausted: objectstore: slow down (503)")
-	if len(out.open) != 0 {
-		t.Errorf("streams left open: %v", out.open)
-	}
+		"c01 op0 @350000000 put list: 1 of 5: objectstore: retries exhausted: objectstore: slow down (503)",
+		"open []")
 }
 
 // TestRequestSeesBucketCreatedDuringItsLatency has one caller PUT into a
@@ -1001,15 +942,13 @@ func TestRequestSeesBucketCreatedDuringItsLatency(t *testing.T) {
 		{startAt: 6 * ms, maxRetries: 6, ops: []reqOp{{kind: opPutList, bkt: "late", keys: keys, sizes: sizes}}},
 		{startAt: 7 * ms, maxRetries: 6, ops: []reqOp{{kind: opPut, bkt: "never", keys: []string{"one"}, sizes: []int64{10_000}}}},
 	}}
-	out := both(t, sc)
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
 	wantLog(t, out,
 		"c00 op0 @10000000 create late: <nil>",
 		"c01 op0 @25000000 put one: <nil>",
 		"c02 op0 @66000000 put list: 3 of 3: <nil>",
 		"c03 op0 @17000000 put one: objectstore: no such bucket")
-	if out.stored != 40_000 {
-		t.Errorf("%d bytes stored, want 40000", out.stored)
-	}
+	wantPart(t, out, "}, 40000 stored")
 }
 
 // TestRequestKeyDeletedUnderLatency deletes the middle key of a list
@@ -1025,11 +964,9 @@ func TestRequestKeyDeletedUnderLatency(t *testing.T) {
 			{maxRetries: 6, ops: []reqOp{{kind: opOpenList, bkt: "a", keys: []string{"k0", "k1", "k2"}, chunk: 1 << 20}}},
 			{startAt: 5 * ms, maxRetries: 6, ops: []reqOp{{kind: opDelete, bkt: "a", keys: []string{"k1"}}}}, // gone at 15 ms
 		}}
-	out := both(t, sc)
-	wantLog(t, out, "c00 op0 @20000000 open list: 1 of 3: objectstore: no such key a/k1")
-	if out.metrics.ClassBOps != 2 || len(out.open) != 0 {
-		t.Errorf("%d class B ops, open %v; want 2 and none", out.metrics.ClassBOps, out.open)
-	}
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
+	wantLog(t, out, "c00 op0 @20000000 open list: 1 of 3: objectstore: no such key a/k1", "open []")
+	wantPart(t, out, " ClassBOps:2 ")
 }
 
 // TestRequestListWithEmptyBodies puts lists with an empty body first,
@@ -1043,14 +980,12 @@ func TestRequestListWithEmptyBodies(t *testing.T) {
 		{maxRetries: 6, ops: []reqOp{{kind: opPutList, bkt: "b", keys: keys, sizes: []int64{0, 0, 0, 0, 0}}}},
 		{maxRetries: 6, ops: []reqOp{{kind: opPut, bkt: "b", keys: []string{"nothing"}, sizes: []int64{0}}}},
 	}}
-	out := both(t, sc)
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
 	wantLog(t, out,
 		"c00 op0 @70000000 put list: 5 of 5: <nil>",
 		"c01 op0 @50000000 put list: 5 of 5: <nil>",
 		"c02 op0 @10000000 put nothing: <nil>")
-	if out.metrics.ClassAOps != 11 || out.transfers != 2 {
-		t.Errorf("%d class A ops, %d transfers; want 11 and 2", out.metrics.ClassAOps, out.transfers)
-	}
+	wantPart(t, out, "{ClassAOps:11 ", "link: 2 transfers,")
 }
 
 // TestTryTakeBehindQueuedRequests issues TryTakes while chains wait on
@@ -1069,7 +1004,7 @@ func TestTryTakeBehindQueuedRequests(t *testing.T) {
 		{kind: opSleep, d: 60 * ms},
 		{kind: opTryTake, bkt: "r"}, // drained, and 35 ms of refill capped at the burst
 	}})
-	out := both(t, sc)
+	out, _ := requestOracle.Check(t, t.Name(), sc, -1)
 	wantLog(t, out,
 		"c04 op0 @5000000 try take r: false",
 		"c04 op1 @5000000 try take w: true",

@@ -6,12 +6,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // The differential oracle for Stream's state machine: the producer
@@ -201,23 +201,13 @@ type oracleScenario struct {
 	}
 }
 
-// oracleOutcome is everything the two forms must agree on.
-type oracleOutcome struct {
-	log       []string // per reader, in event order: deliveries and errors with their instants
-	fired     int64
-	end       time.Duration
-	metrics   Metrics
-	transfers int64
-	moved     float64
-	nextDraw  int64
-	open      []string
-	// deliveries counts chunks handed to readers per instant: coverage,
-	// not compared.
-	deliveries map[time.Duration]int
-}
+// streamOracle holds the state machine to the producer process.
+var streamOracle = destest.Pair[oracleScenario]{New: streamOpener(openMachine).play, Old: streamOpener(openProc).play}
 
-func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracleOutcome {
-	t.Helper()
+// play is the stream oracle's Form: every reader's deliveries and errors
+// with their instants, in event order, then the store's meters, the
+// link's counters, the next draw and the streams left open.
+func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Transcript) destest.Run {
 	sim := des.New(sc.seed)
 	svc, err := New(sim, sc.cfg)
 	if err != nil {
@@ -239,9 +229,9 @@ func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracl
 		rate := b.rate
 		sim.Schedule(b.at, func() { svc.SetBrownout(rate) })
 	}
-	out := oracleOutcome{deliveries: map[time.Duration]int{}}
+	deliveries := map[time.Duration]int{}
 	logf := func(i int, p *des.Proc, format string, args ...any) {
-		out.log = append(out.log, fmt.Sprintf("r%02d @%d ", i, p.Now())+fmt.Sprintf(format, args...))
+		tr.Logf("r%02d @%d %s", i, p.Now(), fmt.Sprintf(format, args...))
 	}
 	for i, r := range sc.readers {
 		sim.Spawn(fmt.Sprintf("reader%02d", i), func(p *des.Proc) {
@@ -264,7 +254,7 @@ func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracl
 					logf(i, p, "next: %v", err)
 					break
 				}
-				out.deliveries[p.Now()]++
+				deliveries[p.Now()]++
 				if raw, ok := pl.Bytes(); ok {
 					logf(i, p, "chunk %d crc %08x", pl.Size(), crc32.ChecksumIEEE(raw))
 				} else {
@@ -286,15 +276,28 @@ func runOracleScenario(t *testing.T, sc oracleScenario, open streamOpener) oracl
 			}
 		})
 	}
-	if err := sim.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	out.fired, out.end = sim.Fired(), sim.Now()
-	out.metrics = svc.Metrics()
-	out.transfers, out.moved = svc.link.Transfers(), svc.link.BytesMoved()
-	out.nextDraw = sim.Rand().Int63()
-	out.open = svc.OpenStreams()
-	return out
+	return destest.Run{Kernel: sim, After: func() {
+		m := svc.Metrics()
+		tr.Logf("meters %+v", m)
+		tr.Logf("link: %d transfers, %v bytes", svc.link.Transfers(), svc.link.BytesMoved())
+		tr.Logf("next draw %d", sim.Rand().Int63())
+		// The process form lists no stream, so this holds the state
+		// machine to leaving none open.
+		tr.Logf("open %v", svc.OpenStreams())
+		// Coverage: what the scenario reached.
+		tr.Counts["chunk flows"] += svc.link.Transfers()
+		tr.Counts["throttles"] += m.Throttled
+		for _, n := range deliveries {
+			if n >= 2 {
+				tr.Counts["ties"]++
+			}
+		}
+		for _, rd := range sc.readers {
+			if rd.closeAfter >= 0 {
+				tr.Counts["closed early"]++
+			}
+		}
+	}}
 }
 
 // genOracleScenario draws one scenario. Most have every reader ask for
@@ -402,63 +405,21 @@ func genOracleScenario(r *rand.Rand, seed int64) oracleScenario {
 }
 
 func TestStreamMatchesProducerProcess(t *testing.T) {
-	scenarios := 200
-	if testing.Short() {
-		scenarios = 40
-	}
-	r := rand.New(rand.NewSource(21))
-	var chunks, ties, throttles, closedEarly int
-	for i := 0; i < scenarios; i++ {
-		sc := genOracleScenario(r, int64(1000+i))
-		want := runOracleScenario(t, sc, openProc)
-		got := runOracleScenario(t, sc, openMachine)
-		if !slices.Equal(got.log, want.log) {
-			for j := range want.log {
-				if j >= len(got.log) || got.log[j] != want.log[j] {
-					g := "(nothing)"
-					if j < len(got.log) {
-						g = got.log[j]
-					}
-					t.Fatalf("scenario %d (%d readers): line %d of the readers' log:\n state machine %s\n process       %s",
-						i, len(sc.readers), j, g, want.log[j])
-				}
-			}
-			t.Fatalf("scenario %d: state machine logged %d lines, process %d", i, len(got.log), len(want.log))
-		}
-		if got.fired != want.fired || got.end != want.end {
-			t.Fatalf("scenario %d: state machine fired %d events to %v, process %d to %v",
-				i, got.fired, got.end, want.fired, want.end)
-		}
-		if got.metrics != want.metrics {
-			t.Fatalf("scenario %d: meters\n state machine %+v\n process       %+v", i, got.metrics, want.metrics)
-		}
-		if got.transfers != want.transfers || got.moved != want.moved {
-			t.Fatalf("scenario %d: link: state machine %d transfers / %.0f bytes, process %d / %.0f",
-				i, got.transfers, got.moved, want.transfers, want.moved)
-		}
-		if got.nextDraw != want.nextDraw {
-			t.Fatalf("scenario %d: the RNG stands elsewhere after the run (draw counts differ)", i)
-		}
-		if len(got.open) != 0 {
-			t.Fatalf("scenario %d: streams left open: %v", i, got.open)
-		}
-		// What the scenarios covered, from the process form's run.
-		chunks += int(want.transfers)
-		throttles += int(want.metrics.Throttled)
-		for _, n := range want.deliveries {
-			if n >= 2 {
-				ties++
-			}
-		}
-		for _, rd := range sc.readers {
-			if rd.closeAfter >= 0 {
-				closedEarly++
-			}
-		}
-	}
+	sum := streamOracle.Sweep(t, 200, 40, 21, func(i int, r *rand.Rand) (oracleScenario, time.Duration) {
+		return genOracleScenario(r, int64(1000+i)), -1
+	})
+	c := sum.Counts
 	t.Logf("%d scenarios: %d chunk flows, %d instants with two or more deliveries, %d throttles, %d readers closed early",
-		scenarios, chunks, ties, throttles, closedEarly)
-	if ties == 0 || throttles == 0 || closedEarly == 0 {
-		t.Fatalf("the scenarios no longer reach ties (%d), throttles (%d) or early closes (%d)", ties, throttles, closedEarly)
-	}
+		sum.Scenarios, c["chunk flows"], c["ties"], c["throttles"], c["closed early"])
+	t.Logf("%d handoffs as a state machine, %d as processes", sum.New, sum.Old)
+	sum.Reach(t, "ties", "throttles", "closed early")
+}
+
+// FuzzStreamMachine draws a scenario from each fuzzed seed and holds the
+// state machine to the producer process on it, as
+// TestStreamMatchesProducerProcess does on its fixed seeds.
+func FuzzStreamMachine(f *testing.F) {
+	destest.Fuzz(f, streamOracle, func(seed int64) (oracleScenario, time.Duration) {
+		return genOracleScenario(rand.New(rand.NewSource(seed)), seed), -1
+	}, 1, 21, 1000)
 }

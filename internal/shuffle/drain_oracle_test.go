@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -93,27 +93,19 @@ type drainScenario struct {
 	maxRetries int
 	brownouts  [][2]time.Duration // start, length, at rate 0.6
 	funcs      []drainFunc
-	// horizon, when positive, stops the run there (RunUntil, which kills
-	// every process) before running it out.
-	horizon time.Duration
 }
 
-type drainOutcome struct {
-	results []string // per function: done instant, bytes pulled, error
-	// killedInDrain counts the functions the horizon stopped mid-drain.
-	killedInDrain int
-	fired         int64
-	end           time.Duration
-	handoffs      int64
-	metrics       objectstore.Metrics
-	retries       []int64
-	open          []string
-	nextDraw      int64
-	stopErr       error
-}
+// drainOracle holds the chain to the loop.
+var drainOracle = destest.Pair[drainScenario]{New: drainForm(drainByChain).play, Old: drainForm(drainByProcess).play}
 
-func runDrainScenario(t *testing.T, sc drainScenario, drain func(*meter, []runSource) (int64, error)) drainOutcome {
-	t.Helper()
+// drainForm is one form of the drain: drainByChain or drainByProcess.
+type drainForm func(*meter, []runSource) (int64, error)
+
+// play is the drain oracle's Form: at a horizon, how many functions it
+// stopped mid-drain; at the end, each function's done instant, bytes
+// pulled and error, the store's meters and open streams, every client's
+// retries and the next draw.
+func (drain drainForm) play(t *testing.T, sc drainScenario, tr *destest.Transcript) destest.Run {
 	sim := des.New(sc.seed)
 	svc, err := objectstore.New(sim, sc.cfg)
 	if err != nil {
@@ -121,7 +113,7 @@ func runDrainScenario(t *testing.T, sc drainScenario, drain func(*meter, []runSo
 	}
 	dead := false
 	inDrain := make([]bool, len(sc.funcs))
-	out := drainOutcome{results: make([]string, len(sc.funcs)), retries: make([]int64, len(sc.funcs))}
+	results := make([]string, len(sc.funcs))
 	clients := make([]*objectstore.Client, len(sc.funcs))
 	for i := range clients {
 		clients[i] = objectstore.NewClient(svc)
@@ -156,7 +148,7 @@ func runDrainScenario(t *testing.T, sc drainScenario, drain func(*meter, []runSo
 		for f, fn := range sc.funcs {
 			p.Spawn(fmt.Sprintf("fn-%d", f), func(fp *des.Proc) {
 				fp.Sleep(fn.start)
-				out.results[f] = runDrainFunc(fp, clients[f], f, fn, &rateClock{t: t, speed: fn.speed, dead: &dead},
+				results[f] = runDrainFunc(fp, clients[f], f, fn, &rateClock{t: t, speed: fn.speed, dead: &dead},
 					func(m *meter, srcs []runSource) (int64, error) {
 						inDrain[f] = true // left set by a kill, which unwinds past the next line
 						n, err := drain(m, srcs)
@@ -166,25 +158,59 @@ func runDrainScenario(t *testing.T, sc drainScenario, drain func(*meter, []runSo
 			})
 		}
 	})
-	if sc.horizon > 0 {
-		if err := sim.RunUntil(sc.horizon); !errors.Is(err, des.ErrSimLimit) {
-			t.Fatalf("RunUntil(%v): %v", sc.horizon, err)
+	stopped := func() {
+		if !errors.Is(tr.Err, des.ErrSimLimit) {
+			t.Fatalf("the horizon's run ended in %v", tr.Err)
 		}
 		dead = true
+		n := 0
 		for _, in := range inDrain {
 			if in {
-				out.killedInDrain++
+				n++
 			}
 		}
+		tr.Logf("%d functions killed mid-drain", n)
+		tr.Counts["killed"] += int64(n)
 	}
-	out.stopErr = sim.Run()
-	out.fired, out.end, out.handoffs = sim.Fired(), sim.Now(), sim.Handoffs()
-	out.metrics, out.open = svc.Metrics(), svc.OpenStreams()
-	for i, c := range clients {
-		out.retries[i] = c.Retries()
-	}
-	out.nextDraw = sim.Rand().Int63()
-	return out
+	return destest.Run{Kernel: sim, Stopped: stopped, After: func() {
+		for f, res := range results {
+			tr.Logf("function %d: %s", f, res)
+			if !strings.Contains(res, " 0 retries mid-drain") && strings.Contains(res, "retries mid-drain") {
+				tr.Counts["throttled"]++
+			}
+			if strings.Contains(res, "retries exhausted") {
+				tr.Counts["exhausted"]++
+			}
+		}
+		retries := make([]int64, len(clients))
+		for i, c := range clients {
+			retries[i] = c.Retries()
+		}
+		tr.Logf("meters %+v", svc.Metrics())
+		tr.Logf("retries %v", retries)
+		tr.Logf("open %v", svc.OpenStreams())
+		tr.Logf("next draw %d", sim.Rand().Int63())
+		// Coverage: what the scenario reached.
+		for _, fn := range sc.funcs {
+			if len(fn.runs) == 128 {
+				tr.Counts["128-way drains"]++
+			}
+			if fn.left != math.MaxInt64 {
+				tr.Counts["budgets"]++
+			}
+			for i, run := range fn.runs {
+				switch {
+				case run.size == 0 && !run.real:
+					tr.Counts["Sized(0) runs"]++
+				case run.resident:
+					tr.Counts["resident runs"]++
+				}
+				if run.real && run.prepull > 0 && i+1 < len(fn.runs) && !fn.runs[i+1].real {
+					tr.Counts["real runs before sized ones"]++
+				}
+			}
+		}
+	}}
 }
 
 // runDrainFunc opens a function's runs, reads the prepulls, drains the
@@ -310,92 +336,18 @@ func genDrainScenario(r *rand.Rand, seed int64) drainScenario {
 	return sc
 }
 
-// sameDrain fails the test where the chain's run differs from the loop's.
-func sameDrain(t *testing.T, name string, chain, proc drainOutcome) {
-	t.Helper()
-	if !slices.Equal(chain.results, proc.results) {
-		for i := range proc.results {
-			if chain.results[i] != proc.results[i] {
-				t.Fatalf("%s: function %d\n chain   %s\n process %s", name, i, chain.results[i], proc.results[i])
-			}
-		}
-	}
-	if chain.fired != proc.fired || chain.end != proc.end {
-		t.Fatalf("%s: chain fired %d events to %v, process %d to %v", name, chain.fired, chain.end, proc.fired, proc.end)
-	}
-	if fmt.Sprint(chain.stopErr) != fmt.Sprint(proc.stopErr) {
-		t.Fatalf("%s: run ended with %v, process with %v", name, chain.stopErr, proc.stopErr)
-	}
-	if chain.metrics != proc.metrics {
-		t.Fatalf("%s: meters\n chain   %+v\n process %+v", name, chain.metrics, proc.metrics)
-	}
-	if !slices.Equal(chain.retries, proc.retries) {
-		t.Fatalf("%s: retries %v, process %v", name, chain.retries, proc.retries)
-	}
-	if !slices.Equal(chain.open, proc.open) {
-		t.Fatalf("%s: open streams %v, process %v", name, chain.open, proc.open)
-	}
-	if chain.nextDraw != proc.nextDraw {
-		t.Fatalf("%s: the RNG stands elsewhere after the run (draw counts differ)", name)
-	}
-	if chain.handoffs > proc.handoffs {
-		t.Fatalf("%s: %d handoffs, process %d", name, chain.handoffs, proc.handoffs)
-	}
-}
-
 // TestSizedDrainChainMatchesProcessForm replays seeded drains, 1 to 4
 // functions at once over 1 to 128 runs, through both forms.
 func TestSizedDrainChainMatchesProcessForm(t *testing.T) {
-	scenarios := 300
-	if testing.Short() {
-		scenarios = 60
-	}
-	r := rand.New(rand.NewSource(35))
-	var wide, empty, overscan, resident, realFirst, throttled, exhausted int
-	var chainHandoffs, procHandoffs int64
-	for i := 0; i < scenarios; i++ {
-		sc := genDrainScenario(r, int64(3500+i))
-		proc := runDrainScenario(t, sc, drainByProcess)
-		chain := runDrainScenario(t, sc, drainByChain)
-		sameDrain(t, fmt.Sprintf("scenario %d", i), chain, proc)
-		chainHandoffs += chain.handoffs
-		procHandoffs += proc.handoffs
-		// What the scenarios covered.
-		for _, fn := range sc.funcs {
-			if len(fn.runs) == 128 {
-				wide++
-			}
-			if fn.left != math.MaxInt64 {
-				overscan++
-			}
-			for i, run := range fn.runs {
-				switch {
-				case run.size == 0 && !run.real:
-					empty++
-				case run.resident:
-					resident++
-				}
-				if run.real && run.prepull > 0 && i+1 < len(fn.runs) && !fn.runs[i+1].real {
-					realFirst++
-				}
-			}
-		}
-		for _, res := range proc.results {
-			if !strings.Contains(res, " 0 retries mid-drain") && strings.Contains(res, "retries mid-drain") {
-				throttled++
-			}
-			if strings.Contains(res, "retries exhausted") {
-				exhausted++
-			}
-		}
-	}
+	sum := drainOracle.Sweep(t, 300, 60, 35, func(i int, r *rand.Rand) (drainScenario, time.Duration) {
+		return genDrainScenario(r, int64(3500+i)), -1
+	})
+	c := sum.Counts
 	t.Logf("%d scenarios: %d 128-way drains, %d Sized(0) runs, %d budgets, %d resident runs, %d real runs before sized ones, %d drains throttled mid-way, %d functions out of retries; %d handoffs against the loop's %d",
-		scenarios, wide, empty, overscan, resident, realFirst, throttled, exhausted, chainHandoffs, procHandoffs)
-	if wide == 0 || empty == 0 || overscan == 0 || resident == 0 || realFirst == 0 || throttled == 0 || exhausted == 0 {
-		t.Fatalf("the scenarios no longer reach every case")
-	}
-	if chainHandoffs >= procHandoffs {
-		t.Fatalf("the chain costs %d handoffs, the loop %d", chainHandoffs, procHandoffs)
+		sum.Scenarios, c["128-way drains"], c["Sized(0) runs"], c["budgets"], c["resident runs"], c["real runs before sized ones"], c["throttled"], c["exhausted"], sum.New, sum.Old)
+	sum.Reach(t, "128-way drains", "Sized(0) runs", "budgets", "resident runs", "real runs before sized ones", "throttled", "exhausted")
+	if sum.New >= sum.Old {
+		t.Fatalf("the chain costs %d handoffs, the loop %d", sum.New, sum.Old)
 	}
 }
 
@@ -407,26 +359,19 @@ func TestSizedDrainChainMatchesProcessForm(t *testing.T) {
 // no chain state outlives its process to be used again. Both forms fire
 // the same events to the same instant and leave the store the same.
 func TestSizedDrainKilledMidDrain(t *testing.T) {
-	scenarios := 120
-	if testing.Short() {
-		scenarios = 30
-	}
-	r := rand.New(rand.NewSource(36))
-	killed := 0
-	for i := 0; i < scenarios; i++ {
+	sum := drainOracle.Sweep(t, 120, 30, 36, func(i int, r *rand.Rand) (drainScenario, time.Duration) {
 		sc := genDrainScenario(r, int64(4500+i))
-		whole := runDrainScenario(t, sc, drainByProcess)
-		sc.horizon = time.Duration(r.Int63n(int64(whole.end))) + 1
-		proc := runDrainScenario(t, sc, drainByProcess)
-		chain := runDrainScenario(t, sc, drainByChain)
-		sameDrain(t, fmt.Sprintf("scenario %d, stopped at %v", i, sc.horizon), chain, proc)
-		if chain.killedInDrain != proc.killedInDrain {
-			t.Fatalf("scenario %d: %d functions killed mid-drain, process %d", i, chain.killedInDrain, proc.killedInDrain)
-		}
-		killed += chain.killedInDrain
-	}
-	t.Logf("%d scenarios: %d functions killed mid-drain", scenarios, killed)
-	if killed == 0 {
-		t.Fatalf("no horizon fell inside a drain")
-	}
+		return sc, drainOracle.Horizon(t, sc, r)
+	})
+	t.Logf("%d scenarios: %d functions killed mid-drain", sum.Scenarios, sum.Counts["killed"])
+	sum.Reach(t, "killed")
+}
+
+// FuzzSizedDrain draws a scenario from each fuzzed seed and holds the
+// chain to the loop on it, as TestSizedDrainChainMatchesProcessForm does
+// on its fixed seeds.
+func FuzzSizedDrain(f *testing.F) {
+	destest.Fuzz(f, drainOracle, func(seed int64) (drainScenario, time.Duration) {
+		return genDrainScenario(rand.New(rand.NewSource(seed)), seed), -1
+	}, 1, 35, 3500)
 }
