@@ -192,7 +192,6 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"des.Link.BytesMoved":             "TestLinkDifferential and the store's TestRequestChainMatchesProcessForm compare it with the oracles",
 		"des.Link.Transfers":              "TestLinkDifferential and the store's TestRequestChainMatchesProcessForm compare it with the oracles",
 		"des.Resource.Capacity":           "TestResourceAccounting",
-		"des.Sim.Handoffs":                "TestSizedSortEventsPinned holds the baton handoffs under a ceiling",
 		"des.Sim.Pending":                 "kernel_trace.golden and TestLinkDifferential record the queue length",
 		"des.WaitGroup.Count":             "kernel_trace.golden records it",
 		"des.Waterfill":                   "TestWaterfillDifferential and TestLinkRatesThroughJoinAndFire hold the link's rates to it",

@@ -75,8 +75,8 @@ func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcom
 
 	// Meter the dispatched run, from what the stage was charged before and
 	// after it, so the measured outcome can calibrate the next plan.
-	startAt := ctx.Proc.Now()
-	_, _, before := ctx.Exec.usage(ctx.Proc, 0)
+	startAt, scope := ctx.Proc.Now(), ctx.Proc.Scope()
+	_, _, before := ctx.Exec.usage(scope, 0)
 
 	outcome, err := a.dispatch(ctx, spec, &dec)
 	if err != nil {
@@ -84,7 +84,7 @@ func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcom
 	}
 
 	if hist := env.History; hist != nil {
-		_, _, after := ctx.Exec.usage(ctx.Proc, 0)
+		_, _, after := ctx.Exec.usage(scope, 0)
 		hist.Record(autoplan.Observation{
 			Strategy:      dec.Chosen.Strategy,
 			PredictedTime: dec.Chosen.ModelTime,

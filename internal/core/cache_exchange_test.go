@@ -167,7 +167,7 @@ func TestCacheExchangeWarmIsFaster(t *testing.T) {
 // provisioner prices a stage's cache usage at 0.
 func TestCacheCostSnapshotWithoutProvisioner(t *testing.T) {
 	r := newRig(t)
-	if _, _, cost := r.exec.usage(new(des.Proc), 0); cost.Cache != 0 {
+	if _, _, cost := r.exec.usage(new(des.Scope), 0); cost.Cache != 0 {
 		t.Errorf("cache cost with no provisioner = %g, want 0", cost.Cache)
 	}
 }

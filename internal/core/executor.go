@@ -187,43 +187,82 @@ func (e *Executor) fold() float64 {
 	return e.shares
 }
 
-// usage is what the scope lead leads has been charged so far, priced:
-// its invocations and requests, the share clock's advance since sharesAt,
-// and the instances and clusters it provisioned. A scope that has ended
-// is read once.
-func (e *Executor) usage(lead *des.Proc, sharesAt float64) (faas.Meter, objectstore.Metrics, billing.StageCost) {
-	fm, sm := e.Platform.Ledger().Scope(lead), e.Store.Ledger().Scope(lead)
+// usage is what scope sc has been charged so far, priced: its
+// invocations and requests, the share clock's advance since sharesAt, and
+// the instances and clusters it provisioned. A scope that has ended is
+// read once.
+func (e *Executor) usage(sc *des.Scope, sharesAt float64) (faas.Meter, objectstore.Metrics, billing.StageCost) {
+	fm, sm := e.Platform.Ledger().Scope(sc), e.Store.Ledger().Scope(sc)
 	sm.ByteSeconds = e.fold() - sharesAt
 	cost := billing.StageCost{Functions: e.Prices.FunctionsCost(fm), Storage: e.Prices.StorageCost(sm)}
 	if e.Provisioner != nil {
-		cost.VM = e.Prices.VMCost(e.Provisioner.Ledger().Scope(lead))
+		cost.VM = e.Prices.VMCost(e.Provisioner.Ledger().Scope(sc))
 	}
 	if e.CacheProv != nil {
-		cost.Cache = e.Prices.CacheCost(e.CacheProv.Ledger().Scope(lead))
+		cost.Cache = e.Prices.CacheCost(e.CacheProv.Ledger().Scope(sc))
 	}
 	return fm, sm, cost
 }
 
+// run is one Run's state in one allocation: the report its caller keeps,
+// the backing of a one-stage report's Stages, the stages' blackboard and
+// the first stage error. It holds neither the workflow nor the wait
+// state, so a kept report pins neither.
+type run struct {
+	rep   RunReport
+	one   [1]StageReport
+	state RunState
+	err   error
+}
+
 // Run executes the workflow, blocking p until every stage completes
-// (stages with satisfied dependencies run concurrently). The returned
-// report is complete even on error; the first stage error aborts
-// not-yet-started stages and is returned.
+// (stages with satisfied dependencies run concurrently). The first stage
+// with no dependencies runs on p itself; each other stage runs on a
+// process of its own, and only then is there anything to wait for. The
+// returned report is complete even on error; the first stage error
+// aborts not-yet-started stages and is returned.
 func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &RunReport{Workflow: w.Name(), Start: p.Now(), Stages: make([]StageReport, 0, len(w.nodes))}
-	state := &RunState{}
+	r := &run{rep: RunReport{Workflow: w.Name(), Start: p.Now()}}
+	r.rep.Stages = r.one[:0]
+	first := 0
+	for len(w.nodes[first].deps) > 0 {
+		first++
+	}
 
-	// done[i] opens when the stage at position i has finished; the
-	// last one when all have.
+	var done []des.WaitGroup
+	if len(w.nodes) > 1 {
+		r.rep.Stages = make([]StageReport, 0, len(w.nodes))
+		done = e.spawn(r, w, first)
+	}
+	e.stage(p, r, w.nodes[first].stage)
+	if done != nil {
+		done[first].Done()
+		done[len(w.nodes)].Wait(p)
+	}
+	r.rep.End = p.Now()
+	for _, l := range e.listeners {
+		l.RunFinished(&r.rep)
+	}
+	return &r.rep, r.err
+}
+
+// spawn starts every stage of w but the one at position first on a
+// process of its own, where it waits for its dependencies, and returns
+// the wait state: done[i] opens when the stage at position i has
+// finished, the last one when all but the first have.
+func (e *Executor) spawn(r *run, w *Workflow, first int) []des.WaitGroup {
 	done := make([]des.WaitGroup, len(w.nodes)+1)
 	all := &done[len(w.nodes)]
 	for i := range w.nodes {
 		done[i].Add(1)
 	}
-	var firstErr error
 	for i, n := range w.nodes {
+		if i == first {
+			continue
+		}
 		all.Add(1)
 		e.Sim.Spawn("stage/"+n.stage.Name(), func(sp *des.Proc) {
 			defer all.Done()
@@ -231,40 +270,39 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 			for _, d := range n.deps {
 				done[w.position(d)].Wait(sp)
 			}
-			if firstErr != nil {
-				return // abort chain: upstream failed
-			}
-			start := sp.Now()
-			sp.LeadScope()
-			sharesAt := e.fold()
-			e.open++
-			for _, l := range e.listeners {
-				l.StageStarted(w.Name(), n.stage.Name(), start)
-			}
-			ctx := &StageContext{Proc: sp, Exec: e, State: state}
-			err := n.stage.Run(ctx)
-			sr := StageReport{Name: n.stage.Name(), Start: start, End: sp.Now(), Err: err}
-			sp.EndScope()
-			sr.Faas, sr.Store, sr.Cost = e.usage(sp, sharesAt)
-			if e.open--; e.open == 0 {
-				e.shares = 0
-			}
-			if ctx.Outcome != nil {
-				sr.StageOutcome = *ctx.Outcome
-			}
-			rep.Stages = append(rep.Stages, sr)
-			for _, l := range e.listeners {
-				l.StageFinished(w.Name(), sr)
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("core: stage %q: %w", n.stage.Name(), err)
+			if r.err == nil { // else abort the chain: upstream failed
+				e.stage(sp, r, n.stage)
 			}
 		})
 	}
-	all.Wait(p)
-	rep.End = p.Now()
+	return done
+}
+
+// stage runs st on p in a scope of its own and adds its report to r.
+func (e *Executor) stage(p *des.Proc, r *run, st Stage) {
+	start := p.Now()
+	sc := p.LeadScope()
+	sharesAt := e.fold()
+	e.open++
 	for _, l := range e.listeners {
-		l.RunFinished(rep)
+		l.StageStarted(r.rep.Workflow, st.Name(), start)
 	}
-	return rep, firstErr
+	ctx := &StageContext{Proc: p, Exec: e, State: &r.state}
+	err := st.Run(ctx)
+	sr := StageReport{Name: st.Name(), Start: start, End: p.Now(), Err: err}
+	p.EndScope()
+	sr.Faas, sr.Store, sr.Cost = e.usage(sc, sharesAt)
+	if e.open--; e.open == 0 {
+		e.shares = 0
+	}
+	if ctx.Outcome != nil {
+		sr.StageOutcome = *ctx.Outcome
+	}
+	r.rep.Stages = append(r.rep.Stages, sr)
+	for _, l := range e.listeners {
+		l.StageFinished(r.rep.Workflow, sr)
+	}
+	if err != nil && r.err == nil {
+		r.err = fmt.Errorf("core: stage %q: %w", st.Name(), err)
+	}
 }

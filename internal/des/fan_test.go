@@ -103,6 +103,7 @@ var fanOracle = destest.Pair[fanScenario]{New: fanForm((*Proc).Fan).play, Old: f
 // error, and after each run its Handoffs(), which must be equal.
 func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) destest.Run {
 	s := New(sc.seed)
+	leaders := map[*Scope]string{} // a round's scope, by its leader's name
 	log := func(who, what string) {
 		tr.Logf("%d %d %s %s", int64(s.Now()), s.Fired(), who, what)
 	}
@@ -114,7 +115,7 @@ func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) d
 	}
 	child = func(c *Proc, cs []fanChild, i int, res *Resource, link *Link) error {
 		script := cs[i]
-		log(c.name, fmt.Sprintf("start %d scope=%s", script.act, c.Scope().name))
+		log(c.name, fmt.Sprintf("start %d scope=%s", script.act, leaders[c.Scope()]))
 		switch script.act {
 		case fanSleep:
 			c.Sleep(script.d)
@@ -156,7 +157,7 @@ func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) d
 			res := NewResource(s, 1+int64(k))
 			link := NewLink(s, 1e6)
 			s.Spawn(fmt.Sprintf("r%d", k), func(p *Proc) {
-				p.LeadScope()
+				leaders[p.LeadScope()] = p.name
 				err := fan(p, cs, fmt.Sprintf("r%d/c", k), res, link)
 				log(p.name, fmt.Sprintf("fan: %v", err))
 			})

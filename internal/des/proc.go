@@ -43,9 +43,9 @@ type Proc struct {
 	granted bool
 
 	prevLive, nextLive *Proc
-	// scope is the process leading the scope this one is charged to
+	// scope is the innermost scope this process is in, open or ended
 	// (scope.go).
-	scope *Proc
+	scope *Scope
 }
 
 // worker is one process goroutine. It runs the process assigned to it,

@@ -6,17 +6,16 @@ import (
 )
 
 // TestSpawnedProcessesChargeTheLeadersScope: a process spawned from a
-// scope, and one spawned from that, charge the scope's leader; one the
-// Sim spawns is in no scope; once the scope ends nobody charges it, and
-// the ledger forgets it once read. The total takes every charge.
+// scope, and one spawned from that, charge the scope; one the Sim spawns
+// is in no scope; once the scope ends nobody charges it, and the ledger
+// forgets it once read. The total takes every charge.
 func TestSpawnedProcessesChargeTheLeadersScope(t *testing.T) {
 	s := New(1)
 	var ledger Ledger[int]
 	charge := func(p *Proc) { ledger.Charge(p, func(n *int) { *n++ }) }
-	var lead *Proc
+	var lead *Scope
 	s.Spawn("lead", func(p *Proc) {
-		lead = p
-		p.LeadScope()
+		lead = p.LeadScope()
 		charge(p)
 		var wg WaitGroup
 		wg.Add(2)
@@ -35,7 +34,7 @@ func TestSpawnedProcessesChargeTheLeadersScope(t *testing.T) {
 			charge(o)
 		})
 		wg.Wait(p)
-		if got := ledger.Scope(p); got != 3 {
+		if got := ledger.Scope(lead); got != 3 {
 			t.Errorf("scope charged %d times, want 3 (leader, child, grandchild)", got)
 		}
 		p.Spawn("late", func(l *Proc) {
@@ -56,6 +55,55 @@ func TestSpawnedProcessesChargeTheLeadersScope(t *testing.T) {
 	}
 	if got := ledger.Scope(lead); got != 0 || len(ledger.scopes) != 0 {
 		t.Errorf("an ended scope read twice reads %d, %d scopes kept", got, len(ledger.scopes))
+	}
+}
+
+// TestNestedScopeRestoresTheOuter: a scope led inside another takes the
+// charges of its leader and of what that spawns meanwhile, and the outer
+// takes none of them; EndScope puts the leader back in the outer scope,
+// and a child of the inner scope that outlives it charges nobody. Each
+// ended scope's ledger entry reads once, then reads zero.
+func TestNestedScopeRestoresTheOuter(t *testing.T) {
+	s := New(1)
+	var ledger Ledger[int]
+	charge := func(p *Proc) { ledger.Charge(p, func(n *int) { *n++ }) }
+	var outer, inner *Scope
+	s.Spawn("lead", func(p *Proc) {
+		outer = p.LeadScope()
+		charge(p)
+		inner = p.LeadScope()
+		if p.Scope() != inner {
+			t.Error("the leader is not in the scope it just led")
+		}
+		charge(p)
+		p.Spawn("late", func(c *Proc) {
+			charge(c)
+			c.Sleep(1)
+			charge(c) // after the inner scope ended
+		})
+		p.Sleep(0)
+		p.EndScope()
+		if p.Scope() != outer {
+			t.Error("EndScope of the inner scope left the leader outside the outer one")
+		}
+		if got := ledger.Scope(inner); got != 2 {
+			t.Errorf("inner scope charged %d times, want 2 (leader, child)", got)
+		}
+		charge(p)
+		p.Sleep(2)
+		p.EndScope()
+		if p.Scope() != nil {
+			t.Error("the leader is in a scope after ending both")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ledger.Scope(outer); got != 2 || ledger.Total != 5 {
+		t.Errorf("outer scope charged %d times, total %d; want 2 and 5", got, ledger.Total)
+	}
+	if a, b := ledger.Scope(inner), ledger.Scope(outer); a != 0 || b != 0 || len(ledger.scopes) != 0 {
+		t.Errorf("ended scopes read twice read %d and %d, %d scopes kept", a, b, len(ledger.scopes))
 	}
 }
 

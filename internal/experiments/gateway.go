@@ -64,10 +64,12 @@ type GatewayRun struct {
 
 	// Events is the number of simulation events the run fired; Wall is
 	// the real time the run took; EventsPerSec is their ratio — the
-	// kernel-throughput headline.
+	// kernel-throughput headline. Handoffs is how often the baton passed
+	// between goroutines (des.Sim.Handoffs).
 	Events       int64
 	Wall         time.Duration
 	EventsPerSec float64
+	Handoffs     int64
 }
 
 // openLoop is one open-loop arrival stream pushed through the
@@ -172,7 +174,7 @@ func (ol openLoop) drive(profile calib.Profile) (*loopRun, error) {
 		return nil, fmt.Errorf("experiments: gateway sim: %w", err)
 	}
 	run.Wall = time.Since(start)
-	run.Events = rig.Sim.Fired()
+	run.Events, run.Handoffs = rig.Sim.Fired(), rig.Sim.Handoffs()
 	if run.Wall > 0 {
 		run.EventsPerSec = float64(run.Events) / run.Wall.Seconds()
 	}

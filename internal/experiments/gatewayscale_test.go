@@ -11,6 +11,11 @@ import (
 // `faasbench -experiment gatewayscale`): the fair-share and
 // attribution invariants must survive the jump in registered-tenant
 // count, and the run must complete every admitted-or-shed ticket.
+//
+// It also pins what an arrival costs the kernel: three events (the
+// generator's wake, the spawn of the job's process and its one stage's
+// sleep, which runs on that process) and at most three baton handoffs.
+// The four events left over are the session's and the driver's.
 func TestGatewayScaleExperiment(t *testing.T) {
 	tenants, submissions := 1000, 10000
 	if testing.Short() {
@@ -34,6 +39,13 @@ func TestGatewayScaleExperiment(t *testing.T) {
 	}
 	if res.Events == 0 || res.EventsPerSec == 0 {
 		t.Errorf("kernel metrics empty: %d events, %.0f events/s", res.Events, res.EventsPerSec)
+	}
+	arrivals := int64(submissions)
+	if want := 3*arrivals + 4; res.Events != want {
+		t.Errorf("%d events for %d arrivals, want 3 an arrival + 4 = %d", res.Events, arrivals, want)
+	}
+	if res.Handoffs > 3*arrivals {
+		t.Errorf("%d baton handoffs for %d arrivals, want at most 3 an arrival", res.Handoffs, arrivals)
 	}
 	if res.Rounds == 0 {
 		t.Error("no DRR rounds recorded")

@@ -22,11 +22,10 @@ func TestAttemptsChargeTheInvokersScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := InvokeOptions{MaxRetries: 20}
-	var lead *des.Proc
+	var lead *des.Scope
 	var outside Meter
 	sim.Spawn("stage", func(p *des.Proc) {
-		lead = p
-		p.LeadScope()
+		lead = p.LeadScope()
 		if _, err := pf.MapSync(p, "f", make([]any, 6), opts); err != nil {
 			t.Error(err)
 		}

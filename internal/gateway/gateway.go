@@ -403,6 +403,7 @@ func (g *Gateway) Close() (Report, error) {
 	}
 	rep := Report{
 		Session: sr,
+		Tenants: make([]TenantStats, 0, len(g.order)),
 		Rounds:  g.rounds,
 		Starved: g.starved,
 	}

@@ -26,14 +26,13 @@ func TestCallbacksChargeTheCallersScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(svc)
-	var lead *des.Proc
+	var lead *des.Scope
 	var inside Metrics
 	runSim(t, svc, func(p *des.Proc) {
 		if err := c.CreateBucket(p, "b"); err != nil {
 			t.Fatal(err)
 		}
-		lead = p
-		p.LeadScope()
+		lead = p.LeadScope()
 		before := svc.Metrics()
 		if _, err := c.PutEach(p, "b", 4, func(i int) (string, payload.Payload) {
 			return string(rune('a' + i)), payload.Sized(int64(1000 * (i + 1)))

@@ -162,3 +162,89 @@ func TestOverlappingJobsBillWhatTheyUsed(t *testing.T) {
 		}
 	}
 }
+
+// TestLateChargeBillsNoLaterJob: one process submits two jobs back to
+// back, and each job's one stage runs on that process. The first stage
+// spawns a child that puts an object only once the second stage is open.
+// That put is metered but billed to neither job: it is late for the first
+// stage's scope, which has ended, and the second stage's scope is a new
+// one that the child is not in, though the same process leads it. Each
+// job is billed its own put alone.
+func TestLateChargeBillsNoLaterJob(t *testing.T) {
+	sess, err := session.Open(calib.Local(), session.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rig := sess.Rig()
+	c := objectstore.NewClient(rig.Store)
+	put := func(p *des.Proc, key string) {
+		if err := c.Put(p, "b", key, payload.Sized(1000)); err != nil {
+			t.Errorf("put %s: %v", key, err)
+		}
+	}
+	job := func(name string, fn func(*core.StageContext) error) session.Job {
+		w := core.NewWorkflow(name)
+		if err := w.Add(&core.FuncStage{StageName: "work", Fn: fn}); err != nil {
+			t.Fatal(err)
+		}
+		return session.WorkflowJob(w, nil)
+	}
+	var (
+		late     *des.Proc
+		released bool
+		lateDone des.WaitGroup
+	)
+	lateDone.Add(1)
+	jobs := []session.Job{
+		job("first", func(ctx *core.StageContext) error {
+			late = ctx.Proc.Spawn("late", func(l *des.Proc) {
+				defer lateDone.Done()
+				for !released {
+					l.Park()
+				}
+				put(l, "late")
+			})
+			put(ctx.Proc, "first")
+			return nil
+		}),
+		job("second", func(ctx *core.StageContext) error {
+			released = true
+			late.Wake()
+			put(ctx.Proc, "second")
+			lateDone.Wait(ctx.Proc)
+			return nil
+		}),
+	}
+	var reps []*core.RunReport
+	var metered int64
+	rig.Sim.Spawn("submitter", func(p *des.Proc) {
+		if err := c.CreateBucket(p, "b"); err != nil {
+			t.Errorf("bucket: %v", err)
+			return
+		}
+		before := rig.Store.Metrics().ClassAOps
+		for _, j := range jobs {
+			rep, err := sess.SubmitIn(p, j)
+			if err != nil {
+				t.Errorf("SubmitIn: %v", err)
+				return
+			}
+			reps = append(reps, rep)
+		}
+		metered = rig.Store.Metrics().ClassAOps - before
+	})
+	if err := rig.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(reps) != 2 {
+		t.Fatalf("%d reports, want 2", len(reps))
+	}
+	if metered != 3 {
+		t.Errorf("the store metered %d puts, want 3 (each job's and the late one)", metered)
+	}
+	for i, rep := range reps {
+		if got := rep.Stages[0].Store.ClassAOps; got != 1 {
+			t.Errorf("job %d billed %d class-A requests, want 1: its own put", i+1, got)
+		}
+	}
+}
