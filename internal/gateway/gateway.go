@@ -113,8 +113,9 @@ type tenant struct {
 	cfg    TenantConfig
 	bucket *des.TokenBucket // nil: unlimited
 
-	pending  []*Ticket
+	pending  ticketQueue
 	inflight int
+	class    *waitClass // nil: no MaxQueueWait
 
 	// runnable marks the tenant as a member of the scheduler's
 	// runnable ring (it has pending work the DRR rounds must cover).
@@ -151,16 +152,12 @@ type Gateway struct {
 	runnable []*tenant
 	rrPos    int // round-robin scan cursor within a round
 
-	// deadlines orders every pending ticket of a MaxQueueWait tenant
-	// by shed deadline, so dispatch sheds exactly the overdue tickets
-	// instead of sweeping all registered tenants' queues. shedSeq is
-	// the FIFO tie-break for equal deadlines; deadlineDead counts
-	// entries whose ticket launched before its deadline surfaced, so
-	// compaction can drop them before they pin memory for a long
-	// MaxQueueWait.
-	deadlines    deadlineHeap
-	shedSeq      int64
-	deadlineDead int
+	// classes holds one shed queue per distinct MaxQueueWait, which a
+	// tenant finds at registration; shedding lists the classes that
+	// hold a ticket, so dispatch sheds exactly the overdue tickets
+	// without visiting idle tenants or idle classes.
+	classes  map[time.Duration]*waitClass
+	shedding []*waitClass
 
 	pendingTotal int
 	active       int
@@ -185,6 +182,7 @@ func New(sess *session.Session, auth Authenticator, opts Options) *Gateway {
 		opts:    opts.withDefaults(),
 		store:   objectstore.NewClient(sess.Rig().Store),
 		tenants: make(map[string]*tenant),
+		classes: make(map[time.Duration]*waitClass),
 	}
 }
 
@@ -207,6 +205,12 @@ func (g *Gateway) RegisterTenant(id string, cfg TenantConfig) error {
 	t.stats.Weight = cfg.Weight
 	if cfg.RatePerSec > 0 {
 		t.bucket = des.NewTokenBucket(g.sim, cfg.RatePerSec, cfg.Burst)
+	}
+	if w := cfg.MaxQueueWait; w > 0 {
+		if t.class = g.classes[w]; t.class == nil {
+			t.class = &waitClass{wait: w}
+			g.classes[w] = t.class
+		}
 	}
 	g.tenants[id] = t
 	g.order = append(g.order, t)
@@ -283,18 +287,21 @@ func (g *Gateway) Submit(p *des.Proc, cred Credential, job session.Job) (*Ticket
 		t.stats.RejectedRate++
 		return nil, fmt.Errorf("gateway: tenant %q: %w", t.id, ErrRateLimited)
 	}
-	if len(t.pending) >= t.cfg.MaxQueued {
+	if t.pending.len() >= t.cfg.MaxQueued {
 		t.stats.RejectedQueue++
 		return nil, fmt.Errorf("gateway: tenant %q: %w", t.id, ErrQueueFull)
 	}
 	tk := &Ticket{Tenant: t.id, Submitted: p.Now(), job: job, queued: true}
-	t.pending = append(t.pending, tk)
+	t.pending.push(tk)
 	g.pendingTotal++
 	t.stats.Admitted++
 	g.enterRunnable(t)
-	if t.cfg.MaxQueueWait > 0 {
-		g.shedSeq++
-		g.deadlines.push(tk.Submitted+t.cfg.MaxQueueWait, g.shedSeq, tk)
+	if c := t.class; c != nil {
+		c.q.push(tk)
+		if !c.listed {
+			c.listed = true
+			g.shedding = append(g.shedding, c)
+		}
 	}
 	g.dispatch()
 	return tk, nil
@@ -333,15 +340,10 @@ func (g *Gateway) admitTenant(cred Credential) (*tenant, error) {
 // launch moves a tenant's head-of-queue job onto the session, running
 // it on its own simulated process.
 func (g *Gateway) launch(t *tenant) {
-	tk := t.pending[0]
-	t.pending[0] = nil // the backing array outlives the pop
-	t.pending = t.pending[1:]
+	tk := t.pending.pop()
 	tk.queued = false
-	if t.cfg.MaxQueueWait > 0 {
-		// The ticket's deadline entry is now dead weight; count it so
-		// compaction can reclaim it before shedStale would.
-		g.deadlineDead++
-		g.maybeCompactDeadlines()
+	if t.class != nil {
+		t.class.noteLaunch()
 	}
 	g.pendingTotal--
 	t.inflight++

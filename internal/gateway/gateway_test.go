@@ -262,6 +262,113 @@ func TestQueueDeadlineSheds(t *testing.T) {
 	}
 }
 
+// TestShedOrderAcrossWaitClasses: tickets of tenants with different
+// MaxQueueWait values that fall due at the same instant are shed in
+// (deadline, admission) order across the classes, each one as its
+// tenant's oldest ticket, at the dispatch that finds them overdue. A
+// deadline tie between classes goes to the longer wait: it was
+// admitted earlier. Every ticket has its own waiter, so the log is the
+// order the gateway finished them in, not the order they were waited on.
+func TestShedOrderAcrossWaitClasses(t *testing.T) {
+	g := openGateway(t, gateway.StaticTokens{"f": "fast", "a": "slowA", "b": "slowB", "n": "free"},
+		gateway.Options{MaxConcurrent: 1}, session.Options{})
+	for _, r := range []struct {
+		id   string
+		wait time.Duration
+	}{{"fast", 300 * time.Millisecond}, {"slowA", 500 * time.Millisecond}, {"slowB", 500 * time.Millisecond}, {"free", 0}} {
+		if err := g.RegisterTenant(r.id, gateway.TenantConfig{MaxQueued: 10, MaxQueueWait: r.wait}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim := g.Session().Rig().Sim
+	var log []string
+	tickets := map[string]*gateway.Ticket{}
+	submitted := map[string]int{}
+	drive(t, g, func(p *des.Proc) {
+		// Each step: sleep until at, then submit one job per token.
+		for _, step := range []struct {
+			at   time.Duration
+			toks string
+		}{
+			{0, "nab"},  // free/0 takes the one slot for 1s; slowA/0, slowB/0 fall due at 500ms
+			{100, "a"},  // slowA/1 falls due at 600ms
+			{200, "f"},  // fast/0 falls due at 500ms, tied with slowA/0 and slowB/0
+			{300, "bf"}, // slowB/1 at 800ms; fast/1 at 600ms, tied with slowA/1
+			{500, "f"},  // fast/2 at 800ms, tied with slowB/1; nothing is overdue yet at 500ms
+			{600, "n"},  // free/1 queues; this dispatch sheds the 500ms ties
+			{900, "a"},  // slowA/2 falls due at 1.4s; this dispatch sheds the 600ms and 800ms ties
+		} {
+			p.Sleep(step.at*time.Millisecond - p.Now())
+			for _, tok := range step.toks {
+				d := 10 * time.Millisecond
+				if p.Now() == 0 && tok == 'n' {
+					d = time.Second
+				}
+				tk, err := g.Submit(p, gateway.Credential{Token: string(tok)}, sleepJob("j", d))
+				if err != nil {
+					t.Fatalf("submit %c at %s: %v", tok, p.Now(), err)
+				}
+				name := fmt.Sprintf("%s/%d", tk.Tenant, submitted[tk.Tenant])
+				submitted[tk.Tenant]++
+				tickets[name] = tk
+				sim.Spawn("wait/"+name, func(w *des.Proc) {
+					tk.Wait(w)
+					log = append(log, fmt.Sprintf("%s@%s", name, w.Now()))
+				})
+			}
+		}
+		g.Drain(p)
+	})
+	want := []string{
+		"slowA/0@600ms", "slowB/0@600ms", "fast/0@600ms",
+		"slowA/1@900ms", "fast/1@900ms", "slowB/1@900ms", "fast/2@900ms",
+		"free/0@1s", "slowA/2@1.01s", "free/1@1.02s",
+	}
+	if got := strings.Join(log, " "); got != strings.Join(want, " ") {
+		t.Errorf("wake order:\n got %s\nwant %s", got, strings.Join(want, " "))
+	}
+	for _, c := range []struct {
+		name     string
+		finished time.Duration
+		err      string
+	}{
+		{"slowA/0", 600 * time.Millisecond, `gateway: tenant "slowA": queued 600ms beyond MaxQueueWait 500ms: gateway: queue deadline exceeded`},
+		{"slowB/0", 600 * time.Millisecond, `gateway: tenant "slowB": queued 600ms beyond MaxQueueWait 500ms: gateway: queue deadline exceeded`},
+		{"fast/0", 600 * time.Millisecond, `gateway: tenant "fast": queued 400ms beyond MaxQueueWait 300ms: gateway: queue deadline exceeded`},
+		{"slowA/1", 900 * time.Millisecond, `gateway: tenant "slowA": queued 800ms beyond MaxQueueWait 500ms: gateway: queue deadline exceeded`},
+		{"fast/1", 900 * time.Millisecond, `gateway: tenant "fast": queued 600ms beyond MaxQueueWait 300ms: gateway: queue deadline exceeded`},
+		{"slowB/1", 900 * time.Millisecond, `gateway: tenant "slowB": queued 600ms beyond MaxQueueWait 500ms: gateway: queue deadline exceeded`},
+		{"fast/2", 900 * time.Millisecond, `gateway: tenant "fast": queued 400ms beyond MaxQueueWait 300ms: gateway: queue deadline exceeded`},
+		{"free/0", time.Second, ""},
+		{"slowA/2", 1010 * time.Millisecond, ""},
+		{"free/1", 1020 * time.Millisecond, ""},
+	} {
+		tk := tickets[c.name]
+		_, err := tk.Report()
+		got := ""
+		if err != nil {
+			got = err.Error()
+			if !errors.Is(err, gateway.ErrDeadlineExceeded) {
+				t.Errorf("%s: error %v is not ErrDeadlineExceeded", c.name, err)
+			}
+		}
+		if tk.Finished != c.finished || got != c.err {
+			t.Errorf("%s: finished %s, err %q; want %s, %q", c.name, tk.Finished, got, c.finished, c.err)
+		}
+	}
+	rep, err := g.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	shed := map[string]int64{}
+	for _, ts := range rep.Tenants {
+		shed[ts.ID] = ts.Shed
+	}
+	if want := map[string]int64{"fast": 3, "slowA": 2, "slowB": 2, "free": 0}; fmt.Sprint(shed) != fmt.Sprint(want) {
+		t.Errorf("shed counts %v, want %v", shed, want)
+	}
+}
+
 // TestWeightedFairShare: with both tenants saturating a serial
 // gateway, launch order follows DRR weights — a weight-3 tenant gets
 // three slots for the weight-1 tenant's one — and nobody starves.

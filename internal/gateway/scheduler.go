@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/session"
@@ -19,13 +18,16 @@ import (
 // and restarting the round on each call would collapse weighted shares
 // back to 1:1 alternation.
 //
-// Everything here iterates the runnable ring, never the registration
-// table: a tenant enters the ring when its first pending ticket is
+// Nothing here iterates the registration table. DRR iterates the
+// runnable ring: a tenant enters it when its first pending ticket is
 // admitted and leaves at the first round boundary that finds it
-// drained, so dispatch cost scales with tenants that have work, not
-// with tenants that exist. At the roadmap's 100k-tenant scale that is
-// the difference between O(active) and a 100x-slower full-table scan
-// per submission (measured in BenchmarkGatewayDispatch).
+// drained. Shedding iterates the wait classes that hold a ticket, one
+// FIFO per distinct MaxQueueWait, whose order is already deadline
+// order. So dispatch cost scales with tenants that have work, not with
+// tenants or waits that exist. At the roadmap's 100k-tenant scale that
+// is the difference between O(active) and a 100x-slower full-table
+// scan per submission (measured in BenchmarkGatewayDispatch, whose idle
+// tenants each have a wait of their own).
 //
 // Starvation accounting is structural: a tenant that entered a round
 // with work pending and exited it with no launches (while other
@@ -63,38 +65,47 @@ func (g *Gateway) dispatch() {
 // enough: a ticket can only launch through dispatch, so no stale
 // ticket ever reaches the session, and a standing timer process would
 // hold the simulation's event heap hostage between arrivals the same
-// way a standing dispatcher would. The deadline heap hands over
-// exactly the overdue tickets; tickets that launched before their
-// deadline are skipped when their heap entry surfaces. Shed jobs count
-// in the Shed ledger only, not Completed/Failed: the tenant's failure
-// rate measures jobs that ran, the shed count measures backlog the
-// gateway refused to burn shared capacity on.
+// way a standing dispatcher would. Only wait classes that hold a ticket
+// are looked at, and a class's front is its next ticket to fall due, so
+// the overdue front that falls due first — by deadline, then by
+// admission — is the next ticket to shed. It is also its tenant's
+// oldest: every ticket ahead of it in the tenant's queue was admitted
+// earlier under the same wait, so it fell due earlier and is already
+// gone. Shed jobs count in the Shed ledger only, not Completed/Failed:
+// the tenant's failure rate measures jobs that ran, the shed count
+// measures backlog the gateway refused to burn shared capacity on.
 func (g *Gateway) shedStale() {
 	now := g.sim.Now()
-	for len(g.deadlines) > 0 {
-		top := g.deadlines[0]
-		if top.at >= now {
+	for {
+		var due *waitClass
+		kept := g.shedding[:0]
+		for _, c := range g.shedding {
+			c.dropLaunched()
+			if c.q.len() == 0 {
+				c.listed = false
+				continue
+			}
+			kept = append(kept, c)
+			if c.deadline() < now && (due == nil || c.dueBefore(due)) {
+				due = c
+			}
+		}
+		clear(g.shedding[len(kept):])
+		g.shedding = kept
+		if due == nil {
 			return
 		}
-		g.deadlines.pop()
-		tk := top.tk
-		if !tk.queued {
-			g.deadlineDead-- // launched before the deadline; entry was dead
-			continue
-		}
+		tk := due.q.pop()
 		t := g.tenants[tk.Tenant]
-		for i, q := range t.pending {
-			if q == tk {
-				t.pending = slices.Delete(t.pending, i, i+1) // clears the vacated tail slot
-				break
-			}
+		if t.pending.pop() != tk {
+			panic("gateway: shed ticket is not its tenant's oldest")
 		}
 		tk.queued = false
 		tk.job = session.Job{}
 		g.pendingTotal--
 		t.stats.Shed++
 		tk.finish(nil, fmt.Errorf("gateway: tenant %q: queued %s beyond MaxQueueWait %s: %w",
-			t.id, now-tk.Submitted, t.cfg.MaxQueueWait, ErrDeadlineExceeded), now)
+			t.id, now-tk.Submitted, due.wait, ErrDeadlineExceeded), now)
 	}
 }
 
@@ -107,7 +118,7 @@ func (g *Gateway) nextCredited() *tenant {
 	n := len(g.runnable)
 	for i := 0; i < n; i++ {
 		t := g.runnable[(g.rrPos+i)%n]
-		if t.deficit >= 1 && len(t.pending) > 0 && t.inflight < t.cfg.MaxConcurrent {
+		if t.deficit >= 1 && t.pending.len() > 0 && t.inflight < t.cfg.MaxConcurrent {
 			g.rrPos = (g.rrPos + i) % n
 			return t
 		}
@@ -138,7 +149,7 @@ func (g *Gateway) startRound() bool {
 			t.stats.StarvedRounds++
 		}
 		t.launchedInRound = 0
-		if len(t.pending) == 0 {
+		if t.pending.len() == 0 {
 			// Drained: leave the ring (keeping any unspent credit, up
 			// to the bank cap). The next admitted ticket re-enters the
 			// tenant through enterRunnable.
@@ -169,119 +180,92 @@ func (g *Gateway) startRound() bool {
 	return dispatchable
 }
 
-// deadlineEnt is one pending ticket's shed deadline.
-type deadlineEnt struct {
-	at  time.Duration
-	seq int64 // admission order: FIFO tie-break for equal deadlines
-	tk  *Ticket
+// ticketQueue is a FIFO of tickets: q[head:] are queued, oldest first.
+// Popped slots are cleared, and the slice restarts at its base whenever
+// it empties or fills (as des.Resource's queue does), so a queue that
+// has reached its peak length allocates nothing per ticket.
+type ticketQueue struct {
+	q    []*Ticket
+	head int
 }
 
-// deadlineHeap is a binary min-heap over (deadline, admission seq).
-// Entries are not removed when a ticket launches — shedStale skips
-// non-queued tickets when they surface — so push/pop stay O(log
-// pending) with only a counter increment on the launch path. Dead
-// entries are swept out by maybeCompactDeadlines once they dominate
-// the heap, so a long MaxQueueWait under high throughput cannot pin
-// launched tickets (and their job payloads) far beyond the actual
-// pending count.
-type deadlineHeap []deadlineEnt
+func (q *ticketQueue) len() int { return len(q.q) - q.head }
 
-// maybeCompactDeadlines rebuilds the deadline heap without entries for
-// already-launched tickets once they outnumber the live ones (and are
-// numerous enough to matter) — the same lazy-deletion bargain as the
-// DES kernel's event heap. The (deadline, seq) order of survivors is
-// untouched.
-func (g *Gateway) maybeCompactDeadlines() {
-	if g.deadlineDead < 64 || g.deadlineDead*2 < len(g.deadlines) {
-		return
+func (q *ticketQueue) front() *Ticket { return q.q[q.head] }
+
+func (q *ticketQueue) push(tk *Ticket) {
+	if q.head > 0 && len(q.q) == cap(q.q) {
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
 	}
-	old := g.deadlines
-	kept := old[:0]
-	for _, ent := range old {
-		if ent.tk.queued {
-			kept = append(kept, ent)
+	q.q = append(q.q, tk)
+}
+
+func (q *ticketQueue) pop() *Ticket {
+	tk := q.q[q.head]
+	q.q[q.head] = nil // the backing array must not keep a popped ticket
+	if q.head++; q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+	return tk
+}
+
+// keepQueued drops the tickets that are no longer queued, keeping the
+// others in order.
+func (q *ticketQueue) keepQueued() {
+	kept := q.q[:0]
+	for _, tk := range q.q[q.head:] {
+		if tk.queued {
+			kept = append(kept, tk)
 		}
 	}
-	for i := len(kept); i < len(old); i++ {
-		old[i] = deadlineEnt{} // release the dropped tickets
+	clear(q.q[len(kept):])
+	q.q, q.head = kept, 0
+}
+
+// waitClass is the shed queue of the tenants that share one
+// MaxQueueWait: every ticket they admitted that has not been shed or
+// dropped, in admission order. A tenant's wait never changes and
+// admission instants only grow, so admission order is deadline order,
+// and the front that is still queued is the class's next ticket to
+// fall due. A ticket that launches stays in the queue until it reaches
+// the front (dropLaunched) or compaction drops it.
+type waitClass struct {
+	wait     time.Duration
+	q        ticketQueue
+	launched int  // tickets in q that launched
+	listed   bool // in Gateway.shedding
+}
+
+// deadline is the instant the front ticket falls due.
+func (c *waitClass) deadline() time.Duration { return c.q.front().Submitted + c.wait }
+
+// dueBefore orders two classes' fronts by deadline, then by admission:
+// equal deadlines under different waits are different admission
+// instants, so this is the order of (deadline, admission sequence).
+func (c *waitClass) dueBefore(d *waitClass) bool {
+	if cd, dd := c.deadline(), d.deadline(); cd != dd {
+		return cd < dd
 	}
-	g.deadlines = kept
-	g.deadlineDead = 0
-	// Floyd heapify: sift down every internal node, last parent first.
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.siftDown(i)
+	return c.q.front().Submitted < d.q.front().Submitted
+}
+
+// dropLaunched pops launched tickets off the front.
+func (c *waitClass) dropLaunched() {
+	for c.q.len() > 0 && !c.q.front().queued {
+		c.q.pop()
+		c.launched--
 	}
 }
 
-// siftDown restores the heap property below index i.
-func (h deadlineHeap) siftDown(i int) {
-	n := len(h)
-	ent := h[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && entBefore(h[c+1], h[c]) {
-			c++
-		}
-		if !entBefore(h[c], ent) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+// noteLaunch counts a ticket of the class that launched. Once launched
+// tickets reach 64 and outnumber the queued ones, they are filtered out
+// in order, so a long MaxQueueWait under high throughput cannot pin
+// launched tickets far beyond the pending count.
+func (c *waitClass) noteLaunch() {
+	if c.launched++; c.launched >= 64 && 2*c.launched >= c.q.len() {
+		c.q.keepQueued()
+		c.launched = 0
 	}
-	h[i] = ent
-}
-
-func (h *deadlineHeap) push(at time.Duration, seq int64, tk *Ticket) {
-	g := *h
-	g = append(g, deadlineEnt{})
-	i := len(g) - 1
-	ent := deadlineEnt{at: at, seq: seq, tk: tk}
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entBefore(ent, g[p]) {
-			break
-		}
-		g[i] = g[p]
-		i = p
-	}
-	g[i] = ent
-	*h = g
-}
-
-func (h *deadlineHeap) pop() {
-	g := *h
-	n := len(g) - 1
-	tail := g[n]
-	g[n] = deadlineEnt{}
-	g = g[:n]
-	*h = g
-	if n == 0 {
-		return
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && entBefore(g[c+1], g[c]) {
-			c++
-		}
-		if !entBefore(g[c], tail) {
-			break
-		}
-		g[i] = g[c]
-		i = c
-	}
-	g[i] = tail
-}
-
-func entBefore(a, b deadlineEnt) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }

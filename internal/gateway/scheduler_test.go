@@ -2,6 +2,8 @@ package gateway
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,21 +13,19 @@ import (
 	"github.com/faaspipe/faaspipe/internal/session"
 )
 
-// TestDeadlineHeapCompaction pins the deadline heap's memory behavior:
-// entries for tickets that launched before their deadline surfaced are
-// dead weight, and once they dominate the heap a compaction sweep must
-// drop them (so a long MaxQueueWait cannot pin launched tickets far
-// beyond the pending count) without disturbing the (deadline, seq)
-// order of the survivors.
-func TestDeadlineHeapCompaction(t *testing.T) {
-	g := &Gateway{}
+// TestWaitClassCompaction pins a wait class's memory behavior: a
+// ticket that launched stays in its class's shed queue until it reaches
+// the front, so once launched tickets dominate the queue a compaction
+// must drop them (so a long MaxQueueWait cannot pin launched tickets
+// far beyond the pending count) without disturbing the admission order
+// of the survivors.
+func TestWaitClassCompaction(t *testing.T) {
+	c := &waitClass{wait: time.Minute}
 	const n = 512
 	tks := make([]*Ticket, n)
-	for i := 0; i < n; i++ {
-		tks[i] = &Ticket{queued: true}
-		g.shedSeq++
-		// Decreasing deadlines so every push sifts to the root.
-		g.deadlines.push(time.Duration(n-i)*time.Second, g.shedSeq, tks[i])
+	for i := range tks {
+		tks[i] = &Ticket{Submitted: time.Duration(i) * time.Millisecond, queued: true}
+		c.q.push(tks[i])
 	}
 	// "Launch" all but every 8th ticket, with the same bookkeeping as
 	// the launch path.
@@ -34,37 +34,33 @@ func TestDeadlineHeapCompaction(t *testing.T) {
 			continue
 		}
 		tk.queued = false
-		g.deadlineDead++
-		g.maybeCompactDeadlines()
+		c.noteLaunch()
 	}
-	if len(g.deadlines) >= n/2 {
-		t.Fatalf("deadline heap holds %d entries after %d launches, want < %d (compaction never ran)",
-			len(g.deadlines), n-n/8, n/2)
+	if c.q.len() >= n/2 {
+		t.Fatalf("wait class holds %d tickets after %d launches, want < %d (compaction never ran)",
+			c.q.len(), n-n/8, n/2)
 	}
-	var last deadlineEnt
-	live := 0
-	for first := true; len(g.deadlines) > 0; first = false {
-		top := g.deadlines[0]
-		g.deadlines.pop()
-		if !first && entBefore(top, last) {
-			t.Fatalf("heap order broken after compaction: (%v, %d) surfaced after (%v, %d)",
-				top.at, top.seq, last.at, last.seq)
+	live, last := 0, time.Duration(-1)
+	for c.dropLaunched(); c.q.len() > 0; c.dropLaunched() {
+		tk := c.q.pop()
+		if tk.Submitted <= last {
+			t.Fatalf("admission order broken after compaction: ticket admitted at %s surfaced after one admitted at %s",
+				tk.Submitted, last)
 		}
-		last = top
-		if top.tk.queued {
-			live++
-		}
+		last = tk.Submitted
+		live++
 	}
-	if live != n/8 {
-		t.Fatalf("drained %d still-queued entries, want %d", live, n/8)
+	if live != n/8 || c.launched != 0 {
+		t.Fatalf("drained %d still-queued tickets with %d launched left uncounted, want %d and 0", live, c.launched, n/8)
 	}
 }
 
 // TestFinishedTicketLetsGoOfItsJob: a ticket is a handle on a timeline
 // and a report, held by submitters for as long as they like; once its
 // job launched or was shed it must not keep the job's Build closure (and
-// through it the workflow and the stage closures) alive, and the
-// tenant's queue must not keep the ticket in a popped slot.
+// through it the workflow and the stage closures) alive, and neither the
+// tenant's queue nor its wait class's shed queue may keep the ticket in
+// a popped slot of its backing array.
 func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 	sess, err := session.Open(calib.Local(), session.Options{})
 	if err != nil {
@@ -75,18 +71,11 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := g.tenants["a"]
-	tn.pending = make([]*Ticket, 0, 8)
-	slots := tn.pending[:8] // the queue's backing array, popped slots included
-	job := func(d time.Duration) session.Job {
-		w := core.NewWorkflow("sleep")
-		if err := w.Add(&core.FuncStage{StageName: "work", Fn: func(ctx *core.StageContext) error {
-			ctx.Proc.Sleep(d)
-			return nil
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		return session.WorkflowJob(w, nil)
-	}
+	tn.pending.q = make([]*Ticket, 0, 8)
+	tn.class.q.q = make([]*Ticket, 0, 8)
+	// The queues' backing arrays, popped slots included: a queue that
+	// never holds more than 8 tickets keeps its array.
+	arrays := map[string][]*Ticket{"pending": tn.pending.q[:8], "shed": tn.class.q.q[:8]}
 	// The first job takes the one slot for 1s; the next two queue and
 	// are overdue by the time the last two arrive and trigger a dispatch.
 	var ran, shed []*Ticket
@@ -95,7 +84,7 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 			if i == 3 {
 				p.Sleep(600 * time.Millisecond)
 			}
-			tk, err := g.Submit(p, Credential{Token: "tok"}, job(d))
+			tk, err := g.Submit(p, Credential{Token: "tok"}, sleepJob(d))
 			if err != nil {
 				t.Errorf("Submit %d: %v", i, err)
 				return
@@ -134,9 +123,125 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 			t.Errorf("shed ticket %d still holds its job", i)
 		}
 	}
-	for i, tk := range slots {
-		if tk != nil {
-			t.Errorf("queue slot %d still points at a ticket after the drain", i)
+	for name, slots := range arrays {
+		for i, tk := range slots {
+			if tk != nil {
+				t.Errorf("%s queue slot %d still points at a ticket after the drain", name, i)
+			}
 		}
 	}
+}
+
+// FuzzShedOrder drives random registrations (1-4 distinct waits, some
+// of them zero, shared by 1-6 tenants), arrival gaps and job lengths in
+// 5 ms steps, so that deadlines tie across classes, through a gateway of
+// 1-3 slots, and holds the shedding contract: after every Submit and
+// every completion no queued ticket is overdue, shed tickets finish in
+// (deadline, admission) order, and every admitted ticket finishes.
+func FuzzShedOrder(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		step := func(n int) time.Duration { return time.Duration(r.Intn(n)) * 5 * time.Millisecond }
+		sess, err := session.Open(calib.Local(), session.Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		waits := make([]time.Duration, 1+r.Intn(4))
+		for i, base := range r.Perm(12)[:len(waits)] {
+			if r.Intn(5) > 0 {
+				waits[i] = time.Duration(1+base) * 5 * time.Millisecond
+			}
+		}
+		toks := StaticTokens{}
+		var creds []Credential
+		for i := 0; i < 1+r.Intn(6); i++ {
+			id := fmt.Sprintf("t%d", i)
+			toks[id] = id
+			creds = append(creds, Credential{Token: id})
+		}
+		g := New(sess, toks, Options{MaxConcurrent: 1 + r.Intn(3)})
+		waitOf := map[string]time.Duration{}
+		for _, c := range creds {
+			waitOf[c.Token] = waits[r.Intn(len(waits))]
+			if err := g.RegisterTenant(c.Token, TenantConfig{Weight: 1 + r.Intn(3), MaxConcurrent: 1 + r.Intn(2),
+				MaxQueued: 1 + r.Intn(32), MaxQueueWait: waitOf[c.Token]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type admitted struct {
+			tk       *Ticket
+			deadline time.Duration // 0: no MaxQueueWait
+		}
+		var all []admitted
+		var shed []int // indexes into all, in the order the waiters woke
+		noneOverdue := func(now time.Duration, after string) {
+			for i, a := range all {
+				if a.tk.queued && a.deadline > 0 && a.deadline < now {
+					t.Errorf("seed %d: after %s at %s, ticket %d (deadline %s) is queued and overdue", seed, after, now, i, a.deadline)
+				}
+			}
+		}
+		n := 1 + r.Intn(200)
+		g.sim.Spawn("driver", func(p *des.Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(step(3))
+				c := creds[r.Intn(len(creds))]
+				tk, err := g.Submit(p, c, sleepJob(step(16)+time.Millisecond))
+				if errors.Is(err, ErrQueueFull) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("seed %d: submit %d: %v", seed, i, err)
+					return
+				}
+				idx := len(all)
+				a := admitted{tk: tk}
+				if w := waitOf[c.Token]; w > 0 {
+					a.deadline = tk.Submitted + w
+				}
+				all = append(all, a)
+				noneOverdue(p.Now(), "Submit")
+				g.sim.Spawn("wait", func(w *des.Proc) {
+					if _, err := tk.Wait(w); errors.Is(err, ErrDeadlineExceeded) {
+						shed = append(shed, idx)
+					}
+					noneOverdue(w.Now(), "a finish")
+				})
+			}
+			g.Drain(p)
+		})
+		if err := g.sim.Run(); err != nil {
+			t.Fatalf("seed %d: sim: %v", seed, err)
+		}
+		for i, a := range all {
+			if !a.tk.Done() {
+				t.Errorf("seed %d: admitted ticket %d never finished", seed, i)
+			}
+		}
+		for k := 1; k < len(shed); k++ {
+			prev, cur := all[shed[k-1]], all[shed[k]]
+			if cur.deadline < prev.deadline || cur.deadline == prev.deadline && shed[k] < shed[k-1] {
+				t.Errorf("seed %d: shed ticket %d (deadline %s) finished after ticket %d (deadline %s)",
+					seed, shed[k], cur.deadline, shed[k-1], prev.deadline)
+			}
+		}
+		if _, err := g.Close(); err != nil {
+			t.Fatalf("seed %d: Close: %v", seed, err)
+		}
+	})
+}
+
+// sleepJob is a one-stage job that sleeps for d.
+func sleepJob(d time.Duration) session.Job {
+	w := core.NewWorkflow("sleep")
+	if err := w.Add(&core.FuncStage{StageName: "work", Fn: func(ctx *core.StageContext) error {
+		ctx.Proc.Sleep(d)
+		return nil
+	}}); err != nil {
+		panic(err)
+	}
+	return session.WorkflowJob(w, nil)
 }
