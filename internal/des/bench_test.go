@@ -224,7 +224,7 @@ func BenchmarkDESLinkTransfer(b *testing.B) {
 			l := NewLink(s, 10e9)
 			per := (b.N + flows - 1) / flows
 			for f := 0; f < flows; f++ {
-				f, k, name, flowCap := f, 0, fmt.Sprintf("get-%02d", f), 95e6
+				f, k, flowCap := f, 0, 95e6
 				if f%2 == 1 {
 					flowCap = bc.oddCap
 				}
@@ -232,7 +232,7 @@ func BenchmarkDESLinkTransfer(b *testing.B) {
 				next = func() {
 					if k < per {
 						k++
-						l.TransferAsync(name, size(f, k), flowCap, next)
+						l.TransferAsync(size(f, k), flowCap, next)
 					}
 				}
 				s.Schedule(0, next)

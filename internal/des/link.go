@@ -21,7 +21,7 @@ import (
 // The event is rescheduled at every change even when its flow and
 // instant stay the same: among other events of that instant it takes
 // the place of the latest change, and completions that share an
-// instant go in (remaining, flow name) order as of that change. Fired
+// instant go by (remaining, join order) as of that change. Fired
 // logs depend on both. The move is made in place on the kernel's heap
 // (Sim.move): the event takes the seq a cancel and a fresh Schedule
 // would have drawn, so it fires where that one would, and no dead entry
@@ -35,9 +35,9 @@ import (
 // flow the cap it already has, and reshare's search would compare
 // finishing instants that all come from one rate. An instant computed
 // by finishAt never falls as remaining grows, and reshare already
-// breaks ties on the instant by (remaining, name), then position; so
-// the flow with the least (remaining, name, position) is the flow
-// reshare would pick, and finishAt of that one flow is its instant.
+// breaks ties on the instant by (remaining, join order); so the flow
+// with the least (remaining, join order) is the flow reshare would
+// pick, and finishAt of that one flow is its instant.
 // sweep is that loop: subtract, clamp at zero, keep the least. Nothing
 // about it is approximate, and the event is moved exactly as on the
 // general path.
@@ -75,6 +75,8 @@ type Link struct {
 	fit float64
 
 	flows []*Flow
+	// joins numbers the flows in the order they joined (Flow.seq).
+	joins uint64
 	// free holds finished flows for the next transfer: a link that has
 	// reached its peak concurrency allocates nothing per transfer.
 	free []*Flow
@@ -113,9 +115,9 @@ type Flow struct {
 	bytes     float64 // the transfer's full size, for the stats
 	cap       float64 // per-flow cap; +Inf means none
 	rate      float64
-	// name breaks exact ties on remaining: the parked process's name,
-	// or the one TransferAsync was given.
-	name string
+	// seq is the flow's place in the order flows joined this link, and
+	// breaks exact ties on remaining.
+	seq uint64
 	// Completion wakes proc or schedules done; exactly one is set.
 	proc     *Proc
 	done     func()
@@ -123,12 +125,13 @@ type Flow struct {
 }
 
 // before is the order completion events at the same instant fire in:
-// least remaining first, flow name on exact ties.
+// least remaining first, the earlier joiner on exact ties. No two flows
+// of a link share a seq, so the order is total.
 func (f *Flow) before(g *Flow) bool {
 	if f.remaining != g.remaining {
 		return f.remaining < g.remaining
 	}
-	return f.name < g.name
+	return f.seq < g.seq
 }
 
 // fitSlack is the relative headroom assignRates demands before it
@@ -184,7 +187,7 @@ func (l *Link) Start(p *Proc, bytes int64, flowCap float64) *Flow {
 	if bytes <= 0 {
 		return nil
 	}
-	f := l.join(p.name, bytes, flowCap)
+	f := l.join(bytes, flowCap)
 	f.proc = p
 	return f
 }
@@ -206,22 +209,23 @@ func (l *Link) Collect(f *Flow) bool {
 
 // TransferAsync is Transfer for a caller that is not a process: it
 // returns at once and done fires as an event of the instant the bytes
-// have moved, where Transfer's wake of a process called name would have
-// fired. name orders this flow among flows that complete together (see
-// Link). done runs on whichever goroutine holds the baton and must not
-// block, like any scheduled callback. A zero-byte transfer schedules
-// done at the current instant; done is never run from inside the call.
-func (l *Link) TransferAsync(name string, bytes int64, flowCap float64, done func()) {
+// have moved, where Transfer's wake of a process that joined at this
+// point would have fired. Among flows that complete together it goes by
+// when it joined (see Link). done runs on whichever goroutine holds the
+// baton and must not block, like any scheduled callback. A zero-byte
+// transfer schedules done at the current instant; done is never run
+// from inside the call.
+func (l *Link) TransferAsync(bytes int64, flowCap float64, done func()) {
 	if bytes <= 0 {
 		l.sim.Schedule(l.sim.now, done)
 		return
 	}
-	l.join(name, bytes, flowCap).done = done
+	l.join(bytes, flowCap).done = done
 }
 
-// join puts a new flow on the link and reshares. The caller sets how
-// the flow completes; nothing fires before it has.
-func (l *Link) join(name string, bytes int64, flowCap float64) *Flow {
+// join puts a new flow on the link, next in join order, and reshares.
+// The caller sets how the flow completes; nothing fires before it has.
+func (l *Link) join(bytes int64, flowCap float64) *Flow {
 	var f *Flow
 	if n := len(l.free); n > 0 {
 		f, l.free = l.free[n-1], l.free[:n-1]
@@ -232,8 +236,9 @@ func (l *Link) join(name string, bytes int64, flowCap float64) *Flow {
 		remaining: float64(bytes),
 		bytes:     float64(bytes),
 		cap:       math.Inf(1),
-		name:      name,
+		seq:       l.joins,
 	}
+	l.joins++
 	if flowCap > 0 {
 		f.cap = flowCap
 	}
@@ -346,7 +351,7 @@ func (l *Link) assignRates() {
 }
 
 // waterfillFlows assigns rates by waterfill over the flows taken in
-// (remaining, flow name) order: which of two flows with equal caps
+// (remaining, join order): which of two flows with equal caps
 // gets the last-bit-different share depends on that order. The flows
 // are sorted in place, so while the link stays bound the next call
 // finds them nearly sorted.
@@ -460,15 +465,15 @@ func (l *Link) moved() float64 {
 
 // sweep is advance, assignRates and reshare in one pass, for a steady
 // link: every flow ran at cap1 and goes on at it, so each has the same
-// moved bytes taken off and the flow with the least left, name and then
-// position on ties, is the one reshare would pick, as a flow's
-// finishing instant never falls as what it has left grows. current is
+// moved bytes taken off and the flow with the least left, the earlier
+// joiner on ties, is the one reshare would pick, as a flow's finishing
+// instant never falls as what it has left grows. current is
 // the index of a flow that is already up to date (the one that joined,
 // or the one fire found unfinished), -1 for none.
 func (l *Link) sweep(moved float64, current int) {
 	next := -1
 	var least float64
-	var name string
+	var seq uint64
 	for i, f := range l.flows {
 		left := f.remaining
 		if moved > 0 && i != current {
@@ -477,8 +482,8 @@ func (l *Link) sweep(moved float64, current int) {
 			}
 			f.remaining = left
 		}
-		if next < 0 || left < least || left == least && f.name < name {
-			next, least, name = i, left, f.name
+		if next < 0 || left < least || left == least && f.seq < seq {
+			next, least, seq = i, left, f.seq
 		}
 	}
 	l.moveEvent(next, finishAt(l.sim.now, least, l.cap1))

@@ -20,6 +20,7 @@ import (
 // diffLink is what a schedule needs of either implementation.
 type diffLink interface {
 	Transfer(p *Proc, bytes int64, flowCap float64)
+	TransferAsync(bytes int64, flowCap float64, done func())
 	BytesMoved() float64
 	Transfers() int64
 	ActiveFlows() int
@@ -35,10 +36,10 @@ type diffFlow struct {
 	name  string
 	start time.Duration
 	xfers []diffXfer
-	// async flows run on the production Link as a chain of
-	// TransferAsync callbacks, each starting the next transfer, the
-	// shape of a store stream; the oracle, which has no such form, runs
-	// them as a process under the same name. Their gaps must be zero.
+	// async flows run as a chain of TransferAsync callbacks, each
+	// starting the next transfer, the shape of a store stream. The chain
+	// outlives a horizon that kills the process that began it. Their
+	// gaps must be zero.
 	async bool
 }
 
@@ -98,7 +99,7 @@ func linkForm(mk func(*Sim, float64) diffLink) destest.Form[diffSchedule] {
 			f := f
 			s.Spawn(f.name, func(p *Proc) {
 				p.Sleep(f.start)
-				if f.async && production != nil {
+				if f.async {
 					k := 0
 					var next func()
 					next = func() {
@@ -108,7 +109,7 @@ func linkForm(mk func(*Sim, float64) diffLink) destest.Form[diffSchedule] {
 						if k < len(f.xfers) {
 							x := f.xfers[k]
 							k++
-							production.TransferAsync(f.name, x.bytes, x.cap, next)
+							l.TransferAsync(x.bytes, x.cap, next)
 						}
 					}
 					next()
@@ -183,7 +184,7 @@ var (
 )
 
 // genSchedule draws n flows. Sizes mix equal megabytes (exact ties in
-// remaining, broken by name), whole milliseconds' worth at diffCap
+// remaining, broken by join order), whole milliseconds' worth at diffCap
 // (completions landing on the tickers' instants), odd sizes and
 // one-to-three-byte transfers (sub-byte residues at high rates).
 func genSchedule(r *rand.Rand, n int, capacity float64, capOf func(*rand.Rand) float64, arrive func(*rand.Rand) time.Duration) diffSchedule {
@@ -254,7 +255,7 @@ func TestLinkDifferential(t *testing.T) {
 
 // TestLinkDifferentialProbeShape is the benchmark harness's
 // link_transfer probe at reduced size: every proc has the same name,
-// so only remaining orders the finishers.
+// which orders nothing.
 func TestLinkDifferentialProbeShape(t *testing.T) {
 	for _, flows := range []int{8, 256} {
 		sc := diffSchedule{capacity: 10e9}
@@ -340,7 +341,8 @@ func capsSum(n int, c float64) float64 {
 }
 
 // spread gives flow i of a schedule a name out of spawn order, so that
-// ties on remaining do not fall the way the flows were listed.
+// a tie on remaining that fell to the names would not fall the way the
+// flows were listed.
 func spread(prefix string, i int) string { return fmt.Sprintf("%s%03d", prefix, (i*37)%101) }
 
 // brimSchedule keeps n-1 flows capped at c in flight for some 90 ms and
@@ -505,7 +507,7 @@ func TestLinkDifferentialBursts(t *testing.T) {
 		for burst, at := range []time.Duration{0, 2 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 5*time.Millisecond + 1, 9 * time.Millisecond} {
 			for i := 0; i < 10; i++ {
 				// Sizes repeat within and across bursts: flows of one burst tie
-				// on remaining and fall to their names.
+				// on remaining and fall to the order they joined in.
 				sc.flows = append(sc.flows, diffFlow{name: spread(fmt.Sprintf("b%d-", burst), i), start: at, async: i%2 == 0,
 					xfers: []diffXfer{{bytes: ms(float64(1 + i%3)), cap: diffCap}, {bytes: ms(1), cap: diffCap}, {bytes: 1 + int64(i%2), cap: diffCap}}})
 			}
@@ -521,38 +523,43 @@ func TestLinkDifferentialBursts(t *testing.T) {
 }
 
 // TestLinkDifferentialTies has every completion tie exactly on
-// remaining. With names apart the name decides, whichever form the flow
-// has; twins (one name, one series of transfers) and a whole population
-// named alike, the harness probe's shape, fall to position, which the
-// oracle does not define: the history reads the same whichever twin
-// goes first, and TestLinkTwinsFinishInJoinOrder pins which does.
+// remaining, whichever form the flow has, and the names out of the order
+// the flows joined in: at each shared instant the flows finish, and so
+// join again, in the order they were listed.
 func TestLinkDifferentialTies(t *testing.T) {
 	series := []diffXfer{{bytes: 1 << 20, cap: diffCap}, {bytes: 1 << 20, cap: diffCap}, {bytes: 3 << 19, cap: diffCap}}
-	named := func(name func(i int) string) diffSchedule {
-		sc := diffSchedule{capacity: 10e9}
-		for i := 0; i < 16; i++ {
-			sc.flows = append(sc.flows, diffFlow{name: name(i), async: i%2 == 0, xfers: series})
-		}
-		for _, at := range []time.Duration{11037642, 22075284} { // one and two MiB at diffCap
-			sc.ticks = append(sc.ticks, diffTick{at - time.Microsecond, at})
-		}
-		return sc
+	sc := diffSchedule{capacity: 10e9}
+	for i := 0; i < 16; i++ {
+		sc.flows = append(sc.flows, diffFlow{name: spread("t", i), async: i%2 == 0, xfers: series})
 	}
-	for shape, sc := range map[string]diffSchedule{
-		"names apart": named(func(i int) string { return spread("t", i) }),
-		"twins":       named(func(i int) string { return spread("t", i/2) }),
-		"named alike": named(func(int) string { return "flow" }),
-	} {
-		got, _ := linkOracle.Check(t, shape, sc, -1)
-		if got.Counts["single"] != 48 || got.Counts["general"] != 0 {
-			t.Fatalf("%s: %d completions took the single pass, %d the general path, want all 48 the single pass", shape, got.Counts["single"], got.Counts["general"])
+	for _, at := range []time.Duration{11037642, 22075284} { // one and two MiB at diffCap
+		sc.ticks = append(sc.ticks, diffTick{at - time.Microsecond, at})
+	}
+	got, _ := linkOracle.Check(t, t.Name(), sc, -1)
+	if got.Counts["single"] != 48 || got.Counts["general"] != 0 {
+		t.Fatalf("%d completions took the single pass, %d the general path, want all 48 the single pass", got.Counts["single"], got.Counts["general"])
+	}
+	finished := make([][]string, len(series))
+	for _, line := range got.Lines {
+		var name string
+		var k int
+		var at int64
+		if n, _ := fmt.Sscanf(line, "%s %d @%d", &name, &k, &at); n == 3 && k >= 0 {
+			finished[k] = append(finished[k], name)
+		}
+	}
+	for k, names := range finished {
+		for i, f := range sc.flows {
+			if i >= len(names) || names[i] != f.name {
+				t.Fatalf("transfer %d finished in the order %v, want the flows' join order", k, names)
+			}
 		}
 	}
 }
 
-// TestLinkTwinsFinishInJoinOrder pins what the oracle leaves open:
-// flows that tie on remaining and on name complete in the order they
-// joined, on either path.
+// TestLinkTwinsFinishInJoinOrder pins the tie rule without the oracle:
+// flows that tie on remaining complete in the order they joined, on
+// either path.
 func TestLinkTwinsFinishInJoinOrder(t *testing.T) {
 	for pathName, capacity := range map[string]float64{"single pass": 0, "general path": 2 * diffCap} {
 		s := New(1)
@@ -560,7 +567,7 @@ func TestLinkTwinsFinishInJoinOrder(t *testing.T) {
 		l := NewLink(s, capacity)
 		var order []int
 		for i := 0; i < 5; i++ {
-			l.TransferAsync("twin", 1<<20, diffCap, func() { order = append(order, i) })
+			l.TransferAsync(1<<20, diffCap, func() { order = append(order, i) })
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -605,7 +612,7 @@ func TestLinkDifferentialKeepsAnUnfinishedFlow(t *testing.T) {
 // capacity as TestLinkShortcutMatchesWaterfillAtTheBrim does, but
 // reaches the brim the way a run does, a join and a completion at a
 // time, and after every change holds each flow's rate to Waterfill's
-// over the flows in (remaining, name) order, bit for bit, and the
+// over the flows sorted by (remaining, join order), bit for bit, and the
 // link's steady-state bookkeeping to the flows it describes.
 func TestLinkRatesThroughJoinAndFire(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -665,8 +672,8 @@ func TestLinkRatesThroughJoinAndFire(t *testing.T) {
 			atCap := true
 			for i, want := range oracleWaterfill(capacity, sorted) {
 				if math.Float64bits(flows[i].rate) != math.Float64bits(want) {
-					t.Fatalf("trial %d, %s with %d in flight (sum/capacity-1 = %g): %s runs at %v, waterfill gives it %v",
-						trial, what, len(flows), within/capacity-1, flows[i].name, flows[i].rate, want)
+					t.Fatalf("trial %d, %s with %d in flight (sum/capacity-1 = %g): flow %d runs at %v, waterfill gives it %v",
+						trial, what, len(flows), within/capacity-1, flows[i].seq, flows[i].rate, want)
 				}
 				atCap = atCap && want == flows[i].cap
 			}
@@ -686,7 +693,7 @@ func TestLinkRatesThroughJoinAndFire(t *testing.T) {
 		fire := l.fireFn
 		l.fireFn = func() { fire(); check("a completion") }
 		join := func(i int) {
-			l.TransferAsync(fmt.Sprintf("j%03d", (i*37)%103), int64(1<<20+i*(1<<14)+i), caps[i], func() {})
+			l.TransferAsync(int64(1<<20+i*(1<<14)+i), caps[i], func() {})
 			check("a join")
 		}
 		s.Schedule(0, func() {
@@ -709,4 +716,44 @@ func TestLinkRatesThroughJoinAndFire(t *testing.T) {
 	if single < 10*trials || general < 10*trials || shaved == 0 {
 		t.Fatalf("%d changes left the link steady, %d not, %d within the capacity yet off the caps: the walk misses a side", single, general, shaved)
 	}
+}
+
+// drawLinkScenario is FuzzLinkDifferential's scenario: up to 24 flows,
+// process and callback chains mixed, drawn from few sizes, caps and
+// start instants so that flows tie on remaining most of the time, and
+// two times in three a horizon somewhere in the first 30 ms that kills
+// the processes mid-transfer while the chains run on.
+func drawLinkScenario(seed int64) (diffSchedule, time.Duration) {
+	r := rand.New(rand.NewSource(seed))
+	n := 1 + r.Intn(24)
+	sc := diffSchedule{capacity: []float64{0, 2 * diffCap, diffCap * float64(n) / 2, diffCap * float64(n), 4 * diffCap * float64(n)}[r.Intn(5)]}
+	sizes := []int64{1 << 20, 1 << 20, 3 << 19, diffCap / 1000, 2}
+	caps := []float64{diffCap, diffCap, diffCap, 0, 1e9 / 3}
+	at := func() time.Duration { return []time.Duration{0, 0, time.Millisecond, 5 * time.Millisecond}[r.Intn(4)] }
+	for i := 0; i < n; i++ {
+		f := diffFlow{name: spread("z", i), start: at(), async: r.Intn(2) == 0}
+		for k := 0; k < 1+r.Intn(3); k++ {
+			x := diffXfer{bytes: sizes[r.Intn(len(sizes))], cap: caps[r.Intn(len(caps))]}
+			if !f.async && r.Intn(3) == 0 {
+				x.gap = at()
+			}
+			f.xfers = append(f.xfers, x)
+		}
+		sc.flows = append(sc.flows, f)
+	}
+	for i := 0; i < 4; i++ {
+		armed := time.Duration(r.Int63n(int64(12 * time.Millisecond)))
+		sc.ticks = append(sc.ticks, diffTick{armed, armed.Truncate(time.Millisecond) + time.Millisecond})
+	}
+	horizon := time.Duration(-1)
+	if r.Intn(3) > 0 {
+		horizon = time.Duration(1 + r.Int63n(int64(30*time.Millisecond)))
+	}
+	return sc, horizon
+}
+
+// FuzzLinkDifferential holds the Link to the oracle on a scenario drawn
+// from each fuzzed seed, stopped at its horizon if it has one.
+func FuzzLinkDifferential(f *testing.F) {
+	destest.Fuzz(f, linkOracle, drawLinkScenario, 1, 2, 3, 46, 101, 2024)
 }

@@ -301,13 +301,13 @@ func wakeOrder(t *testing.T, l *Link, flowCap float64, names []string, bytes []i
 	return order, at
 }
 
-func TestLinkSameInstantFinishersWakeByRemainingThenName(t *testing.T) {
+func TestLinkSameInstantFinishersWakeByRemainingThenJoinOrder(t *testing.T) {
 	// Equal sizes at equal rates: an exact tie in remaining at every
-	// reshare, so the names decide, not the spawn order.
+	// reshare, so the order the flows joined in decides, not the names.
 	order, at := wakeOrder(t, NewLink(New(1), 1000), 100,
 		[]string{"c", "a", "d", "b"}, []int64{100, 100, 100, 100})
-	if got := fmt.Sprint(order); got != "[a b c d]" {
-		t.Fatalf("wake order = %v, want [a b c d]", order)
+	if got := fmt.Sprint(order); got != "[c a d b]" {
+		t.Fatalf("wake order = %v, want [c a d b]", order)
 	}
 	for _, d := range at {
 		if d != time.Second {
@@ -315,7 +315,8 @@ func TestLinkSameInstantFinishersWakeByRemainingThenName(t *testing.T) {
 		}
 	}
 	// 1500 and 1999 bytes at 1e12 B/s both round up to 2 ns: same
-	// instant, and the smaller remainder goes first whatever its name.
+	// instant, and the smaller remainder goes first although it joined
+	// last.
 	order, at = wakeOrder(t, NewLink(New(1), 0), 1e12,
 		[]string{"a", "z"}, []int64{1999, 1500})
 	if got := fmt.Sprint(order); got != "[z a]" || at[0] != 2 || at[1] != 2 {
@@ -339,7 +340,7 @@ func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
 	}
 	s.Spawn("stall", func(p *Proc) {
 		for i, f := range l.flows {
-			if f.name == "starved" {
+			if f.proc.name == "starved" {
 				f.rate = 0
 			} else {
 				l.next = i
@@ -374,7 +375,7 @@ func TestLinkLeavesNoDeadEvent(t *testing.T) {
 	}
 	join := func(at time.Duration, name string, bytes int64, flowCap float64) {
 		s.Schedule(at, func() {
-			l.TransferAsync(name, bytes, flowCap, func() { check(name + " done") })
+			l.TransferAsync(bytes, flowCap, func() { check(name + " done") })
 			check(name + " joins")
 		})
 	}
@@ -451,7 +452,7 @@ func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 		parked = testing.AllocsPerRun(200, func() { l.Transfer(p, 1<<20, 95e6) })
 		done := func() { p.Wake() }
 		async = testing.AllocsPerRun(200, func() {
-			l.TransferAsync("probe", 1<<20, 95e6, done)
+			l.TransferAsync(1<<20, 95e6, done)
 			p.Park()
 		})
 		// Sixteen at once: the first run takes the link to 79 flows, a
@@ -461,7 +462,7 @@ func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 		wave := func(l *Link, flowCap float64) {
 			landed = 0
 			for i := 0; i < 16; i++ {
-				l.TransferAsync("probe", int64(1<<20+i), flowCap, land)
+				l.TransferAsync(int64(1<<20+i), flowCap, land)
 			}
 			for landed < 16 {
 				p.Park()
@@ -483,9 +484,9 @@ func TestLinkSteadyStateTransferAllocatesNothing(t *testing.T) {
 
 // TestLinkAsyncFiresWhereTheWakeWould runs seeded schedules of flows
 // three times: every flow a process parked in Transfer, every flow a
-// TransferAsync under the same name, and the two forms alternating.
-// Completion order (ties on remaining and on name included), instants,
-// event count and the link's counters must not tell the runs apart.
+// TransferAsync from that process, and the two forms alternating.
+// Completion order (ties on remaining included), instants, event count
+// and the link's counters must not tell the runs apart.
 func TestLinkAsyncFiresWhereTheWakeWould(t *testing.T) {
 	type flow struct {
 		name   string
@@ -499,8 +500,8 @@ func TestLinkAsyncFiresWhereTheWakeWould(t *testing.T) {
 		flows := make([]flow, 1+r.Intn(40))
 		size := int64(1 + r.Intn(100_000))
 		for i := range flows {
-			// Names out of spawn order, sizes and arrivals mostly shared:
-			// completions tie on remaining and fall to the name.
+			// Sizes and arrivals mostly shared: completions tie on
+			// remaining and fall to the order the flows joined in.
 			f := flow{name: fmt.Sprintf("f%d", (i*7)%len(flows)), bytes: size, cap: 1e6}
 			if r.Intn(4) == 0 {
 				f.bytes = int64(r.Intn(100_000)) // zero included
@@ -525,7 +526,7 @@ func TestLinkAsyncFiresWhereTheWakeWould(t *testing.T) {
 						l.Transfer(p, f.bytes, f.cap)
 						landed()
 					case f.bytes > 0:
-						l.TransferAsync(f.name, f.bytes, f.cap, landed)
+						l.TransferAsync(f.bytes, f.cap, landed)
 					default:
 						// Transfer returns at once on zero bytes; the async form
 						// takes one event to say so.
@@ -563,7 +564,7 @@ func TestLinkAsyncZeroBytesIsOneEvent(t *testing.T) {
 	l := NewLink(s, 1000)
 	ran := false
 	s.Spawn("p", func(p *Proc) {
-		l.TransferAsync("z", 0, 0, func() { ran = true })
+		l.TransferAsync(0, 0, func() { ran = true })
 		if ran {
 			t.Error("done ran inside TransferAsync")
 		}
@@ -579,7 +580,7 @@ func TestLinkAsyncZeroBytesIsOneEvent(t *testing.T) {
 // TestLinkShortcutMatchesWaterfillAtTheBrim walks the sum of caps
 // across the capacity in steps from one ulp to a part in a thousand:
 // on either side of fitSlack, assignRates must hand out exactly what
-// Waterfill computes for the flows in (remaining, name) order.
+// Waterfill computes for the flows sorted by (remaining, join order).
 func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	shortcut, general := 0, 0
@@ -593,7 +594,7 @@ func TestLinkShortcutMatchesWaterfillAtTheBrim(t *testing.T) {
 			if trial%4 == 3 {
 				c = 1 + r.Float64()*1e9 // mixed caps
 			}
-			flows[i] = &Flow{remaining: float64(n - i), cap: c, name: "p"}
+			flows[i] = &Flow{remaining: float64(n - i), cap: c, seq: uint64(i)}
 			sum += c
 		}
 		// sum scaled by 1+k*2^-e, k in [-8, 8], e from 52 (ulps) to 10.

@@ -145,7 +145,7 @@ func procCreateBucket(s *Service, p *des.Proc, name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return ErrBucketExists
 	}
-	s.buckets[name] = &bucket{objects: make(map[string]stored)}
+	s.buckets[name] = newBucket(name)
 	return nil
 }
 
@@ -423,7 +423,7 @@ func (form requestForm) play(t *testing.T, sc reqScenario, tr *destest.Transcrip
 	}
 	// Stored directly: set-up must not draw from the RNG or take tokens.
 	for _, name := range []string{"a", "b"} {
-		svc.buckets[name] = &bucket{objects: map[string]stored{}}
+		svc.buckets[name] = newBucket(name)
 	}
 	for path, size := range sc.preload {
 		bkt, key, _ := strings.Cut(path, "/")
@@ -680,7 +680,8 @@ func genRequestScenario(r *rand.Rand, seed int64) reqScenario {
 			return int64(2_000 + r.Intn(20_000))
 		}
 		// A caller's keys sort in another order than the callers do, so
-		// that a flow named by its key would tie-break differently.
+		// that a tie broken by key rather than join order would fall
+		// differently.
 		tag := (i*37 + 11) % 64
 		caller := reqCaller{maxRetries: 1 + r.Intn(6)}
 		if !together {
@@ -792,8 +793,10 @@ func TestRequestChainMatchesProcessForm(t *testing.T) {
 	// A ceiling on the chains, not a ratio to the process form, whose
 	// take parks its process once too now that it awaits TakeAsync:
 	// 78,177 is what the chains cost over the 300 scenarios when it was
-	// set, and it may only fall.
-	const ceiling = 78177
+	// set. A link's ties falling to join order instead of flow names
+	// changed the scenarios' histories, both forms alike, and the chains
+	// to 78,180 (the processes 143,875 to 143,845). It may only fall.
+	const ceiling = 78180
 	if sum.New > ceiling {
 		t.Errorf("chains cost %d handoffs, ceiling %d (processes cost %d): the callers are suspending per wait again", sum.New, ceiling, sum.Old)
 	}

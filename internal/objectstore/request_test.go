@@ -120,7 +120,7 @@ func TestRequestSurvivesStrayWakes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.buckets["a"] = &bucket{objects: map[string]stored{}}
+		svc.buckets["a"] = newBucket("a")
 		keys, _ := listOf("k", 6, 0)
 		done := false
 		caller := sim.Spawn("caller", func(p *des.Proc) {
@@ -281,7 +281,7 @@ func TestRequestKilledAtHorizon(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				svc.buckets["a"] = &bucket{objects: map[string]stored{}}
+				svc.buckets["a"] = newBucket("a")
 				for j := 0; j < 6; j++ {
 					svc.buckets["a"].objects[fmt.Sprintf("pre%d", j)] = stored{payload: payload.Sized(100_000)}
 				}

@@ -79,8 +79,10 @@ func TestCallbacksChargeTheCallersScope(t *testing.T) {
 	}
 }
 
-// TestStreamSizeClass: the opener a stream charges keeps it in the
-// 176-byte size class; paper-sweep opens one per mapper slice and run.
+// TestStreamSizeClass: the opener a stream charges, and the parts of its
+// name kept in place of the name (bucket, key, sequence, offset), keep it
+// in the 176-byte size class; paper-sweep opens one per mapper slice and
+// run.
 func TestStreamSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Stream{}); got > 176 {
 		t.Errorf("Stream is %d bytes, want at most 176", got)

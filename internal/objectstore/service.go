@@ -120,7 +120,12 @@ type stored struct {
 }
 
 type bucket struct {
+	name    string
 	objects map[string]stored
+}
+
+func newBucket(name string) *bucket {
+	return &bucket{name: name, objects: make(map[string]stored)}
 }
 
 // Service is a simulated object storage endpoint.
@@ -221,7 +226,7 @@ func (s *Service) CreateBucket(p *des.Proc, name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return ErrBucketExists
 	}
-	s.buckets[name] = &bucket{objects: make(map[string]stored)}
+	s.buckets[name] = newBucket(name)
 	return nil
 }
 
@@ -426,7 +431,7 @@ func (s *Service) connCap(flowCap float64) float64 {
 func (s *Service) OpenStreams() []string {
 	var names []string
 	for st := s.openHead; st != nil; st = st.nextOpen {
-		names = append(names, st.name)
+		names = append(names, streamName(st.seq, st.bkt.name, st.key, st.base))
 	}
 	sort.Strings(names)
 	return names

@@ -2,6 +2,7 @@ package objectstore
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 
@@ -76,19 +77,26 @@ const (
 // Stream is one in-flight streaming ranged GET. All methods must be
 // called from des process context; like the service itself it needs no
 // locking because the kernel runs one process at a time.
+//
+// A stream keeps what its name is made of, not the name, which only
+// OpenStreams builds: that keeps it at 176 bytes, a malloc size class
+// (TestStreamSizeClass). No name orders its chunks' link flows; they go
+// by when they joined.
 type Stream struct {
 	svc *Service
-	// name is what the chunks' link flows are tie-broken by and what
-	// OpenStreams reports.
-	name    string
+	// What OpenStreams names the stream by: its place in the service's
+	// open order, its bucket and key, and the offset it was opened at.
+	seq     int64
+	bkt     *bucket
+	key     string
+	base    int64
 	rng     payload.Payload // the requested range
 	size    int64           // its length (open-ended requests resolved)
 	chunk   int64           // transfer granularity
 	flowCap float64         // effective per-chunk rate cap
 
-	stepFn   func() // step, bound once: every event of this stream
-	off      int64  // bytes of the range transferred so far
-	inflight int64  // length of the chunk on the link, state inFlight
+	stepFn func() // step, bound once: every event of this stream
+	off    int64  // bytes of the range transferred so far
 
 	// ready is the prefetch window, a ring: count chunks transferred and
 	// not yet consumed, oldest at head.
@@ -96,9 +104,11 @@ type Stream struct {
 	head, count uint8
 	state       producerState
 
-	eof    bool  // producer delivered the whole range
-	closed bool  // consumer abandoned the stream
-	err    error // terminal producer error, after ready drains
+	eof    bool // producer delivered the whole range
+	closed bool // consumer abandoned the stream
+	// slowed is the terminal producer error, a throttled continuation
+	// (ErrSlowDown), after ready drains.
+	slowed bool
 
 	consumer *des.Proc // parked in Next waiting for a chunk
 	opener   *des.Proc // charged for the chunks and the throttles
@@ -153,7 +163,10 @@ func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload,
 	s.streamSeq++
 	st := &Stream{
 		svc:     s,
-		name:    streamName(s.streamSeq, bkt, key, off),
+		seq:     s.streamSeq,
+		bkt:     s.buckets[bkt],
+		key:     key,
+		base:    off,
 		rng:     rng,
 		size:    n,
 		chunk:   opts.ChunkBytes,
@@ -167,7 +180,7 @@ func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload,
 }
 
 // streamName is "objectstore/stream#<seq>/<bkt>/<key>@<off>", built in
-// one allocation.
+// one allocation when OpenStreams lists a stream.
 func streamName(seq int64, bkt, key string, off int64) string {
 	var buf [96]byte
 	b := append(buf[:0], "objectstore/stream#"...)
@@ -189,7 +202,7 @@ func (st *Stream) step() {
 	s := st.svc
 	switch st.state {
 	case inFlight:
-		n := st.inflight
+		n := st.chunkLen()
 		// The chunk fully traversed the backend link even when the
 		// consumer closed mid-flight: egress is counted regardless.
 		s.metrics.Charge(st.opener, func(m *Metrics) { m.BytesOut += n })
@@ -200,9 +213,11 @@ func (st *Stream) step() {
 		pl := st.rng
 		if n != st.size { // else one chunk is the whole range
 			var err error
-			if pl, err = st.rng.Slice(st.off, n); err != nil { // unreachable: the range was validated at open
-				st.fail(err)
-				return
+			if pl, err = st.rng.Slice(st.off, n); err != nil {
+				// The range was validated at open and every chunk lies in
+				// it: a failure here is the store's own fault, and the
+				// kernel reports the panic as the run's error.
+				panic(fmt.Sprintf("objectstore: chunk of stream #%d outside its range: %v", st.seq, err))
 			}
 		}
 		st.off += n
@@ -215,7 +230,9 @@ func (st *Stream) step() {
 		}
 	case throttled:
 		s.metrics.Charge(st.opener, countThrottled)
-		st.fail(ErrSlowDown)
+		st.slowed = true
+		st.wakeConsumer()
+		st.finish()
 		return
 	}
 	if st.off >= st.size {
@@ -235,10 +252,13 @@ func (st *Stream) step() {
 		s.sim.After(s.cfg.RequestLatency, st.stepFn)
 		return
 	}
-	st.inflight = min(st.chunk, st.size-st.off)
 	st.state = inFlight
-	s.link.TransferAsync(st.name, st.inflight, st.flowCap, st.stepFn)
+	s.link.TransferAsync(st.chunkLen(), st.flowCap, st.stepFn)
 }
+
+// chunkLen is the length of the chunk that starts at off: the chunk on
+// the link in state inFlight.
+func (st *Stream) chunkLen() int64 { return min(st.chunk, st.size-st.off) }
 
 // finish retires the producing side: no event of this stream is
 // pending and none will be scheduled.
@@ -246,12 +266,6 @@ func (st *Stream) finish() {
 	st.state = finished
 	st.rng = nil
 	st.svc.unlinkStream(st)
-}
-
-func (st *Stream) fail(err error) {
-	st.err = err
-	st.wakeConsumer()
-	st.finish()
 }
 
 func (st *Stream) wakeConsumer() {
@@ -300,8 +314,8 @@ func (st *Stream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
 		st.count--
 		st.reopen()
 		return pl, false, nil
-	case st.err != nil:
-		return nil, false, st.err
+	case st.slowed:
+		return nil, false, ErrSlowDown
 	case st.eof:
 		return nil, false, io.EOF
 	}

@@ -224,7 +224,8 @@ func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Trans
 	// Stored directly: the setup must not draw from the RNG a different
 	// number of times in the two runs, and with a failure rate a client's
 	// retries would make that hard to see.
-	svc.buckets["b"] = &bucket{objects: map[string]stored{"k": {payload: obj}}}
+	svc.buckets["b"] = newBucket("b")
+	svc.buckets["b"].objects["k"] = stored{payload: obj}
 	for _, b := range sc.brownouts {
 		rate := b.rate
 		sim.Schedule(b.at, func() { svc.SetBrownout(rate) })
@@ -302,9 +303,9 @@ func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Trans
 
 // genOracleScenario draws one scenario. Most have every reader ask for
 // the same range at the same instant with the same cap, so that chunk
-// flows of equal size finish together and their order falls to the
-// flow's name ("stream#10" sorts before "stream#9"): the tie a state
-// machine that named its flows differently would break the other way.
+// flows of equal size finish together and their order falls to when
+// each joined the link: the tie a state machine that put its flows on
+// in another order would break the other way.
 func genOracleScenario(r *rand.Rand, seed int64) oracleScenario {
 	sc := oracleScenario{
 		seed: seed,

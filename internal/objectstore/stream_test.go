@@ -3,6 +3,7 @@ package objectstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -475,6 +476,46 @@ func TestAbandonedStreamIsListed(t *testing.T) {
 		abandoned.Close()
 		kept.Close()
 	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if got := svc.OpenStreams(); len(got) != 0 {
+		t.Fatalf("OpenStreams after Close = %v, want none", got)
+	}
+}
+
+// TestOneRangeOpenedTwiceListsTwice: two streams of one key at one
+// offset differ only in their place in the open order, and a bucket set
+// up directly, as the oracles' fixtures do, is listed by its name.
+func TestOneRangeOpenedTwiceListsTwice(t *testing.T) {
+	sim := des.New(7)
+	svc, err := New(sim, fastCfg())
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	svc.buckets["b"] = newBucket("b")
+	svc.buckets["b"].objects["k"] = stored{payload: payload.Sized(50000)}
+	var opened []*Stream
+	sim.Spawn("reader", func(p *des.Proc) {
+		for range 2 {
+			st, err := svc.GetStream(p, "b", "k", 7, 30000, StreamOptions{ChunkBytes: 10000}, 0)
+			if err != nil {
+				t.Errorf("GetStream: %v", err)
+				return
+			}
+			opened = append(opened, st)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	want := "[objectstore/stream#1/b/k@7 objectstore/stream#2/b/k@7]"
+	if got := fmt.Sprint(svc.OpenStreams()); got != want {
+		t.Fatalf("OpenStreams = %s, want %s", got, want)
+	}
+	for _, st := range opened {
+		st.Close()
+	}
 	if err := sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
 	}

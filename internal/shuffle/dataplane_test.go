@@ -604,12 +604,13 @@ func inProc(t *testing.T, fn func(p *des.Proc)) {
 // TestSizedSliceBuildsNoRuns holds the timing-only map to what it
 // needs: a mapper's slice of a sized input, at a fan-out of 128, streams
 // and charges its chunks with no runBuilder and no 128 partitions behind
-// it, as the reduce above drains with no cursors. What is left is ten:
-// the stream's four (ClientStream, Stream, its name, its bound step),
-// the boxes of the range it cuts and of that range's three chunks, and
-// the slice's meter and its drain chain's bound step (which replaced the
-// reader's CPU budget and charge closure, two as well). Building the
-// partitions up front cost an eleventh, the []runPart.
+// it, as the reduce above drains with no cursors. What is left is nine:
+// the stream's three (ClientStream, Stream, its bound step), the boxes
+// of the range it cuts and of that range's three chunks, and the slice's
+// meter and its drain chain's bound step (which replaced the reader's
+// CPU budget and charge closure, two as well). Building the partitions
+// up front cost an eleventh, the []runPart, and the stream's name,
+// built at the open until only OpenStreams built it, a tenth.
 func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -625,8 +626,8 @@ func TestSizedSliceBuildsNoRuns(t *testing.T) {
 			}
 		})
 	})
-	if allocs != 10 {
-		t.Errorf("a sized 128-way slice read allocates %.0f times, want 10", allocs)
+	if allocs != 9 {
+		t.Errorf("a sized 128-way slice read allocates %.0f times, want 9", allocs)
 	}
 }
 
