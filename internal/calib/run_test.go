@@ -30,7 +30,7 @@ func TestRunNamesAnAbandonedStream(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			st, err := rig.Store.GetStream(p, "b", "k", 0, -1, objectstore.StreamOptions{}, 0)
+			st, err := c.GetStream(p, "b", "k", 0, -1, objectstore.StreamOptions{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -74,6 +74,14 @@ func (c *Client) backOff(p *des.Proc, retries *int, cause error) error {
 	return nil
 }
 
+// maxRetries returns the client's effective retry bound.
+func (c *Client) maxRetries() int {
+	if c.MaxRetries > 0 {
+		return c.MaxRetries
+	}
+	return 6
+}
+
 // CreateBucket creates a bucket, tolerating that it already exists.
 func (c *Client) CreateBucket(p *des.Proc, name string) error {
 	err := c.retry(p, func() error { return c.svc.CreateBucket(p, name) })

@@ -83,18 +83,18 @@ type request struct {
 
 	// A list of PUTs is each(0..n-1); a single one sets key and body.
 	// An UploadPart sets key to the upload ID and part to the number.
-	// flowCap is the caller's cap on a body's flow, or on every chunk
-	// flow of the streams it opens.
+	// flowCap is the caller's cap on a body's flow (a stream's chunks
+	// take theirs from the stream's client).
 	each    func(i int) (string, payload.Payload)
 	flowCap float64
 	part    int
 
-	// A list of opens is keys, each stream attached to its streams[i]; a
-	// single one sets key and is returned in stream. Every element reads
+	// A list of opens is keys, each stream started in its streams[i]; a
+	// single one sets key and starts in stream. Every element reads
 	// [off, off+length) under opts, as does a GetRange.
 	keys        []string
 	streams     []ClientStream
-	stream      *Stream
+	stream      *ClientStream
 	off, length int64
 	opts        StreamOptions
 
@@ -291,12 +291,11 @@ func (r *request) open() error {
 			return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
 		}
 	}
-	st := s.startStream(r.p, r.bkt, r.key, rng, r.off, n, r.opts, r.flowCap)
+	st := r.stream
 	if r.streams != nil {
-		r.streams[r.i].attach(st)
-	} else {
-		r.stream = st
+		st = &r.streams[r.i]
 	}
+	s.startStream(st, r.p, s.buckets[r.bkt], r.key, rng, r.off, n, r.opts)
 	return nil
 }
 

@@ -123,7 +123,8 @@ func procUploadPart(s *Service, p *des.Proc, uploadID string, partNumber int, pl
 	return nil
 }
 
-func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*Stream, error) {
+func procGetStream(c *Client, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*ClientStream, error) {
+	s := c.svc
 	obj, err := procLookup(s, p, bkt, key)
 	if err != nil {
 		return nil, err
@@ -135,7 +136,9 @@ func procGetStream(s *Service, p *des.Proc, bkt, key string, off, n int64, opts 
 	if err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
-	return s.startStream(p, bkt, key, rng, off, n, opts, flowCap), nil
+	st := &ClientStream{c: c}
+	s.startStream(st, p, s.buckets[bkt], key, rng, off, n, opts)
+	return st, nil
 }
 
 func procCreateBucket(s *Service, p *des.Proc, name string) error {
@@ -166,11 +169,19 @@ func procRetry(c *Client, p *des.Proc, op func() error) error {
 	}
 }
 
-// procClientStream is the process-form ClientStream: the same state,
-// plus the doubling delay it kept beside its retry count.
+// procClientStream is the process-form ClientStream, as it stood before
+// a stream was one object: a wrapper that keeps the range left to
+// deliver, opens a fresh stream over it after every throttle, and keeps
+// the doubling delay beside its retry count.
 type procClientStream struct {
-	*ClientStream
-	backoff time.Duration
+	c        *Client
+	bkt, key string
+	off, n   int64 // remaining undelivered range (n < 0: through object end)
+	opts     StreamOptions
+	cur      *ClientStream
+	retries  int
+	backoff  time.Duration
+	closed   bool
 }
 
 func (cs *procClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
@@ -186,9 +197,12 @@ func (cs *procClientStream) backoffOrExhaust(p *des.Proc, cause error) error {
 
 func (cs *procClientStream) ensure(p *des.Proc) error {
 	for cs.cur == nil {
-		st, err := procGetStream(cs.c.svc, p, cs.bkt, cs.key, cs.off, cs.n, cs.opts, cs.c.FlowCap)
+		st, err := procGetStream(cs.c, p, cs.bkt, cs.key, cs.off, cs.n, cs.opts)
 		if err == nil {
-			cs.attach(st)
+			cs.cur = st
+			if cs.n < 0 { // open-ended range: pin the resolved length for resumes
+				cs.n = st.size
+			}
 			return nil
 		}
 		if !errors.Is(err, ErrSlowDown) {
@@ -209,7 +223,7 @@ func (cs *procClientStream) Next(p *des.Proc) (payload.Payload, error) {
 		if err := cs.ensure(p); err != nil {
 			return nil, err
 		}
-		pl, err := cs.cur.Next(p)
+		pl, err := rawNext(cs.cur, p)
 		switch {
 		case err == nil:
 			cs.off += pl.Size()
@@ -228,6 +242,14 @@ func (cs *procClientStream) Next(p *des.Proc) (payload.Payload, error) {
 			return nil, err
 		}
 	}
+}
+
+func (cs *procClientStream) Close() {
+	if cs.cur != nil {
+		cs.cur.Close()
+		cs.cur = nil
+	}
+	cs.closed = true
 }
 
 // requestForm is one implementation of the calls the oracle drives. A
@@ -343,10 +365,7 @@ func procClientPut(c *Client, p *des.Proc, bkt, key string, pl payload.Payload) 
 }
 
 func procClientOpen(c *Client, p *des.Proc, bkt, key string, opts StreamOptions) (chunkSource, error) {
-	cs := &procClientStream{
-		ClientStream: &ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts},
-		backoff:      RetryBackoffBase,
-	}
+	cs := &procClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts, backoff: RetryBackoffBase}
 	if err := cs.ensure(p); err != nil {
 		return nil, err
 	}

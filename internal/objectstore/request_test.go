@@ -17,8 +17,8 @@ import (
 
 // TestRequestAllocBudget holds throttled requests (every one waits for
 // its token) to what they allocate: a one-chunk stream opened, drained
-// and closed 4 (ClientStream, Stream, its name, its bound step), 64 in
-// a list 3 each and the list's slice. A Put over a key that exists
+// and closed 2 (the stream and its bound step), 64 in a list 1 each
+// (the step) and the list's slice, whose elements are the streams. A Put over a key that exists
 // allocates nothing, alone or 64 in a list: the bucket keeps a payload
 // and an instant in the slot the key already has, and the ETag, once
 // the one allocation a PUT made, is computed only when a caller asks
@@ -94,10 +94,9 @@ func TestRequestAllocBudget(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	t.Logf("Put %.1f, GetStream %.1f, PutEach of 64 %.1f, GetStreams of 64 %.1f", put, open, putList, openList)
-	// A list of 64 opens is 64 x (Stream, name, step) and the one slice
-	// of ClientStreams.
-	if put > 0 || open > 4 || putList > 0 || openList > 64*3+1 {
-		t.Errorf("allocations: Put %.1f (budget 0), GetStream %.1f (4), PutEach of 64 %.1f (0), GetStreams of 64 %.1f (193)",
+	// A list of 64 opens is 64 bound steps and the one slice of streams.
+	if put > 0 || open > 2 || putList > 0 || openList > 64+1 {
+		t.Errorf("allocations: Put %.1f (budget 0), GetStream %.1f (2), PutEach of 64 %.1f (0), GetStreams of 64 %.1f (65)",
 			put, open, putList, openList)
 	}
 	if len(svc.idle) != 1 {

@@ -79,12 +79,15 @@ func TestCallbacksChargeTheCallersScope(t *testing.T) {
 	}
 }
 
-// TestStreamSizeClass: the opener a stream charges, and the parts of its
-// name kept in place of the name (bucket, key, sequence, offset), keep it
-// in the 176-byte size class; paper-sweep opens one per mapper slice and
-// run.
+// TestStreamSizeClass: a stream is one object, its reader's, holding
+// the producer state machine, the window and the retry budget. It keeps
+// what its name is made of (bucket, key, sequence, offset) in place of
+// the name and reaches the service and its flow cap through its client,
+// which keeps it in the 176-byte size class; paper-sweep opens one per
+// mapper slice and run, workers² of them in one GetStreams slice per
+// reducer.
 func TestStreamSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Stream{}); got > 176 {
-		t.Errorf("Stream is %d bytes, want at most 176", got)
+	if got := unsafe.Sizeof(ClientStream{}); got > 176 {
+		t.Errorf("ClientStream is %d bytes, want at most 176", got)
 	}
 }

@@ -141,7 +141,7 @@ type Service struct {
 	streamSeq int64
 	// openHead/openTail list, in open order, the streams whose producing
 	// side has not finished (see OpenStreams).
-	openHead, openTail *Stream
+	openHead, openTail *ClientStream
 	metrics            des.Ledger[Metrics]
 	// idle holds the chain records of finished requests for the next
 	// ones (see request.go).
@@ -437,7 +437,7 @@ func (s *Service) OpenStreams() []string {
 	return names
 }
 
-func (s *Service) linkStream(st *Stream) {
+func (s *Service) linkStream(st *ClientStream) {
 	if s.openTail == nil {
 		s.openHead = st
 	} else {
@@ -446,7 +446,7 @@ func (s *Service) linkStream(st *Stream) {
 	s.openTail = st
 }
 
-func (s *Service) unlinkStream(st *Stream) {
+func (s *Service) unlinkStream(st *ClientStream) {
 	if st.prevOpen == nil {
 		s.openHead = st.nextOpen
 	} else {

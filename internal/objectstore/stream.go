@@ -10,7 +10,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 )
 
-// Streaming ranged GETs. A Stream delivers an object range as a
+// Streaming ranged GETs. A ClientStream delivers an object range as a
 // sequence of chunk payloads instead of one buffered block: each chunk
 // crosses the service's backend link as its own flow, at most
 // streamDepth of them wait transferred and unconsumed, and a consumer
@@ -20,17 +20,29 @@ import (
 // sleep. This is the sda-download shape: chunked range reads behind a
 // reader-style interface.
 //
-// No process produces the chunks. The producing side of a Stream is a
-// state machine on the event heap with at most one event pending, and
+// A stream is one object, and its reader owns it: Client.GetStream
+// allocates one, Client.GetStreams one slice of them for the list. The
+// range, the prefetch window, the producing side and the retry budget
+// all live in it. No process produces the chunks. The producing side is
+// a state machine on the event heap with at most one event pending, and
 // step is that event:
 //
-//	starting   the event GetStream scheduled at the open's instant
+//	unopened   nothing: no range is open yet, or the reader's Next took
+//	           a throttled continuation and re-opens the rest
+//	starting   the event the open scheduled at its own instant
 //	inFlight   the completion of the chunk's link flow
 //	throttled  the end of the RequestLatency a failed continuation costs
 //	resuming   the wake a Next or Close scheduled for a full window
 //	           (one, however many of them asked)
 //	windowFull nothing: the consumer's next Next or Close moves it on
 //	finished   nothing, ever: range delivered, failed, or closed
+//
+// A throttled continuation finishes the producing side and reaches the
+// reader as ErrSlowDown once the chunks before it are consumed. Next
+// then backs off and opens the rest of the range, from base+off, into
+// the same storage. That re-use is sound only because a finished
+// producer has no event pending; startStream panics on storage whose
+// producer has not finished.
 //
 // Each of those events sits where an activation of the producer
 // process this replaced (PR 21) sat, and a throttled continuation draws
@@ -66,7 +78,8 @@ type StreamOptions struct {
 type producerState uint8
 
 const (
-	starting producerState = iota
+	unopened producerState = iota
+	starting
 	inFlight
 	throttled
 	windowFull
@@ -74,26 +87,31 @@ const (
 	finished
 )
 
-// Stream is one in-flight streaming ranged GET. All methods must be
-// called from des process context; like the service itself it needs no
-// locking because the kernel runs one process at a time.
+// ClientStream is a streaming ranged GET, resumable: a chunk-level
+// ErrSlowDown (a throttled continuation mid-transfer) re-opens the range
+// at the first undelivered byte with exponential backoff. The whole
+// stream shares one retry budget of MaxRetries, covering both open
+// admissions and continuations, so the policy composes with the
+// client's buffered-path retry semantics. All methods must be called
+// from des process context; like the service itself it needs no locking
+// because the kernel runs one process at a time.
 //
 // A stream keeps what its name is made of, not the name, which only
-// OpenStreams builds: that keeps it at 176 bytes, a malloc size class
+// OpenStreams builds, and reaches the service and its chunks' flow cap
+// through its client: that keeps it at 176 bytes, a malloc size class
 // (TestStreamSizeClass). No name orders its chunks' link flows; they go
 // by when they joined.
-type Stream struct {
-	svc *Service
+type ClientStream struct {
+	c *Client
 	// What OpenStreams names the stream by: its place in the service's
 	// open order, its bucket and key, and the offset it was opened at.
-	seq     int64
-	bkt     *bucket
-	key     string
-	base    int64
-	rng     payload.Payload // the requested range
-	size    int64           // its length (open-ended requests resolved)
-	chunk   int64           // transfer granularity
-	flowCap float64         // effective per-chunk rate cap
+	seq   int64
+	bkt   *bucket
+	key   string
+	base  int64
+	rng   payload.Payload // the requested range
+	size  int64           // its length (open-ended requests resolved)
+	chunk int64           // transfer granularity
 
 	stepFn func() // step, bound once: every event of this stream
 	off    int64  // bytes of the range transferred so far
@@ -109,74 +127,134 @@ type Stream struct {
 	// slowed is the terminal producer error, a throttled continuation
 	// (ErrSlowDown), after ready drains.
 	slowed bool
+	// retries counts consecutive throttles: the rung of the backoff
+	// ladder.
+	retries int
 
 	consumer *des.Proc // parked in Next waiting for a chunk
 	opener   *des.Proc // charged for the chunks and the throttles
 
 	// The service's list of streams whose producing side has not
 	// finished.
-	prevOpen, nextOpen *Stream
+	prevOpen, nextOpen *ClientStream
 }
 
-// GetStream opens a streaming GET of bytes [off, off+n) of an object
-// (class B: one request admission regardless of chunk count). A
-// negative n streams through the end of the object, like an open-ended
-// HTTP range — Size reports the resolved length. Chunks after the
-// first model continuations of the same response body: they pay no
-// request latency, but each can draw the service's failure rate (a
-// throttled continuation surfaces as ErrSlowDown from Next, with
-// already-transferred chunks still delivered first). A stream of one
-// chunk is request-for-request identical to GetRange.
+// GetStream opens a resumable streaming GET of bytes [off, off+n) of an
+// object (class B: one request admission regardless of chunk count),
+// retrying throttled admissions. A negative n streams through the end
+// of the object, like an open-ended HTTP range. Chunks after the first
+// model continuations of the same response body: they pay no request
+// latency, but each can draw the service's failure rate; Next resumes
+// after such a throttle, having delivered the chunks before it. A
+// stream of one chunk is request-for-request identical to GetRange.
 //
-// flowCap caps each chunk flow's rate as it caps Get's body.
+// The client's FlowCap caps each chunk flow's rate as it caps Get's
+// body.
 //
 // A stream must be read to io.EOF or an error, or closed: one abandoned
 // with its prefetch window full stays in OpenStreams.
-func (s *Service) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*Stream, error) {
+func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*ClientStream, error) {
+	st := &ClientStream{c: c}
+	if err := st.openRetrying(p, bkt, key, off, n, opts); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// GetStreams opens a resumable stream through the end of every one of
+// keys, strictly one after another like GetStream in a loop, but as one
+// request that parks p once (see request.go). Each stream keeps its own
+// retry budget. All the streams are one allocation: callers take
+// &streams[i]. On error it returns the streams opened so far, for the
+// caller to close; the key that failed is keys[len(streams)].
+func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]ClientStream, error) {
+	streams := make([]ClientStream, len(keys))
+	for i := range streams {
+		streams[i].c = c
+	}
+	for i := 0; i < len(keys); {
+		var err error
+		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams)
+		if errors.Is(err, ErrSlowDown) {
+			err = c.backOff(p, &streams[i].retries, err)
+		}
+		if err != nil {
+			return streams[:i], err
+		}
+	}
+	return streams, nil
+}
+
+// openRetrying opens bytes [off, off+n) of bkt/key into st, backing off
+// throttled admissions against the stream's retry budget.
+func (st *ClientStream) openRetrying(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) error {
+	for {
+		err := st.open(p, bkt, key, off, n, opts)
+		if !errors.Is(err, ErrSlowDown) {
+			return err
+		}
+		if err := st.c.backOff(p, &st.retries, err); err != nil {
+			return err
+		}
+	}
+}
+
+// open is one admission of a stream of bytes [off, off+n) of bkt/key
+// into st (class B), with p parked through it (see request.go).
+func (st *ClientStream) open(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) error {
+	s := st.c.svc
 	r := s.request(p, openStreams, s.readTB, bkt, 1)
-	r.key, r.off, r.length, r.opts, r.flowCap = key, off, n, opts, flowCap
+	r.key, r.off, r.length, r.opts, r.stream = key, off, n, opts, st
 	_, err := r.run()
-	st := r.stream
 	s.release(r)
-	return st, err
+	return err
 }
 
 // openEach opens a stream through the end of each of keys[from:] in
-// bkt one after another, as that many GetStreams in a loop would, with
-// the caller parked once for the lot (see request.go), and attaches
-// stream i to streams[i]. It returns the first element not opened and
-// the error that stopped there, or len(keys) and nil.
-func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream, flowCap float64) (int, error) {
+// bkt into streams[i], one after another, as that many opens in a loop
+// would, with the caller parked once for the lot (see request.go). It
+// returns the first element not opened and the error that stopped
+// there, or len(keys) and nil.
+func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream) (int, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, len(keys))
-	r.i, r.keys, r.streams, r.length, r.opts, r.flowCap = from, keys, streams, -1, opts, flowCap
+	r.i, r.keys, r.streams, r.length, r.opts = from, keys, streams, -1, opts
 	next, err := r.run()
 	s.release(r)
 	return next, err
 }
 
-// startStream begins delivering rng, bytes [off, off+n) of bkt/key, for
-// p: the open's last act, at the end of its request latency.
-func (s *Service) startStream(p *des.Proc, bkt, key string, rng payload.Payload, off, n int64, opts StreamOptions, flowCap float64) *Stream {
+// startStream begins delivering rng, bytes [off, off+n) of key in bkt,
+// into st for p: the open's last act, at the end of its request
+// latency. st is fresh storage or a stream whose Next took a throttled
+// continuation; either way no event of it can be pending.
+func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key string, rng payload.Payload, off, n int64, opts StreamOptions) {
+	if st.state != unopened || st.prevOpen != nil || s.openHead == st {
+		panic(fmt.Sprintf("objectstore: stream #%d opened again while its producing side runs", st.seq))
+	}
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultStreamChunk
 	}
 	s.streamSeq++
-	st := &Stream{
-		svc:     s,
+	stepFn := st.stepFn
+	if stepFn == nil {
+		stepFn = st.step
+	}
+	*st = ClientStream{
+		c:       st.c,
 		seq:     s.streamSeq,
-		bkt:     s.buckets[bkt],
+		bkt:     bkt,
 		key:     key,
 		base:    off,
 		rng:     rng,
 		size:    n,
 		chunk:   opts.ChunkBytes,
-		flowCap: s.connCap(flowCap),
+		stepFn:  stepFn,
+		state:   starting,
+		retries: st.retries,
 		opener:  p,
 	}
-	st.stepFn = st.step
 	s.linkStream(st)
 	s.sim.Schedule(s.sim.Now(), st.stepFn)
-	return st
 }
 
 // streamName is "objectstore/stream#<seq>/<bkt>/<key>@<off>", built in
@@ -198,8 +276,8 @@ func streamName(seq int64, bkt, key string, off int64) string {
 // event it waited for means, then moves on to the next chunk: the range
 // goes over the link chunk by chunk, each chunk its own flow, stopping
 // whenever the prefetch window is full.
-func (st *Stream) step() {
-	s := st.svc
+func (st *ClientStream) step() {
+	s := st.c.svc
 	switch st.state {
 	case inFlight:
 		n := st.chunkLen()
@@ -253,58 +331,96 @@ func (st *Stream) step() {
 		return
 	}
 	st.state = inFlight
-	s.link.TransferAsync(st.chunkLen(), st.flowCap, st.stepFn)
+	s.link.TransferAsync(st.chunkLen(), s.connCap(st.c.FlowCap), st.stepFn)
 }
 
 // chunkLen is the length of the chunk that starts at off: the chunk on
 // the link in state inFlight.
-func (st *Stream) chunkLen() int64 { return min(st.chunk, st.size-st.off) }
+func (st *ClientStream) chunkLen() int64 { return min(st.chunk, st.size-st.off) }
 
 // finish retires the producing side: no event of this stream is
 // pending and none will be scheduled.
-func (st *Stream) finish() {
+func (st *ClientStream) finish() {
 	st.state = finished
 	st.rng = nil
-	st.svc.unlinkStream(st)
+	st.c.svc.unlinkStream(st)
 }
 
-func (st *Stream) wakeConsumer() {
+func (st *ClientStream) wakeConsumer() {
 	if st.consumer != nil {
 		st.consumer.Wake()
 	}
 }
 
-// reopen restarts a producing side stopped at a full window: one event,
+// resume restarts a producing side stopped at a full window: one event,
 // however many calls ask before it fires.
-func (st *Stream) reopen() {
+func (st *ClientStream) resume() {
 	if st.state == windowFull {
 		st.state = resuming
-		st.svc.sim.Schedule(st.svc.sim.Now(), st.stepFn)
+		st.c.svc.sim.Schedule(st.c.svc.sim.Now(), st.stepFn)
 	}
 }
 
-// Size reports the resolved length of the streamed range.
-func (st *Stream) Size() int64 { return st.size }
+// Remaining reports the bytes of the range not yet delivered: those in
+// the prefetch window and those not yet transferred. Once the stream is
+// open and before its first chunk, that is the range's whole length, an
+// open-ended range's as the open resolved it.
+func (st *ClientStream) Remaining() int64 {
+	n := st.size - st.off
+	for i := range st.count {
+		n += st.ready[(st.head+i)%streamDepth].Size()
+	}
+	return n
+}
 
 // Next returns the next chunk, blocking p until one has been
-// transferred. io.EOF signals the end of the range. A producer error
-// (a throttled continuation) is delivered only after every chunk
-// transferred before it has been consumed, so callers can resume from
-// the first undelivered byte.
-func (st *Stream) Next(p *des.Proc) (payload.Payload, error) {
+// transferred and transparently resuming after throttled continuations.
+// io.EOF signals the end of the range, ErrStreamClosed a call after
+// Close (which issues no request).
+func (st *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
 	if st.closed {
 		return nil, ErrStreamClosed
 	}
 	for {
-		if pl, wait, err := st.poll(p); !wait {
+		if st.state == unopened { // resume at the first undelivered byte
+			err := st.openRetrying(p, st.bkt.name, st.key, st.base+st.off, st.size-st.off, StreamOptions{ChunkBytes: st.chunk})
+			if err != nil {
+				return nil, err
+			}
+		}
+		pl, wait, err := st.poll(p)
+		if wait {
+			p.Park()
+			continue
+		}
+		if !errors.Is(err, ErrSlowDown) {
 			return pl, err
 		}
-		p.Park()
+		// slowed is only set as the producing side finishes: nothing of
+		// it is pending, and the storage can take the next open.
+		st.state = unopened
+		if err := st.c.backOff(p, &st.retries, err); err != nil {
+			return nil, err
+		}
 	}
 }
 
-// poll is Next without the park: wait, and p is woken when there is.
-func (st *Stream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
+// Poll is Next for a chain of callbacks working for p (des.Proc.Await):
+// where Next would park p it returns wait, p's wake arranged as Next's;
+// where Next would back off and re-open, ErrSlowDown for p's Next.
+func (st *ClientStream) Poll(p *des.Proc) (payload.Payload, bool, error) {
+	switch {
+	case st.closed:
+		return nil, false, ErrStreamClosed
+	case st.state == unopened: // a re-open that failed: Next tries again
+		return nil, false, ErrSlowDown
+	}
+	return st.poll(p)
+}
+
+// poll takes the oldest chunk of the window, or says why there is none:
+// wait, and p is woken when there is.
+func (st *ClientStream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
 	st.consumer = nil
 	switch {
 	case st.count > 0:
@@ -312,7 +428,15 @@ func (st *Stream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
 		st.ready[st.head] = nil
 		st.head = (st.head + 1) % streamDepth
 		st.count--
-		st.reopen()
+		st.resume()
+		// A delivered chunk proves the store recovered: restart the
+		// backoff ladder and the MaxRetries budget so a later, unrelated
+		// throttle doesn't inherit this incident's doubled delay or
+		// exhausted count. The budget bounds consecutive failures per
+		// incident — a long stream crossing a transient brownout window
+		// makes progress between throttles and must not die from their
+		// lifetime total.
+		st.retries = 0
 		return pl, false, nil
 	case st.slowed:
 		return nil, false, ErrSlowDown
@@ -326,162 +450,9 @@ func (st *Stream) poll(p *des.Proc) (pl payload.Payload, wait bool, err error) {
 // Close abandons the stream: the producing side stops after any chunk
 // still in flight. Closing a drained or failed stream is a no-op.
 // Always safe to defer.
-func (st *Stream) Close() {
+func (st *ClientStream) Close() {
 	st.closed = true
 	st.ready = [streamDepth]payload.Payload{}
 	st.count = 0
-	st.reopen()
-}
-
-// ClientStream is the Client-side resumable wrapper over Stream:
-// chunk-level ErrSlowDown — a throttled continuation mid-transfer —
-// re-opens the underlying stream at the first undelivered byte with
-// exponential backoff. The whole stream shares one retry budget of
-// MaxRetries, covering both open admissions and continuations, so the
-// policy composes with the client's buffered-path retry semantics.
-type ClientStream struct {
-	c        *Client
-	bkt, key string
-	off, n   int64 // remaining undelivered range (n < 0: through object end)
-	opts     StreamOptions
-	cur      *Stream
-	retries  int // consecutive throttles: the rung of the backoff ladder
-	closed   bool
-}
-
-// GetStream opens a resumable streaming GET of [off, off+n) with
-// retry; a negative n streams through the end of the object.
-func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts StreamOptions) (*ClientStream, error) {
-	cs := &ClientStream{c: c, bkt: bkt, key: key, off: off, n: n, opts: opts}
-	if err := cs.ensure(p); err != nil {
-		return nil, err
-	}
-	return cs, nil
-}
-
-// GetStreams opens a resumable stream through the end of every one of
-// keys, strictly one after another like GetStream in a loop, but as one
-// request that parks p once (see request.go). Each stream keeps its own
-// retry budget. All the streams are one allocation: callers take
-// &streams[i]. On error it returns the streams opened so far, for the
-// caller to close; the key that failed is keys[len(streams)].
-func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]ClientStream, error) {
-	streams := make([]ClientStream, len(keys))
-	for i, key := range keys {
-		streams[i] = ClientStream{c: c, bkt: bkt, key: key, n: -1, opts: opts}
-	}
-	for i := 0; i < len(keys); {
-		var err error
-		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams, c.FlowCap)
-		if errors.Is(err, ErrSlowDown) {
-			err = c.backOff(p, &streams[i].retries, err)
-		}
-		if err != nil {
-			return streams[:i], err
-		}
-	}
-	return streams, nil
-}
-
-// maxRetries returns the client's effective retry bound.
-func (c *Client) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return 6
-}
-
-// attach makes st the stream's current underlying stream.
-func (cs *ClientStream) attach(st *Stream) {
-	cs.cur = st
-	if cs.n < 0 { // open-ended range: pin the resolved length for resumes
-		cs.n = st.Size()
-	}
-}
-
-// Remaining reports the bytes of the range not yet delivered. Once the
-// stream is open and before its first chunk, that is the range's whole
-// length, an open-ended range's as attach pinned it.
-func (cs *ClientStream) Remaining() int64 { return cs.n }
-
-// ensure opens the underlying stream at the current resume offset,
-// retrying throttled admissions against the shared budget.
-func (cs *ClientStream) ensure(p *des.Proc) error {
-	for cs.cur == nil {
-		st, err := cs.c.svc.GetStream(p, cs.bkt, cs.key, cs.off, cs.n, cs.opts, cs.c.FlowCap)
-		if err == nil {
-			cs.attach(st)
-			return nil
-		}
-		if !errors.Is(err, ErrSlowDown) {
-			return err
-		}
-		if err := cs.c.backOff(p, &cs.retries, err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Next returns the next chunk, transparently resuming after throttled
-// continuations. io.EOF signals the end of the range, ErrStreamClosed
-// a call after Close (which issues no request).
-func (cs *ClientStream) Next(p *des.Proc) (payload.Payload, error) {
-	if cs.closed {
-		return nil, ErrStreamClosed
-	}
-	for {
-		if err := cs.ensure(p); err != nil {
-			return nil, err
-		}
-		pl, err := cs.took(cs.cur.Next(p))
-		if !errors.Is(err, ErrSlowDown) {
-			return pl, err
-		}
-		cs.cur = nil // resume at cs.off after backoff
-		if err := cs.c.backOff(p, &cs.retries, err); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Poll is Next for a chain of callbacks working for p (des.Proc.Await):
-// where Next would park p it returns wait, p's wake arranged as Next's;
-// where Next would back off and re-open, ErrSlowDown for p's Next.
-func (cs *ClientStream) Poll(p *des.Proc) (payload.Payload, bool, error) {
-	switch {
-	case cs.closed:
-		return nil, false, ErrStreamClosed
-	case cs.cur == nil: // a re-open that failed: Next tries again
-		return nil, false, ErrSlowDown
-	}
-	pl, wait, err := cs.cur.poll(p)
-	pl, err = cs.took(pl, err)
-	return pl, wait, err
-}
-
-// took moves the resume point past a delivered chunk.
-func (cs *ClientStream) took(pl payload.Payload, err error) (payload.Payload, error) {
-	if pl != nil {
-		cs.off += pl.Size()
-		cs.n -= pl.Size()
-		// A delivered chunk proves the store recovered: restart the
-		// backoff ladder and the MaxRetries budget so a later, unrelated
-		// throttle doesn't inherit this incident's doubled delay or
-		// exhausted count. The budget bounds consecutive failures per
-		// incident — a long stream crossing a transient brownout window
-		// makes progress between throttles and must not die from their
-		// lifetime total.
-		cs.retries = 0
-	}
-	return pl, err
-}
-
-// Close abandons the stream.
-func (cs *ClientStream) Close() {
-	if cs.cur != nil {
-		cs.cur.Close()
-		cs.cur = nil
-	}
-	cs.closed = true
+	st.resume()
 }

@@ -14,7 +14,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
-// The differential oracle for Stream's state machine: the producer
+// The differential oracle for a stream's state machine: the producer
 // process it replaced in PR 21, as it stood at commit 2dfa12d, kept here
 // and nowhere else. The claim it holds the state machine to is strong:
 // not "the same chunks" but the same events in the same order, so that
@@ -24,7 +24,7 @@ import (
 // count, the store's meters, the link's counters, and the next number
 // out of the simulation's RNG.
 
-// procStream is the process-form Stream.
+// procStream is the process form of a stream's producing side.
 type procStream struct {
 	svc     *Service
 	opts    StreamOptions
@@ -156,12 +156,20 @@ type chunkSource interface {
 
 type streamOpener func(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error)
 
+// machineStream is the state machine as the producer process was
+// driven: a throttled continuation ends the stream with ErrSlowDown.
+type machineStream struct{ *ClientStream }
+
+func (st machineStream) Next(p *des.Proc) (payload.Payload, error) {
+	return rawNext(st.ClientStream, p)
+}
+
 func openMachine(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
-	st, err := s.GetStream(p, "b", "k", off, n, opts, flowCap)
+	st, err := openStream(s, p, "b", "k", off, n, opts, flowCap)
 	if err != nil {
 		return nil, err // not a typed nil in the interface
 	}
-	return st, nil
+	return machineStream{st}, nil
 }
 
 func openProc(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,9 +57,35 @@ func fastCfg() Config {
 	}
 }
 
-// drainStream consumes a service stream to EOF, optionally sleeping
-// cpu per chunk (the consumer's simulated per-chunk work).
-func drainStream(p *des.Proc, st *Stream, cpu time.Duration) ([]byte, error) {
+// openStream opens bytes [off, off+n) of bkt/key with one admission and
+// no retry, for a client with flowCap: the bare state machine, whose
+// Next the tests below drive only where nothing throttles a
+// continuation (rawNext takes it where something may).
+func openStream(svc *Service, p *des.Proc, bkt, key string, off, n int64, opts StreamOptions, flowCap float64) (*ClientStream, error) {
+	st := &ClientStream{c: &Client{svc: svc, FlowCap: flowCap}}
+	if err := st.open(p, bkt, key, off, n, opts); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// rawNext is Next with no resume: a throttled continuation surfaces as
+// ErrSlowDown once the chunks before it are consumed.
+func rawNext(st *ClientStream, p *des.Proc) (payload.Payload, error) {
+	if st.closed {
+		return nil, ErrStreamClosed
+	}
+	for {
+		if pl, wait, err := st.poll(p); !wait {
+			return pl, err
+		}
+		p.Park()
+	}
+}
+
+// drainStream consumes a stream to EOF, optionally sleeping cpu per
+// chunk (the consumer's simulated per-chunk work).
+func drainStream(p *des.Proc, st *ClientStream, cpu time.Duration) ([]byte, error) {
 	var out []byte
 	for {
 		pl, err := st.Next(p)
@@ -87,7 +115,7 @@ func TestStreamDeliversRangeByteIdentical(t *testing.T) {
 				return
 			}
 			want, _ = pl.Bytes()
-			st, err := svc.GetStream(p, "b", "k", 500, 9000, StreamOptions{ChunkBytes: chunk}, 0)
+			st, err := openStream(svc, p, "b", "k", 500, 9000, StreamOptions{ChunkBytes: chunk}, 0)
 			if err != nil {
 				t.Errorf("GetStream: %v", err)
 				return
@@ -135,7 +163,7 @@ func TestStreamOverlapsConsumerWork(t *testing.T) {
 	var streamed time.Duration
 	sim2.Spawn("streamed", func(p *des.Proc) {
 		start := p.Now()
-		st, err := svc2.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: size / chunks}, 0)
+		st, err := openStream(svc2, p, "b", "k", 0, size, StreamOptions{ChunkBytes: size / chunks}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -175,7 +203,7 @@ func TestStreamEqualTimingWithoutConsumerWork(t *testing.T) {
 		}
 		buffered = p.Now() - start
 		start = p.Now()
-		st, err := svc.GetStream(p, "b", "k", 0, size, StreamOptions{ChunkBytes: 64 << 10}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, size, StreamOptions{ChunkBytes: 64 << 10}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -202,7 +230,7 @@ func TestStreamSizedPayload(t *testing.T) {
 	sim.Spawn("driver", func(p *des.Proc) {
 		_ = svc.CreateBucket(p, "b")
 		_ = svc.Put(p, "b", "k", payload.Sized(1000), 0)
-		st, err := svc.GetStream(p, "b", "k", 0, 1000, StreamOptions{ChunkBytes: 300}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, 1000, StreamOptions{ChunkBytes: 300}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -236,7 +264,7 @@ func TestStreamSizedPayload(t *testing.T) {
 func TestStreamCloseEarlyNoDeadlock(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 1<<20)
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 1<<20, StreamOptions{ChunkBytes: 1 << 10}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, 1<<20, StreamOptions{ChunkBytes: 1 << 10}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -257,13 +285,13 @@ func TestStreamCloseEarlyNoDeadlock(t *testing.T) {
 func TestStreamRangeErrors(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 100)
 	sim.Spawn("reader", func(p *des.Proc) {
-		if _, err := svc.GetStream(p, "b", "missing", 0, 10, StreamOptions{}, 0); err == nil {
+		if _, err := openStream(svc, p, "b", "missing", 0, 10, StreamOptions{}, 0); err == nil {
 			t.Error("missing key accepted")
 		}
-		if _, err := svc.GetStream(p, "b", "k", 50, 100, StreamOptions{}, 0); err == nil {
+		if _, err := openStream(svc, p, "b", "k", 50, 100, StreamOptions{}, 0); err == nil {
 			t.Error("out-of-bounds range accepted")
 		}
-		st, err := svc.GetStream(p, "b", "k", 10, 0, StreamOptions{}, 0)
+		st, err := openStream(svc, p, "b", "k", 10, 0, StreamOptions{}, 0)
 		if err != nil {
 			t.Errorf("empty range: %v", err)
 			return
@@ -357,7 +385,7 @@ func TestStreamMetricsMatchBuffered(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 50000)
 	before := svc.Metrics()
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 1 << 12}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 1 << 12}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -420,7 +448,7 @@ func TestStreamCountsEgressWhenConsumerClosesMidTransfer(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 50000)
 	before := svc.Metrics()
 	sim.Spawn("reader", func(p *des.Proc) {
-		st, err := svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -445,12 +473,12 @@ func TestStreamCountsEgressWhenConsumerClosesMidTransfer(t *testing.T) {
 // forgets the stream once somebody closes it.
 func TestAbandonedStreamIsListed(t *testing.T) {
 	sim, svc, _ := streamRig(t, fastCfg(), 50000)
-	var abandoned, kept *Stream
+	var abandoned, kept *ClientStream
 	sim.Spawn("reader", func(p *des.Proc) {
 		var err error
 		// Five chunks against a window of two: the producing side stops
 		// with three still to go.
-		if abandoned, err = svc.GetStream(p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0); err != nil {
+		if abandoned, err = openStream(svc, p, "b", "k", 0, 50000, StreamOptions{ChunkBytes: 10000}, 0); err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
 		}
@@ -458,7 +486,7 @@ func TestAbandonedStreamIsListed(t *testing.T) {
 		// end of the range whether or not anyone reads it. (Two would not:
 		// a full window stops it even with nothing left to transfer, as it
 		// stopped the process.)
-		if kept, err = svc.GetStream(p, "b", "k", 100, 1000, StreamOptions{ChunkBytes: 1000}, 0); err != nil {
+		if kept, err = openStream(svc, p, "b", "k", 100, 1000, StreamOptions{ChunkBytes: 1000}, 0); err != nil {
 			t.Errorf("GetStream: %v", err)
 		}
 		if got := svc.OpenStreams(); len(got) != 2 {
@@ -495,10 +523,10 @@ func TestOneRangeOpenedTwiceListsTwice(t *testing.T) {
 	}
 	svc.buckets["b"] = newBucket("b")
 	svc.buckets["b"].objects["k"] = stored{payload: payload.Sized(50000)}
-	var opened []*Stream
+	var opened []*ClientStream
 	sim.Spawn("reader", func(p *des.Proc) {
 		for range 2 {
-			st, err := svc.GetStream(p, "b", "k", 7, 30000, StreamOptions{ChunkBytes: 10000}, 0)
+			st, err := openStream(svc, p, "b", "k", 7, 30000, StreamOptions{ChunkBytes: 10000}, 0)
 			if err != nil {
 				t.Errorf("GetStream: %v", err)
 				return
@@ -567,7 +595,7 @@ func TestStreamWholeObjectIsHandedThrough(t *testing.T) {
 			t.Errorf("Get: %v", err)
 			return
 		}
-		st, err := svc.GetStream(p, "b", "k", 0, -1, StreamOptions{}, 0)
+		st, err := openStream(svc, p, "b", "k", 0, -1, StreamOptions{}, 0)
 		if err != nil {
 			t.Errorf("GetStream: %v", err)
 			return
@@ -591,15 +619,16 @@ func TestStreamWholeObjectIsHandedThrough(t *testing.T) {
 
 // TestClientStreamAllocBudget: what one small object read through
 // Client.GetStream costs the allocator, open to close. The shuffle
-// issues workers² of these, so the count is written down: the
-// ClientStream, the Stream, its name, and step bound as a func. A
-// fmt.Sprintf for the name, a slice for the window, a closure per chunk
-// or a flow the link did not get back all show up here.
+// issues workers² of these, so the count is written down: the stream,
+// one object, and step bound as a func (a des event is a func()). A
+// name built at the open, a second object for the producing side, a
+// slice for the window, a closure per chunk or a flow the link did not
+// get back all show up here.
 func TestClientStreamAllocBudget(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
 	}
-	const budget = 4
+	const budget = 2
 	sim := des.New(7)
 	svc, err := New(sim, fastCfg())
 	if err != nil {
@@ -640,4 +669,113 @@ func TestClientStreamAllocBudget(t *testing.T) {
 		t.Fatalf("open + drain + close of a one-chunk sized stream: %.1f allocs, budget %d", allocs, budget)
 	}
 	t.Logf("%.1f allocs (budget %d)", allocs, budget)
+}
+
+// TestStreamResumesIntoItsOwnStorage: a continuation throttled
+// mid-stream re-opens the rest of the range into the stream's own
+// storage, and the stream, closed with a chunk in flight after that,
+// drains to nothing open. The pre-merge wrapper in its process form
+// (procClientStream, which opened a fresh stream after every throttle)
+// runs the same script on the same seed, and the two agree on the bytes
+// delivered, the meters (BytesOut with the chunk in flight, Throttled)
+// and the event count; the bytes are the object's.
+func TestStreamResumesIntoItsOwnStorage(t *testing.T) {
+	const chunk, chunks = 1000, 20
+	data := make([]byte, 50*chunk)
+	for i := range data {
+		data[i] = byte('a' + (i*131)%26)
+	}
+	type outcome struct {
+		delivered int64
+		crc       uint32
+		metrics   Metrics
+		retries   int64
+		fired     int64
+		open      []string
+	}
+	run := func(form requestForm, check func(st *ClientStream)) outcome {
+		cfg := fastCfg()
+		cfg.FailureRate = 0.2
+		sim := des.New(11)
+		svc, err := New(sim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stored directly, so that setting up draws nothing.
+		svc.buckets["b"] = newBucket("b")
+		svc.buckets["b"].objects["k"] = stored{payload: payload.RealNoCopy(data)}
+		c := NewClient(svc)
+		c.MaxRetries = 100
+		var out outcome
+		sim.Spawn("reader", func(p *des.Proc) {
+			src, err := form.open(c, p, "b", "k", StreamOptions{ChunkBytes: chunk})
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			for range chunks {
+				pl, err := src.Next(p)
+				if err != nil {
+					t.Errorf("Next: %v", err)
+					return
+				}
+				raw, _ := pl.Bytes()
+				out.crc = crc32.Update(out.crc, crc32.IEEETable, raw)
+				out.delivered += pl.Size()
+			}
+			p.Sleep(chunk * time.Second / 2e6) // half a chunk's transfer
+			if st, ok := src.(*ClientStream); ok {
+				check(st)
+			}
+			src.Close()
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		out.metrics, out.retries, out.fired, out.open = svc.Metrics(), c.Retries(), sim.Fired(), svc.OpenStreams()
+		return out
+	}
+	got := run(chainForm, func(st *ClientStream) {
+		if st.seq < 2 || st.state != inFlight {
+			t.Errorf("at the close: stream #%d in state %d, want a resumed stream (#2 or later) with a chunk in flight", st.seq, st.state)
+		}
+	})
+	want := run(processForm, nil)
+	t.Logf("%d bytes delivered, %d out, %d throttles, %d retries, %d events", got.delivered, got.metrics.BytesOut, got.metrics.Throttled, got.retries, got.fired)
+	if got.delivered != chunks*chunk || got.metrics.Throttled == 0 || got.retries == 0 {
+		t.Errorf("delivered %d bytes (want %d) through %d throttles and %d retries: the script missed the resume",
+			got.delivered, chunks*chunk, got.metrics.Throttled, got.retries)
+	}
+	if want := crc32.ChecksumIEEE(data[:got.delivered]); got.crc != want {
+		t.Errorf("delivered bytes crc %08x, want the object's first %d bytes, %08x", got.crc, got.delivered, want)
+	}
+	if got.metrics.BytesOut != got.delivered+chunk {
+		t.Errorf("BytesOut %d, want the %d delivered and the chunk in flight at the close", got.metrics.BytesOut, got.delivered)
+	}
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("one stream object:  %+v\nthe process form: %+v", got, want)
+	}
+	if len(got.open) != 0 {
+		t.Errorf("OpenStreams after the drain = %v, want none", got.open)
+	}
+}
+
+// TestStreamIsNotReopenedWhileItRuns: an open into a stream whose
+// producing side has an event pending would leave two chains of events
+// on one object. startStream refuses, and the kernel reports the panic
+// as the run's error.
+func TestStreamIsNotReopenedWhileItRuns(t *testing.T) {
+	sim, svc, _ := streamRig(t, fastCfg(), 50000)
+	sim.Spawn("reader", func(p *des.Proc) {
+		st, err := NewClient(svc).GetStream(p, "b", "k", 0, -1, StreamOptions{ChunkBytes: 10000})
+		if err != nil {
+			t.Errorf("GetStream: %v", err)
+			return
+		}
+		_ = st.open(p, "b", "k", 0, -1, StreamOptions{})
+	})
+	err := sim.Run()
+	if err == nil || !strings.Contains(err.Error(), "stream #1 opened again while its producing side runs") {
+		t.Fatalf("sim = %v, want the re-open refused", err)
+	}
 }

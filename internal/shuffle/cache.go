@@ -155,7 +155,7 @@ func (c *cacheRuns) regenerate(p *des.Proc, j *job, reducers []int) error {
 	var mappers []int
 	for m := 0; m < j.workers; m++ {
 		for _, r := range reducers {
-			key := partKey(j.id, m, r)
+			key := j.runKeys[0][r*j.workers+m] // reducer r's run from mapper m
 			if !c.cluster.NodeDown(c.cluster.NodeIndexFor(key)) {
 				continue
 			}

@@ -604,13 +604,15 @@ func inProc(t *testing.T, fn func(p *des.Proc)) {
 // TestSizedSliceBuildsNoRuns holds the timing-only map to what it
 // needs: a mapper's slice of a sized input, at a fan-out of 128, streams
 // and charges its chunks with no runBuilder and no 128 partitions behind
-// it, as the reduce above drains with no cursors. What is left is nine:
-// the stream's three (ClientStream, Stream, its bound step), the boxes
-// of the range it cuts and of that range's three chunks, and the slice's
-// meter and its drain chain's bound step (which replaced the reader's
-// CPU budget and charge closure, two as well). Building the partitions
-// up front cost an eleventh, the []runPart, and the stream's name,
-// built at the open until only OpenStreams built it, a tenth.
+// it, as the reduce above drains with no cursors. What is left is eight:
+// the stream's two (the stream and its bound step), the boxes of the
+// range it cuts and of that range's three chunks, and the slice's meter
+// and its drain chain's bound step (which replaced the reader's CPU
+// budget and charge closure, two as well). Building the partitions up
+// front cost an eleventh, the []runPart; the stream's name, built at
+// the open until only OpenStreams built it, a tenth; and the stream's
+// producing side, a second object until the stream became one, a
+// ninth.
 func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -626,8 +628,8 @@ func TestSizedSliceBuildsNoRuns(t *testing.T) {
 			}
 		})
 	})
-	if allocs != 9 {
-		t.Errorf("a sized 128-way slice read allocates %.0f times, want 9", allocs)
+	if allocs != 8 {
+		t.Errorf("a sized 128-way slice read allocates %.0f times, want 8", allocs)
 	}
 }
 

@@ -76,6 +76,11 @@ type job struct {
 	// one-level, a per-group round-2 job under the hierarchy.
 	round1    string
 	groupJobs []string
+	// runKeys[e] names every run of the exchange between waves e and
+	// e+1, each built once, reader-major: reader t's fan-in is the row
+	// runKeys[e][t*fanIn : (t+1)*fanIn], and a writer PUTs the very
+	// strings its readers open (task.runKey).
+	runKeys [][]string
 	// k is the fan-in of one reducer: every worker one-level, the
 	// workers of one group under the hierarchy.
 	k int
@@ -209,6 +214,25 @@ func (j *job) layout(in PlanInput, store, via medium) error {
 	}
 	j.waves = waves(nil, j.workers, j.res.Groups, in, store, via)
 	j.k = j.waves[len(j.waves)-1].fanIn
+	j.runKeys = make([][]string, len(j.waves)-1)
+	for e := range j.runKeys {
+		fanIn := j.waves[e+1].fanIn
+		keys := make([]string, 0, j.workers*fanIn)
+		for t := range j.workers {
+			grp, r := t/j.k, t%j.k
+			for m := range fanIn {
+				if j.sprays(e) {
+					// Reader r of group grp gathers the group's coarse range
+					// from mappers r*fanIn .. (r+1)*fanIn-1.
+					keys = append(keys, partKey(j.round1, r*fanIn+m, grp))
+				} else {
+					// Place r of each of the group's members.
+					keys = append(keys, partKey(j.groupJobs[grp], m, r))
+				}
+			}
+		}
+		j.runKeys[e] = keys
+	}
 	j.res.OutputKeys = make([]string, j.workers)
 	for r := range j.res.OutputKeys {
 		j.res.OutputKeys[r] = OutputKey(j.spec.OutputPrefix, r)
@@ -243,14 +267,16 @@ type task struct {
 	// errors.
 	index int
 	// What it reads: bytes [off, off+n) of the size-byte input object
-	// (fan-in 0), or the fan-in sorted runs under sources.
+	// (fan-in 0), or the fan-in sorted runs under sources, a row of the
+	// job's key table.
 	inBucket, inKey string
 	off, n, size    int64
 	sources         []string
-	// Where the result goes: the fan-out runs partKey(job, writer, 0..),
-	// split at bounds, or (fan-out 0) the output object.
-	job               string
-	writer            int
+	// Where the result goes: the fan-out runs, split at bounds, place r
+	// named runKeys[runAt+r*runStride] of the next exchange's key table;
+	// or (fan-out 0) the output object.
+	runKeys           []string
+	runAt, runStride  int
 	bounds            []boundary
 	outBucket, outKey string
 	// sliceBytes is the planned per-worker volume, sizing a gather's
@@ -258,44 +284,43 @@ type task struct {
 	sliceBytes, chunkBytes int64
 }
 
-// runKey names the run the task writes for place r of its fan-out.
-func (t *task) runKey(r int) string { return partKey(t.job, t.writer, r) }
+// runKey names the run the task writes for place r of its fan-out: the
+// string the run's reader opens it by.
+func (t *task) runKey(r int) string { return t.runKeys[t.runAt+r*t.runStride] }
 
 // task builds activation t of wave i, its runs written through runs: t
-// is place r of group grp. Across a spraying exchange it gathers the
-// group's coarse range from mappers r*g .. (r+1)*g-1 (an even split of
-// the round-1 runs); inside a group, place r of each of the group's k
-// members. Group grp's k parts are parts grp*k .. grp*k+k-1, so the
-// output is globally ordered across groups; one-level, the one group is
-// the job.
+// is place r of group grp. It reads row t of the key table of the
+// exchange before it (layout). Group grp's k parts are parts grp*k ..
+// grp*k+k-1, so the output is globally ordered across groups;
+// one-level, the one group is the job. Building it builds no key.
 func (j *job) task(i, t int, runs runStore) *task {
 	wv, grp, r := &j.waves[i], t/j.k, t%j.k
 	tk := &task{
 		wave: wv, runs: runs, index: t,
 		sliceBytes: j.size / int64(j.workers), chunkBytes: j.spec.StreamChunkBytes,
 	}
-	switch {
-	case wv.fanIn == 0:
+	if wv.fanIn == 0 {
 		tk.inBucket, tk.inKey, tk.size = j.spec.InputBucket, j.spec.InputKey, j.size
 		tk.off, tk.n = EvenShare(j.size, j.workers, t)
-	case j.sprays(i - 1):
-		tk.sources = make([]string, wv.fanIn)
-		for m := range tk.sources {
-			tk.sources[m] = partKey(j.round1, r*wv.fanIn+m, grp)
-		}
-	default:
-		tk.sources = make([]string, wv.fanIn)
-		for m := range tk.sources {
-			tk.sources[m] = partKey(j.groupJobs[grp], m, r)
-		}
+	} else {
+		row := t * wv.fanIn
+		tk.sources = j.runKeys[i-1][row : row+wv.fanIn : row+wv.fanIn]
 	}
-	switch {
-	case wv.fanOut == 0:
+	if wv.fanOut == 0 {
 		tk.outBucket, tk.outKey = j.spec.OutputBucket, j.res.OutputKeys[t]
-	case j.sprays(i):
-		tk.job, tk.writer, tk.bounds = j.round1, t, j.coarse
-	default:
-		tk.job, tk.writer = j.groupJobs[grp], r
+		return tk
+	}
+	// Place p of this task's fan-out is one column of a reader's row in
+	// the next exchange's table, whose rows are fanIn keys long.
+	fanIn := j.waves[i+1].fanIn
+	tk.runKeys = j.runKeys[i]
+	if j.sprays(i) {
+		// Mapper t is column t%fanIn of reader t/fanIn of group p: row
+		// p*k + t/fanIn, so at t and a stride of k*fanIn.
+		tk.runAt, tk.runStride, tk.bounds = t, j.k*fanIn, j.coarse
+	} else {
+		// Member r of group grp is column r of reader grp*k + p.
+		tk.runAt, tk.runStride = grp*j.k*fanIn+r, fanIn
 		if j.fine != nil {
 			tk.bounds = j.fine[grp*j.k : grp*j.k+j.k-1]
 		}

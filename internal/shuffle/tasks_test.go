@@ -3,6 +3,9 @@ package shuffle
 import (
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
 // TestTasksMatchWaves pins what job.task builds to the wave list it is
@@ -96,6 +99,57 @@ func TestTasksMatchWaves(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRunKeysAreBuiltOnce: a job builds each run's key once. The key a
+// writer stores a run under (task.runKey, what its put's each returns)
+// is the very string, by the address of its bytes, that the run's reader
+// opens it by (sources[m]), so the store's map key and the reader's are
+// one; and building a wave's tasks builds no key: the reduce wave's w
+// tasks cost w allocations beside the inputs slice, one-level and
+// two-level.
+func TestRunKeysAreBuiltOnce(t *testing.T) {
+	const size = 1 << 20
+	runs := &storeRuns{bucket: "out"}
+	for _, c := range []struct{ w, g int }{{1, 0}, {8, 0}, {97, 0}, {128, 0}, {8, 2}, {12, 3}, {128, 8}} {
+		j := &job{
+			runs: runs, id: "t-0001", size: size, workers: c.w,
+			spec: Spec{InputBucket: "in", InputKey: "data.bed", OutputBucket: "out", OutputPrefix: "sorted/", Groups: c.g},
+		}
+		if c.g > 0 {
+			j.spec.Exchange = ViaStoreTwoLevel
+		}
+		if err := j.layout(PlanInput{DataBytes: size, PartitionBps: 1, MergeBps: 1}, medium{}, medium{}); err != nil {
+			t.Fatalf("w=%d g=%d: %v", c.w, c.g, err)
+		}
+		for i := 1; i < len(j.waves); i++ {
+			written := map[string]*byte{}
+			for at := range c.w {
+				tk := j.task(i-1, at, runs)
+				for r := range tk.wave.fanOut {
+					key := tk.runKey(r)
+					written[key] = unsafe.StringData(key)
+				}
+			}
+			for at := range c.w {
+				tk := j.task(i, at, runs)
+				for m, key := range tk.sources {
+					if ptr, ok := written[key]; !ok || ptr != unsafe.StringData(key) {
+						t.Fatalf("w=%d g=%d wave %d task %d source %d %s: written %v, as another string %v",
+							c.w, c.g, i, at, m, key, ok, ok && ptr != unsafe.StringData(key))
+					}
+				}
+			}
+		}
+		if destest.Race {
+			continue // the detector allocates
+		}
+		last := len(j.waves) - 1
+		if n := testing.AllocsPerRun(10, func() { _ = j.inputs(last, nil, runs) }); n != float64(c.w+1) {
+			t.Errorf("w=%d g=%d: building the reduce wave's tasks allocates %.0f times, want %d (the tasks and the slice)",
+				c.w, c.g, n, c.w+1)
 		}
 	}
 }
