@@ -9,7 +9,7 @@ import (
 )
 
 // The data-plane benchmarks time the bodies the handlers run — the
-// chunk-fed line reader, the per-partition sort, the streamed k-way
+// chunk-fed line reader, the mapper's sort and cut, the streamed k-way
 // merge and merge-split — on fixed workloads (20k records, seed 11, 8
 // reducers). The string-keyed and whole-buffer twins they were measured
 // against are retired; their numbers are in `git show 80bdab0:BENCH_10.json`.
@@ -46,8 +46,7 @@ func BenchmarkMapStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder := newRunBuilder(8, bounds)
-		builder.sizeHint(len(raw))
+		builder := newRunBuilder(8, bounds, len(raw), len(raw)/32)
 		src := chunks
 		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}}
 		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.addLine); err != nil {
@@ -76,28 +75,28 @@ func benchRuns(b *testing.B) ([][]byte, int64) {
 	return runs, total
 }
 
-// BenchmarkPartitionSort is the ISSUE 4 headline: the mapper's
-// per-partition sort alone — runPart.finish on one unsorted partition
-// — at sizes where the partition has outgrown cache.
+// BenchmarkPartitionSort is the mapper's post-transfer work alone —
+// runBuilder.finish sorting one unsorted slice's index and cutting its
+// lines into 8 runs — at sizes where the index has outgrown cache.
 func BenchmarkPartitionSort(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			recs := bed.Generate(bed.GenConfig{Records: n, Seed: 19, Sorted: false})
-			pristine := buildRunPart(recs)
+			pristine := builderOf(recs)
+			bounds := benchBounds(recs, 8)
 			b.SetBytes(int64(len(pristine.buf)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bufBox := partBufPool.get(len(pristine.buf))
-				refsBox := keyRefPool.get(len(pristine.refs))
-				p := runPart{
-					buf:     append(*bufBox, pristine.buf...),
-					refs:    append(*refsBox, pristine.refs...),
-					bufBox:  bufBox,
-					refsBox: refsBox,
+				rb := newRunBuilder(8, bounds, len(pristine.buf), len(pristine.refs))
+				rb.buf = append(rb.buf, pristine.buf...)
+				rb.refs = append(rb.refs, pristine.refs...)
+				var total int
+				for _, run := range rb.finish() {
+					total += len(run)
 				}
-				if out := p.finish(); len(out) != len(pristine.buf) {
-					b.Fatal("short run")
+				if total != len(pristine.buf) {
+					b.Fatal("short runs")
 				}
 			}
 		})

@@ -1,28 +1,27 @@
 package shuffle
 
-// The shuffle's binary-key data plane: mappers route records into
-// per-reducer partitions keyed by bed.Key, sort each partition into a
-// sorted run before it is written (the sorted-run invariant on scratch
-// objects), and reducers stream a k-way merge over the runs instead of
-// concatenating, re-parsing, and full-sorting them. TSV bytes flow
+// The shuffle's binary-key data plane: a mapper keys its slice's lines
+// by bed.Key into one index, radix-sorts that index once and cuts the
+// lines, in key order, into one sorted run per reducer at the partition
+// boundaries before they are written (the sorted-run invariant on
+// scratch objects), and reducers stream a k-way merge over the runs
+// instead of concatenating, re-parsing, and full-sorting them. TSV bytes flow
 // through the merge verbatim — only the three key columns of each line
 // are ever parsed on the reduce side.
 
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"strconv"
 	"sync"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
 
-// The data plane recycles its per-partition scratch across activations
-// instead of leaving it to the GC: partition byte buffers and their
-// KeyRef indexes cycle through these pools. Only scratch whose lifetime
-// ends inside finish() is pooled — run buffers that escape into
-// payloads never are.
+// The data plane recycles a mapper's scratch across activations instead
+// of leaving it to the GC: its line buffer and KeyRef index cycle
+// through these pools. Only scratch whose lifetime ends inside finish()
+// is pooled — a buffer that escapes as the runs never is.
 
 // slicePool recycles capacity-bearing slices through boxed pointers:
 // the *[]T box travels with its slice, so neither get nor put
@@ -35,7 +34,7 @@ func (s *slicePool[T]) get(capHint int) *[]T {
 		b := v.(*[]T)
 		if cap(*b) < capHint {
 			// A recycled slice below the hint would regrow through
-			// append doublings — the cost sizeHint exists to avoid;
+			// append doublings — the cost the hint exists to avoid;
 			// keep the box, replace the array.
 			*b = make([]T, 0, capHint)
 		}
@@ -51,27 +50,17 @@ func (s *slicePool[T]) put(b *[]T) {
 }
 
 var (
-	partBufPool slicePool[byte]
+	lineBufPool slicePool[byte]
 	keyRefPool  slicePool[bed.KeyRef]
 )
 
 // boundary is one partition boundary: a binary key plus the full
-// chromosome name behind the key's packed prefix, so that routing
+// chromosome name behind the key's packed prefix, so that cutting
 // stays exact (monotone in genome order) even for beyond-table
 // scaffold names that collide in the prefix.
 type boundary struct {
 	Key  bed.Key
 	Name string
-}
-
-// partitionIndex returns the partition for a (key, chrom-name) pair
-// given sorted boundaries: index i such that boundaries[i-1] <= key <
-// boundaries[i], with keys equal to a boundary routed right — the
-// binary-search equivalent of the legacy string search on key+"\x00".
-func partitionIndex[T bed.ChromName](key bed.Key, name T, boundaries []boundary) int {
-	return sort.Search(len(boundaries), func(i int) bool {
-		return bed.CompareKeyName(boundaries[i].Key, boundaries[i].Name, key, name) > 0
-	})
 }
 
 // chromOf returns the first column of an encoded TSV line.
@@ -95,70 +84,35 @@ func compareLineKeys(ak bed.Key, aLine []byte, bk bed.Key, bLine []byte) int {
 	return bed.CompareKey(ak, bk)
 }
 
-// runPart accumulates one reducer's partition: lines, each ended by
-// '\n', plus one key index over them whose Idx is the line's byte
-// offset in buf. The 32-bit offsets bound a partition buffer at 2 GiB,
-// far above any per-worker slice the planner's memory model admits;
-// place rejects a partition that would cross it. bufBox/refsBox are the
-// pool boxes backing the slices when grow drew them from the pools (nil
+// runBuilder builds a mapper's sorted runs: its lines, each ended by
+// '\n', go into one buffer, with one key index over them whose Idx is
+// the line's byte offset in buf. It never materializes a []bed.Record:
+// lines are copied (or, when not canonical, re-written) straight into
+// the buffer, and finish sorts the index once and cuts the lines, in
+// key order, into one run per reducer at the boundaries. The 32-bit
+// offsets bound the buffer at 2 GiB, far above any per-worker slice the
+// planner's memory model admits; addLine rejects a line that would
+// cross it. bufBox/refsBox are the pool boxes backing buf and refs (nil
 // for caller-owned memory, e.g. in tests); recycle returns them.
-type runPart struct {
+type runBuilder struct {
+	bounds  []boundary
+	fanOut  int
 	buf     []byte
 	refs    []bed.KeyRef
 	bufBox  *[]byte
 	refsBox *[]bed.KeyRef
 }
 
-// runBuilder routes lines into per-reducer partitions and finishes each
-// as a sorted run. It never materializes a []bed.Record: lines are
-// copied (or, when not canonical, re-written) straight into partition
-// buffers, and sorting permutes the partition's key index in place.
-type runBuilder struct {
-	bounds  []boundary
-	parts   []runPart
-	partCap int // per-partition first-allocation size; 0 grows organically
-	refCap  int // per-partition first KeyRef reservation
+// newRunBuilder makes a builder of fanOut runs cut at bounds, its buffer
+// reserved for size bytes and its index for lines lines, from the pools.
+func newRunBuilder(fanOut int, bounds []boundary, size, lines int) runBuilder {
+	b := runBuilder{bounds: bounds, fanOut: fanOut,
+		bufBox: lineBufPool.get(size), refsBox: keyRefPool.get(lines)}
+	b.buf, b.refs = *b.bufBox, *b.refsBox
+	return b
 }
 
-func newRunBuilder(workers int, bounds []boundary) *runBuilder {
-	return &runBuilder{bounds: bounds, parts: make([]runPart, workers)}
-}
-
-// sizeHint pre-sizes each partition's buffers for an expected total
-// input volume (+25% headroom for boundary skew), sparing the append
-// path its regrowth copies.
-func (b *runBuilder) sizeHint(totalBytes int) {
-	if totalBytes > 0 && len(b.parts) > 0 {
-		per := totalBytes / len(b.parts)
-		b.partCap = per + per/4
-		b.refCap = b.partCap / 32 // bedMethyl lines run ~58 bytes; 32 leaves room for short ones
-	}
-}
-
-func (b *runBuilder) place(key bed.Key, off int, p *runPart) error {
-	if len(p.buf) > 1<<31-1 {
-		// KeyRef's int32 offsets would wrap; fail loudly instead of
-		// corrupting the run index.
-		return errPartitionTooLarge
-	}
-	p.refs = append(p.refs, bed.KeyRef{Key: key, Idx: int32(off)})
-	return nil
-}
-
-// grow readies a partition's buffers on first touch, recycling pooled
-// scratch before allocating fresh.
-func (b *runBuilder) grow(p *runPart) {
-	if p.bufBox == nil {
-		p.bufBox = partBufPool.get(b.partCap)
-		p.buf = *p.bufBox
-	}
-	if p.refsBox == nil {
-		p.refsBox = keyRefPool.get(b.refCap)
-		p.refs = *p.refsBox
-	}
-}
-
-// addLine parses one raw input line and routes it to its partition: a
+// addLine parses one raw input line and appends it to the buffer: a
 // canonical line (bed.ParseLineCanonical) as it was read, any other as
 // bed.AppendTSV writes its record, so that every run holds the bytes
 // bed.Marshal would.
@@ -167,113 +121,135 @@ func (b *runBuilder) addLine(line []byte) error {
 	if err != nil {
 		return err
 	}
-	key := bed.KeyOf(rec)
-	p := &b.parts[partitionIndex(key, rec.Chrom, b.bounds)]
-	b.grow(p)
-	off := len(p.buf)
-	if canonical {
-		p.buf = append(append(p.buf, line...), '\n')
-	} else {
-		p.buf = bed.AppendTSV(p.buf, rec)
+	off := len(b.buf)
+	if off > 1<<31-1 {
+		// KeyRef's int32 offsets would wrap; fail loudly instead of
+		// corrupting the run index.
+		return errBufferTooLarge
 	}
-	return b.place(key, off, p)
+	if canonical {
+		b.buf = append(append(b.buf, line...), '\n')
+	} else {
+		b.buf = bed.AppendTSV(b.buf, rec)
+	}
+	b.refs = append(b.refs, bed.KeyRef{Key: bed.KeyOf(rec), Idx: int32(off)})
+	return nil
 }
 
 // SortRun sorts a bedMethyl buffer into one run, the VM strategy's local
-// sort: a runBuilder of one partition, reserved from the buffer's length
-// and line count, fed the lines bed.EachLine splits through the mappers'
+// sort: a runBuilder of one run, reserved from the buffer's length and
+// line count, fed the lines bed.EachLine splits through the mappers'
 // addLine. It accepts what bed.Unmarshal accepts and fails as it does, a
 // line that does not parse being a *bed.ParseError with its number. Its
 // bytes are bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
 func SortRun(raw []byte) ([]byte, error) {
-	b := newRunBuilder(1, nil)
-	b.partCap, b.refCap = len(raw), bytes.Count(raw, []byte{'\n'})+1
+	b := newRunBuilder(1, nil, len(raw), bytes.Count(raw, []byte{'\n'})+1)
 	if err := bed.EachLine(raw, func(line []byte, lineNo int) error {
 		if bed.IsBlank(line) {
 			return nil
 		}
 		err := b.addLine(line)
-		if err != nil && !errors.Is(err, errPartitionTooLarge) {
+		if err != nil && !errors.Is(err, errBufferTooLarge) {
 			err = &bed.ParseError{Line: lineNo, Msg: err.Error()}
 		}
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return b.parts[0].finish(), nil
+	return b.finish()[0], nil
 }
 
-// finish sorts every partition into a sorted run and returns the run
-// buffers, one per reducer (nil for empty partitions).
+// finish sorts the lines into key order and cuts them into the fanOut
+// runs, each out[a:b:b] of one buffer and nil for a reducer that gets no
+// line. Input already in key order (common for pre-sorted data) is kept
+// as it is: no sort, no copy.
 func (b *runBuilder) finish() [][]byte {
-	out := make([][]byte, len(b.parts))
-	for i := range b.parts {
-		out[i] = b.parts[i].finish()
-	}
-	return out
-}
-
-func (p *runPart) finish() []byte {
 	sorted := true
-	for i := 1; i < len(p.refs); i++ {
-		a, b := p.refs[i-1], p.refs[i]
-		if compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:]) > 0 {
+	for i := 1; i < len(b.refs); i++ {
+		x, y := b.refs[i-1], b.refs[i]
+		if compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:]) > 0 {
 			sorted = false
 			break
 		}
 	}
-	if sorted { // already a run (common for pre-sorted input): no copy
-		out := p.buf
-		if p.bufBox != nil && cap(out) > len(out)+len(out)/2 && cap(out)-len(out) > 64<<10 {
-			// A recycled buffer can be arbitrarily larger than the run
-			// it now carries (a small job after a large one); copy out
-			// rather than let the escaping payload pin the whole pooled
-			// backing array, and recycle the big buffer.
-			out = append(make([]byte, 0, len(out)), out...)
-			p.recycle(true)
-		} else {
-			p.recycle(false)
-		}
-		return out
+	// A recycled buffer can be arbitrarily larger than the runs it now
+	// carries (a small job after a large one); sorted lines are copied
+	// out of it too rather than let the escaping runs pin the whole
+	// pooled backing array, and the big buffer is recycled.
+	n := len(b.buf)
+	copyOut := !sorted || b.bufBox != nil && cap(b.buf) > n+n/2 && cap(b.buf)-n > 64<<10
+	if !sorted {
+		// MSD radix sort the index in place over the packed key bytes.
+		// Offsets rise in append order, so the Idx tie-break reproduces
+		// the byte order a stable comparison sort over input order
+		// would emit.
+		bed.RadixSort(b.refs, func(x, y bed.KeyRef) int {
+			if c := compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:]); c != 0 {
+				return c
+			}
+			return int(x.Idx) - int(y.Idx)
+		})
 	}
-	// MSD radix sort the index in place over the packed key bytes, then
-	// copy the lines out in key order, each through the '\n' after its
-	// offset. Offsets rise in append order, so the Idx tie-break
-	// reproduces the byte order a stable comparison sort over input
-	// order would emit.
-	bed.RadixSort(p.refs, func(a, b bed.KeyRef) int {
-		if c := compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:]); c != 0 {
-			return c
-		}
-		return int(a.Idx) - int(b.Idx)
-	})
-	dst := make([]byte, 0, len(p.buf))
-	for _, r := range p.refs {
-		line := p.buf[r.Idx:]
-		dst = append(dst, line[:bytes.IndexByte(line, '\n')+1]...)
+	out := b.buf
+	if copyOut {
+		out = make([]byte, 0, n)
 	}
-	p.recycle(true)
-	return dst
+	// Copy the lines out in key order, each through the '\n' after its
+	// offset, and cut a run wherever a boundary is passed.
+	runs := make([][]byte, b.fanOut)
+	r, start, end := 0, 0, 0
+	for _, ref := range b.refs {
+		line := b.buf[ref.Idx:]
+		line = line[:bytes.IndexByte(line, '\n')+1]
+		if next := runOf(b.bounds, r, ref.Key, line); next != r {
+			runs[r], start, r = cut(out, start, end), end, next
+		}
+		if copyOut {
+			out = append(out, line...)
+		}
+		end += len(line)
+	}
+	runs[r] = cut(out, start, end)
+	b.recycle(copyOut)
+	return runs
 }
 
-// recycle returns the partition's pooled scratch; withBuf is set when
-// the byte buffer did not escape as the returned run (a buffer that
-// did escape keeps its memory and its box is simply dropped).
-func (p *runPart) recycle(withBuf bool) {
-	if p.refsBox != nil {
-		*p.refsBox = p.refs
-		keyRefPool.put(p.refsBox)
+// runOf returns the run a line of key falls in, r or a later one: lines
+// come in key order, so the walk only moves forward, and a key equal to
+// a boundary goes right of it.
+func runOf(bounds []boundary, r int, key bed.Key, line []byte) int {
+	for r < len(bounds) && bed.CompareKeyName(bounds[r].Key, bounds[r].Name, key, chromOf(line)) <= 0 {
+		r++
 	}
-	if withBuf && p.bufBox != nil {
-		*p.bufBox = p.buf
-		partBufPool.put(p.bufBox)
+	return r
+}
+
+// cut returns out[a:b:b], or nil when the span is empty.
+func cut(out []byte, a, b int) []byte {
+	if a == b {
+		return nil
 	}
-	p.buf, p.refs, p.bufBox, p.refsBox = nil, nil, nil, nil
+	return out[a:b:b]
+}
+
+// recycle returns the builder's pooled scratch; withBuf is set when the
+// byte buffer did not escape as the runs (a buffer that did escape keeps
+// its memory and its box is simply dropped).
+func (b *runBuilder) recycle(withBuf bool) {
+	if b.refsBox != nil {
+		*b.refsBox = b.refs
+		keyRefPool.put(b.refsBox)
+	}
+	if withBuf && b.bufBox != nil {
+		*b.bufBox = b.buf
+		lineBufPool.put(b.bufBox)
+	}
+	b.buf, b.refs, b.bufBox, b.refsBox = nil, nil, nil, nil
 }
 
 var (
-	errNoLineStart       = errors.New("no line start in slice")
-	errPartitionTooLarge = errors.New("partition exceeds the 2 GiB run-index bound")
+	errNoLineStart    = errors.New("no line start in slice")
+	errBufferTooLarge = errors.New("a run buffer exceeds the 2 GiB run-index bound")
 )
 
 // appendIndex4 appends n zero-padded to four digits (the %04d the

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
@@ -123,6 +124,10 @@ func TestRunBuilderEmitsSortedRuns(t *testing.T) {
 	}
 }
 
+// TestRunBuilderAlreadySortedSkipsCopy: input already in key order
+// round-trips byte for byte, and at a fan-out of 4 its runs are
+// consecutive spans of the builder's own buffer, neither sorted nor
+// copied.
 func TestRunBuilderAlreadySortedSkipsCopy(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 500, Seed: 72, Sorted: true})
 	raw := bed.Marshal(recs)
@@ -132,6 +137,25 @@ func TestRunBuilderAlreadySortedSkipsCopy(t *testing.T) {
 	}
 	if !bytes.Equal(parts[0], raw) {
 		t.Fatal("single-partition sorted input should round-trip byte-identically")
+	}
+
+	b := &runBuilder{bounds: benchBounds(recs, 4), fanOut: 4} // its own memory, no pooled slack
+	if err := forEachLine(raw, b.addLine); err != nil {
+		t.Fatal(err)
+	}
+	next := unsafe.SliceData(b.buf)
+	runs := b.finish()
+	for r, run := range runs {
+		if len(run) == 0 || cap(run) != len(run) {
+			t.Fatalf("run %d: %d bytes, capacity %d; want a non-empty run with none spare", r, len(run), cap(run))
+		}
+		if unsafe.SliceData(run) != next {
+			t.Fatalf("run %d does not start where run %d ends in the builder's buffer", r, r-1)
+		}
+		next = (*byte)(unsafe.Add(unsafe.Pointer(next), len(run)))
+	}
+	if !bytes.Equal(bytes.Join(runs, nil), raw) {
+		t.Fatal("the runs of sorted input do not join to it")
 	}
 }
 
@@ -337,32 +361,38 @@ func TestMergeRunsCursorExhaustsMidMerge(t *testing.T) {
 
 // legacySortRun is the PR 3 runPart.finish body — stable comparison
 // sort over the ref index, then copy-out — kept as the oracle the
-// radix path must reproduce byte for byte, and as the benchmark
-// baseline.
-func legacySortRun(p *runPart) []byte {
-	cmp := func(a, b bed.KeyRef) int {
-		return compareLineKeys(a.Key, p.buf[a.Idx:], b.Key, p.buf[b.Idx:])
+// radix path must reproduce byte for byte. It reads b's buffer and
+// index and leaves b's index sorted.
+func legacySortRun(b *runBuilder) []byte {
+	cmp := func(x, y bed.KeyRef) int {
+		return compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:])
 	}
-	slices.SortStableFunc(p.refs, cmp)
-	dst := make([]byte, 0, len(p.buf))
-	for _, ref := range p.refs {
-		line := p.buf[ref.Idx:]
+	slices.SortStableFunc(b.refs, cmp)
+	dst := make([]byte, 0, len(b.buf))
+	for _, ref := range b.refs {
+		line := b.buf[ref.Idx:]
 		dst = append(dst, line[:bytes.IndexByte(line, '\n')+1]...)
 	}
 	return dst
 }
 
-// buildRunPart encodes records into one partition buffer + offset
+// builderOf encodes records into a one-run builder's buffer and offset
 // index, exactly as runBuilder.addLine lays them out (but without
 // pooled scratch, so tests and benchmarks own the memory).
-func buildRunPart(recs []bed.Record) runPart {
-	var p runPart
+func builderOf(recs []bed.Record) *runBuilder {
+	b := &runBuilder{fanOut: 1}
 	for _, r := range recs {
-		off := len(p.buf)
-		p.buf = bed.AppendTSV(p.buf, r)
-		p.refs = append(p.refs, bed.KeyRef{Key: bed.KeyOf(r), Idx: int32(off)})
+		line := bed.AppendTSV(nil, r)
+		b.appendLine(bed.KeyOf(r), line[:len(line)-1])
 	}
-	return p
+	return b
+}
+
+// appendLine appends a line, ended by '\n', and its key to the
+// builder's buffer and index, with no parse.
+func (b *runBuilder) appendLine(key bed.Key, line []byte) {
+	b.refs = append(b.refs, bed.KeyRef{Key: key, Idx: int32(len(b.buf))})
+	b.buf = append(append(b.buf, line...), '\n')
 }
 
 // adversarialRecords mixes generated records with the shapes that
@@ -410,10 +440,8 @@ func adversarialRecords(seed int64, n int) []bed.Record {
 func TestPropertyFinishMatchesStableSort(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		recs := adversarialRecords(seed, 2000)
-		oracle := buildRunPart(recs)
-		want := legacySortRun(&oracle)
-		radix := buildRunPart(recs)
-		got := (&radix).finish()
+		want := legacySortRun(builderOf(recs))
+		got := builderOf(recs).finish()[0]
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: radix finish diverges from stable comparison sort", seed)
 		}
@@ -463,24 +491,20 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 		if sized, _, err := mergeStreamedRuns(&meter{clock: freeClock{}}, chunkedSources(runs, chunk), split.emit); err != nil || sized {
 			t.Fatalf("streamed merge-split (chunk %d): sized=%v err=%v", chunk, sized, err)
 		}
-		splits[fmt.Sprintf("streamed merge-split (chunk %d)", chunk)] = split.parts
+		splits[fmt.Sprintf("streamed merge-split (chunk %d)", chunk)] = split.finish()
 	}
 	// Oracle: route each line by binary search, then stable-sort each
 	// partition — the PR 3 repartition body (AddEncoded stored each
 	// line's trailing newline inside the ref, so the copy-out already
 	// emits terminated lines).
-	oracle := make([]runPart, k)
+	oracle := make([]runBuilder, k)
 	for _, run := range runs {
 		if err := forEachLine(run, func(line []byte) error {
 			key, err := bed.KeyOfLine(line)
 			if err != nil {
 				return err
 			}
-			p := &oracle[partitionIndex(key, chromOf(line), bounds)]
-			off := len(p.buf)
-			p.buf = append(p.buf, line...)
-			p.buf = append(p.buf, '\n')
-			p.refs = append(p.refs, bed.KeyRef{Key: key, Idx: int32(off)})
+			oracle[partitionIndex(key, chromOf(line), bounds)].appendLine(key, line)
 			return nil
 		}); err != nil {
 			t.Fatalf("oracle routing: %v", err)
@@ -603,16 +627,17 @@ func inProc(t *testing.T, fn func(p *des.Proc)) {
 
 // TestSizedSliceBuildsNoRuns holds the timing-only map to what it
 // needs: a mapper's slice of a sized input, at a fan-out of 128, streams
-// and charges its chunks with no runBuilder and no 128 partitions behind
-// it, as the reduce above drains with no cursors. What is left is eight:
-// the stream's two (the stream and its bound step), the boxes of the
-// range it cuts and of that range's three chunks, and the slice's meter
-// and its drain chain's bound step (which replaced the reader's CPU
-// budget and charge closure, two as well). Building the partitions up
-// front cost an eleventh, the []runPart; the stream's name, built at
-// the open until only OpenStreams built it, a tenth; and the stream's
-// producing side, a second object until the stream became one, a
-// ninth.
+// and charges its chunks with no runBuilder behind it, as the reduce
+// above drains with no cursors. What is left is eight: the stream's two
+// (the stream and its bound step), the boxes of the range it cuts and of
+// that range's three chunks, and the slice's meter and its drain
+// chain's bound step (which replaced the reader's CPU budget and charge
+// closure, two as well). Building the partitions up front cost an
+// eleventh, the []runPart of a buffer and an index per reducer, which
+// has since become one buffer and one index cut at the boundaries; the
+// stream's name, built at the open until only OpenStreams built it, a
+// tenth; and the stream's producing side, a second object until the
+// stream became one, a ninth.
 func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")

@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -384,6 +385,41 @@ func TestPartitionIndex(t *testing.T) {
 	earlierName := bed.KeyOf(bed.Record{Chrom: "chrUn_KI270302v1", Start: 5000, End: 5001})
 	if got := partitionIndex(earlierName, "chrUn_KI270302v1", []boundary{scafBound}); got != 0 {
 		t.Errorf("earlier scaffold routed to %d, want 0 (name must trump start)", got)
+	}
+
+	// A mapper cuts its sorted lines by the same rule: the cases above,
+	// one line each, fed in reverse so that finish sorts, land in the
+	// runs the router names, the lines equal to a boundary right of it.
+	line := func(chrom string, start, end int64) []byte {
+		return bed.AppendTSV(nil, bed.Record{Chrom: chrom, Start: start, End: end, Name: ".", Strand: '+'})
+	}
+	cutInto := func(bounds []boundary, lines ...[]byte) [][]byte {
+		b := newRunBuilder(len(bounds)+1, bounds, 0, 0)
+		for i := len(lines) - 1; i >= 0; i-- {
+			if err := b.addLine(lines[i][:len(lines[i])-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.finish()
+	}
+	var lines [][]byte
+	want := make([][]byte, len(bounds)+1)
+	for i, start := range []int64{10, 20, 20, 30, 40, 50, 60, 99} {
+		end := start + 1
+		if i == 2 {
+			end = start + 2 // past the boundary at 20 in End only
+		}
+		lines = append(lines, line("chr1", start, end))
+		r := []int{0, 1, 1, 1, 2, 2, 3, 3}[i]
+		want[r] = append(want[r], lines[i]...)
+	}
+	for r, got := range cutInto(bounds, lines...) {
+		if !bytes.Equal(got, want[r]) {
+			t.Errorf("cut run %d = %q, want %q", r, got, want[r])
+		}
+	}
+	if got := cutInto([]boundary{scafBound}, line("chrUn_KI270302v1", 5000, 5001)); got[0] == nil || got[1] != nil {
+		t.Errorf("earlier scaffold cut into %q, want run 0 (name must trump start)", got)
 	}
 }
 

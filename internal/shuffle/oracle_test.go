@@ -10,6 +10,7 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
@@ -43,8 +44,7 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 	}
 	limit := offset + length
 
-	builder := newRunBuilder(workers, boundaries)
-	builder.sizeHint(len(raw))
+	builder := newRunBuilder(workers, boundaries, len(raw), len(raw)/32)
 	pos := start
 	for pos < len(raw) && globalStart(pos) < limit {
 		nl := bytes.IndexByte(raw[pos:], '\n')
@@ -64,6 +64,18 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 		}
 	}
 	return builder.finish(), nil
+}
+
+// partitionIndex returns the partition for a (key, chrom-name) pair
+// given sorted boundaries: index i such that boundaries[i-1] <= key <
+// boundaries[i], with keys equal to a boundary routed right — the
+// binary-search equivalent of the legacy string search on key+"\x00".
+// It routed every line of a mapper before one index was cut at the
+// boundaries; the oracles route with it.
+func partitionIndex[T bed.ChromName](key bed.Key, name T, boundaries []boundary) int {
+	return sort.Search(len(boundaries), func(i int) bool {
+		return bed.CompareKeyName(boundaries[i].Key, boundaries[i].Name, key, name) > 0
+	})
 }
 
 // forEachLine calls fn for every non-blank line of raw.

@@ -489,10 +489,10 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
 			err = mergeToOutput(ctx, m, srcs, inBytes, t.outBucket, t.outKey, partBytes)
 		} else {
-			split := newRunSplitter(fanOut, t.bounds, t.sliceBytes)
+			split := newRunSplitter(fanOut, t.bounds, inBytes)
 			var sized bool
 			if sized, total, err = mergeStreamedRuns(m, srcs, split.emit); !sized {
-				parts = split.parts
+				parts = split.finish()
 			}
 			if err != nil {
 				err = fmt.Errorf("merge: %w", err)

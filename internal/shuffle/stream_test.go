@@ -46,8 +46,7 @@ func cutChunks(raw []byte, sizes []int) chunkList {
 func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset, length int64,
 	workers int, bounds []boundary, chunkSizes []int) [][]byte {
 	t.Helper()
-	builder := newRunBuilder(workers, bounds)
-	builder.sizeHint(len(raw))
+	builder := newRunBuilder(workers, bounds, len(raw), len(raw)/32)
 	src := cutChunks(raw, chunkSizes)
 	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff}
 	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.addLine); err != nil {

@@ -6,11 +6,12 @@ package shuffle
 // every merged run is read with too (streamreduce.go): each chunk is
 // charged its partition CPU as it lands and its complete lines are fed
 // into the runBuilder — the partial trailing line carried across the
-// chunk boundary — so parsing, key packing, and partition routing
-// overlap the remaining transfer. A line that does not parse fails the
-// slice after its chunk's charge. The per-partition radix sort
-// (runBuilder.finish) is the only post-transfer work, matching the
-// planner's overlap model max(transfer, partitionCPU) + sort.
+// chunk boundary — so parsing, key packing and indexing overlap the
+// remaining transfer. A line that does not parse fails the slice after
+// its chunk's charge. The one radix sort of the slice's index and its
+// cut into runs (runBuilder.finish) are the only post-transfer work,
+// matching the planner's overlap model max(transfer, partitionCPU) +
+// sort.
 
 import (
 	"errors"
@@ -23,12 +24,12 @@ import (
 )
 
 // mapSortShare is the fraction of the map phase's lumped CPU budget
-// spent in the post-stream radix sort of the partitions — the one leg
-// that cannot overlap the transfer because it needs every record
-// routed first. The remaining 4/5 is the per-chunk parse+route+append
-// work, a 4:1 time split matching the measured data-plane benchmarks
-// (the radix finish runs ~4x faster than the full parse+route pass
-// over the same bytes).
+// spent in the post-stream radix sort of the slice's index and its cut
+// into runs — the one leg that cannot overlap the transfer because it
+// needs every record indexed first. The remaining 4/5 is the per-chunk
+// parse+index+append work, a 4:1 time split matching the data-plane
+// benchmarks it was measured on (the radix finish ran ~4x faster than
+// the full parse+route pass over the same bytes).
 const mapSortShare = 0.2
 
 // MapStreamRates splits the lumped partition throughput (the
@@ -115,10 +116,10 @@ func (t *task) span() (readOff, readLen int64, prefixByte bool) {
 // the per-chunk partition CPU (at the wave's streaming rate) as each
 // chunk lands and the post-stream sort once the transfer is done. It
 // returns the finished sorted runs, or nil when the object is a
-// timing-only payload (the caller writes even-split sized partitions;
-// the CPU has already been charged either way). The builder and its
-// fan-out of partitions are made at the first line to route, so a
-// timing-only slice, whose first chunk has no lines, builds neither.
+// timing-only payload (the caller writes even-split sized runs; the CPU
+// has already been charged either way). The builder is made at the
+// first line, so a timing-only slice, whose first chunk has no lines,
+// builds none.
 func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	readOff, readLen, prefixByte := t.span()
 	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
@@ -133,11 +134,11 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	// transferred but their lines belong to the next mapper.
 	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
 	r := &lineReader{src: st, m: m, pos: readOff}
-	var builder *runBuilder
+	var builder runBuilder // fanOut 0 until made
 	err = feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte) error {
-		if builder == nil {
-			builder = newRunBuilder(t.wave.fanOut, t.bounds)
-			builder.sizeHint(int(readLen))
+		if builder.fanOut == 0 {
+			// bedMethyl lines run ~58 bytes; 32 leaves room for short ones.
+			builder = newRunBuilder(t.wave.fanOut, t.bounds, int(readLen), int(readLen)/32)
 		}
 		return builder.addLine(line)
 	})
@@ -148,12 +149,12 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The per-partition radix sort is the only post-transfer work.
+	// The sort and the cut are the only post-transfer work.
 	ctx.ComputeBytes(t.n, t.wave.sortBps)
 	switch {
 	case sized:
 		return nil, nil
-	case builder == nil:
+	case builder.fanOut == 0:
 		// Real bytes with no line of the mapper's own: every run empty.
 		return make([][]byte, t.wave.fanOut), nil
 	}

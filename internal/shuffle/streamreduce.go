@@ -428,42 +428,45 @@ func drainRuns(m *meter, srcs []runSource, started []streamCursor) (bool, int64,
 	return true, total, nil
 }
 
-// runSplitter is the merge's routing sink for the hierarchy's round 2:
-// it appends each emitted line to its boundary partition instead of
-// one output. Because the merge emits lines in globally ascending key
-// order, every partition is a sorted run by construction — no
-// per-partition sort ever runs — and the routing cursor only moves
-// right, so boundary search is O(1) amortized instead of a binary
-// search per line. Partitions that receive nothing stay nil, matching
-// runBuilder.finish.
+// runSplitter is the merge's sink for the hierarchy's round 2: the
+// emitted lines go into one buffer, cut into one run per reducer where a
+// boundary is passed, by runBuilder.finish's rule (runOf). Because the merge emits lines in globally
+// ascending key order, every run is sorted by construction — nothing is
+// re-sorted — and the cut only moves forward. The buffer, one
+// reservation of the merge's input bytes, and the runs are made at the
+// first line, so a timing-only merge makes neither.
 type runSplitter struct {
 	bounds []boundary
-	parts  [][]byte
-	cur    int // partition of the last emitted line
-	hint   int // first-allocation size of a partition buffer
+	fanOut int
+	size   int64
+	buf    []byte
+	runs   [][]byte
+	cur    int // run of the last emitted line
+	start  int // where run cur starts in buf
 }
 
-// newRunSplitter splits into fanout partitions, pre-sizing each for an
-// even share of totalBytes (+25% for boundary skew).
-func newRunSplitter(fanout int, bounds []boundary, totalBytes int64) *runSplitter {
-	s := &runSplitter{bounds: bounds, parts: make([][]byte, fanout)}
-	if fanout > 0 && totalBytes > 0 {
-		s.hint = int(totalBytes)/fanout + int(totalBytes)/(4*fanout)
-	}
-	return s
+func newRunSplitter(fanOut int, bounds []boundary, size int64) *runSplitter {
+	return &runSplitter{bounds: bounds, fanOut: fanOut, size: size}
 }
 
 func (s *runSplitter) emit(key bed.Key, line []byte) error {
-	// Advance past every boundary <= the emitted key (keys equal to a
-	// boundary route right, as in partitionIndex).
-	for s.cur < len(s.bounds) &&
-		bed.CompareKeyName(s.bounds[s.cur].Key, s.bounds[s.cur].Name, key, chromOf(line)) <= 0 {
-		s.cur++
+	if s.runs == nil {
+		s.buf, s.runs = make([]byte, 0, s.size), make([][]byte, s.fanOut)
 	}
-	if s.parts[s.cur] == nil {
-		s.parts[s.cur] = make([]byte, 0, s.hint)
+	if next := runOf(s.bounds, s.cur, key, line); next != s.cur {
+		s.runs[s.cur], s.start, s.cur = cut(s.buf, s.start, len(s.buf)), len(s.buf), next
 	}
-	s.parts[s.cur] = append(s.parts[s.cur], line...)
-	s.parts[s.cur] = append(s.parts[s.cur], '\n')
+	s.buf = append(append(s.buf, line...), '\n')
 	return nil
+}
+
+// finish returns the runs, each buf[a:b:b] and nil for a reducer that
+// got no line; a merge that emitted nothing returns a full fan-out of
+// empty runs, as readSlice does.
+func (s *runSplitter) finish() [][]byte {
+	if s.runs == nil {
+		return make([][]byte, s.fanOut)
+	}
+	s.runs[s.cur] = cut(s.buf, s.start, len(s.buf))
+	return s.runs
 }
