@@ -148,11 +148,7 @@ func (r *Rig) CacheStrategy(warm bool) *core.CacheExchange {
 func (r *Rig) AutoStrategy(obj autoplan.Objective) *core.AutoExchange {
 	env := PlanEnv(r.Profile)
 	env.History = r.History
-	return &core.AutoExchange{
-		Objective: obj,
-		Env:       env,
-		VM:        *r.VMStrategy(),
-	}
+	return &core.AutoExchange{Objective: obj, Env: env}
 }
 
 // PlanInput is the one mapping from a profile and a volume to the

@@ -21,11 +21,10 @@ type AutoExchange struct {
 	// priors and calibration history included: calib.PlanEnv of the
 	// profile the executor's services were built from. RunSort overlays
 	// only what is live when the stage runs: a standing cluster or
-	// instance that is still up, and the stage's memory grant.
+	// instance that is still up, and the stage's memory grant. A VM leg
+	// runs with the Env's VM knobs (VMSetup, VMSortBps, VMConns), the
+	// ones it was priced with.
 	Env autoplan.Env
-	// VM carries the VM family's dispatch knobs (Setup/SortBps/Conns
-	// shape its run).
-	VM VMExchange
 	// LastDecision is the most recent planner output (for reports; the
 	// simulation kernel runs one process at a time, so reads after the
 	// stage are safe).
@@ -118,9 +117,13 @@ func (a *AutoExchange) dispatch(ctx *StageContext, spec shuffle.Spec, dec *autop
 	case autoplan.CacheBacked:
 		return (&CacheExchange{Nodes: c.CacheNodes}).RunSort(ctx, q)
 	case autoplan.VMStaged:
-		ve := a.VM
-		ve.InstanceType = c.Instance
-		ve.Spot = c.Spot
+		ve := VMExchange{
+			InstanceType: c.Instance,
+			Setup:        a.Env.VMSetup,
+			SortBps:      a.Env.VMSortBps,
+			Conns:        a.Env.VMConns,
+			Spot:         c.Spot,
+		}
 		q.Speculate = false // single VM: nothing to speculate
 		if ve.SortBps <= 0 {
 			// Run with the same sort throughput the planner predicted

@@ -86,7 +86,7 @@ func BenchmarkDESScheduleNow(b *testing.B) {
 // BenchmarkDESReschedule measures the in-place move of one pending
 // event among benchHeapDepth others, a link's membership change: each
 // move draws a fresh seq and sifts the entry from where it sits, up or
-// down, and leaves no dead entry behind.
+// down, once.
 func BenchmarkDESReschedule(b *testing.B) {
 	s := New(1)
 	fn := func() {}
@@ -108,7 +108,7 @@ func BenchmarkDESReschedule(b *testing.B) {
 
 // BenchmarkDESCancel measures the cancel-heavy regime — timeouts armed
 // and disarmed without ever firing, the token-bucket/link pattern —
-// where lazy deletion must not let dead events accumulate.
+// where each cancel takes its entry off the heap where it sits.
 func BenchmarkDESCancel(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -10,6 +10,12 @@ import "time"
 // order tests in kernel_order_test.go drive the production Sim against:
 // change the queue's order on purpose and this file is what tells you
 // every fired event, clock reading and pending count that moved.
+//
+// It is also the lazy-cancel reference. The production heap takes a
+// canceled entry out where it sits; here Cancel only marks the entry,
+// the loop skips it when it comes to the top and a Floyd re-heapify
+// sweeps the heap once the dead outnumber the live. Two independent
+// ways to cancel must fire the same events in the same order.
 
 type oracleSim struct {
 	now   time.Duration

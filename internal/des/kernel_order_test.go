@@ -18,7 +18,8 @@ import (
 // past (clamped to now), cancels, moves, processes that sleep, park,
 // wake one another and are killed when a run stops, RunUntil horizons
 // (some behind the clock), MaxEvents stops, callback panics and
-// mass cancels that compact the queues.
+// mass cancels, which the production heap takes out entry by entry and
+// the oracle leaves dead until it compacts its heap.
 //
 // The production side runs real processes and moves events with
 // Sim.move; the oracle has neither, so its processes are chains of
@@ -335,7 +336,8 @@ func (sc *orderScript) prelude() {
 }
 
 // massCancel schedules a flood of events, due now and later, and
-// cancels seven in eight: enough dead entries to compact the queues.
+// cancels seven in eight: enough dead entries to compact the oracle's
+// heap.
 func (sc *orderScript) massCancel() {
 	first := sc.evs
 	for i := 0; i < 160; i++ {

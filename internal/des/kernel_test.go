@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -160,10 +161,10 @@ func TestMaxEventsKillsSleeperWake(t *testing.T) {
 	leaks(s)
 }
 
-// TestMassCancelCompaction cancels most of a large heap and checks the
-// survivors still fire in exact (at, seq) order afterward — the
-// compaction sweep must rebuild a valid heap and drop only dead slots.
-func TestMassCancelCompaction(t *testing.T) {
+// TestMassCancelKeepsSurvivorOrder cancels most of a large heap: each
+// cancel takes its entry out where it sits, so only the survivors are
+// left on the heap, and they still fire in exact (at, seq) order.
+func TestMassCancelKeepsSurvivorOrder(t *testing.T) {
 	s := New(1)
 	const n = 4096
 	handles := make([]Event, n)
@@ -180,6 +181,9 @@ func TestMassCancelCompaction(t *testing.T) {
 	if p := s.Pending(); p != n/8 {
 		t.Fatalf("Pending = %d after mass cancel, want %d", p, n/8)
 	}
+	if len(s.heap) != n/8 {
+		t.Fatalf("heap holds %d entries after mass cancel, want the %d survivors", len(s.heap), n/8)
+	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -188,8 +192,102 @@ func TestMassCancelCompaction(t *testing.T) {
 	}
 	for j, i := range fired {
 		if want := j*8 + 3; i != want {
-			t.Fatalf("fired[%d] = %d, want %d (order broken after compaction)", j, i, want)
+			t.Fatalf("fired[%d] = %d, want %d (order broken by the removals)", j, i, want)
 		}
+	}
+}
+
+// TestHeapHoldsOnlyLiveEntries drives random Schedules (due now and
+// later, from the test and from callbacks), Cancels, moves, horizons
+// (some behind the clock, which carry the ring onto the heap) and
+// MaxEvents stops in the middle of an instant. After every operation
+// each heap entry's slot is live and records the entry's index, the
+// 4-ary heap property holds, the ring's dead entries are all the
+// kernel counts as canceled, and Pending is the number of live handles.
+func TestHeapHoldsOnlyLiveEntries(t *testing.T) {
+	s := New(1)
+	r := rand.New(rand.NewSource(49))
+	var evs []Event
+	check := func(op string) {
+		t.Helper()
+		for i, ent := range s.heap {
+			sl := &s.slots[ent.slot()]
+			if sl.canceled || sl.fire == nil || sl.at != ent.at || sl.pos != int32(i) {
+				t.Fatalf("after %s: heap[%d] has slot %d canceled=%v at=%v pos=%d", op, i, ent.slot(), sl.canceled, sl.at, sl.pos)
+			}
+			if i > 0 && entLess(ent, s.heap[(i-1)>>2]) {
+				t.Fatalf("after %s: heap[%d] is less than its parent", op, i)
+			}
+		}
+		dead := 0
+		for i := 0; i < s.due.n; i++ {
+			if s.slots[keySlot(s.due.at(i))].canceled {
+				dead++
+			}
+		}
+		live := 0
+		for _, e := range evs {
+			if e.pending() {
+				live++
+			}
+		}
+		if dead != s.canceled || s.Pending() != live {
+			t.Fatalf("after %s: %d dead in the ring, canceled %d; Pending %d, %d live handles, heap %d, ring %d",
+				op, dead, s.canceled, s.Pending(), live, len(s.heap), s.due.n)
+		}
+	}
+	delay := func() time.Duration {
+		if r.Intn(3) == 0 {
+			return 0
+		}
+		return time.Duration(r.Intn(50) + 1)
+	}
+	var op func(inCallback bool)
+	op = func(inCallback bool) {
+		switch k := r.Intn(10); {
+		case k < 4:
+			evs = append(evs, s.Schedule(s.Now()+delay(), func() {
+				check("fire")
+				for n := r.Intn(3); n > 0; n-- {
+					op(true)
+				}
+			}))
+			check("schedule")
+		case k < 6 && len(evs) > 0:
+			evs[r.Intn(len(evs))].Cancel()
+			check("cancel")
+		case k < 8 && len(evs) > 0:
+			i := r.Intn(len(evs))
+			evs[i] = s.move(evs[i], s.Now()+delay(), func() { check("fire moved") })
+			check("move")
+		case inCallback: // a callback cannot run the kernel
+		case k == 8:
+			s.MaxEvents = s.Fired() + int64(r.Intn(8)+1)
+			if err := s.RunUntil(s.Now() + delay()); err != nil && !errors.Is(err, ErrSimLimit) {
+				t.Fatalf("RunUntil with MaxEvents: %v", err)
+			}
+			s.MaxEvents = 0
+			check("MaxEvents stop")
+		default:
+			limit := s.Now() + delay()
+			if r.Intn(3) == 0 {
+				limit = s.Now() - 1
+			}
+			if err := s.RunUntil(limit); err != nil && !errors.Is(err, ErrSimLimit) {
+				t.Fatalf("RunUntil(%v): %v", limit, err)
+			}
+			check("RunUntil")
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		op(false)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	check("the final Run")
+	if len(s.heap) != 0 || s.due.n != 0 || s.Pending() != 0 {
+		t.Fatalf("drained: heap %d, ring %d, Pending %d", len(s.heap), s.due.n, s.Pending())
 	}
 }
 
@@ -305,8 +403,8 @@ func TestStopMidInstant(t *testing.T) {
 // TestKernelHotPathsAllocateNothing holds the kernel's per-event paths
 // at zero allocations once the slot table and queues have grown:
 // Schedule and fire through the ring (due now) and through the heap
-// (later), Cancel, with the compactions it sets off, and the in-place
-// move.
+// (later), Cancel, which takes a heap entry out where it sits, and the
+// in-place move.
 func TestKernelHotPathsAllocateNothing(t *testing.T) {
 	s := New(1)
 	fn := func() {}

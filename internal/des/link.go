@@ -24,8 +24,8 @@ import (
 // instant go by (remaining, join order) as of that change. Fired
 // logs depend on both. The move is made in place on the kernel's heap
 // (Sim.move): the event takes the seq a cancel and a fresh Schedule
-// would have drawn, so it fires where that one would, and no dead entry
-// is left behind.
+// would have drawn, so it fires where that one would, for one sift
+// where those two take two.
 //
 // A change costs one loop over the flows while the link is steady:
 // every flow in flight has the same finite cap, every one runs at it,

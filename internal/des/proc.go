@@ -241,8 +241,7 @@ func (p *Proc) WakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.wake.Cancel()
-	p.wake = p.sim.After(d, p.activateFn)
+	p.wake = p.sim.move(p.wake, p.sim.now+d, p.activateFn)
 }
 
 // Await parks the process until fn calls Resume, calling fn at once and

@@ -36,11 +36,11 @@
 // ring entry's. Event state lives in a slot table recycled through a
 // free list, and handles carry a generation so a stale Cancel after
 // slot reuse is a no-op. Schedule and fire are allocation-free in
-// steady state; Cancel is O(1) lazy deletion, with both queues
-// compacted when dead entries pile up. Each slot records where its
-// entry sits in the heap, kept at every sift step, so a pending event
-// can be moved to another instant where it sits (move) rather than
-// cancelled and buried as a dead entry.
+// steady state. Each slot records where its entry sits in the heap,
+// kept at every sift step, so Cancel takes a heap entry out where it
+// sits and move gives it another instant there: the heap holds live
+// entries only. A ring entry's Cancel marks it dead and the loop skips
+// it; the ring drains within its instant, so its dead never pile up.
 package des
 
 import (
@@ -110,13 +110,17 @@ func (e Event) Cancel() {
 	if e.s == nil {
 		return
 	}
-	sl := &e.s.slots[e.slot]
+	s := e.s
+	sl := &s.slots[e.slot]
 	if sl.gen != e.gen || sl.canceled {
 		return
 	}
+	if sl.pos >= 0 {
+		s.remove(int(sl.pos))
+		return
+	}
 	sl.canceled = true
-	e.s.canceled++
-	e.s.maybeCompact()
+	s.canceled++
 }
 
 // At reports the virtual time the event is scheduled for; zero if the
@@ -207,10 +211,8 @@ func (r *ring) push(key int64) {
 	r.n++
 }
 
-// at returns the i-th key from the front, and set overwrites it.
+// at returns the i-th key from the front.
 func (r *ring) at(i int) int64 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-func (r *ring) set(i int, key int64) { r.buf[(r.head+i)&(len(r.buf)-1)] = key }
 
 func (r *ring) pop() {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
@@ -247,7 +249,7 @@ type Sim struct {
 	due      ring // the events due at now, fired after the heap's
 	slots    []eventSlot
 	free     []int32
-	canceled int // dead entries still queued, in either queue
+	canceled int // dead entries still in the ring
 
 	running bool
 	err     error
@@ -315,7 +317,6 @@ func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 	sl := &s.slots[slot]
 	sl.fire = fn
 	sl.at = at
-	sl.canceled = false
 	key := s.seq<<slotBits | int64(slot)
 	if at == s.now {
 		sl.pos = -1
@@ -330,12 +331,13 @@ func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 // drawn and so the same place in the firing order, but done where the
 // entry sits when e is pending on the heap and at is later than now:
 // the entry takes the new time and seq and is sifted from its place,
-// and no dead entry is left behind. Otherwise (e fired, was canceled or
-// waits in the ring, or at is now) it is exactly Cancel and Schedule.
-// Either way e goes stale and the returned handle is the event's.
+// one sift where Cancel and Schedule take two. Otherwise (e fired, was
+// canceled or waits in the ring, or at is now) it is exactly Cancel and
+// Schedule. Either way e goes stale and the returned handle is the
+// event's.
 func (s *Sim) move(e Event, at time.Duration, fn func()) Event {
 	if e.s == s && at > s.now {
-		if sl := &s.slots[e.slot]; sl.gen == e.gen && !sl.canceled && sl.pos >= 0 {
+		if sl := &s.slots[e.slot]; sl.gen == e.gen && sl.pos >= 0 {
 			s.seq++
 			sl.fire = fn
 			sl.at = at
@@ -358,6 +360,7 @@ func (s *Sim) After(d time.Duration, fn func()) Event {
 func (s *Sim) freeSlot(slot int32) {
 	sl := &s.slots[slot]
 	sl.fire = nil
+	sl.canceled = false
 	sl.gen++
 	s.free = append(s.free, slot)
 }
@@ -366,6 +369,18 @@ func (s *Sim) freeSlot(slot int32) {
 func (s *Sim) push(ent heapEnt) {
 	s.heap = append(s.heap, ent)
 	s.siftUp(len(s.heap)-1, ent)
+}
+
+// remove takes the entry at index i off the heap and frees its slot:
+// the tail fills the hole and is placed from there, up or down.
+func (s *Sim) remove(i int) {
+	s.freeSlot(s.heap[i].slot())
+	n := len(s.heap) - 1
+	tail := s.heap[n]
+	s.heap = s.heap[:n]
+	if i < n {
+		s.fix(i, tail)
+	}
 }
 
 // siftUp places ent at index i, walking it up past larger parents.
@@ -474,52 +489,6 @@ func (s *Sim) siftDown(i int, ent heapEnt) {
 	slots[ent.slot()].pos = int32(i)
 }
 
-// maybeCompact rebuilds both queues without their canceled entries
-// once they outnumber the live ones (and are numerous enough to
-// matter). Cancel stays O(1); the occasional O(n) sweep keeps a
-// cancel-heavy workload's queues from growing without bound, and the
-// (at, seq) order of the survivors is untouched.
-func (s *Sim) maybeCompact() {
-	if s.canceled < 64 || s.canceled*2 < len(s.heap)+s.due.n {
-		return
-	}
-	kept := s.heap[:0]
-	for _, ent := range s.heap {
-		if s.dropCanceled(ent.slot()) {
-			continue
-		}
-		s.slots[ent.slot()].pos = int32(len(kept))
-		kept = append(kept, ent)
-	}
-	s.heap = kept
-	n := 0
-	for i := 0; i < s.due.n; i++ {
-		if key := s.due.at(i); !s.dropCanceled(keySlot(key)) {
-			s.due.set(n, key)
-			n++
-		}
-	}
-	s.due.n = n
-	s.canceled = 0
-	// Floyd heapify: sift down every internal node, last parent first.
-	if len(kept) > 1 {
-		for i := (len(kept) - 2) >> 2; i >= 0; i-- {
-			s.siftDown(i, kept[i])
-		}
-	}
-}
-
-// dropCanceled frees slot if its event was canceled, reporting whether
-// it did.
-func (s *Sim) dropCanceled(slot int32) bool {
-	if !s.slots[slot].canceled {
-		return false
-	}
-	s.slots[slot].canceled = false
-	s.freeSlot(slot)
-	return true
-}
-
 // Run drives the simulation until the event queues drain, a limit is
 // hit, or a process or callback panics. It returns nil on a clean
 // drain with no live processes, a *DeadlockError if processes were left
@@ -605,7 +574,6 @@ func (s *Sim) drive() (next *Proc) {
 			s.due.pop()
 		}
 		if sl.canceled {
-			sl.canceled = false
 			s.canceled--
 			s.freeSlot(slot)
 			continue
@@ -656,9 +624,14 @@ func (s *Sim) stop() error {
 	if s.limit >= 0 && next > s.limit {
 		// Only a horizon the clock has already passed stops the run at
 		// an event due now. The clock goes back to it, so the ring's
-		// events wait on the heap at the instant they are due.
+		// live events wait on the heap at the instant they are due.
 		for ; s.due.n > 0; s.due.pop() {
-			s.push(heapEnt{at: s.now, key: s.due.at(0)})
+			if key := s.due.at(0); !s.slots[keySlot(key)].canceled {
+				s.push(heapEnt{at: s.now, key: key})
+			} else {
+				s.canceled--
+				s.freeSlot(keySlot(key))
+			}
 		}
 		s.now = s.limit
 	}
