@@ -84,9 +84,10 @@ type Link struct {
 	// each membership change advances all of them together.
 	last time.Duration
 
-	// ev is the pending completion event and next the index in flows
-	// of the flow it will try to finish; fireFn is the fire method
-	// value, bound once so rescheduling does not allocate a closure.
+	// ev is the pending completion event, zero once it has fired or
+	// been canceled, and next the index in flows of the flow it will try
+	// to finish; fireFn is the fire method value, bound once so
+	// rescheduling does not allocate a closure.
 	ev     Event
 	next   int
 	fireFn func()
@@ -377,8 +378,10 @@ func (l *Link) waterfillFlows() {
 
 // fire is the completion event: it finishes the flow the event was
 // scheduled for (one event: the wake of its process, or its callback)
-// and reshares the rest.
+// and reshares the rest. The handle it fired through is dropped first,
+// so the reshare schedules afresh rather than cancel a spent handle.
 func (l *Link) fire() {
+	l.ev = Event{}
 	if l.steadyWith(len(l.flows)) {
 		// Tested with the flow that may leave still counted: a count
 		// that fits runs at its caps, and one fewer fits as well. That

@@ -430,6 +430,62 @@ func TestLinkDrainLeavesNoEvent(t *testing.T) {
 	}
 }
 
+// TestLinkFiredCompletionLeavesNoHandle: once the link's completion
+// event has fired, the link holds no handle to it. fire drops the handle
+// before it reshares, so the reshare schedules afresh (Sim.move on a
+// zero handle is one Schedule, as on a spent one, so the order is the
+// same) instead of cancelling a handle that already fired. Seen from
+// inside each firing: a live event put in the link's handle as it fires
+// is neither moved nor canceled by the reshare, the link ends with no
+// handle or a pending one, and every transfer ends where it does with
+// nothing planted.
+func TestLinkFiredCompletionLeavesNoHandle(t *testing.T) {
+	var bad string // set from the callbacks, which run off the test's goroutine
+	run := func(plant bool) []time.Duration {
+		s := New(1)
+		l := NewLink(s, 1000)
+		if plant {
+			fire, fired := l.fireFn, 0
+			l.fireFn = func() {
+				fired++
+				planted := s.Schedule(time.Hour, func() {})
+				l.ev = planted
+				fire()
+				switch {
+				case bad != "":
+				case !planted.pending():
+					bad = fmt.Sprintf("firing %d: the reshare moved or canceled the handle the link fired through", fired)
+				case l.ev == planted || l.ev != (Event{}) && !l.ev.pending():
+					bad = fmt.Sprintf("firing %d: the link holds a handle that is not its pending event", fired)
+				}
+				planted.Cancel()
+			}
+		}
+		ends := make([]time.Duration, 12)
+		for i := range ends {
+			s.Spawn(fmt.Sprintf("f%d", i), func(p *Proc) {
+				p.Sleep(time.Duration(i%4) * time.Millisecond)
+				l.Transfer(p, int64(200+37*i), float64(40+i%3*40))
+				ends[i] = p.Now()
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if l.ev != (Event{}) || s.Pending() != 0 {
+			t.Fatalf("after drain: link handle %+v, %d events pending", l.ev, s.Pending())
+		}
+		return ends
+	}
+	want, got := run(false), run(true)
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("transfers end at %v with a handle planted, %v without", got, want)
+	}
+}
+
 // TestLinkSteadyStateTransferAllocatesNothing: flows come from the
 // link's free list and the table of cap sums grows once per flow count,
 // so once the link has seen its peak concurrency a transfer of either

@@ -35,8 +35,9 @@ func benchBounds(recs []bed.Record, workers int) []boundary {
 
 // BenchmarkMapStream is the streaming map body: the whole object as
 // one slice read by a lineReader in 64 KiB chunks (partial trailing lines
-// carried across chunks) and fed into the run builder. The chunk
-// payloads are built before the timer starts.
+// carried across chunks), indexed by the run builder and cut into runs
+// copied from the chunks it kept. The chunk payloads are built before
+// the timer starts.
 func BenchmarkMapStream(b *testing.B) {
 	recs := benchRecords()
 	raw := bed.Marshal(recs)
@@ -45,14 +46,15 @@ func BenchmarkMapStream(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	tk := &task{wave: &wave{fanOut: 8}, n: int64(len(raw)), size: int64(len(raw)), bounds: bounds}
 	for i := 0; i < b.N; i++ {
-		builder := newRunBuilder(8, bounds, len(raw), len(raw)/32)
 		src := chunks
-		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}}
-		if err := feedSlice(r, false, int64(len(raw)), int64(len(raw)), builder.addLine); err != nil {
+		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, keep: true}
+		builder, err := tk.indexSlice(r)
+		if err != nil {
 			b.Fatal(err)
 		}
-		builder.finish()
+		builder.finish(r.span())
 	}
 }
 
@@ -82,17 +84,20 @@ func BenchmarkPartitionSort(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			recs := bed.Generate(bed.GenConfig{Records: n, Seed: 19, Sorted: false})
-			pristine := builderOf(recs)
+			pristine := indexOf(recs)
 			bounds := benchBounds(recs, 8)
 			b.SetBytes(int64(len(pristine.buf)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rb := newRunBuilder(8, bounds, len(pristine.buf), len(pristine.refs))
-				rb.buf = append(rb.buf, pristine.buf...)
+				rb, err := newRunBuilder(8, bounds, int64(len(pristine.buf)), len(pristine.refs))
+				if err != nil {
+					b.Fatal(err)
+				}
 				rb.refs = append(rb.refs, pristine.refs...)
+				rb.size = len(pristine.buf)
 				var total int
-				for _, run := range rb.finish() {
+				for _, run := range rb.finish(pristine.buf) {
 					total += len(run)
 				}
 				if total != len(pristine.buf) {

@@ -1,27 +1,30 @@
 package shuffle
 
-// The shuffle's binary-key data plane: a mapper keys its slice's lines
-// by bed.Key into one index, radix-sorts that index once and cuts the
-// lines, in key order, into one sorted run per reducer at the partition
-// boundaries before they are written (the sorted-run invariant on
-// scratch objects), and reducers stream a k-way merge over the runs
-// instead of concatenating, re-parsing, and full-sorting them. TSV bytes flow
-// through the merge verbatim — only the three key columns of each line
-// are ever parsed on the reduce side.
+// The shuffle's binary-key data plane: a mapper indexes its slice's
+// lines by bed.Key where they were read, radix-sorts that index once and
+// copies the lines, in key order, into one buffer cut into one sorted
+// run per reducer at the partition boundaries before they are written
+// (the sorted-run invariant on scratch objects), and reducers stream a
+// k-way merge over the runs instead of concatenating, re-parsing, and
+// full-sorting them. TSV bytes flow through the merge verbatim — only
+// the three key columns of each line are ever parsed on the reduce side.
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
 
-// The data plane recycles a mapper's scratch across activations instead
-// of leaving it to the GC: its line buffer and KeyRef index cycle
-// through these pools. Only scratch whose lifetime ends inside finish()
-// is pooled — a buffer that escapes as the runs never is.
+// keyRefPool recycles a mapper's key index across activations instead of
+// leaving it to the GC: the index's lifetime ends inside finish, which
+// copies the lines out into a buffer of the runs' own.
+var keyRefPool slicePool[bed.KeyRef]
 
 // slicePool recycles capacity-bearing slices through boxed pointers:
 // the *[]T box travels with its slice, so neither get nor put
@@ -48,11 +51,6 @@ func (s *slicePool[T]) put(b *[]T) {
 	*b = (*b)[:0]
 	s.p.Put(b)
 }
-
-var (
-	lineBufPool slicePool[byte]
-	keyRefPool  slicePool[bed.KeyRef]
-)
 
 // boundary is one partition boundary: a binary key plus the full
 // chromosome name behind the key's packed prefix, so that cutting
@@ -84,134 +82,163 @@ func compareLineKeys(ak bed.Key, aLine []byte, bk bed.Key, bLine []byte) int {
 	return bed.CompareKey(ak, bk)
 }
 
-// runBuilder builds a mapper's sorted runs: its lines, each ended by
-// '\n', go into one buffer, with one key index over them whose Idx is
-// the line's byte offset in buf. It never materializes a []bed.Record:
-// lines are copied (or, when not canonical, re-written) straight into
-// the buffer, and finish sorts the index once and cuts the lines, in
-// key order, into one run per reducer at the boundaries. The 32-bit
-// offsets bound the buffer at 2 GiB, far above any per-worker slice the
-// planner's memory model admits; addLine rejects a line that would
-// cross it. bufBox/refsBox are the pool boxes backing buf and refs (nil
-// for caller-owned memory, e.g. in tests); recycle returns them.
+// runBuilder builds a mapper's sorted runs out of the bytes it read,
+// the span, which it is handed at finish: it owns only a key index over
+// the lines, whose Idx is the line's offset in the span, and the output.
+// It never materializes a []bed.Record or a copy of its input: finish
+// sorts the index once and copies the lines, in key order, from where
+// they were read into one buffer cut into one run per reducer at the
+// boundaries. A line is copied from the span only if it is canonical
+// (bed.ParseLineCanonical) and a '\n' follows it there; any other (a
+// rewritten line, a CRLF line, the object's unterminated last line) is
+// written as bed.AppendTSV writes its record into a side buffer, made at
+// the first such line, and still indexed by its offset in the span, so
+// equal keys keep input order. The 32-bit offsets bound the span at
+// 2 GiB, far above any per-worker slice the planner's memory model
+// admits; newRunBuilder rejects a longer one. refsBox is the pool box
+// backing refs (nil for caller-owned memory, e.g. in tests).
 type runBuilder struct {
 	bounds  []boundary
 	fanOut  int
-	buf     []byte
 	refs    []bed.KeyRef
-	bufBox  *[]byte
 	refsBox *[]bed.KeyRef
+	size    int        // the runs' bytes: every line through its '\n'
+	side    []byte     // the lines not copied from the span, each ended by '\n'
+	sides   []sideLine // where each of them was read, in input order
 }
 
-// newRunBuilder makes a builder of fanOut runs cut at bounds, its buffer
-// reserved for size bytes and its index for lines lines, from the pools.
-func newRunBuilder(fanOut int, bounds []boundary, size, lines int) runBuilder {
-	b := runBuilder{bounds: bounds, fanOut: fanOut,
-		bufBox: lineBufPool.get(size), refsBox: keyRefPool.get(lines)}
-	b.buf, b.refs = *b.bufBox, *b.refsBox
-	return b
+// sideLine places a side-buffered line: off in the span, at in side.
+type sideLine struct {
+	off int32
+	at  int
 }
 
-// addLine parses one raw input line and appends it to the buffer: a
-// canonical line (bed.ParseLineCanonical) as it was read, any other as
-// bed.AppendTSV writes its record, so that every run holds the bytes
-// bed.Marshal would.
-func (b *runBuilder) addLine(line []byte) error {
+// newRunBuilder makes a builder of fanOut runs cut at bounds over a span
+// of n bytes, its index reserved for lines lines from the pool.
+func newRunBuilder(fanOut int, bounds []boundary, n int64, lines int) (runBuilder, error) {
+	if n > math.MaxInt32 {
+		// KeyRef's int32 offsets would wrap; fail loudly instead of
+		// corrupting the run index.
+		return runBuilder{}, errSpanTooLarge
+	}
+	b := runBuilder{bounds: bounds, fanOut: fanOut, refsBox: keyRefPool.get(lines)}
+	b.refs = *b.refsBox
+	return b, nil
+}
+
+// addLine parses one raw input line, which starts at off in the span,
+// and indexes it; nl reports that a '\n' follows it there. A canonical
+// line so ended is copied from the span at finish, any other is written
+// now as bed.AppendTSV writes its record, so that every run holds the
+// bytes bed.Marshal would.
+func (b *runBuilder) addLine(line []byte, off int, nl bool) error {
 	rec, canonical, err := bed.ParseLineCanonical(line)
 	if err != nil {
 		return err
 	}
-	off := len(b.buf)
-	if off > 1<<31-1 {
-		// KeyRef's int32 offsets would wrap; fail loudly instead of
-		// corrupting the run index.
-		return errBufferTooLarge
-	}
-	if canonical {
-		b.buf = append(append(b.buf, line...), '\n')
+	if canonical && nl {
+		b.size += len(line) + 1
 	} else {
-		b.buf = bed.AppendTSV(b.buf, rec)
+		at := len(b.side)
+		b.side = bed.AppendTSV(b.side, rec)
+		b.sides = append(b.sides, sideLine{off: int32(off), at: at})
+		b.size += len(b.side) - at
 	}
 	b.refs = append(b.refs, bed.KeyRef{Key: bed.KeyOf(rec), Idx: int32(off)})
 	return nil
 }
 
 // SortRun sorts a bedMethyl buffer into one run, the VM strategy's local
-// sort: a runBuilder of one run, reserved from the buffer's length and
+// sort: a runBuilder of one run over raw, its index reserved from the
 // line count, fed the lines bed.EachLine splits through the mappers'
 // addLine. It accepts what bed.Unmarshal accepts and fails as it does, a
 // line that does not parse being a *bed.ParseError with its number. Its
 // bytes are bed.Marshal(bed.Sort(bed.Unmarshal(raw))).
 func SortRun(raw []byte) ([]byte, error) {
-	b := newRunBuilder(1, nil, len(raw), bytes.Count(raw, []byte{'\n'})+1)
+	b, err := newRunBuilder(1, nil, int64(len(raw)), bytes.Count(raw, []byte{'\n'})+1)
+	if err != nil {
+		return nil, err
+	}
+	next := 0 // where the next line starts in raw
 	if err := bed.EachLine(raw, func(line []byte, lineNo int) error {
+		off, end := next, next+len(line)
+		nl := end < len(raw) && raw[end] == '\n'
+		if !nl && end < len(raw) {
+			end++ // the '\r' EachLine took off the line
+		}
+		next = end + 1
 		if bed.IsBlank(line) {
 			return nil
 		}
-		err := b.addLine(line)
-		if err != nil && !errors.Is(err, errBufferTooLarge) {
-			err = &bed.ParseError{Line: lineNo, Msg: err.Error()}
+		if err := b.addLine(line, off, nl); err != nil {
+			return &bed.ParseError{Line: lineNo, Msg: err.Error()}
 		}
-		return err
+		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return b.finish()[0], nil
+	return b.finish(raw)[0], nil
 }
 
-// finish sorts the lines into key order and cuts them into the fanOut
-// runs, each out[a:b:b] of one buffer and nil for a reducer that gets no
-// line. Input already in key order (common for pre-sorted data) is kept
-// as it is: no sort, no copy.
-func (b *runBuilder) finish() [][]byte {
+// finish sorts the index into key order and copies the lines, in that
+// order, into one buffer of exactly the runs' bytes, cut into the fanOut
+// runs: each out[a:b:b], nil for a reducer that gets no line. span must
+// hold the bytes the lines were read from, at the offsets addLine was
+// given. Input already in key order is not sorted, only copied.
+func (b *runBuilder) finish(span []byte) [][]byte {
 	sorted := true
 	for i := 1; i < len(b.refs); i++ {
 		x, y := b.refs[i-1], b.refs[i]
-		if compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:]) > 0 {
+		if compareLineKeys(x.Key, b.from(span, x.Idx), y.Key, b.from(span, y.Idx)) > 0 {
 			sorted = false
 			break
 		}
 	}
-	// A recycled buffer can be arbitrarily larger than the runs it now
-	// carries (a small job after a large one); sorted lines are copied
-	// out of it too rather than let the escaping runs pin the whole
-	// pooled backing array, and the big buffer is recycled.
-	n := len(b.buf)
-	copyOut := !sorted || b.bufBox != nil && cap(b.buf) > n+n/2 && cap(b.buf)-n > 64<<10
 	if !sorted {
 		// MSD radix sort the index in place over the packed key bytes.
-		// Offsets rise in append order, so the Idx tie-break reproduces
+		// Offsets rise in input order, so the Idx tie-break reproduces
 		// the byte order a stable comparison sort over input order
 		// would emit.
 		bed.RadixSort(b.refs, func(x, y bed.KeyRef) int {
-			if c := compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:]); c != 0 {
+			if c := compareLineKeys(x.Key, b.from(span, x.Idx), y.Key, b.from(span, y.Idx)); c != 0 {
 				return c
 			}
 			return int(x.Idx) - int(y.Idx)
 		})
 	}
-	out := b.buf
-	if copyOut {
-		out = make([]byte, 0, n)
-	}
-	// Copy the lines out in key order, each through the '\n' after its
-	// offset, and cut a run wherever a boundary is passed.
+	// Copy the lines out in key order, each through its '\n', and cut a
+	// run wherever a boundary is passed.
+	out := make([]byte, 0, b.size)
 	runs := make([][]byte, b.fanOut)
-	r, start, end := 0, 0, 0
+	r, start := 0, 0
 	for _, ref := range b.refs {
-		line := b.buf[ref.Idx:]
+		line := b.from(span, ref.Idx)
 		line = line[:bytes.IndexByte(line, '\n')+1]
 		if next := runOf(b.bounds, r, ref.Key, line); next != r {
-			runs[r], start, r = cut(out, start, end), end, next
+			runs[r], start, r = cut(out, start, len(out)), len(out), next
 		}
-		if copyOut {
-			out = append(out, line...)
-		}
-		end += len(line)
+		out = append(out, line...)
 	}
-	runs[r] = cut(out, start, end)
-	b.recycle(copyOut)
+	runs[r] = cut(out, start, len(out))
+	if b.refsBox != nil {
+		*b.refsBox = b.refs
+		keyRefPool.put(b.refsBox)
+	}
+	*b = runBuilder{}
 	return runs
+}
+
+// from returns the bytes from the start of the line indexed at off on:
+// the side buffer's if the line was written there, else the span's.
+func (b *runBuilder) from(span []byte, off int32) []byte {
+	if len(b.sides) > 0 {
+		if i, ok := slices.BinarySearchFunc(b.sides, off, func(s sideLine, off int32) int {
+			return cmp.Compare(s.off, off)
+		}); ok {
+			return b.side[b.sides[i].at:]
+		}
+	}
+	return span[off:]
 }
 
 // runOf returns the run a line of key falls in, r or a later one: lines
@@ -224,7 +251,7 @@ func runOf(bounds []boundary, r int, key bed.Key, line []byte) int {
 	return r
 }
 
-// cut returns out[a:b:b], or nil when the span is empty.
+// cut returns out[a:b:b], or nil when that is empty.
 func cut(out []byte, a, b int) []byte {
 	if a == b {
 		return nil
@@ -232,24 +259,9 @@ func cut(out []byte, a, b int) []byte {
 	return out[a:b:b]
 }
 
-// recycle returns the builder's pooled scratch; withBuf is set when the
-// byte buffer did not escape as the runs (a buffer that did escape keeps
-// its memory and its box is simply dropped).
-func (b *runBuilder) recycle(withBuf bool) {
-	if b.refsBox != nil {
-		*b.refsBox = b.refs
-		keyRefPool.put(b.refsBox)
-	}
-	if withBuf && b.bufBox != nil {
-		*b.bufBox = b.buf
-		lineBufPool.put(b.bufBox)
-	}
-	b.buf, b.refs, b.bufBox, b.refsBox = nil, nil, nil, nil
-}
-
 var (
-	errNoLineStart    = errors.New("no line start in slice")
-	errBufferTooLarge = errors.New("a run buffer exceeds the 2 GiB run-index bound")
+	errNoLineStart  = errors.New("no line start in slice")
+	errSpanTooLarge = errors.New("the bytes a run builder indexes exceed its 2 GiB bound")
 )
 
 // appendIndex4 appends n zero-padded to four digits (the %04d the

@@ -124,11 +124,11 @@ func TestRunBuilderEmitsSortedRuns(t *testing.T) {
 	}
 }
 
-// TestRunBuilderAlreadySortedSkipsCopy: input already in key order
-// round-trips byte for byte, and at a fan-out of 4 its runs are
-// consecutive spans of the builder's own buffer, neither sorted nor
-// copied.
-func TestRunBuilderAlreadySortedSkipsCopy(t *testing.T) {
+// TestRunBuilderCopiesSortedInputOnce: input already in key order
+// round-trips byte for byte, and at a fan-out of 4 its runs lie end to
+// end in one buffer of the builder's own: sorted input is copied once,
+// like any other, and the runs pin nothing of what was read.
+func TestRunBuilderCopiesSortedInputOnce(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 500, Seed: 72, Sorted: true})
 	raw := bed.Marshal(recs)
 	parts, err := partitionRaw(raw, false, 0, int64(len(raw)), 1, nil)
@@ -139,12 +139,15 @@ func TestRunBuilderAlreadySortedSkipsCopy(t *testing.T) {
 		t.Fatal("single-partition sorted input should round-trip byte-identically")
 	}
 
-	b := &runBuilder{bounds: benchBounds(recs, 4), fanOut: 4} // its own memory, no pooled slack
+	b := &runBuilder{bounds: benchBounds(recs, 4), fanOut: 4} // its own memory, no pooled index
 	if err := forEachLine(raw, b.addLine); err != nil {
 		t.Fatal(err)
 	}
-	next := unsafe.SliceData(b.buf)
-	runs := b.finish()
+	runs := b.finish(raw)
+	next := unsafe.SliceData(runs[0])
+	if in := uintptr(unsafe.Pointer(next)) - uintptr(unsafe.Pointer(unsafe.SliceData(raw))); in < uintptr(len(raw)) {
+		t.Fatalf("run 0 starts at byte %d of the input it was read from; want a copy", in)
+	}
 	for r, run := range runs {
 		if len(run) == 0 || cap(run) != len(run) {
 			t.Fatalf("run %d: %d bytes, capacity %d; want a non-empty run with none spare", r, len(run), cap(run))
@@ -359,40 +362,51 @@ func TestMergeRunsCursorExhaustsMidMerge(t *testing.T) {
 	}
 }
 
+// lineIndex is what the oracles sort: lines, each ended by '\n', in
+// one buffer, and a key index over them whose Idx is the line's offset.
+type lineIndex struct {
+	buf  []byte
+	refs []bed.KeyRef
+}
+
+// appendLine appends a line, ended by '\n', and its key, with no parse.
+func (x *lineIndex) appendLine(key bed.Key, line []byte) {
+	x.refs = append(x.refs, bed.KeyRef{Key: key, Idx: int32(len(x.buf))})
+	x.buf = append(append(x.buf, line...), '\n')
+}
+
+// builder returns a one-run builder over x's lines with a copy of x's
+// index of its own (no pooled scratch, so the test owns the memory), to
+// be finished with x.buf: the index a runBuilder makes of canonical
+// lines where they were read.
+func (x *lineIndex) builder() *runBuilder {
+	return &runBuilder{fanOut: 1, refs: slices.Clone(x.refs), size: len(x.buf)}
+}
+
+// indexOf encodes records into a lineIndex, as bed.Marshal lays them out.
+func indexOf(recs []bed.Record) *lineIndex {
+	x := &lineIndex{}
+	for _, r := range recs {
+		line := bed.AppendTSV(nil, r)
+		x.appendLine(bed.KeyOf(r), line[:len(line)-1])
+	}
+	return x
+}
+
 // legacySortRun is the PR 3 runPart.finish body — stable comparison
 // sort over the ref index, then copy-out — kept as the oracle the
-// radix path must reproduce byte for byte. It reads b's buffer and
-// index and leaves b's index sorted.
-func legacySortRun(b *runBuilder) []byte {
-	cmp := func(x, y bed.KeyRef) int {
-		return compareLineKeys(x.Key, b.buf[x.Idx:], y.Key, b.buf[y.Idx:])
+// radix path must reproduce byte for byte. It leaves x's index sorted.
+func legacySortRun(x *lineIndex) []byte {
+	cmp := func(a, b bed.KeyRef) int {
+		return compareLineKeys(a.Key, x.buf[a.Idx:], b.Key, x.buf[b.Idx:])
 	}
-	slices.SortStableFunc(b.refs, cmp)
-	dst := make([]byte, 0, len(b.buf))
-	for _, ref := range b.refs {
-		line := b.buf[ref.Idx:]
+	slices.SortStableFunc(x.refs, cmp)
+	dst := make([]byte, 0, len(x.buf))
+	for _, ref := range x.refs {
+		line := x.buf[ref.Idx:]
 		dst = append(dst, line[:bytes.IndexByte(line, '\n')+1]...)
 	}
 	return dst
-}
-
-// builderOf encodes records into a one-run builder's buffer and offset
-// index, exactly as runBuilder.addLine lays them out (but without
-// pooled scratch, so tests and benchmarks own the memory).
-func builderOf(recs []bed.Record) *runBuilder {
-	b := &runBuilder{fanOut: 1}
-	for _, r := range recs {
-		line := bed.AppendTSV(nil, r)
-		b.appendLine(bed.KeyOf(r), line[:len(line)-1])
-	}
-	return b
-}
-
-// appendLine appends a line, ended by '\n', and its key to the
-// builder's buffer and index, with no parse.
-func (b *runBuilder) appendLine(key bed.Key, line []byte) {
-	b.refs = append(b.refs, bed.KeyRef{Key: key, Idx: int32(len(b.buf))})
-	b.buf = append(append(b.buf, line...), '\n')
 }
 
 // adversarialRecords mixes generated records with the shapes that
@@ -440,8 +454,9 @@ func adversarialRecords(seed int64, n int) []bed.Record {
 func TestPropertyFinishMatchesStableSort(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		recs := adversarialRecords(seed, 2000)
-		want := legacySortRun(builderOf(recs))
-		got := builderOf(recs).finish()[0]
+		x := indexOf(recs)
+		got := x.builder().finish(x.buf)[0]
+		want := legacySortRun(x)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: radix finish diverges from stable comparison sort", seed)
 		}
@@ -497,9 +512,9 @@ func TestMergeSplitMatchesRouteAndSort(t *testing.T) {
 	// partition — the PR 3 repartition body (AddEncoded stored each
 	// line's trailing newline inside the ref, so the copy-out already
 	// emits terminated lines).
-	oracle := make([]runBuilder, k)
+	oracle := make([]lineIndex, k)
 	for _, run := range runs {
-		if err := forEachLine(run, func(line []byte) error {
+		if err := forEachLine(run, func(line []byte, _ int, _ bool) error {
 			key, err := bed.KeyOfLine(line)
 			if err != nil {
 				return err

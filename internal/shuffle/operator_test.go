@@ -394,13 +394,15 @@ func TestPartitionIndex(t *testing.T) {
 		return bed.AppendTSV(nil, bed.Record{Chrom: chrom, Start: start, End: end, Name: ".", Strand: '+'})
 	}
 	cutInto := func(bounds []boundary, lines ...[]byte) [][]byte {
-		b := newRunBuilder(len(bounds)+1, bounds, 0, 0)
+		var span []byte
 		for i := len(lines) - 1; i >= 0; i-- {
-			if err := b.addLine(lines[i][:len(lines[i])-1]); err != nil {
-				t.Fatal(err)
-			}
+			span = append(span, lines[i]...)
 		}
-		return b.finish()
+		b := &runBuilder{bounds: bounds, fanOut: len(bounds) + 1}
+		if err := forEachLine(span, b.addLine); err != nil {
+			t.Fatal(err)
+		}
+		return b.finish(span)
 	}
 	var lines [][]byte
 	want := make([][]byte, len(bounds)+1)

@@ -44,9 +44,13 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 	}
 	limit := offset + length
 
-	builder := newRunBuilder(workers, boundaries, len(raw), len(raw)/32)
+	builder, err := newRunBuilder(workers, boundaries, int64(len(raw)), len(raw)/32)
+	if err != nil {
+		return nil, err
+	}
 	pos := start
 	for pos < len(raw) && globalStart(pos) < limit {
+		at := pos
 		nl := bytes.IndexByte(raw[pos:], '\n')
 		var line []byte
 		if nl < 0 {
@@ -59,11 +63,11 @@ func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if err := builder.addLine(line); err != nil {
+		if err := builder.addLine(line, at, nl >= 0); err != nil {
 			return nil, err
 		}
 	}
-	return builder.finish(), nil
+	return builder.finish(raw), nil
 }
 
 // partitionIndex returns the partition for a (key, chrom-name) pair
@@ -78,21 +82,21 @@ func partitionIndex[T bed.ChromName](key bed.Key, name T, boundaries []boundary)
 	})
 }
 
-// forEachLine calls fn for every non-blank line of raw.
-func forEachLine(raw []byte, fn func(line []byte) error) error {
-	for len(raw) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(raw, '\n'); nl < 0 {
-			line, raw = raw, nil
-		} else {
-			line, raw = raw[:nl], raw[nl+1:]
+// forEachLine calls fn for every non-blank line of raw with the offset
+// it starts at and whether a '\n' ends it: what a runBuilder's addLine
+// takes, over raw as its span.
+func forEachLine(raw []byte, fn func(line []byte, off int, nl bool) error) error {
+	for off := 0; off < len(raw); {
+		line, nl := raw[off:], false
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, nl = line[:i], true
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		if len(bytes.TrimSpace(line)) > 0 {
+			if err := fn(line, off, nl); err != nil {
+				return err
+			}
 		}
-		if err := fn(line); err != nil {
-			return err
-		}
+		off += len(line) + 1
 	}
 	return nil
 }

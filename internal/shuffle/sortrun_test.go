@@ -3,12 +3,15 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/des/destest"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -25,6 +28,24 @@ const nonCanonicalBlock = "chr2\t0070\t00071\t.\t5\t+\t70\t71\t255,0,0\t5\t90\n"
 	"chr1\t+40\t41\t.\t1\t+\t40\t41\t255,0,0\t1\t67\n" +
 	"chr1\t300\t301\t.\t7\t+\t300\t301\t255,0,0\t007\t34\n" +
 	"chrM\t1\t2\t.\t0\t-\t0\t0\t\t0\t0\n"
+
+// equalKeysMixed is twelve lines of one key that differ in their bytes,
+// every other one non-canonical (its start zero-padded), so that only
+// input order among equal keys keeps the output's bytes, whether a line
+// is copied from where it was read or rewritten; a line of a later key
+// comes first, so the input is not in order.
+func equalKeysMixed() []byte {
+	out := bed.AppendTSV(nil, bed.Record{Chrom: "chr4", Start: 1, End: 2, Name: ".", Strand: '+'})
+	for i := range 12 {
+		line := bed.AppendTSV(nil, bed.Record{Chrom: "chr3", Start: 40, End: 41, Name: ".", Score: 2,
+			Strand: '-', Coverage: 2, MethPct: 90 - 7*i})
+		if i%2 == 0 {
+			line = bytes.Replace(line, []byte("\t40\t"), []byte("\t040\t"), 1)
+		}
+		out = append(out, line...)
+	}
+	return out
+}
 
 // perturbedGenerate is a Generate file of n unsorted records with every
 // fifth line made non-canonical in one of five ways, in turn: a signed
@@ -146,6 +167,7 @@ func sortRunSeeds() [][]byte {
 		string(bed.Marshal(bed.Generate(bed.GenConfig{Records: 20000, Seed: 7, Sorted: true}))),
 		string(crlf),
 		nonCanonicalBlock,
+		string(equalKeysMixed()),
 		string(bed.Marshal(bed.Generate(bed.GenConfig{Records: 3, Seed: 5}))),
 		good + "\n\n" + "chr1\t1x\t2\t.\t1\t+\t1\t2\tc\t1\t1\n" + good + "\n",
 		good + "\n \r\n" + "chr1\t1\t2\r\n" + good + "\n",
@@ -221,4 +243,28 @@ func FuzzSortRun(f *testing.F) {
 		}
 	}
 	f.Fuzz(checkSortRun)
+}
+
+// TestSortRunAllocatesNoLineBuffer holds the VM leg's sort of ~2 MB of
+// canonical lines to what it must own: the sorted output and a key
+// index of one entry a line, with 64 KiB to spare. Its lines are copied
+// once, from where they were read; a line buffer beside the output
+// would be another 2 MB.
+func TestSortRunAllocatesNoLineBuffer(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	raw := bed.Marshal(bed.Generate(bed.GenConfig{Records: 35000, Seed: 23}))
+	lines := bytes.Count(raw, []byte{'\n'})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := SortRun(raw)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(len(out)) + uint64(lines)*uint64(unsafe.Sizeof(bed.KeyRef{})) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("SortRun of %d bytes (%d lines) allocated %d bytes, budget %d", len(raw), lines, got, budget)
+	}
 }

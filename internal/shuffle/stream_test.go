@@ -41,18 +41,26 @@ func cutChunks(raw []byte, sizes []int) chunkList {
 	return chunks
 }
 
-// feedChunks drives feedSlice over raw cut into the given chunk sizes
-// (cycled), returning the finished partitions.
+// feedChunks drives a map task's indexSlice over raw, the task's read
+// from readOff, cut into the given chunk sizes (cycled), returning the
+// runs finished from the chunks the reader kept.
 func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset, length int64,
 	workers int, bounds []boundary, chunkSizes []int) [][]byte {
 	t.Helper()
-	builder := newRunBuilder(workers, bounds, len(raw), len(raw)/32)
-	src := cutChunks(raw, chunkSizes)
-	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff}
-	if err := feedSlice(r, prefixByte, offset+length, readOff+int64(len(raw)), builder.addLine); err != nil {
-		t.Fatalf("feedSlice: %v", err)
+	tk := &task{wave: &wave{fanOut: workers}, off: offset, n: length, size: readOff + int64(len(raw)), bounds: bounds}
+	if got, _, gotPrefix := tk.span(); got != readOff || gotPrefix != prefixByte {
+		t.Fatalf("a task over [%d, +%d) reads from %d (prefix %v), want %d (%v)", offset, length, got, gotPrefix, readOff, prefixByte)
 	}
-	return builder.finish()
+	src := cutChunks(raw, chunkSizes)
+	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: true}
+	builder, err := tk.indexSlice(r)
+	if err != nil {
+		t.Fatalf("indexSlice: %v", err)
+	}
+	if builder.fanOut == 0 {
+		return make([][]byte, workers)
+	}
+	return builder.finish(r.span())
 }
 
 // TestPropertyFeedSliceMatchesPartitionRaw: for random slice

@@ -4,16 +4,18 @@ package shuffle
 // GET before the first byte is partitioned, the map slice is consumed
 // as a stream of chunks (objectstore.Client.GetStream) by the lineReader
 // every merged run is read with too (streamreduce.go): each chunk is
-// charged its partition CPU as it lands and its complete lines are fed
-// into the runBuilder — the partial trailing line carried across the
-// chunk boundary — so parsing, key packing and indexing overlap the
-// remaining transfer. A line that does not parse fails the slice after
-// its chunk's charge. The one radix sort of the slice's index and its
-// cut into runs (runBuilder.finish) are the only post-transfer work,
-// matching the planner's overlap model max(transfer, partitionCPU) +
-// sort.
+// charged its partition CPU as it lands and its complete lines are
+// keyed into the runBuilder's index by where they sit in the read — the
+// partial trailing line carried across the chunk boundary — so parsing,
+// key packing and indexing overlap the remaining transfer. The reader
+// keeps the chunks, and the lines are copied from them once, into the
+// runs. A line that does not parse fails the slice after its chunk's
+// charge. The one radix sort of the slice's index and its cut into runs
+// (runBuilder.finish) are the only post-transfer work, matching the
+// planner's overlap model max(transfer, partitionCPU) + sort.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -61,12 +63,13 @@ func (e *errLineTooLong) Error() string {
 }
 
 // feedSlice hands add the lines of a map slice that are the mapper's
-// own, read off r: those starting below limit, blank ones skipped. The
-// read begins one byte before the slice when skipFirst is set, and
-// everything up to that byte's newline is the predecessor's line; it
-// runs on through the overscan, and stops at the first line starting at
-// or past limit. add must not retain the line past its call.
-func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []byte) error) error {
+// own, read off r, each with the offset it starts at and whether it is
+// the unterminated tail of the read: those starting below limit, blank
+// ones skipped. The read begins one byte before the slice when skipFirst
+// is set, and everything up to that byte's newline is the predecessor's
+// line; it runs on through the overscan, and stops at the first line
+// starting at or past limit. add must not retain the line past its call.
+func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []byte, start int64, tail bool) error) error {
 	for {
 		line, start, tail, err := r.next()
 		switch {
@@ -89,7 +92,7 @@ func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []
 			// file's last line.
 			return &errLineTooLong{Offset: start, Overscan: overscan}
 		case !bed.IsBlank(line):
-			if err := add(line); err != nil {
+			if err := add(line, start, tail); err != nil {
 				return err
 			}
 		}
@@ -112,16 +115,15 @@ func (t *task) span() (readOff, readLen int64, prefixByte bool) {
 	return readOff, readLen, prefixByte
 }
 
-// readSlice streams the task's input slice into a runBuilder, charging
-// the per-chunk partition CPU (at the wave's streaming rate) as each
-// chunk lands and the post-stream sort once the transfer is done. It
-// returns the finished sorted runs, or nil when the object is a
-// timing-only payload (the caller writes even-split sized runs; the CPU
-// has already been charged either way). The builder is made at the
-// first line, so a timing-only slice, whose first chunk has no lines,
-// builds none.
+// readSlice streams the task's input slice into a runBuilder (indexSlice),
+// charging the per-chunk partition CPU (at the wave's streaming rate) as
+// each chunk lands and the post-stream sort once the transfer is done.
+// It returns the finished sorted runs, copied once from the chunks the
+// reader kept, or nil when the object is a timing-only payload (the
+// caller writes even-split sized runs; the CPU has already been charged
+// either way).
 func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
-	readOff, readLen, prefixByte := t.span()
+	readOff, readLen, _ := t.span()
 	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
 		objectstore.StreamOptions{ChunkBytes: AdaptiveChunkBytes(t.chunkBytes, t.n)})
 	if err != nil {
@@ -133,15 +135,8 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	// charge at exactly the slice over PartitionBps — overscan bytes are
 	// transferred but their lines belong to the next mapper.
 	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
-	r := &lineReader{src: st, m: m, pos: readOff}
-	var builder runBuilder // fanOut 0 until made
-	err = feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte) error {
-		if builder.fanOut == 0 {
-			// bedMethyl lines run ~58 bytes; 32 leaves room for short ones.
-			builder = newRunBuilder(t.wave.fanOut, t.bounds, int(readLen), int(readLen)/32)
-		}
-		return builder.addLine(line)
-	})
+	r := &lineReader{src: st, m: m, pos: readOff, keep: true}
+	builder, err := t.indexSlice(r)
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
 		_, err = m.drain(st, nil)
@@ -158,5 +153,37 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 		// Real bytes with no line of the mapper's own: every run empty.
 		return make([][]byte, t.wave.fanOut), nil
 	}
-	return builder.finish(), nil
+	return builder.finish(r.span()), nil
+}
+
+// indexSlice feeds the task's own lines of its slice, read off r from the
+// start of the task's read (span) on, into a runBuilder, each by its
+// offset in the read. The builder is made at the first line, its index
+// reserved from the lines of the chunk that line came from, so a
+// timing-only slice, whose first chunk has no lines, builds none (its
+// fanOut is 0). r must keep its chunks: the builder is finished with
+// r.span().
+func (t *task) indexSlice(r *lineReader) (runBuilder, error) {
+	readOff, readLen, prefixByte := t.span()
+	var b runBuilder // fanOut 0 until made
+	err := feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte, start int64, tail bool) error {
+		if b.fanOut == 0 {
+			chunk, _ := r.kept[len(r.kept)-1].Bytes()
+			var err error
+			if b, err = newRunBuilder(t.wave.fanOut, t.bounds, readLen, lineHint(chunk, t.n)); err != nil {
+				return err
+			}
+		}
+		return b.addLine(line, int(start-readOff), !tail)
+	})
+	return b, err
+}
+
+// lineHint guesses how many lines n bytes hold from the newlines of
+// chunk, with a sixteenth to spare. A slice whose lines run shorter than
+// its first chunk's grows its index past the guess by append.
+func lineHint(chunk []byte, n int64) int {
+	lines := int64(bytes.Count(chunk, []byte{'\n'})) + 1
+	guess := lines * n / int64(len(chunk)+1)
+	return int(guess + guess/16 + 16)
 }

@@ -207,6 +207,11 @@ type lineReader struct {
 	carry [2][]byte // alternating partial-line buffers
 	flip  int       // carry[flip] may hold the last non-blank line; 1-flip assembles
 	eof   bool
+	// keep has the reader keep every real chunk it pulls in kept, so that
+	// span can join them into the bytes read (a map slice's runBuilder
+	// copies its lines from there).
+	keep bool
+	kept []payload.Payload
 }
 
 // pull takes the next chunk off the source and charges it. It sets eof
@@ -228,8 +233,19 @@ func (r *lineReader) pull() error {
 	if !real {
 		return errSizedChunk
 	}
+	if r.keep {
+		r.kept = append(r.kept, pl)
+	}
 	r.chunk = raw
 	return nil
+}
+
+// span returns the bytes of the chunks the reader kept, joined: one view
+// of the object read when they sit side by side in it, as a stored
+// object's chunks do, and a copy otherwise.
+func (r *lineReader) span() []byte {
+	b, _ := payload.Concat(r.kept...).Bytes()
+	return b
 }
 
 // next hands out the next line, without its newline, and the offset it
