@@ -36,8 +36,9 @@ func benchBounds(recs []bed.Record, workers int) []boundary {
 // BenchmarkMapStream is the streaming map body: the whole object as
 // one slice read by a lineReader in 64 KiB chunks (partial trailing lines
 // carried across chunks), indexed by the run builder and cut into runs
-// copied from the chunks it kept. The chunk payloads are built before
-// the timer starts.
+// copied from the chunks it kept, the reader's kept slice reserved for
+// every chunk of the read as readSlice reserves it. The chunk payloads
+// are built before the timer starts.
 func BenchmarkMapStream(b *testing.B) {
 	recs := benchRecords()
 	raw := bed.Marshal(recs)
@@ -49,7 +50,7 @@ func BenchmarkMapStream(b *testing.B) {
 	tk := &task{wave: &wave{fanOut: 8}, n: int64(len(raw)), size: int64(len(raw)), bounds: bounds}
 	for i := 0; i < b.N; i++ {
 		src := chunks
-		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, keep: true}
+		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, keep: len(chunks)}
 		builder, err := tk.indexSlice(r)
 		if err != nil {
 			b.Fatal(err)

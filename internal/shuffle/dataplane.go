@@ -21,35 +21,46 @@ import (
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
 
-// keyRefPool recycles a mapper's key index across activations instead of
-// leaving it to the GC: the index's lifetime ends inside finish, which
-// copies the lines out into a buffer of the runs' own.
-var keyRefPool slicePool[bed.KeyRef]
-
-// slicePool recycles capacity-bearing slices through boxed pointers:
-// the *[]T box travels with its slice, so neither get nor put
-// allocates in steady state (a Put of the bare slice header would box
-// it on every call).
-type slicePool[T any] struct{ p sync.Pool }
-
-func (s *slicePool[T]) get(capHint int) *[]T {
-	if v := s.p.Get(); v != nil {
-		b := v.(*[]T)
-		if cap(*b) < capHint {
-			// A recycled slice below the hint would regrow through
-			// append doublings — the cost the hint exists to avoid;
-			// keep the box, replace the array.
-			*b = make([]T, 0, capHint)
-		}
-		return b
-	}
-	sl := make([]T, 0, capHint)
-	return &sl
+// freeRefs holds the key indexes no runBuilder is using, by capacity. A
+// builder takes one at its first line and puts it back, emptied, at
+// finish, so a later mapper, the VM's sort or the next job reuses its
+// array. Nothing empties the list, so a GC between two sorts leaves them
+// allocating the same bytes; and since a builder takes a free index
+// whenever there is one, it never holds more than were live at once.
+var freeRefs struct {
+	sync.Mutex
+	list [][]bed.KeyRef
 }
 
-func (s *slicePool[T]) put(b *[]T) {
-	*b = (*b)[:0]
-	s.p.Put(b)
+// takeRefs returns an empty index for n entries: the smallest free one
+// that holds them, else a new one made in place of the largest free one,
+// which the list gives up, so that it never grows past its peak.
+func takeRefs(n int) []bed.KeyRef {
+	freeRefs.Lock()
+	defer freeRefs.Unlock()
+	var refs []bed.KeyRef
+	if l := len(freeRefs.list); l > 0 {
+		i := min(firstFit(n), l-1)
+		refs = freeRefs.list[i]
+		freeRefs.list = slices.Delete(freeRefs.list, i, i+1)
+	}
+	if cap(refs) < n {
+		refs = make([]bed.KeyRef, 0, n) // append would double its way there
+	}
+	return refs
+}
+
+// putRefs hands an index back to the list, emptied.
+func putRefs(refs []bed.KeyRef) {
+	freeRefs.Lock()
+	freeRefs.list = slices.Insert(freeRefs.list, firstFit(cap(refs)), refs[:0])
+	freeRefs.Unlock()
+}
+
+// firstFit returns where the first free index of n entries or more sits.
+func firstFit(n int) int {
+	i, _ := slices.BinarySearchFunc(freeRefs.list, n, func(r []bed.KeyRef, n int) int { return cmp.Compare(cap(r), n) })
+	return i
 }
 
 // boundary is one partition boundary: a binary key plus the full
@@ -95,16 +106,16 @@ func compareLineKeys(ak bed.Key, aLine []byte, bk bed.Key, bLine []byte) int {
 // the first such line, and still indexed by its offset in the span, so
 // equal keys keep input order. The 32-bit offsets bound the span at
 // 2 GiB, far above any per-worker slice the planner's memory model
-// admits; newRunBuilder rejects a longer one. refsBox is the pool box
-// backing refs (nil for caller-owned memory, e.g. in tests).
+// admits; newRunBuilder rejects a longer one. The index is taken from
+// freeRefs and goes back there at finish; a builder that is never
+// finished, its read failed, leaves its index to the GC.
 type runBuilder struct {
-	bounds  []boundary
-	fanOut  int
-	refs    []bed.KeyRef
-	refsBox *[]bed.KeyRef
-	size    int        // the runs' bytes: every line through its '\n'
-	side    []byte     // the lines not copied from the span, each ended by '\n'
-	sides   []sideLine // where each of them was read, in input order
+	bounds []boundary
+	fanOut int
+	refs   []bed.KeyRef
+	size   int        // the runs' bytes: every line through its '\n'
+	side   []byte     // the lines not copied from the span, each ended by '\n'
+	sides  []sideLine // where each of them was read, in input order
 }
 
 // sideLine places a side-buffered line: off in the span, at in side.
@@ -114,16 +125,14 @@ type sideLine struct {
 }
 
 // newRunBuilder makes a builder of fanOut runs cut at bounds over a span
-// of n bytes, its index reserved for lines lines from the pool.
+// of n bytes, its index taken from freeRefs with room for lines lines.
 func newRunBuilder(fanOut int, bounds []boundary, n int64, lines int) (runBuilder, error) {
 	if n > math.MaxInt32 {
 		// KeyRef's int32 offsets would wrap; fail loudly instead of
 		// corrupting the run index.
 		return runBuilder{}, errSpanTooLarge
 	}
-	b := runBuilder{bounds: bounds, fanOut: fanOut, refsBox: keyRefPool.get(lines)}
-	b.refs = *b.refsBox
-	return b, nil
+	return runBuilder{bounds: bounds, fanOut: fanOut, refs: takeRefs(lines)}, nil
 }
 
 // addLine parses one raw input line, which starts at off in the span,
@@ -220,10 +229,7 @@ func (b *runBuilder) finish(span []byte) [][]byte {
 		out = append(out, line...)
 	}
 	runs[r] = cut(out, start, len(out))
-	if b.refsBox != nil {
-		*b.refsBox = b.refs
-		keyRefPool.put(b.refsBox)
-	}
+	putRefs(b.refs)
 	*b = runBuilder{}
 	return runs
 }

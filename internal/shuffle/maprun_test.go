@@ -226,7 +226,7 @@ func checkReadSlice(t *testing.T, raw []byte, draw uint64, cuts []byte) {
 		src = append(src, payload.RealNoCopy(chunk))
 		pos += c
 	}
-	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: true}
+	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: len(src)}
 	b, err := tk.indexSlice(r)
 	switch {
 	case noStart || cutShort || wantErr != nil:

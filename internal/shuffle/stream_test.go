@@ -52,7 +52,7 @@ func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset
 		t.Fatalf("a task over [%d, +%d) reads from %d (prefix %v), want %d (%v)", offset, length, got, gotPrefix, readOff, prefixByte)
 	}
 	src := cutChunks(raw, chunkSizes)
-	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: true}
+	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: 1} // kept grows past its reservation
 	builder, err := tk.indexSlice(r)
 	if err != nil {
 		t.Fatalf("indexSlice: %v", err)

@@ -124,8 +124,9 @@ func (t *task) span() (readOff, readLen int64, prefixByte bool) {
 // either way).
 func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	readOff, readLen, _ := t.span()
+	chunk := AdaptiveChunkBytes(t.chunkBytes, t.n)
 	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
-		objectstore.StreamOptions{ChunkBytes: AdaptiveChunkBytes(t.chunkBytes, t.n)})
+		objectstore.StreamOptions{ChunkBytes: chunk})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +136,7 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	// charge at exactly the slice over PartitionBps — overscan bytes are
 	// transferred but their lines belong to the next mapper.
 	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
-	r := &lineReader{src: st, m: m, pos: readOff, keep: true}
+	r := &lineReader{src: st, m: m, pos: readOff, keep: int((readLen + chunk - 1) / chunk)}
 	builder, err := t.indexSlice(r)
 	sized := errors.Is(err, errSizedChunk)
 	if sized {

@@ -207,10 +207,11 @@ type lineReader struct {
 	carry [2][]byte // alternating partial-line buffers
 	flip  int       // carry[flip] may hold the last non-blank line; 1-flip assembles
 	eof   bool
-	// keep has the reader keep every real chunk it pulls in kept, so that
-	// span can join them into the bytes read (a map slice's runBuilder
-	// copies its lines from there).
-	keep bool
+	// keep, when above 0, has the reader keep every real chunk it pulls
+	// in kept, reserved at the first for keep chunks, so that span can
+	// join them into the bytes read (a map slice's runBuilder copies its
+	// lines from there).
+	keep int
 	kept []payload.Payload
 }
 
@@ -233,7 +234,10 @@ func (r *lineReader) pull() error {
 	if !real {
 		return errSizedChunk
 	}
-	if r.keep {
+	if r.keep > 0 {
+		if r.kept == nil {
+			r.kept = make([]payload.Payload, 0, r.keep)
+		}
 		r.kept = append(r.kept, pl)
 	}
 	r.chunk = raw
