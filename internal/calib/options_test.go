@@ -186,6 +186,7 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"autoplan.History.MarshalJSON":    "TestStageBillsPinned reads the planner's exact sums through json.Marshal into stage_bills.golden",
 		"bed.IsSorted":                    "TestSortAndIsSorted, TestKeySortedMatchesLessSorted and the shuffle and core sort tests check their output with it",
 		"chaos.EventError.Unwrap":         "TestValidate and FuzzPlanValidate match the sentinel errors through errors.Is",
+		"cloud.Zones.ZoneDown":            "TestZoneOutageFires and TestZones",
 		"core.Workflow.StageNames":        "TestBuildPipelineDefaults (genomics/errors_test.go) reads the pipeline's shape through it",
 		"des.Event.At":                    "TestCancelAfterSlotRecycle and TestZeroEventIsInert read a handle's instant",
 		"des.Link.ActiveFlows":            "TestLinkDifferential and TestLinkRatesThroughJoinAndFire compare it with the oracle link",
@@ -197,11 +198,9 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"des.Waterfill":                   "TestWaterfillDifferential and TestLinkRatesThroughJoinAndFire hold the link's rates to it",
 		"faas.DefaultConfig":              "test fixture: TestConfigValidationFaas and TestConfigRejectsBadFaultRates start from it",
 		"gateway.Gateway.Session":         "TestGatewayLedgersAreTheMeters and the gateway tests reach the rig through it",
-		"memcache.Cluster.BilledDuration": "TestBillingStopsAtStop and TestStandingBillStopsWithTheResource",
 		"memcache.Cluster.UsedBytes":      "TestCacheExchangeSurvivesNodeLoss and TestKillNodeDropsDataButKeepsBilling",
 		"memcache.Cluster.Zone":           "TestZoneOutageFires checks placement through it",
 		"memcache.DefaultConfig":          "test fixture: TestCacheCost and TestStandingClusterExemptFromProvisioningQuota start from it",
-		"memcache.Provisioner.ZoneDown":   "TestZoneOutageFires",
 		"objectstore.DefaultConfig":       "test fixture: TestConfigValidation and chaos's testTargets start from it",
 		"objectstore.Object.ETag":         "keyspace.golden (TestStoreKeyspacePinned) records every key's tag",
 		"objectstore.Service.Brownout":    "TestArmFiresAllKinds, TestOverlappingBrownouts and TestZoneOutageFires",
@@ -209,7 +208,6 @@ func TestExportedAPIHasACaller(t *testing.T) {
 		"vm.Instance.BootedAt":            "TestProvisionPaysBootTime",
 		"vm.Instance.Zone":                "TestZoneOutageFires checks placement through it",
 		"vm.Provisioner.Types":            "core's planEnvOf (auto_test.go) builds TestAutoExchangeCapturesDecision's planner environment from it",
-		"vm.Provisioner.ZoneDown":         "TestZoneOutageFires",
 	}
 	exportedFrom := []string{"shuffle", "core"} // the stricter rule's packages
 	allowedAtHome := map[string]string{

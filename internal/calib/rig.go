@@ -63,8 +63,8 @@ func NewRig(p Profile) (*Rig, error) {
 		prov = vm.NewProvisioner(sim)
 	}
 	if len(p.Zones) > 0 {
-		prov.SetZones(p.Zones...)
-		cacheProv.SetZones(p.Zones...)
+		prov.Zones().SetZones(p.Zones...)
+		cacheProv.Zones().SetZones(p.Zones...)
 		// The store's bandwidth pool lives with the primary zone: its
 		// outage browns the endpoint out, a correlated loss.
 		store.SetZone(p.Zones[0])

@@ -272,12 +272,12 @@ func fire(sim *des.Sim, ev Event, t Targets) string {
 		var parts []string
 		if t.VMs != nil {
 			n := t.VMs.FailZone(ev.Zone)
-			sim.After(ev.Duration, func() { t.VMs.RestoreZone(ev.Zone) })
+			sim.After(ev.Duration, func() { t.VMs.Zones().RestoreZone(ev.Zone) })
 			parts = append(parts, fmt.Sprintf("reclaimed %d spot instance(s)", n))
 		}
 		if t.Cache != nil {
 			n := t.Cache.FailZone(ev.Zone)
-			sim.After(ev.Duration, func() { t.Cache.RestoreZone(ev.Zone) })
+			sim.After(ev.Duration, func() { t.Cache.Zones().RestoreZone(ev.Zone) })
 			parts = append(parts, fmt.Sprintf("killed %d cache cluster(s)", n))
 		}
 		// The store's bandwidth pool browns out when it lives in the

@@ -254,8 +254,8 @@ func TestValidate(t *testing.T) {
 func TestZoneOutageFires(t *testing.T) {
 	sim := des.New(1)
 	tg := testTargets(t, sim)
-	tg.VMs.SetZones("zone-a", "zone-b")
-	tg.Cache.SetZones("zone-a", "zone-b")
+	tg.VMs.Zones().SetZones("zone-a", "zone-b")
+	tg.Cache.Zones().SetZones("zone-a", "zone-b")
 	tg.Store.SetZone("zone-a")
 	plan := &Plan{Events: []Event{
 		{At: 5 * time.Minute, Kind: ZoneOutage, Zone: "zone-a", Rate: 0.4, Duration: 2 * time.Minute},
@@ -322,7 +322,7 @@ func TestZoneOutageFires(t *testing.T) {
 		if tg.Store.Brownout() != 0 {
 			t.Errorf("brownout = %g after the outage window, want 0", tg.Store.Brownout())
 		}
-		if tg.VMs.ZoneDown("zone-a") || tg.Cache.ZoneDown("zone-a") {
+		if tg.VMs.Zones().ZoneDown("zone-a") || tg.Cache.Zones().ZoneDown("zone-a") {
 			t.Error("zone-a still marked down after the window")
 		}
 		spot2.Stop()

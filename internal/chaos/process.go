@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"github.com/faaspipe/faaspipe/internal/cloud"
 )
 
 // Process is a seeded stochastic fault-arrival model: each fault class
@@ -40,7 +42,7 @@ type Process struct {
 	BrownoutRate     float64
 	BrownoutDuration time.Duration
 	// Zones are the outage victims, drawn uniformly per ZoneOutage
-	// arrival (default: the single DefaultZone-style pool "zone-a").
+	// arrival (default: the single pool cloud.DefaultZone).
 	Zones []string
 	// OutageRate and OutageDuration parameterize each ZoneOutage
 	// arrival: the correlated store brownout severity (default 0.25;
@@ -83,7 +85,7 @@ func (pr Process) Generate() (*Plan, error) {
 		pr.BrownoutDuration = 5 * time.Second
 	}
 	if len(pr.Zones) == 0 {
-		pr.Zones = []string{"zone-a"}
+		pr.Zones = []string{cloud.DefaultZone}
 	}
 	if pr.OutageRate < 0 {
 		pr.OutageRate = 0

@@ -49,8 +49,8 @@ func TestProcessDeterminism(t *testing.T) {
 	for i, plan := range []*Plan{a, b} {
 		sim := des.New(99)
 		tg := testTargets(t, sim)
-		tg.VMs.SetZones("zone-a", "zone-b")
-		tg.Cache.SetZones("zone-a", "zone-b")
+		tg.VMs.Zones().SetZones("zone-a", "zone-b")
+		tg.Cache.Zones().SetZones("zone-a", "zone-b")
 		armed, err := plan.Arm(sim, tg)
 		if err != nil {
 			t.Fatalf("Arm: %v", err)

@@ -418,3 +418,57 @@ func TestAwaitWaitDiesWithItsProcess(t *testing.T) {
 			calls, s.Fired(), s.Now())
 	}
 }
+
+// TestAwaitedWakeLeavesNoHandle: a wake an Await's chain runs at is spent
+// once it fires, and the process holds no handle to it. The chain, and a
+// grant that arms the next wait from another callback as a store
+// request's throttle does, find the process with no wake or a pending
+// one, so WakeAfter schedules afresh instead of moving a handle that
+// already fired; a stray Wake between the waits is spent the same way.
+// The run ends where sleeping through the same waits would.
+func TestAwaitedWakeLeavesNoHandle(t *testing.T) {
+	s := New(1)
+	var bad []string // appended from the callbacks, off the test's goroutine
+	check := func(p *Proc, where string) {
+		if p.wake != (Event{}) && !p.wake.pending() {
+			bad = append(bad, fmt.Sprintf("%s at %v: the process holds a spent wake", where, p.Now()))
+		}
+	}
+	granted := false
+	var end time.Duration
+	p := s.Spawn("requester", func(p *Proc) {
+		step := 0
+		p.Await(func() {
+			check(p, "chain")
+			switch {
+			case step == 0: // the request latency
+				step++
+				p.WakeAfter(time.Millisecond)
+			case step == 1: // the latency is over: wait for the grant
+				step++
+			case granted: // the body the grant armed
+				p.Resume()
+			}
+		})
+		check(p, "after Await")
+		p.Sleep(time.Millisecond)
+		end = p.Now()
+	})
+	s.Schedule(2*time.Millisecond, func() { p.Wake() }) // stray
+	s.Schedule(3*time.Millisecond, func() {
+		check(p, "grant")
+		granted = true
+		p.WakeAfter(time.Millisecond)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
+	}
+	// Spawn, the latency, the stray Wake and the wake it scheduled, the
+	// grant, the body, the sleep.
+	if end != 5*time.Millisecond || s.Fired() != 7 {
+		t.Errorf("ended at %v after %d events, want 5ms after 7", end, s.Fired())
+	}
+}

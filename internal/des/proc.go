@@ -23,7 +23,8 @@ var errKilled = errors.New("des: process killed")
 type Proc struct {
 	sim  *Sim
 	name string
-	fn   func(p *Proc)
+	// chain is what an Await in progress runs at the process's wakes.
+	chain func()
 
 	// w is the goroutine this process runs on; w.resume is where the
 	// baton is handed to it.
@@ -53,9 +54,10 @@ type Proc struct {
 // the idle list for Spawn to assign it another.
 type worker struct {
 	resume chan struct{}
-	// proc is the process to run at the next resume; nil tells an idle
-	// worker to exit.
+	// proc is the process to run at the next resume, and body its
+	// function; a nil proc tells an idle worker to exit.
 	proc *Proc
+	body func(p *Proc)
 }
 
 // maxIdle bounds the idle list. It has to cover the processes that
@@ -72,7 +74,7 @@ const maxIdle = 256
 // finished process when there is one, on a new goroutine otherwise;
 // the returned *Proc is new either way.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, fn: fn}
+	p := &Proc{sim: s, name: name}
 	p.activateFn = p.activate
 	if n := len(s.idle); n > 0 {
 		p.w = s.idle[n-1]
@@ -81,7 +83,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.w = &worker{resume: make(chan struct{})}
 		go p.w.run(s)
 	}
-	p.w.proc = p
+	p.w.proc, p.w.body = p, fn
 	if s.liveTail == nil {
 		s.liveHead = p
 	} else {
@@ -97,10 +99,10 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 func (w *worker) run(s *Sim) {
 	<-w.resume
 	for w.proc != nil { // nil: released from the idle list
-		p := w.proc
-		w.proc = nil
+		p, body := w.proc, w.body
+		w.proc, w.body = nil, nil
 		if !p.killed { // else discarded before it ever ran
-			p.call()
+			p.call(body)
 		}
 		p.done = true
 		s.unlink(p)
@@ -127,15 +129,13 @@ func (w *worker) run(s *Sim) {
 
 // call runs the process body, recording a panic other than the kill
 // unwind.
-func (p *Proc) call() {
+func (p *Proc) call(body func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
 			p.sim.recordPanic(p.name, r)
 		}
 	}()
-	fn := p.fn
-	p.fn = nil
-	fn(p)
+	body(p)
 }
 
 // unlink takes a finished process off the live list.
@@ -172,16 +172,22 @@ func asErr(v any) error {
 }
 
 // activate is the process's wake event: it marks the process runnable
-// and names it as the one the event loop must hand the baton to. It
-// never blocks. The done/killed guard is defense in depth: killLive
-// cancels a victim's wake event, so an activation for a dead process
-// should never fire — but if one ever does, it is dropped here, before
-// it can name a process whose goroutine is gone or runs someone else.
+// and names it as the one the event loop must hand the baton to, or runs
+// the chain of an Await in progress; the wake is spent either way, so
+// its handle goes first. It never blocks. The done/killed guard is
+// defense in depth: killLive cancels a victim's wake event, so an
+// activation for a dead process should never fire — but if one ever
+// does, it is dropped here, before it can name a process whose
+// goroutine is gone or runs someone else.
 func (p *Proc) activate() {
 	if p.done || p.killed {
 		return
 	}
 	p.wake = Event{}
+	if p.awaiting {
+		p.chain()
+		return
+	}
 	p.suspended = false
 	p.sim.next = p
 }
@@ -249,12 +255,11 @@ func (p *Proc) WakeAfter(d time.Duration) {
 // running it: a chain of callbacks working for the process waits on its
 // wake events, where its activations were, and killLive cancels them.
 func (p *Proc) Await(fn func()) {
-	activate := p.activateFn
-	p.activateFn, p.awaiting = fn, true
+	p.chain, p.awaiting = fn, true
 	if fn(); p.awaiting {
 		p.suspend()
 	}
-	p.activateFn = activate
+	p.chain = nil
 }
 
 // Resume ends the Await in progress, from its fn. From a wake, the

@@ -49,6 +49,36 @@ func TestTable1ReproducesPaperShape(t *testing.T) {
 	if vm.CostUSD > 2*sl.CostUSD {
 		t.Fatalf("costs not similar: %.4f vs %.4f", sl.CostUSD, vm.CostUSD)
 	}
+
+	// The bands do not hang on the profile's seed. A bill is billed time
+	// at list prices, and what the draws move (the store's request
+	// latencies, the functions' starts) moves the billed time by under a
+	// millionth (the VM row's through its lease, stopped when the sort
+	// is done; 4.5e-7 at seed 20), and each latency error by a fraction
+	// of a point.
+	paper := []float64{PaperServerlessLatency, PaperVMLatency}
+	latencyErr := func(rows []PipelineRun, i int) float64 {
+		return 100 * (rows[i].Latency.Seconds() - paper[i]) / paper[i]
+	}
+	for _, seed := range []int64{1, 7, 20} {
+		p := calib.Paper()
+		p.Seed = seed
+		other, err := Table1(p, 0, 0)
+		if err != nil {
+			t.Fatalf("seed %d: Table1: %v", seed, err)
+		}
+		for i, row := range other.Rows {
+			if want := res.Rows[i].CostUSD; math.Abs(row.CostUSD-want) > 1e-6*want {
+				t.Errorf("seed %d: %v costs $%.9f, $%.9f at the profile's seed", seed, row.Kind, row.CostUSD, want)
+			}
+			if got, want := latencyErr(other.Rows, i), latencyErr(res.Rows, i); math.Abs(got-want) > 0.5 {
+				t.Errorf("seed %d: %v latency error %+.2f%%, %+.2f%% at the profile's seed", seed, row.Kind, got, want)
+			}
+		}
+		if speedup := other.Rows[1].Latency.Seconds() / other.Rows[0].Latency.Seconds(); speedup < 1.4 || speedup > 2.1 {
+			t.Errorf("seed %d: speedup = %.2fx, want ~1.7x", seed, speedup)
+		}
+	}
 }
 
 func TestTable1Deterministic(t *testing.T) {

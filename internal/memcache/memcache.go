@@ -21,6 +21,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"github.com/faaspipe/faaspipe/internal/cloud"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 )
@@ -86,17 +87,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// DefaultZone is the placement domain used when a provisioner has not
-// been configured with an explicit zone list.
-const DefaultZone = "zone-a"
-
 // Provisioner creates cache clusters on a simulation.
 type Provisioner struct {
 	sim *des.Sim
 	cfg Config
 
-	zones     []string
-	downZones map[string]bool
+	zones cloud.Zones
 	// clusters are every cluster provisioned, and each scope's own.
 	clusters des.Ledger[[]*Cluster]
 }
@@ -109,39 +105,20 @@ func NewProvisioner(sim *des.Sim, cfg Config) (*Provisioner, error) {
 	if cfg.OpsBurst < 1 {
 		cfg.OpsBurst = 1
 	}
-	return &Provisioner{sim: sim, cfg: cfg, zones: []string{DefaultZone}, downZones: map[string]bool{}}, nil
+	return &Provisioner{sim: sim, cfg: cfg}, nil
 }
 
-// SetZones configures the placement domains new clusters land in. The
-// first zone still up always wins, keeping placement deterministic.
-func (pr *Provisioner) SetZones(zones ...string) {
-	if len(zones) == 0 {
-		zones = []string{DefaultZone}
-	}
-	pr.zones = append([]string(nil), zones...)
-}
-
-// ZoneDown reports whether a zone is currently failed.
-func (pr *Provisioner) ZoneDown(zone string) bool { return pr.downZones[zone] }
-
-// pickZone returns the first zone still up, or "" when every zone is
-// failed.
-func (pr *Provisioner) pickZone() (string, bool) {
-	for _, z := range pr.zones {
-		if !pr.downZones[z] {
-			return z, true
-		}
-	}
-	return "", false
-}
+// Zones returns where new clusters land: the first if all are down.
+func (pr *Provisioner) Zones() *cloud.Zones { return &pr.zones }
 
 // FailZone takes a whole placement domain down: every node of every
 // running cluster hosted in the zone is killed (total cluster loss —
 // the memory is gone with the hosts), and new clusters avoid the zone
-// until RestoreZone. Clusters keep billing, like KillNode: the managed
-// service bills while it rebuilds. Returns the number of clusters hit.
+// until Zones().RestoreZone. Clusters keep billing, like KillNode: the
+// managed service bills while it rebuilds. Returns the number of
+// clusters hit.
 func (pr *Provisioner) FailZone(zone string) int {
-	pr.downZones[zone] = true
+	pr.zones.Fail(zone)
 	hit := 0
 	for _, c := range pr.clusters.Total {
 		if c.zone != zone || c.Stopped() {
@@ -160,10 +137,6 @@ func (pr *Provisioner) FailZone(zone string) int {
 	}
 	return hit
 }
-
-// RestoreZone reopens a failed zone for provisioning. Data lost in the
-// outage stays lost.
-func (pr *Provisioner) RestoreZone(zone string) { delete(pr.downZones, zone) }
 
 // Config returns the node profile.
 func (pr *Provisioner) Config() Config { return pr.cfg }
@@ -193,17 +166,13 @@ func (pr *Provisioner) provision(p *des.Proc, n int, spinUp time.Duration) (*Clu
 	// is still up at readiness. When every zone is down the cluster
 	// still provisions, tagged with the first zone — it will be killed
 	// by the ongoing outage's FailZone only if that fires again, so
-	// callers racing an outage should check ZoneDown first.
-	zone, ok := pr.pickZone()
-	if !ok {
-		zone = pr.zones[0]
-	}
+	// callers racing an outage should check Zones().ZoneDown first.
+	zone, _ := pr.zones.Pick()
 	c := &Cluster{
-		sim:       pr.sim,
-		cfg:       pr.cfg,
-		zone:      zone,
-		requested: requested,
-		nodes:     make([]*node, n),
+		lease: cloud.NewLease(pr.sim, requested),
+		cfg:   pr.cfg,
+		zone:  zone,
+		nodes: make([]*node, n),
 	}
 	for i := range c.nodes {
 		c.nodes[i] = &node{
@@ -237,17 +206,17 @@ type node struct {
 	down  bool
 }
 
+// lease names the embedded cloud.Lease so that its field is unexported.
+type lease = cloud.Lease
+
 // Cluster is a running (or stopped) cache cluster.
 type Cluster struct {
-	sim       *des.Sim
-	cfg       Config
-	zone      string
-	nodes     []*node
-	requested time.Duration
-	stoppedAt time.Duration
-	stopped   bool
-	metrics   Metrics
-	idle      []*admission // records whose chain has ended, for reuse
+	lease
+	cfg     Config
+	zone    string
+	nodes   []*node
+	metrics Metrics
+	idle    []*admission // records whose chain has ended, for reuse
 }
 
 // Nodes reports the cluster size.
@@ -285,39 +254,10 @@ func (c *Cluster) CapacityBytes() int64 {
 	return c.cfg.NodeMemoryBytes * int64(len(c.nodes))
 }
 
-// Stop deprovisions the cluster; billing stops here. Idempotent.
-func (c *Cluster) Stop() {
-	if c.stopped {
-		return
-	}
-	c.stopped = true
-	c.stoppedAt = c.sim.Now()
-}
-
-// Stopped reports whether the cluster has been stopped.
-func (c *Cluster) Stopped() bool { return c.stopped }
-
-// BilledDuration reports the billable lifetime: provisioning request to
-// stop (or to now if still running). Managed caches bill from the
-// create call.
-func (c *Cluster) BilledDuration() time.Duration {
-	return c.billedAt(c.sim.Now())
-}
-
-// billedAt is the part of the billable lifetime elapsed by the instant
-// at: all of it when at is in the future, none before the create call.
-func (c *Cluster) billedAt(at time.Duration) time.Duration {
-	end := min(at, c.sim.Now())
-	if c.stopped {
-		end = min(end, c.stoppedAt)
-	}
-	return max(end-c.requested, 0)
-}
-
 // CostAt reports the cost in USD the cluster had accumulated as of the
 // instant at, at per-second granularity.
 func (c *Cluster) CostAt(at time.Duration) float64 {
-	return c.billedAt(at).Hours() * c.cfg.NodeHourlyUSD * float64(len(c.nodes))
+	return c.BilledDurationAt(at).Hours() * c.cfg.NodeHourlyUSD * float64(len(c.nodes))
 }
 
 // nodeFor shards a key to a node by hash.
@@ -369,7 +309,7 @@ func (c *Cluster) DownNodes() int {
 
 // refused reports why n cannot serve a request now, if it cannot.
 func (c *Cluster) refused(n *node) error {
-	if c.stopped {
+	if c.Stopped() {
 		return ErrStopped
 	}
 	if n.down {

@@ -76,14 +76,14 @@ type procCluster struct {
 
 func (f *procCluster) admit(p *des.Proc, n *node) error {
 	c := f.c
-	if c.stopped {
+	if c.Stopped() {
 		return ErrStopped
 	}
 	if n.down {
 		return fmt.Errorf("memcache: node %d: %w", n.idx, ErrNodeDown)
 	}
 	f.tb[n.idx].take(p, 1)
-	if c.stopped { // stopped while queued on the throttle
+	if c.Stopped() { // stopped while queued on the throttle
 		return ErrStopped
 	}
 	if n.down { // failed while queued on the throttle

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/faaspipe/faaspipe/internal/cloud"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
@@ -34,10 +35,6 @@ var (
 	// capacity pool can host a new instance.
 	ErrNoZone = errors.New("vm: no zone has available capacity")
 )
-
-// DefaultZone is the single placement domain used when a provisioner
-// has not been configured with an explicit zone list.
-const DefaultZone = "zone-a"
 
 // PreemptionNotice is the warning window between a preemption signal
 // and the instance being reclaimed, mirroring the ~30 s notice real
@@ -87,8 +84,7 @@ type Provisioner struct {
 	sim     *des.Sim
 	catalog map[string]InstanceType
 
-	zones     []string
-	downZones map[string]bool
+	zones cloud.Zones
 	// instances are every instance provisioned, and each scope's own.
 	instances des.Ledger[[]*Instance]
 }
@@ -105,42 +101,21 @@ func NewProvisionerWithCatalog(sim *des.Sim, types []InstanceType) *Provisioner 
 	for _, it := range types {
 		cat[it.Name] = it
 	}
-	return &Provisioner{sim: sim, catalog: cat, zones: []string{DefaultZone}, downZones: map[string]bool{}}
+	return &Provisioner{sim: sim, catalog: cat}
 }
 
-// SetZones configures the placement domains new instances land in.
-// Provisioning always picks the first zone not currently failed, so
-// placement stays deterministic: everything lands in zones[0] until an
-// outage forces it elsewhere.
-func (pr *Provisioner) SetZones(zones ...string) {
-	if len(zones) == 0 {
-		zones = []string{DefaultZone}
-	}
-	pr.zones = append([]string(nil), zones...)
-}
-
-// ZoneDown reports whether a zone is currently failed.
-func (pr *Provisioner) ZoneDown(zone string) bool { return pr.downZones[zone] }
-
-// pickZone returns the first zone still up, or ErrNoZone.
-func (pr *Provisioner) pickZone() (string, error) {
-	for _, z := range pr.zones {
-		if !pr.downZones[z] {
-			return z, nil
-		}
-	}
-	return "", ErrNoZone
-}
+// Zones returns where new instances land: none (ErrNoZone) if all down.
+func (pr *Provisioner) Zones() *cloud.Zones { return &pr.zones }
 
 // FailZone takes a whole capacity pool down: every running spot
 // instance placed in the zone is reclaimed immediately (a zone outage
 // gives no notice window), and new provisioning avoids the zone until
-// RestoreZone. On-demand instances ride out the outage: the model
+// Zones().RestoreZone. On-demand instances ride out the outage: the model
 // follows real spot markets, where interruptible capacity is the first
 // thing a constrained pool sheds. Returns the number of instances
 // reclaimed.
 func (pr *Provisioner) FailZone(zone string) int {
-	pr.downZones[zone] = true
+	pr.zones.Fail(zone)
 	n := 0
 	for _, inst := range pr.instances.Total {
 		if inst.zone == zone && inst.spot && !inst.Stopped() {
@@ -150,10 +125,6 @@ func (pr *Provisioner) FailZone(zone string) int {
 	}
 	return n
 }
-
-// RestoreZone reopens a failed zone for provisioning. Instances
-// reclaimed by the outage stay gone.
-func (pr *Provisioner) RestoreZone(zone string) { delete(pr.downZones, zone) }
 
 // Types returns the provisioner's catalog, sorted by memory then name
 // so enumeration (the auto-planner sweeps it) is deterministic.
@@ -202,25 +173,25 @@ func (pr *Provisioner) provision(p *des.Proc, typeName string, spot bool) (*Inst
 	if spot && it.SpotHourlyUSD <= 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoSpotPrice, typeName)
 	}
-	if _, err := pr.pickZone(); err != nil {
-		return nil, err
+	if _, ok := pr.zones.Pick(); !ok {
+		return nil, ErrNoZone
 	}
 	p.Sleep(it.BootTime)
 	// Re-pick after the boot wait so the instance lands in a zone that
 	// is still up at readiness; a zone that failed mid-boot would have
 	// rejected the request.
-	zone, err := pr.pickZone()
-	if err != nil {
-		return nil, err
+	zone, ok := pr.zones.Pick()
+	if !ok {
+		return nil, ErrNoZone
 	}
 	inst := &Instance{
-		sim:       pr.sim,
-		itype:     it,
-		spot:      spot,
-		zone:      zone,
-		bootedAt:  pr.sim.Now(),
-		requested: pr.sim.Now() - it.BootTime,
-		cpus:      des.NewResource(pr.sim, int64(it.VCPUs)),
+		lease:    cloud.NewLease(pr.sim, pr.sim.Now()-it.BootTime),
+		sim:      pr.sim,
+		itype:    it,
+		spot:     spot,
+		zone:     zone,
+		bootedAt: pr.sim.Now(),
+		cpus:     des.NewResource(pr.sim, int64(it.VCPUs)),
 	}
 	pr.instances.Charge(p, func(l *[]*Instance) { *l = append(*l, inst) })
 	return inst, nil
@@ -236,14 +207,15 @@ func (pr *Provisioner) Instances() []*Instance {
 // Ledger returns the instances provisioned, per scope as well as in all.
 func (pr *Provisioner) Ledger() *des.Ledger[[]*Instance] { return &pr.instances }
 
+// lease names the embedded cloud.Lease so that its field is unexported.
+type lease = cloud.Lease
+
 // Instance is a running (or stopped) virtual server.
 type Instance struct {
-	sim       *des.Sim
-	itype     InstanceType
-	requested time.Duration // when provisioning began (billing starts)
-	bootedAt  time.Duration
-	stoppedAt time.Duration
-	stopped   bool
+	lease
+	sim      *des.Sim
+	itype    InstanceType
+	bootedAt time.Duration
 
 	spot      bool
 	zone      string
@@ -265,18 +237,6 @@ func (i *Instance) Spot() bool { return i.spot }
 // Zone reports the placement domain the instance was provisioned in.
 func (i *Instance) Zone() string { return i.zone }
 
-// Stop halts the instance; billing stops here. Stop is idempotent.
-func (i *Instance) Stop() {
-	if i.stopped {
-		return
-	}
-	i.stopped = true
-	i.stoppedAt = i.sim.Now()
-}
-
-// Stopped reports whether the instance has been stopped.
-func (i *Instance) Stopped() bool { return i.stopped }
-
 // Preempted reports whether the provider reclaimed the instance.
 func (i *Instance) Preempted() bool { return i.preempted }
 
@@ -289,12 +249,12 @@ func (i *Instance) PreemptionNoticed() bool { return i.noticed }
 // later unless the owner stops it first. Safe to call from event
 // context; idempotent, and a no-op on already-stopped instances.
 func (i *Instance) Preempt() {
-	if i.stopped || i.noticed {
+	if i.Stopped() || i.noticed {
 		return
 	}
 	i.noticed = true
 	i.sim.After(PreemptionNotice, func() {
-		if i.stopped {
+		if i.Stopped() {
 			return
 		}
 		i.preempted = true
@@ -307,30 +267,12 @@ func (i *Instance) Preempt() {
 // whole pool disappears at once. Idempotent; a no-op on stopped
 // instances.
 func (i *Instance) Reclaim() {
-	if i.stopped {
+	if i.Stopped() {
 		return
 	}
 	i.noticed = true
 	i.preempted = true
 	i.Stop()
-}
-
-// BilledDuration reports the billable lifetime: provisioning request
-// to stop (or to now if still running). Providers bill from the
-// create call, not from readiness.
-func (i *Instance) BilledDuration() time.Duration {
-	return i.BilledDurationAt(i.sim.Now())
-}
-
-// BilledDurationAt is BilledDuration as of the instant at: the part of
-// the billable lifetime that had elapsed by then (all of it when at is
-// in the future, none before the create call).
-func (i *Instance) BilledDurationAt(at time.Duration) time.Duration {
-	end := min(at, i.sim.Now())
-	if i.stopped {
-		end = min(end, i.stoppedAt)
-	}
-	return max(end-i.requested, 0)
 }
 
 // HourlyRate reports the rate the instance bills at: the spot price
@@ -355,7 +297,7 @@ func (i *Instance) err() error {
 	if i.preempted {
 		return ErrPreempted
 	}
-	if i.stopped {
+	if i.Stopped() {
 		return ErrStopped
 	}
 	return nil
