@@ -285,9 +285,10 @@ var chainForm = requestForm{
 		return cs, nil
 	},
 	openEach: func(c *Client, p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]chunkSource, error) {
-		streams, err := c.GetStreams(p, bkt, keys, opts)
-		out := make([]chunkSource, len(streams))
-		for i := range streams {
+		streams := make([]ClientStream, len(keys))
+		n, err := c.GetStreams(p, streams, bkt, keys, opts)
+		out := make([]chunkSource, n)
+		for i := range out {
 			out[i] = &streams[i]
 		}
 		return out, err

@@ -17,8 +17,9 @@ import (
 
 // TestRequestAllocBudget holds throttled requests (every one waits for
 // its token) to what they allocate: a one-chunk stream opened, drained
-// and closed 2 (the stream and its bound step), 64 in a list 1 each
-// (the step) and the list's slice, whose elements are the streams. A Put over a key that exists
+// and closed 2 (the stream and its bound step); 64 in a list opened into
+// fresh storage 1 each (the step), and into storage Reclaim gave back
+// nothing, each stream's step bound at its storage's first open. A Put over a key that exists
 // allocates nothing, alone or 64 in a list: the bucket keeps a payload
 // and an instant in the slot the key already has, and the ETag, once
 // the one allocation a PUT made, is computed only when a caller asks
@@ -42,7 +43,7 @@ func TestRequestAllocBudget(t *testing.T) {
 	}
 	body := payload.Sized(27_000)
 	each := func(i int) (string, payload.Payload) { return keys[i], body }
-	var put, open, putList, openList float64
+	var put, open, putList, openFresh, openList float64
 	sim.Spawn("probe", func(p *des.Proc) {
 		c := NewClient(svc)
 		if err := c.CreateBucket(p, "shuffle"); err != nil {
@@ -80,24 +81,39 @@ func TestRequestAllocBudget(t *testing.T) {
 			drain(cs)
 		})
 		putList = testing.AllocsPerRun(20, puts)
-		openList = testing.AllocsPerRun(20, func() {
-			streams, err := c.GetStreams(p, "shuffle", keys, StreamOptions{})
+		openInto := func(streams []ClientStream) {
+			n, err := c.GetStreams(p, streams, "shuffle", keys, StreamOptions{})
 			if err != nil {
 				t.Error(err)
 			}
-			for i := range streams {
+			for i := range n {
 				drain(&streams[i])
 			}
+			if !Reclaim(streams) {
+				t.Error("streams read to io.EOF and closed were not reclaimed")
+			}
+		}
+		// AllocsPerRun calls its function once more than it averages over.
+		fresh := make([][]ClientStream, 21)
+		for i := range fresh {
+			fresh[i] = make([]ClientStream, len(keys))
+		}
+		openFresh = testing.AllocsPerRun(20, func() {
+			openInto(fresh[0])
+			fresh = fresh[1:]
 		})
+		reclaimed := make([]ClientStream, len(keys))
+		openList = testing.AllocsPerRun(20, func() { openInto(reclaimed) })
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	t.Logf("Put %.1f, GetStream %.1f, PutEach of 64 %.1f, GetStreams of 64 %.1f", put, open, putList, openList)
-	// A list of 64 opens is 64 bound steps and the one slice of streams.
-	if put > 0 || open > 2 || putList > 0 || openList > 64+1 {
-		t.Errorf("allocations: Put %.1f (budget 0), GetStream %.1f (2), PutEach of 64 %.1f (0), GetStreams of 64 %.1f (65)",
-			put, open, putList, openList)
+	t.Logf("Put %.1f, GetStream %.1f, PutEach of 64 %.1f, GetStreams of 64 %.1f fresh, %.1f reclaimed",
+		put, open, putList, openFresh, openList)
+	// A list of 64 opens into fresh storage is 64 bound steps.
+	if put > 0 || open > 2 || putList > 0 || openFresh > 64 || openList > 0 {
+		t.Errorf("allocations: Put %.1f (budget 0), GetStream %.1f (2), PutEach of 64 %.1f (0), GetStreams of 64 %.1f fresh (64), %.1f reclaimed (0)",
+			put, open, putList, openFresh, openList)
 	}
 	if len(svc.idle) != 1 {
 		t.Errorf("%d chain records recycled by one caller's requests, want the same 1", len(svc.idle))
@@ -128,9 +144,10 @@ func TestRequestSurvivesStrayWakes(t *testing.T) {
 				return keys[i], payload.Sized(int64(i%3) * 5_000) // empty bodies too
 			})
 			log = append(log, fmt.Sprintf("@%d put %d: %v", p.Now(), n, err))
-			streams, err := c.GetStreams(p, "a", keys, StreamOptions{})
-			log = append(log, fmt.Sprintf("@%d opened %d: %v", p.Now(), len(streams), err))
-			for i := range streams {
+			streams := make([]ClientStream, len(keys))
+			opened, err := c.GetStreams(p, streams, "a", keys, StreamOptions{})
+			log = append(log, fmt.Sprintf("@%d opened %d: %v", p.Now(), opened, err))
+			for i := range opened {
 				for err = nil; err == nil; {
 					_, err = streams[i].Next(p)
 				}
@@ -223,8 +240,9 @@ func TestRequestKilledAtHorizon(t *testing.T) {
 			cfg: func(c *Config) { c.FailureRate = 0.2 },
 			call: func(c *Client, p *des.Proc, i int) error {
 				keys, _ := listOf("pre", 6, 0)
-				streams, err := c.GetStreams(p, "a", keys, StreamOptions{})
-				for j := range streams {
+				streams := make([]ClientStream, len(keys))
+				n, err := c.GetStreams(p, streams, "a", keys, StreamOptions{})
+				for j := range n {
 					streams[j].Close()
 				}
 				return err

@@ -21,11 +21,12 @@ import (
 // reader-style interface.
 //
 // A stream is one object, and its reader owns it: Client.GetStream
-// allocates one, Client.GetStreams one slice of them for the list. The
-// range, the prefetch window, the producing side and the retry budget
-// all live in it. No process produces the chunks. The producing side is
-// a state machine on the event heap with at most one event pending, and
-// step is that event:
+// allocates one, and Client.GetStreams opens a list of them into storage
+// its caller passes, which the caller may open again once Reclaim has
+// given it back. The range, the prefetch window, the producing side and
+// the retry budget all live in it. No process produces the chunks. The
+// producing side is a state machine on the event heap with at most one
+// event pending, and step is that event:
 //
 //	unopened   nothing: no range is open yet, or the reader's Next took
 //	           a throttled continuation and re-opens the rest
@@ -42,7 +43,11 @@ import (
 // then backs off and opens the rest of the range, from base+off, into
 // the same storage. That re-use is sound only because a finished
 // producer has no event pending; startStream panics on storage whose
-// producer has not finished.
+// producer has not finished. Storage a reader closed is re-used the same
+// way, for another open by another reader, perhaps of another service:
+// Reclaim gives it back only when no producing side runs, and keeps the
+// step each stream bound at its first open, so a stream binds it once
+// for the life of its storage.
 //
 // Each of those events sits where an activation of the producer
 // process this replaced (PR 21) sat, and a throttled continuation draws
@@ -101,6 +106,10 @@ const (
 // through its client: that keeps it at 176 bytes, a malloc size class
 // (TestStreamSizeClass). No name orders its chunks' link flows; they go
 // by when they joined.
+//
+// A ClientStream is a value its reader may keep and open again: its zero
+// value is storage GetStreams opens into, and Reclaim returns it to that
+// state, its bound step aside.
 type ClientStream struct {
 	c *Client
 	// What OpenStreams names the stream by: its place in the service's
@@ -162,15 +171,20 @@ func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Stre
 }
 
 // GetStreams opens a resumable stream through the end of every one of
-// keys, strictly one after another like GetStream in a loop, but as one
-// request that parks p once (see request.go). Each stream keeps its own
-// retry budget. All the streams are one allocation: callers take
-// &streams[i]. On error it returns the streams opened so far, for the
-// caller to close; the key that failed is keys[len(streams)].
-func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]ClientStream, error) {
-	streams := make([]ClientStream, len(keys))
+// keys, keys[i] into streams[i], strictly one after another like
+// GetStream in a loop, but as one request that parks p once (see
+// request.go). Each stream keeps its own retry budget. The storage is
+// the caller's, at least as long as keys: zero values, or streams that
+// Reclaim gave back. Each element is first reset to a stream of c's,
+// keeping the step it bound at an earlier open, so storage opened again
+// allocates nothing; one whose producing side still runs is left as it
+// is, and its open panics. It returns how many streams it opened, the
+// first n elements; on error the caller closes those, and the key that
+// failed is keys[n].
+func (c *Client) GetStreams(p *des.Proc, streams []ClientStream, bkt string, keys []string, opts StreamOptions) (int, error) {
+	streams = streams[:len(keys)]
 	for i := range streams {
-		streams[i].c = c
+		streams[i].reset(c)
 	}
 	for i := 0; i < len(keys); {
 		var err error
@@ -179,10 +193,41 @@ func (c *Client) GetStreams(p *des.Proc, bkt string, keys []string, opts StreamO
 			err = c.backOff(p, &streams[i].retries, err)
 		}
 		if err != nil {
-			return streams[:i], err
+			return i, err
 		}
 	}
-	return streams, nil
+	return len(keys), nil
+}
+
+// Reclaim readies streams their reader has closed or read through for
+// another GetStreams: it resets each to the zero value but for the step
+// it bound, so the storage keeps no client, service, bucket or process,
+// and reports true. While the producing side of any of them still runs
+// (a chunk in flight, a throttle or a resume pending, a full window) it
+// changes nothing and reports false: that storage is the kernel's until
+// its event fires, and only the collector may take it back.
+func Reclaim(streams []ClientStream) bool {
+	for i := range streams {
+		if streams[i].running() {
+			return false
+		}
+	}
+	for i := range streams {
+		streams[i].reset(nil)
+	}
+	return true
+}
+
+// running reports that st's producing side has an event pending or may
+// schedule one: it is on its service's list of open streams.
+func (st *ClientStream) running() bool { return st.state != unopened && st.state != finished }
+
+// reset readies st for an open by c, keeping its bound step. A stream
+// whose producing side runs is left as it is, for startStream to refuse.
+func (st *ClientStream) reset(c *Client) {
+	if !st.running() {
+		*st = ClientStream{c: c, stepFn: st.stepFn}
+	}
 }
 
 // openRetrying opens bytes [off, off+n) of bkt/key into st, backing off
@@ -225,8 +270,8 @@ func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opt
 
 // startStream begins delivering rng, bytes [off, off+n) of key in bkt,
 // into st for p: the open's last act, at the end of its request
-// latency. st is fresh storage or a stream whose Next took a throttled
-// continuation; either way no event of it can be pending.
+// latency. st is storage GetStreams reset or a stream whose Next took a
+// throttled continuation; either way no event of it can be pending.
 func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key string, rng payload.Payload, off, n int64, opts StreamOptions) {
 	if st.state != unopened || st.prevOpen != nil || s.openHead == st {
 		panic(fmt.Sprintf("objectstore: stream #%d opened again while its producing side runs", st.seq))

@@ -154,7 +154,8 @@ type chunkSource interface {
 	Close()
 }
 
-type streamOpener func(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error)
+// streamOpener opens reader i's stream.
+type streamOpener func(s *Service, p *des.Proc, i int, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error)
 
 // machineStream is the state machine as the producer process was
 // driven: a throttled continuation ends the stream with ErrSlowDown.
@@ -164,7 +165,7 @@ func (st machineStream) Next(p *des.Proc) (payload.Payload, error) {
 	return rawNext(st.ClientStream, p)
 }
 
-func openMachine(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
+func openMachine(s *Service, p *des.Proc, _ int, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
 	st, err := openStream(s, p, "b", "k", off, n, opts, flowCap)
 	if err != nil {
 		return nil, err // not a typed nil in the interface
@@ -172,7 +173,7 @@ func openMachine(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flow
 	return machineStream{st}, nil
 }
 
-func openProc(s *Service, p *des.Proc, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
+func openProc(s *Service, p *des.Proc, _ int, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
 	st, err := openProcStream(s, p, "b", "k", off, n, opts, flowCap)
 	if err != nil {
 		return nil, err
@@ -248,7 +249,7 @@ func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Trans
 			var st chunkSource
 			for attempt := 0; ; attempt++ {
 				var err error
-				if st, err = open(svc, p, r.off, r.n, r.opts, r.flowCap); err == nil {
+				if st, err = open(svc, p, i, r.off, r.n, r.opts, r.flowCap); err == nil {
 					break
 				}
 				logf(i, p, "open: %v", err)
@@ -307,6 +308,50 @@ func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Trans
 			}
 		}
 	}}
+}
+
+// maxOracleReaders bounds a scenario's readers (genOracleScenario).
+const maxOracleReaders = 64
+
+// reclaimedForm is the state machine opened into reclaimed storage:
+// reader i opens into element i of the storage every reader of the
+// previous scenario played in this form opened into, finished and
+// Reclaim gave back, each element's step bound by an earlier scenario's
+// stream on another simulation. Its scenarios must be played one after
+// another, as Sweep and Fuzz play them. rebound counts the opens into
+// storage whose step an earlier scenario bound.
+func reclaimedForm() (form destest.Form[oracleScenario], rebound *int) {
+	var storage []ClientStream
+	rebound = new(int)
+	return func(t *testing.T, sc oracleScenario, tr *destest.Transcript) destest.Run {
+		if storage == nil {
+			storage = make([]ClientStream, maxOracleReaders)
+		}
+		streams := storage[:len(sc.readers)]
+		open := func(s *Service, p *des.Proc, i int, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
+			st := &streams[i]
+			if st.stepFn != nil && st.state == unopened {
+				*rebound++
+			}
+			st.reset(&Client{svc: s, FlowCap: flowCap})
+			if err := st.open(p, "b", "k", off, n, opts); err != nil {
+				return nil, err
+			}
+			return machineStream{st}, nil
+		}
+		run := streamOpener(open).play(t, sc, tr)
+		after := run.After
+		run.After = func() {
+			after()
+			// Every reader has closed and the heap is drained: nothing of
+			// the storage may still run.
+			if !Reclaim(streams) {
+				t.Errorf("a drained scenario's streams were not reclaimed")
+				storage = nil
+			}
+		}
+		return run
+	}, rebound
 }
 
 // genOracleScenario draws one scenario. Most have every reader ask for
@@ -396,7 +441,7 @@ func genOracleScenario(r *rand.Rand, seed int64) oracleScenario {
 		rd.nextAfterClose = r.Intn(2) == 0
 		return rd
 	}
-	n := 1 + r.Intn(64)
+	n := 1 + r.Intn(maxOracleReaders)
 	shared := draw()
 	together := r.Intn(4) != 0
 	for i := 0; i < n; i++ {
@@ -424,11 +469,38 @@ func TestStreamMatchesProducerProcess(t *testing.T) {
 	sum.Reach(t, "ties", "throttles", "closed early")
 }
 
+// TestReclaimedStreamMatchesProducerProcess is
+// TestStreamMatchesProducerProcess with every reader opening into
+// storage the previous scenario's readers finished: a stream opened
+// again, its step bound on another simulation, must fire what a fresh
+// one fires.
+func TestReclaimedStreamMatchesProducerProcess(t *testing.T) {
+	form, rebound := reclaimedForm()
+	reclaimed := destest.Pair[oracleScenario]{New: form, Old: streamOracle.Old}
+	sum := reclaimed.Sweep(t, 200, 40, 21, func(i int, r *rand.Rand) (oracleScenario, time.Duration) {
+		return genOracleScenario(r, int64(1000+i)), -1
+	})
+	sum.Reach(t, "ties", "throttles", "closed early")
+	if *rebound == 0 {
+		t.Error("no reader opened into storage an earlier scenario bound")
+	}
+	t.Logf("%d opens into reclaimed storage", *rebound)
+}
+
 // FuzzStreamMachine draws a scenario from each fuzzed seed and holds the
 // state machine to the producer process on it, as
-// TestStreamMatchesProducerProcess does on its fixed seeds.
+// TestStreamMatchesProducerProcess does on its fixed seeds, once on fresh
+// storage and once on the storage the previous input's scenario
+// finished.
 func FuzzStreamMachine(f *testing.F) {
-	destest.Fuzz(f, streamOracle, func(seed int64) (oracleScenario, time.Duration) {
-		return genOracleScenario(rand.New(rand.NewSource(seed)), seed), -1
-	}, 1, 21, 1000)
+	form, _ := reclaimedForm()
+	reclaimed := destest.Pair[oracleScenario]{New: form, Old: streamOracle.Old}
+	for _, seed := range []int64{1, 21, 1000} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		sc := genOracleScenario(rand.New(rand.NewSource(seed)), seed)
+		streamOracle.Check(t, "fuzzed scenario", sc, -1)
+		reclaimed.Check(t, "fuzzed scenario on reclaimed storage", sc, -1)
+	})
 }

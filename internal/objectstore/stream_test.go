@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -779,3 +780,77 @@ func TestStreamIsNotReopenedWhileItRuns(t *testing.T) {
 		t.Fatalf("sim = %v, want the re-open refused", err)
 	}
 }
+
+// TestLiveStorageIsNeitherReclaimedNorReopened hands the storage of a
+// list of streams whose producing sides still run back for another
+// list: Reclaim refuses it and changes nothing, and GetStreams leaves it
+// as it is for startStream, whose panic is the backstop for storage given
+// back too early. Once the streams are read through, Reclaim takes it,
+// and GetStreams opens into it again with the steps bound the first time.
+func TestLiveStorageIsNeitherReclaimedNorReopened(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		sim, svc, data := streamRig(t, fastCfg(), 50000)
+		keys := []string{"k", "k"}
+		opts := StreamOptions{ChunkBytes: 10000}
+		sim.Spawn("reader", func(p *des.Proc) {
+			p.Sleep(time.Second) // after the setup's Put
+			c := NewClient(svc)
+			streams := make([]ClientStream, len(keys))
+			if n, err := c.GetStreams(p, streams, "b", keys, opts); n != len(keys) || err != nil {
+				t.Errorf("GetStreams: %d, %v", n, err)
+				return
+			}
+			live := streams[1]
+			if Reclaim(streams) {
+				t.Error("Reclaim took storage whose producing sides run")
+			}
+			if streams[0].c != c || streams[1].seq != live.seq || streams[1].state != live.state {
+				t.Errorf("Reclaim changed live storage: stream #%d in state %d, was #%d in %d",
+					streams[1].seq, streams[1].state, live.seq, live.state)
+			}
+			if reopen {
+				_, _ = c.GetStreams(p, streams, "b", keys, opts)
+				t.Error("GetStreams opened into live storage")
+				return
+			}
+			bound := [2]unsafe.Pointer{closureOf(streams[0].stepFn), closureOf(streams[1].stepFn)}
+			for i := range streams {
+				if got, err := drainStream(p, &streams[i], 0); err != nil || len(got) != len(data) {
+					t.Errorf("stream %d: %d bytes, %v", i, len(got), err)
+				}
+				streams[i].Close()
+			}
+			if !Reclaim(streams) {
+				t.Fatal("Reclaim refused streams read through")
+			}
+			if n, err := c.GetStreams(p, streams, "b", keys, opts); n != len(keys) || err != nil {
+				t.Errorf("GetStreams into reclaimed storage: %d, %v", n, err)
+			}
+			for i := range streams {
+				if bound[i] == nil || closureOf(streams[i].stepFn) != bound[i] {
+					t.Errorf("stream %d bound its step again", i)
+				}
+				if got, err := drainStream(p, &streams[i], 0); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("reclaimed stream %d: %d bytes, %v", i, len(got), err)
+				}
+			}
+		})
+		err := sim.Run()
+		if reopen {
+			if err == nil || !strings.Contains(err.Error(), "stream #1 opened again while its producing side runs") {
+				t.Fatalf("sim = %v, want the re-open of live storage refused", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open := svc.OpenStreams(); len(open) != 0 {
+			t.Errorf("streams left open: %v", open)
+		}
+	}
+}
+
+// closureOf returns the closure f is: two method values bound by one
+// evaluation share it, two evaluations do not.
+func closureOf(f func()) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }

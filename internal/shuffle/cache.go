@@ -255,7 +255,7 @@ func (c *cacheRuns) fetch(p *des.Proc, store *objectstore.Client, key string) (p
 // per run, concurrently, sharing node NICs fairly. The resident runs
 // are then fed to the merge chunk-wise so its CPU charges interleave
 // with the output's part uploads.
-func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error) {
+func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) (readSet, int64, error) {
 	parts := make([]payload.Payload, len(keys))
 	err := ctx.Proc.Fan(len(keys), "cache-fetch-", func(m int, up *des.Proc) (err error) {
 		if parts[m], err = c.fetch(up, ctx.Store, keys[m]); err != nil {
@@ -264,7 +264,7 @@ func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return readSet{}, 0, err
 	}
 	srcs := make([]runSource, len(parts))
 	var total int64
@@ -272,7 +272,7 @@ func (c *cacheRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource
 		srcs[i] = &payloadSource{pl: pl, chunk: chunk}
 		total += pl.Size()
 	}
-	return srcs, total, nil
+	return readSet{srcs: srcs}, total, nil
 }
 
 // free deletes the consumed cache entries.

@@ -16,51 +16,17 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
 
-// freeRefs holds the key indexes no runBuilder is using, by capacity. A
-// builder takes one at its first line and puts it back, emptied, at
+// keyIndexes holds the key indexes no runBuilder is using, by capacity.
+// A builder takes one at its first line, emptied, and puts it back at
 // finish, so a later mapper, the VM's sort or the next job reuses its
-// array. Nothing empties the list, so a GC between two sorts leaves them
-// allocating the same bytes; and since a builder takes a free index
-// whenever there is one, it never holds more than were live at once.
-var freeRefs struct {
-	sync.Mutex
-	list [][]bed.KeyRef
-}
-
-// takeRefs returns an empty index for n entries: the smallest free one
-// that holds them, else a new one made in place of the largest free one,
-// which the list gives up, so that it never grows past its peak.
-func takeRefs(n int) []bed.KeyRef {
-	freeRefs.Lock()
-	defer freeRefs.Unlock()
-	var refs []bed.KeyRef
-	if l := len(freeRefs.list); l > 0 {
-		i := min(firstFit(n), l-1)
-		refs = freeRefs.list[i]
-		freeRefs.list = slices.Delete(freeRefs.list, i, i+1)
-	}
-	if cap(refs) < n {
-		refs = make([]bed.KeyRef, 0, n) // append would double its way there
-	}
-	return refs
-}
-
-// putRefs hands an index back to the list, emptied.
-func putRefs(refs []bed.KeyRef) {
-	freeRefs.Lock()
-	freeRefs.list = slices.Insert(freeRefs.list, firstFit(cap(refs)), refs[:0])
-	freeRefs.Unlock()
-}
-
-// firstFit returns where the first free index of n entries or more sits.
-func firstFit(n int) int {
-	i, _ := slices.BinarySearchFunc(freeRefs.list, n, func(r []bed.KeyRef, n int) int { return cmp.Compare(cap(r), n) })
-	return i
+// array.
+var keyIndexes = freeList[[]bed.KeyRef]{
+	size:  func(refs []bed.KeyRef) int { return cap(refs) },
+	fresh: func(n int) []bed.KeyRef { return make([]bed.KeyRef, 0, n) }, // append would double its way there
 }
 
 // boundary is one partition boundary: a binary key plus the full
@@ -107,7 +73,7 @@ func compareLineKeys(ak bed.Key, aLine []byte, bk bed.Key, bLine []byte) int {
 // equal keys keep input order. The 32-bit offsets bound the span at
 // 2 GiB, far above any per-worker slice the planner's memory model
 // admits; newRunBuilder rejects a longer one. The index is taken from
-// freeRefs and goes back there at finish; a builder that is never
+// keyIndexes and goes back there at finish; a builder that is never
 // finished, its read failed, leaves its index to the GC.
 type runBuilder struct {
 	bounds []boundary
@@ -125,14 +91,14 @@ type sideLine struct {
 }
 
 // newRunBuilder makes a builder of fanOut runs cut at bounds over a span
-// of n bytes, its index taken from freeRefs with room for lines lines.
+// of n bytes, its index taken from keyIndexes with room for lines lines.
 func newRunBuilder(fanOut int, bounds []boundary, n int64, lines int) (runBuilder, error) {
 	if n > math.MaxInt32 {
 		// KeyRef's int32 offsets would wrap; fail loudly instead of
 		// corrupting the run index.
 		return runBuilder{}, errSpanTooLarge
 	}
-	return runBuilder{bounds: bounds, fanOut: fanOut, refs: takeRefs(lines)}, nil
+	return runBuilder{bounds: bounds, fanOut: fanOut, refs: keyIndexes.take(lines)[:0]}, nil
 }
 
 // addLine parses one raw input line, which starts at off in the span,
@@ -229,7 +195,7 @@ func (b *runBuilder) finish(span []byte) [][]byte {
 		out = append(out, line...)
 	}
 	runs[r] = cut(out, start, len(out))
-	putRefs(b.refs)
+	keyIndexes.put(b.refs)
 	*b = runBuilder{}
 	return runs
 }

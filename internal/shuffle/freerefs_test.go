@@ -16,30 +16,30 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
-// emptyFreeRefs runs a test on an empty free list of key indexes and
-// gives the package its list back after.
-func emptyFreeRefs(t *testing.T) {
+// emptyFreeList runs a test on l emptied and gives the package its
+// list back after.
+func emptyFreeList[T any](t *testing.T, l *freeList[T]) {
 	t.Helper()
-	freeRefs.Lock()
-	saved := freeRefs.list
-	freeRefs.list = nil
-	freeRefs.Unlock()
+	l.mu.Lock()
+	saved := l.list
+	l.list = nil
+	l.mu.Unlock()
 	t.Cleanup(func() {
-		freeRefs.Lock()
-		freeRefs.list = saved
-		freeRefs.Unlock()
+		l.mu.Lock()
+		l.list = saved
+		l.mu.Unlock()
 	})
 }
 
 // freeIndexes returns the free list's length and the bytes its arrays
 // hold.
 func freeIndexes() (n int, bytes uint64) {
-	freeRefs.Lock()
-	defer freeRefs.Unlock()
-	for _, r := range freeRefs.list {
+	keyIndexes.mu.Lock()
+	defer keyIndexes.mu.Unlock()
+	for _, r := range keyIndexes.list {
 		bytes += uint64(cap(r)) * uint64(unsafe.Sizeof(bed.KeyRef{}))
 	}
-	return len(freeRefs.list), bytes
+	return len(keyIndexes.list), bytes
 }
 
 // allocatedBy returns the bytes run allocates with the collector left
@@ -91,13 +91,14 @@ func allocatedBy(t *testing.T, base int, gc string, run func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestRepAllocatesTheSameBytesWhateverTheGC runs a real-bytes sort as
-// the benchmark's reps do, each on a fresh rig: once through
-// Operator.Sort (the store exchange, 8 workers) and once through
-// SortRun (the VM's sort). The first run of each, on an empty free list,
-// allocates the key indexes; every later run, whether a collection
-// falls between runs or inside one, must allocate the same bytes within
-// 8 KiB and none of those indexes. A sync.Pool, which drops what
+// TestRepAllocatesTheSameBytesWhateverTheGC runs a sort as the
+// benchmark's reps do, each on a fresh rig: a real-bytes sort once
+// through Operator.Sort (the store exchange, 8 workers) and once through
+// SortRun (the VM's sort), and a sized store sort of 32 workers. The
+// first run of each, on empty free lists, allocates the key indexes and
+// the reducers' read sets; every later run, whether a collection falls
+// between runs or inside one, must allocate the same bytes within 8 KiB
+// and none of those indexes or sets. A sync.Pool, which drops what
 // survives two collections, failed it.
 func TestRepAllocatesTheSameBytesWhateverTheGC(t *testing.T) {
 	if destest.Race {
@@ -135,6 +136,7 @@ func TestRepAllocatesTheSameBytesWhateverTheGC(t *testing.T) {
 				t.Fatalf("SortRun: %v, or its output is not bed.Sort's", err)
 			}
 		}},
+		{"sized Operator.Sort", func() { runSized(t, sizedRig(t, 0), sizedSpec(32)) }},
 	}
 	// One P, as the benchmark runs: on more, a goroutine finds the
 	// runtime's caches of goroutine records and channel waiters on
@@ -143,11 +145,13 @@ func TestRepAllocatesTheSameBytesWhateverTheGC(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	base := runtime.NumGoroutine()
 	for _, path := range paths {
-		emptyFreeRefs(t)
+		emptyFreeList(t, &keyIndexes)
+		emptyFreeList(t, &readSets)
 		cold := allocatedBy(t, base, "none", path.run)
 		_, index := freeIndexes()
+		index += freeSetBytes()
 		if index == 0 {
-			t.Fatalf("%s: the first run left no index on the free list", path.name)
+			t.Fatalf("%s: the first run left no index or read set on the free lists", path.name)
 		}
 		var first uint64
 		for _, gc := range []string{"none", "between", "mid"} {
@@ -160,7 +164,7 @@ func TestRepAllocatesTheSameBytesWhateverTheGC(t *testing.T) {
 					t.Errorf("%s, GC %s, rep %d: %d bytes, the first warm run %d", path.name, gc, rep, got, first)
 				}
 				if got+index > cold+slack {
-					t.Errorf("%s, GC %s, rep %d: %d bytes, the first run %d less its %d bytes of index",
+					t.Errorf("%s, GC %s, rep %d: %d bytes, the first run %d less its %d bytes of indexes and read sets",
 						path.name, gc, rep, got, cold, index)
 				}
 			}
@@ -180,9 +184,9 @@ func sortedTSV(recs []bed.Record) []byte {
 // and holds each index to its own array and each builder's runs to
 // route-and-sort's.
 func TestLiveBuildersGetDisjointIndexes(t *testing.T) {
-	emptyFreeRefs(t)
+	emptyFreeList(t, &keyIndexes)
 	for _, n := range []int{120, 3000, 400} {
-		putRefs(make([]bed.KeyRef, 5, n)) // free indexes holding stale entries
+		keyIndexes.put(make([]bed.KeyRef, 5, n)) // free indexes holding stale entries
 	}
 	const live = 8
 	raws := make([][]byte, live)
@@ -244,18 +248,18 @@ func overlaps(a, b []bed.KeyRef) bool {
 // leaving the VM's for the next VM sort, and a hint above every free
 // index takes the place of the largest.
 func TestMapperHintSkipsTheVMSizedIndex(t *testing.T) {
-	emptyFreeRefs(t)
+	emptyFreeList(t, &keyIndexes)
 	const vm, mapper = 500_001, 66_450
-	putRefs(make([]bed.KeyRef, 0, vm))
-	putRefs(make([]bed.KeyRef, 0, mapper))
-	putRefs(make([]bed.KeyRef, 0, 100))
-	if got := cap(takeRefs(62_500)); got != mapper {
+	keyIndexes.put(make([]bed.KeyRef, 0, vm))
+	keyIndexes.put(make([]bed.KeyRef, 0, mapper))
+	keyIndexes.put(make([]bed.KeyRef, 0, 100))
+	if got := cap(keyIndexes.take(62_500)); got != mapper {
 		t.Fatalf("a hint of 62,500 was served %d entries, want the mapper's %d", got, mapper)
 	}
-	if got := cap(takeRefs(vm)); got != vm {
+	if got := cap(keyIndexes.take(vm)); got != vm {
 		t.Fatalf("the VM's hint was served %d entries, want its own %d", got, vm)
 	}
-	if got := cap(takeRefs(vm + 1)); got != vm+1 {
+	if got := cap(keyIndexes.take(vm + 1)); got != vm+1 {
 		t.Fatalf("a hint past every free index was served %d entries, want %d", got, vm+1)
 	}
 	if n, _ := freeIndexes(); n != 0 {
@@ -267,7 +271,7 @@ func TestMapperHintSkipsTheVMSizedIndex(t *testing.T) {
 // builders in a seeded order, with hints from a mapper's to the VM's,
 // and holds the free list to at most the most builders ever live at once.
 func TestFreeListNeverOutgrowsThePeakOfLiveBuilders(t *testing.T) {
-	emptyFreeRefs(t)
+	emptyFreeList(t, &keyIndexes)
 	rng := rand.New(rand.NewSource(51))
 	line := bed.AppendTSV(nil, bed.Record{Chrom: "chr1", Start: 5, End: 6, Name: ".", Strand: '+'})
 	var live []runBuilder
@@ -298,11 +302,11 @@ func TestFreeListNeverOutgrowsThePeakOfLiveBuilders(t *testing.T) {
 // hold entries, as finish does: the next builder's index must start
 // empty, or its runs would carry the last mapper's lines.
 func TestIndexPutBackFullIsHandedOutEmpty(t *testing.T) {
-	emptyFreeRefs(t)
+	emptyFreeList(t, &keyIndexes)
 	full := make([]bed.KeyRef, 300, 400)
-	putRefs(full)
-	if got := takeRefs(200); len(got) != 0 || cap(got) != 400 {
-		t.Fatalf("took an index of %d entries and room for %d, want 0 and 400", len(got), cap(got))
+	keyIndexes.put(full)
+	if b, err := newRunBuilder(1, nil, 1, 200); err != nil || len(b.refs) != 0 || cap(b.refs) != 400 {
+		t.Fatalf("a builder took an index of %d entries and room for %d (%v), want 0 and 400", len(b.refs), cap(b.refs), err)
 	}
 	raw := bed.Marshal(bed.Generate(bed.GenConfig{Records: 50, Seed: 9}))
 	for range 3 {
@@ -342,7 +346,7 @@ func (s *failingSource) Close() {}
 // the map wave: the builder's index is left to the collector, and the
 // list serves the next sort, whose output must be right.
 func TestFailedReadLeavesTheFreeListUsable(t *testing.T) {
-	emptyFreeRefs(t)
+	emptyFreeList(t, &keyIndexes)
 	recs := bed.Generate(bed.GenConfig{Records: 20000, Seed: 52})
 	raw := bed.Marshal(recs)
 	spec := sortSpec(8)

@@ -298,18 +298,18 @@ func (s *storeRuns) put(ctx *faas.Ctx, n int, each func(int) (string, payload.Pa
 	return stored, 0, err
 }
 
-func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error) {
-	streams, err := ctx.Store.GetStreams(ctx.Proc, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
-	srcs := make([]runSource, len(streams))
+func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) (readSet, int64, error) {
+	set := readSets.take(len(keys))
+	n, err := ctx.Store.GetStreams(ctx.Proc, set.streams, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
+	set.srcs, set.streams = set.srcs[:n], set.streams[:len(keys)]
 	var total int64
-	for i := range streams {
-		srcs[i] = &streams[i]
-		total += streams[i].Remaining()
+	for i := range n {
+		total += set.streams[i].Remaining()
 	}
 	if err != nil {
-		return srcs, 0, fmt.Errorf("open %s: %w", keys[len(streams)], err)
+		return set, 0, fmt.Errorf("open %s: %w", keys[n], err)
 	}
-	return srcs, total, nil
+	return set, total, nil
 }
 
 func (s *storeRuns) free(ctx *faas.Ctx, keys []string) error {

@@ -2,6 +2,7 @@ package shuffle_test
 
 import (
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -124,6 +125,52 @@ func sizedSort(t *testing.T, workers int) *calib.Rig {
 		})
 	})
 	return rig
+}
+
+// TestReadSetReuseIsInvisible runs TestSizedSortEventsPinned's sized
+// sort at 48 and 128 workers three times each, every run on a fresh rig:
+// the first on an empty list of read sets, the later two on the sets the
+// run before gave back. Reuse must not show in the simulation: every run
+// fires as many events, ends at the same instant with the same store
+// meters (their byte-seconds integral moves with any instant a transfer
+// starts or ends), leaves the next draw of its RNG where it was, and
+// leaves no stream open. The later runs must make no set afresh.
+func TestReadSetReuseIsInvisible(t *testing.T) {
+	type outcome struct {
+		fired, draw int64
+		end         time.Duration
+		store       objectstore.Metrics
+	}
+	for _, w := range []int{48, 128} {
+		shuffle.EmptyFreeReadSets(t)
+		var first outcome
+		var sets map[*objectstore.ClientStream]int
+		for run := range 3 {
+			rig := sizedSort(t, w)
+			if err := rig.Sim.Run(); err != nil {
+				t.Fatalf("w=%d, run %d: %v", w, run, err)
+			}
+			if open := rig.Store.OpenStreams(); len(open) != 0 {
+				t.Errorf("w=%d, run %d: %d streams left open", w, run, len(open))
+			}
+			got := outcome{rig.Sim.Fired(), rig.Sim.Rand().Int63(), rig.Sim.Now(), rig.Store.Metrics()}
+			free := shuffle.FreeReadSets()
+			if run == 0 {
+				first, sets = got, free
+				if len(sets) != w {
+					t.Fatalf("w=%d: the first run left %d read sets on the list, want one a reducer", w, len(sets))
+				}
+				continue
+			}
+			if got != first {
+				t.Errorf("w=%d, run %d on reclaimed sets:\n got %+v\nwant %+v", w, run, got, first)
+			}
+			if !maps.Equal(free, sets) {
+				t.Errorf("w=%d, run %d made read sets afresh: %d on the list, %d of them the first run's", w, run, len(free), len(sets))
+			}
+		}
+		t.Logf("w=%d: %d events, done at %v, on %d reclaimed sets", w, first.fired, first.end, len(sets))
+	}
 }
 
 // TestSizedSortKilledMidDrainPinned stops a sized sort with RunUntil

@@ -323,8 +323,8 @@ func mergeReadTrace(t *testing.T) string {
 								return
 							}
 						}
-						streams, oerr := c.GetStreams(p, "runs", keys, objectstore.StreamOptions{ChunkBytes: chunk})
-						if oerr != nil {
+						streams := make([]objectstore.ClientStream, len(keys))
+						if _, oerr := c.GetStreams(p, streams, "runs", keys, objectstore.StreamOptions{ChunkBytes: chunk}); oerr != nil {
 							t.Errorf("open: %v", oerr)
 							return
 						}

@@ -47,8 +47,9 @@ type runStore interface {
 	put(ctx *faas.Ctx, n int, each func(r int) (key string, run payload.Payload)) (stored, fellBack int, err error)
 	// open starts reading the runs under keys, chunk bytes at a time,
 	// and returns their summed length, known before anything is read. On
-	// error it returns the sources opened so far, for the caller to close.
-	open(ctx *faas.Ctx, keys []string, chunk int64) ([]runSource, int64, error)
+	// error the set holds the sources opened so far. The caller closes
+	// the set either way.
+	open(ctx *faas.Ctx, keys []string, chunk int64) (readSet, int64, error)
 	// free releases runs their consumer is done with. Handlers call it
 	// only once the consumer's own output is durable: an invocation
 	// re-attempted after a transient platform failure (MaxRetries) must
@@ -477,21 +478,21 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 		}
 	} else {
 		perRun := t.sliceBytes / int64(len(t.sources))
-		var srcs []runSource
+		var set readSet
 		var inBytes int64
-		srcs, inBytes, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
-		defer closeRuns(srcs)
+		set, inBytes, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
+		defer set.close()
 		if err != nil {
 			return 0, err
 		}
 		m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: inBytes}
 		if fanOut == 0 {
 			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
-			err = mergeToOutput(ctx, m, srcs, inBytes, t.outBucket, t.outKey, partBytes)
+			err = mergeToOutput(ctx, m, set.srcs, inBytes, t.outBucket, t.outKey, partBytes)
 		} else {
 			split := newRunSplitter(fanOut, t.bounds, inBytes)
 			var sized bool
-			if sized, total, err = mergeStreamedRuns(m, srcs, split.emit); !sized {
+			if sized, total, err = mergeStreamedRuns(m, set.srcs, split.emit); !sized {
 				parts = split.finish()
 			}
 			if err != nil {
@@ -526,9 +527,42 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 	return fallbacks, t.runs.free(ctx, t.sources)
 }
 
-func closeRuns(srcs []runSource) {
-	for _, s := range srcs {
-		s.Close()
+// readSet is what a reducer reads its runs through: srcs, the sources
+// the merge drains, and for store runs the streams they are, srcs[i]
+// being &streams[i]. A store read set is taken from readSets and goes
+// back there at close, so the streams, their bound steps and the
+// sources over them are made once for the process, not once per
+// reducer: a rig is made for every sweep point and every pipeline, and
+// a list of its own would be dropped with it.
+type readSet struct {
+	srcs    []runSource
+	streams []objectstore.ClientStream
+}
+
+// readSets holds the read sets of store runs no reducer is using, by
+// the streams they have room for.
+var readSets = freeList[readSet]{
+	size: func(s readSet) int { return len(s.streams) },
+	fresh: func(n int) readSet {
+		s := readSet{srcs: make([]runSource, n), streams: make([]objectstore.ClientStream, n)}
+		for i := range s.streams {
+			s.srcs[i] = &s.streams[i]
+		}
+		return s
+	},
+}
+
+// close closes every source. A store set goes back to readSets only
+// once no stream's producing side runs: one closed with a chunk in
+// flight, a throttle or a resume pending, as a reducer killed mid-merge
+// or one that failed leaves them, is the kernel's until its event fires,
+// and the set is left to the collector.
+func (s readSet) close() {
+	for _, src := range s.srcs {
+		src.Close()
+	}
+	if s.streams != nil && objectstore.Reclaim(s.streams) {
+		readSets.put(readSet{srcs: s.srcs[:cap(s.srcs)], streams: s.streams[:cap(s.streams)]})
 	}
 }
 
