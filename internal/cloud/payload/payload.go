@@ -60,7 +60,7 @@ func (p *realPayload) Size() int64 { return int64(len(p.data)) }
 func (p *realPayload) Bytes() ([]byte, bool) { return p.data[:len(p.data):len(p.data)], true }
 
 func (p *realPayload) Slice(off, n int64) (Payload, error) {
-	if err := checkRange(off, n, p.Size()); err != nil {
+	if err := CheckRange(off, n, p.Size()); err != nil {
 		return nil, err
 	}
 	return &realPayload{data: p.data[off : off+n]}, nil
@@ -84,13 +84,15 @@ func (p sizedPayload) Size() int64 { return p.size }
 func (p sizedPayload) Bytes() ([]byte, bool) { return nil, false }
 
 func (p sizedPayload) Slice(off, n int64) (Payload, error) {
-	if err := checkRange(off, n, p.size); err != nil {
+	if err := CheckRange(off, n, p.size); err != nil {
 		return nil, err
 	}
 	return sizedPayload{size: n}, nil
 }
 
-func checkRange(off, n, size int64) error {
+// CheckRange is Slice's bounds check on its own: nil when [off, off+n)
+// lies in a payload of size bytes, else the *RangeError Slice returns.
+func CheckRange(off, n, size int64) error {
 	// n > size-off, not off+n > size: the sum can wrap past MaxInt64.
 	if off < 0 || n < 0 || off > size || n > size-off {
 		return &RangeError{Off: off, N: n, Size: size}

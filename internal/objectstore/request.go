@@ -284,18 +284,14 @@ func (r *request) open() error {
 	if n < 0 {
 		n = max(obj.Size-r.off, 0)
 	}
-	// The whole object is its own range: nothing to cut.
-	rng := obj.pl
-	if r.off != 0 || n != obj.Size {
-		if rng, err = obj.pl.Slice(r.off, n); err != nil {
-			return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
-		}
+	if err := payload.CheckRange(r.off, n, obj.Size); err != nil {
+		return fmt.Errorf("get stream %s/%s: %w", r.bkt, r.key, err)
 	}
 	st := r.stream
 	if r.streams != nil {
 		st = &r.streams[r.i]
 	}
-	s.startStream(st, r.p, s.buckets[r.bkt], r.key, rng, r.off, n, r.opts)
+	s.startStream(st, r.p, s.buckets[r.bkt], r.key, obj.pl, r.off, n, r.opts)
 	return nil
 }
 

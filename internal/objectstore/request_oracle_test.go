@@ -132,12 +132,11 @@ func procGetStream(c *Client, p *des.Proc, bkt, key string, off, n int64, opts S
 	if n < 0 {
 		n = max(obj.Size-off, 0)
 	}
-	rng, err := obj.pl.Slice(off, n)
-	if err != nil {
+	if _, err := obj.pl.Slice(off, n); err != nil {
 		return nil, fmt.Errorf("get stream %s/%s: %w", bkt, key, err)
 	}
 	st := &ClientStream{c: c}
-	s.startStream(st, p, s.buckets[bkt], key, rng, off, n, opts)
+	s.startStream(st, p, s.buckets[bkt], key, obj.pl, off, n, opts)
 	return st, nil
 }
 

@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -122,6 +123,10 @@ type stored struct {
 type bucket struct {
 	name    string
 	objects map[string]stored
+	// room and peak are what objects is known to hold without growing:
+	// the size Grow last made it for, and the most objects it has held
+	// before a Delete (a map never shrinks).
+	room, peak int
 }
 
 func newBucket(name string) *bucket {
@@ -265,6 +270,28 @@ func (s *Service) keep(b *bucket, key string, pl payload.Payload) {
 	b.objects[key] = stored{payload: pl, lastModified: s.sim.Now()}
 }
 
+// Grow makes room in bkt for n more objects, as slices.Grow does for a
+// slice: when its map cannot already hold them, the objects move to one
+// made for at least n more, so that the next n new keys store without a
+// rehash. A caller that knows how many objects it will write (a sort
+// knows all its run and output keys before its first PUT) grows the
+// bucket once instead of the map doubling its way there. Grow is not a
+// request: no admission, meter, draw or event, and nothing any request
+// answers changes. A bucket that does not exist is left so.
+func (s *Service) Grow(bkt string, n int) {
+	b, ok := s.buckets[bkt]
+	if !ok || len(b.objects)+n <= max(len(b.objects), b.room, b.peak) {
+		return
+	}
+	// Twice the objects at least, as append grows, so that a bucket grown
+	// for one job after another still copies each object a bounded
+	// number of times.
+	b.room = max(len(b.objects)+n, 2*len(b.objects))
+	objects := make(map[string]stored, b.room)
+	maps.Copy(objects, b.objects)
+	b.objects = objects
+}
+
 // Get retrieves a whole object (class B).
 func (s *Service) Get(p *des.Proc, bkt, key string, flowCap float64) (payload.Payload, error) {
 	r := s.request(p, getObject, s.readTB, bkt, 1)
@@ -314,6 +341,7 @@ func (s *Service) Delete(p *des.Proc, bkt, key string) error {
 	}
 	if old, ok := b.objects[key]; ok {
 		s.adjustStored(-old.payload.Size())
+		b.peak = max(b.peak, len(b.objects))
 	}
 	delete(b.objects, key)
 	return nil

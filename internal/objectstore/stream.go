@@ -118,8 +118,8 @@ type ClientStream struct {
 	bkt   *bucket
 	key   string
 	base  int64
-	rng   payload.Payload // the requested range
-	size  int64           // its length (open-ended requests resolved)
+	rng   payload.Payload // what chunks are cut from (rangeOf)
+	size  int64           // the range's length (open-ended requests resolved)
 	chunk int64           // transfer granularity
 
 	stepFn func() // step, bound once: every event of this stream
@@ -268,11 +268,12 @@ func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opt
 	return next, err
 }
 
-// startStream begins delivering rng, bytes [off, off+n) of key in bkt,
-// into st for p: the open's last act, at the end of its request
-// latency. st is storage GetStreams reset or a stream whose Next took a
-// throttled continuation; either way no event of it can be pending.
-func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key string, rng payload.Payload, off, n int64, opts StreamOptions) {
+// startStream begins delivering bytes [off, off+n) of obj, the object
+// under key in bkt, into st for p: the open's last act, at the end of
+// its request latency, once the range is checked. st is storage
+// GetStreams reset or a stream whose Next took a throttled continuation;
+// either way no event of it can be pending.
+func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key string, obj payload.Payload, off, n int64, opts StreamOptions) {
 	if st.state != unopened || st.prevOpen != nil || s.openHead == st {
 		panic(fmt.Sprintf("objectstore: stream #%d opened again while its producing side runs", st.seq))
 	}
@@ -290,7 +291,7 @@ func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key st
 		bkt:     bkt,
 		key:     key,
 		base:    off,
-		rng:     rng,
+		rng:     rangeOf(obj, off, n, opts.ChunkBytes),
 		size:    n,
 		chunk:   opts.ChunkBytes,
 		stepFn:  stepFn,
@@ -300,6 +301,21 @@ func (s *Service) startStream(st *ClientStream, p *des.Proc, bkt *bucket, key st
 	}
 	s.linkStream(st)
 	s.sim.Schedule(s.sim.Now(), st.stepFn)
+}
+
+// rangeOf is what a stream of the checked range [off, off+n) of obj
+// cuts its chunks from (rng): the range itself, or, for a byte-less range
+// of more than one chunk, the payload of one full chunk, boxed once here
+// and handed out for every full chunk (cut).
+func rangeOf(obj payload.Payload, off, n, chunk int64) payload.Payload {
+	if _, real := obj.Bytes(); !real && n > chunk {
+		return payload.Sized(chunk)
+	}
+	if off == 0 && n == obj.Size() { // the whole object is its own range
+		return obj
+	}
+	rng, _ := obj.Slice(off, n) // the open checked the range
+	return rng
 }
 
 // streamName is "objectstore/stream#<seq>/<bkt>/<key>@<off>", built in
@@ -333,15 +349,12 @@ func (st *ClientStream) step() {
 			st.finish()
 			return
 		}
-		pl := st.rng
-		if n != st.size { // else one chunk is the whole range
-			var err error
-			if pl, err = st.rng.Slice(st.off, n); err != nil {
-				// The range was validated at open and every chunk lies in
-				// it: a failure here is the store's own fault, and the
-				// kernel reports the panic as the run's error.
-				panic(fmt.Sprintf("objectstore: chunk of stream #%d outside its range: %v", st.seq, err))
-			}
+		pl, err := st.cut(n)
+		if err != nil {
+			// The range was validated at open and every chunk lies in
+			// it: a failure here is the store's own fault, and the
+			// kernel reports the panic as the run's error.
+			panic(fmt.Sprintf("objectstore: chunk of stream #%d outside its range: %v", st.seq, err))
 		}
 		st.off += n
 		st.ready[(st.head+st.count)%streamDepth] = pl
@@ -377,6 +390,20 @@ func (st *ClientStream) step() {
 	}
 	st.state = inFlight
 	s.link.TransferAsync(st.chunkLen(), s.connCap(st.c.FlowCap), st.stepFn)
+}
+
+// cut is the chunk of n bytes at off. rng is handed out as it is when
+// the chunk is all of it: a range of one chunk, or a full chunk of a
+// byte-less range of several, whose rng is that chunk's payload (rangeOf)
+// and is cut only for the short tail. A real range is sliced at off.
+func (st *ClientStream) cut(n int64) (payload.Payload, error) {
+	switch {
+	case n == st.rng.Size():
+		return st.rng, nil
+	case st.rng.Size() == st.size:
+		return st.rng.Slice(st.off, n)
+	}
+	return st.rng.Slice(0, n)
 }
 
 // chunkLen is the length of the chunk that starts at off: the chunk on

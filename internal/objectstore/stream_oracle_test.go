@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -313,30 +314,43 @@ func (open streamOpener) play(t *testing.T, sc oracleScenario, tr *destest.Trans
 // maxOracleReaders bounds a scenario's readers (genOracleScenario).
 const maxOracleReaders = 64
 
+// reclaimReach is what a reclaimed form's opens reached: opens into
+// storage whose step an earlier scenario bound, and those of them that
+// opened a byte-less range of two or more full chunks and a tail at a
+// chunk size other than the element's last open's, where a full-chunk
+// payload left over from that open would show.
+type reclaimReach struct{ rebound, rechunked int }
+
 // reclaimedForm is the state machine opened into reclaimed storage:
 // reader i opens into element i of the storage every reader of the
 // previous scenario played in this form opened into, finished and
 // Reclaim gave back, each element's step bound by an earlier scenario's
 // stream on another simulation. Its scenarios must be played one after
-// another, as Sweep and Fuzz play them. rebound counts the opens into
-// storage whose step an earlier scenario bound.
-func reclaimedForm() (form destest.Form[oracleScenario], rebound *int) {
+// another, as Sweep and Fuzz play them.
+func reclaimedForm() (form destest.Form[oracleScenario], reach *reclaimReach) {
 	var storage []ClientStream
-	rebound = new(int)
+	var lastChunk []int64 // of each element's last open
+	reach = new(reclaimReach)
 	return func(t *testing.T, sc oracleScenario, tr *destest.Transcript) destest.Run {
 		if storage == nil {
 			storage = make([]ClientStream, maxOracleReaders)
+			lastChunk = make([]int64, maxOracleReaders)
 		}
 		streams := storage[:len(sc.readers)]
 		open := func(s *Service, p *des.Proc, i int, off, n int64, opts StreamOptions, flowCap float64) (chunkSource, error) {
 			st := &streams[i]
-			if st.stepFn != nil && st.state == unopened {
-				*rebound++
-			}
+			rebound := st.stepFn != nil && st.state == unopened
 			st.reset(&Client{svc: s, FlowCap: flowCap})
 			if err := st.open(p, "b", "k", off, n, opts); err != nil {
 				return nil, err
 			}
+			if rebound {
+				reach.rebound++
+				if !sc.real && st.size/st.chunk >= 2 && st.size%st.chunk != 0 && lastChunk[i] != st.chunk {
+					reach.rechunked++
+				}
+			}
+			lastChunk[i] = st.chunk
 			return machineStream{st}, nil
 		}
 		run := streamOpener(open).play(t, sc, tr)
@@ -351,7 +365,7 @@ func reclaimedForm() (form destest.Form[oracleScenario], rebound *int) {
 			}
 		}
 		return run
-	}, rebound
+	}, reach
 }
 
 // genOracleScenario draws one scenario. Most have every reader ask for
@@ -475,23 +489,52 @@ func TestStreamMatchesProducerProcess(t *testing.T) {
 // again, its step bound on another simulation, must fire what a fresh
 // one fires.
 func TestReclaimedStreamMatchesProducerProcess(t *testing.T) {
-	form, rebound := reclaimedForm()
+	form, reach := reclaimedForm()
 	reclaimed := destest.Pair[oracleScenario]{New: form, Old: streamOracle.Old}
 	sum := reclaimed.Sweep(t, 200, 40, 21, func(i int, r *rand.Rand) (oracleScenario, time.Duration) {
 		return genOracleScenario(r, int64(1000+i)), -1
 	})
 	sum.Reach(t, "ties", "throttles", "closed early")
-	if *rebound == 0 {
+	if reach.rebound == 0 {
 		t.Error("no reader opened into storage an earlier scenario bound")
 	}
-	t.Logf("%d opens into reclaimed storage", *rebound)
+	if reach.rechunked == 0 {
+		t.Error("no reader opened a sized range of full chunks and a tail into storage last opened at another chunk size")
+	}
+	t.Logf("%d opens into reclaimed storage, %d of them sized ranges of full chunks and a tail at a new chunk size", reach.rebound, reach.rechunked)
+}
+
+// rechunked is sc over a byte-less object, each reader's range of 16
+// bytes or more cut into two or three full chunks and a tail, at a chunk
+// size other than the one sc gave it. Played in the reclaimed form right
+// after sc, such a reader opens into storage last opened at another chunk
+// size, where a full-chunk payload kept from that open would show.
+func rechunked(sc oracleScenario) oracleScenario {
+	sc.real = false
+	sc.readers = slices.Clone(sc.readers)
+	for i := range sc.readers {
+		rd := &sc.readers[i]
+		n := rd.n
+		if n < 0 {
+			n = max(sc.objSize-rd.off, 0)
+		}
+		if n < 16 {
+			continue
+		}
+		chunk := (n - 1) / 2
+		if chunk == rd.opts.ChunkBytes {
+			chunk = (n - 1) / 3
+		}
+		rd.opts.ChunkBytes = chunk
+	}
+	return sc
 }
 
 // FuzzStreamMachine draws a scenario from each fuzzed seed and holds the
 // state machine to the producer process on it, as
-// TestStreamMatchesProducerProcess does on its fixed seeds, once on fresh
-// storage and once on the storage the previous input's scenario
-// finished.
+// TestStreamMatchesProducerProcess does on its fixed seeds: once on fresh
+// storage, once on the storage the previous input's scenario finished,
+// and once more, rechunked, on the storage that play left.
 func FuzzStreamMachine(f *testing.F) {
 	form, _ := reclaimedForm()
 	reclaimed := destest.Pair[oracleScenario]{New: form, Old: streamOracle.Old}
@@ -502,5 +545,6 @@ func FuzzStreamMachine(f *testing.F) {
 		sc := genOracleScenario(rand.New(rand.NewSource(seed)), seed)
 		streamOracle.Check(t, "fuzzed scenario", sc, -1)
 		reclaimed.Check(t, "fuzzed scenario on reclaimed storage", sc, -1)
+		reclaimed.Check(t, "fuzzed scenario rechunked, on the storage it left", rechunked(sc), -1)
 	})
 }

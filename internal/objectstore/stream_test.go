@@ -672,6 +672,72 @@ func TestClientStreamAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocs (budget %d)", allocs, budget)
 }
 
+// TestSizedStreamBoxesOnlyItsTail: a byte-less range of k full chunks
+// allocates what a range of one chunk does, whatever k: its full chunks
+// share one payload, boxed at the open in place of the range's own, and
+// a short tail costs one box more.
+func TestSizedStreamBoxesOnlyItsTail(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const chunk, tail = 4096, 1000
+	sim := des.New(7)
+	svc, err := New(sim, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[[2]int64]float64{}
+	sim.Spawn("reader", func(p *des.Proc) {
+		c := NewClient(svc)
+		if err := c.CreateBucket(p, "b"); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Put(p, "b", "k", payload.Sized(64*chunk)); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, k := range []int64{1, 2, 5, 16} {
+			for _, short := range []int64{0, tail} {
+				chunks := 0
+				allocs[[2]int64{k, short}] = testing.AllocsPerRun(50, func() {
+					cs, err := c.GetStream(p, "b", "k", chunk, k*chunk+short, StreamOptions{ChunkBytes: chunk})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for chunks = 0; ; chunks++ {
+						if _, err := cs.Next(p); err != nil {
+							if !errors.Is(err, io.EOF) {
+								t.Error(err)
+							}
+							break
+						}
+					}
+					cs.Close()
+				})
+				if want := int(k) + int(short/tail); chunks != want {
+					t.Errorf("%d full chunks and a tail of %d: %d chunks, want %d", k, short, chunks, want)
+				}
+			}
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	one := allocs[[2]int64{1, 0}]
+	for kt, n := range allocs {
+		want := one
+		if kt[1] > 0 {
+			want++
+		}
+		if n != want {
+			t.Errorf("a sized range of %d full chunks and a tail of %d: %.1f allocs, want %.0f (one chunk: %.0f)", kt[0], kt[1], n, want, one)
+		}
+	}
+	t.Logf("one chunk: %.0f allocs", one)
+}
+
 // TestStreamResumesIntoItsOwnStorage: a continuation throttled
 // mid-stream re-opens the rest of the range into the stream's own
 // storage, and the stream, closed with a chunk in flight after that,

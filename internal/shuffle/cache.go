@@ -36,7 +36,7 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 }
 
 // cacheRuns is the cache run store: every run (slab) is one cache
-// entry under its partKey, degrading per slab to an object under
+// entry under its part key, degrading per slab to an object under
 // fallbackKey in the fallback bucket when its shard node is down. A
 // fully dead cluster (zone outage) demotes outright: the cache attempt
 // is skipped, so the job runs the rest of the exchange on the

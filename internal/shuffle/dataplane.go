@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 )
@@ -267,18 +268,37 @@ func appendIndex4(b []byte, n int) []byte {
 	}
 }
 
-// partKey names the intermediate object mapper m writes for reducer r.
-// It runs workers^2 times per job, so the key is built on the stack
-// (every job ID the package makes fits; a longer one grows the slice)
-// and the string is its one allocation.
-func partKey(jobID string, m, r int) string {
-	var buf [64]byte
-	b := append(buf[:0], jobID...)
+// appendPartKey appends the name of the intermediate object mapper m of
+// job jobID writes for reducer r: <jobID>/mNNNN_rNNNN.
+func appendPartKey(b []byte, jobID string, m, r int) []byte {
+	b = append(b, jobID...)
 	b = append(b, '/', 'm')
 	b = appendIndex4(b, m)
 	b = append(b, '_', 'r')
-	b = appendIndex4(b, r)
-	return string(b)
+	return appendIndex4(b, r)
+}
+
+// partKeys names the n runs of one exchange, key i being the part key
+// of at(i). An exchange has up to workers^2 of them, so each is built on
+// the stack (every job ID the package makes fits; a longer one grows the
+// slice) and copied into one block they are all cut from: the keys cost
+// their slice and the block, not a string each. A key longer than the
+// first (an index past 9999) may start a new block; those before it keep
+// theirs.
+func partKeys(n int, at func(i int) (jobID string, m, r int)) []string {
+	keys := make([]string, n)
+	var block strings.Builder
+	var buf [64]byte
+	for i := range keys {
+		jobID, m, r := at(i)
+		key := appendPartKey(buf[:0], jobID, m, r)
+		if i == 0 {
+			block.Grow(n * len(key))
+		}
+		block.Write(key)
+		keys[i] = block.String()[block.Len()-len(key):]
+	}
+	return keys
 }
 
 // OutputKey names output part idx of a sort, whatever strategy wrote it:

@@ -209,6 +209,11 @@ func TestMergeRunsRejectsCorruptLine(t *testing.T) {
 	mergeRejects(t, [][]byte{[]byte("chr1\tnot-a-number\t2\n")}, "corrupt line")
 }
 
+// partKey is the one key partKeys names when that is all it names.
+func partKey(jobID string, m, r int) string {
+	return partKeys(1, func(int) (string, int, int) { return jobID, m, r })[0]
+}
+
 func TestPartKeyMatchesLegacyFormat(t *testing.T) {
 	for _, c := range []struct{ m, r int }{{0, 0}, {3, 7}, {42, 9999}} {
 		want := fmt.Sprintf("job-1/m%04d_r%04d", c.m, c.r)
@@ -221,11 +226,22 @@ func TestPartKeyMatchesLegacyFormat(t *testing.T) {
 	if got, want := partKey(long, 1, 2), long+"/m0001_r0002"; got != want {
 		t.Errorf("partKey of a 100-byte job ID = %q, want %q", got, want)
 	}
+	// Keys that widen past the first keep their text in a block of their
+	// own.
+	wide := partKeys(4, func(i int) (string, int, int) { return "job-1", 9998 + i, 7 })
+	for i, want := range []string{"job-1/m9998_r0007", "job-1/m9999_r0007", "job-1/mx00010000_r0007", "job-1/mx00010001_r0007"} {
+		if wide[i] != want {
+			t.Errorf("partKeys across 9999: key %d = %q, want %q", i, wide[i], want)
+		}
+	}
 	if destest.Race {
 		return // the detector allocates
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = partKey("hiershuffle-0002-r2-g0007", 127, 127) }); n != 1 {
-		t.Errorf("partKey: %.0f allocations, want 1 (the string)", n)
+	// An exchange's keys are one block: 128 x 128 of them cost their
+	// slice and the block, not a string each.
+	at := func(i int) (string, int, int) { return "hiershuffle-0002-r2-g0007", i / 128, i % 128 }
+	if n := testing.AllocsPerRun(10, func() { _ = partKeys(128*128, at) }); n != 2 {
+		t.Errorf("partKeys of 128 x 128: %.0f allocations, want 2 (the slice and the block)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = OutputKey("sorted/", 127) }); n != 1 {
 		t.Errorf("OutputKey: %.0f allocations, want 1 (the string)", n)
@@ -643,16 +659,18 @@ func inProc(t *testing.T, fn func(p *des.Proc)) {
 // TestSizedSliceBuildsNoRuns holds the timing-only map to what it
 // needs: a mapper's slice of a sized input, at a fan-out of 128, streams
 // and charges its chunks with no runBuilder behind it, as the reduce
-// above drains with no cursors. What is left is eight: the stream's two
-// (the stream and its bound step), the boxes of the range it cuts and of
-// that range's three chunks, and the slice's meter and its drain
-// chain's bound step (which replaced the reader's CPU budget and charge
-// closure, two as well). Building the partitions up front cost an
-// eleventh, the []runPart of a buffer and an index per reducer, which
-// has since become one buffer and one index cut at the boundaries; the
-// stream's name, built at the open until only OpenStreams built it, a
-// tenth; and the stream's producing side, a second object until the
-// stream became one, a ninth.
+// above drains with no cursors. What is left is six: the stream's two
+// (the stream and its bound step), the box of its two full chunks and
+// that of its short tail, and the slice's meter and its drain chain's
+// bound step (which replaced the reader's CPU budget and charge closure,
+// two as well). Building the partitions up front cost an eleventh, the
+// []runPart of a buffer and an index per reducer, which has since become
+// one buffer and one index cut at the boundaries; the stream's name,
+// built at the open until only OpenStreams built it, a tenth; the
+// stream's producing side, a second object until the stream became one,
+// a ninth; and a box for the range and one for each chunk cut from it,
+// until a byte-less range was only checked and its full chunks shared
+// one box, an eighth and a seventh.
 func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
@@ -668,8 +686,8 @@ func TestSizedSliceBuildsNoRuns(t *testing.T) {
 			}
 		})
 	})
-	if allocs != 8 {
-		t.Errorf("a sized 128-way slice read allocates %.0f times, want 8", allocs)
+	if allocs != 6 {
+		t.Errorf("a sized 128-way slice read allocates %.0f times, want 6", allocs)
 	}
 }
 

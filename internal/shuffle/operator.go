@@ -283,7 +283,17 @@ func (s *storeRuns) medium(j *job) (medium, error) {
 	return objectStore(ProfileOf(j.op.store.Config())), nil
 }
 
-func (s *storeRuns) ready(*des.Proc, *job) error { return nil }
+// ready grows the bucket once for every run and output part the job
+// will write, which layout has already named, so that the store does
+// not rehash its way there one PUT at a time.
+func (s *storeRuns) ready(_ *des.Proc, j *job) error {
+	n := len(j.res.OutputKeys)
+	for _, keys := range j.runKeys {
+		n += len(keys)
+	}
+	j.op.store.Grow(s.bucket, n)
+	return nil
+}
 
 func (s *storeRuns) reduce(p *des.Proc, j *job) error {
 	_, err := j.launch(p, len(j.waves)-1, nil, s)

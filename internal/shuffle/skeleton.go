@@ -22,7 +22,7 @@ import (
 
 // runStore is the seam between the skeleton and the medium the
 // exchange's intermediates flow through: one sorted run per (mapper,
-// reducer) pair, named by partKey. storeRuns keeps them in an
+// reducer) pair, named by partKeys. storeRuns keeps them in an
 // object-store scratch bucket; cacheRuns keeps them in a provisioned
 // cache cluster, degrading per run to the store when a shard is down.
 type runStore interface {
@@ -218,21 +218,17 @@ func (j *job) layout(in PlanInput, store, via medium) error {
 	j.runKeys = make([][]string, len(j.waves)-1)
 	for e := range j.runKeys {
 		fanIn := j.waves[e+1].fanIn
-		keys := make([]string, 0, j.workers*fanIn)
-		for t := range j.workers {
+		j.runKeys[e] = partKeys(j.workers*fanIn, func(i int) (string, int, int) {
+			t, m := i/fanIn, i%fanIn
 			grp, r := t/j.k, t%j.k
-			for m := range fanIn {
-				if j.sprays(e) {
-					// Reader r of group grp gathers the group's coarse range
-					// from mappers r*fanIn .. (r+1)*fanIn-1.
-					keys = append(keys, partKey(j.round1, r*fanIn+m, grp))
-				} else {
-					// Place r of each of the group's members.
-					keys = append(keys, partKey(j.groupJobs[grp], m, r))
-				}
+			if j.sprays(e) {
+				// Reader r of group grp gathers the group's coarse range
+				// from mappers r*fanIn .. (r+1)*fanIn-1.
+				return j.round1, r*fanIn + m, grp
 			}
-		}
-		j.runKeys[e] = keys
+			// Place r of each of the group's members.
+			return j.groupJobs[grp], m, r
+		})
 	}
 	j.res.OutputKeys = make([]string, j.workers)
 	for r := range j.res.OutputKeys {

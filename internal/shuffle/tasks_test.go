@@ -1,11 +1,17 @@
 package shuffle
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
+	"github.com/faaspipe/faaspipe/internal/cloud/payload"
+	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/des/destest"
+	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
 // TestTasksMatchWaves pins what job.task builds to the wave list it is
@@ -150,6 +156,81 @@ func TestRunKeysAreBuiltOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _ = j.inputs(last, nil, runs) }); n != float64(c.w+1) {
 			t.Errorf("w=%d g=%d: building the reduce wave's tasks allocates %.0f times, want %d (the tasks and the slice)",
 				c.w, c.g, n, c.w+1)
+		}
+	}
+}
+
+// TestReadyGrowsTheBucketForEveryKey: a store sort's ready grows its
+// bucket once for every key the job will write, its runs' and its
+// output parts', one-level and two-level: PUTs of all of them after it
+// allocate nothing, where the same PUTs into a bucket not grown rehash
+// their way there. The count is the process's, so each case is measured
+// three times afresh and the fewest taken.
+func TestReadyGrowsTheBucketForEveryKey(t *testing.T) {
+	if destest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const size = 1 << 20
+	body := payload.Sized(100)
+	// Eight keys or fewer fit the group a map makes at its first insert,
+	// grown or not: the smallest case writes 12 x 12 runs and 12 parts.
+	// A map made for 21 x 21 keys holds 448, short of the runs and parts
+	// together (462), so a count that left out the parts would show.
+	for _, c := range []struct{ w, g int }{{12, 0}, {21, 0}, {128, 0}, {12, 3}, {128, 8}} {
+		sim, store, _ := readPinRig(t)
+		mallocs := map[bool]uint64{}
+		sim.Spawn("driver", func(p *des.Proc) {
+			for try := range 3 {
+				for _, ready := range []bool{true, false} {
+					bucket := fmt.Sprintf("out-%v-%d", ready, try)
+					runs := &storeRuns{bucket: bucket}
+					j := &job{
+						op: &Operator{store: store}, runs: runs, id: "t-0001", size: size, workers: c.w,
+						spec: Spec{InputBucket: "in", InputKey: "data.bed", OutputBucket: bucket, OutputPrefix: "sorted/", Groups: c.g},
+					}
+					if c.g > 0 {
+						j.spec.Exchange = ViaStoreTwoLevel
+					}
+					if err := store.CreateBucket(p, bucket); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := j.layout(PlanInput{DataBytes: size, PartitionBps: 1, MergeBps: 1}, medium{}, medium{}); err != nil {
+						t.Errorf("w=%d g=%d: %v", c.w, c.g, err)
+						return
+					}
+					if ready {
+						if err := runs.ready(p, j); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					keys := slices.Concat(append(j.runKeys, j.res.OutputKeys)...)
+					client := objectstore.NewClient(store)
+					each := func(i int) (string, payload.Payload) { return keys[i], body }
+					runtime.GC()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					stored, err := client.PutEach(p, bucket, len(keys), each)
+					runtime.ReadMemStats(&after)
+					if stored != len(keys) || err != nil {
+						t.Errorf("PutEach: %d of %d, %v", stored, len(keys), err)
+						return
+					}
+					if got := after.Mallocs - before.Mallocs; try == 0 || got < mallocs[ready] {
+						mallocs[ready] = got
+					}
+				}
+			}
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatalf("w=%d g=%d: %v", c.w, c.g, err)
+		}
+		if mallocs[true] != 0 {
+			t.Errorf("w=%d g=%d: the job's keys into a bucket ready grew: %d allocations, want 0", c.w, c.g, mallocs[true])
+		}
+		if mallocs[false] == 0 {
+			t.Errorf("w=%d g=%d: the job's keys into a bucket not grown: no allocation; the measure sees nothing", c.w, c.g)
 		}
 	}
 }
