@@ -31,7 +31,7 @@ func leakCheck(t *testing.T) func(s *Sim) {
 			t.Errorf("%d idle goroutines kept after Run", n)
 		}
 		if s.next != nil {
-			t.Errorf("activation of %q left pending after Run", s.next.name)
+			t.Errorf("activation of %q left pending after Run", s.next.name())
 		}
 		goroutines()
 	}

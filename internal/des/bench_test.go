@@ -97,7 +97,7 @@ func BenchmarkDESReschedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev = s.move(ev, time.Duration(i*37%benchHeapDepth+1)*time.Microsecond, fn)
+		ev = s.move(ev, time.Duration(i*37%benchHeapDepth+1)*time.Microsecond, fn, nil)
 	}
 	b.StopTimer()
 	if s.canceled != 0 {

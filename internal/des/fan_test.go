@@ -115,14 +115,14 @@ func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) d
 	}
 	child = func(c *Proc, cs []fanChild, i int, res *Resource, link *Link) error {
 		script := cs[i]
-		log(c.name, fmt.Sprintf("start %d scope=%s", script.act, leaders[c.Scope()]))
+		log(c.name(), fmt.Sprintf("start %d scope=%s", script.act, leaders[c.Scope()]))
 		switch script.act {
 		case fanSleep:
 			c.Sleep(script.d)
 		case fanPark:
 			woken := false
 			s.After(script.d, func() {
-				log(c.name, "wake")
+				log(c.name(), "wake")
 				woken = true
 				c.Wake()
 			})
@@ -138,15 +138,15 @@ func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) d
 				c.Park()
 			}
 		case fanNest:
-			err := fan(c, script.sub, c.name+"/", res, link)
-			log(c.name, fmt.Sprintf("nested: %v", err))
+			err := fan(c, script.sub, c.name()+"/", res, link)
+			log(c.name(), fmt.Sprintf("nested: %v", err))
 			if err != nil {
 				return err
 			}
 		}
-		log(c.name, "end")
+		log(c.name(), "end")
 		if script.fail {
-			return errors.New(c.name + " failed")
+			return errors.New(c.name() + " failed")
 		}
 		return nil
 	}
@@ -157,9 +157,9 @@ func (form fanForm) play(t *testing.T, sc fanScenario, tr *destest.Transcript) d
 			res := NewResource(s, 1+int64(k))
 			link := NewLink(s, 1e6)
 			s.Spawn(fmt.Sprintf("r%d", k), func(p *Proc) {
-				leaders[p.LeadScope()] = p.name
+				leaders[p.LeadScope()] = p.name()
 				err := fan(p, cs, fmt.Sprintf("r%d/c", k), res, link)
-				log(p.name, fmt.Sprintf("fan: %v", err))
+				log(p.name(), fmt.Sprintf("fan: %v", err))
 			})
 		})
 	}

@@ -76,7 +76,7 @@ func (k *simKernel) schedule(at time.Duration, fn func()) int {
 }
 
 func (k *simKernel) move(ev int, at time.Duration, fn func()) {
-	k.evs[ev] = k.s.move(k.evs[ev], at, fn)
+	k.evs[ev] = k.s.move(k.evs[ev], at, fn, nil)
 }
 
 func (k *simKernel) spawn(name string, step func() (time.Duration, procAct)) int {

@@ -212,8 +212,8 @@ func TestHeapHoldsOnlyLiveEntries(t *testing.T) {
 		t.Helper()
 		for i, ent := range s.heap {
 			sl := &s.slots[ent.slot()]
-			if sl.canceled || sl.fire == nil || sl.at != ent.at || sl.pos != int32(i) {
-				t.Fatalf("after %s: heap[%d] has slot %d canceled=%v at=%v pos=%d", op, i, ent.slot(), sl.canceled, sl.at, sl.pos)
+			if sl.fire == nil || sl.at != ent.at || sl.pos != int32(i) {
+				t.Fatalf("after %s: heap[%d] has slot %d at=%v pos=%d", op, i, ent.slot(), sl.at, sl.pos)
 			}
 			if i > 0 && entLess(ent, s.heap[(i-1)>>2]) {
 				t.Fatalf("after %s: heap[%d] is less than its parent", op, i)
@@ -221,8 +221,12 @@ func TestHeapHoldsOnlyLiveEntries(t *testing.T) {
 		}
 		dead := 0
 		for i := 0; i < s.due.n; i++ {
-			if s.slots[keySlot(s.due.at(i))].canceled {
+			switch pos := s.slots[keySlot(s.due.at(i))].pos; pos {
+			case posDead:
 				dead++
+			case posRing:
+			default:
+				t.Fatalf("after %s: ring entry %d has pos %d", op, i, pos)
 			}
 		}
 		live := 0
@@ -258,7 +262,7 @@ func TestHeapHoldsOnlyLiveEntries(t *testing.T) {
 			check("cancel")
 		case k < 8 && len(evs) > 0:
 			i := r.Intn(len(evs))
-			evs[i] = s.move(evs[i], s.Now()+delay(), func() { check("fire moved") })
+			evs[i] = s.move(evs[i], s.Now()+delay(), func() { check("fire moved") }, nil)
 			check("move")
 		case inCallback: // a callback cannot run the kernel
 		case k == 8:
@@ -425,7 +429,7 @@ func TestKernelHotPathsAllocateNothing(t *testing.T) {
 		{"cancel", func() { s.After(time.Minute, fn).Cancel() }},
 		{"move", func() {
 			k++
-			moved = s.move(moved, s.Now()+time.Hour+k%7, fn)
+			moved = s.move(moved, s.Now()+time.Hour+k%7, fn, nil)
 		}},
 	} {
 		for i := 0; i < 256; i++ {

@@ -326,7 +326,7 @@ func (l *Link) moveEvent(next int, at time.Duration) {
 		return
 	}
 	l.next = next
-	l.ev = l.sim.move(l.ev, at, l.fireFn)
+	l.ev = l.sim.move(l.ev, at, l.fireFn, nil)
 }
 
 // assignRates sets every flow's rate to its max-min fair share. When

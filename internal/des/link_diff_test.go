@@ -129,9 +129,9 @@ func linkForm(mk func(*Sim, float64) diffLink) destest.Form[diffSchedule] {
 			s.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
 				p.Sleep(tick.armed)
 				p.Sleep(tick.at - tick.armed)
-				tr.Logf("%s -1 @%d", p.name, p.Now())
+				tr.Logf("%s -1 @%d", p.name(), p.Now())
 				p.Sleep(0)
-				tr.Logf("%s -2 @%d", p.name, p.Now())
+				tr.Logf("%s -2 @%d", p.name(), p.Now())
 			})
 		}
 		return destest.Run{Kernel: s, After: func() {

@@ -291,7 +291,7 @@ func wakeOrder(t *testing.T, l *Link, flowCap float64, names []string, bytes []i
 		n := bytes[i]
 		l.sim.Spawn(name, func(p *Proc) {
 			l.Transfer(p, n, flowCap)
-			order = append(order, p.name)
+			order = append(order, p.name())
 			at = append(at, p.Now())
 		})
 	}
@@ -335,12 +335,12 @@ func TestLinkZeroRateFlowParksUntilADeparture(t *testing.T) {
 	for _, name := range []string{"fed", "starved"} {
 		s.Spawn(name, func(p *Proc) {
 			l.Transfer(p, 100, 0)
-			done[p.name] = p.Now()
+			done[p.name()] = p.Now()
 		})
 	}
 	s.Spawn("stall", func(p *Proc) {
 		for i, f := range l.flows {
-			if f.proc.name == "starved" {
+			if f.proc.name() == "starved" {
 				f.rate = 0
 			} else {
 				l.next = i

@@ -20,9 +20,17 @@ var errKilled = errors.New("des: process killed")
 // handle kept after the process finished stays a harmless stale handle
 // (Wake on it is a no-op). Its goroutine may be: a finished process's
 // goroutine waits on the Sim's idle list for the next Spawn.
+//
+// A Spawn allocates the Proc alone: its wake events name it in their
+// slots rather than holding a bound method, and a numbered process keeps
+// its prefix and number, formatted into its name only when a deadlock or
+// panic report reads it.
 type Proc struct {
-	sim  *Sim
-	name string
+	sim *Sim
+	// prefix is the process's name, or with numbered set the part of
+	// it before num.
+	prefix string
+	num    int64
 	// chain is what an Await in progress runs at the process's wakes.
 	chain func()
 
@@ -30,15 +38,13 @@ type Proc struct {
 	// baton is handed to it.
 	w *worker
 	// wake is the handle of the pending activation event, if any; the
-	// zero Event means none. activateFn is the activate method value,
-	// bound once at Spawn so the Sleep/Wake hot path does not allocate
-	// a fresh closure per suspension.
-	wake       Event
-	activateFn func()
-	suspended  bool
-	killed     bool
-	done       bool
-	awaiting   bool // Await has handed the process's wakes to a chain
+	// zero Event means none.
+	wake      Event
+	numbered  bool
+	suspended bool
+	killed    bool
+	done      bool
+	awaiting  bool // Await has handed the process's wakes to a chain
 	// granted tells a process queued on a Resource that the wake it got
 	// was the grant.
 	granted bool
@@ -74,8 +80,18 @@ const maxIdle = 256
 // finished process when there is one, on a new goroutine otherwise;
 // the returned *Proc is new either way.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name}
-	p.activateFn = p.activate
+	return s.start(&Proc{sim: s, prefix: name}, fn)
+}
+
+// SpawnNumbered is Spawn for a process named prefix followed by n in
+// decimal, a name built only if a deadlock or panic report reads it.
+func (s *Sim) SpawnNumbered(prefix string, n int64, fn func(p *Proc)) *Proc {
+	return s.start(&Proc{sim: s, prefix: prefix, num: n, numbered: true}, fn)
+}
+
+// start puts the new process p on a goroutine and schedules its first
+// activation.
+func (s *Sim) start(p *Proc, fn func(p *Proc)) *Proc {
 	if n := len(s.idle); n > 0 {
 		p.w = s.idle[n-1]
 		s.idle = s.idle[:n-1]
@@ -91,8 +107,16 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.liveTail = p
 	p.suspended = true
-	p.wake = s.Schedule(s.now, p.activateFn)
+	p.wake = s.schedule(s.now, nil, p)
 	return p
+}
+
+// name is the process's name as reports show it.
+func (p *Proc) name() string {
+	if !p.numbered {
+		return p.prefix
+	}
+	return p.prefix + strconv.FormatInt(p.num, 10)
 }
 
 // run is the body of a process goroutine.
@@ -132,7 +156,7 @@ func (w *worker) run(s *Sim) {
 func (p *Proc) call(body func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
-			p.sim.recordPanic(p.name, r)
+			p.sim.recordPanic(p.name(), r)
 		}
 	}()
 	body(p)
@@ -224,6 +248,14 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 	return c
 }
 
+// SpawnNumbered is Spawn for a child named prefix followed by n, as
+// Sim.SpawnNumbered names it.
+func (p *Proc) SpawnNumbered(prefix string, n int64, fn func(p *Proc)) *Proc {
+	c := p.sim.SpawnNumbered(prefix, n, fn)
+	c.scope = p.scope
+	return c
+}
+
 // Sleep suspends the process for d of virtual time. Negative durations
 // sleep zero time (the process still yields, so same-instant events
 // already on the heap run first).
@@ -247,7 +279,7 @@ func (p *Proc) WakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.wake = p.sim.move(p.wake, p.sim.now+d, p.activateFn)
+	p.wake = p.sim.move(p.wake, p.sim.now+d, nil, p)
 }
 
 // Await parks the process until fn calls Resume, calling fn at once and
@@ -293,7 +325,7 @@ func (p *Proc) Wake() {
 	if p.done || !p.suspended || p.wake.pending() {
 		return
 	}
-	p.wake = p.sim.Schedule(p.sim.now, p.activateFn)
+	p.wake = p.sim.schedule(p.sim.now, nil, p)
 }
 
 // WaitGroup synchronizes processes on a counter, like sync.WaitGroup
@@ -351,7 +383,7 @@ func (p *Proc) Fan(n int, prefix string, fn func(i int, c *Proc) error) error {
 	failed := n // lowest index that failed so far
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		p.Spawn(prefix+strconv.Itoa(i), func(c *Proc) {
+		p.SpawnNumbered(prefix, int64(i), func(c *Proc) {
 			defer wg.Done()
 			if e := fn(i, c); e != nil && i < failed {
 				failed, err = i, e

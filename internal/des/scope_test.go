@@ -131,8 +131,9 @@ func TestLedgerChargeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestProcSizeClass: the scope pointer keeps a process in the 96-byte
-// size class, where gateway-scale allocates two a job.
+// TestProcSizeClass: a process, with its scope pointer and its name's
+// number, stays in the 96-byte size class. gateway-scale allocates one
+// a job, all that the job's Spawn allocates.
 func TestProcSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Proc{}); got > 96 {
 		t.Errorf("Proc is %d bytes, want at most 96", got)

@@ -41,6 +41,11 @@
 // sits and move gives it another instant there: the heap holds live
 // entries only. A ring entry's Cancel marks it dead and the loop skips
 // it; the ring drains within its instant, so its dead never pile up.
+//
+// A process's wake events name the process in their slots instead of
+// holding a closure, so a Spawn allocates the Proc alone (on a goroutine
+// a finished process left idle), and a numbered process's name is
+// formatted only when a deadlock or panic report reads it.
 package des
 
 import (
@@ -112,14 +117,14 @@ func (e Event) Cancel() {
 	}
 	s := e.s
 	sl := &s.slots[e.slot]
-	if sl.gen != e.gen || sl.canceled {
+	if sl.gen != e.gen || sl.pos == posDead {
 		return
 	}
 	if sl.pos >= 0 {
 		s.remove(int(sl.pos))
 		return
 	}
-	sl.canceled = true
+	sl.pos = posDead
 	s.canceled++
 }
 
@@ -134,7 +139,7 @@ func (e Event) At() time.Duration {
 		return 0
 	}
 	sl := &e.s.slots[e.slot]
-	if sl.gen != e.gen || sl.canceled {
+	if sl.gen != e.gen || sl.pos == posDead {
 		return 0
 	}
 	return sl.at
@@ -147,21 +152,29 @@ func (e Event) pending() bool {
 		return false
 	}
 	sl := &e.s.slots[e.slot]
-	return sl.gen == e.gen && !sl.canceled
+	return sl.gen == e.gen && sl.pos != posDead
 }
 
 // eventSlot is the kernel-side state of one scheduled event. Slots are
 // recycled through the free list; gen increments at every free so
-// handles minted for the previous tenant go stale.
+// handles minted for the previous tenant go stale. An event either runs
+// fire or, when proc is set, activates that process.
 type eventSlot struct {
 	fire func()
+	proc *Proc
 	at   time.Duration
 	gen  uint32
-	// pos is the entry's index in the heap, or -1 while it waits in
-	// the ring.
-	pos      int32
-	canceled bool
+	// pos is the entry's index in the heap, posRing while it waits in
+	// the ring, or posDead once canceled there.
+	pos int32
 }
+
+// The ring entries' positions: a canceled heap entry leaves the heap at
+// once, so only a ring entry is ever dead.
+const (
+	posRing int32 = -1
+	posDead int32 = -2
+)
 
 // heapEnt is one inline entry of the 4-ary min-heap: the scheduled
 // time plus a packed (seq << slotBits | slot) word. Sixteen bytes per
@@ -299,6 +312,12 @@ func (s *Sim) Pending() int { return len(s.heap) + s.due.n - s.canceled }
 // *PanicError. Steady-state calls are allocation-free: the queue entry
 // is inline and the event slot comes from the free list.
 func (s *Sim) Schedule(at time.Duration, fn func()) Event {
+	return s.schedule(at, fn, nil)
+}
+
+// schedule is Schedule for an event that runs fn, or activates p when p
+// is not nil.
+func (s *Sim) schedule(at time.Duration, fn func(), p *Proc) Event {
 	if at < s.now {
 		at = s.now
 	}
@@ -315,11 +334,11 @@ func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 		slot = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[slot]
-	sl.fire = fn
+	sl.fire, sl.proc = fn, p
 	sl.at = at
 	key := s.seq<<slotBits | int64(slot)
 	if at == s.now {
-		sl.pos = -1
+		sl.pos = posRing
 		s.due.push(key)
 	} else {
 		s.push(heapEnt{at: at, key: key})
@@ -327,19 +346,19 @@ func (s *Sim) Schedule(at time.Duration, fn func()) Event {
 	return Event{s: s, slot: slot, gen: sl.gen}
 }
 
-// move is e.Cancel() followed by Schedule(at, fn), with the same seq
+// move is e.Cancel() followed by schedule(at, fn, p), with the same seq
 // drawn and so the same place in the firing order, but done where the
 // entry sits when e is pending on the heap and at is later than now:
 // the entry takes the new time and seq and is sifted from its place,
 // one sift where Cancel and Schedule take two. Otherwise (e fired, was
 // canceled or waits in the ring, or at is now) it is exactly Cancel and
-// Schedule. Either way e goes stale and the returned handle is the
+// schedule. Either way e goes stale and the returned handle is the
 // event's.
-func (s *Sim) move(e Event, at time.Duration, fn func()) Event {
+func (s *Sim) move(e Event, at time.Duration, fn func(), p *Proc) Event {
 	if e.s == s && at > s.now {
 		if sl := &s.slots[e.slot]; sl.gen == e.gen && sl.pos >= 0 {
 			s.seq++
-			sl.fire = fn
+			sl.fire, sl.proc = fn, p
 			sl.at = at
 			sl.gen++
 			s.fix(int(sl.pos), heapEnt{at: at, key: s.seq<<slotBits | int64(e.slot)})
@@ -347,7 +366,7 @@ func (s *Sim) move(e Event, at time.Duration, fn func()) Event {
 		}
 	}
 	e.Cancel()
-	return s.Schedule(at, fn)
+	return s.schedule(at, fn, p)
 }
 
 // After schedules fn to fire d from now.
@@ -359,8 +378,7 @@ func (s *Sim) After(d time.Duration, fn func()) Event {
 // generation so outstanding handles go stale.
 func (s *Sim) freeSlot(slot int32) {
 	sl := &s.slots[slot]
-	sl.fire = nil
-	sl.canceled = false
+	sl.fire, sl.proc = nil, nil
 	sl.gen++
 	s.free = append(s.free, slot)
 }
@@ -558,7 +576,8 @@ func (s *Sim) drive() (next *Proc) {
 			return nil
 		}
 		sl := &s.slots[slot]
-		if !sl.canceled {
+		dead := sl.pos == posDead
+		if !dead {
 			if limit >= 0 && at > limit {
 				// Beyond the horizon: leave the event in place for a
 				// future run rather than dropping it.
@@ -573,18 +592,22 @@ func (s *Sim) drive() (next *Proc) {
 		} else {
 			s.due.pop()
 		}
-		if sl.canceled {
+		if dead {
 			s.canceled--
 			s.freeSlot(slot)
 			continue
 		}
-		fn := sl.fire
+		fn, proc := sl.fire, sl.proc
 		// Free before firing: fn may Schedule (reusing this slot for a
 		// new event) or Cancel its own handle (stale by generation).
 		s.freeSlot(slot)
 		s.fired++
 		s.now = at
-		fn()
+		if proc != nil {
+			proc.activate()
+		} else {
+			fn()
+		}
 		if p := s.next; p != nil {
 			s.next = nil
 			return p
@@ -611,7 +634,7 @@ func (s *Sim) stop() error {
 		// process: every one of them is parked forever.
 		var names []string
 		for p := s.liveHead; p != nil; p = p.nextLive {
-			names = append(names, p.name)
+			names = append(names, p.name())
 		}
 		sort.Strings(names)
 		s.killLive()
@@ -626,7 +649,7 @@ func (s *Sim) stop() error {
 		// an event due now. The clock goes back to it, so the ring's
 		// live events wait on the heap at the instant they are due.
 		for ; s.due.n > 0; s.due.pop() {
-			if key := s.due.at(0); !s.slots[keySlot(key)].canceled {
+			if key := s.due.at(0); s.slots[keySlot(key)].pos != posDead {
 				s.push(heapEnt{at: s.now, key: key})
 			} else {
 				s.canceled--

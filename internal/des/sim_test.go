@@ -105,7 +105,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 			s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for j := 0; j < 3; j++ {
 					p.Sleep(time.Duration(i+1) * time.Second)
-					trace = append(trace, fmt.Sprintf("%s@%v", p.name, p.Now()))
+					trace = append(trace, fmt.Sprintf("%s@%v", p.name(), p.Now()))
 				}
 			})
 		}

@@ -90,7 +90,7 @@ func TestTokenBucketFIFOFairness(t *testing.T) {
 		s.Spawn(name, func(p *Proc) {
 			p.Sleep(delay)
 			take(tb, p, 1)
-			order = append(order, p.name)
+			order = append(order, p.name())
 		})
 	}
 	if err := s.Run(); err != nil {

@@ -160,13 +160,20 @@ type Platform struct {
 	sim      *des.Sim
 	cfg      Config
 	store    *objectstore.Service
-	registry map[string]Handler
+	registry map[string]function
 	sem      *des.Resource
 	warm     map[string][]time.Duration // idle container expiry times
 	meter    des.Ledger[Meter]
 	invSeq   int64
 
 	activations []Activation
+}
+
+// function is a registered handler and the prefix of its invocations'
+// process names, "faas/<name>#", built once at Register.
+type function struct {
+	h      Handler
+	prefix string
 }
 
 // New builds a platform on sim backed by store.
@@ -178,7 +185,7 @@ func New(sim *des.Sim, store *objectstore.Service, cfg Config) (*Platform, error
 		sim:      sim,
 		cfg:      cfg,
 		store:    store,
-		registry: make(map[string]Handler),
+		registry: make(map[string]function),
 		sem:      des.NewResource(sim, int64(cfg.ConcurrencyLimit)),
 		warm:     make(map[string][]time.Duration),
 	}, nil
@@ -208,7 +215,7 @@ func (pf *Platform) Register(name string, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("faas: nil handler for %s", name)
 	}
-	pf.registry[name] = h
+	pf.registry[name] = function{h: h, prefix: "faas/" + name + "#"}
 	return nil
 }
 
@@ -232,7 +239,7 @@ const retryBackoff = 50 * time.Millisecond
 // processes, in p's scope, subject to the platform concurrency limit.
 func (pf *Platform) InvokeAsync(p *des.Proc, name string, input any, opts InvokeOptions) *Future {
 	fut := newFuture()
-	h, ok := pf.registry[name]
+	f, ok := pf.registry[name]
 	if !ok {
 		fut.complete(nil, fmt.Errorf("%w: %s", ErrUnknownFunction, name))
 		return fut
@@ -243,11 +250,11 @@ func (pf *Platform) InvokeAsync(p *des.Proc, name string, input any, opts Invoke
 	if opts.MemoryMB > 0 {
 		mem = opts.MemoryMB
 	}
-	backoff := retryBackoff
-	procName := fmt.Sprintf("faas/%s#%d", name, id)
-	p.Spawn(procName, func(p *des.Proc) {
+	h := f.h
+	p.SpawnNumbered(f.prefix, id, func(p *des.Proc) {
 		var out any
 		var err error
+		backoff := retryBackoff
 		for attempt := 0; ; attempt++ {
 			out, err = pf.attempt(p, h, name, input, mem, id)
 			if !errors.Is(err, ErrInvocationFailed) || attempt >= opts.MaxRetries {

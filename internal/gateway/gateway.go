@@ -19,7 +19,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/core"
@@ -112,8 +111,11 @@ type tenant struct {
 	id     string
 	cfg    TenantConfig
 	bucket *des.TokenBucket // nil: unlimited
+	// procPrefix names the tenant's job processes, "gw/<id>/" followed
+	// by the gateway's launch sequence number.
+	procPrefix string
 
-	pending  ticketQueue
+	pending  fifo[queuedJob]
 	inflight int
 	class    *waitClass // nil: no MaxQueueWait
 
@@ -163,6 +165,12 @@ type Gateway struct {
 	active       int
 	seq          int64
 
+	// starting holds the launched jobs whose processes have not started
+	// yet, in launch order. runFn is runStarting, bound once in New: the
+	// body of every job process, so a launch allocates no closure.
+	starting fifo[startingJob]
+	runFn    func(p *des.Proc)
+
 	rounds  int64
 	starved int64
 
@@ -175,7 +183,7 @@ type Gateway struct {
 // with gateway traffic (standing attribution stays correct, but the
 // bypassed jobs belong to no tenant).
 func New(sess *session.Session, auth Authenticator, opts Options) *Gateway {
-	return &Gateway{
+	g := &Gateway{
 		sess:    sess,
 		sim:     sess.Rig().Sim,
 		auth:    auth,
@@ -184,6 +192,8 @@ func New(sess *session.Session, auth Authenticator, opts Options) *Gateway {
 		tenants: make(map[string]*tenant),
 		classes: make(map[time.Duration]*waitClass),
 	}
+	g.runFn = g.runStarting
+	return g
 }
 
 // Session exposes the fronted session.
@@ -200,7 +210,7 @@ func (g *Gateway) RegisterTenant(id string, cfg TenantConfig) error {
 		return fmt.Errorf("gateway: tenant %q already registered", id)
 	}
 	cfg = cfg.withDefaults()
-	t := &tenant{id: id, cfg: cfg}
+	t := &tenant{id: id, cfg: cfg, procPrefix: "gw/" + id + "/"}
 	t.stats.ID = id
 	t.stats.Weight = cfg.Weight
 	if cfg.RatePerSec > 0 {
@@ -228,8 +238,7 @@ type Ticket struct {
 	Started   time.Duration
 	Finished  time.Duration
 
-	job     session.Job // zeroed when it starts or is shed: a finished ticket pins no workflow
-	queued  bool        // still in its tenant's pending queue
+	queued  bool // still in its tenant's pending queue
 	done    bool
 	rep     *core.RunReport
 	err     error
@@ -291,8 +300,8 @@ func (g *Gateway) Submit(p *des.Proc, cred Credential, job session.Job) (*Ticket
 		t.stats.RejectedQueue++
 		return nil, fmt.Errorf("gateway: tenant %q: %w", t.id, ErrQueueFull)
 	}
-	tk := &Ticket{Tenant: t.id, Submitted: p.Now(), job: job, queued: true}
-	t.pending.push(tk)
+	tk := &Ticket{Tenant: t.id, Submitted: p.Now(), queued: true}
+	t.pending.push(queuedJob{tk: tk, job: job})
 	g.pendingTotal++
 	t.stats.Admitted++
 	g.enterRunnable(t)
@@ -340,7 +349,8 @@ func (g *Gateway) admitTenant(cred Credential) (*tenant, error) {
 // launch moves a tenant's head-of-queue job onto the session, running
 // it on its own simulated process.
 func (g *Gateway) launch(t *tenant) {
-	tk := t.pending.pop()
+	qj := t.pending.pop()
+	tk := qj.tk
 	tk.queued = false
 	if t.class != nil {
 		t.class.noteLaunch()
@@ -351,30 +361,40 @@ func (g *Gateway) launch(t *tenant) {
 	g.active++
 	tk.Started = g.sim.Now()
 	g.seq++
-	g.sim.Spawn("gw/"+t.id+"/"+strconv.FormatInt(g.seq, 10), func(p *des.Proc) {
-		job := tk.job
-		tk.job = session.Job{} // the run holds it from here; the ticket outlives the run
-		rep, err := g.sess.SubmitIn(p, job)
-		t.inflight--
-		g.active--
-		t.stats.Completed++
-		if err != nil {
-			t.stats.Failed++
+	g.starting.push(startingJob{t: t, queuedJob: qj})
+	g.sim.SpawnNumbered(t.procPrefix, g.seq, g.runFn)
+}
+
+// runStarting is the body of every job process. It takes the oldest
+// launched job off the starting queue, which is its own: processes
+// spawned at one instant start in the order they were spawned, and
+// launches at later instants queue behind them. (A run that stops
+// discards the job processes not yet started and leaves their jobs
+// here, as it leaves their tickets unfinished: a gateway does not
+// outlive a stopped run.)
+func (g *Gateway) runStarting(p *des.Proc) {
+	sj := g.starting.pop()
+	t, tk := sj.t, sj.tk
+	rep, err := g.sess.SubmitIn(p, sj.job)
+	t.inflight--
+	g.active--
+	t.stats.Completed++
+	if err != nil {
+		t.stats.Failed++
+	}
+	if rep != nil {
+		t.stats.MeteredUSD += rep.MeteredUSD()
+		t.stats.StandingUSD += rep.StandingUSD
+		t.stats.BusyTime += rep.Latency()
+	}
+	tk.finish(rep, err, p.Now())
+	g.dispatch()
+	if g.pendingTotal == 0 && g.active == 0 {
+		for _, w := range g.drainWaiters {
+			w.Wake()
 		}
-		if rep != nil {
-			t.stats.MeteredUSD += rep.MeteredUSD()
-			t.stats.StandingUSD += rep.StandingUSD
-			t.stats.BusyTime += rep.Latency()
-		}
-		tk.finish(rep, err, p.Now())
-		g.dispatch()
-		if g.pendingTotal == 0 && g.active == 0 {
-			for _, w := range g.drainWaiters {
-				w.Wake()
-			}
-			g.drainWaiters = nil
-		}
-	})
+		g.drainWaiters = nil
+	}
 }
 
 // Drain parks p until no job is pending or in flight. Admission stays

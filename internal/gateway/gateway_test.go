@@ -467,6 +467,15 @@ func TestPerTenantConcurrencyCap(t *testing.T) {
 	if got := overlap(bTickets); got != 4 {
 		t.Errorf("tenant b peak concurrency = %d, want its full cap 4", got)
 	}
+	// Jobs launched at one instant wait for their processes together;
+	// each ticket still reports its own job.
+	for i := 0; i < 6; i++ {
+		for name, tk := range map[string]*gateway.Ticket{fmt.Sprintf("a%d", i): aTickets[i], fmt.Sprintf("b%d", i): bTickets[i]} {
+			if rep, _ := tk.Report(); rep == nil || rep.Workflow != name {
+				t.Errorf("ticket of job %s reports %+v", name, rep)
+			}
+		}
+	}
 	if _, err := g.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

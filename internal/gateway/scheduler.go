@@ -97,11 +97,10 @@ func (g *Gateway) shedStale() {
 		}
 		tk := due.q.pop()
 		t := g.tenants[tk.Tenant]
-		if t.pending.pop() != tk {
+		if t.pending.pop().tk != tk {
 			panic("gateway: shed ticket is not its tenant's oldest")
 		}
 		tk.queued = false
-		tk.job = session.Job{}
 		g.pendingTotal--
 		t.stats.Shed++
 		tk.finish(nil, fmt.Errorf("gateway: tenant %q: queued %s beyond MaxQueueWait %s: %w",
@@ -180,48 +179,50 @@ func (g *Gateway) startRound() bool {
 	return dispatchable
 }
 
-// ticketQueue is a FIFO of tickets: q[head:] are queued, oldest first.
-// Popped slots are cleared, and the slice restarts at its base whenever
-// it empties or fills (as des.Resource's queue does), so a queue that
-// has reached its peak length allocates nothing per ticket.
-type ticketQueue struct {
-	q    []*Ticket
+// fifo is a queue: q[head:] are queued, oldest first. Popped slots are
+// cleared, and the slice restarts at its base whenever it empties or
+// fills (as des.Resource's queue does), so a queue that has reached its
+// peak length allocates nothing per entry.
+type fifo[T any] struct {
+	q    []T
 	head int
 }
 
-func (q *ticketQueue) len() int { return len(q.q) - q.head }
+func (q *fifo[T]) len() int { return len(q.q) - q.head }
 
-func (q *ticketQueue) front() *Ticket { return q.q[q.head] }
+func (q *fifo[T]) front() T { return q.q[q.head] }
 
-func (q *ticketQueue) push(tk *Ticket) {
+func (q *fifo[T]) push(v T) {
 	if q.head > 0 && len(q.q) == cap(q.q) {
 		n := copy(q.q, q.q[q.head:])
 		clear(q.q[n:])
 		q.q, q.head = q.q[:n], 0
 	}
-	q.q = append(q.q, tk)
+	q.q = append(q.q, v)
 }
 
-func (q *ticketQueue) pop() *Ticket {
-	tk := q.q[q.head]
-	q.q[q.head] = nil // the backing array must not keep a popped ticket
+func (q *fifo[T]) pop() T {
+	v := q.q[q.head]
+	var zero T
+	q.q[q.head] = zero // the backing array must not keep a popped entry
 	if q.head++; q.head == len(q.q) {
 		q.q, q.head = q.q[:0], 0
 	}
-	return tk
+	return v
 }
 
-// keepQueued drops the tickets that are no longer queued, keeping the
-// others in order.
-func (q *ticketQueue) keepQueued() {
-	kept := q.q[:0]
-	for _, tk := range q.q[q.head:] {
-		if tk.queued {
-			kept = append(kept, tk)
-		}
-	}
-	clear(q.q[len(kept):])
-	q.q, q.head = kept, 0
+// queuedJob is an entry of a tenant's pending queue: the job waits there
+// beside its ticket, so a ticket never holds a job and pins no workflow
+// once it left the queue.
+type queuedJob struct {
+	tk  *Ticket
+	job session.Job
+}
+
+// startingJob is a launched job waiting for its process to start.
+type startingJob struct {
+	t *tenant
+	queuedJob
 }
 
 // waitClass is the shed queue of the tenants that share one
@@ -233,7 +234,7 @@ func (q *ticketQueue) keepQueued() {
 // the front (dropLaunched) or compaction drops it.
 type waitClass struct {
 	wait     time.Duration
-	q        ticketQueue
+	q        fifo[*Ticket]
 	launched int  // tickets in q that launched
 	listed   bool // in Gateway.shedding
 }
@@ -265,7 +266,21 @@ func (c *waitClass) dropLaunched() {
 // launched tickets far beyond the pending count.
 func (c *waitClass) noteLaunch() {
 	if c.launched++; c.launched >= 64 && 2*c.launched >= c.q.len() {
-		c.q.keepQueued()
+		c.keepQueued()
 		c.launched = 0
 	}
+}
+
+// keepQueued drops the tickets that are no longer queued, keeping the
+// others in order.
+func (c *waitClass) keepQueued() {
+	q := &c.q
+	kept := q.q[:0]
+	for _, tk := range q.q[q.head:] {
+		if tk.queued {
+			kept = append(kept, tk)
+		}
+	}
+	clear(q.q[len(kept):])
+	q.q, q.head = kept, 0
 }

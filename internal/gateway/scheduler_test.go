@@ -56,11 +56,12 @@ func TestWaitClassCompaction(t *testing.T) {
 }
 
 // TestFinishedTicketLetsGoOfItsJob: a ticket is a handle on a timeline
-// and a report, held by submitters for as long as they like; once its
-// job launched or was shed it must not keep the job's Build closure (and
-// through it the workflow and the stage closures) alive, and neither the
-// tenant's queue nor its wait class's shed queue may keep the ticket in
-// a popped slot of its backing array.
+// and a report, held by submitters for as long as they like; it holds
+// no job, so it cannot keep the job's Build closure (and through it the
+// workflow and the stage closures) alive. The job waits beside it in the
+// tenant's queue, then in the gateway's starting queue, and none of the
+// tenant's queue, its wait class's shed queue and the starting queue may
+// keep a ticket or a job in a popped slot of its backing array.
 func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 	sess, err := session.Open(calib.Local(), session.Options{})
 	if err != nil {
@@ -71,14 +72,15 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := g.tenants["a"]
-	tn.pending.q = make([]*Ticket, 0, 8)
+	tn.pending.q = make([]queuedJob, 0, 8)
 	tn.class.q.q = make([]*Ticket, 0, 8)
+	g.starting.q = make([]startingJob, 0, 8)
 	// The queues' backing arrays, popped slots included: a queue that
-	// never holds more than 8 tickets keeps its array.
-	arrays := map[string][]*Ticket{"pending": tn.pending.q[:8], "shed": tn.class.q.q[:8]}
+	// never holds more than 8 entries keeps its array.
+	pending, shed, starting := tn.pending.q[:8], tn.class.q.q[:8], g.starting.q[:8]
 	// The first job takes the one slot for 1s; the next two queue and
 	// are overdue by the time the last two arrive and trigger a dispatch.
-	var ran, shed []*Ticket
+	var ran, shedTks []*Ticket
 	g.sim.Spawn("driver", func(p *des.Proc) {
 		for i, d := range []time.Duration{time.Second, time.Millisecond, time.Millisecond, time.Millisecond, time.Millisecond} {
 			if i == 3 {
@@ -89,11 +91,13 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 				t.Errorf("Submit %d: %v", i, err)
 				return
 			}
-			if tk.queued && tk.job.Build == nil {
-				t.Errorf("queued ticket %d has no job to launch", i)
+			if tk.queued {
+				if qj := tn.pending.q[len(tn.pending.q)-1]; qj.tk != tk || qj.job.Build == nil {
+					t.Errorf("queued ticket %d has no job to launch beside it", i)
+				}
 			}
 			if i == 1 || i == 2 {
-				shed = append(shed, tk)
+				shedTks = append(shedTks, tk)
 			} else {
 				ran = append(ran, tk)
 			}
@@ -103,31 +107,29 @@ func TestFinishedTicketLetsGoOfItsJob(t *testing.T) {
 	if err := g.sim.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	if len(ran) != 3 || len(shed) != 2 {
-		t.Fatalf("submitted %d + %d tickets, want 3 + 2", len(ran), len(shed))
+	if len(ran) != 3 || len(shedTks) != 2 {
+		t.Fatalf("submitted %d + %d tickets, want 3 + 2", len(ran), len(shedTks))
 	}
 	for i, tk := range ran {
 		rep, err := tk.Report()
 		if !tk.Done() || err != nil || rep == nil || len(rep.Stages) != 1 || rep.Stages[0].Name != "work" {
 			t.Errorf("completed ticket %d: done %v, report %+v, err %v", i, tk.Done(), rep, err)
 		}
-		if tk.job.Build != nil {
-			t.Errorf("completed ticket %d still holds its job", i)
-		}
 	}
-	for i, tk := range shed {
+	for i, tk := range shedTks {
 		if _, err := tk.Report(); !errors.Is(err, ErrDeadlineExceeded) {
 			t.Errorf("shed ticket %d: err = %v, want ErrDeadlineExceeded", i, err)
 		}
-		if tk.job.Build != nil {
-			t.Errorf("shed ticket %d still holds its job", i)
-		}
 	}
-	for name, slots := range arrays {
-		for i, tk := range slots {
-			if tk != nil {
-				t.Errorf("%s queue slot %d still points at a ticket after the drain", name, i)
-			}
+	for i := range 8 {
+		if qj := pending[i]; qj.tk != nil || qj.job.Build != nil {
+			t.Errorf("pending queue slot %d still points at a ticket or a job after the drain", i)
+		}
+		if shed[i] != nil {
+			t.Errorf("shed queue slot %d still points at a ticket after the drain", i)
+		}
+		if sj := starting[i]; sj.t != nil || sj.tk != nil || sj.job.Build != nil {
+			t.Errorf("starting queue slot %d still points at a ticket or a job after the drain", i)
 		}
 	}
 }

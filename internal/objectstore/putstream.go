@@ -1,8 +1,6 @@
 package objectstore
 
 import (
-	"fmt"
-
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 )
@@ -121,7 +119,7 @@ func (w *PutWriter) seal(p *des.Proc) error {
 	num := w.partNum
 	w.sem.Acquire(p, 1)
 	w.wg.Add(1)
-	p.Spawn(fmt.Sprintf("puts-part-%d", num), func(up *des.Proc) {
+	p.SpawnNumbered("puts-part-", int64(num), func(up *des.Proc) {
 		defer w.wg.Done()
 		defer w.sem.Release(1)
 		err := w.c.retry(up, func() error {

@@ -2,6 +2,7 @@ package objectstore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -180,4 +181,29 @@ func TestPutStreamOverlapsProducer(t *testing.T) {
 			saved, streamed, buffered)
 	}
 	t.Logf("put: streamed %v vs buffered %v", streamed, buffered)
+}
+
+// TestPartUploadNamePinned pins the name a panic report gives a part
+// upload's process: puts-part-<n>. The writer seals twelve parts, and
+// the twelfth finds the writer's client gone when its process starts.
+func TestPartUploadNamePinned(t *testing.T) {
+	svc := newFast(t)
+	svc.sim.Spawn("writer", func(p *des.Proc) {
+		c := NewClient(svc)
+		_ = c.CreateBucket(p, "b")
+		w := c.PutStream(p, "b", "out", PutStreamOptions{PartBytes: 1024})
+		for i := 0; i < 12; i++ {
+			if err := w.Write(p, payload.Sized(1024)); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+		w.c = nil
+		p.Park()
+	})
+	err := svc.sim.Run()
+	var pe *des.PanicError
+	if !errors.As(err, &pe) || pe.Proc != "puts-part-12" {
+		t.Fatalf("run: %v, want process puts-part-12 to panic", err)
+	}
 }

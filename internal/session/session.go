@@ -104,7 +104,7 @@ type Session struct {
 	// keep-alive expiries) drain, and that dead virtual time is nobody's
 	// bill.
 	attributedUSD float64
-	runs          []*core.RunReport
+	runs          runList
 	seq           int
 	closed        bool
 
@@ -270,9 +270,50 @@ func (s *Session) runJob(p *des.Proc, job Job, w *core.Workflow) (*core.RunRepor
 		accrued := s.standingUSD(rep.End)
 		rep.StandingUSD = accrued - s.attributedUSD
 		s.attributedUSD = accrued
-		s.runs = append(s.runs, rep)
+		s.runs.add(rep)
 	}
 	return rep, runErr
+}
+
+// runChunk is how many reports a full chunk of a runList holds.
+const runChunk = 1024
+
+// runList keeps a session's run reports in submission order, in chunks
+// of runChunk, and Close flattens them once: one list that only appends
+// copies itself at every growth, and most of those copies are garbage by
+// the end of a long session. The first chunk grows as a slice does, so a
+// session of a few runs allocates what one slice would; every later
+// chunk is made full-sized.
+type runList struct {
+	chunks [][]*core.RunReport
+}
+
+func (l *runList) add(r *core.RunReport) {
+	if n := len(l.chunks); n == 0 || len(l.chunks[n-1]) == runChunk {
+		var c []*core.RunReport
+		if n > 0 {
+			c = make([]*core.RunReport, 0, runChunk)
+		}
+		l.chunks = append(l.chunks, c)
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, r)
+}
+
+// flatten returns the reports in one slice, nil if there are none.
+func (l *runList) flatten() []*core.RunReport {
+	n := len(l.chunks)
+	if n == 0 {
+		return nil
+	}
+	if n == 1 {
+		return l.chunks[0]
+	}
+	out := make([]*core.RunReport, 0, (n-1)*runChunk+len(l.chunks[n-1]))
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Report is the session's closing account.
@@ -313,19 +354,20 @@ func (s *Session) Close() (Report, error) {
 	if inst := s.rig.Exec.StandingVM; inst != nil {
 		inst.Stop()
 	}
+	runs := s.runs.flatten()
 	closedAt := s.opened
-	if n := len(s.runs); n > 0 {
-		closedAt = s.runs[n-1].End
+	if n := len(runs); n > 0 {
+		closedAt = runs[n-1].End
 	}
 	rep := Report{
 		Profile:     s.rig.Profile.Name,
-		Submissions: len(s.runs),
-		Runs:        s.runs,
+		Submissions: len(runs),
+		Runs:        runs,
 		Opened:      s.opened,
 		Closed:      closedAt,
 		StandingUSD: s.standingUSD(closedAt),
 	}
-	for _, r := range s.runs {
+	for _, r := range runs {
 		rep.TotalUSD += r.MeteredUSD()
 	}
 	rep.TotalUSD += rep.StandingUSD
