@@ -3,6 +3,11 @@
 // price book defaults to public IBM Cloud list prices circa the
 // paper's evaluation, so the reproduced Table 1 costs are comparable
 // in magnitude to the published ones.
+//
+// It is the only place a USD formula is written: the planner, the
+// executor and the session build usage and call the price book, and
+// TestPricesAreMultipliedHereOnly fails when a unit price is selected
+// anywhere else.
 package billing
 
 import (

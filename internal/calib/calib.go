@@ -11,6 +11,9 @@
 // roughly equal cost, because VM provisioning latency and single-NIC
 // staging outweigh object storage's per-request overheads once the
 // shuffle uses a sensible number of functions.
+//
+// A rig's planner history lives as long as the process; nothing saves
+// it.
 package calib
 
 import (

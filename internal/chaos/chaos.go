@@ -14,6 +14,41 @@
 // degradation policy live in the data plane (the exchanges), pricing
 // of failure risk lives in the planner (autoplan), and this package
 // only owns *when* faults happen and the record of what fired.
+//
+// Plan.Arm(sim, Targets{VMs, Cache, Store}) aims the events at those
+// layers, each with its own failure protocol: a spot preemption is
+// vm.Instance.Preempt, a cache-node loss memcache.Cluster.KillNode, a
+// brownout objectstore.Service.SetBrownout, which a ClientStream
+// absorbs by retrying each failed continuation under a retry budget
+// that refills after every delivered chunk. Every provisioned resource
+// carries a zone label (Profile.Zones; the first zone hosts everything,
+// the store's bandwidth pool included, until an outage forces placement
+// elsewhere), and a ZoneOutage reaches each provider through its
+// FailZone and ends with Zones().RestoreZone.
+//
+// Recovery is the exchanges': core.VMExchange{Spot: true} tries the
+// spot rate on the first attempt only and restarts a preempted staged
+// sort on a fresh on-demand instance, in a surviving zone; the cache
+// exchange reroutes a write to a dead shard to the object store and
+// regenerates a lost slab from the staged input, and demotes to the
+// object-store path when the whole cluster dies. Stage reports meter
+// the damage (Restarts, ReworkBytes, FallbackSlabs); makespan degrades
+// by the fallback bandwidth gap, not to zero.
+//
+// Planning prices the same risks. A spot candidate costs the spot rate
+// plus expected rework (interrupt probability over its makespan times
+// the restart), zone outages add to that interrupt rate, and their
+// brownout windows charge every store-touching leg an expected stall
+// and re-bill; the cache's w² hop is exempt, which is what trades
+// substrates under outage risk. With Env.Zones > 1 every cache rung
+// also gets a multi-zone variant that pays cross-zone RTT and per-GB
+// fees for a 1/Zones blast radius. Serverless waves get speculation
+// (Spec.Speculate) where straggler exposure warrants backups, priced at
+// the 1 - faas.SpeculationQuantile share faas.MapSpeculative backs up.
+// experiments.SpotDecisionFlip and ZonePlacementFlip sweep the rates
+// for the flip points, and ChaosMatrix and ZoneChaos run every strategy
+// x fault cell end to end, a soak replayed byte-identically from the
+// same seed.
 package chaos
 
 import (

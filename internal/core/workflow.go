@@ -8,6 +8,17 @@
 // ExchangeStrategy: the sort stage can run "purely serverless" (an
 // all-to-all shuffle through object storage, Figure 1 B) or
 // "VM-supported" (staged into one large-memory instance, Figure 1 A).
+// A SortStage carries a shuffle.Spec, and a strategy refuses a spec whose
+// Exchange belongs to another family; *AutoExchange is the planner.
+//
+// A stage pays for what it used: it leads a des scope of its own, so
+// every invocation, request, instance and cluster its processes cause
+// is charged to it as it is metered, however many jobs overlap. The
+// stored volume, which no one request causes, is split among the stages
+// open while it accrues (the executor's share clock), and the global
+// meters stay the independent truth. A StageReport.Cost is a
+// billing.StageCost; RunReport.MeteredUSD is a run's amount, and
+// RunReport.Cost renders its itemised bill when somebody prints it.
 package core
 
 import (

@@ -44,8 +44,34 @@
 //
 // A process's wake events name the process in their slots instead of
 // holding a closure, so a Spawn allocates the Proc alone (on a goroutine
-// a finished process left idle), and a numbered process's name is
-// formatted only when a deadlock or panic report reads it.
+// a finished process left idle, at most 256 kept), and a numbered
+// process's name is formatted only when a deadlock or panic report
+// reads it. A panic in a scheduled callback is a *PanicError naming
+// "(event callback)", with every process unwound, oldest first.
+//
+// Every waiting primitive has a callback form, scheduled exactly where
+// the wake of a process in its place would have gone:
+// Resource.AcquireAsync, TokenBucket.TakeAsync (the one way to take a
+// token) and Link.TransferAsync. A chain of them working for one process
+// (a store or cache request, a timing-only drain) runs from Proc.Await
+// with the process parked once, and its last waits are the process's
+// own wakes (WakeAfter, Link.Start): a process killed at a RunUntil
+// horizon takes its chain with it, and a grant to a process that is
+// Gone ends the chain. Proc.Fan is the one fan-out: n children in the
+// caller's scope, the caller parked until all have returned.
+//
+// Every simulated byte crosses a Link, which keeps one completion event
+// for all its flows. Flows that tie exactly on remaining bytes finish in
+// the order they joined: no process's or stream's name orders the
+// simulation. Usage is charged through scopes (scope.go): a Ledger
+// charges the total and the innermost open scope of the process it
+// serves.
+//
+// The old forms are kept as test oracles: TestKernelOrderMatchesOracle
+// and FuzzKernelOrder hold event order to a heap-only kernel that
+// cancels lazily, TestLinkDifferential the link to its per-flow-event
+// form, and testdata/kernel_trace.golden, recorded before the baton, what
+// a mixed workload fires.
 package des
 
 import (

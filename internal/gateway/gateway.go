@@ -13,7 +13,10 @@
 // as session.SubmitIn runs on gateway-spawned processes, and cost
 // attribution rides the session's standing-cost windows, so every
 // tenant's bill (metered + standing share) sums to the session's own
-// closing report.
+// closing report, and both to what the global meters priced
+// (TestGatewayLedgersAreTheMeters). A Ticket holds no job: the job waits
+// beside it in the tenant's queue until it launches or is shed, so kept
+// tickets keep timelines and reports alive, not workflows.
 package gateway
 
 import (

@@ -11,6 +11,15 @@
 // its shard's free memory: the policy is Redis's noeviction, the safe
 // one for data passing, and a Set that does not fit fails.
 //
+// A node can be lost (KillNode: its shard's data gone, its requests
+// failing with ErrNodeDown) and so can every cluster a zone hosts
+// (FailZone); either way the managed service keeps billing the whole
+// cluster, and new clusters go to the first zone up, or the first zone
+// if none is. A request's admission (Cluster.admit: the node's
+// throttle, then its latency) is a chain of callbacks its caller awaits,
+// its body a Link.Transfer; a caller killed at a horizon does not hold
+// the node's throttle.
+//
 // All methods must be called from des process context; like the other
 // substrates it needs no locking because the simulation kernel runs
 // one process at a time.

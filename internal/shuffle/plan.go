@@ -5,9 +5,47 @@
 // ("using the optimal number of functions in terms of remote storage
 // resource utilization is crucial for good performance", §2.2).
 //
-// This file is the one description of an exchange: a strategy is the
+// A sort is one call, Operator.Sort(p, Spec), and where its
+// intermediate data goes (the paper's variable) is Spec.Exchange:
+// ViaStore (the zero value: the one-level all-to-all through object
+// storage), ViaStoreTwoLevel (two levels in Groups groups) or ViaCache
+// (runs in a provisioned cache cluster: Nodes, Warm, or a caller-owned
+// Cluster). A field set for another exchange is refused, so a two-level
+// cache sort cannot be asked for. One operator, NewOperator(platform,
+// store, prov), runs all three; prov may be nil when no cache sort
+// runs. Spec.PlanInput(size) is what the planners size a spec with.
+//
+// Every exchange is one job skeleton (skeleton.go), and every
+// activation of every wave one task run by one handler. Every read is a
+// chunked stream (objectstore.Client.GetStream, AdaptiveChunkBytes:
+// slice/8 clamped to [256 KiB, 4 MiB], so small jobs overlap too) split
+// into lines by one lineReader, the only place a line is carried across
+// a chunk boundary. A mapper keys each line into one []bed.KeyRef by
+// its offset in what it read, radix-sorts that index once and copies
+// the lines into one buffer cut into a sorted run per reducer
+// (dataplane.go, streammap.go); a reducer merges its runs as they
+// stream in and writes through Client.PutStream (streamreduce.go); the
+// two-level round-2 repartitioner streams the same merge into one
+// buffer and cuts it by the mappers' rule, so its outputs are sorted
+// runs with no sort at all. The VM exchange sorts its staged bytes
+// with SortRun, the mappers' builder with one reducer. Every output
+// part has one name, OutputKey, whatever exchange wrote it.
+//
+// Once a sized chunk shows that a map slice or a reducer's runs hold no
+// lines, the rest is drained by one chain of callbacks with the
+// function parked once in des.Proc.Await (meter.drain): its waits, on
+// ClientStream.Poll and on a chunk's CPU, are the process's own wakes.
+// A mapper's key index and a reducer's read set (its streams and the
+// sources over them) come from free lists that no GC empties
+// (freelist.go: keyIndexes, readSets), so no rep after the first
+// allocates either, wherever a collection falls.
+//
+// plan.go is the one description of an exchange: a strategy is the
 // wave list waves gives for it, the predictors fold that list into a
-// Plan, and skeleton.go launches the same list, wave by wave.
+// Plan, and skeleton.go launches the same list, wave by wave. A job
+// with Workers 0 folds its own list over the candidates: a two-level
+// job is sized by the two-level model, a cache job by the cache model,
+// and Optimize is the one-level store case.
 package shuffle
 
 import (

@@ -6,6 +6,15 @@
 // This is the "serverful" side of the paper's comparison: the hybrid
 // pipeline provisions a bx2-8x32, funnels the whole dataset through its
 // single NIC, sorts locally, and writes the result back.
+//
+// Spot capacity (ProvisionSpot, at the catalog's SpotHourlyUSD: 30% of
+// on-demand in the bx2 family) can be taken back. Preempt puts the
+// notice on record at once and reclaims the instance PreemptionNotice
+// later unless its owner stops it first; work dispatched after the
+// reclaim fails with ErrPreempted, which wraps ErrStopped, and billing
+// runs to the reclaim. FailZone reclaims a zone's spot instances with
+// no notice, while on-demand ones ride the outage out, and the
+// provisioner refuses with ErrNoZone while every zone is down.
 package vm
 
 import (
