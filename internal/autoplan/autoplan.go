@@ -95,11 +95,9 @@ type Workload struct {
 	// per-wave function startup estimate.
 	shuffle.PlanInput
 	// Workers, when positive, pins the parallelism: the sweep collapses
-	// to this single worker count (the caller fixed the fan-out).
+	// to this single worker count (the caller fixed the fan-out), and the
+	// VM strategy writes that many output parts (8 when unpinned).
 	Workers int
-	// OutputParts is the VM strategy's output fan-out (default 8); the
-	// function strategies produce one part per worker.
-	OutputParts int
 }
 
 // Env is the priced cloud the planner predicts against: the same
@@ -107,9 +105,14 @@ type Workload struct {
 type Env struct {
 	// Store is the object storage throughput profile.
 	Store shuffle.StoreProfile
-	// FunctionMemoryMB is the shuffle workers' memory grant, for
-	// GB-second pricing (default 2048).
-	FunctionMemoryMB int
+	// Faas is the function platform's profile, as the operators run on
+	// it. MemoryMB is the shuffle workers' grant for GB-second pricing
+	// (default 2048). FailureRate, StragglerRate and Slowdown are its
+	// straggler exposure: the planner weighs it against the
+	// duplicate-invocation cost to decide whether to arm speculation
+	// (failed invocations retry, widening the wave tail like a
+	// straggler).
+	Faas faas.Config
 	// Prices is the billing book.
 	Prices billing.PriceBook
 
@@ -134,33 +137,15 @@ type Env struct {
 
 	// VMTypes is the instance catalog; empty disables the VM family.
 	VMTypes []vm.InstanceType
-	// VMInstanceType restricts the VM family to one catalog entry
-	// ("" searches the whole catalog).
-	VMInstanceType string
-	// VMSetup is the post-boot runtime deployment time.
-	VMSetup time.Duration
-	// VMSortBps is the instance's aggregate local sort throughput
-	// (default 270e6).
-	VMSortBps float64
-	// VMConns is the staging connection count (0: one per vCPU).
-	VMConns int
+	// VM is the leg the VM family runs as: its InstanceType restricts
+	// the family to one catalog entry ("" searches the whole catalog),
+	// and its Setup, SortRate and ConnsOn price the run.
+	VM vm.Leg
 	// VMStandingType, when non-empty, names a session-owned instance
 	// that is already booted and already paid for: the VM family
 	// considers only that catalog entry, with no boot/setup latency and
 	// no instance-hours in the marginal cost.
 	VMStandingType string
-
-	// FaasStragglerRate / FaasStragglerSlowdown model the function
-	// platform's straggler exposure (the operators' Config values):
-	// the probability an invocation runs StragglerSlowdown times
-	// slower. The planner weighs this exposure against the
-	// duplicate-invocation cost to decide whether to arm speculation.
-	FaasStragglerRate     float64
-	FaasStragglerSlowdown float64
-	// FaasFailureRate is the platform's transient invocation failure
-	// probability; it feeds the same speculation advice (failed
-	// invocations retry, widening the wave tail).
-	FaasFailureRate float64
 
 	// ZoneOutagePerHour models correlated whole-zone outages: spot
 	// capacity in the zone reclaimed at once, the cache cluster hosted
@@ -261,25 +246,9 @@ type Decision struct {
 	Speculation SpeculationDecision
 }
 
-func (w Workload) withDefaults() Workload {
-	w.PlanInput = w.PlanInput.WithDefaults()
-	if w.OutputParts <= 0 {
-		w.OutputParts = 8
-	}
-	return w
-}
-
-// DefaultVMSortBps is the VM family's aggregate local-sort throughput
-// when the env leaves it unset. Exported so dispatchers (core) can run
-// the VM with the same figure the planner predicted with.
-const DefaultVMSortBps = 270e6
-
 func (e Env) withDefaults() Env {
-	if e.FunctionMemoryMB <= 0 {
-		e.FunctionMemoryMB = 2048
-	}
-	if e.VMSortBps <= 0 {
-		e.VMSortBps = DefaultVMSortBps
+	if e.Faas.MemoryMB <= 0 {
+		e.Faas.MemoryMB = 2048
 	}
 	if e.Zones <= 0 {
 		e.Zones = 1
@@ -329,7 +298,7 @@ func workerLadder(w Workload) (ladder []int, dead string) {
 // never strictly dominated — worse time AND worse cost — by any
 // feasible candidate.
 func Plan(w Workload, env Env, obj Objective) (Decision, error) {
-	w = w.withDefaults()
+	w.PlanInput = w.PlanInput.WithDefaults()
 	env = env.withDefaults()
 	if w.DataBytes <= 0 {
 		return Decision{}, fmt.Errorf("autoplan: non-positive data size %d", w.DataBytes)
@@ -390,17 +359,13 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 	default:
 		return SpeculationDecision{Reason: "vm plan: no function waves to speculate"}
 	}
-	s := env.FaasStragglerRate
 	// Transient failures retry serially inside the wave, widening the
 	// tail the same way a straggler does; fold them into the exposure.
-	exposure := s + env.FaasFailureRate
+	exposure := env.Faas.StragglerRate + env.Faas.FailureRate
 	if exposure <= 0 {
 		return SpeculationDecision{Reason: "no modeled straggler or failure exposure"}
 	}
-	slow := env.FaasStragglerSlowdown
-	if slow <= 1 {
-		slow = 3 // the faas default when StragglerRate > 0
-	}
+	slow := env.Faas.Slowdown()
 	n := float64(c.Workers)
 	// Two waves of n workers; a wave stalls if any of its n inputs
 	// draws a straggler (or a retried failure).
@@ -418,8 +383,7 @@ func adviseSpeculation(c Candidate, w Workload, env Env, obj Objective) Speculat
 	if obj.Goal == MinCost {
 		// Stragglers bill their own slowdown; speculation trades that
 		// billed tail for the duplicates' spend.
-		memGB := float64(env.FunctionMemoryMB) / 1024
-		savedUSD := env.Prices.FunctionsCost(faas.Meter{GBSeconds: 2 * exposure * n * (slow - 1) * waveT * memGB})
+		savedUSD := env.Prices.FunctionsCost(functionUse(env, 1, 2*exposure*n*(slow-1)*waveT, 0))
 		if savedUSD > dupUSD {
 			return SpeculationDecision{Arm: true, Reason: fmt.Sprintf(
 				"straggler billing exposure $%.4f > duplicate cost $%.4f", savedUSD, dupUSD)}
@@ -475,7 +439,7 @@ func enumerate(w Workload, env Env) []Candidate {
 	// A session's standing instance overrides the profile's pinned
 	// type: the already-paid machine is the one to consider, whatever
 	// the profile would have provisioned.
-	vmPin := env.VMInstanceType
+	vmPin := env.VM.InstanceType
 	if env.VMStandingType != "" {
 		vmPin = env.VMStandingType
 	}

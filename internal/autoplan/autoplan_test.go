@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
@@ -25,8 +26,8 @@ func flipEnv() Env {
 			ReadOpsPerSec:      3000,
 			WriteOpsPerSec:     3000,
 		},
-		FunctionMemoryMB: 2048,
-		HasCache:         true,
+		Faas:     faas.Config{MemoryMB: 2048},
+		HasCache: true,
 		Cache: memcache.Config{
 			NodeMemoryBytes:  13 << 30,
 			RequestLatency:   500 * time.Microsecond,
@@ -38,8 +39,7 @@ func flipEnv() Env {
 		},
 		CacheMaxNodes: 2,
 		VMTypes:       vm.Catalog(),
-		VMSetup:       28 * time.Second,
-		VMSortBps:     270e6,
+		VM:            vm.Leg{Setup: 28 * time.Second, SortBps: 270e6},
 		Prices:        billing.Default(),
 	}
 }

@@ -74,7 +74,7 @@ func storeFaultPenalty(env Env, makespan time.Duration, classA, classB int64) (t
 // functionUse is the meter of workers running activeSeconds each at the
 // env's memory grant, over invocations activations.
 func functionUse(env Env, workers int, activeSeconds float64, invocations int) faas.Meter {
-	memGB := float64(env.FunctionMemoryMB) / 1024
+	memGB := float64(env.Faas.MemoryMB) / 1024
 	return faas.Meter{
 		GBSeconds:   float64(workers) * activeSeconds * memGB,
 		Invocations: int64(invocations),
@@ -248,7 +248,11 @@ func predictCache(w int, multiZone bool, wl Workload, env Env) Candidate {
 // losing the staged bytes, and the job re-boots and redoes the whole
 // leg on an on-demand fallback — exactly what the VM exchange executes.
 func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
-	c := Candidate{Strategy: VMStaged, Workers: wl.OutputParts, Instance: it.Name, Spot: spot}
+	parts := wl.Workers
+	if parts <= 0 {
+		parts = 8
+	}
+	c := Candidate{Strategy: VMStaged, Workers: parts, Instance: it.Name, Spot: spot}
 	if int64(it.MemoryGB)<<30 < wl.DataBytes {
 		c.Reason = fmt.Sprintf("%d GB memory < dataset", it.MemoryGB)
 		return c
@@ -257,19 +261,16 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		c.Reason = "no spot market for this type"
 		return c
 	}
-	conns := env.VMConns
-	if conns <= 0 {
-		conns = it.VCPUs
-	}
+	conns := env.VM.ConnsOn(it)
 	rate := math.Min(it.NICBandwidth, env.Store.Rate(float64(conns), 1))
 	d := float64(wl.DataBytes)
 	lat := env.Store.RequestLatency.Seconds()
 	stageIn := d/rate + lat
-	sortT := d / env.VMSortBps
+	sortT := d / env.VM.SortRate()
 	stageOut := d/rate + lat
 	work := stageIn + sortT + stageOut
 	standing := env.VMStandingType != "" && it.Name == env.VMStandingType
-	bootSetup := it.BootTime.Seconds() + env.VMSetup.Seconds()
+	bootSetup := it.BootTime.Seconds() + env.VM.Setup.Seconds()
 	if standing {
 		// A session-owned instance is already booted and deployed.
 		bootSetup = 0
@@ -291,7 +292,7 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		// E[time]: the fault-free run, plus — with probability q — half
 		// the work wasted before the reclaim, a fresh boot+setup, and
 		// the full leg redone (staged bytes die with the instance).
-		seconds += q * (0.5*work + it.BootTime.Seconds() + env.VMSetup.Seconds() + work)
+		seconds += q * (0.5*work + it.BootTime.Seconds() + env.VM.Setup.Seconds() + work)
 	}
 	c.Time = time.Duration(seconds * float64(time.Second))
 	// Instance-hours at each rate, and the boot volume for the whole
@@ -304,7 +305,7 @@ func predictVM(it vm.InstanceType, spot bool, wl Workload, env Env) Candidate {
 		// marginal cost excludes them.
 		instUSD = 0
 	}
-	classA, classB := int64(wl.OutputParts), int64(conns)+1
+	classA, classB := int64(parts), int64(conns)+1
 	c.CostUSD = instUSD + env.Prices.StorageCost(storeUse(classA, classB, 2*wl.DataBytes, c.Time))
 	return withStoreFaults(c, env, classA, classB)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
@@ -37,9 +38,9 @@ func TestCacheFoldMatchesRetiredPredictor(t *testing.T) {
 				ReadOpsPerSec:    logUniform(10, 1e7),
 				WriteOpsPerSec:   logUniform(10, 1e7),
 			},
-			FunctionMemoryMB: 128 << rng.Intn(6),
-			Prices:           billing.Default(),
-			HasCache:         true,
+			Faas:     faas.Config{MemoryMB: 128 << rng.Intn(6)},
+			Prices:   billing.Default(),
+			HasCache: true,
 			Cache: memcache.Config{
 				NodeMemoryBytes:  int64(logUniform(1e8, 1e11)),
 				RequestLatency:   time.Duration(logUniform(1e4, 1e7)),
@@ -77,7 +78,7 @@ func TestCacheFoldMatchesRetiredPredictor(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			wl.PartitionBps, wl.MergeBps = logUniform(1e6, 1e9), logUniform(1e6, 1e9)
 		}
-		wl = wl.withDefaults()
+		wl.PlanInput = wl.PlanInput.WithDefaults()
 		w := 1 + rng.Intn(256)
 		multiZone := env.Zones > 1 && rng.Intn(2) == 0
 

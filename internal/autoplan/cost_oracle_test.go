@@ -23,7 +23,7 @@ func outputPartRequests(outBytes int64) int64 {
 // workers running activeSeconds each plus per-invocation fees, and
 // classA writes, classB reads and heldBytes kept for dur.
 func functionUSD(env Env, workers int, activeSeconds float64, invocations int) float64 {
-	memGB := float64(env.FunctionMemoryMB) / 1024
+	memGB := float64(env.Faas.MemoryMB) / 1024
 	return float64(workers)*activeSeconds*memGB*env.Prices.FunctionGBSecond +
 		float64(invocations)*env.Prices.FunctionInvocation
 }

@@ -1,6 +1,7 @@
 package autoplan
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,6 +154,34 @@ func TestSingleZoneEnvHasNoMultiZoneCandidates(t *testing.T) {
 	for _, c := range dec.Candidates {
 		if c.MultiZone {
 			t.Errorf("single-zone env produced multi-zone candidate %s", c.Config())
+		}
+	}
+}
+
+// TestSpeculationReadsThePlatformSlowdown: the planner prices the
+// straggler tail at the factor the platform draws, Faas.Slowdown. A
+// StragglerSlowdown of 1 runs stragglers at full speed, so there is no
+// tail to speculate against; the unset 0 is the platform's 3x.
+func TestSpeculationReadsThePlatformSlowdown(t *testing.T) {
+	for _, c := range []struct {
+		slowdown float64
+		arm      bool
+	}{{1, false}, {0, true}, {3, true}} {
+		env := flipEnv()
+		env.Faas.StragglerRate = 0.2
+		env.Faas.StragglerSlowdown = c.slowdown
+		dec, err := Plan(flipWorkload(4e9), env, Objective{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Chosen.Strategy == VMStaged {
+			t.Fatalf("slowdown %g: chose %s, which has no waves to speculate", c.slowdown, dec.Chosen.Config())
+		}
+		if dec.Speculation.Arm != c.arm {
+			t.Errorf("slowdown %g: arm=%v (%s), want %v", c.slowdown, dec.Speculation.Arm, dec.Speculation.Reason, c.arm)
+		}
+		if c.slowdown == 1 && !strings.HasPrefix(dec.Speculation.Reason, "expected straggler tail 0.00s") {
+			t.Errorf("slowdown 1: %q, want no straggler tail", dec.Speculation.Reason)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 )
 
@@ -82,8 +83,8 @@ func TestHistoryRedirectsPlan(t *testing.T) {
 			ReadOpsPerSec:    3000,
 			WriteOpsPerSec:   1500,
 		},
-		FunctionMemoryMB: 2048,
-		Prices:           billing.Default(),
+		Faas:   faas.Config{MemoryMB: 2048},
+		Prices: billing.Default(),
 	}
 	wl := Workload{PlanInput: shuffle.PlanInput{DataBytes: 4e9, MaxWorkers: 64, WorkerMemBytes: 2 << 30, Startup: time.Second}}
 

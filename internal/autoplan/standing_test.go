@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/billing"
+	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
 	"github.com/faaspipe/faaspipe/internal/vm"
@@ -18,8 +19,8 @@ func standingEnv() Env {
 			ReadOpsPerSec:    3000,
 			WriteOpsPerSec:   1500,
 		},
-		FunctionMemoryMB: 2048,
-		Prices:           billing.Default(),
+		Faas:   faas.Config{MemoryMB: 2048},
+		Prices: billing.Default(),
 	}
 }
 
@@ -35,8 +36,8 @@ func TestStandingVMOverridesProfilePin(t *testing.T) {
 	env.NoObjectStorage = true
 	env.NoHierarchical = true
 	env.VMTypes = vm.Catalog()
-	env.VMInstanceType = "bx2-8x32" // the profile's pin
-	env.VMStandingType = "bx2-4x16" // what the session actually runs
+	env.VM.InstanceType = "bx2-8x32" // the profile's pin
+	env.VMStandingType = "bx2-4x16"  // what the session actually runs
 
 	dec, err := Plan(standingWorkload(4e9), env, Objective{})
 	if err != nil {

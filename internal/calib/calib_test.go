@@ -69,14 +69,28 @@ func TestSortParamsDerivation(t *testing.T) {
 	}
 }
 
+// TestVMStrategyDerivation: the VM strategy runs the profile's leg, and
+// the planner prices that same leg on the platform the rig runs, so what
+// is priced is what executes.
 func TestVMStrategyDerivation(t *testing.T) {
-	rig, err := NewRig(Paper())
-	if err != nil {
-		t.Fatalf("NewRig: %v", err)
-	}
-	vs := rig.VMStrategy()
-	if vs.InstanceType != "bx2-8x32" || vs.SortBps != rig.Profile.VMSortBps {
-		t.Fatalf("VMStrategy = %+v", vs)
+	faulty := Paper()
+	faulty.Faas.FailureRate, faulty.Faas.StragglerRate, faulty.Faas.StragglerSlowdown = 0.1, 0.05, 4
+	for _, p := range []Profile{Paper(), Local(), faulty} {
+		rig, err := NewRig(p)
+		if err != nil {
+			t.Fatalf("NewRig: %v", err)
+		}
+		vs := rig.VMStrategy()
+		if vs.InstanceType != "bx2-8x32" || vs.SortBps != rig.Profile.VMSortBps {
+			t.Fatalf("VMStrategy = %+v", vs)
+		}
+		env := PlanEnv(p)
+		if env.VM != vs.Leg {
+			t.Errorf("%s: PlanEnv prices the leg %+v, VMStrategy runs %+v", p.Name, env.VM, vs.Leg)
+		}
+		if env.Faas != rig.Platform.Config() {
+			t.Errorf("%s: PlanEnv prices the platform %+v, the rig runs %+v", p.Name, env.Faas, rig.Platform.Config())
+		}
 	}
 }
 

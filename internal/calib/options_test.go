@@ -33,7 +33,7 @@ import (
 // whose x resolves to it, through embedding too. A package's own default
 // does not count: an assignment to a field, in the package declaring it,
 // under an if whose condition reads that field (the planner filling in
-// Env.VMSortBps is one).
+// Env.CrossZoneRTT is one).
 func TestOptionsHaveACaller(t *testing.T) {
 	structs := map[string][]string{ // package (its directory's name) -> types
 		"autoplan":    {"Env", "Workload", "Objective"},
@@ -50,7 +50,7 @@ func TestOptionsHaveACaller(t *testing.T) {
 		"pipeline":    {"JobConfig"},
 		"session":     {"Options", "Job"},
 		"shuffle":     {"Spec", "HierSpec", "CacheSpec", "PlanInput"},
-		"vm":          {"Provisioner"},
+		"vm":          {"Provisioner", "Leg"},
 	}
 	allowed := map[string]string{
 		"shuffle.Spec.StreamChunkBytes":  "the tests' seam for chunk-boundary carries on small inputs: TestGoldenMidLineChunksMatchSeed, TestStreamedReduceOverlapsTransfer",

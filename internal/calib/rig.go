@@ -125,12 +125,13 @@ func (r *Rig) SortParams(inBucket, inKey, outBucket, outPrefix string, workers i
 // has handed the executor a standing instance the sort stages through
 // that instead of provisioning.
 func (r *Rig) VMStrategy() *core.VMExchange {
-	return &core.VMExchange{
-		InstanceType: r.Profile.InstanceType,
-		Setup:        r.Profile.VMSetup,
-		SortBps:      r.Profile.VMSortBps,
-		Conns:        r.Profile.VMConns,
-	}
+	return &core.VMExchange{Leg: vmLeg(r.Profile)}
+}
+
+// vmLeg is the profile's VM leg: what VMStrategy runs and PlanEnv
+// prices.
+func vmLeg(p Profile) vm.Leg {
+	return vm.Leg{InstanceType: p.InstanceType, Setup: p.VMSetup, SortBps: p.VMSortBps, Conns: p.VMConns}
 }
 
 // CacheStrategy builds the profile's cache exchange strategy. warm
@@ -179,21 +180,13 @@ func PlanEnv(p Profile) autoplan.Env {
 		types = vm.Catalog()
 	}
 	return autoplan.Env{
-		Store:            shuffle.ProfileOf(p.Store),
-		FunctionMemoryMB: p.Faas.MemoryMB,
-		Prices:           p.Prices,
-		HasCache:         p.Cache.NodeMemoryBytes > 0,
-		Cache:            p.Cache,
-		VMTypes:          types,
-		VMInstanceType:   p.InstanceType,
-		VMSetup:          p.VMSetup,
-		VMSortBps:        p.VMSortBps,
-		VMConns:          p.VMConns,
-
-		FaasFailureRate:       p.Faas.FailureRate,
-		FaasStragglerRate:     p.Faas.StragglerRate,
-		FaasStragglerSlowdown: p.Faas.StragglerSlowdown,
-
-		Zones: len(p.Zones),
+		Store:    shuffle.ProfileOf(p.Store),
+		Faas:     p.Faas,
+		Prices:   p.Prices,
+		HasCache: p.Cache.NodeMemoryBytes > 0,
+		Cache:    p.Cache,
+		VMTypes:  types,
+		VM:       vmLeg(p),
+		Zones:    len(p.Zones),
 	}
 }

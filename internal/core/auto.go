@@ -22,8 +22,7 @@ type AutoExchange struct {
 	// profile the executor's services were built from. RunSort overlays
 	// only what is live when the stage runs: a standing cluster or
 	// instance that is still up, and the stage's memory grant. A VM leg
-	// runs with the Env's VM knobs (VMSetup, VMSortBps, VMConns), the
-	// ones it was priced with.
+	// runs as Env.VM, the leg it was priced as, on the chosen instance.
 	Env autoplan.Env
 	// LastDecision is the most recent planner output (for reports; the
 	// simulation kernel runs one process at a time, so reads after the
@@ -54,10 +53,10 @@ func (a *AutoExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutcom
 	if in.Startup <= 0 {
 		in.Startup = ctx.Exec.Platform.Config().ColdStart
 	}
-	wl := autoplan.Workload{PlanInput: in, Workers: spec.Workers, OutputParts: spec.Workers}
+	wl := autoplan.Workload{PlanInput: in, Workers: spec.Workers}
 	env := a.Env
 	if spec.MemoryMB > 0 {
-		env.FunctionMemoryMB = spec.MemoryMB
+		env.Faas.MemoryMB = spec.MemoryMB
 	}
 	if c := ctx.Exec.StandingCache; c != nil && !c.Stopped() {
 		env.CacheStandingNodes = c.Nodes()
@@ -117,20 +116,9 @@ func (a *AutoExchange) dispatch(ctx *StageContext, spec shuffle.Spec, dec *autop
 	case autoplan.CacheBacked:
 		return (&CacheExchange{Nodes: c.CacheNodes}).RunSort(ctx, q)
 	case autoplan.VMStaged:
-		ve := VMExchange{
-			InstanceType: c.Instance,
-			Setup:        a.Env.VMSetup,
-			SortBps:      a.Env.VMSortBps,
-			Conns:        a.Env.VMConns,
-			Spot:         c.Spot,
-		}
+		ve := VMExchange{Leg: a.Env.VM, Spot: c.Spot}
+		ve.InstanceType = c.Instance
 		q.Speculate = false // single VM: nothing to speculate
-		if ve.SortBps <= 0 {
-			// Run with the same sort throughput the planner predicted
-			// with, or the simulated VM skips the sort pass entirely
-			// and the measurement flatters the prediction.
-			ve.SortBps = autoplan.DefaultVMSortBps
-		}
 		return ve.RunSort(ctx, q)
 	default:
 		return SortOutcome{}, fmt.Errorf("auto exchange: unknown strategy %v", c.Strategy)

@@ -14,10 +14,10 @@ import (
 // tests here cannot use it).
 func planEnvOf(exec *Executor) autoplan.Env {
 	return autoplan.Env{
-		Store:            shuffle.ProfileOf(exec.Store.Config()),
-		FunctionMemoryMB: exec.Platform.Config().MemoryMB,
-		Prices:           exec.Prices,
-		VMTypes:          exec.Provisioner.Types(),
+		Store:   shuffle.ProfileOf(exec.Store.Config()),
+		Faas:    exec.Platform.Config(),
+		Prices:  exec.Prices,
+		VMTypes: exec.Provisioner.Types(),
 	}
 }
 

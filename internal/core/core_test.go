@@ -309,7 +309,7 @@ func TestSortStageVMStrategy(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 3000, Seed: 2, Sorted: false})
 	prepareInput(t, r, recs)
 	w := NewWorkflow("sort-vm")
-	strat := &VMExchange{InstanceType: "bx2-8x32", Setup: 10 * time.Second, SortBps: 400e6}
+	strat := &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32", Setup: 10 * time.Second, SortBps: 400e6}}
 	var gotKeys []string
 	_ = w.Add(&SortStage{Strategy: strat, Params: sortParams(8)})
 	_ = w.Add(&FuncStage{StageName: "collect", Fn: func(ctx *StageContext) error {
@@ -346,7 +346,7 @@ func TestVMExchangeRequiresWorkers(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 100, Seed: 3})
 	prepareInput(t, r, recs)
 	w := NewWorkflow("vm-noworkers")
-	_ = w.Add(&SortStage{Strategy: &VMExchange{InstanceType: "bx2-8x32"}, Params: sortParams(0)})
+	_ = w.Add(&SortStage{Strategy: &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32"}}, Params: sortParams(0)})
 	_, err := r.run(t, w)
 	if err == nil {
 		t.Fatal("VM exchange accepted Workers=0")
@@ -366,7 +366,7 @@ func TestVMExchangeMemoryGate(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	w := NewWorkflow("vm-oom")
-	_ = w.Add(&SortStage{Strategy: &VMExchange{InstanceType: "bx2-8x32"}, Params: sortParams(8)})
+	_ = w.Add(&SortStage{Strategy: &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32"}}, Params: sortParams(8)})
 	_, err := r.run(t, w)
 	if err == nil {
 		t.Fatal("oversized dataset accepted by VM exchange")

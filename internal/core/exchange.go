@@ -141,17 +141,8 @@ func (c *CacheExchange) RunSort(ctx *StageContext, spec shuffle.Spec) (SortOutco
 // dataset is funnelled into one large-memory instance through its NIC,
 // sorted locally, and written back as parts.
 type VMExchange struct {
-	// InstanceType is the catalog profile to provision (the paper
-	// uses bx2-8x32).
-	InstanceType string
-	// Setup is the post-boot runtime deployment time (the workflow
-	// engine installs its agent on the fresh VM).
-	Setup time.Duration
-	// SortBps is the instance's aggregate local sort throughput.
-	SortBps float64
-	// Conns is the number of parallel storage connections used for
-	// staging (bounded by vCPUs when zero).
-	Conns int
+	// Leg is the instance to provision and how the sort runs on it.
+	vm.Leg
 	// Spot provisions interruptible capacity at the type's spot rate.
 	// A preempted leg restarts on a fresh instance — on-demand for the
 	// fallback attempts, so one preemption cannot cascade — with the
@@ -250,10 +241,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 		}
 	}
 
-	conns := v.Conns
-	if conns <= 0 {
-		conns = max(inst.Type().VCPUs, 1)
-	}
+	conns := v.ConnsOn(inst.Type())
 	client := inst.StorageClient(ctx.Exec.Store, conns)
 
 	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
@@ -292,9 +280,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, spec shuffle.Spec, keys []str
 
 	// Local sort: the real bytes are sorted for correctness; virtual
 	// time is charged by modeled aggregate throughput.
-	if v.SortBps > 0 {
-		p.Sleep(time.Duration(float64(size) / v.SortBps * float64(time.Second)))
-	}
+	p.Sleep(time.Duration(float64(size) / v.SortRate() * float64(time.Second)))
 	if inst.Preempted() {
 		return SortOutcome{}, size, vm.ErrPreempted
 	}

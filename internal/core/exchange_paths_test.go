@@ -1,14 +1,17 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
+	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 func TestObjectStorageExchangeHierarchical(t *testing.T) {
@@ -37,7 +40,7 @@ func TestObjectStorageExchangeHierarchical(t *testing.T) {
 // provisioned, instead of running the strategy's own exchange in its
 // place. Groups without the two-level exchange fails the same way.
 func TestStrategiesRejectAnotherFamilysExchange(t *testing.T) {
-	vm := &VMExchange{InstanceType: "bx2-8x32", SortBps: 100e6}
+	ve := &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32", SortBps: 100e6}}
 	cases := []struct {
 		strategy ExchangeStrategy
 		exchange shuffle.Exchange
@@ -47,8 +50,8 @@ func TestStrategiesRejectAnotherFamilysExchange(t *testing.T) {
 		{ObjectStorageExchange{}, shuffle.ViaStore, 2},
 		{&CacheExchange{}, shuffle.ViaStoreTwoLevel, 2},
 		{&CacheExchange{}, shuffle.ViaStore, 2},
-		{vm, shuffle.ViaStoreTwoLevel, 2},
-		{vm, shuffle.ViaCache, 0},
+		{ve, shuffle.ViaStoreTwoLevel, 2},
+		{ve, shuffle.ViaCache, 0},
 		{&AutoExchange{}, shuffle.ViaStoreTwoLevel, 2},
 		{&AutoExchange{}, shuffle.ViaStore, 2},
 	}
@@ -99,7 +102,7 @@ func TestVMExchangeDatasetExceedsMemory(t *testing.T) {
 		t.Fatalf("stage sim: %v", err)
 	}
 	w := NewWorkflow("wf")
-	strategy := &VMExchange{InstanceType: "bx2-2x8", SortBps: 100e6}
+	strategy := &VMExchange{Leg: vm.Leg{InstanceType: "bx2-2x8", SortBps: 100e6}}
 	if err := w.Add(&SortStage{Strategy: strategy, Params: params}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -115,10 +118,46 @@ func TestVMExchangeNeedsExplicitWorkers(t *testing.T) {
 	params := stageData(t, r, recs)
 	params.Workers = 0
 	w := NewWorkflow("wf")
-	if err := w.Add(&SortStage{Strategy: &VMExchange{InstanceType: "bx2-8x32"}, Params: params}); err != nil {
+	if err := w.Add(&SortStage{Strategy: &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32"}}, Params: params}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, err := r.run(t, w); err == nil || !strings.Contains(err.Error(), "explicit Workers") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestVMExchangeSortsAtTheLegsRate: a leg that names no SortBps sorts at
+// vm.DefaultSortBps, the rate the planner prices the leg at, instead of
+// for free.
+func TestVMExchangeSortsAtTheLegsRate(t *testing.T) {
+	size := int64(1 << 30)
+	end := func(leg vm.Leg) time.Duration {
+		r := newRig(t)
+		var err error
+		r.sim.Spawn("driver", func(p *des.Proc) {
+			c := objectstore.NewClient(r.exec.Store)
+			for _, b := range []string{"data", "work"} {
+				if err = c.CreateBucket(p, b); err != nil {
+					return
+				}
+			}
+			if err = c.Put(p, "data", "in", payload.Sized(size)); err != nil {
+				return
+			}
+			_, err = (&VMExchange{Leg: leg}).RunSort(&StageContext{Proc: p, Exec: r.exec},
+				shuffle.Spec{InputBucket: "data", InputKey: "in", OutputBucket: "work", OutputPrefix: "sorted/", Workers: 2})
+		})
+		if serr := r.sim.Run(); serr != nil || err != nil {
+			t.Fatalf("sim %v, run %v", serr, err)
+		}
+		return r.sim.Now()
+	}
+	unset := end(vm.Leg{InstanceType: "bx2-8x32"})
+	if named := end(vm.Leg{InstanceType: "bx2-8x32", SortBps: vm.DefaultSortBps}); unset != named {
+		t.Errorf("a leg with no SortBps ends at %v, one naming vm.DefaultSortBps at %v", unset, named)
+	}
+	free := end(vm.Leg{InstanceType: "bx2-8x32", SortBps: math.Inf(1)})
+	if got, want := unset-free, time.Duration(float64(size)/vm.DefaultSortBps*float64(time.Second)); got != want {
+		t.Errorf("a leg with no SortBps sorted for %v, want size/vm.DefaultSortBps = %v", got, want)
 	}
 }

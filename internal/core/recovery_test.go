@@ -7,6 +7,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
+	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 // sortedOutput reads back the sorted parts and checks the full record
@@ -66,7 +67,7 @@ func TestVMExchangeRecoversFromPreemption(t *testing.T) {
 
 	w := NewWorkflow("spot-sort")
 	if err := w.Add(&SortStage{
-		Strategy: &VMExchange{InstanceType: "bx2-8x32", Spot: true, SortBps: float64(size) / 60},
+		Strategy: &VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32", SortBps: float64(size) / 60}, Spot: true},
 		Params:   params,
 	}); err != nil {
 		t.Fatalf("Add: %v", err)

@@ -8,6 +8,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
+	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 // TestVMPartKeysListInIndexOrder: the VM strategy names its output parts
@@ -32,7 +33,7 @@ func TestVMPartKeysListInIndexOrder(t *testing.T) {
 		if err = c.Put(p, "data", "in", payload.Sized(parts)); err != nil {
 			return
 		}
-		out, err = (&VMExchange{InstanceType: "bx2-8x32"}).RunSort(&StageContext{Proc: p, Exec: r.exec},
+		out, err = (&VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32"}}).RunSort(&StageContext{Proc: p, Exec: r.exec},
 			shuffle.Spec{InputBucket: "data", InputKey: "in", OutputBucket: "work", OutputPrefix: "sorted/", Workers: parts})
 		if err == nil {
 			listed, err = c.ListAll(p, "work", "sorted/")

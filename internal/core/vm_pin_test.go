@@ -13,6 +13,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 	"github.com/faaspipe/faaspipe/internal/shuffle"
+	"github.com/faaspipe/faaspipe/internal/vm"
 )
 
 // vmPinInputs are the real-bytes inputs the VM strategy's output is
@@ -87,7 +88,7 @@ func TestVMSortOutputPinned(t *testing.T) {
 			if runErr = c.Put(p, "data", "in", payload.Real(in.raw)); runErr != nil {
 				return
 			}
-			out, runErr = (&VMExchange{InstanceType: "bx2-8x32", SortBps: 100e6}).RunSort(
+			out, runErr = (&VMExchange{Leg: vm.Leg{InstanceType: "bx2-8x32", SortBps: 100e6}}).RunSort(
 				&StageContext{Proc: p, Exec: r.exec},
 				shuffle.Spec{InputBucket: "data", InputKey: "in", OutputBucket: "work", OutputPrefix: "sorted/", Workers: in.workers})
 			for _, key := range out.OutputKeys {

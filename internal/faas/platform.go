@@ -58,8 +58,17 @@ type Config struct {
 	// speculative execution targets.
 	StragglerRate float64
 	// StragglerSlowdown is the straggler CPU slowdown factor
-	// (default 3 when StragglerRate > 0).
+	// (default 3; see Slowdown).
 	StragglerSlowdown float64
+}
+
+// Slowdown is the factor a straggler's CPU runs slower by: what the
+// platform draws and the planner prices.
+func (c Config) Slowdown() float64 {
+	if c.StragglerSlowdown < 1 {
+		return 3
+	}
+	return c.StragglerSlowdown
 }
 
 // DefaultConfig resembles a public FaaS region with 2 GB functions,
@@ -317,11 +326,7 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 	speed := float64(mem) / float64(pf.cfg.BaselineMemoryMB)
 	straggler := pf.cfg.StragglerRate > 0 && p.Rand().Float64() < pf.cfg.StragglerRate
 	if straggler {
-		slowdown := pf.cfg.StragglerSlowdown
-		if slowdown < 1 {
-			slowdown = 3
-		}
-		speed /= slowdown
+		speed /= pf.cfg.Slowdown()
 		pf.meter.Charge(p, func(m *Meter) { m.Stragglers++ })
 	}
 

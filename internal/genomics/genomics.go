@@ -24,76 +24,95 @@ const (
 	DecodeFn = "methcomp/decode"
 )
 
-// EncodeTask is the input of one encode activation.
-type EncodeTask struct {
+// Task is the input of one encode or decode activation.
+type Task struct {
 	Bucket, Key string
 	OutBucket   string
 	OutKey      string
-	EncodeBps   float64
-	SizedRatio  float64
+	// Bps is the codec's throughput at the baseline memory grant.
+	Bps float64
+	// SizedRatio is the size reduction sized-mode encode applies and
+	// decode undoes (see sizedRatio).
+	SizedRatio float64
 }
 
-// DecodeTask is the input of one decode activation.
-type DecodeTask struct {
-	Bucket, Key string
-	OutBucket   string
-	OutKey      string
-	DecodeBps   float64
-	SizedRatio  float64
+// Inputs builds the task of each part a codec stage maps over: the part
+// at objKey in bucket, written to outBucket under outFormat with its
+// index.
+func Inputs(bucket, outBucket, outFormat string, bps, ratio float64) func(objKey string, i int) any {
+	return func(objKey string, i int) any {
+		return &Task{
+			Bucket:     bucket,
+			Key:        objKey,
+			OutBucket:  outBucket,
+			OutKey:     fmt.Sprintf(outFormat, i),
+			Bps:        bps,
+			SizedRatio: ratio,
+		}
+	}
+}
+
+// sizedRatio is the size reduction sized mode applies: ratio, or 20
+// when it is not above 1.
+func sizedRatio(ratio float64) float64 {
+	if ratio <= 1 {
+		return 20
+	}
+	return ratio
 }
 
 // RegisterFunctions adds the METHCOMP encode/decode functions to the
 // platform.
 func RegisterFunctions(pf *faas.Platform) error {
-	if err := pf.Register(EncodeFn, encodeHandler); err != nil {
+	if err := pf.Register(EncodeFn, codec("encode", encode)); err != nil {
 		return err
 	}
-	return pf.Register(DecodeFn, decodeHandler)
+	return pf.Register(DecodeFn, codec("decode", decode))
 }
 
-func encodeHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*EncodeTask)
-	if !ok {
-		return nil, fmt.Errorf("genomics: encode input %T", input)
-	}
-	pl, err := ctx.Store.Get(ctx.Proc, task.Bucket, task.Key)
-	if err != nil {
-		return nil, fmt.Errorf("genomics: encode fetch %s: %w", task.Key, err)
-	}
-	ctx.ComputeBytes(pl.Size(), task.EncodeBps)
-
-	var out payload.Payload
-	if raw, real := pl.Bytes(); real {
-		comp, err := methcomp.CompressLines(raw)
-		switch {
-		case errors.Is(err, methcomp.ErrStrandDot):
-			return nil, fmt.Errorf("genomics: encode %s: %w", task.Key, err)
-		case err != nil:
-			return nil, fmt.Errorf("genomics: encode parse %s: %w", task.Key, err)
+// codec is the handler of a codec function: it fetches the task's part,
+// turns it into its output with run, and writes that.
+func codec(name string, run func(ctx *faas.Ctx, task *Task, pl payload.Payload) (payload.Payload, error)) faas.Handler {
+	return func(ctx *faas.Ctx, input any) (any, error) {
+		task, ok := input.(*Task)
+		if !ok {
+			return nil, fmt.Errorf("genomics: %s input %T", name, input)
 		}
-		out = payload.RealNoCopy(comp)
-	} else {
-		ratio := task.SizedRatio
-		if ratio <= 1 {
-			ratio = 20
+		pl, err := ctx.Store.Get(ctx.Proc, task.Bucket, task.Key)
+		if err != nil {
+			return nil, fmt.Errorf("genomics: %s fetch %s: %w", name, task.Key, err)
 		}
-		out = payload.Sized(int64(float64(pl.Size()) / ratio))
+		out, err := run(ctx, task, pl)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Store.Put(ctx.Proc, task.OutBucket, task.OutKey, out); err != nil {
+			return nil, fmt.Errorf("genomics: %s write %s: %w", name, task.OutKey, err)
+		}
+		return task.OutKey, nil
 	}
-	if err := ctx.Store.Put(ctx.Proc, task.OutBucket, task.OutKey, out); err != nil {
-		return nil, fmt.Errorf("genomics: encode write %s: %w", task.OutKey, err)
-	}
-	return task.OutKey, nil
 }
 
-func decodeHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*DecodeTask)
-	if !ok {
-		return nil, fmt.Errorf("genomics: decode input %T", input)
+// encode compresses a part with METHCOMP, or a sized one by its ratio.
+func encode(ctx *faas.Ctx, task *Task, pl payload.Payload) (payload.Payload, error) {
+	ctx.ComputeBytes(pl.Size(), task.Bps)
+	raw, real := pl.Bytes()
+	if !real {
+		return payload.Sized(int64(float64(pl.Size()) / sizedRatio(task.SizedRatio))), nil
 	}
-	pl, err := ctx.Store.Get(ctx.Proc, task.Bucket, task.Key)
-	if err != nil {
-		return nil, fmt.Errorf("genomics: decode fetch %s: %w", task.Key, err)
+	comp, err := methcomp.CompressLines(raw)
+	switch {
+	case errors.Is(err, methcomp.ErrStrandDot):
+		return nil, fmt.Errorf("genomics: encode %s: %w", task.Key, err)
+	case err != nil:
+		return nil, fmt.Errorf("genomics: encode parse %s: %w", task.Key, err)
 	}
+	return payload.RealNoCopy(comp), nil
+}
+
+// decode expands a part back into bedMethyl lines, or a sized one by
+// its ratio.
+func decode(ctx *faas.Ctx, task *Task, pl payload.Payload) (payload.Payload, error) {
 	var out payload.Payload
 	if raw, real := pl.Bytes(); real {
 		recs, err := methcomp.Decompress(raw)
@@ -102,17 +121,10 @@ func decodeHandler(ctx *faas.Ctx, input any) (any, error) {
 		}
 		out = payload.RealNoCopy(bed.Marshal(recs))
 	} else {
-		ratio := task.SizedRatio
-		if ratio <= 1 {
-			ratio = 20
-		}
-		out = payload.Sized(int64(float64(pl.Size()) * ratio))
+		out = payload.Sized(int64(float64(pl.Size()) * sizedRatio(task.SizedRatio)))
 	}
-	ctx.ComputeBytes(out.Size(), task.DecodeBps)
-	if err := ctx.Store.Put(ctx.Proc, task.OutBucket, task.OutKey, out); err != nil {
-		return nil, fmt.Errorf("genomics: decode write %s: %w", task.OutKey, err)
-	}
-	return task.OutKey, nil
+	ctx.ComputeBytes(out.Size(), task.Bps)
+	return out, nil
 }
 
 // BuildRoundtripPipeline extends the two-stage workflow with decode
@@ -134,16 +146,7 @@ func BuildRoundtripPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 		StageName:       "decode",
 		Function:        DecodeFn,
 		InputsFromState: "encode.keys",
-		BuildInput: func(objKey string, i int) any {
-			return &DecodeTask{
-				Bucket:     cfg.WorkBucket,
-				Key:        objKey,
-				OutBucket:  cfg.WorkBucket,
-				OutKey:     fmt.Sprintf("decoded/part-%04d.bed", i),
-				DecodeBps:  cfg.EncodeBps,
-				SizedRatio: cfg.EncodeRatio,
-			}
-		},
+		BuildInput:      Inputs(cfg.WorkBucket, cfg.WorkBucket, "decoded/part-%04d.bed", cfg.EncodeBps, cfg.EncodeRatio),
 	}
 	if err := w.Add(decode, "encode"); err != nil {
 		return nil, err
@@ -170,7 +173,7 @@ func verifyRoundtrip(ctx *core.StageContext, cfg PipelineConfig) error {
 	if err != nil {
 		return err
 	}
-	client := objectClient(ctx)
+	client := objectstore.NewClient(ctx.Exec.Store)
 	decoded := make([][]byte, 0, len(keys))
 	var decodedBytes int64
 	real := true
@@ -198,10 +201,7 @@ func verifyRoundtrip(ctx *core.StageContext, cfg PipelineConfig) error {
 		// Sized mode: encode divides each part's size by the ratio and
 		// decode multiplies back, so integer truncation loses up to
 		// ratio+1 bytes per part. Volume must be conserved within that.
-		ratio := cfg.EncodeRatio
-		if ratio <= 1 {
-			ratio = 20
-		}
+		ratio := sizedRatio(cfg.EncodeRatio)
 		tolerance := int64(float64(len(keys)) * (ratio + 1))
 		if diff := orig.Size() - decodedBytes; diff < 0 || diff > tolerance {
 			return fmt.Errorf("genomics: verify: decoded %d bytes vs input %d (tolerance %d)",
@@ -227,11 +227,6 @@ func verifyRoundtrip(ctx *core.StageContext, cfg PipelineConfig) error {
 		return fmt.Errorf("genomics: verify: decoded parts end %d bytes short of the sorted input", len(want))
 	}
 	return nil
-}
-
-// objectClient builds a store client for orchestrator-side stages.
-func objectClient(ctx *core.StageContext) *objectstore.Client {
-	return objectstore.NewClient(ctx.Exec.Store)
 }
 
 // PipelineConfig describes one METHCOMP pipeline run.
@@ -279,16 +274,7 @@ func BuildPipeline(cfg PipelineConfig) (*core.Workflow, error) {
 		StageName:       "encode",
 		Function:        EncodeFn,
 		InputsFromState: "sort.keys",
-		BuildInput: func(objKey string, i int) any {
-			return &EncodeTask{
-				Bucket:     sort.OutputBucket,
-				Key:        objKey,
-				OutBucket:  cfg.WorkBucket,
-				OutKey:     fmt.Sprintf("compressed/part-%04d.mcz", i),
-				EncodeBps:  cfg.EncodeBps,
-				SizedRatio: cfg.EncodeRatio,
-			}
-		},
+		BuildInput:      Inputs(sort.OutputBucket, cfg.WorkBucket, "compressed/part-%04d.mcz", cfg.EncodeBps, cfg.EncodeRatio),
 	}
 	if err := w.Add(encode, "sort"); err != nil {
 		return nil, err

@@ -253,10 +253,10 @@ func TestDecodeFunctionRoundtrip(t *testing.T) {
 		c := objectstore.NewClient(rig.Store)
 		_ = c.CreateBucket(p, "work")
 		_ = c.Put(p, "work", "in.mcz", payload.RealNoCopy(comp))
-		out, err := rig.Platform.Invoke(p, DecodeFn, &DecodeTask{
+		out, err := rig.Platform.Invoke(p, DecodeFn, &Task{
 			Bucket: "work", Key: "in.mcz",
 			OutBucket: "work", OutKey: "out.bed",
-			DecodeBps: 100e6,
+			Bps: 100e6,
 		}, faas.InvokeOptions{})
 		if err != nil {
 			t.Errorf("decode invoke: %v", err)

@@ -112,10 +112,10 @@ func TestEncodeErrorTextPinned(t *testing.T) {
 			if encErr = c.Put(p, "work", "sorted/part-0000", payload.Real([]byte(part.raw))); encErr != nil {
 				return
 			}
-			_, encErr = rig.Platform.Invoke(p, EncodeFn, &EncodeTask{
+			_, encErr = rig.Platform.Invoke(p, EncodeFn, &Task{
 				Bucket: "work", Key: "sorted/part-0000",
 				OutBucket: "work", OutKey: "compressed/part-0000.mcz",
-				EncodeBps: 100e6,
+				Bps: 100e6,
 			}, faas.InvokeOptions{})
 			if encErr != nil {
 				return

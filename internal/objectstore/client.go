@@ -17,7 +17,7 @@ type Client struct {
 	// FlowCap, when > 0, caps every transfer's rate (bytes/second) in
 	// addition to the service's per-connection ceiling.
 	FlowCap float64
-	// MaxRetries bounds retry attempts for ErrSlowDown (default 6).
+	// MaxRetries bounds retry attempts for ErrSlowDown (0: defaultMaxRetries).
 	MaxRetries int
 
 	retries int64
@@ -30,7 +30,7 @@ const RetryBackoffBase = 100 * time.Millisecond
 
 // NewClient returns a client for svc with default retry policy.
 func NewClient(svc *Service) *Client {
-	return &Client{svc: svc, MaxRetries: 6}
+	return &Client{svc: svc}
 }
 
 // WithFlowCap returns a copy of the client whose transfers are capped
@@ -74,12 +74,15 @@ func (c *Client) backOff(p *des.Proc, retries *int, cause error) error {
 	return nil
 }
 
+// defaultMaxRetries is a client's retry bound when it sets none.
+const defaultMaxRetries = 6
+
 // maxRetries returns the client's effective retry bound.
 func (c *Client) maxRetries() int {
 	if c.MaxRetries > 0 {
 		return c.MaxRetries
 	}
-	return 6
+	return defaultMaxRetries
 }
 
 // CreateBucket creates a bucket, tolerating that it already exists.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -75,13 +74,7 @@ func TestBuildAndRunFromJSON(t *testing.T) {
 	w, err := d.Build(BuildOptions{
 		Rig: rig,
 		MapInputs: map[string]MapInputBuilder{
-			"encode": func(objKey string, i int) any {
-				return &genomics.EncodeTask{
-					Bucket: "work", Key: objKey,
-					OutBucket: "work", OutKey: fmt.Sprintf("compressed/part-%04d.mcz", i),
-					EncodeBps: rig.Profile.EncodeBps, SizedRatio: rig.Profile.EncodeRatio,
-				}
-			},
+			"encode": genomics.Inputs("work", "work", "compressed/part-%04d.mcz", rig.Profile.EncodeBps, rig.Profile.EncodeRatio),
 		},
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
 	"github.com/faaspipe/faaspipe/internal/calib"
@@ -98,6 +99,9 @@ func Run(d *Doc, profile calib.Profile, cfg JobConfig) (*core.RunReport, error) 
 	return rep, runErr
 }
 
+// codecExt is the extension of each built-in codec's output parts.
+var codecExt = map[string]string{genomics.EncodeFn: ".mcz", genomics.DecodeFn: ".bed"}
+
 // defaultBuilders derives a map-input builder for every map stage whose
 // function Run knows how to feed (the built-in METHCOMP codecs).
 // Outputs land under "<stage name>/part-NNNN" in the work bucket.
@@ -107,35 +111,15 @@ func defaultBuilders(d *Doc, profile calib.Profile) (map[string]MapInputBuilder,
 		if s.Type != "map" {
 			continue
 		}
-		s := s
-		switch s.Function {
-		case genomics.EncodeFn:
-			builders[s.Name] = func(objKey string, i int) any {
-				return &genomics.EncodeTask{
-					Bucket:     d.WorkBucket,
-					Key:        objKey,
-					OutBucket:  d.WorkBucket,
-					OutKey:     fmt.Sprintf("%s/part-%04d.mcz", s.Name, i),
-					EncodeBps:  profile.EncodeBps,
-					SizedRatio: profile.EncodeRatio,
-				}
-			}
-		case genomics.DecodeFn:
-			builders[s.Name] = func(objKey string, i int) any {
-				return &genomics.DecodeTask{
-					Bucket:     d.WorkBucket,
-					Key:        objKey,
-					OutBucket:  d.WorkBucket,
-					OutKey:     fmt.Sprintf("%s/part-%04d.bed", s.Name, i),
-					DecodeBps:  profile.EncodeBps,
-					SizedRatio: profile.EncodeRatio,
-				}
-			}
-		default:
+		ext, ok := codecExt[s.Function]
+		if !ok {
 			return nil, fmt.Errorf(
 				"pipeline: no built-in input builder for function %q (stage %q); use Doc.Build with explicit MapInputs",
 				s.Function, s.Name)
 		}
+		// The stage name is the output directory, taken literally.
+		out := strings.ReplaceAll(s.Name, "%", "%%") + "/part-%04d" + ext
+		builders[s.Name] = genomics.Inputs(d.WorkBucket, d.WorkBucket, out, profile.EncodeBps, profile.EncodeRatio)
 	}
 	return builders, nil
 }

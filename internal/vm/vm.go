@@ -73,6 +73,45 @@ type InstanceType struct {
 	InterruptRate float64
 }
 
+// DefaultSortBps is a leg's aggregate local sort throughput when it
+// names none: an 8-core external-merge sort.
+const DefaultSortBps = 270e6
+
+// Leg is the VM-supported exchange leg: the instance a sort is staged
+// through and how it runs there. core.VMExchange runs one and the
+// planner prices one, so both read the defaults from SortRate and
+// ConnsOn.
+type Leg struct {
+	// InstanceType is the catalog profile to provision (the paper uses
+	// bx2-8x32; the planner searches the whole catalog when it is "").
+	InstanceType string
+	// Setup is the post-boot runtime deployment time (the workflow
+	// engine installs its agent on the fresh VM).
+	Setup time.Duration
+	// SortBps is the instance's aggregate local sort throughput
+	// (0: DefaultSortBps).
+	SortBps float64
+	// Conns is the number of parallel storage connections used for
+	// staging (0: one per vCPU).
+	Conns int
+}
+
+// SortRate is the leg's local sort throughput in bytes/second.
+func (l Leg) SortRate() float64 {
+	if l.SortBps > 0 {
+		return l.SortBps
+	}
+	return DefaultSortBps
+}
+
+// ConnsOn is the leg's staging connection count on an instance of it.
+func (l Leg) ConnsOn(it InstanceType) int {
+	if l.Conns > 0 {
+		return l.Conns
+	}
+	return max(it.VCPUs, 1)
+}
+
 // Catalog returns the built-in instance catalog, modeled on the IBM
 // bx2 (balanced) family. Boot times reflect provision-from-scratch as
 // a workflow engine like Lithops experiences it (image pull + cloud
