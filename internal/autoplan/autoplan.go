@@ -106,12 +106,12 @@ type Env struct {
 	// Store is the object storage throughput profile.
 	Store shuffle.StoreProfile
 	// Faas is the function platform's profile, as the operators run on
-	// it. MemoryMB is the shuffle workers' grant for GB-second pricing
-	// (default 2048). FailureRate, StragglerRate and Slowdown are its
-	// straggler exposure: the planner weighs it against the
-	// duplicate-invocation cost to decide whether to arm speculation
-	// (failed invocations retry, widening the wave tail like a
-	// straggler).
+	// it. MemoryMB is the shuffle workers' grant for GB-second pricing;
+	// Plan refuses a non-positive one, as faas.New does. FailureRate,
+	// StragglerRate and Slowdown are its straggler exposure: the planner
+	// weighs it against the duplicate-invocation cost to decide whether
+	// to arm speculation (failed invocations retry, widening the wave
+	// tail like a straggler).
 	Faas faas.Config
 	// Prices is the billing book.
 	Prices billing.PriceBook
@@ -247,9 +247,6 @@ type Decision struct {
 }
 
 func (e Env) withDefaults() Env {
-	if e.Faas.MemoryMB <= 0 {
-		e.Faas.MemoryMB = 2048
-	}
 	if e.Zones <= 0 {
 		e.Zones = 1
 	}
@@ -308,6 +305,9 @@ func Plan(w Workload, env Env, obj Objective) (Decision, error) {
 	}
 	if env.Store.PerConnBandwidth <= 0 || env.Store.ReadOpsPerSec <= 0 || env.Store.WriteOpsPerSec <= 0 {
 		return Decision{}, fmt.Errorf("autoplan: invalid store profile %+v", env.Store)
+	}
+	if env.Faas.MemoryMB <= 0 {
+		return Decision{}, fmt.Errorf("autoplan: non-positive function memory grant %d MB", env.Faas.MemoryMB)
 	}
 	if env.HasCache && (env.Cache.NodeMemoryBytes <= 0 || env.Cache.PerConnBandwidth <= 0 || env.Cache.NodeOpsPerSec <= 0) {
 		// A zero node capacity would spin NodesForCapacity forever.

@@ -188,6 +188,16 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(flipWorkload(1e9), Env{}, Objective{}); err == nil {
 		t.Error("no error for empty store profile")
 	}
+	// A platform needs a memory grant to run at all (faas.New refuses
+	// none), so the planner refuses to price one without it.
+	for _, mb := range []int{0, -512} {
+		noGrant := env
+		noGrant.Faas.MemoryMB = mb
+		_, err := Plan(flipWorkload(1e9), noGrant, Objective{})
+		if err == nil || !strings.Contains(err.Error(), "memory grant") {
+			t.Errorf("MemoryMB %d: err = %v", mb, err)
+		}
+	}
 	// A bound that is not positive is no bound: refuse rather than plan
 	// plain min-cost in silence.
 	for _, bound := range []time.Duration{0, -90 * time.Second} {

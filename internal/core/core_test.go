@@ -498,3 +498,50 @@ func TestListenerEvents(t *testing.T) {
 		t.Fatalf("listener = %+v", lis)
 	}
 }
+
+// TestFirstErrorIsTheEarliest: two independent stages fail at different
+// instants, once with the stage on the caller's process failing first
+// and once with the spawned one first. Run returns the earlier failure,
+// and both failures are in the report.
+func TestFirstErrorIsTheEarliest(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		caller, spun time.Duration
+		want         string
+	}{
+		{"caller first", time.Second, 2 * time.Second, "caller"},
+		{"spawned first", 2 * time.Second, time.Second, "spawned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			w := NewWorkflow("race")
+			errs := map[string]error{}
+			fail := func(name string, after time.Duration) {
+				errs[name] = errors.New(name + " failed")
+				if err := w.Add(&FuncStage{StageName: name, Fn: func(ctx *StageContext) error {
+					ctx.Proc.Sleep(after)
+					return errs[name]
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fail("caller", tc.caller)
+			fail("spawned", tc.spun)
+			rep, err := r.run(t, w)
+			if !errors.Is(err, errs[tc.want]) {
+				t.Fatalf("Run err = %v, want %v", err, errs[tc.want])
+			}
+			if want := fmt.Sprintf("core: stage %q: %s failed", tc.want, tc.want); err.Error() != want {
+				t.Errorf("Run err = %q, want %q", err, want)
+			}
+			for name, e := range errs {
+				if sr, ok := rep.Stage(name); !ok || !errors.Is(sr.Err, e) {
+					t.Errorf("stage %s reported err %v, want %v", name, sr.Err, e)
+				}
+			}
+			if len(rep.Stages) != 2 || rep.Stages[0].Name != tc.want {
+				t.Errorf("report holds %d stages, want 2 with %s first", len(rep.Stages), tc.want)
+			}
+		})
+	}
+}

@@ -206,27 +206,42 @@ func (e *Executor) usage(sc *des.Scope, sharesAt float64) (faas.Meter, objectsto
 
 // run is one Run's state in one allocation: the report its caller keeps,
 // the backing of a one-stage report's Stages, the stages' blackboard and
-// the first stage error. It holds neither the workflow nor the wait
-// state, so a kept report pins neither.
+// the first stage's context. It holds neither the workflow nor the wait
+// state, so a kept report pins neither, and no error: the report lists
+// the stages in the order they finished, so the first failure is the
+// first report with an Err.
 type run struct {
 	rep   RunReport
 	one   [1]StageReport
 	state RunState
-	err   error
+	ctx   StageContext
+}
+
+// failed returns the report of the first stage to fail, or nil.
+func (r *run) failed() *StageReport {
+	for i := range r.rep.Stages {
+		if r.rep.Stages[i].Err != nil {
+			return &r.rep.Stages[i]
+		}
+	}
+	return nil
 }
 
 // Run executes the workflow, blocking p until every stage completes
 // (stages with satisfied dependencies run concurrently). The first stage
-// with no dependencies runs on p itself; each other stage runs on a
-// process of its own, and only then is there anything to wait for. The
-// returned report is complete even on error; the first stage error
-// aborts not-yet-started stages and is returned.
+// with no dependencies runs on p itself, with the context the run holds;
+// each other stage runs on a process of its own with a context of its
+// own, and only then is there anything to wait for: of a one-stage run,
+// this package allocates only the run. The returned report is complete
+// even on error; the first stage error aborts not-yet-started stages and
+// is returned.
 func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	r := &run{rep: RunReport{Workflow: w.Name(), Start: p.Now()}}
 	r.rep.Stages = r.one[:0]
+	r.ctx = StageContext{Proc: p, Exec: e, State: &r.state}
 	first := 0
 	for len(w.nodes[first].deps) > 0 {
 		first++
@@ -237,7 +252,7 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 		r.rep.Stages = make([]StageReport, 0, len(w.nodes))
 		done = e.spawn(r, w, first)
 	}
-	e.stage(p, r, w.nodes[first].stage)
+	e.stage(r, &r.ctx, w.nodes[first].stage)
 	if done != nil {
 		done[first].Done()
 		done[len(w.nodes)].Wait(p)
@@ -246,7 +261,10 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	for _, l := range e.listeners {
 		l.RunFinished(&r.rep)
 	}
-	return &r.rep, r.err
+	if s := r.failed(); s != nil {
+		return &r.rep, fmt.Errorf("core: stage %q: %w", s.Name, s.Err)
+	}
+	return &r.rep, nil
 }
 
 // spawn starts every stage of w but the one at position first on a
@@ -259,10 +277,11 @@ func (e *Executor) spawn(r *run, w *Workflow, first int) []des.WaitGroup {
 	for i := range w.nodes {
 		done[i].Add(1)
 	}
-	for i, n := range w.nodes {
+	for i := range w.nodes {
 		if i == first {
 			continue
 		}
+		n := &w.nodes[i]
 		all.Add(1)
 		e.Sim.Spawn("stage/"+n.stage.Name(), func(sp *des.Proc) {
 			defer all.Done()
@@ -270,16 +289,18 @@ func (e *Executor) spawn(r *run, w *Workflow, first int) []des.WaitGroup {
 			for _, d := range n.deps {
 				done[w.position(d)].Wait(sp)
 			}
-			if r.err == nil { // else abort the chain: upstream failed
-				e.stage(sp, r, n.stage)
+			if r.failed() == nil { // else abort the chain: a stage failed
+				e.stage(r, &StageContext{Proc: sp, Exec: e, State: &r.state}, n.stage)
 			}
 		})
 	}
 	return done
 }
 
-// stage runs st on p in a scope of its own and adds its report to r.
-func (e *Executor) stage(p *des.Proc, r *run, st Stage) {
+// stage runs st with ctx in a scope of its own on ctx.Proc and adds its
+// report to r.
+func (e *Executor) stage(r *run, ctx *StageContext, st Stage) {
+	p := ctx.Proc
 	start := p.Now()
 	sc := p.LeadScope()
 	sharesAt := e.fold()
@@ -287,7 +308,6 @@ func (e *Executor) stage(p *des.Proc, r *run, st Stage) {
 	for _, l := range e.listeners {
 		l.StageStarted(r.rep.Workflow, st.Name(), start)
 	}
-	ctx := &StageContext{Proc: p, Exec: e, State: &r.state}
 	err := st.Run(ctx)
 	sr := StageReport{Name: st.Name(), Start: start, End: p.Now(), Err: err}
 	p.EndScope()
@@ -301,8 +321,5 @@ func (e *Executor) stage(p *des.Proc, r *run, st Stage) {
 	r.rep.Stages = append(r.rep.Stages, sr)
 	for _, l := range e.listeners {
 		l.StageFinished(r.rep.Workflow, sr)
-	}
-	if err != nil && r.err == nil {
-		r.err = fmt.Errorf("core: stage %q: %w", st.Name(), err)
 	}
 }

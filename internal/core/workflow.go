@@ -50,8 +50,9 @@ type StageContext struct {
 	// Outcome is the stage's own record for its StageReport: detail
 	// line and failure recovery. A stage with something to report sets
 	// it; the executor copies it once Run returns. Most stages leave it
-	// nil, which is why it is a pointer: the context is allocated per
-	// stage per job.
+	// nil, which is why it is a pointer: the run holds its first stage's
+	// context, and the outcome inline would tip every run into the next
+	// size class.
 	Outcome *StageOutcome
 }
 
@@ -85,10 +86,14 @@ func (s *RunState) Keys(key string) ([]string, error) {
 
 // Workflow is a DAG of named stages, found by scanning nodes: workflows
 // are a handful of stages, and a name index cost more to build per
-// workflow than every lookup it served.
+// workflow than every lookup it served. The nodes are kept by value and
+// the first one inline, so a one-stage workflow is one allocation. It is
+// used only through the *Workflow NewWorkflow returns: nodes aliases one,
+// and a copy's nodes would go on naming the original's.
 type Workflow struct {
 	name  string
-	nodes []*node
+	nodes []node
+	one   [1]node
 }
 
 type node struct {
@@ -98,7 +103,9 @@ type node struct {
 
 // NewWorkflow returns an empty workflow.
 func NewWorkflow(name string) *Workflow {
-	return &Workflow{name: name}
+	w := &Workflow{name: name}
+	w.nodes = w.one[:0]
+	return w
 }
 
 // position returns the named stage's index in nodes, or -1.
@@ -136,7 +143,7 @@ func (w *Workflow) Add(stage Stage, deps ...string) error {
 	if w.position(name) >= 0 {
 		return fmt.Errorf("core: duplicate stage %q", name)
 	}
-	w.nodes = append(w.nodes, &node{stage: stage, deps: append([]string(nil), deps...)})
+	w.nodes = append(w.nodes, node{stage: stage, deps: append([]string(nil), deps...)})
 	return nil
 }
 

@@ -237,3 +237,21 @@ func TestRunCostOrder(t *testing.T) {
 		t.Errorf("empty run meters %v", got)
 	}
 }
+
+// kept holds each workflow TestOneStageWorkflowIsOneAllocation builds,
+// so that it lives on the heap as a job's does.
+var kept *Workflow
+
+// TestOneStageWorkflowIsOneAllocation: NewWorkflow and one Add with no
+// dependencies allocate the workflow alone, its first node inline.
+func TestOneStageWorkflowIsOneAllocation(t *testing.T) {
+	st := &FuncStage{StageName: "work", Fn: func(*StageContext) error { return nil }}
+	if n := testing.AllocsPerRun(100, func() {
+		kept = NewWorkflow("one")
+		if err := kept.Add(st); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("NewWorkflow plus one Add allocates %v times, want 1", n)
+	}
+}
