@@ -209,7 +209,8 @@ func (e *Executor) usage(sc *des.Scope, sharesAt float64) (faas.Meter, objectsto
 // the first stage's context. It holds neither the workflow nor the wait
 // state, so a kept report pins neither, and no error: the report lists
 // the stages in the order they finished, so the first failure is the
-// first report with an Err.
+// first report with an Err. Run clears the context and the blackboard
+// once it is done with them, so a kept report pins neither.
 type run struct {
 	rep   RunReport
 	one   [1]StageReport
@@ -253,10 +254,12 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 		done = e.spawn(r, w, first)
 	}
 	e.stage(r, &r.ctx, w.nodes[first].stage)
+	r.ctx = StageContext{}
 	if done != nil {
 		done[first].Done()
 		done[len(w.nodes)].Wait(p)
 	}
+	r.state = RunState{}
 	r.rep.End = p.Now()
 	for _, l := range e.listeners {
 		l.RunFinished(&r.rep)

@@ -126,6 +126,11 @@ func (tb *TokenBucket) TakeAsync(w *TokenWaiter, n float64, granted func()) bool
 	return tb.gate.AcquireAsync(1, w.gateFn) && w.head()
 }
 
+// Reset has a granted waiter forget its take but keep its bound events.
+func (w *TokenWaiter) Reset() {
+	*w = TokenWaiter{gateFn: w.gateFn, creditFn: w.creditFn}
+}
+
 // head runs with the gate held: it takes the tokens and reports true,
 // or starts the deficit wait.
 func (w *TokenWaiter) head() bool {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/lists"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -174,8 +175,7 @@ type Platform struct {
 	warm     map[string][]time.Duration // idle container expiry times
 	meter    des.Ledger[Meter]
 	invSeq   int64
-
-	activations []Activation
+	log      lists.Chunked[Activation] // every attempt, in whole chunks
 }
 
 // function is a registered handler and the prefix of its invocations'
@@ -197,6 +197,7 @@ func New(sim *des.Sim, store *objectstore.Service, cfg Config) (*Platform, error
 		registry: make(map[string]function),
 		sem:      des.NewResource(sim, int64(cfg.ConcurrencyLimit)),
 		warm:     make(map[string][]time.Duration),
+		log:      lists.Chunked[Activation]{Chunk: 32, First: 32},
 	}, nil
 }
 
@@ -210,11 +211,7 @@ func (pf *Platform) Meter() Meter { return pf.meter.Total }
 func (pf *Platform) Ledger() *des.Ledger[Meter] { return &pf.meter }
 
 // Activations returns the recorded activation log.
-func (pf *Platform) Activations() []Activation {
-	out := make([]Activation, len(pf.activations))
-	copy(out, pf.activations)
-	return out
-}
+func (pf *Platform) Activations() []Activation { return pf.log.Flatten() }
 
 // Register adds a named function.
 func (pf *Platform) Register(name string, h Handler) error {
@@ -310,7 +307,7 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 			m.FailedAttempts++
 			m.GBSeconds += gbs
 		})
-		pf.activations = append(pf.activations, Activation{
+		pf.log.Add(Activation{
 			ID:       id,
 			Function: name,
 			Start:    p.Now(),
@@ -351,7 +348,7 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 		m.GBSeconds += gbs
 		m.ExecTime += end - begin
 	})
-	pf.activations = append(pf.activations, Activation{
+	pf.log.Add(Activation{
 		ID:        id,
 		Function:  name,
 		Start:     begin,

@@ -61,7 +61,7 @@ func (s *Service) UploadPart(p *des.Proc, uploadID string, partNumber int, pl pa
 	r := s.request(p, uploadPart, s.writeTB, "", 1)
 	r.key, r.part, r.body, r.flowCap = uploadID, partNumber, pl, flowCap
 	_, err := r.run()
-	s.release(r)
+	r.release()
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/lists"
 )
 
 // A request is a chain of events with its calling process parked once,
@@ -31,8 +32,8 @@ import (
 // A kill at a RunUntil horizon cancels the caller's pending wake, and
 // with it the chain; a throttle's grant that arrives for a caller that is
 // gone (des.Proc.Gone) ends it there, with nothing drawn, charged, stored
-// or opened. Chain records are recycled through Service.idle, so a
-// request allocates nothing for being one.
+// or opened. Chain records are recycled through requests, the process's
+// free list, so a request allocates nothing for being one.
 
 // requestKind says what a request does once admitted: nothing more
 // (admitOnly: the caller does the rest), store a list of objects (class
@@ -109,17 +110,22 @@ type request struct {
 	stepFn, grantFn func()
 }
 
+// requests holds the chain records no request is using, each with its
+// bound entries and its token waiter's and nothing of its last rig.
+var requests = lists.Free[*request]{
+	Size: func(*request) int { return 1 },
+	Fresh: func(int) *request {
+		r := &request{}
+		r.stepFn, r.grantFn = r.step, r.grant
+		return r
+	},
+}
+
 // request returns a chain record for p to run n elements of kind in
 // bkt, each admitted through tb.
 func (s *Service) request(p *des.Proc, kind requestKind, tb *des.TokenBucket, bkt string, n int) *request {
-	var r *request
-	if k := len(s.idle); k > 0 {
-		r, s.idle = s.idle[k-1], s.idle[:k-1]
-	} else {
-		r = &request{svc: s}
-		r.stepFn, r.grantFn = r.step, r.grant
-	}
-	r.p, r.kind, r.tb, r.bkt, r.n = p, kind, tb, bkt, n
+	r := requests.Take(1)
+	r.svc, r.p, r.kind, r.tb, r.bkt, r.n = s, p, kind, tb, bkt, n
 	r.count = countClassB
 	if tb == s.writeTB {
 		r.count = countClassA
@@ -127,12 +133,13 @@ func (s *Service) request(p *des.Proc, kind requestKind, tb *des.TokenBucket, bk
 	return r
 }
 
-// release recycles a record whose chain has no event pending. A record
-// whose process was killed mid-request is never released: the
+// release hands back a record whose chain has no event pending. A
+// record whose process was killed mid-request is never released: the
 // throttle's grant may still be on the heap.
-func (s *Service) release(r *request) {
-	*r = request{svc: s, take: r.take, stepFn: r.stepFn, grantFn: r.grantFn}
-	s.idle = append(s.idle, r)
+func (r *request) release() {
+	r.take.Reset()
+	*r = request{take: r.take, stepFn: r.stepFn, grantFn: r.grantFn}
+	requests.Put(r)
 }
 
 // run parks the caller while the chain works through the elements from
@@ -300,6 +307,6 @@ func (r *request) open() error {
 func (s *Service) admit(p *des.Proc, tb *des.TokenBucket) error {
 	r := s.request(p, admitOnly, tb, "", 1)
 	_, err := r.run()
-	s.release(r)
+	r.release()
 	return err
 }

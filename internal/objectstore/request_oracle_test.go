@@ -285,7 +285,7 @@ var chainForm = requestForm{
 	},
 	openEach: func(c *Client, p *des.Proc, bkt string, keys []string, opts StreamOptions) ([]chunkSource, error) {
 		streams := make([]ClientStream, len(keys))
-		n, err := c.GetStreams(p, streams, bkt, keys, opts)
+		n, err := c.GetStreams(p, streams, bkt, keys, 0, -1, opts)
 		out := make([]chunkSource, n)
 		for i := range out {
 			out[i] = &streams[i]

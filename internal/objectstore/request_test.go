@@ -23,13 +23,14 @@ import (
 // allocates nothing, alone or 64 in a list: the bucket keeps a payload
 // and an instant in the slot the key already has, and the ETag, once
 // the one allocation a PUT made, is computed only when a caller asks
-// for it. A chain's record, its token waiter and its
-// events are recycled through the service, so being a chain costs
-// nothing.
+// for it. A chain's record, its token waiter and its events go back to
+// the process's free list, so being a chain costs nothing, and one
+// caller's requests, one after another, reuse one record.
 func TestRequestAllocBudget(t *testing.T) {
 	if destest.Race {
 		t.Skip("the race detector allocates")
 	}
+	destest.EmptyFreeList(t, &requests)
 	cfg := fastCfg()
 	cfg.ReadOpsPerSec, cfg.WriteOpsPerSec, cfg.OpsBurst = 1000, 1000, 1
 	sim := des.New(7)
@@ -82,7 +83,7 @@ func TestRequestAllocBudget(t *testing.T) {
 		})
 		putList = testing.AllocsPerRun(20, puts)
 		openInto := func(streams []ClientStream) {
-			n, err := c.GetStreams(p, streams, "shuffle", keys, StreamOptions{})
+			n, err := c.GetStreams(p, streams, "shuffle", keys, 0, -1, StreamOptions{})
 			if err != nil {
 				t.Error(err)
 			}
@@ -115,8 +116,8 @@ func TestRequestAllocBudget(t *testing.T) {
 		t.Errorf("allocations: Put %.1f (budget 0), GetStream %.1f (2), PutEach of 64 %.1f (0), GetStreams of 64 %.1f fresh (64), %.1f reclaimed (0)",
 			put, open, putList, openFresh, openList)
 	}
-	if len(svc.idle) != 1 {
-		t.Errorf("%d chain records recycled by one caller's requests, want the same 1", len(svc.idle))
+	if n := len(requests.Items); n != 1 {
+		t.Errorf("%d chain records recycled by one caller's requests, want the same 1", n)
 	}
 }
 
@@ -145,7 +146,7 @@ func TestRequestSurvivesStrayWakes(t *testing.T) {
 			})
 			log = append(log, fmt.Sprintf("@%d put %d: %v", p.Now(), n, err))
 			streams := make([]ClientStream, len(keys))
-			opened, err := c.GetStreams(p, streams, "a", keys, StreamOptions{})
+			opened, err := c.GetStreams(p, streams, "a", keys, 0, -1, StreamOptions{})
 			log = append(log, fmt.Sprintf("@%d opened %d: %v", p.Now(), opened, err))
 			for i := range opened {
 				for err = nil; err == nil; {
@@ -241,7 +242,7 @@ func TestRequestKilledAtHorizon(t *testing.T) {
 			call: func(c *Client, p *des.Proc, i int) error {
 				keys, _ := listOf("pre", 6, 0)
 				streams := make([]ClientStream, len(keys))
-				n, err := c.GetStreams(p, streams, "a", keys, StreamOptions{})
+				n, err := c.GetStreams(p, streams, "a", keys, 0, -1, StreamOptions{})
 				for j := range n {
 					streams[j].Close()
 				}

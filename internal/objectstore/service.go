@@ -148,9 +148,6 @@ type Service struct {
 	// side has not finished (see OpenStreams).
 	openHead, openTail *ClientStream
 	metrics            des.Ledger[Metrics]
-	// idle holds the chain records of finished requests for the next
-	// ones (see request.go).
-	idle []*request
 
 	// curBytes / lastAccrue drive the stored-volume time integral.
 	curBytes   int64
@@ -243,7 +240,7 @@ func (s *Service) Put(p *des.Proc, bkt, key string, pl payload.Payload, flowCap 
 	r := s.request(p, putObjects, s.writeTB, bkt, 1)
 	r.key, r.body, r.flowCap = key, pl, flowCap
 	_, err := r.run()
-	s.release(r)
+	r.release()
 	return err
 }
 
@@ -256,7 +253,7 @@ func (s *Service) putEach(p *des.Proc, bkt string, from, n int, each func(i int)
 	r := s.request(p, putObjects, s.writeTB, bkt, n)
 	r.i, r.each, r.flowCap = from, each, flowCap
 	next, err := r.run()
-	s.release(r)
+	r.release()
 	return next, err
 }
 
@@ -311,7 +308,7 @@ func (s *Service) GetRange(p *des.Proc, bkt, key string, off, n int64, flowCap f
 func (s *Service) got(r *request) (payload.Payload, error) {
 	_, err := r.run()
 	pl := r.body
-	s.release(r)
+	r.release()
 	return pl, err
 }
 

@@ -170,25 +170,25 @@ func (c *Client) GetStream(p *des.Proc, bkt, key string, off, n int64, opts Stre
 	return st, nil
 }
 
-// GetStreams opens a resumable stream through the end of every one of
-// keys, keys[i] into streams[i], strictly one after another like
-// GetStream in a loop, but as one request that parks p once (see
-// request.go). Each stream keeps its own retry budget. The storage is
-// the caller's, at least as long as keys: zero values, or streams that
-// Reclaim gave back. Each element is first reset to a stream of c's,
-// keeping the step it bound at an earlier open, so storage opened again
-// allocates nothing; one whose producing side still runs is left as it
-// is, and its open panics. It returns how many streams it opened, the
-// first n elements; on error the caller closes those, and the key that
-// failed is keys[n].
-func (c *Client) GetStreams(p *des.Proc, streams []ClientStream, bkt string, keys []string, opts StreamOptions) (int, error) {
+// GetStreams opens a resumable stream of bytes [off, off+n) of every
+// one of keys (a negative n: through the end), keys[i] into streams[i],
+// strictly one after another like GetStream in a loop, but as one
+// request that parks p once (see request.go). Each stream keeps its own
+// retry budget. The storage is the caller's, at least as long as keys:
+// zero values, or streams that Reclaim gave back. Each element is first
+// reset to a stream of c's, keeping the step it bound at an earlier
+// open, so storage opened again allocates nothing; one whose producing
+// side still runs is left as it is, and its open panics. It returns how
+// many streams it opened, the first k elements; on error the caller
+// closes those, and the key that failed is keys[k].
+func (c *Client) GetStreams(p *des.Proc, streams []ClientStream, bkt string, keys []string, off, n int64, opts StreamOptions) (int, error) {
 	streams = streams[:len(keys)]
 	for i := range streams {
 		streams[i].reset(c)
 	}
 	for i := 0; i < len(keys); {
 		var err error
-		i, err = c.svc.openEach(p, bkt, keys, i, opts, streams)
+		i, err = c.svc.openEach(p, bkt, keys, i, off, n, opts, streams)
 		if errors.Is(err, ErrSlowDown) {
 			err = c.backOff(p, &streams[i].retries, err)
 		}
@@ -251,20 +251,20 @@ func (st *ClientStream) open(p *des.Proc, bkt, key string, off, n int64, opts St
 	r := s.request(p, openStreams, s.readTB, bkt, 1)
 	r.key, r.off, r.length, r.opts, r.stream = key, off, n, opts, st
 	_, err := r.run()
-	s.release(r)
+	r.release()
 	return err
 }
 
-// openEach opens a stream through the end of each of keys[from:] in
-// bkt into streams[i], one after another, as that many opens in a loop
-// would, with the caller parked once for the lot (see request.go). It
-// returns the first element not opened and the error that stopped
+// openEach opens a stream of bytes [off, off+n) of each of keys[from:]
+// in bkt into streams[i], one after another, as that many opens in a
+// loop would, with the caller parked once for the lot (see request.go).
+// It returns the first element not opened and the error that stopped
 // there, or len(keys) and nil.
-func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, opts StreamOptions, streams []ClientStream) (int, error) {
+func (s *Service) openEach(p *des.Proc, bkt string, keys []string, from int, off, n int64, opts StreamOptions, streams []ClientStream) (int, error) {
 	r := s.request(p, openStreams, s.readTB, bkt, len(keys))
-	r.i, r.keys, r.streams, r.length, r.opts = from, keys, streams, -1, opts
+	r.i, r.keys, r.streams, r.off, r.length, r.opts = from, keys, streams, off, n, opts
 	next, err := r.run()
-	s.release(r)
+	r.release()
 	return next, err
 }
 

@@ -862,7 +862,7 @@ func TestLiveStorageIsNeitherReclaimedNorReopened(t *testing.T) {
 			p.Sleep(time.Second) // after the setup's Put
 			c := NewClient(svc)
 			streams := make([]ClientStream, len(keys))
-			if n, err := c.GetStreams(p, streams, "b", keys, opts); n != len(keys) || err != nil {
+			if n, err := c.GetStreams(p, streams, "b", keys, 0, -1, opts); n != len(keys) || err != nil {
 				t.Errorf("GetStreams: %d, %v", n, err)
 				return
 			}
@@ -875,7 +875,7 @@ func TestLiveStorageIsNeitherReclaimedNorReopened(t *testing.T) {
 					streams[1].seq, streams[1].state, live.seq, live.state)
 			}
 			if reopen {
-				_, _ = c.GetStreams(p, streams, "b", keys, opts)
+				_, _ = c.GetStreams(p, streams, "b", keys, 0, -1, opts)
 				t.Error("GetStreams opened into live storage")
 				return
 			}
@@ -889,7 +889,7 @@ func TestLiveStorageIsNeitherReclaimedNorReopened(t *testing.T) {
 			if !Reclaim(streams) {
 				t.Fatal("Reclaim refused streams read through")
 			}
-			if n, err := c.GetStreams(p, streams, "b", keys, opts); n != len(keys) || err != nil {
+			if n, err := c.GetStreams(p, streams, "b", keys, 0, -1, opts); n != len(keys) || err != nil {
 				t.Errorf("GetStreams into reclaimed storage: %d, %v", n, err)
 			}
 			for i := range streams {

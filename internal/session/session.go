@@ -34,6 +34,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/core"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/genomics"
+	"github.com/faaspipe/faaspipe/internal/lists"
 	"github.com/faaspipe/faaspipe/internal/memcache"
 	"github.com/faaspipe/faaspipe/internal/vm"
 )
@@ -104,7 +105,7 @@ type Session struct {
 	// keep-alive expiries) drain, and that dead virtual time is nobody's
 	// bill.
 	attributedUSD float64
-	runs          runList
+	runs          lists.Chunked[*core.RunReport] // in submission order
 	seq           int
 	closed        bool
 
@@ -126,7 +127,7 @@ func Open(profile calib.Profile, opts Options) (*Session, error) {
 	for _, l := range opts.Listeners {
 		rig.Exec.AddListener(l)
 	}
-	s := &Session{rig: rig}
+	s := &Session{rig: rig, runs: lists.Chunked[*core.RunReport]{Chunk: 1024}}
 	if opts.WarmCacheNodes > 0 || opts.StandingVMType != "" {
 		var provErr error
 		rig.Sim.Spawn("session-open", func(p *des.Proc) {
@@ -270,50 +271,9 @@ func (s *Session) runJob(p *des.Proc, job Job, w *core.Workflow) (*core.RunRepor
 		accrued := s.standingUSD(rep.End)
 		rep.StandingUSD = accrued - s.attributedUSD
 		s.attributedUSD = accrued
-		s.runs.add(rep)
+		s.runs.Add(rep)
 	}
 	return rep, runErr
-}
-
-// runChunk is how many reports a full chunk of a runList holds.
-const runChunk = 1024
-
-// runList keeps a session's run reports in submission order, in chunks
-// of runChunk, and Close flattens them once: one list that only appends
-// copies itself at every growth, and most of those copies are garbage by
-// the end of a long session. The first chunk grows as a slice does, so a
-// session of a few runs allocates what one slice would; every later
-// chunk is made full-sized.
-type runList struct {
-	chunks [][]*core.RunReport
-}
-
-func (l *runList) add(r *core.RunReport) {
-	if n := len(l.chunks); n == 0 || len(l.chunks[n-1]) == runChunk {
-		var c []*core.RunReport
-		if n > 0 {
-			c = make([]*core.RunReport, 0, runChunk)
-		}
-		l.chunks = append(l.chunks, c)
-	}
-	last := &l.chunks[len(l.chunks)-1]
-	*last = append(*last, r)
-}
-
-// flatten returns the reports in one slice, nil if there are none.
-func (l *runList) flatten() []*core.RunReport {
-	n := len(l.chunks)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return l.chunks[0]
-	}
-	out := make([]*core.RunReport, 0, (n-1)*runChunk+len(l.chunks[n-1]))
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // Report is the session's closing account.
@@ -354,7 +314,7 @@ func (s *Session) Close() (Report, error) {
 	if inst := s.rig.Exec.StandingVM; inst != nil {
 		inst.Stop()
 	}
-	runs := s.runs.flatten()
+	runs := s.runs.Flatten()
 	closedAt := s.opened
 	if n := len(runs); n > 0 {
 		closedAt = runs[n-1].End

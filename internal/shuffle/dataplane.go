@@ -19,15 +19,16 @@ import (
 	"strings"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
+	"github.com/faaspipe/faaspipe/internal/lists"
 )
 
 // keyIndexes holds the key indexes no runBuilder is using, by capacity.
 // A builder takes one at its first line, emptied, and puts it back at
 // finish, so a later mapper, the VM's sort or the next job reuses its
 // array.
-var keyIndexes = freeList[[]bed.KeyRef]{
-	size:  func(refs []bed.KeyRef) int { return cap(refs) },
-	fresh: func(n int) []bed.KeyRef { return make([]bed.KeyRef, 0, n) }, // append would double its way there
+var keyIndexes = lists.Free[[]bed.KeyRef]{
+	Size:  func(refs []bed.KeyRef) int { return cap(refs) },
+	Fresh: func(n int) []bed.KeyRef { return make([]bed.KeyRef, 0, n) }, // append would double its way there
 }
 
 // boundary is one partition boundary: a binary key plus the full
@@ -99,7 +100,7 @@ func newRunBuilder(fanOut int, bounds []boundary, n int64, lines int) (runBuilde
 		// corrupting the run index.
 		return runBuilder{}, errSpanTooLarge
 	}
-	return runBuilder{bounds: bounds, fanOut: fanOut, refs: keyIndexes.take(lines)[:0]}, nil
+	return runBuilder{bounds: bounds, fanOut: fanOut, refs: keyIndexes.Take(lines)[:0]}, nil
 }
 
 // addLine parses one raw input line, which starts at off in the span,
@@ -196,7 +197,7 @@ func (b *runBuilder) finish(span []byte) [][]byte {
 		out = append(out, line...)
 	}
 	runs[r] = cut(out, start, len(out))
-	keyIndexes.put(b.refs)
+	keyIndexes.Put(b.refs)
 	*b = runBuilder{}
 	return runs
 }

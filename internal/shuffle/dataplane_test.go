@@ -659,11 +659,12 @@ func inProc(t *testing.T, fn func(p *des.Proc)) {
 // TestSizedSliceBuildsNoRuns holds the timing-only map to what it
 // needs: a mapper's slice of a sized input, at a fan-out of 128, streams
 // and charges its chunks with no runBuilder behind it, as the reduce
-// above drains with no cursors. What is left is six: the stream's two
-// (the stream and its bound step), the box of its two full chunks and
-// that of its short tail, and the slice's meter and its drain chain's
-// bound step (which replaced the reader's CPU budget and charge closure,
-// two as well). Building the partitions up front cost an eleventh, the
+// above drains with no cursors. What is left is four: the box of its
+// two full chunks and that of its short tail, and the slice's meter and
+// its drain chain's bound step (which replaced the reader's CPU budget
+// and charge closure, two as well). The stream and its bound step cost
+// a sixth and a fifth until the stream came from readSets, a read set
+// of one. Building the partitions up front cost an eleventh, the
 // []runPart of a buffer and an index per reducer, which has since become
 // one buffer and one index cut at the boundaries; the stream's name,
 // built at the open until only OpenStreams built it, a tenth; the
@@ -686,8 +687,8 @@ func TestSizedSliceBuildsNoRuns(t *testing.T) {
 			}
 		})
 	})
-	if allocs != 6 {
-		t.Errorf("a sized 128-way slice read allocates %.0f times, want 6", allocs)
+	if allocs != 4 {
+		t.Errorf("a sized 128-way slice read allocates %.0f times, want 4", allocs)
 	}
 }
 
@@ -718,7 +719,7 @@ func sliceTask(fanOut int, size int64) *task {
 	streamBps, sortBps := MapStreamRates(1.6e9)
 	return &task{
 		wave:     &wave{fanOut: fanOut, streamBps: streamBps, sortBps: sortBps},
-		inBucket: "in", inKey: "data", size: size,
+		inBucket: "in", inKey: [1]string{"data"}, size: size,
 	}
 }
 

@@ -16,30 +16,15 @@ import (
 	"github.com/faaspipe/faaspipe/internal/des/destest"
 )
 
-// emptyFreeList runs a test on l emptied and gives the package its
-// list back after.
-func emptyFreeList[T any](t *testing.T, l *freeList[T]) {
-	t.Helper()
-	l.mu.Lock()
-	saved := l.list
-	l.list = nil
-	l.mu.Unlock()
-	t.Cleanup(func() {
-		l.mu.Lock()
-		l.list = saved
-		l.mu.Unlock()
-	})
-}
-
 // freeIndexes returns the free list's length and the bytes its arrays
 // hold.
 func freeIndexes() (n int, bytes uint64) {
-	keyIndexes.mu.Lock()
-	defer keyIndexes.mu.Unlock()
-	for _, r := range keyIndexes.list {
+	keyIndexes.Mu.Lock()
+	defer keyIndexes.Mu.Unlock()
+	for _, r := range keyIndexes.Items {
 		bytes += uint64(cap(r)) * uint64(unsafe.Sizeof(bed.KeyRef{}))
 	}
-	return len(keyIndexes.list), bytes
+	return len(keyIndexes.Items), bytes
 }
 
 // allocatedBy returns the bytes run allocates with the collector left
@@ -145,8 +130,8 @@ func TestRepAllocatesTheSameBytesWhateverTheGC(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	base := runtime.NumGoroutine()
 	for _, path := range paths {
-		emptyFreeList(t, &keyIndexes)
-		emptyFreeList(t, &readSets)
+		destest.EmptyFreeList(t, &keyIndexes)
+		destest.EmptyFreeList(t, &readSets)
 		cold := allocatedBy(t, base, "none", path.run)
 		_, index := freeIndexes()
 		index += freeSetBytes()
@@ -184,9 +169,9 @@ func sortedTSV(recs []bed.Record) []byte {
 // and holds each index to its own array and each builder's runs to
 // route-and-sort's.
 func TestLiveBuildersGetDisjointIndexes(t *testing.T) {
-	emptyFreeList(t, &keyIndexes)
+	destest.EmptyFreeList(t, &keyIndexes)
 	for _, n := range []int{120, 3000, 400} {
-		keyIndexes.put(make([]bed.KeyRef, 5, n)) // free indexes holding stale entries
+		keyIndexes.Put(make([]bed.KeyRef, 5, n)) // free indexes holding stale entries
 	}
 	const live = 8
 	raws := make([][]byte, live)
@@ -248,18 +233,18 @@ func overlaps(a, b []bed.KeyRef) bool {
 // leaving the VM's for the next VM sort, and a hint above every free
 // index takes the place of the largest.
 func TestMapperHintSkipsTheVMSizedIndex(t *testing.T) {
-	emptyFreeList(t, &keyIndexes)
+	destest.EmptyFreeList(t, &keyIndexes)
 	const vm, mapper = 500_001, 66_450
-	keyIndexes.put(make([]bed.KeyRef, 0, vm))
-	keyIndexes.put(make([]bed.KeyRef, 0, mapper))
-	keyIndexes.put(make([]bed.KeyRef, 0, 100))
-	if got := cap(keyIndexes.take(62_500)); got != mapper {
+	keyIndexes.Put(make([]bed.KeyRef, 0, vm))
+	keyIndexes.Put(make([]bed.KeyRef, 0, mapper))
+	keyIndexes.Put(make([]bed.KeyRef, 0, 100))
+	if got := cap(keyIndexes.Take(62_500)); got != mapper {
 		t.Fatalf("a hint of 62,500 was served %d entries, want the mapper's %d", got, mapper)
 	}
-	if got := cap(keyIndexes.take(vm)); got != vm {
+	if got := cap(keyIndexes.Take(vm)); got != vm {
 		t.Fatalf("the VM's hint was served %d entries, want its own %d", got, vm)
 	}
-	if got := cap(keyIndexes.take(vm + 1)); got != vm+1 {
+	if got := cap(keyIndexes.Take(vm + 1)); got != vm+1 {
 		t.Fatalf("a hint past every free index was served %d entries, want %d", got, vm+1)
 	}
 	if n, _ := freeIndexes(); n != 0 {
@@ -271,7 +256,7 @@ func TestMapperHintSkipsTheVMSizedIndex(t *testing.T) {
 // builders in a seeded order, with hints from a mapper's to the VM's,
 // and holds the free list to at most the most builders ever live at once.
 func TestFreeListNeverOutgrowsThePeakOfLiveBuilders(t *testing.T) {
-	emptyFreeList(t, &keyIndexes)
+	destest.EmptyFreeList(t, &keyIndexes)
 	rng := rand.New(rand.NewSource(51))
 	line := bed.AppendTSV(nil, bed.Record{Chrom: "chr1", Start: 5, End: 6, Name: ".", Strand: '+'})
 	var live []runBuilder
@@ -302,9 +287,9 @@ func TestFreeListNeverOutgrowsThePeakOfLiveBuilders(t *testing.T) {
 // hold entries, as finish does: the next builder's index must start
 // empty, or its runs would carry the last mapper's lines.
 func TestIndexPutBackFullIsHandedOutEmpty(t *testing.T) {
-	emptyFreeList(t, &keyIndexes)
+	destest.EmptyFreeList(t, &keyIndexes)
 	full := make([]bed.KeyRef, 300, 400)
-	keyIndexes.put(full)
+	keyIndexes.Put(full)
 	if b, err := newRunBuilder(1, nil, 1, 200); err != nil || len(b.refs) != 0 || cap(b.refs) != 400 {
 		t.Fatalf("a builder took an index of %d entries and room for %d (%v), want 0 and 400", len(b.refs), cap(b.refs), err)
 	}
@@ -346,7 +331,7 @@ func (s *failingSource) Close() {}
 // the map wave: the builder's index is left to the collector, and the
 // list serves the next sort, whose output must be right.
 func TestFailedReadLeavesTheFreeListUsable(t *testing.T) {
-	emptyFreeList(t, &keyIndexes)
+	destest.EmptyFreeList(t, &keyIndexes)
 	recs := bed.Generate(bed.GenConfig{Records: 20000, Seed: 52})
 	raw := bed.Marshal(recs)
 	spec := sortSpec(8)

@@ -309,8 +309,8 @@ func (s *storeRuns) put(ctx *faas.Ctx, n int, each func(int) (string, payload.Pa
 }
 
 func (s *storeRuns) open(ctx *faas.Ctx, keys []string, chunk int64) (readSet, int64, error) {
-	set := readSets.take(len(keys))
-	n, err := ctx.Store.GetStreams(ctx.Proc, set.streams, s.bucket, keys, objectstore.StreamOptions{ChunkBytes: chunk})
+	set := readSets.Take(len(keys))
+	n, err := ctx.Store.GetStreams(ctx.Proc, set.streams, s.bucket, keys, 0, -1, objectstore.StreamOptions{ChunkBytes: chunk})
 	set.srcs, set.streams = set.srcs[:n], set.streams[:len(keys)]
 	var total int64
 	for i := range n {

@@ -35,10 +35,10 @@
 // lines, the rest is drained by one chain of callbacks with the
 // function parked once in des.Proc.Await (meter.drain): its waits, on
 // ClientStream.Poll and on a chunk's CPU, are the process's own wakes.
-// A mapper's key index and a reducer's read set (its streams and the
-// sources over them) come from free lists that no GC empties
-// (freelist.go: keyIndexes, readSets), so no rep after the first
-// allocates either, wherever a collection falls.
+// A mapper's key index and stream and a reducer's read set (its streams
+// and the sources over them) come from free lists that no GC empties
+// (lists.Free: keyIndexes, readSets), so no rep after the first
+// allocates them, wherever a collection falls.
 //
 // plan.go is the one description of an exchange: a strategy is the
 // wave list waves gives for it, the predictors fold that list into a

@@ -158,7 +158,7 @@ func mapReadTrace(t *testing.T) string {
 			streamBps, sortBps := MapStreamRates(1.6e6)
 			tk := &task{
 				wave:     &wave{fanOut: 3, streamBps: streamBps, sortBps: sortBps},
-				inBucket: "in", inKey: "data.bed",
+				inBucket: "in", inKey: [1]string{"data.bed"},
 				off: int64(sl.off), n: int64(sl.n), size: int64(len(object)),
 				bounds: bounds, chunkBytes: chunk,
 			}
@@ -324,7 +324,7 @@ func mergeReadTrace(t *testing.T) string {
 							}
 						}
 						streams := make([]objectstore.ClientStream, len(keys))
-						if _, oerr := c.GetStreams(p, streams, "runs", keys, objectstore.StreamOptions{ChunkBytes: chunk}); oerr != nil {
+						if _, oerr := c.GetStreams(p, streams, "runs", keys, 0, -1, objectstore.StreamOptions{ChunkBytes: chunk}); oerr != nil {
 							t.Errorf("open: %v", oerr)
 							return
 						}

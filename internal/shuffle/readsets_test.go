@@ -20,10 +20,10 @@ import (
 // freeSets returns the read sets on readSets, each named by its first
 // stream, with the streams it has room for.
 func freeSets() map[*objectstore.ClientStream]int {
-	readSets.mu.Lock()
-	defer readSets.mu.Unlock()
-	ids := make(map[*objectstore.ClientStream]int, len(readSets.list))
-	for _, s := range readSets.list {
+	readSets.Mu.Lock()
+	defer readSets.Mu.Unlock()
+	ids := make(map[*objectstore.ClientStream]int, len(readSets.Items))
+	for _, s := range readSets.Items {
 		ids[&s.streams[0]] = len(s.streams)
 	}
 	return ids
@@ -45,9 +45,9 @@ func freeSetBytes() uint64 {
 // that ran on after the set was put back.
 func checkFreeSetsHoldNothing(t *testing.T) {
 	t.Helper()
-	readSets.mu.Lock()
-	defer readSets.mu.Unlock()
-	for _, s := range readSets.list {
+	readSets.Mu.Lock()
+	defer readSets.Mu.Unlock()
+	for _, s := range readSets.Items {
 		for i := range s.streams {
 			v := reflect.ValueOf(&s.streams[i]).Elem()
 			for f := range v.NumField() {
@@ -220,7 +220,7 @@ func TestReducerReadSetAllocatesNothing(t *testing.T) {
 // would show the stream's later events.
 func TestReadSetWithARunningStreamStaysOffTheList(t *testing.T) {
 	t.Run("closed with a chunk in flight", func(t *testing.T) {
-		emptyFreeList(t, &readSets)
+		destest.EmptyFreeList(t, &readSets)
 		keys := []string{"r0", "r1", "r2"}
 		runs := &storeRuns{bucket: "runs"}
 		sim, store, pf := readPinRig(t)
@@ -255,7 +255,7 @@ func TestReadSetWithARunningStreamStaysOffTheList(t *testing.T) {
 			if got := freeSets(); len(got) != 0 {
 				t.Errorf("a set closed with a chunk in flight went back on the list: %v", got)
 			}
-			third := readSets.take(len(keys))
+			third := readSets.Take(len(keys))
 			if &third.streams[0] == &first.streams[0] {
 				t.Error("the next take was served the set whose chunk is in flight")
 			}
@@ -290,7 +290,7 @@ func TestReadSetWithARunningStreamStaysOffTheList(t *testing.T) {
 	// anything, some sets of the whole run's must be missing from it, and
 	// the next sort must make as many afresh.
 	stopped := func(t *testing.T, stragglers float64, spec Spec, stop func(*sizedRun) time.Duration) {
-		emptyFreeList(t, &readSets)
+		destest.EmptyFreeList(t, &readSets)
 		whole := runSized(t, sizedRig(t, stragglers), spec)
 		before := freeSets()
 		if len(before) == 0 {
@@ -350,11 +350,11 @@ func TestReadSetWithARunningStreamStaysOffTheList(t *testing.T) {
 // their bound steps. The finalizer is on the bytes of an object the
 // store keeps, which nothing else reaches: a stream that kept its
 // client, its service or its bucket would keep them. It cannot be on the
-// Service itself, which sits in cycles of its own (its recycled request
-// records point back to it), and a finalizer on an object in a cycle
-// need not ever run.
+// Service itself, which may sit in a cycle (a stream's client points
+// back to it), and a finalizer on an object in a cycle need not ever
+// run.
 func TestFreeReadSetsPinNoRig(t *testing.T) {
-	emptyFreeList(t, &readSets)
+	destest.EmptyFreeList(t, &readSets)
 	base := runtime.NumGoroutine()
 	collected := make(chan struct{})
 	func() {
@@ -399,7 +399,7 @@ func TestFreeReadSetsPinNoRig(t *testing.T) {
 // and putting them back on the one list: each rig's run must be the run
 // it makes alone, and the list must end holding only reclaimed sets.
 func TestReadSetsAcrossConcurrentRigs(t *testing.T) {
-	emptyFreeList(t, &readSets)
+	destest.EmptyFreeList(t, &readSets)
 	spec := sizedSpec(16)
 	alone := sizedRig(t, 0)
 	runSized(t, alone, spec)

@@ -17,6 +17,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
+	"github.com/faaspipe/faaspipe/internal/lists"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
@@ -264,11 +265,12 @@ type task struct {
 	// errors.
 	index int
 	// What it reads: bytes [off, off+n) of the size-byte input object
-	// (fan-in 0), or the fan-in sorted runs under sources, a row of the
-	// job's key table.
-	inBucket, inKey string
-	off, n, size    int64
-	sources         []string
+	// (fan-in 0), its key a list of one as GetStreams opens it, or the
+	// fan-in sorted runs under sources, a row of the job's key table.
+	inBucket     string
+	inKey        [1]string
+	off, n, size int64
+	sources      []string
 	// Where the result goes: the fan-out runs, split at bounds, place r
 	// named runKeys[runAt+r*runStride] of the next exchange's key table;
 	// or (fan-out 0) the output object.
@@ -297,7 +299,7 @@ func (j *job) task(i, t int, runs runStore) *task {
 		sliceBytes: j.size / int64(j.workers), chunkBytes: j.spec.StreamChunkBytes,
 	}
 	if wv.fanIn == 0 {
-		tk.inBucket, tk.inKey, tk.size = j.spec.InputBucket, j.spec.InputKey, j.size
+		tk.inBucket, tk.inKey[0], tk.size = j.spec.InputBucket, j.spec.InputKey, j.size
 		tk.off, tk.n = EvenShare(j.size, j.workers, t)
 	} else {
 		row := t * wv.fanIn
@@ -523,23 +525,23 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 	return fallbacks, t.runs.free(ctx, t.sources)
 }
 
-// readSet is what a reducer reads its runs through: srcs, the sources
-// the merge drains, and for store runs the streams they are, srcs[i]
-// being &streams[i]. A store read set is taken from readSets and goes
-// back there at close, so the streams, their bound steps and the
-// sources over them are made once for the process, not once per
-// reducer: a rig is made for every sweep point and every pipeline, and
-// a list of its own would be dropped with it.
+// readSet is what a reducer reads its runs through, or a mapper its
+// slice: srcs, the sources the merge drains, and for store runs the
+// streams they are, srcs[i] being &streams[i]. A store read set is
+// taken from readSets and goes back there at close, so the streams,
+// their bound steps and the sources over them are made once for the
+// process, not once per task: a rig is made for every sweep point and
+// every pipeline, and a list of its own would be dropped with it.
 type readSet struct {
 	srcs    []runSource
 	streams []objectstore.ClientStream
 }
 
-// readSets holds the read sets of store runs no reducer is using, by
-// the streams they have room for.
-var readSets = freeList[readSet]{
-	size: func(s readSet) int { return len(s.streams) },
-	fresh: func(n int) readSet {
+// readSets holds the read sets no mapper or reducer is using, by the
+// streams they have room for.
+var readSets = lists.Free[readSet]{
+	Size: func(s readSet) int { return len(s.streams) },
+	Fresh: func(n int) readSet {
 		s := readSet{srcs: make([]runSource, n), streams: make([]objectstore.ClientStream, n)}
 		for i := range s.streams {
 			s.srcs[i] = &s.streams[i]
@@ -558,7 +560,7 @@ func (s readSet) close() {
 		src.Close()
 	}
 	if s.streams != nil && objectstore.Reclaim(s.streams) {
-		readSets.put(readSet{srcs: s.srcs[:cap(s.srcs)], streams: s.streams[:cap(s.streams)]})
+		readSets.Put(readSet{srcs: s.srcs[:cap(s.srcs)], streams: s.streams[:cap(s.streams)]})
 	}
 }
 

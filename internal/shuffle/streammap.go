@@ -121,26 +121,28 @@ func (t *task) span() (readOff, readLen int64, prefixByte bool) {
 // It returns the finished sorted runs, copied once from the chunks the
 // reader kept, or nil when the object is a timing-only payload (the
 // caller writes even-split sized runs; the CPU has already been charged
-// either way).
+// either way). Its stream is a read set of one, as a reducer's streams.
 func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 	readOff, readLen, _ := t.span()
 	chunk := AdaptiveChunkBytes(t.chunkBytes, t.n)
-	st, err := ctx.Store.GetStream(ctx.Proc, t.inBucket, t.inKey, readOff, readLen,
+	set := readSets.Take(1)
+	n, err := ctx.Store.GetStreams(ctx.Proc, set.streams, t.inBucket, t.inKey[:], readOff, readLen,
 		objectstore.StreamOptions{ChunkBytes: chunk})
+	set.srcs, set.streams = set.srcs[:n], set.streams[:1]
+	defer set.close()
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
 
 	// Charging the slice's t.n bytes alone keeps the total partition
 	// charge at exactly the slice over PartitionBps — overscan bytes are
 	// transferred but their lines belong to the next mapper.
 	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
-	r := &lineReader{src: st, m: m, pos: readOff, keep: int((readLen + chunk - 1) / chunk)}
+	r := &lineReader{src: set.srcs[0], m: m, pos: readOff, keep: int((readLen + chunk - 1) / chunk)}
 	builder, err := t.indexSlice(r)
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
-		_, err = m.drain(st, nil)
+		_, err = m.drain(set.srcs[0], nil)
 	}
 	if err != nil {
 		return nil, err

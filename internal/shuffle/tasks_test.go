@@ -61,8 +61,8 @@ func TestTasksMatchWaves(t *testing.T) {
 						t.Fatalf("w=%d g=%d wave %d task %d gathers %d runs, fan-in %d", w, g, i, at, len(tk.sources), wv.fanIn)
 					}
 					if wv.fanIn == 0 {
-						if tk.inBucket != "in" || tk.inKey != "data.bed" || tk.size != size || tk.off != next {
-							t.Fatalf("w=%d g=%d task %d reads %s/%s [%d,+%d) of %d, want offset %d", w, g, at, tk.inBucket, tk.inKey, tk.off, tk.n, tk.size, next)
+						if tk.inBucket != "in" || tk.inKey[0] != "data.bed" || tk.size != size || tk.off != next {
+							t.Fatalf("w=%d g=%d task %d reads %s/%s [%d,+%d) of %d, want offset %d", w, g, at, tk.inBucket, tk.inKey[0], tk.off, tk.n, tk.size, next)
 						}
 						next += tk.n
 					}
