@@ -1,30 +1,76 @@
 package faas
 
-import "github.com/faaspipe/faaspipe/internal/des"
+import (
+	"errors"
 
-// Future is the pending result of an asynchronous invocation.
+	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/lists"
+)
+
+// Future is the pending result of an asynchronous invocation and the
+// invocation's record. Invoke, MapSync and MapSpeculative put theirs
+// back on futures once they and its process are done with it; one that
+// InvokeAsync returns to any other caller stays valid for good.
 type Future struct {
 	done    bool
 	out     any
 	err     error
 	waiters []*des.Proc
+
+	// The invocation, which its process runs through runFn (run, bound
+	// at the record's first use), and the holds left on the record.
+	pf           *Platform
+	h            Handler
+	name         string
+	input        any
+	mem, retries int
+	id           int64
+	runFn        func(p *des.Proc)
+	holds        int
 }
 
-func newFuture() *Future {
-	return &Future{}
+// futures holds the records no invocation is using, each with its
+// bound runFn and its waiters' room and nothing of its last rig.
+var futures = lists.Free[*Future]{
+	Size:  func(*Future) int { return 1 },
+	Fresh: func(int) *Future { return &Future{} },
+}
+
+// run is the invocation's process: its attempts, a platform failure
+// retried up to retries times after a doubling backoff, then its release.
+func (f *Future) run(p *des.Proc) {
+	var out any
+	var err error
+	backoff := retryBackoff
+	for attempt := 0; ; attempt++ {
+		out, err = f.pf.attempt(p, f.h, f.name, f.input, f.mem, f.id)
+		if !errors.Is(err, ErrInvocationFailed) || attempt >= f.retries {
+			break
+		}
+		f.pf.meter.Charge(p, func(m *Meter) { m.Retries++ })
+		p.Sleep(backoff)
+		backoff *= 2
+	}
+	f.complete(out, err)
+	f.release()
+}
+
+// release lets go of a hold. The last clears everything of the rig and
+// puts the record back; a record with none is never put back.
+func (f *Future) release() {
+	if f.holds--; f.holds == 0 {
+		*f = Future{waiters: f.waiters, runFn: f.runFn}
+		futures.Put(f)
+	}
 }
 
 func (f *Future) complete(out any, err error) {
-	if f.done {
-		return
-	}
-	f.done = true
-	f.out = out
-	f.err = err
+	f.done, f.out, f.err = true, out, err
 	for _, w := range f.waiters {
 		w.Wake()
 	}
-	f.waiters = nil
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
 }
 
 // Done reports whether the result is available.

@@ -244,34 +244,21 @@ const retryBackoff = 50 * time.Millisecond
 // result. The caller keeps running; invocations execute as their own
 // processes, in p's scope, subject to the platform concurrency limit.
 func (pf *Platform) InvokeAsync(p *des.Proc, name string, input any, opts InvokeOptions) *Future {
-	fut := newFuture()
 	f, ok := pf.registry[name]
-	if !ok {
-		fut.complete(nil, fmt.Errorf("%w: %s", ErrUnknownFunction, name))
-		return fut
+	if !ok { // nothing to run: a record with no holds, never put back
+		return &Future{done: true, err: fmt.Errorf("%w: %s", ErrUnknownFunction, name)}
 	}
+	fut := futures.Take(1)
 	pf.invSeq++
-	id := pf.invSeq
-	mem := pf.cfg.MemoryMB
+	fut.pf, fut.h, fut.name, fut.input, fut.id = pf, f.h, name, input, pf.invSeq
+	fut.mem, fut.retries, fut.holds = pf.cfg.MemoryMB, opts.MaxRetries, 2
 	if opts.MemoryMB > 0 {
-		mem = opts.MemoryMB
+		fut.mem = opts.MemoryMB
 	}
-	h := f.h
-	p.SpawnNumbered(f.prefix, id, func(p *des.Proc) {
-		var out any
-		var err error
-		backoff := retryBackoff
-		for attempt := 0; ; attempt++ {
-			out, err = pf.attempt(p, h, name, input, mem, id)
-			if !errors.Is(err, ErrInvocationFailed) || attempt >= opts.MaxRetries {
-				break
-			}
-			pf.meter.Charge(p, func(m *Meter) { m.Retries++ })
-			p.Sleep(backoff)
-			backoff *= 2
-		}
-		fut.complete(out, err)
-	})
+	if fut.runFn == nil {
+		fut.runFn = fut.run
+	}
+	p.SpawnNumbered(f.prefix, fut.id, fut.runFn)
 	return fut
 }
 
@@ -366,7 +353,10 @@ func (pf *Platform) attempt(p *des.Proc, h Handler, name string, input any, mem 
 // Invoke runs a function and blocks the calling process for its
 // result.
 func (pf *Platform) Invoke(p *des.Proc, name string, input any, opts InvokeOptions) (any, error) {
-	return pf.InvokeAsync(p, name, input, opts).Wait(p)
+	f := pf.InvokeAsync(p, name, input, opts)
+	out, err := f.Wait(p)
+	f.release()
+	return out, err
 }
 
 // MapSync invokes name once per input concurrently and waits for all
@@ -381,6 +371,7 @@ func (pf *Platform) MapSync(p *des.Proc, name string, inputs []any, opts InvokeO
 	var firstErr error
 	for i, f := range futs {
 		out, err := f.Wait(p)
+		f.release()
 		outs[i] = out
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("faas: input %d: %w", i, err)

@@ -63,13 +63,18 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 		timerRunning bool
 	)
 
-	settle := func(i int, out any, err error, byBackup bool) {
-		results[i] = out
-		errs[i] = err
+	// settle takes input i's result from f and lets go of both its
+	// attempts: a loser's process holds its record until it ends.
+	settle := func(i int, f *Future, byBackup bool) {
+		results[i], errs[i] = f.Result()
 		settled[i] = true
 		completed++
 		if byBackup {
 			rep.BackupWins++
+		}
+		primary[i].release()
+		if backup[i] != nil {
+			backup[i].release()
 		}
 	}
 
@@ -79,13 +84,11 @@ func (pf *Platform) MapSpeculative(p *des.Proc, name string, inputs []any, opts 
 				continue
 			}
 			if primary[i].Done() {
-				out, err := primary[i].Result()
-				settle(i, out, err, false)
+				settle(i, primary[i], false)
 				continue
 			}
 			if backup[i] != nil && backup[i].Done() {
-				out, err := backup[i].Result()
-				settle(i, out, err, true)
+				settle(i, backup[i], true)
 			}
 		}
 		if completed >= n {

@@ -33,6 +33,7 @@ import (
 	"github.com/faaspipe/faaspipe/internal/cloud"
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
+	"github.com/faaspipe/faaspipe/internal/lists"
 )
 
 // Config describes the cache service's performance and price profile.
@@ -225,7 +226,6 @@ type Cluster struct {
 	zone    string
 	nodes   []*node
 	metrics Metrics
-	idle    []*admission // records whose chain has ended, for reuse
 }
 
 // Nodes reports the cluster size.
@@ -342,24 +342,30 @@ type admission struct {
 	stepFn, grantFn func()
 }
 
+// admissions holds the records no request is using, each with its bound
+// entries and its token waiter's and nothing of its last rig.
+var admissions = lists.Free[*admission]{
+	Size: func(*admission) int { return 1 },
+	Fresh: func(int) *admission {
+		a := &admission{}
+		a.stepFn, a.grantFn = a.step, a.grant
+		return a
+	},
+}
+
 // admit charges p one request on n: throttle then service latency. A
 // killed caller's record is not recycled, its grant perhaps still due.
 func (c *Cluster) admit(p *des.Proc, n *node) error {
 	if err := c.refused(n); err != nil {
 		return err
 	}
-	var a *admission
-	if k := len(c.idle); k > 0 {
-		a, c.idle = c.idle[k-1], c.idle[:k-1]
-	} else {
-		a = &admission{c: c}
-		a.stepFn, a.grantFn = a.step, a.grant
-	}
-	a.p, a.n = p, n
+	a := admissions.Take(1)
+	a.c, a.p, a.n = c, p, n
 	p.Await(a.stepFn)
 	err := a.err
-	*a = admission{c: c, take: a.take, stepFn: a.stepFn, grantFn: a.grantFn}
-	c.idle = append(c.idle, a)
+	a.take.Reset()
+	*a = admission{take: a.take, stepFn: a.stepFn, grantFn: a.grantFn}
+	admissions.Put(a)
 	return err
 }
 

@@ -586,7 +586,7 @@ func TestKillNodeDropsDataButKeepsBilling(t *testing.T) {
 
 // TestWarmRequestsAllocateNothing holds a Set over a key already stored
 // and a Get of it, each throttled into a deficit wait, to no allocation:
-// the admission records come from the cluster's pool and the body's flow
+// the admission records come from admissions and the body's flow
 // from the link's free list.
 func TestWarmRequestsAllocateNothing(t *testing.T) {
 	if destest.Race {

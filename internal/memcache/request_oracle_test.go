@@ -435,6 +435,7 @@ func FuzzCacheAdmission(f *testing.F) {
 // chain, the queued caller's process held the throttle's gate past its
 // kill and the new Set deadlocked.
 func TestCacheRequestKilledAtHorizon(t *testing.T) {
+	destest.EmptyFreeList(t, &admissions)
 	cfg := fastConfig()
 	cfg.NodeOpsPerSec, cfg.OpsBurst = 1, 2 // a token a second
 	cfg.RequestLatency = 300 * time.Millisecond
@@ -491,7 +492,7 @@ func TestCacheRequestKilledAtHorizon(t *testing.T) {
 	if m := c.Metrics(); m != want || c.UsedBytes() != 1000 {
 		t.Fatalf("after the run: meters %+v, %d bytes used; want %+v, 1000", m, c.UsedBytes(), want)
 	}
-	if len(c.idle) != 1 {
-		t.Fatalf("%d admission records recycled, want the new Set's alone", len(c.idle))
+	if len(admissions.Items) != 1 {
+		t.Fatalf("%d admission records recycled, want the new Set's alone", len(admissions.Items))
 	}
 }

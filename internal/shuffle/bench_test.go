@@ -47,11 +47,11 @@ func BenchmarkMapStream(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	tk := &task{wave: &wave{fanOut: 8}, n: int64(len(raw)), size: int64(len(raw)), bounds: bounds}
+	tk := mapTask(wave{fanOut: 8}, int64(len(raw)), bounds, 0)
 	for i := 0; i < b.N; i++ {
 		src := chunks
 		r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, keep: len(chunks)}
-		builder, err := tk.indexSlice(r)
+		builder, err := tk.indexSlice(r, 0, int64(len(raw)))
 		if err != nil {
 			b.Fatal(err)
 		}

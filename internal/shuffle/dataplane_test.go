@@ -678,11 +678,11 @@ func TestSizedSliceBuildsNoRuns(t *testing.T) {
 	}
 	const size = 64 << 20
 	tk := sliceTask(128, size)
-	tk.off, tk.n = EvenShare(size, 128, 5)
+	off, n := EvenShare(size, 128, 5)
 	allocs := -1.0
 	inMapper(t, payload.Sized(size), func(ctx *faas.Ctx) {
 		allocs = testing.AllocsPerRun(20, func() {
-			if parts, err := tk.readSlice(ctx); parts != nil || err != nil {
+			if parts, err := tk.readSlice(ctx, off, n); parts != nil || err != nil {
 				t.Errorf("sized slice: %d runs, %v; want none, nil", len(parts), err)
 			}
 		})
@@ -699,9 +699,8 @@ func TestRealSliceOfBlankLinesWritesEmptyRuns(t *testing.T) {
 	line := bed.AppendTSV(nil, bed.Record{Chrom: "chr1", Start: 5, End: 6, Name: ".", Strand: '+'})
 	object := slices.Concat(line, []byte("\n\n \n\t\n\n"), line)
 	tk := sliceTask(3, int64(len(object)))
-	tk.off, tk.n = int64(len(line)), 6
 	inMapper(t, payload.RealNoCopy(object), func(ctx *faas.Ctx) {
-		parts, err := tk.readSlice(ctx)
+		parts, err := tk.readSlice(ctx, int64(len(line)), 6)
 		if err != nil || len(parts) != 3 {
 			t.Errorf("blank slice: %d runs, %v; want 3, nil", len(parts), err)
 		}
@@ -714,16 +713,13 @@ func TestRealSliceOfBlankLinesWritesEmptyRuns(t *testing.T) {
 }
 
 // sliceTask is a map task over the object inMapper stores, fanning out
-// to fanOut runs with no boundaries; the caller sets its slice.
+// to fanOut runs with no boundaries; the caller passes its slice.
 func sliceTask(fanOut int, size int64) *task {
 	streamBps, sortBps := MapStreamRates(1.6e9)
-	return &task{
-		wave:     &wave{fanOut: fanOut, streamBps: streamBps, sortBps: sortBps},
-		inBucket: "in", inKey: [1]string{"data"}, size: size,
-	}
+	return mapTask(wave{fanOut: fanOut, streamBps: streamBps, sortBps: sortBps}, size, nil, 0)
 }
 
-// inMapper stores in as in/data and runs body inside one invocation.
+// inMapper stores in as in/data.bed and runs body inside one invocation.
 func inMapper(t *testing.T, in payload.Payload, body func(ctx *faas.Ctx)) {
 	t.Helper()
 	sim, store, pf := readPinRig(t)
@@ -739,7 +735,7 @@ func inMapper(t *testing.T, in payload.Payload, body func(ctx *faas.Ctx)) {
 			t.Errorf("bucket: %v", err)
 			return
 		}
-		if err := c.Put(p, "in", "data", in); err != nil {
+		if err := c.Put(p, "in", "data.bed", in); err != nil {
 			t.Errorf("put: %v", err)
 			return
 		}

@@ -358,9 +358,9 @@ func TestFailedReadLeavesTheFreeListUsable(t *testing.T) {
 
 	// A stream error after the first chunk's lines were indexed.
 	boom := errors.New("connection reset")
-	tk := &task{wave: &wave{fanOut: 8}, n: int64(len(raw)), size: int64(len(raw))}
+	tk := mapTask(wave{fanOut: 8}, int64(len(raw)), nil, 0)
 	r := &lineReader{src: &failingSource{chunks: cutChunks(raw[:64<<10], []int{64 << 10}), err: boom}, m: &meter{clock: freeClock{}}, keep: 1}
-	if _, err := tk.indexSlice(r); !errors.Is(err, boom) {
+	if _, err := tk.indexSlice(r, 0, int64(len(raw))); !errors.Is(err, boom) {
 		t.Fatalf("indexSlice over a failing stream: %v, want %v", err, boom)
 	}
 	if n, _ := freeIndexes(); n != warm-1 {

@@ -186,8 +186,8 @@ func checkReadSlice(t *testing.T, raw []byte, draw uint64, cuts []byte) {
 	if draw>>15&1 == 1 {
 		n = min(n, int64(draw>>16%uint64(len(raw)+1)))
 	}
-	tk := &task{wave: &wave{fanOut: fanOut}, off: off, n: n, size: size, bounds: bounds}
-	readOff, readLen, _ := tk.span()
+	tk := mapTask(wave{fanOut: fanOut}, size, bounds, 0)
+	readOff, readLen, _ := tk.span(off, n)
 	readEnd := readOff + readLen
 
 	// The slice's own lines start in [off, off+n). A read of one line
@@ -227,7 +227,7 @@ func checkReadSlice(t *testing.T, raw []byte, draw uint64, cuts []byte) {
 		pos += c
 	}
 	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: len(src)}
-	b, err := tk.indexSlice(r)
+	b, err := tk.indexSlice(r, off, n)
 	switch {
 	case noStart || cutShort || wantErr != nil:
 		if err == nil {

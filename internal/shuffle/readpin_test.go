@@ -150,23 +150,17 @@ func mapReadTrace(t *testing.T) string {
 			if err := pf.Register("pin/map", func(ctx *faas.Ctx, in any) (any, error) {
 				tk := in.(*task)
 				start, fired, before := ctx.Proc.Now(), sim.Fired(), store.Metrics()
-				parts, err := tk.readSlice(ctx)
+				parts, err := tk.readSlice(ctx, int64(sl.off), int64(sl.n))
 				return outcome{parts, err, ctx.Proc.Now() - start, sim.Fired() - fired, store.Metrics().Sub(before)}, nil
 			}); err != nil {
 				t.Fatalf("register: %v", err)
 			}
 			streamBps, sortBps := MapStreamRates(1.6e6)
-			tk := &task{
-				wave:     &wave{fanOut: 3, streamBps: streamBps, sortBps: sortBps},
-				inBucket: "in", inKey: [1]string{"data.bed"},
-				off: int64(sl.off), n: int64(sl.n), size: int64(len(object)),
-				bounds: bounds, chunkBytes: chunk,
-			}
-			in := payload.RealNoCopy(object)
+			cut, in := bounds, payload.RealNoCopy(object)
 			if sl.sized {
-				tk.bounds = nil
-				in = payload.Sized(int64(len(object)))
+				cut, in = nil, payload.Sized(int64(len(object)))
 			}
+			tk := mapTask(wave{fanOut: 3, streamBps: streamBps, sortBps: sortBps}, int64(len(object)), cut, chunk)
 			var got outcome
 			sim.Spawn("driver", func(p *des.Proc) {
 				c := objectstore.NewClient(store)

@@ -71,6 +71,8 @@ type job struct {
 	id      string
 	size    int64
 	workers int
+	// inKey is the input's key, a list of one as GetStreams opens it.
+	inKey [1]string
 	// waves is the strategy, as the predictors fold it.
 	waves []wave
 	// round1 names the job a spraying exchange's runs are written under;
@@ -198,6 +200,7 @@ func (j *job) run(p *des.Proc) error {
 // name that is not a task's own (output keys are deterministic, which is
 // what lets a recovery re-run only some reducers).
 func (j *job) layout(in PlanInput, store, via medium) error {
+	j.inKey[0] = j.spec.InputKey
 	j.groupJobs = []string{j.id}
 	if j.spec.Exchange == ViaStoreTwoLevel {
 		groups := j.spec.Groups
@@ -256,75 +259,62 @@ func (j *job) fn(i int) string {
 // which stays inside a group and is named by groupJobs.
 func (j *job) sprays(e int) bool { return e < len(j.waves)-2 }
 
-// task is the input of one activation, whatever wave it serves.
+// task is the input of one activation, whatever wave it serves: a view
+// of its job, which holds all it reads but the task's wave, its place
+// there and the runStore it writes through. Task t of wave i reads row t
+// of the previous exchange's key table (layout), or its EvenShare of the
+// input, and writes into the next table, or the output. Group grp's k
+// parts are parts grp*k .. grp*k+k-1; one-level, the one group is the job.
 type task struct {
-	// wave gives the fan-in, the fan-out and the CPU rates.
-	wave *wave
-	runs runStore
-	// index is the task's place in its wave; it names the task in
-	// errors.
-	index int
-	// What it reads: bytes [off, off+n) of the size-byte input object
-	// (fan-in 0), its key a list of one as GetStreams opens it, or the
-	// fan-in sorted runs under sources, a row of the job's key table.
-	inBucket     string
-	inKey        [1]string
-	off, n, size int64
-	sources      []string
-	// Where the result goes: the fan-out runs, split at bounds, place r
-	// named runKeys[runAt+r*runStride] of the next exchange's key table;
-	// or (fan-out 0) the output object.
-	runKeys           []string
-	runAt, runStride  int
-	bounds            []boundary
-	outBucket, outKey string
-	// sliceBytes is the planned per-worker volume, sizing a gather's
-	// adaptive stream chunk; chunkBytes overrides it when set.
-	sliceBytes, chunkBytes int64
+	j      *job
+	runs   runStore
+	wv, at int32 // i and t, in 32 bits so that a task is 32 bytes
+}
+
+// wave gives the fan-in, the fan-out and the CPU rates.
+func (t *task) wave() *wave { return &t.j.waves[t.wv] }
+
+// slice is the task's share of the input, bytes [off, off+n).
+func (t *task) slice() (off, n int64) { return EvenShare(t.j.size, t.j.workers, int(t.at)) }
+
+// sources names the fan-in sorted runs the task gathers: its row.
+func (t *task) sources() []string {
+	i, at, fanIn := int(t.wv), int(t.at), t.wave().fanIn
+	if fanIn == 0 {
+		return nil
+	}
+	return t.j.runKeys[i-1][at*fanIn : (at+1)*fanIn : (at+1)*fanIn]
+}
+
+// bounds are where the task cuts its fan-out: the coarse boundaries
+// where its exchange sprays, else its group's fine ones (nil: sized).
+func (t *task) bounds() []boundary {
+	j, i, grp := t.j, int(t.wv), int(t.at)/t.j.k
+	if j.sprays(i) || j.fine == nil {
+		return j.coarse
+	}
+	return j.fine[grp*j.k : grp*j.k+j.k-1]
 }
 
 // runKey names the run the task writes for place r of its fan-out: the
-// string the run's reader opens it by.
-func (t *task) runKey(r int) string { return t.runKeys[t.runAt+r*t.runStride] }
-
-// task builds activation t of wave i, its runs written through runs: t
-// is place r of group grp. It reads row t of the key table of the
-// exchange before it (layout). Group grp's k parts are parts grp*k ..
-// grp*k+k-1, so the output is globally ordered across groups;
-// one-level, the one group is the job. Building it builds no key.
-func (j *job) task(i, t int, runs runStore) *task {
-	wv, grp, r := &j.waves[i], t/j.k, t%j.k
-	tk := &task{
-		wave: wv, runs: runs, index: t,
-		sliceBytes: j.size / int64(j.workers), chunkBytes: j.spec.StreamChunkBytes,
-	}
-	if wv.fanIn == 0 {
-		tk.inBucket, tk.inKey[0], tk.size = j.spec.InputBucket, j.spec.InputKey, j.size
-		tk.off, tk.n = EvenShare(j.size, j.workers, t)
-	} else {
-		row := t * wv.fanIn
-		tk.sources = j.runKeys[i-1][row : row+wv.fanIn : row+wv.fanIn]
-	}
-	if wv.fanOut == 0 {
-		tk.outBucket, tk.outKey = j.spec.OutputBucket, j.res.OutputKeys[t]
-		return tk
-	}
-	// Place p of this task's fan-out is one column of a reader's row in
-	// the next exchange's table, whose rows are fanIn keys long.
+// string its reader opens it by, a column of the reader's row in the
+// next exchange's table.
+func (t *task) runKey(r int) string {
+	j, i, at := t.j, int(t.wv), int(t.at)
 	fanIn := j.waves[i+1].fanIn
-	tk.runKeys = j.runKeys[i]
 	if j.sprays(i) {
-		// Mapper t is column t%fanIn of reader t/fanIn of group p: row
-		// p*k + t/fanIn, so at t and a stride of k*fanIn.
-		tk.runAt, tk.runStride, tk.bounds = t, j.k*fanIn, j.coarse
-	} else {
-		// Member r of group grp is column r of reader grp*k + p.
-		tk.runAt, tk.runStride = grp*j.k*fanIn+r, fanIn
-		if j.fine != nil {
-			tk.bounds = j.fine[grp*j.k : grp*j.k+j.k-1]
-		}
+		// Mapper at is column at%fanIn of reader at/fanIn of group r.
+		return j.runKeys[i][r*j.k*fanIn+at]
 	}
-	return tk
+	// Member m of group grp is column m of reader grp*k + r.
+	grp, m := at/j.k, at%j.k
+	return j.runKeys[i][(grp*j.k+r)*fanIn+m]
+}
+
+// task builds activation t of wave i, its runs written through runs.
+// Building it builds no key.
+func (j *job) task(i, t int, runs runStore) *task {
+	return &task{j: j, runs: runs, wv: int32(i), at: int32(t)}
 }
 
 // inputs builds wave i's tasks at the given indexes (nil: all of them).
@@ -454,41 +444,43 @@ func handler(ctx *faas.Ctx, input any) (any, error) {
 	}
 	fallbacks, err := t.run(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("shuffle: task %d: %w", t.index, err)
+		return nil, fmt.Errorf("shuffle: task %d: %w", t.at, err)
 	}
 	return fallbacks, nil
 }
 
 func (t *task) run(ctx *faas.Ctx) (int, error) {
-	fanOut := t.wave.fanOut
+	wv, sources, chunk := t.wave(), t.sources(), t.j.spec.StreamChunkBytes
+	fanOut := wv.fanOut
 	// parts are the fan-out's sorted runs; nil, the timing-only mode,
 	// leaves an even split of total to write.
 	var parts [][]byte
 	var total int64
 	var err error
-	if t.wave.fanIn == 0 {
-		if total = t.n; total == 0 {
+	if wv.fanIn == 0 {
+		var off int64
+		if off, total = t.slice(); total == 0 {
 			// Degenerate split (more workers than bytes): write empty runs
 			// to keep the key structure uniform.
 			parts = make([][]byte, fanOut)
-		} else if parts, err = t.readSlice(ctx); err != nil {
+		} else if parts, err = t.readSlice(ctx, off, total); err != nil {
 			return 0, err
 		}
 	} else {
-		perRun := t.sliceBytes / int64(len(t.sources))
+		// The planned per-worker volume sizes a gather's adaptive chunks.
+		sliceBytes := t.j.size / int64(t.j.workers)
 		var set readSet
 		var inBytes int64
-		set, inBytes, err = t.runs.open(ctx, t.sources, AdaptiveChunkBytes(t.chunkBytes, perRun))
+		set, inBytes, err = t.runs.open(ctx, sources, AdaptiveChunkBytes(chunk, sliceBytes/int64(len(sources))))
 		defer set.close()
 		if err != nil {
 			return 0, err
 		}
-		m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: inBytes}
+		m := &meter{p: ctx.Proc, clock: ctx, bps: wv.streamBps, left: inBytes}
 		if fanOut == 0 {
-			partBytes := AdaptiveChunkBytes(t.chunkBytes, t.sliceBytes)
-			err = mergeToOutput(ctx, m, set.srcs, inBytes, t.outBucket, t.outKey, partBytes)
+			err = mergeToOutput(ctx, m, set.srcs, inBytes, t.j.spec.OutputBucket, t.j.res.OutputKeys[t.at], AdaptiveChunkBytes(chunk, sliceBytes))
 		} else {
-			split := newRunSplitter(fanOut, t.bounds, inBytes)
+			split := newRunSplitter(fanOut, t.bounds(), inBytes)
 			var sized bool
 			if sized, total, err = mergeStreamedRuns(m, set.srcs, split.emit); !sized {
 				parts = split.finish()
@@ -522,7 +514,7 @@ func (t *task) run(ctx *faas.Ctx) (int, error) {
 			return 0, fmt.Errorf("write run %d: %w", stored, err)
 		}
 	}
-	return fallbacks, t.runs.free(ctx, t.sources)
+	return fallbacks, t.runs.free(ctx, sources)
 }
 
 // readSet is what a reducer reads its runs through, or a mapper its

@@ -47,13 +47,13 @@ func cutChunks(raw []byte, sizes []int) chunkList {
 func feedChunks(t *testing.T, raw []byte, readOff int64, prefixByte bool, offset, length int64,
 	workers int, bounds []boundary, chunkSizes []int) [][]byte {
 	t.Helper()
-	tk := &task{wave: &wave{fanOut: workers}, off: offset, n: length, size: readOff + int64(len(raw)), bounds: bounds}
-	if got, _, gotPrefix := tk.span(); got != readOff || gotPrefix != prefixByte {
+	tk := mapTask(wave{fanOut: workers}, readOff+int64(len(raw)), bounds, 0)
+	if got, _, gotPrefix := tk.span(offset, length); got != readOff || gotPrefix != prefixByte {
 		t.Fatalf("a task over [%d, +%d) reads from %d (prefix %v), want %d (%v)", offset, length, got, gotPrefix, readOff, prefixByte)
 	}
 	src := cutChunks(raw, chunkSizes)
 	r := &lineReader{src: &src, m: &meter{clock: freeClock{}}, pos: readOff, keep: 1} // kept grows past its reservation
-	builder, err := tk.indexSlice(r)
+	builder, err := tk.indexSlice(r, offset, length)
 	if err != nil {
 		t.Fatalf("indexSlice: %v", err)
 	}

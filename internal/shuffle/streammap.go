@@ -99,47 +99,48 @@ func feedSlice(r *lineReader, skipFirst bool, limit, end int64, add func(line []
 	}
 }
 
-// span returns the byte range a task actually reads of its input slice:
+// span returns the byte range a task reads of its slice [off, off+n):
 // one byte before the slice (to decide first-line ownership) through
 // the overscan that completes its final line, clipped to the object.
-func (t *task) span() (readOff, readLen int64, prefixByte bool) {
-	readOff = t.off
+func (t *task) span(off, n int64) (readOff, readLen int64, prefixByte bool) {
+	readOff = off
 	if readOff > 0 {
 		readOff--
 		prefixByte = true
 	}
-	readLen = t.off + t.n + overscan - readOff
-	if readOff+readLen > t.size {
-		readLen = t.size - readOff
+	readLen = off + n + overscan - readOff
+	if size := t.j.size; readOff+readLen > size {
+		readLen = size - readOff
 	}
 	return readOff, readLen, prefixByte
 }
 
-// readSlice streams the task's input slice into a runBuilder (indexSlice),
+// readSlice streams the slice [off, off+n) into a runBuilder (indexSlice),
 // charging the per-chunk partition CPU (at the wave's streaming rate) as
 // each chunk lands and the post-stream sort once the transfer is done.
 // It returns the finished sorted runs, copied once from the chunks the
 // reader kept, or nil when the object is a timing-only payload (the
 // caller writes even-split sized runs; the CPU has already been charged
 // either way). Its stream is a read set of one, as a reducer's streams.
-func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
-	readOff, readLen, _ := t.span()
-	chunk := AdaptiveChunkBytes(t.chunkBytes, t.n)
+func (t *task) readSlice(ctx *faas.Ctx, off, n int64) ([][]byte, error) {
+	readOff, readLen, _ := t.span(off, n)
+	chunk := AdaptiveChunkBytes(t.j.spec.StreamChunkBytes, n)
 	set := readSets.Take(1)
-	n, err := ctx.Store.GetStreams(ctx.Proc, set.streams, t.inBucket, t.inKey[:], readOff, readLen,
+	opened, err := ctx.Store.GetStreams(ctx.Proc, set.streams, t.j.spec.InputBucket, t.j.inKey[:], readOff, readLen,
 		objectstore.StreamOptions{ChunkBytes: chunk})
-	set.srcs, set.streams = set.srcs[:n], set.streams[:1]
+	set.srcs, set.streams = set.srcs[:opened], set.streams[:1]
 	defer set.close()
 	if err != nil {
 		return nil, err
 	}
 
-	// Charging the slice's t.n bytes alone keeps the total partition
+	// Charging the slice's n bytes alone keeps the total partition
 	// charge at exactly the slice over PartitionBps — overscan bytes are
 	// transferred but their lines belong to the next mapper.
-	m := &meter{p: ctx.Proc, clock: ctx, bps: t.wave.streamBps, left: t.n}
+	wv := t.wave()
+	m := &meter{p: ctx.Proc, clock: ctx, bps: wv.streamBps, left: n}
 	r := &lineReader{src: set.srcs[0], m: m, pos: readOff, keep: int((readLen + chunk - 1) / chunk)}
-	builder, err := t.indexSlice(r)
+	builder, err := t.indexSlice(r, off, n)
 	sized := errors.Is(err, errSizedChunk)
 	if sized {
 		_, err = m.drain(set.srcs[0], nil)
@@ -148,32 +149,32 @@ func (t *task) readSlice(ctx *faas.Ctx) ([][]byte, error) {
 		return nil, err
 	}
 	// The sort and the cut are the only post-transfer work.
-	ctx.ComputeBytes(t.n, t.wave.sortBps)
+	ctx.ComputeBytes(n, wv.sortBps)
 	switch {
 	case sized:
 		return nil, nil
 	case builder.fanOut == 0:
 		// Real bytes with no line of the mapper's own: every run empty.
-		return make([][]byte, t.wave.fanOut), nil
+		return make([][]byte, wv.fanOut), nil
 	}
 	return builder.finish(r.span()), nil
 }
 
-// indexSlice feeds the task's own lines of its slice, read off r from the
-// start of the task's read (span) on, into a runBuilder, each by its
+// indexSlice feeds the task's own lines of [off, off+n), read off r from
+// the start of the task's read (span) on, into a runBuilder, each by its
 // offset in the read. The builder is made at the first line, its index
 // reserved from the lines of the chunk that line came from, so a
 // timing-only slice, whose first chunk has no lines, builds none (its
 // fanOut is 0). r must keep its chunks: the builder is finished with
 // r.span().
-func (t *task) indexSlice(r *lineReader) (runBuilder, error) {
-	readOff, readLen, prefixByte := t.span()
+func (t *task) indexSlice(r *lineReader, off, n int64) (runBuilder, error) {
+	readOff, readLen, prefixByte := t.span(off, n)
 	var b runBuilder // fanOut 0 until made
-	err := feedSlice(r, prefixByte, t.off+t.n, t.size, func(line []byte, start int64, tail bool) error {
+	err := feedSlice(r, prefixByte, off+n, t.j.size, func(line []byte, start int64, tail bool) error {
 		if b.fanOut == 0 {
 			chunk, _ := r.kept[len(r.kept)-1].Bytes()
 			var err error
-			if b, err = newRunBuilder(t.wave.fanOut, t.bounds, readLen, lineHint(chunk, t.n)); err != nil {
+			if b, err = newRunBuilder(t.wave().fanOut, t.bounds(), readLen, lineHint(chunk, n)); err != nil {
 				return err
 			}
 		}

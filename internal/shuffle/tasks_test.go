@@ -14,6 +14,29 @@ import (
 	"github.com/faaspipe/faaspipe/internal/objectstore"
 )
 
+// mapTask is a map task with nothing behind it but a minimal job: place 0
+// of the job's one wave wv over the size-byte object in/data.bed, its
+// fan-out cut at bounds (fanOut-1 of them, or nil) and its slice read
+// chunk bytes at a time (0: adaptive). The caller passes the slice.
+func mapTask(wv wave, size int64, bounds []boundary, chunk int64) *task {
+	j := &job{
+		size: size, workers: wv.fanOut, k: wv.fanOut, waves: []wave{wv}, fine: bounds,
+		spec: Spec{InputBucket: "in", InputKey: "data.bed", StreamChunkBytes: chunk},
+	}
+	j.inKey[0] = j.spec.InputKey
+	return j.task(0, 0, nil)
+}
+
+// TestTaskSizeClass: a task is a view of its job, its place and the
+// runStore it writes through, in the 32-byte size class. A copy of what
+// it reads was 224 bytes an activation, and ints for its place made it
+// 40 bytes, allocated as 48.
+func TestTaskSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(task{}); n > 32 {
+		t.Errorf("a task is %d bytes, want at most 32", n)
+	}
+}
+
 // TestTasksMatchWaves pins what job.task builds to the wave list it is
 // built from, with no simulation: each task of wave i gathers exactly
 // fanIn_i runs (or reads its slice of the input where the fan-in is 0)
@@ -54,32 +77,35 @@ func TestTasksMatchWaves(t *testing.T) {
 				read, next := 0, int64(0)
 				for at := 0; at < w; at++ {
 					tk := j.task(i, at, runs)
-					if tk.wave != &j.waves[i] {
+					if tk.wave() != &j.waves[i] {
 						t.Fatalf("w=%d g=%d wave %d task %d works at another wave's rates", w, g, i, at)
 					}
-					if len(tk.sources) != wv.fanIn {
-						t.Fatalf("w=%d g=%d wave %d task %d gathers %d runs, fan-in %d", w, g, i, at, len(tk.sources), wv.fanIn)
+					sources := tk.sources()
+					if len(sources) != wv.fanIn {
+						t.Fatalf("w=%d g=%d wave %d task %d gathers %d runs, fan-in %d", w, g, i, at, len(sources), wv.fanIn)
 					}
 					if wv.fanIn == 0 {
-						if tk.inBucket != "in" || tk.inKey[0] != "data.bed" || tk.size != size || tk.off != next {
-							t.Fatalf("w=%d g=%d task %d reads %s/%s [%d,+%d) of %d, want offset %d", w, g, at, tk.inBucket, tk.inKey[0], tk.off, tk.n, tk.size, next)
+						bucket, key, of := tk.j.spec.InputBucket, tk.j.inKey[:], tk.j.size
+						off, n := tk.slice()
+						if bucket != "in" || len(key) != 1 || key[0] != "data.bed" || of != size || off != next {
+							t.Fatalf("w=%d g=%d task %d reads %s/%v [%d,+%d) of %d, want offset %d", w, g, at, bucket, key, off, n, of, next)
 						}
-						next += tk.n
+						next += n
 					}
-					for _, key := range tk.sources {
+					for _, key := range sources {
 						from, ok := writer[key]
-						if !ok || from.wave != i-1 || from.place != writer[tk.sources[0]].place {
+						if !ok || from.wave != i-1 || from.place != writer[sources[0]].place {
 							t.Fatalf("w=%d g=%d wave %d task %d reads %s, written by %+v (found %v), beside place %d",
-								w, g, i, at, key, from, ok, writer[tk.sources[0]].place)
+								w, g, i, at, key, from, ok, writer[sources[0]].place)
 						}
 						read++
 					}
-					for _, key := range tk.sources {
+					for _, key := range sources {
 						delete(writer, key) // a second reader fails the lookup
 					}
 					if wv.fanOut == 0 {
-						if tk.outBucket != "out" || tk.outKey != OutputKey("sorted/", at) {
-							t.Fatalf("w=%d g=%d reducer %d writes %s/%s", w, g, at, tk.outBucket, tk.outKey)
+						if bucket, key := tk.j.spec.OutputBucket, tk.j.res.OutputKeys[tk.at]; bucket != "out" || key != OutputKey("sorted/", at) {
+							t.Fatalf("w=%d g=%d reducer %d writes %s/%s", w, g, at, bucket, key)
 						}
 					}
 					for r := 0; r < wv.fanOut; r++ {
@@ -134,14 +160,14 @@ func TestRunKeysAreBuiltOnce(t *testing.T) {
 			written := map[string]*byte{}
 			for at := range c.w {
 				tk := j.task(i-1, at, runs)
-				for r := range tk.wave.fanOut {
+				for r := range tk.wave().fanOut {
 					key := tk.runKey(r)
 					written[key] = unsafe.StringData(key)
 				}
 			}
 			for at := range c.w {
 				tk := j.task(i, at, runs)
-				for m, key := range tk.sources {
+				for m, key := range tk.sources() {
 					if ptr, ok := written[key]; !ok || ptr != unsafe.StringData(key) {
 						t.Fatalf("w=%d g=%d wave %d task %d source %d %s: written %v, as another string %v",
 							c.w, c.g, i, at, m, key, ok, ok && ptr != unsafe.StringData(key))
